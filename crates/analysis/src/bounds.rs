@@ -38,9 +38,10 @@ use std::collections::HashMap;
 use oorq_cost::CostParams;
 use oorq_lint::{LintCode, LintReport};
 use oorq_pt::{
-    eq_literal_conjunct, node_ids, type_of_column_expr, AccessMethod, JoinAlgo, Pt, PtEnv, PtError,
+    node_ids, resolve_index_join, resolve_index_select, type_of_column_expr, AccessMethod,
+    IndexProbe, JoinAlgo, Pt, PtEnv, PtError,
 };
-use oorq_query::{CmpOp, Expr, Literal};
+use oorq_query::{Expr, Literal};
 use oorq_schema::{AtomicType, AttrId, AttributeKind, Catalog, ClassId, ResolvedType};
 use oorq_storage::{DbStats, EntityId, EntitySource, FragmentSpec, IndexKindDesc, PhysicalSchema};
 
@@ -750,10 +751,10 @@ impl Walk<'_, '_> {
                 input,
             } => {
                 if let AccessMethod::Index(idx) = method {
-                    if let Some((nbl, ec, attr_name)) =
+                    if let Some(probe) =
                         resolve_index_select(self.az.catalog, self.az.physical, *idx, pred, input)
                     {
-                        return self.go_index_select(pt, input, pred, nbl, ec, &attr_name, opens);
+                        return self.go_index_select(pt, input, pred, &probe, opens);
                     }
                 }
                 self.go_filter(pt, input, pred, opens)
@@ -789,12 +790,10 @@ impl Walk<'_, '_> {
                 right,
             } => {
                 if let JoinAlgo::IndexJoin(idx) = algo {
-                    if let Some((nbl, ec, attr_name, outer)) =
+                    if let Some(probe) =
                         resolve_index_join(self.az.catalog, self.az.physical, *idx, pred, right)
                     {
-                        return self.go_index_join(
-                            pt, pred, left, right, nbl, ec, &attr_name, &outer, opens,
-                        );
+                        return self.go_index_join(pt, pred, left, right, &probe, opens);
                     }
                 }
                 self.go_nl(pt, pred, left, right, opens)
@@ -915,23 +914,18 @@ impl Walk<'_, '_> {
         })
     }
 
-    #[allow(clippy::too_many_arguments)]
     fn go_index_select(
         &mut self,
         pt: &Pt,
         input: &Pt,
         pred: &Expr,
-        nblevels: f64,
-        entity_class: ClassId,
-        attr_name: &str,
+        probe: &IndexProbe<Literal>,
         opens: Interval,
     ) -> Result<Out, PtError> {
         self.mark_unlowered(input);
-        let Pt::Entity { var, .. } = input else {
-            unreachable!("resolve_index_select checked the input shape");
-        };
+        let (entity_class, nblevels) = (probe.class, probe.nblevels as f64);
         let cols = vec![ColInfo {
-            name: var.clone(),
+            name: probe.var.clone(),
             ty: ResolvedType::Object(entity_class),
             members: 1.0,
         }];
@@ -939,7 +933,7 @@ impl Walk<'_, '_> {
         // The probe's hits are filtered to the exact class before any
         // page is touched, so object fetches are bounded by the worst
         // per-key duplication of the attribute within that class.
-        let dup = match self.az.catalog.attr(entity_class, attr_name) {
+        let dup = match self.az.catalog.attr(entity_class, &probe.attr) {
             Some((aid, _)) => self.attr_max_dup(entity_class, aid),
             None => f64::INFINITY,
         };
@@ -1192,34 +1186,28 @@ impl Walk<'_, '_> {
         })
     }
 
-    #[allow(clippy::too_many_arguments)]
     fn go_index_join(
         &mut self,
         pt: &Pt,
         pred: &Expr,
         left: &Pt,
         right: &Pt,
-        nblevels: f64,
-        entity_class: ClassId,
-        attr_name: &str,
-        outer: &Expr,
+        probe: &IndexProbe<Expr>,
         opens: Interval,
     ) -> Result<Out, PtError> {
         let l = self.go(left, opens)?;
         self.mark_unlowered(right);
-        let Pt::Entity { var, .. } = right else {
-            unreachable!("resolve_index_join checked the right shape");
-        };
-        let oc = self.expr_bounds(outer, &l.cols);
+        let (entity_class, nblevels) = (probe.class, probe.nblevels as f64);
+        let oc = self.expr_bounds(&probe.key, &l.cols);
         let m = oc.members;
-        let dup = match self.az.catalog.attr(entity_class, attr_name) {
+        let dup = match self.az.catalog.attr(entity_class, &probe.attr) {
             Some((aid, _)) => self.attr_max_dup(entity_class, aid),
             None => f64::INFINITY,
         };
         let hits = dup.min(self.class_rows_hi(entity_class));
         let mut cols = l.cols.clone();
         cols.push(ColInfo {
-            name: var.clone(),
+            name: probe.var.clone(),
             ty: ResolvedType::Object(entity_class),
             members: 1.0,
         });
@@ -1485,78 +1473,4 @@ impl Walk<'_, '_> {
             rows_total,
         })
     }
-}
-
-/// Mirror of the lowering's `Sel` → `IndexSelect` resolution: the index
-/// must be a selection index, the input a class-extension entity, and
-/// the predicate must carry an `var.attr = literal` conjunct. Returns
-/// `(nblevels, entity class, attribute name)`.
-pub(crate) fn resolve_index_select(
-    catalog: &Catalog,
-    physical: &PhysicalSchema,
-    idx: oorq_storage::IndexId,
-    pred: &Expr,
-    input: &Pt,
-) -> Option<(f64, ClassId, String)> {
-    let desc = physical.indexes().get(idx.0 as usize)?;
-    let IndexKindDesc::Selection { class, attr } = desc.kind else {
-        return None;
-    };
-    let Pt::Entity { id, var } = input else {
-        return None;
-    };
-    let EntitySource::Class(entity_class) = physical.entity(*id).source else {
-        return None;
-    };
-    let attr_name = catalog.attribute(class, attr).name.clone();
-    eq_literal_conjunct(pred, var, &attr_name)?;
-    Some((desc.stats.nblevels as f64, entity_class, attr_name))
-}
-
-/// Mirror of the lowering's `EJ` → `IndexJoin` resolution: the index
-/// must be a selection index, the right input a class-extension entity,
-/// and the predicate must carry an `outer = var.attr` equality conjunct
-/// whose outer side does not mention `var`. Returns `(nblevels, entity
-/// class, attribute name, outer expression)`.
-pub(crate) fn resolve_index_join(
-    catalog: &Catalog,
-    physical: &PhysicalSchema,
-    idx: oorq_storage::IndexId,
-    pred: &Expr,
-    right: &Pt,
-) -> Option<(f64, ClassId, String, Expr)> {
-    let desc = physical.indexes().get(idx.0 as usize)?;
-    let IndexKindDesc::Selection { class, attr } = desc.kind else {
-        return None;
-    };
-    let Pt::Entity { id, var } = right else {
-        return None;
-    };
-    let EntitySource::Class(entity_class) = physical.entity(*id).source else {
-        return None;
-    };
-    let attr_name = catalog.attribute(class, attr).name.clone();
-    let mut outer: Option<Expr> = None;
-    for c in pred.conjuncts() {
-        if let Expr::Cmp {
-            op: CmpOp::Eq,
-            lhs,
-            rhs,
-        } = c
-        {
-            let matches_inner = |e: &Expr| {
-                matches!(e, Expr::Path { base, steps }
-                         if base == var && steps.len() == 1 && steps[0] == attr_name)
-            };
-            if matches_inner(rhs) && !lhs.vars().contains(var) {
-                outer = Some((**lhs).clone());
-                break;
-            }
-            if matches_inner(lhs) && !rhs.vars().contains(var) {
-                outer = Some((**rhs).clone());
-                break;
-            }
-        }
-    }
-    outer.map(|o| (desc.stats.nblevels as f64, entity_class, attr_name, o))
 }

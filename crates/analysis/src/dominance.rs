@@ -7,12 +7,15 @@
 
 use std::collections::HashMap;
 
-use oorq_pt::{type_of_column_expr, AccessMethod, JoinAlgo, Pt, PtEnv};
+use oorq_pt::{
+    resolve_index_join, resolve_index_select, type_of_column_expr, AccessMethod, JoinAlgo, Pt,
+    PtEnv,
+};
 use oorq_query::Expr;
 use oorq_schema::ResolvedType;
 use oorq_storage::IndexId;
 
-use crate::bounds::{resolve_index_join, resolve_index_select, Analysis};
+use crate::bounds::Analysis;
 
 /// If `a` and `b` differ by exactly one safe, result-preserving toggle,
 /// return the pre-order id of the diverging node; otherwise `None`.
@@ -128,7 +131,7 @@ impl Diff<'_, '_> {
         };
         match resolve_index_select(self.env.catalog, self.env.physical, *idx, pred, input) {
             None => true,
-            Some((_, ec, attr_name)) => self.attr_non_collection(*idx, ec, &attr_name),
+            Some(probe) => self.attr_non_collection(*idx, probe.class, &probe.attr),
         }
     }
 
@@ -141,15 +144,15 @@ impl Diff<'_, '_> {
         };
         match resolve_index_join(self.env.catalog, self.env.physical, *idx, pred, right) {
             None => true,
-            Some((_, ec, attr_name, outer)) => {
-                if !self.attr_non_collection(*idx, ec, &attr_name) {
+            Some(probe) => {
+                if !self.attr_non_collection(*idx, probe.class, &probe.attr) {
                     return false;
                 }
                 let Ok(cols) = left.output_columns(self.env) else {
                     return false;
                 };
                 let cenv: HashMap<String, ResolvedType> = cols.into_iter().collect();
-                match type_of_column_expr(self.env.catalog, &outer, &cenv) {
+                match type_of_column_expr(self.env.catalog, &probe.key, &cenv) {
                     Ok(ty) => !ty.is_collection(),
                     Err(_) => false,
                 }

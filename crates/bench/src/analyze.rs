@@ -1,35 +1,23 @@
 //! The static-analysis reproduction section: per-node interval bounds
 //! versus observed counters, and the `analyze-gate` soundness check.
 //!
-//! For every scenario in the corpus (music Figure-3 and §4.5 push-join,
-//! the recursive parts bill-of-materials, and the non-recursive chain
-//! joins — recursive queries under both the never-push and always-push
-//! strategies) the harness optimizes, statically analyzes the chosen
-//! plan with [`oorq_analysis::Analyzer`], executes it cold-cache, and
-//! checks every observed per-operator counter against its static
-//! interval ([`oorq_analysis::check_observed`]). The gate fails when
-//! any counter escapes its bound — the analyzer's soundness contract,
-//! enforced in CI on top of the executor's per-run debug assertion.
+//! Every corpus row is optimized, statically analyzed with
+//! [`oorq_analysis::Analyzer`], executed cold-cache, and every observed
+//! per-operator counter checked against its static interval
+//! ([`oorq_analysis::check_observed`]). The gate fails when any counter
+//! escapes its bound — the analyzer's soundness contract, enforced in CI
+//! on top of the executor's per-run debug assertion.
 
 use std::fmt::Write as _;
-use std::sync::Arc;
 
-use oorq_analysis::{check_observed, Analyzer, AnalyzerConfig, ObservedFix, ObservedOp};
-use oorq_core::{Optimizer, OptimizerConfig};
-use oorq_cost::{CostModel, CostParams};
-use oorq_datagen::{parts_catalog, ChainConfig, ChainDb, PartsConfig, PartsDb};
-use oorq_exec::{Executor, MethodRegistry};
-use oorq_index::IndexSet;
-use oorq_prng::Prng;
-use oorq_query::QueryGraph;
-use oorq_storage::{Database, DbStats};
+use oorq_analysis::check_observed;
 
-use crate::calibrate::parts_query;
-use crate::scenarios::PaperSetup;
+use crate::scenarios::{for_each_row, Knobs};
+use crate::sections::Args;
 
 /// One analyzed-and-executed run.
 pub struct RunCheck {
-    /// Scenario/strategy label.
+    /// Corpus row name.
     pub name: String,
     /// Rendered per-node bounds-vs-observed table.
     pub table: String,
@@ -39,246 +27,99 @@ pub struct RunCheck {
     pub checked: usize,
 }
 
-/// Optimize, statically analyze, execute, and check one query.
-fn analyze_one(
-    db: &mut Database,
-    idx: &IndexSet,
-    methods: &MethodRegistry,
-    q: &QueryGraph,
-    config: OptimizerConfig,
-    name: String,
-) -> Result<RunCheck, String> {
-    let stats = DbStats::collect(db);
-    let model = CostModel::new(db.catalog(), db.physical(), &stats, CostParams::default());
-    let mut opt = Optimizer::new(model, config);
-    let plan = opt
-        .optimize(q)
-        .map_err(|e| format!("{name}: optimization failed: {e}"))?;
-    let temp_fields = opt.model.temp_fields.clone();
+/// Analyze and run every corpus row whose name starts with `prefix`.
+pub fn corpus_runs(prefix: &str) -> Result<Vec<RunCheck>, String> {
+    let mut runs = Vec::new();
+    for_each_row(
+        |_, name| name.starts_with(prefix),
+        |name, s, q, config| {
+            let run = s
+                .run(q, config, &Knobs::default())
+                .map_err(|e| format!("{name}: {e}"))?;
+            let analysis = s
+                .analyze(&run.optimized.pt, run.temp_fields)
+                .map_err(|e| format!("{name}: analysis failed: {e:?}"))?;
+            let (ops, fixes) = run.report.observed();
+            let check = check_observed(&analysis, &ops, &fixes);
 
-    let analyzer = Analyzer {
-        catalog: db.catalog(),
-        physical: db.physical(),
-        stats: &stats,
-        params: CostParams::default(),
-        config: AnalyzerConfig::default(),
-    };
-    let analysis = analyzer
-        .analyze_with_temps(&plan.pt, temp_fields)
-        .map_err(|e| format!("{name}: analysis failed: {e:?}"))?;
-
-    db.cold_cache();
-    let mut ex = Executor::new(db, idx, methods);
-    ex.run(&plan.pt)
-        .map_err(|e| format!("{name}: execution failed: {e}"))?;
-    let report = ex.report();
-
-    let ops: Vec<ObservedOp> = report
-        .ops
-        .iter()
-        .map(|o| ObservedOp {
-            pt_node: o.pt_node,
-            label: o.label.clone(),
-            rows_out: o.rows_out,
-            page_reads: o.page_reads,
-            page_hits: o.page_hits,
-            index_reads: o.index_reads,
-            page_writes: o.page_writes,
-        })
-        .collect();
-    let fixes: Vec<ObservedFix> = report
-        .fix_deltas
-        .iter()
-        .map(|c| ObservedFix {
-            pt_node: c.pt_node,
-            iterations: (c.deltas.len() as u64).saturating_sub(1),
-        })
-        .collect();
-    let check = check_observed(&analysis, &ops, &fixes);
-
-    let mut table = String::new();
-    let _ = writeln!(table, "-- {name} --");
-    let _ = writeln!(
-        table,
-        "| node | op | rows obs ∈ bound | pages obs ∈ bound | index obs ∈ bound | writes obs ∈ bound |"
-    );
-    let _ = writeln!(table, "|---|---|---|---|---|---|");
-    for o in &ops {
-        let Some(n) = analysis.node(o.pt_node) else {
-            continue;
-        };
-        let cell = |v: u64, b: oorq_analysis::Interval| {
-            format!(
-                "{} ∈ {} {}",
-                v,
-                b,
-                if b.contains_count(v) { "✓" } else { "✗" }
-            )
-        };
-        let _ = writeln!(
-            table,
-            "| {} | {} | {} | {} | {} | {} |",
-            o.pt_node,
-            o.label,
-            cell(o.rows_out, n.rows_total),
-            cell(o.page_reads + o.page_hits, n.data()),
-            cell(o.index_reads, n.index()),
-            cell(o.page_writes, n.writes()),
-        );
-    }
-    for f in &fixes {
-        if let Some(p) = analysis.node(f.pt_node).and_then(|n| n.passes) {
-            let ok = f.iterations as f64 <= p.hi;
+            let mut table = String::new();
+            let _ = writeln!(table, "-- {name} --");
             let _ = writeln!(
                 table,
-                "fixpoint at node {}: {} semi-naive passes ≤ bound {} {}",
-                f.pt_node,
-                f.iterations,
-                p,
-                if ok { "✓" } else { "✗" }
+                "| node | op | rows obs ∈ bound | pages obs ∈ bound | index obs ∈ bound | writes obs ∈ bound |"
             );
-        }
-    }
-    for d in analysis
-        .report
-        .render()
-        .lines()
-        .chain(check.render().lines())
-    {
-        let _ = writeln!(table, "{d}");
-    }
-    let errors = check.errors().count();
-    let _ = writeln!(
-        table,
-        "{} operators, {} fixpoint openings checked; {} violations",
-        ops.len(),
-        fixes.len(),
-        errors
-    );
-    Ok(RunCheck {
-        name,
-        table,
-        errors,
-        checked: ops.len(),
-    })
-}
-
-/// Run one scenario family (or everything) through the analyzer.
-/// Accepted names: `music-fig3`, `music-pushjoin`, `parts`, `chain`,
-/// `all`.
-pub fn corpus_runs(which: &str) -> Result<Vec<RunCheck>, String> {
-    let mut runs = Vec::new();
-    let all = which == "all";
-    let mut rng = Prng::new(0x0ab5_7a71_c000_0006);
-
-    if all || which == "music-fig3" || which == "music-pushjoin" {
-        let mut setup = PaperSetup::new(PaperSetup::paper_scale());
-        let methods = MethodRegistry::new();
-        let music = |setup: &mut PaperSetup,
-                     q: &QueryGraph,
-                     qname: &str,
-                     runs: &mut Vec<RunCheck>|
-         -> Result<(), String> {
-            for (cname, config) in [
-                ("nopush", OptimizerConfig::never_push()),
-                ("push", OptimizerConfig::deductive_heuristic()),
-            ] {
-                runs.push(analyze_one(
-                    &mut setup.m.db,
-                    &setup.idx,
-                    &methods,
-                    q,
-                    config,
-                    format!("music/{qname}/{cname}"),
-                )?);
+            let _ = writeln!(table, "|---|---|---|---|---|---|");
+            for o in &ops {
+                let Some(n) = analysis.node(o.pt_node) else {
+                    continue;
+                };
+                let cell = |v: u64, b: oorq_analysis::Interval| {
+                    format!(
+                        "{} ∈ {} {}",
+                        v,
+                        b,
+                        if b.contains_count(v) { "✓" } else { "✗" }
+                    )
+                };
+                let _ = writeln!(
+                    table,
+                    "| {} | {} | {} | {} | {} | {} |",
+                    o.pt_node,
+                    o.label,
+                    cell(o.rows_out, n.rows_total),
+                    cell(o.page_reads + o.page_hits, n.data()),
+                    cell(o.index_reads, n.index()),
+                    cell(o.page_writes, n.writes()),
+                );
             }
-            Ok(())
-        };
-        if all || which == "music-fig3" {
-            let q = setup.fig3();
-            music(&mut setup, &q, "fig3", &mut runs)?;
-        }
-        if all || which == "music-pushjoin" {
-            let q = setup.pushjoin();
-            music(&mut setup, &q, "pushjoin", &mut runs)?;
-        }
-    }
-
-    if all || which == "parts" {
-        for (i, (roots, fanout, depth)) in [(2u32, 2u32, 3u32), (3, 3, 3)].into_iter().enumerate() {
-            let cat = Arc::new(parts_catalog());
-            let mut p = PartsDb::generate(
-                Arc::clone(&cat),
-                PartsConfig {
-                    roots,
-                    fanout,
-                    depth,
-                    clustered: i % 2 == 1,
-                    buffer_frames: 32,
-                    seed: rng.range_u32(1, 1 << 20) as u64,
-                },
+            for f in &fixes {
+                if let Some(p) = analysis.node(f.pt_node).and_then(|n| n.passes) {
+                    let ok = f.iterations as f64 <= p.hi;
+                    let _ = writeln!(
+                        table,
+                        "fixpoint at node {}: {} semi-naive passes ≤ bound {} {}",
+                        f.pt_node,
+                        f.iterations,
+                        p,
+                        if ok { "✓" } else { "✗" }
+                    );
+                }
+            }
+            for d in analysis
+                .report
+                .render()
+                .lines()
+                .chain(check.render().lines())
+            {
+                let _ = writeln!(table, "{d}");
+            }
+            let errors = check.errors().count();
+            let _ = writeln!(
+                table,
+                "{} operators, {} fixpoint openings checked; {} violations",
+                ops.len(),
+                fixes.len(),
+                errors
             );
-            let q = parts_query(&cat);
-            let methods = MethodRegistry::with_parts_methods(&cat);
-            let idx = IndexSet::new();
-            for (cname, config) in [
-                ("nopush", OptimizerConfig::never_push()),
-                ("push", OptimizerConfig::deductive_heuristic()),
-            ] {
-                runs.push(analyze_one(
-                    &mut p.db,
-                    &idx,
-                    &methods,
-                    &q,
-                    config,
-                    format!("parts{i}/{cname}"),
-                )?);
-            }
-        }
-    }
-
-    if all || which == "chain" {
-        for (i, (relations, rows, domain)) in [(3usize, 80u32, 16i64), (4, 50, 12)]
-            .into_iter()
-            .enumerate()
-        {
-            let mut chain = ChainDb::generate(ChainConfig {
-                relations,
-                rows,
-                domain,
-                seed: rng.range_u32(1, 1 << 20) as u64,
+            runs.push(RunCheck {
+                name: name.to_string(),
+                table,
+                errors,
+                checked: ops.len(),
             });
-            let methods = MethodRegistry::new();
-            let idx = IndexSet::new();
-            for (qname, q) in [
-                ("chain", chain.chain_query(8)),
-                ("tail", chain.selective_tail_query(3)),
-            ] {
-                runs.push(analyze_one(
-                    &mut chain.db,
-                    &idx,
-                    &methods,
-                    &q,
-                    OptimizerConfig::cost_controlled(),
-                    format!("chain{i}/{qname}"),
-                )?);
-            }
-        }
-    }
-
+            Ok::<(), String>(())
+        },
+    )?;
     if runs.is_empty() {
-        return Err(format!(
-            "unknown analyze scenario `{which}` (expected music-fig3, music-pushjoin, parts, \
-             chain, or all)"
-        ));
+        return Err(format!("no corpus row is named `{prefix}…`"));
     }
     Ok(runs)
 }
 
-/// `reproduce analyze <scenario>`: the per-node bounds-vs-observed
-/// report.
-pub fn analyze_report(scenario: &str) -> Result<String, String> {
-    let runs = corpus_runs(scenario)?;
+/// `reproduce analyze [prefix]`: the per-node bounds-vs-observed report
+/// of the matching corpus rows (all of them by default).
+pub fn analyze_report(args: &Args) -> Result<String, String> {
+    let runs = corpus_runs(args.arg(0, ""))?;
     let mut out =
         String::from("=== Static bounds vs observed counters (abstract interpretation) ===\n");
     for r in &runs {
@@ -287,10 +128,10 @@ pub fn analyze_report(scenario: &str) -> Result<String, String> {
     Ok(out)
 }
 
-/// `reproduce analyze-gate`: the full corpus under both strategies;
-/// fails when any observed counter escapes its static interval.
-pub fn analyze_gate() -> Result<String, String> {
-    let runs = corpus_runs("all")?;
+/// `reproduce analyze-gate`: the whole corpus; fails when any observed
+/// counter escapes its static interval.
+pub fn analyze_gate(_: &Args) -> Result<String, String> {
+    let runs = corpus_runs("")?;
     let mut out = String::from("=== Soundness gate: observed counters vs static bounds ===\n");
     let mut bad = 0usize;
     let mut checked = 0usize;

@@ -1,480 +1,133 @@
 //! Regenerates every figure and worked example of the paper.
 //!
-//! Usage: `reproduce [section]` where section is one of
-//! `fig1 fig2 fig3 fig4 fig5 fig6 fig7 pushjoin crossover strategies
-//! ablation lint validate analyze calibrate calibrate-fit
-//! calibrate-gate feedback feedback-fit feedback-gate analyze-gate
-//! fuzz parallel spill spill-gate metrics metrics-fit metrics-gate
-//! all` (default: `all`). An unknown section lists the registry and
-//! exits 2.
+//! Usage: `reproduce [section] [args] [--threads N] [--memory-budget N]`.
+//! `reproduce list` prints every section with its arguments — the table
+//! in `oorq_bench::sections` is the only registry. `reproduce all` (the
+//! default) prints the deterministic sections, byte-identical to the
+//! checked-in `reproduce_output.txt`; `reproduce gates` runs every CI
+//! gate in one process.
 //!
-//! `reproduce metrics <scenario>` replays a scenario (`music`,
-//! `pushjoin` or `chain`) five times under the always-on metrics
-//! registry and prints the aggregated series with p50/p90/p99, the
-//! EXPLAIN ANALYZE tree (predicted vs observed per operator, `!!` on a
-//! §11 interval escape), and the Prometheus exposition; it honours
-//! `--threads` and `--memory-budget`. `reproduce metrics-gate` checks
-//! the stable metric names against `crates/bench/metrics_baseline.txt`
-//! and the disabled/enabled recorder overhead caps; `reproduce
-//! metrics-fit` prints the baseline to check in after a deliberate
-//! rename.
-//!
-//! `reproduce parallel [--threads N]` compares serial against parallel
-//! execution across the scenario corpus (default 4 workers) and fails
-//! when any parallel answer deviates from its serial one. A `--threads
-//! N` flag (or the `OORQ_THREADS` environment variable) sets the worker
-//! pool; `0` — the default everywhere else — keeps execution fully
-//! serial, so every other gate measures the serial engine.
-//!
-//! A `--memory-budget N` flag (or the `OORQ_MEMORY_BUDGET` environment
-//! variable) caps resident pipeline-breaker pages
-//! ([`oorq_exec::ExecConfig::memory_budget_pages`]); `0` — the default —
-//! is unbounded. It applies to the `parallel` differential runs and
-//! overrides the `spill` sweep's budget; `spill-gate` always runs at
-//! the baseline-pinned budget.
-//!
-//! `reproduce serve [--queries N] [--sessions N]` replays a mixed
-//! music/chain corpus through N concurrent serving sessions sharing one
-//! plan cache per scenario family (defaults: 1000 queries, 4 sessions)
-//! and fails when any answer deviates from the single-session reference
-//! replay; it reports p50/p99 request latency and the
-//! `serve.cache.*` hit/miss/evict counters. `reproduce serve-gate` runs
-//! the full-size replay and additionally pins the plan-cache hit rate.
-//!
-//! `reproduce spill [--memory-budget N]` sweeps a transitive-closure
-//! workload across the breaker-budget spill cliff and reports predicted
-//! versus observed physical page reads on both sides; `reproduce
-//! spill-gate` fails when either side's median relative error regresses
-//! beyond `crates/bench/spill_baseline.txt` (or the model mis-places
-//! the cliff).
-//!
-//! Gate subcommands (`lint`, `calibrate-gate`, `feedback-gate`,
-//! `analyze-gate`, `fuzz`) all follow one convention: they print their
-//! report, end with a final `PASS: <name>` or `FAIL: <name>` line, and
-//! exit 0 on pass / 1 on fail (2 on usage errors). `calibrate-gate`
-//! fails when residuals regress beyond the checked-in baseline;
-//! `feedback-gate` does the same for fixpoint cardinality profiles;
-//! `analyze-gate` fails when any observed counter escapes its static
-//! interval on the full corpus; `lint` fails when a real pass (not the
-//! deliberately broken demo plan) reports errors.
-//!
-//! `reproduce lint --explain <CODE>` prints the registry entry for one
-//! stable lint code (e.g. `AB003`).
-//!
-//! `reproduce analyze [scenario]` prints the static bounds-vs-observed
-//! table for `music-fig3`, `music-pushjoin`, `parts`, `chain` or `all`.
-//!
-//! `reproduce fuzz [iters] [seed]` runs the seeded plan-mutation
-//! soundness fuzzer (defaults: the CI smoke parameters).
-//!
-//! `reproduce trace <scenario> [out-dir]` runs one scenario under the
-//! structured-tracing recorder and writes `trace-<scenario>.jsonl`
-//! (schema-versioned event stream), `trace-<scenario>.json` (Chrome
-//! trace-event JSON, loadable in Perfetto / `chrome://tracing`) and
-//! `trace-<scenario>.folded` (flamegraph folded stacks) into `out-dir`
-//! (default `.`), then prints the search-space summary.
-//! `reproduce trace-check <file>` validates a Chrome trace file with
-//! the in-repo checker and exits nonzero on schema drift.
+//! Exit status: 0 on success, 1 when a gate fails (it prints its report
+//! and a final `PASS: <name>` / `FAIL: <name>` line), 2 on a usage
+//! error — an unknown section, a malformed flag, or a numeric
+//! environment knob (`OORQ_THREADS`, `OORQ_MEMORY_BUDGET`) that does not
+//! parse, whatever the section.
 
-use oorq_bench::reports::*;
-use oorq_bench::PaperSetup;
+use oorq_bench::scenarios::parse_env_knob;
+use oorq_bench::sections::{Args, Section, SECTIONS};
 
-/// Uniform gate epilogue: print the report, end with `PASS`/`FAIL`, and
-/// exit nonzero on failure.
-fn gate(name: &str, outcome: Result<String, String>) {
-    match outcome {
+fn usage(msg: &str) -> ! {
+    eprintln!("reproduce: {msg}");
+    std::process::exit(2);
+}
+
+/// A numeric knob: the flag beats the environment variable; absent both,
+/// 0. The variable is validated even when the flag is given.
+fn knob(flag: Option<u64>, var: &str) -> u64 {
+    let raw = std::env::var(var).ok();
+    let env = parse_env_knob(var, raw.as_deref()).unwrap_or_else(|e| usage(&e));
+    flag.or(env).unwrap_or(0)
+}
+
+/// Split the command line into the section name and its [`Args`].
+fn parse_args() -> (String, Args) {
+    let (mut threads, mut budget, mut rest) = (None, None, Vec::new());
+    let mut argv = std::env::args().skip(1);
+    while let Some(a) = argv.next() {
+        let slot = match a.as_str() {
+            "--threads" => &mut threads,
+            "--memory-budget" => &mut budget,
+            _ => {
+                rest.push(a);
+                continue;
+            }
+        };
+        match argv.next().and_then(|v| v.parse().ok()) {
+            Some(v) => *slot = Some(v),
+            None => usage(&format!("usage: reproduce <section> [{a} <N>]")),
+        }
+    }
+    let section = if rest.is_empty() {
+        "all".to_string()
+    } else {
+        rest.remove(0)
+    };
+    let args = Args {
+        rest,
+        threads: knob(threads, "OORQ_THREADS") as u32,
+        memory_budget: knob(budget, "OORQ_MEMORY_BUDGET"),
+    };
+    (section, args)
+}
+
+/// Run one section; `true` when it passed. A gate prints its report and
+/// a `PASS`/`FAIL` line; any other section's failure is a usage error.
+fn run(s: &Section, args: &Args) -> bool {
+    match (s.run)(args) {
         Ok(report) => {
             println!("{report}");
-            println!("PASS: {name}");
-        }
-        Err(report) => {
-            eprintln!("{report}");
-            println!("FAIL: {name}");
-            std::process::exit(1);
-        }
-    }
-}
-
-/// Read a numeric flag's value from anywhere on the command line; a
-/// present flag with a missing or unparseable value is a usage error
-/// (exit 2).
-fn flag_arg(flag: &str) -> Option<u64> {
-    let mut args = std::env::args();
-    while let Some(a) = args.next() {
-        if a == flag {
-            match args.next().and_then(|v| v.parse().ok()) {
-                Some(v) => return Some(v),
-                None => {
-                    eprintln!("usage: reproduce <section> [{flag} <N>]");
-                    std::process::exit(2);
-                }
+            if s.is_gate() {
+                println!("PASS: {}", s.name);
             }
+            true
         }
-    }
-    None
-}
-
-/// Read a numeric environment variable. A variable that is set but does
-/// not parse as an unsigned integer is a hard error (exit 2) — a typo'd
-/// `OORQ_THREADS=four` must not silently run the serial default.
-fn env_arg(name: &str) -> Option<u64> {
-    let v = std::env::var(name).ok()?;
-    match v.parse() {
-        Ok(n) => Some(n),
-        Err(_) => {
-            eprintln!("reproduce: {name} must be an unsigned integer, got `{v}`");
-            std::process::exit(2);
+        Err(report) if s.is_gate() => {
+            eprintln!("{report}");
+            println!("FAIL: {}", s.name);
+            false
         }
+        Err(e) => usage(&format!("{}: {e}", s.name)),
     }
 }
-
-/// Resolve the executor worker-pool size: a `--threads N` flag anywhere
-/// on the command line beats the `OORQ_THREADS` environment variable;
-/// absent both, `0` — the fully serial default every gate runs under.
-fn threads_arg() -> u32 {
-    flag_arg("--threads")
-        .or_else(|| env_arg("OORQ_THREADS"))
-        .unwrap_or(0) as u32
-}
-
-/// Resolve the breaker memory budget (pages): a `--memory-budget N`
-/// flag anywhere on the command line beats the `OORQ_MEMORY_BUDGET`
-/// environment variable; absent both, `0` — unbounded, the default
-/// every other gate runs under.
-fn memory_budget_arg() -> u64 {
-    flag_arg("--memory-budget")
-        .or_else(|| env_arg("OORQ_MEMORY_BUDGET"))
-        .unwrap_or(0)
-}
-
-/// Every section `reproduce` understands; an unknown one is a usage
-/// error (exit 2) listing the full registry.
-const SECTIONS: &[&str] = &[
-    "all",
-    "fig1",
-    "fig2",
-    "fig3",
-    "fig4",
-    "fig5",
-    "fig6",
-    "fig7",
-    "pushjoin",
-    "crossover",
-    "strategies",
-    "ablation",
-    "lint",
-    "validate",
-    "analyze",
-    "analyze-gate",
-    "calibrate",
-    "calibrate-fit",
-    "calibrate-gate",
-    "feedback",
-    "feedback-fit",
-    "feedback-gate",
-    "fuzz",
-    "parallel",
-    "spill",
-    "spill-gate",
-    "trace",
-    "trace-check",
-    "metrics",
-    "metrics-fit",
-    "metrics-gate",
-    "serve",
-    "serve-gate",
-];
 
 fn main() {
-    // Validate the numeric environment knobs up front, whatever the
-    // section: a typo'd value must fail loudly, not silently fall back
-    // to the default.
-    env_arg("OORQ_THREADS");
-    env_arg("OORQ_MEMORY_BUDGET");
-    let section = std::env::args().nth(1).unwrap_or_else(|| "all".to_string());
-    if !SECTIONS.contains(&section.as_str()) {
-        eprintln!("reproduce: unknown section `{section}`");
-        eprintln!("known sections:\n  {}", SECTIONS.join(" "));
-        std::process::exit(2);
-    }
-    if section == "trace" {
-        return trace_main();
-    }
-    if section == "metrics" {
-        let scenario = std::env::args()
-            .nth(2)
-            .filter(|a| !a.starts_with("--"))
-            .unwrap_or_else(|| "music".to_string());
-        match oorq_bench::metrics::metrics_report(&scenario, threads_arg(), memory_budget_arg()) {
-            Ok(report) => println!("{report}"),
-            Err(e) => {
-                eprintln!("reproduce metrics: {e}");
-                std::process::exit(2);
+    let (section, args) = parse_args();
+    let ok = match section.as_str() {
+        "list" => {
+            for s in SECTIONS {
+                println!("{:<16} {}", s.name, s.doc);
             }
+            println!(
+                "{:<16} every deterministic section above (the default)",
+                "all"
+            );
+            println!(
+                "{:<16} every gate in one process; exit 1 if any fails",
+                "gates"
+            );
+            true
         }
-        return;
-    }
-    if section == "metrics-fit" {
-        match oorq_bench::metrics::metrics_fit_report() {
-            Ok(report) => println!("{report}"),
-            Err(e) => {
-                eprintln!("reproduce metrics-fit: {e}");
-                std::process::exit(2);
+        "all" => {
+            let mut ok = true;
+            for s in SECTIONS.iter().filter(|s| s.in_all()) {
+                ok &= run(s, &Args::default());
             }
+            ok
         }
-        return;
-    }
-    if section == "metrics-gate" {
-        return gate("metrics-gate", oorq_bench::metrics::metrics_gate());
-    }
-    if section == "serve" {
-        let queries = flag_arg("--queries").unwrap_or(oorq_bench::serve::GATE_QUERIES as u64);
-        let sessions = flag_arg("--sessions").unwrap_or(oorq_bench::serve::GATE_SESSIONS as u64);
-        return gate(
-            "serve",
-            oorq_bench::serve::serve_report(
-                queries as usize,
-                (sessions as usize).max(1),
-                threads_arg(),
-                memory_budget_arg(),
-            ),
-        );
-    }
-    if section == "serve-gate" {
-        return gate("serve-gate", oorq_bench::serve::serve_gate());
-    }
-    if section == "parallel" {
-        // A serial "parallel" comparison is vacuous: without an explicit
-        // worker count this section defaults to 4 workers.
-        let threads = match threads_arg() {
-            0 => 4,
-            t => t,
-        };
-        return gate(
-            "parallel",
-            oorq_bench::parallel::parallel_report(threads, memory_budget_arg()),
-        );
-    }
-    if section == "spill" {
-        let budget = match memory_budget_arg() {
-            0 => oorq_bench::spill::SPILL_BUDGET_PAGES,
-            b => b,
-        };
-        println!("{}", oorq_bench::spill::spill_report(budget));
-        return;
-    }
-    if section == "spill-gate" {
-        return gate("spill-gate", oorq_bench::spill::spill_gate());
-    }
-    if section == "trace-check" {
-        return trace_check_main();
-    }
-    if section == "analyze" {
-        let scenario = std::env::args().nth(2).unwrap_or_else(|| "all".to_string());
-        match oorq_bench::analyze::analyze_report(&scenario) {
-            Ok(report) => println!("{report}"),
-            Err(e) => {
-                eprintln!("reproduce analyze: {e}");
-                std::process::exit(2);
+        "gates" => {
+            let verdicts: Vec<(&str, bool)> = SECTIONS
+                .iter()
+                .filter(|s| s.is_gate())
+                .map(|s| (s.name, run(s, &args)))
+                .collect();
+            println!("== gates ==");
+            for (name, ok) in &verdicts {
+                println!("{}: {name}", if *ok { "PASS" } else { "FAIL" });
             }
+            verdicts.iter().all(|(_, ok)| *ok)
         }
-        return;
-    }
-    if section == "analyze-gate" {
-        return gate("analyze-gate", oorq_bench::analyze::analyze_gate());
-    }
-    if section == "fuzz" {
-        let parse = |n: usize, default: u64| -> u64 {
-            match std::env::args().nth(n) {
-                None => default,
-                Some(s) => match s.parse() {
-                    Ok(v) => v,
-                    Err(_) => {
-                        eprintln!("usage: reproduce fuzz [iterations] [seed]");
-                        std::process::exit(2);
-                    }
-                },
+        name => match SECTIONS.iter().find(|s| s.name == name) {
+            Some(s) => run(s, &args),
+            None => {
+                let names: Vec<&str> = SECTIONS.iter().map(|s| s.name).collect();
+                usage(&format!(
+                    "unknown section `{name}`\nknown sections:\n  {} all gates list",
+                    names.join(" ")
+                ))
             }
-        };
-        let iters = parse(2, oorq_bench::fuzz::SMOKE_ITERS);
-        let seed = parse(3, oorq_bench::fuzz::SMOKE_SEED);
-        return gate("fuzz", oorq_bench::fuzz::fuzz_report(iters, seed));
-    }
-    let all = section == "all";
-    let want = |s: &str| all || section == s;
-    if want("fig1") {
-        println!("{}", fig1_report());
-    }
-    if want("fig2") {
-        println!("{}", fig2_report());
-    }
-    if want("fig3") {
-        println!("{}", fig3_report());
-    }
-    if want("fig4") || want("fig6") {
-        let setup = PaperSetup::new(PaperSetup::paper_scale());
-        if want("fig4") {
-            println!("{}", fig4_report(&setup));
-        }
-        if want("fig6") {
-            println!("{}", fig6_report(&setup));
-        }
-    }
-    if want("fig7") {
-        // The §4.6 conclusion ("pushing is not worthwhile here") arises
-        // when the pushed filter saves little; see the E9 crossover for
-        // the full picture.
-        let mut setup = PaperSetup::new(oorq_bench::reports::fig7_config());
-        println!("{}", fig7_report(&mut setup));
-    }
-    if want("fig5") {
-        println!("{}", fig5_report());
-    }
-    if want("pushjoin") {
-        let mut setup = PaperSetup::new(PaperSetup::paper_scale());
-        println!("{}", pushjoin_report(&mut setup));
-    }
-    if want("crossover") {
-        println!("{}", crossover_report());
-    }
-    if want("strategies") {
-        println!("{}", strategies_report(6));
-    }
-    if want("ablation") {
-        println!("{}", ablation_report());
-    }
-    if section == "lint" {
-        if let Some(flag) = std::env::args().nth(2) {
-            if flag != "--explain" {
-                eprintln!("usage: reproduce lint [--explain <CODE>]");
-                std::process::exit(2);
-            }
-            let Some(code) = std::env::args().nth(3) else {
-                eprintln!("usage: reproduce lint --explain <CODE>");
-                std::process::exit(2);
-            };
-            match explain_lint_code(&code) {
-                Some(entry) => println!("{entry}"),
-                None => {
-                    eprintln!("reproduce lint: unknown lint code `{code}`");
-                    std::process::exit(2);
-                }
-            }
-            return;
-        }
-        let setup = PaperSetup::new(PaperSetup::paper_scale());
-        let (report, clean) = lint_report(&setup);
-        return gate("lint", if clean { Ok(report) } else { Err(report) });
-    }
-    if all {
-        let setup = PaperSetup::new(PaperSetup::paper_scale());
-        let (report, clean) = lint_report(&setup);
-        println!("{report}");
-        println!("{}: lint", if clean { "PASS" } else { "FAIL" });
-        // `reproduce analyze <scenario>` (early exit above) selects one
-        // scenario; the full run prints the whole-corpus table.
-        match oorq_bench::analyze::analyze_report("all") {
-            Ok(report) => println!("{report}"),
-            Err(e) => eprintln!("reproduce analyze: {e}"),
-        }
-        // Pin the provable-pruning integration: the checked-in full-run
-        // output shows the `pruned-proven` candidates with their
-        // non-overlapping cost intervals (no trace files written here;
-        // use `reproduce trace music-pushjoin` for the exports).
-        match oorq_bench::tracing::trace_scenario("music-pushjoin") {
-            Ok(art) => println!("{}", art.summary),
-            Err(e) => eprintln!("reproduce trace music-pushjoin: {e}"),
-        }
-    }
-    if want("validate") {
-        println!("{}", validation_report());
-    }
-    if want("calibrate") {
-        println!("{}", oorq_bench::calibrate::calibrate_report());
-    }
-    if want("feedback") {
-        println!("{}", oorq_bench::feedback::feedback_report());
-    }
-    // Not part of `all`: refitting prints a snapshot to check in, and the
-    // gates are CI steps with their own exit status.
-    if section == "calibrate-fit" {
-        println!("{}", oorq_bench::calibrate::calibrate_fit_report());
-    }
-    if section == "calibrate-gate" {
-        gate("calibrate-gate", oorq_bench::calibrate::calibrate_gate());
-    }
-    if section == "feedback-fit" {
-        println!("{}", oorq_bench::feedback::feedback_fit_report());
-    }
-    if section == "feedback-gate" {
-        gate("feedback-gate", oorq_bench::feedback::feedback_gate());
-    }
-}
-
-/// `reproduce trace <scenario> [out-dir]`: run the scenario under an
-/// enabled recorder and write all three exports.
-fn trace_main() {
-    let scenario = std::env::args()
-        .nth(2)
-        .unwrap_or_else(|| "music-fig7".to_string());
-    let dir = std::env::args().nth(3).unwrap_or_else(|| ".".to_string());
-    let art = match oorq_bench::tracing::trace_scenario(&scenario) {
-        Ok(art) => art,
-        Err(e) => {
-            eprintln!("reproduce trace: {e}");
-            std::process::exit(2);
-        }
+        },
     };
-    if let Err(e) = std::fs::create_dir_all(&dir) {
-        eprintln!("reproduce trace: cannot create `{dir}`: {e}");
-        std::process::exit(2);
-    }
-    let base = format!("{dir}/trace-{scenario}");
-    for (path, contents) in [
-        (format!("{base}.jsonl"), &art.jsonl),
-        (format!("{base}.json"), &art.chrome),
-        (format!("{base}.folded"), &art.folded),
-    ] {
-        if let Err(e) = std::fs::write(&path, contents) {
-            eprintln!("reproduce trace: cannot write `{path}`: {e}");
-            std::process::exit(2);
-        }
-    }
-    println!("{}", art.summary);
-    println!(
-        "wrote {base}.jsonl ({} lines), {base}.json (Perfetto-loadable), {base}.folded ({} frames)",
-        art.jsonl.lines().count(),
-        art.folded.lines().count(),
-    );
-}
-
-/// `reproduce trace-check <file>`: validate a Chrome trace file with
-/// the in-repo checker; exit nonzero on any violation or schema drift.
-fn trace_check_main() {
-    let Some(path) = std::env::args().nth(2) else {
-        eprintln!("usage: reproduce trace-check <trace.json>");
-        std::process::exit(2);
-    };
-    let contents = match std::fs::read_to_string(&path) {
-        Ok(c) => c,
-        Err(e) => {
-            eprintln!("trace-check: cannot read `{path}`: {e}");
-            std::process::exit(2);
-        }
-    };
-    match oorq_obs::check_chrome_trace(&contents) {
-        Ok(s) => println!(
-            "{path}: OK — {} events ({} duration pairs, {} complete, {} counter samples, \
-             {} instants)",
-            s.total_events,
-            s.duration_pairs,
-            s.complete_events,
-            s.counter_samples,
-            s.instant_events
-        ),
-        Err(e) => {
-            eprintln!("{path}: INVALID — {e}");
-            std::process::exit(1);
-        }
+    if !ok {
+        std::process::exit(1);
     }
 }

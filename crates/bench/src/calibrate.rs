@@ -4,9 +4,8 @@
 //! under both recursion strategies, joins the optimizer's per-node cost
 //! breakdown against the executor's observed per-operator counters (on
 //! the shared PT pre-order node index), and fits the calibratable
-//! [`CostWeights`] by deterministic weighted least squares — ridge
-//! regression toward the identity weights, solved by hand-rolled
-//! Gaussian elimination so the workspace stays dependency-free.
+//! [`CostWeights`] by deterministic weighted least squares
+//! ([`CostWeights::fit`]).
 //!
 //! Because every per-node estimate is a feature vector
 //! ([`CostFeatures`]) dotted with the weights, fitting never re-runs
@@ -19,22 +18,15 @@
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
-use std::sync::Arc;
 
-use oorq_core::{Optimizer, OptimizerConfig};
-use oorq_cost::{
-    Cost, CostFeatures, CostModel, CostParams, CostWeights, FixCurve, NodeCost, OpKind,
-};
-use oorq_datagen::{parts_catalog, ChainConfig, ChainDb, MusicConfig, PartsConfig, PartsDb};
-use oorq_exec::{Executor, MethodRegistry};
-use oorq_index::IndexSet;
+use oorq_core::OptimizerConfig;
+use oorq_cost::{Cost, CostFeatures, CostParams, CostWeights, FixCurve, NodeCost, OpKind};
 use oorq_lint::{lint_drift, DriftTolerance, ObservedOp, Severity};
-use oorq_prng::Prng;
 use oorq_pt::Pt;
-use oorq_query::{Expr, NameRef, QArc, QueryGraph, SpjNode, ViewRegistry};
-use oorq_storage::{Database, DbStats};
+use oorq_query::QueryGraph;
 
-use crate::scenarios::PaperSetup;
+use crate::scenarios::{for_each_row, Knobs, Scenario};
+use crate::sections::{median, Args, Baseline};
 
 /// Reference weighting for the scalar error metric: one page access
 /// (`pr`) and one evaluation (`ev`), fixed so "relative error" means
@@ -78,37 +70,24 @@ pub struct SampleLine {
 }
 
 impl SampleLine {
-    fn units(feat: &CostFeatures, w: &CostWeights) -> f64 {
-        feat.io(w) * REF_PR + feat.cpu(w) * REF_EV
-    }
-
-    /// Predicted scalar cost under the uncalibrated features and the
-    /// given weights (reference pr/ev weighting).
-    pub fn predicted_units(&self, w: &CostWeights) -> f64 {
-        Self::units(&self.feat, w)
-    }
-
-    /// Predicted scalar cost under the calibrated feature model and the
-    /// given weights.
-    pub fn predicted_units_res(&self, w: &CostWeights) -> f64 {
-        Self::units(&self.feat_res, w)
-    }
-
-    /// Observed scalar cost (reference pr/ev weighting).
-    pub fn observed_units(&self) -> f64 {
-        self.obs_io * REF_PR + self.obs_cpu * REF_EV
+    /// Relative error, in reference pr/ev units, of the scalar cost the
+    /// given feature vector predicts under the given weights.
+    fn rel_err_of(&self, feat: &CostFeatures, w: &CostWeights) -> f64 {
+        let predicted = feat.io(w) * REF_PR + feat.cpu(w) * REF_EV;
+        let observed = self.obs_io * REF_PR + self.obs_cpu * REF_EV;
+        (predicted - observed).abs() / observed.max(1.0)
     }
 
     /// Relative error of the uncalibrated prediction under the given
     /// weights.
     pub fn rel_err(&self, w: &CostWeights) -> f64 {
-        (self.predicted_units(w) - self.observed_units()).abs() / self.observed_units().max(1.0)
+        self.rel_err_of(&self.feat, w)
     }
 
     /// Relative error of the calibrated-feature-model prediction under
     /// the given weights.
     pub fn rel_err_res(&self, w: &CostWeights) -> f64 {
-        (self.predicted_units_res(w) - self.observed_units()).abs() / self.observed_units().max(1.0)
+        self.rel_err_of(&self.feat_res, w)
     }
 }
 
@@ -192,45 +171,36 @@ impl PlanSample {
 /// model, typically residency-enabled) so every matched line carries
 /// both feature vectors.
 fn sample_plan(
-    db: &mut Database,
-    idx: &IndexSet,
-    methods: &MethodRegistry,
+    s: &mut Scenario,
     q: &QueryGraph,
     config: OptimizerConfig,
     res_params: &CostParams,
-    scenario: String,
-) -> PlanSample {
-    let stats = DbStats::collect(db);
-    let model = CostModel::new(db.catalog(), db.physical(), &stats, CostParams::default());
-    let mut opt = Optimizer::new(model, config);
-    let plan = opt
-        .optimize(q)
-        .unwrap_or_else(|e| panic!("{scenario}: optimization failed: {e}"));
-    // Re-estimate the chosen plan under the calibrated feature model;
-    // the optimizer's model already registered every temporary's shape.
-    let mut res_model = opt.model;
-    res_model.params = CostParams {
-        // The harness knows which scenario this plan came from, so the
-        // re-estimate may use the exact (scenario, temp) profile rather
-        // than the cross-scenario aggregate.
-        profile_scope: scenario.clone(),
-        ..res_params.clone()
-    };
+    scenario: &str,
+) -> Result<PlanSample, String> {
+    let run = s.run(q, config, &Knobs::default())?;
+    let (plan, report) = (&run.optimized, &run.report);
+    // Re-estimate the chosen plan under the calibrated feature model,
+    // with every temporary the optimizer registered.
+    let res_model = s.model(
+        CostParams {
+            // The harness knows which scenario this plan came from, so the
+            // re-estimate may use the exact (scenario, temp) profile rather
+            // than the cross-scenario aggregate.
+            profile_scope: scenario.to_string(),
+            ..res_params.clone()
+        },
+        run.temp_fields.clone(),
+    );
     let depth = res_model.fix_iterations();
     let res_cost = res_model
         .cost(&plan.pt)
-        .unwrap_or_else(|e| panic!("{scenario}: re-estimation failed: {e}"));
+        .map_err(|e| format!("re-estimation failed: {e}"))?;
     let res_feat: BTreeMap<usize, (CostFeatures, f64)> = res_cost
         .breakdown
         .iter()
         .filter_map(|n| Some((n.node?, (n.feat, n.rows))))
         .collect();
     let rec_nodes = fix_rec_nodes(&plan.pt);
-    db.cold_cache();
-    let mut ex = Executor::new(db, idx, methods);
-    ex.run(&plan.pt)
-        .unwrap_or_else(|e| panic!("{scenario}: execution failed: {e}"));
-    let report = ex.report();
 
     // Observed totals per PT node (re-instantiated operators sum).
     let mut obs: BTreeMap<usize, (f64, f64, f64)> = BTreeMap::new();
@@ -318,11 +288,11 @@ fn sample_plan(
             depth,
         });
     }
-    PlanSample {
-        scenario,
+    Ok(PlanSample {
+        scenario: scenario.to_string(),
         lines,
         fixes,
-    }
+    })
 }
 
 /// Pre-order indices of every node on the recursive side of a fixpoint
@@ -353,191 +323,25 @@ fn fix_rec_nodes(pt: &Pt) -> std::collections::HashSet<usize> {
     out
 }
 
-/// Run the whole calibration corpus: the music scenario (recursive
-/// `Influencer` chains, path + selection indexes), the parts scenario
-/// (recursive bill-of-materials with a computed attribute), and the
-/// chain scenario (non-recursive multi-joins) — each at several
-/// [`Prng`]-seeded sizes, recursive queries under both the never-push
-/// and always-push strategies. `res_params` is the calibrated feature
-/// model every plan is re-estimated under (see [`SampleLine::feat_res`]).
+/// Run the calibration rows of the corpus (`Entry::calibration`): the
+/// music scenarios (recursive `Influencer` chains, path + selection
+/// indexes), the parts scenarios (recursive bill-of-materials with a
+/// computed attribute) and the chain scenarios (non-recursive
+/// multi-joins), recursive queries under both the never-push and
+/// always-push strategies. `res_params` is the calibrated feature model
+/// every plan is re-estimated under (see [`SampleLine::feat_res`]).
 pub fn collect_corpus(res_params: &CostParams) -> Vec<PlanSample> {
     let mut samples = Vec::new();
-    let mut rng = Prng::new(0x0ca1_1b8a_7e00_0003);
-
-    // -- music ------------------------------------------------------
-    for i in 0..3u32 {
-        let cfg = MusicConfig {
-            chains: 3 + i,
-            chain_len: 3 + 2 * i,
-            works_per_composer: 1 + i,
-            instruments_per_work: 2 + i % 2,
-            instrument_pool: 12,
-            harpsichord_fraction: [0.25, 0.5, 0.9][i as usize],
-            clustered: i % 2 == 1,
-            buffer_frames: 32,
-            seed: rng.range_u32(1, 1 << 20) as u64,
-        };
-        let mut setup = PaperSetup::new(cfg);
-        let q = setup.fig3_gen(2);
-        let methods = MethodRegistry::new();
-        for (cname, config) in [
-            ("nopush", OptimizerConfig::never_push()),
-            ("push", OptimizerConfig::deductive_heuristic()),
-        ] {
-            samples.push(sample_plan(
-                &mut setup.m.db,
-                &setup.idx,
-                &methods,
-                &q,
-                config,
-                res_params,
-                format!("music{i}/fig3/{cname}"),
-            ));
-        }
-        let qj = setup.pushjoin();
-        samples.push(sample_plan(
-            &mut setup.m.db,
-            &setup.idx,
-            &methods,
-            &qj,
-            OptimizerConfig::never_push(),
-            res_params,
-            format!("music{i}/pushjoin/nopush"),
-        ));
-    }
-
-    // -- parts ------------------------------------------------------
-    for (i, (roots, fanout, depth)) in [(2u32, 2u32, 3u32), (3, 3, 3)].into_iter().enumerate() {
-        let cat = Arc::new(parts_catalog());
-        let mut p = PartsDb::generate(
-            Arc::clone(&cat),
-            PartsConfig {
-                roots,
-                fanout,
-                depth,
-                clustered: i % 2 == 1,
-                buffer_frames: 32,
-                seed: rng.range_u32(1, 1 << 20) as u64,
-            },
-        );
-        let q = parts_query(&cat);
-        let methods = MethodRegistry::with_parts_methods(&cat);
-        let idx = IndexSet::new();
-        for (cname, config) in [
-            ("nopush", OptimizerConfig::never_push()),
-            ("push", OptimizerConfig::deductive_heuristic()),
-        ] {
-            samples.push(sample_plan(
-                &mut p.db,
-                &idx,
-                &methods,
-                &q,
-                config,
-                res_params,
-                format!("parts{i}/{cname}"),
-            ));
-        }
-    }
-
-    // -- chain ------------------------------------------------------
-    for (i, (relations, rows, domain)) in [(3usize, 80u32, 16i64), (4, 50, 12)]
-        .into_iter()
-        .enumerate()
-    {
-        let mut chain = ChainDb::generate(ChainConfig {
-            relations,
-            rows,
-            domain,
-            seed: rng.range_u32(1, 1 << 20) as u64,
-        });
-        let methods = MethodRegistry::new();
-        let idx = IndexSet::new();
-        for (qname, q) in [
-            ("chain", chain.chain_query(8)),
-            ("tail", chain.selective_tail_query(3)),
-        ] {
-            samples.push(sample_plan(
-                &mut chain.db,
-                &idx,
-                &methods,
-                &q,
-                OptimizerConfig::cost_controlled(),
-                res_params,
-                format!("chain{i}/{qname}"),
-            ));
-        }
-    }
-
+    for_each_row(
+        |entry, _| entry.calibration,
+        |name, s, q, config| {
+            samples.push(sample_plan(s, q, config, res_params, name)?);
+            Ok(())
+        },
+    )
+    .unwrap_or_else(|e: String| panic!("calibration corpus: {e}"));
     samples
 }
-
-/// The recursive parts bill-of-materials query ("components of `asm0`
-/// heavier than 40, with their unit test cost"), with the `Contains`
-/// view expanded — the bench-side twin of the differential-test
-/// fixture.
-pub fn parts_query(cat: &oorq_schema::Catalog) -> QueryGraph {
-    let part = cat.class_by_name("Part").expect("parts schema");
-    let contains = cat.relation_by_name("Contains").expect("parts schema");
-    let mut reg = ViewRegistry::new();
-    reg.define(
-        contains,
-        vec![
-            SpjNode {
-                inputs: vec![
-                    QArc::new(NameRef::Class(part), "p"),
-                    QArc::new(NameRef::Class(part), "s"),
-                ],
-                pred: Expr::path("p", &["subparts"]).eq(Expr::var("s")),
-                out_proj: vec![
-                    ("assembly".into(), Expr::var("p")),
-                    ("component".into(), Expr::var("s")),
-                    ("depth".into(), Expr::int(1)),
-                ],
-            },
-            SpjNode {
-                inputs: vec![
-                    QArc::new(NameRef::Relation(contains), "c"),
-                    QArc::new(NameRef::Class(part), "s"),
-                ],
-                pred: Expr::path("c", &["component", "subparts"]).eq(Expr::var("s")),
-                out_proj: vec![
-                    ("assembly".into(), Expr::path("c", &["assembly"])),
-                    ("component".into(), Expr::var("s")),
-                    (
-                        "depth".into(),
-                        Expr::path("c", &["depth"]).add(Expr::int(1)),
-                    ),
-                ],
-            },
-        ],
-    );
-    let mut q = QueryGraph::new(NameRef::Derived("Answer".into()));
-    q.add_spj(
-        NameRef::Derived("Answer".into()),
-        SpjNode {
-            inputs: vec![QArc::new(NameRef::Relation(contains), "k")],
-            pred: Expr::path("k", &["assembly", "name"])
-                .eq(Expr::text("asm0"))
-                .and(Expr::path("k", &["component", "weight"]).ge(Expr::int(40))),
-            out_proj: vec![
-                ("component".into(), Expr::path("k", &["component", "name"])),
-                (
-                    "cost".into(),
-                    Expr::path("k", &["component", "unit_test_cost"]),
-                ),
-            ],
-        },
-    );
-    reg.expand(&mut q, cat).expect("parts view must expand");
-    q
-}
-
-/// Magnitude floor of the per-equation fit weighting `1/max(obs,
-/// FIT_FLOOR)²`: keeps near-zero observations (a handful of pages whose
-/// cold reads the executor attributes to a twin operator) from
-/// receiving unbounded relative weight and dragging a shared
-/// coefficient away from the bulk of the corpus.
-const FIT_FLOOR: f64 = 4.0;
 
 /// Cardinality-drift bound for fit eligibility. The weights correct
 /// *unit-cost* drift (cost per page, per probe, per evaluation); a line
@@ -565,123 +369,19 @@ fn card_ok(l: &SampleLine) -> bool {
     card_within(l.pred_rows_res, l.obs_rows)
 }
 
-/// Fit the component weights to the corpus by weighted ridge least
-/// squares, pulled toward the identity weights. The fit runs over the
-/// calibrated feature model ([`SampleLine::feat_res`]) — the weights it
-/// produces are the ones [`CostParams::calibrated`] applies.
-///
-/// Each matched operator whose own row estimate held (see [`card_ok`])
-/// contributes one equation per cost side —
-/// `feat · w = observed` — weighted by `1/max(observed, FIT_FLOOR)²` so
-/// the fit minimizes (approximately) *relative* error rather than
-/// letting the largest operators dominate. The ridge term `λ‖w − 1‖²` keeps
-/// features the corpus never exercises at exactly their uncalibrated
-/// value and makes the normal equations unconditionally solvable. All
-/// arithmetic is plain `f64` over a deterministically ordered corpus:
-/// the fit is reproducible bit-for-bit.
+/// Fit the component weights to the corpus ([`CostWeights::fit`]) over
+/// the calibrated feature model ([`SampleLine::feat_res`]) — the weights
+/// it produces are the ones [`CostParams::calibrated`] applies. Only
+/// matched operators whose own row estimate held (see [`card_ok`])
+/// contribute equations.
 pub fn fit_weights(samples: &[PlanSample]) -> CostWeights {
-    let lines: Vec<&SampleLine> = samples
+    let equations: Vec<(CostFeatures, f64, f64)> = samples
         .iter()
         .flat_map(|s| &s.lines)
         .filter(|l| card_ok(l))
+        .map(|l| (l.feat_res, l.obs_io, l.obs_cpu))
         .collect();
-
-    // io side: 5 features against observed page accesses.
-    let mut ata = [[0.0f64; 5]; 5];
-    let mut atb = [0.0f64; 5];
-    for l in &lines {
-        let a = l.feat_res.io_columns();
-        let wgt = 1.0 / l.obs_io.max(FIT_FLOOR).powi(2);
-        for i in 0..5 {
-            for j in 0..5 {
-                ata[i][j] += wgt * a[i] * a[j];
-            }
-            atb[i] += wgt * a[i] * l.obs_io;
-        }
-    }
-    let w_io = ridge_solve(&mut ata, &mut atb);
-
-    // cpu side: 2 features against observed evaluations.
-    let mut ata2 = [[0.0f64; 2]; 2];
-    let mut atb2 = [0.0f64; 2];
-    for l in &lines {
-        let a = l.feat_res.cpu_columns();
-        let wgt = 1.0 / l.obs_cpu.max(FIT_FLOOR).powi(2);
-        for i in 0..2 {
-            for j in 0..2 {
-                ata2[i][j] += wgt * a[i] * a[j];
-            }
-            atb2[i] += wgt * a[i] * l.obs_cpu;
-        }
-    }
-    let w_cpu = ridge_solve(&mut ata2, &mut atb2);
-
-    let clamp = |v: f64| v.clamp(0.05, 20.0);
-    CostWeights {
-        seq_page: clamp(w_io[0]),
-        deref_page: clamp(w_io[1]),
-        index_level: clamp(w_io[2]),
-        index_leaf: clamp(w_io[3]),
-        write_page: clamp(w_io[4]),
-        eval: clamp(w_cpu[0]),
-        method: clamp(w_cpu[1]),
-    }
-}
-
-/// Add the ridge pull toward 1 and solve `(AᵀA + λI) w = Aᵀb + λ·1` by
-/// Gaussian elimination with partial pivoting. The ridge strength is
-/// relative to the system's own scale so it is negligible for features
-/// the corpus exercises and decisive for ones it does not.
-fn ridge_solve<const N: usize>(ata: &mut [[f64; N]; N], atb: &mut [f64; N]) -> [f64; N] {
-    let trace: f64 = (0..N).map(|i| ata[i][i]).sum();
-    let lambda = 1e-4 * (trace / N as f64) + 1e-9;
-    for i in 0..N {
-        ata[i][i] += lambda;
-        atb[i] += lambda;
-    }
-    solve(ata, atb)
-}
-
-fn solve<const N: usize>(a: &mut [[f64; N]; N], b: &mut [f64; N]) -> [f64; N] {
-    for col in 0..N {
-        let pivot = (col..N)
-            .max_by(|&i, &j| a[i][col].abs().total_cmp(&a[j][col].abs()))
-            .unwrap_or(col);
-        a.swap(col, pivot);
-        b.swap(col, pivot);
-        let p = a[col][col];
-        debug_assert!(p.abs() > 0.0, "ridge keeps every pivot nonzero");
-        let pivot_row = a[col];
-        for row in col + 1..N {
-            let f = a[row][col] / p;
-            for (dst, src) in a[row].iter_mut().zip(pivot_row.iter()).skip(col) {
-                *dst -= f * src;
-            }
-            b[row] -= f * b[col];
-        }
-    }
-    let mut x = [0.0f64; N];
-    for col in (0..N).rev() {
-        let mut v = b[col];
-        for k in col + 1..N {
-            v -= a[col][k] * x[k];
-        }
-        x[col] = v / a[col][col];
-    }
-    x
-}
-
-fn median(mut v: Vec<f64>) -> f64 {
-    if v.is_empty() {
-        return 0.0;
-    }
-    v.sort_by(f64::total_cmp);
-    let n = v.len();
-    if n % 2 == 1 {
-        v[n / 2]
-    } else {
-        0.5 * (v[n / 2 - 1] + v[n / 2])
-    }
+    CostWeights::fit(&equations)
 }
 
 /// One row of the per-operator-kind error table.
@@ -746,11 +446,15 @@ pub fn drift_warnings(samples: &[PlanSample], w: &CostWeights, res: bool) -> usi
 /// The `reproduce calibrate` section: per-operator-kind relative-error
 /// tables before (identity weights) and after (the checked-in fitted
 /// snapshot), plus drift-lint counts.
-pub fn calibrate_report() -> String {
+pub fn calibrate_report(_: &Args) -> Result<String, String> {
     let calibrated = CostParams::calibrated();
     let samples = collect_corpus(&calibrated);
     let default = CostParams::default();
-    render_comparison(&samples, &default.weights, &calibrated.weights)
+    Ok(render_comparison(
+        &samples,
+        &default.weights,
+        &calibrated.weights,
+    ))
 }
 
 fn render_comparison(samples: &[PlanSample], wa: &CostWeights, wb: &CostWeights) -> String {
@@ -822,7 +526,7 @@ fn render_comparison(samples: &[PlanSample], wa: &CostWeights, wb: &CostWeights)
 /// The `reproduce calibrate-fit` section: re-fit the weights on the
 /// corpus and print the snapshot to check in as
 /// `crates/cost/calibrated.toml`.
-pub fn calibrate_fit_report() -> String {
+pub fn calibrate_fit_report(_: &Args) -> Result<String, String> {
     // The feature model the weights are fitted for: residency on, and
     // the checked-in fixpoint profiles attached (the profile fit —
     // `reproduce feedback-fit` — precedes the weight fit).
@@ -844,91 +548,33 @@ pub fn calibrate_fit_report() -> String {
     let mut out = render_comparison(&samples, &CostParams::default().weights, &w);
     let _ = writeln!(out, "\n--- snapshot (crates/cost/calibrated.toml) ---");
     out.push_str(&snapshot);
-    out
+    Ok(out)
 }
-
-/// The checked-in residual baseline (regenerate with
-/// `reproduce calibrate-fit` and update alongside the snapshot).
-const BASELINE: &str = include_str!("../calibration_baseline.txt");
-
-/// Absolute slack allowed over the checked-in per-kind baseline before
-/// the gate fails. Counters and the fit are deterministic, so this only
-/// absorbs float-rounding differences across platforms.
-pub const GATE_TOLERANCE: f64 = 0.05;
 
 /// The `reproduce calibrate-gate` section: re-run the corpus and fail
 /// (`Err`) when any operator kind's median relative error under the
-/// checked-in calibrated parameters exceeds its checked-in baseline by
-/// more than [`GATE_TOLERANCE`], or when the calibrated weights no
-/// longer improve the overall median over the identity weights.
-pub fn calibrate_gate() -> Result<String, String> {
+/// checked-in calibrated parameters exceeds its entry in
+/// `calibration_baseline.txt` (regenerate with `reproduce calibrate-fit`
+/// alongside the snapshot), or when the calibrated weights no longer
+/// improve the overall median over the identity weights.
+pub fn calibrate_gate(_: &Args) -> Result<String, String> {
     let default = CostParams::default();
     let calibrated = CostParams::calibrated();
     let samples = collect_corpus(&calibrated);
     let (rows, overall_default, overall_cal) =
         kind_medians(&samples, &default.weights, &calibrated.weights);
-
-    let mut baseline: BTreeMap<String, f64> = BTreeMap::new();
-    for line in BASELINE.lines() {
-        let line = line.split('#').next().unwrap_or("").trim();
-        if line.is_empty() {
-            continue;
-        }
-        let (kind, v) = line
-            .split_once('=')
-            .ok_or_else(|| format!("calibration_baseline.txt: bad line `{line}`"))?;
-        baseline.insert(
-            kind.trim().to_string(),
-            v.trim()
-                .parse()
-                .map_err(|e| format!("calibration_baseline.txt: {e}"))?,
-        );
-    }
+    let mut gate = Baseline::parse(
+        "calibration_baseline.txt",
+        include_str!("../calibration_baseline.txt"),
+    )?;
 
     let mut out = String::from("=== Calibration regression gate ===\n");
-    let mut failures = Vec::new();
     for r in &rows {
-        let Some(&base) = baseline.get(r.kind.name()) else {
-            let _ = writeln!(
-                out,
-                "{}: {:.3} (no baseline; informational)",
-                r.kind, r.med_b
-            );
-            continue;
-        };
-        let ok = r.med_b <= base + GATE_TOLERANCE;
-        let _ = writeln!(
-            out,
-            "{}: median rel err {:.3} vs baseline {:.3} -> {}",
-            r.kind,
-            r.med_b,
-            base,
-            if ok { "ok" } else { "FAIL" }
-        );
-        if !ok {
-            failures.push(format!(
-                "{}: median relative error {:.3} exceeds baseline {:.3} + {:.2}",
-                r.kind, r.med_b, base, GATE_TOLERANCE
-            ));
-        }
+        gate.check(&mut out, r.kind.name(), "median rel err", r.med_b);
     }
-    if let Some(&base) = baseline.get("overall") {
-        let ok = overall_cal <= base + GATE_TOLERANCE;
-        let _ = writeln!(
-            out,
-            "overall: median rel err {:.3} vs baseline {:.3} -> {}",
-            overall_cal,
-            base,
-            if ok { "ok" } else { "FAIL" }
-        );
-        if !ok {
-            failures.push(format!(
-                "overall: median relative error {overall_cal:.3} exceeds baseline {base:.3}"
-            ));
-        }
-    }
+    gate.check(&mut out, "overall", "median rel err", overall_cal);
     if overall_cal > overall_default {
-        failures.push(format!(
+        gate.fail(format!(
             "calibrated weights no longer improve the overall median \
              ({overall_cal:.3} vs {overall_default:.3} under identity weights)"
         ));
@@ -939,15 +585,7 @@ pub fn calibrate_gate() -> Result<String, String> {
              {overall_default:.3} (default)"
         );
     }
-    if failures.is_empty() {
-        out.push_str("calibration gate OK\n");
-        Ok(out)
-    } else {
-        Err(format!(
-            "{out}\ncalibration gate FAILED:\n{}",
-            failures.join("\n")
-        ))
-    }
+    gate.finish(out, "calibration")
 }
 
 #[cfg(test)]
@@ -967,54 +605,6 @@ mod tests {
             obs_io: feat.io(w),
             obs_cpu: feat.cpu(w),
             obs_rows: rows,
-        }
-    }
-
-    /// The fit recovers weights that generated the observations.
-    #[test]
-    fn fit_recovers_planted_weights() {
-        let truth = CostWeights {
-            seq_page: 0.8,
-            deref_page: 1.4,
-            index_level: 2.0,
-            index_leaf: 0.5,
-            write_page: 3.0,
-            eval: 1.2,
-            method: 2.5,
-        };
-        let mut lines = Vec::new();
-        let mut rng = Prng::new(0xf17);
-        for _ in 0..64 {
-            let feat = CostFeatures {
-                seq_pages: rng.range_u32(0, 20) as f64,
-                deref_pages: rng.range_u32(0, 20) as f64,
-                index_level_ios: rng.range_u32(0, 8) as f64,
-                index_leaf_ios: rng.range_u32(0, 8) as f64,
-                write_pages: rng.range_u32(0, 6) as f64,
-                evals: rng.range_u32(0, 40) as f64,
-                method_units: rng.range_u32(0, 12) as f64,
-            };
-            lines.push(synthetic_line(feat, &truth, 10.0));
-        }
-        let samples = vec![PlanSample {
-            scenario: "synthetic".into(),
-            lines,
-            fixes: Vec::new(),
-        }];
-        let w = fit_weights(&samples);
-        for (name, got, want) in [
-            ("seq_page", w.seq_page, truth.seq_page),
-            ("deref_page", w.deref_page, truth.deref_page),
-            ("index_level", w.index_level, truth.index_level),
-            ("index_leaf", w.index_leaf, truth.index_leaf),
-            ("write_page", w.write_page, truth.write_page),
-            ("eval", w.eval, truth.eval),
-            ("method", w.method, truth.method),
-        ] {
-            assert!(
-                (got - want).abs() < 0.05,
-                "{name}: fitted {got} vs planted {want}"
-            );
         }
     }
 
@@ -1062,7 +652,7 @@ mod tests {
     /// calibrated weights stay quiet.
     #[test]
     fn drift_lints_fire_on_misweighted_params() {
-        let mut setup = PaperSetup::new(MusicConfig {
+        let mut s = Scenario::music(oorq_datagen::MusicConfig {
             chains: 3,
             chain_len: 3,
             works_per_composer: 1,
@@ -1073,17 +663,15 @@ mod tests {
             buffer_frames: 32,
             seed: 7,
         });
-        let q = setup.fig3_gen(2);
-        let methods = MethodRegistry::new();
+        let q = s.fig3_gen(2);
         let sample = sample_plan(
-            &mut setup.m.db,
-            &setup.idx,
-            &methods,
+            &mut s,
             &q,
             OptimizerConfig::never_push(),
             &CostParams::calibrated(),
-            "test/music".into(),
-        );
+            "test/music",
+        )
+        .expect("plan samples");
         let tol = DriftTolerance::default();
         let calibrated = sample.drift_report(&CostParams::calibrated().weights, true, tol);
         let misweighted = CostWeights {

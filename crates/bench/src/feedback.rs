@@ -23,6 +23,7 @@ use oorq_cost::{CostParams, FixProfile, FixProfiles};
 use oorq_lint::{lint_fix_drift, DriftTolerance, ObservedFix, Severity};
 
 use crate::calibrate::{card_within, collect_corpus, PlanSample};
+use crate::sections::{median, Args, Baseline};
 
 /// Fit one [`FixProfile`] per (scenario, temporary) from the corpus's
 /// joined modeled-vs-observed fixpoint curves.
@@ -68,19 +69,6 @@ pub struct FeedbackStats {
     pub drift_warns_profiled: usize,
     /// … and under the default flat-delta model.
     pub drift_warns_default: usize,
-}
-
-fn median(mut v: Vec<f64>) -> f64 {
-    if v.is_empty() {
-        return 0.0;
-    }
-    v.sort_by(f64::total_cmp);
-    let n = v.len();
-    if n % 2 == 1 {
-        v[n / 2]
-    } else {
-        0.5 * (v[n / 2 - 1] + v[n / 2])
-    }
 }
 
 fn rel_err(pred: f64, obs: f64) -> f64 {
@@ -243,7 +231,7 @@ fn render_curve_table(out: &mut String, samples: &[PlanSample]) {
 /// The `reproduce feedback` section: replay the corpus under the
 /// checked-in profiles and report modeled-vs-observed delta curves,
 /// the Fix rec-side row-error improvement, and the fit-exclusion drop.
-pub fn feedback_report() -> String {
+pub fn feedback_report(_: &Args) -> Result<String, String> {
     let calibrated = CostParams::calibrated();
     let samples = collect_corpus(&calibrated);
     let st = feedback_stats(&samples);
@@ -259,13 +247,13 @@ pub fn feedback_report() -> String {
     );
     render_stats(&mut out, &st);
     render_curve_table(&mut out, &samples);
-    out
+    Ok(out)
 }
 
 /// The `reproduce feedback-fit` section: re-fit the profiles on the
 /// corpus and print the snapshot to check in as
 /// `crates/cost/fix_profiles.toml`.
-pub fn feedback_fit_report() -> String {
+pub fn feedback_fit_report(_: &Args) -> Result<String, String> {
     // Sample under the *default* feature model: profile fitting only
     // consumes observations and default-model estimates, so the fit
     // must not require an existing snapshot to be loadable.
@@ -289,84 +277,51 @@ pub fn feedback_fit_report() -> String {
     );
     let _ = writeln!(out, "--- snapshot (crates/cost/fix_profiles.toml) ---");
     out.push_str(&snapshot);
-    out
+    Ok(out)
 }
-
-/// The checked-in feedback baseline (regenerate with
-/// `reproduce feedback-fit` / update alongside the profile snapshot).
-const BASELINE: &str = include_str!("../feedback_baseline.txt");
-
-/// Absolute slack on the baseline error figure (same rationale as the
-/// calibrate gate's tolerance: deterministic corpus, float rounding
-/// only).
-pub const GATE_TOLERANCE: f64 = 0.05;
 
 /// The `reproduce feedback-gate` section: re-run the corpus and fail
 /// (`Err`, nonzero exit) when the profile-informed Fix rec-side row
-/// error regresses beyond the checked-in baseline, no longer improves
-/// on the default estimator, or the fit-exclusion drop is lost.
-pub fn feedback_gate() -> Result<String, String> {
+/// error or the fit-exclusion count regresses beyond
+/// `feedback_baseline.txt` (regenerate from `reproduce feedback`
+/// alongside the profile snapshot), or either no longer improves on the
+/// default estimator.
+pub fn feedback_gate(_: &Args) -> Result<String, String> {
     let calibrated = CostParams::calibrated();
     let samples = collect_corpus(&calibrated);
     let st = feedback_stats(&samples);
-
-    let mut baseline: std::collections::BTreeMap<String, f64> = Default::default();
-    for line in BASELINE.lines() {
-        let line = line.split('#').next().unwrap_or("").trim();
-        if line.is_empty() {
-            continue;
-        }
-        let (key, v) = line
-            .split_once('=')
-            .ok_or_else(|| format!("feedback_baseline.txt: bad line `{line}`"))?;
-        baseline.insert(
-            key.trim().to_string(),
-            v.trim()
-                .parse()
-                .map_err(|e| format!("feedback_baseline.txt: {e}"))?,
-        );
-    }
+    let mut gate = Baseline::parse(
+        "feedback_baseline.txt",
+        include_str!("../feedback_baseline.txt"),
+    )?;
 
     let mut out = String::from("=== Cardinality-feedback regression gate ===\n");
     render_stats(&mut out, &st);
-    let mut failures = Vec::new();
-    if let Some(&base) = baseline.get("fix_rec_med_err_profiled") {
-        if st.rec_err_profiled > base + GATE_TOLERANCE {
-            failures.push(format!(
-                "Fix rec-side profiled median row error {:.3} exceeds baseline {:.3} + {:.2}",
-                st.rec_err_profiled, base, GATE_TOLERANCE
-            ));
-        }
-    }
+    gate.check(
+        &mut out,
+        "fix_rec_med_err_profiled",
+        "Fix rec-side profiled median row error",
+        st.rec_err_profiled,
+    );
+    gate.check(
+        &mut out,
+        "excluded_fix_profiled",
+        "card_ok exclusions among Fix rec-side lines",
+        st.excluded_profiled as f64,
+    );
     if st.rec_err_profiled >= st.rec_err_default {
-        failures.push(format!(
+        gate.fail(format!(
             "profiles no longer improve the Fix rec-side row error \
              ({:.3} profiled vs {:.3} default)",
             st.rec_err_profiled, st.rec_err_default
         ));
     }
     if st.excluded_profiled >= st.excluded_default {
-        failures.push(format!(
+        gate.fail(format!(
             "card_ok exclusions among Fix rec-side lines no longer drop \
              ({} profiled vs {} default)",
             st.excluded_profiled, st.excluded_default
         ));
     }
-    if let Some(&base) = baseline.get("excluded_fix_profiled") {
-        if (st.excluded_profiled as f64) > base {
-            failures.push(format!(
-                "card_ok exclusions among Fix rec-side lines regressed: {} vs baseline {:.0}",
-                st.excluded_profiled, base
-            ));
-        }
-    }
-    if failures.is_empty() {
-        out.push_str("feedback gate OK\n");
-        Ok(out)
-    } else {
-        Err(format!(
-            "{out}\nfeedback gate FAILED:\n{}",
-            failures.join("\n")
-        ))
-    }
+    gate.finish(out, "feedback")
 }

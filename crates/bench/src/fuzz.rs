@@ -19,32 +19,14 @@
 
 use std::fmt::Write as _;
 
-use oorq_analysis::{check_observed, Analyzer, ObservedFix, ObservedOp};
-use oorq_core::OptimizerConfig;
-use oorq_exec::{Executor, MethodRegistry};
+use oorq_analysis::check_observed;
 use oorq_prng::Prng;
-use oorq_pt::{AccessMethod, JoinAlgo, Pt, PtEnv};
+use oorq_pt::{subtrees, AccessMethod, JoinAlgo, ParallelSpec, Pt};
 use oorq_query::{Expr, Literal};
-use oorq_storage::{DbStats, IndexId};
+use oorq_storage::IndexId;
 
-use crate::reports::fig7_config;
-use crate::scenarios::PaperSetup;
-
-/// Outcome tally of one fuzz run.
-#[derive(Debug, Default)]
-pub struct FuzzStats {
-    /// Mutants rejected by the static verifier.
-    pub rejected_lint: usize,
-    /// Mutants the analyzer could not type (rejected pre-execution).
-    pub rejected_analysis: usize,
-    /// Mutants that executed and passed every bound check.
-    pub executed_ok: usize,
-    /// Mutants that executed but failed at runtime with a clean error
-    /// (e.g. a diverging fixpoint hitting its iteration cap).
-    pub exec_error: usize,
-    /// Soundness violations (bound escapes) — must stay zero.
-    pub violations: usize,
-}
+use crate::scenarios::{Knobs, TempFields, CORPUS};
+use crate::sections::Args;
 
 /// Default CI smoke parameters.
 pub const SMOKE_ITERS: u64 = 200;
@@ -53,30 +35,25 @@ pub const SMOKE_SEED: u64 = 0x0f52_a11d_0000_0007;
 
 /// Run `iters` seeded mutations; returns the report, or an error
 /// describing the first soundness violation.
-pub fn fuzz_report(iters: u64, seed: u64) -> Result<String, String> {
-    let mut setup = PaperSetup::new(fig7_config());
-    let methods = MethodRegistry::new();
-    let base: Vec<Pt> = {
-        let fig3 = setup.fig3();
-        let push = setup.pushjoin();
-        vec![
-            setup.optimize(&fig3, OptimizerConfig::never_push()).pt,
-            setup
-                .optimize(&fig3, OptimizerConfig::deductive_heuristic())
-                .pt,
-            setup.optimize(&push, OptimizerConfig::never_push()).pt,
-        ]
-    };
-    let index_ids: Vec<IndexId> = setup
-        .m
-        .db
-        .physical()
-        .indexes()
+pub fn fuzz_report(args: &Args) -> Result<String, String> {
+    let (iters, seed) = (args.num(0, SMOKE_ITERS)?, args.num(1, SMOKE_SEED)?);
+    // Base plans: the `fig7` corpus rows (an unselective filter, so
+    // both push strategies and the push-join run sizeable fixpoints).
+    let fig7 = CORPUS
         .iter()
-        .map(|d| d.id)
-        .collect();
+        .find(|e| e.name == "fig7")
+        .expect("corpus entry");
+    let mut s = (fig7.build)();
+    let mut base: Vec<Pt> = Vec::new();
+    for (_, query, strategy) in fig7.rows {
+        base.push(s.plan(&query(&s), strategy(), &Knobs::default())?.0.pt);
+    }
+    let index_ids: Vec<IndexId> = s.db.physical().indexes().iter().map(|d| d.id).collect();
     let mut rng = Prng::new(seed);
-    let mut stats = FuzzStats::default();
+    // Outcome tally: rejected by the static verifier; untypable by the
+    // analyzer; executed within every bound; failed at runtime with a
+    // clean error (e.g. a diverging fixpoint hitting its iteration cap).
+    let (mut rejected_lint, mut rejected_analysis, mut executed_ok, mut exec_error) = (0, 0, 0, 0);
     let mut out =
         format!("=== Plan-mutation soundness fuzz ({iters} iterations, seed {seed:#x}) ===\n");
 
@@ -84,70 +61,31 @@ pub fn fuzz_report(iters: u64, seed: u64) -> Result<String, String> {
         let pt = &base[rng.index(base.len())];
         let target = rng.index(pt.size());
         let kind = rng.range_u32(0, 8);
-        let mutant = {
-            let mut counter = 0usize;
-            mutate(pt, &mut counter, target, kind, &mut rng, &index_ids)
-        };
+        // Apply mutation `kind` at pre-order node `target`; a kind that
+        // does not apply there leaves the plan unmutated, which must
+        // also stay inside its bounds.
+        let mut mutant = pt.clone();
+        let (path, node) = &subtrees(pt)[target];
+        if let Some(m) = mutate_here(node, kind, &mut rng, &index_ids) {
+            mutant.replace_at(path, m).expect("path of an own subtree");
+        }
 
-        // Scope the immutable borrows (lint env, stats, analyzer) so the
-        // executor can take the store mutably afterwards.
-        let analysis = {
-            let env = PtEnv {
-                catalog: setup.m.db.catalog(),
-                physical: setup.m.db.physical(),
-                temp_fields: Default::default(),
-            };
-            if !oorq_lint::verify_pt(&env, &mutant).is_clean() {
-                stats.rejected_lint += 1;
-                continue;
-            }
-            let db_stats = DbStats::collect(&setup.m.db);
-            let analyzer = Analyzer::new(
-                setup.m.db.catalog(),
-                setup.m.db.physical(),
-                &db_stats,
-                Default::default(),
-            );
-            match analyzer.analyze(&mutant) {
-                Ok(a) => a,
-                Err(_) => {
-                    stats.rejected_analysis += 1;
-                    continue;
-                }
-            }
-        };
-
-        setup.m.db.cold_cache();
-        let mut ex = Executor::new(&mut setup.m.db, &setup.idx, &methods);
-        if ex.run(&mutant).is_err() {
-            stats.exec_error += 1;
+        if !oorq_lint::verify_pt(&s.env(TempFields::new()), &mutant).is_clean() {
+            rejected_lint += 1;
             continue;
         }
-        let report = ex.report();
-        let ops: Vec<ObservedOp> = report
-            .ops
-            .iter()
-            .map(|o| ObservedOp {
-                pt_node: o.pt_node,
-                label: o.label.clone(),
-                rows_out: o.rows_out,
-                page_reads: o.page_reads,
-                page_hits: o.page_hits,
-                index_reads: o.index_reads,
-                page_writes: o.page_writes,
-            })
-            .collect();
-        let fixes: Vec<ObservedFix> = report
-            .fix_deltas
-            .iter()
-            .map(|c| ObservedFix {
-                pt_node: c.pt_node,
-                iterations: (c.deltas.len() as u64).saturating_sub(1),
-            })
-            .collect();
+        let Ok(analysis) = s.analyze(&mutant, TempFields::new()) else {
+            rejected_analysis += 1;
+            continue;
+        };
+        let Ok((_, report, _)) = s.execute(&mutant, &ParallelSpec::new(), &Knobs::default()) else {
+            exec_error += 1;
+            continue;
+        };
+        let (ops, fixes) = report.observed();
         let check = check_observed(&analysis, &ops, &fixes);
         if check.is_clean() {
-            stats.executed_ok += 1;
+            executed_ok += 1;
         } else {
             // A violation aborts the run; the tally stays at zero in
             // every report the caller ever prints.
@@ -161,13 +99,8 @@ pub fn fuzz_report(iters: u64, seed: u64) -> Result<String, String> {
 
     let _ = writeln!(
         out,
-        "rejected by lint: {}\nrejected by analysis: {}\nexecuted within bounds: {}\nclean \
-         runtime errors: {}\nsoundness violations: {}",
-        stats.rejected_lint,
-        stats.rejected_analysis,
-        stats.executed_ok,
-        stats.exec_error,
-        stats.violations
+        "rejected by lint: {rejected_lint}\nrejected by analysis: {rejected_analysis}\nexecuted \
+         within bounds: {executed_ok}\nclean runtime errors: {exec_error}\nsoundness violations: 0",
     );
     let _ = writeln!(
         out,
@@ -177,91 +110,7 @@ pub fn fuzz_report(iters: u64, seed: u64) -> Result<String, String> {
     Ok(out)
 }
 
-/// Rebuild the tree, applying mutation `kind` at pre-order `target`.
-fn mutate(
-    pt: &Pt,
-    counter: &mut usize,
-    target: usize,
-    kind: u32,
-    rng: &mut Prng,
-    index_ids: &[IndexId],
-) -> Pt {
-    let my = *counter;
-    *counter += 1;
-    if my == target {
-        if let Some(m) = mutate_here(pt, kind, rng, index_ids) {
-            return m;
-        }
-    }
-    match pt {
-        Pt::Entity { .. } | Pt::Temp { .. } => pt.clone(),
-        Pt::Sel {
-            pred,
-            method,
-            input,
-        } => Pt::Sel {
-            pred: pred.clone(),
-            method: *method,
-            input: Box::new(mutate(input, counter, target, kind, rng, index_ids)),
-        },
-        Pt::Proj { cols, input } => Pt::Proj {
-            cols: cols.clone(),
-            input: Box::new(mutate(input, counter, target, kind, rng, index_ids)),
-        },
-        Pt::IJ {
-            on,
-            step,
-            out,
-            input,
-            target: tgt,
-        } => Pt::IJ {
-            on: on.clone(),
-            step: step.clone(),
-            out: out.clone(),
-            input: Box::new(mutate(input, counter, target, kind, rng, index_ids)),
-            target: Box::new(mutate(tgt, counter, target, kind, rng, index_ids)),
-        },
-        Pt::PIJ {
-            index,
-            on,
-            outs,
-            input,
-            targets,
-        } => Pt::PIJ {
-            index: *index,
-            on: on.clone(),
-            outs: outs.clone(),
-            input: Box::new(mutate(input, counter, target, kind, rng, index_ids)),
-            targets: targets
-                .iter()
-                .map(|t| mutate(t, counter, target, kind, rng, index_ids))
-                .collect(),
-        },
-        Pt::EJ {
-            pred,
-            algo,
-            left,
-            right,
-        } => Pt::EJ {
-            pred: pred.clone(),
-            algo: *algo,
-            left: Box::new(mutate(left, counter, target, kind, rng, index_ids)),
-            right: Box::new(mutate(right, counter, target, kind, rng, index_ids)),
-        },
-        Pt::Union { left, right } => Pt::Union {
-            left: Box::new(mutate(left, counter, target, kind, rng, index_ids)),
-            right: Box::new(mutate(right, counter, target, kind, rng, index_ids)),
-        },
-        Pt::Fix { temp, body } => Pt::Fix {
-            temp: temp.clone(),
-            body: Box::new(mutate(body, counter, target, kind, rng, index_ids)),
-        },
-    }
-}
-
-/// The mutation menu; `None` when the kind does not apply to this node
-/// (the iteration then executes the unmutated plan, which must also
-/// stay inside its bounds).
+/// The mutation menu; `None` when the kind does not apply to this node.
 fn mutate_here(pt: &Pt, kind: u32, rng: &mut Prng, index_ids: &[IndexId]) -> Option<Pt> {
     match (kind, pt) {
         // Toggle a selection's access method.
@@ -389,7 +238,11 @@ mod tests {
     /// `reproduce fuzz`.)
     #[test]
     fn fuzz_short_run_is_sound() {
-        let out = fuzz_report(25, SMOKE_SEED).expect("no soundness violations");
+        let args = Args {
+            rest: vec!["25".into()],
+            ..Args::default()
+        };
+        let out = fuzz_report(&args).expect("no soundness violations");
         assert!(out.contains("soundness violations: 0"), "{out}");
         // Every iteration lands in exactly one bucket.
         let count = |prefix: &str| -> u64 {

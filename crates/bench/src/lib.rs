@@ -1,37 +1,37 @@
-//! Benchmark harness reproducing every figure of the paper.
+//! The harness that regenerates every figure of the paper and gates the
+//! repository's checked-in numbers.
 //!
-//! The [`scenarios`] module builds the standard experimental setups; the
-//! [`reports`] module produces the tables printed by the `reproduce`
-//! binary (one section per figure / worked example); the [`harness`]
-//! module is the minimal wall-clock timer the `[[bench]]` targets use.
+//! [`scenarios`] holds the one corpus and the one plan-and-run driver;
+//! [`sections`] the table behind the `reproduce` binary and the shared
+//! gate helpers; the remaining modules are the reports and gates
+//! themselves. Wall-clock measurement lives in `benchmark/`, not here.
 
 pub mod analyze;
 pub mod calibrate;
 pub mod feedback;
 pub mod fuzz;
-pub mod harness;
 pub mod metrics;
 pub mod parallel;
 pub mod reports;
 pub mod scenarios;
-pub mod serve;
+pub mod sections;
 pub mod spill;
 pub mod tracing;
 
-pub use scenarios::PaperSetup;
+pub use scenarios::{Knobs, Scenario};
 
 #[cfg(test)]
 mod tests {
     use crate::reports::{fig5_report, fig7_symbol_env, fig7_symbolic};
-    use crate::scenarios::PaperSetup;
+    use crate::scenarios::{parse_env_knob, Scenario};
     use oorq_datagen::MusicConfig;
 
     #[test]
     fn fig7_symbolic_rows_evaluate_under_stats_env() {
-        let setup = PaperSetup::new(MusicConfig {
+        let setup = Scenario::music(MusicConfig {
             chains: 4,
             chain_len: 4,
-            ..PaperSetup::paper_scale()
+            ..Scenario::paper_scale()
         });
         let mut env = fig7_symbol_env(&setup);
         // Derived sizes for the T-symbols the table references.
@@ -62,7 +62,7 @@ mod tests {
 
     #[test]
     fn fig5_report_lists_all_operators() {
-        let r = fig5_report();
+        let r = fig5_report(&Default::default()).unwrap();
         for op in [
             "Sel_selpred",
             "EJ_pred",
@@ -76,24 +76,31 @@ mod tests {
 
     #[test]
     fn paper_setup_has_paper_physical_design() {
-        let setup = PaperSetup::new(MusicConfig {
+        let setup = Scenario::music(MusicConfig {
             chains: 2,
             chain_len: 3,
-            ..PaperSetup::paper_scale()
+            ..Scenario::paper_scale()
         });
-        let m = &setup.m;
-        assert!(m
-            .db
-            .physical()
-            .path_index(&[
-                (m.composer, m.works_attr),
-                (m.composition, m.instruments_attr)
-            ])
+        let cat = setup.db.catalog();
+        let composer = cat.class_by_name("Composer").unwrap();
+        let composition = cat.class_by_name("Composition").unwrap();
+        let (works, _) = cat.attr(composer, "works").unwrap();
+        let (instruments, _) = cat.attr(composition, "instruments").unwrap();
+        let (name, _) = cat.attr(composer, "name").unwrap();
+        let physical = setup.db.physical();
+        assert!(physical
+            .path_index(&[(composer, works), (composition, instruments)])
             .is_some());
-        assert!(m
-            .db
-            .physical()
-            .selection_index(m.composer, m.name_attr)
-            .is_some());
+        assert!(physical.selection_index(composer, name).is_some());
+    }
+
+    /// A typo'd budget must fail loudly, never run the unbounded default
+    /// (the low-budget CI stage would be vacuous).
+    #[test]
+    fn garbage_memory_budget_is_rejected() {
+        let err = parse_env_knob("OORQ_MEMORY_BUDGET", Some("8pages")).unwrap_err();
+        assert!(err.contains("OORQ_MEMORY_BUDGET") && err.contains("8pages"));
+        assert_eq!(parse_env_knob("OORQ_MEMORY_BUDGET", Some("8")), Ok(Some(8)));
+        assert_eq!(parse_env_knob("OORQ_MEMORY_BUDGET", None), Ok(None));
     }
 }

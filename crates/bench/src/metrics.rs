@@ -19,20 +19,14 @@
 use std::fmt::Write as _;
 use std::time::Instant;
 
-use oorq_analysis::{Analyzer, AnalyzerConfig};
-use oorq_core::{Optimizer, OptimizerConfig};
-use oorq_cost::{CostModel, CostParams};
-use oorq_datagen::{ChainConfig, ChainDb, MusicConfig};
-use oorq_exec::{explain_analyze, ExecConfig, Executor, MethodRegistry};
-use oorq_index::IndexSet;
+use oorq_core::OptimizerConfig;
+use oorq_datagen::{ChainConfig, MusicConfig};
+use oorq_exec::explain_analyze;
 use oorq_obs::{CounterHandle, HistogramHandle, MetricsRegistry};
 use oorq_query::QueryGraph;
-use oorq_storage::{Database, DbStats};
 
-use crate::scenarios::PaperSetup;
-
-/// The scenarios `reproduce metrics` understands.
-pub const METRICS_SCENARIOS: &[&str] = &["music", "pushjoin", "chain"];
+use crate::scenarios::{for_each_row, Knobs, Scenario};
+use crate::sections::Args;
 
 /// Replays per `reproduce metrics` run — enough samples for the
 /// histogram percentiles to mean something.
@@ -49,152 +43,71 @@ pub struct MeteredRun {
     pub explain: String,
 }
 
-/// Optimize and execute one query with the registry attached to every
-/// layer, and render EXPLAIN ANALYZE from the lowered physical plan.
-#[allow(clippy::too_many_arguments)]
-fn run_metered(
-    db: &mut Database,
-    idx: &IndexSet,
-    methods: &MethodRegistry,
+/// Optimize and execute one query `replays` times with the registry
+/// attached to every layer (it accumulates across replays); returns the
+/// last replay's residue, its EXPLAIN ANALYZE rendered from the lowered
+/// physical plan with the §11 sound bounds joined in.
+fn replay_query(
+    s: &mut Scenario,
     q: &QueryGraph,
     config: OptimizerConfig,
     registry: &MetricsRegistry,
     threads: u32,
     budget: u64,
-) -> Result<MeteredRun, String> {
-    let stats = DbStats::collect(db);
-    let model = CostModel::new(db.catalog(), db.physical(), &stats, CostParams::default());
-    let mut opt =
-        Optimizer::new(model, OptimizerConfig { threads, ..config }).with_metrics(registry);
-    let plan = opt
-        .optimize(q)
-        .map_err(|e| format!("optimization failed: {e}"))?;
-    let temp_fields = opt.model.temp_fields.clone();
-
-    // The §11 sound bounds for the chosen plan, so EXPLAIN ANALYZE can
-    // flag an observed counter escaping its interval.
-    let analyzer = Analyzer {
-        catalog: db.catalog(),
-        physical: db.physical(),
-        stats: &stats,
-        params: CostParams::default(),
-        config: AnalyzerConfig::default(),
-    };
-    let analysis = analyzer.analyze_with_temps(&plan.pt, temp_fields).ok();
-
-    db.cold_cache();
-    let mut ex = Executor::new(db, idx, methods)
-        .with_config(ExecConfig {
-            threads,
-            memory_budget_pages: budget,
-            ..ExecConfig::default()
-        })
-        .with_parallel(plan.parallel.clone())
-        .with_metrics(registry.clone());
-    let out = ex
-        .run(&plan.pt)
-        .map_err(|e| format!("execution failed: {e}"))?;
-    let report = ex.report();
-    let explain = ex
-        .last_plan()
-        .map(|p| explain_analyze(p, &plan.cost.breakdown, analysis.as_ref(), &report))
-        .unwrap_or_default();
-    Ok(MeteredRun {
-        rows: out.rows.len(),
-        lanes: report.workers.len(),
-        explain,
-    })
-}
-
-/// Run a named scenario `replays` times into one registry; returns the
-/// last replay's residue.
-pub fn replay_scenario(
-    scenario: &str,
-    registry: &MetricsRegistry,
-    threads: u32,
-    budget: u64,
     replays: usize,
 ) -> Result<MeteredRun, String> {
-    match scenario {
-        "music" | "pushjoin" => {
-            let mut setup = PaperSetup::new(PaperSetup::paper_scale());
-            let methods = MethodRegistry::new();
-            let q = if scenario == "pushjoin" {
-                setup.pushjoin()
-            } else {
-                setup.fig3()
-            };
-            replay_query(
-                &mut setup.m.db,
-                &setup.idx,
-                &methods,
-                &q,
-                registry,
-                threads,
-                budget,
-                replays,
-            )
-        }
-        "chain" => {
-            // The O(n²) nested-loop regime from the parallel corpus —
-            // big enough that a worker budget actually forks lanes.
-            let mut chain = ChainDb::generate(ChainConfig {
-                relations: 2,
-                rows: 1400,
-                domain: 64,
-                seed: 0x5eed,
-            });
-            let methods = MethodRegistry::new();
-            let idx = IndexSet::new();
-            let q = chain.chain_query(64);
-            replay_query(
-                &mut chain.db,
-                &idx,
-                &methods,
-                &q,
-                registry,
-                threads,
-                budget,
-                replays,
-            )
-        }
-        other => Err(format!(
-            "unknown metrics scenario `{other}` (known: {})",
-            METRICS_SCENARIOS.join(", ")
-        )),
+    let knobs = Knobs {
+        registry: registry.clone(),
+        ..Knobs::resources(threads, budget)
+    };
+    let mut last = None;
+    for _ in 0..replays.max(1) {
+        let config = OptimizerConfig {
+            threads,
+            ..config.clone()
+        };
+        let run = s.run(q, config, &knobs)?;
+        let analysis = s.analyze(&run.optimized.pt, run.temp_fields).ok();
+        last = Some(MeteredRun {
+            rows: run.answer.rows.len(),
+            lanes: run.report.workers.len(),
+            explain: explain_analyze(
+                &run.phys_plan,
+                &run.optimized.cost.breakdown,
+                analysis.as_ref(),
+                &run.report,
+            ),
+        });
     }
+    Ok(last.expect("at least one replay"))
 }
 
-#[allow(clippy::too_many_arguments)]
-fn replay_query(
-    db: &mut Database,
-    idx: &IndexSet,
-    methods: &MethodRegistry,
-    q: &QueryGraph,
+/// Replay the corpus row named `row` `replays` times into one registry.
+pub fn replay_scenario(
+    row: &str,
     registry: &MetricsRegistry,
     threads: u32,
     budget: u64,
     replays: usize,
 ) -> Result<MeteredRun, String> {
     let mut last = None;
-    for _ in 0..replays.max(1) {
-        last = Some(run_metered(
-            db,
-            idx,
-            methods,
-            q,
-            OptimizerConfig::cost_controlled(),
-            registry,
-            threads,
-            budget,
-        )?);
-    }
-    Ok(last.expect("at least one replay"))
+    for_each_row(
+        |_, name| name == row,
+        |_, s, q, config| {
+            last = Some(replay_query(
+                s, q, config, registry, threads, budget, replays,
+            )?);
+            Ok::<(), String>(())
+        },
+    )?;
+    last.ok_or_else(|| format!("no corpus row is named `{row}` (see `reproduce analyze`)"))
 }
 
 /// `reproduce metrics <scenario>`: the aggregated-series table, the
 /// EXPLAIN ANALYZE tree, and the Prometheus exposition.
-pub fn metrics_report(scenario: &str, threads: u32, budget: u64) -> Result<String, String> {
+pub fn metrics_report(args: &Args) -> Result<String, String> {
+    let scenario = args.arg(0, "music/fig3/nopush");
+    let (threads, budget) = (args.threads, args.memory_budget);
     let registry = MetricsRegistry::new();
     let run = replay_scenario(scenario, &registry, threads, budget, METRICS_REPLAYS)?;
     let mut out = format!(
@@ -220,14 +133,14 @@ pub fn metrics_report(scenario: &str, threads: u32, budget: u64) -> Result<Strin
 /// run (recursive, indexed, with a fixpoint — it interns every
 /// optimizer, executor, fixpoint and storage series).
 fn gate_workload(registry: &MetricsRegistry) -> Result<MeteredRun, String> {
-    let mut setup = PaperSetup::new(MusicConfig {
+    let mut s = Scenario::music(MusicConfig {
         chains: 4,
         chain_len: 4,
-        ..PaperSetup::paper_scale()
+        ..Scenario::paper_scale()
     });
-    let methods = MethodRegistry::new();
-    let q = setup.fig3();
-    replay_query(&mut setup.m.db, &setup.idx, &methods, &q, registry, 0, 0, 1)
+    let q = s.fig3();
+    let config = OptimizerConfig::cost_controlled();
+    replay_query(&mut s, &q, config, registry, 0, 0, 1)
 }
 
 /// The checked-in stable-name baseline (regenerate with
@@ -246,7 +159,7 @@ const ENABLED_SLACK_MS: f64 = 50.0;
 
 /// `reproduce metrics-fit`: print the canonical workload's interned
 /// series, ready to check in as `crates/bench/metrics_baseline.txt`.
-pub fn metrics_fit_report() -> Result<String, String> {
+pub fn metrics_fit_report(_: &Args) -> Result<String, String> {
     let registry = MetricsRegistry::new();
     gate_workload(&registry)?;
     let mut out = String::from(
@@ -262,7 +175,7 @@ pub fn metrics_fit_report() -> Result<String, String> {
 }
 
 /// `reproduce metrics-gate`: stable names + overhead caps.
-pub fn metrics_gate() -> Result<String, String> {
+pub fn metrics_gate(_: &Args) -> Result<String, String> {
     let mut out = String::from("=== Metrics gate: stable names and overhead caps ===\n");
     let mut bad = 0usize;
 
@@ -345,41 +258,30 @@ pub fn metrics_gate() -> Result<String, String> {
 /// Everything except wall time is machine-independent: seeded data,
 /// cold cache, serial execution.
 pub fn golden_explain(scenario: &str) -> Result<String, String> {
-    let registry = MetricsRegistry::disabled();
-    let run = match scenario {
+    let (mut s, q) = match scenario {
         "music" => {
-            let mut setup = PaperSetup::new(MusicConfig {
+            let s = Scenario::music(MusicConfig {
                 chains: 3,
                 chain_len: 4,
-                ..PaperSetup::paper_scale()
+                ..Scenario::paper_scale()
             });
-            let methods = MethodRegistry::new();
-            let q = setup.fig3();
-            replay_query(
-                &mut setup.m.db,
-                &setup.idx,
-                &methods,
-                &q,
-                &registry,
-                0,
-                0,
-                1,
-            )?
+            let q = s.fig3();
+            (s, q)
         }
         "chain" => {
-            let mut chain = ChainDb::generate(ChainConfig {
+            let s = Scenario::chain(ChainConfig {
                 relations: 3,
                 rows: 60,
                 domain: 12,
                 seed: 0x5eed,
             });
-            let methods = MethodRegistry::new();
-            let idx = IndexSet::new();
-            let q = chain.chain_query(8);
-            replay_query(&mut chain.db, &idx, &methods, &q, &registry, 0, 0, 1)?
+            let q = s.chain_query(8);
+            (s, q)
         }
         other => return Err(format!("no golden for scenario `{other}`")),
     };
+    let config = OptimizerConfig::cost_controlled();
+    let run = replay_query(&mut s, &q, config, &MetricsRegistry::disabled(), 0, 0, 1)?;
     Ok(scrub_wall(&run.explain))
 }
 
@@ -410,6 +312,20 @@ mod tests {
     fn unknown_scenario_is_rejected() {
         let registry = MetricsRegistry::new();
         assert!(replay_scenario("no-such", &registry, 0, 0, 1).is_err());
+    }
+
+    /// `reproduce metrics <row>` carries the percentile table, the
+    /// EXPLAIN ANALYZE tree and the exposition.
+    #[test]
+    fn report_carries_percentiles_explain_and_exposition() {
+        let args = Args {
+            rest: vec!["music0/fig3/nopush".into()],
+            ..Args::default()
+        };
+        let report = metrics_report(&args).expect("corpus row replays");
+        for part in ["p99", "EXPLAIN ANALYZE", "### Prometheus exposition"] {
+            assert!(report.contains(part), "missing `{part}`:\n{report}");
+        }
     }
 
     /// Satellite: the EXPLAIN ANALYZE rendering is pinned for one music
@@ -476,7 +392,7 @@ mod tests {
     #[test]
     fn registry_merges_parallel_worker_lanes() {
         let registry = MetricsRegistry::new();
-        let run = replay_scenario("chain", &registry, 4, 8, 1).expect("chain scenario runs");
+        let run = replay_scenario("bigjoin/chain", &registry, 4, 8, 1).expect("bigjoin runs");
         assert!(
             run.lanes > 0,
             "the chain big-join must fork worker lanes at 4 threads"

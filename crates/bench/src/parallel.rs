@@ -3,48 +3,25 @@
 //! the optimizer's predicted per-subtree speedup joined against the
 //! observed one.
 //!
-//! For every scenario the harness optimizes with a worker budget
+//! For every corpus row the harness optimizes with a worker budget
 //! ([`oorq_core::OptimizerConfig::threads`]), so the optimizer chooses
 //! a degree of parallelism per subtree; executes the plan twice over a
 //! cold cache — once fully serial (no parallel spec) and once under the
 //! chosen spec with the worker pool enabled — and verifies the two
 //! answers are identical row-for-row and in order (the exchange
 //! operators' determinism contract). The report ends `PASS` only when
-//! every scenario's parallel answer is byte-identical to its serial
-//! one; wall-clock speedups are reported but not gated (they are
-//! machine facts).
+//! every row's parallel answer is byte-identical to its serial one;
+//! wall-clock speedups are reported but not gated (they are machine
+//! facts).
 
 use std::fmt::Write as _;
-use std::sync::Arc;
 use std::time::Instant;
 
-use oorq_core::{Optimizer, OptimizerConfig};
-use oorq_cost::{CostModel, CostParams};
-use oorq_datagen::{parts_catalog, ChainConfig, ChainDb, PartsConfig, PartsDb};
-use oorq_exec::{ExecConfig, Executor, MethodRegistry};
-use oorq_index::IndexSet;
+use oorq_core::OptimizerConfig;
 use oorq_query::QueryGraph;
-use oorq_storage::{Database, DbStats};
 
-use crate::calibrate::parts_query;
-use crate::scenarios::PaperSetup;
-
-/// Predicted-vs-observed speedup of one parallelized subtree.
-#[derive(Debug, Clone)]
-pub struct SubtreeSpeedup {
-    /// PT node id of the subtree root (the spec key).
-    pub pt_node: usize,
-    /// Physical label of the chosen subtree root.
-    pub label: String,
-    /// Chosen degree of parallelism.
-    pub workers: usize,
-    /// The optimizer's predicted speedup (serial over parallel cost).
-    pub predicted: f64,
-    /// Observed speedup: the subtree's inclusive wall in the serial run
-    /// over the parallel operator's inclusive wall in the parallel run.
-    /// `None` when either run carries no wall sample for the node.
-    pub observed: Option<f64>,
-}
+use crate::scenarios::{for_each_row, Knobs, Scenario};
+use crate::sections::Args;
 
 /// One scenario's serial-vs-parallel comparison.
 #[derive(Debug, Clone)]
@@ -63,8 +40,12 @@ pub struct ParallelRun {
     /// Worker lanes the parallel run forked (0 = the optimizer kept the
     /// whole plan serial).
     pub lanes: usize,
-    /// Per-subtree placement decisions with observed outcomes.
-    pub subtrees: Vec<SubtreeSpeedup>,
+    /// Per-subtree placement decisions, rendered: node, label, degree,
+    /// the optimizer's predicted speedup (serial over parallel cost) and
+    /// the observed one (the subtree's inclusive wall in the serial run
+    /// over the parallel operator's in the parallel run; `n/a` when
+    /// either run carries no wall sample for the node).
+    pub subtrees: Vec<String>,
 }
 
 impl ParallelRun {
@@ -78,67 +59,27 @@ impl ParallelRun {
     }
 }
 
-/// Worker-pool size and breaker memory budget — the two execution
-/// knobs every run in the corpus shares.
-#[derive(Clone, Copy)]
-struct Knobs {
-    threads: u32,
-    budget: u64,
-}
-
 /// Optimize with a worker budget, execute serial and parallel, compare.
+/// The breaker memory budget applies to both runs, so a differential
+/// pass under a low budget compares spilling against spilling.
 fn run_one(
-    db: &mut Database,
-    idx: &IndexSet,
-    methods: &MethodRegistry,
+    s: &mut Scenario,
     q: &QueryGraph,
     config: OptimizerConfig,
-    knobs: Knobs,
-    name: String,
+    threads: u32,
+    budget: u64,
+    name: &str,
 ) -> Result<ParallelRun, String> {
-    let Knobs { threads, budget } = knobs;
-    let stats = DbStats::collect(db);
-    let model = CostModel::new(db.catalog(), db.physical(), &stats, CostParams::default());
-    let mut opt = Optimizer::new(model, OptimizerConfig { threads, ..config });
-    let plan = opt
-        .optimize(q)
-        .map_err(|e| format!("{name}: optimization failed: {e}"))?;
-
-    // Serial baseline: the plain plan, no parallel operators at all.
-    // The breaker memory budget applies to both runs, so a differential
-    // pass under a low budget compares spilling against spilling.
-    db.cold_cache();
-    let (serial_rows, serial_ms, serial_ops) = {
-        let mut ex = Executor::new(db, idx, methods).with_config(ExecConfig {
-            memory_budget_pages: budget,
-            ..ExecConfig::default()
-        });
+    let parallel = Knobs::resources(threads, budget);
+    let (plan, _) = s.plan(q, OptimizerConfig { threads, ..config }, &parallel)?;
+    let timed = |s: &mut Scenario, knobs: &Knobs| {
         let t0 = Instant::now();
-        let out = ex
-            .run(&plan.pt)
-            .map_err(|e| format!("{name}: serial execution failed: {e}"))?;
-        let ms = t0.elapsed().as_secs_f64() * 1e3;
-        (out.rows, ms, ex.report().ops)
+        let (out, report, _) = s.execute(&plan.pt, &plan.parallel, knobs)?;
+        Ok::<_, String>((out.rows, t0.elapsed().as_secs_f64() * 1e3, report))
     };
-
-    // Parallel: the same plan lowered under the optimizer's spec, with
-    // the worker pool enabled.
-    db.cold_cache();
-    let (par_rows, parallel_ms, par_report) = {
-        let mut ex = Executor::new(db, idx, methods)
-            .with_config(ExecConfig {
-                threads,
-                memory_budget_pages: budget,
-                ..ExecConfig::default()
-            })
-            .with_parallel(plan.parallel.clone());
-        let t0 = Instant::now();
-        let out = ex
-            .run(&plan.pt)
-            .map_err(|e| format!("{name}: parallel execution failed: {e}"))?;
-        let ms = t0.elapsed().as_secs_f64() * 1e3;
-        (out.rows, ms, ex.report())
-    };
+    let (serial_rows, serial_ms, serial_report) = timed(s, &Knobs::resources(0, budget))?;
+    let (par_rows, parallel_ms, par_report) = timed(s, &parallel)?;
+    let serial_ops = serial_report.ops;
 
     // Join predicted speedups against observed inclusive walls: in the
     // serial run the subtree root's op carries the node's wall; in the
@@ -165,20 +106,23 @@ fn run_one(
     let subtrees = plan
         .parallel_choices
         .iter()
-        .map(|c| SubtreeSpeedup {
-            pt_node: c.pt_node,
-            label: c.label.clone(),
-            workers: c.workers,
-            predicted: c.predicted_speedup(),
-            observed: match (serial_wall(c.pt_node), parallel_wall(c.pt_node)) {
-                (Some(s), Some(p)) if p > 0 => Some(s as f64 / p as f64),
-                _ => None,
-            },
+        .map(|c| {
+            let observed = match (serial_wall(c.pt_node), parallel_wall(c.pt_node)) {
+                (Some(s), Some(p)) if p > 0 => format!("{:.2}x", s as f64 / p as f64),
+                _ => "n/a".into(),
+            };
+            format!(
+                "node {} {} dop {} — predicted {:.2}x, observed {observed}",
+                c.pt_node,
+                c.label,
+                c.workers,
+                c.predicted_speedup(),
+            )
         })
         .collect();
 
     Ok(ParallelRun {
-        name,
+        name: name.to_string(),
         rows: serial_rows.len(),
         identical: serial_rows == par_rows,
         serial_ms,
@@ -188,96 +132,26 @@ fn run_one(
     })
 }
 
-/// The scenario corpus: the recursive music Figure-3 query under both
-/// push strategies, the recursive parts bill-of-materials, and a
-/// deliberately join-heavy chain scenario (a rescanned nested loop over
-/// an unindexed pair — the O(n²) regime where partitioning the outer
-/// scan pays most).
-pub fn corpus(threads: u32, budget: u64) -> Result<Vec<ParallelRun>, String> {
-    let knobs = Knobs { threads, budget };
-    let mut runs = Vec::new();
-
-    {
-        let mut setup = PaperSetup::new(PaperSetup::paper_scale());
-        let methods = MethodRegistry::new();
-        let q = setup.fig3();
-        for (cname, config) in [
-            ("nopush", OptimizerConfig::never_push()),
-            ("push", OptimizerConfig::deductive_heuristic()),
-        ] {
-            runs.push(run_one(
-                &mut setup.m.db,
-                &setup.idx,
-                &methods,
-                &q,
-                config,
-                knobs,
-                format!("music/fig3/{cname}"),
-            )?);
-        }
-    }
-
-    {
-        let cat = Arc::new(parts_catalog());
-        let mut p = PartsDb::generate(
-            Arc::clone(&cat),
-            PartsConfig {
-                roots: 3,
-                fanout: 3,
-                depth: 4,
-                clustered: false,
-                buffer_frames: 32,
-                seed: 0x0ab5_7a71,
-            },
-        );
-        let q = parts_query(&cat);
-        let methods = MethodRegistry::with_parts_methods(&cat);
-        let idx = IndexSet::new();
-        for (cname, config) in [
-            ("nopush", OptimizerConfig::never_push()),
-            ("push", OptimizerConfig::deductive_heuristic()),
-        ] {
-            runs.push(run_one(
-                &mut p.db,
-                &idx,
-                &methods,
-                &q,
-                config,
-                knobs,
-                format!("parts/{cname}"),
-            )?);
-        }
-    }
-
-    {
-        let mut chain = ChainDb::generate(ChainConfig {
-            relations: 2,
-            rows: 1400,
-            domain: 64,
-            seed: 0x5eed,
-        });
-        let methods = MethodRegistry::new();
-        let idx = IndexSet::new();
-        let q = chain.chain_query(64);
-        runs.push(run_one(
-            &mut chain.db,
-            &idx,
-            &methods,
-            &q,
-            OptimizerConfig::cost_controlled(),
-            knobs,
-            "chain/bigjoin".into(),
-        )?);
-    }
-
-    Ok(runs)
-}
-
 /// `reproduce parallel [--threads N]`: the serial-vs-parallel report.
 /// Errs (gate failure) when any scenario's parallel answer deviates
 /// from its serial one.
-pub fn parallel_report(threads: u32, budget: u64) -> Result<String, String> {
-    let runs = corpus(threads, budget)?;
+pub fn parallel_report(args: &Args) -> Result<String, String> {
+    // A serial "parallel" comparison is vacuous: without an explicit
+    // worker count this section runs 4 workers.
+    let threads = match args.threads {
+        0 => 4,
+        t => t,
+    };
+    let budget = args.memory_budget;
+    let mut runs = Vec::new();
+    for_each_row(
+        |_, _| true,
+        |name, s, q, config| {
+            let run = run_one(s, q, config, threads, budget, name);
+            runs.push(run.map_err(|e| format!("{name}: {e}"))?);
+            Ok::<(), String>(())
+        },
+    )?;
     let mut out = format!("=== Parallel execution: serial vs {threads} workers, cold cache ===\n");
     let hw = std::thread::available_parallelism()
         .map(|n| n.get())
@@ -325,18 +199,7 @@ pub fn parallel_report(threads: u32, budget: u64) -> Result<String, String> {
             continue;
         }
         for s in &r.subtrees {
-            let _ = writeln!(
-                out,
-                "  {}: node {} {} dop {} — predicted {:.2}x, observed {}",
-                r.name,
-                s.pt_node,
-                s.label,
-                s.workers,
-                s.predicted,
-                s.observed
-                    .map(|o| format!("{o:.2}x"))
-                    .unwrap_or_else(|| "n/a".into()),
-            );
+            let _ = writeln!(out, "  {}: {s}", r.name);
         }
     }
     if let Some((name, s)) = best {

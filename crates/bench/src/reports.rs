@@ -1,4 +1,7 @@
 //! Report generators: one section per paper figure / worked example.
+//! Every section builds its [`Scenario`] and goes through the one
+//! [`Scenario::run`] driver; none prints wall time, so `reproduce all`
+//! is byte-deterministic.
 
 use std::collections::HashMap;
 use std::fmt::Write as _;
@@ -6,13 +9,13 @@ use std::time::Instant;
 
 use oorq_core::{OptimizerConfig, SpjStrategy};
 use oorq_cost::paper_mode::{CostRow, Sym};
-use oorq_cost::{CostModel, CostParams};
-use oorq_datagen::{ChainConfig, ChainDb, MusicConfig};
-use oorq_exec::{eval_query_graph, MethodRegistry};
+use oorq_cost::CostParams;
+use oorq_datagen::{ChainConfig, MusicConfig};
 use oorq_query::paper::{fig2_query, fig3_query, influencer_view, music_catalog};
-use oorq_storage::DbStats;
+use oorq_query::QueryGraph;
 
-use crate::scenarios::PaperSetup;
+use crate::scenarios::{fig7_config, Knobs, Scenario};
+use crate::sections::Args;
 
 /// Render per-fixpoint delta curves as `temp@nodeN: [..]` joined by `; `.
 fn render_fix_curves(curves: &[oorq_exec::FixDeltaCurve]) -> String {
@@ -24,7 +27,7 @@ fn render_fix_curves(curves: &[oorq_exec::FixDeltaCurve]) -> String {
 }
 
 /// Figure 1: the conceptual schema, validated and printed.
-pub fn fig1_report() -> String {
+pub fn fig1_report(_: &Args) -> Result<String, String> {
     let cat = music_catalog();
     let mut out = String::from("=== Figure 1: the sample conceptual schema ===\n");
     for c in cat.classes() {
@@ -63,54 +66,53 @@ pub fn fig1_report() -> String {
             .collect();
         let _ = writeln!(out, "{kind} {}: [{}]", r.name, fields.join(", "));
     }
-    out
+    Ok(out)
 }
 
 /// Figure 2: the query graph for "the title of the works of Bach
 /// including a harpsichord and a flute", in the paper's denotation.
-pub fn fig2_report() -> String {
+pub fn fig2_report(_: &Args) -> Result<String, String> {
     let cat = music_catalog();
     let q = fig2_query(&cat);
     q.validate(&cat).expect("figure 2 must validate");
-    format!("=== Figure 2: a query graph ===\n{}\n", q.display(&cat))
+    Ok(format!(
+        "=== Figure 2: a query graph ===\n{}\n",
+        q.display(&cat)
+    ))
 }
 
 /// Figure 3: the recursive query over the `Influencer` view.
-pub fn fig3_report() -> String {
+pub fn fig3_report(_: &Args) -> Result<String, String> {
     let cat = music_catalog();
     let mut q = fig3_query(&cat);
     influencer_view(&cat).expand(&mut q, &cat).unwrap();
     q.validate(&cat).expect("figure 3 must validate");
-    format!(
+    Ok(format!(
         "=== Figure 3: a recursive query (P3 + Influencer view P1, P2) ===\n{}\n",
         q.display(&cat)
-    )
+    ))
 }
 
 /// Figure 4: the two processing trees for the Figure 3 query, produced
 /// by the actual optimizer — (i) selection after the fixpoint,
 /// (ii) selection pushed through recursion.
-pub fn fig4_report(setup: &PaperSetup) -> String {
-    let q = setup.fig3();
-    let unpushed = setup.optimize(&q, OptimizerConfig::never_push());
-    let pushed = setup.optimize(&q, OptimizerConfig::deductive_heuristic());
-    let env = setup.env();
-    let mut out = String::from("=== Figure 4: processing trees for the Figure 3 query ===\n");
-    let _ = writeln!(
-        out,
-        "(i)  selection after the fixpoint:\n     {}",
-        unpushed.pt.display(&env)
-    );
-    let _ = writeln!(
-        out,
-        "(ii) selection pushed through recursion:\n     {}",
-        pushed.pt.display(&env)
-    );
-    out
+pub fn fig4_report(_: &Args) -> Result<String, String> {
+    let s = Scenario::music(Scenario::paper_scale());
+    let q = s.fig3();
+    let knobs = Knobs::default();
+    let (unpushed, unpushed_temps) = s.plan(&q, OptimizerConfig::never_push(), &knobs)?;
+    let (pushed, pushed_temps) = s.plan(&q, OptimizerConfig::deductive_heuristic(), &knobs)?;
+    Ok(format!(
+        "=== Figure 4: processing trees for the Figure 3 query ===\n\
+         (i)  selection after the fixpoint:\n     {}\n\
+         (ii) selection pushed through recursion:\n     {}\n",
+        unpushed.pt.display(&s.env(unpushed_temps)),
+        pushed.pt.display(&s.env(pushed_temps))
+    ))
 }
 
 /// Figure 5: the generic cost-formula table.
-pub fn fig5_report() -> String {
+pub fn fig5_report(_: &Args) -> Result<String, String> {
     let mut out = String::from(
         "=== Figure 5: cost formulas (under the §4.6 simplified assumptions) ===\n\
          | PT node | cost formula |\n|---|---|\n",
@@ -118,13 +120,17 @@ pub fn fig5_report() -> String {
     for CostRow { node, formula } in oorq_cost::paper_mode::fig5_formulas() {
         let _ = writeln!(out, "| {node} | {formula} |");
     }
-    out
+    Ok(out)
 }
 
 /// Figure 6: the optimization-step summary, traced from a real run.
-pub fn fig6_report(setup: &PaperSetup) -> String {
-    let q = setup.fig3();
-    let plan = setup.optimize(&q, OptimizerConfig::cost_controlled());
+pub fn fig6_report(_: &Args) -> Result<String, String> {
+    let s = Scenario::music(Scenario::paper_scale());
+    let (plan, _) = s.plan(
+        &s.fig3(),
+        OptimizerConfig::cost_controlled(),
+        &Knobs::default(),
+    )?;
     // Deduplicate repeated step rows (one per arc/predicate node) into
     // the paper's four-row summary.
     let mut seen = Vec::new();
@@ -148,127 +154,81 @@ pub fn fig6_report(setup: &PaperSetup) -> String {
             out.push('\n');
         }
     }
-    out
+    Ok(out)
 }
 
-/// The paper's Figure 7 symbolic rows (T1..T15).
+/// The paper's Figure 7 symbolic rows (T1..T15). Twelve of the fifteen
+/// are instances of three operator shapes: a selection evaluated over
+/// its input's pages, an implicit join dereferencing one object per
+/// input row, and a path-index probe per input row.
 pub fn fig7_symbolic() -> Vec<CostRow> {
     let pe = Sym::pr_plus_ev;
-    vec![
-        CostRow::new(
+    let pr = || Sym::par("pr");
+    let select = |input: &str| Sym::mul([Sym::pages(input), pe()]);
+    let deref = |input: &str| {
+        Sym::add([
+            Sym::mul([Sym::pages(input), pr()]),
+            Sym::mul([Sym::card(input), pr()]),
+        ])
+    };
+    let probe = |input: &str| {
+        Sym::mul([
+            Sym::card(input),
+            Sym::add([
+                Sym::par("lev"),
+                Sym::mul([Sym::par("lea"), Sym::par("inv_Cpr")]),
+            ]),
+        ])
+    };
+    // T1 and T13 scan Composer and evaluate the join predicate against
+    // every page of `inner`; T1 then repeats that per iteration.
+    let scan_join = |inner: &str| {
+        Sym::add([
+            Sym::mul([Sym::pages("Cpr"), pr()]),
+            Sym::mul([Sym::card("Cpr"), Sym::pages(inner), pe()]),
+        ])
+    };
+    let repeated = |n: &str, once: Sym| Sym::mul([Sym::add([Sym::par(n), Sym::Num(-1.0)]), once]);
+    let rows = [
+        (
             "T1",
-            Sym::add([
-                Sym::mul([Sym::pages("Cpr"), Sym::par("pr")]),
-                Sym::mul([Sym::card("Cpr"), Sym::pages("Cpr"), pe()]),
-                Sym::mul([
-                    Sym::add([Sym::par("n1"), Sym::Num(-1.0)]),
-                    Sym::add([
-                        Sym::mul([Sym::pages("Cpr"), Sym::par("pr")]),
-                        Sym::mul([Sym::card("Cpr"), Sym::pages("Inf_i"), pe()]),
-                    ]),
-                ]),
-            ]),
+            Sym::add([scan_join("Cpr"), repeated("n1", scan_join("Inf_i"))]),
         ),
-        CostRow::new("T2", Sym::mul([Sym::pages("T1"), pe()])),
-        CostRow::new(
-            "T3",
-            Sym::add([
-                Sym::mul([Sym::pages("T2"), Sym::par("pr")]),
-                Sym::mul([Sym::card("T2"), Sym::par("pr")]),
-            ]),
-        ),
-        CostRow::new(
-            "T4",
-            Sym::mul([
-                Sym::card("T3"),
-                Sym::add([
-                    Sym::par("lev"),
-                    Sym::mul([Sym::par("lea"), Sym::par("inv_Cpr")]),
-                ]),
-            ]),
-        ),
-        CostRow::new("T5", Sym::mul([Sym::pages("T4"), pe()])),
-        CostRow::new(
-            "T6",
-            Sym::add([
-                Sym::mul([Sym::pages("T5"), Sym::par("pr")]),
-                Sym::mul([Sym::card("T5"), Sym::par("pr")]),
-            ]),
-        ),
-        CostRow::new(
-            "T7",
-            Sym::add([
-                Sym::mul([Sym::pages("Cpr"), Sym::par("pr")]),
-                Sym::mul([Sym::card("Cpr"), Sym::par("pr")]),
-            ]),
-        ),
-        CostRow::new(
-            "T8",
-            Sym::mul([
-                Sym::card("T7"),
-                Sym::add([
-                    Sym::par("lev"),
-                    Sym::mul([Sym::par("lea"), Sym::par("inv_Cpr")]),
-                ]),
-            ]),
-        ),
-        CostRow::new("T9", Sym::mul([Sym::pages("T8"), pe()])),
-        CostRow::new(
-            "T10",
-            Sym::add([
-                Sym::mul([Sym::pages("Inf'"), Sym::par("pr")]),
-                Sym::mul([Sym::card("Inf'"), Sym::par("pr")]),
-            ]),
-        ),
-        CostRow::new(
-            "T11",
-            Sym::mul([
-                Sym::card("T10"),
-                Sym::add([
-                    Sym::par("lev"),
-                    Sym::mul([Sym::par("lea"), Sym::par("inv_Cpr")]),
-                ]),
-            ]),
-        ),
-        CostRow::new("T12", Sym::mul([Sym::pages("T11"), pe()])),
-        CostRow::new(
-            "T13",
-            Sym::add([
-                Sym::mul([Sym::pages("Cpr"), Sym::par("pr")]),
-                Sym::mul([Sym::card("Cpr"), Sym::pages("T11"), pe()]),
-            ]),
-        ),
-        CostRow::new(
+        ("T2", select("T1")),
+        ("T3", deref("T2")),
+        ("T4", probe("T3")),
+        ("T5", select("T4")),
+        ("T6", deref("T5")),
+        ("T7", deref("Cpr")),
+        ("T8", probe("T7")),
+        ("T9", select("T8")),
+        ("T10", deref("Inf'")),
+        ("T11", probe("T10")),
+        ("T12", select("T11")),
+        ("T13", scan_join("T11")),
+        (
             "T14",
             Sym::add([
                 Sym::par("cost_Exp_T3"),
-                Sym::mul([
-                    Sym::add([Sym::par("n2"), Sym::Num(-1.0)]),
-                    Sym::par("cost_Exp_Inf_i"),
-                ]),
+                repeated("n2", Sym::par("cost_Exp_Inf_i")),
             ]),
         ),
-        CostRow::new("T15", Sym::mul([Sym::card("T14"), pe()])),
-    ]
-}
-
-/// The configuration of the Figure 7 regime: an unselective filter over
-/// an expensive path expression.
-pub fn fig7_config() -> MusicConfig {
-    MusicConfig {
-        harpsichord_fraction: 0.95,
-        works_per_composer: 5,
-        instruments_per_work: 4,
-        instrument_pool: 16,
-        ..PaperSetup::paper_scale()
-    }
+        ("T15", Sym::mul([Sym::card("T14"), pe()])),
+    ];
+    rows.into_iter()
+        .map(|(node, formula)| CostRow::new(node, formula))
+        .collect()
 }
 
 /// Figure 7 / §4.6: the comprehensive example. Prints the paper's
 /// symbolic per-node table, our estimator's per-node breakdown for both
 /// plans under the §4.6 simplified parameters, the estimated totals, the
 /// measured execution costs, and the decision.
-pub fn fig7_report(setup: &mut PaperSetup) -> String {
+pub fn fig7_report(_: &Args) -> Result<String, String> {
+    // The §4.6 conclusion ("pushing is not worthwhile here") arises
+    // when the pushed filter saves little; see the E9 crossover for the
+    // full picture.
+    let mut s = Scenario::music(fig7_config());
     let mut out = String::from(
         "=== Figure 7 / §4.6: the comprehensive example ===\n\
          (regime of the paper's conclusion: the harpsichord filter keeps most\n\
@@ -284,22 +244,18 @@ pub fn fig7_report(setup: &mut PaperSetup) -> String {
     }
 
     // Our plans under the simplified model.
-    let q = setup.fig3();
-    let unpushed = setup.optimize(&q, OptimizerConfig::never_push());
-    let pushed = setup.optimize(&q, OptimizerConfig::deductive_heuristic());
-    let params = CostParams::paper_mode();
-    let model = CostModel::new(
-        setup.m.db.catalog(),
-        setup.m.db.physical(),
-        &setup.stats,
-        params,
-    )
-    .with_temp("Influencer", setup.m.influencer_fields());
-    for (label, plan) in [
+    let q = s.fig3();
+    let knobs = Knobs::default();
+    let unpushed = s.run(&q, OptimizerConfig::never_push(), &knobs)?;
+    let pushed = s.run(&q, OptimizerConfig::deductive_heuristic(), &knobs)?;
+    for (label, run) in [
         ("PT (i) — unpushed", &unpushed),
         ("PT (ii) — pushed", &pushed),
     ] {
-        let pc = model.cost(&plan.pt).expect("cost");
+        let pc = s
+            .model(CostParams::paper_mode(), run.temp_fields.clone())
+            .cost(&run.optimized.pt)
+            .map_err(|e| format!("paper-mode costing failed: {e}"))?;
         let _ = writeln!(
             out,
             "\n{label}: estimated per-node costs (paper-mode pr=ev=1):"
@@ -321,9 +277,7 @@ pub fn fig7_report(setup: &mut PaperSetup) -> String {
 
     // The optimizer's decision (under the production cost parameters,
     // where page I/O dominates as in the paper's disk-resident setting).
-    let dparams = CostParams::default();
-    let cu = unpushed.cost.total(&dparams);
-    let cp = pushed.cost.total(&dparams);
+    let (cu, cp) = (unpushed.estimated(), pushed.estimated());
     let _ = writeln!(
         out,
         "\nEstimated totals (production weights): PT(i) = {cu:.0}, PT(ii) = {cp:.0} \
@@ -336,8 +290,8 @@ pub fn fig7_report(setup: &mut PaperSetup) -> String {
     );
 
     // Measured execution.
-    let (ri, ni) = setup.execute(&unpushed.pt);
-    let (rii, nii) = setup.execute(&pushed.pt);
+    let (ri, ni) = (&unpushed.report, unpushed.answer.len());
+    let (rii, nii) = (&pushed.report, pushed.answer.len());
     let _ = writeln!(
         out,
         "\nMeasured execution (cold cache): PT(i): {} page reads + {} index reads + {} evals \
@@ -363,8 +317,7 @@ pub fn fig7_report(setup: &mut PaperSetup) -> String {
         render_fix_curves(&ri.fix_deltas),
         render_fix_curves(&rii.fix_deltas),
     );
-    let ti = ri.total(dparams.pr, dparams.ev);
-    let tii = rii.total(dparams.pr, dparams.ev);
+    let (ti, tii) = (unpushed.measured(), pushed.measured());
     let _ = writeln!(
         out,
         "Measured totals (same weights): PT(i) = {ti:.0}, PT(ii) = {tii:.0} -> \
@@ -378,20 +331,20 @@ pub fn fig7_report(setup: &mut PaperSetup) -> String {
 
     // Per-operator accounting: the optimizer's recorded prediction for
     // the final plan against the pipeline's observed counters.
-    for (label, plan, rep) in [
-        ("PT (i) — unpushed", &unpushed, &ri),
-        ("PT (ii) — pushed", &pushed, &rii),
+    for (label, run) in [
+        ("PT (i) — unpushed", &unpushed),
+        ("PT (ii) — pushed", &pushed),
     ] {
         let _ = writeln!(
             out,
             "\n{label}: per-operator predicted vs observed (cold cache):"
         );
         out.push_str(&predicted_vs_observed(
-            &plan.trace.final_breakdown,
-            &rep.ops,
+            &run.optimized.trace.final_breakdown,
+            &run.report.ops,
         ));
     }
-    out
+    Ok(out)
 }
 
 /// Render the per-operator predicted-vs-observed table: the cost
@@ -405,8 +358,8 @@ pub fn predicted_vs_observed(
 ) -> String {
     let mut out = String::from(
         "| op | operator | est. io | obs. pages | est. cpu | obs. evals | \
-         est. rows | obs. rows | writes | temp rd | spills | wall µs |\n\
-         |---|---|---|---|---|---|---|---|---|---|---|---|\n",
+         est. rows | obs. rows | writes | temp rd | spills |\n\
+         |---|---|---|---|---|---|---|---|---|---|---|\n",
     );
     for op in ops {
         let est = breakdown.iter().find(|n| n.node == Some(op.pt_node));
@@ -421,7 +374,7 @@ pub fn predicted_vs_observed(
         let obs_pages = op.page_reads + op.index_reads + op.page_writes;
         let _ = writeln!(
             out,
-            "| {} | {} | {} | {} | {} | {} | {} | {} | {} | {} | {} | {:.0} |",
+            "| {} | {} | {} | {} | {} | {} | {} | {} | {} | {} | {} |",
             op.id,
             op.label,
             eio,
@@ -433,41 +386,38 @@ pub fn predicted_vs_observed(
             op.page_writes,
             op.temp_reads,
             op.spill_evictions,
-            op.wall_ns as f64 / 1000.0,
         );
     }
     out
 }
 
 /// §4.5: the push-join example, estimated and executed.
-pub fn pushjoin_report(setup: &mut PaperSetup) -> String {
-    let q = setup.pushjoin();
-    let unpushed = setup.optimize(&q, OptimizerConfig::never_push());
-    let chosen = setup.optimize(&q, OptimizerConfig::cost_controlled());
-    let params = CostParams::default();
+pub fn pushjoin_report(_: &Args) -> Result<String, String> {
+    let mut s = Scenario::music(Scenario::paper_scale());
+    let q = s.pushjoin();
+    let knobs = Knobs::default();
+    let unpushed = s.run(&q, OptimizerConfig::never_push(), &knobs)?;
+    let chosen = s.run(&q, OptimizerConfig::cost_controlled(), &knobs)?;
     let mut out = String::from("=== §4.5: pushing a selective join through recursion ===\n");
-    let env = setup.env();
-    let _ = writeln!(out, "unpushed: {}", unpushed.pt.display(&env));
-    let _ = writeln!(out, "chosen:   {}", chosen.pt.display(&env));
+    let _ = writeln!(out, "unpushed: {}", unpushed.plan_text(&s));
+    let _ = writeln!(out, "chosen:   {}", chosen.plan_text(&s));
+    let (eu, ec) = (unpushed.estimated(), chosen.estimated());
     let _ = writeln!(
         out,
-        "estimated totals: unpushed = {:.0}, cost-controlled choice = {:.0} (x{:.1} better)",
-        unpushed.cost.total(&params),
-        chosen.cost.total(&params),
-        unpushed.cost.total(&params) / chosen.cost.total(&params).max(1e-9),
+        "estimated totals: unpushed = {eu:.0}, cost-controlled choice = {ec:.0} (x{:.1} better)",
+        eu / ec.max(1e-9),
     );
-    let (ru, nu) = setup.execute(&unpushed.pt);
-    let (rc, nc) = setup.execute(&chosen.pt);
-    assert_eq!(nu, nc, "both plans must return the same answer");
+    if unpushed.answer.len() != chosen.answer.len() {
+        return Err("push-join plans returned different answers".into());
+    }
+    let (mu, mc) = (unpushed.measured(), chosen.measured());
     let _ = writeln!(
         out,
-        "measured (pr=1, ev=0.05): unpushed = {:.0}, chosen = {:.0} (x{:.1} better), {} rows",
-        ru.total(1.0, 0.05),
-        rc.total(1.0, 0.05),
-        ru.total(1.0, 0.05) / rc.total(1.0, 0.05).max(1e-9),
-        nu,
+        "measured (pr=1, ev=0.05): unpushed = {mu:.0}, chosen = {mc:.0} (x{:.1} better), {} rows",
+        mu / mc.max(1e-9),
+        unpushed.answer.len(),
     );
-    out
+    Ok(out)
 }
 
 /// E9: the crossover sweep. Varies the filter selectivity (harpsichord
@@ -477,7 +427,7 @@ pub fn pushjoin_report(setup: &mut PaperSetup) -> String {
 /// the estimated minimum. This is the experiment behind the paper's
 /// thesis: neither "always push" nor "never push" is right — the
 /// decision needs a cost model.
-pub fn crossover_report() -> String {
+pub fn crossover_report(_: &Args) -> Result<String, String> {
     let mut out = String::from(
         "=== E9: push/no-push crossover ===\n\
          | harpsichord fraction | works/composer | est. unpushed | est. pushed | \
@@ -486,29 +436,25 @@ pub fn crossover_report() -> String {
     );
     for &fraction in &[0.05, 0.2, 0.5, 0.9] {
         for &works in &[1u32, 4u32] {
-            let mut setup = PaperSetup::new(MusicConfig {
+            let mut s = Scenario::music(MusicConfig {
                 chains: 10,
                 chain_len: 10,
                 works_per_composer: works,
                 instruments_per_work: 2,
                 harpsichord_fraction: fraction,
-                ..PaperSetup::paper_scale()
+                ..Scenario::paper_scale()
             });
-            let q = setup.fig3_gen(3);
-            let params = CostParams::default();
-            let unpushed = setup.optimize(&q, OptimizerConfig::never_push());
-            let pushed = setup.optimize(&q, OptimizerConfig::deductive_heuristic());
-            let chosen = setup.optimize(&q, OptimizerConfig::cost_controlled());
-            let (u, p, c) = (
-                unpushed.cost.total(&params),
-                pushed.cost.total(&params),
-                chosen.cost.total(&params),
-            );
-            let (mu_rep, nu) = setup.execute(&unpushed.pt);
-            let (mp_rep, np) = setup.execute(&pushed.pt);
-            assert_eq!(nu, np, "push must preserve the answer");
-            let mu = mu_rep.total(params.pr, params.ev);
-            let mp = mp_rep.total(params.pr, params.ev);
+            let q = s.fig3_gen(3);
+            let knobs = Knobs::default();
+            let unpushed = s.run(&q, OptimizerConfig::never_push(), &knobs)?;
+            let pushed = s.run(&q, OptimizerConfig::deductive_heuristic(), &knobs)?;
+            let (chosen, _) = s.plan(&q, OptimizerConfig::cost_controlled(), &knobs)?;
+            let (u, p) = (unpushed.estimated(), pushed.estimated());
+            let c = chosen.cost.total(&CostParams::default());
+            if unpushed.answer.len() != pushed.answer.len() {
+                return Err(format!("push changed the answer at fraction {fraction}"));
+            }
+            let (mu, mp) = (unpushed.measured(), pushed.measured());
             let meas_winner = if mp < mu { "push" } else { "no-push" };
             let tracked = if (c - u.min(p)).abs() < 1e-6 {
                 "yes"
@@ -522,72 +468,71 @@ pub fn crossover_report() -> String {
             );
         }
     }
-    out
+    Ok(out)
 }
 
-/// E10: strategy comparison — optimization time and plan cost for
-/// exhaustive \[KZ88\] vs Selinger DP vs greedy, on chain joins (time
-/// scaling) and on skewed star joins (plan quality; greedy can misorder
-/// the satellites).
-pub fn strategies_report(max_relations: usize) -> String {
+/// Plan a query under one join-enumeration strategy (no randomized
+/// walk); returns optimization wall time in µs and the plan's cost.
+fn spj_plan(s: &Scenario, q: &QueryGraph, strategy: SpjStrategy) -> Result<(u128, f64), String> {
+    let config = OptimizerConfig {
+        spj_strategy: strategy,
+        rand: None,
+        ..Default::default()
+    };
+    let t0 = Instant::now();
+    let (plan, _) = s.plan(q, config, &Knobs::default())?;
+    Ok((
+        t0.elapsed().as_micros(),
+        plan.cost.total(&CostParams::default()),
+    ))
+}
+
+/// E10a: optimization *time* of exhaustive \[KZ88\] vs Selinger DP vs
+/// greedy on k-way chain joins. Prints wall time, so it is its own
+/// section and not part of `all`.
+pub fn strategies_time_report(_: &Args) -> Result<String, String> {
     let mut out = String::from(
         "=== E10a: strategy *time* scaling (k-way chain joins) ===\n\
          | k | exhaustive (µs / cost) | DP (µs / cost) | greedy (µs / cost) |\n|---|---|---|---|\n",
     );
-    let run = |q: &oorq_query::QueryGraph,
-               db: &oorq_storage::Database,
-               stats: &DbStats,
-               strategy: SpjStrategy| {
-        let model = CostModel::new(db.catalog(), db.physical(), stats, CostParams::default());
-        let mut opt = oorq_core::Optimizer::new(
-            model,
-            OptimizerConfig {
-                spj_strategy: strategy,
-                rand: None,
-                ..Default::default()
-            },
-        );
-        let t0 = Instant::now();
-        let plan = opt.optimize(q).expect("plans");
-        (
-            t0.elapsed().as_micros(),
-            plan.cost.total(&CostParams::default()),
-        )
-    };
-    for k in 2..=max_relations {
-        let chain = ChainDb::generate(ChainConfig {
+    for k in 2..=6 {
+        let s = Scenario::chain(ChainConfig {
             relations: k,
             rows: 200,
             ..Default::default()
         });
-        let stats = DbStats::collect(&chain.db);
-        let q = chain.chain_query(25);
+        let q = s.chain_query(25);
         let mut cells = Vec::new();
         for strategy in [
             SpjStrategy::Exhaustive,
             SpjStrategy::Dp,
             SpjStrategy::Greedy,
         ] {
-            let (us, cost) = run(&q, &chain.db, &stats, strategy);
+            let (us, cost) = spj_plan(&s, &q, strategy)?;
             cells.push(format!("{us} / {cost:.0}"));
         }
         let _ = writeln!(out, "| {k} | {} | {} | {} |", cells[0], cells[1], cells[2]);
     }
+    Ok(out)
+}
 
-    out.push_str(
-        "\n=== E10b: strategy *quality* (chain joins, selective bound on the tail) ===\n\
+/// E10b: plan *quality* of the same strategies plus the syntactic
+/// baseline, on chain joins with the selective bound on the tail
+/// (greedy and syntactic can misorder).
+pub fn strategies_report(_: &Args) -> Result<String, String> {
+    let mut out = String::from(
+        "=== E10b: strategy *quality* (chain joins, selective bound on the tail) ===\n\
          | k | exhaustive | DP | greedy | syntactic (query order) | syntactic/best |\n\
          |---|---|---|---|---|---|\n",
     );
-    for k in 3..=max_relations.min(6) {
-        let star = ChainDb::generate(ChainConfig {
+    for k in 3..=6 {
+        let s = Scenario::chain(ChainConfig {
             relations: k,
             rows: 150,
             domain: 60,
             seed: 5,
         });
-        let stats = DbStats::collect(&star.db);
-        let q = star.selective_tail_query(2);
+        let q = s.tail_query(2);
         let mut costs = Vec::new();
         for strategy in [
             SpjStrategy::Exhaustive,
@@ -595,8 +540,7 @@ pub fn strategies_report(max_relations: usize) -> String {
             SpjStrategy::Greedy,
             SpjStrategy::Syntactic,
         ] {
-            let (_, cost) = run(&q, &star.db, &stats, strategy);
-            costs.push(cost);
+            costs.push(spj_plan(&s, &q, strategy)?.1);
         }
         let _ = writeln!(
             out,
@@ -608,70 +552,74 @@ pub fn strategies_report(max_relations: usize) -> String {
             costs[3] / costs[0].max(1e-9)
         );
     }
-    out
+    Ok(out)
 }
 
 /// E11: cost-model validation — estimated vs measured resources across
 /// plan shapes.
-pub fn validation_report() -> String {
+pub fn validation_report(_: &Args) -> Result<String, String> {
     let mut out = String::from(
         "=== E11: cost model vs measured execution ===\n\
          | query | plan | est. total | measured total | ratio |\n|---|---|---|---|---|\n",
     );
-    let params = CostParams::default();
-    let mut row =
-        |query: &str, plan_name: &str, setup: &mut PaperSetup, plan: &oorq_core::Optimized| {
-            let est = plan.cost.total(&params);
-            let (rep, _) = setup.execute(&plan.pt);
-            let measured = rep.total(params.pr, params.ev);
-            let _ = writeln!(
-                out,
-                "| {query} | {plan_name} | {est:.0} | {measured:.0} | {:.2} |",
-                est / measured.max(1e-9)
-            );
-        };
-    let mut setup = PaperSetup::new(PaperSetup::paper_scale());
-    let q3 = setup.fig3_gen(3);
-    let unpushed = setup.optimize(&q3, OptimizerConfig::never_push());
-    row("fig3 (gen>=3)", "unpushed", &mut setup, &unpushed);
-    let pushed = setup.optimize(&q3, OptimizerConfig::deductive_heuristic());
-    row("fig3 (gen>=3)", "pushed", &mut setup, &pushed);
-    let qj = setup.pushjoin();
-    let jchosen = setup.optimize(&qj, OptimizerConfig::cost_controlled());
-    row("§4.5 push-join", "chosen", &mut setup, &jchosen);
-    let q2 = fig2_query(setup.m.db.catalog());
-    let f2 = setup.optimize(&q2, OptimizerConfig::cost_controlled());
-    row("fig2", "chosen", &mut setup, &f2);
-    out
+    let mut s = Scenario::music(Scenario::paper_scale());
+    let (q3, qj, q2) = (s.fig3_gen(3), s.pushjoin(), fig2_query(s.db.catalog()));
+    for (query, plan_name, q, config) in [
+        (
+            "fig3 (gen>=3)",
+            "unpushed",
+            &q3,
+            OptimizerConfig::never_push(),
+        ),
+        (
+            "fig3 (gen>=3)",
+            "pushed",
+            &q3,
+            OptimizerConfig::deductive_heuristic(),
+        ),
+        (
+            "§4.5 push-join",
+            "chosen",
+            &qj,
+            OptimizerConfig::cost_controlled(),
+        ),
+        ("fig2", "chosen", &q2, OptimizerConfig::cost_controlled()),
+    ] {
+        let run = s.run(q, config, &Knobs::default())?;
+        let (est, measured) = (run.estimated(), run.measured());
+        let _ = writeln!(
+            out,
+            "| {query} | {plan_name} | {est:.0} | {measured:.0} | {:.2} |",
+            est / measured.max(1e-9)
+        );
+    }
+    Ok(out)
 }
 
 /// E12 (ablation): the physical design knobs DESIGN.md calls out —
 /// clustering, buffer size, and path-index availability — measured on
 /// the Figure 3 workload with the optimizer re-planning for each
 /// configuration.
-pub fn ablation_report() -> String {
+pub fn ablation_report(_: &Args) -> Result<String, String> {
     let mut out = String::from("=== E12: physical-design ablations (measured, fig3 gen>=3) ===\n");
-    let params = CostParams::default();
-    let base_cfg = MusicConfig {
-        ..PaperSetup::paper_scale()
+    let run = |mut s: Scenario| {
+        let q = s.fig3_gen(3);
+        s.run(&q, OptimizerConfig::cost_controlled(), &Knobs::default())
     };
 
     // (a) Clustering: sub-objects co-located with owners vs scattered.
     out.push_str("\n(a) clustering | est. total | measured total |\n|---|---|---|\n");
     for clustered in [false, true] {
-        let mut setup = PaperSetup::new(MusicConfig {
+        let r = run(Scenario::music(MusicConfig {
             clustered,
-            ..base_cfg.clone()
-        });
-        let q = setup.fig3_gen(3);
-        let plan = setup.optimize(&q, OptimizerConfig::cost_controlled());
-        let (rep, _) = setup.execute(&plan.pt);
+            ..Scenario::paper_scale()
+        }))?;
         let _ = writeln!(
             out,
             "| {} | {:.0} | {:.0} |",
             if clustered { "clustered" } else { "scattered" },
-            plan.cost.total(&params),
-            rep.total(params.pr, params.ev)
+            r.estimated(),
+            r.measured()
         );
     }
 
@@ -679,17 +627,14 @@ pub fn ablation_report() -> String {
     // capacities (rescans of the fixpoint inner become hits).
     out.push_str("\n(b) buffer frames | measured page reads |\n|---|---|\n");
     for frames in [4usize, 16, 64, 256] {
-        let mut setup = PaperSetup::new(MusicConfig {
+        let r = run(Scenario::music(MusicConfig {
             buffer_frames: frames,
-            ..base_cfg.clone()
-        });
-        let q = setup.fig3_gen(3);
-        let plan = setup.optimize(&q, OptimizerConfig::cost_controlled());
-        let (rep, _) = setup.execute(&plan.pt);
+            ..Scenario::paper_scale()
+        }))?;
         let _ = writeln!(
             out,
             "| {frames} | {} |",
-            rep.io.page_reads + rep.io.index_reads
+            r.report.io.page_reads + r.report.io.index_reads
         );
     }
 
@@ -701,93 +646,52 @@ pub fn ablation_report() -> String {
          |---|---|---|---|\n",
     );
     for with_index in [true, false] {
-        // Build the setup manually so the index can be omitted.
-        let cat = std::sync::Arc::new(music_catalog());
-        let mut m = oorq_datagen::MusicDb::generate(std::sync::Arc::clone(&cat), base_cfg.clone());
-        let mut idx = oorq_index::IndexSet::new();
-        if with_index {
-            idx.add_path(oorq_index::PathIndex::build(
-                &mut m.db,
-                vec![
-                    (m.composer, m.works_attr),
-                    (m.composition, m.instruments_attr),
-                ],
-            ));
-        }
-        idx.add_selection(oorq_index::SelectionIndex::build(
-            &mut m.db,
-            m.composer,
-            m.name_attr,
-        ));
-        let stats = DbStats::collect(&m.db);
-        let mut setup = PaperSetup { m, idx, stats };
-        let q = setup.fig3_gen(3);
-        let plan = setup.optimize(&q, OptimizerConfig::cost_controlled());
+        let r = run(Scenario::music_design(Scenario::paper_scale(), with_index))?;
         let mut has_pij = false;
-        plan.pt.visit(&mut |n| {
+        r.optimized.pt.visit(&mut |n| {
             if matches!(n, oorq_pt::Pt::PIJ { .. }) {
                 has_pij = true;
             }
         });
-        let (rep, _) = setup.execute(&plan.pt);
         let _ = writeln!(
             out,
             "| {} | {:.0} | {:.0} | {} |",
             if with_index { "present" } else { "absent" },
-            plan.cost.total(&params),
-            rep.total(params.pr, params.ev),
+            r.estimated(),
+            r.measured(),
             has_pij
         );
     }
-    out
-}
-
-/// Sanity harness: every plan printed by the reports returns the
-/// reference evaluator's answer (used by integration tests).
-pub fn verify_reports_semantics() -> Result<(), String> {
-    let mut setup = PaperSetup::new(MusicConfig {
-        chains: 3,
-        chain_len: 5,
-        harpsichord_fraction: 0.5,
-        ..PaperSetup::paper_scale()
-    });
-    let methods = MethodRegistry::new();
-    for (name, q) in [
-        ("fig3_gen2", setup.fig3_gen(2)),
-        ("pushjoin", setup.pushjoin()),
-    ] {
-        let reference = eval_query_graph(&setup.m.db, &methods, &q)
-            .map_err(|e| format!("{name}: reference: {e}"))?;
-        for config in [
-            OptimizerConfig::cost_controlled(),
-            OptimizerConfig::deductive_heuristic(),
-            OptimizerConfig::never_push(),
-        ] {
-            let plan = setup.optimize(&q, config);
-            let (_, _n) = setup.execute(&plan.pt);
-            let methods2 = MethodRegistry::new();
-            let mut ex = oorq_exec::Executor::new(&mut setup.m.db, &setup.idx, &methods2);
-            let got = ex.run(&plan.pt).map_err(|e| format!("{name}: exec: {e}"))?;
-            let mut a = reference.rows.clone();
-            let mut b = got.rows.clone();
-            a.sort();
-            b.sort();
-            if a != b {
-                return Err(format!("{name}: answer mismatch"));
-            }
-        }
-    }
-    Ok(())
+    Ok(out)
 }
 
 /// Static verification: the lint-code table plus a worked pass over the
 /// paper's recursive query — graph lint, plan verification of the
 /// optimized plan, a deliberately broken plan, and the cost sanity pass.
 ///
-/// The returned flag is `true` when every *real* pass (graph, plan,
-/// cost) is clean; the deliberately broken demo plan never counts
-/// against it. `reproduce lint` exits nonzero on `false`.
-pub fn lint_report(setup: &PaperSetup) -> (String, bool) {
+/// `Ok` when every *real* pass (graph, plan, cost) is clean; the
+/// deliberately broken demo plan never counts against it.
+///
+/// `reproduce lint --explain <CODE>` prints the registry entry of one
+/// stable lint code instead.
+pub fn lint_report(args: &Args) -> Result<String, String> {
+    match args.rest.as_slice() {
+        [] => {}
+        [flag, code] if flag == "--explain" => {
+            let c = oorq_lint::LintCode::all()
+                .iter()
+                .find(|c| c.code().eq_ignore_ascii_case(code))
+                .ok_or_else(|| format!("unknown lint code `{code}`"))?;
+            return Ok(format!(
+                "{}: severity {}\n  {}\n",
+                c.code(),
+                c.severity(),
+                c.describe()
+            ));
+        }
+        _ => return Err("usage: reproduce lint [--explain <CODE>]".into()),
+    }
+    let s = Scenario::music(Scenario::paper_scale());
     use oorq_lint::{lint_graph, lint_plan_cost, verify_pt, LintCode};
     use oorq_pt::Pt;
     use oorq_query::Expr;
@@ -806,8 +710,8 @@ pub fn lint_report(setup: &PaperSetup) -> (String, bool) {
     }
 
     // Graph pass over the expanded Figure 3 query.
-    let q = setup.fig3();
-    let graph = lint_graph(setup.m.db.catalog(), &q);
+    let q = s.fig3();
+    let graph = lint_graph(s.db.catalog(), &q);
     let _ = writeln!(out, "\n-- graph pass: figure 3 (Influencer expanded) --");
     let _ = writeln!(
         out,
@@ -821,8 +725,8 @@ pub fn lint_report(setup: &PaperSetup) -> (String, bool) {
     let _ = write!(out, "{}", graph.render());
 
     // Plan pass over the optimized plan.
-    let plan = setup.optimize(&q, OptimizerConfig::never_push());
-    let env = setup.env();
+    let (plan, temps) = s.plan(&q, OptimizerConfig::never_push(), &Knobs::default())?;
+    let env = s.env(temps.clone());
     let verified = verify_pt(&env, &plan.pt);
     let _ = writeln!(out, "\n-- plan pass: optimized figure 3 plan --");
     let _ = writeln!(
@@ -838,7 +742,8 @@ pub fn lint_report(setup: &PaperSetup) -> (String, bool) {
 
     // A deliberately broken plan: the projection drops `x.birth`, which
     // the selection above it still consumes.
-    let composer_e = setup.m.db.physical().entities_of_class(setup.m.composer)[0];
+    let composer = s.db.catalog().class_by_name("Composer").expect("music");
+    let composer_e = s.db.physical().entities_of_class(composer)[0];
     let broken = Pt::sel(
         Expr::var("x.birth").eq(Expr::int(1685)),
         Pt::proj(
@@ -854,40 +759,24 @@ pub fn lint_report(setup: &PaperSetup) -> (String, bool) {
     let _ = write!(out, "{}", bad.render());
 
     // Cost sanity pass over the optimized plan.
-    let model = CostModel::new(
-        setup.m.db.catalog(),
-        setup.m.db.physical(),
-        &setup.stats,
-        CostParams::default(),
-    );
-    let cost = lint_plan_cost(&model, &plan.pt);
+    let cost = lint_plan_cost(&s.model(CostParams::default(), temps), &plan.pt);
     let _ = writeln!(out, "\n-- cost pass: optimized figure 3 plan --");
     let _ = writeln!(out, "{}", if cost.is_clean() { "clean" } else { "ERRORS" });
     let _ = write!(out, "{}", cost.render());
-    let clean = graph.is_clean() && verified.is_clean() && cost.is_clean();
-    (out, clean)
-}
-
-/// `reproduce lint --explain <CODE>`: the registry entry for one stable
-/// lint code, or `None` when the code is unknown.
-pub fn explain_lint_code(code: &str) -> Option<String> {
-    let c = oorq_lint::LintCode::all()
-        .iter()
-        .find(|c| c.code().eq_ignore_ascii_case(code))?;
-    Some(format!(
-        "{}: severity {}\n  {}\n",
-        c.code(),
-        c.severity(),
-        c.describe()
-    ))
+    if graph.is_clean() && verified.is_clean() && cost.is_clean() {
+        Ok(out)
+    } else {
+        Err(out)
+    }
 }
 
 /// Convenience: a map environment for evaluating Figure 7 symbols from
 /// statistics (exposed for EXPERIMENTS.md tooling and tests).
-pub fn fig7_symbol_env(setup: &PaperSetup) -> HashMap<String, f64> {
-    let composer_e = setup.m.db.physical().entities_of_class(setup.m.composer)[0];
-    let es = setup.stats.entity(composer_e).expect("stats");
-    let n1 = setup.stats.max_chain_depth().unwrap_or(10) as f64;
+pub fn fig7_symbol_env(s: &Scenario) -> HashMap<String, f64> {
+    let composer = s.db.catalog().class_by_name("Composer").expect("music");
+    let composer_e = s.db.physical().entities_of_class(composer)[0];
+    let es = s.stats.entity(composer_e).expect("stats");
+    let n1 = s.stats.max_chain_depth().unwrap_or(10) as f64;
     let mut env = HashMap::new();
     env.insert("pr".into(), 1.0);
     env.insert("ev".into(), 1.0);

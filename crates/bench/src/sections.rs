@@ -1,0 +1,316 @@
+//! The section table behind the `reproduce` binary — its only registry —
+//! and the helpers the baseline-backed gates share.
+//!
+//! Every row is `{name, kind, run, doc}`; `reproduce <name>` runs one,
+//! `reproduce all` runs the figures in table order, `reproduce gates`
+//! runs every gate in one process, and `reproduce list` prints the
+//! table. A gate reports `Err` on failure (exit 1, `FAIL: <name>`); any
+//! other row reports `Err` on unusable arguments (exit 2).
+//!
+//! Rule: a row that prints wall time is never a [`Kind::Figure`], so
+//! the checked-in `reproduce_output.txt` can be diffed byte for byte.
+
+use std::collections::BTreeMap;
+use std::fmt::Write as _;
+
+use crate::{analyze, calibrate, feedback, fuzz, metrics, parallel, reports, spill, tracing};
+
+/// Command-line arguments of one `reproduce` invocation, after the
+/// section name.
+#[derive(Debug, Clone, Default)]
+pub struct Args {
+    /// Positional arguments, in order.
+    pub rest: Vec<String>,
+    /// `--threads N`, else `OORQ_THREADS`, else 0 (fully serial).
+    pub threads: u32,
+    /// `--memory-budget N`, else `OORQ_MEMORY_BUDGET`, else 0
+    /// (unbounded): the cap on resident pipeline-breaker pages.
+    pub memory_budget: u64,
+}
+
+impl Args {
+    /// The `n`-th positional argument, or `default`.
+    pub fn arg<'a>(&'a self, n: usize, default: &'a str) -> &'a str {
+        self.rest.get(n).map_or(default, String::as_str)
+    }
+
+    /// The `n`-th positional argument as a number, or `default`.
+    pub fn num(&self, n: usize, default: u64) -> Result<u64, String> {
+        match self.rest.get(n) {
+            None => Ok(default),
+            Some(s) => s
+                .parse()
+                .map_err(|_| format!("expected an unsigned integer, got `{s}`")),
+        }
+    }
+}
+
+/// What `reproduce all` and `reproduce gates` do with a section.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Kind {
+    /// Deterministic output, no arguments needed: part of `all`.
+    Figure,
+    /// Takes arguments, prints wall time, or emits a file to check in.
+    Tool,
+    /// A CI gate: part of `gates`; `Err` means FAIL.
+    Gate,
+    /// Both a figure and a gate.
+    FigureGate,
+}
+use Kind::{Figure, FigureGate, Gate, Tool};
+
+/// One `reproduce` section.
+pub struct Section {
+    /// The name on the command line.
+    pub name: &'static str,
+    /// Membership in `all` / `gates`.
+    pub kind: Kind,
+    /// One line for `reproduce list`: arguments, then what it prints.
+    pub doc: &'static str,
+    /// Produce the report.
+    pub run: fn(&Args) -> Result<String, String>,
+}
+
+impl Section {
+    /// Part of `reproduce all`.
+    pub fn in_all(&self) -> bool {
+        matches!(self.kind, Figure | FigureGate)
+    }
+
+    /// Part of `reproduce gates`.
+    pub fn is_gate(&self) -> bool {
+        matches!(self.kind, Gate | FigureGate)
+    }
+}
+
+const fn row(
+    name: &'static str,
+    kind: Kind,
+    run: fn(&Args) -> Result<String, String>,
+    doc: &'static str,
+) -> Section {
+    Section {
+        name,
+        kind,
+        doc,
+        run,
+    }
+}
+
+/// The table.
+#[rustfmt::skip]
+pub const SECTIONS: &[Section] = &[
+    row("fig1", Figure, reports::fig1_report, "Figure 1: the conceptual schema"),
+    row("fig2", Figure, reports::fig2_report, "Figure 2: a query graph"),
+    row("fig3", Figure, reports::fig3_report, "Figure 3: the recursive query"),
+    row("fig4", Figure, reports::fig4_report, "Figure 4: both processing trees, from the optimizer"),
+    row("fig5", Figure, reports::fig5_report, "Figure 5: the cost-formula table"),
+    row("fig6", Figure, reports::fig6_report, "Figure 6: optimization steps, traced from a run"),
+    row("fig7", Figure, reports::fig7_report,
+        "Figure 7 / §4.6: symbolic costs, estimates, measured execution, predicted vs observed"),
+    row("pushjoin", Figure, reports::pushjoin_report, "§4.5: pushing a selective join through recursion"),
+    row("crossover", Figure, reports::crossover_report, "E9: push/no-push crossover sweep"),
+    row("strategies", Figure, reports::strategies_report,
+        "E10b: plan quality of exhaustive / DP / greedy / syntactic"),
+    row("strategies-time", Tool, reports::strategies_time_report,
+        "E10a: optimization time per strategy (wall clock)"),
+    row("ablation", Figure, reports::ablation_report, "E12: physical-design ablations"),
+    row("lint", FigureGate, reports::lint_report,
+        "[--explain CODE] lint-code table and a worked pass; fails on a real lint error"),
+    row("analyze", Figure, analyze::analyze_report,
+        "[row-prefix] static bounds vs observed counters per corpus row"),
+    row("trace", Figure, trace,
+        "[scenario [out-dir]] traced run: search-space summary; with out-dir also writes \
+         trace-<scenario>.{jsonl,json,folded} (scenarios: music-pushjoin music-fig7 music-paper)"),
+    row("validate", Figure, reports::validation_report, "E11: cost model vs measured execution"),
+    row("calibrate", Figure, calibrate::calibrate_report,
+        "per-operator-kind cost error, default vs calibrated weights"),
+    row("feedback", Figure, feedback::feedback_report,
+        "fixpoint delta profiles: modeled vs observed curves"),
+    row("calibrate-fit", Tool, calibrate::calibrate_fit_report,
+        "refit the weights; prints crates/cost/calibrated.toml"),
+    row("feedback-fit", Tool, feedback::feedback_fit_report,
+        "refit the profiles; prints crates/cost/fix_profiles.toml"),
+    row("metrics", Tool, metrics::metrics_report,
+        "[corpus-row] five metered replays: series table, EXPLAIN ANALYZE, Prometheus text \
+         (wall clock; honours --threads / --memory-budget)"),
+    row("metrics-fit", Tool, metrics::metrics_fit_report, "prints crates/bench/metrics_baseline.txt"),
+    row("spill", Tool, spill::spill_report,
+        "closure sweep across the breaker-budget cliff (--memory-budget overrides the budget)"),
+    row("trace-check", Tool, trace_check,
+        "<trace.json> validate a Chrome trace file with the in-repo checker"),
+    row("analyze-gate", Gate, analyze::analyze_gate,
+        "every observed counter of every corpus row inside its static interval"),
+    row("calibrate-gate", Gate, calibrate::calibrate_gate,
+        "per-kind cost error vs crates/bench/calibration_baseline.txt"),
+    row("feedback-gate", Gate, feedback::feedback_gate,
+        "fixpoint row error vs crates/bench/feedback_baseline.txt"),
+    row("fuzz", Gate, fuzz::fuzz_report,
+        "[iterations [seed]] plan-mutation soundness fuzzer (default: the CI smoke)"),
+    row("parallel", Gate, parallel::parallel_report,
+        "serial vs --threads N (default 4) per corpus row; fails unless byte-identical \
+         (wall clock; honours --memory-budget)"),
+    row("spill-gate", Gate, spill::spill_gate,
+        "spill-cliff placement and page-read error vs crates/bench/spill_baseline.txt"),
+    row("metrics-gate", Gate, metrics::metrics_gate,
+        "stable series names vs crates/bench/metrics_baseline.txt, recorder overhead caps"),
+];
+
+/// `reproduce trace [scenario [out-dir]]`: run the scenario under an
+/// enabled recorder; with an out-dir, also write all three exports.
+fn trace(args: &Args) -> Result<String, String> {
+    let scenario = args.arg(0, "music-pushjoin");
+    let art = tracing::trace_scenario(scenario)?;
+    let mut out = art.summary;
+    if let Some(dir) = args.rest.get(1) {
+        std::fs::create_dir_all(dir).map_err(|e| format!("cannot create `{dir}`: {e}"))?;
+        let base = format!("{dir}/trace-{scenario}");
+        let (jsonl, folded) = (art.trace.to_jsonl(), art.trace.to_folded());
+        for (ext, contents) in [
+            ("jsonl", &jsonl),
+            ("json", &art.trace.to_chrome()),
+            ("folded", &folded),
+        ] {
+            let path = format!("{base}.{ext}");
+            std::fs::write(&path, contents).map_err(|e| format!("cannot write `{path}`: {e}"))?;
+        }
+        let _ = writeln!(
+            out,
+            "wrote {base}.jsonl ({} lines), {base}.json (Perfetto-loadable), {base}.folded ({} \
+             frames)",
+            jsonl.lines().count(),
+            folded.lines().count(),
+        );
+    }
+    Ok(out)
+}
+
+/// `reproduce trace-check <file>`: `Err` on an unreadable file, any
+/// violation or schema drift.
+fn trace_check(args: &Args) -> Result<String, String> {
+    let [path] = args.rest.as_slice() else {
+        return Err("usage: reproduce trace-check <trace.json>".into());
+    };
+    let contents =
+        std::fs::read_to_string(path).map_err(|e| format!("cannot read `{path}`: {e}"))?;
+    let s =
+        oorq_obs::check_chrome_trace(&contents).map_err(|e| format!("{path}: INVALID — {e}"))?;
+    Ok(format!(
+        "{path}: OK — {} events ({} duration pairs, {} complete, {} counter samples, {} instants)",
+        s.total_events, s.duration_pairs, s.complete_events, s.counter_samples, s.instant_events
+    ))
+}
+
+/// Median of a sample (0 when empty).
+pub fn median(mut v: Vec<f64>) -> f64 {
+    if v.is_empty() {
+        return 0.0;
+    }
+    v.sort_by(f64::total_cmp);
+    let n = v.len();
+    if n % 2 == 1 {
+        v[n / 2]
+    } else {
+        0.5 * (v[n / 2 - 1] + v[n / 2])
+    }
+}
+
+/// Absolute slack a gate allows over its checked-in baseline. Counters,
+/// fits and sweeps are deterministic, so this only absorbs
+/// float-rounding differences across platforms.
+pub const GATE_TOLERANCE: f64 = 0.05;
+
+/// A checked-in gate baseline — `key = value` lines, `#` comments — and
+/// the failures found against it.
+pub struct Baseline {
+    values: BTreeMap<String, f64>,
+    failures: Vec<String>,
+}
+
+impl Baseline {
+    /// Parse the baseline file `file` (named in error messages).
+    pub fn parse(file: &str, text: &str) -> Result<Self, String> {
+        let mut values = BTreeMap::new();
+        for line in text.lines() {
+            let line = line.split('#').next().unwrap_or("").trim();
+            if line.is_empty() {
+                continue;
+            }
+            let (key, v) = line
+                .split_once('=')
+                .ok_or_else(|| format!("{file}: bad line `{line}`"))?;
+            let v = v.trim().parse().map_err(|e| format!("{file}: {e}"))?;
+            values.insert(key.trim().to_string(), v);
+        }
+        Ok(Baseline {
+            values,
+            failures: Vec::new(),
+        })
+    }
+
+    /// Hold `observed` against the baseline entry `key`: it may exceed
+    /// it by at most [`GATE_TOLERANCE`]. Appends the verdict to `out`; a
+    /// key the baseline lacks is informational.
+    pub fn check(&mut self, out: &mut String, key: &str, what: &str, observed: f64) {
+        let Some(&base) = self.values.get(key) else {
+            let _ = writeln!(out, "{key}: {observed:.3} (no baseline; informational)");
+            return;
+        };
+        let ok = observed <= base + GATE_TOLERANCE;
+        let _ = writeln!(
+            out,
+            "{key}: {what} {observed:.3} vs baseline {base:.3} -> {}",
+            if ok { "ok" } else { "FAIL" }
+        );
+        if !ok {
+            self.fail(format!(
+                "{key}: {what} {observed:.3} exceeds baseline {base:.3} + {GATE_TOLERANCE:.2}"
+            ));
+        }
+    }
+
+    /// Record a failure found by other means.
+    pub fn fail(&mut self, failure: String) {
+        self.failures.push(failure);
+    }
+
+    /// The gate's outcome: the report, with the failures appended when
+    /// there are any.
+    pub fn finish(self, mut out: String, gate: &str) -> Result<String, String> {
+        if self.failures.is_empty() {
+            let _ = writeln!(out, "{gate} gate OK");
+            Ok(out)
+        } else {
+            Err(format!(
+                "{out}\n{gate} gate FAILED:\n{}",
+                self.failures.join("\n")
+            ))
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn baseline_check_allows_the_tolerance_and_no_more() {
+        let mut b = Baseline::parse("t.txt", "# c\nEJ = 0.300  # inline\n\n").unwrap();
+        let mut out = String::new();
+        b.check(&mut out, "EJ", "err", 0.349);
+        b.check(&mut out, "Scan", "err", 9.0);
+        assert!(b.failures.is_empty(), "{out}");
+        b.check(&mut out, "EJ", "err", 0.351);
+        assert_eq!(b.failures.len(), 1);
+        assert!(b.finish(out, "t").unwrap_err().contains("exceeds baseline"));
+        assert!(Baseline::parse("t.txt", "EJ 0.3").is_err());
+        assert!(Baseline::parse("t.txt", "EJ = x").is_err());
+    }
+
+    #[test]
+    fn even_and_odd_sample_medians() {
+        assert_eq!(median(vec![]), 0.0);
+        assert_eq!(median(vec![3.0, 1.0, 2.0]), 2.0);
+        assert_eq!(median(vec![4.0, 1.0, 2.0, 3.0]), 2.5);
+    }
+}

@@ -28,12 +28,13 @@
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
-use oorq_core::{Optimizer, OptimizerConfig};
+use oorq_core::OptimizerConfig;
 use oorq_cost::{CostParams, FixProfile};
 use oorq_datagen::{ClosureConfig, ClosureDb};
-use oorq_exec::{ExecConfig, Executor, MethodRegistry};
-use oorq_index::IndexSet;
 use oorq_lint::{lint_breaker_budget, lint_spill_drift, DriftTolerance};
+
+use crate::scenarios::{Knobs, Scenario};
+use crate::sections::{median, Args, Baseline};
 
 /// The sweep's breaker memory budget, in pages. Small enough that the
 /// closure accumulator crosses it mid-sweep (128 closure rows per page
@@ -85,45 +86,30 @@ impl SpillPoint {
 /// re-estimate against the executor's counters.
 fn spill_point(nodes: u32, budget: u64) -> SpillPoint {
     let scope = format!("spill{nodes}");
-    let mut c = ClosureDb::generate(ClosureConfig { nodes });
+    let c = ClosureDb::generate(ClosureConfig { nodes });
     let q = c.closure_query();
-    // The model borrows schema and statistics for its whole life, and
-    // this harness (unlike `calibrate`) re-estimates *after* the run —
-    // so borrow clones, keeping `c.db` free for the executor.
-    let catalog = c.db.catalog().clone();
-    let physical = c.db.physical().clone();
-    let stats = oorq_storage::DbStats::collect(&c.db);
-    let model = oorq_cost::CostModel::new(&catalog, &physical, &stats, CostParams::default());
-    let mut opt = Optimizer::new(model, OptimizerConfig::cost_controlled());
-    let plan = opt
-        .optimize(&q)
-        .unwrap_or_else(|e| panic!("{scope}: optimization failed: {e}"));
-
-    // Execute under the breaker budget, cold.
-    let idx = IndexSet::new();
-    let methods = MethodRegistry::new();
-    c.db.cold_cache();
-    let mut ex = Executor::new(&mut c.db, &idx, &methods).with_config(ExecConfig {
-        memory_budget_pages: budget,
-        ..ExecConfig::default()
-    });
-    let out = ex
-        .run(&plan.pt)
-        .unwrap_or_else(|e| panic!("{scope}: execution failed: {e}"));
-    let report = ex.report();
+    let mut s = Scenario::plain(c.db);
+    let run = s
+        .run(
+            &q,
+            OptimizerConfig::cost_controlled(),
+            &Knobs::resources(0, budget),
+        )
+        .unwrap_or_else(|e| panic!("{scope}: {e}"));
+    let (plan, report, out) = (&run.optimized, &run.report, &run.answer);
 
     // Feed the observed delta curve back as an exact-scope profile so
     // the re-estimate's residual error is residency error, not
     // fixpoint-cardinality error.
-    let mut res_model = opt.model;
     let mut res_params = CostParams {
         residency: true,
         memory_budget_pages: budget,
         profile_scope: scope.clone(),
         ..CostParams::calibrated()
     };
-    res_model.params = res_params.clone();
-    let depth = res_model.fix_iterations();
+    let depth = s
+        .model(res_params.clone(), run.temp_fields.clone())
+        .fix_iterations();
     let obs_curves: BTreeMap<usize, Vec<u64>> = report
         .fix_deltas
         .iter()
@@ -143,8 +129,8 @@ fn spill_point(nodes: u32, budget: u64) -> SpillPoint {
             .fix_profiles
             .insert(format!("{scope}/{}", curve.temp), p);
     }
-    res_model.params = res_params.clone();
-    let res_cost = res_model
+    let res_cost = s
+        .model(res_params.clone(), run.temp_fields.clone())
         .cost(&plan.pt)
         .unwrap_or_else(|e| panic!("{scope}: re-estimation failed: {e}"));
 
@@ -197,19 +183,6 @@ fn spill_point(nodes: u32, budget: u64) -> SpillPoint {
 /// Sweep every [`SWEEP`] size at the given budget.
 pub fn spill_sweep(budget: u64) -> Vec<SpillPoint> {
     SWEEP.iter().map(|&n| spill_point(n, budget)).collect()
-}
-
-fn median(mut v: Vec<f64>) -> f64 {
-    if v.is_empty() {
-        return 0.0;
-    }
-    v.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    let mid = v.len() / 2;
-    if v.len() % 2 == 1 {
-        v[mid]
-    } else {
-        (v[mid - 1] + v[mid]) / 2.0
-    }
 }
 
 /// Per-side medians of a sweep, split by the *observed* cliff side.
@@ -296,21 +269,17 @@ fn render_stats(out: &mut String, st: &SpillStats) {
 }
 
 /// The `reproduce spill` section: sweep, table, per-side medians.
-pub fn spill_report(budget: u64) -> String {
+pub fn spill_report(args: &Args) -> Result<String, String> {
+    let budget = match args.memory_budget {
+        0 => SPILL_BUDGET_PAGES,
+        b => b,
+    };
     let mut out = String::from("=== Spill calibration: predicted vs observed page reads ===\n");
     let points = spill_sweep(budget);
     render_sweep(&mut out, &points, budget);
     render_stats(&mut out, &spill_stats(&points));
-    out
+    Ok(out)
 }
-
-/// The checked-in spill baseline (regenerate by pasting the
-/// `reproduce spill` medians).
-const BASELINE: &str = include_str!("../spill_baseline.txt");
-
-/// Absolute slack on the baseline error figures (deterministic sweep,
-/// float rounding only).
-pub const GATE_TOLERANCE: f64 = 0.05;
 
 /// Hard cap on either side's median relative page-read error — the
 /// reproduction target the residency model must hold, independent of
@@ -322,40 +291,24 @@ pub const MAX_SIDE_ERR: f64 = 0.15;
 /// regresses beyond the checked-in baseline, exceeds [`MAX_SIDE_ERR`],
 /// when the model mis-places any point relative to the cliff, or the
 /// sweep no longer crosses it.
-pub fn spill_gate() -> Result<String, String> {
+pub fn spill_gate(_: &Args) -> Result<String, String> {
     let points = spill_sweep(SPILL_BUDGET_PAGES);
     let st = spill_stats(&points);
 
-    let mut baseline: BTreeMap<String, f64> = Default::default();
-    for line in BASELINE.lines() {
-        let line = line.split('#').next().unwrap_or("").trim();
-        if line.is_empty() {
-            continue;
-        }
-        let (key, v) = line
-            .split_once('=')
-            .ok_or_else(|| format!("spill_baseline.txt: bad line `{line}`"))?;
-        baseline.insert(
-            key.trim().to_string(),
-            v.trim()
-                .parse()
-                .map_err(|e| format!("spill_baseline.txt: {e}"))?,
-        );
-    }
+    let mut gate = Baseline::parse("spill_baseline.txt", include_str!("../spill_baseline.txt"))?;
 
     let mut out = String::from("=== Spill regression gate ===\n");
     render_sweep(&mut out, &points, SPILL_BUDGET_PAGES);
     render_stats(&mut out, &st);
 
-    let mut failures = Vec::new();
     if st.n_resident == 0 || st.n_spilled == 0 {
-        failures.push(format!(
+        gate.fail(format!(
             "sweep no longer crosses the cliff ({} resident / {} spilled points)",
             st.n_resident, st.n_spilled
         ));
     }
     if st.misplaced > 0 {
-        failures.push(format!(
+        gate.fail(format!(
             "model places {} point(s) on the wrong side of the spill cliff",
             st.misplaced
         ));
@@ -365,33 +318,22 @@ pub fn spill_gate() -> Result<String, String> {
         ("spilled", st.spilled_med_err),
     ] {
         if err > MAX_SIDE_ERR {
-            failures.push(format!(
+            gate.fail(format!(
                 "{side}-side median page-read error {err:.3} exceeds the {MAX_SIDE_ERR:.2} cap"
             ));
         }
-        let key = format!("{side}_med_rel_err");
-        if let Some(&base) = baseline.get(&key) {
-            if err > base + GATE_TOLERANCE {
-                failures.push(format!(
-                    "{side}-side median page-read error {err:.3} exceeds baseline {base:.3} + {GATE_TOLERANCE:.2}"
-                ));
-            }
-        }
+        gate.check(
+            &mut out,
+            &format!("{side}_med_rel_err"),
+            "median page-read error",
+            err,
+        );
     }
     let drift: usize = points.iter().map(|p| p.drift_warns).sum();
     if drift > 0 {
-        failures.push(format!(
+        gate.fail(format!(
             "CX007 spill-drift fired on {drift} point(s): modeled cliff side disagrees with observed spill evictions"
         ));
     }
-
-    if failures.is_empty() {
-        out.push_str("spill gate OK\n");
-        Ok(out)
-    } else {
-        Err(format!(
-            "{out}\nspill gate FAILED:\n{}",
-            failures.join("\n")
-        ))
-    }
+    gate.finish(out, "spill")
 }

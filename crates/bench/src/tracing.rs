@@ -6,27 +6,21 @@
 //! events), the executor pipeline (per-operator spans, fixpoint
 //! iteration events) and the buffer manager (page hit/miss/eviction
 //! events) — so the resulting [`oorq_obs::Trace`] joins optimizer
-//! estimates to runtime counters in a single timeline. The binary
-//! writes the three exports to disk; this module only builds strings.
+//! estimates to runtime counters in a single timeline.
 
 use std::fmt::Write;
 
 use oorq_core::OptimizerConfig;
 use oorq_obs::Recorder;
 
-use crate::reports::fig7_config;
-use crate::scenarios::PaperSetup;
+use crate::scenarios::{fig7_config, Knobs, Scenario};
 
 /// Everything one traced scenario run produced.
 pub struct TraceArtifacts {
-    /// The accumulated trace.
+    /// The accumulated trace; `to_jsonl` (schema-versioned,
+    /// round-trippable), `to_chrome` (Perfetto-loadable) and `to_folded`
+    /// (flamegraph stacks) render its exports.
     pub trace: oorq_obs::Trace,
-    /// JSONL export (schema-versioned, round-trippable).
-    pub jsonl: String,
-    /// Chrome trace-event JSON (Perfetto-loadable).
-    pub chrome: String,
-    /// Folded stacks for flamegraph tooling.
-    pub folded: String,
     /// Human-readable summary: search-space table, fixpoint deltas,
     /// counters registry.
     pub summary: String,
@@ -43,7 +37,7 @@ pub fn trace_scenario(scenario: &str) -> Result<TraceArtifacts, String> {
         // cost-controlled optimizer must *reject* the pushed candidate.
         "music-fig7" => (fig7_config(), "Figure 7 / §4.6 (pushing loses)"),
         "music-paper" => (
-            PaperSetup::paper_scale(),
+            Scenario::paper_scale(),
             "paper-scale music database (§4.6 scale, selective filter)",
         ),
         // The §4.5 join query: its `c.name = "Bach"` selection has an
@@ -55,7 +49,7 @@ pub fn trace_scenario(scenario: &str) -> Result<TraceArtifacts, String> {
         "music-pushjoin" => (
             oorq_datagen::MusicConfig {
                 chains: 30,
-                ..PaperSetup::paper_scale()
+                ..Scenario::paper_scale()
             },
             "§4.5 push-join (provable access-method pruning)",
         ),
@@ -69,22 +63,22 @@ pub fn trace_scenario(scenario: &str) -> Result<TraceArtifacts, String> {
 
     let obs = Recorder::new();
     let registry = oorq_obs::MetricsRegistry::new();
-    let mut setup = PaperSetup::new(cfg);
+    let mut s = Scenario::music(cfg);
     let q = if scenario == "music-pushjoin" {
-        setup.pushjoin()
+        s.pushjoin()
     } else {
-        setup.fig3()
+        s.fig3()
     };
-    let optimized = setup.optimize_metered(
-        &q,
-        OptimizerConfig::cost_controlled(),
-        obs.clone(),
-        &registry,
-    );
-    let (report, answer) = setup.execute_metered(&optimized.pt, obs.clone(), &registry);
-    // Fold the aggregated series into the trace as `metrics.*` counters,
-    // so the Chrome export carries them as `C` samples and the JSONL
-    // header round-trips them — no schema change, just more counters.
+    let knobs = Knobs {
+        recorder: obs.clone(),
+        registry: registry.clone(),
+        ..Knobs::default()
+    };
+    let run = s.run(&q, OptimizerConfig::cost_controlled(), &knobs)?;
+    let (optimized, report, answer) = (&run.optimized, &run.report, run.answer.len());
+    // Fold the aggregated series into the trace as `metrics.*` counters
+    // (the only way a counter reaches a trace), so the Chrome export
+    // carries them as `C` samples and the JSONL header round-trips them.
     registry.publish_to_recorder(&obs);
     let trace = obs.finish();
 
@@ -114,23 +108,18 @@ pub fn trace_scenario(scenario: &str) -> Result<TraceArtifacts, String> {
         summary.push_str(&table);
     }
 
+    // Wall-time series (`*_ns`) stay in the trace files only: the
+    // summary is part of the deterministic `reproduce all` golden.
     if !trace.counters.is_empty() {
         summary.push_str("\n### Counters\n\n| counter | total |\n|---|---|\n");
         for (name, total) in &trace.counters {
-            let _ = writeln!(summary, "| {name} | {total:.0} |");
+            if !name.contains("_ns") {
+                let _ = writeln!(summary, "| {name} | {total:.0} |");
+            }
         }
     }
 
-    let jsonl = trace.to_jsonl();
-    let chrome = trace.to_chrome();
-    let folded = trace.to_folded();
-    Ok(TraceArtifacts {
-        trace,
-        jsonl,
-        chrome,
-        folded,
-        summary,
-    })
+    Ok(TraceArtifacts { trace, summary })
 }
 
 #[cfg(test)]
@@ -152,10 +141,15 @@ mod tests {
     #[test]
     fn differential_span_counters_equal_exec_report() {
         let obs = Recorder::new();
-        let mut setup = PaperSetup::new(small_cfg());
-        let q = setup.fig3();
-        let optimized = setup.optimize_traced(&q, OptimizerConfig::cost_controlled(), obs.clone());
-        let (report, _) = setup.execute_traced(&optimized.pt, obs.clone());
+        let mut s = Scenario::music(small_cfg());
+        let knobs = Knobs {
+            recorder: obs.clone(),
+            ..Knobs::default()
+        };
+        let report = s
+            .run(&s.fig3(), OptimizerConfig::cost_controlled(), &knobs)
+            .expect("runs")
+            .report;
         let trace = obs.finish();
 
         let op_spans: Vec<_> = trace
@@ -174,27 +168,18 @@ mod tests {
                 .map(|s| s.field(key).and_then(|v| v.as_num()).unwrap_or(0.0))
                 .sum()
         };
-        for (key, total) in [
-            (
-                "rows_out",
-                report.ops.iter().map(|o| o.rows_out).sum::<u64>(),
-            ),
-            ("page_reads", report.ops.iter().map(|o| o.page_reads).sum()),
-            ("page_hits", report.ops.iter().map(|o| o.page_hits).sum()),
-            (
-                "index_reads",
-                report.ops.iter().map(|o| o.index_reads).sum(),
-            ),
-            (
-                "page_writes",
-                report.ops.iter().map(|o| o.page_writes).sum(),
-            ),
-            ("evals", report.ops.iter().map(|o| o.evals).sum()),
-            (
-                "method_calls",
-                report.ops.iter().map(|o| o.method_calls).sum(),
-            ),
-        ] {
+        type Counter = fn(&oorq_exec::OpReport) -> u64;
+        let counters: [(&str, Counter); 7] = [
+            ("rows_out", |o| o.rows_out),
+            ("page_reads", |o| o.page_reads),
+            ("page_hits", |o| o.page_hits),
+            ("index_reads", |o| o.index_reads),
+            ("page_writes", |o| o.page_writes),
+            ("evals", |o| o.evals),
+            ("method_calls", |o| o.method_calls),
+        ];
+        for (key, counter) in counters {
+            let total: u64 = report.ops.iter().map(counter).sum();
             assert_eq!(span_sum(key) as u64, total, "span-aggregated {key}");
         }
         // And the executor-level totals match the same aggregation (the
@@ -237,9 +222,9 @@ mod tests {
         }
         assert!(art.summary.contains("Rejected candidates"));
         // All three exports are well-formed.
-        oorq_obs::Trace::from_jsonl(&art.jsonl).expect("JSONL round-trips");
-        oorq_obs::check_chrome_trace(&art.chrome).expect("chrome trace valid");
-        assert!(art.folded.lines().count() > 0);
+        oorq_obs::Trace::from_jsonl(&art.trace.to_jsonl()).expect("JSONL round-trips");
+        oorq_obs::check_chrome_trace(&art.trace.to_chrome()).expect("chrome trace valid");
+        assert!(art.trace.to_folded().lines().count() > 0);
     }
 
     #[test]

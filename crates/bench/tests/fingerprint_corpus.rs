@@ -3,68 +3,40 @@
 //! `Pt::fingerprint` keys the serving layer's plan cache, so it must be
 //! injective in practice: two structurally different plans must never
 //! share a fingerprint, and one plan must always hash the same. This
-//! suite optimizes the paper's scenario corpus under every enumeration
-//! strategy, collects the chosen plans *and every subtree of them*
-//! (each subtree is a plan the optimizer's bottom-up enumeration
-//! considered), and checks fingerprint ↔ canonical-text injectivity
-//! pairwise across the whole pool.
+//! suite optimizes every corpus row under its own and under the two
+//! enumeration-heavy strategies, collects the chosen plans *and every
+//! subtree of them* (each subtree is a plan the optimizer's bottom-up
+//! enumeration considered), and checks fingerprint ↔ canonical-text
+//! injectivity pairwise across the whole pool.
 
 use std::collections::HashMap;
 
-use oorq_bench::PaperSetup;
-use oorq_core::{Optimizer, OptimizerConfig};
-use oorq_cost::{CostModel, CostParams};
-use oorq_datagen::{ChainConfig, ChainDb};
-use oorq_pt::Pt;
-use oorq_storage::DbStats;
+use oorq_bench::scenarios::for_each_row;
+use oorq_bench::Knobs;
+use oorq_core::OptimizerConfig;
 
-/// Collect a plan and all of its subtrees as (fingerprint, canonical
+/// Every chosen plan and all of its subtrees as (fingerprint, canonical
 /// text) pairs.
-fn harvest(pt: &Pt, pool: &mut Vec<(u64, String)>) {
-    pt.visit(&mut |n| pool.push((n.fingerprint(), format!("{n:?}"))));
-}
-
 fn corpus() -> Vec<(u64, String)> {
     let mut pool: Vec<(u64, String)> = Vec::new();
-
-    let setup = PaperSetup::new(PaperSetup::paper_scale());
-    let configs = [
-        OptimizerConfig::cost_controlled(),
-        OptimizerConfig::never_push(),
-        OptimizerConfig::deductive_heuristic(),
-        OptimizerConfig::exhaustive(),
-    ];
-    for q in [setup.fig3(), setup.pushjoin()] {
-        for config in &configs {
-            harvest(&setup.optimize(&q, config.clone()).pt, &mut pool);
-        }
-    }
-
-    let chain = ChainDb::generate(ChainConfig {
-        relations: 3,
-        rows: 80,
-        domain: 16,
-        seed: 5,
-    });
-    let stats = DbStats::collect(&chain.db);
-    for q in [chain.chain_query(8), chain.selective_tail_query(3)] {
-        for config in [
-            OptimizerConfig::cost_controlled(),
-            OptimizerConfig::exhaustive(),
-        ] {
-            let model = CostModel::new(
-                chain.db.catalog(),
-                chain.db.physical(),
-                &stats,
-                CostParams::default(),
-            );
-            let plan = Optimizer::new(model, config)
-                .optimize(&q)
-                .expect("chain optimization");
-            harvest(&plan.pt, &mut pool);
-        }
-    }
-
+    for_each_row(
+        |_, _| true,
+        |name, s, q, config| {
+            for config in [
+                config,
+                OptimizerConfig::cost_controlled(),
+                OptimizerConfig::exhaustive(),
+            ] {
+                let (plan, _) = s
+                    .plan(q, config, &Knobs::default())
+                    .map_err(|e| format!("{name}: {e}"))?;
+                plan.pt
+                    .visit(&mut |n| pool.push((n.fingerprint(), format!("{n:?}"))));
+            }
+            Ok::<(), String>(())
+        },
+    )
+    .expect("the corpus optimizes");
     pool
 }
 

@@ -10,9 +10,8 @@
 use std::collections::HashMap;
 
 use oorq_cost::CostModel;
-use oorq_pt::{AccessMethod, JoinAlgo, Pt};
-use oorq_query::{CmpOp, Expr, SpjNode};
-use oorq_storage::EntitySource;
+use oorq_pt::{applicable_join_indexes, applicable_sel_index, AccessMethod, JoinAlgo, Pt};
+use oorq_query::{Expr, SpjNode};
 
 use crate::error::OptError;
 use crate::translate::ArcChain;
@@ -155,7 +154,6 @@ pub fn generate_pt(
             }
         }
         if obs.enabled() {
-            obs.counter_add("optimizer.candidates.enumerated", cands.len() as f64);
             let best_fp = format!("{:016x}", cands[0].pt.fingerprint());
             let best_cost = cands[0].cost;
             for (rank, c) in cands.iter().enumerate() {
@@ -268,55 +266,19 @@ fn assemble_arc(model: &CostModel<'_>, chain: &ArcChain, sels: &[Expr]) -> Vec<P
         .filter(|c| c.vars().iter().all(|v| chain.base_cols.contains(v)))
         .collect();
 
-    // Scan variant base.
-    let mut scan_base = chain.base.clone();
-    if !base_ready.is_empty() {
-        scan_base = Pt::sel(
-            Expr::conjoin(base_ready.iter().map(|c| (*c).clone())),
-            scan_base,
-        );
-    }
-    variants.push(scan_base);
-
-    // Index variant: an equality conjunct on an indexed attribute of the
-    // leaf class.
-    if let Some(entity) = chain.leaf_entity {
-        if let EntitySource::Class(class) = model.physical.entity(entity).source {
-            for c in &base_ready {
-                if let Expr::Cmp {
-                    op: CmpOp::Eq,
-                    lhs,
-                    rhs,
-                } = c
-                {
-                    let path = match (lhs.as_ref(), rhs.as_ref()) {
-                        (Expr::Path { base, steps }, Expr::Lit(_)) if steps.len() == 1 => {
-                            Some((base, &steps[0]))
-                        }
-                        (Expr::Lit(_), Expr::Path { base, steps }) if steps.len() == 1 => {
-                            Some((base, &steps[0]))
-                        }
-                        _ => None,
-                    };
-                    let Some((base_col, attr_name)) = path else {
-                        continue;
-                    };
-                    if *base_col != chain.root_var {
-                        continue;
-                    }
-                    let Some((aid, _)) = model.catalog.attr(class, attr_name) else {
-                        continue;
-                    };
-                    if let Some(desc) = model.physical.selection_index(class, aid) {
-                        variants.push(Pt::Sel {
-                            pred: Expr::conjoin(base_ready.iter().map(|c| (*c).clone())),
-                            method: AccessMethod::Index(desc.id),
-                            input: Box::new(chain.base.clone()),
-                        });
-                        break;
-                    }
-                }
-            }
+    // Scan variant base, and the index variant when an equality
+    // conjunct sits on an indexed attribute of a bare class leaf.
+    if base_ready.is_empty() {
+        variants.push(chain.base.clone());
+    } else {
+        let pred = Expr::conjoin(base_ready.iter().map(|c| (*c).clone()));
+        variants.push(Pt::sel(pred.clone(), chain.base.clone()));
+        if let Some(idx) = applicable_sel_index(model.catalog, model.physical, &pred, &chain.base) {
+            variants.push(Pt::Sel {
+                pred,
+                method: AccessMethod::Index(idx),
+                input: Box::new(chain.base.clone()),
+            });
         }
     }
 
@@ -388,34 +350,13 @@ fn join_pair(
     push(Pt::ej(pred.clone(), left.pt.clone(), right.pt.clone()));
     // Index join: right side must be a bare entity leaf with an indexed
     // equality attribute in the predicate.
-    if let Pt::Entity { id, var } = &right.pt {
-        if let EntitySource::Class(class) = model.physical.entity(*id).source {
-            for c in &applicable {
-                if let Expr::Cmp {
-                    op: CmpOp::Eq,
-                    lhs,
-                    rhs,
-                } = c
-                {
-                    for (inner, _outer) in [(rhs, lhs), (lhs, rhs)] {
-                        if let Expr::Path { base, steps } = inner.as_ref() {
-                            if base == var && steps.len() == 1 {
-                                if let Some((aid, _)) = model.catalog.attr(class, &steps[0]) {
-                                    if let Some(desc) = model.physical.selection_index(class, aid) {
-                                        push(Pt::EJ {
-                                            pred: pred.clone(),
-                                            algo: JoinAlgo::IndexJoin(desc.id),
-                                            left: Box::new(left.pt.clone()),
-                                            right: Box::new(right.pt.clone()),
-                                        });
-                                    }
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-        }
+    for idx in applicable_join_indexes(model.catalog, model.physical, &pred, &right.pt) {
+        push(Pt::EJ {
+            pred: pred.clone(),
+            algo: JoinAlgo::IndexJoin(idx),
+            left: Box::new(left.pt.clone()),
+            right: Box::new(right.pt.clone()),
+        });
     }
     out
 }

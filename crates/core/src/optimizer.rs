@@ -495,8 +495,6 @@ impl<'a> Optimizer<'a> {
                     ],
                 );
             }
-            self.obs
-                .counter_add("optimizer.parallel_choices", choices.len() as f64);
         }
         self.metrics.parallel_choices.add(choices.len() as u64);
         Ok((spec, choices))
@@ -883,7 +881,6 @@ impl<'a> Optimizer<'a> {
                         .outcome("reject", "displaced by the pushed plan");
                 }
                 self.metrics.push_decisions.inc();
-                self.obs.counter_add("optimizer.push_decisions", 1.0);
             }
             self.obs.end(sp);
             if let Some((pushed_pt, pushed_cols, pushed_cost)) = pushed? {

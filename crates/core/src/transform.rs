@@ -13,10 +13,9 @@
 
 use oorq_cost::CostModel;
 use oorq_prng::Prng;
-use oorq_pt::{AccessMethod, IjStep, JoinAlgo, Pt};
-use oorq_query::{CmpOp, Expr};
+use oorq_pt::{applicable_join_indexes, applicable_sel_index, AccessMethod, IjStep, JoinAlgo, Pt};
+use oorq_query::Expr;
 use oorq_schema::{ClassId, ResolvedType};
-use oorq_storage::EntitySource;
 
 use crate::error::OptError;
 use crate::translate::{collapse_alternatives, ChainOp};
@@ -526,7 +525,10 @@ pub fn neighbours(model: &CostModel<'_>, pt: &Pt) -> Vec<Pt> {
                         push_variant(pt, &path, nl, &mut out);
                     }
                     JoinAlgo::NestedLoop => {
-                        if let Some(idx) = applicable_join_index(model, pred, right) {
+                        if let Some(idx) =
+                            applicable_join_indexes(model.catalog, model.physical, pred, right)
+                                .next()
+                        {
                             let ij = Pt::EJ {
                                 pred: pred.clone(),
                                 algo: JoinAlgo::IndexJoin(idx),
@@ -548,7 +550,9 @@ pub fn neighbours(model: &CostModel<'_>, pt: &Pt) -> Vec<Pt> {
                     push_variant(pt, &path, scan, &mut out);
                 }
                 AccessMethod::Scan => {
-                    if let Some(idx) = applicable_sel_index(model, pred, input) {
+                    if let Some(idx) =
+                        applicable_sel_index(model.catalog, model.physical, pred, input)
+                    {
                         let isel = Pt::Sel {
                             pred: pred.clone(),
                             method: AccessMethod::Index(idx),
@@ -571,81 +575,6 @@ fn push_variant(pt: &Pt, path: &[usize], replacement: Pt, out: &mut Vec<Pt>) {
     if variant.replace_at(path, replacement).is_ok() {
         out.push(variant);
     }
-}
-
-fn applicable_sel_index(
-    model: &CostModel<'_>,
-    pred: &Expr,
-    input: &Pt,
-) -> Option<oorq_storage::IndexId> {
-    let Pt::Entity { id, var } = input else {
-        return None;
-    };
-    let EntitySource::Class(class) = model.physical.entity(*id).source else {
-        return None;
-    };
-    for c in pred.conjuncts() {
-        if let Expr::Cmp {
-            op: CmpOp::Eq,
-            lhs,
-            rhs,
-        } = c
-        {
-            let path = match (lhs.as_ref(), rhs.as_ref()) {
-                (Expr::Path { base, steps }, Expr::Lit(_)) if steps.len() == 1 => {
-                    Some((base, &steps[0]))
-                }
-                (Expr::Lit(_), Expr::Path { base, steps }) if steps.len() == 1 => {
-                    Some((base, &steps[0]))
-                }
-                _ => None,
-            };
-            if let Some((b, attr_name)) = path {
-                if b == var {
-                    if let Some((aid, _)) = model.catalog.attr(class, attr_name) {
-                        if let Some(desc) = model.physical.selection_index(class, aid) {
-                            return Some(desc.id);
-                        }
-                    }
-                }
-            }
-        }
-    }
-    None
-}
-
-fn applicable_join_index(
-    model: &CostModel<'_>,
-    pred: &Expr,
-    right: &Pt,
-) -> Option<oorq_storage::IndexId> {
-    let Pt::Entity { id, var } = right else {
-        return None;
-    };
-    let EntitySource::Class(class) = model.physical.entity(*id).source else {
-        return None;
-    };
-    for c in pred.conjuncts() {
-        if let Expr::Cmp {
-            op: CmpOp::Eq,
-            lhs,
-            rhs,
-        } = c
-        {
-            for side in [lhs.as_ref(), rhs.as_ref()] {
-                if let Expr::Path { base, steps } = side {
-                    if base == var && steps.len() == 1 {
-                        if let Some((aid, _)) = model.catalog.attr(class, &steps[0]) {
-                            if let Some(desc) = model.physical.selection_index(class, aid) {
-                                return Some(desc.id);
-                            }
-                        }
-                    }
-                }
-            }
-        }
-    }
-    None
 }
 
 /// A neighbour generator for the randomized walk: every plan one move

@@ -104,9 +104,6 @@ pub struct ArcChain {
     pub ops: Vec<ChainOp>,
     /// Query variable → column expression.
     pub subst: HashMap<String, Expr>,
-    /// The leaf entity when the base is a bare class-extension leaf
-    /// (enables index access-method selection).
-    pub leaf_entity: Option<EntityId>,
     /// Root variable of the arc.
     pub root_var: String,
 }
@@ -150,28 +147,22 @@ pub fn translate_arc(
 ) -> Result<Vec<ArcChain>, OptError> {
     let root_var = arc.var.clone().unwrap_or_else(&mut *fresh);
     let mut subst: HashMap<String, Expr> = HashMap::new();
-    let (base_pt, base_cols, leaf_entity, root_kind) = match base {
+    let (base_pt, base_cols, root_kind) = match base {
         BasePlan::Class(entities, c) => {
             subst.insert(root_var.clone(), Expr::Var(root_var.clone()));
-            let leaf = (entities.len() == 1).then(|| entities[0]);
             let mut it = entities.into_iter();
             let first = it.next().expect("a class has at least one entity");
             let pt = it.fold(Pt::entity(first, root_var.clone()), |acc, e| {
                 Pt::union(acc, Pt::entity(e, root_var.clone()))
             });
-            (pt, vec![root_var.clone()], leaf, RootKind::Object(c))
+            (pt, vec![root_var.clone()], RootKind::Object(c))
         }
         BasePlan::Relation(e, fields) => {
             let cols: Vec<String> = fields
                 .iter()
                 .map(|(f, _)| format!("{root_var}.{f}"))
                 .collect();
-            (
-                Pt::entity(e, root_var.clone()),
-                cols,
-                None,
-                RootKind::Row(fields),
-            )
+            (Pt::entity(e, root_var.clone()), cols, RootKind::Row(fields))
         }
         BasePlan::Temp(name, fields) => {
             let cols: Vec<String> = fields
@@ -181,7 +172,6 @@ pub fn translate_arc(
             (
                 Pt::temp(name, root_var.clone()),
                 cols,
-                None,
                 RootKind::Row(fields),
             )
         }
@@ -198,7 +188,7 @@ pub fn translate_arc(
                     .collect(),
                 pt,
             );
-            (proj, cols, None, RootKind::Row(out_cols))
+            (proj, cols, RootKind::Row(out_cols))
         }
     };
 
@@ -256,7 +246,6 @@ pub fn translate_arc(
                 base_cols: base_cols.clone(),
                 ops: collapsed,
                 subst: subst.clone(),
-                leaf_entity,
                 root_var: root_var.clone(),
             });
             if out.len() >= max_alternatives {

@@ -1,5 +1,6 @@
 //! Cost-model parameters.
 
+use crate::features::CostFeatures;
 use crate::profiles::FixProfiles;
 
 /// A cost estimate, split into I/O (page accesses) and CPU (predicate /
@@ -56,8 +57,8 @@ impl std::ops::AddAssign for Cost {
 /// cost units); these weights are the linear coefficients mapping the
 /// features onto predicted page accesses and evaluations. `1.0`
 /// everywhere reproduces the uncalibrated Figure 5 formulas; the
-/// calibration harness (`oorq-bench`) fits them by least squares over
-/// the observed per-operator counters of the scenario corpus.
+/// calibration harness (`oorq-bench`) fits them ([`CostWeights::fit`])
+/// to the observed per-operator counters of the scenario corpus.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CostWeights {
     /// Weight of sequentially scanned pages (scan cost per page).
@@ -94,6 +95,100 @@ impl Default for CostWeights {
             method: 1.0,
         }
     }
+}
+
+impl CostWeights {
+    /// Fit the weights to `(features, observed page accesses, observed
+    /// evaluations)` equations by weighted ridge least squares, pulled
+    /// toward the identity weights.
+    ///
+    /// Each equation contributes `feat · w = observed` per cost side,
+    /// weighted by `1/max(observed, FIT_FLOOR)²` so the fit minimizes
+    /// (approximately) *relative* error rather than letting the largest
+    /// operators dominate. The ridge term `λ‖w − 1‖²` keeps features the
+    /// equations never exercise at exactly their uncalibrated value and
+    /// makes the normal equations unconditionally solvable. All
+    /// arithmetic is plain `f64` in the order given: the fit is
+    /// reproducible bit-for-bit.
+    pub fn fit(equations: &[(CostFeatures, f64, f64)]) -> CostWeights {
+        // io side: 5 features against observed page accesses; cpu side:
+        // 2 features against observed evaluations.
+        let w_io = ridge_fit(equations.iter().map(|(f, io, _)| (f.io_columns(), *io)));
+        let w_cpu = ridge_fit(equations.iter().map(|(f, _, cpu)| (f.cpu_columns(), *cpu)));
+        let clamp = |v: f64| v.clamp(0.05, 20.0);
+        CostWeights {
+            seq_page: clamp(w_io[0]),
+            deref_page: clamp(w_io[1]),
+            index_level: clamp(w_io[2]),
+            index_leaf: clamp(w_io[3]),
+            write_page: clamp(w_io[4]),
+            eval: clamp(w_cpu[0]),
+            method: clamp(w_cpu[1]),
+        }
+    }
+}
+
+/// Magnitude floor of the per-equation fit weighting `1/max(obs,
+/// FIT_FLOOR)²`: keeps near-zero observations (a handful of pages whose
+/// cold reads the executor attributes to a twin operator) from
+/// receiving unbounded relative weight and dragging a shared
+/// coefficient away from the bulk of the corpus.
+const FIT_FLOOR: f64 = 4.0;
+
+/// Accumulate the weighted normal equations of one cost side (feature
+/// columns and observation per equation), add the ridge
+/// pull toward 1 and solve `(AᵀA + λI) w = Aᵀb + λ·1` by Gaussian
+/// elimination with partial pivoting. The ridge strength is relative to
+/// the system's own scale so it is negligible for features the corpus
+/// exercises and decisive for ones it does not.
+fn ridge_fit<const N: usize>(equations: impl Iterator<Item = ([f64; N], f64)>) -> [f64; N] {
+    let mut ata = [[0.0f64; N]; N];
+    let mut atb = [0.0f64; N];
+    for (a, obs) in equations {
+        let wgt = 1.0 / obs.max(FIT_FLOOR).powi(2);
+        for i in 0..N {
+            for j in 0..N {
+                ata[i][j] += wgt * a[i] * a[j];
+            }
+            atb[i] += wgt * a[i] * obs;
+        }
+    }
+    let trace: f64 = (0..N).map(|i| ata[i][i]).sum();
+    let lambda = 1e-4 * (trace / N as f64) + 1e-9;
+    for i in 0..N {
+        ata[i][i] += lambda;
+        atb[i] += lambda;
+    }
+    solve(&mut ata, &mut atb)
+}
+
+fn solve<const N: usize>(a: &mut [[f64; N]; N], b: &mut [f64; N]) -> [f64; N] {
+    for col in 0..N {
+        let pivot = (col..N)
+            .max_by(|&i, &j| a[i][col].abs().total_cmp(&a[j][col].abs()))
+            .unwrap_or(col);
+        a.swap(col, pivot);
+        b.swap(col, pivot);
+        let p = a[col][col];
+        debug_assert!(p.abs() > 0.0, "ridge keeps every pivot nonzero");
+        let pivot_row = a[col];
+        for row in col + 1..N {
+            let f = a[row][col] / p;
+            for (dst, src) in a[row].iter_mut().zip(pivot_row.iter()).skip(col) {
+                *dst -= f * src;
+            }
+            b[row] -= f * b[col];
+        }
+    }
+    let mut x = [0.0f64; N];
+    for col in (0..N).rev() {
+        let mut v = b[col];
+        for k in col + 1..N {
+            v -= a[col][k] * x[k];
+        }
+        x[col] = v / a[col][col];
+    }
+    x
 }
 
 /// Parameters of the cost model. `pr` and `ev` are the paper's §4.6

@@ -84,6 +84,67 @@ pub fn chain_catalog(k: usize) -> Catalog {
     b.build().expect("chain schema must validate")
 }
 
+/// The chain join `Ri.b = R(i+1).a` over all `k` relations of a
+/// [`chain_catalog`], restricted by `bound`, projecting `out_proj`.
+fn chain_join(
+    catalog: &Catalog,
+    k: usize,
+    bound: Expr,
+    out_proj: Vec<(String, Expr)>,
+) -> QueryGraph {
+    let mut inputs = Vec::new();
+    for i in 0..k {
+        let rel = catalog
+            .relation_by_name(&format!("R{i}"))
+            .expect("chain schema");
+        inputs.push(QArc::new(NameRef::Relation(rel), format!("r{i}")));
+    }
+    let mut pred = bound;
+    for i in 0..k - 1 {
+        pred = pred
+            .and(Expr::path(format!("r{i}"), &["b"]).eq(Expr::path(format!("r{}", i + 1), &["a"])));
+    }
+    let mut q = QueryGraph::new(NameRef::Derived("Answer".into()));
+    q.add_spj(
+        NameRef::Derived("Answer".into()),
+        SpjNode {
+            inputs,
+            pred,
+            out_proj,
+        },
+    );
+    q
+}
+
+/// The k-way chain-join query over a [`chain_catalog`]:
+/// `select R0.a, R(k-1).b where Ri.b = R(i+1).a, R0.a < limit`.
+pub fn chain_query(catalog: &Catalog, limit: i64) -> QueryGraph {
+    let k = catalog.relations().len();
+    chain_join(
+        catalog,
+        k,
+        Expr::path("r0", &["a"]).lt(Expr::int(limit)),
+        vec![
+            ("first".into(), Expr::path("r0", &["a"])),
+            ("last".into(), Expr::path(format!("r{}", k - 1), &["b"])),
+        ],
+    )
+}
+
+/// The chain-join query with the selective bound on the *last*
+/// relation: a syntactic (query-order) translator joins the unfiltered
+/// head relations first and drags huge intermediates down the chain,
+/// while a cost-based optimizer starts from the filtered tail.
+pub fn selective_tail_query(catalog: &Catalog, limit: i64) -> QueryGraph {
+    let k = catalog.relations().len();
+    chain_join(
+        catalog,
+        k,
+        Expr::path(format!("r{}", k - 1), &["b"]).lt(Expr::int(limit)),
+        vec![("first".into(), Expr::path("r0", &["a"]))],
+    )
+}
+
 impl ChainDb {
     /// Generate a chain database.
     pub fn generate(config: ChainConfig) -> Self {
@@ -105,72 +166,14 @@ impl ChainDb {
         ChainDb { db, names, config }
     }
 
-    /// The k-way chain-join query:
-    /// `select R0.a, R(k-1).b where Ri.b = R(i+1).a, R0.a < limit`.
+    /// [`chain_query`] over this database's catalog.
     pub fn chain_query(&self, limit: i64) -> QueryGraph {
-        let catalog = self.db.catalog();
-        let k = self.config.relations;
-        let mut inputs = Vec::new();
-        for i in 0..k {
-            let rel = catalog
-                .relation_by_name(&format!("R{i}"))
-                .expect("chain schema");
-            inputs.push(QArc::new(NameRef::Relation(rel), format!("r{i}")));
-        }
-        let mut pred = Expr::path("r0", &["a"]).lt(Expr::int(limit));
-        for i in 0..k - 1 {
-            pred = pred.and(
-                Expr::path(format!("r{i}"), &["b"]).eq(Expr::path(format!("r{}", i + 1), &["a"])),
-            );
-        }
-        let mut q = QueryGraph::new(NameRef::Derived("Answer".into()));
-        q.add_spj(
-            NameRef::Derived("Answer".into()),
-            SpjNode {
-                inputs,
-                pred,
-                out_proj: vec![
-                    ("first".into(), Expr::path("r0", &["a"])),
-                    ("last".into(), Expr::path(format!("r{}", k - 1), &["b"])),
-                ],
-            },
-        );
-        q
+        chain_query(self.db.catalog(), limit)
     }
-}
 
-impl ChainDb {
-    /// The chain-join query with the selective bound on the *last*
-    /// relation: a syntactic (query-order) translator joins the
-    /// unfiltered head relations first and drags huge intermediates down
-    /// the chain, while a cost-based optimizer starts from the filtered
-    /// tail.
+    /// [`selective_tail_query`] over this database's catalog.
     pub fn selective_tail_query(&self, limit: i64) -> QueryGraph {
-        let catalog = self.db.catalog();
-        let k = self.config.relations;
-        let mut inputs = Vec::new();
-        for i in 0..k {
-            let rel = catalog
-                .relation_by_name(&format!("R{i}"))
-                .expect("chain schema");
-            inputs.push(QArc::new(NameRef::Relation(rel), format!("r{i}")));
-        }
-        let mut pred = Expr::path(format!("r{}", k - 1), &["b"]).lt(Expr::int(limit));
-        for i in 0..k - 1 {
-            pred = pred.and(
-                Expr::path(format!("r{i}"), &["b"]).eq(Expr::path(format!("r{}", i + 1), &["a"])),
-            );
-        }
-        let mut q = QueryGraph::new(NameRef::Derived("Answer".into()));
-        q.add_spj(
-            NameRef::Derived("Answer".into()),
-            SpjNode {
-                inputs,
-                pred,
-                out_proj: vec![("first".into(), Expr::path("r0", &["a"]))],
-            },
-        );
-        q
+        selective_tail_query(self.db.catalog(), limit)
     }
 
     /// A star query: `R0` joins every other relation on `R0.a = Ri.a`,

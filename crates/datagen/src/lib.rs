@@ -12,10 +12,11 @@ pub mod music;
 pub mod parts;
 
 pub use chain::{
-    chain_catalog, closure_catalog, generate_skewed, ChainConfig, ChainDb, ClosureConfig, ClosureDb,
+    chain_catalog, chain_query, closure_catalog, generate_skewed, selective_tail_query,
+    ChainConfig, ChainDb, ClosureConfig, ClosureDb,
 };
 pub use music::{MusicConfig, MusicDb};
-pub use parts::{parts_catalog, PartsConfig, PartsDb};
+pub use parts::{contains_view, parts_catalog, PartsConfig, PartsDb};
 
 #[cfg(test)]
 mod tests;

@@ -6,6 +6,7 @@
 use std::sync::Arc;
 
 use oorq_prng::Prng;
+use oorq_query::{Expr, NameRef, QArc, SpjNode, ViewRegistry};
 use oorq_schema::{
     AttrId, AttributeDef, Catalog, ClassDef, ClassId, Field, RelationDef, SchemaBuilder, TypeExpr,
 };
@@ -42,6 +43,52 @@ pub fn parts_catalog() -> Catalog {
         ))
         .build()
         .expect("parts schema must validate")
+}
+
+/// The recursive definition of the `Contains` view of
+/// [`parts_catalog`] (membership is the existential equality of a
+/// comparison over a collection-valued path):
+///
+/// ```text
+/// relation Contains
+///   includes (select [assembly: p, component: s, depth: 1]
+///             from p in Part, s in Part where s in p.subparts)
+///   union    (select [assembly: c.assembly, component: s, depth: c.depth+1]
+///             from c in Contains, s in Part where s in c.component.subparts)
+/// ```
+pub fn contains_view(catalog: &Catalog) -> ViewRegistry {
+    let part = catalog.class_by_name("Part").expect("parts schema");
+    let contains = catalog.relation_by_name("Contains").expect("parts schema");
+    let base = SpjNode {
+        inputs: vec![
+            QArc::new(NameRef::Class(part), "p"),
+            QArc::new(NameRef::Class(part), "s"),
+        ],
+        pred: Expr::path("p", &["subparts"]).eq(Expr::var("s")),
+        out_proj: vec![
+            ("assembly".into(), Expr::var("p")),
+            ("component".into(), Expr::var("s")),
+            ("depth".into(), Expr::int(1)),
+        ],
+    };
+    let rec = SpjNode {
+        inputs: vec![
+            QArc::new(NameRef::Relation(contains), "c"),
+            QArc::new(NameRef::Class(part), "s"),
+        ],
+        pred: Expr::path("c", &["component", "subparts"]).eq(Expr::var("s")),
+        out_proj: vec![
+            ("assembly".into(), Expr::path("c", &["assembly"])),
+            ("component".into(), Expr::var("s")),
+            (
+                "depth".into(),
+                Expr::path("c", &["depth"]).add(Expr::int(1)),
+            ),
+        ],
+    };
+    let mut reg = ViewRegistry::new();
+    reg.define(contains, vec![base, rec]);
+    reg
 }
 
 /// Configuration of the parts generator.

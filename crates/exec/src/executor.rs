@@ -4,6 +4,7 @@
 
 use std::collections::HashMap;
 
+use oorq_analysis::{ObservedFix, ObservedOp};
 use oorq_index::IndexSet;
 use oorq_pt::{PhysOp, PhysPlan, Pt, PtEnv, PtError};
 use oorq_schema::ResolvedType;
@@ -94,6 +95,34 @@ impl ExecReport {
     pub fn total(&self, pr: f64, ev: f64) -> f64 {
         (self.io.page_reads + self.io.index_reads + self.io.page_writes) as f64 * pr
             + (self.evals + self.method_calls) as f64 * ev
+    }
+
+    /// The run as [`oorq_analysis::check_observed`] consumes it: every
+    /// operator's exclusive counters and every fixpoint opening's
+    /// semi-naive pass count, keyed by pre-order PT node.
+    pub fn observed(&self) -> (Vec<ObservedOp>, Vec<ObservedFix>) {
+        let ops = self
+            .ops
+            .iter()
+            .map(|o| ObservedOp {
+                pt_node: o.pt_node,
+                label: o.label.clone(),
+                rows_out: o.rows_out,
+                page_reads: o.page_reads,
+                page_hits: o.page_hits,
+                index_reads: o.index_reads,
+                page_writes: o.page_writes,
+            })
+            .collect();
+        let fixes = self
+            .fix_deltas
+            .iter()
+            .map(|c| ObservedFix {
+                pt_node: c.pt_node,
+                iterations: (c.deltas.len() as u64).saturating_sub(1),
+            })
+            .collect();
+        (ops, fixes)
     }
 }
 
@@ -371,28 +400,8 @@ impl<'a> Executor<'a> {
         // counters are ~0, which would trip nodes whose *lower* data
         // bound is positive. The wrapped operators' merged counters are
         // checked in full, so skipping the wrappers loses nothing.
-        let ops: Vec<oorq_analysis::ObservedOp> = self
-            .last_ops
-            .iter()
-            .filter(|o| !o.label.starts_with("Exchange") && !o.label.starts_with("Merge"))
-            .map(|o| oorq_analysis::ObservedOp {
-                pt_node: o.pt_node,
-                label: o.label.clone(),
-                rows_out: o.rows_out,
-                page_reads: o.page_reads,
-                page_hits: o.page_hits,
-                index_reads: o.index_reads,
-                page_writes: o.page_writes,
-            })
-            .collect();
-        let fixes: Vec<oorq_analysis::ObservedFix> = self
-            .last_fix_deltas
-            .iter()
-            .map(|c| oorq_analysis::ObservedFix {
-                pt_node: c.pt_node,
-                iterations: (c.deltas.len() as u64).saturating_sub(1),
-            })
-            .collect();
+        let (mut ops, fixes) = self.report().observed();
+        ops.retain(|o| !o.label.starts_with("Exchange") && !o.label.starts_with("Merge"));
         let report = oorq_analysis::check_observed(&analysis, &ops, &fixes);
         debug_assert!(
             report.is_clean(),

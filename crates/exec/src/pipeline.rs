@@ -871,7 +871,6 @@ impl<'a> OpExec<'_, 'a> {
                     }
                     let delta_rows = rt.db.entity_len(delta_e) as u64;
                     rt.fix_deltas.borrow_mut()[curve].deltas.push(delta_rows);
-                    rt.obs.counter_add("exec.fix_iterations", 1.0);
                     rt.obs.event(
                         "exec",
                         "fix-iteration",

@@ -20,8 +20,9 @@ pub use fingerprint::{fnv64_str, Fnv64, FNV_OFFSET, FNV_PRIME};
 pub use node::{type_of_column_expr, AccessMethod, IjStep, JoinAlgo, Pt, PtDisplay, PtEnv};
 pub use pattern::{match_pattern, subtrees, Binding, Bindings, Pattern, TransformAction};
 pub use phys::{
-    eq_literal_conjunct, exchange_eligible, lower, lower_with, merge_leg_ok, node_ids, OpMeta,
-    ParallelSpec, PhysOp, PhysPlan,
+    applicable_join_indexes, applicable_sel_index, eq_literal_conjunct, exchange_eligible, lower,
+    lower_with, merge_leg_ok, node_ids, resolve_index_join, resolve_index_select, IndexProbe,
+    OpMeta, ParallelSpec, PhysOp, PhysPlan,
 };
 
 #[cfg(test)]

@@ -18,8 +18,8 @@
 use std::collections::HashMap;
 
 use oorq_query::{CmpOp, Expr, Literal};
-use oorq_schema::{ClassId, ResolvedType};
-use oorq_storage::{EntityId, EntitySource, IndexId, IndexKindDesc};
+use oorq_schema::{Catalog, ClassId, ResolvedType};
+use oorq_storage::{EntityId, EntitySource, IndexId, IndexKindDesc, PhysicalSchema};
 
 use crate::error::PtError;
 use crate::node::{AccessMethod, JoinAlgo, Pt, PtEnv};
@@ -664,36 +664,20 @@ impl Lowering<'_, '_> {
                 cols,
             })
         };
-        let Some(IndexKindDesc::Selection { class, attr }) = self
-            .env
-            .physical
-            .indexes()
-            .get(idx.0 as usize)
-            .map(|d| d.kind.clone())
+        let Some(probe) =
+            resolve_index_select(self.env.catalog, self.env.physical, idx, pred, input)
         else {
             return fallback(self);
         };
-        let Pt::Entity { id, var } = input else {
-            return fallback(self);
-        };
-        let desc = self.env.physical.entity(*id);
-        let EntitySource::Class(entity_class) = desc.source else {
-            return fallback(self);
-        };
-        let attr_name = &self.env.catalog.attribute(class, attr).name;
-        let Some(key) = eq_literal_conjunct(pred, var, attr_name) else {
-            return fallback(self);
-        };
-        let cols = vec![var.clone()];
         let meta = self.meta(pt, format!("Sel^idx[{pred}]"));
         Ok(PhysOp::IndexSelect {
             meta,
             index: idx,
-            class: entity_class,
-            var: var.clone(),
-            key,
+            class: probe.class,
+            var: probe.var.clone(),
+            key: probe.key,
             pred: pred.clone(),
-            cols,
+            cols: vec![probe.var],
         })
     }
 
@@ -743,59 +727,20 @@ impl Lowering<'_, '_> {
         left: &Pt,
         right: &Pt,
     ) -> Result<PhysOp, PtError> {
-        let Some(IndexKindDesc::Selection { class, attr }) = self
-            .env
-            .physical
-            .indexes()
-            .get(idx.0 as usize)
-            .map(|d| d.kind.clone())
+        let Some(probe) = resolve_index_join(self.env.catalog, self.env.physical, idx, pred, right)
         else {
-            return self.lower_nested_loop(pt, pred, left, right, Some(idx));
-        };
-        let Pt::Entity { id, var } = right else {
-            return self.lower_nested_loop(pt, pred, left, right, Some(idx));
-        };
-        let desc = self.env.physical.entity(*id);
-        let EntitySource::Class(entity_class) = desc.source else {
-            return self.lower_nested_loop(pt, pred, left, right, Some(idx));
-        };
-        let attr_name = &self.env.catalog.attribute(class, attr).name;
-        // Find the equality conjunct `outer-expr = var.attr`.
-        let mut outer: Option<Expr> = None;
-        for c in pred.conjuncts() {
-            if let Expr::Cmp {
-                op: CmpOp::Eq,
-                lhs,
-                rhs,
-            } = c
-            {
-                let matches_inner = |e: &Expr| {
-                    matches!(e, Expr::Path { base, steps }
-                             if base == var && steps.len() == 1 && steps[0] == *attr_name)
-                };
-                if matches_inner(rhs) && !lhs.vars().contains(var) {
-                    outer = Some((**lhs).clone());
-                    break;
-                }
-                if matches_inner(lhs) && !rhs.vars().contains(var) {
-                    outer = Some((**rhs).clone());
-                    break;
-                }
-            }
-        }
-        let Some(outer) = outer else {
             return self.lower_nested_loop(pt, pred, left, right, Some(idx));
         };
         let l = self.lower(left)?;
         let mut cols = l.cols().to_vec();
-        cols.push(var.clone());
+        cols.push(probe.var.clone());
         let meta = self.meta(pt, format!("EJ^idx[{pred}]"));
         Ok(PhysOp::IndexJoin {
             meta,
             index: idx,
-            class: entity_class,
-            outer,
-            var: var.clone(),
+            class: probe.class,
+            outer: probe.key,
+            var: probe.var,
             pred: pred.clone(),
             left: Box::new(l),
             cols,
@@ -878,27 +823,194 @@ pub fn merge_leg_ok(op: &PhysOp) -> bool {
     ok
 }
 
-/// Find an `var.attr = literal` (or mirrored) conjunct of the predicate.
-/// Public so static analysis can mirror access-method resolution exactly.
-pub fn eq_literal_conjunct(pred: &Expr, var: &str, attr_name: &str) -> Option<Literal> {
-    for c in pred.conjuncts() {
-        if let Expr::Cmp {
+/// A selection-index probe resolved against the physical schema: the
+/// one answer to "can this predicate use this index" shared by
+/// lowering, static analysis and the optimizer's move generators.
+#[derive(Debug, Clone, PartialEq)]
+pub struct IndexProbe<K> {
+    /// Exact class of the probed class-extension leaf.
+    pub class: ClassId,
+    /// The leaf's tuple variable.
+    pub var: String,
+    /// Name of the indexed attribute.
+    pub attr: String,
+    /// Height of the index's B+-tree.
+    pub nblevels: u32,
+    /// What is looked up: the literal of an index selection, the outer
+    /// expression of an index join.
+    pub key: K,
+}
+
+/// `(var, exact class)` of a bare class-extension leaf, the only input
+/// shape a selection index can probe.
+fn class_leaf<'p>(physical: &PhysicalSchema, pt: &'p Pt) -> Option<(&'p str, ClassId)> {
+    let Pt::Entity { id, var } = pt else {
+        return None;
+    };
+    match physical.entity(*id).source {
+        EntitySource::Class(class) => Some((var, class)),
+        _ => None,
+    }
+}
+
+/// `(attr, literal)` of every `var.attr = literal` (or mirrored)
+/// conjunct, in conjunct order.
+fn eq_literal_attrs<'p>(
+    pred: &'p Expr,
+    var: &'p str,
+) -> impl Iterator<Item = (&'p str, &'p Literal)> {
+    pred.conjuncts().into_iter().filter_map(move |c| {
+        let Expr::Cmp {
             op: CmpOp::Eq,
             lhs,
             rhs,
         } = c
-        {
-            let (path, lit) = match (lhs.as_ref(), rhs.as_ref()) {
-                (Expr::Path { base, steps }, Expr::Lit(l)) => ((base, steps), l),
-                (Expr::Lit(l), Expr::Path { base, steps }) => ((base, steps), l),
-                _ => continue,
-            };
-            if path.0 == var && path.1.len() == 1 && path.1[0] == attr_name {
-                return Some(lit.clone());
+        else {
+            return None;
+        };
+        match (lhs.as_ref(), rhs.as_ref()) {
+            (Expr::Path { base, steps }, Expr::Lit(l))
+            | (Expr::Lit(l), Expr::Path { base, steps })
+                if base == var && steps.len() == 1 =>
+            {
+                Some((steps[0].as_str(), l))
             }
+            _ => None,
         }
-    }
-    None
+    })
+}
+
+/// `(attr, outer)` of every `outer = var.attr` (or mirrored) conjunct
+/// whose outer side does not mention `var`, in conjunct order.
+fn eq_outer_attrs<'p>(pred: &'p Expr, var: &'p str) -> impl Iterator<Item = (&'p str, &'p Expr)> {
+    pred.conjuncts().into_iter().filter_map(move |c| {
+        let Expr::Cmp {
+            op: CmpOp::Eq,
+            lhs,
+            rhs,
+        } = c
+        else {
+            return None;
+        };
+        [(rhs, lhs), (lhs, rhs)]
+            .into_iter()
+            .find_map(|(inner, outer)| match inner.as_ref() {
+                Expr::Path { base, steps }
+                    if base == var && steps.len() == 1 && !outer.vars().contains(var) =>
+                {
+                    Some((steps[0].as_str(), outer.as_ref()))
+                }
+                _ => None,
+            })
+    })
+}
+
+/// Find an `var.attr = literal` (or mirrored) conjunct of the predicate.
+pub fn eq_literal_conjunct(pred: &Expr, var: &str, attr_name: &str) -> Option<Literal> {
+    eq_literal_attrs(pred, var)
+        .find(|(a, _)| *a == attr_name)
+        .map(|(_, l)| l.clone())
+}
+
+/// Resolve `idx` as the probe of a `Sel` or `EJ` over `leaf`: it must be
+/// a selection index and `leaf` a class-extension entity; `key` then
+/// finds what the predicate looks up under the indexed attribute.
+fn resolve_probe<K>(
+    catalog: &Catalog,
+    physical: &PhysicalSchema,
+    idx: IndexId,
+    leaf: &Pt,
+    key: impl FnOnce(&str, &str) -> Option<K>,
+) -> Option<IndexProbe<K>> {
+    let desc = physical.indexes().get(idx.0 as usize)?;
+    let IndexKindDesc::Selection { class, attr } = desc.kind else {
+        return None;
+    };
+    let (var, entity_class) = class_leaf(physical, leaf)?;
+    let attr = &catalog.attribute(class, attr).name;
+    Some(IndexProbe {
+        class: entity_class,
+        var: var.to_string(),
+        attr: attr.clone(),
+        nblevels: desc.stats.nblevels,
+        key: key(var, attr)?,
+    })
+}
+
+/// Whether `Sel_pred^idx(input)` lowers to an index probe: the
+/// predicate must carry a `var.attr = literal` conjunct on the indexed
+/// attribute of a class-extension `input`.
+pub fn resolve_index_select(
+    catalog: &Catalog,
+    physical: &PhysicalSchema,
+    idx: IndexId,
+    pred: &Expr,
+    input: &Pt,
+) -> Option<IndexProbe<Literal>> {
+    resolve_probe(catalog, physical, idx, input, |var, attr| {
+        eq_literal_conjunct(pred, var, attr)
+    })
+}
+
+/// Whether `EJ_pred^idx(_, right)` lowers to an index join: the
+/// predicate must carry an `outer = var.attr` conjunct on the indexed
+/// attribute of a class-extension `right`, with `outer` free of `var`.
+pub fn resolve_index_join(
+    catalog: &Catalog,
+    physical: &PhysicalSchema,
+    idx: IndexId,
+    pred: &Expr,
+    right: &Pt,
+) -> Option<IndexProbe<Expr>> {
+    resolve_probe(catalog, physical, idx, right, |var, attr| {
+        eq_outer_attrs(pred, var)
+            .find(|(a, _)| *a == attr)
+            .map(|(_, outer)| outer.clone())
+    })
+}
+
+/// Selection indexes on `class` over the given attribute names, in
+/// order.
+fn indexes_on<'a>(
+    catalog: &'a Catalog,
+    physical: &'a PhysicalSchema,
+    class: ClassId,
+    attrs: impl Iterator<Item = &'a str> + 'a,
+) -> impl Iterator<Item = IndexId> + 'a {
+    attrs.filter_map(move |a| {
+        let (aid, _) = catalog.attr(class, a)?;
+        physical.selection_index(class, aid).map(|d| d.id)
+    })
+}
+
+/// The selection index a scanning `Sel_pred(input)` could probe
+/// instead: the first, in conjunct order, that
+/// [`resolve_index_select`] accepts.
+pub fn applicable_sel_index(
+    catalog: &Catalog,
+    physical: &PhysicalSchema,
+    pred: &Expr,
+    input: &Pt,
+) -> Option<IndexId> {
+    let (var, class) = class_leaf(physical, input)?;
+    let attrs = eq_literal_attrs(pred, var).map(|(a, _)| a);
+    indexes_on(catalog, physical, class, attrs).next()
+}
+
+/// Every selection index a nested-loop `EJ_pred(_, right)` could probe
+/// instead, in conjunct order ([`resolve_index_join`] accepts each).
+pub fn applicable_join_indexes<'a>(
+    catalog: &'a Catalog,
+    physical: &'a PhysicalSchema,
+    pred: &'a Expr,
+    right: &'a Pt,
+) -> impl Iterator<Item = IndexId> + 'a {
+    class_leaf(physical, right)
+        .into_iter()
+        .flat_map(move |(var, class)| {
+            let attrs = eq_outer_attrs(pred, var).map(|(a, _)| a);
+            indexes_on(catalog, physical, class, attrs)
+        })
 }
 
 /// Permutation aligning `from` columns onto the `to` order; `None` when

@@ -151,6 +151,12 @@ pub fn influencer_view(catalog: &Catalog) -> ViewRegistry {
 /// (the path `master.works.instruments.name`), the selection `gen >= 6`,
 /// and the projection on the disciple's name.
 pub fn fig3_query(catalog: &Catalog) -> QueryGraph {
+    fig3_query_gen(catalog, 6)
+}
+
+/// [`fig3_query`] with a custom generation bound `gen >= min_gen` (so
+/// tiny databases can have non-empty answers).
+pub fn fig3_query_gen(catalog: &Catalog, min_gen: i64) -> QueryGraph {
     let influencer = catalog
         .relation_by_name("Influencer")
         .expect("music schema");
@@ -161,7 +167,7 @@ pub fn fig3_query(catalog: &Catalog) -> QueryGraph {
             inputs: vec![QArc::new(NameRef::Relation(influencer), "i")],
             pred: Expr::path("i", &["master", "works", "instruments", "name"])
                 .eq(Expr::text("harpsichord"))
-                .and(Expr::path("i", &["gen"]).ge(Expr::int(6))),
+                .and(Expr::path("i", &["gen"]).ge(Expr::int(min_gen))),
             out_proj: vec![("name".into(), Expr::path("i", &["disciple", "name"]))],
         },
     );

@@ -195,7 +195,6 @@ impl BufferManager {
         if let Some((&victim, _)) = self.resident.iter().min_by_key(|(_, f)| f.stamp) {
             self.drop_frame(victim);
             self.metrics.page_evictions.inc();
-            self.obs.counter_add("storage.page_evictions", 1.0);
             self.obs.event("storage", "page-evict", page_fields(victim));
         }
     }
@@ -214,7 +213,6 @@ impl BufferManager {
             self.drop_frame(victim);
             self.stats.spill_evictions += 1;
             self.metrics.spill_evictions.inc();
-            self.obs.counter_add("storage.spill_evictions", 1.0);
             self.obs
                 .event("storage", "spill-evict", page_fields(victim));
         }
@@ -243,7 +241,6 @@ impl BufferManager {
             frame.stamp = clock;
             self.stats.page_hits += 1;
             self.metrics.page_hits.inc();
-            self.obs.counter_add("storage.page_hits", 1.0);
             self.obs.event("storage", "page-hit", page_fields(page));
             false
         } else {
@@ -256,7 +253,6 @@ impl BufferManager {
             }
             self.stats.page_reads += 1;
             self.metrics.page_misses.inc();
-            self.obs.counter_add("storage.page_misses", 1.0);
             self.obs.event("storage", "page-miss", page_fields(page));
             true
         }
@@ -268,7 +264,6 @@ impl BufferManager {
         self.clock += 1;
         self.stats.page_writes += 1;
         self.metrics.page_writes.inc();
-        self.obs.counter_add("storage.page_writes", 1.0);
         let clock = self.clock;
         if let Some(frame) = self.resident.get_mut(&page) {
             // An entity's temp-ness never changes, so the flag is stable.

@@ -9,58 +9,12 @@
 use std::sync::Arc;
 
 use oorq::cost::{CostModel, CostParams};
-use oorq::datagen::{parts_catalog, PartsConfig, PartsDb};
+use oorq::datagen::{contains_view, parts_catalog, PartsConfig, PartsDb};
 use oorq::exec::{eval_query_graph, Executor, MethodRegistry};
 use oorq::index::IndexSet;
 use oorq::optimizer::{Optimizer, OptimizerConfig};
-use oorq::query::{Expr, NameRef, QArc, QueryGraph, SpjNode, ViewRegistry};
+use oorq::query::{Expr, NameRef, QArc, QueryGraph, SpjNode};
 use oorq::storage::DbStats;
-
-/// Register the recursive `Contains` view:
-///
-/// ```text
-/// relation Contains
-///   includes (select [assembly: p, component: s, depth: 1]
-///             from p in Part, s in Part where s in p.subparts)
-///   union    (select [assembly: c.assembly, component: s, depth: c.depth+1]
-///             from c in Contains, s in Part where s in c.component.subparts)
-/// ```
-fn contains_view(catalog: &oorq::schema::Catalog) -> ViewRegistry {
-    let part = catalog.class_by_name("Part").expect("parts schema");
-    let contains = catalog.relation_by_name("Contains").expect("parts schema");
-    // Membership is expressed with the existential equality semantics of
-    // comparisons over collection-valued paths.
-    let base = SpjNode {
-        inputs: vec![
-            QArc::new(NameRef::Class(part), "p"),
-            QArc::new(NameRef::Class(part), "s"),
-        ],
-        pred: Expr::path("p", &["subparts"]).eq(Expr::var("s")),
-        out_proj: vec![
-            ("assembly".into(), Expr::var("p")),
-            ("component".into(), Expr::var("s")),
-            ("depth".into(), Expr::int(1)),
-        ],
-    };
-    let rec = SpjNode {
-        inputs: vec![
-            QArc::new(NameRef::Relation(contains), "c"),
-            QArc::new(NameRef::Class(part), "s"),
-        ],
-        pred: Expr::path("c", &["component", "subparts"]).eq(Expr::var("s")),
-        out_proj: vec![
-            ("assembly".into(), Expr::path("c", &["assembly"])),
-            ("component".into(), Expr::var("s")),
-            (
-                "depth".into(),
-                Expr::path("c", &["depth"]).add(Expr::int(1)),
-            ),
-        ],
-    };
-    let mut reg = ViewRegistry::new();
-    reg.define(contains, vec![base, rec]);
-    reg
-}
 
 fn main() {
     let catalog = Arc::new(parts_catalog());

@@ -5,28 +5,19 @@
 //! queries — that the semi-naive fixpoint converged (a bounded number
 //! of delta scans, observed through the per-operator counters).
 
-use std::sync::Arc;
+use oorq::datagen::{ChainConfig, MusicConfig, PartsConfig};
+use oorq::exec::eval_query_graph;
+use oorq::optimizer::OptimizerConfig;
+use oorq::query::{Expr, NameRef, QArc, QueryGraph, SpjNode};
+use oorq_bench::scenarios::env_budget;
+use oorq_bench::{Knobs, Scenario};
 
-use oorq::cost::{CostModel, CostParams};
-use oorq::datagen::{
-    parts_catalog, ChainConfig, ChainDb, MusicConfig, MusicDb, PartsConfig, PartsDb,
-};
-use oorq::exec::{eval_query_graph, ExecConfig, Executor, MethodRegistry};
-use oorq::index::{IndexSet, PathIndex, SelectionIndex};
-use oorq::optimizer::{Optimizer, OptimizerConfig};
-use oorq::query::paper::{influencer_view, music_catalog};
-use oorq::query::{Expr, NameRef, QArc, QueryGraph, SpjNode, ViewRegistry};
-use oorq::storage::{Database, DbStats};
-
-/// Breaker memory budget for every streaming run (pages), from the
-/// `OORQ_MEMORY_BUDGET` environment variable (`0` / unset = unbounded).
-/// CI re-runs this whole suite under a low budget to prove spilling
-/// breakers return byte-identical answers.
-fn env_budget() -> u64 {
-    std::env::var("OORQ_MEMORY_BUDGET")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(0)
+/// The knobs of every streaming run: the breaker memory budget (pages)
+/// comes from `OORQ_MEMORY_BUDGET` (`0` / unset = unbounded). CI re-runs
+/// this whole suite under a low budget to prove spilling breakers
+/// return byte-identical answers.
+fn knobs() -> Knobs {
+    Knobs::resources(0, env_budget())
 }
 
 /// Optimize under the given config, stream the plan, and compare
@@ -34,34 +25,23 @@ fn env_budget() -> u64 {
 /// per-operator reports of the streaming run so callers can assert on
 /// counters.
 fn diff_one(
-    db: &mut Database,
-    idx: &IndexSet,
-    methods: &MethodRegistry,
+    s: &mut Scenario,
     q: &QueryGraph,
     reference: &[Vec<oorq::storage::Value>],
     config: OptimizerConfig,
     label: &str,
 ) -> Vec<oorq::exec::OpReport> {
-    let stats = DbStats::collect(db);
-    let model = CostModel::new(db.catalog(), db.physical(), &stats, CostParams::default());
-    let plan = Optimizer::new(model, config)
-        .optimize(q)
-        .unwrap_or_else(|e| panic!("{label}: optimization failed: {e}"));
-    let mut ex = Executor::new(db, idx, methods).with_config(ExecConfig {
-        memory_budget_pages: env_budget(),
-        ..ExecConfig::default()
-    });
-    let got = ex
-        .run(&plan.pt)
-        .unwrap_or_else(|e| panic!("{label}: streaming execution failed: {e}"));
-    let mut b = got.rows.clone();
+    let run = s
+        .run(q, config, &knobs())
+        .unwrap_or_else(|e| panic!("{label}: {e}"));
+    let mut b = run.answer.rows;
     b.sort();
     assert_eq!(
         reference,
         &b[..],
         "{label}: streaming executor diverged from reference"
     );
-    ex.report().ops
+    run.report.ops
 }
 
 /// Run `diff_one` under both the cost-controlled and the always-push
@@ -69,17 +49,10 @@ fn diff_one(
 /// and assert every fixpoint in the plans converged: the rec-side delta
 /// scan must open at least once less than the row count bound (semi-
 /// naive iterations are bounded by the longest derivation chain).
-fn diff_configs(
-    db: &mut Database,
-    idx: &IndexSet,
-    methods: &MethodRegistry,
-    q: &QueryGraph,
-    label: &str,
-    expect_fix: bool,
-) {
+fn diff_configs(s: &mut Scenario, q: &QueryGraph, label: &str, expect_fix: bool) {
     // The naive reference is the slow side (cross products); evaluate it
     // once per scenario and compare every strategy's plan against it.
-    let mut reference = eval_query_graph(db, methods, q)
+    let mut reference = eval_query_graph(&s.db, &s.methods, q)
         .unwrap_or_else(|e| panic!("{label}: reference failed: {e}"))
         .rows;
     reference.sort();
@@ -87,15 +60,7 @@ fn diff_configs(
         ("cost-controlled", OptimizerConfig::cost_controlled()),
         ("always-push", OptimizerConfig::deductive_heuristic()),
     ] {
-        let ops = diff_one(
-            db,
-            idx,
-            methods,
-            q,
-            &reference,
-            config,
-            &format!("{label}/{cname}"),
-        );
+        let ops = diff_one(s, q, &reference, config, &format!("{label}/{cname}"));
         let fix_ops: Vec<_> = ops.iter().filter(|o| o.label.starts_with("Fix(")).collect();
         if expect_fix {
             assert!(
@@ -125,42 +90,10 @@ fn diff_configs(
     }
 }
 
-fn music_setup(cfg: MusicConfig) -> (MusicDb, IndexSet) {
-    let cat = Arc::new(music_catalog());
-    let mut m = MusicDb::generate(cat, cfg);
-    let mut idx = IndexSet::new();
-    idx.add_path(PathIndex::build(
-        &mut m.db,
-        vec![
-            (m.composer, m.works_attr),
-            (m.composition, m.instruments_attr),
-        ],
-    ));
-    idx.add_selection(SelectionIndex::build(&mut m.db, m.composer, m.name_attr));
-    (m, idx)
-}
-
-fn fig3_gen(cat: &oorq::schema::Catalog, gen: i64) -> QueryGraph {
-    let influencer = cat.relation_by_name("Influencer").unwrap();
-    let mut q = QueryGraph::new(NameRef::Derived("Answer".into()));
-    q.add_spj(
-        NameRef::Derived("Answer".into()),
-        SpjNode {
-            inputs: vec![QArc::new(NameRef::Relation(influencer), "i")],
-            pred: Expr::path("i", &["master", "works", "instruments", "name"])
-                .eq(Expr::text("harpsichord"))
-                .and(Expr::path("i", &["gen"]).ge(Expr::int(gen))),
-            out_proj: vec![("name".into(), Expr::path("i", &["disciple", "name"]))],
-        },
-    );
-    influencer_view(cat).expand(&mut q, cat).unwrap();
-    q
-}
-
 #[test]
 fn music_scenario_differential_across_seeds() {
     for (seed, chains, chain_len) in [(1u64, 2u32, 4u32), (7, 3, 5), (42, 4, 6)] {
-        let (mut m, idx) = music_setup(MusicConfig {
+        let mut s = Scenario::music(MusicConfig {
             chains,
             chain_len,
             works_per_composer: 2,
@@ -169,13 +102,9 @@ fn music_scenario_differential_across_seeds() {
             seed,
             ..Default::default()
         });
-        let methods = MethodRegistry::new();
-        let cat = m.db.catalog_rc();
-        let q = fig3_gen(&cat, 2);
+        let q = s.fig3_gen(2);
         diff_configs(
-            &mut m.db,
-            &idx,
-            &methods,
+            &mut s,
             &q,
             &format!("music(seed={seed},chains={chains}x{chain_len})"),
             true,
@@ -183,86 +112,19 @@ fn music_scenario_differential_across_seeds() {
     }
 }
 
-/// The parts BOM query: the recursive `Contains` view over the part
-/// hierarchy, filtered to the heavy descendants of one root assembly.
-fn parts_query(cat: &oorq::schema::Catalog) -> QueryGraph {
-    let part = cat.class_by_name("Part").unwrap();
-    let contains = cat.relation_by_name("Contains").unwrap();
-    let mut reg = ViewRegistry::new();
-    reg.define(
-        contains,
-        vec![
-            SpjNode {
-                inputs: vec![
-                    QArc::new(NameRef::Class(part), "p"),
-                    QArc::new(NameRef::Class(part), "s"),
-                ],
-                pred: Expr::path("p", &["subparts"]).eq(Expr::var("s")),
-                out_proj: vec![
-                    ("assembly".into(), Expr::var("p")),
-                    ("component".into(), Expr::var("s")),
-                    ("depth".into(), Expr::int(1)),
-                ],
-            },
-            SpjNode {
-                inputs: vec![
-                    QArc::new(NameRef::Relation(contains), "c"),
-                    QArc::new(NameRef::Class(part), "s"),
-                ],
-                pred: Expr::path("c", &["component", "subparts"]).eq(Expr::var("s")),
-                out_proj: vec![
-                    ("assembly".into(), Expr::path("c", &["assembly"])),
-                    ("component".into(), Expr::var("s")),
-                    (
-                        "depth".into(),
-                        Expr::path("c", &["depth"]).add(Expr::int(1)),
-                    ),
-                ],
-            },
-        ],
-    );
-    let mut q = QueryGraph::new(NameRef::Derived("Answer".into()));
-    q.add_spj(
-        NameRef::Derived("Answer".into()),
-        SpjNode {
-            inputs: vec![QArc::new(NameRef::Relation(contains), "k")],
-            pred: Expr::path("k", &["assembly", "name"])
-                .eq(Expr::text("asm0"))
-                .and(Expr::path("k", &["component", "weight"]).ge(Expr::int(40))),
-            out_proj: vec![
-                ("component".into(), Expr::path("k", &["component", "name"])),
-                (
-                    "cost".into(),
-                    Expr::path("k", &["component", "unit_test_cost"]),
-                ),
-            ],
-        },
-    );
-    reg.expand(&mut q, cat).unwrap();
-    q
-}
-
 #[test]
 fn parts_scenario_differential_across_seeds() {
     for (seed, roots, fanout, depth) in [(1u64, 2u32, 2u32, 3u32), (9, 3, 2, 4), (23, 2, 3, 3)] {
-        let cat = Arc::new(parts_catalog());
-        let mut p = PartsDb::generate(
-            Arc::clone(&cat),
-            PartsConfig {
-                roots,
-                fanout,
-                depth,
-                seed,
-                ..Default::default()
-            },
-        );
-        let q = parts_query(&cat);
-        let methods = MethodRegistry::with_parts_methods(&cat);
-        let idx = IndexSet::new();
+        let mut s = Scenario::parts(PartsConfig {
+            roots,
+            fanout,
+            depth,
+            seed,
+            ..Default::default()
+        });
+        let q = s.parts_query();
         diff_configs(
-            &mut p.db,
-            &idx,
-            &methods,
+            &mut s,
             &q,
             &format!("parts(seed={seed},{roots}x{fanout}^{depth})"),
             true,
@@ -321,7 +183,7 @@ fn closure_rules(
 /// fixpoint node, each with its own convergence profile.
 #[test]
 fn two_independent_fixpoints_report_separate_delta_curves() {
-    let (mut m, idx) = music_setup(MusicConfig {
+    let mut s = Scenario::music(MusicConfig {
         chains: 3,
         chain_len: 5,
         works_per_composer: 2,
@@ -330,7 +192,6 @@ fn two_independent_fixpoints_report_separate_delta_curves() {
         seed: 11,
         ..Default::default()
     });
-    let methods = MethodRegistry::new();
     let mut q = QueryGraph::new(NameRef::Derived("Answer".into()));
     q.add_spj(
         NameRef::Derived("Answer".into()),
@@ -347,10 +208,10 @@ fn two_independent_fixpoints_report_separate_delta_curves() {
             ],
         },
     );
-    let composer = m.composer;
+    let composer = s.db.catalog().class_by_name("Composer").unwrap();
     closure_rules(&mut q, "InfFull", composer, None);
     closure_rules(&mut q, "InfCapped", composer, Some(2));
-    let mut reference = eval_query_graph(&m.db, &methods, &q).unwrap().rows;
+    let mut reference = eval_query_graph(&s.db, &s.methods, &q).unwrap().rows;
     reference.sort();
     assert!(!reference.is_empty(), "two-fix query must produce rows");
 
@@ -358,23 +219,12 @@ fn two_independent_fixpoints_report_separate_delta_curves() {
         ("cost-controlled", OptimizerConfig::cost_controlled()),
         ("always-push", OptimizerConfig::deductive_heuristic()),
     ] {
-        let stats = DbStats::collect(&m.db);
-        let model = CostModel::new(
-            m.db.catalog(),
-            m.db.physical(),
-            &stats,
-            CostParams::default(),
-        );
-        let plan = Optimizer::new(model, config).optimize(&q).unwrap();
-        let mut ex = Executor::new(&mut m.db, &idx, &methods).with_config(ExecConfig {
-            memory_budget_pages: env_budget(),
-            ..ExecConfig::default()
-        });
-        let mut got = ex.run(&plan.pt).unwrap().rows;
+        let run = s.run(&q, config, &knobs()).unwrap();
+        let mut got = run.answer.rows;
         got.sort();
         assert_eq!(reference, got, "two-fix/{cname}: diverged from reference");
 
-        let report = ex.report();
+        let report = run.report;
         let mut by_temp: std::collections::BTreeMap<&str, &oorq::exec::FixDeltaCurve> =
             Default::default();
         for c in &report.fix_deltas {
@@ -421,19 +271,15 @@ fn chain_scenario_differential_across_seeds() {
     for (seed, relations, rows, domain) in
         [(3u64, 3usize, 30u32, 10i64), (13, 4, 18, 8), (31, 5, 10, 6)]
     {
-        let mut chain = ChainDb::generate(ChainConfig {
+        let mut s = Scenario::chain(ChainConfig {
             relations,
             rows,
             domain,
             seed,
         });
-        let q = chain.chain_query(6);
-        let methods = MethodRegistry::new();
-        let idx = IndexSet::new();
+        let q = s.chain_query(6);
         diff_configs(
-            &mut chain.db,
-            &idx,
-            &methods,
+            &mut s,
             &q,
             &format!("chain(seed={seed},k={relations})"),
             false,

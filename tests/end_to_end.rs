@@ -2,18 +2,13 @@
 //! under every strategy — must produce exactly the reference evaluator's
 //! answer, across schemas and physical designs.
 
-use std::sync::Arc;
-
-use oorq::cost::{CostModel, CostParams};
-use oorq::datagen::{
-    parts_catalog, ChainConfig, ChainDb, MusicConfig, MusicDb, PartsConfig, PartsDb,
-};
-use oorq::exec::{eval_query_graph, Executor, MethodRegistry};
-use oorq::index::{IndexSet, PathIndex, SelectionIndex};
-use oorq::optimizer::{Optimized, Optimizer, OptimizerConfig};
-use oorq::query::paper::{fig2_query, influencer_view, music_catalog, sec45_pushjoin_query};
-use oorq::query::{Expr, NameRef, QArc, QueryGraph, SpjNode, ViewRegistry};
-use oorq::storage::{Database, DbStats};
+use oorq::datagen::{ChainConfig, MusicConfig, PartsConfig};
+use oorq::exec::{eval_query_graph, MethodRegistry};
+use oorq::optimizer::OptimizerConfig;
+use oorq::query::paper::fig2_query;
+use oorq::query::{Expr, NameRef, QArc, QueryGraph, SpjNode};
+use oorq::storage::DbStats;
+use oorq_bench::{Knobs, Scenario};
 
 fn all_configs() -> Vec<OptimizerConfig> {
     vec![
@@ -28,69 +23,28 @@ fn all_configs() -> Vec<OptimizerConfig> {
     ]
 }
 
-fn optimize(db: &Database, stats: &DbStats, q: &QueryGraph, config: OptimizerConfig) -> Optimized {
-    let model = CostModel::new(db.catalog(), db.physical(), stats, CostParams::default());
-    Optimizer::new(model, config)
-        .optimize(q)
-        .expect("optimizes")
-}
-
-fn check_equivalence(
-    db: &mut Database,
-    idx: &IndexSet,
-    methods: &MethodRegistry,
-    q: &QueryGraph,
-    label: &str,
-) {
-    let stats = DbStats::collect(db);
-    let reference = eval_query_graph(db, methods, q).expect("reference evaluates");
+fn check_equivalence(s: &mut Scenario, q: &QueryGraph, label: &str) {
+    let mut reference = eval_query_graph(&s.db, &s.methods, q)
+        .expect("reference evaluates")
+        .rows;
+    reference.sort();
     for config in all_configs() {
-        let plan = optimize(db, &stats, q, config.clone());
-        let mut ex = Executor::new(db, idx, methods);
-        let got = ex.run(&plan.pt).expect("plan executes");
-        let mut a = reference.rows.clone();
-        let mut b = got.rows.clone();
-        a.sort();
-        b.sort();
-        assert_eq!(a, b, "{label}: {config:?} diverged from the reference");
+        let mut got = s
+            .run(q, config.clone(), &Knobs::default())
+            .unwrap_or_else(|e| panic!("{label}: {config:?}: {e}"))
+            .answer
+            .rows;
+        got.sort();
+        assert_eq!(
+            reference, got,
+            "{label}: {config:?} diverged from the reference"
+        );
     }
-}
-
-fn music_setup(cfg: MusicConfig) -> (MusicDb, IndexSet) {
-    let cat = Arc::new(music_catalog());
-    let mut m = MusicDb::generate(cat, cfg);
-    let mut idx = IndexSet::new();
-    idx.add_path(PathIndex::build(
-        &mut m.db,
-        vec![
-            (m.composer, m.works_attr),
-            (m.composition, m.instruments_attr),
-        ],
-    ));
-    idx.add_selection(SelectionIndex::build(&mut m.db, m.composer, m.name_attr));
-    (m, idx)
-}
-
-fn fig3_gen(cat: &oorq::schema::Catalog, gen: i64) -> QueryGraph {
-    let influencer = cat.relation_by_name("Influencer").unwrap();
-    let mut q = QueryGraph::new(NameRef::Derived("Answer".into()));
-    q.add_spj(
-        NameRef::Derived("Answer".into()),
-        SpjNode {
-            inputs: vec![QArc::new(NameRef::Relation(influencer), "i")],
-            pred: Expr::path("i", &["master", "works", "instruments", "name"])
-                .eq(Expr::text("harpsichord"))
-                .and(Expr::path("i", &["gen"]).ge(Expr::int(gen))),
-            out_proj: vec![("name".into(), Expr::path("i", &["disciple", "name"]))],
-        },
-    );
-    influencer_view(cat).expand(&mut q, cat).unwrap();
-    q
 }
 
 #[test]
 fn music_queries_all_strategies_match_reference() {
-    let (mut m, idx) = music_setup(MusicConfig {
+    let mut s = Scenario::music(MusicConfig {
         chains: 3,
         chain_len: 5,
         works_per_composer: 2,
@@ -98,47 +52,34 @@ fn music_queries_all_strategies_match_reference() {
         harpsichord_fraction: 0.5,
         ..Default::default()
     });
-    let methods = MethodRegistry::new();
-    let cat = m.db.catalog_rc();
-    check_equivalence(&mut m.db, &idx, &methods, &fig2_query(&cat), "fig2");
-    check_equivalence(&mut m.db, &idx, &methods, &fig3_gen(&cat, 2), "fig3");
-    let qj = {
-        let mut q = sec45_pushjoin_query(&cat);
-        influencer_view(&cat).expand(&mut q, &cat).unwrap();
-        q
-    };
-    check_equivalence(&mut m.db, &idx, &methods, &qj, "pushjoin");
+    let (q2, q3, qj) = (fig2_query(s.db.catalog()), s.fig3_gen(2), s.pushjoin());
+    check_equivalence(&mut s, &q2, "fig2");
+    check_equivalence(&mut s, &q3, "fig3");
+    check_equivalence(&mut s, &qj, "pushjoin");
 }
 
 #[test]
 fn clustered_physical_design_matches_reference() {
-    let (mut m, idx) = music_setup(MusicConfig {
+    let mut s = Scenario::music(MusicConfig {
         chains: 2,
         chain_len: 6,
         clustered: true,
         harpsichord_fraction: 0.6,
         ..Default::default()
     });
-    let methods = MethodRegistry::new();
-    let cat = m.db.catalog_rc();
-    check_equivalence(
-        &mut m.db,
-        &idx,
-        &methods,
-        &fig3_gen(&cat, 2),
-        "fig3-clustered",
-    );
+    let q = s.fig3_gen(2);
+    check_equivalence(&mut s, &q, "fig3-clustered");
 }
 
 #[test]
 fn queries_with_methods_match_reference() {
     // A query whose predicate invokes the computed attribute `age`.
-    let (mut m, idx) = music_setup(MusicConfig {
+    let mut s = Scenario::music(MusicConfig {
         chains: 3,
         chain_len: 4,
         ..Default::default()
     });
-    let cat = m.db.catalog_rc();
+    let cat = s.db.catalog_rc();
     let composer = cat.class_by_name("Composer").unwrap();
     let mut q = QueryGraph::new(NameRef::Derived("A".into()));
     q.add_spj(
@@ -149,114 +90,54 @@ fn queries_with_methods_match_reference() {
             out_proj: vec![("name".into(), Expr::path("x", &["name"]))],
         },
     );
-    let methods = MethodRegistry::with_music_methods(&cat);
-    check_equivalence(&mut m.db, &idx, &methods, &q, "method-query");
+    s.methods = MethodRegistry::with_music_methods(&cat);
+    check_equivalence(&mut s, &q, "method-query");
 }
 
 #[test]
 fn parts_bom_query_matches_reference() {
-    let cat = Arc::new(parts_catalog());
-    let mut p = PartsDb::generate(
-        Arc::clone(&cat),
-        PartsConfig {
-            roots: 2,
-            fanout: 2,
-            depth: 3,
-            ..Default::default()
-        },
-    );
-    let part = cat.class_by_name("Part").unwrap();
-    let contains = cat.relation_by_name("Contains").unwrap();
-    let mut reg = ViewRegistry::new();
-    reg.define(
-        contains,
-        vec![
-            SpjNode {
-                inputs: vec![
-                    QArc::new(NameRef::Class(part), "p"),
-                    QArc::new(NameRef::Class(part), "s"),
-                ],
-                pred: Expr::path("p", &["subparts"]).eq(Expr::var("s")),
-                out_proj: vec![
-                    ("assembly".into(), Expr::var("p")),
-                    ("component".into(), Expr::var("s")),
-                    ("depth".into(), Expr::int(1)),
-                ],
-            },
-            SpjNode {
-                inputs: vec![
-                    QArc::new(NameRef::Relation(contains), "c"),
-                    QArc::new(NameRef::Class(part), "s"),
-                ],
-                pred: Expr::path("c", &["component", "subparts"]).eq(Expr::var("s")),
-                out_proj: vec![
-                    ("assembly".into(), Expr::path("c", &["assembly"])),
-                    ("component".into(), Expr::var("s")),
-                    (
-                        "depth".into(),
-                        Expr::path("c", &["depth"]).add(Expr::int(1)),
-                    ),
-                ],
-            },
-        ],
-    );
-    let mut q = QueryGraph::new(NameRef::Derived("Answer".into()));
-    q.add_spj(
-        NameRef::Derived("Answer".into()),
-        SpjNode {
-            inputs: vec![QArc::new(NameRef::Relation(contains), "k")],
-            pred: Expr::path("k", &["assembly", "name"])
-                .eq(Expr::text("asm0"))
-                .and(Expr::path("k", &["component", "weight"]).ge(Expr::int(40))),
-            out_proj: vec![
-                ("component".into(), Expr::path("k", &["component", "name"])),
-                (
-                    "cost".into(),
-                    Expr::path("k", &["component", "unit_test_cost"]),
-                ),
-            ],
-        },
-    );
-    reg.expand(&mut q, &cat).unwrap();
-    let methods = MethodRegistry::with_parts_methods(&cat);
-    let idx = IndexSet::new();
-    check_equivalence(&mut p.db, &idx, &methods, &q, "parts-bom");
+    let mut s = Scenario::parts(PartsConfig {
+        roots: 2,
+        fanout: 2,
+        depth: 3,
+        ..Default::default()
+    });
+    let q = s.parts_query();
+    check_equivalence(&mut s, &q, "parts-bom");
     // Sanity: the answer is the set of heavy descendants of asm0.
-    let reference = eval_query_graph(&p.db, &methods, &q).unwrap();
+    let reference = eval_query_graph(&s.db, &s.methods, &q).unwrap();
     assert!(!reference.is_empty());
 }
 
 #[test]
 fn chain_joins_match_reference_across_strategies() {
-    let mut chain = ChainDb::generate(ChainConfig {
+    let mut s = Scenario::chain(ChainConfig {
         relations: 4,
         rows: 40,
         domain: 12,
         seed: 3,
     });
-    let q = chain.chain_query(6);
-    let methods = MethodRegistry::new();
-    let idx = IndexSet::new();
-    check_equivalence(&mut chain.db, &idx, &methods, &q, "chain-4");
+    let q = s.chain_query(6);
+    check_equivalence(&mut s, &q, "chain-4");
 }
 
 #[test]
 fn decomposed_extensions_still_answer_queries() {
     // Vertically decompose Composition; the executor reads through
     // fragments transparently.
-    let (mut m, idx) = music_setup(MusicConfig {
+    let mut s = Scenario::music(MusicConfig {
         chains: 2,
         chain_len: 4,
         ..Default::default()
     });
-    let cat = m.db.catalog_rc();
+    let cat = s.db.catalog_rc();
     let composition = cat.class_by_name("Composition").unwrap();
     let (title, _) = cat.attr(composition, "title").unwrap();
     let (author, _) = cat.attr(composition, "author").unwrap();
     let (instruments, _) = cat.attr(composition, "instruments").unwrap();
-    m.db.decompose_vertical(composition, &[vec![title], vec![author, instruments]])
+    s.db.decompose_vertical(composition, &[vec![title], vec![author, instruments]])
         .unwrap();
-    let methods = MethodRegistry::new();
+    s.stats = DbStats::collect(&s.db);
     // A query touching both fragments through paths.
     let composer = cat.class_by_name("Composer").unwrap();
     let mut q = QueryGraph::new(NameRef::Derived("A".into()));
@@ -268,19 +149,28 @@ fn decomposed_extensions_still_answer_queries() {
             out_proj: vec![("name".into(), Expr::path("x", &["name"]))],
         },
     );
-    let reference = eval_query_graph(&m.db, &methods, &q).unwrap();
-    let stats = DbStats::collect(&m.db);
-    let plan = optimize(&m.db, &stats, &q, OptimizerConfig::cost_controlled());
-    let mut ex = Executor::new(&mut m.db, &idx, &methods);
-    let got = ex.run(&plan.pt).unwrap();
-    let mut a = reference.rows.clone();
-    let mut b = got.rows.clone();
-    a.sort();
-    b.sort();
-    assert_eq!(a, b);
+    let mut reference = eval_query_graph(&s.db, &s.methods, &q).unwrap().rows;
+    let mut got = s
+        .run(&q, OptimizerConfig::cost_controlled(), &Knobs::default())
+        .unwrap()
+        .answer
+        .rows;
+    reference.sort();
+    got.sort();
+    assert_eq!(reference, got);
 }
 
+/// The plans the `reproduce` figures print (Figure 3 and the §4.5
+/// push-join at the paper's fan-outs) return the reference answer.
 #[test]
 fn reports_semantics_verified() {
-    oorq_bench::reports::verify_reports_semantics().expect("report plans are sound");
+    let mut s = Scenario::music(MusicConfig {
+        chains: 3,
+        chain_len: 5,
+        harpsichord_fraction: 0.5,
+        ..Scenario::paper_scale()
+    });
+    let (q3, qj) = (s.fig3_gen(2), s.pushjoin());
+    check_equivalence(&mut s, &q3, "reports/fig3");
+    check_equivalence(&mut s, &qj, "reports/pushjoin");
 }

@@ -11,23 +11,30 @@ use oorq::pt::Pt;
 use oorq::query::Expr;
 use oorq::storage::DbStats;
 use oorq_analysis::{check_observed, dead_columns, Analysis, Analyzer, ObservedFix, ObservedOp};
-use oorq_bench::reports::fig7_config;
-use oorq_bench::PaperSetup;
+use oorq_bench::scenarios::{fig7_config, TempFields};
+use oorq_bench::{Knobs, Scenario};
 use oorq_lint::LintCode;
 
 /// Optimize the Figure-3 query (never-push) and statically analyze the
 /// chosen plan — the shared fixture for the observed-counter checks.
 fn fig3_analysis() -> Analysis {
-    let setup = PaperSetup::new(fig7_config());
-    let q = setup.fig3();
-    let opt = setup.optimize(&q, OptimizerConfig::never_push());
-    let analyzer = Analyzer::new(
-        setup.m.db.catalog(),
-        setup.m.db.physical(),
-        &setup.stats,
-        CostParams::default(),
-    );
-    analyzer.analyze(&opt.pt).expect("fig3 plan analyzes")
+    let setup = Scenario::music(fig7_config());
+    let (opt, _) = setup
+        .plan(
+            &setup.fig3(),
+            OptimizerConfig::never_push(),
+            &Knobs::default(),
+        )
+        .expect("fig3 optimizes");
+    setup
+        .analyze(&opt.pt, TempFields::new())
+        .expect("fig3 plan analyzes")
+}
+
+/// The single atomic entity implementing the Composer extension.
+fn composer_entity(s: &Scenario) -> oorq::storage::EntityId {
+    let composer = s.db.catalog().class_by_name("Composer").expect("music");
+    s.db.physical().entities_of_class(composer)[0]
 }
 
 /// A well-behaved observation for one analyzed node: every counter at
@@ -174,21 +181,17 @@ fn ab005_unbounded_key_space_is_noted() {
 /// so its pass bound stays below the iteration cap.
 #[test]
 fn object_only_fixpoint_has_finite_pass_bound() {
-    let setup = PaperSetup::new(fig7_config());
-    let e = setup.m.db.physical().entities_of_class(setup.m.composer)[0];
+    let setup = Scenario::music(fig7_config());
+    let e = composer_entity(&setup);
     let base = Pt::proj(vec![("o".to_string(), Expr::var("c"))], Pt::entity(e, "c"));
     let rec = Pt::proj(
         vec![("o".to_string(), Expr::var("d.o"))],
         Pt::temp("t", "d"),
     );
     let plan = Pt::fix("t", Pt::union(base, rec));
-    let analyzer = Analyzer::new(
-        setup.m.db.catalog(),
-        setup.m.db.physical(),
-        &setup.stats,
-        CostParams::default(),
-    );
-    let analysis = analyzer.analyze(&plan).expect("object-chain fix analyzes");
+    let analysis = setup
+        .analyze(&plan, TempFields::new())
+        .expect("object-chain fix analyzes");
     assert!(
         !analysis.report.has(LintCode::FixKeySpaceUnbounded),
         "{}",
@@ -201,7 +204,7 @@ fn object_only_fixpoint_has_finite_pass_bound() {
         .expect("fixpoint pass bound");
     assert!(passes.hi.is_finite());
     assert!(
-        passes.hi < analyzer.config.max_fix_iterations as f64,
+        passes.hi < oorq_analysis::AnalyzerConfig::default().max_fix_iterations as f64,
         "finite key space must beat the cap: {passes}"
     );
 }
@@ -297,16 +300,11 @@ fn ab007_unanalyzed_operator_is_flagged() {
 /// feature product.
 #[test]
 fn cm002_poisoned_fitted_weights_fire_on_live_model() {
-    let setup = PaperSetup::new(fig7_config());
+    let setup = Scenario::music(fig7_config());
     let mut params = CostParams::default();
     params.weights.seq_page = f64::NAN;
-    let model = oorq::cost::CostModel::new(
-        setup.m.db.catalog(),
-        setup.m.db.physical(),
-        &setup.stats,
-        params,
-    );
-    let e = setup.m.db.physical().entities_of_class(setup.m.composer)[0];
+    let model = setup.model(params, TempFields::new());
+    let e = composer_entity(&setup);
     let plan = Pt::sel(
         Expr::path("x", &["name"]).eq(Expr::text("Bach")),
         Pt::entity(e, "x"),
@@ -314,12 +312,7 @@ fn cm002_poisoned_fitted_weights_fire_on_live_model() {
     let report = oorq_lint::lint_plan_cost(&model, &plan);
     assert!(report.has(LintCode::NonFiniteCost), "{}", report.render());
     // The same plan under sane weights is clean.
-    let model = oorq::cost::CostModel::new(
-        setup.m.db.catalog(),
-        setup.m.db.physical(),
-        &setup.stats,
-        CostParams::default(),
-    );
+    let model = setup.model(CostParams::default(), TempFields::new());
     assert!(oorq_lint::lint_plan_cost(&model, &plan).is_clean());
 }
 

@@ -7,80 +7,51 @@
 //! reproduces the exact serial row order, so even order-sensitive
 //! consumers cannot observe the degree of parallelism.
 
-use std::sync::Arc;
-
-use oorq::cost::{CostModel, CostParams, ParallelParams};
-use oorq::datagen::{
-    parts_catalog, ChainConfig, ChainDb, MusicConfig, MusicDb, PartsConfig, PartsDb,
-};
-use oorq::exec::{ExecConfig, Executor, MethodRegistry};
-use oorq::index::{IndexSet, PathIndex, SelectionIndex};
-use oorq::optimizer::{Optimizer, OptimizerConfig};
-use oorq::query::paper::{influencer_view, music_catalog};
-use oorq::query::{Expr, NameRef, QArc, QueryGraph, SpjNode, ViewRegistry};
-use oorq::storage::{Database, DbStats};
+use oorq::cost::ParallelParams;
+use oorq::datagen::{ChainConfig, MusicConfig, PartsConfig};
+use oorq::optimizer::OptimizerConfig;
+use oorq::query::QueryGraph;
+use oorq_bench::scenarios::env_budget;
+use oorq_bench::{Knobs, Scenario};
 use oorq_prng::Prng;
-
-/// Breaker memory budget for every run (pages), from the
-/// `OORQ_MEMORY_BUDGET` environment variable (`0` / unset = unbounded).
-/// CI re-runs this suite under a low budget: the determinism contract
-/// must survive spilling breakers on every lane.
-fn env_budget() -> u64 {
-    std::env::var("OORQ_MEMORY_BUDGET")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(0)
-}
 
 /// Optimize once with a 4-worker budget, take the serial answer as the
 /// reference, then replay the *same* parallel spec under pools of 1, 2
-/// and 4 workers and demand row-for-row, in-order identity. Returns
-/// whether the optimizer placed any parallel operator at all, so
-/// callers can assert the suite is not vacuously serial.
+/// and 4 workers and demand row-for-row, in-order identity. Every run
+/// is under the `OORQ_MEMORY_BUDGET` breaker budget (CI re-runs this
+/// suite under a low one: the determinism contract must survive
+/// spilling breakers on every lane). Returns whether the optimizer
+/// placed any parallel operator at all, so callers can assert the suite
+/// is not vacuously serial.
 fn parallel_identity(
-    db: &mut Database,
-    idx: &IndexSet,
-    methods: &MethodRegistry,
+    s: &mut Scenario,
     q: &QueryGraph,
     config: OptimizerConfig,
     label: &str,
 ) -> bool {
-    let stats = DbStats::collect(db);
-    let model = CostModel::new(db.catalog(), db.physical(), &stats, CostParams::default());
-    let plan = Optimizer::new(
-        model,
-        OptimizerConfig {
-            threads: 4,
-            ..config
-        },
-    )
-    .optimize(q)
-    .unwrap_or_else(|e| panic!("{label}: optimization failed: {e}"));
-
-    let reference = {
-        let mut ex = Executor::new(db, idx, methods).with_config(ExecConfig {
-            memory_budget_pages: env_budget(),
-            ..ExecConfig::default()
-        });
-        ex.run(&plan.pt)
-            .unwrap_or_else(|e| panic!("{label}: serial execution failed: {e}"))
-            .rows
+    let config = OptimizerConfig {
+        threads: 4,
+        ..config
     };
-
+    let (plan, _) = s
+        .plan(q, config, &Knobs::default())
+        .unwrap_or_else(|e| panic!("{label}: {e}"));
+    let mut rows = |workers: u32| {
+        s.execute(
+            &plan.pt,
+            &plan.parallel,
+            &Knobs::resources(workers, env_budget()),
+        )
+        .unwrap_or_else(|e| panic!("{label}/{workers}w: {e}"))
+        .0
+        .rows
+    };
+    // 0 workers runs the plain plan: no parallel operators at all.
+    let reference = rows(0);
     for workers in [1u32, 2, 4] {
-        let mut ex = Executor::new(db, idx, methods)
-            .with_config(ExecConfig {
-                threads: workers,
-                memory_budget_pages: env_budget(),
-                ..ExecConfig::default()
-            })
-            .with_parallel(plan.parallel.clone());
-        let got = ex
-            .run(&plan.pt)
-            .unwrap_or_else(|e| panic!("{label}/{workers}w: parallel execution failed: {e}"))
-            .rows;
         assert_eq!(
-            reference, got,
+            reference,
+            rows(workers),
             "{label}/{workers}w: parallel answer deviated from the serial one"
         );
     }
@@ -90,13 +61,7 @@ fn parallel_identity(
 /// Run the identity check under both push strategies with zero-overhead
 /// parallel cost parameters (so placement is limited only by
 /// eligibility, maximizing the exercised exchange/merge shapes).
-fn parallel_identity_both(
-    db: &mut Database,
-    idx: &IndexSet,
-    methods: &MethodRegistry,
-    q: &QueryGraph,
-    label: &str,
-) -> bool {
+fn parallel_identity_both(s: &mut Scenario, q: &QueryGraph, label: &str) -> bool {
     let free = ParallelParams {
         startup: 0.0,
         merge_per_row: 0.0,
@@ -108,9 +73,7 @@ fn parallel_identity_both(
         ("always-push", OptimizerConfig::deductive_heuristic()),
     ] {
         placed |= parallel_identity(
-            db,
-            idx,
-            methods,
+            s,
             q,
             OptimizerConfig {
                 parallel: free,
@@ -122,43 +85,11 @@ fn parallel_identity_both(
     placed
 }
 
-fn music_setup(cfg: MusicConfig) -> (MusicDb, IndexSet) {
-    let cat = Arc::new(music_catalog());
-    let mut m = MusicDb::generate(cat, cfg);
-    let mut idx = IndexSet::new();
-    idx.add_path(PathIndex::build(
-        &mut m.db,
-        vec![
-            (m.composer, m.works_attr),
-            (m.composition, m.instruments_attr),
-        ],
-    ));
-    idx.add_selection(SelectionIndex::build(&mut m.db, m.composer, m.name_attr));
-    (m, idx)
-}
-
-fn fig3_gen(cat: &oorq::schema::Catalog, gen: i64) -> QueryGraph {
-    let influencer = cat.relation_by_name("Influencer").unwrap();
-    let mut q = QueryGraph::new(NameRef::Derived("Answer".into()));
-    q.add_spj(
-        NameRef::Derived("Answer".into()),
-        SpjNode {
-            inputs: vec![QArc::new(NameRef::Relation(influencer), "i")],
-            pred: Expr::path("i", &["master", "works", "instruments", "name"])
-                .eq(Expr::text("harpsichord"))
-                .and(Expr::path("i", &["gen"]).ge(Expr::int(gen))),
-            out_proj: vec![("name".into(), Expr::path("i", &["disciple", "name"]))],
-        },
-    );
-    influencer_view(cat).expand(&mut q, cat).unwrap();
-    q
-}
-
 #[test]
 fn music_parallel_identical_to_serial() {
     let mut placed = false;
     for (seed, chains, chain_len) in [(1u64, 3u32, 5u32), (42, 4, 6)] {
-        let (mut m, idx) = music_setup(MusicConfig {
+        let mut s = Scenario::music(MusicConfig {
             chains,
             chain_len,
             works_per_composer: 2,
@@ -167,13 +98,9 @@ fn music_parallel_identical_to_serial() {
             seed,
             ..Default::default()
         });
-        let methods = MethodRegistry::new();
-        let cat = m.db.catalog_rc();
-        let q = fig3_gen(&cat, 2);
+        let q = s.fig3_gen(2);
         placed |= parallel_identity_both(
-            &mut m.db,
-            &idx,
-            &methods,
+            &mut s,
             &q,
             &format!("music(seed={seed},chains={chains}x{chain_len})"),
         );
@@ -184,87 +111,20 @@ fn music_parallel_identical_to_serial() {
     );
 }
 
-/// The parts BOM query: the recursive `Contains` view over the part
-/// hierarchy, filtered to the heavy descendants of one root assembly.
-fn parts_query(cat: &oorq::schema::Catalog) -> QueryGraph {
-    let part = cat.class_by_name("Part").unwrap();
-    let contains = cat.relation_by_name("Contains").unwrap();
-    let mut reg = ViewRegistry::new();
-    reg.define(
-        contains,
-        vec![
-            SpjNode {
-                inputs: vec![
-                    QArc::new(NameRef::Class(part), "p"),
-                    QArc::new(NameRef::Class(part), "s"),
-                ],
-                pred: Expr::path("p", &["subparts"]).eq(Expr::var("s")),
-                out_proj: vec![
-                    ("assembly".into(), Expr::var("p")),
-                    ("component".into(), Expr::var("s")),
-                    ("depth".into(), Expr::int(1)),
-                ],
-            },
-            SpjNode {
-                inputs: vec![
-                    QArc::new(NameRef::Relation(contains), "c"),
-                    QArc::new(NameRef::Class(part), "s"),
-                ],
-                pred: Expr::path("c", &["component", "subparts"]).eq(Expr::var("s")),
-                out_proj: vec![
-                    ("assembly".into(), Expr::path("c", &["assembly"])),
-                    ("component".into(), Expr::var("s")),
-                    (
-                        "depth".into(),
-                        Expr::path("c", &["depth"]).add(Expr::int(1)),
-                    ),
-                ],
-            },
-        ],
-    );
-    let mut q = QueryGraph::new(NameRef::Derived("Answer".into()));
-    q.add_spj(
-        NameRef::Derived("Answer".into()),
-        SpjNode {
-            inputs: vec![QArc::new(NameRef::Relation(contains), "k")],
-            pred: Expr::path("k", &["assembly", "name"])
-                .eq(Expr::text("asm0"))
-                .and(Expr::path("k", &["component", "weight"]).ge(Expr::int(40))),
-            out_proj: vec![
-                ("component".into(), Expr::path("k", &["component", "name"])),
-                (
-                    "cost".into(),
-                    Expr::path("k", &["component", "unit_test_cost"]),
-                ),
-            ],
-        },
-    );
-    reg.expand(&mut q, cat).unwrap();
-    q
-}
-
 #[test]
 fn parts_parallel_identical_to_serial() {
     let mut placed = false;
     for (seed, roots, fanout, depth) in [(9u64, 3u32, 2u32, 4u32), (23, 2, 3, 3)] {
-        let cat = Arc::new(parts_catalog());
-        let mut p = PartsDb::generate(
-            Arc::clone(&cat),
-            PartsConfig {
-                roots,
-                fanout,
-                depth,
-                seed,
-                ..Default::default()
-            },
-        );
-        let q = parts_query(&cat);
-        let methods = MethodRegistry::with_parts_methods(&cat);
-        let idx = IndexSet::new();
+        let mut s = Scenario::parts(PartsConfig {
+            roots,
+            fanout,
+            depth,
+            seed,
+            ..Default::default()
+        });
+        let q = s.parts_query();
         placed |= parallel_identity_both(
-            &mut p.db,
-            &idx,
-            &methods,
+            &mut s,
             &q,
             &format!("parts(seed={seed},{roots}x{fanout}^{depth})"),
         );
@@ -279,22 +139,14 @@ fn parts_parallel_identical_to_serial() {
 fn chain_parallel_identical_to_serial() {
     let mut placed = false;
     for (seed, relations, rows, domain) in [(3u64, 2usize, 120u32, 16i64), (13, 3, 40, 10)] {
-        let mut chain = ChainDb::generate(ChainConfig {
+        let mut s = Scenario::chain(ChainConfig {
             relations,
             rows,
             domain,
             seed,
         });
-        let q = chain.chain_query(domain / 2);
-        let methods = MethodRegistry::new();
-        let idx = IndexSet::new();
-        placed |= parallel_identity_both(
-            &mut chain.db,
-            &idx,
-            &methods,
-            &q,
-            &format!("chain(seed={seed},k={relations})"),
-        );
+        let q = s.chain_query(domain / 2);
+        placed |= parallel_identity_both(&mut s, &q, &format!("chain(seed={seed},k={relations})"));
     }
     assert!(
         placed,
@@ -314,7 +166,7 @@ fn seeded_parallel_stress() {
             let chains = rng.range_u32(2, 5);
             let chain_len = rng.range_u32(3, 6);
             let seed = rng.next_u64();
-            let (mut m, idx) = music_setup(MusicConfig {
+            let mut s = Scenario::music(MusicConfig {
                 chains,
                 chain_len,
                 works_per_composer: rng.range_u32(1, 3),
@@ -323,13 +175,9 @@ fn seeded_parallel_stress() {
                 seed,
                 ..Default::default()
             });
-            let methods = MethodRegistry::new();
-            let cat = m.db.catalog_rc();
-            let q = fig3_gen(&cat, rng.range_i64(1, 3));
+            let q = s.fig3_gen(rng.range_i64(1, 3));
             parallel_identity_both(
-                &mut m.db,
-                &idx,
-                &methods,
+                &mut s,
                 &q,
                 &format!("stress[{round}]/music(seed={seed:#x},{chains}x{chain_len})"),
             );
@@ -338,19 +186,15 @@ fn seeded_parallel_stress() {
             let rows = rng.range_u32(20, 90);
             let domain = rng.range_i64(6, 20);
             let seed = rng.next_u64();
-            let mut chain = ChainDb::generate(ChainConfig {
+            let mut s = Scenario::chain(ChainConfig {
                 relations,
                 rows,
                 domain,
                 seed,
             });
-            let q = chain.chain_query(rng.range_i64(2, domain));
-            let methods = MethodRegistry::new();
-            let idx = IndexSet::new();
+            let q = s.chain_query(rng.range_i64(2, domain));
             parallel_identity_both(
-                &mut chain.db,
-                &idx,
-                &methods,
+                &mut s,
                 &q,
                 &format!("stress[{round}]/chain(seed={seed:#x},k={relations},n={rows})"),
             );

@@ -6,42 +6,25 @@
 //! Cases are driven by the in-repo deterministic [`Prng`], so every run
 //! explores the same parameter points and failures reproduce exactly.
 
-use std::sync::Arc;
-
-use oorq::cost::{CostModel, CostParams};
-use oorq::datagen::{ChainConfig, ChainDb, MusicConfig, MusicDb};
-use oorq::exec::{eval_query_graph, Executor, MethodRegistry};
-use oorq::index::{IndexSet, PathIndex, SelectionIndex};
-use oorq::optimizer::{Optimizer, OptimizerConfig, SpjStrategy};
-use oorq::query::paper::{influencer_view, music_catalog};
+use oorq::cost::CostParams;
+use oorq::datagen::{ChainConfig, MusicConfig};
+use oorq::exec::eval_query_graph;
+use oorq::optimizer::{OptimizerConfig, SpjStrategy};
+use oorq::query::paper::influencer_view;
 use oorq::query::{Expr, NameRef, QArc, QueryGraph, SpjNode};
-use oorq::storage::DbStats;
+use oorq_bench::{Knobs, Scenario};
 use oorq_prng::Prng;
 
-fn music(chains: u32, len: u32, works: u32, fraction: f64, seed: u64) -> (MusicDb, IndexSet) {
-    let cat = Arc::new(music_catalog());
-    let mut m = MusicDb::generate(
-        cat,
-        MusicConfig {
-            chains,
-            chain_len: len,
-            works_per_composer: works,
-            instruments_per_work: 2,
-            harpsichord_fraction: fraction,
-            seed,
-            ..Default::default()
-        },
-    );
-    let mut idx = IndexSet::new();
-    idx.add_path(PathIndex::build(
-        &mut m.db,
-        vec![
-            (m.composer, m.works_attr),
-            (m.composition, m.instruments_attr),
-        ],
-    ));
-    idx.add_selection(SelectionIndex::build(&mut m.db, m.composer, m.name_attr));
-    (m, idx)
+fn music(chains: u32, len: u32, works: u32, fraction: f64, seed: u64) -> Scenario {
+    Scenario::music(MusicConfig {
+        chains,
+        chain_len: len,
+        works_per_composer: works,
+        instruments_per_work: 2,
+        harpsichord_fraction: fraction,
+        seed,
+        ..Default::default()
+    })
 }
 
 fn influenced(cat: &oorq::schema::Catalog, gen: i64, instrument: &str) -> QueryGraph {
@@ -77,30 +60,17 @@ fn optimizer_preserves_semantics() {
         let seed = rng.below(1000);
         let gen = rng.range_i64(1, 4);
         let instrument = ["harpsichord", "flute", "instrument2"][rng.index(3)];
-        let (mut m, idx) = music(chains, len, works, fraction, seed);
-        let cat = m.db.catalog_rc();
-        let q = influenced(&cat, gen, instrument);
-        let methods = MethodRegistry::new();
-        let reference = eval_query_graph(&m.db, &methods, &q).unwrap();
-        let stats = DbStats::collect(&m.db);
+        let mut m = music(chains, len, works, fraction, seed);
+        let q = influenced(m.db.catalog(), gen, instrument);
+        let reference = eval_query_graph(&m.db, &m.methods, &q).unwrap();
         for config in [
             OptimizerConfig::cost_controlled(),
             OptimizerConfig::deductive_heuristic(),
             OptimizerConfig::never_push(),
         ] {
-            let plan = {
-                let model = CostModel::new(
-                    m.db.catalog(),
-                    m.db.physical(),
-                    &stats,
-                    CostParams::default(),
-                );
-                Optimizer::new(model, config.clone()).optimize(&q).unwrap()
-            };
-            let mut ex = Executor::new(&mut m.db, &idx, &methods);
-            let got = ex.run(&plan.pt).unwrap();
+            let got = m.run(&q, config.clone(), &Knobs::default()).unwrap().answer;
             let mut a = reference.rows.clone();
-            let mut b = got.rows.clone();
+            let mut b = got.rows;
             a.sort();
             b.sort();
             assert_eq!(a, b, "case {case}: {config:?} diverged");
@@ -119,45 +89,28 @@ fn strategy_optimality_ordering() {
         let domain = rng.range_i64(5, 20);
         let seed = rng.below(1000);
         let limit = rng.range_i64(1, 10);
-        let mut chain = ChainDb::generate(ChainConfig {
+        let mut chain = Scenario::chain(ChainConfig {
             relations,
             rows,
             domain,
             seed,
         });
         let q = chain.chain_query(limit);
-        let stats = DbStats::collect(&chain.db);
-        let params = CostParams::default();
         let mut costs = Vec::new();
-        let methods = MethodRegistry::new();
-        let reference = eval_query_graph(&chain.db, &methods, &q).unwrap();
+        let reference = eval_query_graph(&chain.db, &chain.methods, &q).unwrap();
         for strategy in [
             SpjStrategy::Exhaustive,
             SpjStrategy::Dp,
             SpjStrategy::Greedy,
         ] {
-            let plan = {
-                let model = CostModel::new(
-                    chain.db.catalog(),
-                    chain.db.physical(),
-                    &stats,
-                    params.clone(),
-                );
-                Optimizer::new(
-                    model,
-                    OptimizerConfig {
-                        spj_strategy: strategy,
-                        rand: None,
-                        ..Default::default()
-                    },
-                )
-                .optimize(&q)
-                .unwrap()
+            let config = OptimizerConfig {
+                spj_strategy: strategy,
+                rand: None,
+                ..Default::default()
             };
-            costs.push(plan.cost.total(&params));
-            let idx = IndexSet::new();
-            let mut ex = Executor::new(&mut chain.db, &idx, &methods);
-            let got = ex.run(&plan.pt).unwrap();
+            let run = chain.run(&q, config, &Knobs::default()).unwrap();
+            costs.push(run.estimated());
+            let got = run.answer;
             let mut a = reference.rows.clone();
             let mut b = got.rows.clone();
             a.sort();
@@ -186,21 +139,13 @@ fn cost_is_sane_and_monotone() {
     let mut rng = Prng::new(0x0011_aa03);
     for case in 0..8 {
         let seed = rng.below(500);
-        let (small, _) = music(2, 3, 2, 0.5, seed);
-        let (large, _) = music(6, 6, 2, 0.5, seed);
-        let cat = small.db.catalog_rc();
-        let q = influenced(&cat, 2, "harpsichord");
+        let small = music(2, 3, 2, 0.5, seed);
+        let large = music(6, 6, 2, 0.5, seed);
+        let q = influenced(small.db.catalog(), 2, "harpsichord");
         let mut totals = Vec::new();
         for m in [&small, &large] {
-            let stats = DbStats::collect(&m.db);
-            let model = CostModel::new(
-                m.db.catalog(),
-                m.db.physical(),
-                &stats,
-                CostParams::default(),
-            );
-            let plan = Optimizer::new(model, OptimizerConfig::never_push())
-                .optimize(&q)
+            let (plan, _) = m
+                .plan(&q, OptimizerConfig::never_push(), &Knobs::default())
                 .unwrap();
             let t = plan.cost.total(&CostParams::default());
             assert!(t.is_finite() && t >= 0.0, "case {case}");

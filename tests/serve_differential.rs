@@ -4,30 +4,29 @@
 //! counter pattern, and stale statistics must trip the CX drift lints
 //! into eviction + recalibration. The whole suite honours
 //! `OORQ_MEMORY_BUDGET` (CI re-runs it under a low budget to prove
-//! spilling sessions still serve identical answers).
+//! spilling sessions still serve identical answers), and the two
+//! concurrency tests also run with a 2-worker pool per session.
 
-use std::sync::Arc;
-
-use oorq::datagen::{ChainConfig, ChainDb, MusicConfig, MusicDb};
+use oorq::datagen::{ChainConfig, ChainDb, MusicConfig};
 use oorq::exec::{ExecConfig, MethodRegistry};
-use oorq::index::{IndexSet, PathIndex, SelectionIndex};
-use oorq::query::paper::{fig3_query, influencer_view, music_catalog};
+use oorq::index::IndexSet;
+use oorq::optimizer::OptimizerConfig;
 use oorq::query::QueryGraph;
 use oorq::serve::{CacheOutcome, Server, ServerConfig};
 use oorq::storage::{DbStats, Value};
+use oorq_bench::scenarios::env_budget;
+use oorq_bench::Scenario;
 
-/// Breaker memory budget (pages) from `OORQ_MEMORY_BUDGET` (`0` / unset
-/// = unbounded).
-fn env_budget() -> u64 {
-    std::env::var("OORQ_MEMORY_BUDGET")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(0)
-}
-
-fn config() -> ServerConfig {
+/// `threads` sizes both the optimizer's worker budget (so cached plans
+/// carry parallel operators where they pay) and each session's pool.
+fn config(threads: u32) -> ServerConfig {
     ServerConfig {
+        optimizer: OptimizerConfig {
+            threads,
+            ..OptimizerConfig::cost_controlled()
+        },
         exec: ExecConfig {
+            threads,
             memory_budget_pages: env_budget(),
             ..ExecConfig::default()
         },
@@ -37,37 +36,19 @@ fn config() -> ServerConfig {
 
 /// The paper's music database with its physical design, plus the
 /// Figure 3 query (view expanded).
-fn music_server() -> (Server, QueryGraph) {
-    let cat = Arc::new(music_catalog());
-    let mut m = MusicDb::generate(
-        Arc::clone(&cat),
-        MusicConfig {
-            chains: 6,
-            chain_len: 8,
-            works_per_composer: 3,
-            instruments_per_work: 3,
-            instrument_pool: 12,
-            harpsichord_fraction: 0.25,
-            clustered: false,
-            buffer_frames: 32,
-            seed: 42,
-        },
-    );
-    let mut idx = IndexSet::new();
-    idx.add_path(PathIndex::build(
-        &mut m.db,
-        vec![
-            (m.composer, m.works_attr),
-            (m.composition, m.instruments_attr),
-        ],
-    ));
-    idx.add_selection(SelectionIndex::build(&mut m.db, m.composer, m.name_attr));
-    let mut q = fig3_query(&cat);
-    influencer_view(&cat).expand(&mut q, &cat).unwrap();
-    (Server::new(m.db, idx, MethodRegistry::new(), config()), q)
+fn music_server(threads: u32) -> (Server, QueryGraph) {
+    let s = Scenario::music(MusicConfig {
+        chains: 6,
+        chain_len: 8,
+        works_per_composer: 3,
+        instruments_per_work: 3,
+        ..MusicConfig::default()
+    });
+    let q = s.fig3();
+    (Server::new(s.db, s.idx, s.methods, config(threads)), q)
 }
 
-fn chain_server(rows: u32) -> (Server, Vec<QueryGraph>) {
+fn chain_server(rows: u32, threads: u32) -> (Server, Vec<QueryGraph>) {
     let chain = ChainDb::generate(ChainConfig {
         relations: 3,
         rows,
@@ -79,10 +60,13 @@ fn chain_server(rows: u32) -> (Server, Vec<QueryGraph>) {
         chain.chain_query(10),
         chain.selective_tail_query(3),
     ];
-    (
-        Server::new(chain.db, IndexSet::new(), MethodRegistry::new(), config()),
-        queries,
-    )
+    let server = Server::new(
+        chain.db,
+        IndexSet::new(),
+        MethodRegistry::new(),
+        config(threads),
+    );
+    (server, queries)
 }
 
 fn rendered(rows: &[Vec<Value>]) -> Vec<String> {
@@ -91,7 +75,13 @@ fn rendered(rows: &[Vec<Value>]) -> Vec<String> {
 
 #[test]
 fn concurrent_music_sessions_match_single_session_replay() {
-    let (server, q) = music_server();
+    for threads in [0, 2] {
+        concurrent_music_sessions(threads);
+    }
+}
+
+fn concurrent_music_sessions(threads: u32) {
+    let (server, q) = music_server(threads);
     let reference = {
         let mut s = server.session();
         rendered(&s.execute(&q).unwrap().batch.rows)
@@ -124,7 +114,13 @@ fn concurrent_music_sessions_match_single_session_replay() {
 
 #[test]
 fn concurrent_chain_sessions_match_single_session_replay() {
-    let (server, queries) = chain_server(100);
+    for threads in [0, 2] {
+        concurrent_chain_sessions(threads);
+    }
+}
+
+fn concurrent_chain_sessions(threads: u32) {
+    let (server, queries) = chain_server(100, threads);
     let reference: Vec<Vec<String>> = {
         let mut s = server.session();
         queries
@@ -154,7 +150,7 @@ fn concurrent_chain_sessions_match_single_session_replay() {
 
 #[test]
 fn warm_cold_pattern_over_the_music_corpus() {
-    let (server, q) = music_server();
+    let (server, q) = music_server(0);
     let mut s = server.session();
     let cold = s.execute(&q).unwrap();
     assert_eq!(cold.cache, CacheOutcome::Miss);
@@ -168,7 +164,7 @@ fn warm_cold_pattern_over_the_music_corpus() {
 
 #[test]
 fn stale_statistics_trip_drift_eviction_and_recalibration() {
-    let (server, queries) = chain_server(120);
+    let (server, queries) = chain_server(120, 0);
     // Statistics from a near-empty twin: the stale-checkpoint case.
     let tiny = ChainDb::generate(ChainConfig {
         relations: 3,
