@@ -9,6 +9,9 @@ cargo fmt --all -- --check
 echo "== cargo clippy (warnings are errors) =="
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "== benchmark/ still compiles against the public API it imports =="
+cargo check --offline --manifest-path benchmark/Cargo.toml
+
 echo "== cargo test =="
 cargo test -q --workspace
 

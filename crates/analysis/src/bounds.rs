@@ -2,10 +2,10 @@
 //! bounds on cardinality, page accesses, fixpoint passes, and weighted
 //! cost.
 //!
-//! The analyzer walks a PT mirroring the lowering's access-method
-//! resolution exactly ([`oorq_pt::lower`]), and for every node that
-//! lowers to a physical operator derives intervals guaranteed to contain
-//! the executor's *exclusive* per-operator counters:
+//! The analyzer walks a PT, reads what each node executes as from
+//! [`oorq_pt::node_op`] — the resolution lowering itself uses — and for
+//! every node that executes as an operator derives intervals guaranteed
+//! to contain the executor's *exclusive* per-operator counters:
 //!
 //! - `rows_total` ⊇ observed `rows_out`;
 //! - `data()` (sequential + dereference pages) ⊇ observed
@@ -38,10 +38,10 @@ use std::collections::HashMap;
 use oorq_cost::CostParams;
 use oorq_lint::{LintCode, LintReport};
 use oorq_pt::{
-    node_ids, resolve_index_join, resolve_index_select, type_of_column_expr, AccessMethod,
-    IndexProbe, JoinAlgo, Pt, PtEnv, PtError,
+    node_ids, node_op, pij_out_classes, type_of_column_expr, IjStep, IndexProbe, NodeOp, Pt, PtEnv,
+    PtError,
 };
-use oorq_query::{Expr, Literal};
+use oorq_query::{bind_path, Expr, Literal};
 use oorq_schema::{AtomicType, AttrId, AttributeKind, Catalog, ClassId, ResolvedType};
 use oorq_storage::{DbStats, EntityId, EntitySource, FragmentSpec, IndexKindDesc, PhysicalSchema};
 
@@ -106,11 +106,13 @@ pub struct NodeBounds {
     /// Pre-order index of the node (the join key against
     /// `OpMeta::pt_node`).
     pub pt_node: usize,
-    /// Display label, aligned with the lowering's operator labels.
+    /// Display label ([`NodeOp::label`]; parenthesized when not
+    /// `lowered`).
     pub label: String,
-    /// False for nodes the lowering does not emit as operators (the
-    /// entity replaced by an index probe, an implicit join's target, a
-    /// fixpoint body's union) — their bounds are all zero.
+    /// False for nodes that do not execute as operators
+    /// ([`NodeOp::absorbed`]: the entity replaced by an index probe, an
+    /// implicit join's target, a fixpoint body's union) — their bounds
+    /// are all zero.
     pub lowered: bool,
     /// Subtree size in nodes (pre-order ids `pt_node..pt_node+size`).
     pub size: usize,
@@ -395,18 +397,20 @@ impl Walk<'_, '_> {
         }
     }
 
-    /// Record a lowered node's bounds (cost derived from the features).
+    /// Record a lowered node's bounds (cost derived from the features)
+    /// and hand its parent what it feeds it.
     #[allow(clippy::too_many_arguments)]
-    fn set(
+    fn lowered(
         &mut self,
         pt: &Pt,
         label: String,
         opens: Interval,
+        cols: Vec<ColInfo>,
         rows_once: Interval,
         rows_total: Interval,
         feats: FeatBounds,
         passes: Option<Interval>,
-    ) {
+    ) -> Out {
         let id = self.id_of(pt);
         let cost = self.cost_of(&feats);
         self.nodes[id] = Some(NodeBounds {
@@ -421,20 +425,26 @@ impl Walk<'_, '_> {
             passes,
             cost,
         });
+        Out {
+            cols,
+            rows_once,
+            rows_total,
+        }
     }
 
-    /// Record a whole subtree as not lowered (zero bounds).
-    fn mark_unlowered(&mut self, pt: &Pt) {
+    /// Record an absorbed node as not lowered (zero bounds) — `whole`:
+    /// with its subtree, which nothing else visits.
+    fn mark_unlowered(&mut self, pt: &Pt, whole: bool) {
         let id = self.id_of(pt);
-        let label = match pt {
-            Pt::Entity { id: e, .. } => format!("({})", self.az.physical.entity(*e).name),
-            Pt::Temp { name, .. } => format!("({name})"),
-            Pt::Union { .. } => "(Union)".to_string(),
-            _ => "(unlowered)".to_string(),
+        let label = match node_op(self.az.catalog, self.az.physical, pt) {
+            Ok(op) => format!("({})", op.label(self.az.catalog, self.az.physical)),
+            Err(_) => "(unlowered)".to_string(),
         };
         self.nodes[id] = Some(NodeBounds::zero(id, label, pt.size()));
-        for c in pt.children() {
-            self.mark_unlowered(c);
+        if whole {
+            for c in pt.children() {
+                self.mark_unlowered(c, true);
+            }
         }
     }
 
@@ -530,6 +540,18 @@ impl Walk<'_, '_> {
         total
     }
 
+    /// Upper bound on the hits of one index probe. They are filtered to
+    /// the exact class before any page is touched, so object fetches are
+    /// bounded by the worst per-key duplication of the attribute within
+    /// that class.
+    fn probe_hits_hi<K>(&self, probe: &IndexProbe<K>) -> f64 {
+        let dup = match self.az.catalog.attr(probe.class, probe.attr) {
+            Some((aid, _)) => self.attr_max_dup(probe.class, aid),
+            None => f64::INFINITY,
+        };
+        dup.min(self.class_rows_hi(probe.class))
+    }
+
     /// Upper bound on the members of one row's `attr` value, over `c`
     /// and its subclasses (a column statically typed `Object(c)` holds
     /// subclass oids too). Computed attributes are bounded by their
@@ -609,8 +631,7 @@ impl Walk<'_, '_> {
     }
 
     /// Per-evaluation upper bounds of an expression over the given
-    /// columns (mirrors `EvalCtx::eval` exactly, including the
-    /// qualified-column precedence of path resolution and the
+    /// columns (follows `EvalCtx::eval` step for step, including the
     /// single-bump `= null` special case).
     fn expr_bounds(&self, e: &Expr, cols: &[ColInfo]) -> ExprCost {
         match e {
@@ -648,18 +669,8 @@ impl Walk<'_, '_> {
     }
 
     fn path_bounds(&self, base: &str, steps: &[String], cols: &[ColInfo]) -> ExprCost {
-        // Qualified-column precedence, as in the evaluator.
-        let (start, rest): (&ColInfo, &[String]) = {
-            let qualified = (!steps.is_empty())
-                .then(|| format!("{base}.{}", steps[0]))
-                .and_then(|q| self.col(cols, &q));
-            match qualified {
-                Some(c) => (c, &steps[1..]),
-                None => match self.col(cols, base) {
-                    Some(c) => (c, steps),
-                    None => return ExprCost::top(),
-                },
-            }
+        let Some((start, rest)) = bind_path(base, steps, |c| self.col(cols, c)) else {
+            return ExprCost::top();
         };
         let mut cost = ExprCost::leaf(start.members);
         let mut ty = start.ty.clone();
@@ -709,103 +720,61 @@ impl Walk<'_, '_> {
     }
 
     // ------------------------------------------------------------------
-    // Access-method resolution mirrors
-    // ------------------------------------------------------------------
-
-    /// Mirror of `PhysOp::rescannable` at the PT level (a `Sel` that
-    /// resolves to an index probe lowers to `IndexSelect`, which is not
-    /// rescannable; one that does not lowers to a pass-through filter).
-    fn pt_rescannable(&self, pt: &Pt) -> bool {
-        match pt {
-            Pt::Entity { .. } | Pt::Temp { .. } => true,
-            Pt::Sel {
-                pred,
-                method,
-                input,
-            } => {
-                if let AccessMethod::Index(idx) = method {
-                    if resolve_index_select(self.az.catalog, self.az.physical, *idx, pred, input)
-                        .is_some()
-                    {
-                        return false;
-                    }
-                }
-                self.pt_rescannable(input)
-            }
-            Pt::Proj { input, .. } => self.pt_rescannable(input),
-            _ => false,
-        }
-    }
-
-    // ------------------------------------------------------------------
     // The transfer functions
     // ------------------------------------------------------------------
 
     fn go(&mut self, pt: &Pt, opens: Interval) -> Result<Out, PtError> {
-        match pt {
-            Pt::Entity { id, var } => self.go_entity(pt, *id, var, opens),
-            Pt::Temp { name, var } => self.go_temp(pt, name, var, opens),
-            Pt::Sel {
-                pred,
-                method,
-                input,
-            } => {
-                if let AccessMethod::Index(idx) = method {
-                    if let Some(probe) =
-                        resolve_index_select(self.az.catalog, self.az.physical, *idx, pred, input)
-                    {
-                        return self.go_index_select(pt, input, pred, &probe, opens);
-                    }
-                }
-                self.go_filter(pt, input, pred, opens)
+        let op = node_op(self.az.catalog, self.az.physical, pt)?;
+        let label = op.label(self.az.catalog, self.az.physical);
+        // A fixpoint's absorbed body union is marked alone: its legs
+        // execute and record themselves.
+        let whole = !matches!(op, NodeOp::FixPoint { .. });
+        for absorbed in op.absorbed() {
+            self.mark_unlowered(absorbed, whole);
+        }
+        match op {
+            NodeOp::EntityScan { entity, var } => self.go_entity(pt, label, entity, var, opens),
+            NodeOp::TempScan { name, var } => self.go_temp(pt, label, name, var, opens),
+            NodeOp::Filter { pred, input, .. } => self.go_filter(pt, label, input, pred, opens),
+            NodeOp::IndexSelect { pred, probe, .. } => {
+                self.go_index_select(pt, label, pred, &probe, opens)
             }
-            Pt::Proj { cols, input } => self.go_proj(pt, cols, input, opens),
-            Pt::IJ {
+            NodeOp::Project { exprs, input } => self.go_proj(pt, label, exprs, input, opens),
+            NodeOp::IjDeref {
                 on,
                 step,
                 out,
                 input,
                 target,
-            } => self.go_ij(
-                pt,
-                on,
-                &step.name,
-                step.class_attr,
-                out,
-                input,
-                target,
-                opens,
-            ),
-            Pt::PIJ {
+            } => self.go_ij(pt, label, on, step, out, input, target, opens),
+            NodeOp::PijLookup {
                 index,
                 on,
                 outs,
                 input,
-                targets,
-            } => self.go_pij(pt, *index, on, outs, input, targets, opens),
-            Pt::EJ {
+                ..
+            } => self.go_pij(pt, label, index, on, outs, input, opens),
+            NodeOp::NlJoin {
                 pred,
-                algo,
+                rescan_inner,
                 left,
                 right,
-            } => {
-                if let JoinAlgo::IndexJoin(idx) = algo {
-                    if let Some(probe) =
-                        resolve_index_join(self.az.catalog, self.az.physical, *idx, pred, right)
-                    {
-                        return self.go_index_join(pt, pred, left, right, &probe, opens);
-                    }
-                }
-                self.go_nl(pt, pred, left, right, opens)
-            }
-            Pt::Union { left, right } => self.go_union(pt, left, right, opens),
-            Pt::Fix { temp, body } => self.go_fix(pt, temp, body, opens),
+                ..
+            } => self.go_nl(pt, label, pred, rescan_inner, left, right, opens),
+            NodeOp::IndexJoin {
+                pred, probe, left, ..
+            } => self.go_index_join(pt, label, pred, left, &probe, opens),
+            NodeOp::UnionAll { left, right } => self.go_union(pt, label, left, right, opens),
+            NodeOp::FixPoint {
+                temp, base, rec, ..
+            } => self.go_fix(pt, label, temp, base, rec, opens),
         }
     }
 
     fn go_entity(
         &mut self,
         pt: &Pt,
+        label: String,
         id: EntityId,
         var: &str,
         opens: Interval,
@@ -852,23 +821,17 @@ impl Walk<'_, '_> {
             seq: pages.mul(opens),
             ..FeatBounds::zero()
         };
-        self.set(
-            pt,
-            format!("scan {}", desc.name),
-            opens,
-            rows_once,
-            rows_total,
-            feats,
-            None,
-        );
-        Ok(Out {
-            cols,
-            rows_once,
-            rows_total,
-        })
+        Ok(self.lowered(pt, label, opens, cols, rows_once, rows_total, feats, None))
     }
 
-    fn go_temp(&mut self, pt: &Pt, name: &str, var: &str, opens: Interval) -> Result<Out, PtError> {
+    fn go_temp(
+        &mut self,
+        pt: &Pt,
+        label: String,
+        name: &str,
+        var: &str,
+        opens: Interval,
+    ) -> Result<Out, PtError> {
         let fields = self
             .temp_fields
             .get(name)
@@ -898,46 +861,25 @@ impl Walk<'_, '_> {
                 members: Self::members_of_field(t),
             })
             .collect();
-        self.set(
-            pt,
-            format!("scan temp {name}"),
-            opens,
-            rows_once,
-            rows_total,
-            feats,
-            None,
-        );
-        Ok(Out {
-            cols,
-            rows_once,
-            rows_total,
-        })
+        Ok(self.lowered(pt, label, opens, cols, rows_once, rows_total, feats, None))
     }
 
     fn go_index_select(
         &mut self,
         pt: &Pt,
-        input: &Pt,
+        label: String,
         pred: &Expr,
         probe: &IndexProbe<Literal>,
         opens: Interval,
     ) -> Result<Out, PtError> {
-        self.mark_unlowered(input);
         let (entity_class, nblevels) = (probe.class, probe.nblevels as f64);
         let cols = vec![ColInfo {
-            name: probe.var.clone(),
+            name: probe.var.to_string(),
             ty: ResolvedType::Object(entity_class),
             members: 1.0,
         }];
         let pc = self.expr_bounds(pred, &cols);
-        // The probe's hits are filtered to the exact class before any
-        // page is touched, so object fetches are bounded by the worst
-        // per-key duplication of the attribute within that class.
-        let dup = match self.az.catalog.attr(entity_class, &probe.attr) {
-            Some((aid, _)) => self.attr_max_dup(entity_class, aid),
-            None => f64::INFINITY,
-        };
-        let hits = dup.min(self.class_rows_hi(entity_class));
+        let hits = self.probe_hits_hi(probe);
         let rows_once = Interval::up_to(hits);
         let rows_total = rows_once.mul(opens);
         let feats = FeatBounds {
@@ -952,25 +894,13 @@ impl Walk<'_, '_> {
             method_units: Interval::up_to(mul_up(hits, pc.units)).mul(opens),
             ..FeatBounds::zero()
         };
-        self.set(
-            pt,
-            format!("Sel^idx[{pred}]"),
-            opens,
-            rows_once,
-            rows_total,
-            feats,
-            None,
-        );
-        Ok(Out {
-            cols,
-            rows_once,
-            rows_total,
-        })
+        Ok(self.lowered(pt, label, opens, cols, rows_once, rows_total, feats, None))
     }
 
     fn go_filter(
         &mut self,
         pt: &Pt,
+        label: String,
         input: &Pt,
         pred: &Expr,
         opens: Interval,
@@ -985,25 +915,15 @@ impl Walk<'_, '_> {
             method_units: Interval::up_to(mul_up(child.rows_total.hi, pc.units)),
             ..FeatBounds::zero()
         };
-        self.set(
-            pt,
-            format!("Sel[{pred}]"),
-            opens,
-            rows_once,
-            rows_total,
-            feats,
-            None,
-        );
-        Ok(Out {
-            cols: child.cols,
-            rows_once,
-            rows_total,
-        })
+        Ok(self.lowered(
+            pt, label, opens, child.cols, rows_once, rows_total, feats, None,
+        ))
     }
 
     fn go_proj(
         &mut self,
         pt: &Pt,
+        label: String,
         cols: &[(String, Expr)],
         input: &Pt,
         opens: Interval,
@@ -1040,47 +960,25 @@ impl Walk<'_, '_> {
             method_units: Interval::up_to(mul_up(child.rows_total.hi, units)),
             ..FeatBounds::zero()
         };
-        self.set(
-            pt,
-            "Proj".to_string(),
-            opens,
-            rows_once,
-            rows_total,
-            feats,
-            None,
-        );
-        Ok(Out {
-            cols: out_cols,
-            rows_once,
-            rows_total,
-        })
+        Ok(self.lowered(
+            pt, label, opens, out_cols, rows_once, rows_total, feats, None,
+        ))
     }
 
     #[allow(clippy::too_many_arguments)]
     fn go_ij(
         &mut self,
         pt: &Pt,
+        label: String,
         on: &Expr,
-        step_name: &str,
-        class_attr: Option<(ClassId, AttrId)>,
+        step: &IjStep,
         out: &str,
         input: &Pt,
         target: &Pt,
         opens: Interval,
     ) -> Result<Out, PtError> {
         let child = self.go(input, opens)?;
-        self.mark_unlowered(target);
-        let target_class = match target {
-            Pt::Entity { id, .. } => match self.az.physical.entity(*id).source {
-                EntitySource::Class(c) => Some(c),
-                _ => None,
-            },
-            _ => None,
-        }
-        .or_else(|| {
-            class_attr.and_then(|(c, a)| self.az.catalog.attribute(c, a).ty.referenced_class())
-        })
-        .ok_or_else(|| PtError::NotAReference(step_name.to_string()))?;
+        let target_class = step.target_class(self.az.catalog, self.az.physical, target)?;
         let oc = self.expr_bounds(on, &child.cols);
         let m = oc.members;
         let rows_once = Interval::up_to(mul_up(child.rows_once.hi, m));
@@ -1100,37 +998,21 @@ impl Walk<'_, '_> {
             ty: ResolvedType::Object(target_class),
             members: 1.0,
         });
-        self.set(
-            pt,
-            format!("IJ_{step_name}"),
-            opens,
-            rows_once,
-            rows_total,
-            feats,
-            None,
-        );
-        Ok(Out {
-            cols,
-            rows_once,
-            rows_total,
-        })
+        Ok(self.lowered(pt, label, opens, cols, rows_once, rows_total, feats, None))
     }
 
     #[allow(clippy::too_many_arguments)]
     fn go_pij(
         &mut self,
         pt: &Pt,
+        label: String,
         index: oorq_storage::IndexId,
         on: &Expr,
         outs: &[String],
         input: &Pt,
-        targets: &[Pt],
         opens: Interval,
     ) -> Result<Out, PtError> {
         let child = self.go(input, opens)?;
-        for t in targets {
-            self.mark_unlowered(t);
-        }
         let desc = self
             .az
             .physical
@@ -1140,7 +1022,6 @@ impl Walk<'_, '_> {
         let IndexKindDesc::Path { path } = desc.kind.clone() else {
             return Err(PtError::NotAPathIndex);
         };
-        let label = format!("PIJ_{}", desc.display_name(self.az.catalog));
         let nbl = desc.stats.nblevels as f64;
         // Path tuples reachable from one head oid: product of the step
         // fan-outs.
@@ -1150,20 +1031,12 @@ impl Walk<'_, '_> {
             tails = mul_up(tails, self.attr_fanout_hi(*cls, &name));
         }
         let mut cols = child.cols.clone();
-        for (i, o) in outs.iter().enumerate() {
-            let (cls, attr) = path
-                .get(i)
-                .ok_or(PtError::PathIndexArity { wanted: outs.len() })?;
-            let a = self.az.catalog.attribute(*cls, *attr);
-            let c =
-                a.ty.referenced_class()
-                    .ok_or_else(|| PtError::NotAReference(a.name.clone()))?;
-            cols.push(ColInfo {
-                name: o.clone(),
-                ty: ResolvedType::Object(c),
-                members: 1.0,
-            });
-        }
+        let classes = pij_out_classes(self.az.catalog, self.az.physical, index, outs)?;
+        cols.extend(outs.iter().zip(classes).map(|(o, c)| ColInfo {
+            name: o.clone(),
+            ty: ResolvedType::Object(c),
+            members: 1.0,
+        }));
         let oc = self.expr_bounds(on, &child.cols);
         let m = oc.members;
         let rows_once = Interval::up_to(mul_up(child.rows_once.hi, mul_up(m, tails)));
@@ -1178,36 +1051,26 @@ impl Walk<'_, '_> {
             method_units: Interval::up_to(mul_up(child.rows_total.hi, oc.units)),
             ..FeatBounds::zero()
         };
-        self.set(pt, label, opens, rows_once, rows_total, feats, None);
-        Ok(Out {
-            cols,
-            rows_once,
-            rows_total,
-        })
+        Ok(self.lowered(pt, label, opens, cols, rows_once, rows_total, feats, None))
     }
 
     fn go_index_join(
         &mut self,
         pt: &Pt,
+        label: String,
         pred: &Expr,
         left: &Pt,
-        right: &Pt,
         probe: &IndexProbe<Expr>,
         opens: Interval,
     ) -> Result<Out, PtError> {
         let l = self.go(left, opens)?;
-        self.mark_unlowered(right);
         let (entity_class, nblevels) = (probe.class, probe.nblevels as f64);
-        let oc = self.expr_bounds(&probe.key, &l.cols);
+        let oc = self.expr_bounds(probe.key, &l.cols);
         let m = oc.members;
-        let dup = match self.az.catalog.attr(entity_class, &probe.attr) {
-            Some((aid, _)) => self.attr_max_dup(entity_class, aid),
-            None => f64::INFINITY,
-        };
-        let hits = dup.min(self.class_rows_hi(entity_class));
+        let hits = self.probe_hits_hi(probe);
         let mut cols = l.cols.clone();
         cols.push(ColInfo {
-            name: probe.var.clone(),
+            name: probe.var.to_string(),
             ty: ResolvedType::Object(entity_class),
             members: 1.0,
         });
@@ -1236,26 +1099,16 @@ impl Walk<'_, '_> {
             )),
             ..FeatBounds::zero()
         };
-        self.set(
-            pt,
-            format!("EJ^idx[{pred}]"),
-            opens,
-            rows_once,
-            rows_total,
-            feats,
-            None,
-        );
-        Ok(Out {
-            cols,
-            rows_once,
-            rows_total,
-        })
+        Ok(self.lowered(pt, label, opens, cols, rows_once, rows_total, feats, None))
     }
 
+    #[allow(clippy::too_many_arguments)]
     fn go_nl(
         &mut self,
         pt: &Pt,
+        label: String,
         pred: &Expr,
+        rescan: bool,
         left: &Pt,
         right: &Pt,
         opens: Interval,
@@ -1263,7 +1116,6 @@ impl Walk<'_, '_> {
         let l = self.go(left, opens)?;
         // Honest rescan re-opens the inner per outer row; a
         // non-rescannable inner is materialized once per own open.
-        let rescan = self.pt_rescannable(right);
         let r_opens = if rescan { l.rows_total } else { opens };
         let r = self.go(right, r_opens)?;
         let pairs = l.rows_total.mul(r.rows_once);
@@ -1296,25 +1148,13 @@ impl Walk<'_, '_> {
             method_units: Interval::up_to(mul_up(pairs.hi, pc.units)),
             ..FeatBounds::zero()
         };
-        self.set(
-            pt,
-            format!("EJ[{pred}]"),
-            opens,
-            rows_once,
-            rows_total,
-            feats,
-            None,
-        );
-        Ok(Out {
-            cols,
-            rows_once,
-            rows_total,
-        })
+        Ok(self.lowered(pt, label, opens, cols, rows_once, rows_total, feats, None))
     }
 
     fn go_union(
         &mut self,
         pt: &Pt,
+        label: String,
         left: &Pt,
         right: &Pt,
         opens: Interval,
@@ -1325,20 +1165,8 @@ impl Walk<'_, '_> {
         let r = self.go(right, opens)?;
         let rows_once = l.rows_once.add(r.rows_once);
         let rows_total = l.rows_total.add(r.rows_total);
-        self.set(
-            pt,
-            "Union".to_string(),
-            opens,
-            rows_once,
-            rows_total,
-            FeatBounds::zero(),
-            None,
-        );
-        Ok(Out {
-            cols: l.cols,
-            rows_once,
-            rows_total,
-        })
+        let feats = FeatBounds::zero();
+        Ok(self.lowered(pt, label, opens, l.cols, rows_once, rows_total, feats, None))
     }
 
     /// Size of the key space of one temporary field (`∞` = unbounded).
@@ -1350,27 +1178,15 @@ impl Walk<'_, '_> {
         }
     }
 
-    fn go_fix(&mut self, pt: &Pt, temp: &str, body: &Pt, opens: Interval) -> Result<Out, PtError> {
-        let Pt::Union { left, right } = body else {
-            return Err(PtError::FixBodyNotUnion);
-        };
-        let (base, rec) = if left.references_temp(temp) {
-            (right.as_ref(), left.as_ref())
-        } else {
-            (left.as_ref(), right.as_ref())
-        };
-        if !rec.references_temp(temp) {
-            return Err(PtError::FixNotRecursive(temp.to_string()));
-        }
-        // The body union is destructured by the lowering, not emitted as
-        // an operator.
-        let body_id = self.id_of(body);
-        self.nodes[body_id] = Some(NodeBounds::zero(
-            body_id,
-            "(Union)".to_string(),
-            body.size(),
-        ));
-
+    fn go_fix(
+        &mut self,
+        pt: &Pt,
+        label: String,
+        temp: &str,
+        base: &Pt,
+        rec: &Pt,
+        opens: Interval,
+    ) -> Result<Out, PtError> {
         let fields = base.output_columns(&self.scoped_env())?;
         self.temp_fields.insert(temp.to_string(), fields.clone());
 
@@ -1386,11 +1202,10 @@ impl Walk<'_, '_> {
             }
             kspace = mul_up(kspace, s);
         }
-        let loc = format!("Fix({temp})");
         if let Some(f) = unbounded {
             self.report.push(
                 LintCode::FixKeySpaceUnbounded,
-                loc.clone(),
+                label.clone(),
                 format!(
                     "field `{f}` ranges over an unbounded domain; the pass bound \
                      falls back to the iteration cap ({})",
@@ -1403,7 +1218,7 @@ impl Walk<'_, '_> {
         if base_out.rows_total.hi == 0.0 {
             self.report.push(
                 LintCode::FixProvablyEmpty,
-                loc,
+                label.clone(),
                 "the base leg provably produces no rows; the fixpoint is empty".to_string(),
             );
         }
@@ -1458,19 +1273,15 @@ impl Walk<'_, '_> {
                 members: Self::members_of_field(t),
             })
             .collect();
-        self.set(
+        Ok(self.lowered(
             pt,
-            format!("Fix({temp})"),
+            label,
             opens,
+            cols,
             rows_once,
             rows_total,
             feats,
             Some(passes),
-        );
-        Ok(Out {
-            cols,
-            rows_once,
-            rows_total,
-        })
+        ))
     }
 }

@@ -7,13 +7,8 @@
 
 use std::collections::HashMap;
 
-use oorq_pt::{
-    resolve_index_join, resolve_index_select, type_of_column_expr, AccessMethod, JoinAlgo, Pt,
-    PtEnv,
-};
-use oorq_query::Expr;
-use oorq_schema::ResolvedType;
-use oorq_storage::IndexId;
+use oorq_pt::{node_op, type_of_column_expr, NodeOp, Pt, PtEnv};
+use oorq_schema::{ClassId, ResolvedType};
 
 use crate::bounds::Analysis;
 
@@ -56,111 +51,56 @@ impl Diff<'_, '_> {
     fn walk(&mut self, a: &Pt, b: &Pt) -> bool {
         let my_id = self.next_id;
         self.next_id += 1;
-        match (a, b) {
-            (
-                Pt::Sel {
-                    pred: p1,
-                    method: m1,
-                    input: i1,
-                },
-                Pt::Sel {
-                    pred: p2,
-                    method: m2,
-                    input: i2,
-                },
-            ) if p1 == p2 => {
-                if m1 == m2 {
-                    return self.walk(i1, i2);
-                }
-                if self.diverged.is_some() || i1 != i2 {
-                    return false;
-                }
-                if !self.sel_toggle_safe(p1, m1, i1) || !self.sel_toggle_safe(p2, m2, i2) {
-                    return false;
-                }
-                self.diverged = Some(my_id);
-                self.next_id += i1.size();
-                true
-            }
-            (
-                Pt::EJ {
-                    pred: p1,
-                    algo: a1,
-                    left: l1,
-                    right: r1,
-                },
-                Pt::EJ {
-                    pred: p2,
-                    algo: a2,
-                    left: l2,
-                    right: r2,
-                },
-            ) if p1 == p2 => {
-                if a1 == a2 {
-                    return self.walk(l1, l2) && self.walk(r1, r2);
-                }
-                if self.diverged.is_some() || l1 != l2 || r1 != r2 {
-                    return false;
-                }
-                if !self.ej_toggle_safe(p1, a1, l1, r1) || !self.ej_toggle_safe(p2, a2, l2, r2) {
-                    return false;
-                }
-                self.diverged = Some(my_id);
-                self.next_id += l1.size() + r1.size();
-                true
-            }
-            _ => {
-                if !same_shape_here(a, b) {
-                    return false;
-                }
-                let (ca, cb) = (a.children(), b.children());
-                if ca.len() != cb.len() {
-                    return false;
-                }
-                ca.iter().zip(cb.iter()).all(|(x, y)| self.walk(x, y))
-            }
+        if same_shape_here(a, b) {
+            let (ca, cb) = (a.children(), b.children());
+            return ca.len() == cb.len() && ca.iter().zip(cb.iter()).all(|(x, y)| self.walk(x, y));
         }
+        // The nodes differ: admissible once, as an access-method or
+        // join-algorithm toggle over identical operands.
+        let toggle = match (a, b) {
+            (Pt::Sel { pred: p1, .. }, Pt::Sel { pred: p2, .. })
+            | (Pt::EJ { pred: p1, .. }, Pt::EJ { pred: p2, .. }) => {
+                p1 == p2 && a.children() == b.children()
+            }
+            _ => false,
+        };
+        if !toggle || self.diverged.is_some() || !self.toggle_safe(a) || !self.toggle_safe(b) {
+            return false;
+        }
+        self.diverged = Some(my_id);
+        self.next_id += a.size() - 1;
+        true
     }
 
-    /// A toggled `Sel` side is safe when it lowers to a plain filter
-    /// (trivially equivalent to the scan) or to an index probe on a
-    /// non-collection attribute.
-    fn sel_toggle_safe(&self, pred: &Expr, method: &AccessMethod, input: &Pt) -> bool {
-        let AccessMethod::Index(idx) = method else {
-            return true;
-        };
-        match resolve_index_select(self.env.catalog, self.env.physical, *idx, pred, input) {
-            None => true,
-            Some(probe) => self.attr_non_collection(*idx, probe.class, &probe.attr),
-        }
-    }
-
-    /// A toggled `EJ` side is safe when it lowers to a nested loop or to
-    /// an index join whose indexed attribute and outer expression are
-    /// both non-collection.
-    fn ej_toggle_safe(&self, pred: &Expr, algo: &JoinAlgo, left: &Pt, right: &Pt) -> bool {
-        let JoinAlgo::IndexJoin(idx) = algo else {
-            return true;
-        };
-        match resolve_index_join(self.env.catalog, self.env.physical, *idx, pred, right) {
-            None => true,
-            Some(probe) => {
-                if !self.attr_non_collection(*idx, probe.class, &probe.attr) {
+    /// One side of a toggle is safe when it executes as a plain filter
+    /// or nested loop (trivially equivalent to the other side), as an
+    /// index probe on a non-collection attribute, or as an index join
+    /// whose indexed attribute and outer expression are both
+    /// non-collection.
+    fn toggle_safe(&self, pt: &Pt) -> bool {
+        match node_op(self.env.catalog, self.env.physical, pt) {
+            Ok(NodeOp::IndexSelect { probe, .. }) => {
+                self.attr_non_collection(probe.class, probe.attr)
+            }
+            Ok(NodeOp::IndexJoin { probe, left, .. }) => {
+                if !self.attr_non_collection(probe.class, probe.attr) {
                     return false;
                 }
                 let Ok(cols) = left.output_columns(self.env) else {
                     return false;
                 };
                 let cenv: HashMap<String, ResolvedType> = cols.into_iter().collect();
-                match type_of_column_expr(self.env.catalog, &probe.key, &cenv) {
+                match type_of_column_expr(self.env.catalog, probe.key, &cenv) {
                     Ok(ty) => !ty.is_collection(),
                     Err(_) => false,
                 }
             }
+            Ok(_) => true,
+            Err(_) => false,
         }
     }
 
-    fn attr_non_collection(&self, _idx: IndexId, class: oorq_schema::ClassId, name: &str) -> bool {
+    fn attr_non_collection(&self, class: ClassId, name: &str) -> bool {
         match self.env.catalog.attr(class, name) {
             Some((_, attr)) => !attr.ty.is_collection(),
             None => false,

@@ -129,15 +129,6 @@ impl Interval {
         }
     }
 
-    /// Intersect with a second *valid* bound for the same quantity: both
-    /// are sound, so the tighter envelope is too.
-    pub fn refine(self, o: Interval) -> Interval {
-        Interval {
-            lo: self.lo.max(o.lo),
-            hi: self.hi.min(o.hi),
-        }
-    }
-
     /// Cap the upper bound (a second, independent upper bound).
     pub fn cap_hi(self, hi: f64) -> Interval {
         Interval {

@@ -1,7 +1,8 @@
 //! Static plan analysis by abstract interpretation.
 //!
-//! Three cooperating passes over a processing tree (and, through the
-//! lowering mirror, over the physical plan it lowers to):
+//! Three cooperating passes over a processing tree (and, because they
+//! read each node's operator from `oorq_pt::node_op` as lowering does,
+//! over the physical plan it lowers to):
 //!
 //! - [`bounds`] — the interval domain: sound `[lo, hi]` bounds on every
 //!   operator's cardinality, page accesses, fixpoint pass count, and

@@ -22,7 +22,6 @@ use std::fmt::Write as _;
 use oorq_core::OptimizerConfig;
 use oorq_cost::{Cost, CostFeatures, CostParams, CostWeights, FixCurve, NodeCost, OpKind};
 use oorq_lint::{lint_drift, DriftTolerance, ObservedOp, Severity};
-use oorq_pt::Pt;
 use oorq_query::QueryGraph;
 
 use crate::scenarios::{for_each_row, Knobs, Scenario};
@@ -200,7 +199,7 @@ fn sample_plan(
         .iter()
         .filter_map(|n| Some((n.node?, (n.feat, n.rows))))
         .collect();
-    let rec_nodes = fix_rec_nodes(&plan.pt);
+    let rec_nodes = oorq_pt::fix_recursive_nodes(&plan.pt);
 
     // Observed totals per PT node (re-instantiated operators sum).
     let mut obs: BTreeMap<usize, (f64, f64, f64)> = BTreeMap::new();
@@ -293,34 +292,6 @@ fn sample_plan(
         lines,
         fixes,
     })
-}
-
-/// Pre-order indices of every node on the recursive side of a fixpoint
-/// (the `Fix` node itself included) — the operators whose row estimates
-/// hinge on modeled delta cardinalities.
-fn fix_rec_nodes(pt: &Pt) -> std::collections::HashSet<usize> {
-    let ids = oorq_pt::node_ids(pt);
-    let mut out = std::collections::HashSet::new();
-    pt.visit(&mut |n| {
-        if let Pt::Fix { temp, body } = n {
-            if let Some(&id) = ids.get(&(n as *const Pt)) {
-                out.insert(id);
-            }
-            if let Pt::Union { left, right } = body.as_ref() {
-                let rec = if left.references_temp(temp) {
-                    left.as_ref()
-                } else {
-                    right.as_ref()
-                };
-                rec.visit(&mut |r| {
-                    if let Some(&id) = ids.get(&(r as *const Pt)) {
-                        out.insert(id);
-                    }
-                });
-            }
-        }
-    });
-    out
 }
 
 /// Run the calibration rows of the corpus (`Entry::calibration`): the

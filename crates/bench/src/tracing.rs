@@ -222,7 +222,9 @@ mod tests {
         }
         assert!(art.summary.contains("Rejected candidates"));
         // All three exports are well-formed.
-        oorq_obs::Trace::from_jsonl(&art.trace.to_jsonl()).expect("JSONL round-trips");
+        for line in art.trace.to_jsonl().lines() {
+            oorq_obs::json::Json::parse(line).expect("every JSONL line parses");
+        }
         oorq_obs::check_chrome_trace(&art.trace.to_chrome()).expect("chrome trace valid");
         assert!(art.trace.to_folded().lines().count() > 0);
     }

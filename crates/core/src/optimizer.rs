@@ -58,6 +58,9 @@ impl VerifyLevel {
     }
 }
 
+/// Cap on translated alternatives per arc.
+const MAX_ARC_ALTERNATIVES: usize = 12;
+
 /// Optimizer configuration.
 #[derive(Debug, Clone)]
 pub struct OptimizerConfig {
@@ -67,8 +70,6 @@ pub struct OptimizerConfig {
     pub push: PushStrategy,
     /// Randomized re-optimization of the final plan, if any.
     pub rand: Option<RandConfig>,
-    /// Cap on translated alternatives per arc.
-    pub max_arc_alternatives: usize,
     /// Static verification of intermediate plans.
     pub verify: VerifyLevel,
     /// Worker-pool size available to the executor. `0` (the default)
@@ -86,7 +87,6 @@ impl Default for OptimizerConfig {
             spj_strategy: SpjStrategy::Dp,
             push: PushStrategy::CostControlled,
             rand: Some(RandConfig::default()),
-            max_arc_alternatives: 12,
             verify: VerifyLevel::default(),
             threads: 0,
             parallel: ParallelParams::default(),
@@ -739,7 +739,7 @@ impl<'a> Optimizer<'a> {
                     arc,
                     base,
                     &mut fresh,
-                    self.config.max_arc_alternatives,
+                    MAX_ARC_ALTERNATIVES,
                 )?;
                 self.fresh = counter;
                 for a in &alts {
@@ -1179,7 +1179,7 @@ impl<'a> Optimizer<'a> {
             arc,
             base,
             &mut fresh,
-            self.config.max_arc_alternatives,
+            MAX_ARC_ALTERNATIVES,
         )?;
         self.fresh = counter;
         let mut best: Option<(f64, Pt, HashMap<String, Expr>)> = None;

@@ -108,28 +108,6 @@ impl OptTrace {
         self.final_breakdown = breakdown.to_vec();
     }
 
-    /// Render the recorded final-plan breakdown as a table (empty when
-    /// no breakdown was recorded).
-    pub fn breakdown_table(&self) -> String {
-        if self.final_breakdown.is_empty() {
-            return String::new();
-        }
-        let mut out = String::from(
-            "| node | operator | est. io | est. cpu | est. rows |\n|---|---|---|---|---|\n",
-        );
-        for n in &self.final_breakdown {
-            let id = n
-                .node
-                .map(|i| i.to_string())
-                .unwrap_or_else(|| "-".to_string());
-            out.push_str(&format!(
-                "| {} | {} | {:.0} | {:.0} | {:.0} |\n",
-                id, n.label, n.cost.io, n.cost.cpu, n.rows
-            ));
-        }
-        out
-    }
-
     /// Render the Figure 6 style summary table, followed by each step's
     /// recorded notes (actions applied, costs compared).
     pub fn summary(&self) -> String {

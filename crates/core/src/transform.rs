@@ -6,15 +6,14 @@
 //! model before it is committed (the paper's central claim). The
 //! `filter` action pushes selections through the fixpoint following
 //! \[KL86\]; a similar action pushes **joins** — the novel case §4.5
-//! highlights. Randomized strategies (Iterative Improvement and
-//! Simulated Annealing, per \[IC90\]) then try to further improve the
-//! transformed plan (e.g. by using an applicable index after a portion
-//! of the PT was shifted).
+//! highlights. The randomized strategy (Iterative Improvement, per
+//! \[IC90\]) then tries to further improve the transformed plan (e.g.
+//! by using an applicable index after a portion of the PT was shifted).
 
 use oorq_cost::CostModel;
 use oorq_prng::Prng;
 use oorq_pt::{applicable_join_indexes, applicable_sel_index, AccessMethod, IjStep, JoinAlgo, Pt};
-use oorq_query::Expr;
+use oorq_query::{bind_path, Expr};
 use oorq_schema::{ClassId, ResolvedType};
 
 use crate::error::OptError;
@@ -84,20 +83,10 @@ pub fn filter_action(
     info: &FixInfo,
     pred: &Expr,
 ) -> Result<Pt, OptError> {
-    let Pt::Fix { temp, body } = fix else {
-        return Err(OptError::Pt(oorq_pt::PtError::FixBodyNotUnion));
-    };
-    let Pt::Union { left, right } = body.as_ref() else {
-        return Err(OptError::Pt(oorq_pt::PtError::FixBodyNotUnion));
-    };
-    let (base, rec) = if left.references_temp(temp) {
-        (right.as_ref().clone(), left.as_ref().clone())
-    } else {
-        (left.as_ref().clone(), right.as_ref().clone())
-    };
+    let (temp, base, rec) = fix.fix_sides().map_err(OptError::Pt)?;
 
     // Base side: selection over the base's output columns, expanded.
-    let base_sel = best_selection(model, pred.clone(), base, &info.out_cols)?;
+    let base_sel = best_selection(model, pred.clone(), base.clone(), &info.out_cols)?;
 
     // Recursive side: wrap the temporary occurrence. Re-qualify the
     // predicate to the temp leaf's columns.
@@ -123,14 +112,14 @@ pub fn filter_action(
         .iter()
         .map(|(n, _)| format!("{tv}.{n}"))
         .collect();
-    let rec_pushed = replace_temp_with(&rec, temp, &|leaf| {
+    let rec_pushed = replace_temp_with(rec, temp, &|leaf| {
         // Defer the expansion choice to `best_selection` on a clone.
         Pt::sel(qualified.clone(), leaf)
     });
     // Expand the selection we just wrapped around the temp leaf.
     let rec_pushed = expand_sels_over_temp(model, rec_pushed, temp, &temp_cols)?;
 
-    Ok(Pt::fix(temp.clone(), Pt::union(base_sel, rec_pushed)))
+    Ok(Pt::fix(temp, Pt::union(base_sel, rec_pushed)))
 }
 
 /// The push-join action (§4.5): restrict the fixpoint's base by a very
@@ -145,17 +134,7 @@ pub fn push_join_action(
     join_pred_over_fix_cols: &Expr,
     inner: &Pt,
 ) -> Result<Pt, OptError> {
-    let Pt::Fix { temp, body } = fix else {
-        return Err(OptError::Pt(oorq_pt::PtError::FixBodyNotUnion));
-    };
-    let Pt::Union { left, right } = body.as_ref() else {
-        return Err(OptError::Pt(oorq_pt::PtError::FixBodyNotUnion));
-    };
-    let (base, rec) = if left.references_temp(temp) {
-        (right.as_ref().clone(), left.as_ref().clone())
-    } else {
-        (left.as_ref().clone(), right.as_ref().clone())
-    };
+    let (temp, base, rec) = fix.fix_sides().map_err(OptError::Pt)?;
     // Semi-join: EJ then project back to the temporary's fields (the
     // projection deduplicates).
     let semi = Pt::proj(
@@ -163,9 +142,9 @@ pub fn push_join_action(
             .iter()
             .map(|c| (c.clone(), Expr::Var(c.clone())))
             .collect(),
-        Pt::ej(join_pred_over_fix_cols.clone(), base, inner.clone()),
+        Pt::ej(join_pred_over_fix_cols.clone(), base.clone(), inner.clone()),
     );
-    Ok(Pt::fix(temp.clone(), Pt::union(semi, rec)))
+    Ok(Pt::fix(temp, Pt::union(semi, rec.clone())))
 }
 
 /// Build the cheapest realization of `Sel_pred(input)` where `pred` may
@@ -263,76 +242,50 @@ fn try_rewrite(
         if steps.len() < 2 {
             return None;
         }
-        let mut col: String;
-        let mut class: ClassId;
-        let mut consumed: usize;
+        // One implicit join into `class`; yields its fresh output column.
+        let mut emit = |on: Expr, step: IjStep, class: ClassId| {
+            let Some(&target) = model.physical.entities_of_class(class).first() else {
+                failure = Some(OptError::NoEntity(format!("{class:?}")));
+                return None;
+            };
+            *fresh += 1;
+            let out = format!("_x{fresh}");
+            ops.push(ChainOp::Ij {
+                on,
+                step,
+                out: out.clone(),
+                target,
+            });
+            Some(out)
+        };
+        let ((name, ty), rest) = bind_path(base, steps, |c| col_types.get_key_value(c))?;
+        let mut class = ty.referenced_class()?;
+        let mut col = name.clone();
+        let mut consumed = steps.len() - rest.len();
         let mut emitted = false;
-        if let Some(ty) = col_types.get(base) {
-            class = strip(ty.clone()).object_class()?;
-            col = base.clone();
-            consumed = 0;
-        } else {
+        if consumed == 1 {
             // Qualified column `base.step0`: an oid-valued field of a
             // row. Its dereference is itself an implicit join (e.g.
             // `IJ_master(Influencer, Composer)`).
-            let q = format!("{base}.{}", steps[0]);
-            let ty = col_types.get(&q)?;
-            class = strip(ty.clone()).object_class()?;
-            if steps.len() >= 2 {
-                *fresh += 1;
-                let out = format!("_x{fresh}");
-                let target = match model.physical.entities_of_class(class).first() {
-                    Some(e) => *e,
-                    None => {
-                        failure = Some(OptError::NoEntity(format!("{class:?}")));
-                        return None;
-                    }
-                };
-                ops.push(ChainOp::Ij {
-                    on: Expr::Var(q),
-                    step: IjStep::field(steps[0].clone()),
-                    out: out.clone(),
-                    target,
-                });
-                emitted = true;
-                col = out;
-            } else {
-                col = q;
-            }
-            consumed = 1;
+            col = emit(Expr::Var(col), IjStep::field(steps[0].clone()), class)?;
+            emitted = true;
         }
-        while consumed < steps.len() {
+        while consumed + 1 < steps.len() {
             let step = &steps[consumed];
             let Some((aid, attr)) = model.catalog.attr(class, step) else {
                 break;
             };
-            match attr.ty.referenced_class() {
-                Some(next) if consumed + 1 < steps.len() => {
-                    *fresh += 1;
-                    let out = format!("_x{fresh}");
-                    let target = match model.physical.entities_of_class(next).first() {
-                        Some(e) => *e,
-                        None => {
-                            failure = Some(OptError::NoEntity(format!("{next:?}")));
-                            return None;
-                        }
-                    };
-                    ops.push(ChainOp::Ij {
-                        on: Expr::Path {
-                            base: col.clone(),
-                            steps: vec![step.clone()],
-                        },
-                        step: IjStep::class_attr(model.catalog, class, aid),
-                        out: out.clone(),
-                        target,
-                    });
-                    emitted = true;
-                    col = out;
-                    class = next;
-                    consumed += 1;
-                }
-                _ => break,
-            }
+            let Some(next) = attr.ty.referenced_class() else {
+                break;
+            };
+            let on = Expr::Path {
+                base: col,
+                steps: vec![step.clone()],
+            };
+            col = emit(on, IjStep::class_attr(model.catalog, class, aid), next)?;
+            emitted = true;
+            class = next;
+            consumed += 1;
         }
         if !emitted {
             return None;
@@ -351,25 +304,6 @@ fn try_rewrite(
     match failure {
         Some(e) => Err(e),
         None => Ok(result),
-    }
-}
-
-trait ObjectClass {
-    fn object_class(&self) -> Option<ClassId>;
-}
-impl ObjectClass for ResolvedType {
-    fn object_class(&self) -> Option<ClassId> {
-        match self {
-            ResolvedType::Object(c) => Some(*c),
-            _ => None,
-        }
-    }
-}
-
-fn strip(ty: ResolvedType) -> ResolvedType {
-    match ty {
-        ResolvedType::Set(e) | ResolvedType::List(e) => strip(*e),
-        other => other,
     }
 }
 
@@ -451,8 +385,7 @@ pub fn distribute_join_over_union_action<'a>() -> oorq_pt::TransformAction<'a> {
 }
 
 // ---------------------------------------------------------------------
-// Randomized re-optimization (Iterative Improvement / Simulated
-// Annealing, per [IC90]).
+// Randomized re-optimization (Iterative Improvement, per [IC90]).
 // ---------------------------------------------------------------------
 
 /// Randomized strategy kind.
@@ -460,9 +393,6 @@ pub fn distribute_join_over_union_action<'a>() -> oorq_pt::TransformAction<'a> {
 pub enum RandKind {
     /// Iterative Improvement: random downhill walks with restarts.
     IterativeImprovement,
-    /// Simulated Annealing: accepts uphill moves with decaying
-    /// probability.
-    SimulatedAnnealing,
 }
 
 /// Configuration of the randomized phase.
@@ -472,10 +402,8 @@ pub struct RandConfig {
     pub kind: RandKind,
     /// Moves attempted per walk.
     pub moves_per_walk: usize,
-    /// Restarts (II) / temperature steps (SA).
+    /// Restarts.
     pub restarts: usize,
-    /// Initial temperature (SA).
-    pub initial_temperature: f64,
     /// RNG seed.
     pub seed: u64,
 }
@@ -486,7 +414,6 @@ impl Default for RandConfig {
             kind: RandKind::IterativeImprovement,
             moves_per_walk: 30,
             restarts: 3,
-            initial_temperature: 2.0,
             seed: 0xC0FFEE,
         }
     }
@@ -684,7 +611,6 @@ pub fn rand_optimize_with(
         // Analysis of `current`, computed lazily and invalidated on
         // every accepted move.
         let mut current_analysis: Option<Option<oorq_analysis::Analysis>> = None;
-        let mut temperature = config.initial_temperature;
         for _ in 0..config.moves_per_walk {
             let ns = moves(model, &current);
             if ns.is_empty() {
@@ -742,26 +668,11 @@ pub fn rand_optimize_with(
             }
             let Ok(pc) = model.cost(&pick) else { continue };
             let c = pc.total(&model.params);
-            let accept = match config.kind {
-                RandKind::IterativeImprovement => c < current_cost,
-                RandKind::SimulatedAnnealing => {
-                    c < current_cost
-                        || rng.chance(
-                            (-(c - current_cost) / temperature.max(1e-9))
-                                .exp()
-                                .clamp(0.0, 1.0),
-                        )
-                }
-            };
-            let reason = match (accept, c < current_cost, config.kind) {
-                (_, true, _) => "downhill move",
-                (true, false, _) => "uphill move accepted (simulated annealing)",
-                (false, false, RandKind::IterativeImprovement) => {
-                    "uphill move (iterative improvement accepts only downhill)"
-                }
-                (false, false, RandKind::SimulatedAnnealing) => {
-                    "uphill move rejected (annealing chance failed)"
-                }
+            let accept = c < current_cost;
+            let reason = if accept {
+                "downhill move"
+            } else {
+                "uphill move (iterative improvement accepts only downhill)"
             };
             candidate_event(
                 &pick,
@@ -779,7 +690,6 @@ pub fn rand_optimize_with(
                     best_cost = c;
                 }
             }
-            temperature *= 0.9;
         }
     }
     RandOutcome {

@@ -11,8 +11,6 @@ pub enum CostError {
     UnknownTemp(String),
     /// A temporary was addressed through an `Entity` leaf.
     TempAsEntity(String),
-    /// A `Fix` whose "recursive" side never references the temporary.
-    NotRecursive(String),
     /// A needed statistic is missing.
     MissingStats,
     /// Structural error in the plan.
@@ -24,9 +22,6 @@ impl fmt::Display for CostError {
         match self {
             CostError::UnknownTemp(n) => write!(f, "unknown temporary `{n}`"),
             CostError::TempAsEntity(n) => write!(f, "temporary `{n}` used as entity"),
-            CostError::NotRecursive(n) => {
-                write!(f, "Fix({n}, ...) has no recursive reference to `{n}`")
-            }
             CostError::MissingStats => write!(f, "missing statistics"),
             CostError::Pt(e) => write!(f, "plan structure: {e}"),
         }

@@ -1,6 +1,6 @@
 //! Cost features: the parameter-independent measurements each per-node
-//! estimate is built from, and the operator-kind taxonomy residual
-//! reporting groups by.
+//! estimate is built from. (Residual reporting groups them by
+//! [`oorq_pt::OpKind`], re-exported from this crate.)
 //!
 //! Splitting every Figure 5 formula into a feature vector times the
 //! [`CostWeights`](crate::CostWeights) makes the model *calibratable*:
@@ -9,66 +9,6 @@
 //! counters never has to re-run the estimator.
 
 use crate::params::CostWeights;
-
-/// The kind of a PT operator, for grouping residuals and drift reports.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub enum OpKind {
-    /// Entity (class/relation extension) sequential scan.
-    Scan,
-    /// Temporary (fixpoint accumulator/delta) scan.
-    TempScan,
-    /// Predicate selection by scan.
-    Sel,
-    /// Predicate selection through a selection index.
-    SelIdx,
-    /// Projection (with streaming dedup).
-    Proj,
-    /// Implicit join (attribute dereference).
-    Ij,
-    /// Path-index join.
-    Pij,
-    /// Explicit nested-loop join.
-    Ej,
-    /// Explicit join through an index.
-    EjIdx,
-    /// Union of two legs.
-    Union,
-    /// Semi-naive fixpoint.
-    Fix,
-}
-
-impl OpKind {
-    /// Every kind, in a stable order (report row order).
-    pub fn all() -> &'static [OpKind] {
-        use OpKind::*;
-        &[
-            Scan, TempScan, Sel, SelIdx, Proj, Ij, Pij, Ej, EjIdx, Union, Fix,
-        ]
-    }
-
-    /// Stable short name.
-    pub fn name(&self) -> &'static str {
-        match self {
-            OpKind::Scan => "Scan",
-            OpKind::TempScan => "TempScan",
-            OpKind::Sel => "Sel",
-            OpKind::SelIdx => "Sel^idx",
-            OpKind::Proj => "Proj",
-            OpKind::Ij => "IJ",
-            OpKind::Pij => "PIJ",
-            OpKind::Ej => "EJ",
-            OpKind::EjIdx => "EJ^idx",
-            OpKind::Union => "Union",
-            OpKind::Fix => "Fix",
-        }
-    }
-}
-
-impl std::fmt::Display for OpKind {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "{}", self.name())
-    }
-}
 
 /// The feature vector of one operator's *own* (exclusive) work. All
 /// entries are counts in the estimator's physical units; predicted cost
@@ -105,19 +45,6 @@ impl CostFeatures {
     /// Predicted evaluations under the given weights.
     pub fn cpu(&self, w: &CostWeights) -> f64 {
         self.evals * w.eval + self.method_units * w.method
-    }
-
-    /// Scale every feature (fixpoint iteration multiplication).
-    pub fn scale(&self, k: f64) -> CostFeatures {
-        CostFeatures {
-            seq_pages: self.seq_pages * k,
-            deref_pages: self.deref_pages * k,
-            index_level_ios: self.index_level_ios * k,
-            index_leaf_ios: self.index_leaf_ios * k,
-            write_pages: self.write_pages * k,
-            evals: self.evals * k,
-            method_units: self.method_units * k,
-        }
     }
 
     /// The io-side feature columns, in fit order (shared between the

@@ -17,9 +17,10 @@ mod params;
 mod profiles;
 
 pub use error::CostError;
-pub use features::{CostFeatures, OpKind};
+pub use features::CostFeatures;
 pub use guard::{guard_hi, guard_lo, sane_rows};
 pub use model::{CostModel, FixCurve, NodeCost, PlanCost};
+pub use oorq_pt::OpKind;
 pub use parallel::{choose_dop, effective_workers, merge_cost, parallel_cost, ParallelParams};
 pub use params::{Cost, CostParams, CostWeights};
 pub use profiles::{FixProfile, FixProfiles};

@@ -26,13 +26,13 @@
 
 use std::collections::HashMap;
 
-use oorq_pt::{AccessMethod, JoinAlgo, Pt};
-use oorq_query::{CmpOp, Expr};
+use oorq_pt::{node_op, pij_out_classes, NodeOp, OpKind, Pt};
+use oorq_query::{bind_path, CmpOp, Expr};
 use oorq_schema::{AttrId, AttributeKind, Catalog, ClassId, ResolvedType};
-use oorq_storage::{DbStats, EntitySource, IndexKindDesc, PhysicalSchema, WidthModel};
+use oorq_storage::{DbStats, EntityId, EntitySource, IndexKindDesc, PhysicalSchema, WidthModel};
 
 use crate::error::CostError;
-use crate::features::{CostFeatures, OpKind};
+use crate::features::CostFeatures;
 use crate::guard::sane_rows;
 use crate::params::{Cost, CostParams};
 
@@ -145,6 +145,45 @@ struct NodeEst {
     fanout_base: Option<FanoutBase>,
 }
 
+impl NodeEst {
+    fn new(rows: f64, pages: f64, cols: HashMap<String, ColInfo>, cost: Cost) -> NodeEst {
+        NodeEst {
+            rows,
+            pages,
+            cols,
+            cost,
+            fanout_base: None,
+        }
+    }
+
+    /// The estimate above a fan-out operator (IJ/PIJ) over `self` that
+    /// multiplies each row by `fan`.
+    fn fanned_out(
+        self,
+        fan: f64,
+        rows: f64,
+        pages: f64,
+        cols: HashMap<String, ColInfo>,
+    ) -> NodeEst {
+        let fanout_base = Some(match self.fanout_base {
+            Some(fb) => FanoutBase {
+                mult: fb.mult * fan.max(1.0),
+                ..fb
+            },
+            None => FanoutBase {
+                cols: self.cols.keys().cloned().collect(),
+                rows: self.rows,
+                mult: fan.max(1.0),
+                sel: 1.0,
+            },
+        });
+        NodeEst {
+            fanout_base,
+            ..NodeEst::new(rows, pages, cols, self.cost)
+        }
+    }
+}
+
 /// Per-row access cost of evaluating an expression, split by component
 /// so each lands in its own calibratable feature.
 #[derive(Debug, Clone, Default)]
@@ -234,37 +273,17 @@ impl<'a> CostModel<'a> {
 
     /// Estimate the cost of a whole plan.
     pub fn cost(&self, pt: &Pt) -> Result<PlanCost, CostError> {
-        // Under residency modeling, an entity that some operator of this
-        // plan scans in full (and that fits in the buffer) is resident
-        // for every *other* access: the scan pays the cold reads — a
-        // canonical attribution independent of operator order, matching
-        // the executor's buffer whichever branch runs first. Entity
-        // leaves accessed through an index are not scans.
+        // Under residency modeling, an entity the plan names as a leaf
+        // (and that fits in the buffer) is resident for every *other*
+        // access: its scan pays the cold reads — a canonical attribution
+        // independent of operator order, matching the executor's buffer
+        // whichever branch runs first. The extent an index selection
+        // probes is not scanned. (Implicit-join targets and index-join
+        // inners still count: the calibrated snapshot was fitted with
+        // them in.)
         let mut scan_resident = std::collections::HashSet::new();
         if self.params.residency && self.params.buffer_frames > 0 {
-            let b = self.params.buffer_frames as f64;
-            let mut scanned: Vec<(*const Pt, oorq_storage::EntityId)> = Vec::new();
-            let mut via_index: std::collections::HashSet<*const Pt> = Default::default();
-            pt.visit(&mut |n| match n {
-                Pt::Entity { id, .. } => scanned.push((n as *const Pt, *id)),
-                Pt::Sel {
-                    method: AccessMethod::Index(_),
-                    input,
-                    ..
-                } => {
-                    via_index.insert(input.as_ref() as *const Pt);
-                }
-                _ => {}
-            });
-            for (ptr, id) in scanned {
-                if via_index.contains(&ptr) {
-                    continue;
-                }
-                let (_, pages) = self.entity_rows_pages(id);
-                if pages > 0.0 && pages <= b {
-                    scan_resident.insert(id);
-                }
-            }
+            self.resident_leaves(pt, &mut scan_resident)?;
         }
         let mut ctx = EstCtx {
             model: self,
@@ -273,6 +292,7 @@ impl<'a> CostModel<'a> {
             node_ids: oorq_pt::node_ids(pt),
             hot: std::collections::HashSet::new(),
             scan_resident,
+            folding: false,
         };
         let est = ctx.est(pt, true)?;
         Ok(PlanCost {
@@ -280,6 +300,30 @@ impl<'a> CostModel<'a> {
             rows: est.rows,
             breakdown: ctx.breakdown,
         })
+    }
+
+    /// Every buffer-fitting entity leaf of the plan, except the extents
+    /// index selections probe.
+    fn resident_leaves(
+        &self,
+        pt: &Pt,
+        out: &mut std::collections::HashSet<EntityId>,
+    ) -> Result<(), CostError> {
+        match node_op(self.catalog, self.physical, pt)? {
+            NodeOp::EntityScan { entity, .. } => {
+                let (_, pages) = self.entity_rows_pages(entity);
+                if pages > 0.0 && pages <= self.params.buffer_frames as f64 {
+                    out.insert(entity);
+                }
+            }
+            NodeOp::IndexSelect { .. } => {}
+            _ => {
+                for c in pt.children() {
+                    self.resident_leaves(c, out)?;
+                }
+            }
+        }
+        Ok(())
     }
 
     /// Estimated iteration count for fixpoints: the deepest chain in the
@@ -432,6 +476,10 @@ struct EstCtx<'m, 'a> {
     /// in the buffer (see [`CostModel::cost`]): the scan pays their
     /// cold reads, every other access is a buffer hit.
     scan_resident: std::collections::HashSet<oorq_storage::EntityId>,
+    /// True while re-estimating a recursive leg for passes 2..n: those
+    /// lines are folded into the first pass's and dropped, so they carry
+    /// no label.
+    folding: bool,
 }
 
 impl EstCtx<'_, '_> {
@@ -513,21 +561,33 @@ impl EstCtx<'_, '_> {
         cold
     }
 
-    /// Estimate a node. `charge_scan` is false for leaves accessed
-    /// through an index (their sequential scan is replaced by probes).
+    /// Estimate a node as the operator [`node_op`] resolves it to.
+    /// `charge_scan` is false for the leaf an index probe absorbs (its
+    /// sequential scan is replaced by probes; the line keeps the leaf's
+    /// shape and cardinality).
     fn est(&mut self, pt: &Pt, charge_scan: bool) -> Result<NodeEst, CostError> {
         let m = self.model;
         let p = &m.params;
         let w = &p.weights;
-        let est = match pt {
-            Pt::Entity { id, var } => {
-                let (rows, pages) = m.entity_rows_pages(*id);
-                let desc = m.physical.entity(*id);
+        let op = node_op(m.catalog, m.physical, pt)?;
+        let kind = op.kind();
+        let mut label = if self.folding {
+            String::new()
+        } else {
+            op.label(m.catalog, m.physical)
+        };
+        let mut fix = None;
+        // Each arm yields the node's own features and its estimate with
+        // the children's cost; the node's own cost is added below.
+        let (feat, mut est) = match op {
+            NodeOp::EntityScan { entity: id, var } => {
+                let (rows, pages) = m.entity_rows_pages(id);
+                let desc = m.physical.entity(id);
                 let mut cols = HashMap::new();
                 match &desc.source {
                     EntitySource::Class(c) => {
                         cols.insert(
-                            var.clone(),
+                            var.to_string(),
                             ColInfo {
                                 ty: ResolvedType::Object(*c),
                                 resident: true,
@@ -551,35 +611,19 @@ impl EstCtx<'_, '_> {
                 }
                 let feat = CostFeatures {
                     seq_pages: if charge_scan {
-                        self.entity_stream(*id, pages, pages)
+                        self.entity_stream(id, pages, pages)
                     } else {
                         0.0
                     },
                     ..CostFeatures::default()
                 };
-                let own = Cost::new(feat.io(w), feat.cpu(w));
-                self.note(
-                    pt,
-                    OpKind::Scan,
-                    format!("scan {}", desc.name),
-                    feat,
-                    own,
-                    rows,
-                    pages,
-                );
-                NodeEst {
-                    rows,
-                    pages,
-                    cols,
-                    cost: own,
-                    fanout_base: None,
-                }
+                (feat, NodeEst::new(rows, pages, cols, Cost::zero()))
             }
-            Pt::Temp { name, var } => {
+            NodeOp::TempScan { name, var } => {
                 let fields = m
                     .temp_fields
                     .get(name)
-                    .ok_or_else(|| CostError::UnknownTemp(name.clone()))?;
+                    .ok_or_else(|| CostError::UnknownTemp(name.to_string()))?;
                 let rows = sane_rows(
                     self.temp_rows
                         .get(name)
@@ -609,96 +653,45 @@ impl EstCtx<'_, '_> {
                     seq_pages: if charge_scan && !hot_temp { pages } else { 0.0 },
                     ..CostFeatures::default()
                 };
-                let own = Cost::new(feat.io(w), feat.cpu(w));
-                self.note(
-                    pt,
-                    OpKind::TempScan,
-                    format!("scan temp {name}"),
-                    feat,
-                    own,
-                    rows,
-                    pages,
-                );
-                NodeEst {
-                    rows,
-                    pages,
-                    cols,
-                    cost: own,
-                    fanout_base: None,
-                }
+                (feat, NodeEst::new(rows, pages, cols, Cost::zero()))
             }
-            Pt::Sel {
-                pred,
-                method,
-                input,
-            } => {
-                match method {
-                    AccessMethod::Scan => {
-                        let mut child = self.est(input, true)?;
-                        let ec = self.expr_access_cost(pred, &child.cols);
-                        let sel = self.selectivity(pred, &child.cols);
-                        let feat = CostFeatures {
-                            deref_pages: self.expr_stream(child.rows, &ec),
-                            evals: child.rows * ec.evals,
-                            method_units: child.rows * ec.method_units,
-                            ..CostFeatures::default()
-                        };
-                        let own = Cost::new(feat.io(w), feat.cpu(w));
-                        child.cost += own;
-                        child.rows = sane_rows(child.rows * sel);
-                        child.pages = (child.pages * sel).max(child.rows.min(1.0));
-                        if let Some(fb) = &mut child.fanout_base {
-                            fb.sel *= sel;
-                        }
-                        self.note(
-                            pt,
-                            OpKind::Sel,
-                            format!("Sel[{pred}]"),
-                            feat,
-                            own,
-                            child.rows,
-                            child.pages,
-                        );
-                        child
-                    }
-                    AccessMethod::Index(idx) => {
-                        // Index access replaces the scan of the entity leaf.
-                        let mut child = self.est(input, false)?;
-                        let desc = m.physical.index(*idx);
-                        let sel = self.selectivity(pred, &child.cols);
-                        let matches = sane_rows(child.rows * sel);
-                        // Fetch the matched objects' pages (free when the
-                        // plan scans the entity anyway, else at most its
-                        // pages when it fits in the buffer).
-                        let fetch = match input.as_ref() {
-                            Pt::Entity { id, .. } => self.fetch_stream(*id, child.pages, matches),
-                            _ => self.deref_stream(matches, child.pages),
-                        };
-                        let feat = CostFeatures {
-                            index_level_ios: desc.stats.nblevels as f64,
-                            index_leaf_ios: (matches / 8.0).max(0.0),
-                            deref_pages: fetch,
-                            evals: matches,
-                            ..CostFeatures::default()
-                        };
-                        let own = Cost::new(feat.io(w), feat.cpu(w));
-                        child.cost += own;
-                        child.rows = matches;
-                        child.pages = (child.pages * sel).max(child.rows.min(1.0));
-                        self.note(
-                            pt,
-                            OpKind::SelIdx,
-                            format!("Sel^idx[{pred}]"),
-                            feat,
-                            own,
-                            child.rows,
-                            child.pages,
-                        );
-                        child
-                    }
+            NodeOp::Filter { pred, input, .. } => {
+                let mut child = self.est(input, true)?;
+                let ec = self.expr_access_cost(pred, &child.cols);
+                let sel = self.selectivity(pred, &child.cols);
+                let feat = CostFeatures {
+                    deref_pages: self.expr_stream(child.rows, &ec),
+                    evals: child.rows * ec.evals,
+                    method_units: child.rows * ec.method_units,
+                    ..CostFeatures::default()
+                };
+                child.rows = sane_rows(child.rows * sel);
+                child.pages = (child.pages * sel).max(child.rows.min(1.0));
+                if let Some(fb) = &mut child.fanout_base {
+                    fb.sel *= sel;
                 }
+                (feat, child)
             }
-            Pt::Proj { cols, input } => {
+            NodeOp::IndexSelect { pred, probe, leaf } => {
+                // Index access replaces the scan of the entity leaf.
+                let mut child = self.est(leaf, false)?;
+                let sel = self.selectivity(pred, &child.cols);
+                let matches = sane_rows(child.rows * sel);
+                let feat = CostFeatures {
+                    index_level_ios: probe.nblevels as f64,
+                    index_leaf_ios: (matches / 8.0).max(0.0),
+                    // Fetch the matched objects' pages (free when the
+                    // plan scans the entity anyway, else at most its
+                    // pages when it fits in the buffer).
+                    deref_pages: self.fetch_stream(probe.entity, child.pages, matches),
+                    evals: matches,
+                    ..CostFeatures::default()
+                };
+                child.rows = matches;
+                child.pages = (child.pages * sel).max(child.rows.min(1.0));
+                (feat, child)
+            }
+            NodeOp::Project { exprs: cols, input } => {
                 let child = self.est(input, true)?;
                 // No per-column copy surcharge: the executor counts
                 // evaluations only for comparisons and methods, and the
@@ -714,7 +707,6 @@ impl EstCtx<'_, '_> {
                     method_units: child.rows * ec_total.method_units,
                     ..CostFeatures::default()
                 };
-                let own = Cost::new(feat.io(w), feat.cpu(w));
                 // Existential dedup: projecting back onto columns that
                 // existed before a fan-out collapses the multiplied rows
                 // (independence assumption over the fanned-out members).
@@ -745,24 +737,9 @@ impl EstCtx<'_, '_> {
                 }
                 let types: Vec<ResolvedType> = out_cols.values().map(|c| c.ty.clone()).collect();
                 let pages = self.pages_est(out_rows, &types);
-                self.note(
-                    pt,
-                    OpKind::Proj,
-                    "Proj".to_string(),
-                    feat,
-                    own,
-                    out_rows,
-                    pages,
-                );
-                NodeEst {
-                    rows: out_rows,
-                    pages,
-                    cols: out_cols,
-                    cost: child.cost + own,
-                    fanout_base: None,
-                }
+                (feat, NodeEst::new(out_rows, pages, out_cols, child.cost))
             }
-            Pt::IJ {
+            NodeOp::IjDeref {
                 on,
                 step,
                 out,
@@ -779,18 +756,7 @@ impl EstCtx<'_, '_> {
                 };
                 let rows = sane_rows(child.rows * fanout.max(f64::MIN_POSITIVE));
                 let per_deref = if clustered { p.clustered_access } else { 1.0 };
-                let target_class = match target.as_ref() {
-                    Pt::Entity { id, .. } => match m.physical.entity(*id).source {
-                        EntitySource::Class(c) => Some(c),
-                        _ => None,
-                    },
-                    _ => None,
-                }
-                .or_else(|| {
-                    step.class_attr
-                        .and_then(|(c, a)| m.catalog.attribute(c, a).ty.referenced_class())
-                })
-                .ok_or_else(|| CostError::Pt(oorq_pt::PtError::NotAReference(step.name.clone())))?;
+                let target_class = step.target_class(m.catalog, m.physical, target)?;
                 // Target dereferences are capped at the target entity's
                 // cold pages when it fits in the buffer.
                 let target_fetch = match m.physical.entities_of_class(target_class).first() {
@@ -803,10 +769,9 @@ impl EstCtx<'_, '_> {
                     method_units: child.rows * ec.method_units,
                     ..CostFeatures::default()
                 };
-                let own = Cost::new(feat.io(w), feat.cpu(w));
                 let mut cols = child.cols.clone();
                 cols.insert(
-                    out.clone(),
+                    out.to_string(),
                     ColInfo {
                         ty: ResolvedType::Object(target_class),
                         resident: true,
@@ -814,36 +779,9 @@ impl EstCtx<'_, '_> {
                 );
                 let types: Vec<ResolvedType> = cols.values().map(|c| c.ty.clone()).collect();
                 let pages = self.pages_est(rows, &types);
-                let fanout_base = Some(match child.fanout_base {
-                    Some(fb) => FanoutBase {
-                        mult: fb.mult * fanout.max(1.0),
-                        ..fb
-                    },
-                    None => FanoutBase {
-                        cols: child.cols.keys().cloned().collect(),
-                        rows: child.rows,
-                        mult: fanout.max(1.0),
-                        sel: 1.0,
-                    },
-                });
-                self.note(
-                    pt,
-                    OpKind::Ij,
-                    format!("IJ_{}", step.name),
-                    feat,
-                    own,
-                    rows,
-                    pages,
-                );
-                NodeEst {
-                    rows,
-                    pages,
-                    cols,
-                    cost: child.cost + own,
-                    fanout_base,
-                }
+                (feat, child.fanned_out(fanout, rows, pages, cols))
             }
-            Pt::PIJ {
+            NodeOp::PijLookup {
                 index,
                 on,
                 outs,
@@ -851,7 +789,7 @@ impl EstCtx<'_, '_> {
                 ..
             } => {
                 let child = self.est(input, true)?;
-                let desc = m.physical.index(*index);
+                let desc = m.physical.index(index);
                 let IndexKindDesc::Path { path } = desc.kind.clone() else {
                     return Err(CostError::Pt(oorq_pt::PtError::NotAPathIndex));
                 };
@@ -883,194 +821,103 @@ impl EstCtx<'_, '_> {
                     method_units: child.rows * ec.method_units,
                     ..CostFeatures::default()
                 };
-                let own = Cost::new(feat.io(w), feat.cpu(w));
                 let mut cols = child.cols.clone();
-                for (i, outn) in outs.iter().enumerate() {
-                    let (c, a) = path[i];
-                    let attr = m.catalog.attribute(c, a);
-                    if let Some(tc) = attr.ty.referenced_class() {
-                        cols.insert(
-                            outn.clone(),
-                            // Index-only: the objects' pages are NOT read.
-                            ColInfo {
-                                ty: ResolvedType::Object(tc),
-                                resident: false,
-                            },
-                        );
-                    }
+                let classes = pij_out_classes(m.catalog, m.physical, index, outs)?;
+                for (outn, tc) in outs.iter().zip(classes) {
+                    // Index-only: the objects' pages are NOT read.
+                    let (ty, resident) = (ResolvedType::Object(tc), false);
+                    cols.insert(outn.clone(), ColInfo { ty, resident });
                 }
                 let types: Vec<ResolvedType> = cols.values().map(|c| c.ty.clone()).collect();
                 let pages = self.pages_est(rows, &types);
-                let fanout_base = Some(match child.fanout_base {
-                    Some(fb) => FanoutBase {
-                        mult: fb.mult * fan.max(1.0),
-                        ..fb
-                    },
-                    None => FanoutBase {
-                        cols: child.cols.keys().cloned().collect(),
-                        rows: child.rows,
-                        mult: fan.max(1.0),
-                        sel: 1.0,
-                    },
-                });
-                self.note(
-                    pt,
-                    OpKind::Pij,
-                    format!("PIJ_{}", desc.display_name(m.catalog)),
-                    feat,
-                    own,
-                    rows,
-                    pages,
-                );
-                NodeEst {
-                    rows,
-                    pages,
-                    cols,
-                    cost: child.cost + own,
-                    fanout_base,
-                }
+                (feat, child.fanned_out(fan, rows, pages, cols))
             }
-            Pt::EJ {
+            NodeOp::NlJoin {
                 pred,
-                algo,
+                rescan_inner,
                 left,
                 right,
+                ..
             } => {
                 let l = self.est(left, true)?;
-                match algo {
-                    JoinAlgo::NestedLoop => {
-                        let r = self.est(right, true)?;
-                        let mut cols = l.cols.clone();
-                        for (k, v) in &r.cols {
-                            cols.insert(k.clone(), v.clone());
-                        }
-                        let sel = self.selectivity(pred, &cols);
-                        let rows = sane_rows(l.rows * r.rows * sel);
-                        // Inner rescans. A rescannable (leaf-ish) inner is
-                        // re-opened through the buffer: free when it fits
-                        // the buffer, a full rescan per outer row past it.
-                        // A non-rescannable inner is materialized into a
-                        // page-store temporary under the breaker memory
-                        // budget: the build writes its pages once, and
-                        // every outer row rescans the temporary — hot
-                        // while it fits the budget-capped capacity, full
-                        // page re-reads once spilled. The materialization
-                        // terms are residency-gated so the symbolic §4.6
-                        // model keeps its shape.
-                        let bt = p.breaker_frames();
-                        let mat = p.residency && !pt_rescannable(right);
-                        let mat_writes = if mat { r.pages } else { 0.0 };
-                        let cap = if mat { bt } else { p.buffer_frames as f64 };
-                        let rescan_io = if r.pages <= cap {
-                            0.0
-                        } else if mat {
-                            l.rows * r.pages
-                        } else {
-                            (l.rows - 1.0).max(0.0) * r.pages
-                        };
-                        let ec = self.expr_access_cost(pred, &cols);
-                        let pairs = l.rows * r.rows;
-                        let feat = CostFeatures {
-                            seq_pages: rescan_io,
-                            deref_pages: self.expr_stream(pairs, &ec),
-                            write_pages: mat_writes,
-                            evals: pairs * ec.evals.max(1.0),
-                            method_units: pairs * ec.method_units,
-                            ..CostFeatures::default()
-                        };
-                        let own = Cost::new(feat.io(w), feat.cpu(w));
-                        let types: Vec<ResolvedType> =
-                            cols.values().map(|c| c.ty.clone()).collect();
-                        let pages = self.pages_est(rows, &types);
-                        self.note(
-                            pt,
-                            OpKind::Ej,
-                            format!("EJ[{pred}]"),
-                            feat,
-                            own,
-                            rows,
-                            pages,
-                        );
-                        NodeEst {
-                            rows,
-                            pages,
-                            cols,
-                            cost: l.cost + r.cost + own,
-                            fanout_base: None,
-                        }
-                    }
-                    JoinAlgo::IndexJoin(idx) => {
-                        let r = self.est(right, false)?;
-                        let desc = m.physical.index(*idx);
-                        let mut cols = l.cols.clone();
-                        for (k, v) in &r.cols {
-                            cols.insert(k.clone(), v.clone());
-                        }
-                        let sel = self.selectivity(pred, &cols);
-                        let rows = sane_rows(l.rows * r.rows * sel);
-                        let matches_per_probe = (r.rows * sel * l.rows).max(0.0) / l.rows.max(1.0);
-                        let feat = CostFeatures {
-                            index_level_ios: l.rows * desc.stats.nblevels as f64,
-                            index_leaf_ios: l.rows * matches_per_probe,
-                            evals: rows.max(l.rows),
-                            ..CostFeatures::default()
-                        };
-                        let own = Cost::new(feat.io(w), feat.cpu(w));
-                        let types: Vec<ResolvedType> =
-                            cols.values().map(|c| c.ty.clone()).collect();
-                        let pages = self.pages_est(rows, &types);
-                        self.note(
-                            pt,
-                            OpKind::EjIdx,
-                            format!("EJ^idx[{pred}]"),
-                            feat,
-                            own,
-                            rows,
-                            pages,
-                        );
-                        NodeEst {
-                            rows,
-                            pages,
-                            cols,
-                            cost: l.cost + r.cost + own,
-                            fanout_base: None,
-                        }
-                    }
+                let r = self.est(right, true)?;
+                let mut cols = l.cols.clone();
+                for (k, v) in &r.cols {
+                    cols.insert(k.clone(), v.clone());
                 }
+                let sel = self.selectivity(pred, &cols);
+                let rows = sane_rows(l.rows * r.rows * sel);
+                // Inner rescans. A rescannable (leaf-ish) inner is
+                // re-opened through the buffer: free when it fits
+                // the buffer, a full rescan per outer row past it.
+                // A non-rescannable inner is materialized into a
+                // page-store temporary under the breaker memory
+                // budget: the build writes its pages once, and
+                // every outer row rescans the temporary — hot
+                // while it fits the budget-capped capacity, full
+                // page re-reads once spilled. The materialization
+                // terms are residency-gated so the symbolic §4.6
+                // model keeps its shape.
+                let bt = p.breaker_frames();
+                let mat = p.residency && !rescan_inner;
+                let mat_writes = if mat { r.pages } else { 0.0 };
+                let cap = if mat { bt } else { p.buffer_frames as f64 };
+                let rescan_io = if r.pages <= cap {
+                    0.0
+                } else if mat {
+                    l.rows * r.pages
+                } else {
+                    (l.rows - 1.0).max(0.0) * r.pages
+                };
+                let ec = self.expr_access_cost(pred, &cols);
+                let pairs = l.rows * r.rows;
+                let feat = CostFeatures {
+                    seq_pages: rescan_io,
+                    deref_pages: self.expr_stream(pairs, &ec),
+                    write_pages: mat_writes,
+                    evals: pairs * ec.evals.max(1.0),
+                    method_units: pairs * ec.method_units,
+                    ..CostFeatures::default()
+                };
+                let types: Vec<ResolvedType> = cols.values().map(|c| c.ty.clone()).collect();
+                let pages = self.pages_est(rows, &types);
+                (feat, NodeEst::new(rows, pages, cols, l.cost + r.cost))
             }
-            Pt::Union { left, right } => {
+            NodeOp::IndexJoin {
+                pred,
+                probe,
+                left,
+                inner,
+            } => {
+                let l = self.est(left, true)?;
+                let r = self.est(inner, false)?;
+                let mut cols = l.cols.clone();
+                for (k, v) in &r.cols {
+                    cols.insert(k.clone(), v.clone());
+                }
+                let sel = self.selectivity(pred, &cols);
+                let rows = sane_rows(l.rows * r.rows * sel);
+                let matches_per_probe = (r.rows * sel * l.rows).max(0.0) / l.rows.max(1.0);
+                let feat = CostFeatures {
+                    index_level_ios: l.rows * probe.nblevels as f64,
+                    index_leaf_ios: l.rows * matches_per_probe,
+                    evals: rows.max(l.rows),
+                    ..CostFeatures::default()
+                };
+                let types: Vec<ResolvedType> = cols.values().map(|c| c.ty.clone()).collect();
+                let pages = self.pages_est(rows, &types);
+                (feat, NodeEst::new(rows, pages, cols, l.cost + r.cost))
+            }
+            NodeOp::UnionAll { left, right } => {
                 let l = self.est(left, true)?;
                 let r = self.est(right, true)?;
-                let rows = l.rows + r.rows;
-                self.note(
-                    pt,
-                    OpKind::Union,
-                    "Union".to_string(),
-                    CostFeatures::default(),
-                    Cost::zero(),
-                    rows,
-                    l.pages + r.pages,
-                );
-                NodeEst {
-                    rows,
-                    pages: l.pages + r.pages,
-                    cols: l.cols,
-                    cost: l.cost + r.cost,
-                    fanout_base: None,
-                }
+                let (rows, pages) = (l.rows + r.rows, l.pages + r.pages);
+                let est = NodeEst::new(rows, pages, l.cols, l.cost + r.cost);
+                (CostFeatures::default(), est)
             }
-            Pt::Fix { temp, body } => {
-                let Pt::Union { left, right } = body.as_ref() else {
-                    return Err(CostError::Pt(oorq_pt::PtError::FixBodyNotUnion));
-                };
-                let (base, rec) = if left.references_temp(temp) {
-                    (right.as_ref(), left.as_ref())
-                } else {
-                    (left.as_ref(), right.as_ref())
-                };
-                if !rec.references_temp(temp) {
-                    return Err(CostError::NotRecursive(temp.clone()));
-                }
+            NodeOp::FixPoint {
+                temp, base, rec, ..
+            } => {
                 let base_est = self.est(base, true)?;
                 // Model the per-iteration delta curve — a fitted profile
                 // when one exists, the flat-delta fallback otherwise —
@@ -1080,9 +927,10 @@ impl EstCtx<'_, '_> {
                 // and all).
                 let curve = m.fix_delta_curve(temp, base_est.rows);
                 let total_rows = curve.total_rows;
-                let saved = self
-                    .temp_rows
-                    .insert(temp.clone(), curve.deltas.first().copied().unwrap_or(1.0));
+                let saved = self.temp_rows.insert(
+                    temp.to_string(),
+                    curve.deltas.first().copied().unwrap_or(1.0),
+                );
                 let rec_mark = self.breakdown.len();
                 self.est(rec, true)?;
                 let first_len = self.breakdown.len() - rec_mark;
@@ -1115,9 +963,11 @@ impl EstCtx<'_, '_> {
                     })
                     .collect();
                 for d in &curve.deltas[1..] {
-                    self.temp_rows.insert(temp.clone(), *d);
+                    self.temp_rows.insert(temp.to_string(), *d);
                     let pass_mark = self.breakdown.len();
+                    let outer = std::mem::replace(&mut self.folding, true);
                     self.est(rec, true)?;
+                    self.folding = outer;
                     debug_assert_eq!(
                         self.breakdown.len() - pass_mark,
                         first_len,
@@ -1141,7 +991,7 @@ impl EstCtx<'_, '_> {
                 }
                 match saved {
                     Some(s) => {
-                        self.temp_rows.insert(temp.clone(), s);
+                        self.temp_rows.insert(temp.to_string(), s);
                     }
                     None => {
                         self.temp_rows.remove(temp);
@@ -1157,7 +1007,7 @@ impl EstCtx<'_, '_> {
                 let fields = m
                     .temp_fields
                     .get(temp)
-                    .ok_or_else(|| CostError::UnknownTemp(temp.clone()))?;
+                    .ok_or_else(|| CostError::UnknownTemp(temp.to_string()))?;
                 let types: Vec<ResolvedType> = fields.iter().map(|(_, t)| t.clone()).collect();
                 let total_pages = self.pages_est(total_rows, &types);
                 // The materialization writes, plus the readback: the
@@ -1181,7 +1031,6 @@ impl EstCtx<'_, '_> {
                     write_pages: total_pages,
                     ..CostFeatures::default()
                 };
-                let own = Cost::new(own_feat.io(w), own_feat.cpu(w));
                 let mut cols = HashMap::new();
                 for (nf, t) in fields {
                     cols.insert(
@@ -1192,52 +1041,26 @@ impl EstCtx<'_, '_> {
                         },
                     );
                 }
-                self.note(
-                    pt,
-                    OpKind::Fix,
-                    format!("Fix({temp}) x{:.0}", curve.iterations),
-                    own_feat,
-                    own,
-                    total_rows,
-                    total_pages,
-                );
-                if let Some(line) = self.breakdown.last_mut() {
-                    line.fix = Some(curve);
-                }
-                NodeEst {
-                    rows: total_rows,
-                    pages: total_pages,
-                    cols,
-                    cost: base_est.cost + iter_cost + own,
-                    fanout_base: None,
-                }
+                label = format!("{label} x{:.0}", curve.iterations);
+                fix = Some(curve);
+                let children = base_est.cost + iter_cost;
+                let est = NodeEst::new(total_rows, total_pages, cols, children);
+                (own_feat, est)
             }
         };
-        Ok(est)
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn note(
-        &mut self,
-        pt: &Pt,
-        kind: OpKind,
-        label: String,
-        feat: CostFeatures,
-        cost: Cost,
-        rows: f64,
-        pages: f64,
-    ) {
-        let node = self.node_ids.get(&(pt as *const Pt)).copied();
+        let own = Cost::new(feat.io(w), feat.cpu(w));
+        est.cost += own;
         self.breakdown.push(NodeCost {
             label,
             kind,
-            node,
-            cost,
+            node: self.node_ids.get(&(pt as *const Pt)).copied(),
+            cost: own,
             feat,
-            rows,
-            pages,
-            fix: None,
+            rows: est.rows,
+            pages: est.pages,
+            fix,
         });
+        Ok(est)
     }
 
     /// Per-row access cost of evaluating an expression: page fetches
@@ -1250,24 +1073,14 @@ impl EstCtx<'_, '_> {
         match expr {
             Expr::True | Expr::Lit(_) | Expr::Var(_) => {}
             Expr::Path { base, steps } => {
-                // Resolve the base column, allowing qualified `var.field`.
-                let (info, rest): (Option<&ColInfo>, &[String]) = if let Some(ci) = cols.get(base) {
-                    (Some(ci), steps.as_slice())
-                } else if !steps.is_empty() {
-                    let q = format!("{base}.{}", steps[0]);
-                    (cols.get(&q), &steps[1..])
-                } else {
-                    (None, steps.as_slice())
-                };
-                let Some(info) = info else {
+                let Some((info, rest)) = bind_path(base, steps, |c| cols.get(c)) else {
                     return out;
                 };
                 let mut mult = 1.0f64;
                 let mut in_hand = info.resident;
-                let mut ty = info.ty.clone();
+                let mut ty = &info.ty;
                 for step in rest {
-                    ty = strip(ty);
-                    let ResolvedType::Object(class) = ty else {
+                    let Some(class) = ty.referenced_class() else {
                         break;
                     };
                     if !in_hand {
@@ -1295,7 +1108,7 @@ impl EstCtx<'_, '_> {
                     if attr.ty.is_collection() {
                         mult *= m.attr_fanout(class, aid).max(f64::MIN_POSITIVE);
                     }
-                    ty = attr.ty.clone();
+                    ty = &attr.ty;
                     in_hand = false; // referenced objects not yet fetched
                 }
                 // The leaf read itself is free; comparison adds cpu.
@@ -1392,19 +1205,13 @@ impl EstCtx<'_, '_> {
         let Expr::Path { base, steps } = expr else {
             return 1.0;
         };
-        let (info, rest): (Option<&ColInfo>, &[String]) = if let Some(ci) = cols.get(base) {
-            (Some(ci), steps.as_slice())
-        } else if !steps.is_empty() {
-            let q = format!("{base}.{}", steps[0]);
-            (cols.get(&q), &steps[1..])
-        } else {
-            (None, steps)
+        let Some((info, rest)) = bind_path(base, steps, |c| cols.get(c)) else {
+            return 1.0;
         };
-        let Some(info) = info else { return 1.0 };
-        let mut ty = strip(info.ty.clone());
+        let mut ty = &info.ty;
         let mut fan = 1.0f64;
         for step in rest {
-            let ResolvedType::Object(class) = ty else {
+            let Some(class) = ty.referenced_class() else {
                 break;
             };
             let Some((aid, attr)) = m.catalog.attr(class, step) else {
@@ -1413,7 +1220,7 @@ impl EstCtx<'_, '_> {
             if attr.ty.is_collection() {
                 fan *= self.model.attr_fanout(class, aid).max(1.0);
             }
-            ty = strip(attr.ty.clone());
+            ty = &attr.ty;
         }
         fan
     }
@@ -1422,76 +1229,28 @@ impl EstCtx<'_, '_> {
     /// attribute or a column; `None` for constants and computed values.
     fn expr_distinct(&self, expr: &Expr, cols: &HashMap<String, ColInfo>) -> Option<f64> {
         let m = self.model;
-        match expr {
-            Expr::Var(v) => {
-                let info = cols.get(v)?;
-                match &strip(info.ty.clone()) {
-                    ResolvedType::Object(c) => {
-                        let e = m.physical.entities_of_class(*c).first()?;
-                        Some(m.stats.entity(*e)?.cardinality as f64)
-                    }
-                    _ => None,
-                }
-            }
-            Expr::Path { base, steps } => {
-                let (info, rest): (Option<&ColInfo>, &[String]) = if let Some(ci) = cols.get(base) {
-                    (Some(ci), steps.as_slice())
-                } else if !steps.is_empty() {
-                    let q = format!("{base}.{}", steps[0]);
-                    (cols.get(&q), &steps[1..])
-                } else {
-                    (None, steps)
-                };
-                let info = info?;
-                let mut ty = strip(info.ty.clone());
-                if rest.is_empty() {
-                    return match ty {
-                        ResolvedType::Object(c) => {
-                            let e = m.physical.entities_of_class(c).first()?;
-                            Some(m.stats.entity(*e)?.cardinality as f64)
-                        }
-                        _ => None,
-                    };
-                }
-                let mut last: Option<f64> = None;
-                for step in rest {
-                    ty = strip(ty);
-                    let ResolvedType::Object(class) = ty else {
-                        return last;
-                    };
-                    let (aid, attr) = m.catalog.attr(class, step)?;
-                    last = Some(m.attr_distinct(class, aid));
-                    ty = attr.ty.clone();
-                }
-                last
-            }
-            _ => None,
+        let (info, rest) = match expr {
+            Expr::Var(v) => (cols.get(v)?, &[][..]),
+            Expr::Path { base, steps } => bind_path(base, steps, |c| cols.get(c))?,
+            _ => return None,
+        };
+        let mut ty = &info.ty;
+        if rest.is_empty() {
+            let e = m
+                .physical
+                .entities_of_class(ty.referenced_class()?)
+                .first()?;
+            return Some(m.stats.entity(*e)?.cardinality as f64);
         }
-    }
-}
-
-fn strip(ty: ResolvedType) -> ResolvedType {
-    match ty {
-        ResolvedType::Set(e) | ResolvedType::List(e) => strip(*e),
-        other => other,
-    }
-}
-
-/// Mirror of `PhysOp::rescannable` at the PT level: whether a
-/// nested-loop inner lowers to something the executor can honestly
-/// re-open per outer row (a leaf scan under filters/projections), or
-/// becomes a materialize-once breaker backed by a page-store
-/// temporary. Conservative on index selections, which may still lower
-/// to a rescannable filter fallback.
-fn pt_rescannable(pt: &Pt) -> bool {
-    match pt {
-        Pt::Entity { .. } | Pt::Temp { .. } => true,
-        Pt::Sel {
-            method: AccessMethod::Scan,
-            input,
-            ..
+        let mut last: Option<f64> = None;
+        for step in rest {
+            let Some(class) = ty.referenced_class() else {
+                return last;
+            };
+            let (aid, attr) = m.catalog.attr(class, step)?;
+            last = Some(m.attr_distinct(class, aid));
+            ty = &attr.ty;
         }
-        | Pt::Proj { input, .. } => pt_rescannable(input),
-        _ => false,
+        last
     }
 }

@@ -3,7 +3,7 @@
 use std::sync::Arc;
 
 use oorq_datagen::{MusicConfig, MusicDb};
-use oorq_pt::Pt;
+use oorq_pt::{Pt, PtError};
 use oorq_query::paper::music_catalog;
 use oorq_query::Expr;
 use oorq_storage::DbStats;
@@ -292,12 +292,18 @@ fn fix_requires_recursive_union() {
     let cm = model(&m, &stats);
     let e = m.db.physical().entities_of_class(m.composer)[0];
     let bad = Pt::fix("Influencer", Pt::entity(e, "x"));
-    assert!(matches!(cm.cost(&bad), Err(CostError::Pt(_))));
+    assert_eq!(
+        cm.cost(&bad).err(),
+        Some(CostError::Pt(PtError::FixBodyNotUnion))
+    );
     let not_rec = Pt::fix(
         "Influencer",
         Pt::union(Pt::entity(e, "x"), Pt::entity(e, "y")),
     );
-    assert!(matches!(cm.cost(&not_rec), Err(CostError::NotRecursive(_))));
+    assert_eq!(
+        cm.cost(&not_rec).err(),
+        Some(CostError::Pt(PtError::FixNotRecursive("Influencer".into())))
+    );
 }
 
 #[test]
@@ -314,6 +320,35 @@ fn unknown_temp_is_reported() {
         cm.cost(&pt).unwrap_err(),
         CostError::UnknownTemp("Nope".into())
     );
+}
+
+/// With a bare `i` and a qualified `i.master` column both in scope, a
+/// path is costed from the qualified one, as the evaluator reads it:
+/// one page per row to fetch the composition behind `i.master`. (From
+/// the bare `i` — a composer in hand — the path dead-ends at
+/// `Composer.master.title` and would fetch nothing.)
+#[test]
+fn path_is_costed_from_the_qualified_column_when_both_exist() {
+    let (m, stats) = setup(MusicConfig::default());
+    let cm = model(&m, &stats);
+    let composers = m.db.physical().entities_of_class(m.composer)[0];
+    let works = m.db.physical().entities_of_class(m.composition)[0];
+    let plan = Pt::sel(
+        Expr::path("i", &["master", "title"]).eq(Expr::text("op0-0")),
+        Pt::ej(
+            Expr::True,
+            Pt::entity(composers, "i"),
+            Pt::proj(
+                vec![("i.master".into(), Expr::var("w"))],
+                Pt::entity(works, "w"),
+            ),
+        ),
+    );
+    let pc = cm.cost(&plan).unwrap();
+    let sel = pc.breakdown.last().unwrap();
+    assert_eq!(sel.kind, OpKind::Sel);
+    let card = |e| stats.entity(e).unwrap().cardinality as f64;
+    assert_eq!(sel.feat.deref_pages, card(composers) * card(works));
 }
 
 #[test]

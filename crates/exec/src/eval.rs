@@ -3,7 +3,7 @@
 use std::cell::Cell;
 use std::collections::HashSet;
 
-use oorq_query::{CmpOp, Expr, Literal};
+use oorq_query::{bind_path, CmpOp, Expr, Literal};
 use oorq_schema::AttributeKind;
 use oorq_storage::{Database, Oid, Value};
 
@@ -164,23 +164,9 @@ impl EvalCtx<'_> {
                 Ok(row[i].clone())
             }
             Expr::Path { base, steps } => {
-                // Resolve the base column; a qualified `var.field` column
-                // takes precedence (tuple roots are flattened into
-                // qualified columns, and the bare column — if present —
-                // holds an opaque tuple that paths cannot traverse).
-                let qualified = (!steps.is_empty())
-                    .then(|| format!("{base}.{}", steps[0]))
-                    .and_then(|q| cols.iter().position(|c| *c == q));
-                let (start, rest): (usize, &[String]) = match qualified {
-                    Some(i) => (i, &steps[1..]),
-                    None => {
-                        let i = cols
-                            .iter()
-                            .position(|c| c == base)
-                            .ok_or_else(|| ExecError::UnknownColumn(base.clone()))?;
-                        (i, steps.as_slice())
-                    }
-                };
+                let (start, rest) =
+                    bind_path(base, steps, |name| cols.iter().position(|c| c == name))
+                        .ok_or_else(|| ExecError::UnknownColumn(base.clone()))?;
                 let mut vals = vec![row[start].clone()];
                 for step in rest {
                     let mut next = Vec::new();

@@ -45,6 +45,37 @@ fn scan_and_select_by_name() {
     assert!(report.evals >= 12, "one comparison per composer");
 }
 
+/// With a bare `i` and a qualified `i.master` column both in scope, a
+/// path reads the qualified one: the bare column holds a composer,
+/// whose master has no `title`.
+#[test]
+fn path_reads_the_qualified_column_when_both_exist() {
+    let mut m = small_music();
+    let composers = m.db.physical().entities_of_class(m.composer)[0];
+    let works = m.db.physical().entities_of_class(m.composition)[0];
+    let n = m.composer_count() as usize;
+    let idx = IndexSet::new();
+    let methods = MethodRegistry::with_music_methods(m.db.catalog());
+    let mut ex = Executor::new(&mut m.db, &idx, &methods);
+    let plan = Pt::sel(
+        Expr::path("i", &["master", "title"]).eq(Expr::text("op0-0")),
+        Pt::ej(
+            Expr::True,
+            Pt::entity(composers, "i"),
+            Pt::proj(
+                vec![("i.master".into(), Expr::var("w"))],
+                Pt::entity(works, "w"),
+            ),
+        ),
+    );
+    let out = ex.run(&plan).unwrap();
+    assert_eq!(
+        out.len(),
+        n,
+        "every composer pairs with the one titled work"
+    );
+}
+
 #[test]
 fn indexed_select_matches_scan_with_less_io() {
     let mut m = MusicDb::generate(

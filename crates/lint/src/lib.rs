@@ -40,9 +40,6 @@ pub use graph::lint_graph;
 pub use phys::verify_phys;
 pub use plan::verify_pt;
 
-use oorq_query::{parse_program, ParseError, ParsedProgram};
-use oorq_schema::Catalog;
-
 /// Record every diagnostic of a report as a structured trace event
 /// (cat `lint`, name `violation`) carrying the stable code, severity,
 /// location and message, plus a `lint.violations` counter bump. A
@@ -65,18 +62,6 @@ pub fn record_report(obs: &oorq_obs::Recorder, stage: &str, report: &LintReport)
         );
         obs.counter_add("lint.violations", 1.0);
     }
-}
-
-/// Parse a program and lint the resulting (unexpanded) query graph in
-/// one step. Parse errors abort; lint findings are returned alongside
-/// the program for the caller to act on.
-pub fn parse_linted(
-    catalog: &Catalog,
-    src: &str,
-) -> Result<(ParsedProgram, LintReport), ParseError> {
-    let program = parse_program(catalog, src)?;
-    let report = lint_graph(catalog, &program.graph);
-    Ok((program, report))
 }
 
 #[cfg(test)]

@@ -9,8 +9,10 @@
 
 use std::collections::{BTreeSet, HashMap};
 
-use oorq_pt::{propagated_columns, type_of_column_expr, AccessMethod, JoinAlgo, Pt, PtEnv};
-use oorq_query::Expr;
+use oorq_pt::{
+    node_op, propagated_columns, type_of_column_expr, AccessMethod, JoinAlgo, Pt, PtEnv,
+};
+use oorq_query::{bind_path, Expr};
 use oorq_schema::ResolvedType;
 use oorq_storage::IndexKindDesc;
 
@@ -33,20 +35,6 @@ pub fn verify_pt(env: &PtEnv, pt: &Pt) -> LintReport {
         &mut report,
     );
     report
-}
-
-fn label(pt: &Pt) -> String {
-    match pt {
-        Pt::Entity { var, .. } => format!("Entity({var})"),
-        Pt::Temp { name, .. } => format!("Temp({name})"),
-        Pt::Sel { .. } => "Sel".into(),
-        Pt::Proj { .. } => "Proj".into(),
-        Pt::IJ { step, .. } => format!("IJ_{}", step.name),
-        Pt::PIJ { .. } => "PIJ".into(),
-        Pt::EJ { .. } => "EJ".into(),
-        Pt::Union { .. } => "Union".into(),
-        Pt::Fix { temp, .. } => format!("Fix({temp})"),
-    }
 }
 
 fn env_with<'a>(base: &PtEnv<'a>, scope: &Scope) -> PtEnv<'a> {
@@ -79,32 +67,25 @@ fn cols_of(base: &PtEnv, scope: &Scope, pt: &Pt) -> Option<Cols> {
     pt.output_columns(&env_with(base, scope)).ok()
 }
 
-/// Column references of an expression, resolved against `cols`: a path
-/// may mean its base column or the qualified `base.step` column. The
-/// first set is every demanded name (unresolvable references kept
+/// Column references of an expression, resolved against `cols`
+/// ([`bind_path`]: a path means the qualified `base.step` column when
+/// there is one, else its base column). The first set is every demanded
+/// name (unresolvable references kept
 /// verbatim, so the demand still reaches the projection that dropped
 /// them); the second is just the unresolvable ones.
-fn expr_refs(e: &Expr, cols: &BTreeSet<String>) -> (BTreeSet<String>, BTreeSet<String>) {
+pub(crate) fn expr_refs(e: &Expr, cols: &BTreeSet<String>) -> (BTreeSet<String>, BTreeSet<String>) {
     let mut used = BTreeSet::new();
     let mut unresolved = BTreeSet::new();
     let mut path_bases: BTreeSet<&str> = BTreeSet::new();
     for (bs, steps) in e.paths() {
         path_bases.insert(bs);
-        if cols.contains(bs) {
-            used.insert(bs.to_string());
-        } else {
-            let qualified = steps
-                .first()
-                .map(|first| format!("{bs}.{first}"))
-                .filter(|q| cols.contains(q));
-            match qualified {
-                Some(q) => {
-                    used.insert(q);
-                }
-                None => {
-                    used.insert(bs.to_string());
-                    unresolved.insert(bs.to_string());
-                }
+        match bind_path(bs, steps, |c| cols.get(c)) {
+            Some((col, _)) => {
+                used.insert(col.clone());
+            }
+            None => {
+                used.insert(bs.to_string());
+                unresolved.insert(bs.to_string());
             }
         }
     }
@@ -171,24 +152,31 @@ fn check_expr(
     }
 }
 
-/// Check a selection/probe index reference: in range and of the
-/// expected kind.
-fn check_sel_index(base: &PtEnv, id: oorq_storage::IndexId, loc: &str, report: &mut LintReport) {
+/// Check an index reference: in range and of the kind its operator
+/// probes (a path index for `PIJ`, a selection index otherwise).
+fn check_index(
+    base: &PtEnv,
+    id: oorq_storage::IndexId,
+    path: bool,
+    loc: &str,
+    report: &mut LintReport,
+) {
     match base.physical.indexes().get(id.0 as usize) {
         None => report.push(
             LintCode::BadIndex,
             loc,
             format!("index #{} does not exist", id.0),
         ),
-        Some(d) => {
-            if !matches!(d.kind, IndexKindDesc::Selection { .. }) {
-                report.push(
-                    LintCode::BadIndex,
-                    loc,
-                    "a path index cannot serve a selection probe",
-                );
-            }
-        }
+        Some(d) if matches!(d.kind, IndexKindDesc::Path { .. }) != path => report.push(
+            LintCode::BadIndex,
+            loc,
+            if path {
+                "PIJ requires a path index, got a selection index"
+            } else {
+                "a path index cannot serve a selection probe"
+            },
+        ),
+        Some(_) => {}
     }
 }
 
@@ -200,7 +188,10 @@ fn check(
     needed: &BTreeSet<String>,
     report: &mut LintReport,
 ) {
-    let loc = format!("{path}/{}", label(pt));
+    // A node is located by the kind it executes as; only a malformed
+    // `Fix` fails to resolve.
+    let kind = node_op(base.catalog, base.physical, pt).map_or("Fix", |op| op.kind().name());
+    let loc = format!("{path}/{kind}");
     // Tracks whether every child derived its columns; shape errors of
     // this node are only attributed here when they did (otherwise the
     // deeper recursion reports the root cause).
@@ -233,7 +224,7 @@ fn check(
             input,
         } => {
             if let AccessMethod::Index(ix) = method {
-                check_sel_index(base, *ix, &loc, report);
+                check_index(base, *ix, false, &loc, report);
             }
             let in_cols = cols_of(base, scope, input);
             let child_needed = match &in_cols {
@@ -349,22 +340,7 @@ fn check(
             targets,
             ..
         } => {
-            match base.physical.indexes().get(index.0 as usize) {
-                None => report.push(
-                    LintCode::BadIndex,
-                    &loc,
-                    format!("index #{} does not exist", index.0),
-                ),
-                Some(d) => {
-                    if !matches!(d.kind, IndexKindDesc::Path { .. }) {
-                        report.push(
-                            LintCode::BadIndex,
-                            &loc,
-                            "PIJ requires a path index, got a selection index",
-                        );
-                    }
-                }
-            }
+            check_index(base, *index, true, &loc, report);
             let in_cols = cols_of(base, scope, input);
             let child_needed = match &in_cols {
                 Some(cols) => {
@@ -402,7 +378,7 @@ fn check(
             right,
         } => {
             if let JoinAlgo::IndexJoin(ix) = algo {
-                check_sel_index(base, *ix, &loc, report);
+                check_index(base, *ix, false, &loc, report);
             }
             let lcols = cols_of(base, scope, left);
             let rcols = cols_of(base, scope, right);
@@ -540,8 +516,9 @@ fn check(
                 children_ok = false;
             }
             // Shape errors of the Fix itself (e.g. base leg unable to
-            // provide columns) were attributed above; done.
-            if children_ok {
+            // provide columns, no recursive leg) were attributed above;
+            // done.
+            if children_ok && (l_rec || r_rec) {
                 if let Err(e) = pt.output_columns(&env_with(base, scope)) {
                     report.push(map_pt_error(&e), &loc, format!("{e}"));
                 }

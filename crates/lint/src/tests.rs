@@ -300,6 +300,7 @@ fn fix_without_recursive_leg() {
     let plan = Pt::fix("T", Pt::union(leg(), leg()));
     let report = verify_pt(&PtEnv::new(&cat, db.physical()), &plan);
     assert!(report.has(LintCode::FixNoRecursiveLeg), "{report}");
+    assert_eq!(report.diagnostics.len(), 1, "reported once: {report}");
 }
 
 #[test]
@@ -309,6 +310,38 @@ fn fix_without_base_leg() {
     let plan = Pt::fix("T", Pt::union(leg(), leg()));
     let report = verify_pt(&PtEnv::new(&cat, db.physical()), &plan);
     assert!(report.has(LintCode::FixNoBaseLeg), "{report}");
+}
+
+/// With a bare `i` and a qualified `i.master` column both in scope, a
+/// path demands — and is typed from — the qualified one, as the
+/// evaluator reads it: the bare column holds a composer, whose master
+/// has no `title`.
+#[test]
+fn path_demands_the_qualified_column_when_both_exist() {
+    let (cat, db) = setup();
+    let composition = cat.class_by_name("Composition").unwrap();
+    let titled = Expr::path("i", &["master", "title"]).eq(Expr::text("Kunst der Fuge"));
+    let cols = ["i", "i.master"].map(String::from).into_iter().collect();
+    let (used, unresolved) = crate::plan::expr_refs(&titled, &cols);
+    assert_eq!(used.into_iter().collect::<Vec<_>>(), ["i.master"]);
+    assert!(unresolved.is_empty());
+
+    let Pt::Entity { id, .. } = scan(&cat, &db) else {
+        unreachable!()
+    };
+    let plan = Pt::sel(
+        titled,
+        Pt::ej(
+            Expr::True,
+            Pt::entity(id, "i"),
+            Pt::proj(
+                vec![("i.master".into(), Expr::var("w"))],
+                Pt::entity(db.physical().entities_of_class(composition)[0], "w"),
+            ),
+        ),
+    );
+    let report = verify_pt(&PtEnv::new(&cat, db.physical()), &plan);
+    assert!(report.is_clean(), "{report}");
 }
 
 #[test]

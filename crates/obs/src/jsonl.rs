@@ -1,5 +1,6 @@
-//! JSONL sink: one schema-versioned JSON object per line, and the
-//! parser that round-trips it back into a [`Trace`].
+//! JSONL sink: one schema-versioned JSON object per line (each parses
+//! with [`crate::json`]; nothing in the repo reads a dump back into a
+//! [`Trace`]).
 //!
 //! Line kinds, discriminated by the `t` field (the first line is the
 //! header and has no `t`):
@@ -13,10 +14,8 @@
 //! Field maps preserve insertion order; numbers are `f64` (exact up to
 //! 2^53 — u64 fingerprints travel as hex *strings* for this reason).
 
-use crate::json::{Json, JsonError};
-use crate::recorder::{
-    Event, FieldValue, Fields, Span, SpanId, Trace, SCHEMA_NAME, SCHEMA_VERSION,
-};
+use crate::json::Json;
+use crate::recorder::{FieldValue, Fields, Trace, SCHEMA_NAME, SCHEMA_VERSION};
 
 fn fields_to_json(fields: &Fields) -> Json {
     Json::Obj(
@@ -32,37 +31,6 @@ fn fields_to_json(fields: &Fields) -> Json {
             })
             .collect(),
     )
-}
-
-fn fields_from_json(v: &Json) -> Result<Fields, String> {
-    let Json::Obj(members) = v else {
-        return Err("fields must be an object".into());
-    };
-    members
-        .iter()
-        .map(|(k, v)| {
-            let fv = match v {
-                Json::Str(s) => FieldValue::Str(s.clone()),
-                Json::Num(n) => FieldValue::Num(*n),
-                Json::Bool(b) => FieldValue::Bool(*b),
-                _ => return Err(format!("field `{k}` has unsupported type")),
-            };
-            Ok((k.clone(), fv))
-        })
-        .collect()
-}
-
-fn num_field(obj: &Json, key: &str) -> Result<f64, String> {
-    obj.get(key)
-        .and_then(Json::as_num)
-        .ok_or_else(|| format!("missing numeric `{key}`"))
-}
-
-fn str_field(obj: &Json, key: &str) -> Result<String, String> {
-    obj.get(key)
-        .and_then(Json::as_str)
-        .map(str::to_string)
-        .ok_or_else(|| format!("missing string `{key}`"))
 }
 
 impl Trace {
@@ -131,97 +99,4 @@ impl Trace {
         }
         out
     }
-
-    /// Parse a JSONL dump produced by [`Trace::to_jsonl`]. Rejects
-    /// unknown schemas/versions so downstream tooling fails loudly on
-    /// drift instead of misreading lines.
-    pub fn from_jsonl(src: &str) -> Result<Trace, String> {
-        let mut lines = src
-            .lines()
-            .enumerate()
-            .filter(|(_, l)| !l.trim().is_empty());
-        let Some((_, header_line)) = lines.next() else {
-            return Err("empty trace: missing header line".into());
-        };
-        let header = parse_line(0, header_line)?;
-        let schema = str_field(&header, "schema").map_err(|e| format!("header: {e}"))?;
-        if schema != SCHEMA_NAME {
-            return Err(format!(
-                "unknown schema `{schema}` (expected `{SCHEMA_NAME}`)"
-            ));
-        }
-        let version = num_field(&header, "version").map_err(|e| format!("header: {e}"))?;
-        if version != SCHEMA_VERSION as f64 {
-            return Err(format!(
-                "unsupported schema version {version} (expected {SCHEMA_VERSION})"
-            ));
-        }
-        let mut trace = Trace::default();
-        if let Some(Json::Obj(members)) = header.get("counters") {
-            for (k, v) in members {
-                let n = v
-                    .as_num()
-                    .ok_or_else(|| format!("header: counter `{k}` is not a number"))?;
-                trace.counters.insert(k.clone(), n);
-            }
-        }
-        for (lineno, line) in lines {
-            let obj = parse_line(lineno, line)?;
-            let kind = str_field(&obj, "t").map_err(|e| format!("line {}: {e}", lineno + 1))?;
-            let ctx = |e: String| format!("line {}: {e}", lineno + 1);
-            match kind.as_str() {
-                "span" => {
-                    let parent = match obj.get("parent") {
-                        Some(Json::Num(p)) => Some(SpanId(*p as u64)),
-                        Some(Json::Null) | None => None,
-                        _ => return Err(ctx("`parent` must be number or null".into())),
-                    };
-                    let end_ns = match obj.get("end_ns") {
-                        Some(Json::Num(e)) => Some(*e as u64),
-                        Some(Json::Null) | None => None,
-                        _ => return Err(ctx("`end_ns` must be number or null".into())),
-                    };
-                    trace.spans.push(Span {
-                        id: SpanId(num_field(&obj, "id").map_err(ctx)? as u64),
-                        parent,
-                        cat: str_field(&obj, "cat").map_err(ctx)?,
-                        name: str_field(&obj, "name").map_err(ctx)?,
-                        start_ns: num_field(&obj, "start_ns").map_err(ctx)? as u64,
-                        end_ns,
-                        fields: obj
-                            .get("fields")
-                            .map(fields_from_json)
-                            .transpose()
-                            .map_err(ctx)?
-                            .unwrap_or_default(),
-                    });
-                }
-                "event" => {
-                    let span = match obj.get("span") {
-                        Some(Json::Num(s)) => Some(SpanId(*s as u64)),
-                        Some(Json::Null) | None => None,
-                        _ => return Err(ctx("`span` must be number or null".into())),
-                    };
-                    trace.events.push(Event {
-                        ts_ns: num_field(&obj, "ts_ns").map_err(ctx)? as u64,
-                        span,
-                        cat: str_field(&obj, "cat").map_err(ctx)?,
-                        name: str_field(&obj, "name").map_err(ctx)?,
-                        fields: obj
-                            .get("fields")
-                            .map(fields_from_json)
-                            .transpose()
-                            .map_err(ctx)?
-                            .unwrap_or_default(),
-                    });
-                }
-                other => return Err(ctx(format!("unknown line kind `{other}`"))),
-            }
-        }
-        Ok(trace)
-    }
-}
-
-fn parse_line(lineno: usize, line: &str) -> Result<Json, String> {
-    Json::parse(line).map_err(|e: JsonError| format!("line {}: {e}", lineno + 1))
 }

@@ -12,10 +12,8 @@
 //! violations with their stable codes. Everything lands in one
 //! [`Trace`], exportable as:
 //!
-//! - **JSONL** ([`Trace::to_jsonl`] / [`Trace::from_jsonl`]) — one
-//!   schema-versioned JSON object per line, the durable machine-readable
-//!   stream downstream tooling (calibration, cardinality feedback)
-//!   consumes. Round-trips exactly.
+//! - **JSONL** ([`Trace::to_jsonl`]) — one schema-versioned JSON object
+//!   per line, the durable machine-readable stream.
 //! - **Chrome trace-event JSON** ([`Trace::to_chrome`]) — loadable in
 //!   Perfetto / `chrome://tracing`; stack spans become balanced `B`/`E`
 //!   pairs, synthesized operator spans get one named track each, the

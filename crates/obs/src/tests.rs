@@ -1,5 +1,8 @@
 use crate::json::Json;
-use crate::{check_chrome_trace, search_space_table, FieldValue, Recorder, SpanId, Trace};
+use crate::{
+    check_chrome_trace, search_space_table, FieldValue, Recorder, SpanId, Trace, SCHEMA_NAME,
+    SCHEMA_VERSION,
+};
 
 fn sample_trace() -> Trace {
     let rec = Recorder::new();
@@ -68,45 +71,40 @@ fn disabled_recorder_is_inert() {
 }
 
 #[test]
-fn jsonl_round_trip_is_exact() {
+fn jsonl_lines_parse_and_header_carries_the_schema() {
     let trace = sample_trace();
     let jsonl = trace.to_jsonl();
-    let back = Trace::from_jsonl(&jsonl).expect("parse back");
-    assert_eq!(trace, back);
-    // Serialize → parse → serialize is a fixed point.
-    assert_eq!(jsonl, back.to_jsonl());
-    // Header carries the schema tag.
-    let first = jsonl.lines().next().unwrap();
-    assert!(first.contains("\"schema\":\"oorq-trace\""));
-    assert!(first.contains("\"version\":1"));
-}
-
-#[test]
-fn jsonl_rejects_schema_drift() {
-    let trace = sample_trace();
-    let jsonl = trace.to_jsonl();
-    let drifted = jsonl.replacen("\"version\":1", "\"version\":999", 1);
-    assert!(Trace::from_jsonl(&drifted).is_err());
-    let wrong = jsonl.replacen("oorq-trace", "other-schema", 1);
-    assert!(Trace::from_jsonl(&wrong).is_err());
-    assert!(Trace::from_jsonl("").is_err());
+    let lines: Vec<Json> = jsonl
+        .lines()
+        .map(|l| Json::parse(l).expect("every line is one JSON object"))
+        .collect();
+    assert_eq!(lines.len(), 1 + trace.spans.len() + trace.events.len());
+    assert_eq!(
+        lines[0].get("schema").and_then(Json::as_str),
+        Some(SCHEMA_NAME)
+    );
+    assert_eq!(
+        lines[0].get("version").and_then(Json::as_num),
+        Some(SCHEMA_VERSION as f64)
+    );
+    for line in &lines[1..] {
+        let kind = line.get("t").and_then(Json::as_str);
+        assert!(matches!(kind, Some("span" | "event")), "{kind:?}");
+    }
 }
 
 #[test]
 fn jsonl_preserves_string_escapes() {
     let rec = Recorder::new();
-    let s = rec.begin("x", "weird \"name\"\nwith\tescapes");
-    rec.span_fields(
-        s,
-        vec![(
-            "note".into(),
-            FieldValue::Str("π ≈ 3.14159; cost < ∞".into()),
-        )],
-    );
+    let (name, note) = ("weird \"name\"\nwith\tescapes", "π ≈ 3.14159; cost < ∞");
+    let s = rec.begin("x", name);
+    rec.span_fields(s, vec![("note".into(), FieldValue::Str(note.into()))]);
     rec.end(s);
-    let trace = rec.finish();
-    let back = Trace::from_jsonl(&trace.to_jsonl()).expect("parse back");
-    assert_eq!(trace, back);
+    let jsonl = rec.finish().to_jsonl();
+    let span = Json::parse(jsonl.lines().nth(1).expect("one span line")).expect("parses");
+    assert_eq!(span.get("name").and_then(Json::as_str), Some(name));
+    let fields = span.get("fields").expect("fields");
+    assert_eq!(fields.get("note").and_then(Json::as_str), Some(note));
 }
 
 #[test]

@@ -10,16 +10,8 @@ use crate::node::Pt;
 /// temporary's fields — the \[KL86\] `canPush` condition: a selection
 /// on these columns commutes with the fixpoint.
 pub fn propagated_columns(fix: &Pt) -> Vec<String> {
-    let Pt::Fix { temp, body } = fix else {
+    let Ok((temp, _, rec)) = fix.fix_sides() else {
         return Vec::new();
-    };
-    let Pt::Union { left, right } = body.as_ref() else {
-        return Vec::new();
-    };
-    let rec = if left.references_temp(temp) {
-        left
-    } else {
-        right
     };
     // Temp leaf variable inside the recursive side.
     let mut temp_var = None;
@@ -33,7 +25,7 @@ pub fn propagated_columns(fix: &Pt) -> Vec<String> {
     let Some(tv) = temp_var else {
         return Vec::new();
     };
-    let Pt::Proj { cols, .. } = rec.as_ref() else {
+    let Pt::Proj { cols, .. } = rec else {
         return Vec::new();
     };
     cols.iter()

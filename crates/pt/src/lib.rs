@@ -17,12 +17,14 @@ pub mod phys;
 pub use analysis::propagated_columns;
 pub use error::PtError;
 pub use fingerprint::{fnv64_str, Fnv64, FNV_OFFSET, FNV_PRIME};
-pub use node::{type_of_column_expr, AccessMethod, IjStep, JoinAlgo, Pt, PtDisplay, PtEnv};
+pub use node::{
+    pij_out_classes, type_of_column_expr, AccessMethod, IjStep, JoinAlgo, Pt, PtDisplay, PtEnv,
+};
 pub use pattern::{match_pattern, subtrees, Binding, Bindings, Pattern, TransformAction};
 pub use phys::{
-    applicable_join_indexes, applicable_sel_index, eq_literal_conjunct, exchange_eligible, lower,
-    lower_with, merge_leg_ok, node_ids, resolve_index_join, resolve_index_select, IndexProbe,
-    OpMeta, ParallelSpec, PhysOp, PhysPlan,
+    applicable_join_indexes, applicable_sel_index, exchange_eligible, fix_recursive_nodes, lower,
+    lower_with, merge_leg_ok, node_ids, node_op, rescannable, IndexProbe, NodeOp, OpKind, OpMeta,
+    ParallelSpec, PhysOp, PhysPlan,
 };
 
 #[cfg(test)]

@@ -17,7 +17,7 @@
 use std::collections::HashMap;
 use std::fmt;
 
-use oorq_query::{expr_type, Expr};
+use oorq_query::{bind_path, expr_type, Expr};
 use oorq_schema::{AttrId, Catalog, ClassId, ResolvedType};
 use oorq_storage::{EntityId, EntitySource, IndexId, IndexKindDesc, PhysicalSchema};
 
@@ -71,6 +71,55 @@ impl IjStep {
             class_attr: None,
         }
     }
+
+    /// Class of the sub-objects an `IJ` over this step binds: that of
+    /// the `target` entity leaf, falling back to the class the traversed
+    /// attribute references.
+    pub fn target_class(
+        &self,
+        catalog: &Catalog,
+        physical: &PhysicalSchema,
+        target: &Pt,
+    ) -> Result<ClassId, PtError> {
+        let of_leaf = match target {
+            Pt::Entity { id, .. } => match physical.entity(*id).source {
+                EntitySource::Class(c) => Some(c),
+                _ => None,
+            },
+            _ => None,
+        };
+        of_leaf
+            .or_else(|| {
+                let (c, a) = self.class_attr?;
+                catalog.attribute(c, a).ty.referenced_class()
+            })
+            .ok_or_else(|| PtError::NotAReference(self.name.clone()))
+    }
+}
+
+/// Classes bound by the outputs of a `PIJ` over `index`: output `i`
+/// holds the objects step `i` of the index's path references.
+pub fn pij_out_classes(
+    catalog: &Catalog,
+    physical: &PhysicalSchema,
+    index: IndexId,
+    outs: &[String],
+) -> Result<Vec<ClassId>, PtError> {
+    let Some(IndexKindDesc::Path { path }) =
+        physical.indexes().get(index.0 as usize).map(|d| &d.kind)
+    else {
+        return Err(PtError::NotAPathIndex);
+    };
+    (0..outs.len())
+        .map(|i| {
+            let (cls, attr) = path
+                .get(i)
+                .ok_or(PtError::PathIndexArity { wanted: outs.len() })?;
+            let a = catalog.attribute(*cls, *attr);
+            a.ty.referenced_class()
+                .ok_or_else(|| PtError::NotAReference(a.name.clone()))
+        })
+        .collect()
 }
 
 /// A processing-tree node.
@@ -385,6 +434,27 @@ impl Pt {
         }
     }
 
+    /// `(temp, base, rec)` of a fixpoint: the body must be a `Union` with
+    /// the recursive leg — the one referencing `Temp(temp)` — on either
+    /// side. The one place that splits a `Fix` body.
+    pub fn fix_sides(&self) -> Result<(&str, &Pt, &Pt), PtError> {
+        let Pt::Fix { temp, body } = self else {
+            return Err(PtError::FixBodyNotUnion);
+        };
+        let Pt::Union { left, right } = body.as_ref() else {
+            return Err(PtError::FixBodyNotUnion);
+        };
+        let (base, rec) = if left.references_temp(temp) {
+            (right.as_ref(), left.as_ref())
+        } else {
+            (left.as_ref(), right.as_ref())
+        };
+        if !rec.references_temp(temp) {
+            return Err(PtError::FixNotRecursive(temp.clone()));
+        }
+        Ok((temp, base, rec))
+    }
+
     /// Depth-first pre-order visit of every subtree.
     pub fn visit(&self, f: &mut impl FnMut(&Pt)) {
         f(self);
@@ -473,20 +543,7 @@ impl Pt {
                 ..
             } => {
                 let mut cols = input.output_columns(env)?;
-                // Target class: from the target entity leaf, falling back
-                // to the attribute's referenced class.
-                let c = match target.as_ref() {
-                    Pt::Entity { id, .. } => match env.physical.entity(*id).source {
-                        EntitySource::Class(c) => Some(c),
-                        _ => None,
-                    },
-                    _ => None,
-                }
-                .or_else(|| {
-                    step.class_attr
-                        .and_then(|(c, a)| env.catalog.attribute(c, a).ty.referenced_class())
-                })
-                .ok_or_else(|| PtError::NotAReference(step.name.clone()))?;
+                let c = step.target_class(env.catalog, env.physical, target)?;
                 cols.push((out.clone(), ResolvedType::Object(c)));
                 Ok(cols)
             }
@@ -494,20 +551,12 @@ impl Pt {
                 index, outs, input, ..
             } => {
                 let mut cols = input.output_columns(env)?;
-                let desc = env.physical.index(*index);
-                let IndexKindDesc::Path { path } = &desc.kind else {
-                    return Err(PtError::NotAPathIndex);
-                };
-                for (i, out) in outs.iter().enumerate() {
-                    let (cls, attr) = path
-                        .get(i)
-                        .ok_or(PtError::PathIndexArity { wanted: outs.len() })?;
-                    let a = env.catalog.attribute(*cls, *attr);
-                    let c =
-                        a.ty.referenced_class()
-                            .ok_or_else(|| PtError::NotAReference(a.name.clone()))?;
-                    cols.push((out.clone(), ResolvedType::Object(c)));
-                }
+                let classes = pij_out_classes(env.catalog, env.physical, *index, outs)?;
+                cols.extend(
+                    outs.iter()
+                        .zip(classes)
+                        .map(|(out, c)| (out.clone(), ResolvedType::Object(c))),
+                );
                 Ok(cols)
             }
             Pt::EJ { left, right, .. } => {
@@ -516,19 +565,9 @@ impl Pt {
                 Ok(cols)
             }
             Pt::Union { left, .. } => left.output_columns(env),
-            Pt::Fix { temp, body } => {
-                // The fixpoint's output is the temporary's shape; derive it
-                // from the base (non-recursive) side of the body union.
-                let Pt::Union { left, right } = body.as_ref() else {
-                    return Err(PtError::FixBodyNotUnion);
-                };
-                let base = if left.references_temp(temp) {
-                    right.as_ref()
-                } else {
-                    left.as_ref()
-                };
-                base.output_columns(env)
-            }
+            // The fixpoint's output is the temporary's shape, derived
+            // from the base (non-recursive) side of the body union.
+            Pt::Fix { .. } => self.fix_sides()?.1.output_columns(env),
         }
     }
 
@@ -636,22 +675,22 @@ pub fn type_of_column_expr(
     expr: &Expr,
     cols: &HashMap<String, ResolvedType>,
 ) -> Result<ResolvedType, PtError> {
-    // Rewrite `var.field...` paths whose prefix is a qualified column.
-    let rewritten = expr.map_leaves(&mut |leaf| match leaf {
-        Expr::Path { base, steps } if !cols.contains_key(base) && !steps.is_empty() => {
-            let qualified = format!("{base}.{}", steps[0]);
-            cols.contains_key(&qualified).then(|| {
-                if steps.len() == 1 {
-                    Expr::Var(qualified)
-                } else {
-                    Expr::Path {
-                        base: qualified,
-                        steps: steps[1..].to_vec(),
-                    }
+    // Rewrite `var.field...` paths that bind to a qualified column.
+    let rewritten = expr.map_leaves(&mut |leaf| {
+        let Expr::Path { base, steps } = leaf else {
+            return None;
+        };
+        let (col, rest) = bind_path(base, steps, |c| cols.get_key_value(c).map(|(k, _)| k))?;
+        (rest.len() < steps.len()).then(|| {
+            if rest.is_empty() {
+                Expr::Var(col.clone())
+            } else {
+                Expr::Path {
+                    base: col.clone(),
+                    steps: rest.to_vec(),
                 }
-            })
-        }
-        _ => None,
+            }
+        })
     });
     expr_type(catalog, &rewritten, cols).map_err(PtError::Typing)
 }

@@ -6,23 +6,26 @@
 //! *resolved* column layouts (every operator knows its output columns
 //! statically), and explicit pipeline-breaker placement (the semi-naive
 //! fixpoint accumulator/delta and the materialize-once inner of a
-//! nested-loop join over a non-rescannable subtree). Everything the
-//! tree-walking interpreter used to re-derive per row is decided here,
-//! once, so execution can stream.
+//! nested-loop join over a non-rescannable subtree).
+//!
+//! What each node executes as is decided by one resolver, [`node_op`]:
+//! lowering builds the operator it names, and the cost model, the
+//! analyzer and the lint passes read the same [`NodeOp`] instead of
+//! re-deriving it from the PT's annotations.
 //!
 //! Every operator carries an [`OpMeta`] with a dense operator id (for
 //! per-operator runtime counters) and the pre-order index of the `Pt`
 //! node it was lowered from ([`node_ids`]), which is how observed
 //! counters are joined against the cost model's per-node predictions.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 use oorq_query::{CmpOp, Expr, Literal};
 use oorq_schema::{Catalog, ClassId, ResolvedType};
 use oorq_storage::{EntityId, EntitySource, IndexId, IndexKindDesc, PhysicalSchema};
 
 use crate::error::PtError;
-use crate::node::{AccessMethod, JoinAlgo, Pt, PtEnv};
+use crate::node::{AccessMethod, IjStep, JoinAlgo, Pt, PtEnv};
 
 /// Identity of a physical operator within its plan.
 #[derive(Debug, Clone, PartialEq)]
@@ -33,7 +36,7 @@ pub struct OpMeta {
     /// Pre-order index of the source `Pt` node (see [`node_ids`]); the
     /// join key against the cost model's per-node breakdown.
     pub pt_node: usize,
-    /// Display label, aligned with the cost model's breakdown labels.
+    /// Display label ([`NodeOp::label`]).
     pub label: String,
 }
 
@@ -91,10 +94,9 @@ pub enum PhysOp {
         meta: OpMeta,
         /// The predicate.
         pred: Expr,
-        /// An index the original plan named but the lowering could not
-        /// use (no usable conjunct, or a non-entity input): the built
-        /// structure must still exist at runtime, mirroring the
-        /// interpreter's access-method resolution order.
+        /// An index the original plan named but the predicate or input
+        /// cannot probe (no usable conjunct, or a non-entity input): the
+        /// built structure must still exist at runtime.
         require_index: Option<IndexId>,
         /// Input operator.
         input: Box<PhysOp>,
@@ -344,28 +346,6 @@ pub struct PhysPlan {
     pub ops: usize,
 }
 
-impl PhysPlan {
-    /// Render the plan as an indented operator tree.
-    pub fn explain(&self) -> String {
-        fn go(op: &PhysOp, depth: usize, out: &mut String) {
-            use std::fmt::Write as _;
-            let _ = writeln!(
-                out,
-                "{}#{} {}",
-                "  ".repeat(depth),
-                op.meta().id,
-                op.meta().label
-            );
-            for c in op.children() {
-                go(c, depth + 1, out);
-            }
-        }
-        let mut out = String::new();
-        go(&self.root, 0, &mut out);
-        out
-    }
-}
-
 /// Pre-order indices of every node of a PT, keyed by node address. The
 /// same numbering is used by the cost model's per-node breakdown and by
 /// [`lower`]'s `OpMeta::pt_node`, so predictions and observations can be
@@ -380,16 +360,9 @@ pub fn node_ids(root: &Pt) -> HashMap<*const Pt, usize> {
     ids
 }
 
-/// Lower a PT into a physical plan.
-///
-/// Access methods are resolved here (mirroring the interpreter's runtime
-/// resolution, including its fallbacks): an index selection without a
-/// usable `var.attr = literal` conjunct or over a non-class input lowers
-/// to a filter, an index join without a usable equality conjunct lowers
-/// to a nested loop — in both cases remembering the named index so the
-/// runtime still demands the built structure. Union and fixpoint column
-/// permutations are resolved statically; a shape mismatch fails the
-/// lowering.
+/// Lower a PT into a physical plan: every node becomes the operator
+/// [`node_op`] resolves it to. Union and fixpoint column permutations
+/// are resolved statically; a shape mismatch fails the lowering.
 pub fn lower(env: &PtEnv<'_>, pt: &Pt) -> Result<PhysPlan, PtError> {
     lower_with(env, pt, &ParallelSpec::new())
 }
@@ -516,82 +489,79 @@ impl Lowering<'_, '_> {
     }
 
     fn lower_inner(&mut self, pt: &Pt) -> Result<PhysOp, PtError> {
-        match pt {
-            Pt::Entity { id, var } => {
+        let (catalog, physical) = (self.env.catalog, self.env.physical);
+        let op = node_op(catalog, physical, pt)?;
+        let label = op.label(catalog, physical);
+        match op {
+            NodeOp::EntityScan { entity, var } => {
                 let cols = self.col_names(pt)?;
-                let desc = self.env.physical.entity(*id);
-                let class = match desc.source {
+                let class = match physical.entity(entity).source {
                     EntitySource::Class(c) => Some(c),
                     _ => None,
                 };
-                let meta = self.meta(pt, format!("scan {}", desc.name));
                 Ok(PhysOp::EntityScan {
-                    meta,
-                    entity: *id,
-                    var: var.clone(),
+                    meta: self.meta(pt, label),
+                    entity,
+                    var: var.to_string(),
                     class,
                     cols,
                 })
             }
-            Pt::Temp { name, .. } => {
+            NodeOp::TempScan { name, .. } => {
                 let cols = self.col_names(pt)?;
-                let meta = self.meta(pt, format!("scan temp {name}"));
                 Ok(PhysOp::TempScan {
-                    meta,
-                    name: name.clone(),
+                    meta: self.meta(pt, label),
+                    name: name.to_string(),
                     cols,
                 })
             }
-            Pt::Sel {
+            NodeOp::Filter {
                 pred,
-                method,
+                require_index,
                 input,
-            } => match method {
-                AccessMethod::Scan => {
-                    let child = self.lower(input)?;
-                    let cols = child.cols().to_vec();
-                    let meta = self.meta(pt, format!("Sel[{pred}]"));
-                    Ok(PhysOp::Filter {
-                        meta,
-                        pred: pred.clone(),
-                        require_index: None,
-                        input: Box::new(child),
-                        cols,
-                    })
-                }
-                AccessMethod::Index(idx) => self.lower_index_select(pt, *idx, pred, input),
-            },
-            Pt::Proj { cols, input } => {
-                let child = self.lower(input)?;
-                let out_cols = self.col_names(pt)?;
-                let meta = self.meta(pt, "Proj".to_string());
-                Ok(PhysOp::Project {
-                    meta,
-                    exprs: cols.clone(),
-                    input: Box::new(child),
-                    cols: out_cols,
-                })
-            }
-            Pt::IJ {
-                on,
-                step,
-                out,
-                input,
-                ..
             } => {
                 let child = self.lower(input)?;
-                let mut cols = child.cols().to_vec();
-                cols.push(out.clone());
-                let meta = self.meta(pt, format!("IJ_{}", step.name));
-                Ok(PhysOp::IjDeref {
-                    meta,
-                    on: on.clone(),
-                    out: out.clone(),
+                let cols = child.cols().to_vec();
+                Ok(PhysOp::Filter {
+                    meta: self.meta(pt, label),
+                    pred: pred.clone(),
+                    require_index,
                     input: Box::new(child),
                     cols,
                 })
             }
-            Pt::PIJ {
+            NodeOp::IndexSelect { pred, probe, .. } => Ok(PhysOp::IndexSelect {
+                meta: self.meta(pt, label),
+                index: probe.index,
+                class: probe.class,
+                var: probe.var.to_string(),
+                key: probe.key.clone(),
+                pred: pred.clone(),
+                cols: vec![probe.var.to_string()],
+            }),
+            NodeOp::Project { exprs, input } => {
+                let child = self.lower(input)?;
+                let cols = self.col_names(pt)?;
+                Ok(PhysOp::Project {
+                    meta: self.meta(pt, label),
+                    exprs: exprs.to_vec(),
+                    input: Box::new(child),
+                    cols,
+                })
+            }
+            NodeOp::IjDeref { on, out, input, .. } => {
+                let child = self.lower(input)?;
+                let mut cols = child.cols().to_vec();
+                cols.push(out.to_string());
+                Ok(PhysOp::IjDeref {
+                    meta: self.meta(pt, label),
+                    on: on.clone(),
+                    out: out.to_string(),
+                    input: Box::new(child),
+                    cols,
+                })
+            }
+            NodeOp::PijLookup {
                 index,
                 on,
                 outs,
@@ -601,181 +571,104 @@ impl Lowering<'_, '_> {
                 let child = self.lower(input)?;
                 let mut cols = child.cols().to_vec();
                 cols.extend(outs.iter().cloned());
-                let label = match self.env.physical.indexes().get(index.0 as usize) {
-                    Some(desc) => format!("PIJ_{}", desc.display_name(self.env.catalog)),
-                    None => "PIJ".to_string(),
-                };
-                let meta = self.meta(pt, label);
                 Ok(PhysOp::PijLookup {
-                    meta,
-                    index: *index,
+                    meta: self.meta(pt, label),
+                    index,
                     on: on.clone(),
-                    outs: outs.clone(),
+                    outs: outs.to_vec(),
                     input: Box::new(child),
                     cols,
                 })
             }
-            Pt::EJ {
+            NodeOp::NlJoin {
                 pred,
-                algo,
+                rescan_inner,
+                require_index,
                 left,
                 right,
-            } => match algo {
-                JoinAlgo::NestedLoop => self.lower_nested_loop(pt, pred, left, right, None),
-                JoinAlgo::IndexJoin(idx) => self.lower_index_join(pt, *idx, pred, left, right),
-            },
-            Pt::Union { left, right } => {
+            } => {
+                let l = self.lower(left)?;
+                let r = self.lower(right)?;
+                let mut cols = l.cols().to_vec();
+                cols.extend(r.cols().iter().cloned());
+                // A parallel wrapper the spec put on the inner is a
+                // breaker of its own: its output is materialized once.
+                let rescan_inner = rescan_inner && r.rescannable();
+                // A materialized inner becomes a page-store temporary at
+                // execution; resolve its row shape here, where the typing
+                // environment is in scope.
+                let mat_types = if rescan_inner {
+                    Vec::new()
+                } else {
+                    right
+                        .output_columns(&self.scoped_env())?
+                        .into_iter()
+                        .map(|(_, t)| t)
+                        .collect()
+                };
+                Ok(PhysOp::NlJoin {
+                    meta: self.meta(pt, label),
+                    pred: pred.clone(),
+                    rescan_inner,
+                    mat_types,
+                    require_index,
+                    left: Box::new(l),
+                    right: Box::new(r),
+                    cols,
+                })
+            }
+            NodeOp::IndexJoin {
+                pred, probe, left, ..
+            } => {
+                let l = self.lower(left)?;
+                let mut cols = l.cols().to_vec();
+                cols.push(probe.var.to_string());
+                Ok(PhysOp::IndexJoin {
+                    meta: self.meta(pt, label),
+                    index: probe.index,
+                    class: probe.class,
+                    outer: probe.key.clone(),
+                    var: probe.var.to_string(),
+                    pred: pred.clone(),
+                    left: Box::new(l),
+                    cols,
+                })
+            }
+            NodeOp::UnionAll { left, right } => {
                 let l = self.lower(left)?;
                 let r = self.lower(right)?;
                 let cols = l.cols().to_vec();
                 let perm = align_perm(&cols, r.cols())?;
-                let meta = self.meta(pt, "Union".to_string());
                 Ok(PhysOp::UnionAll {
-                    meta,
+                    meta: self.meta(pt, label),
                     perm,
                     left: Box::new(l),
                     right: Box::new(r),
                     cols,
                 })
             }
-            Pt::Fix { temp, body } => self.lower_fix(pt, temp, body),
+            NodeOp::FixPoint {
+                temp, base, rec, ..
+            } => {
+                // Shape of the temporary, from the base side (names
+                // verbatim).
+                let fields = base.output_columns(&self.scoped_env())?;
+                let field_names: Vec<String> = fields.iter().map(|(n, _)| n.clone()).collect();
+                self.temp_fields.insert(temp.to_string(), fields.clone());
+                let base_op = self.lower(base)?;
+                let rec_op = self.lower(rec)?;
+                let perm = align_perm(&field_names, rec_op.cols())?;
+                Ok(PhysOp::FixPoint {
+                    meta: self.meta(pt, label),
+                    temp: temp.to_string(),
+                    fields,
+                    perm,
+                    base: Box::new(base_op),
+                    rec: Box::new(rec_op),
+                    cols: field_names,
+                })
+            }
         }
-    }
-
-    fn lower_index_select(
-        &mut self,
-        pt: &Pt,
-        idx: IndexId,
-        pred: &Expr,
-        input: &Pt,
-    ) -> Result<PhysOp, PtError> {
-        // Resolve the indexed attribute from the physical schema; fall
-        // back to a filter when the plan's entity/predicate cannot use
-        // the probe (the runtime still demands the built structure).
-        let fallback = |lw: &mut Self| -> Result<PhysOp, PtError> {
-            let child = lw.lower(input)?;
-            let cols = child.cols().to_vec();
-            let meta = lw.meta(pt, format!("Sel[{pred}]"));
-            Ok(PhysOp::Filter {
-                meta,
-                pred: pred.clone(),
-                require_index: Some(idx),
-                input: Box::new(child),
-                cols,
-            })
-        };
-        let Some(probe) =
-            resolve_index_select(self.env.catalog, self.env.physical, idx, pred, input)
-        else {
-            return fallback(self);
-        };
-        let meta = self.meta(pt, format!("Sel^idx[{pred}]"));
-        Ok(PhysOp::IndexSelect {
-            meta,
-            index: idx,
-            class: probe.class,
-            var: probe.var.clone(),
-            key: probe.key,
-            pred: pred.clone(),
-            cols: vec![probe.var],
-        })
-    }
-
-    fn lower_nested_loop(
-        &mut self,
-        pt: &Pt,
-        pred: &Expr,
-        left: &Pt,
-        right: &Pt,
-        require_index: Option<IndexId>,
-    ) -> Result<PhysOp, PtError> {
-        let l = self.lower(left)?;
-        let r = self.lower(right)?;
-        let mut cols = l.cols().to_vec();
-        cols.extend(r.cols().iter().cloned());
-        let rescan_inner = r.rescannable();
-        // A materialized inner becomes a page-store temporary at
-        // execution; resolve its row shape here, where the typing
-        // environment is in scope.
-        let mat_types = if rescan_inner {
-            Vec::new()
-        } else {
-            right
-                .output_columns(&self.scoped_env())?
-                .into_iter()
-                .map(|(_, t)| t)
-                .collect()
-        };
-        let meta = self.meta(pt, format!("EJ[{pred}]"));
-        Ok(PhysOp::NlJoin {
-            meta,
-            pred: pred.clone(),
-            rescan_inner,
-            mat_types,
-            require_index,
-            left: Box::new(l),
-            right: Box::new(r),
-            cols,
-        })
-    }
-
-    fn lower_index_join(
-        &mut self,
-        pt: &Pt,
-        idx: IndexId,
-        pred: &Expr,
-        left: &Pt,
-        right: &Pt,
-    ) -> Result<PhysOp, PtError> {
-        let Some(probe) = resolve_index_join(self.env.catalog, self.env.physical, idx, pred, right)
-        else {
-            return self.lower_nested_loop(pt, pred, left, right, Some(idx));
-        };
-        let l = self.lower(left)?;
-        let mut cols = l.cols().to_vec();
-        cols.push(probe.var.clone());
-        let meta = self.meta(pt, format!("EJ^idx[{pred}]"));
-        Ok(PhysOp::IndexJoin {
-            meta,
-            index: idx,
-            class: probe.class,
-            outer: probe.key,
-            var: probe.var,
-            pred: pred.clone(),
-            left: Box::new(l),
-            cols,
-        })
-    }
-
-    fn lower_fix(&mut self, pt: &Pt, temp: &str, body: &Pt) -> Result<PhysOp, PtError> {
-        let Pt::Union { left, right } = body else {
-            return Err(PtError::FixBodyNotUnion);
-        };
-        let (base, rec) = if left.references_temp(temp) {
-            (right.as_ref(), left.as_ref())
-        } else {
-            (left.as_ref(), right.as_ref())
-        };
-        if !rec.references_temp(temp) {
-            return Err(PtError::FixNotRecursive(temp.to_string()));
-        }
-        // Shape of the temporary, from the base side (names verbatim).
-        let fields = base.output_columns(&self.scoped_env())?;
-        let field_names: Vec<String> = fields.iter().map(|(n, _)| n.clone()).collect();
-        self.temp_fields.insert(temp.to_string(), fields.clone());
-        let base_op = self.lower(base)?;
-        let rec_op = self.lower(rec)?;
-        let perm = align_perm(&field_names, rec_op.cols())?;
-        let meta = self.meta(pt, format!("Fix({temp})"));
-        Ok(PhysOp::FixPoint {
-            meta,
-            temp: temp.to_string(),
-            fields,
-            perm,
-            base: Box::new(base_op),
-            rec: Box::new(rec_op),
-            cols: field_names,
-        })
     }
 }
 
@@ -823,32 +716,396 @@ pub fn merge_leg_ok(op: &PhysOp) -> bool {
     ok
 }
 
-/// A selection-index probe resolved against the physical schema: the
-/// one answer to "can this predicate use this index" shared by
-/// lowering, static analysis and the optimizer's move generators.
+/// The kind of operator a PT node executes as: the grouping key of
+/// residual, drift and calibration reports.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub enum OpKind {
+    /// Entity (class/relation extension) sequential scan.
+    Scan,
+    /// Temporary (fixpoint accumulator/delta) scan.
+    TempScan,
+    /// Predicate selection by scan.
+    Sel,
+    /// Predicate selection through a selection index.
+    SelIdx,
+    /// Projection (with streaming dedup).
+    Proj,
+    /// Implicit join (attribute dereference).
+    Ij,
+    /// Path-index join.
+    Pij,
+    /// Explicit nested-loop join.
+    Ej,
+    /// Explicit join through an index.
+    EjIdx,
+    /// Union of two legs.
+    Union,
+    /// Semi-naive fixpoint.
+    Fix,
+}
+
+impl OpKind {
+    /// Stable short name.
+    pub fn name(&self) -> &'static str {
+        match self {
+            OpKind::Scan => "Scan",
+            OpKind::TempScan => "TempScan",
+            OpKind::Sel => "Sel",
+            OpKind::SelIdx => "Sel^idx",
+            OpKind::Proj => "Proj",
+            OpKind::Ij => "IJ",
+            OpKind::Pij => "PIJ",
+            OpKind::Ej => "EJ",
+            OpKind::EjIdx => "EJ^idx",
+            OpKind::Union => "Union",
+            OpKind::Fix => "Fix",
+        }
+    }
+}
+
+/// What one PT node executes as, resolved from the node alone (plus the
+/// schemas): the operator, its operands that execute as operators of
+/// their own (`input`, `left`, `right`, `base`, `rec`) and the children
+/// it absorbs ([`NodeOp::absorbed`]). Lowering builds the [`PhysOp`]
+/// from it; the cost model, the analyzer, the dominance check and the
+/// lint pass read the same value, so none of them can disagree with the
+/// executor about what a node is.
 #[derive(Debug, Clone, PartialEq)]
-pub struct IndexProbe<K> {
-    /// Exact class of the probed class-extension leaf.
+pub enum NodeOp<'p> {
+    /// Stream an atomic entity.
+    EntityScan {
+        /// The entity scanned.
+        entity: EntityId,
+        /// Binding variable.
+        var: &'p str,
+    },
+    /// Stream a fixpoint temporary.
+    TempScan {
+        /// Temporary name.
+        name: &'p str,
+        /// Binding variable prefix.
+        var: &'p str,
+    },
+    /// Filter rows by a predicate.
+    Filter {
+        /// The predicate.
+        pred: &'p Expr,
+        /// An index the plan named but the predicate or input cannot
+        /// probe: the built structure must still exist at runtime.
+        require_index: Option<IndexId>,
+        /// Input.
+        input: &'p Pt,
+    },
+    /// Probe a selection index, then apply `pred` as a residual filter.
+    IndexSelect {
+        /// The full predicate.
+        pred: &'p Expr,
+        /// The resolved probe.
+        probe: IndexProbe<'p, Literal>,
+        /// The class-extension leaf the probe replaces (absorbed).
+        leaf: &'p Pt,
+    },
+    /// Project (with streaming dedup).
+    Project {
+        /// Output columns and their defining expressions.
+        exprs: &'p [(String, Expr)],
+        /// Input.
+        input: &'p Pt,
+    },
+    /// Implicit join: dereference `on` and bind each sub-object to `out`.
+    IjDeref {
+        /// Expression producing the oid(s) to dereference.
+        on: &'p Expr,
+        /// The attribute or field traversed.
+        step: &'p IjStep,
+        /// Output column.
+        out: &'p str,
+        /// Input.
+        input: &'p Pt,
+        /// The entity holding the sub-objects (absorbed).
+        target: &'p Pt,
+    },
+    /// Path-index join.
+    PijLookup {
+        /// The path index probed.
+        index: IndexId,
+        /// Head-oid expression.
+        on: &'p Expr,
+        /// Output columns, one per path step.
+        outs: &'p [String],
+        /// Input.
+        input: &'p Pt,
+        /// The entities spanned (absorbed).
+        targets: &'p [Pt],
+    },
+    /// Nested-loop explicit join.
+    NlJoin {
+        /// Join predicate.
+        pred: &'p Expr,
+        /// Whether the inner is re-opened per outer row
+        /// ([`rescannable`]) or materialized once.
+        rescan_inner: bool,
+        /// See [`NodeOp::Filter::require_index`]: an index join that
+        /// degraded to a nested loop.
+        require_index: Option<IndexId>,
+        /// Outer operand.
+        left: &'p Pt,
+        /// Inner operand.
+        right: &'p Pt,
+    },
+    /// Index join: probe the inner's selection index per outer row.
+    IndexJoin {
+        /// The full join predicate.
+        pred: &'p Expr,
+        /// The resolved probe (its key is the outer expression).
+        probe: IndexProbe<'p, Expr>,
+        /// Outer operand.
+        left: &'p Pt,
+        /// The class-extension leaf the probe replaces (absorbed).
+        inner: &'p Pt,
+    },
+    /// Bag union.
+    UnionAll {
+        /// Left operand.
+        left: &'p Pt,
+        /// Right operand.
+        right: &'p Pt,
+    },
+    /// Semi-naive fixpoint.
+    FixPoint {
+        /// Temporary name.
+        temp: &'p str,
+        /// Base (non-recursive) leg.
+        base: &'p Pt,
+        /// Recursive leg.
+        rec: &'p Pt,
+        /// The body `Union`, folded into this operator (absorbed; its
+        /// two legs are `base` and `rec`, which do execute).
+        body: &'p Pt,
+    },
+}
+
+impl<'p> NodeOp<'p> {
+    /// The operator's kind.
+    pub fn kind(&self) -> OpKind {
+        match self {
+            NodeOp::EntityScan { .. } => OpKind::Scan,
+            NodeOp::TempScan { .. } => OpKind::TempScan,
+            NodeOp::Filter { .. } => OpKind::Sel,
+            NodeOp::IndexSelect { .. } => OpKind::SelIdx,
+            NodeOp::Project { .. } => OpKind::Proj,
+            NodeOp::IjDeref { .. } => OpKind::Ij,
+            NodeOp::PijLookup { .. } => OpKind::Pij,
+            NodeOp::NlJoin { .. } => OpKind::Ej,
+            NodeOp::IndexJoin { .. } => OpKind::EjIdx,
+            NodeOp::UnionAll { .. } => OpKind::Union,
+            NodeOp::FixPoint { .. } => OpKind::Fix,
+        }
+    }
+
+    /// The operator's display label: [`OpMeta::label`] of the lowered
+    /// operator, and the label of the node's cost line and bounds.
+    pub fn label(&self, catalog: &Catalog, physical: &PhysicalSchema) -> String {
+        match self {
+            NodeOp::EntityScan { entity, .. } => format!("scan {}", physical.entity(*entity).name),
+            NodeOp::TempScan { name, .. } => format!("scan temp {name}"),
+            NodeOp::Filter { pred, .. } => format!("Sel[{pred}]"),
+            NodeOp::IndexSelect { pred, .. } => format!("Sel^idx[{pred}]"),
+            NodeOp::Project { .. } => "Proj".to_string(),
+            NodeOp::IjDeref { step, .. } => format!("IJ_{}", step.name),
+            NodeOp::PijLookup { index, .. } => match physical.indexes().get(index.0 as usize) {
+                Some(desc) => format!("PIJ_{}", desc.display_name(catalog)),
+                None => "PIJ".to_string(),
+            },
+            NodeOp::NlJoin { pred, .. } => format!("EJ[{pred}]"),
+            NodeOp::IndexJoin { pred, .. } => format!("EJ^idx[{pred}]"),
+            NodeOp::UnionAll { .. } => "Union".to_string(),
+            NodeOp::FixPoint { temp, .. } => format!("Fix({temp})"),
+        }
+    }
+
+    /// Children that do not execute as operators of their own: the
+    /// extent an index probe replaces, the target entities of implicit
+    /// joins, and a fixpoint's body union.
+    pub fn absorbed(&self) -> &'p [Pt] {
+        match self {
+            NodeOp::IndexSelect { leaf: one, .. }
+            | NodeOp::IjDeref { target: one, .. }
+            | NodeOp::IndexJoin { inner: one, .. }
+            | NodeOp::FixPoint { body: one, .. } => std::slice::from_ref(one),
+            NodeOp::PijLookup { targets, .. } => targets,
+            _ => &[],
+        }
+    }
+}
+
+/// Resolve what a PT node executes as. Access methods are resolved
+/// here, including their fallbacks: an index selection without a usable
+/// `var.attr = literal` conjunct or over a non-class input is a filter,
+/// an index join without a usable equality conjunct is a nested loop —
+/// in both cases remembering the named index so the runtime still
+/// demands the built structure.
+pub fn node_op<'p>(
+    catalog: &'p Catalog,
+    physical: &'p PhysicalSchema,
+    pt: &'p Pt,
+) -> Result<NodeOp<'p>, PtError> {
+    Ok(match pt {
+        Pt::Entity { id, var } => NodeOp::EntityScan { entity: *id, var },
+        Pt::Temp { name, var } => NodeOp::TempScan { name, var },
+        Pt::Sel {
+            pred,
+            method,
+            input,
+        } => {
+            let named = match method {
+                AccessMethod::Scan => None,
+                AccessMethod::Index(idx) => Some(*idx),
+            };
+            match named.and_then(|idx| resolve_index_select(catalog, physical, idx, pred, input)) {
+                Some(probe) => NodeOp::IndexSelect {
+                    pred,
+                    probe,
+                    leaf: input,
+                },
+                None => NodeOp::Filter {
+                    pred,
+                    require_index: named,
+                    input,
+                },
+            }
+        }
+        Pt::Proj { cols, input } => NodeOp::Project { exprs: cols, input },
+        Pt::IJ {
+            on,
+            step,
+            out,
+            input,
+            target,
+        } => NodeOp::IjDeref {
+            on,
+            step,
+            out,
+            input,
+            target,
+        },
+        Pt::PIJ {
+            index,
+            on,
+            outs,
+            input,
+            targets,
+        } => NodeOp::PijLookup {
+            index: *index,
+            on,
+            outs,
+            input,
+            targets,
+        },
+        Pt::EJ {
+            pred,
+            algo,
+            left,
+            right,
+        } => {
+            let named = match algo {
+                JoinAlgo::NestedLoop => None,
+                JoinAlgo::IndexJoin(idx) => Some(*idx),
+            };
+            match named.and_then(|idx| resolve_index_join(catalog, physical, idx, pred, right)) {
+                Some(probe) => NodeOp::IndexJoin {
+                    pred,
+                    probe,
+                    left,
+                    inner: right,
+                },
+                None => NodeOp::NlJoin {
+                    pred,
+                    rescan_inner: rescannable(catalog, physical, right),
+                    require_index: named,
+                    left,
+                    right,
+                },
+            }
+        }
+        Pt::Union { left, right } => NodeOp::UnionAll { left, right },
+        Pt::Fix { body, .. } => {
+            let (temp, base, rec) = pt.fix_sides()?;
+            NodeOp::FixPoint {
+                temp,
+                base,
+                rec,
+                body,
+            }
+        }
+    })
+}
+
+/// True when the subtree lowers to something the executor can honestly
+/// re-open per outer row of a nested loop — a leaf scan under filters
+/// and projections ([`PhysOp::rescannable`] of the lowered subtree) —
+/// rather than a materialize-once breaker.
+pub fn rescannable(catalog: &Catalog, physical: &PhysicalSchema, pt: &Pt) -> bool {
+    match pt {
+        Pt::Entity { .. } | Pt::Temp { .. } => true,
+        Pt::Proj { input, .. } => rescannable(catalog, physical, input),
+        // A filter passes rescans through; an index probe does not.
+        Pt::Sel { .. } => matches!(
+            node_op(catalog, physical, pt),
+            Ok(NodeOp::Filter { input, .. }) if rescannable(catalog, physical, input)
+        ),
+        _ => false,
+    }
+}
+
+/// Pre-order ids ([`node_ids`]) of the nodes inside fix recursion: each
+/// `Fix` node plus every node of its recursive leg. Cost lines of these
+/// nodes accumulate the model's *predicted* iteration count, so their
+/// cardinalities cannot be joined against observed counters without
+/// re-deriving that multiplier.
+pub fn fix_recursive_nodes(root: &Pt) -> HashSet<usize> {
+    let ids = node_ids(root);
+    let mut out = HashSet::new();
+    root.visit(&mut |n| {
+        if let Ok((_, _, rec)) = n.fix_sides() {
+            out.insert(ids[&(n as *const Pt)]);
+            rec.visit(&mut |r| {
+                out.insert(ids[&(r as *const Pt)]);
+            });
+        }
+    });
+    out
+}
+
+/// A selection-index probe resolved against the physical schema: the
+/// one answer to "can this predicate use this index".
+#[derive(Debug, Clone, PartialEq)]
+pub struct IndexProbe<'p, K> {
+    /// The selection index probed.
+    pub index: IndexId,
+    /// The probed class-extension entity.
+    pub entity: EntityId,
+    /// Its exact class.
     pub class: ClassId,
     /// The leaf's tuple variable.
-    pub var: String,
+    pub var: &'p str,
     /// Name of the indexed attribute.
-    pub attr: String,
+    pub attr: &'p str,
     /// Height of the index's B+-tree.
     pub nblevels: u32,
     /// What is looked up: the literal of an index selection, the outer
     /// expression of an index join.
-    pub key: K,
+    pub key: &'p K,
 }
 
-/// `(var, exact class)` of a bare class-extension leaf, the only input
-/// shape a selection index can probe.
-fn class_leaf<'p>(physical: &PhysicalSchema, pt: &'p Pt) -> Option<(&'p str, ClassId)> {
+/// `(entity, var, exact class)` of a bare class-extension leaf, the only
+/// input shape a selection index can probe.
+fn class_leaf<'p>(physical: &PhysicalSchema, pt: &'p Pt) -> Option<(EntityId, &'p str, ClassId)> {
     let Pt::Entity { id, var } = pt else {
         return None;
     };
-    match physical.entity(*id).source {
-        EntitySource::Class(class) => Some((var, class)),
+    match physical.entities().get(id.0 as usize)?.source {
+        EntitySource::Class(class) => Some((*id, var, class)),
         _ => None,
     }
 }
@@ -905,67 +1162,64 @@ fn eq_outer_attrs<'p>(pred: &'p Expr, var: &'p str) -> impl Iterator<Item = (&'p
     })
 }
 
-/// Find an `var.attr = literal` (or mirrored) conjunct of the predicate.
-pub fn eq_literal_conjunct(pred: &Expr, var: &str, attr_name: &str) -> Option<Literal> {
-    eq_literal_attrs(pred, var)
-        .find(|(a, _)| *a == attr_name)
-        .map(|(_, l)| l.clone())
-}
-
 /// Resolve `idx` as the probe of a `Sel` or `EJ` over `leaf`: it must be
 /// a selection index and `leaf` a class-extension entity; `key` then
 /// finds what the predicate looks up under the indexed attribute.
-fn resolve_probe<K>(
-    catalog: &Catalog,
-    physical: &PhysicalSchema,
+fn resolve_probe<'p, K>(
+    catalog: &'p Catalog,
+    physical: &'p PhysicalSchema,
     idx: IndexId,
-    leaf: &Pt,
-    key: impl FnOnce(&str, &str) -> Option<K>,
-) -> Option<IndexProbe<K>> {
+    leaf: &'p Pt,
+    key: impl FnOnce(&'p str, &'p str) -> Option<&'p K>,
+) -> Option<IndexProbe<'p, K>> {
     let desc = physical.indexes().get(idx.0 as usize)?;
     let IndexKindDesc::Selection { class, attr } = desc.kind else {
         return None;
     };
-    let (var, entity_class) = class_leaf(physical, leaf)?;
-    let attr = &catalog.attribute(class, attr).name;
+    let (entity, var, entity_class) = class_leaf(physical, leaf)?;
+    let attr = catalog.attribute(class, attr).name.as_str();
     Some(IndexProbe {
+        index: idx,
+        entity,
         class: entity_class,
-        var: var.to_string(),
-        attr: attr.clone(),
+        var,
+        attr,
         nblevels: desc.stats.nblevels,
         key: key(var, attr)?,
     })
 }
 
-/// Whether `Sel_pred^idx(input)` lowers to an index probe: the
+/// Whether `Sel_pred^idx(input)` executes as an index probe: the
 /// predicate must carry a `var.attr = literal` conjunct on the indexed
 /// attribute of a class-extension `input`.
-pub fn resolve_index_select(
-    catalog: &Catalog,
-    physical: &PhysicalSchema,
+fn resolve_index_select<'p>(
+    catalog: &'p Catalog,
+    physical: &'p PhysicalSchema,
     idx: IndexId,
-    pred: &Expr,
-    input: &Pt,
-) -> Option<IndexProbe<Literal>> {
+    pred: &'p Expr,
+    input: &'p Pt,
+) -> Option<IndexProbe<'p, Literal>> {
     resolve_probe(catalog, physical, idx, input, |var, attr| {
-        eq_literal_conjunct(pred, var, attr)
+        eq_literal_attrs(pred, var)
+            .find(|(a, _)| *a == attr)
+            .map(|(_, l)| l)
     })
 }
 
-/// Whether `EJ_pred^idx(_, right)` lowers to an index join: the
+/// Whether `EJ_pred^idx(_, right)` executes as an index join: the
 /// predicate must carry an `outer = var.attr` conjunct on the indexed
 /// attribute of a class-extension `right`, with `outer` free of `var`.
-pub fn resolve_index_join(
-    catalog: &Catalog,
-    physical: &PhysicalSchema,
+fn resolve_index_join<'p>(
+    catalog: &'p Catalog,
+    physical: &'p PhysicalSchema,
     idx: IndexId,
-    pred: &Expr,
-    right: &Pt,
-) -> Option<IndexProbe<Expr>> {
+    pred: &'p Expr,
+    right: &'p Pt,
+) -> Option<IndexProbe<'p, Expr>> {
     resolve_probe(catalog, physical, idx, right, |var, attr| {
         eq_outer_attrs(pred, var)
             .find(|(a, _)| *a == attr)
-            .map(|(_, outer)| outer.clone())
+            .map(|(_, outer)| outer)
     })
 }
 
@@ -984,21 +1238,22 @@ fn indexes_on<'a>(
 }
 
 /// The selection index a scanning `Sel_pred(input)` could probe
-/// instead: the first, in conjunct order, that
-/// [`resolve_index_select`] accepts.
+/// instead: the first, in conjunct order, that [`node_op`] resolves to
+/// an [`NodeOp::IndexSelect`].
 pub fn applicable_sel_index(
     catalog: &Catalog,
     physical: &PhysicalSchema,
     pred: &Expr,
     input: &Pt,
 ) -> Option<IndexId> {
-    let (var, class) = class_leaf(physical, input)?;
+    let (_, var, class) = class_leaf(physical, input)?;
     let attrs = eq_literal_attrs(pred, var).map(|(a, _)| a);
     indexes_on(catalog, physical, class, attrs).next()
 }
 
 /// Every selection index a nested-loop `EJ_pred(_, right)` could probe
-/// instead, in conjunct order ([`resolve_index_join`] accepts each).
+/// instead, in conjunct order ([`node_op`] resolves each to an
+/// [`NodeOp::IndexJoin`]).
 pub fn applicable_join_indexes<'a>(
     catalog: &'a Catalog,
     physical: &'a PhysicalSchema,
@@ -1007,7 +1262,7 @@ pub fn applicable_join_indexes<'a>(
 ) -> impl Iterator<Item = IndexId> + 'a {
     class_leaf(physical, right)
         .into_iter()
-        .flat_map(move |(var, class)| {
+        .flat_map(move |(_, var, class)| {
             let attrs = eq_outer_attrs(pred, var).map(|(a, _)| a);
             indexes_on(catalog, physical, class, attrs)
         })

@@ -258,89 +258,218 @@ fn name_index(cat: &Catalog, db: &mut Database) -> oorq_storage::IndexId {
     )
 }
 
+/// One row per `Pt` kind (both access-method fallbacks included): the
+/// operator `node_op` resolves, its label, and which children it
+/// absorbs — checked against what lowering actually builds.
 #[test]
-fn lowering_resolves_index_selection_and_fallback() {
+fn node_op_resolves_every_pt_kind() {
     let (cat, mut db) = setup();
     let composer = cat.class_by_name("Composer").unwrap();
+    let composition = cat.class_by_name("Composition").unwrap();
     let sid = name_index(&cat, &mut db);
+    let (master, _) = cat.attr(composer, "master").unwrap();
+    let (works, _) = cat.attr(composer, "works").unwrap();
+    let pid = db.physical_mut().add_index(
+        oorq_storage::IndexKindDesc::Path {
+            path: vec![(composer, works)],
+        },
+        oorq_storage::IndexStats {
+            nblevels: 2,
+            nbleaves: 10,
+        },
+    );
     let e = db.physical().entities_of_class(composer)[0];
-    let env = PtEnv::new(&cat, db.physical());
-
-    // A `var.attr = literal` conjunct: the probe key is resolved.
-    let indexed = Pt::Sel {
-        pred: Expr::path("x", &["name"]).eq(Expr::text("Bach")),
+    let we = db.physical().entities_of_class(composition)[0];
+    let obj = ResolvedType::Object(composer);
+    let env = PtEnv::new(&cat, db.physical()).with_temp(
+        "R",
+        vec![("master".into(), obj.clone()), ("disciple".into(), obj)],
+    );
+    let scan = |v: &str| Pt::entity(e, v);
+    let is_bach = Expr::path("x", &["name"]).eq(Expr::text("Bach"));
+    let not_bach = Expr::path("x", &["name"]).ne(Expr::text("Bach"));
+    let same_name = Expr::path("l", &["name"]).eq(Expr::path("x", &["name"]));
+    let older = Expr::path("l", &["birth_year"]).ge(Expr::path("x", &["birth_year"]));
+    let sel_idx = |pred: &Expr| Pt::Sel {
+        pred: pred.clone(),
         method: AccessMethod::Index(sid),
-        input: Box::new(Pt::entity(e, "x")),
+        input: Box::new(scan("x")),
     };
-    let plan = lower(&env, &indexed).unwrap();
-    match &plan.root {
-        PhysOp::IndexSelect { index, key, .. } => {
-            assert_eq!(*index, sid);
-            assert_eq!(*key, oorq_query::Literal::Text("Bach".into()));
-        }
-        other => panic!("expected IndexSelect, got {other:?}"),
-    }
-    assert!(plan.root.meta().label.starts_with("Sel^idx["));
-
-    // No usable conjunct: degrade to a filter that still demands the
-    // index structure (the interpreter's resolution order).
-    let unusable = Pt::Sel {
-        pred: Expr::path("x", &["name"]).ne(Expr::text("Bach")),
-        method: AccessMethod::Index(sid),
-        input: Box::new(Pt::entity(e, "x")),
-    };
-    let plan = lower(&env, &unusable).unwrap();
-    match &plan.root {
-        PhysOp::Filter { require_index, .. } => assert_eq!(*require_index, Some(sid)),
-        other => panic!("expected Filter fallback, got {other:?}"),
-    }
-}
-
-#[test]
-fn lowering_resolves_index_join_outer_expression() {
-    let (cat, mut db) = setup();
-    let composer = cat.class_by_name("Composer").unwrap();
-    let sid = name_index(&cat, &mut db);
-    let e = db.physical().entities_of_class(composer)[0];
-    let env = PtEnv::new(&cat, db.physical());
-
-    // `l.name = r.name` with the index on the inner's `name`: the outer
-    // key expression is resolved to `l.name`.
-    let ej = Pt::EJ {
-        pred: Expr::path("l", &["name"]).eq(Expr::path("r", &["name"])),
+    let ej_idx = |pred: &Expr| Pt::EJ {
+        pred: pred.clone(),
         algo: JoinAlgo::IndexJoin(sid),
-        left: Box::new(Pt::entity(e, "l")),
-        right: Box::new(Pt::entity(e, "r")),
+        left: Box::new(scan("l")),
+        right: Box::new(scan("x")),
     };
-    let plan = lower(&env, &ej).unwrap();
-    match &plan.root {
-        PhysOp::IndexJoin { outer, var, .. } => {
-            assert_eq!(*outer, Expr::path("l", &["name"]));
-            assert_eq!(var, "r");
+    let pairs = |input: Pt| {
+        Pt::proj(
+            vec![
+                ("master".into(), Expr::path("x", &["master"])),
+                ("disciple".into(), Expr::var("x")),
+            ],
+            input,
+        )
+    };
+    let base = pairs(scan("x"));
+    let rec = pairs(Pt::ej(
+        Expr::var("i.disciple").eq(Expr::path("x", &["master"])),
+        Pt::temp("R", "i"),
+        scan("x"),
+    ));
+    let ij = Pt::IJ {
+        on: Expr::path("x", &["master"]),
+        step: IjStep::class_attr(&cat, composer, master),
+        out: "m".into(),
+        input: Box::new(scan("x")),
+        target: Box::new(scan("t")),
+    };
+    let pij = Pt::PIJ {
+        index: pid,
+        on: Expr::var("x"),
+        outs: vec!["w".into()],
+        input: Box::new(scan("x")),
+        targets: vec![Pt::entity(we, "t")],
+    };
+    let nl = Pt::ej(same_name.clone(), scan("l"), scan("x"));
+    let union = Pt::union(scan("x"), scan("x"));
+    let fix_rec_right = Pt::fix("R", Pt::union(base.clone(), rec.clone()));
+    let fix_rec_left = Pt::fix("R", Pt::union(rec.clone(), base.clone()));
+    // (plan, kind, label, absorbed children, named-but-unusable index)
+    let rows = [
+        (scan("x"), OpKind::Scan, "scan Composer", 0, None),
+        (Pt::temp("R", "i"), OpKind::TempScan, "scan temp R", 0, None),
+        (
+            Pt::sel(is_bach.clone(), scan("x")),
+            OpKind::Sel,
+            "Sel[x.name=\"Bach\"]",
+            0,
+            None,
+        ),
+        (
+            sel_idx(&is_bach),
+            OpKind::SelIdx,
+            "Sel^idx[x.name=\"Bach\"]",
+            1,
+            None,
+        ),
+        (
+            sel_idx(&not_bach),
+            OpKind::Sel,
+            "Sel[x.name<>\"Bach\"]",
+            0,
+            Some(sid),
+        ),
+        (base.clone(), OpKind::Proj, "Proj", 0, None),
+        (ij, OpKind::Ij, "IJ_master", 1, None),
+        (pij, OpKind::Pij, "PIJ_works", 1, None),
+        (nl, OpKind::Ej, "EJ[l.name=x.name]", 0, None),
+        (
+            ej_idx(&same_name),
+            OpKind::EjIdx,
+            "EJ^idx[l.name=x.name]",
+            1,
+            None,
+        ),
+        (
+            ej_idx(&older),
+            OpKind::Ej,
+            "EJ[l.birth_year>=x.birth_year]",
+            0,
+            Some(sid),
+        ),
+        (union, OpKind::Union, "Union", 0, None),
+        (fix_rec_right, OpKind::Fix, "Fix(R)", 1, None),
+        (fix_rec_left, OpKind::Fix, "Fix(R)", 1, None),
+    ];
+    for (pt, kind, label, absorbed, unusable) in &rows {
+        let op = node_op(&cat, db.physical(), pt).unwrap();
+        assert_eq!(op.kind(), *kind, "{label}");
+        assert_eq!(op.label(&cat, db.physical()), *label);
+        assert_eq!(op.absorbed().len(), *absorbed, "{label}");
+        let required = match &op {
+            NodeOp::Filter { require_index, .. } | NodeOp::NlJoin { require_index, .. } => {
+                *require_index
+            }
+            _ => None,
+        };
+        assert_eq!(required, *unusable, "{label}");
+        // The operands that execute: every child that is not absorbed —
+        // for a fixpoint, the two legs of its absorbed body, base first.
+        let executed: Vec<&Pt> = match &op {
+            NodeOp::FixPoint {
+                base: b, rec: r, ..
+            } => {
+                assert_eq!((*b, *r), (&base, &rec), "legs found on either side");
+                vec![b, r]
+            }
+            _ => pt
+                .children()
+                .into_iter()
+                .filter(|c| !op.absorbed().iter().any(|a| std::ptr::eq(a, *c)))
+                .collect(),
+        };
+        let ids = node_ids(pt);
+        let plan = lower(&env, pt).unwrap();
+        assert_eq!(plan.root.meta().label, *label);
+        let lowered: Vec<usize> = plan
+            .root
+            .children()
+            .iter()
+            .map(|c| c.meta().pt_node)
+            .collect();
+        let expected: Vec<usize> = executed.iter().map(|c| ids[&(*c as *const Pt)]).collect();
+        assert_eq!(lowered, expected, "{label}: executed operands");
+        // What lowering copies out of the resolution: the probe's key, or
+        // the index a fallback still demands at run time.
+        match &plan.root {
+            PhysOp::IndexSelect { index, key, .. } => {
+                assert_eq!(*index, sid);
+                assert_eq!(*key, oorq_query::Literal::Text("Bach".into()));
+            }
+            PhysOp::IndexJoin {
+                index, outer, var, ..
+            } => {
+                assert_eq!(*index, sid);
+                assert_eq!(*outer, Expr::path("l", &["name"]));
+                assert_eq!(var, "x");
+            }
+            PhysOp::Filter { require_index, .. } => assert_eq!(require_index, unusable),
+            PhysOp::NlJoin {
+                require_index,
+                rescan_inner,
+                ..
+            } => {
+                assert_eq!(require_index, unusable);
+                assert!(*rescan_inner, "entity inner is honestly rescannable");
+            }
+            _ => {}
         }
-        other => panic!("expected IndexJoin, got {other:?}"),
+        assert_eq!(
+            rescannable(&cat, db.physical(), pt),
+            plan.root.rescannable(),
+            "{label}"
+        );
     }
 
-    // No equality on the indexed attribute: degrade to a nested loop
-    // that still demands the structure.
-    let no_eq = Pt::EJ {
-        pred: Expr::path("l", &["birth_year"]).ge(Expr::path("r", &["birth_year"])),
-        algo: JoinAlgo::IndexJoin(sid),
-        left: Box::new(Pt::entity(e, "l")),
-        right: Box::new(Pt::entity(e, "r")),
-    };
-    let plan = lower(&env, &no_eq).unwrap();
-    match &plan.root {
-        PhysOp::NlJoin {
-            require_index,
-            rescan_inner,
-            ..
-        } => {
-            assert_eq!(*require_index, Some(sid));
-            assert!(*rescan_inner, "entity inner is honestly rescannable");
-        }
-        other => panic!("expected NlJoin fallback, got {other:?}"),
+    // The one error for a malformed fixpoint, whoever asks.
+    let not_union = Pt::fix("R", base.clone());
+    let no_rec = Pt::fix("R", Pt::union(base.clone(), base.clone()));
+    for (pt, err) in [
+        (&not_union, PtError::FixBodyNotUnion),
+        (&no_rec, PtError::FixNotRecursive("R".into())),
+    ] {
+        assert_eq!(node_op(&cat, db.physical(), pt).err(), Some(err.clone()));
+        assert_eq!(pt.fix_sides().err(), Some(err.clone()));
+        assert_eq!(lower(&env, pt).err(), Some(err.clone()));
+        assert_eq!(pt.output_columns(&env).err(), Some(err));
+        assert!(fix_recursive_nodes(pt).is_empty());
     }
+    // Pre-order: Fix=0, Union=1, base Proj=2, Entity=3, rec Proj=4, EJ=5,
+    // Temp=6, Entity=7 — the Fix node plus its whole recursive leg.
+    let fix = Pt::fix("R", Pt::union(base, rec));
+    let mut inside: Vec<usize> = fix_recursive_nodes(&fix).into_iter().collect();
+    inside.sort_unstable();
+    assert_eq!(inside, vec![0, 4, 5, 6, 7]);
 }
 
 #[test]
@@ -435,6 +564,15 @@ fn column_expr_typing_handles_qualified_names() {
     assert_eq!(t, ResolvedType::Atomic(oorq_schema::AtomicType::Text));
     let t = type_of_column_expr(&cat, &Expr::path("i", &["gen"]), &cols).unwrap();
     assert_eq!(t, ResolvedType::Atomic(oorq_schema::AtomicType::Int));
+
+    // With a bare `i` also in scope the path still binds to the
+    // qualified `i.disciple`, as the evaluator does: the bare column
+    // holds a composition, which has no `disciple`.
+    let composition = cat.class_by_name("Composition").unwrap();
+    let mut both = cols.clone();
+    both.insert("i".to_string(), ResolvedType::Object(composition));
+    let t = type_of_column_expr(&cat, &Expr::path("i", &["disciple", "name"]), &both).unwrap();
+    assert_eq!(t, ResolvedType::Atomic(oorq_schema::AtomicType::Text));
 }
 
 /// Known-good fingerprints under the corrected FNV prime. The values

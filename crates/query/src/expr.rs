@@ -272,6 +272,43 @@ impl Expr {
     }
 }
 
+/// Bind the path `base.steps` to a column: the one answer to "which
+/// column does this path start from" shared by the evaluator, the typer,
+/// the lint pass, the cost model, the analyzer and the optimizer.
+///
+/// A qualified `base.step0` column takes precedence over a bare `base`
+/// column: tuple roots are flattened into qualified columns, and the bare
+/// column — if present — holds an opaque tuple that paths cannot
+/// traverse. `col` looks a column name up; the result is what it found
+/// plus the steps still to traverse from there.
+///
+/// The evaluator binds per row and the cost model per candidate plan,
+/// so the usual short qualified name is spelled on the stack, not the
+/// heap.
+pub fn bind_path<'s, T>(
+    base: &str,
+    steps: &'s [String],
+    col: impl Fn(&str) -> Option<T>,
+) -> Option<(T, &'s [String])> {
+    if !steps.is_empty() {
+        let (b, f) = (base.as_bytes(), steps[0].as_bytes());
+        let mut buf = [0u8; 64];
+        let found = match buf.get_mut(..b.len() + 1 + f.len()) {
+            Some(name) => {
+                name[..b.len()].copy_from_slice(b);
+                name[b.len()] = b'.';
+                name[b.len() + 1..].copy_from_slice(f);
+                std::str::from_utf8(name).ok().and_then(&col)
+            }
+            None => col(&format!("{base}.{}", steps[0])),
+        };
+        if let Some(found) = found {
+            return Some((found, &steps[1..]));
+        }
+    }
+    col(base).map(|found| (found, steps))
+}
+
 impl fmt::Display for Expr {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -336,6 +373,22 @@ mod tests {
             _ => None,
         });
         assert_eq!(rewritten.to_string(), "g>=6");
+    }
+
+    #[test]
+    fn bind_path_prefers_the_qualified_column() {
+        let steps = ["master".to_string(), "name".to_string()];
+        let lookup =
+            |cols: &'static [&'static str]| move |c: &str| cols.iter().copied().find(|x| *x == c);
+        let both = bind_path("i", &steps, lookup(&["i", "i.master"]));
+        assert_eq!(both, Some(("i.master", &steps[1..])));
+        let bare = bind_path("i", &steps, lookup(&["i"]));
+        assert_eq!(bare, Some(("i", &steps[..])));
+        assert_eq!(bind_path("i", &steps, lookup(&["x"])), None);
+        assert_eq!(
+            bind_path("i", &[], lookup(&["i"])),
+            Some(("i", &steps[..0]))
+        );
     }
 
     #[test]

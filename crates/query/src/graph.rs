@@ -82,12 +82,6 @@ impl QArc {
             label: TreeLabel::leaf(),
         }
     }
-
-    /// Attach a tree label.
-    pub fn with_label(mut self, label: TreeLabel) -> Self {
-        self.label = label;
-        self
-    }
 }
 
 /// A predicate node `SPJ(In, pred, outproj)`.
@@ -107,11 +101,6 @@ impl SpjNode {
     /// (excluding root variables).
     pub fn label_vars(&self) -> Vec<String> {
         self.inputs.iter().flat_map(|a| a.label.vars()).collect()
-    }
-
-    /// All root variables of the incoming arcs.
-    pub fn root_vars(&self) -> Vec<String> {
-        self.inputs.iter().filter_map(|a| a.var.clone()).collect()
     }
 }
 

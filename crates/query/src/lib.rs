@@ -16,7 +16,7 @@ pub mod paper;
 pub mod parse;
 
 pub use error::QueryError;
-pub use expr::{CmpOp, Expr, Literal};
+pub use expr::{bind_path, CmpOp, Expr, Literal};
 pub use graph::{expr_type, GraphTerm, NameRef, QArc, QueryGraph, SpjNode, ViewRegistry};
 pub use label::{TreeChild, TreeLabel};
 pub use parse::{parse_program, parse_query, ParseError, ParsedProgram};

@@ -134,12 +134,6 @@ pub enum ResolvedType {
 }
 
 impl ResolvedType {
-    /// True when this type is atomic (no object references anywhere is a
-    /// stronger property; this asks only about the top-level constructor).
-    pub fn is_atomic(&self) -> bool {
-        matches!(self, ResolvedType::Atomic(_))
-    }
-
     /// If the type is an object or a collection of objects, return the
     /// referenced class. This is the notion of "attribute implemented by a
     /// class" used by the paper's `translateArc` action (the cases `Att: C`,

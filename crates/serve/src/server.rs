@@ -31,42 +31,11 @@ use oorq_exec::{Batch, ExecConfig, ExecError, ExecState, Executor, MethodRegistr
 use oorq_index::IndexSet;
 use oorq_lint::{lint_drift, DriftTolerance, LintCode, ObservedOp};
 use oorq_obs::MetricsRegistry;
-use oorq_pt::{Fnv64, Pt};
+use oorq_pt::{fix_recursive_nodes, Fnv64};
 use oorq_query::{parse_query, ParseError, QueryGraph};
 use oorq_storage::{Database, DbStats};
 
 use crate::cache::{CacheOutcome, CachedPlan, PlanCache};
-
-/// PT node ids inside fix recursion: each `Fix` node itself plus the
-/// recursive leg of its union body. Cost-breakdown lines for these
-/// nodes accumulate the model's *predicted iteration count*, so their
-/// cardinality cannot be compared against observed counters without
-/// re-deriving that multiplier — the drift-invalidation join skips
-/// them (the same distinction the calibration harness draws).
-fn fix_recursive_nodes(pt: &Pt) -> std::collections::HashSet<usize> {
-    let ids = oorq_pt::node_ids(pt);
-    let mut out = std::collections::HashSet::new();
-    pt.visit(&mut |n| {
-        if let Pt::Fix { temp, body } = n {
-            if let Some(&id) = ids.get(&(n as *const Pt)) {
-                out.insert(id);
-            }
-            if let Pt::Union { left, right } = body.as_ref() {
-                let rec = if left.references_temp(temp) {
-                    left.as_ref()
-                } else {
-                    right.as_ref()
-                };
-                rec.visit(&mut |r| {
-                    if let Some(&id) = ids.get(&(r as *const Pt)) {
-                        out.insert(id);
-                    }
-                });
-            }
-        }
-    });
-    out
-}
 
 /// Serving-layer configuration.
 #[derive(Debug, Clone)]
@@ -411,7 +380,7 @@ impl<'s> Session<'s> {
         // predicts one pass) while the executor's `rows_out` totals
         // across every re-open, and lines inside fix recursion fold in
         // the model's predicted iteration count (see
-        // [`fix_recursive_nodes`]). So the join (a) skips lines inside
+        // [`oorq_pt::fix_recursive_nodes`]). So the join (a) skips lines inside
         // fix recursion, and (b) judges a scan line drifted only when
         // it disagrees under *both* readings of the observed counters —
         // per-open (`rows_out / opens`) and total — which stale

@@ -35,11 +35,6 @@ impl IoStats {
         self.page_reads + self.page_hits
     }
 
-    /// Total physical reads including index pages.
-    pub fn total_reads(&self) -> u64 {
-        self.page_reads + self.index_reads
-    }
-
     /// Fold another worker's counters into this one (exchange merge).
     pub fn absorb(&mut self, other: IoStats) {
         self.page_reads += other.page_reads;

@@ -164,11 +164,6 @@ impl Database {
         &mut self.physical
     }
 
-    /// The width model in use.
-    pub fn width_model(&self) -> &WidthModel {
-        &self.width
-    }
-
     /// An independent read view of this database for a serving session.
     ///
     /// Segment data is shared copy-on-write (each segment sits behind an

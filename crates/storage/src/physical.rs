@@ -207,11 +207,6 @@ impl PhysicalSchema {
         id
     }
 
-    /// Update the statistics of an index (after bulk loading).
-    pub fn set_index_stats(&mut self, id: IndexId, stats: IndexStats) {
-        self.indexes[id.0 as usize].stats = stats;
-    }
-
     /// Entity descriptor by id.
     pub fn entity(&self, id: EntityId) -> &EntityDesc {
         &self.entities[id.0 as usize]

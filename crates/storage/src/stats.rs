@@ -201,12 +201,6 @@ impl DbStats {
         self.per_entity.get(&id)
     }
 
-    /// Insert or replace statistics for an entity (used for temporaries
-    /// whose sizes are estimated rather than measured).
-    pub fn set_entity(&mut self, id: EntityId, stats: EntityStats) {
-        self.per_entity.insert(id, stats);
-    }
-
     /// Chain-depth statistics of a self-referencing attribute.
     pub fn chain(&self, class: ClassId, attr: AttrId) -> Option<ChainDepth> {
         self.chain_depth.get(&(class, attr)).copied()

@@ -89,14 +89,6 @@ impl Value {
         }
     }
 
-    /// As boolean, if it is one.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Value::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
     /// As text, if it is one.
     pub fn as_text(&self) -> Option<&str> {
         match self {

@@ -5,11 +5,16 @@
 //! queries — that the semi-naive fixpoint converged (a bounded number
 //! of delta scans, observed through the per-operator counters).
 
+use std::collections::{HashMap, HashSet};
+
+use oorq::cost::{CostParams, NodeCost, OpKind};
 use oorq::datagen::{ChainConfig, MusicConfig, PartsConfig};
 use oorq::exec::eval_query_graph;
 use oorq::optimizer::OptimizerConfig;
+use oorq::pt::{AccessMethod, JoinAlgo, ParallelSpec, Pt};
 use oorq::query::{Expr, NameRef, QArc, QueryGraph, SpjNode};
-use oorq_bench::scenarios::env_budget;
+use oorq::storage::IndexKindDesc;
+use oorq_bench::scenarios::{env_budget, for_each_row, TempFields};
 use oorq_bench::{Knobs, Scenario};
 
 /// The knobs of every streaming run: the breaker memory budget (pages)
@@ -284,5 +289,95 @@ fn chain_scenario_differential_across_seeds() {
             &format!("chain(seed={seed},k={relations})"),
             false,
         );
+    }
+}
+
+/// Cost line, static bounds and executed operator of one plan agree on
+/// what every node is: each executed operator carries the label of its
+/// node's cost line (the cost line of a `Fix` appends ` x<iterations>`),
+/// and the analyzer marks as lowered exactly the nodes that executed.
+fn assert_one_operator_per_node(label: &str, s: &mut Scenario, pt: &Pt, temps: TempFields) {
+    let cost = s
+        .model(CostParams::default(), temps.clone())
+        .cost(pt)
+        .unwrap_or_else(|e| panic!("{label}: {e}"));
+    let analysis = s
+        .analyze(pt, temps)
+        .unwrap_or_else(|e| panic!("{label}: {e}"));
+    let (_, report, _) = s
+        .execute(pt, &ParallelSpec::new(), &knobs())
+        .unwrap_or_else(|e| panic!("{label}: {e}"));
+    let lines: HashMap<usize, &NodeCost> = cost
+        .breakdown
+        .iter()
+        .filter_map(|n| Some((n.node?, n)))
+        .collect();
+    let mut executed = HashSet::new();
+    for op in &report.ops {
+        executed.insert(op.pt_node);
+        let line = lines[&op.pt_node];
+        let predicted = match line.kind {
+            OpKind::Fix => line.label.rsplit_once(" x").expect("iteration suffix").0,
+            _ => line.label.as_str(),
+        };
+        assert_eq!(predicted, op.label, "{label}: node {}", op.pt_node);
+    }
+    for n in &analysis.nodes {
+        assert_eq!(
+            n.lowered,
+            executed.contains(&n.pt_node),
+            "{label}: node {} ({})",
+            n.pt_node,
+            n.label
+        );
+    }
+}
+
+/// Predicted, bounded and executed operator are the same operator: on
+/// every corpus row, and on the two hand-built plans whose index
+/// annotation the predicate cannot use (they run as `Filter` / `NlJoin`
+/// and must be priced and bounded as such, not as probes).
+#[test]
+fn predicted_bounded_and_executed_operators_agree() {
+    let mut rows = 0;
+    for_each_row(
+        |_, _| true,
+        |name, s, q, config| {
+            let (plan, temps) = s.plan(q, config, &knobs())?;
+            assert_one_operator_per_node(name, s, &plan.pt, temps);
+            rows += 1;
+            Ok::<(), String>(())
+        },
+    )
+    .expect("the corpus optimizes");
+    assert_eq!(rows, 27, "every corpus row");
+
+    let mut s = Scenario::music(MusicConfig {
+        chains: 2,
+        chain_len: 4,
+        ..Default::default()
+    });
+    let composer = s.db.catalog().class_by_name("Composer").unwrap();
+    let e = s.db.physical().entities_of_class(composer)[0];
+    let by_name =
+        s.db.physical()
+            .indexes()
+            .iter()
+            .find(|d| matches!(d.kind, IndexKindDesc::Selection { .. }))
+            .expect("the music design indexes composer names")
+            .id;
+    let sel = Pt::Sel {
+        pred: Expr::path("x", &["name"]).ne(Expr::text("Bach")),
+        method: AccessMethod::Index(by_name),
+        input: Box::new(Pt::entity(e, "x")),
+    };
+    let ej = Pt::EJ {
+        pred: Expr::path("l", &["birth_year"]).ge(Expr::path("x", &["birth_year"])),
+        algo: JoinAlgo::IndexJoin(by_name),
+        left: Box::new(Pt::entity(e, "l")),
+        right: Box::new(Pt::entity(e, "x")),
+    };
+    for (label, pt) in [("fallback/sel", sel), ("fallback/ej", ej)] {
+        assert_one_operator_per_node(label, &mut s, &pt, TempFields::new());
     }
 }
