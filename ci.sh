@@ -18,6 +18,9 @@ cargo test -q --workspace
 echo "== cargo build --release =="
 cargo build --release --workspace
 
+echo "== benchmark, quick: OQL text in, answer bytes out through oorq-serve (wrong answer, failed request or invalid trace fails) =="
+benchmark/run.sh --quick >/dev/null
+
 echo "== reproduce all vs the checked-in golden (every figure, byte for byte) =="
 $reproduce all | diff - reproduce_output.txt
 

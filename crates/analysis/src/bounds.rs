@@ -631,8 +631,8 @@ impl Walk<'_, '_> {
     }
 
     /// Per-evaluation upper bounds of an expression over the given
-    /// columns (follows `EvalCtx::eval` step for step, including the
-    /// single-bump `= null` special case).
+    /// columns (follows the executor's `Bound::eval` step for step,
+    /// including the single-bump `= null` special case).
     fn expr_bounds(&self, e: &Expr, cols: &[ColInfo]) -> ExprCost {
         match e {
             Expr::True => ExprCost::leaf(1.0),

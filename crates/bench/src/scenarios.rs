@@ -145,7 +145,15 @@ impl Scenario {
     /// [`Scenario::music`], optionally without the path index (the
     /// physical-design ablation).
     pub fn music_design(cfg: MusicConfig, path_index: bool) -> Self {
-        let mut m = MusicDb::generate(Arc::new(music_catalog()), cfg);
+        Self::music_from(
+            MusicDb::generate(Arc::new(music_catalog()), cfg),
+            path_index,
+        )
+    }
+
+    /// The paper's physical design over an already generated music
+    /// database.
+    pub fn music_from(mut m: MusicDb, path_index: bool) -> Self {
         let mut idx = IndexSet::new();
         if path_index {
             idx.add_path(PathIndex::build(

@@ -10,7 +10,7 @@ use std::sync::Arc;
 use oorq_prng::Prng;
 use oorq_query::{Expr, NameRef, QArc, QueryGraph, SpjNode, ViewRegistry};
 use oorq_schema::{Catalog, Field, RelationDef, SchemaBuilder, TypeExpr};
-use oorq_storage::{Database, StorageConfig, Value};
+use oorq_storage::{Database, StorageConfig, Value, WidthModel};
 
 /// Configuration of the chain generator.
 #[derive(Debug, Clone)]
@@ -148,8 +148,18 @@ pub fn selective_tail_query(catalog: &Catalog, limit: i64) -> QueryGraph {
 impl ChainDb {
     /// Generate a chain database.
     pub fn generate(config: ChainConfig) -> Self {
+        Self::generate_paged(config, WidthModel::default())
+    }
+
+    /// [`ChainDb::generate`] with the store's page geometry given (the
+    /// same rows in the same order, whatever the page size).
+    pub fn generate_paged(config: ChainConfig, width: WidthModel) -> Self {
         let catalog = Arc::new(chain_catalog(config.relations));
-        let mut db = Database::new(Arc::clone(&catalog), StorageConfig::default());
+        let storage = StorageConfig {
+            width,
+            ..StorageConfig::default()
+        };
+        let mut db = Database::new(Arc::clone(&catalog), storage);
         let mut rng = Prng::new(config.seed);
         let mut names = Vec::new();
         for i in 0..config.relations {

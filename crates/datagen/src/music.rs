@@ -10,7 +10,7 @@ use std::sync::Arc;
 
 use oorq_prng::Prng;
 use oorq_schema::{AttrId, Catalog, ClassId, ViewKind};
-use oorq_storage::{Database, Oid, StorageConfig, Value};
+use oorq_storage::{Database, Oid, StorageConfig, Value, WidthModel};
 
 /// Configuration of the music database generator.
 #[derive(Debug, Clone)]
@@ -85,12 +85,18 @@ impl MusicDb {
     /// Generate a database per the configuration, over the given catalog
     /// (use [`oorq_query::paper::music_catalog`]).
     pub fn generate(catalog: Arc<Catalog>, config: MusicConfig) -> Self {
+        Self::generate_paged(catalog, config, WidthModel::default())
+    }
+
+    /// [`MusicDb::generate`] with the store's page geometry given (the
+    /// same objects in the same order, whatever the page size).
+    pub fn generate_paged(catalog: Arc<Catalog>, config: MusicConfig, width: WidthModel) -> Self {
         let mut rng = Prng::new(config.seed);
         let mut db = Database::new(
             Arc::clone(&catalog),
             StorageConfig {
                 buffer_frames: config.buffer_frames,
-                ..Default::default()
+                width,
             },
         );
         let composer = catalog.class_by_name("Composer").expect("music schema");

@@ -1,10 +1,11 @@
 //! Row batches and expression evaluation.
 
-use std::cell::Cell;
+use std::borrow::Cow;
+use std::cell::{Cell, RefCell};
 use std::collections::HashSet;
 
 use oorq_query::{bind_path, CmpOp, Expr, Literal};
-use oorq_schema::AttributeKind;
+use oorq_schema::{AttrId, AttributeKind, ClassId};
 use oorq_storage::{Database, Oid, Value};
 
 use crate::error::ExecError;
@@ -76,7 +77,7 @@ impl Batch {
 /// CPU-side counters of the executor (interior mutability so evaluation
 /// can thread shared references).
 #[derive(Debug, Default)]
-pub struct Counters {
+pub(crate) struct Counters {
     /// Predicate evaluations (comparisons actually performed).
     pub evals: Cell<u64>,
     /// Method (computed-attribute) invocations.
@@ -95,7 +96,7 @@ impl Counters {
 /// Evaluation context: the store, the method implementations, counters,
 /// and whether attribute reads account page I/O (the reference evaluator
 /// turns accounting off).
-pub struct EvalCtx<'a> {
+pub(crate) struct EvalCtx<'a> {
     /// The store.
     pub db: &'a Database,
     /// Method implementations.
@@ -107,101 +108,245 @@ pub struct EvalCtx<'a> {
 }
 
 impl EvalCtx<'_> {
-    /// Read an attribute of an object, dispatching computed attributes to
-    /// the method registry.
-    pub fn attr_of(&self, oid: Oid, attr_name: &str) -> Result<Value, ExecError> {
+    /// `attr_name` of `class`: its id, and whether it is computed.
+    fn resolve(&self, class: ClassId, attr_name: &str) -> Result<(AttrId, bool), ExecError> {
         let (aid, attr) = self
             .db
             .catalog()
-            .attr(oid.class, attr_name)
+            .attr(class, attr_name)
             .ok_or_else(|| ExecError::UnknownAttribute(attr_name.to_string()))?;
-        match attr.kind {
-            AttributeKind::Stored => {
-                let v = if self.account_io {
-                    self.db.read_attr(oid, aid)?
-                } else {
-                    self.db.read_attr_raw(oid, aid)?
-                };
-                Ok(v)
-            }
-            AttributeKind::Computed { .. } => {
-                self.counters.bump_methods();
-                self.methods.call(self.db, oid, aid).ok_or_else(|| {
-                    ExecError::MissingMethod(format!(
-                        "{}.{}",
-                        self.db.catalog().class(oid.class).name,
-                        attr_name
-                    ))
-                })
-            }
+        Ok((aid, matches!(attr.kind, AttributeKind::Computed { .. })))
+    }
+
+    /// Read a resolved attribute of an object, dispatching computed
+    /// attributes to the method registry.
+    fn read(&self, oid: Oid, aid: AttrId, computed: bool, name: &str) -> Result<Value, ExecError> {
+        if computed {
+            self.counters.bump_methods();
+            self.methods.call(self.db, oid, aid).ok_or_else(|| {
+                let class = &self.db.catalog().class(oid.class).name;
+                ExecError::MissingMethod(format!("{class}.{name}"))
+            })
+        } else if self.account_io {
+            Ok(self.db.read_attr(oid, aid)?)
+        } else {
+            Ok(self.db.read_attr_raw(oid, aid)?)
         }
     }
 
-    /// Evaluate an expression to its *member set* (existential
-    /// semantics): a scalar yields one member, a collection yields each
-    /// member, `Null` yields none. Paths fan out over collections.
-    pub fn eval_members(
-        &self,
-        expr: &Expr,
-        cols: &[String],
-        row: &[Value],
-    ) -> Result<Vec<Value>, ExecError> {
-        let v = self.eval(expr, cols, row)?;
-        Ok(v.members().to_vec())
+    /// Read an attribute of an object by name.
+    pub fn attr_of(&self, oid: Oid, attr_name: &str) -> Result<Value, ExecError> {
+        let (aid, computed) = self.resolve(oid.class, attr_name)?;
+        self.read(oid, aid, computed, attr_name)
+    }
+}
+
+/// A row as an expression reads it: two slices end to end, so a join
+/// evaluates its predicate over (outer row, borrowed inner row) and
+/// builds the combined row only on a match.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct RowRef<'a>(pub &'a [Value], pub &'a [Value]);
+
+impl<'a> RowRef<'a> {
+    fn get(self, slot: usize) -> &'a Value {
+        match slot.checked_sub(self.0.len()) {
+            None => &self.0[slot],
+            Some(i) => &self.1[i],
+        }
+    }
+}
+
+impl<'a> From<&'a [Value]> for RowRef<'a> {
+    fn from(row: &'a [Value]) -> Self {
+        RowRef(row, &[])
+    }
+}
+
+/// One attribute step of a bound path. Which attribute id the name is,
+/// and whether it is computed, depends on the class of the object the
+/// step lands on; each class is looked up in the catalog once.
+#[derive(Debug)]
+pub(crate) struct Step {
+    name: String,
+    memo: RefCell<Vec<(ClassId, AttrId, bool)>>,
+}
+
+impl Step {
+    fn read(&self, ctx: &EvalCtx<'_>, oid: Oid) -> Result<Value, ExecError> {
+        let known = self
+            .memo
+            .borrow()
+            .iter()
+            .find(|m| m.0 == oid.class)
+            .copied();
+        let (_, aid, computed) = match known {
+            Some(known) => known,
+            None => {
+                let (aid, computed) = ctx.resolve(oid.class, &self.name)?;
+                self.memo.borrow_mut().push((oid.class, aid, computed));
+                (oid.class, aid, computed)
+            }
+        };
+        ctx.read(oid, aid, computed, &self.name)
+    }
+}
+
+/// An expression bound to the columns of the rows it will read: built
+/// once per operator, evaluated once per row.
+#[derive(Debug)]
+pub(crate) enum Bound {
+    /// `true` or a literal.
+    Const(Value),
+    /// A variable, or a path a (qualified) column carries whole.
+    Slot(usize),
+    /// A name no column carries. Evaluating it is the error, binding it
+    /// is not: a short-circuited `and`/`or` still hides it.
+    Unknown(String),
+    /// A path with attribute steps left to dereference from a column.
+    Path {
+        slot: usize,
+        steps: Vec<Step>,
+    },
+    /// Comparison (existential over collection members).
+    Cmp {
+        op: CmpOp,
+        lhs: Box<Bound>,
+        rhs: Box<Bound>,
+    },
+    And(Box<Bound>, Box<Bound>),
+    Or(Box<Bound>, Box<Bound>),
+    Not(Box<Bound>),
+    Add(Box<Bound>, Box<Bound>),
+}
+
+impl Bound {
+    /// Bind `expr` to rows laid out as `cols`.
+    pub fn bind(expr: &Expr, cols: &[String]) -> Bound {
+        let col = |name: &str| cols.iter().position(|c| c == name);
+        let bind = |e: &Expr| Box::new(Bound::bind(e, cols));
+        match expr {
+            Expr::True => Bound::Const(Value::Bool(true)),
+            Expr::Lit(l) => Bound::Const(lit_value(l)),
+            Expr::Var(v) => col(v).map_or_else(|| Bound::Unknown(v.clone()), Bound::Slot),
+            Expr::Path { base, steps } => match bind_path(base, steps, col) {
+                None => Bound::Unknown(base.clone()),
+                Some((slot, [])) => Bound::Slot(slot),
+                Some((slot, rest)) => Bound::Path {
+                    slot,
+                    steps: rest
+                        .iter()
+                        .map(|name| Step {
+                            name: name.clone(),
+                            memo: RefCell::default(),
+                        })
+                        .collect(),
+                },
+            },
+            Expr::Cmp { op, lhs, rhs } => Bound::Cmp {
+                op: *op,
+                lhs: bind(lhs),
+                rhs: bind(rhs),
+            },
+            Expr::And(l, r) => Bound::And(bind(l), bind(r)),
+            Expr::Or(l, r) => Bound::Or(bind(l), bind(r)),
+            Expr::Not(e) => Bound::Not(bind(e)),
+            Expr::Add(l, r) => Bound::Add(bind(l), bind(r)),
+        }
     }
 
-    /// Evaluate an expression to a single value. Collections evaluate to
-    /// themselves; comparisons use existential member semantics.
-    pub fn eval(&self, expr: &Expr, cols: &[String], row: &[Value]) -> Result<Value, ExecError> {
-        match expr {
-            Expr::True => Ok(Value::Bool(true)),
-            Expr::Lit(l) => Ok(lit_value(l)),
-            Expr::Var(v) => {
-                let i = cols
-                    .iter()
-                    .position(|c| c == v)
-                    .ok_or_else(|| ExecError::UnknownColumn(v.clone()))?;
-                Ok(row[i].clone())
-            }
-            Expr::Path { base, steps } => {
-                let (start, rest) =
-                    bind_path(base, steps, |name| cols.iter().position(|c| c == name))
-                        .ok_or_else(|| ExecError::UnknownColumn(base.clone()))?;
-                let mut vals = vec![row[start].clone()];
-                for step in rest {
+    /// Whether evaluating can touch a page or call a method: some path
+    /// still has a step to dereference.
+    pub fn derefs(&self) -> bool {
+        match self {
+            Bound::Const(_) | Bound::Slot(_) | Bound::Unknown(_) => false,
+            Bound::Path { .. } => true,
+            Bound::Not(e) => e.derefs(),
+            Bound::Cmp { lhs: l, rhs: r, .. }
+            | Bound::And(l, r)
+            | Bound::Or(l, r)
+            | Bound::Add(l, r) => l.derefs() || r.derefs(),
+        }
+    }
+
+    /// Evaluate to a single value. Collections evaluate to themselves;
+    /// paths fan out over collections.
+    pub fn eval<'r>(
+        &'r self,
+        ctx: &EvalCtx<'_>,
+        row: RowRef<'r>,
+    ) -> Result<Cow<'r, Value>, ExecError> {
+        match self {
+            Bound::Const(v) => Ok(Cow::Borrowed(v)),
+            Bound::Slot(slot) => Ok(Cow::Borrowed(row.get(*slot))),
+            Bound::Unknown(name) => Err(ExecError::UnknownColumn(name.clone())),
+            Bound::Path { slot, steps } => {
+                let mut vals = vec![row.get(*slot).clone()];
+                for step in steps {
                     let mut next = Vec::new();
-                    for v in vals {
+                    for v in &vals {
                         for m in v.members() {
                             if let Value::Oid(o) = m {
-                                let av = self.attr_of(*o, step)?;
-                                next.extend(av.members().iter().cloned());
+                                match step.read(ctx, *o)? {
+                                    Value::Set(ms) | Value::List(ms) => next.extend(ms),
+                                    Value::Null => {}
+                                    scalar => next.push(scalar),
+                                }
                             }
                         }
                     }
                     vals = next;
                 }
-                Ok(match vals.len() {
+                Ok(Cow::Owned(match vals.len() {
                     0 => Value::Null,
                     1 => vals.pop().expect("len 1"),
                     _ => Value::Set(vals),
-                })
+                }))
             }
-            Expr::Cmp { op, lhs, rhs } => {
-                let lv = self.eval_members(lhs, cols, row)?;
-                let rv = self.eval_members(rhs, cols, row)?;
-                // Existential semantics with explicit null handling: a
-                // `<> null` test succeeds iff some member exists.
-                if matches!(rhs.as_ref(), Expr::Lit(Literal::Null)) {
-                    self.counters.bump_evals();
-                    return Ok(Value::Bool(match op {
-                        CmpOp::Ne => !lv.is_empty(),
-                        CmpOp::Eq => lv.is_empty(),
+            Bound::Add(l, r) => {
+                let lv = l.eval(ctx, row)?;
+                let rv = r.eval(ctx, row)?;
+                let sum = match (&*lv, &*rv) {
+                    (Value::Int(a), Value::Int(b)) => {
+                        Value::Int(a.checked_add(*b).ok_or_else(|| {
+                            ExecError::BadValue(format!("integer overflow in {a} + {b}"))
+                        })?)
+                    }
+                    (Value::Float(a), Value::Float(b)) => Value::Float(a + b),
+                    (Value::Int(a), Value::Float(b)) => Value::Float(*a as f64 + b),
+                    (Value::Float(a), Value::Int(b)) => Value::Float(a + *b as f64),
+                    _ => return Err(ExecError::BadValue(format!("cannot add {lv} + {rv}"))),
+                };
+                Ok(Cow::Owned(sum))
+            }
+            Bound::Cmp { .. } | Bound::And(..) | Bound::Or(..) | Bound::Not(_) => {
+                Ok(Cow::Owned(Value::Bool(self.truthy(ctx, row)?)))
+            }
+        }
+    }
+
+    /// Evaluate a predicate to a boolean. Comparisons use existential
+    /// member semantics (a scalar is one member, `Null` is none). A
+    /// `Null` value is three-valued-logic false (an unknown comparand
+    /// filters the row out); any other non-`Bool` value is a type error,
+    /// not a silent rejection.
+    pub fn truthy(&self, ctx: &EvalCtx<'_>, row: RowRef<'_>) -> Result<bool, ExecError> {
+        match self {
+            Bound::Cmp { op, lhs, rhs } => {
+                let lv = lhs.eval(ctx, row)?;
+                let rv = rhs.eval(ctx, row)?;
+                // Explicit null handling: a `<> null` test succeeds iff
+                // some member exists.
+                if matches!(**rhs, Bound::Const(Value::Null)) {
+                    ctx.counters.bump_evals();
+                    return Ok(match op {
+                        CmpOp::Ne => !lv.members().is_empty(),
+                        CmpOp::Eq => lv.members().is_empty(),
                         _ => false,
-                    }));
+                    });
                 }
-                for l in &lv {
-                    for r in &rv {
-                        self.counters.bump_evals();
+                for l in lv.members() {
+                    for r in rv.members() {
+                        ctx.counters.bump_evals();
                         let ok = match op {
                             CmpOp::Eq => l == r,
                             CmpOp::Ne => l != r,
@@ -211,61 +356,28 @@ impl EvalCtx<'_> {
                             CmpOp::Ge => l >= r,
                         };
                         if ok {
-                            return Ok(Value::Bool(true));
+                            return Ok(true);
                         }
                     }
                 }
-                Ok(Value::Bool(false))
+                Ok(false)
             }
-            Expr::And(l, r) => {
-                let lv = self.truthy(l, cols, row)?;
-                if !lv {
-                    return Ok(Value::Bool(false));
-                }
-                Ok(Value::Bool(self.truthy(r, cols, row)?))
-            }
-            Expr::Or(l, r) => {
-                let lv = self.truthy(l, cols, row)?;
-                if lv {
-                    return Ok(Value::Bool(true));
-                }
-                Ok(Value::Bool(self.truthy(r, cols, row)?))
-            }
-            Expr::Not(e) => Ok(Value::Bool(!self.truthy(e, cols, row)?)),
-            Expr::Add(l, r) => {
-                let lv = self.eval(l, cols, row)?;
-                let rv = self.eval(r, cols, row)?;
-                match (&lv, &rv) {
-                    (Value::Int(a), Value::Int(b)) => {
-                        a.checked_add(*b).map(Value::Int).ok_or_else(|| {
-                            ExecError::BadValue(format!("integer overflow in {a} + {b}"))
-                        })
-                    }
-                    (Value::Float(a), Value::Float(b)) => Ok(Value::Float(a + b)),
-                    (Value::Int(a), Value::Float(b)) => Ok(Value::Float(*a as f64 + b)),
-                    (Value::Float(a), Value::Int(b)) => Ok(Value::Float(a + *b as f64)),
-                    _ => Err(ExecError::BadValue(format!("cannot add {lv} + {rv}"))),
-                }
-            }
-        }
-    }
-
-    /// Evaluate a predicate to a boolean. `Null` is three-valued-logic
-    /// false (an unknown comparand filters the row out); any other
-    /// non-`Bool` result is a type error, not a silent rejection.
-    pub fn truthy(&self, expr: &Expr, cols: &[String], row: &[Value]) -> Result<bool, ExecError> {
-        match self.eval(expr, cols, row)? {
-            Value::Bool(b) => Ok(b),
-            Value::Null => Ok(false),
-            other => Err(ExecError::BadValue(format!(
-                "predicate evaluated to non-boolean {other}"
-            ))),
+            Bound::And(l, r) => Ok(l.truthy(ctx, row)? && r.truthy(ctx, row)?),
+            Bound::Or(l, r) => Ok(l.truthy(ctx, row)? || r.truthy(ctx, row)?),
+            Bound::Not(e) => Ok(!e.truthy(ctx, row)?),
+            value => match &*value.eval(ctx, row)? {
+                Value::Bool(b) => Ok(*b),
+                Value::Null => Ok(false),
+                other => Err(ExecError::BadValue(format!(
+                    "predicate evaluated to non-boolean {other}"
+                ))),
+            },
         }
     }
 }
 
 /// Convert a literal to a runtime value.
-pub fn lit_value(l: &Literal) -> Value {
+pub(crate) fn lit_value(l: &Literal) -> Value {
     match l {
         Literal::Int(i) => Value::Int(*i),
         Literal::Float(x) => Value::Float(*x),

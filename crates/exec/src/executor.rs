@@ -341,29 +341,21 @@ impl<'a> Executor<'a> {
         self.prepare_temps(&plan);
         self.db
             .set_temp_budget(self.config.memory_budget_pages as usize);
-        let (mut rows, ops, fix_deltas, workers) = pipeline::execute(
-            &plan,
-            self.db,
-            self.indexes,
-            self.methods,
-            &self.counters,
-            &self.temps,
-            &self.nl_mats,
-            self.config.max_fix_iterations,
-            &self.obs,
-            self.config.threads,
-        )
-        .map(|(rows, ops, fix_deltas, workers)| {
-            (
-                Batch {
-                    cols: plan.root.cols().to_vec(),
-                    rows,
-                },
-                ops,
-                fix_deltas,
-                workers,
-            )
-        })?;
+        let shared = pipeline::Shared {
+            db: self.db,
+            indexes: self.indexes,
+            methods: self.methods,
+            temps: &self.temps,
+            nl_mats: &self.nl_mats,
+            max_fix_iterations: self.config.max_fix_iterations,
+            obs: &self.obs,
+        };
+        let (rows, ops, fix_deltas, workers) =
+            pipeline::execute(&plan, shared, &self.counters, self.config.threads)?;
+        let mut rows = Batch {
+            cols: plan.root.cols().to_vec(),
+            rows,
+        };
         self.last_ops = ops;
         self.last_fix_deltas = fix_deltas;
         self.last_workers = workers;

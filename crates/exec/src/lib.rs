@@ -3,12 +3,14 @@
 //! `oorq-cost`), plus a naive reference evaluator for query graphs used
 //! as a correctness oracle.
 //!
-//! Plans are lowered (`oorq_pt::lower`) to pull-based operators —
-//! entity/temporary scans streaming page-at-a-time, index selections,
-//! filters, projections, implicit joins (dereferences), path-index
-//! lookups, nested-loop joins with honest inner rescans, index joins,
-//! unions, and **semi-naive fixpoints** with materialized
-//! accumulator/delta temporaries (the pipeline breakers). Every
+//! Plans are lowered (`oorq_pt::lower`) to pull-based operators that hand
+//! up a chunk of rows per call, their expressions bound to row slots
+//! once — entity/temporary scans lending out one fetched page at a time,
+//! index selections, filters, projections, implicit joins
+//! (dereferences), path-index lookups, nested-loop joins with honest
+//! inner rescans, index joins, unions, and **semi-naive fixpoints** with
+//! materialized accumulator/delta temporaries (the pipeline breakers).
+//! Every
 //! operator tallies its own rows, page/index I/O, evaluations, method
 //! calls and wall time ([`OpReport`]), joinable against the cost
 //! model's per-node predictions.
@@ -22,7 +24,7 @@ mod pipeline;
 mod reference;
 
 pub use error::ExecError;
-pub use eval::{lit_value, Batch, Counters, EvalCtx};
+pub use eval::Batch;
 pub use executor::{op_kind, ExecConfig, ExecReport, ExecState, Executor};
 pub use explain::explain_analyze;
 pub use methods::{MethodFn, MethodRegistry};

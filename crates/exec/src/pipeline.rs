@@ -1,30 +1,32 @@
-//! The streaming pipeline: pull-based execution of lowered physical
-//! plans with per-operator counters.
+//! The streaming pipeline: pull-based, chunk-at-a-time execution of
+//! lowered physical plans with per-operator counters.
 //!
-//! Each [`PhysOp`] becomes an operator instance with `open`/`next`:
-//! scans stream page-at-a-time from the store ([`Database::scan_iter`])
-//! instead of materializing whole entities, and rows flow straight
-//! through filters, projections, dereferences and joins. Only genuine
-//! pipeline breakers materialize: the semi-naive fixpoint (accumulator
-//! and delta temporaries) and the inner of a nested loop over a
-//! non-rescannable subtree.
+//! Each [`PhysOp`] becomes an operator instance with `open`/`next_chunk`.
+//! A chunk is the run of rows an operator produces between two possible
+//! page touches: a scan lends out one fetched page at a time
+//! ([`Database::scan_page`]) instead of materializing whole entities,
+//! and rows flow straight through filters, projections, dereferences
+//! and joins, whose expressions are bound to row slots once, when the
+//! tree is built. Only genuine pipeline breakers materialize: the
+//! semi-naive fixpoint (accumulator and delta temporaries) and the inner
+//! of a nested loop over a non-rescannable subtree.
 //!
-//! Every `open`/`next` call is bracketed by snapshots of the store's
-//! I/O statistics, the CPU counters and a wall clock, accumulating
-//! *inclusive* per-operator figures; [`rollup`] subtracts each
-//! operator's children to yield the exclusive [`OpReport`]s that bench
-//! reports join against the cost model's per-node predictions.
+//! Every `open`/`next_chunk` call is bracketed by snapshots of the
+//! store's I/O statistics, the CPU counters and a wall clock,
+//! accumulating *inclusive* per-operator figures; [`rollup`] subtracts
+//! each operator's children to yield the exclusive [`OpReport`]s that
+//! bench reports join against the cost model's per-node predictions.
 
 use std::cell::RefCell;
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, HashSet};
 use std::time::Instant;
 
 use oorq_index::IndexSet;
 use oorq_pt::{PhysOp, PhysPlan};
-use oorq_storage::{Database, EntityId, IoStats, Oid, ScanIter, Value};
+use oorq_storage::{Database, EntityId, IoStats, Oid, PageRows, Value};
 
 use crate::error::ExecError;
-use crate::eval::{lit_value, Counters, EvalCtx};
+use crate::eval::{lit_value, Bound, Counters, EvalCtx, RowRef};
 use crate::methods::MethodRegistry;
 
 /// Observed per-operator counters of one execution (exclusive: each
@@ -142,26 +144,32 @@ struct OpStats {
     skew_ns: u64,
 }
 
-/// Shared runtime of one pipeline execution.
-struct Rt<'a> {
-    db: &'a Database,
-    indexes: &'a IndexSet,
-    methods: &'a MethodRegistry,
-    counters: &'a Counters,
+/// What every thread of one execution reads and none writes.
+#[derive(Clone, Copy)]
+pub(crate) struct Shared<'a> {
+    pub db: &'a Database,
+    pub indexes: &'a IndexSet,
+    pub methods: &'a MethodRegistry,
     /// Per-temporary: (accumulator entity, delta entity); pre-created by
     /// the executor (creation needs `&mut Database`).
-    temps: &'a HashMap<String, (EntityId, EntityId)>,
+    pub temps: &'a HashMap<String, (EntityId, EntityId)>,
     /// Per materializing `NlJoin` (keyed by operator id): the page-store
     /// temporary backing its materialized inner; pre-created by the
     /// executor alongside the fixpoint temporaries.
-    nl_mats: &'a HashMap<usize, EntityId>,
+    pub nl_mats: &'a HashMap<usize, EntityId>,
+    pub max_fix_iterations: u32,
+    /// Trace recorder (disabled by default; one branch per call then).
+    pub obs: &'a oorq_obs::Recorder,
+}
+
+/// Runtime of one pipeline execution on one thread.
+struct Rt<'a> {
+    shared: Shared<'a>,
+    counters: &'a Counters,
     /// Temporaries currently bound to their delta (a fixpoint iteration
     /// is in flight).
     delta_active: RefCell<HashSet<String>>,
     stats: RefCell<Vec<OpStats>>,
-    max_fix_iterations: u32,
-    /// Trace recorder (disabled by default; one branch per call then).
-    obs: &'a oorq_obs::Recorder,
     /// Per-fixpoint-opening delta curves, in execution order (each
     /// `FixPoint` open appends one curve keyed by its operator).
     fix_deltas: RefCell<Vec<FixDeltaCurve>>,
@@ -176,6 +184,14 @@ struct Rt<'a> {
     worker_lanes: RefCell<Vec<WorkerLane>>,
 }
 
+impl<'a> std::ops::Deref for Rt<'a> {
+    type Target = Shared<'a>;
+
+    fn deref(&self) -> &Shared<'a> {
+        &self.shared
+    }
+}
+
 /// A parallel worker's share of an exchange: worker `worker` of
 /// `workers` runs the subtree with the driver leaf (`driver_op`)
 /// restricted to pages `[worker·P/workers, (worker+1)·P/workers)`.
@@ -184,17 +200,6 @@ struct Partition {
     driver_op: usize,
     worker: usize,
     workers: usize,
-}
-
-impl<'a> Rt<'a> {
-    fn ctx(&self) -> EvalCtx<'a> {
-        EvalCtx {
-            db: self.db,
-            methods: self.methods,
-            counters: self.counters,
-            account_io: true,
-        }
-    }
 }
 
 /// What one pipeline execution produced: rows (bag semantics — the
@@ -208,51 +213,20 @@ pub(crate) type ExecOutput = (
 );
 
 /// Execute a lowered plan.
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn execute(
     plan: &PhysPlan,
-    db: &Database,
-    indexes: &IndexSet,
-    methods: &MethodRegistry,
+    shared: Shared<'_>,
     counters: &Counters,
-    temps: &HashMap<String, (EntityId, EntityId)>,
-    nl_mats: &HashMap<usize, EntityId>,
-    max_fix_iterations: u32,
-    obs: &oorq_obs::Recorder,
     threads: u32,
 ) -> Result<ExecOutput, ExecError> {
-    let rt = Rt {
-        db,
-        indexes,
-        methods,
-        counters,
-        temps,
-        nl_mats,
-        delta_active: RefCell::new(HashSet::new()),
-        stats: RefCell::new(vec![
-            OpStats {
-                first_ns: u64::MAX,
-                ..OpStats::default()
-            };
-            plan.ops
-        ]),
-        max_fix_iterations,
-        obs,
-        fix_deltas: RefCell::new(Vec::new()),
-        threads,
-        partition: None,
-        worker_lanes: RefCell::new(Vec::new()),
-    };
+    let rt = Rt::new(shared, counters, plan.ops, HashSet::new(), threads, None);
     let mut root = build(&plan.root);
     root.open(&rt)?;
-    let mut rows = Vec::new();
-    while let Some(r) = root.next(&rt)? {
-        rows.push(r);
-    }
+    let rows = root.drain(&rt)?;
     drop(root);
     let stats = rt.stats.into_inner();
     let reports = rollup(plan, &stats);
-    record_op_spans(obs, &reports, &stats);
+    record_op_spans(shared.obs, &reports, &stats);
     Ok((
         rows,
         reports,
@@ -262,7 +236,7 @@ pub(crate) fn execute(
 }
 
 /// Synthesize one span per operator that actually ran: the interval is
-/// the envelope of its `open`/`next` brackets, the fields carry its
+/// the envelope of its `open`/`next_chunk` brackets, the fields carry its
 /// exclusive counters, and the `track` field gives each operator its own
 /// named track in the Chrome export (operator envelopes overlap, so they
 /// cannot share the stack-discipline track).
@@ -274,7 +248,7 @@ fn record_op_spans(obs: &oorq_obs::Recorder, reports: &[OpReport], stats: &[OpSt
         if s.first_ns == u64::MAX {
             continue; // never ran under this recorder
         }
-        let fields: oorq_obs::Fields = vec![
+        let mut fields: oorq_obs::Fields = vec![
             ("track".into(), format!("op#{} {}", r.id, r.label).into()),
             ("id".into(), r.id.into()),
             ("pt_node".into(), r.pt_node.into()),
@@ -292,7 +266,6 @@ fn record_op_spans(obs: &oorq_obs::Recorder, reports: &[OpReport], stats: &[OpSt
             ("wall_ns".into(), r.wall_ns.into()),
             ("wall_inclusive_ns".into(), r.wall_inclusive_ns.into()),
         ];
-        let mut fields = fields;
         if s.skew_ns > 0 {
             // Raw clock-skew magnitude (release builds clamp the span
             // start at 0 instead of underflowing; see `Rt::charge`).
@@ -302,70 +275,225 @@ fn record_op_spans(obs: &oorq_obs::Recorder, reports: &[OpReport], stats: &[OpSt
     }
 }
 
-/// Per-operator mutable state.
-enum St<'a> {
-    /// Filter: no state beyond the child.
-    Stateless,
-    /// Entity/temp scan: the streaming page iterator.
-    Scan(Option<ScanIter<'a>>),
-    /// Index selection: probe results, consumed by position.
-    Probe { oids: Vec<Oid>, pos: usize },
-    /// Project: rows already emitted (streaming set semantics).
-    Dedup(HashSet<Vec<Value>>),
-    /// Fan-out operators (IJ, PIJ, index join): produced rows awaiting
-    /// emission.
-    Queue(VecDeque<Vec<Value>>),
-    /// Nested loop: current outer row, plus (when the inner is not
-    /// rescannable — pipeline breaker) the scan over the page-store
-    /// temporary the inner was materialized into at `open`, re-created
-    /// per outer row so every pass over the inner is budget-visible.
-    Nl {
-        cur: Option<Vec<Value>>,
-        miter: Option<ScanIter<'a>>,
-    },
-    /// Union: which operand is being drained.
-    Union { on_right: bool },
-    /// Fixpoint: computed at `open` into the accumulator temporary (the
-    /// canonical pipeline breaker), streamed back out of the page store
-    /// so the readback is buffer-accounted (hits while resident, reads
-    /// once the memory budget spilled it).
-    Fix { iter: Option<ScanIter<'a>> },
-    /// Exchange/merge: partition (or leg) outputs concatenated in
-    /// deterministic order at `open`, streamed out by position.
-    Mat { out: Vec<Vec<Value>>, pos: usize },
+/// The rows one `next_chunk` call hands up: what the operator produced
+/// between two possible page touches of its subtree. A scan's chunk is
+/// one storage page; an operator whose own expression dereferences, or
+/// that probes per input row, hands up the rows of one input row; the
+/// others turn each chunk they are given into one chunk.
+enum Chunk {
+    /// The records of one fetched page, borrowed from the store.
+    Page(PageRows),
+    /// Rows the operator built.
+    Rows(Vec<Vec<Value>>),
 }
 
-struct OpExec<'p, 'a> {
-    op: &'p PhysOp,
-    kids: Vec<OpExec<'p, 'a>>,
-    st: St<'a>,
-}
-
-fn build<'p, 'a>(op: &'p PhysOp) -> OpExec<'p, 'a> {
-    let kids = op.children().into_iter().map(build).collect();
-    let st = match op {
-        PhysOp::EntityScan { .. } | PhysOp::TempScan { .. } => St::Scan(None),
-        PhysOp::IndexSelect { .. } => St::Probe {
-            oids: Vec::new(),
-            pos: 0,
-        },
-        PhysOp::Filter { .. } => St::Stateless,
-        PhysOp::Project { .. } => St::Dedup(HashSet::new()),
-        PhysOp::IjDeref { .. } | PhysOp::PijLookup { .. } | PhysOp::IndexJoin { .. } => {
-            St::Queue(VecDeque::new())
+impl Chunk {
+    fn len(&self) -> usize {
+        match self {
+            Chunk::Page(page) => page.len(),
+            Chunk::Rows(rows) => rows.len(),
         }
-        PhysOp::NlJoin { .. } => St::Nl {
+    }
+
+    fn row(&self, i: usize) -> &[Value] {
+        match self {
+            Chunk::Page(page) => &page[i].values,
+            Chunk::Rows(rows) => &rows[i],
+        }
+    }
+
+    /// Row `i` by value: moved out of built rows, copied off a page.
+    fn take(&mut self, i: usize) -> Vec<Value> {
+        match self {
+            Chunk::Page(page) => page[i].values.clone(),
+            Chunk::Rows(rows) => std::mem::take(&mut rows[i]),
+        }
+    }
+
+    fn into_rows(self) -> Vec<Vec<Value>> {
+        match self {
+            Chunk::Page(page) => page.iter().map(|r| r.values.clone()).collect(),
+            Chunk::Rows(rows) => rows,
+        }
+    }
+}
+
+/// An operator's place in its input: the chunk it is reading and the
+/// next unread row of it.
+struct Cursor {
+    chunk: Chunk,
+    pos: usize,
+}
+
+impl Default for Cursor {
+    fn default() -> Self {
+        Cursor {
+            chunk: Chunk::Rows(Vec::new()),
+            pos: 0,
+        }
+    }
+}
+
+impl Cursor {
+    /// Make an unread row available, pulling the next chunk once the
+    /// current one is read. `false` when `pull` is exhausted; the read
+    /// chunk — and the page it may borrow — is released before pulling.
+    fn fill(
+        &mut self,
+        mut pull: impl FnMut() -> Result<Option<Chunk>, ExecError>,
+    ) -> Result<bool, ExecError> {
+        while self.pos >= self.chunk.len() {
+            *self = Cursor::default();
+            match pull()? {
+                Some(chunk) => self.chunk = chunk,
+                None => return Ok(false),
+            }
+        }
+        Ok(true)
+    }
+
+    /// Step to the next unread row of the current chunk.
+    fn next(&mut self) -> Option<usize> {
+        let i = self.pos;
+        (i < self.chunk.len()).then(|| {
+            self.pos += 1;
+            i
+        })
+    }
+
+    /// The next unread row, which `fill` has said is there.
+    fn next_row(&mut self) -> &[Value] {
+        self.pos += 1;
+        self.chunk.row(self.pos - 1)
+    }
+}
+
+/// A scan in progress: the entity and the pages still to fetch, one per
+/// chunk, each accounted through the buffer manager when it is asked for.
+struct PageScan(EntityId, std::ops::Range<u32>);
+
+impl PageScan {
+    fn next(&mut self, db: &Database) -> Option<PageRows> {
+        db.scan_page(self.0, self.1.next()?)
+    }
+}
+
+/// Per-operator mutable state. Expressions are bound to the operator's
+/// input columns when the tree is built.
+enum St {
+    /// Entity/temp scan, and the read-back of a fixpoint (computed at
+    /// `open` into the accumulator temporary — the canonical pipeline
+    /// breaker — and streamed out of the page store, so the readback is
+    /// hits while resident, reads once the memory budget spilled it).
+    Scan(Option<PageScan>),
+    /// Index selection: the probe results still to fetch and filter.
+    Probe {
+        key: Value,
+        pred: Bound,
+        oids: std::vec::IntoIter<Oid>,
+    },
+    Filter(Bound),
+    /// Project: rows already emitted (streaming set semantics).
+    Project {
+        exprs: Vec<Bound>,
+        seen: HashSet<Vec<Value>>,
+    },
+    /// IJ, PIJ: the oid-valued expression followed per input row.
+    Deref(Bound),
+    IndexJoin {
+        outer: Bound,
+        pred: Bound,
+    },
+    /// Nested loop: `cur` is the outer row being joined. When the inner
+    /// is not rescannable (pipeline breaker) `miter` scans the page-store
+    /// temporary it was materialized into at `open`, re-created per outer
+    /// row so every pass over the inner is budget-visible.
+    Nl {
+        pred: Bound,
+        cur: Option<usize>,
+        inner: Cursor,
+        miter: Option<PageScan>,
+    },
+    /// Union: whether the right operand is the one being drained.
+    Union(bool),
+    /// Exchange/merge: partition (or leg) outputs concatenated in
+    /// deterministic order at `open`, handed on whole.
+    Mat(Vec<Vec<Value>>),
+}
+
+struct OpExec<'p> {
+    op: &'p PhysOp,
+    kids: Vec<OpExec<'p>>,
+    /// Place in the first child's output.
+    input: Cursor,
+    st: St,
+}
+
+fn build(op: &PhysOp) -> OpExec<'_> {
+    let st = match op {
+        PhysOp::EntityScan { .. } | PhysOp::TempScan { .. } | PhysOp::FixPoint { .. } => {
+            St::Scan(None)
+        }
+        PhysOp::IndexSelect {
+            key, pred, cols, ..
+        } => St::Probe {
+            key: lit_value(key),
+            pred: Bound::bind(pred, cols),
+            oids: Vec::new().into_iter(),
+        },
+        PhysOp::Filter { pred, cols, .. } => St::Filter(Bound::bind(pred, cols)),
+        PhysOp::Project { exprs, input, .. } => St::Project {
+            exprs: exprs
+                .iter()
+                .map(|(_, e)| Bound::bind(e, input.cols()))
+                .collect(),
+            seen: HashSet::new(),
+        },
+        PhysOp::IjDeref { on, input, .. } | PhysOp::PijLookup { on, input, .. } => {
+            St::Deref(Bound::bind(on, input.cols()))
+        }
+        PhysOp::NlJoin { pred, cols, .. } => St::Nl {
+            pred: Bound::bind(pred, cols),
             cur: None,
+            inner: Cursor::default(),
             miter: None,
         },
-        PhysOp::UnionAll { .. } => St::Union { on_right: false },
-        PhysOp::FixPoint { .. } => St::Fix { iter: None },
-        PhysOp::Exchange { .. } | PhysOp::Merge { .. } => St::Mat {
-            out: Vec::new(),
-            pos: 0,
+        PhysOp::IndexJoin {
+            outer,
+            pred,
+            left,
+            cols,
+            ..
+        } => St::IndexJoin {
+            outer: Bound::bind(outer, left.cols()),
+            pred: Bound::bind(pred, cols),
         },
+        PhysOp::UnionAll { .. } => St::Union(false),
+        PhysOp::Exchange { .. } | PhysOp::Merge { .. } => St::Mat(Vec::new()),
     };
-    OpExec { op, kids, st }
+    OpExec {
+        op,
+        kids: op.children().into_iter().map(build).collect(),
+        input: Cursor::default(),
+        st,
+    }
+}
+
+/// Feed the input's chunks to `each` until it leaves rows in its second
+/// argument; those rows are the chunk handed up. `each` reads on from
+/// where it stopped, so one that stops after the rows of a single input
+/// row keeps its page touches interleaved with its consumers'.
+fn pump(
+    input: &mut Cursor,
+    kid: &mut OpExec<'_>,
+    rt: &Rt<'_>,
+    mut each: impl FnMut(&mut Cursor, &mut Vec<Vec<Value>>) -> Result<(), ExecError>,
+) -> Result<Option<Chunk>, ExecError> {
+    let mut out = Vec::new();
+    while out.is_empty() && input.fill(|| kid.next_chunk(rt))? {
+        each(input, &mut out)?;
+    }
+    Ok((!out.is_empty()).then_some(Chunk::Rows(out)))
 }
 
 /// What one parallel worker hands back at the join: its partition's
@@ -425,13 +553,12 @@ fn worker_budget(budget: usize, workers: usize) -> usize {
     }
 }
 
-/// Apply a merge leg's column permutation (identical semantics to
-/// `UnionAll`'s right-side permutation).
-fn apply_perm(perm: Option<&Vec<usize>>, r: Vec<Value>) -> Vec<Value> {
-    match perm {
-        None => r,
-        Some(p) => p.iter().map(|&i| r[i].clone()).collect(),
-    }
+/// Rows with their columns put in the order a union, a merge leg or a
+/// fixpoint's recursive side resolved at lowering.
+fn permute(perm: Option<&Vec<usize>>, rows: Vec<Vec<Value>>) -> Vec<Vec<Value>> {
+    let Some(perm) = perm else { return rows };
+    let pick = |r: Vec<Value>| perm.iter().map(|&i| r[i].clone()).collect();
+    rows.into_iter().map(pick).collect()
 }
 
 /// Run one parallel worker: build a private operator tree over the
@@ -441,16 +568,9 @@ fn apply_perm(perm: Option<&Vec<usize>>, r: Vec<Value>) -> Vec<Value> {
 /// recorder with the coordinator but owns its counters, per-operator
 /// stats and delta bindings — nothing mutable is shared across threads
 /// except the recorder's internal mutex.
-#[allow(clippy::too_many_arguments)]
 fn run_worker(
     op: &PhysOp,
-    db: &Database,
-    indexes: &IndexSet,
-    methods: &MethodRegistry,
-    temps: &HashMap<String, (EntityId, EntityId)>,
-    nl_mats: &HashMap<usize, EntityId>,
-    max_fix_iterations: u32,
-    obs: &oorq_obs::Recorder,
+    shared: Shared<'_>,
     delta_active: HashSet<String>,
     ops_len: usize,
     partition: Option<Partition>,
@@ -458,54 +578,26 @@ fn run_worker(
     temp_budget: usize,
 ) -> Result<WorkerOut, ExecError> {
     let counters = Counters::default();
-    let rt = Rt {
-        db,
-        indexes,
-        methods,
-        counters: &counters,
-        temps,
-        nl_mats,
-        delta_active: RefCell::new(delta_active),
-        stats: RefCell::new(vec![
-            OpStats {
-                first_ns: u64::MAX,
-                ..OpStats::default()
-            };
-            ops_len
-        ]),
-        max_fix_iterations,
-        obs,
-        fix_deltas: RefCell::new(Vec::new()),
-        threads: 0,
-        partition,
-        worker_lanes: RefCell::new(Vec::new()),
-    };
-    db.install_worker_buffer(frames, temp_budget);
-    let t_start_ns = obs.now_ns();
+    let rt = Rt::new(shared, &counters, ops_len, delta_active, 0, partition);
+    rt.db.install_worker_buffer(frames, temp_budget);
+    let t_start_ns = rt.obs.now_ns();
     let wall0 = Instant::now();
     let mut root = build(op);
-    let res: Result<Vec<Vec<Value>>, ExecError> = (|| {
-        root.open(&rt)?;
-        let mut rows = Vec::new();
-        while let Some(r) = root.next(&rt)? {
-            rows.push(r);
-        }
-        Ok(rows)
-    })();
+    let res = root.open(&rt).and_then(|()| root.drain(&rt));
     drop(root);
     // Uninstall the view even on error, or the thread-local would leak
     // into whatever runs on this thread next.
-    let io = db.take_worker_buffer();
+    let io = rt.db.take_worker_buffer();
     let rows = res?;
     Ok(WorkerOut {
         rows,
-        stats: rt.stats.into_inner(),
         evals: counters.evals.get(),
         method_calls: counters.method_calls.get(),
         io,
         t_start_ns,
-        t_end_ns: obs.now_ns(),
+        t_end_ns: rt.obs.now_ns(),
         wall_ns: wall0.elapsed().as_nanos() as u64,
+        stats: rt.stats.into_inner(),
     })
 }
 
@@ -518,6 +610,39 @@ struct Snap {
 }
 
 impl<'a> Rt<'a> {
+    fn new(
+        shared: Shared<'a>,
+        counters: &'a Counters,
+        ops_len: usize,
+        delta_active: HashSet<String>,
+        threads: u32,
+        partition: Option<Partition>,
+    ) -> Self {
+        let unrun = OpStats {
+            first_ns: u64::MAX,
+            ..OpStats::default()
+        };
+        Rt {
+            shared,
+            counters,
+            delta_active: RefCell::new(delta_active),
+            stats: RefCell::new(vec![unrun; ops_len]),
+            fix_deltas: RefCell::new(Vec::new()),
+            threads,
+            partition,
+            worker_lanes: RefCell::new(Vec::new()),
+        }
+    }
+
+    fn ctx(&self) -> EvalCtx<'a> {
+        EvalCtx {
+            db: self.db,
+            methods: self.methods,
+            counters: self.counters,
+            account_io: true,
+        }
+    }
+
     fn snap(&self) -> Snap {
         Snap {
             t0: Instant::now(),
@@ -527,10 +652,14 @@ impl<'a> Rt<'a> {
         }
     }
 
-    fn charge(&self, id: usize, snap: Snap) {
+    /// Close a bracket: charge operator `id` everything the shared
+    /// counters moved since `snap`, plus the open or the rows handed up.
+    fn charge(&self, id: usize, snap: Snap, opens: u64, rows_out: u64) {
         let io = self.db.io_stats();
         let mut stats = self.stats.borrow_mut();
         let s = &mut stats[id];
+        s.opens += opens;
+        s.rows_out += rows_out;
         s.page_reads += io.page_reads - snap.io.page_reads;
         s.page_hits += io.page_hits - snap.io.page_hits;
         s.index_reads += io.index_reads - snap.io.index_reads;
@@ -566,18 +695,25 @@ impl<'a> Rt<'a> {
         }
     }
 
-    /// The scan iterator for a leaf: the full entity normally, or this
-    /// worker's page range when the leaf is the partitioned driver of
-    /// the enclosing exchange.
-    fn leaf_scan(&self, entity: EntityId, op_id: usize) -> Result<ScanIter<'a>, ExecError> {
-        match self.partition {
+    /// The scan of a leaf: the full entity normally, or this worker's
+    /// page range when the leaf is the partitioned driver of the
+    /// enclosing exchange.
+    fn leaf_scan(&self, entity: EntityId, op_id: usize) -> Result<PageScan, ExecError> {
+        let pages = match self.partition {
             Some(p) if p.driver_op == op_id => {
                 let pages = self.db.num_pages(entity) as u64;
                 let (lo, hi) = partition_range(pages, p.worker as u64, p.workers as u64)?;
-                Ok(self.db.scan_iter_range(entity, lo, hi))
+                lo..hi
             }
-            _ => Ok(self.db.scan_iter(entity)),
-        }
+            _ => 0..u32::MAX,
+        };
+        Ok(PageScan(entity, pages))
+    }
+
+    /// The accumulator and delta temporaries of a fixpoint.
+    fn temp(&self, name: &str) -> Result<(EntityId, EntityId), ExecError> {
+        let built = self.temps.get(name).copied();
+        built.ok_or_else(|| ExecError::BadFixpoint(format!("temp `{name}` not built")))
     }
 
     /// The page-store temporary backing a materializing `NlJoin`'s inner.
@@ -589,20 +725,50 @@ impl<'a> Rt<'a> {
         })
     }
 
-    /// Join a fork's workers in index order: fold their I/O and CPU
-    /// counters into the shared accounting (inside the parallel
-    /// operator's open bracket, so its inclusive tallies stay exact),
-    /// merge their per-operator stats, record one lane and one
-    /// per-worker span each, and concatenate their rows. Deterministic
-    /// by construction — merge order is worker order regardless of
-    /// thread scheduling.
-    fn join_workers(
+    /// Run one worker thread per leg (each with an even share of the
+    /// buffer frames and of the breaker budget) and join them into `out`.
+    fn fork(
         &self,
         meta: &oorq_pt::OpMeta,
-        results: Vec<Result<WorkerOut, ExecError>>,
+        (what, unit): (&str, &str),
+        legs: Vec<(&PhysOp, Option<Partition>)>,
         out: &mut Vec<Vec<Value>>,
         perms: Option<&[Option<Vec<usize>>]>,
     ) -> Result<(), ExecError> {
+        let frames = (self.db.buffer_frames() / legs.len()).max(1);
+        let budget = worker_budget(self.db.temp_budget_pages(), legs.len());
+        let ops_len = self.stats.borrow().len();
+        let delta = self.delta_active.borrow().clone();
+        let shared = self.shared;
+        let results: Vec<Result<WorkerOut, ExecError>> = std::thread::scope(|scope| {
+            let handles: Vec<_> = legs
+                .into_iter()
+                .map(|(leg, part)| {
+                    let delta = delta.clone();
+                    scope.spawn(move || {
+                        run_worker(leg, shared, delta, ops_len, part, frames, budget)
+                    })
+                })
+                .collect();
+            handles
+                .into_iter()
+                .enumerate()
+                .map(|(w, h)| {
+                    h.join().unwrap_or_else(|_| {
+                        Err(ExecError::WorkerPanicked(format!(
+                            "{what} #{} {unit} {w}",
+                            meta.id
+                        )))
+                    })
+                })
+                .collect()
+        });
+        // Join in worker order: fold each worker's I/O and CPU counters
+        // into the shared accounting (inside the parallel operator's
+        // open bracket, so its inclusive tallies stay exact), merge its
+        // per-operator stats, record its lane and span, and concatenate
+        // its rows. Deterministic by construction — merge order is
+        // worker order regardless of thread scheduling.
         let mut first_err = None;
         for (w, res) in results.into_iter().enumerate() {
             let wo = match res {
@@ -673,7 +839,7 @@ impl<'a> Rt<'a> {
                 io: wo.io,
             });
             let perm = perms.and_then(|ps| ps.get(w)).and_then(|p| p.as_ref());
-            out.extend(wo.rows.into_iter().map(|r| apply_perm(perm, r)));
+            out.extend(permute(perm, wo.rows));
         }
         match first_err {
             Some(e) => Err(e),
@@ -682,57 +848,64 @@ impl<'a> Rt<'a> {
     }
 }
 
-impl<'a> OpExec<'_, 'a> {
-    fn open(&mut self, rt: &Rt<'a>) -> Result<(), ExecError> {
-        let id = self.op.meta().id;
+impl OpExec<'_> {
+    fn open(&mut self, rt: &Rt<'_>) -> Result<(), ExecError> {
         let snap = rt.snap();
+        self.input = Cursor::default();
         let res = self.open_inner(rt);
-        rt.charge(id, snap);
-        rt.stats.borrow_mut()[id].opens += 1;
+        rt.charge(self.op.meta().id, snap, 1, 0);
         res
     }
 
-    fn next(&mut self, rt: &Rt<'a>) -> Result<Option<Vec<Value>>, ExecError> {
-        let id = self.op.meta().id;
+    /// The next run of rows, `None` once exhausted. One bracket — clock,
+    /// I/O and CPU snapshots, the stats borrow — is paid per chunk.
+    fn next_chunk(&mut self, rt: &Rt<'_>) -> Result<Option<Chunk>, ExecError> {
         let snap = rt.snap();
         let res = self.next_inner(rt);
-        rt.charge(id, snap);
-        if matches!(res, Ok(Some(_))) {
-            rt.stats.borrow_mut()[id].rows_out += 1;
-        }
+        let rows = match &res {
+            Ok(Some(chunk)) => chunk.len() as u64,
+            _ => 0,
+        };
+        rt.charge(self.op.meta().id, snap, 0, rows);
         res
     }
 
-    fn open_inner(&mut self, rt: &Rt<'a>) -> Result<(), ExecError> {
-        let OpExec { op, kids, st } = self;
+    /// Every remaining row, by value.
+    fn drain(&mut self, rt: &Rt<'_>) -> Result<Vec<Vec<Value>>, ExecError> {
+        let mut rows = Vec::new();
+        while let Some(chunk) = self.next_chunk(rt)? {
+            rows.extend(chunk.into_rows());
+        }
+        Ok(rows)
+    }
+
+    fn open_inner(&mut self, rt: &Rt<'_>) -> Result<(), ExecError> {
+        let OpExec { op, kids, st, .. } = self;
+        let meta = op.meta();
         match (&**op, st) {
-            (PhysOp::EntityScan { entity, meta, .. }, St::Scan(iter)) => {
+            (PhysOp::EntityScan { entity, .. }, St::Scan(iter)) => {
                 *iter = Some(rt.leaf_scan(*entity, meta.id)?);
                 Ok(())
             }
             (PhysOp::TempScan { name, .. }, St::Scan(iter)) => {
-                let (acc, delta) = *rt
-                    .temps
-                    .get(name)
-                    .ok_or_else(|| ExecError::BadFixpoint(format!("temp `{name}` not built")))?;
+                let (acc, delta) = rt.temp(name)?;
                 let entity = if rt.delta_active.borrow().contains(name) {
                     delta
                 } else {
                     acc
                 };
-                *iter = Some(rt.leaf_scan(entity, op.meta().id)?);
+                *iter = Some(rt.leaf_scan(entity, meta.id)?);
                 Ok(())
             }
-            (PhysOp::IndexSelect { index, key, .. }, St::Probe { oids, pos }) => {
+            (PhysOp::IndexSelect { index, .. }, St::Probe { key, oids, .. }) => {
                 let six = rt
                     .indexes
                     .selection(*index)
                     .ok_or(ExecError::MissingIndex)?;
-                *oids = six.probe(rt.db, &lit_value(key));
-                *pos = 0;
+                *oids = six.probe(rt.db, key).into_iter();
                 Ok(())
             }
-            (PhysOp::Filter { require_index, .. }, St::Stateless) => {
+            (PhysOp::Filter { require_index, .. }, St::Filter(_)) => {
                 // The named index must exist even though the plan degraded
                 // to a filter (access-method resolution parity).
                 if let Some(idx) = require_index {
@@ -740,17 +913,13 @@ impl<'a> OpExec<'_, 'a> {
                 }
                 kids[0].open(rt)
             }
-            (PhysOp::Project { .. }, St::Dedup(seen)) => {
+            (PhysOp::Project { .. }, St::Project { seen, .. }) => {
                 seen.clear();
                 kids[0].open(rt)
             }
-            (PhysOp::IjDeref { .. }, St::Queue(q)) => {
-                q.clear();
-                kids[0].open(rt)
-            }
-            (PhysOp::PijLookup { index, .. }, St::Queue(q)) => {
+            (PhysOp::IjDeref { .. }, St::Deref(_)) => kids[0].open(rt),
+            (PhysOp::PijLookup { index, .. }, St::Deref(_)) => {
                 rt.indexes.path(*index).ok_or(ExecError::MissingIndex)?;
-                q.clear();
                 kids[0].open(rt)
             }
             (
@@ -759,86 +928,88 @@ impl<'a> OpExec<'_, 'a> {
                     require_index,
                     ..
                 },
-                St::Nl { cur, miter },
+                St::Nl {
+                    cur, inner, miter, ..
+                },
             ) => {
                 if let Some(idx) = require_index {
                     rt.indexes.selection(*idx).ok_or(ExecError::MissingIndex)?;
                 }
-                *cur = None;
-                *miter = None;
+                (*cur, *inner, *miter) = (None, Cursor::default(), None);
                 kids[0].open(rt)?;
                 if !rescan_inner {
                     // Pipeline breaker: materialize the complex inner once
                     // into a page-store temporary, so its footprint counts
                     // against the breaker memory budget and its writes and
                     // re-reads are charged to this operator's `IoStats`.
-                    let mat_e = rt.nl_mat(op.meta().id)?;
+                    let mat_e = rt.nl_mat(meta.id)?;
                     rt.db.truncate_temp(mat_e)?;
                     kids[1].open(rt)?;
-                    while let Some(r) = kids[1].next(rt)? {
-                        rt.db.append_temp(mat_e, r)?;
+                    while let Some(chunk) = kids[1].next_chunk(rt)? {
+                        rt.db.append_temp_rows(&[mat_e], chunk.into_rows())?;
                     }
                 }
                 Ok(())
             }
-            (PhysOp::IndexJoin { index, .. }, St::Queue(q)) => {
+            (PhysOp::IndexJoin { index, .. }, St::IndexJoin { .. }) => {
                 rt.indexes
                     .selection(*index)
                     .ok_or(ExecError::MissingIndex)?;
-                q.clear();
                 kids[0].open(rt)
             }
-            (PhysOp::UnionAll { .. }, St::Union { on_right }) => {
+            (PhysOp::UnionAll { .. }, St::Union(on_right)) => {
                 *on_right = false;
                 kids[0].open(rt)
             }
-            (PhysOp::FixPoint { temp, perm, .. }, St::Fix { iter }) => {
+            (PhysOp::FixPoint { temp, perm, .. }, St::Scan(iter)) => {
                 *iter = None;
-                let (acc_e, delta_e) = *rt
-                    .temps
-                    .get(temp.as_str())
-                    .ok_or_else(|| ExecError::BadFixpoint(format!("temp `{temp}` not built")))?;
+                let (acc_e, delta_e) = rt.temp(temp)?;
                 rt.db.truncate_temp(acc_e)?;
                 rt.db.truncate_temp(delta_e)?;
 
                 // Each opening records its own delta curve, keyed by the
                 // operator (two `Fix` nodes — or one re-opened fixpoint —
                 // must never interleave or concatenate their curves).
-                let meta = op.meta();
-                let (op_id, pt_node) = (meta.id, meta.pt_node);
                 let curve = {
                     let mut curves = rt.fix_deltas.borrow_mut();
                     curves.push(FixDeltaCurve {
-                        op_id,
-                        pt_node,
+                        op_id: meta.id,
+                        pt_node: meta.pt_node,
                         temp: temp.clone(),
                         deltas: Vec::new(),
                     });
                     curves.len() - 1
                 };
+                let note_delta = |iteration: u32| {
+                    let delta_rows = rt.db.entity_len(delta_e) as u64;
+                    rt.fix_deltas.borrow_mut()[curve].deltas.push(delta_rows);
+                    rt.obs.event(
+                        "exec",
+                        "fix-iteration",
+                        vec![
+                            ("temp".into(), temp.as_str().into()),
+                            ("op_id".into(), meta.id.into()),
+                            ("pt_node".into(), meta.pt_node.into()),
+                            ("iteration".into(), iteration.into()),
+                            ("delta_rows".into(), delta_rows.into()),
+                        ],
+                    );
+                };
+                // The rows not derived before go to the accumulator and
+                // the delta side by side, so the two temporaries' page
+                // writes interleave as their rows do.
+                let mut seen: HashSet<Vec<Value>> = HashSet::new();
+                let mut sink = |mut rows: Vec<Vec<Value>>| {
+                    rows.retain(|row| seen.insert(row.clone()));
+                    rt.db.append_temp_rows(&[acc_e, delta_e], rows)
+                };
 
                 // Base case: seed the accumulator and the delta.
-                let mut seen: HashSet<Vec<Value>> = HashSet::new();
                 kids[0].open(rt)?;
-                while let Some(row) = kids[0].next(rt)? {
-                    if seen.insert(row.clone()) {
-                        rt.db.append_temp(acc_e, row.clone())?;
-                        rt.db.append_temp(delta_e, row)?;
-                    }
+                while let Some(chunk) = kids[0].next_chunk(rt)? {
+                    sink(chunk.into_rows())?;
                 }
-                let seed_rows = rt.db.entity_len(delta_e) as u64;
-                rt.fix_deltas.borrow_mut()[curve].deltas.push(seed_rows);
-                rt.obs.event(
-                    "exec",
-                    "fix-iteration",
-                    vec![
-                        ("temp".into(), temp.as_str().into()),
-                        ("op_id".into(), op_id.into()),
-                        ("pt_node".into(), pt_node.into()),
-                        ("iteration".into(), 0u64.into()),
-                        ("delta_rows".into(), seed_rows.into()),
-                    ],
-                );
+                note_delta(0);
 
                 // Iterate the recursive side over the delta until no new
                 // rows appear.
@@ -849,50 +1020,22 @@ impl<'a> OpExec<'_, 'a> {
                         return Err(ExecError::FixpointDiverged(temp.clone()));
                     }
                     rt.delta_active.borrow_mut().insert(temp.clone());
-                    let rec = kids[1].open(rt).and_then(|()| {
-                        let mut rows = Vec::new();
-                        while let Some(r) = kids[1].next(rt)? {
-                            rows.push(r);
-                        }
-                        Ok(rows)
-                    });
+                    let rec = kids[1].open(rt).and_then(|()| kids[1].drain(rt));
                     rt.delta_active.borrow_mut().remove(temp.as_str());
                     let rec = rec?;
                     rt.db.truncate_temp(delta_e)?;
-                    for r in rec {
-                        let row: Vec<Value> = match perm {
-                            None => r,
-                            Some(p) => p.iter().map(|&i| r[i].clone()).collect(),
-                        };
-                        if seen.insert(row.clone()) {
-                            rt.db.append_temp(acc_e, row.clone())?;
-                            rt.db.append_temp(delta_e, row)?;
-                        }
-                    }
-                    let delta_rows = rt.db.entity_len(delta_e) as u64;
-                    rt.fix_deltas.borrow_mut()[curve].deltas.push(delta_rows);
-                    rt.obs.event(
-                        "exec",
-                        "fix-iteration",
-                        vec![
-                            ("temp".into(), temp.as_str().into()),
-                            ("op_id".into(), op_id.into()),
-                            ("pt_node".into(), pt_node.into()),
-                            ("iteration".into(), iterations.into()),
-                            ("delta_rows".into(), delta_rows.into()),
-                        ],
-                    );
+                    sink(permute(perm.as_ref(), rec))?;
+                    note_delta(iterations);
                 }
                 // Converged: stream the answer back out of the
                 // accumulator temporary. The readback is charged to this
                 // operator — page hits while the accumulator stayed
                 // resident, physical re-reads once the memory budget
                 // spilled it.
-                *iter = Some(rt.db.scan_iter(acc_e));
+                *iter = Some(PageScan(acc_e, 0..u32::MAX));
                 Ok(())
             }
-            (PhysOp::Exchange { workers, input, .. }, St::Mat { out, pos }) => {
-                *pos = 0;
+            (PhysOp::Exchange { workers, input, .. }, St::Mat(out)) => {
                 out.clear();
                 let eff = (*workers).min(rt.threads.max(1) as usize);
                 // Serial fallback (threads <= 1, or a hand-built plan the
@@ -900,342 +1043,238 @@ impl<'a> OpExec<'_, 'a> {
                 // rows, same order, no fork.
                 if eff < 2 || !oorq_pt::exchange_eligible(input) {
                     kids[0].open(rt)?;
-                    while let Some(r) = kids[0].next(rt)? {
-                        out.push(r);
-                    }
+                    *out = kids[0].drain(rt)?;
                     return Ok(());
                 }
-                let input: &PhysOp = input;
-                let driver = driver_leaf(input);
-                let frames = (rt.db.buffer_frames() / eff).max(1);
-                let wbudget = worker_budget(rt.db.temp_budget_pages(), eff);
-                let ops_len = rt.stats.borrow().len();
-                let delta = rt.delta_active.borrow().clone();
-                let (db, indexes, methods, temps, nl_mats, obs, max_fix) = (
-                    rt.db,
-                    rt.indexes,
-                    rt.methods,
-                    rt.temps,
-                    rt.nl_mats,
-                    rt.obs,
-                    rt.max_fix_iterations,
-                );
-                let results: Vec<Result<WorkerOut, ExecError>> = std::thread::scope(|scope| {
-                    let handles: Vec<_> = (0..eff)
-                        .map(|w| {
-                            let delta = delta.clone();
-                            let part = Partition {
-                                driver_op: driver,
-                                worker: w,
-                                workers: eff,
-                            };
-                            scope.spawn(move || {
-                                run_worker(
-                                    input,
-                                    db,
-                                    indexes,
-                                    methods,
-                                    temps,
-                                    nl_mats,
-                                    max_fix,
-                                    obs,
-                                    delta,
-                                    ops_len,
-                                    Some(part),
-                                    frames,
-                                    wbudget,
-                                )
-                            })
-                        })
-                        .collect();
-                    handles
-                        .into_iter()
-                        .enumerate()
-                        .map(|(w, h)| {
-                            h.join().unwrap_or_else(|_| {
-                                Err(ExecError::WorkerPanicked(format!(
-                                    "exchange #{} worker {w}",
-                                    op.meta().id
-                                )))
-                            })
-                        })
-                        .collect()
-                });
-                rt.join_workers(op.meta(), results, out, None)
+                let part = |worker| Partition {
+                    driver_op: driver_leaf(input),
+                    worker,
+                    workers: eff,
+                };
+                let legs = (0..eff).map(|w| (&**input, Some(part(w)))).collect();
+                rt.fork(meta, ("exchange", "worker"), legs, out, None)
             }
             (
                 PhysOp::Merge {
                     perms, children, ..
                 },
-                St::Mat { out, pos },
+                St::Mat(out),
             ) => {
-                *pos = 0;
                 out.clear();
-                let eff = children.len().min(rt.threads.max(1) as usize);
-                if eff < 2 {
+                if children.len().min(rt.threads.max(1) as usize) < 2 {
                     // Serial fallback: drain the legs in order, exactly a
                     // `UnionAll` chain.
-                    for (k, kid) in kids.iter_mut().enumerate() {
+                    for (kid, perm) in kids.iter_mut().zip(perms) {
                         kid.open(rt)?;
-                        while let Some(r) = kid.next(rt)? {
-                            out.push(apply_perm(perms[k].as_ref(), r));
-                        }
+                        out.extend(permute(perm.as_ref(), kid.drain(rt)?));
                     }
                     return Ok(());
                 }
-                let frames = (rt.db.buffer_frames() / children.len()).max(1);
-                let wbudget = worker_budget(rt.db.temp_budget_pages(), children.len());
-                let ops_len = rt.stats.borrow().len();
-                let delta = rt.delta_active.borrow().clone();
-                let (db, indexes, methods, temps, nl_mats, obs, max_fix) = (
-                    rt.db,
-                    rt.indexes,
-                    rt.methods,
-                    rt.temps,
-                    rt.nl_mats,
-                    rt.obs,
-                    rt.max_fix_iterations,
-                );
-                let results: Vec<Result<WorkerOut, ExecError>> = std::thread::scope(|scope| {
-                    let handles: Vec<_> = children
-                        .iter()
-                        .map(|leg| {
-                            let delta = delta.clone();
-                            let leg: &PhysOp = leg;
-                            scope.spawn(move || {
-                                run_worker(
-                                    leg, db, indexes, methods, temps, nl_mats, max_fix, obs, delta,
-                                    ops_len, None, frames, wbudget,
-                                )
-                            })
-                        })
-                        .collect();
-                    handles
-                        .into_iter()
-                        .enumerate()
-                        .map(|(w, h)| {
-                            h.join().unwrap_or_else(|_| {
-                                Err(ExecError::WorkerPanicked(format!(
-                                    "merge #{} leg {w}",
-                                    op.meta().id
-                                )))
-                            })
-                        })
-                        .collect()
-                });
-                rt.join_workers(op.meta(), results, out, Some(perms))
+                let legs = children.iter().map(|leg| (leg, None)).collect();
+                rt.fork(meta, ("merge", "leg"), legs, out, Some(perms))
             }
             _ => unreachable!("operator/state shape mismatch"),
         }
     }
 
-    fn next_inner(&mut self, rt: &Rt<'a>) -> Result<Option<Vec<Value>>, ExecError> {
-        let OpExec { op, kids, st } = self;
+    fn next_inner(&mut self, rt: &Rt<'_>) -> Result<Option<Chunk>, ExecError> {
+        let OpExec {
+            op,
+            kids,
+            input,
+            st,
+        } = self;
+        let ctx = rt.ctx();
         match (&**op, st) {
-            (PhysOp::EntityScan { class, .. }, St::Scan(iter)) => {
-                let Some(it) = iter.as_mut() else {
-                    return Ok(None);
-                };
-                Ok(it.next().map(|row| match class {
-                    Some(c) => vec![Value::Oid(Oid::new(*c, row.key))],
-                    None => row.values,
+            (PhysOp::EntityScan { class, .. }, St::Scan(scan)) => {
+                let page = scan.as_mut().and_then(|scan| scan.next(rt.db));
+                Ok(page.map(|page| match class {
+                    Some(c) => Chunk::Rows(
+                        page.iter()
+                            .map(|r| vec![Value::Oid(Oid::new(*c, r.key))])
+                            .collect(),
+                    ),
+                    None => Chunk::Page(page),
                 }))
             }
-            (PhysOp::TempScan { .. }, St::Scan(iter)) => {
-                Ok(iter.as_mut().and_then(|it| it.next()).map(|r| r.values))
+            (PhysOp::TempScan { .. } | PhysOp::FixPoint { .. }, St::Scan(scan)) => {
+                let page = scan.as_mut().and_then(|scan| scan.next(rt.db));
+                Ok(page.map(Chunk::Page))
             }
-            (PhysOp::IndexSelect { class, pred, .. }, St::Probe { oids, pos }) => {
-                while *pos < oids.len() {
-                    let o = oids[*pos];
-                    *pos += 1;
-                    if o.class != *class {
-                        continue;
-                    }
+            (PhysOp::IndexSelect { class, .. }, St::Probe { pred, oids, .. }) => {
+                for o in oids.by_ref().filter(|o| o.class == *class) {
                     // Fetch the object's page (the probe yields only oids),
                     // then apply the full predicate as a residual filter.
                     let _ = rt.db.read_object(o)?;
                     let row = vec![Value::Oid(o)];
-                    if rt.ctx().truthy(pred, op.cols(), &row)? {
-                        return Ok(Some(row));
+                    if pred.truthy(&ctx, row.as_slice().into())? {
+                        return Ok(Some(Chunk::Rows(vec![row])));
                     }
                 }
                 Ok(None)
             }
-            (PhysOp::Filter { pred, .. }, St::Stateless) => loop {
-                let Some(row) = kids[0].next(rt)? else {
-                    return Ok(None);
-                };
-                if rt.ctx().truthy(pred, op.cols(), &row)? {
-                    return Ok(Some(row));
-                }
-            },
-            (PhysOp::Project { exprs, .. }, St::Dedup(seen)) => loop {
-                let Some(row) = kids[0].next(rt)? else {
-                    return Ok(None);
-                };
-                let in_cols = kids[0].op.cols();
-                let ctx = rt.ctx();
-                let mut new_row = Vec::with_capacity(exprs.len());
-                for (_, e) in exprs {
-                    new_row.push(ctx.eval(e, in_cols, &row)?);
-                }
-                if seen.insert(new_row.clone()) {
-                    return Ok(Some(new_row));
-                }
-            },
-            (PhysOp::IjDeref { on, .. }, St::Queue(q)) => loop {
-                if let Some(r) = q.pop_front() {
-                    return Ok(Some(r));
-                }
-                let Some(row) = kids[0].next(rt)? else {
-                    return Ok(None);
-                };
-                let in_cols = kids[0].op.cols();
-                for m in rt.ctx().eval_members(on, in_cols, &row)? {
-                    if let Value::Oid(o) = m {
-                        // Touch the sub-object's page: the implicit join
-                        // is what pays the dereference.
-                        let _ = rt.db.read_object(o)?;
-                        let mut r = row.clone();
-                        r.push(Value::Oid(o));
-                        q.push_back(r);
+            (PhysOp::Filter { .. }, St::Filter(pred)) => {
+                let cut = pred.derefs();
+                pump(input, &mut kids[0], rt, |input, out| {
+                    while let Some(i) = input.next() {
+                        if pred.truthy(&ctx, input.chunk.row(i).into())? {
+                            out.push(input.chunk.take(i));
+                            if cut {
+                                break;
+                            }
+                        }
                     }
-                }
-            },
-            (
-                PhysOp::PijLookup {
-                    index, on, outs, ..
-                },
-                St::Queue(q),
-            ) => loop {
-                if let Some(r) = q.pop_front() {
-                    return Ok(Some(r));
-                }
-                let Some(row) = kids[0].next(rt)? else {
-                    return Ok(None);
-                };
+                    Ok(())
+                })
+            }
+            (PhysOp::Project { .. }, St::Project { exprs, seen }) => {
+                let cut = exprs.iter().any(Bound::derefs);
+                pump(input, &mut kids[0], rt, |input, out| {
+                    while let Some(i) = input.next() {
+                        let row = RowRef::from(input.chunk.row(i));
+                        let mut new_row = Vec::with_capacity(exprs.len());
+                        for e in exprs.iter() {
+                            new_row.push(e.eval(&ctx, row)?.into_owned());
+                        }
+                        if seen.insert(new_row.clone()) {
+                            out.push(new_row);
+                            if cut {
+                                break;
+                            }
+                        }
+                    }
+                    Ok(())
+                })
+            }
+            (PhysOp::IjDeref { .. }, St::Deref(on)) => {
+                pump(input, &mut kids[0], rt, |input, out| {
+                    let row = input.next_row();
+                    for m in on.eval(&ctx, row.into())?.members() {
+                        if let Value::Oid(o) = m {
+                            // Touch the sub-object's page: the implicit join
+                            // is what pays the dereference.
+                            let _ = rt.db.read_object(*o)?;
+                            out.push([row, std::slice::from_ref(m)].concat());
+                        }
+                    }
+                    Ok(())
+                })
+            }
+            (PhysOp::PijLookup { index, outs, .. }, St::Deref(on)) => {
                 let pix = rt.indexes.path(*index).ok_or(ExecError::MissingIndex)?;
-                let in_cols = kids[0].op.cols();
-                for m in rt.ctx().eval_members(on, in_cols, &row)? {
-                    let Value::Oid(head) = m else { continue };
-                    for tail in pix.probe(rt.db, head) {
-                        if tail.len() < outs.len() {
-                            continue;
+                pump(input, &mut kids[0], rt, |input, out| {
+                    let row = input.next_row();
+                    for m in on.eval(&ctx, row.into())?.members() {
+                        let Value::Oid(head) = m else { continue };
+                        for tail in pix.probe(rt.db, *head) {
+                            if tail.len() >= outs.len() {
+                                let tail = tail.iter().take(outs.len()).map(|o| Value::Oid(*o));
+                                out.push(row.iter().cloned().chain(tail).collect());
+                            }
                         }
-                        let mut r = row.clone();
-                        for o in tail.iter().take(outs.len()) {
-                            r.push(Value::Oid(*o));
-                        }
-                        q.push_back(r);
                     }
-                }
-            },
+                    Ok(())
+                })
+            }
             (
-                PhysOp::NlJoin {
-                    pred, rescan_inner, ..
-                },
-                St::Nl { cur, miter },
-            ) => loop {
-                if cur.is_none() {
-                    let Some(l) = kids[0].next(rt)? else {
-                        return Ok(None);
-                    };
-                    *cur = Some(l);
-                    if *rescan_inner {
-                        // Honest nested loop: rescan the leaf-ish inner
-                        // through the buffer manager for every outer row.
-                        kids[1].open(rt)?;
-                    } else {
-                        // Re-scan the materialized inner from its
-                        // page-store temporary: hits while it stays
-                        // resident, physical re-reads once the memory
-                        // budget spilled it.
-                        *miter = Some(rt.db.scan_iter(rt.nl_mat(op.meta().id)?));
-                    }
-                }
-                let rrow = if *rescan_inner {
-                    kids[1].next(rt)?
-                } else {
-                    miter
-                        .as_mut()
-                        .expect("inner materialized at open")
-                        .next()
-                        .map(|r| r.values)
-                };
-                let Some(rrow) = rrow else {
-                    *cur = None;
-                    continue;
-                };
-                let mut combined = cur.as_ref().expect("outer row in hand").clone();
-                combined.extend(rrow);
-                if rt.ctx().truthy(pred, op.cols(), &combined)? {
-                    return Ok(Some(combined));
-                }
-            },
-            (
-                PhysOp::IndexJoin {
-                    index,
-                    class,
-                    outer,
+                PhysOp::NlJoin { rescan_inner, .. },
+                St::Nl {
                     pred,
-                    ..
+                    cur,
+                    inner,
+                    miter,
                 },
-                St::Queue(q),
-            ) => loop {
-                if let Some(r) = q.pop_front() {
-                    return Ok(Some(r));
-                }
-                let Some(lrow) = kids[0].next(rt)? else {
-                    return Ok(None);
+            ) => {
+                let [left, right] = kids.as_mut_slice() else {
+                    unreachable!("a join has two operands")
                 };
+                let cut = pred.derefs();
+                loop {
+                    let l = match *cur {
+                        Some(l) => l,
+                        None => {
+                            if !input.fill(|| left.next_chunk(rt))? {
+                                return Ok(None);
+                            }
+                            if *rescan_inner {
+                                // Honest nested loop: rescan the leaf-ish
+                                // inner through the buffer manager for
+                                // every outer row.
+                                right.open(rt)?;
+                            } else {
+                                // Re-scan the materialized inner from its
+                                // page-store temporary: hits while it stays
+                                // resident, physical re-reads once the
+                                // memory budget spilled it.
+                                *miter = Some(PageScan(rt.nl_mat(op.meta().id)?, 0..u32::MAX));
+                            }
+                            *cur.insert(input.next().expect("filled"))
+                        }
+                    };
+                    let more = inner.fill(|| match miter {
+                        Some(scan) => Ok(scan.next(rt.db).map(Chunk::Page)),
+                        None => right.next_chunk(rt),
+                    })?;
+                    if !more {
+                        *cur = None;
+                        continue;
+                    }
+                    // Compare the outer row with the inner rows where they
+                    // lie; a pair becomes a row only when it matches.
+                    let lrow = input.chunk.row(l);
+                    let mut out = Vec::new();
+                    while let Some(r) = inner.next() {
+                        let rrow = inner.chunk.row(r);
+                        if pred.truthy(&ctx, RowRef(lrow, rrow))? {
+                            out.push([lrow, rrow].concat());
+                            if cut {
+                                break;
+                            }
+                        }
+                    }
+                    if !out.is_empty() {
+                        return Ok(Some(Chunk::Rows(out)));
+                    }
+                }
+            }
+            (PhysOp::IndexJoin { index, class, .. }, St::IndexJoin { outer, pred }) => {
                 let six = rt
                     .indexes
                     .selection(*index)
                     .ok_or(ExecError::MissingIndex)?;
-                let in_cols = kids[0].op.cols();
-                let keys = rt.ctx().eval_members(outer, in_cols, &lrow)?;
-                for key in keys {
-                    for o in six.probe(rt.db, &key) {
-                        if o.class != *class {
-                            continue;
-                        }
-                        let _ = rt.db.read_object(o)?;
-                        let mut combined = lrow.clone();
-                        combined.push(Value::Oid(o));
-                        if rt.ctx().truthy(pred, op.cols(), &combined)? {
-                            q.push_back(combined);
-                        }
-                    }
-                }
-            },
-            (PhysOp::UnionAll { perm, .. }, St::Union { on_right }) => loop {
-                if !*on_right {
-                    match kids[0].next(rt)? {
-                        Some(r) => return Ok(Some(r)),
-                        None => {
-                            *on_right = true;
-                            kids[1].open(rt)?;
+                pump(input, &mut kids[0], rt, |input, out| {
+                    let lrow = input.next_row();
+                    for key in outer.eval(&ctx, lrow.into())?.members() {
+                        for o in six.probe(rt.db, key) {
+                            if o.class != *class {
+                                continue;
+                            }
+                            let _ = rt.db.read_object(o)?;
+                            let found = [Value::Oid(o)];
+                            if pred.truthy(&ctx, RowRef(lrow, &found))? {
+                                out.push([lrow, &found].concat());
+                            }
                         }
                     }
-                } else {
-                    let Some(r) = kids[1].next(rt)? else {
-                        return Ok(None);
-                    };
-                    return Ok(Some(match perm {
-                        None => r,
-                        Some(p) => p.iter().map(|&i| r[i].clone()).collect(),
-                    }));
-                }
-            },
-            (PhysOp::FixPoint { .. }, St::Fix { iter }) => {
-                Ok(iter.as_mut().and_then(|it| it.next()).map(|r| r.values))
+                    Ok(())
+                })
             }
-            (PhysOp::Exchange { .. } | PhysOp::Merge { .. }, St::Mat { out, pos }) => {
-                let r = out.get(*pos).cloned();
-                if r.is_some() {
-                    *pos += 1;
+            (PhysOp::UnionAll { perm, .. }, St::Union(on_right)) => {
+                if !*on_right {
+                    if let Some(chunk) = kids[0].next_chunk(rt)? {
+                        return Ok(Some(chunk));
+                    }
+                    *on_right = true;
+                    kids[1].open(rt)?;
                 }
-                Ok(r)
+                let chunk = kids[1].next_chunk(rt)?;
+                Ok(match perm {
+                    Some(_) => chunk.map(|c| Chunk::Rows(permute(perm.as_ref(), c.into_rows()))),
+                    None => chunk,
+                })
+            }
+            (PhysOp::Exchange { .. } | PhysOp::Merge { .. }, St::Mat(out)) => {
+                Ok((!out.is_empty()).then(|| Chunk::Rows(std::mem::take(out))))
             }
             _ => unreachable!("operator/state shape mismatch"),
         }

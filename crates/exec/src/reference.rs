@@ -14,7 +14,7 @@ use oorq_schema::ResolvedType;
 use oorq_storage::{Database, Oid, Value};
 
 use crate::error::ExecError;
-use crate::eval::{Batch, Counters, EvalCtx};
+use crate::eval::{Batch, Bound, Counters, EvalCtx, RowRef};
 use crate::methods::MethodRegistry;
 
 /// Iteration bound for the naive fixpoint (defence against
@@ -142,11 +142,14 @@ fn eval_spj(
     spj: &SpjNode,
     state: &[NameState],
 ) -> Result<Vec<Vec<Value>>, ExecError> {
-    // Per-arc instance lists, with per-instance bindings.
-    let mut arc_bindings: Vec<Vec<Vec<(String, Value)>>> = Vec::new();
+    // Per arc: the names its instances bind (the same for every
+    // instance — the label fixes them) and each instance's values.
+    let mut cols: Vec<String> = Vec::new();
+    let mut arc_rows: Vec<Vec<Vec<Value>>> = Vec::new();
     for arc in &spj.inputs {
         let ty = graph.type_of(ctx.db.catalog(), &arc.name)?;
         let rows = instances(ctx, &arc.name, state)?;
+        let mut names: Option<Vec<String>> = None;
         let mut per_instance = Vec::new();
         for row in rows {
             // Root bindings for the instance.
@@ -166,44 +169,44 @@ fn eval_spj(
             if let Some(v) = &arc.var {
                 roots.push((v.clone(), root_value.clone()));
             }
-            // Tree-label embeddings.
-            let embeddings = embed(ctx, &root_value, &ty, &arc.label)?;
-            let mut options = Vec::new();
-            for emb in embeddings {
-                let mut b = roots.clone();
-                b.extend(emb);
-                options.push(b);
+            // Tree-label embeddings; an instance without one cannot
+            // satisfy the label (e.g. an empty collection on the
+            // requested path).
+            for emb in embed(ctx, &root_value, &ty, &arc.label)? {
+                let (n, vals): (Vec<String>, Vec<Value>) = roots.iter().cloned().chain(emb).unzip();
+                debug_assert!(names.as_ref().is_none_or(|known| *known == n));
+                names.get_or_insert(n);
+                per_instance.push(vals);
             }
-            if options.is_empty() {
-                // No embedding: the instance cannot satisfy the label
-                // (e.g. an empty collection on the requested path).
-                continue;
-            }
-            per_instance.extend(options);
         }
-        arc_bindings.push(per_instance);
+        cols.extend(names.unwrap_or_default());
+        arc_rows.push(per_instance);
     }
 
     // Cartesian product over arcs.
     let mut out = Vec::new();
-    let mut idx = vec![0usize; arc_bindings.len()];
-    if arc_bindings.iter().any(|a| a.is_empty()) {
+    let mut idx = vec![0usize; arc_rows.len()];
+    if arc_rows.iter().any(|a| a.is_empty()) {
         return Ok(out);
     }
+    let pred = Bound::bind(&spj.pred, &cols);
+    let out_proj: Vec<Bound> = spj
+        .out_proj
+        .iter()
+        .map(|(_, e)| Bound::bind(e, &cols))
+        .collect();
     loop {
         // Assemble the environment.
-        let mut cols: Vec<String> = Vec::new();
-        let mut row: Vec<Value> = Vec::new();
-        for (a, &i) in arc_bindings.iter().zip(idx.iter()) {
-            for (c, v) in &a[i] {
-                cols.push(c.clone());
-                row.push(v.clone());
-            }
-        }
-        if ctx.truthy(&spj.pred, &cols, &row)? {
-            let mut out_row = Vec::with_capacity(spj.out_proj.len());
-            for (_, e) in &spj.out_proj {
-                out_row.push(ctx.eval(e, &cols, &row)?);
+        let row: Vec<Value> = arc_rows
+            .iter()
+            .zip(idx.iter())
+            .flat_map(|(a, &i)| a[i].iter().cloned())
+            .collect();
+        let row = RowRef::from(row.as_slice());
+        if pred.truthy(ctx, row)? {
+            let mut out_row = Vec::with_capacity(out_proj.len());
+            for e in &out_proj {
+                out_row.push(e.eval(ctx, row)?.into_owned());
             }
             out.push(out_row);
         }
@@ -216,7 +219,7 @@ fn eval_spj(
                 return Ok(out);
             }
             idx[k] += 1;
-            if idx[k] < arc_bindings[k].len() {
+            if idx[k] < arc_rows[k].len() {
                 break;
             }
             idx[k] = 0;

@@ -770,3 +770,202 @@ fn nl_join_materialized_inner_charges_page_store_io() {
         report.io.page_reads
     );
 }
+
+/// The binder means what the name-resolving interpreter meant: every
+/// expected `(value | error, evals, method_calls)` below was recorded
+/// from `EvalCtx::eval(expr, cols, row)` at the commit before the binder
+/// replaced it.
+#[test]
+fn bound_expressions_evaluate_as_the_interpreter_did() {
+    use crate::eval::{Bound, Counters, EvalCtx, RowRef};
+    use oorq_query::Literal;
+
+    let m = small_music();
+    let methods = MethodRegistry::with_music_methods(m.db.catalog());
+    let works = m.db.read_attr_raw(m.bach, m.works_attr).unwrap();
+    let work0 = works.members()[0].clone();
+    let int = Value::Int;
+    let set = |v: &[i64]| Value::Set(v.iter().map(|&i| Value::Int(i)).collect());
+    let null = || Expr::Lit(Literal::Null);
+    let v = Expr::var;
+    let ok = |value: Value| Ok::<Value, String>(value);
+    let err = |e: ExecError| Err::<Value, String>(e.to_string());
+    let yes = || ok(Value::Bool(true));
+    let no = || ok(Value::Bool(false));
+    let s123 = || vec![set(&[1, 2, 3])];
+    let st = || vec![set(&[1, 2]), set(&[2, 9])];
+    let both = || vec![Value::Oid(m.bach), work0.clone()];
+    let nope_eq_1 = || v("nope").eq(Expr::int(1));
+    /// (case, columns, row, expression, evaluated as a predicate,
+    /// expected result, evals, method calls)
+    type Case = (
+        &'static str,
+        Vec<&'static str>,
+        Vec<Value>,
+        Expr,
+        bool,
+        Result<Value, String>,
+        u64,
+        u64,
+    );
+    #[rustfmt::skip]
+    let cases: Vec<Case> = vec![
+        ("slot compare", vec!["a", "b"], vec![int(1), int(2)], v("a").lt(v("b")), false, yes(), 1, 0),
+        ("<> null on a value", vec!["a"], vec![int(1)], v("a").ne(null()), false, yes(), 1, 0),
+        ("<> null on null", vec!["a"], vec![Value::Null], v("a").ne(null()), false, no(), 1, 0),
+        ("= null on null", vec!["a"], vec![Value::Null], v("a").eq(null()), false, yes(), 1, 0),
+        ("= null on a set", vec!["a"], vec![set(&[1, 2])], v("a").eq(null()), false, no(), 1, 0),
+        ("< null", vec!["a"], vec![int(1)], v("a").lt(null()), false, no(), 1, 0),
+        // Existential compares stop at the first member pair that holds,
+        // so the count depends on which side's members loop outermost.
+        ("set = scalar", vec!["s"], s123(), v("s").eq(Expr::int(2)), false, yes(), 2, 0),
+        ("scalar = set", vec!["s"], s123(), Expr::int(2).eq(v("s")), false, yes(), 2, 0),
+        ("set = set", vec!["s", "t"], st(), v("s").eq(v("t")), false, yes(), 3, 0),
+        ("set = set, swapped", vec!["s", "t"], st(), v("t").eq(v("s")), false, yes(), 2, 0),
+        ("no member matches", vec!["s"], s123(), v("s").eq(Expr::int(7)), false, no(), 3, 0),
+        ("null has no members", vec!["a", "b"], vec![Value::Null, int(1)], v("a").eq(v("b")), false, no(), 0, 0),
+        ("add overflow", vec!["a"], vec![int(i64::MAX)], v("a").add(Expr::int(1)), false,
+         err(ExecError::BadValue("integer overflow in 9223372036854775807 + 1".into())), 0, 0),
+        ("add int + float", vec!["a"], vec![Value::Float(1.5)], v("a").add(Expr::int(1)), false, ok(Value::Float(2.5)), 0, 0),
+        ("non-boolean predicate", vec!["a"], vec![int(3)], v("a"), true,
+         err(ExecError::BadValue("predicate evaluated to non-boolean 3".into())), 0, 0),
+        ("null predicate", vec!["a"], vec![int(3)], null(), true, no(), 0, 0),
+        // An unknown column is an error only where evaluation reaches it.
+        ("unknown column behind a false and", vec!["a"], vec![int(1)], v("a").eq(Expr::int(2)).and(nope_eq_1()), true, no(), 1, 0),
+        ("unknown column behind a true or", vec!["a"], vec![int(1)], v("a").eq(Expr::int(1)).or(nope_eq_1()), true, yes(), 1, 0),
+        ("unknown column in front", vec!["a"], vec![int(1)], nope_eq_1().and(v("a").eq(Expr::int(1))), true,
+         err(ExecError::UnknownColumn("nope".into())), 0, 0),
+        ("unknown path base", vec!["a"], vec![int(1)], Expr::path("nope", &["name"]).eq(Expr::int(1)), false,
+         err(ExecError::UnknownColumn("nope".into())), 0, 0),
+        ("not", vec!["a"], vec![int(1)], Expr::Not(Box::new(v("a").eq(Expr::int(1)))), false, no(), 1, 0),
+        ("computed attribute", vec!["x"], vec![Value::Oid(m.bach)], Expr::path("x", &["age"]), false, ok(int(165)), 0, 1),
+        ("path fan-out", vec!["x"], vec![Value::Oid(m.bach)],
+         Expr::path("x", &["works", "instruments", "name"]).eq(Expr::text("harpsichord")), false, no(), 4, 0),
+        // PR 13: with `i` and `i.master` both in scope, a path starts
+        // from the qualified column.
+        ("qualified column wins", vec!["i", "i.master"], both(), Expr::path("i", &["master", "title"]), false, ok(Value::text("op3-0")), 0, 0),
+        ("qualified column, no steps left", vec!["i", "i.master"], both(), Expr::path("i", &["master"]), false, ok(work0.clone()), 0, 0),
+    ];
+    for (name, cols, row, expr, as_pred, expected, evals, method_calls) in cases {
+        let counters = Counters::default();
+        let ctx = EvalCtx {
+            db: &m.db,
+            methods: &methods,
+            counters: &counters,
+            account_io: true,
+        };
+        let cols: Vec<String> = cols.into_iter().map(String::from).collect();
+        let bound = Bound::bind(&expr, &cols);
+        // Split the row in two, as a join reads it: slots must not care.
+        for split in 0..=row.len() {
+            counters.evals.set(0);
+            counters.method_calls.set(0);
+            let at = RowRef(&row[..split], &row[split..]);
+            let got = if as_pred {
+                bound.truthy(&ctx, at).map(Value::Bool)
+            } else {
+                bound.eval(&ctx, at).map(|v| v.into_owned())
+            };
+            assert_eq!(got.map_err(|e| e.to_string()), expected, "{name}");
+            let counted = (counters.evals.get(), counters.method_calls.get());
+            assert_eq!(counted, (evals, method_calls), "{name}: (evals, methods)");
+        }
+    }
+}
+
+/// Chunking must not reorder page touches: under a 2-frame buffer and
+/// under a 1-page breaker budget the LRU victim — hence every `IoStats`
+/// field — depends on the exact order of fetches and writes. The
+/// expected values were recorded from the row-at-a-time pipeline at the
+/// commit before chunks replaced it.
+#[test]
+fn page_touch_order_is_pinned() {
+    let io = |page_reads, page_hits, page_writes, index_reads, spill_evictions, temp_reads| {
+        oorq_storage::IoStats {
+            page_reads,
+            page_hits,
+            page_writes,
+            index_reads,
+            spill_evictions,
+            temp_reads,
+        }
+    };
+    // (composers per side, plan, buffer frames, breaker budget, rows, I/O)
+    let cases = [
+        (14, "fig3", 2, 0, 45, io(836, 1914, 0, 336, 0, 0)),
+        (14, "fig3", 32, 1, 45, io(24, 2726, 0, 336, 0, 0)),
+        (6, "mat", 2, 0, 1080, io(402, 93274, 8, 0, 0, 288)),
+        (6, "mat", 32, 1, 1080, io(290, 93386, 8, 0, 295, 288)),
+    ];
+    for (side, name, buffer_frames, memory_budget_pages, rows, expected) in cases {
+        let mut m = MusicDb::generate(
+            Arc::new(music_catalog()),
+            MusicConfig {
+                chains: side,
+                chain_len: side,
+                buffer_frames,
+                ..Default::default()
+            },
+        );
+        let mut idx = IndexSet::new();
+        let pix = idx.add_path(PathIndex::build(
+            &mut m.db,
+            vec![
+                (m.composer, m.works_attr),
+                (m.composition, m.instruments_attr),
+            ],
+        ));
+        let e = m.db.physical().entities_of_class(m.composer)[0];
+        let ce = m.db.physical().entities_of_class(m.composition)[0];
+        let ie = m.db.physical().entities_of_class(m.instrument)[0];
+        let ij = |on: Expr, out: &str, input: Pt| Pt::IJ {
+            on,
+            step: oorq_pt::IjStep::class_attr(m.db.catalog(), m.composer, m.master_attr),
+            out: out.into(),
+            input: Box::new(input),
+            target: Box::new(Pt::entity(e, "t")),
+        };
+        let plan = if name == "fig3" {
+            // The Figure 3 shape, IJ → IJ → PIJ → Sel, with a predicate
+            // that dereferences a scattered page and a shared one.
+            Pt::sel(
+                Expr::path("w", &["title"])
+                    .ne(Expr::Lit(oorq_query::Literal::Null))
+                    .and(Expr::path("ins", &["name"]).eq(Expr::text("harpsichord"))),
+                Pt::PIJ {
+                    index: pix,
+                    on: Expr::var("g"),
+                    outs: vec!["w".into(), "ins".into()],
+                    input: Box::new(ij(
+                        Expr::path("m", &["master"]),
+                        "g",
+                        ij(Expr::path("x", &["master"]), "m", Pt::entity(e, "x")),
+                    )),
+                    targets: vec![Pt::entity(ce, "ct"), Pt::entity(ie, "it")],
+                },
+            )
+        } else {
+            // A nested loop over a join: the inner is materialized
+            // (`rescan_inner: false`) and re-read per outer row.
+            Pt::ej(
+                Expr::path("a", &["master"]).eq(Expr::path("b", &["master"])),
+                Pt::entity(e, "a"),
+                Pt::ej(
+                    Expr::int(1).eq(Expr::int(1)),
+                    Pt::entity(e, "b"),
+                    Pt::entity(e, "c"),
+                ),
+            )
+        };
+        let methods = MethodRegistry::new();
+        m.db.cold_cache();
+        let mut ex = Executor::new(&mut m.db, &idx, &methods).with_config(ExecConfig {
+            memory_budget_pages,
+            ..ExecConfig::default()
+        });
+        let out = ex.run(&plan).unwrap();
+        let case = format!("{name}, {buffer_frames} frames, budget {memory_budget_pages}");
+        assert_eq!(out.len(), rows, "{case}");
+        assert_eq!(ex.report().io, expected, "{case}");
+    }
+}

@@ -185,12 +185,24 @@ impl BufferManager {
         frame
     }
 
+    /// Fire a structured event identifying a page; a disabled recorder
+    /// costs the branch, not the payload.
+    fn page_event(&self, name: &str, page: PageId) {
+        if self.obs.enabled() {
+            let fields = vec![
+                ("entity".into(), page.entity.0.into()),
+                ("page".into(), page.page.into()),
+            ];
+            self.obs.event("storage", name, fields);
+        }
+    }
+
     /// Evict the least recently used page to make room.
     fn evict_lru(&mut self) {
         if let Some((&victim, _)) = self.resident.iter().min_by_key(|(_, f)| f.stamp) {
             self.drop_frame(victim);
             self.metrics.page_evictions.inc();
-            self.obs.event("storage", "page-evict", page_fields(victim));
+            self.page_event("page-evict", victim);
         }
     }
 
@@ -208,8 +220,7 @@ impl BufferManager {
             self.drop_frame(victim);
             self.stats.spill_evictions += 1;
             self.metrics.spill_evictions.inc();
-            self.obs
-                .event("storage", "spill-evict", page_fields(victim));
+            self.page_event("spill-evict", victim);
         }
     }
 
@@ -236,7 +247,7 @@ impl BufferManager {
             frame.stamp = clock;
             self.stats.page_hits += 1;
             self.metrics.page_hits.inc();
-            self.obs.event("storage", "page-hit", page_fields(page));
+            self.page_event("page-hit", page);
             false
         } else {
             self.make_room(temp);
@@ -248,7 +259,7 @@ impl BufferManager {
             }
             self.stats.page_reads += 1;
             self.metrics.page_misses.inc();
-            self.obs.event("storage", "page-miss", page_fields(page));
+            self.page_event("page-miss", page);
             true
         }
     }
@@ -309,14 +320,6 @@ impl BufferManager {
         self.stats = IoStats::default();
         self.clock = 0;
     }
-}
-
-/// Structured event payload identifying a page.
-fn page_fields(page: PageId) -> oorq_obs::Fields {
-    vec![
-        ("entity".into(), page.entity.0.into()),
-        ("page".into(), page.page.into()),
-    ]
 }
 
 #[cfg(test)]

@@ -438,21 +438,38 @@ impl Database {
         id
     }
 
-    /// Append a row to a temporary, counting a page write whenever a new
-    /// page is started.
-    pub fn append_temp(&self, entity: EntityId, values: Vec<Value>) -> Result<u32, StorageError> {
-        if self.physical.entity(entity).source != EntitySource::Temporary {
-            return Err(StorageError::NotTemporary(entity));
+    /// Append `rows`, in order, to every temporary of `entities` (each row
+    /// goes to all of them before the next row does — a fixpoint's
+    /// accumulator and delta fill side by side), under one lock. A page
+    /// write is counted whenever an append starts a new page.
+    pub fn append_temp_rows(
+        &self,
+        entities: &[EntityId],
+        rows: Vec<Vec<Value>>,
+    ) -> Result<(), StorageError> {
+        if let Some(&e) = entities.iter().find(|&&e| !self.is_temp_entity(e)) {
+            return Err(StorageError::NotTemporary(e));
         }
+        let Some((&last, init)) = entities.split_last() else {
+            return Ok(());
+        };
         let mut segs = self.segments.write().unwrap();
-        let seg = Arc::make_mut(&mut segs[entity.0 as usize]);
-        let key = seg.len() as u32;
-        let pos = seg.append(Row { key, values });
-        let page = seg.page_of_position(pos);
-        if pos.is_multiple_of(seg.rows_per_page()) {
-            self.with_buffer(|b| b.write(PageId { entity, page }, true));
+        let mut append = |entity: EntityId, values: Vec<Value>| {
+            let seg = Arc::make_mut(&mut segs[entity.0 as usize]);
+            let key = seg.len() as u32;
+            let pos = seg.append(Row { key, values });
+            if pos.is_multiple_of(seg.rows_per_page()) {
+                let page = seg.page_of_position(pos);
+                self.with_buffer(|b| b.write(PageId { entity, page }, true));
+            }
+        };
+        for values in rows {
+            for &entity in init {
+                append(entity, values.clone());
+            }
+            append(last, values);
         }
-        Ok(key)
+        Ok(())
     }
 
     /// Clear a temporary's contents. Residency is dropped from both the
@@ -500,45 +517,25 @@ impl Database {
             .to_vec()
     }
 
-    /// Fetch one page of an entity and return its records (cloned).
-    /// Returns `None` past the last page.
-    pub fn scan_page(&self, entity: EntityId, page: u32) -> Option<Vec<Row>> {
-        let segs = self.segments.read().unwrap();
-        let seg = &segs[entity.0 as usize];
+    /// Fetch (and account) one page of an entity and lend out its
+    /// records. Returns `None` past the last page. A consumer walking the
+    /// page numbers streams the entity a page at a time: each fetch is
+    /// accounted when it happens, so interleaved consumers (e.g. a
+    /// pipelined executor) observe honest LRU behaviour.
+    pub fn scan_page(&self, entity: EntityId, page: u32) -> Option<PageRows> {
+        let seg = Arc::clone(&self.segments.read().unwrap()[entity.0 as usize]);
         if page >= seg.num_pages() {
             return None;
         }
         let temp = self.is_temp_entity(entity);
         self.with_buffer(|b| b.fetch(PageId { entity, page }, temp));
-        Some(seg.page_rows(page).to_vec())
-    }
-
-    /// Stream an entity page-at-a-time through the buffer manager: each
-    /// page is fetched (and accounted) only when the iterator first needs
-    /// a record from it, so consumers never hold more than one page of
-    /// records at a time.
-    pub fn scan_iter(&self, entity: EntityId) -> ScanIter<'_> {
-        self.scan_iter_range(entity, 0, u32::MAX)
-    }
-
-    /// Stream the pages `page_lo..page_hi` of an entity (clamped to the
-    /// entity's page count). Partition workers scan disjoint page ranges,
-    /// so concatenating their outputs in partition order reproduces the
-    /// serial scan order exactly.
-    pub fn scan_iter_range(&self, entity: EntityId, page_lo: u32, page_hi: u32) -> ScanIter<'_> {
-        ScanIter {
-            db: self,
-            entity,
-            page: page_lo,
-            end: page_hi,
-            buf: Vec::new(),
-            pos: 0,
-        }
+        Some(PageRows { seg, page })
     }
 
     /// Scan a whole entity, fetching every page (convenience).
     pub fn scan(&self, entity: EntityId) -> Vec<Row> {
-        self.scan_iter(entity).collect()
+        let pages = (0..).map_while(|page| self.scan_page(entity, page));
+        pages.flat_map(|page| page.to_vec()).collect()
     }
 
     /// Scan without I/O accounting (bulk index builds, statistics).
@@ -778,37 +775,19 @@ impl Database {
     }
 }
 
-/// A streaming, page-at-a-time scan of one entity (see
-/// [`Database::scan_iter`]). The iterator keeps only the records of the
-/// page it is currently draining; page fetches are accounted through the
-/// buffer manager exactly when they happen, so interleaved consumers
-/// (e.g. a pipelined executor) observe honest LRU behaviour.
+/// The records of one fetched page, borrowed: the handle keeps the
+/// segment it reads alive, so hold it no longer than the page is in use
+/// — a temporary is copied by its next write while a handle is out.
 #[derive(Debug)]
-pub struct ScanIter<'a> {
-    db: &'a Database,
-    entity: EntityId,
+pub struct PageRows {
+    seg: Arc<Segment>,
     page: u32,
-    end: u32,
-    buf: Vec<Row>,
-    pos: usize,
 }
 
-impl Iterator for ScanIter<'_> {
-    type Item = Row;
+impl std::ops::Deref for PageRows {
+    type Target = [Row];
 
-    fn next(&mut self) -> Option<Row> {
-        loop {
-            if self.pos < self.buf.len() {
-                let row = self.buf[self.pos].clone();
-                self.pos += 1;
-                return Some(row);
-            }
-            if self.page >= self.end {
-                return None;
-            }
-            self.buf = self.db.scan_page(self.entity, self.page)?;
-            self.page += 1;
-            self.pos = 0;
-        }
+    fn deref(&self) -> &[Row] {
+        self.seg.page_rows(self.page)
     }
 }

@@ -18,7 +18,7 @@ mod stats;
 mod value;
 
 pub use buffer::{BufferManager, IoStats};
-pub use database::{Database, ScanIter, StorageConfig};
+pub use database::{Database, PageRows, StorageConfig};
 pub use error::StorageError;
 pub use page::{PageId, WidthModel};
 pub use physical::{

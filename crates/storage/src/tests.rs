@@ -268,10 +268,8 @@ fn temporaries_append_scan_truncate() {
         ],
     );
     db.reset_io();
-    for i in 0..50 {
-        db.append_temp(t, vec![Value::Int(i), Value::Int(i * 2)])
-            .unwrap();
-    }
+    let rows = (0..50).map(|i| vec![Value::Int(i), Value::Int(i * 2)]);
+    db.append_temp_rows(&[t], rows.collect()).unwrap();
     assert!(db.io_stats().page_writes > 0, "page writes counted");
     assert_eq!(db.entity_len(t), 50);
     let rows = db.scan(t);
@@ -282,32 +280,69 @@ fn temporaries_append_scan_truncate() {
     let item_cls = db.catalog().class_by_name("Item").unwrap();
     let item_entity = db.physical().entities_of_class(item_cls)[0];
     assert!(matches!(
-        db.append_temp(item_entity, vec![]),
-        Err(StorageError::NotTemporary(_))
+        db.append_temp_rows(&[t, item_entity], vec![vec![]]),
+        Err(StorageError::NotTemporary(e)) if e == item_entity
     ));
+    assert_eq!(db.entity_len(t), 0, "a rejected append writes nothing");
 }
 
 #[test]
 fn append_temp_counts_one_write_per_page_started() {
     // `small_db`'s 256-byte pages hold 10 `[int, int]` records (8-byte
     // header + two 8-byte fields), so 25 appends start exactly pages
-    // 0, 1 and 2 — the write counter must say 3, not 25 and not 2.
+    // 0, 1 and 2 — the write counter must say 3, not 25 and not 2 —
+    // however the 25 rows are cut into chunks.
+    let row = |i: i64| vec![Value::Int(i), Value::Int(-i)];
+    for chunk in [1usize, 7, 10, 25] {
+        let mut db = small_db();
+        let int = oorq_schema::ResolvedType::Atomic(oorq_schema::AtomicType::Int);
+        let t = db.create_temp("acc", vec![int.clone(), int]);
+        db.reset_io();
+        let mut appended = 0usize;
+        while appended < 25 {
+            let n = chunk.min(25 - appended);
+            let rows = (appended..appended + n).map(|i| row(i as i64)).collect();
+            db.append_temp_rows(&[t], rows).unwrap();
+            appended += n;
+            assert_eq!(
+                db.io_stats().page_writes,
+                appended.div_ceil(10) as u64,
+                "chunk {chunk}: {appended} rows appended (page boundary accounting)"
+            );
+        }
+        assert_eq!(db.num_pages(t), 3);
+        assert_eq!(db.scan(t).len(), 25);
+    }
+}
+
+#[test]
+fn append_temp_rows_fills_its_temporaries_side_by_side() {
+    // A fixpoint's accumulator (part-filled: its next page starts at its
+    // row 10) and delta (empty: its page 0 starts now) take the same rows;
+    // the page writes must come in the order the row-by-row loop made
+    // them — delta page 0 with row 0, accumulator page 1 with row 4 —
+    // which under a one-page budget decides which page is spilled.
     let mut db = small_db();
     let int = oorq_schema::ResolvedType::Atomic(oorq_schema::AtomicType::Int);
-    let t = db.create_temp("acc", vec![int.clone(), int]);
+    let acc = db.create_temp("acc", vec![int.clone(), int.clone()]);
+    let delta = db.create_temp("delta", vec![int.clone(), int]);
+    let row = |i: i64| vec![Value::Int(i), Value::Int(i)];
+    db.append_temp_rows(&[acc], (0..6).map(row).collect())
+        .unwrap();
+    db.set_temp_budget(1);
     db.reset_io();
-    for i in 0..25 {
-        let w = db.io_stats().page_writes;
-        let expect = (i / 10 + 1) as u64;
-        db.append_temp(t, vec![Value::Int(i), Value::Int(-i)])
-            .unwrap();
-        let after = db.io_stats().page_writes;
-        assert_eq!(
-            after, expect,
-            "row {i}: {w} writes before, {after} after (page boundary accounting)"
-        );
-    }
-    assert_eq!(db.num_pages(t), 3);
+    db.append_temp_rows(&[acc, delta], (6..12).map(row).collect())
+        .unwrap();
+    let io = db.io_stats();
+    assert_eq!(io.page_writes, 2, "delta page 0 and accumulator page 1");
+    assert_eq!(io.spill_evictions, 2, "each write spilled the page before");
+    assert_eq!((db.entity_len(acc), db.entity_len(delta)), (12, 6));
+    // The accumulator's page 1 was written last, so it is the resident one.
+    db.reset_io();
+    db.scan_page(acc, 1).unwrap();
+    assert_eq!(db.io_stats().page_hits, 1, "accumulator page 1 resident");
+    db.scan_page(delta, 0).unwrap();
+    assert_eq!(db.io_stats().temp_reads, 1, "delta page 0 was spilled");
 }
 
 #[test]
@@ -316,10 +351,8 @@ fn truncated_temp_reuse_restarts_pages_and_accounting() {
     let int = oorq_schema::ResolvedType::Atomic(oorq_schema::AtomicType::Int);
     let t = db.create_temp("acc", vec![int.clone(), int]);
     db.reset_io();
-    for i in 0..12 {
-        db.append_temp(t, vec![Value::Int(i), Value::Int(i)])
-            .unwrap();
-    }
+    let rows = |r: std::ops::Range<i64>| r.map(|i| vec![Value::Int(i), Value::Int(i)]).collect();
+    db.append_temp_rows(&[t], rows(0..12)).unwrap();
     assert_eq!(db.io_stats().page_writes, 2, "pages 0 and 1 started");
     db.truncate_temp(t).unwrap();
     assert_eq!(db.entity_len(t), 0);
@@ -327,10 +360,7 @@ fn truncated_temp_reuse_restarts_pages_and_accounting() {
     // Reuse restarts at page 0: the fresh first page is written (and
     // paid for) again, and scans see only the new contents — no frame
     // from before the truncate may satisfy a read.
-    for i in 0..8 {
-        db.append_temp(t, vec![Value::Int(100 + i), Value::Int(i)])
-            .unwrap();
-    }
+    db.append_temp_rows(&[t], rows(100..108)).unwrap();
     assert_eq!(db.io_stats().page_writes, 3, "restarted page 0 paid for");
     assert_eq!(db.num_pages(t), 1);
     let rows = db.scan(t);
@@ -347,19 +377,14 @@ fn worker_views_forked_mid_temp_merge_write_accounting() {
     let int = oorq_schema::ResolvedType::Atomic(oorq_schema::AtomicType::Int);
     let t = db.create_temp("acc", vec![int.clone(), int]);
     db.reset_io();
-    for i in 0..5 {
-        db.append_temp(t, vec![Value::Int(i), Value::Int(i)])
-            .unwrap();
-    }
+    let rows = |r: std::ops::Range<i64>| r.map(|i| vec![Value::Int(i), Value::Int(i)]).collect();
+    db.append_temp_rows(&[t], rows(0..5)).unwrap();
     assert_eq!(db.io_stats().page_writes, 1, "main lane started page 0");
 
     // Fork a 2-worker-style view mid-page: rows 5..9 continue page 0
-    // (already paid), row 10 starts page 1 in this lane.
+    // (already paid), row 10 — mid-chunk — starts page 1 in this lane.
     db.install_worker_buffer(4, 2);
-    for i in 5..15 {
-        db.append_temp(t, vec![Value::Int(i), Value::Int(i)])
-            .unwrap();
-    }
+    db.append_temp_rows(&[t], rows(5..15)).unwrap();
     let lane = db.take_worker_buffer();
     assert_eq!(lane.page_writes, 1, "lane paid only the page it started");
     db.absorb_io(lane);
@@ -493,7 +518,8 @@ fn snapshot_shares_data_and_isolates_mutation_and_io() {
     let int = oorq_schema::ResolvedType::Atomic(oorq_schema::AtomicType::Int);
     let mut snap = snap;
     let t = snap.create_temp("session_tmp", vec![int]);
-    snap.append_temp(t, vec![Value::Int(7)]).unwrap();
+    snap.append_temp_rows(&[t], vec![vec![Value::Int(7)]])
+        .unwrap();
     assert_eq!(snap.entity_len(t), 1);
     assert!(db.physical().entities().len() < snap.physical().entities().len());
 
