@@ -1,5 +1,6 @@
-//! Whole-corpus plan checks: fingerprint distinctness, and the node
-//! resolver against what lowering builds.
+//! Whole-corpus plan checks: fingerprint distinctness, the node
+//! resolver against what lowering builds, and the randomized walk's
+//! result against a table recorded before it skipped revisited plans.
 //!
 //! `Pt::fingerprint` keys the serving layer's plan cache, so it must be
 //! injective in practice: two structurally different plans must never
@@ -14,7 +15,7 @@ use std::collections::{HashMap, HashSet};
 
 use oorq_bench::scenarios::{for_each_row, Scenario, TempFields};
 use oorq_bench::Knobs;
-use oorq_core::OptimizerConfig;
+use oorq_core::{neighbours, rand_optimize, OptimizerConfig, RandConfig};
 use oorq_pt::{fix_recursive_nodes, lower, rescannable, subtrees, PhysOp, Pt};
 
 /// Every plan the corpus rows choose, each under its own and under the
@@ -129,4 +130,96 @@ fn fingerprints_are_injective_across_the_optimizer_corpus() {
         distinct >= 30,
         "corpus collapsed to too few distinct subtrees: {distinct}"
     );
+}
+
+/// Seeds × `(moves_per_walk, restarts)` budgets [`WALK_OUTCOMES`] covers,
+/// seed-major.
+const WALK_SEEDS: [u64; 3] = [0xC0FFEE, 1, 2];
+const WALK_BUDGETS: [(usize, usize); 2] = [(30, 3), (5, 1)];
+
+/// What `rand_optimize` returned for every corpus row, from the row's
+/// plan without a randomized phase, as `(fingerprint, cost bits)`:
+/// **recorded at the commit before the walk remembered what it had
+/// turned down** (2b7c032), when every draw was verified, analyzed and
+/// costed again. One pair when all six seed × budget runs agree, else
+/// the six in [`WALK_SEEDS`] × [`WALK_BUDGETS`] order. The walk leaves
+/// its start on `music/fig3/push` and `music/pushjoin/push` only.
+#[rustfmt::skip]
+const WALK_OUTCOMES: &[(&str, &[(u64, u64)])] = &[
+    ("music0/fig3/nopush", &[(0xa40460eb91ff879e, 0x4038f3ac901e573c)]),
+    ("music0/fig3/push", &[(0xd66819c1d878c0b4, 0x40428178bb19ea83)]),
+    ("music0/pushjoin/nopush", &[(0x1e8ab997a0a03954, 0x4038ba4fa4fa4fa6)]),
+    ("music1/fig3/nopush", &[(0xa40460eb91ff879e, 0x405dba06d3a06d39)]),
+    ("music1/fig3/push", &[(0xf19e53d30d48fa30, 0x40607e6488ff7de5)]),
+    ("music1/pushjoin/nopush", &[(0x1e8ab997a0a03954, 0x405f5d2f1a9fbe77)]),
+    ("music2/fig3/nopush", &[(0xe969995211246430, 0x4081d39354a3010c)]),
+    ("music2/fig3/push", &[(0xd66819c1d878c0b4, 0x4084af857fa8258f)]),
+    ("music2/pushjoin/nopush", &[(0xeca26391a5faaf3e, 0x40792fe4d528c044)]),
+    ("parts0/nopush", &[(0xa327cfb1d718b68c, 0x4071f131d5acb6f5)]),
+    ("parts0/push", &[(0x530c57f651afd442, 0x405bc7aba71a0467)]),
+    ("parts1/nopush", &[(0xa327cfb1d718b68c, 0x40a30149374bc6a9)]),
+    ("parts1/push", &[(0x530c57f651afd442, 0x408ae4ab17e4b17e)]),
+    ("chain0/chain", &[(0x6453461fb578e0ef, 0x408e37ffffffffff)]),
+    ("chain0/tail", &[(0x49cc7b808b254295, 0x408e37ffffffffff)]),
+    ("chain1/chain", &[(0x1078a3c582d8b974, 0x409448aaaaaaaaab)]),
+    ("chain1/tail", &[(0xcc4cf70e1c2fcb2a, 0x409448aaaaaaaaab)]),
+    ("music/fig3/nopush", &[(0xe9f8757e92cddaf6, 0x40b25bf26e978d50)]),
+    ("music/fig3/push", &[(0x875bbe37c33916ec, 0x40b8a3dc717b32e5)]),
+    ("music/pushjoin/nopush", &[(0xeca26391a5faaf3e, 0x40a680bc49ba5e36)]),
+    ("music/pushjoin/push", &[
+        (0x44eb51c9881cf619, 0x408c337187c6327f),
+        (0x375cd3026d113ed1, 0x408c5a0b215fcc18),
+        (0x44eb51c9881cf619, 0x408c337187c6327f),
+        (0x44eb51c9881cf619, 0x408c337187c6327f),
+        (0x44eb51c9881cf619, 0x408c337187c6327f),
+        (0x44eb51c9881cf619, 0x408c337187c6327f),
+    ]),
+    ("fig7/fig3/nopush", &[(0xe9f8757e92cddaf6, 0x40b6be9b645a1cac)]),
+    ("fig7/fig3/push", &[(0x5e33dadf64bde648, 0x40c3287f4af21007)]),
+    ("fig7/pushjoin/nopush", &[(0xeca26391a5faaf3e, 0x40a680bc49ba5e36)]),
+    ("parts/nopush", &[(0xa327cfb1d718b68c, 0x40daaa9eccd22be3)]),
+    ("parts/push", &[(0x530c57f651afd442, 0x40bcaa45b744cfa0)]),
+    ("bigjoin/chain", &[(0xb71ee70273903fb1, 0x40dffcaaaaaaaaaa)]),
+];
+
+/// Skipping a draw that was already turned down changes no accept
+/// decision: same draws, same moves, same plan and cost, bit for bit.
+#[test]
+fn walk_outcomes_equal_the_re_examining_walks() {
+    let mut expected = WALK_OUTCOMES.iter();
+    for_each_row(
+        |_, _| true,
+        |name, s, q, config| {
+            let config = OptimizerConfig {
+                rand: None,
+                ..config
+            };
+            let (start, temps) = s.plan(q, config, &Knobs::default())?;
+            let model = s.model(Knobs::default().params, temps);
+            assert!(!neighbours(&model, &start.pt).is_empty(), "{name}");
+            let (row, outcomes) = expected.next().expect("a recorded row");
+            assert_eq!(*row, name);
+            let runs = WALK_SEEDS
+                .iter()
+                .flat_map(|seed| WALK_BUDGETS.iter().map(move |budget| (*seed, *budget)));
+            for (i, (seed, (moves_per_walk, restarts))) in runs.enumerate() {
+                let rc = RandConfig {
+                    moves_per_walk,
+                    restarts,
+                    seed,
+                    ..RandConfig::default()
+                };
+                let pt = rand_optimize(&model, start.pt.clone(), &rc);
+                let cost = model.cost(&pt).map_err(|e| format!("{name}: {e}"))?;
+                assert_eq!(
+                    (pt.fingerprint(), cost.total(&model.params).to_bits()),
+                    outcomes[i % outcomes.len()],
+                    "{name}: seed {seed:#x}, budget {moves_per_walk}x{restarts}"
+                );
+            }
+            Ok::<(), String>(())
+        },
+    )
+    .expect("the corpus optimizes");
+    assert!(expected.next().is_none(), "a recorded row was not run");
 }

@@ -8,7 +8,10 @@
 //! in exactly one bucket — accepted, rejected (by cost or by the
 //! verifier), pruned (beam/heuristic), or pruned-proven (discarded by
 //! non-overlapping §11 cost intervals) — so
-//! `optimizer.candidates.enumerated` always equals the bucket sum.
+//! `optimizer.candidates.enumerated` always equals the bucket sum. A
+//! randomized-walk move whose draw lands on a plan already turned down
+//! is not a candidate: it only counts as `revisited`, so the walk's move
+//! budget spent = its candidates + `revisited`.
 
 use oorq_obs::{CounterHandle, HistogramHandle, MetricsRegistry};
 
@@ -21,6 +24,7 @@ pub struct CandidateMetrics {
     rejected: CounterHandle,
     pruned: CounterHandle,
     pruned_proven: CounterHandle,
+    revisited: CounterHandle,
 }
 
 impl CandidateMetrics {
@@ -32,6 +36,7 @@ impl CandidateMetrics {
             rejected: registry.counter("optimizer.candidates.rejected"),
             pruned: registry.counter("optimizer.candidates.pruned"),
             pruned_proven: registry.counter("optimizer.candidates.pruned_proven"),
+            revisited: registry.counter("optimizer.candidates.revisited"),
         }
     }
 
@@ -46,6 +51,11 @@ impl CandidateMetrics {
             _ if reason.starts_with("pruned-proven") => self.pruned_proven.inc(),
             _ => self.pruned.inc(),
         }
+    }
+
+    /// Count one walk move that drew a plan already turned down.
+    pub fn revisited(&self) {
+        self.revisited.inc();
     }
 }
 

@@ -236,7 +236,6 @@ impl<'a> Optimizer<'a> {
 
     /// Optimize a query graph into an execution plan.
     pub fn optimize(&mut self, graph: &QueryGraph) -> Result<Optimized, OptError> {
-        let catalog = self.model.catalog;
         let sp_opt = self.obs.begin("optimizer", "optimize");
         let wall0 = std::time::Instant::now();
         let result = self.optimize_inner(graph);
@@ -259,7 +258,6 @@ impl<'a> Optimizer<'a> {
             );
         }
         self.obs.end(sp_opt);
-        let _ = catalog;
         result
     }
 
@@ -305,7 +303,7 @@ impl<'a> Optimizer<'a> {
         // assembling consumers of fixpoints; see `plan_spj`). Under
         // verification every candidate move is checked before it can be
         // accepted; rejected moves are recorded in the trace.
-        let final_pt = match &self.config.rand {
+        let (final_pt, walk_cost) = match &self.config.rand {
             Some(rc) => {
                 let t = trace.record(
                     Step::TransformPt,
@@ -329,13 +327,18 @@ impl<'a> Optimizer<'a> {
                     &self.metrics.candidates,
                 );
                 self.obs.end(sp);
-                outcome.pt
+                (outcome.pt, outcome.cost)
             }
-            None => answer.pt.clone(),
+            None => (answer.pt.clone(), None),
         };
         self.verify_stage(&final_pt, "transformPT (final plan)", &mut trace)?;
 
-        let cost = self.model.cost(&final_pt)?;
+        // The walk costed the plan it returns; without a walk (or when
+        // its start could not be costed) this is the one costing.
+        let cost = match walk_cost {
+            Some(cost) => cost,
+            None => self.model.cost(&final_pt)?,
+        };
         trace.record_breakdown(&cost.breakdown);
 
         // Step 5: parallel placement — choose a degree of parallelism
@@ -727,7 +730,7 @@ impl<'a> Optimizer<'a> {
             let sp = self.obs.begin("optimizer", "translate");
             let t = trace.record(Step::Translate, "one arc", StrategyKind::CostBased);
             for (i, arc) in effective_spj.inputs.iter().enumerate() {
-                let base = self.base_plan(g, arc, self_fix, planned, pred_override, i)?;
+                let base = self.base_plan(arc, self_fix, planned, pred_override, i)?;
                 let mut counter = self.fresh;
                 let mut fresh = || {
                     counter += 1;
@@ -912,7 +915,6 @@ impl<'a> Optimizer<'a> {
 
     fn base_plan(
         &mut self,
-        g: &QueryGraph,
         arc: &QArc,
         self_fix: Option<(&NameRef, &str)>,
         planned: &HashMap<NameRef, Planned>,
@@ -984,7 +986,6 @@ impl<'a> Optimizer<'a> {
                 let p = planned
                     .get(name)
                     .ok_or_else(|| OptError::Unplannable(format!("{}", name.display(catalog))))?;
-                let _ = g;
                 Ok(BasePlan::Plugged(p.pt.clone(), p.out_cols.clone()))
             }
         }
@@ -1019,9 +1020,9 @@ impl<'a> Optimizer<'a> {
         let info = info.clone();
         let fix_planned = fix_planned.clone();
         let arc = &spj.inputs[arc_i];
-        let Some(arc_var) = arc.var.clone() else {
+        if arc.var.is_none() {
             return Ok(None);
-        };
+        }
 
         // Map the arc's label variables to their field paths.
         let var_paths = label_var_paths(&arc.label);
@@ -1037,11 +1038,9 @@ impl<'a> Optimizer<'a> {
                         base: field.clone(),
                         steps: steps.clone(),
                     }),
+                    // The arc's own variable, or one of another arc:
+                    // not a pure selection on the fixpoint's columns.
                     None => {
-                        if *v != arc_var {
-                            // Variable of another arc: not a pure
-                            // selection on the fixpoint.
-                        }
                         ok = false;
                         None
                     }
@@ -1102,7 +1101,7 @@ impl<'a> Optimizer<'a> {
                 if let Some(je) = join_expr {
                     // Build the inner plan: the other arc with its own
                     // selections applied.
-                    let inner = self.plan_single_arc(g, other_arc, planned, &other_sels)?;
+                    let inner = self.plan_single_arc(other_arc, planned, &other_sels)?;
                     // Rewrite the join conjunct: fix-side vars over fix
                     // columns; other-side vars via the inner's subst.
                     let rewritten = je.map_leaves(&mut |leaf| match leaf {
@@ -1162,12 +1161,11 @@ impl<'a> Optimizer<'a> {
     /// the variable substitution.
     fn plan_single_arc(
         &mut self,
-        g: &QueryGraph,
         arc: &QArc,
         planned: &HashMap<NameRef, Planned>,
         sels: &[Expr],
     ) -> Result<(Pt, HashMap<String, Expr>), OptError> {
-        let base = self.base_plan(g, arc, None, planned, None, usize::MAX)?;
+        let base = self.base_plan(arc, None, planned, None, usize::MAX)?;
         let mut counter = self.fresh;
         let mut fresh = || {
             counter += 1;

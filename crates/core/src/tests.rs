@@ -815,10 +815,50 @@ fn transformation_moves_preserve_lint_cleanliness_and_columns() {
     }
 }
 
+/// The randomized walk under an enabled recorder and registry: its
+/// outcome, the `(fingerprint, outcome)` of every `candidate` event in
+/// order, the `optimizer.candidates.revisited` count and the Figure 6
+/// trace.
+fn traced_walk(
+    model: &CostModel<'_>,
+    start: &Pt,
+    config: &RandConfig,
+    moves: &MoveFn<'_>,
+    verify: bool,
+) -> (RandOutcome, Vec<(u64, String)>, u64, OptTrace) {
+    let mut trace = OptTrace::default();
+    let obs = oorq_obs::Recorder::new();
+    let registry = oorq_obs::MetricsRegistry::new();
+    let outcome = rand_optimize_with(
+        model,
+        start.clone(),
+        config,
+        moves,
+        verify,
+        Some(&mut trace),
+        &obs,
+        &crate::metrics::CandidateMetrics::resolve(&registry),
+    );
+    let text = |e: &oorq_obs::Event, key: &str| {
+        let v = e.field(key).and_then(|v| v.as_str());
+        v.expect("every candidate event carries it").to_string()
+    };
+    let events = obs
+        .finish()
+        .events_named("candidate")
+        .map(|e| {
+            let fp = u64::from_str_radix(&text(e, "fingerprint"), 16).expect("hex");
+            (fp, text(e, "outcome"))
+        })
+        .collect();
+    let revisited = registry.counter("optimizer.candidates.revisited").get();
+    (outcome, events, revisited, trace)
+}
+
 /// Injecting a broken transformation action into the randomized walk:
-/// the verifier rejects every ill-formed candidate (counting them and
-/// recording the diagnostics in the trace) and the surviving plan stays
-/// clean and semantically intact.
+/// the verifier rejects the ill-formed candidate — once, however often
+/// it is drawn, counting it and recording the diagnostic in the trace —
+/// and the surviving plan stays clean and semantically intact.
 #[test]
 fn broken_transformation_action_is_caught_by_the_verifier() {
     let (m, _idx, stats) = setup(MusicConfig::default());
@@ -847,23 +887,15 @@ fn broken_transformation_action_is_caught_by_the_verifier() {
         restarts: 1,
         ..Default::default()
     };
-    let mut trace = OptTrace::default();
-    let obs = oorq_obs::Recorder::new();
-    let outcome = rand_optimize_with(
-        &model,
-        plan.pt.clone(),
-        &config,
-        &broken,
-        true,
-        Some(&mut trace),
-        &obs,
-        &crate::metrics::CandidateMetrics::default(),
-    );
-    assert!(
-        outcome.violations > 0,
-        "the verifier must reject the broken moves"
+    let (outcome, events, revisited, trace) = traced_walk(&model, &plan.pt, &config, &broken, true);
+    assert_eq!(
+        outcome.violations, 1,
+        "the verifier must reject the one broken plan, once"
     );
     assert_eq!(outcome.pt, plan.pt, "no broken move may enter the walk");
+    assert_eq!(events.len(), 1, "{events:?}");
+    assert_eq!(events[0].1, "reject");
+    assert_eq!(revisited, 4, "the other four draws land on the same plan");
     let rejected: Vec<&StepTrace> = trace
         .steps
         .iter()
@@ -884,6 +916,109 @@ fn broken_transformation_action_is_caught_by_the_verifier() {
         temp_fields: model.temp_fields.clone(),
     };
     assert!(oorq_lint::verify_pt(&env, &outcome.pt).is_clean());
+}
+
+/// A move generator that always offers the same two worse plans: each is
+/// examined once whatever the move budget, every other move only counts
+/// as a revisit, and the walk returns its start.
+#[test]
+fn walk_examines_each_plan_once_whatever_the_budget() {
+    let (m, _idx, stats) = setup(MusicConfig::default());
+    let mut opt = optimizer(&m, &stats, OptimizerConfig::never_push());
+    let start = opt.optimize(&fig3_graph(&m)).unwrap().pt;
+    let model = &opt.model;
+    // A needless filter over the start plan costs more than the plan.
+    let worse = |name: &str| Pt::sel(Expr::var("name").eq(Expr::text(name)), start.clone());
+    let two = [worse("Bach"), worse("Handel")];
+    let start_cost = model.cost(&start).unwrap().total(&model.params);
+    for w in &two {
+        assert!(model.cost(w).unwrap().total(&model.params) > start_cost);
+    }
+    let moves = |_: &CostModel<'_>, _: &Pt| two.to_vec();
+    for (moves_per_walk, restarts) in [(30, 3), (5, 1), (2, 4)] {
+        let config = RandConfig {
+            moves_per_walk,
+            restarts,
+            ..Default::default()
+        };
+        let (outcome, events, revisited, _) = traced_walk(model, &start, &config, &moves, true);
+        let mut seen: Vec<u64> = events.iter().map(|(fp, _)| *fp).collect();
+        seen.sort_unstable();
+        let mut offered = [two[0].fingerprint(), two[1].fingerprint()];
+        offered.sort_unstable();
+        assert_eq!(seen, offered, "one event per distinct plan: {events:?}");
+        assert!(events.iter().all(|(_, outcome)| outcome == "reject"));
+        assert_eq!(revisited as usize, moves_per_walk * restarts - 2);
+        assert_eq!(outcome.pt, start);
+        assert_eq!(outcome.violations, 0);
+        let cost = outcome.cost.expect("the start is costable");
+        assert_eq!(cost.total(&model.params).to_bits(), start_cost.to_bits());
+    }
+}
+
+/// A proven prune holds against one incumbent only: the pruned plan is
+/// examined again after an accepted move, while a plan rejected by cost
+/// stays turned down (the incumbent's cost only falls). Scripted over
+/// the §4.5 push-join plan at 300 composers, whose neighbourhood holds
+/// one plan of each kind.
+#[test]
+fn proven_prunes_are_per_incumbent_and_cost_rejections_are_for_good() {
+    let (m, _idx, stats) = setup(MusicConfig {
+        chains: 30,
+        chain_len: 10,
+        works_per_composer: 4,
+        instruments_per_work: 3,
+        seed: 1992,
+        ..Default::default()
+    });
+    let cat = m.db.catalog();
+    let mut q = sec45_pushjoin_query(cat);
+    influencer_view(cat).expand(&mut q, cat).unwrap();
+    let config = OptimizerConfig {
+        rand: None,
+        ..OptimizerConfig::cost_controlled()
+    };
+    let mut opt = optimizer(&m, &stats, config);
+    let start = opt.optimize(&q).unwrap().pt;
+    let model = &opt.model;
+
+    // A scripted move generator: the i-th call offers `script[i]` alone.
+    let walk = |script: &[&Pt]| {
+        let calls = std::cell::Cell::new(0);
+        let moves = |_: &CostModel<'_>, _: &Pt| {
+            calls.set(calls.get() + 1);
+            vec![script[calls.get() - 1].clone()]
+        };
+        let config = RandConfig {
+            moves_per_walk: script.len(),
+            restarts: 1,
+            ..Default::default()
+        };
+        traced_walk(model, &start, &config, &moves, false)
+    };
+    // Classify the start's neighbours by what one move makes of each.
+    let ns = neighbours(model, &start);
+    let first = |outcome: &str| {
+        let hit = ns.iter().find(|n| walk(&[n]).1[0].1 == outcome);
+        hit.unwrap_or_else(|| panic!("no neighbour the walk would {outcome}"))
+    };
+    let (pruned, worse, better) = (first("prune"), first("reject"), first("accept"));
+
+    let script = [
+        pruned, worse, pruned, worse, better, pruned, worse, pruned, worse,
+    ];
+    let (outcome, events, revisited, _) = walk(&script);
+    assert_eq!(&outcome.pt, better);
+    let of = |pt: &Pt| -> Vec<&str> {
+        let mine = events.iter().filter(|(fp, _)| *fp == pt.fingerprint());
+        mine.map(|(_, outcome)| outcome.as_str()).collect()
+    };
+    assert_eq!(of(worse), ["reject"], "rejected by cost: never again");
+    assert_eq!(of(better), ["accept"]);
+    let again = of(pruned);
+    assert_eq!(again.len(), 2, "examined once per incumbent: {events:?}");
+    assert_eq!(again[0], "prune");
+    assert_eq!(revisited, 5);
 }
 
 /// The debug-mode verifier is on by default and the optimizer's

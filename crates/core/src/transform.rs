@@ -10,7 +10,9 @@
 //! \[IC90\]) then tries to further improve the transformed plan (e.g.
 //! by using an applicable index after a portion of the PT was shifted).
 
-use oorq_cost::CostModel;
+use std::collections::HashSet;
+
+use oorq_cost::{CostModel, PlanCost};
 use oorq_prng::Prng;
 use oorq_pt::{applicable_join_indexes, applicable_sel_index, AccessMethod, IjStep, JoinAlgo, Pt};
 use oorq_query::{bind_path, Expr};
@@ -167,6 +169,9 @@ pub fn best_selection(
 fn pick_cheapest(model: &CostModel<'_>, candidates: Vec<Pt>) -> Result<Pt, OptError> {
     let mut best: Option<(f64, Pt)> = None;
     for pt in candidates {
+        // An uncostable alternative is dropped without a `candidate`
+        // event: the recorder does not reach here, and threading it
+        // would change the public `best_selection` and `filter_action`.
         let Ok(pc) = model.cost(&pt) else { continue };
         let total = pc.total(&model.params);
         match &best {
@@ -513,7 +518,10 @@ pub type MoveFn<'f> = dyn Fn(&CostModel<'_>, &Pt) -> Vec<Pt> + 'f;
 pub struct RandOutcome {
     /// The best plan found (never worse than the start).
     pub pt: Pt,
-    /// Candidate moves the verifier rejected as ill-formed.
+    /// The cost the walk computed for `pt`; `None` when the start plan
+    /// could not be costed (the walk then returns it untouched).
+    pub cost: Option<PlanCost>,
+    /// Distinct candidate plans the verifier rejected as ill-formed.
     pub violations: usize,
 }
 
@@ -534,12 +542,19 @@ pub fn rand_optimize(model: &CostModel<'_>, start: Pt, config: &RandConfig) -> P
 }
 
 /// [`rand_optimize`] with a pluggable move generator and an optional
-/// verification layer: when `verify` is on, every candidate move is
+/// verification layer: when `verify` is on, every candidate plan is
 /// checked with the lint engine before acceptance — an ill-formed
 /// candidate is rejected (and counted) instead of entering the walk,
 /// and the rejection is recorded in the trace. The move generator is a
 /// parameter so tests can inject a broken transformation action and
 /// observe the verifier catching it.
+///
+/// The walk examines each plan once. Draws are with replacement over a
+/// neighbourhood of a handful of plans, so most moves land on a plan
+/// already turned down; such a move still consumes its draw (the
+/// sequence of draws, every accept decision and the result are those of
+/// a walk that re-examined it) but is only counted, as
+/// `optimizer.candidates.revisited`.
 #[allow(clippy::too_many_arguments)]
 pub fn rand_optimize_with(
     model: &CostModel<'_>,
@@ -551,31 +566,27 @@ pub fn rand_optimize_with(
     obs: &oorq_obs::Recorder,
     cand_metrics: &crate::metrics::CandidateMetrics,
 ) -> RandOutcome {
-    // One structured `candidate` event per attempted move; each also
+    // One structured `candidate` event per examined plan; each also
     // lands in one candidate-outcome metric bucket (metrics aggregate
     // even when tracing is off).
-    let candidate_event =
-        |pick: &Pt, c: Option<f64>, incumbent: f64, outcome: &str, reason: &str| {
-            cand_metrics.outcome(outcome, reason);
-            if !obs.enabled() {
-                return;
-            }
-            let mut fields: oorq_obs::Fields = vec![
-                ("step".into(), "transformPT".into()),
-                (
-                    "fingerprint".into(),
-                    format!("{:016x}", pick.fingerprint()).into(),
-                ),
-            ];
-            if let Some(c) = c {
-                fields.push(("cost".into(), c.into()));
-            }
-            fields.push(("incumbent_cost".into(), incumbent.into()));
-            fields.push(("outcome".into(), outcome.into()));
-            fields.push(("reason".into(), reason.into()));
-            obs.event("optimizer", "candidate", fields);
-        };
-    let lint_env = || oorq_pt::PtEnv {
+    let candidate_event = |fp: u64, c: Option<f64>, incumbent: f64, outcome: &str, reason: &str| {
+        cand_metrics.outcome(outcome, reason);
+        if !obs.enabled() {
+            return;
+        }
+        let mut fields: oorq_obs::Fields = vec![
+            ("step".into(), "transformPT".into()),
+            ("fingerprint".into(), format!("{fp:016x}").into()),
+        ];
+        if let Some(c) = c {
+            fields.push(("cost".into(), c.into()));
+        }
+        fields.push(("incumbent_cost".into(), incumbent.into()));
+        fields.push(("outcome".into(), outcome.into()));
+        fields.push(("reason".into(), reason.into()));
+        obs.event("optimizer", "candidate", fields);
+    };
+    let lint_env = oorq_pt::PtEnv {
         catalog: model.catalog,
         physical: model.physical,
         temp_fields: model.temp_fields.clone(),
@@ -584,6 +595,7 @@ pub fn rand_optimize_with(
     let Ok(start_cost) = model.cost(&start) else {
         return RandOutcome {
             pt: start,
+            cost: None,
             violations,
         };
     };
@@ -602,8 +614,20 @@ pub fn rand_optimize_with(
             .analyze_with_temps(pt, model.temp_fields.clone())
             .ok()
     };
+    // Plans turned down for good, by `Pt::fingerprint`: the verifier or
+    // the cost model failed on the plan (functions of the plan alone),
+    // or it was costed at `c >= current_cost` — the incumbent's cost
+    // only ever falls, across moves and across restarts (a restart
+    // resumes from `best`), so that holds for every later incumbent.
+    let mut turned_down: HashSet<u64> = HashSet::new();
+    // Plans proven worse than the present incumbent. The proof compares
+    // against one incumbent and says nothing about the next (where the
+    // plans may no longer differ by one toggle): cleared on every
+    // accepted move, and only then — a restart keeps the incumbent.
+    let mut proven_worse: HashSet<u64> = HashSet::new();
     let mut best = start.clone();
     let mut best_cost = start_cost.total(&model.params);
+    let mut best_plan_cost = start_cost;
     let mut rng = Prng::new(config.seed);
     for _ in 0..config.restarts.max(1) {
         let mut current = best.clone();
@@ -612,18 +636,24 @@ pub fn rand_optimize_with(
         // every accepted move.
         let mut current_analysis: Option<Option<oorq_analysis::Analysis>> = None;
         for _ in 0..config.moves_per_walk {
-            let ns = moves(model, &current);
+            let mut ns = moves(model, &current);
             if ns.is_empty() {
                 break;
             }
-            let pick = ns[rng.index(ns.len())].clone();
+            let pick = ns.swap_remove(rng.index(ns.len()));
+            let fp = pick.fingerprint();
+            if turned_down.contains(&fp) || proven_worse.contains(&fp) {
+                cand_metrics.revisited();
+                continue;
+            }
             if verify {
-                let report = oorq_lint::verify_pt(&lint_env(), &pick);
+                let report = oorq_lint::verify_pt(&lint_env, &pick);
                 oorq_lint::record_report(obs, "transformPT (randomized move)", &report);
                 if !report.is_clean() {
                     violations += 1;
+                    turned_down.insert(fp);
                     candidate_event(
-                        &pick,
+                        fp,
                         None,
                         current_cost,
                         "reject",
@@ -645,15 +675,15 @@ pub fn rand_optimize_with(
                     continue;
                 }
             }
-            if let Some(div) = oorq_analysis::equivalent_local_change(&lint_env(), &pick, &current)
-            {
+            if let Some(div) = oorq_analysis::equivalent_local_change(&lint_env, &pick, &current) {
                 let cur = current_analysis
                     .get_or_insert_with(|| analyze(&current))
                     .as_ref();
                 if let (Some(inc), Some(cand)) = (cur, analyze(&pick)) {
                     if let Some((lo, hi)) = oorq_analysis::proven_worse(&cand, inc, div) {
+                        proven_worse.insert(fp);
                         candidate_event(
-                            &pick,
+                            fp,
                             None,
                             current_cost,
                             "prune",
@@ -666,7 +696,15 @@ pub fn rand_optimize_with(
                     }
                 }
             }
-            let Ok(pc) = model.cost(&pick) else { continue };
+            let pc = match model.cost(&pick) {
+                Ok(pc) => pc,
+                Err(e) => {
+                    turned_down.insert(fp);
+                    let reason = format!("cost model error: {e}");
+                    candidate_event(fp, None, current_cost, "reject", &reason);
+                    continue;
+                }
+            };
             let c = pc.total(&model.params);
             let accept = c < current_cost;
             let reason = if accept {
@@ -675,7 +713,7 @@ pub fn rand_optimize_with(
                 "uphill move (iterative improvement accepts only downhill)"
             };
             candidate_event(
-                &pick,
+                fp,
                 Some(c),
                 current_cost,
                 if accept { "accept" } else { "reject" },
@@ -685,15 +723,20 @@ pub fn rand_optimize_with(
                 current = pick;
                 current_cost = c;
                 current_analysis = None;
+                proven_worse.clear();
                 if c < best_cost {
                     best = current.clone();
                     best_cost = c;
+                    best_plan_cost = pc;
                 }
+            } else {
+                turned_down.insert(fp);
             }
         }
     }
     RandOutcome {
         pt: best,
+        cost: Some(best_plan_cost),
         violations,
     }
 }
