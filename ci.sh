@@ -19,7 +19,13 @@ echo "== cargo build --release =="
 cargo build --release --workspace
 
 echo "== benchmark, quick: OQL text in, answer bytes out through oorq-serve (wrong answer, failed request or invalid trace fails) =="
-benchmark/run.sh --quick >/dev/null
+benchmark/run.sh --quick >target/benchmark-quick.txt
+
+echo "== the quick benchmark's exact counts vs crates/bench/benchmark_counts.txt (a plan, counter or page touch moved) =="
+counts='sim_io_pages_per_query|plan_regret|exec\.query\.evals|storage\.page_hits|storage\.page_misses|index\.reads|exec\.fix\.iterations'
+grep -E "^(warm-recursive|cold-adhoc|spill-closure) ($counts) " target/benchmark-quick.txt |
+    cut -d' ' -f1-4 >target/benchmark-counts.txt
+grep -v '^#' crates/bench/benchmark_counts.txt | diff - target/benchmark-counts.txt
 
 echo "== reproduce all vs the checked-in golden (every figure, byte for byte) =="
 $reproduce all | diff - reproduce_output.txt

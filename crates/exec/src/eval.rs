@@ -2,6 +2,7 @@
 
 use std::borrow::Cow;
 use std::cell::{Cell, RefCell};
+use std::cmp::Ordering;
 use std::collections::HashSet;
 
 use oorq_query::{bind_path, CmpOp, Expr, Literal};
@@ -85,8 +86,8 @@ pub(crate) struct Counters {
 }
 
 impl Counters {
-    fn bump_evals(&self) {
-        self.evals.set(self.evals.get() + 1);
+    fn add_evals(&self, n: u64) {
+        self.evals.set(self.evals.get() + n);
     }
     fn bump_methods(&self) {
         self.method_calls.set(self.method_calls.get() + 1);
@@ -280,6 +281,13 @@ impl Bound {
             Bound::Slot(slot) => Ok(Cow::Borrowed(row.get(*slot))),
             Bound::Unknown(name) => Err(ExecError::UnknownColumn(name.clone())),
             Bound::Path { slot, steps } => {
+                // One object, one step left: no member lists to build.
+                if let (Value::Oid(o), [step]) = (row.get(*slot), steps.as_slice()) {
+                    return Ok(Cow::Owned(match step.read(ctx, *o)? {
+                        Value::Set(ms) | Value::List(ms) => collapse(ms),
+                        scalar => scalar,
+                    }));
+                }
                 let mut vals = vec![row.get(*slot).clone()];
                 for step in steps {
                     let mut next = Vec::new();
@@ -296,11 +304,7 @@ impl Bound {
                     }
                     vals = next;
                 }
-                Ok(Cow::Owned(match vals.len() {
-                    0 => Value::Null,
-                    1 => vals.pop().expect("len 1"),
-                    _ => Value::Set(vals),
-                }))
+                Ok(Cow::Owned(collapse(vals)))
             }
             Bound::Add(l, r) => {
                 let lv = l.eval(ctx, row)?;
@@ -337,7 +341,7 @@ impl Bound {
                 // Explicit null handling: a `<> null` test succeeds iff
                 // some member exists.
                 if matches!(**rhs, Bound::Const(Value::Null)) {
-                    ctx.counters.bump_evals();
+                    ctx.counters.add_evals(1);
                     return Ok(match op {
                         CmpOp::Ne => !lv.members().is_empty(),
                         CmpOp::Eq => lv.members().is_empty(),
@@ -346,16 +350,8 @@ impl Bound {
                 }
                 for l in lv.members() {
                     for r in rv.members() {
-                        ctx.counters.bump_evals();
-                        let ok = match op {
-                            CmpOp::Eq => l == r,
-                            CmpOp::Ne => l != r,
-                            CmpOp::Lt => l < r,
-                            CmpOp::Le => l <= r,
-                            CmpOp::Gt => l > r,
-                            CmpOp::Ge => l >= r,
-                        };
-                        if ok {
+                        ctx.counters.add_evals(1);
+                        if holds(*op, l.cmp(r)) {
                             return Ok(true);
                         }
                     }
@@ -373,6 +369,123 @@ impl Bound {
                 ))),
             },
         }
+    }
+
+    /// What is left of this predicate to decide per inner row once the
+    /// `outer` row is known (a filter has no outer row). `None` — the
+    /// caller runs `truthy` per pair — unless nothing dereferences and
+    /// the conjunct evaluated first compares an inner slot with an outer
+    /// slot or a literal holding one scalar.
+    pub fn probe<'a>(&'a self, outer: &'a [Value]) -> Option<Probe<'a>> {
+        if self.derefs() {
+            return None;
+        }
+        let (mut first, mut rest) = (self, Vec::new());
+        while let Bound::And(l, r) = first {
+            rest.push(&**r);
+            first = l;
+        }
+        rest.reverse();
+        let Bound::Cmp { op, lhs, rhs } = first else {
+            return None;
+        };
+        let inner = |slot: &usize| slot.checked_sub(outer.len());
+        let sides = |key: &'a Bound, slot: &Bound| match (key, slot) {
+            (Bound::Const(key), Bound::Slot(slot)) => Some((key, inner(slot)?)),
+            (Bound::Slot(key), Bound::Slot(slot)) => Some((outer.get(*key)?, inner(slot)?)),
+            _ => None,
+        };
+        let ((key, slot), key_left) = match (sides(lhs, rhs), sides(rhs, lhs)) {
+            (Some(sides), _) => (sides, true),
+            (_, Some(sides)) => (sides, false),
+            _ => return None,
+        };
+        let scalar = !matches!(key, Value::Null | Value::Set(_) | Value::List(_));
+        scalar.then_some(Probe {
+            first,
+            op: *op,
+            key,
+            key_left,
+            slot,
+            rest,
+        })
+    }
+}
+
+/// A predicate partially evaluated against an outer row: comparing `key`
+/// with `inner[slot]` decides an inner row, then `rest` (the conjuncts
+/// `truthy` would reach next) decides the ones that pass.
+pub(crate) struct Probe<'a> {
+    /// The comparison as bound, for the pairs only `truthy` can count.
+    first: &'a Bound,
+    op: CmpOp,
+    key: &'a Value,
+    /// Which side of `op` the key stands on.
+    key_left: bool,
+    slot: usize,
+    rest: Vec<&'a Bound>,
+}
+
+impl Probe<'_> {
+    /// The rows of `inner` that `outer` joins with, by index, in order:
+    /// pair for pair the answer, the error and the `evals` of `truthy`,
+    /// the evals added to the counters once.
+    pub fn matches<R: AsRef<[Value]>>(
+        &self,
+        ctx: &EvalCtx<'_>,
+        outer: &[Value],
+        inner: &[R],
+    ) -> Result<Vec<usize>, ExecError> {
+        let (mut hits, mut evals) = (Vec::new(), 0);
+        let scanned = inner.iter().enumerate().try_for_each(|(i, row)| {
+            let at = RowRef(outer, row.as_ref());
+            let ord = match (&at.1[self.slot], self.key) {
+                (Value::Oid(value), Value::Oid(key)) => Some(value.cmp(key)),
+                (Value::Int(value), Value::Int(key)) => Some(value.cmp(key)),
+                (Value::Null | Value::Set(_) | Value::List(_), _) => None,
+                (value, key) => Some(value.cmp(key)),
+            };
+            let mut joins = match ord {
+                Some(ord) => {
+                    evals += 1;
+                    holds(self.op, if self.key_left { ord.reverse() } else { ord })
+                }
+                // No member, or several: `truthy` counts the member pairs.
+                None => self.first.truthy(ctx, at)?,
+            };
+            for conjunct in &self.rest {
+                joins = joins && conjunct.truthy(ctx, at)?;
+            }
+            if joins {
+                hits.push(i);
+            }
+            Ok(())
+        });
+        ctx.counters.add_evals(evals);
+        scanned.map(|()| hits)
+    }
+}
+
+/// Whether `l op r` holds, given `l.cmp(r)`: the one place a comparison
+/// is decided, for `truthy` and the probe alike.
+fn holds(op: CmpOp, ord: Ordering) -> bool {
+    match op {
+        CmpOp::Eq => ord.is_eq(),
+        CmpOp::Ne => ord.is_ne(),
+        CmpOp::Lt => ord.is_lt(),
+        CmpOp::Le => ord.is_le(),
+        CmpOp::Gt => ord.is_gt(),
+        CmpOp::Ge => ord.is_ge(),
+    }
+}
+
+/// The members a path reached, as one value: none is `Null`, one is
+/// itself, several are a set.
+fn collapse(mut members: Vec<Value>) -> Value {
+    match members.len() {
+        0 => Value::Null,
+        1 => members.pop().expect("len 1"),
+        _ => Value::Set(members),
     }
 }
 

@@ -5,7 +5,8 @@
 //!
 //! Plans are lowered (`oorq_pt::lower`) to pull-based operators that hand
 //! up a chunk of rows per call, their expressions bound to row slots
-//! once — entity/temporary scans lending out one fetched page at a time,
+//! once (and a slot-comparing join or filter predicate to the outer row
+//! once) — entity/temporary scans lending out one fetched page at a time,
 //! index selections, filters, projections, implicit joins
 //! (dereferences), path-index lookups, nested-loop joins with honest
 //! inner rescans, index joins, unions, and **semi-naive fixpoints** with

@@ -26,7 +26,7 @@ use oorq_pt::{PhysOp, PhysPlan};
 use oorq_storage::{Database, EntityId, IoStats, Oid, PageRows, Value};
 
 use crate::error::ExecError;
-use crate::eval::{lit_value, Bound, Counters, EvalCtx, RowRef};
+use crate::eval::{lit_value, Bound, Counters, EvalCtx, Probe, RowRef};
 use crate::methods::MethodRegistry;
 
 /// Observed per-operator counters of one execution (exclusive: each
@@ -365,6 +365,23 @@ impl Cursor {
     fn next_row(&mut self) -> &[Value] {
         self.pos += 1;
         self.chunk.row(self.pos - 1)
+    }
+
+    /// Read the rest of the chunk through `probe`: the rows `outer` joins
+    /// with, by index. The rows are borrowed as one slice, where they lie.
+    fn probe(
+        &mut self,
+        ctx: &EvalCtx<'_>,
+        probe: &Probe<'_>,
+        outer: &[Value],
+    ) -> Result<Vec<usize>, ExecError> {
+        let from = std::mem::replace(&mut self.pos, self.chunk.len());
+        let mut hits = match &self.chunk {
+            Chunk::Page(page) => probe.matches(ctx, outer, &page[from..])?,
+            Chunk::Rows(rows) => probe.matches(ctx, outer, &rows[from..])?,
+        };
+        hits.iter_mut().for_each(|i| *i += from);
+        Ok(hits)
     }
 }
 
@@ -1105,7 +1122,7 @@ impl OpExec<'_> {
                 for o in oids.by_ref().filter(|o| o.class == *class) {
                     // Fetch the object's page (the probe yields only oids),
                     // then apply the full predicate as a residual filter.
-                    let _ = rt.db.read_object(o)?;
+                    rt.db.touch_object(o)?;
                     let row = vec![Value::Oid(o)];
                     if pred.truthy(&ctx, row.as_slice().into())? {
                         return Ok(Some(Chunk::Rows(vec![row])));
@@ -1115,7 +1132,13 @@ impl OpExec<'_> {
             }
             (PhysOp::Filter { .. }, St::Filter(pred)) => {
                 let cut = pred.derefs();
+                let probe = pred.probe(&[]);
                 pump(input, &mut kids[0], rt, |input, out| {
+                    if let Some(probe) = &probe {
+                        let hits = input.probe(&ctx, probe, &[])?;
+                        out.extend(hits.into_iter().map(|i| input.chunk.take(i)));
+                        return Ok(());
+                    }
                     while let Some(i) = input.next() {
                         if pred.truthy(&ctx, input.chunk.row(i).into())? {
                             out.push(input.chunk.take(i));
@@ -1153,7 +1176,7 @@ impl OpExec<'_> {
                         if let Value::Oid(o) = m {
                             // Touch the sub-object's page: the implicit join
                             // is what pays the dereference.
-                            let _ = rt.db.read_object(*o)?;
+                            rt.db.touch_object(*o)?;
                             out.push([row, std::slice::from_ref(m)].concat());
                         }
                     }
@@ -1211,30 +1234,37 @@ impl OpExec<'_> {
                             *cur.insert(input.next().expect("filled"))
                         }
                     };
-                    let more = inner.fill(|| match miter {
-                        Some(scan) => Ok(scan.next(rt.db).map(Chunk::Page)),
-                        None => right.next_chunk(rt),
-                    })?;
-                    if !more {
-                        *cur = None;
-                        continue;
-                    }
                     // Compare the outer row with the inner rows where they
-                    // lie; a pair becomes a row only when it matches.
+                    // lie; a pair becomes a row only when it matches. What
+                    // the outer row already decides is decided once.
                     let lrow = input.chunk.row(l);
+                    let probe = pred.probe(lrow);
                     let mut out = Vec::new();
-                    while let Some(r) = inner.next() {
-                        let rrow = inner.chunk.row(r);
-                        if pred.truthy(&ctx, RowRef(lrow, rrow))? {
-                            out.push([lrow, rrow].concat());
-                            if cut {
-                                break;
+                    while out.is_empty()
+                        && inner.fill(|| match miter {
+                            Some(scan) => Ok(scan.next(rt.db).map(Chunk::Page)),
+                            None => right.next_chunk(rt),
+                        })?
+                    {
+                        if let Some(probe) = &probe {
+                            let hits = inner.probe(&ctx, probe, lrow)?;
+                            out.extend(hits.iter().map(|&r| [lrow, inner.chunk.row(r)].concat()));
+                            continue;
+                        }
+                        while let Some(r) = inner.next() {
+                            let rrow = inner.chunk.row(r);
+                            if pred.truthy(&ctx, RowRef(lrow, rrow))? {
+                                out.push([lrow, rrow].concat());
+                                if cut {
+                                    break;
+                                }
                             }
                         }
                     }
                     if !out.is_empty() {
                         return Ok(Some(Chunk::Rows(out)));
                     }
+                    *cur = None;
                 }
             }
             (PhysOp::IndexJoin { index, class, .. }, St::IndexJoin { outer, pred }) => {
@@ -1249,7 +1279,7 @@ impl OpExec<'_> {
                             if o.class != *class {
                                 continue;
                             }
-                            let _ = rt.db.read_object(o)?;
+                            rt.db.touch_object(o)?;
                             let found = [Value::Oid(o)];
                             if pred.truthy(&ctx, RowRef(lrow, &found))? {
                                 out.push([lrow, &found].concat());

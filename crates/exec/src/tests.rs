@@ -795,6 +795,8 @@ fn bound_expressions_evaluate_as_the_interpreter_did() {
     let s123 = || vec![set(&[1, 2, 3])];
     let st = || vec![set(&[1, 2]), set(&[2, 9])];
     let both = || vec![Value::Oid(m.bach), work0.clone()];
+    let oid_text = || vec![Value::Oid(m.bach), Value::text("x")];
+    let pair = || Value::Tuple(vec![int(1), Value::text("x")]);
     let nope_eq_1 = || v("nope").eq(Expr::int(1));
     /// (case, columns, row, expression, evaluated as a predicate,
     /// expected result, evals, method calls)
@@ -845,7 +847,28 @@ fn bound_expressions_evaluate_as_the_interpreter_did() {
         // from the qualified column.
         ("qualified column wins", vec!["i", "i.master"], both(), Expr::path("i", &["master", "title"]), false, ok(Value::text("op3-0")), 0, 0),
         ("qualified column, no steps left", vec!["i", "i.master"], both(), Expr::path("i", &["master"]), false, ok(work0.clone()), 0, 0),
+        // Split after `a`, these are what a join's probe decides: `a` is
+        // the key, `b` the inner slot, on either side of the operator.
+        ("inner < outer", vec!["a", "b"], vec![int(1), int(2)], v("b").lt(v("a")), true, no(), 1, 0),
+        ("inner >= outer", vec!["a", "b"], vec![int(1), int(2)], v("b").ge(v("a")), true, yes(), 1, 0),
+        ("outer >= inner", vec!["a", "b"], vec![int(1), int(2)], v("a").ge(v("b")), true, no(), 1, 0),
+        ("int < float", vec!["a", "b"], vec![int(2), Value::Float(2.5)], v("a").lt(v("b")), true, yes(), 1, 0),
+        ("int = float", vec!["a", "b"], vec![int(2), Value::Float(2.0)], v("a").eq(v("b")), true, yes(), 1, 0),
+        ("oid < text is rank order", vec!["a", "b"], oid_text(), v("a").lt(v("b")), true, no(), 1, 0),
+        ("text < oid is rank order", vec!["a", "b"], oid_text(), v("b").lt(v("a")), true, yes(), 1, 0),
+        ("oid = oid", vec!["a", "b"], vec![Value::Oid(m.bach), Value::Oid(m.bach)], v("a").eq(v("b")), true, yes(), 1, 0),
+        ("null in the inner slot", vec!["a", "b"], vec![int(1), Value::Null], v("a").eq(v("b")), true, no(), 0, 0),
+        ("set in the inner slot", vec!["a", "s"], vec![int(2), set(&[1, 2, 3])], v("a").eq(v("s")), true, yes(), 2, 0),
+        ("set in the outer slot", vec!["s", "a"], vec![set(&[1, 2, 3]), int(2)], v("s").eq(v("a")), true, yes(), 2, 0),
+        ("tuple = tuple", vec!["a", "b"], vec![pair(), pair()], v("a").eq(v("b")), true, yes(), 1, 0),
+        ("unknown column behind a true and", vec!["a"], vec![int(1)], v("a").eq(Expr::int(1)).and(nope_eq_1()), true,
+         err(ExecError::UnknownColumn("nope".into())), 1, 0),
+        ("three conjuncts", vec!["a", "b"], vec![int(1), int(2)], v("a").lt(v("b")).and(v("b").eq(Expr::int(2))).and(v("a").ne(v("b"))), true, yes(), 3, 0),
+        ("literal < slot", vec!["a"], vec![int(1)], Expr::int(0).lt(v("a")), true, yes(), 1, 0),
     ];
+    // The (case, split) pairs the probe takes; every other one it leaves
+    // to `truthy`, which is then the same call as above.
+    let mut probed = Vec::new();
     for (name, cols, row, expr, as_pred, expected, evals, method_calls) in cases {
         let counters = Counters::default();
         let ctx = EvalCtx {
@@ -869,8 +892,36 @@ fn bound_expressions_evaluate_as_the_interpreter_did() {
             assert_eq!(got.map_err(|e| e.to_string()), expected, "{name}");
             let counted = (counters.evals.get(), counters.method_calls.get());
             assert_eq!(counted, (evals, method_calls), "{name}: (evals, methods)");
+            // The probe form: the outer row is known, the inner row is a
+            // one-row chunk.
+            let Some(probe) = bound.probe(at.0) else {
+                continue;
+            };
+            probed.push((name, split));
+            counters.evals.set(0);
+            let got = probe
+                .matches(&ctx, at.0, &[at.1])
+                .map(|hits| Value::Bool(hits == [0]));
+            assert_eq!(got.map_err(|e| e.to_string()), expected, "{name}: probe");
+            assert_eq!(counters.evals.get(), evals, "{name}: probe evals");
         }
     }
+    #[rustfmt::skip]
+    let expected = [
+        // Without an outer row a slot meets a literal (a filter).
+        ("set = scalar", 0), ("scalar = set", 0), ("no member matches", 0),
+        ("unknown column behind a false and", 0), ("unknown column behind a true and", 0), ("literal < slot", 0),
+        // With `a` known, `b` is what is left.
+        ("slot compare", 1), ("inner < outer", 1), ("inner >= outer", 1), ("outer >= inner", 1),
+        ("int < float", 1), ("int = float", 1), ("oid < text is rank order", 1), ("text < oid is rank order", 1),
+        ("oid = oid", 1), ("null in the inner slot", 1), ("set in the inner slot", 1), ("tuple = tuple", 1),
+        ("three conjuncts", 1),
+    ];
+    probed.sort_by_key(|&(_, split)| split);
+    assert_eq!(
+        probed, expected,
+        "which (case, split) pairs the probe takes"
+    );
 }
 
 /// Chunking must not reorder page touches: under a 2-frame buffer and
@@ -968,4 +1019,237 @@ fn page_touch_order_is_pinned() {
         assert_eq!(out.len(), rows, "{case}");
         assert_eq!(ex.report().io, expected, "{case}");
     }
+}
+
+/// A join or filter that probes is charged what the per-pair interpreter
+/// was: per-operator `(label, opens, rows_out, evals)` in operator order
+/// and the whole query's `IoStats` under a 2-frame buffer, recorded from
+/// the commit before the probe.
+#[test]
+fn probed_operators_keep_the_interpreters_counters() {
+    let io = |page_reads, page_hits, page_writes, temp_reads| oorq_storage::IoStats {
+        page_reads,
+        page_hits,
+        page_writes,
+        temp_reads,
+        ..Default::default()
+    };
+    type Ops = &'static [(&'static str, u64, u64, u64)];
+    #[rustfmt::skip]
+    let cases: [(&str, usize, Ops, oorq_storage::IoStats); 5] = [
+        ("rescan", 40, &[("scan Composer", 1, 20, 0), ("Sel[x.master<>null]", 1, 16, 20), ("Proj", 1, 16, 0), ("scan Composer", 4, 80, 0), ("IJ_master", 4, 64, 0), ("scan temp Influencer", 64, 640, 0), ("EJ[i.disciple=ym]", 4, 24, 640), ("Proj", 4, 24, 0), ("Fix(Influencer)", 1, 40, 0)], io(192, 139, 11, 86)),
+        ("residual", 36, &[("scan Composer", 1, 20, 0), ("Sel[x.master<>null]", 1, 16, 20), ("Proj", 1, 16, 0), ("scan Composer", 3, 60, 0), ("IJ_master", 3, 48, 0), ("scan temp Influencer", 48, 576, 0), ("EJ[i.disciple=ym and i.gen<3]", 3, 20, 600), ("Proj", 3, 20, 0), ("Fix(Influencer)", 1, 36, 0)], io(160, 109, 10, 78)),
+        ("filters", 20, &[("scan Composer", 1, 20, 0), ("Sel[x.master<>null]", 1, 16, 20), ("Proj", 1, 16, 0), ("scan Composer", 3, 60, 0), ("IJ_master", 3, 48, 0), ("scan temp Influencer", 48, 576, 0), ("EJ[i.disciple=ym]", 3, 24, 576), ("Sel[i.gen<3]", 3, 20, 24), ("Proj", 3, 20, 0), ("Fix(Influencer)", 1, 36, 0), ("Sel[1<gen]", 1, 20, 36)], io(160, 109, 10, 78)),
+        ("mat", 320, &[("scan Composer", 1, 20, 0), ("scan Composer", 1, 20, 0), ("scan Composer", 20, 400, 0), ("EJ[1=1]", 1, 400, 400), ("EJ[a.master=b.master]", 1, 320, 5120)], io(2447, 14573, 40, 800)),
+        ("mat-slots", 400, &[("scan Composer", 1, 20, 0), ("scan Composer", 1, 20, 0), ("scan Composer", 20, 400, 0), ("EJ[1=1]", 1, 400, 400), ("EJ[a=c]", 1, 400, 8000)], io(1017, 3, 40, 800)),
+    ];
+    for (name, rows, expected_ops, expected_io) in cases {
+        // Small pages: every scan is several chunks, and two frames do
+        // not hold an operand.
+        let mut m = MusicDb::generate_paged(
+            Arc::new(music_catalog()),
+            MusicConfig {
+                chains: 4,
+                chain_len: 5,
+                buffer_frames: 2,
+                ..Default::default()
+            },
+            oorq_storage::WidthModel {
+                page_size: 256,
+                ..Default::default()
+            },
+        );
+        let e = m.db.physical().entities_of_class(m.composer)[0];
+        let scan = |var: &str| Pt::entity(e, var);
+        // The recursive leg of the Figure 3 plan: the delta temporary is
+        // the rescanned inner (borrowed pages), compared slot to slot with
+        // the master an implicit join put in the outer row.
+        let influencer = |join: Expr, keep: Option<Expr>| {
+            let base = Pt::proj(
+                vec![
+                    ("master".into(), Expr::path("x", &["master"])),
+                    ("disciple".into(), Expr::var("x")),
+                    ("gen".into(), Expr::int(1)),
+                ],
+                Pt::sel(
+                    Expr::path("x", &["master"]).ne(Expr::Lit(oorq_query::Literal::Null)),
+                    scan("x"),
+                ),
+            );
+            let masters = Pt::IJ {
+                on: Expr::path("y", &["master"]),
+                step: oorq_pt::IjStep::class_attr(m.db.catalog(), m.composer, m.master_attr),
+                out: "ym".into(),
+                input: Box::new(scan("y")),
+                target: Box::new(scan("t")),
+            };
+            let joined = Pt::ej(join, masters, Pt::temp("Influencer", "i"));
+            let rec = Pt::proj(
+                vec![
+                    ("master".into(), Expr::var("i.master")),
+                    ("disciple".into(), Expr::var("y")),
+                    ("gen".into(), Expr::var("i.gen").add(Expr::int(1))),
+                ],
+                match keep {
+                    Some(keep) => Pt::sel(keep, joined),
+                    None => joined,
+                },
+            );
+            Pt::fix("Influencer", Pt::union(base, rec))
+        };
+        let by_master = || Expr::var("i.disciple").eq(Expr::var("ym"));
+        let cross = || Pt::ej(Expr::int(1).eq(Expr::int(1)), scan("b"), scan("c"));
+        let plan = match name {
+            "rescan" => influencer(by_master(), None),
+            // The conjunct after the probe is evaluated on the survivors.
+            "residual" => influencer(by_master().and(Expr::var("i.gen").lt(Expr::int(3))), None),
+            // A filter over rows a join built, one over borrowed pages
+            // (the fixpoint's read-back) with the literal on the left.
+            "filters" => Pt::sel(
+                Expr::int(1).lt(Expr::var("gen")),
+                influencer(by_master(), Some(Expr::var("i.gen").lt(Expr::int(3)))),
+            ),
+            // `page_touch_order_is_pinned`'s plan: it dereferences, so it
+            // stays with the interpreter.
+            "mat" => Pt::ej(
+                Expr::path("a", &["master"]).eq(Expr::path("b", &["master"])),
+                scan("a"),
+                cross(),
+            ),
+            // The same materialized inner under a slot comparison.
+            _ => Pt::ej(Expr::var("a").eq(Expr::var("c")), scan("a"), cross()),
+        };
+        let (idx, methods) = (IndexSet::new(), MethodRegistry::new());
+        m.db.cold_cache();
+        let mut ex = Executor::new(&mut m.db, &idx, &methods);
+        let out = ex.run(&plan).unwrap();
+        let report = ex.report();
+        let ops: Vec<_> = report
+            .ops
+            .iter()
+            .map(|o| (o.label.as_str(), o.opens, o.rows_out, o.evals))
+            .collect();
+        assert_eq!(out.len(), rows, "{name}");
+        assert_eq!(ops, expected_ops, "{name}");
+        assert_eq!(report.io, expected_io, "{name}");
+    }
+}
+
+/// The probe against the loop it replaces, on inputs nobody chose: random
+/// rows over every kind of value, random predicates, a multi-row inner
+/// chunk. The matches (indices, in order), the `evals` and the first error
+/// are the per-pair `truthy` loop's.
+#[test]
+fn probe_is_the_per_pair_loop_on_random_rows_and_predicates() {
+    use crate::eval::{Bound, Counters, EvalCtx, RowRef};
+    use oorq_prng::Prng;
+    use oorq_query::{CmpOp, Literal};
+
+    fn scalar(rng: &mut Prng) -> Value {
+        match rng.index(7) {
+            0 => Value::Null,
+            1 => Value::Bool(rng.chance(0.5)),
+            2 | 3 => Value::Int(rng.range_i64(0, 3)),
+            4 => Value::Float([0.0, 1.0, 1.5, 2.0][rng.index(4)]),
+            5 => Value::text(["a", "b"][rng.index(2)]),
+            _ => Value::Oid(oorq_storage::Oid::new(
+                oorq_schema::ClassId(rng.range_u32(0, 2)),
+                rng.range_u32(0, 3),
+            )),
+        }
+    }
+    fn value(rng: &mut Prng) -> Value {
+        match rng.index(8) {
+            0 => Value::Set((0..rng.index(4)).map(|_| scalar(rng)).collect()),
+            1 => Value::Tuple(vec![scalar(rng), scalar(rng)]),
+            _ => scalar(rng),
+        }
+    }
+    fn operand(rng: &mut Prng) -> Expr {
+        match rng.index(10) {
+            0 => Expr::var("nope"),
+            1 => Expr::Lit(Literal::Null),
+            2 => Expr::int(rng.range_i64(0, 3)),
+            3 => Expr::Lit(Literal::Float(1.5)),
+            4 => Expr::text("a"),
+            _ => Expr::var(["a", "b", "c", "d"][rng.index(4)]),
+        }
+    }
+    fn pred(rng: &mut Prng, depth: u32) -> Expr {
+        match if depth == 0 { 0 } else { rng.index(6) } {
+            1 | 2 => pred(rng, depth - 1).and(pred(rng, depth - 1)),
+            3 => pred(rng, depth - 1).or(pred(rng, depth - 1)),
+            4 => Expr::Not(Box::new(pred(rng, depth - 1))),
+            _ => Expr::Cmp {
+                op: [
+                    CmpOp::Eq,
+                    CmpOp::Ne,
+                    CmpOp::Lt,
+                    CmpOp::Le,
+                    CmpOp::Gt,
+                    CmpOp::Ge,
+                ][rng.index(6)],
+                lhs: Box::new(operand(rng)),
+                rhs: Box::new(operand(rng)),
+            },
+        }
+    }
+
+    let m = small_music();
+    let methods = MethodRegistry::new();
+    let counters = Counters::default();
+    let ctx = EvalCtx {
+        db: &m.db,
+        methods: &methods,
+        counters: &counters,
+        account_io: true,
+    };
+    let cols: Vec<String> = ["a", "b", "c", "d"].map(String::from).to_vec();
+    let mut rng = Prng::new(17);
+    let (mut probed, mut failed, mut matched) = (0, 0, 0);
+    for trial in 0..4000 {
+        let expr = pred(&mut rng, 2);
+        let bound = Bound::bind(&expr, &cols);
+        // A join's split, or a filter's: no outer row at all.
+        let split = if rng.chance(0.8) { 2 } else { 0 };
+        let outer: Vec<Value> = (0..split).map(|_| value(&mut rng)).collect();
+        let inner: Vec<Vec<Value>> = (0..rng.index(7))
+            .map(|_| (split..4).map(|_| value(&mut rng)).collect())
+            .collect();
+        let Some(probe) = bound.probe(&outer) else {
+            continue;
+        };
+        probed += 1;
+
+        counters.evals.set(0);
+        let mut hits = Vec::new();
+        let mut looped = Ok(());
+        for (i, row) in inner.iter().enumerate() {
+            match bound.truthy(&ctx, RowRef(&outer, row)) {
+                Ok(true) => hits.push(i),
+                Ok(false) => {}
+                Err(e) => {
+                    looped = Err(e.to_string());
+                    break;
+                }
+            }
+        }
+        let looped = (looped.map(|()| hits), counters.evals.get());
+
+        counters.evals.set(0);
+        let got = probe.matches(&ctx, &outer, &inner);
+        let got = (got.map_err(|e| e.to_string()), counters.evals.get());
+        assert_eq!(
+            got, looped,
+            "trial {trial}: {expr} on {outer:?} x {inner:?}"
+        );
+        failed += usize::from(got.0.is_err());
+        matched += got.0.map_or(0, |hits| hits.len());
+    }
+    // The generator reaches what it is meant to: predicates the probe
+    // takes, pairs that match, residuals that fail.
+    assert!(
+        probed > 400 && matched > 300 && failed > 20,
+        "{probed} {matched} {failed}"
+    );
 }

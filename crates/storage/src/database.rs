@@ -618,58 +618,64 @@ impl Database {
     /// Read a whole object (assembling vertical fragments), accounting a
     /// page fetch per fragment touched.
     pub fn read_object(&self, oid: Oid) -> Result<Vec<Value>, StorageError> {
+        let mut values = Vec::new();
+        self.fetch_object(oid, |attrs, row| match attrs {
+            None => values = row.values.clone(),
+            Some(attrs) => {
+                values.resize(self.catalog.class(oid.class).attrs.len(), Value::Null);
+                for (slot, attr) in attrs.iter().enumerate() {
+                    values[attr.0 as usize] = row.values[slot].clone();
+                }
+            }
+        })?;
+        Ok(values)
+    }
+
+    /// Pay for an object without reading it: the page fetches (and the
+    /// errors) of [`Database::read_object`], in its order, nothing copied.
+    pub fn touch_object(&self, oid: Oid) -> Result<(), StorageError> {
+        self.fetch_object(oid, |_, _| {})
+    }
+
+    /// Fetch (and account) the page of every fragment holding a part of
+    /// `oid` — each vertical fragment in layout order, the owning
+    /// horizontal one — and hand each record to `each`, a vertical
+    /// fragment's with the attributes it stores.
+    fn fetch_object(
+        &self,
+        oid: Oid,
+        mut each: impl FnMut(Option<&[AttrId]>, &Row),
+    ) -> Result<(), StorageError> {
         let layout = self
             .class_layout
             .get(&oid.class)
-            .ok_or(StorageError::NoHome(oid.class))?
-            .clone();
-        match layout {
-            ClassLayout::Single(e) => self.read_object_from(oid, e),
-            ClassLayout::Horizontal(frags) => {
-                let entity = {
-                    let segs = self.segments.read().unwrap();
-                    frags
-                        .iter()
-                        .find(|e| segs[e.0 as usize].position_of(oid.index).is_some())
-                        .copied()
-                        .ok_or(StorageError::DanglingOid(oid))?
-                };
-                self.read_object_from(oid, entity)
-            }
-            ClassLayout::Vertical(frags) => {
-                let n_attrs = self.catalog.class(oid.class).attrs.len();
-                let mut values = vec![Value::Null; n_attrs];
-                for (entity, attrs) in frags {
-                    let segs = self.segments.read().unwrap();
-                    let seg = &segs[entity.0 as usize];
-                    let pos = seg
-                        .position_of(oid.index)
-                        .ok_or(StorageError::DanglingOid(oid))?;
-                    let page = seg.page_of_position(pos);
-                    self.with_buffer(|b| b.fetch(PageId { entity, page }, false));
-                    let row = seg.row_at(pos).ok_or(StorageError::DanglingOid(oid))?;
-                    for (slot, attr) in attrs.iter().enumerate() {
-                        values[attr.0 as usize] = row.values[slot].clone();
-                    }
-                }
-                Ok(values)
-            }
-        }
-    }
-
-    fn read_object_from(&self, oid: Oid, entity: EntityId) -> Result<Vec<Value>, StorageError> {
+            .ok_or(StorageError::NoHome(oid.class))?;
         let segs = self.segments.read().unwrap();
-        let seg = &segs[entity.0 as usize];
-        let pos = seg
-            .position_of(oid.index)
-            .ok_or(StorageError::DanglingOid(oid))?;
-        let page = seg.page_of_position(pos);
-        self.with_buffer(|b| b.fetch(PageId { entity, page }, false));
-        Ok(seg
-            .row_at(pos)
-            .ok_or(StorageError::DanglingOid(oid))?
-            .values
-            .clone())
+        let mut fetch = |entity: EntityId, attrs: Option<&[AttrId]>| {
+            let seg = &segs[entity.0 as usize];
+            let pos = seg
+                .position_of(oid.index)
+                .ok_or(StorageError::DanglingOid(oid))?;
+            let page = seg.page_of_position(pos);
+            self.with_buffer(|b| b.fetch(PageId { entity, page }, false));
+            each(
+                attrs,
+                seg.row_at(pos).ok_or(StorageError::DanglingOid(oid))?,
+            );
+            Ok(())
+        };
+        match layout {
+            ClassLayout::Single(e) => fetch(*e, None),
+            ClassLayout::Horizontal(frags) => {
+                let home = frags
+                    .iter()
+                    .find(|e| segs[e.0 as usize].position_of(oid.index).is_some());
+                fetch(*home.ok_or(StorageError::DanglingOid(oid))?, None)
+            }
+            ClassLayout::Vertical(frags) => frags
+                .iter()
+                .try_for_each(|(e, attrs)| fetch(*e, Some(attrs))),
+        }
     }
 
     // ------------------------------------------------------------------

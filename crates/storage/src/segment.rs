@@ -17,6 +17,12 @@ pub struct Row {
     pub values: Vec<Value>,
 }
 
+impl AsRef<[Value]> for Row {
+    fn as_ref(&self) -> &[Value] {
+        &self.values
+    }
+}
+
 /// The records of one atomic entity, kept in *physical* (page) order.
 ///
 /// A separate key map supports oid lookup; physical position `p` lives on

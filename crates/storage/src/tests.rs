@@ -40,16 +40,18 @@ fn tiny_catalog() -> Arc<Catalog> {
     )
 }
 
-fn small_db() -> Database {
-    let cat = tiny_catalog();
-    let cfg = StorageConfig {
+fn small_db_config() -> StorageConfig {
+    StorageConfig {
         buffer_frames: 4,
         width: WidthModel {
             page_size: 256,
             ..WidthModel::default()
         },
-    };
-    Database::new(cat, cfg)
+    }
+}
+
+fn small_db() -> Database {
+    Database::new(tiny_catalog(), small_db_config())
 }
 
 #[test]
@@ -255,6 +257,59 @@ fn horizontal_decomposition_routes_and_records_fractions() {
     // Objects remain addressable by oid.
     let v = db.read_object(Oid::new(item_cls, 17)).unwrap();
     assert_eq!(v[1], Value::Int(17));
+}
+
+/// `touch_object` pays what `read_object` pays — the same fetches in the
+/// same order, so the same hits, misses and LRU victims under two frames
+/// — and fails where it fails, on every layout.
+#[test]
+fn touch_object_accounts_and_fails_as_read_object_does() {
+    for layout in ["single", "vertical", "horizontal"] {
+        let build = || {
+            let mut db = Database::new(
+                tiny_catalog(),
+                StorageConfig {
+                    buffer_frames: 2,
+                    ..small_db_config()
+                },
+            );
+            let item_cls = db.catalog().class_by_name("Item").unwrap();
+            for i in 0..40 {
+                db.insert_object(item_cls, vec![Value::text(format!("i{i}")), Value::Int(i)])
+                    .unwrap();
+            }
+            match layout {
+                "vertical" => {
+                    drop(db.decompose_vertical(item_cls, &[vec![AttrId(0)], vec![AttrId(1)]]))
+                }
+                "horizontal" => drop(db.decompose_horizontal(
+                    item_cls,
+                    2,
+                    &["weight % 3 = 0".into(), "weight % 3 <> 0".into()],
+                    |vals| usize::from(vals[1].as_int().unwrap() % 3 != 0),
+                )),
+                _ => {}
+            }
+            db.cold_cache();
+            (db, item_cls)
+        };
+        let ((read, item_cls), (touched, _)) = (build(), build());
+        // Neighbours (a hit), a stride that comes back to pages others
+        // evicted, dangling oids mid-way, a class with no extension.
+        let oids = (0..60u32)
+            .flat_map(|i| [i * 7 % 45, (i * 7 + 1) % 45])
+            .map(|i| Oid::new(item_cls, i))
+            .chain([Oid::new(oorq_schema::ClassId(9), 0)]);
+        for oid in oids {
+            assert_eq!(
+                touched.touch_object(oid),
+                read.read_object(oid).map(drop),
+                "{layout}: {oid}"
+            );
+            assert_eq!(touched.io_stats(), read.io_stats(), "{layout}: after {oid}");
+        }
+        assert!(read.io_stats().page_reads > 2 && read.io_stats().page_hits > 0);
+    }
 }
 
 #[test]
