@@ -386,9 +386,65 @@ mod tests {
         );
     }
 
-    /// Satellite: worker-lane registries fork and merge back — under a
-    /// real parallel run with a tight breaker budget, the registry sees
-    /// every lane and the spill traffic.
+    /// One tally: on every corpus row — serial and at 2 workers, unbounded
+    /// and under an 8-page budget — what the operators were charged, what
+    /// the run's page account counted and what the `storage.*` series
+    /// gained are the same numbers. (Capacity evictions have no
+    /// per-operator column, index reads no series.)
+    #[test]
+    fn operators_account_and_series_agree_over_the_corpus() {
+        let (mut runs, mut lanes, mut spills) = (0, 0, 0);
+        for_each_row(
+            |_, _| true,
+            |name, s, q, config| {
+                for (threads, budget) in [(0, 0), (2, 0), (0, 8), (2, 8)] {
+                    let registry = MetricsRegistry::new();
+                    let knobs = Knobs {
+                        registry: registry.clone(),
+                        ..Knobs::resources(threads, budget)
+                    };
+                    let config = OptimizerConfig {
+                        threads,
+                        ..config.clone()
+                    };
+                    // A cold-cache run: the account was zeroed before it, so
+                    // what it reads afterwards is the run's.
+                    let report = s.run(q, config, &knobs)?.report;
+                    let io = report.io;
+                    let ops = |counter: fn(&oorq_exec::OpReport) -> u64| {
+                        Some(report.ops.iter().map(counter).sum::<u64>())
+                    };
+                    let series = |name: &str| Some(registry.counter(name).get());
+                    #[rustfmt::skip]
+                    let tallies = [
+                        ("page_reads", ops(|o| o.page_reads), io.page_reads, series("storage.page_misses")),
+                        ("page_hits", ops(|o| o.page_hits), io.page_hits, series("storage.page_hits")),
+                        ("page_writes", ops(|o| o.page_writes), io.page_writes, series("storage.page_writes")),
+                        ("temp_reads", ops(|o| o.temp_reads), io.temp_reads, series("storage.temp_page_reads")),
+                        ("spill_evictions", ops(|o| o.spill_evictions), io.spill_evictions, series("storage.spill_evictions")),
+                        ("index_reads", ops(|o| o.index_reads), io.index_reads, None),
+                        ("page_evictions", None, io.page_evictions, series("storage.page_evictions")),
+                    ];
+                    for (counter, ops, account, series) in tallies {
+                        let case = format!("{name}, {threads} threads, budget {budget}: {counter}");
+                        assert_eq!(ops.unwrap_or(account), account, "{case}, operators");
+                        assert_eq!(series.unwrap_or(account), account, "{case}, series");
+                    }
+                    runs += 1;
+                    lanes += report.workers.len();
+                    spills += io.spill_evictions;
+                }
+                Ok::<(), String>(())
+            },
+        )
+        .expect("the corpus runs");
+        assert_eq!(runs, 4 * 27, "every corpus row, four ways");
+        assert!(lanes > 0 && spills > 0, "workers forked, breakers spilled");
+    }
+
+    /// Satellite: a real parallel run with a tight breaker budget leaves
+    /// one sample per worker lane, and its lanes' page traffic, in the
+    /// registry.
     #[test]
     fn registry_merges_parallel_worker_lanes() {
         let registry = MetricsRegistry::new();
@@ -400,7 +456,7 @@ mod tests {
         assert_eq!(
             registry.histogram("exec.worker.wall_ns").count() as usize,
             run.lanes,
-            "one worker wall sample per lane, merged from the lane forks"
+            "one worker wall sample per lane"
         );
         assert_eq!(
             registry.histogram("exec.worker.rows").count() as usize,
@@ -408,7 +464,7 @@ mod tests {
         );
         assert!(
             registry.counter("storage.page_misses").get() > 0,
-            "worker-lane buffer traffic lands in the shared storage series"
+            "worker-lane page traffic lands in the storage series"
         );
     }
 }

@@ -7,7 +7,7 @@ use std::collections::HashSet;
 
 use oorq_query::{bind_path, CmpOp, Expr, Literal};
 use oorq_schema::{AttrId, AttributeKind, ClassId};
-use oorq_storage::{Database, Oid, Value};
+use oorq_storage::{Account, Database, Oid, Value};
 
 use crate::error::ExecError;
 use crate::methods::MethodRegistry;
@@ -95,8 +95,8 @@ impl Counters {
 }
 
 /// Evaluation context: the store, the method implementations, counters,
-/// and whether attribute reads account page I/O (the reference evaluator
-/// turns accounting off).
+/// and the page account attribute reads charge (the reference evaluator
+/// has none and reads for free).
 pub(crate) struct EvalCtx<'a> {
     /// The store.
     pub db: &'a Database,
@@ -104,8 +104,8 @@ pub(crate) struct EvalCtx<'a> {
     pub methods: &'a MethodRegistry,
     /// CPU counters.
     pub counters: &'a Counters,
-    /// Account page I/O on attribute reads.
-    pub account_io: bool,
+    /// The page account of the run, if the reads are part of one.
+    pub io: Option<&'a Account>,
 }
 
 impl EvalCtx<'_> {
@@ -128,8 +128,8 @@ impl EvalCtx<'_> {
                 let class = &self.db.catalog().class(oid.class).name;
                 ExecError::MissingMethod(format!("{class}.{name}"))
             })
-        } else if self.account_io {
-            Ok(self.db.read_attr(oid, aid)?)
+        } else if let Some(io) = self.io {
+            Ok(self.db.read_attr(io, oid, aid)?)
         } else {
             Ok(self.db.read_attr_raw(oid, aid)?)
         }

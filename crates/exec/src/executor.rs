@@ -1,6 +1,7 @@
 //! The PT executor: lowers a verified plan to a physical-operator
 //! pipeline ([`oorq_pt::phys`]) and streams it with honest page-I/O
-//! accounting through the store's buffer manager.
+//! accounting against the store's page account, which each run checks
+//! out ([`Database::check_out`]) and parks again when it ends.
 
 use std::collections::HashMap;
 
@@ -69,22 +70,27 @@ pub struct ExecState {
 /// A report of the resources one execution consumed.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ExecReport {
-    /// Page I/O accumulated by the store.
+    /// Page I/O accumulated by the *store's* page account since its last
+    /// reset: every run of every executor over the database, a failed
+    /// run's touches included — a wider scope than `evals` and
+    /// `method_calls` (this executor's runs) and than `ops` (the last
+    /// run), so in a session [`ExecReport::total`] mixes the three.
     pub io: IoStats,
     /// Predicate evaluations performed.
     pub evals: u64,
     /// Method invocations performed.
     pub method_calls: u64,
-    /// Per-operator observed counters of the last completed run.
+    /// Per-operator observed counters of the last run (empty if it
+    /// failed).
     pub ops: Vec<OpReport>,
-    /// Per-fixpoint delta curves of the last completed run: one entry
+    /// Per-fixpoint delta curves of the last run, if it completed: one entry
     /// per fixpoint *opening* (keyed by pipeline operator id and PT
     /// node), each holding its delta sizes in iteration order (the seed
     /// delta first, then one entry per semi-naive iteration; the final
     /// entry is 0 when the fixpoint converged).
     pub fix_deltas: Vec<FixDeltaCurve>,
-    /// Per-worker lanes of the last completed run's `Exchange`/`Merge`
-    /// openings, in fork order (empty under serial execution).
+    /// Per-worker lanes of the last run's `Exchange`/`Merge` openings, if
+    /// it completed, in fork order (empty under serial execution).
     pub workers: Vec<WorkerLane>,
 }
 
@@ -144,11 +150,11 @@ pub struct Executor<'a> {
     /// This run's assignment: materializing `NlJoin` operator id → its
     /// backing temporary.
     nl_mats: HashMap<usize, EntityId>,
-    /// Per-operator reports of the last completed run.
+    /// Per-operator reports of the last run (empty if it failed).
     last_ops: Vec<OpReport>,
-    /// Per-fixpoint delta curves of the last completed run.
+    /// Per-fixpoint delta curves of the last run.
     last_fix_deltas: Vec<FixDeltaCurve>,
-    /// Worker lanes of the last completed run.
+    /// Worker lanes of the last run.
     last_workers: Vec<WorkerLane>,
     /// Degree of parallelism chosen per PT node by the optimizer,
     /// applied at lowering (empty = fully serial plans).
@@ -158,8 +164,8 @@ pub struct Executor<'a> {
     /// Aggregated metric series (disabled by default; every run then
     /// costs one branch at publish time).
     metrics: oorq_obs::MetricsRegistry,
-    /// The lowered physical plan of the last completed run (joined with
-    /// `last_ops` by EXPLAIN ANALYZE renderers).
+    /// The lowered physical plan of the last run, if it completed (joined
+    /// with `last_ops` by EXPLAIN ANALYZE renderers).
     last_plan: Option<PhysPlan>,
 }
 
@@ -223,8 +229,8 @@ impl<'a> Executor<'a> {
 
     /// Attach a trace recorder: the executor records one span per run
     /// and one synthesized span per physical operator, the pipeline
-    /// fires per-fixpoint-iteration events, and the store's buffer
-    /// manager reports page hits/misses/evictions to the same trace.
+    /// fires per-fixpoint-iteration events, and the store's page account
+    /// reports page hits/misses/evictions to the same trace.
     pub fn with_recorder(mut self, obs: oorq_obs::Recorder) -> Self {
         self.db.set_recorder(obs.clone());
         self.obs = obs;
@@ -232,18 +238,17 @@ impl<'a> Executor<'a> {
     }
 
     /// Attach a metrics registry: every completed run publishes its
-    /// per-query wall/rows/evals, per-operator-kind and fixpoint series
-    /// (`exec.*`), and the store's buffer manager bumps its `storage.*`
-    /// counters inline. Worker lanes record into per-lane forks that are
-    /// merged back at publish time, so parallel runs aggregate into the
-    /// same series contention-free.
+    /// per-query wall/rows/evals, per-operator-kind, fixpoint and
+    /// worker-lane series (`exec.*`) from its operator reports, and every
+    /// run, completed or not, brings the `storage.*` counters up to the
+    /// page account's when it checks the account back in.
     pub fn with_metrics(mut self, metrics: oorq_obs::MetricsRegistry) -> Self {
         self.db.set_metrics(&metrics);
         self.metrics = metrics;
         self
     }
 
-    /// The lowered physical plan of the last completed run.
+    /// The lowered physical plan of the last run, if it completed.
     pub fn last_plan(&self) -> Option<&PhysPlan> {
         self.last_plan.as_ref()
     }
@@ -252,13 +257,20 @@ impl<'a> Executor<'a> {
     pub fn reset_counters(&mut self) {
         self.db.reset_io();
         self.counters = Counters::default();
+        self.forget_last_run();
+    }
+
+    /// Drop what describes the last run: `report()` and `last_plan()`
+    /// must never pair one run's operators and plan with another's totals.
+    fn forget_last_run(&mut self) {
         self.last_ops.clear();
         self.last_fix_deltas.clear();
         self.last_workers.clear();
+        self.last_plan = None;
     }
 
-    /// The resources consumed so far (per-operator counters cover the
-    /// last completed run).
+    /// The resources consumed so far (per-operator counters, delta curves
+    /// and worker lanes cover the last run, and are empty if it failed).
     pub fn report(&self) -> ExecReport {
         ExecReport {
             io: self.db.io_stats(),
@@ -297,10 +309,7 @@ impl<'a> Executor<'a> {
     /// Publish one completed run into the metrics registry: the
     /// per-query series, one histogram pair per operator *kind*
     /// (aggregating e.g. every `EntityScan` in the plan), the fixpoint
-    /// convergence series, and per-worker lanes through forked
-    /// registries merged back in (the lanes were produced by concurrent
-    /// workers; the fork/merge path is the same one a sharded serving
-    /// layer would use).
+    /// convergence series, and one sample per worker lane.
     fn publish_metrics(&self, wall_ns: u64, rows: u64, evals: u64) {
         if !self.metrics.enabled() {
             return;
@@ -327,14 +336,15 @@ impl<'a> Executor<'a> {
                 .record(curve.deltas.iter().sum());
         }
         for lane in &self.last_workers {
-            let fork = self.metrics.fork();
-            fork.histogram("exec.worker.wall_ns").record(lane.wall_ns);
-            fork.histogram("exec.worker.rows").record(lane.rows);
-            self.metrics.merge_from(&fork);
+            self.metrics
+                .histogram("exec.worker.wall_ns")
+                .record(lane.wall_ns);
+            self.metrics.histogram("exec.worker.rows").record(lane.rows);
         }
     }
 
     fn run_inner(&mut self, pt: &Pt) -> Result<Batch, ExecError> {
+        self.forget_last_run();
         #[cfg(debug_assertions)]
         self.verify(pt)?;
         let plan = self.lower(pt)?;
@@ -350,8 +360,12 @@ impl<'a> Executor<'a> {
             max_fix_iterations: self.config.max_fix_iterations,
             obs: &self.obs,
         };
-        let (rows, ops, fix_deltas, workers) =
-            pipeline::execute(&plan, shared, &self.counters, self.config.threads)?;
+        // The run owns the store's page account until `io` is dropped, which
+        // parks it again: on `Ok`, on `Err`, and when the pipeline unwinds.
+        let io = self.db.check_out();
+        let out = pipeline::execute(&plan, shared, &io, &self.counters, self.config.threads);
+        drop(io);
+        let (rows, ops, fix_deltas, workers) = out?;
         let mut rows = Batch {
             cols: plan.root.cols().to_vec(),
             rows,

@@ -11,8 +11,8 @@
 //! semi-naive fixpoint (accumulator and delta temporaries) and the inner
 //! of a nested loop over a non-rescannable subtree.
 //!
-//! Every `open`/`next_chunk` call is bracketed by snapshots of the
-//! store's I/O statistics, the CPU counters and a wall clock,
+//! Every `open`/`next_chunk` call is bracketed by snapshots of the run's
+//! page account, the CPU counters and a wall clock,
 //! accumulating *inclusive* per-operator figures; [`rollup`] subtracts
 //! each operator's children to yield the exclusive [`OpReport`]s that
 //! bench reports join against the cost model's per-node predictions.
@@ -23,7 +23,7 @@ use std::time::Instant;
 
 use oorq_index::IndexSet;
 use oorq_pt::{PhysOp, PhysPlan};
-use oorq_storage::{Database, EntityId, IoStats, Oid, PageRows, Value};
+use oorq_storage::{Account, BufferManager, Database, EntityId, IoStats, Oid, PageRows, Value};
 
 use crate::error::ExecError;
 use crate::eval::{lit_value, Bound, Counters, EvalCtx, Probe, RowRef};
@@ -115,7 +115,7 @@ pub struct WorkerLane {
     pub rows: u64,
     /// The worker's wall time from fork to join.
     pub wall_ns: u64,
-    /// The worker's private buffer-view counters.
+    /// What the worker charged its fork of the run's page account.
     pub io: IoStats,
 }
 
@@ -124,12 +124,7 @@ pub struct WorkerLane {
 struct OpStats {
     opens: u64,
     rows_out: u64,
-    page_reads: u64,
-    page_hits: u64,
-    index_reads: u64,
-    page_writes: u64,
-    temp_reads: u64,
-    spill_evictions: u64,
+    io: IoStats,
     evals: u64,
     method_calls: u64,
     wall_ns: u64,
@@ -165,6 +160,9 @@ pub(crate) struct Shared<'a> {
 /// Runtime of one pipeline execution on one thread.
 struct Rt<'a> {
     shared: Shared<'a>,
+    /// The page account this thread charges: the database's own, checked
+    /// out for the run, or a worker's fork of it.
+    io: &'a Account,
     counters: &'a Counters,
     /// Temporaries currently bound to their delta (a fixpoint iteration
     /// is in flight).
@@ -182,6 +180,9 @@ struct Rt<'a> {
     /// Per-worker lanes of every `Exchange`/`Merge` opening, in fork
     /// order (coordinator-only; workers never nest parallel operators).
     worker_lanes: RefCell<Vec<WorkerLane>>,
+    /// The temporaries this thread emptied. A worker's list goes to the
+    /// join: the coordinator's account may hold frames of them too.
+    truncated: RefCell<Vec<EntityId>>,
 }
 
 impl<'a> std::ops::Deref for Rt<'a> {
@@ -212,14 +213,23 @@ pub(crate) type ExecOutput = (
     Vec<WorkerLane>,
 );
 
-/// Execute a lowered plan.
+/// Execute a lowered plan, charging every page touch to `io`.
 pub(crate) fn execute(
     plan: &PhysPlan,
     shared: Shared<'_>,
+    io: &Account,
     counters: &Counters,
     threads: u32,
 ) -> Result<ExecOutput, ExecError> {
-    let rt = Rt::new(shared, counters, plan.ops, HashSet::new(), threads, None);
+    let rt = Rt::new(
+        shared,
+        io,
+        counters,
+        plan.ops,
+        HashSet::new(),
+        threads,
+        None,
+    );
     let mut root = build(&plan.root);
     root.open(&rt)?;
     let rows = root.drain(&rt)?;
@@ -386,12 +396,12 @@ impl Cursor {
 }
 
 /// A scan in progress: the entity and the pages still to fetch, one per
-/// chunk, each accounted through the buffer manager when it is asked for.
+/// chunk, each charged to the thread's account when it is asked for.
 struct PageScan(EntityId, std::ops::Range<u32>);
 
 impl PageScan {
-    fn next(&mut self, db: &Database) -> Option<PageRows> {
-        db.scan_page(self.0, self.1.next()?)
+    fn next(&mut self, rt: &Rt<'_>) -> Option<PageRows> {
+        rt.db.scan_page(rt.io, self.0, self.1.next()?)
     }
 }
 
@@ -515,7 +525,7 @@ fn pump(
 
 /// What one parallel worker hands back at the join: its partition's
 /// rows (in partition order), its per-operator inclusive tallies, its
-/// CPU counter totals, and its private buffer view's I/O counters.
+/// CPU counter totals, and what it charged its page account.
 struct WorkerOut {
     rows: Vec<Vec<Value>>,
     stats: Vec<OpStats>,
@@ -579,43 +589,40 @@ fn permute(perm: Option<&Vec<usize>>, rows: Vec<Vec<Value>>) -> Vec<Vec<Value>> 
 }
 
 /// Run one parallel worker: build a private operator tree over the
-/// subtree, install a private buffer-accounting view, drain the tree,
-/// and hand everything back for the coordinator to merge. The worker's
-/// `Rt` shares the database snapshot, indexes, methods, temps and
-/// recorder with the coordinator but owns its counters, per-operator
+/// subtree, drain it against `account` — the worker's fork of the run's
+/// page account — and hand everything back for the coordinator to merge,
+/// the temporaries it emptied even when it fails. The worker's `Rt`
+/// shares the database snapshot, indexes, methods, temps and recorder
+/// with the coordinator but owns its account, counters, per-operator
 /// stats and delta bindings — nothing mutable is shared across threads
 /// except the recorder's internal mutex.
 fn run_worker(
     op: &PhysOp,
     shared: Shared<'_>,
+    account: BufferManager,
     delta_active: HashSet<String>,
     ops_len: usize,
     partition: Option<Partition>,
-    frames: usize,
-    temp_budget: usize,
-) -> Result<WorkerOut, ExecError> {
-    let counters = Counters::default();
-    let rt = Rt::new(shared, &counters, ops_len, delta_active, 0, partition);
-    rt.db.install_worker_buffer(frames, temp_budget);
+) -> (Vec<EntityId>, Result<WorkerOut, ExecError>) {
+    let (io, counters) = (Account::new(account), Counters::default());
+    let rt = Rt::new(shared, &io, &counters, ops_len, delta_active, 0, partition);
     let t_start_ns = rt.obs.now_ns();
     let wall0 = Instant::now();
     let mut root = build(op);
     let res = root.open(&rt).and_then(|()| root.drain(&rt));
     drop(root);
-    // Uninstall the view even on error, or the thread-local would leak
-    // into whatever runs on this thread next.
-    let io = rt.db.take_worker_buffer();
-    let rows = res?;
-    Ok(WorkerOut {
+    let t_end_ns = rt.obs.now_ns();
+    let out = res.map(|rows| WorkerOut {
         rows,
         evals: counters.evals.get(),
         method_calls: counters.method_calls.get(),
-        io,
+        io: io.borrow().stats(),
         t_start_ns,
-        t_end_ns: rt.obs.now_ns(),
+        t_end_ns,
         wall_ns: wall0.elapsed().as_nanos() as u64,
         stats: rt.stats.into_inner(),
-    })
+    });
+    (rt.truncated.into_inner(), out)
 }
 
 /// Snapshot of the shared counters, for inclusive-delta charging.
@@ -629,6 +636,7 @@ struct Snap {
 impl<'a> Rt<'a> {
     fn new(
         shared: Shared<'a>,
+        io: &'a Account,
         counters: &'a Counters,
         ops_len: usize,
         delta_active: HashSet<String>,
@@ -641,6 +649,7 @@ impl<'a> Rt<'a> {
         };
         Rt {
             shared,
+            io,
             counters,
             delta_active: RefCell::new(delta_active),
             stats: RefCell::new(vec![unrun; ops_len]),
@@ -648,6 +657,7 @@ impl<'a> Rt<'a> {
             threads,
             partition,
             worker_lanes: RefCell::new(Vec::new()),
+            truncated: RefCell::new(Vec::new()),
         }
     }
 
@@ -656,33 +666,29 @@ impl<'a> Rt<'a> {
             db: self.db,
             methods: self.methods,
             counters: self.counters,
-            account_io: true,
+            io: Some(self.io),
         }
     }
 
     fn snap(&self) -> Snap {
         Snap {
             t0: Instant::now(),
-            io: self.db.io_stats(),
+            io: self.io.borrow().stats(),
             evals: self.counters.evals.get(),
             method_calls: self.counters.method_calls.get(),
         }
     }
 
-    /// Close a bracket: charge operator `id` everything the shared
-    /// counters moved since `snap`, plus the open or the rows handed up.
+    /// Close a bracket: charge operator `id` everything the account and
+    /// the CPU counters moved since `snap`, plus the open or the rows
+    /// handed up.
     fn charge(&self, id: usize, snap: Snap, opens: u64, rows_out: u64) {
-        let io = self.db.io_stats();
+        let io = self.io.borrow().stats();
         let mut stats = self.stats.borrow_mut();
         let s = &mut stats[id];
         s.opens += opens;
         s.rows_out += rows_out;
-        s.page_reads += io.page_reads - snap.io.page_reads;
-        s.page_hits += io.page_hits - snap.io.page_hits;
-        s.index_reads += io.index_reads - snap.io.index_reads;
-        s.page_writes += io.page_writes - snap.io.page_writes;
-        s.temp_reads += io.temp_reads - snap.io.temp_reads;
-        s.spill_evictions += io.spill_evictions - snap.io.spill_evictions;
+        s.io += io - snap.io;
         s.evals += self.counters.evals.get() - snap.evals;
         s.method_calls += self.counters.method_calls.get() - snap.method_calls;
         let elapsed = snap.t0.elapsed().as_nanos() as u64;
@@ -733,6 +739,13 @@ impl<'a> Rt<'a> {
         built.ok_or_else(|| ExecError::BadFixpoint(format!("temp `{name}` not built")))
     }
 
+    /// Empty a temporary, dropping its frames from this thread's account
+    /// (and, through `truncated`, from the one it was forked from).
+    fn truncate(&self, entity: EntityId) -> Result<(), ExecError> {
+        self.truncated.borrow_mut().push(entity);
+        Ok(self.db.truncate_temp(self.io, entity)?)
+    }
+
     /// The page-store temporary backing a materializing `NlJoin`'s inner.
     fn nl_mat(&self, op_id: usize) -> Result<EntityId, ExecError> {
         self.nl_mats.get(&op_id).copied().ok_or_else(|| {
@@ -742,8 +755,9 @@ impl<'a> Rt<'a> {
         })
     }
 
-    /// Run one worker thread per leg (each with an even share of the
-    /// buffer frames and of the breaker budget) and join them into `out`.
+    /// Run one worker thread per leg (each charging a fork of this
+    /// thread's account with an even share of its frames and of its
+    /// breaker budget) and join them into `out`.
     fn fork(
         &self,
         meta: &oorq_pt::OpMeta,
@@ -752,19 +766,21 @@ impl<'a> Rt<'a> {
         out: &mut Vec<Vec<Value>>,
         perms: Option<&[Option<Vec<usize>>]>,
     ) -> Result<(), ExecError> {
-        let frames = (self.db.buffer_frames() / legs.len()).max(1);
-        let budget = worker_budget(self.db.temp_budget_pages(), legs.len());
+        let accounts: Vec<BufferManager> = {
+            let (io, n) = (self.io.borrow(), legs.len());
+            let budget = worker_budget(io.temp_budget(), n);
+            (0..n).map(|_| io.fork(io.capacity() / n, budget)).collect()
+        };
         let ops_len = self.stats.borrow().len();
         let delta = self.delta_active.borrow().clone();
         let shared = self.shared;
-        let results: Vec<Result<WorkerOut, ExecError>> = std::thread::scope(|scope| {
+        let results: Vec<_> = std::thread::scope(|scope| {
             let handles: Vec<_> = legs
                 .into_iter()
-                .map(|(leg, part)| {
+                .zip(accounts)
+                .map(|((leg, part), account)| {
                     let delta = delta.clone();
-                    scope.spawn(move || {
-                        run_worker(leg, shared, delta, ops_len, part, frames, budget)
-                    })
+                    scope.spawn(move || run_worker(leg, shared, account, delta, ops_len, part))
                 })
                 .collect();
             handles
@@ -772,22 +788,27 @@ impl<'a> Rt<'a> {
                 .enumerate()
                 .map(|(w, h)| {
                     h.join().unwrap_or_else(|_| {
-                        Err(ExecError::WorkerPanicked(format!(
-                            "{what} #{} {unit} {w}",
-                            meta.id
-                        )))
+                        let who = format!("{what} #{} {unit} {w}", meta.id);
+                        (Vec::new(), Err(ExecError::WorkerPanicked(who)))
                     })
                 })
                 .collect()
         });
         // Join in worker order: fold each worker's I/O and CPU counters
-        // into the shared accounting (inside the parallel operator's
-        // open bracket, so its inclusive tallies stay exact), merge its
+        // into this thread's (inside the parallel operator's open
+        // bracket, so its inclusive tallies stay exact), merge its
         // per-operator stats, record its lane and span, and concatenate
         // its rows. Deterministic by construction — merge order is
         // worker order regardless of thread scheduling.
         let mut first_err = None;
-        for (w, res) in results.into_iter().enumerate() {
+        for (w, (truncated, res)) in results.into_iter().enumerate() {
+            // A temporary a worker emptied may have been filled through
+            // this account, in an earlier opening or run. Nothing touches
+            // the account between fork and join, so dropping those frames
+            // here is dropping them at the truncate.
+            for entity in truncated {
+                self.io.borrow_mut().invalidate_entity(entity);
+            }
             let wo = match res {
                 Ok(wo) => wo,
                 Err(e) => {
@@ -797,7 +818,7 @@ impl<'a> Rt<'a> {
                     continue;
                 }
             };
-            self.db.absorb_io(wo.io);
+            self.io.borrow_mut().absorb_stats(wo.io);
             self.counters
                 .evals
                 .set(self.counters.evals.get() + wo.evals);
@@ -810,12 +831,7 @@ impl<'a> Rt<'a> {
                     let s = &mut stats[id];
                     s.opens += ws.opens;
                     s.rows_out += ws.rows_out;
-                    s.page_reads += ws.page_reads;
-                    s.page_hits += ws.page_hits;
-                    s.index_reads += ws.index_reads;
-                    s.page_writes += ws.page_writes;
-                    s.temp_reads += ws.temp_reads;
-                    s.spill_evictions += ws.spill_evictions;
+                    s.io += ws.io;
                     s.evals += ws.evals;
                     s.method_calls += ws.method_calls;
                     s.wall_ns += ws.wall_ns;
@@ -919,7 +935,7 @@ impl OpExec<'_> {
                     .indexes
                     .selection(*index)
                     .ok_or(ExecError::MissingIndex)?;
-                *oids = six.probe(rt.db, key).into_iter();
+                *oids = six.probe(rt.io, key).into_iter();
                 Ok(())
             }
             (PhysOp::Filter { require_index, .. }, St::Filter(_)) => {
@@ -960,10 +976,10 @@ impl OpExec<'_> {
                     // against the breaker memory budget and its writes and
                     // re-reads are charged to this operator's `IoStats`.
                     let mat_e = rt.nl_mat(meta.id)?;
-                    rt.db.truncate_temp(mat_e)?;
+                    rt.truncate(mat_e)?;
                     kids[1].open(rt)?;
                     while let Some(chunk) = kids[1].next_chunk(rt)? {
-                        rt.db.append_temp_rows(&[mat_e], chunk.into_rows())?;
+                        rt.db.append_temp_rows(rt.io, &[mat_e], chunk.into_rows())?;
                     }
                 }
                 Ok(())
@@ -981,8 +997,8 @@ impl OpExec<'_> {
             (PhysOp::FixPoint { temp, perm, .. }, St::Scan(iter)) => {
                 *iter = None;
                 let (acc_e, delta_e) = rt.temp(temp)?;
-                rt.db.truncate_temp(acc_e)?;
-                rt.db.truncate_temp(delta_e)?;
+                rt.truncate(acc_e)?;
+                rt.truncate(delta_e)?;
 
                 // Each opening records its own delta curve, keyed by the
                 // operator (two `Fix` nodes — or one re-opened fixpoint —
@@ -1018,7 +1034,7 @@ impl OpExec<'_> {
                 let mut seen: HashSet<Vec<Value>> = HashSet::new();
                 let mut sink = |mut rows: Vec<Vec<Value>>| {
                     rows.retain(|row| seen.insert(row.clone()));
-                    rt.db.append_temp_rows(&[acc_e, delta_e], rows)
+                    rt.db.append_temp_rows(rt.io, &[acc_e, delta_e], rows)
                 };
 
                 // Base case: seed the accumulator and the delta.
@@ -1040,7 +1056,7 @@ impl OpExec<'_> {
                     let rec = kids[1].open(rt).and_then(|()| kids[1].drain(rt));
                     rt.delta_active.borrow_mut().remove(temp.as_str());
                     let rec = rec?;
-                    rt.db.truncate_temp(delta_e)?;
+                    rt.truncate(delta_e)?;
                     sink(permute(perm.as_ref(), rec))?;
                     note_delta(iterations);
                 }
@@ -1104,7 +1120,7 @@ impl OpExec<'_> {
         let ctx = rt.ctx();
         match (&**op, st) {
             (PhysOp::EntityScan { class, .. }, St::Scan(scan)) => {
-                let page = scan.as_mut().and_then(|scan| scan.next(rt.db));
+                let page = scan.as_mut().and_then(|scan| scan.next(rt));
                 Ok(page.map(|page| match class {
                     Some(c) => Chunk::Rows(
                         page.iter()
@@ -1115,14 +1131,14 @@ impl OpExec<'_> {
                 }))
             }
             (PhysOp::TempScan { .. } | PhysOp::FixPoint { .. }, St::Scan(scan)) => {
-                let page = scan.as_mut().and_then(|scan| scan.next(rt.db));
+                let page = scan.as_mut().and_then(|scan| scan.next(rt));
                 Ok(page.map(Chunk::Page))
             }
             (PhysOp::IndexSelect { class, .. }, St::Probe { pred, oids, .. }) => {
                 for o in oids.by_ref().filter(|o| o.class == *class) {
                     // Fetch the object's page (the probe yields only oids),
                     // then apply the full predicate as a residual filter.
-                    rt.db.touch_object(o)?;
+                    rt.db.touch_object(rt.io, o)?;
                     let row = vec![Value::Oid(o)];
                     if pred.truthy(&ctx, row.as_slice().into())? {
                         return Ok(Some(Chunk::Rows(vec![row])));
@@ -1176,7 +1192,7 @@ impl OpExec<'_> {
                         if let Value::Oid(o) = m {
                             // Touch the sub-object's page: the implicit join
                             // is what pays the dereference.
-                            rt.db.touch_object(*o)?;
+                            rt.db.touch_object(rt.io, *o)?;
                             out.push([row, std::slice::from_ref(m)].concat());
                         }
                     }
@@ -1189,7 +1205,7 @@ impl OpExec<'_> {
                     let row = input.next_row();
                     for m in on.eval(&ctx, row.into())?.members() {
                         let Value::Oid(head) = m else { continue };
-                        for tail in pix.probe(rt.db, *head) {
+                        for tail in pix.probe(rt.io, *head) {
                             if tail.len() >= outs.len() {
                                 let tail = tail.iter().take(outs.len()).map(|o| Value::Oid(*o));
                                 out.push(row.iter().cloned().chain(tail).collect());
@@ -1242,7 +1258,7 @@ impl OpExec<'_> {
                     let mut out = Vec::new();
                     while out.is_empty()
                         && inner.fill(|| match miter {
-                            Some(scan) => Ok(scan.next(rt.db).map(Chunk::Page)),
+                            Some(scan) => Ok(scan.next(rt).map(Chunk::Page)),
                             None => right.next_chunk(rt),
                         })?
                     {
@@ -1275,11 +1291,11 @@ impl OpExec<'_> {
                 pump(input, &mut kids[0], rt, |input, out| {
                     let lrow = input.next_row();
                     for key in outer.eval(&ctx, lrow.into())?.members() {
-                        for o in six.probe(rt.db, key) {
+                        for o in six.probe(rt.io, key) {
                             if o.class != *class {
                                 continue;
                             }
-                            rt.db.touch_object(o)?;
+                            rt.db.touch_object(rt.io, o)?;
                             let found = [Value::Oid(o)];
                             if pred.truthy(&ctx, RowRef(lrow, &found))? {
                                 out.push([lrow, &found].concat());
@@ -1354,16 +1370,19 @@ fn rollup(plan: &PhysPlan, stats: &[OpStats]) -> Vec<OpReport> {
         for c in op.children() {
             let cs = stats[c.meta().id];
             rows_in += cs.rows_out;
-            kids.page_reads += cs.page_reads;
-            kids.page_hits += cs.page_hits;
-            kids.index_reads += cs.index_reads;
-            kids.page_writes += cs.page_writes;
-            kids.temp_reads += cs.temp_reads;
-            kids.spill_evictions += cs.spill_evictions;
+            kids.io += cs.io;
             kids.evals += cs.evals;
             kids.method_calls += cs.method_calls;
             kids.wall_ns += cs.wall_ns;
         }
+        debug_assert!(
+            kids.io - s.io == IoStats::default(),
+            "op #{id} ({label}): children's I/O ({:?}) exceeds the operator's \
+             inclusive tally ({:?})",
+            kids.io,
+            s.io
+        );
+        let io = s.io - kids.io;
         out[id] = OpReport {
             id,
             pt_node: op.meta().pt_node,
@@ -1371,18 +1390,12 @@ fn rollup(plan: &PhysPlan, stats: &[OpStats]) -> Vec<OpReport> {
             opens: s.opens,
             rows_in,
             rows_out: s.rows_out,
-            page_reads: exclusive(s.page_reads, kids.page_reads, "page_reads", id, label),
-            page_hits: exclusive(s.page_hits, kids.page_hits, "page_hits", id, label),
-            index_reads: exclusive(s.index_reads, kids.index_reads, "index_reads", id, label),
-            page_writes: exclusive(s.page_writes, kids.page_writes, "page_writes", id, label),
-            temp_reads: exclusive(s.temp_reads, kids.temp_reads, "temp_reads", id, label),
-            spill_evictions: exclusive(
-                s.spill_evictions,
-                kids.spill_evictions,
-                "spill_evictions",
-                id,
-                label,
-            ),
+            page_reads: io.page_reads,
+            page_hits: io.page_hits,
+            index_reads: io.index_reads,
+            page_writes: io.page_writes,
+            temp_reads: io.temp_reads,
+            spill_evictions: io.spill_evictions,
             evals: exclusive(s.evals, kids.evals, "evals", id, label),
             method_calls: exclusive(s.method_calls, kids.method_calls, "method_calls", id, label),
             // Wall time obeys the same invariant as the counters: every

@@ -35,7 +35,7 @@ pub fn eval_query_graph(
         db,
         methods,
         counters: &counters,
-        account_io: false,
+        io: None,
     };
     // State: rows produced so far for every derived/view name.
     let mut state: Vec<NameState> = Vec::new();

@@ -711,6 +711,66 @@ fn single_iteration_fixpoint_scans_delta_once() {
     );
 }
 
+/// A run that fails reports itself — not the run before it — and leaves
+/// the store's page account where the next run finds it.
+#[test]
+fn failed_run_reports_itself_and_parks_the_account() {
+    let four_frames = || {
+        MusicDb::generate(
+            Arc::new(music_catalog()),
+            MusicConfig {
+                chains: 3,
+                chain_len: 4,
+                buffer_frames: 4,
+                ..Default::default()
+            },
+        )
+    };
+    let mut m = four_frames();
+    let (idx, methods) = (IndexSet::new(), MethodRegistry::new());
+    let e = m.db.physical().entities_of_class(m.composer)[0];
+    let closure = influencer_fix(&m);
+    // Chains of length 4 take three passes: one is not enough.
+    let mut ex = Executor::new(&mut m.db, &idx, &methods).with_config(ExecConfig {
+        max_fix_iterations: 1,
+        ..ExecConfig::default()
+    });
+    ex.run(&Pt::entity(e, "x")).unwrap();
+    assert!(!ex.report().ops.is_empty() && ex.last_plan().is_some());
+    ex.reset_counters();
+    assert!(ex.report().ops.is_empty() && ex.last_plan().is_none());
+    ex.run(&Pt::entity(e, "x")).unwrap();
+    let good = ex.report();
+    let err = ex.run(&closure).unwrap_err();
+    assert!(matches!(err, ExecError::FixpointDiverged(_)), "{err}");
+    let failed = ex.report();
+    assert!(failed.ops.is_empty() && failed.fix_deltas.is_empty() && failed.workers.is_empty());
+    assert!(ex.last_plan().is_none(), "no plan just completed");
+    assert!(
+        failed.io.fetches() > good.io.fetches() && failed.io.page_writes > 0,
+        "the failed run's touches are in the account: {:?}",
+        failed.io
+    );
+    drop(ex);
+
+    // The account was parked as the failed run left it: counters, frames,
+    // and what is resident in them.
+    assert_eq!(m.db.io_stats(), failed.io);
+    assert_eq!(m.db.buffer_frames(), 4);
+    let mut ex = Executor::new(&mut m.db, &idx, &methods);
+    let out = ex.run(&closure).unwrap();
+    let first_scan = |report: &ExecReport| {
+        let scan = report.ops.iter().find(|o| o.label == "scan Composer");
+        scan.map(|o| (o.page_reads, o.page_hits))
+    };
+    assert_eq!(first_scan(&ex.report()), Some((0, 1)), "base page resident");
+    drop(ex);
+    let mut cold = four_frames();
+    let mut ex = Executor::new(&mut cold.db, &idx, &methods);
+    assert_eq!(out, ex.run(&closure).unwrap(), "the reference answer");
+    assert_eq!(first_scan(&ex.report()), Some((1, 0)), "cold, it is a read");
+}
+
 #[test]
 fn nl_join_materialized_inner_charges_page_store_io() {
     // A nested loop whose inner is itself a join cannot rescan it; the
@@ -769,6 +829,109 @@ fn nl_join_materialized_inner_charges_page_store_io() {
         io2.page_reads,
         report.io.page_reads
     );
+}
+
+/// A temporary a worker empties loses its frames in the coordinator's
+/// account as well, at the join. Here a `Merge` leg re-materializes a
+/// nested-loop inner that the coordinator itself filled in an earlier,
+/// serial run: were those frames left behind, the 4-page budget of the
+/// second run would spill them one by one while the root join writes its
+/// own inner. Per-operator `(label, opens, rows_out, page_reads,
+/// page_hits, page_writes, temp_reads, spill_evictions)` and the store's
+/// `IoStats` after both runs, recorded at the commit before the run owned
+/// its page account (a worker's truncate then reached into the shared
+/// buffer under its lock).
+#[test]
+fn merge_leg_rematerializing_an_inner_drops_the_coordinators_frames() {
+    let mut m = MusicDb::generate_paged(
+        Arc::new(music_catalog()),
+        MusicConfig {
+            chains: 3,
+            chain_len: 4,
+            buffer_frames: 128,
+            ..Default::default()
+        },
+        oorq_storage::WidthModel {
+            page_size: 256,
+            ..Default::default()
+        },
+    );
+    let e = m.db.physical().entities_of_class(m.composer)[0];
+    let scan = |var: &str| Pt::entity(e, var);
+    // A leg: a nested loop over a join, whose inner is materialized.
+    let leg = |on: &str| {
+        Pt::ej(
+            Expr::var("a").eq(Expr::var(on)),
+            scan("a"),
+            Pt::ej(Expr::int(1).eq(Expr::int(1)), scan("b"), scan("c")),
+        )
+    };
+    // Pre-order: the root join is node 0, its outer scan 1, the union 2.
+    let plan = Pt::ej(
+        Expr::var("x").eq(Expr::var("a")),
+        scan("x"),
+        Pt::union(leg("b"), leg("c")),
+    );
+    let spec = oorq_pt::ParallelSpec::from([(2, 2)]);
+    let (idx, methods) = (IndexSet::new(), MethodRegistry::new());
+
+    let mut serial = Executor::new(&mut m.db, &idx, &methods).with_parallel(spec.clone());
+    let first = serial.run(&plan).unwrap();
+    assert!(serial.report().workers.is_empty(), "drained inline");
+    let state = serial.into_state();
+    let mut ex = Executor::new(&mut m.db, &idx, &methods)
+        .with_config(ExecConfig {
+            threads: 2,
+            memory_budget_pages: 4,
+            ..ExecConfig::default()
+        })
+        .with_parallel(spec)
+        .with_state(state);
+    let second = ex.run(&plan).unwrap();
+    assert_eq!(first, second);
+    let report = ex.report();
+    assert_eq!(report.workers.len(), 2, "one lane per leg");
+    let ops: Vec<_> = report
+        .ops
+        .iter()
+        .map(|o| {
+            let label = o.label.as_str();
+            let io = (o.page_reads, o.page_hits, o.page_writes);
+            (
+                label,
+                o.opens,
+                o.rows_out,
+                io,
+                o.temp_reads,
+                o.spill_evictions,
+            )
+        })
+        .collect();
+    let leg = |on| {
+        [
+            ("scan Composer", 1, 12, (0, 6, 0), 0, 0),
+            ("scan Composer", 1, 12, (1, 5, 0), 0, 0),
+            ("scan Composer", 12, 144, (5, 67, 0), 0, 0),
+            ("EJ[1=1]", 1, 144, (0, 0, 0), 0, 0),
+            (on, 1, 144, (180, 0, 15), 180, 193),
+        ]
+    };
+    let mut expected = vec![("scan Composer", 1, 12, (0, 6, 0), 0, 0)];
+    expected.extend(leg("EJ[a=b]"));
+    expected.extend(leg("EJ[a=c]"));
+    expected.push(("Merge", 1, 288, (0, 0, 0), 0, 0));
+    // 464 spills: 30 more if the legs' stale frames were still there.
+    expected.push(("EJ[x=a]", 1, 288, (432, 0, 36), 432, 464));
+    assert_eq!(ops, expected);
+    let io = oorq_storage::IoStats {
+        page_reads: 810,
+        page_hits: 1122,
+        page_writes: 132,
+        spill_evictions: 850,
+        temp_reads: 792,
+        ..Default::default()
+    };
+    assert_eq!(report.io, io, "both runs; nothing evicted for capacity");
 }
 
 /// The binder means what the name-resolving interpreter meant: every
@@ -870,12 +1033,12 @@ fn bound_expressions_evaluate_as_the_interpreter_did() {
     // to `truthy`, which is then the same call as above.
     let mut probed = Vec::new();
     for (name, cols, row, expr, as_pred, expected, evals, method_calls) in cases {
-        let counters = Counters::default();
+        let (counters, io) = (Counters::default(), m.db.check_out());
         let ctx = EvalCtx {
             db: &m.db,
             methods: &methods,
             counters: &counters,
-            account_io: true,
+            io: Some(&io),
         };
         let cols: Vec<String> = cols.into_iter().map(String::from).collect();
         let bound = Bound::bind(&expr, &cols);
@@ -931,7 +1094,10 @@ fn bound_expressions_evaluate_as_the_interpreter_did() {
 /// commit before chunks replaced it.
 #[test]
 fn page_touch_order_is_pinned() {
-    let io = |page_reads, page_hits, page_writes, index_reads, spill_evictions, temp_reads| {
+    // The last argument, `page_evictions`, is what the
+    // `storage.page_evictions` series read while the buffer still bumped
+    // it inline (the commit before `IoStats` counted it).
+    let io = |page_reads, page_hits, page_writes, index_reads, spill_evictions, temp_reads, e| {
         oorq_storage::IoStats {
             page_reads,
             page_hits,
@@ -939,14 +1105,15 @@ fn page_touch_order_is_pinned() {
             index_reads,
             spill_evictions,
             temp_reads,
+            page_evictions: e,
         }
     };
     // (composers per side, plan, buffer frames, breaker budget, rows, I/O)
     let cases = [
-        (14, "fig3", 2, 0, 45, io(836, 1914, 0, 336, 0, 0)),
-        (14, "fig3", 32, 1, 45, io(24, 2726, 0, 336, 0, 0)),
-        (6, "mat", 2, 0, 1080, io(402, 93274, 8, 0, 0, 288)),
-        (6, "mat", 32, 1, 1080, io(290, 93386, 8, 0, 295, 288)),
+        (14, "fig3", 2, 0, 45, io(836, 1914, 0, 336, 0, 0, 834)),
+        (14, "fig3", 32, 1, 45, io(24, 2726, 0, 336, 0, 0, 0)),
+        (6, "mat", 2, 0, 1080, io(402, 93274, 8, 0, 0, 288, 408)),
+        (6, "mat", 32, 1, 1080, io(290, 93386, 8, 0, 295, 288, 0)),
     ];
     for (side, name, buffer_frames, memory_budget_pages, rows, expected) in cases {
         let mut m = MusicDb::generate(
@@ -1027,21 +1194,25 @@ fn page_touch_order_is_pinned() {
 /// the commit before the probe.
 #[test]
 fn probed_operators_keep_the_interpreters_counters() {
-    let io = |page_reads, page_hits, page_writes, temp_reads| oorq_storage::IoStats {
-        page_reads,
-        page_hits,
-        page_writes,
-        temp_reads,
-        ..Default::default()
-    };
+    // `page_evictions` as the `storage.page_evictions` series read at the
+    // commit before `IoStats` counted it.
+    let io =
+        |page_reads, page_hits, page_writes, temp_reads, page_evictions| oorq_storage::IoStats {
+            page_reads,
+            page_hits,
+            page_writes,
+            temp_reads,
+            page_evictions,
+            ..Default::default()
+        };
     type Ops = &'static [(&'static str, u64, u64, u64)];
     #[rustfmt::skip]
     let cases: [(&str, usize, Ops, oorq_storage::IoStats); 5] = [
-        ("rescan", 40, &[("scan Composer", 1, 20, 0), ("Sel[x.master<>null]", 1, 16, 20), ("Proj", 1, 16, 0), ("scan Composer", 4, 80, 0), ("IJ_master", 4, 64, 0), ("scan temp Influencer", 64, 640, 0), ("EJ[i.disciple=ym]", 4, 24, 640), ("Proj", 4, 24, 0), ("Fix(Influencer)", 1, 40, 0)], io(192, 139, 11, 86)),
-        ("residual", 36, &[("scan Composer", 1, 20, 0), ("Sel[x.master<>null]", 1, 16, 20), ("Proj", 1, 16, 0), ("scan Composer", 3, 60, 0), ("IJ_master", 3, 48, 0), ("scan temp Influencer", 48, 576, 0), ("EJ[i.disciple=ym and i.gen<3]", 3, 20, 600), ("Proj", 3, 20, 0), ("Fix(Influencer)", 1, 36, 0)], io(160, 109, 10, 78)),
-        ("filters", 20, &[("scan Composer", 1, 20, 0), ("Sel[x.master<>null]", 1, 16, 20), ("Proj", 1, 16, 0), ("scan Composer", 3, 60, 0), ("IJ_master", 3, 48, 0), ("scan temp Influencer", 48, 576, 0), ("EJ[i.disciple=ym]", 3, 24, 576), ("Sel[i.gen<3]", 3, 20, 24), ("Proj", 3, 20, 0), ("Fix(Influencer)", 1, 36, 0), ("Sel[1<gen]", 1, 20, 36)], io(160, 109, 10, 78)),
-        ("mat", 320, &[("scan Composer", 1, 20, 0), ("scan Composer", 1, 20, 0), ("scan Composer", 20, 400, 0), ("EJ[1=1]", 1, 400, 400), ("EJ[a.master=b.master]", 1, 320, 5120)], io(2447, 14573, 40, 800)),
-        ("mat-slots", 400, &[("scan Composer", 1, 20, 0), ("scan Composer", 1, 20, 0), ("scan Composer", 20, 400, 0), ("EJ[1=1]", 1, 400, 400), ("EJ[a=c]", 1, 400, 8000)], io(1017, 3, 40, 800)),
+        ("rescan", 40, &[("scan Composer", 1, 20, 0), ("Sel[x.master<>null]", 1, 16, 20), ("Proj", 1, 16, 0), ("scan Composer", 4, 80, 0), ("IJ_master", 4, 64, 0), ("scan temp Influencer", 64, 640, 0), ("EJ[i.disciple=ym]", 4, 24, 640), ("Proj", 4, 24, 0), ("Fix(Influencer)", 1, 40, 0)], io(192, 139, 11, 86, 195)),
+        ("residual", 36, &[("scan Composer", 1, 20, 0), ("Sel[x.master<>null]", 1, 16, 20), ("Proj", 1, 16, 0), ("scan Composer", 3, 60, 0), ("IJ_master", 3, 48, 0), ("scan temp Influencer", 48, 576, 0), ("EJ[i.disciple=ym and i.gen<3]", 3, 20, 600), ("Proj", 3, 20, 0), ("Fix(Influencer)", 1, 36, 0)], io(160, 109, 10, 78, 163)),
+        ("filters", 20, &[("scan Composer", 1, 20, 0), ("Sel[x.master<>null]", 1, 16, 20), ("Proj", 1, 16, 0), ("scan Composer", 3, 60, 0), ("IJ_master", 3, 48, 0), ("scan temp Influencer", 48, 576, 0), ("EJ[i.disciple=ym]", 3, 24, 576), ("Sel[i.gen<3]", 3, 20, 24), ("Proj", 3, 20, 0), ("Fix(Influencer)", 1, 36, 0), ("Sel[1<gen]", 1, 20, 36)], io(160, 109, 10, 78, 163)),
+        ("mat", 320, &[("scan Composer", 1, 20, 0), ("scan Composer", 1, 20, 0), ("scan Composer", 20, 400, 0), ("EJ[1=1]", 1, 400, 400), ("EJ[a.master=b.master]", 1, 320, 5120)], io(2447, 14573, 40, 800, 2485)),
+        ("mat-slots", 400, &[("scan Composer", 1, 20, 0), ("scan Composer", 1, 20, 0), ("scan Composer", 20, 400, 0), ("EJ[1=1]", 1, 400, 400), ("EJ[a=c]", 1, 400, 8000)], io(1017, 3, 40, 800, 1055)),
     ];
     for (name, rows, expected_ops, expected_io) in cases {
         // Small pages: every scan is several chunks, and two frames do
@@ -1198,11 +1369,12 @@ fn probe_is_the_per_pair_loop_on_random_rows_and_predicates() {
     let m = small_music();
     let methods = MethodRegistry::new();
     let counters = Counters::default();
+    let io = m.db.check_out();
     let ctx = EvalCtx {
         db: &m.db,
         methods: &methods,
         counters: &counters,
-        account_io: true,
+        io: Some(&io),
     };
     let cols: Vec<String> = ["a", "b", "c", "d"].map(String::from).to_vec();
     let mut rng = Prng::new(17);

@@ -7,7 +7,7 @@
 //! whole nested-attribute hierarchy.
 
 use oorq_schema::{AttrId, ClassId};
-use oorq_storage::{Database, IndexId, IndexKindDesc, IndexStats, Oid, Value};
+use oorq_storage::{Account, Database, IndexId, IndexKindDesc, IndexStats, Oid, Value};
 
 use crate::btree::BPlusTree;
 
@@ -83,20 +83,21 @@ impl PathIndex {
     }
 
     /// Full path instantiations starting at `head` (each is the oids of
-    /// the path *after* the head). Charges `nblevels` index page reads
-    /// plus extra leaf reads for large fan-outs.
-    pub fn probe(&self, db: &Database, head: Oid) -> Vec<Vec<Oid>> {
+    /// the path *after* the head). Charges `io` `nblevels` index page
+    /// reads plus extra leaf reads for large fan-outs.
+    pub fn probe(&self, io: &Account, head: Oid) -> Vec<Vec<Oid>> {
         let hits = self.tree.get(&head).map(|s| s.to_vec()).unwrap_or_default();
         let extra_leaves = (hits.len() as u64).div_ceil(8).saturating_sub(1);
-        db.note_index_reads(self.tree.nblevels() as u64 + extra_leaves);
+        io.borrow_mut()
+            .add_index_reads(self.tree.nblevels() as u64 + extra_leaves);
         hits
     }
 
     /// The oids at the *end* of the path from `head` (deduplicated,
     /// preserving first-seen order).
-    pub fn probe_ends(&self, db: &Database, head: Oid) -> Vec<Oid> {
+    pub fn probe_ends(&self, io: &Account, head: Oid) -> Vec<Oid> {
         let mut seen = std::collections::HashSet::new();
-        self.probe(db, head)
+        self.probe(io, head)
             .into_iter()
             .filter_map(|tail| tail.last().copied())
             .filter(|o| seen.insert(*o))

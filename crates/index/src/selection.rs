@@ -1,7 +1,7 @@
 //! Selection indices: B+-trees on one attribute of one class extension.
 
 use oorq_schema::{AttrId, ClassId};
-use oorq_storage::{Database, IndexId, IndexKindDesc, IndexStats, Oid, Value};
+use oorq_storage::{Account, Database, IndexId, IndexKindDesc, IndexStats, Oid, Value};
 
 use crate::btree::BPlusTree;
 
@@ -53,18 +53,19 @@ impl SelectionIndex {
     }
 
     /// Oids whose attribute equals `key`. Charges `nblevels` index page
-    /// reads to the database.
-    pub fn probe(&self, db: &Database, key: &Value) -> Vec<Oid> {
-        db.note_index_reads(self.tree.nblevels() as u64);
+    /// reads to `io`.
+    pub fn probe(&self, io: &Account, key: &Value) -> Vec<Oid> {
+        io.borrow_mut().add_index_reads(self.tree.nblevels() as u64);
         self.tree.get(key).map(|s| s.to_vec()).unwrap_or_default()
     }
 
     /// Oids whose attribute lies in `[lo, hi]`. Charges `nblevels` plus
     /// one read per leaf entry range touched.
-    pub fn probe_range(&self, db: &Database, lo: &Value, hi: &Value) -> Vec<Oid> {
+    pub fn probe_range(&self, io: &Account, lo: &Value, hi: &Value) -> Vec<Oid> {
         let hits = self.tree.range(lo, hi);
         let leaves_touched = (hits.len() as u64).div_ceil(8).max(1);
-        db.note_index_reads(self.tree.nblevels() as u64 + leaves_touched - 1);
+        io.borrow_mut()
+            .add_index_reads(self.tree.nblevels() as u64 + leaves_touched - 1);
         hits.into_iter()
             .flat_map(|(_, vs)| vs.iter().copied())
             .collect()

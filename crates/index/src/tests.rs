@@ -78,15 +78,21 @@ fn selection_index_probe_matches_scan() {
     let (name_attr, _) = db.catalog().attr(composer, "name").unwrap();
     let idx = SelectionIndex::build(&mut db, composer, name_attr);
     assert_eq!(idx.distinct_keys(), 20);
-    db.reset_io();
-    let hits = idx.probe(&db, &Value::text("c7"));
+    let io = db.check_out();
+    let hits = idx.probe(&io, &Value::text("c7"));
     assert_eq!(hits.len(), 1);
     assert_eq!(
         db.read_attr_raw(hits[0], name_attr).unwrap(),
         Value::text("c7")
     );
-    assert!(db.io_stats().index_reads >= 1, "probe charges index reads");
-    assert!(idx.probe(&db, &Value::text("nobody")).is_empty());
+    assert!(idx.probe(&io, &Value::text("nobody")).is_empty());
+    drop(io);
+    let charged = db.io_stats().index_reads;
+    assert_eq!(
+        charged,
+        2 * idx.stats().nblevels as u64,
+        "a probe charges the levels"
+    );
 }
 
 #[test]
@@ -97,7 +103,7 @@ fn selection_index_on_collection_indexes_members() {
     let idx = SelectionIndex::build(&mut db, composition, instr_attr);
     let instrument = db.catalog().class_by_name("Instrument").unwrap();
     let harpsichord = Oid::new(instrument, 0);
-    let hits = idx.probe(&db, &Value::Oid(harpsichord));
+    let hits = idx.probe(&db.check_out(), &Value::Oid(harpsichord));
     // Every hit's instrument set contains the harpsichord.
     assert!(!hits.is_empty());
     for h in &hits {
@@ -112,7 +118,7 @@ fn selection_index_range_probe() {
     let composer = db.catalog().class_by_name("Composer").unwrap();
     let (name_attr, _) = db.catalog().attr(composer, "name").unwrap();
     let idx = SelectionIndex::build(&mut db, composer, name_attr);
-    let hits = idx.probe_range(&db, &Value::text("c2"), &Value::text("c5"));
+    let hits = idx.probe_range(&db.check_out(), &Value::text("c2"), &Value::text("c5"));
     // c2, c3, c4, c5
     assert_eq!(hits.len(), 4);
 }
@@ -140,9 +146,10 @@ fn path_index_matches_naive_traversal() {
     let pix = PathIndex::build(&mut db, vec![(composer, works), (composition, instruments)]);
     // 12 composers * 2 works * 2 instruments
     assert_eq!(pix.entry_count(), 48);
+    let io = db.check_out();
     for c in 0..12u32 {
         let head = Oid::new(composer, c);
-        let tails = pix.probe(&db, head);
+        let tails = pix.probe(&io, head);
         assert_eq!(tails.len(), 4, "2 works x 2 instruments");
         // Naive traversal agrees.
         let mut naive = Vec::new();
@@ -159,7 +166,7 @@ fn path_index_matches_naive_traversal() {
         naive.sort();
         assert_eq!(sorted_tails, naive);
         // probe_ends deduplicates instruments.
-        let ends = pix.probe_ends(&db, head);
+        let ends = pix.probe_ends(&io, head);
         assert!(ends.len() <= 4);
         let set: std::collections::HashSet<_> = ends.iter().collect();
         assert_eq!(set.len(), ends.len());
@@ -174,7 +181,7 @@ fn join_index_is_single_step_path_index() {
     let (works, _) = db.catalog().attr(composer, "works").unwrap();
     let jix = PathIndex::join_index(&mut db, composer, works);
     assert_eq!(jix.entry_count(), 10); // 5 composers x 2 works
-    let tails = jix.probe(&db, Oid::new(composer, 0));
+    let tails = jix.probe(&db.check_out(), Oid::new(composer, 0));
     assert_eq!(tails.len(), 2);
     assert_eq!(tails[0].len(), 1);
 }

@@ -38,8 +38,8 @@ mod search;
 
 pub use chrome::{check_chrome_trace, ChromeSummary};
 pub use metrics::{
-    Counter, CounterHandle, Gauge, GaugeHandle, Histogram, HistogramHandle, HistogramSnapshot,
-    MetricsRegistry, MetricsSnapshot,
+    Counter, CounterHandle, Histogram, HistogramHandle, HistogramSnapshot, MetricsRegistry,
+    MetricsSnapshot,
 };
 pub use recorder::{
     Event, FieldValue, Fields, Recorder, Span, SpanId, Trace, SCHEMA_NAME, SCHEMA_VERSION,

@@ -1,4 +1,4 @@
-//! Always-on query metrics: atomic counters/gauges, log-bucketed
+//! Always-on query metrics: atomic counters, log-bucketed
 //! histograms, and the [`MetricsRegistry`] aggregating them across
 //! queries under stable series names.
 //!
@@ -7,16 +7,14 @@
 //! *all* runs" — the aggregation layer a serving harness reports p50/p99
 //! from. Everything is dependency-free and lock-free on the hot path:
 //!
-//! - [`Counter`]/[`Gauge`] are single relaxed atomics;
+//! - [`Counter`] is a single relaxed atomic;
 //! - [`Histogram`] is a fixed array of atomic bucket counts over
 //!   log-spaced bounds (powers of ~1.3 covering 1 ns to minutes), plus
 //!   exact `count`/`sum`/`max` atomics. Recording is two relaxed
 //!   atomic adds, a relaxed max, and a binary search over a static
 //!   bound table; percentile extraction returns the *upper bound* of
 //!   the bucket holding the requested rank (≤ ~30 % relative error by
-//!   construction) and the exact maximum for the top rank. Histograms
-//!   merge bucket-wise, so parallel worker lanes can each fill a
-//!   private registry that folds into the shared one at join.
+//!   construction) and the exact maximum for the top rank.
 //! - [`MetricsRegistry`] is a cheap cloneable handle in the
 //!   [`crate::Recorder`] mold: [`MetricsRegistry::disabled`] (the
 //!   default everywhere) hands out empty handles whose every probe is
@@ -33,7 +31,7 @@
 //! any schema change.
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
 use crate::recorder::Recorder;
@@ -85,27 +83,6 @@ impl Counter {
 
     /// Current total.
     pub fn get(&self) -> u64 {
-        self.0.load(Ordering::Relaxed)
-    }
-}
-
-/// An atomic gauge: a signed level that can move both ways.
-#[derive(Debug, Default)]
-pub struct Gauge(AtomicI64);
-
-impl Gauge {
-    /// Set the level.
-    pub fn set(&self, v: i64) {
-        self.0.store(v, Ordering::Relaxed);
-    }
-
-    /// Move the level by a (possibly negative) delta.
-    pub fn add(&self, delta: i64) {
-        self.0.fetch_add(delta, Ordering::Relaxed);
-    }
-
-    /// Current level.
-    pub fn get(&self) -> i64 {
         self.0.load(Ordering::Relaxed)
     }
 }
@@ -193,23 +170,6 @@ impl Histogram {
         self.max()
     }
 
-    /// Fold another histogram's samples into this one (worker-lane
-    /// registry merge). Bucket layouts are identical by construction.
-    pub fn merge_from(&self, other: &Histogram) {
-        for (a, b) in self.buckets.iter().zip(other.buckets.iter()) {
-            a.fetch_add(b.load(Ordering::Relaxed), Ordering::Relaxed);
-        }
-        self.count
-            .fetch_add(other.count.load(Ordering::Relaxed), Ordering::Relaxed);
-        let _ = self
-            .sum
-            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |s| {
-                Some(s.saturating_add(other.sum.load(Ordering::Relaxed)))
-            });
-        self.max
-            .fetch_max(other.max.load(Ordering::Relaxed), Ordering::Relaxed);
-    }
-
     /// A plain-data snapshot (for rendering and per-query deltas).
     pub fn snapshot(&self) -> HistogramSnapshot {
         HistogramSnapshot {
@@ -282,31 +242,6 @@ impl CounterHandle {
     }
 }
 
-/// A gauge handle (see [`CounterHandle`]).
-#[derive(Debug, Clone, Default)]
-pub struct GaugeHandle(Option<Arc<Gauge>>);
-
-impl GaugeHandle {
-    /// Set the level.
-    pub fn set(&self, v: i64) {
-        if let Some(g) = &self.0 {
-            g.set(v);
-        }
-    }
-
-    /// Move the level by a delta.
-    pub fn add(&self, delta: i64) {
-        if let Some(g) = &self.0 {
-            g.add(delta);
-        }
-    }
-
-    /// Current level (0 when detached).
-    pub fn get(&self) -> i64 {
-        self.0.as_ref().map(|g| g.get()).unwrap_or(0)
-    }
-}
-
 /// A histogram handle (see [`CounterHandle`]).
 #[derive(Debug, Clone, Default)]
 pub struct HistogramHandle(Option<Arc<Histogram>>);
@@ -331,7 +266,6 @@ impl HistogramHandle {
 #[derive(Debug, Default)]
 struct RegistryInner {
     counters: BTreeMap<String, Arc<Counter>>,
-    gauges: BTreeMap<String, Arc<Gauge>>,
     histograms: BTreeMap<String, Arc<Histogram>>,
 }
 
@@ -340,8 +274,6 @@ struct RegistryInner {
 pub struct MetricsSnapshot {
     /// Counter totals by name.
     pub counters: BTreeMap<String, u64>,
-    /// Gauge levels by name.
-    pub gauges: BTreeMap<String, i64>,
     /// Histogram summaries by name.
     pub histograms: BTreeMap<String, HistogramSnapshot>,
 }
@@ -384,15 +316,6 @@ impl MetricsRegistry {
         )
     }
 
-    /// Intern (or look up) a gauge series.
-    pub fn gauge(&self, name: &str) -> GaugeHandle {
-        GaugeHandle(
-            self.0
-                .as_ref()
-                .map(|inner| Arc::clone(lock(inner).gauges.entry(name.to_string()).or_default())),
-        )
-    }
-
     /// Intern (or look up) a histogram series.
     pub fn histogram(&self, name: &str) -> HistogramHandle {
         HistogramHandle(
@@ -402,41 +325,8 @@ impl MetricsRegistry {
         )
     }
 
-    /// A private registry for a worker lane: enabled iff this one is.
-    /// The lane records into its fork contention-free and the fork is
-    /// folded back with [`MetricsRegistry::merge_from`] at join.
-    pub fn fork(&self) -> MetricsRegistry {
-        if self.enabled() {
-            MetricsRegistry::new()
-        } else {
-            MetricsRegistry::disabled()
-        }
-    }
-
-    /// Fold another registry's series into this one: counters and gauges
-    /// add, histograms merge bucket-wise. Series missing here are
-    /// created. A disabled side (either) is a no-op.
-    pub fn merge_from(&self, other: &MetricsRegistry) {
-        let Some(oinner) = &other.0 else { return };
-        if !self.enabled() {
-            return;
-        }
-        let o = lock(oinner);
-        for (name, c) in &o.counters {
-            self.counter(name).add(c.get());
-        }
-        for (name, g) in &o.gauges {
-            self.gauge(name).add(g.get());
-        }
-        for (name, h) in &o.histograms {
-            if let Some(mine) = self.histogram(name).0 {
-                mine.merge_from(h);
-            }
-        }
-    }
-
-    /// Every series name, sorted — counters, gauges, then histograms
-    /// (the name-stability gate's subject matter).
+    /// Every series name, sorted, counters and histograms alike (the
+    /// name-stability gate's subject matter).
     pub fn names(&self) -> Vec<String> {
         let Some(inner) = &self.0 else {
             return Vec::new();
@@ -445,7 +335,6 @@ impl MetricsRegistry {
         let mut names: Vec<String> = r
             .counters
             .keys()
-            .chain(r.gauges.keys())
             .chain(r.histograms.keys())
             .cloned()
             .collect();
@@ -465,7 +354,6 @@ impl MetricsRegistry {
                 .iter()
                 .map(|(n, c)| (n.clone(), c.get()))
                 .collect(),
-            gauges: r.gauges.iter().map(|(n, g)| (n.clone(), g.get())).collect(),
             histograms: r
                 .histograms
                 .iter()
@@ -474,19 +362,16 @@ impl MetricsRegistry {
         }
     }
 
-    /// The human table: one counters/gauges section, one histogram
-    /// section with count, p50/p90/p99, max and mean.
+    /// The human table: one counters section, one histogram section
+    /// with count, p50/p90/p99, max and mean.
     pub fn render_table(&self) -> String {
         use std::fmt::Write;
         let snap = self.snapshot();
         let mut out = String::new();
-        if !snap.counters.is_empty() || !snap.gauges.is_empty() {
+        if !snap.counters.is_empty() {
             out.push_str("| counter | total |\n|---|---|\n");
             for (name, v) in &snap.counters {
                 let _ = writeln!(out, "| {name} | {v} |");
-            }
-            for (name, v) in &snap.gauges {
-                let _ = writeln!(out, "| {name} (gauge) | {v} |");
             }
         }
         if !snap.histograms.is_empty() {
@@ -526,10 +411,6 @@ impl MetricsRegistry {
             let p = prom_name(name);
             let _ = writeln!(out, "# TYPE {p} counter\n{p} {}", c.get());
         }
-        for (name, g) in &r.gauges {
-            let p = prom_name(name);
-            let _ = writeln!(out, "# TYPE {p} gauge\n{p} {}", g.get());
-        }
         for (name, h) in &r.histograms {
             let p = prom_name(name);
             let _ = writeln!(out, "# TYPE {p} histogram");
@@ -555,9 +436,6 @@ impl MetricsRegistry {
         }
         let snap = self.snapshot();
         for (name, v) in &snap.counters {
-            rec.counter_add(&format!("metrics.{name}"), *v as f64);
-        }
-        for (name, v) in &snap.gauges {
             rec.counter_add(&format!("metrics.{name}"), *v as f64);
         }
         for (name, h) in &snap.histograms {
@@ -656,43 +534,21 @@ mod tests {
     }
 
     #[test]
-    fn merge_is_bucketwise_sum() {
-        let a = Histogram::default();
-        let b = Histogram::default();
-        a.record(10);
-        b.record(10);
-        b.record(1_000_000);
-        a.merge_from(&b);
-        assert_eq!(a.count(), 3);
-        assert_eq!(a.sum(), 1_000_020);
-        assert_eq!(a.max(), 1_000_000);
-        let bound_of_10 = *bucket_bounds().iter().find(|&&b| b >= 10).unwrap();
-        assert_eq!(a.percentile(0.5), bound_of_10);
-    }
-
-    #[test]
-    fn registry_interns_and_merges() {
+    fn registry_interns_series_by_name() {
         let m = MetricsRegistry::new();
         m.counter("a.hits").add(3);
         m.counter("a.hits").add(2); // same series
-        m.gauge("a.level").set(7);
+        m.counter("b.new").inc();
         m.histogram("a.wall").record(42);
-
-        let lane = m.fork();
-        assert!(lane.enabled());
-        lane.counter("a.hits").inc();
-        lane.counter("b.new").inc();
-        lane.histogram("a.wall").record(58);
-        m.merge_from(&lane);
+        m.clone().histogram("a.wall").record(58); // same registry
 
         let snap = m.snapshot();
-        assert_eq!(snap.counters["a.hits"], 6);
+        assert_eq!(snap.counters["a.hits"], 5);
         assert_eq!(snap.counters["b.new"], 1);
-        assert_eq!(snap.gauges["a.level"], 7);
         assert_eq!(snap.histograms["a.wall"].count, 2);
         assert_eq!(
             m.names(),
-            vec!["a.hits", "a.level", "a.wall", "b.new"],
+            vec!["a.hits", "a.wall", "b.new"],
             "sorted stable names"
         );
     }
@@ -701,12 +557,10 @@ mod tests {
     fn disabled_registry_hands_out_detached_handles() {
         let m = MetricsRegistry::disabled();
         assert!(!m.enabled());
-        assert!(!m.fork().enabled());
         let c = m.counter("x");
         c.inc();
         assert_eq!(c.get(), 0);
         m.histogram("y").record(9);
-        m.gauge("z").set(1);
         assert!(m.names().is_empty());
         assert!(m.snapshot().counters.is_empty());
         assert!(m.render_table().is_empty());

@@ -213,3 +213,51 @@ fn lru_capacity_bounds_the_cache() {
     let a = s.execute(&chain_graph(&server, 4)).unwrap();
     assert_eq!(a.cache, CacheOutcome::Hit);
 }
+
+/// A request whose execution fails leaves the session as a good one
+/// does: the run's page account is parked in the session's snapshot
+/// again — the failed run's touches published, its pages resident — and
+/// the next request answers as a fresh session would.
+#[test]
+fn a_failed_execution_parks_the_sessions_page_account() {
+    use oorq_datagen::{ClosureConfig, ClosureDb};
+    use oorq_exec::{ExecConfig, ExecError};
+
+    const CLOSURE: &str = "view Path as
+      select [a: e.a, b: e.b] from e in Edge
+      union
+      select [a: p.a, b: e.b] from p in Path, e in Edge where p.b = e.a;
+    select [a: t.a, b: t.b] from t in Path";
+    let closure = ClosureDb::generate(ClosureConfig { nodes: 8 });
+    let paths = closure.closure_rows() as usize;
+    let server = Server::new(
+        closure.db,
+        IndexSet::new(),
+        MethodRegistry::new(),
+        ServerConfig::default(),
+    );
+    let mut s = server.session();
+    // Eight nodes take seven passes: one is not enough.
+    s.set_exec_config(ExecConfig {
+        max_fix_iterations: 1,
+        ..ExecConfig::default()
+    });
+    let err = s.execute_text(CLOSURE).unwrap_err();
+    assert!(
+        matches!(err, ServeError::Exec(ExecError::FixpointDiverged(_))),
+        "{err}"
+    );
+    // This session's account is the only one the registry has seen.
+    let published = |series: &str| server.metrics().counter(series).get();
+    let failed = ["storage.page_misses", "storage.page_hits"].map(published);
+    assert!(failed[0] > 0 && published("storage.page_writes") > 0);
+
+    s.set_exec_config(ExecConfig::default());
+    let good = s.execute_text(CLOSURE).unwrap();
+    assert_eq!(good.batch.rows.len(), paths);
+    let misses = published("storage.page_misses");
+    assert_eq!(misses, failed[0], "`Edge` stayed resident");
+    assert!(published("storage.page_hits") > failed[1]);
+    let fresh = server.session().execute_text(CLOSURE).unwrap();
+    assert_eq!(rendered(&good.batch.rows), rendered(&fresh.batch.rows));
+}

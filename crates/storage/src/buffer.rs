@@ -21,6 +21,8 @@ pub struct IoStats {
     pub page_writes: u64,
     /// Index pages read (B+-tree levels and leaves traversed).
     pub index_reads: u64,
+    /// Pages evicted because every frame was taken (capacity evictions).
+    pub page_evictions: u64,
     /// Temporary pages evicted because the breaker memory budget was
     /// exhausted (spills); capacity evictions are not counted here.
     pub spill_evictions: u64,
@@ -35,40 +37,50 @@ impl IoStats {
         self.page_reads + self.page_hits
     }
 
-    /// Fold another worker's counters into this one (exchange merge).
-    pub fn absorb(&mut self, other: IoStats) {
-        self.page_reads += other.page_reads;
-        self.page_hits += other.page_hits;
-        self.page_writes += other.page_writes;
-        self.index_reads += other.index_reads;
-        self.spill_evictions += other.spill_evictions;
-        self.temp_reads += other.temp_reads;
+    /// Counter by counter, `f(self, other)`.
+    fn zip(self, o: IoStats, f: impl Fn(u64, u64) -> u64) -> IoStats {
+        IoStats {
+            page_reads: f(self.page_reads, o.page_reads),
+            page_hits: f(self.page_hits, o.page_hits),
+            page_writes: f(self.page_writes, o.page_writes),
+            index_reads: f(self.index_reads, o.index_reads),
+            page_evictions: f(self.page_evictions, o.page_evictions),
+            spill_evictions: f(self.spill_evictions, o.spill_evictions),
+            temp_reads: f(self.temp_reads, o.temp_reads),
+        }
+    }
+
+    /// The `storage.*` counter series these counters are published as
+    /// (index nodes live outside the data buffer and have none).
+    fn series(&self) -> [(&'static str, u64); 6] {
+        [
+            ("storage.page_hits", self.page_hits),
+            ("storage.page_misses", self.page_reads),
+            ("storage.page_writes", self.page_writes),
+            ("storage.page_evictions", self.page_evictions),
+            ("storage.spill_evictions", self.spill_evictions),
+            ("storage.temp_page_reads", self.temp_reads),
+        ]
     }
 }
 
-/// Pre-resolved metric series for the buffer's hot path: handles are
-/// interned once at [`BufferManager::set_metrics`] time, so each page
-/// operation costs one branch (detached) or one relaxed atomic add.
-#[derive(Debug, Clone, Default)]
-struct BufferMetrics {
-    page_hits: oorq_obs::CounterHandle,
-    page_misses: oorq_obs::CounterHandle,
-    page_writes: oorq_obs::CounterHandle,
-    page_evictions: oorq_obs::CounterHandle,
-    spill_evictions: oorq_obs::CounterHandle,
-    temp_page_reads: oorq_obs::CounterHandle,
+/// Fold another account's counters into this one (a worker's at the
+/// exchange join, a bracket's into its operator).
+impl std::ops::AddAssign for IoStats {
+    fn add_assign(&mut self, other: IoStats) {
+        *self = self.zip(other, |a, b| a + b);
+    }
 }
 
-impl BufferMetrics {
-    fn resolve(registry: &oorq_obs::MetricsRegistry) -> Self {
-        BufferMetrics {
-            page_hits: registry.counter("storage.page_hits"),
-            page_misses: registry.counter("storage.page_misses"),
-            page_writes: registry.counter("storage.page_writes"),
-            page_evictions: registry.counter("storage.page_evictions"),
-            spill_evictions: registry.counter("storage.spill_evictions"),
-            temp_page_reads: registry.counter("storage.temp_page_reads"),
-        }
+/// What an account counted between two readings (`later - earlier`), and
+/// an operator's own share (`inclusive - children`). Saturating: counters
+/// only grow, so a difference that would go negative is a caller's bug,
+/// which its debug assertion names and a release build clamps at zero.
+impl std::ops::Sub for IoStats {
+    type Output = IoStats;
+
+    fn sub(self, other: IoStats) -> IoStats {
+        self.zip(other, u64::saturating_sub)
     }
 }
 
@@ -98,15 +110,21 @@ pub struct BufferManager {
     resident: HashMap<PageId, Frame>,
     clock: u64,
     stats: IoStats,
+    /// What of `stats` the `storage.*` series already carry.
+    published: IoStats,
     /// Trace recorder (disabled by default; page hit/miss/eviction
     /// events then cost a single branch).
     obs: oorq_obs::Recorder,
-    /// Aggregated metric series (detached by default; same one-branch
-    /// discipline as the recorder). Handles share their atomics across
-    /// [`BufferManager::fork`] views, so worker-lane traffic lands in
-    /// the same series without a merge step.
-    metrics: BufferMetrics,
+    /// The `storage.*` series, in [`IoStats::series`] order (detached by
+    /// default). They are derived from `stats` by
+    /// [`BufferManager::publish`], never bumped on the page path.
+    metrics: [oorq_obs::CounterHandle; 6],
 }
+
+/// A page account as the accounted accessors of the store and the
+/// indexes take it: one thread's buffer manager, charged through a
+/// shared reference for the length of one touch.
+pub type Account = std::cell::RefCell<BufferManager>;
 
 impl BufferManager {
     /// A buffer with the given number of frames (minimum 1).
@@ -118,8 +136,9 @@ impl BufferManager {
             resident: HashMap::new(),
             clock: 0,
             stats: IoStats::default(),
+            published: IoStats::default(),
             obs: oorq_obs::Recorder::disabled(),
-            metrics: BufferMetrics::default(),
+            metrics: Default::default(),
         }
     }
 
@@ -129,33 +148,44 @@ impl BufferManager {
         self.obs = obs;
     }
 
-    /// Attach a metrics registry; every subsequent page hit, miss,
-    /// write, eviction and spill bumps its `storage.*` counter series.
+    /// Attach a metrics registry: every later [`BufferManager::publish`]
+    /// adds what the counters moved to its `storage.*` series. What was
+    /// counted before the call is not the new registry's to report.
     pub fn set_metrics(&mut self, registry: &oorq_obs::MetricsRegistry) {
-        self.metrics = BufferMetrics::resolve(registry);
+        self.publish();
+        self.metrics = self.stats.series().map(|(name, _)| registry.counter(name));
     }
 
-    /// Fold a worker view's counters into this buffer's statistics.
+    /// Bring the `storage.*` series up to the counters: one add per
+    /// series of whatever was counted since the last call. Called where an
+    /// account comes to rest — a run checking it back in, and before the
+    /// counters are zeroed.
+    pub fn publish(&mut self) {
+        let unpublished = (self.stats - self.published).series();
+        self.published = self.stats;
+        for (series, (_, n)) in self.metrics.iter().zip(unpublished) {
+            series.add(n);
+        }
+    }
+
+    /// Fold a joined worker's counters into this account.
     pub fn absorb_stats(&mut self, io: IoStats) {
-        self.stats.absorb(io);
+        self.stats += io;
     }
 
-    /// Spawn a per-worker accounting view: an empty buffer of `frames`
-    /// frames sharing this buffer's recorder. Workers fetch through their
-    /// own view (no cross-thread frame contention); the view's counters
-    /// are merged back via [`IoStats::absorb`] when the worker joins.
-    /// `temp_budget` is the worker's slice of the breaker memory budget
-    /// (0 = unbounded).
+    /// An empty account of `frames` frames with `temp_budget` as its
+    /// breaker memory budget (0 = unbounded), sharing this one's recorder
+    /// and series. An exchange worker is handed one by value — its share
+    /// of the frames and of the budget, no frame shared across threads —
+    /// and the join folds its counters back in with
+    /// [`BufferManager::absorb_stats`]; a database keeps one as the
+    /// stand-in while a run has its account checked out.
     pub fn fork(&self, frames: usize, temp_budget: usize) -> BufferManager {
         BufferManager {
-            capacity: frames.max(1),
-            temp_budget,
-            temp_resident: 0,
-            resident: HashMap::new(),
-            clock: 0,
-            stats: IoStats::default(),
             obs: self.obs.clone(),
             metrics: self.metrics.clone(),
+            temp_budget,
+            ..BufferManager::new(frames)
         }
     }
 
@@ -201,7 +231,7 @@ impl BufferManager {
     fn evict_lru(&mut self) {
         if let Some((&victim, _)) = self.resident.iter().min_by_key(|(_, f)| f.stamp) {
             self.drop_frame(victim);
-            self.metrics.page_evictions.inc();
+            self.stats.page_evictions += 1;
             self.page_event("page-evict", victim);
         }
     }
@@ -219,7 +249,6 @@ impl BufferManager {
         if let Some(victim) = victim {
             self.drop_frame(victim);
             self.stats.spill_evictions += 1;
-            self.metrics.spill_evictions.inc();
             self.page_event("spill-evict", victim);
         }
     }
@@ -246,7 +275,6 @@ impl BufferManager {
         if let Some(frame) = self.resident.get_mut(&page) {
             frame.stamp = clock;
             self.stats.page_hits += 1;
-            self.metrics.page_hits.inc();
             self.page_event("page-hit", page);
             false
         } else {
@@ -255,10 +283,8 @@ impl BufferManager {
             if temp {
                 self.temp_resident += 1;
                 self.stats.temp_reads += 1;
-                self.metrics.temp_page_reads.inc();
             }
             self.stats.page_reads += 1;
-            self.metrics.page_misses.inc();
             self.page_event("page-miss", page);
             true
         }
@@ -269,7 +295,6 @@ impl BufferManager {
     pub fn write(&mut self, page: PageId, temp: bool) {
         self.clock += 1;
         self.stats.page_writes += 1;
-        self.metrics.page_writes.inc();
         let clock = self.clock;
         if let Some(frame) = self.resident.get_mut(&page) {
             // An entity's temp-ness never changes, so the flag is stable.
@@ -308,16 +333,17 @@ impl BufferManager {
         self.stats
     }
 
-    /// Reset counters (keeps residency).
+    /// Reset counters (keeps residency); the series get them first.
     pub fn reset_stats(&mut self) {
-        self.stats = IoStats::default();
+        self.publish();
+        (self.stats, self.published) = Default::default();
     }
 
     /// Drop all residency and counters.
     pub fn clear(&mut self) {
+        self.reset_stats();
         self.resident.clear();
         self.temp_resident = 0;
-        self.stats = IoStats::default();
         self.clock = 0;
     }
 }
@@ -462,14 +488,17 @@ mod tests {
             ..Default::default()
         };
         let mut io = b.stats();
-        io.absorb(other);
+        io += other;
         assert_eq!(io.temp_reads, 4);
+        assert_eq!(io - other, b.stats());
+        assert_eq!(other - io, IoStats::default(), "a difference saturates");
     }
 
     #[test]
     fn metrics_registry_counts_buffer_traffic_across_forks() {
         let m = oorq_obs::MetricsRegistry::new();
         let mut b = BufferManager::new(2);
+        b.fetch(pid(0, 3), false); // counted before a registry was attached
         b.set_metrics(&m);
         b.set_temp_budget(1);
         b.fetch(pid(0, 0), false); // miss
@@ -477,16 +506,34 @@ mod tests {
         b.write(pid(5, 0), true);
         b.write(pid(5, 1), true); // spills temp page 0
         b.fetch(pid(0, 1), false); // miss; capacity-evicts something
-                                   // A worker view shares the same series atomics.
+        assert_eq!(m.snapshot().counters["storage.page_misses"], 0, "derived");
+        // A worker's fork is folded in at the join, and published with it.
         let mut w = b.fork(2, 0);
         w.fetch(pid(0, 7), true); // temp miss in the fork
+        b.absorb_stats(w.stats());
+        b.publish();
+        b.publish(); // nothing new: adds nothing
         let snap = m.snapshot();
-        assert_eq!(snap.counters["storage.page_misses"], 3);
+        assert_eq!(
+            snap.counters["storage.page_misses"], 3,
+            "the past stays out"
+        );
         assert_eq!(snap.counters["storage.page_hits"], 1);
         assert_eq!(snap.counters["storage.page_writes"], 2);
         assert_eq!(snap.counters["storage.spill_evictions"], 1);
         assert_eq!(snap.counters["storage.temp_page_reads"], 1);
         assert!(snap.counters["storage.page_evictions"] >= 1);
+        assert_eq!(
+            snap.counters["storage.page_evictions"],
+            b.stats().page_evictions
+        );
+        // Zeroing the counters hands the series what they had not seen.
+        b.fetch(pid(0, 0), false);
+        b.clear();
+        assert_eq!(b.stats(), IoStats::default());
+        let hits_and_misses =
+            ["storage.page_hits", "storage.page_misses"].map(|s| m.counter(s).get());
+        assert_eq!(hits_and_misses.iter().sum::<u64>(), 5);
     }
 
     #[test]

@@ -1,13 +1,12 @@
 //! The object store: a page-accounted, single-node object database
 //! following the direct storage model of \[VKC86\].
 
-use std::cell::RefCell;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, RwLock};
 
 use oorq_schema::{AttrId, AttributeKind, Catalog, ClassId, RelationId, ResolvedType, ViewKind};
 
-use crate::buffer::{BufferManager, IoStats};
+use crate::buffer::{Account, BufferManager, IoStats};
 use crate::error::StorageError;
 use crate::page::{PageId, WidthModel};
 use crate::physical::{EntityId, EntitySource, FragmentSpec, PhysicalSchema};
@@ -46,14 +45,15 @@ enum ClassLayout {
 /// The object database: conceptual catalog + physical schema + segments +
 /// buffer manager.
 ///
-/// All read paths account page I/O through the buffer manager. The store
-/// is shared-read, per-worker-accounted: segments sit behind an `RwLock`
-/// that is only write-locked during (single-threaded) loading, and every
-/// I/O accounting call routes through either the shared buffer manager
-/// (a `Mutex`, uncontended in serial execution) or — when an exchange
-/// worker has installed one via [`Database::install_worker_buffer`] — a
-/// thread-local per-worker view whose counters are merged back with
-/// [`Database::absorb_io`]. Bulk loading does not count I/O; call
+/// The store is shared-read: segments sit behind an `RwLock` that is only
+/// write-locked during (single-threaded) loading and by temporaries. Every
+/// accounted read or write names the page [`Account`] it charges. The
+/// database's own account — its buffer frames, breaker budget and
+/// [`IoStats`] — is parked here between runs (a `Mutex`, because `&self`
+/// accessors such as [`Database::io_stats`] are reachable from any
+/// thread); a run takes it out with [`Database::check_out`], charges it
+/// without a lock, hands exchange workers forks of it by value, and parks
+/// it again when it ends. Bulk loading does not count I/O; call
 /// [`Database::reset_io`] before a measured run anyway.
 #[derive(Debug)]
 pub struct Database {
@@ -66,13 +66,6 @@ pub struct Database {
     relation_count: HashMap<RelationId, u32>,
     buffer: Mutex<BufferManager>,
     width: WidthModel,
-}
-
-thread_local! {
-    /// The calling thread's private buffer-accounting view, if any.
-    /// Installed by exchange workers for the duration of their partition
-    /// so page accounting never contends on the shared buffer lock.
-    static WORKER_BUFFER: RefCell<Option<BufferManager>> = const { RefCell::new(None) };
 }
 
 impl Database {
@@ -297,7 +290,7 @@ impl Database {
     /// extension; see [`Segment::shuffle`]).
     pub fn shuffle_entity(&mut self, entity: EntityId, seed: u64) {
         Arc::make_mut(&mut self.segments.write().unwrap()[entity.0 as usize]).shuffle(seed);
-        self.with_buffer(|b| b.invalidate_entity(entity));
+        self.buffer.lock().unwrap().invalidate_entity(entity);
     }
 
     // ------------------------------------------------------------------
@@ -348,7 +341,7 @@ impl Database {
             }
             Arc::make_mut(&mut segs[home.0 as usize]).clear();
         }
-        self.with_buffer(|b| b.invalidate_entity(home));
+        self.buffer.lock().unwrap().invalidate_entity(home);
         self.physical.deactivate_entity(home);
         self.class_layout.insert(
             class,
@@ -410,7 +403,7 @@ impl Database {
             }
             Arc::make_mut(&mut segs[home.0 as usize]).clear();
         }
-        self.with_buffer(|b| b.invalidate_entity(home));
+        self.buffer.lock().unwrap().invalidate_entity(home);
         self.physical.deactivate_entity(home);
         self.class_layout
             .insert(class, ClassLayout::Horizontal(fragments.clone()));
@@ -441,9 +434,10 @@ impl Database {
     /// Append `rows`, in order, to every temporary of `entities` (each row
     /// goes to all of them before the next row does — a fixpoint's
     /// accumulator and delta fill side by side), under one lock. A page
-    /// write is counted whenever an append starts a new page.
+    /// write is charged to `io` whenever an append starts a new page.
     pub fn append_temp_rows(
         &self,
+        io: &Account,
         entities: &[EntityId],
         rows: Vec<Vec<Value>>,
     ) -> Result<(), StorageError> {
@@ -454,13 +448,14 @@ impl Database {
             return Ok(());
         };
         let mut segs = self.segments.write().unwrap();
+        let mut io = io.borrow_mut();
         let mut append = |entity: EntityId, values: Vec<Value>| {
             let seg = Arc::make_mut(&mut segs[entity.0 as usize]);
             let key = seg.len() as u32;
             let pos = seg.append(Row { key, values });
             if pos.is_multiple_of(seg.rows_per_page()) {
                 let page = seg.page_of_position(pos);
-                self.with_buffer(|b| b.write(PageId { entity, page }, true));
+                io.write(PageId { entity, page }, true);
             }
         };
         for values in rows {
@@ -472,27 +467,15 @@ impl Database {
         Ok(())
     }
 
-    /// Clear a temporary's contents. Residency is dropped from both the
-    /// calling worker's buffer view (if one is installed) and the shared
-    /// buffer, so no stale frames survive a truncate under any lane.
-    pub fn truncate_temp(&self, entity: EntityId) -> Result<(), StorageError> {
-        if self.physical.entity(entity).source != EntitySource::Temporary {
+    /// Clear a temporary's contents and drop its residency from `io`. An
+    /// account forked from that one holds frames of its own: whoever
+    /// joins the two invalidates the entity in the other as well.
+    pub fn truncate_temp(&self, io: &Account, entity: EntityId) -> Result<(), StorageError> {
+        if !self.is_temp_entity(entity) {
             return Err(StorageError::NotTemporary(entity));
         }
         Arc::make_mut(&mut self.segments.write().unwrap()[entity.0 as usize]).clear();
-        let in_worker = WORKER_BUFFER.with(|w| {
-            if let Some(view) = w.borrow_mut().as_mut() {
-                view.invalidate_entity(entity);
-                true
-            } else {
-                false
-            }
-        });
-        if in_worker {
-            self.buffer.lock().unwrap().invalidate_entity(entity);
-        } else {
-            self.with_buffer(|b| b.invalidate_entity(entity));
-        }
+        io.borrow_mut().invalidate_entity(entity);
         Ok(())
     }
 
@@ -517,24 +500,24 @@ impl Database {
             .to_vec()
     }
 
-    /// Fetch (and account) one page of an entity and lend out its
+    /// Fetch (and charge to `io`) one page of an entity and lend out its
     /// records. Returns `None` past the last page. A consumer walking the
     /// page numbers streams the entity a page at a time: each fetch is
     /// accounted when it happens, so interleaved consumers (e.g. a
     /// pipelined executor) observe honest LRU behaviour.
-    pub fn scan_page(&self, entity: EntityId, page: u32) -> Option<PageRows> {
+    pub fn scan_page(&self, io: &Account, entity: EntityId, page: u32) -> Option<PageRows> {
         let seg = Arc::clone(&self.segments.read().unwrap()[entity.0 as usize]);
         if page >= seg.num_pages() {
             return None;
         }
         let temp = self.is_temp_entity(entity);
-        self.with_buffer(|b| b.fetch(PageId { entity, page }, temp));
+        io.borrow_mut().fetch(PageId { entity, page }, temp);
         Some(PageRows { seg, page })
     }
 
     /// Scan a whole entity, fetching every page (convenience).
-    pub fn scan(&self, entity: EntityId) -> Vec<Row> {
-        let pages = (0..).map_while(|page| self.scan_page(entity, page));
+    pub fn scan(&self, io: &Account, entity: EntityId) -> Vec<Row> {
+        let pages = (0..).map_while(|page| self.scan_page(io, entity, page));
         pages.flat_map(|page| page.to_vec()).collect()
     }
 
@@ -597,9 +580,9 @@ impl Database {
             .ok_or(StorageError::DanglingOid(oid))
     }
 
-    /// Read one attribute of an object, fetching (and accounting) only the
-    /// page of the fragment holding that attribute.
-    pub fn read_attr(&self, oid: Oid, attr: AttrId) -> Result<Value, StorageError> {
+    /// Read one attribute of an object, fetching (and charging to `io`)
+    /// only the page of the fragment holding that attribute.
+    pub fn read_attr(&self, io: &Account, oid: Oid, attr: AttrId) -> Result<Value, StorageError> {
         let entity = self.entity_holding(oid, attr)?;
         let segs = self.segments.read().unwrap();
         let seg = &segs[entity.0 as usize];
@@ -607,7 +590,7 @@ impl Database {
             .position_of(oid.index)
             .ok_or(StorageError::DanglingOid(oid))?;
         let page = seg.page_of_position(pos);
-        self.with_buffer(|b| b.fetch(PageId { entity, page }, false));
+        io.borrow_mut().fetch(PageId { entity, page }, false);
         let slot = self.attr_slot(entity, oid.class, attr);
         seg.row_at(pos)
             .and_then(|r| r.values.get(slot))
@@ -615,11 +598,11 @@ impl Database {
             .ok_or(StorageError::DanglingOid(oid))
     }
 
-    /// Read a whole object (assembling vertical fragments), accounting a
-    /// page fetch per fragment touched.
-    pub fn read_object(&self, oid: Oid) -> Result<Vec<Value>, StorageError> {
+    /// Read a whole object (assembling vertical fragments), charging `io`
+    /// a page fetch per fragment touched.
+    pub fn read_object(&self, io: &Account, oid: Oid) -> Result<Vec<Value>, StorageError> {
         let mut values = Vec::new();
-        self.fetch_object(oid, |attrs, row| match attrs {
+        self.fetch_object(io, oid, |attrs, row| match attrs {
             None => values = row.values.clone(),
             Some(attrs) => {
                 values.resize(self.catalog.class(oid.class).attrs.len(), Value::Null);
@@ -633,16 +616,17 @@ impl Database {
 
     /// Pay for an object without reading it: the page fetches (and the
     /// errors) of [`Database::read_object`], in its order, nothing copied.
-    pub fn touch_object(&self, oid: Oid) -> Result<(), StorageError> {
-        self.fetch_object(oid, |_, _| {})
+    pub fn touch_object(&self, io: &Account, oid: Oid) -> Result<(), StorageError> {
+        self.fetch_object(io, oid, |_, _| {})
     }
 
-    /// Fetch (and account) the page of every fragment holding a part of
+    /// Fetch (and charge to `io`) the page of every fragment holding a part of
     /// `oid` — each vertical fragment in layout order, the owning
     /// horizontal one — and hand each record to `each`, a vertical
     /// fragment's with the attributes it stores.
     fn fetch_object(
         &self,
+        io: &Account,
         oid: Oid,
         mut each: impl FnMut(Option<&[AttrId]>, &Row),
     ) -> Result<(), StorageError> {
@@ -657,7 +641,7 @@ impl Database {
                 .position_of(oid.index)
                 .ok_or(StorageError::DanglingOid(oid))?;
             let page = seg.page_of_position(pos);
-            self.with_buffer(|b| b.fetch(PageId { entity, page }, false));
+            io.borrow_mut().fetch(PageId { entity, page }, false);
             each(
                 attrs,
                 seg.row_at(pos).ok_or(StorageError::DanglingOid(oid))?,
@@ -682,48 +666,22 @@ impl Database {
     // I/O accounting
     // ------------------------------------------------------------------
 
-    /// Run an accounting operation against the calling thread's buffer
-    /// view: the thread-local worker view when one is installed, else the
-    /// shared buffer manager.
-    fn with_buffer<R>(&self, f: impl FnOnce(&mut BufferManager) -> R) -> R {
-        WORKER_BUFFER.with(|w| {
-            let mut w = w.borrow_mut();
-            match w.as_mut() {
-                Some(view) => f(view),
-                None => f(&mut self.buffer.lock().unwrap()),
-            }
-        })
+    /// Take the page account out for one run. Until the returned handle is
+    /// dropped an empty stand-in with the same frames, budget, recorder and
+    /// series is parked in its place, so [`Database::buffer_frames`] still
+    /// answers; the counters and the residency travel with the run. One
+    /// run at a time: a second check-out before the handle is dropped
+    /// would get the stand-in, whose counters are dropped with it.
+    pub fn check_out(&self) -> CheckedOut<'_> {
+        let mut parked = self.buffer.lock().unwrap();
+        let stand_in = parked.fork(parked.capacity(), parked.temp_budget());
+        CheckedOut {
+            home: &self.buffer,
+            account: Account::new(std::mem::replace(&mut *parked, stand_in)),
+        }
     }
 
-    /// Install a private buffer-accounting view for the calling thread
-    /// (`frames` frames, sharing the main buffer's recorder, with
-    /// `temp_budget` as the worker's slice of the breaker memory budget;
-    /// 0 = unbounded). Every subsequent fetch/write/index-read on this
-    /// thread accounts against the view until
-    /// [`Database::take_worker_buffer`] removes it.
-    pub fn install_worker_buffer(&self, frames: usize, temp_budget: usize) {
-        let view = self.buffer.lock().unwrap().fork(frames, temp_budget);
-        WORKER_BUFFER.with(|w| *w.borrow_mut() = Some(view));
-    }
-
-    /// Remove the calling thread's buffer view and return its counters
-    /// (merge them into the shared stats with [`Database::absorb_io`]).
-    /// Returns zeroed stats if no view was installed.
-    pub fn take_worker_buffer(&self) -> IoStats {
-        WORKER_BUFFER
-            .with(|w| w.borrow_mut().take())
-            .map(|b| b.stats())
-            .unwrap_or_default()
-    }
-
-    /// Fold a worker view's counters into the shared buffer statistics,
-    /// so `io_stats` deltas bracket parallel subtrees exactly.
-    pub fn absorb_io(&self, io: IoStats) {
-        self.buffer.lock().unwrap().absorb_stats(io);
-    }
-
-    /// Number of frames of the shared buffer manager (parallel workers
-    /// split this among themselves for their private views).
+    /// Number of frames of the database's page account.
     pub fn buffer_frames(&self) -> usize {
         self.buffer.lock().unwrap().capacity()
     }
@@ -734,31 +692,22 @@ impl Database {
         self.physical.entity(entity).source == EntitySource::Temporary
     }
 
-    /// Cap resident temporary (breaker) pages in the shared buffer;
-    /// 0 lifts the cap. Parallel workers split this budget among their
-    /// private views.
+    /// Cap resident temporary (breaker) pages of the database's page
+    /// account; 0 lifts the cap. A run's exchange workers split the
+    /// budget among their forks.
     pub fn set_temp_budget(&self, pages: usize) {
         self.buffer.lock().unwrap().set_temp_budget(pages);
     }
 
-    /// The breaker memory budget in pages (0 = unbounded).
-    pub fn temp_budget_pages(&self) -> usize {
-        self.buffer.lock().unwrap().temp_budget()
-    }
-
-    /// Count index page reads performed by an index probe.
-    pub fn note_index_reads(&self, n: u64) {
-        self.with_buffer(|b| b.add_index_reads(n));
-    }
-
-    /// Accumulated I/O statistics.
+    /// I/O statistics of the database's page account: everything the runs
+    /// that checked it out have charged it since the last reset.
     pub fn io_stats(&self) -> IoStats {
-        self.with_buffer(|b| b.stats())
+        self.buffer.lock().unwrap().stats()
     }
 
     /// Reset I/O counters (keeps buffer residency).
     pub fn reset_io(&self) {
-        self.with_buffer(|b| b.reset_stats());
+        self.buffer.lock().unwrap().reset_stats();
     }
 
     /// Drop buffer residency and counters (cold-cache measurement).
@@ -772,12 +721,41 @@ impl Database {
         self.buffer.lock().unwrap().set_recorder(obs);
     }
 
-    /// Attach a metrics registry to the buffer manager: every subsequent
-    /// page hit, miss, write, eviction and spill bumps the `storage.*`
-    /// counter series. Worker views forked after this call share the
-    /// same series atomics.
+    /// Attach a metrics registry to the page account: whenever a run
+    /// checks the account back in (and before its counters are reset), the
+    /// page hits, misses, writes, evictions, spills and temporary re-reads
+    /// counted since are added to the registry's `storage.*` series.
     pub fn set_metrics(&self, registry: &oorq_obs::MetricsRegistry) {
         self.buffer.lock().unwrap().set_metrics(registry);
+    }
+}
+
+/// A database's page account, out for one run: the run charges it as an
+/// [`Account`], lock-free, and dropping the handle — however the run ends
+/// — parks the account in the database again and brings the `storage.*`
+/// series up to its counters.
+#[derive(Debug)]
+pub struct CheckedOut<'a> {
+    home: &'a Mutex<BufferManager>,
+    account: Account,
+}
+
+impl std::ops::Deref for CheckedOut<'_> {
+    type Target = Account;
+
+    fn deref(&self) -> &Account {
+        &self.account
+    }
+}
+
+impl Drop for CheckedOut<'_> {
+    fn drop(&mut self) {
+        // This runs while a failed run unwinds too, so a poisoned lock is
+        // entered, not panicked on: every section under it swaps or reads
+        // whole values, which leaves what it guards valid at every step.
+        let mut parked = self.home.lock().unwrap_or_else(|e| e.into_inner());
+        std::mem::swap(&mut *parked, self.account.get_mut());
+        parked.publish();
     }
 }
 

@@ -17,8 +17,8 @@ mod segment;
 mod stats;
 mod value;
 
-pub use buffer::{BufferManager, IoStats};
-pub use database::{Database, PageRows, StorageConfig};
+pub use buffer::{Account, BufferManager, IoStats};
+pub use database::{CheckedOut, Database, PageRows, StorageConfig};
 pub use error::StorageError;
 pub use page::{PageId, WidthModel};
 pub use physical::{

@@ -54,6 +54,12 @@ fn small_db() -> Database {
     Database::new(tiny_catalog(), small_db_config())
 }
 
+/// A page account with `small_db`'s four frames that no database parks:
+/// what a test charges, reads and resets by name.
+fn small_account() -> Account {
+    Account::new(BufferManager::new(small_db_config().buffer_frames))
+}
+
 #[test]
 fn insert_and_read_objects() {
     let mut db = small_db();
@@ -75,11 +81,12 @@ fn insert_and_read_objects() {
     assert_eq!(owner.index, 0);
     assert_eq!(db.object_count(owner_cls), 1);
 
-    let vals = db.read_object(owner).unwrap();
+    let io = small_account();
+    let vals = db.read_object(&io, owner).unwrap();
     // layout: name, birth... here: name, parent, items, rank(computed -> Null)
     assert_eq!(vals[0], Value::text("ada"));
     assert_eq!(vals[3], Value::Null, "computed slot holds Null");
-    let items = db.read_attr(owner, AttrId(2)).unwrap();
+    let items = db.read_attr(&io, owner, AttrId(2)).unwrap();
     assert_eq!(items.members()[0], Value::Oid(item));
 }
 
@@ -100,9 +107,9 @@ fn arity_mismatch_rejected() {
 
 #[test]
 fn dangling_oid_rejected() {
-    let db = small_db();
+    let (db, io) = (small_db(), small_account());
     let item_cls = db.catalog().class_by_name("Item").unwrap();
-    let err = db.read_object(Oid::new(item_cls, 99)).unwrap_err();
+    let err = db.read_object(&io, Oid::new(item_cls, 99)).unwrap_err();
     assert_eq!(err, StorageError::DanglingOid(Oid::new(item_cls, 99)));
 }
 
@@ -123,7 +130,8 @@ fn set_attr_wires_references() {
         )
         .unwrap();
     db.set_attr(b, AttrId(1), Value::Oid(a)).unwrap();
-    assert_eq!(db.read_attr(b, AttrId(1)).unwrap(), Value::Oid(a));
+    let io = small_account();
+    assert_eq!(db.read_attr(&io, b, AttrId(1)).unwrap(), Value::Oid(a));
 }
 
 #[test]
@@ -137,18 +145,18 @@ fn scans_account_page_io() {
     let entity = db.physical().entities_of_class(item_cls)[0];
     let pages = db.num_pages(entity);
     assert!(pages > 1, "need a multi-page extent for this test");
-    db.cold_cache();
-    let rows = db.scan(entity);
+    let io = small_account();
+    let rows = db.scan(&io, entity);
     assert_eq!(rows.len(), 40);
-    assert_eq!(db.io_stats().page_reads, pages as u64);
+    assert_eq!(io.borrow().stats().page_reads, pages as u64);
     // Second scan with a tiny buffer (4 frames) still misses every page
     // if the extent exceeds the buffer; otherwise hits.
-    db.reset_io();
-    let _ = db.scan(entity);
+    io.borrow_mut().reset_stats();
+    let _ = db.scan(&io, entity);
     if pages as usize > 4 {
-        assert_eq!(db.io_stats().page_reads, pages as u64);
+        assert_eq!(io.borrow().stats().page_reads, pages as u64);
     } else {
-        assert_eq!(db.io_stats().page_hits, pages as u64);
+        assert_eq!(io.borrow().stats().page_hits, pages as u64);
     }
 }
 
@@ -179,19 +187,19 @@ fn clustered_vs_shuffled_dereference_io() {
 
     // Clustered (insertion-order) placement: dereferencing items of
     // consecutive owners hits mostly-resident pages.
-    db.cold_cache();
+    let io = small_account();
     for (_, item) in &owners {
-        db.read_attr(*item, AttrId(1)).unwrap();
+        db.read_attr(&io, *item, AttrId(1)).unwrap();
     }
-    let clustered_reads = db.io_stats().page_reads;
+    let clustered_reads = io.borrow().stats().page_reads;
 
     // Scattered placement: many more physical reads.
     db.shuffle_entity(item_entity, 7);
-    db.cold_cache();
+    io.borrow_mut().clear();
     for (_, item) in &owners {
-        db.read_attr(*item, AttrId(1)).unwrap();
+        db.read_attr(&io, *item, AttrId(1)).unwrap();
     }
-    let scattered_reads = db.io_stats().page_reads;
+    let scattered_reads = io.borrow().stats().page_reads;
     assert!(
         scattered_reads > clustered_reads,
         "scattered {scattered_reads} should exceed clustered {clustered_reads}"
@@ -211,15 +219,15 @@ fn vertical_decomposition_reads_only_needed_fragment() {
         .unwrap();
     assert_eq!(frags.len(), 2);
     // Whole-object read touches both fragments.
-    db.cold_cache();
-    let vals = db.read_object(Oid::new(item_cls, 5)).unwrap();
+    let io = small_account();
+    let vals = db.read_object(&io, Oid::new(item_cls, 5)).unwrap();
     assert_eq!(vals[1], Value::Int(5));
-    assert_eq!(db.io_stats().page_reads, 2);
+    assert_eq!(io.borrow().stats().page_reads, 2);
     // Single-attribute read touches one.
-    db.cold_cache();
-    let w = db.read_attr(Oid::new(item_cls, 9), AttrId(1)).unwrap();
+    io.borrow_mut().clear();
+    let w = db.read_attr(&io, Oid::new(item_cls, 9), AttrId(1)).unwrap();
     assert_eq!(w, Value::Int(9));
-    assert_eq!(db.io_stats().page_reads, 1);
+    assert_eq!(io.borrow().stats().page_reads, 1);
     // Narrow fragment occupies fewer pages than the original extent shape.
     let (f1, f0) = (frags[1], frags[0]);
     assert!(db.num_pages(f1) <= db.num_pages(f0));
@@ -255,7 +263,9 @@ fn horizontal_decomposition_routes_and_records_fractions() {
         other => panic!("expected horizontal fragment, got {other:?}"),
     }
     // Objects remain addressable by oid.
-    let v = db.read_object(Oid::new(item_cls, 17)).unwrap();
+    let v = db
+        .read_object(&small_account(), Oid::new(item_cls, 17))
+        .unwrap();
     assert_eq!(v[1], Value::Int(17));
 }
 
@@ -265,35 +275,27 @@ fn horizontal_decomposition_routes_and_records_fractions() {
 #[test]
 fn touch_object_accounts_and_fails_as_read_object_does() {
     for layout in ["single", "vertical", "horizontal"] {
-        let build = || {
-            let mut db = Database::new(
-                tiny_catalog(),
-                StorageConfig {
-                    buffer_frames: 2,
-                    ..small_db_config()
-                },
-            );
-            let item_cls = db.catalog().class_by_name("Item").unwrap();
-            for i in 0..40 {
-                db.insert_object(item_cls, vec![Value::text(format!("i{i}")), Value::Int(i)])
-                    .unwrap();
+        let mut db = small_db();
+        let item_cls = db.catalog().class_by_name("Item").unwrap();
+        for i in 0..40 {
+            db.insert_object(item_cls, vec![Value::text(format!("i{i}")), Value::Int(i)])
+                .unwrap();
+        }
+        match layout {
+            "vertical" => {
+                drop(db.decompose_vertical(item_cls, &[vec![AttrId(0)], vec![AttrId(1)]]))
             }
-            match layout {
-                "vertical" => {
-                    drop(db.decompose_vertical(item_cls, &[vec![AttrId(0)], vec![AttrId(1)]]))
-                }
-                "horizontal" => drop(db.decompose_horizontal(
-                    item_cls,
-                    2,
-                    &["weight % 3 = 0".into(), "weight % 3 <> 0".into()],
-                    |vals| usize::from(vals[1].as_int().unwrap() % 3 != 0),
-                )),
-                _ => {}
-            }
-            db.cold_cache();
-            (db, item_cls)
-        };
-        let ((read, item_cls), (touched, _)) = (build(), build());
+            "horizontal" => drop(db.decompose_horizontal(
+                item_cls,
+                2,
+                &["weight % 3 = 0".into(), "weight % 3 <> 0".into()],
+                |vals| usize::from(vals[1].as_int().unwrap() % 3 != 0),
+            )),
+            _ => {}
+        }
+        // One store, two accounts of two frames: one pays for reads, the
+        // other for touches.
+        let [read, touched] = [(); 2].map(|()| Account::new(BufferManager::new(2)));
         // Neighbours (a hit), a stride that comes back to pages others
         // evicted, dangling oids mid-way, a class with no extension.
         let oids = (0..60u32)
@@ -302,13 +304,15 @@ fn touch_object_accounts_and_fails_as_read_object_does() {
             .chain([Oid::new(oorq_schema::ClassId(9), 0)]);
         for oid in oids {
             assert_eq!(
-                touched.touch_object(oid),
-                read.read_object(oid).map(drop),
+                db.touch_object(&touched, oid),
+                db.read_object(&read, oid).map(drop),
                 "{layout}: {oid}"
             );
-            assert_eq!(touched.io_stats(), read.io_stats(), "{layout}: after {oid}");
+            let (touched, read) = (touched.borrow().stats(), read.borrow().stats());
+            assert_eq!(touched, read, "{layout}: after {oid}");
         }
-        assert!(read.io_stats().page_reads > 2 && read.io_stats().page_hits > 0);
+        let read = read.borrow().stats();
+        assert!(read.page_reads > 2 && read.page_hits > 0);
     }
 }
 
@@ -322,20 +326,20 @@ fn temporaries_append_scan_truncate() {
             oorq_schema::ResolvedType::Atomic(oorq_schema::AtomicType::Int),
         ],
     );
-    db.reset_io();
+    let io = small_account();
     let rows = (0..50).map(|i| vec![Value::Int(i), Value::Int(i * 2)]);
-    db.append_temp_rows(&[t], rows.collect()).unwrap();
-    assert!(db.io_stats().page_writes > 0, "page writes counted");
+    db.append_temp_rows(&io, &[t], rows.collect()).unwrap();
+    assert!(io.borrow().stats().page_writes > 0, "page writes counted");
     assert_eq!(db.entity_len(t), 50);
-    let rows = db.scan(t);
+    let rows = db.scan(&io, t);
     assert_eq!(rows.len(), 50);
-    db.truncate_temp(t).unwrap();
+    db.truncate_temp(&io, t).unwrap();
     assert_eq!(db.entity_len(t), 0);
     // Appending to a non-temporary is rejected.
     let item_cls = db.catalog().class_by_name("Item").unwrap();
     let item_entity = db.physical().entities_of_class(item_cls)[0];
     assert!(matches!(
-        db.append_temp_rows(&[t, item_entity], vec![vec![]]),
+        db.append_temp_rows(&io, &[t, item_entity], vec![vec![]]),
         Err(StorageError::NotTemporary(e)) if e == item_entity
     ));
     assert_eq!(db.entity_len(t), 0, "a rejected append writes nothing");
@@ -352,21 +356,21 @@ fn append_temp_counts_one_write_per_page_started() {
         let mut db = small_db();
         let int = oorq_schema::ResolvedType::Atomic(oorq_schema::AtomicType::Int);
         let t = db.create_temp("acc", vec![int.clone(), int]);
-        db.reset_io();
+        let io = small_account();
         let mut appended = 0usize;
         while appended < 25 {
             let n = chunk.min(25 - appended);
             let rows = (appended..appended + n).map(|i| row(i as i64)).collect();
-            db.append_temp_rows(&[t], rows).unwrap();
+            db.append_temp_rows(&io, &[t], rows).unwrap();
             appended += n;
             assert_eq!(
-                db.io_stats().page_writes,
+                io.borrow().stats().page_writes,
                 appended.div_ceil(10) as u64,
                 "chunk {chunk}: {appended} rows appended (page boundary accounting)"
             );
         }
         assert_eq!(db.num_pages(t), 3);
-        assert_eq!(db.scan(t).len(), 25);
+        assert_eq!(db.scan(&io, t).len(), 25);
     }
 }
 
@@ -382,22 +386,37 @@ fn append_temp_rows_fills_its_temporaries_side_by_side() {
     let acc = db.create_temp("acc", vec![int.clone(), int.clone()]);
     let delta = db.create_temp("delta", vec![int.clone(), int]);
     let row = |i: i64| vec![Value::Int(i), Value::Int(i)];
-    db.append_temp_rows(&[acc], (0..6).map(row).collect())
+    let io = small_account();
+    db.append_temp_rows(&io, &[acc], (0..6).map(row).collect())
         .unwrap();
-    db.set_temp_budget(1);
-    db.reset_io();
-    db.append_temp_rows(&[acc, delta], (6..12).map(row).collect())
+    io.borrow_mut().set_temp_budget(1);
+    io.borrow_mut().reset_stats();
+    db.append_temp_rows(&io, &[acc, delta], (6..12).map(row).collect())
         .unwrap();
-    let io = db.io_stats();
-    assert_eq!(io.page_writes, 2, "delta page 0 and accumulator page 1");
-    assert_eq!(io.spill_evictions, 2, "each write spilled the page before");
+    let counted = io.borrow().stats();
+    assert_eq!(
+        counted.page_writes, 2,
+        "delta page 0 and accumulator page 1"
+    );
+    assert_eq!(
+        counted.spill_evictions, 2,
+        "each write spilled the page before"
+    );
     assert_eq!((db.entity_len(acc), db.entity_len(delta)), (12, 6));
     // The accumulator's page 1 was written last, so it is the resident one.
-    db.reset_io();
-    db.scan_page(acc, 1).unwrap();
-    assert_eq!(db.io_stats().page_hits, 1, "accumulator page 1 resident");
-    db.scan_page(delta, 0).unwrap();
-    assert_eq!(db.io_stats().temp_reads, 1, "delta page 0 was spilled");
+    io.borrow_mut().reset_stats();
+    db.scan_page(&io, acc, 1).unwrap();
+    assert_eq!(
+        io.borrow().stats().page_hits,
+        1,
+        "accumulator page 1 resident"
+    );
+    db.scan_page(&io, delta, 0).unwrap();
+    assert_eq!(
+        io.borrow().stats().temp_reads,
+        1,
+        "delta page 0 was spilled"
+    );
 }
 
 #[test]
@@ -405,20 +424,24 @@ fn truncated_temp_reuse_restarts_pages_and_accounting() {
     let mut db = small_db();
     let int = oorq_schema::ResolvedType::Atomic(oorq_schema::AtomicType::Int);
     let t = db.create_temp("acc", vec![int.clone(), int]);
-    db.reset_io();
+    let io = small_account();
     let rows = |r: std::ops::Range<i64>| r.map(|i| vec![Value::Int(i), Value::Int(i)]).collect();
-    db.append_temp_rows(&[t], rows(0..12)).unwrap();
-    assert_eq!(db.io_stats().page_writes, 2, "pages 0 and 1 started");
-    db.truncate_temp(t).unwrap();
+    db.append_temp_rows(&io, &[t], rows(0..12)).unwrap();
+    assert_eq!(io.borrow().stats().page_writes, 2, "pages 0 and 1 started");
+    db.truncate_temp(&io, t).unwrap();
     assert_eq!(db.entity_len(t), 0);
     assert_eq!(db.num_pages(t), 0);
     // Reuse restarts at page 0: the fresh first page is written (and
     // paid for) again, and scans see only the new contents — no frame
     // from before the truncate may satisfy a read.
-    db.append_temp_rows(&[t], rows(100..108)).unwrap();
-    assert_eq!(db.io_stats().page_writes, 3, "restarted page 0 paid for");
+    db.append_temp_rows(&io, &[t], rows(100..108)).unwrap();
+    assert_eq!(
+        io.borrow().stats().page_writes,
+        3,
+        "restarted page 0 paid for"
+    );
     assert_eq!(db.num_pages(t), 1);
-    let rows = db.scan(t);
+    let rows = db.scan(&io, t);
     assert_eq!(rows.len(), 8);
     assert!(rows.iter().all(|r| r.values[0].as_int().unwrap() >= 100));
 }
@@ -431,29 +454,36 @@ fn worker_views_forked_mid_temp_merge_write_accounting() {
     let mut db = small_db();
     let int = oorq_schema::ResolvedType::Atomic(oorq_schema::AtomicType::Int);
     let t = db.create_temp("acc", vec![int.clone(), int]);
-    db.reset_io();
+    let io = db.check_out();
     let rows = |r: std::ops::Range<i64>| r.map(|i| vec![Value::Int(i), Value::Int(i)]).collect();
-    db.append_temp_rows(&[t], rows(0..5)).unwrap();
-    assert_eq!(db.io_stats().page_writes, 1, "main lane started page 0");
+    db.append_temp_rows(&io, &[t], rows(0..5)).unwrap();
+    assert_eq!(
+        io.borrow().stats().page_writes,
+        1,
+        "main lane started page 0"
+    );
 
-    // Fork a 2-worker-style view mid-page: rows 5..9 continue page 0
+    // Fork a 2-worker-style account mid-page: rows 5..9 continue page 0
     // (already paid), row 10 — mid-chunk — starts page 1 in this lane.
-    db.install_worker_buffer(4, 2);
-    db.append_temp_rows(&[t], rows(5..15)).unwrap();
-    let lane = db.take_worker_buffer();
+    let lane = Account::new(io.borrow().fork(4, 2));
+    db.append_temp_rows(&lane, &[t], rows(5..15)).unwrap();
+    let lane = lane.into_inner().stats();
     assert_eq!(lane.page_writes, 1, "lane paid only the page it started");
-    db.absorb_io(lane);
-    assert_eq!(db.io_stats().page_writes, 2);
+    io.borrow_mut().absorb_stats(lane);
+    assert_eq!(io.borrow().stats().page_writes, 2);
 
-    // A second lane scanning the temp pays its own cold reads (forked
-    // views start empty) and they merge into the shared totals too.
-    db.install_worker_buffer(4, 2);
-    let rows = db.scan(t);
-    let lane2 = db.take_worker_buffer();
+    // A second lane scanning the temp pays its own cold reads (forks
+    // start empty) and they merge into the run's totals too.
+    let lane2 = Account::new(io.borrow().fork(4, 2));
+    let rows = db.scan(&lane2, t);
+    let lane2 = lane2.into_inner().stats();
     assert_eq!(rows.len(), 15);
     assert_eq!(lane2.page_reads, 2, "both temp pages cold in the fork");
     assert_eq!(lane2.page_writes, 0);
-    db.absorb_io(lane2);
+    io.borrow_mut().absorb_stats(lane2);
+    // Checked in, the run's account is the database's again.
+    assert_eq!(db.io_stats(), IoStats::default(), "the stand-in, meanwhile");
+    drop(io);
     let total = db.io_stats();
     assert_eq!(total.page_writes, 2);
     assert!(total.page_reads >= 2);
@@ -479,7 +509,7 @@ fn relation_rows_roundtrip() {
         .unwrap();
     assert_eq!((r0, r1), (0, 1));
     let entity = db.physical().entities_of_relation(likes)[0];
-    assert_eq!(db.scan(entity).len(), 2);
+    assert_eq!(db.scan(&small_account(), entity).len(), 2);
     let err = db.insert_row(likes, vec![Value::Int(1)]).unwrap_err();
     assert!(matches!(err, StorageError::ArityMismatch { .. }));
 }
@@ -565,7 +595,7 @@ fn snapshot_shares_data_and_isolates_mutation_and_io() {
     let snap = db.snapshot();
     // Identical data, independently accounted I/O.
     assert_eq!(db.scan_raw(item_entity), snap.scan_raw(item_entity));
-    snap.scan(item_entity);
+    snap.scan(&snap.check_out(), item_entity);
     assert!(snap.io_stats().page_reads > 0);
     assert_eq!(db.io_stats().page_reads, 0, "source buffer untouched");
 
@@ -573,7 +603,7 @@ fn snapshot_shares_data_and_isolates_mutation_and_io() {
     let int = oorq_schema::ResolvedType::Atomic(oorq_schema::AtomicType::Int);
     let mut snap = snap;
     let t = snap.create_temp("session_tmp", vec![int]);
-    snap.append_temp_rows(&[t], vec![vec![Value::Int(7)]])
+    snap.append_temp_rows(&small_account(), &[t], vec![vec![Value::Int(7)]])
         .unwrap();
     assert_eq!(snap.entity_len(t), 1);
     assert!(db.physical().entities().len() < snap.physical().entities().len());
