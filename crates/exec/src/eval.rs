@@ -173,21 +173,20 @@ pub(crate) struct Step {
 }
 
 impl Step {
+    /// The attribute this step names in `class`, and whether it is
+    /// computed.
+    fn resolve(&self, ctx: &EvalCtx<'_>, class: ClassId) -> Result<(AttrId, bool), ExecError> {
+        let known = self.memo.borrow().iter().find(|m| m.0 == class).copied();
+        if let Some((_, aid, computed)) = known {
+            return Ok((aid, computed));
+        }
+        let (aid, computed) = ctx.resolve(class, &self.name)?;
+        self.memo.borrow_mut().push((class, aid, computed));
+        Ok((aid, computed))
+    }
+
     fn read(&self, ctx: &EvalCtx<'_>, oid: Oid) -> Result<Value, ExecError> {
-        let known = self
-            .memo
-            .borrow()
-            .iter()
-            .find(|m| m.0 == oid.class)
-            .copied();
-        let (_, aid, computed) = match known {
-            Some(known) => known,
-            None => {
-                let (aid, computed) = ctx.resolve(oid.class, &self.name)?;
-                self.memo.borrow_mut().push((oid.class, aid, computed));
-                (oid.class, aid, computed)
-            }
-        };
+        let (aid, computed) = self.resolve(ctx, oid.class)?;
         ctx.read(oid, aid, computed, &self.name)
     }
 }
@@ -336,27 +335,15 @@ impl Bound {
     pub fn truthy(&self, ctx: &EvalCtx<'_>, row: RowRef<'_>) -> Result<bool, ExecError> {
         match self {
             Bound::Cmp { op, lhs, rhs } => {
-                let lv = lhs.eval(ctx, row)?;
-                let rv = rhs.eval(ctx, row)?;
                 // Explicit null handling: a `<> null` test succeeds iff
                 // some member exists.
-                if matches!(**rhs, Bound::Const(Value::Null)) {
-                    ctx.counters.add_evals(1);
-                    return Ok(match op {
-                        CmpOp::Ne => !lv.members().is_empty(),
-                        CmpOp::Eq => lv.members().is_empty(),
-                        _ => false,
-                    });
+                let null_test = matches!(**rhs, Bound::Const(Value::Null));
+                if let Some((ls, lit)) = stored_step_vs_literal(ctx, row, lhs, rhs)? {
+                    return Ok(compare(ctx, *op, null_test, ls, lit.members()));
                 }
-                for l in lv.members() {
-                    for r in rv.members() {
-                        ctx.counters.add_evals(1);
-                        if holds(*op, l.cmp(r)) {
-                            return Ok(true);
-                        }
-                    }
-                }
-                Ok(false)
+                let lv = lhs.eval(ctx, row)?;
+                let rv = rhs.eval(ctx, row)?;
+                Ok(compare(ctx, *op, null_test, lv.members(), rv.members()))
             }
             Bound::And(l, r) => Ok(l.truthy(ctx, row)? && r.truthy(ctx, row)?),
             Bound::Or(l, r) => Ok(l.truthy(ctx, row)? || r.truthy(ctx, row)?),
@@ -412,6 +399,64 @@ impl Bound {
     }
 }
 
+/// Whether some member of `ls` stands in `op` to some member of `rs`,
+/// counting an `eval` per pair tried; a test against the `null` literal
+/// asks instead whether `ls` has a member at all.
+fn compare(ctx: &EvalCtx<'_>, op: CmpOp, null_test: bool, ls: &[Value], rs: &[Value]) -> bool {
+    if null_test {
+        ctx.counters.add_evals(1);
+        return match op {
+            CmpOp::Ne => !ls.is_empty(),
+            CmpOp::Eq => ls.is_empty(),
+            _ => false,
+        };
+    }
+    for l in ls {
+        for r in rs {
+            ctx.counters.add_evals(1);
+            if holds(op, l.cmp(r)) {
+                return true;
+            }
+        }
+    }
+    false
+}
+
+/// `object.attr op literal` for a stored attribute of one object, read
+/// where the value lies in the store instead of off a copy of it: the
+/// literal, and the members `lhs.eval` would hand `truthy` after the same
+/// page touch or the same error. `None` — `truthy` evaluates both sides —
+/// for anything else: another shape, a slot holding no single oid, a
+/// computed attribute (a method call), or no page account to charge (the
+/// reference evaluator).
+fn stored_step_vs_literal<'a>(
+    ctx: &EvalCtx<'a>,
+    row: RowRef<'_>,
+    lhs: &Bound,
+    rhs: &'a Bound,
+) -> Result<Option<(&'a [Value], &'a Value)>, ExecError> {
+    let (Bound::Path { slot, steps }, Bound::Const(lit), Some(io)) = (lhs, rhs, ctx.io) else {
+        return Ok(None);
+    };
+    let (Value::Oid(oid), [step]) = (row.get(*slot), steps.as_slice()) else {
+        return Ok(None);
+    };
+    let (aid, computed) = step.resolve(ctx, oid.class)?;
+    if computed {
+        return Ok(None);
+    }
+    // What `collapse` makes of a collection, as members: none of no
+    // member, that member's own of one, the members as they are of several.
+    let members = match ctx.db.attr_ref(io, *oid, aid)? {
+        Value::Set(ms) | Value::List(ms) => match ms.as_slice() {
+            [one] => one.members(),
+            ms => ms,
+        },
+        scalar => scalar.members(),
+    };
+    Ok(Some((members, lit)))
+}
+
 /// A predicate partially evaluated against an outer row: comparing `key`
 /// with `inner[slot]` decides an inner row, then `rest` (the conjuncts
 /// `truthy` would reach next) decides the ones that pass.
@@ -436,6 +481,10 @@ impl Probe<'_> {
         outer: &[Value],
         inner: &[R],
     ) -> Result<Vec<usize>, ExecError> {
+        if let Some(hits) = self.equal_keys(inner) {
+            ctx.counters.add_evals(inner.len() as u64);
+            return Ok(hits);
+        }
         let (mut hits, mut evals) = (Vec::new(), 0);
         let scanned = inner.iter().enumerate().try_for_each(|(i, row)| {
             let at = RowRef(outer, row.as_ref());
@@ -463,6 +512,33 @@ impl Probe<'_> {
         });
         ctx.counters.add_evals(evals);
         scanned.map(|()| hits)
+    }
+
+    /// The loop that matters, straight: `=` on an `Oid` or `Int` key with
+    /// no conjunct left decides every row by one comparison, so the rows
+    /// are the `evals`. `None` — `matches` runs its general loop over the
+    /// whole chunk — for any other probe, and when some inner value has
+    /// no or several members (`truthy` counts those pairs).
+    pub fn equal_keys<R: AsRef<[Value]>>(&self, inner: &[R]) -> Option<Vec<usize>> {
+        let keyed = matches!(self.key, Value::Oid(_) | Value::Int(_));
+        if !(keyed && self.op == CmpOp::Eq && self.rest.is_empty()) {
+            return None;
+        }
+        // Equality, not an ordering: that is what makes this loop cheaper
+        // than the general one (measured, ≈ 1.5 ns a pair).
+        let mut hits = Vec::new();
+        for (i, row) in inner.iter().enumerate() {
+            let equal = match (&row.as_ref()[self.slot], self.key) {
+                (Value::Oid(value), Value::Oid(key)) => value == key,
+                (Value::Int(value), Value::Int(key)) => value == key,
+                (Value::Null | Value::Set(_) | Value::List(_), _) => return None,
+                (value, key) => value == key,
+            };
+            if equal {
+                hits.push(i);
+            }
+        }
+        Some(hits)
     }
 }
 

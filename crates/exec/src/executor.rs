@@ -366,6 +366,8 @@ impl<'a> Executor<'a> {
         let out = pipeline::execute(&plan, shared, &io, &self.counters, self.config.threads);
         drop(io);
         let (rows, ops, fix_deltas, workers) = out?;
+        // A projection hands up no row twice; any other root may.
+        let deduplicated = matches!(plan.root, PhysOp::Project { .. });
         let mut rows = Batch {
             cols: plan.root.cols().to_vec(),
             rows,
@@ -376,7 +378,9 @@ impl<'a> Executor<'a> {
         self.last_plan = Some(plan);
         #[cfg(debug_assertions)]
         self.assert_bounds(pt);
-        rows.dedup();
+        if !deduplicated {
+            rows.dedup();
+        }
         Ok(rows)
     }
 

@@ -4,7 +4,7 @@
 //! Each [`PhysOp`] becomes an operator instance with `open`/`next_chunk`.
 //! A chunk is the run of rows an operator produces between two possible
 //! page touches: a scan lends out one fetched page at a time
-//! ([`Database::scan_page`]) instead of materializing whole entities,
+//! ([`Database::scan_pages`]) instead of materializing whole entities,
 //! and rows flow straight through filters, projections, dereferences
 //! and joins, whose expressions are bound to row slots once, when the
 //! tree is built. Only genuine pipeline breakers materialize: the
@@ -23,7 +23,9 @@ use std::time::Instant;
 
 use oorq_index::IndexSet;
 use oorq_pt::{PhysOp, PhysPlan};
-use oorq_storage::{Account, BufferManager, Database, EntityId, IoStats, Oid, PageRows, Value};
+use oorq_storage::{
+    Account, BufferManager, Database, EntityId, IoStats, Oid, PageRows, PageScan, Value,
+};
 
 use crate::error::ExecError;
 use crate::eval::{lit_value, Bound, Counters, EvalCtx, Probe, RowRef};
@@ -147,7 +149,7 @@ pub(crate) struct Shared<'a> {
     pub methods: &'a MethodRegistry,
     /// Per-temporary: (accumulator entity, delta entity); pre-created by
     /// the executor (creation needs `&mut Database`).
-    pub temps: &'a HashMap<String, (EntityId, EntityId)>,
+    pub temps: &'a Temps,
     /// Per materializing `NlJoin` (keyed by operator id): the page-store
     /// temporary backing its materialized inner; pre-created by the
     /// executor alongside the fixpoint temporaries.
@@ -164,9 +166,9 @@ struct Rt<'a> {
     /// out for the run, or a worker's fork of it.
     io: &'a Account,
     counters: &'a Counters,
-    /// Temporaries currently bound to their delta (a fixpoint iteration
-    /// is in flight).
-    delta_active: RefCell<HashSet<String>>,
+    /// The deltas their temporaries are currently bound to (a fixpoint
+    /// iteration is in flight), innermost last.
+    delta_active: RefCell<Vec<EntityId>>,
     stats: RefCell<Vec<OpStats>>,
     /// Per-fixpoint-opening delta curves, in execution order (each
     /// `FixPoint` open appends one curve keyed by its operator).
@@ -221,16 +223,8 @@ pub(crate) fn execute(
     counters: &Counters,
     threads: u32,
 ) -> Result<ExecOutput, ExecError> {
-    let rt = Rt::new(
-        shared,
-        io,
-        counters,
-        plan.ops,
-        HashSet::new(),
-        threads,
-        None,
-    );
-    let mut root = build(&plan.root);
+    let rt = Rt::new(shared, io, counters, plan.ops, Vec::new(), threads, None);
+    let mut root = build(&plan.root, shared.temps);
     root.open(&rt)?;
     let rows = root.drain(&rt)?;
     drop(root);
@@ -395,15 +389,8 @@ impl Cursor {
     }
 }
 
-/// A scan in progress: the entity and the pages still to fetch, one per
-/// chunk, each charged to the thread's account when it is asked for.
-struct PageScan(EntityId, std::ops::Range<u32>);
-
-impl PageScan {
-    fn next(&mut self, rt: &Rt<'_>) -> Option<PageRows> {
-        rt.db.scan_page(rt.io, self.0, self.1.next()?)
-    }
-}
+/// The accumulator and delta temporaries of a fixpoint, by name.
+type Temps = HashMap<String, (EntityId, EntityId)>;
 
 /// Per-operator mutable state. Expressions are bound to the operator's
 /// input columns when the tree is built.
@@ -412,7 +399,14 @@ enum St {
     /// `open` into the accumulator temporary — the canonical pipeline
     /// breaker — and streamed out of the page store, so the readback is
     /// hits while resident, reads once the memory budget spilled it).
-    Scan(Option<PageScan>),
+    /// `scan` holds the segment it reads from `open` until it runs out,
+    /// and nothing writes a temporary in between: a fixpoint sinks a leg
+    /// after draining it, a nested loop materializes before it probes.
+    Scan {
+        /// A temp scan's or fixpoint's (accumulator, delta), if built.
+        temps: Option<(EntityId, EntityId)>,
+        scan: Option<PageScan>,
+    },
     /// Index selection: the probe results still to fetch and filter.
     Probe {
         key: Value,
@@ -420,10 +414,11 @@ enum St {
         oids: std::vec::IntoIter<Oid>,
     },
     Filter(Bound),
-    /// Project: rows already emitted (streaming set semantics).
+    /// Project: rows already emitted (streaming set semantics); `None`
+    /// when no row can come twice.
     Project {
         exprs: Vec<Bound>,
-        seen: HashSet<Vec<Value>>,
+        seen: Option<HashSet<Vec<Value>>>,
     },
     /// IJ, PIJ: the oid-valued expression followed per input row.
     Deref(Bound),
@@ -456,11 +451,28 @@ struct OpExec<'p> {
     st: St,
 }
 
-fn build(op: &PhysOp) -> OpExec<'_> {
+/// Whether an operator hands up each row at most once per opening: the
+/// objects of a class, what a fixpoint or a projection deduplicated, or a
+/// selection of such rows. (A stored relation is a bag.)
+fn is_set(op: &PhysOp) -> bool {
+    match op {
+        PhysOp::EntityScan { class, .. } => class.is_some(),
+        PhysOp::TempScan { .. } | PhysOp::FixPoint { .. } | PhysOp::Project { .. } => true,
+        PhysOp::Filter { input, .. } => is_set(input),
+        _ => false,
+    }
+}
+
+fn build<'p>(op: &'p PhysOp, temps: &Temps) -> OpExec<'p> {
     let st = match op {
-        PhysOp::EntityScan { .. } | PhysOp::TempScan { .. } | PhysOp::FixPoint { .. } => {
-            St::Scan(None)
-        }
+        PhysOp::EntityScan { .. } => St::Scan {
+            temps: None,
+            scan: None,
+        },
+        PhysOp::TempScan { name, .. } | PhysOp::FixPoint { temp: name, .. } => St::Scan {
+            temps: temps.get(name).copied(),
+            scan: None,
+        },
         PhysOp::IndexSelect {
             key, pred, cols, ..
         } => St::Probe {
@@ -469,13 +481,19 @@ fn build(op: &PhysOp) -> OpExec<'_> {
             oids: Vec::new().into_iter(),
         },
         PhysOp::Filter { pred, cols, .. } => St::Filter(Bound::bind(pred, cols)),
-        PhysOp::Project { exprs, input, .. } => St::Project {
-            exprs: exprs
-                .iter()
-                .map(|(_, e)| Bound::bind(e, input.cols()))
-                .collect(),
-            seen: HashSet::new(),
-        },
+        PhysOp::Project { exprs, input, .. } => {
+            let cols = input.cols();
+            let exprs: Vec<Bound> = exprs.iter().map(|(_, e)| Bound::bind(e, cols)).collect();
+            // Distinct rows that keep every column stay distinct.
+            let kept = |col| {
+                exprs
+                    .iter()
+                    .any(|e| matches!(e, Bound::Slot(s) if *s == col))
+            };
+            let distinct = is_set(input) && (0..cols.len()).all(kept);
+            let seen = (!distinct).then(HashSet::new);
+            St::Project { exprs, seen }
+        }
         PhysOp::IjDeref { on, input, .. } | PhysOp::PijLookup { on, input, .. } => {
             St::Deref(Bound::bind(on, input.cols()))
         }
@@ -500,7 +518,11 @@ fn build(op: &PhysOp) -> OpExec<'_> {
     };
     OpExec {
         op,
-        kids: op.children().into_iter().map(build).collect(),
+        kids: op
+            .children()
+            .into_iter()
+            .map(|kid| build(kid, temps))
+            .collect(),
         input: Cursor::default(),
         st,
     }
@@ -580,6 +602,14 @@ fn worker_budget(budget: usize, workers: usize) -> usize {
     }
 }
 
+/// The (accumulator, delta) pair `build` found for temporary `name`.
+fn built(
+    temps: Option<(EntityId, EntityId)>,
+    name: &str,
+) -> Result<(EntityId, EntityId), ExecError> {
+    temps.ok_or_else(|| ExecError::BadFixpoint(format!("temp `{name}` not built")))
+}
+
 /// Rows with their columns put in the order a union, a merge leg or a
 /// fixpoint's recursive side resolved at lowering.
 fn permute(perm: Option<&Vec<usize>>, rows: Vec<Vec<Value>>) -> Vec<Vec<Value>> {
@@ -600,7 +630,7 @@ fn run_worker(
     op: &PhysOp,
     shared: Shared<'_>,
     account: BufferManager,
-    delta_active: HashSet<String>,
+    delta_active: Vec<EntityId>,
     ops_len: usize,
     partition: Option<Partition>,
 ) -> (Vec<EntityId>, Result<WorkerOut, ExecError>) {
@@ -608,7 +638,7 @@ fn run_worker(
     let rt = Rt::new(shared, &io, &counters, ops_len, delta_active, 0, partition);
     let t_start_ns = rt.obs.now_ns();
     let wall0 = Instant::now();
-    let mut root = build(op);
+    let mut root = build(op, shared.temps);
     let res = root.open(&rt).and_then(|()| root.drain(&rt));
     drop(root);
     let t_end_ns = rt.obs.now_ns();
@@ -639,7 +669,7 @@ impl<'a> Rt<'a> {
         io: &'a Account,
         counters: &'a Counters,
         ops_len: usize,
-        delta_active: HashSet<String>,
+        delta_active: Vec<EntityId>,
         threads: u32,
         partition: Option<Partition>,
     ) -> Self {
@@ -730,13 +760,7 @@ impl<'a> Rt<'a> {
             }
             _ => 0..u32::MAX,
         };
-        Ok(PageScan(entity, pages))
-    }
-
-    /// The accumulator and delta temporaries of a fixpoint.
-    fn temp(&self, name: &str) -> Result<(EntityId, EntityId), ExecError> {
-        let built = self.temps.get(name).copied();
-        built.ok_or_else(|| ExecError::BadFixpoint(format!("temp `{name}` not built")))
+        Ok(self.db.scan_pages(entity, pages))
     }
 
     /// Empty a temporary, dropping its frames from this thread's account
@@ -916,18 +940,14 @@ impl OpExec<'_> {
         let OpExec { op, kids, st, .. } = self;
         let meta = op.meta();
         match (&**op, st) {
-            (PhysOp::EntityScan { entity, .. }, St::Scan(iter)) => {
-                *iter = Some(rt.leaf_scan(*entity, meta.id)?);
+            (PhysOp::EntityScan { entity, .. }, St::Scan { scan, .. }) => {
+                *scan = Some(rt.leaf_scan(*entity, meta.id)?);
                 Ok(())
             }
-            (PhysOp::TempScan { name, .. }, St::Scan(iter)) => {
-                let (acc, delta) = rt.temp(name)?;
-                let entity = if rt.delta_active.borrow().contains(name) {
-                    delta
-                } else {
-                    acc
-                };
-                *iter = Some(rt.leaf_scan(entity, meta.id)?);
+            (PhysOp::TempScan { name, .. }, St::Scan { temps, scan }) => {
+                let (acc, delta) = built(*temps, name)?;
+                let on_delta = rt.delta_active.borrow().contains(&delta);
+                *scan = Some(rt.leaf_scan(if on_delta { delta } else { acc }, meta.id)?);
                 Ok(())
             }
             (PhysOp::IndexSelect { index, .. }, St::Probe { key, oids, .. }) => {
@@ -947,7 +967,7 @@ impl OpExec<'_> {
                 kids[0].open(rt)
             }
             (PhysOp::Project { .. }, St::Project { seen, .. }) => {
-                seen.clear();
+                seen.iter_mut().for_each(HashSet::clear);
                 kids[0].open(rt)
             }
             (PhysOp::IjDeref { .. }, St::Deref(_)) => kids[0].open(rt),
@@ -994,9 +1014,10 @@ impl OpExec<'_> {
                 *on_right = false;
                 kids[0].open(rt)
             }
-            (PhysOp::FixPoint { temp, perm, .. }, St::Scan(iter)) => {
-                *iter = None;
-                let (acc_e, delta_e) = rt.temp(temp)?;
+            (PhysOp::FixPoint { temp, perm, .. }, St::Scan { temps, scan }) => {
+                // Let go of the last opening's read-back before writing.
+                *scan = None;
+                let (acc_e, delta_e) = built(*temps, temp)?;
                 rt.truncate(acc_e)?;
                 rt.truncate(delta_e)?;
 
@@ -1052,9 +1073,9 @@ impl OpExec<'_> {
                     if iterations > rt.max_fix_iterations {
                         return Err(ExecError::FixpointDiverged(temp.clone()));
                     }
-                    rt.delta_active.borrow_mut().insert(temp.clone());
+                    rt.delta_active.borrow_mut().push(delta_e);
                     let rec = kids[1].open(rt).and_then(|()| kids[1].drain(rt));
-                    rt.delta_active.borrow_mut().remove(temp.as_str());
+                    rt.delta_active.borrow_mut().pop();
                     let rec = rec?;
                     rt.truncate(delta_e)?;
                     sink(permute(perm.as_ref(), rec))?;
@@ -1065,7 +1086,7 @@ impl OpExec<'_> {
                 // operator — page hits while the accumulator stayed
                 // resident, physical re-reads once the memory budget
                 // spilled it.
-                *iter = Some(PageScan(acc_e, 0..u32::MAX));
+                *scan = Some(rt.db.scan_pages(acc_e, 0..u32::MAX));
                 Ok(())
             }
             (PhysOp::Exchange { workers, input, .. }, St::Mat(out)) => {
@@ -1119,8 +1140,8 @@ impl OpExec<'_> {
         } = self;
         let ctx = rt.ctx();
         match (&**op, st) {
-            (PhysOp::EntityScan { class, .. }, St::Scan(scan)) => {
-                let page = scan.as_mut().and_then(|scan| scan.next(rt));
+            (PhysOp::EntityScan { class, .. }, St::Scan { scan, .. }) => {
+                let page = scan.as_mut().and_then(|scan| scan.next_page(rt.io));
                 Ok(page.map(|page| match class {
                     Some(c) => Chunk::Rows(
                         page.iter()
@@ -1130,8 +1151,8 @@ impl OpExec<'_> {
                     None => Chunk::Page(page),
                 }))
             }
-            (PhysOp::TempScan { .. } | PhysOp::FixPoint { .. }, St::Scan(scan)) => {
-                let page = scan.as_mut().and_then(|scan| scan.next(rt));
+            (PhysOp::TempScan { .. } | PhysOp::FixPoint { .. }, St::Scan { scan, .. }) => {
+                let page = scan.as_mut().and_then(|scan| scan.next_page(rt.io));
                 Ok(page.map(Chunk::Page))
             }
             (PhysOp::IndexSelect { class, .. }, St::Probe { pred, oids, .. }) => {
@@ -1175,7 +1196,10 @@ impl OpExec<'_> {
                         for e in exprs.iter() {
                             new_row.push(e.eval(&ctx, row)?.into_owned());
                         }
-                        if seen.insert(new_row.clone()) {
+                        if seen
+                            .as_mut()
+                            .is_none_or(|seen| seen.insert(new_row.clone()))
+                        {
                             out.push(new_row);
                             if cut {
                                 break;
@@ -1245,7 +1269,8 @@ impl OpExec<'_> {
                                 // page-store temporary: hits while it stays
                                 // resident, physical re-reads once the
                                 // memory budget spilled it.
-                                *miter = Some(PageScan(rt.nl_mat(op.meta().id)?, 0..u32::MAX));
+                                let mat_e = rt.nl_mat(op.meta().id)?;
+                                *miter = Some(rt.db.scan_pages(mat_e, 0..u32::MAX));
                             }
                             *cur.insert(input.next().expect("filled"))
                         }
@@ -1258,7 +1283,7 @@ impl OpExec<'_> {
                     let mut out = Vec::new();
                     while out.is_empty()
                         && inner.fill(|| match miter {
-                            Some(scan) => Ok(scan.next(rt).map(Chunk::Page)),
+                            Some(scan) => Ok(scan.next_page(rt.io).map(Chunk::Page)),
                             None => right.next_chunk(rt),
                         })?
                     {

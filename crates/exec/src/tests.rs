@@ -937,13 +937,41 @@ fn merge_leg_rematerializing_an_inner_drops_the_coordinators_frames() {
 /// The binder means what the name-resolving interpreter meant: every
 /// expected `(value | error, evals, method_calls)` below was recorded
 /// from `EvalCtx::eval(expr, cols, row)` at the commit before the binder
-/// replaced it.
+/// replaced it — the `stored …` cases, which compare one stored attribute
+/// of one object with a literal where the value lies, from the commit
+/// before they did, like the cases around them that decline to (a computed
+/// attribute, a literal on the left, several objects, the account-less
+/// pass every case gets).
 #[test]
 fn bound_expressions_evaluate_as_the_interpreter_did() {
     use crate::eval::{Bound, Counters, EvalCtx, RowRef};
     use oorq_query::Literal;
 
-    let m = small_music();
+    let mut m = small_music();
+    // Collections of no, one and three members (the store does not type
+    // what a loader wires in), on composers no other case reads.
+    let ints = |v: &[i64]| v.iter().map(|&i| Value::Int(i)).collect::<Vec<_>>();
+    let wired = [
+        Value::Set(vec![]),
+        Value::Set(ints(&[2])),
+        Value::List(vec![Value::Set(ints(&[1, 2]))]),
+        Value::Set(vec![Value::Null]),
+        Value::Set(ints(&[1, 2, 3])),
+        Value::List(ints(&[1, 2, 3])),
+        Value::Set(vec![Value::Null, Value::Int(2), Value::Int(3)]),
+    ];
+    let holders: Vec<Value> = m.composers[4..].iter().map(|&c| Value::Oid(c)).collect();
+    for (holder, works) in m.composers[4..].iter().zip(wired) {
+        m.db.set_attr(*holder, m.works_attr, works).unwrap();
+    }
+    let [none, one, one_set, one_null, three, three_list, null_and_two] = &holders[..7] else {
+        unreachable!("twelve composers")
+    };
+    let on = |x: &Value| vec![x.clone()];
+    let head = Value::Oid(m.composers[0]);
+    let bach = Value::Oid(m.bach);
+    let gone = oorq_storage::Oid::new(m.composer, 999);
+    let x = |attr: &str| Expr::path("x", &[attr]);
     let methods = MethodRegistry::with_music_methods(m.db.catalog());
     let works = m.db.read_attr_raw(m.bach, m.works_attr).unwrap();
     let work0 = works.members()[0].clone();
@@ -1028,22 +1056,68 @@ fn bound_expressions_evaluate_as_the_interpreter_did() {
          err(ExecError::UnknownColumn("nope".into())), 1, 0),
         ("three conjuncts", vec!["a", "b"], vec![int(1), int(2)], v("a").lt(v("b")).and(v("b").eq(Expr::int(2))).and(v("a").ne(v("b"))), true, yes(), 3, 0),
         ("literal < slot", vec!["a"], vec![int(1)], Expr::int(0).lt(v("a")), true, yes(), 1, 0),
+        // One stored step of one object against a literal.
+        ("stored text = text", vec!["x"], on(&bach), x("name").eq(Expr::text("Bach")), true, yes(), 1, 0),
+        ("stored text < text", vec!["x"], on(&bach), x("name").lt(Expr::text("A")), true, no(), 1, 0),
+        ("stored text, as a value", vec!["x"], on(&bach), x("name").eq(Expr::text("Bach")), false, yes(), 1, 0),
+        ("stored oid <> null", vec!["x"], on(&bach), x("master").ne(null()), true, yes(), 1, 0),
+        ("stored oid = null", vec!["x"], on(&bach), x("master").eq(null()), true, no(), 1, 0),
+        ("stored oid < null", vec!["x"], on(&bach), x("master").lt(null()), true, no(), 1, 0),
+        ("stored oid = int is rank order", vec!["x"], on(&bach), x("master").eq(Expr::int(1)), true, no(), 1, 0),
+        ("stored oid >= int is rank order", vec!["x"], on(&bach), x("master").ge(Expr::int(1)), true, yes(), 1, 0),
+        ("stored null = null", vec!["x"], on(&head), x("master").eq(null()), true, yes(), 1, 0),
+        ("stored null <> null", vec!["x"], on(&head), x("master").ne(null()), true, no(), 1, 0),
+        ("stored null = int", vec!["x"], on(&head), x("master").eq(Expr::int(1)), true, no(), 0, 0),
+        ("stored set of none = int", vec!["x"], on(none), x("works").eq(Expr::int(2)), true, no(), 0, 0),
+        ("stored set of none = null", vec!["x"], on(none), x("works").eq(null()), true, yes(), 1, 0),
+        ("stored set of none <> null", vec!["x"], on(none), x("works").ne(null()), true, no(), 1, 0),
+        ("stored set of one = int", vec!["x"], on(one), x("works").eq(Expr::int(2)), true, yes(), 1, 0),
+        ("stored set of one <> int", vec!["x"], on(one), x("works").ne(Expr::int(2)), true, no(), 1, 0),
+        ("stored list of one set is its members", vec!["x"], on(one_set), x("works").eq(Expr::int(2)), true, yes(), 2, 0),
+        ("stored set of one null = null", vec!["x"], on(one_null), x("works").eq(null()), true, yes(), 1, 0),
+        ("stored set of one null = int", vec!["x"], on(one_null), x("works").eq(Expr::int(2)), true, no(), 0, 0),
+        ("stored set of three = int", vec!["x"], on(three), x("works").eq(Expr::int(2)), true, yes(), 2, 0),
+        ("stored set of three, no member", vec!["x"], on(three), x("works").eq(Expr::int(7)), true, no(), 3, 0),
+        ("stored set of three >= int", vec!["x"], on(three), x("works").ge(Expr::int(3)), true, yes(), 3, 0),
+        ("stored set of three <> null", vec!["x"], on(three), x("works").ne(null()), true, yes(), 1, 0),
+        ("stored list of three < int", vec!["x"], on(three_list), x("works").lt(Expr::int(2)), true, yes(), 1, 0),
+        ("stored set with a null member", vec!["x"], on(null_and_two), x("works").eq(Expr::int(2)), true, yes(), 2, 0),
+        ("stored set with a null member = null", vec!["x"], on(null_and_two), x("works").eq(null()), true, no(), 1, 0),
+        ("dangling oid", vec!["x"], vec![Value::Oid(gone)], x("name").eq(Expr::text("x")), true,
+         err(oorq_storage::StorageError::DanglingOid(gone).into()), 0, 0),
+        ("dangling oid <> null", vec!["x"], vec![Value::Oid(gone)], x("master").ne(null()), true,
+         err(oorq_storage::StorageError::DanglingOid(gone).into()), 0, 0),
+        ("unknown attribute", vec!["x"], on(&bach), x("nope").eq(Expr::int(1)), true,
+         err(ExecError::UnknownAttribute("nope".into())), 0, 0),
+        // The same shape, where the value cannot be compared in place.
+        ("computed = int", vec!["x"], on(&bach), x("age").eq(Expr::int(165)), true, yes(), 1, 1),
+        ("computed <> null", vec!["x"], on(&bach), x("age").ne(null()), true, yes(), 1, 1),
+        ("literal = stored", vec!["x"], on(&bach), Expr::text("Bach").eq(x("name")), true, yes(), 1, 0),
+        ("stored = stored", vec!["x"], on(&bach), x("name").eq(x("name")), true, yes(), 1, 0),
+        ("two objects, one step", vec!["x"], vec![Value::Set(vec![bach.clone(), head.clone()])],
+         x("name").eq(Expr::text("Bach")), true, yes(), 1, 0),
+        ("a step from a null", vec!["x"], vec![Value::Null], x("name").eq(Expr::text("Bach")), true, no(), 0, 0),
+        ("a step from a null = null", vec!["x"], vec![Value::Null], x("name").eq(null()), true, yes(), 1, 0),
     ];
     // The (case, split) pairs the probe takes; every other one it leaves
     // to `truthy`, which is then the same call as above.
     let mut probed = Vec::new();
     for (name, cols, row, expr, as_pred, expected, evals, method_calls) in cases {
         let (counters, io) = (Counters::default(), m.db.check_out());
-        let ctx = EvalCtx {
-            db: &m.db,
-            methods: &methods,
-            counters: &counters,
-            io: Some(&io),
-        };
         let cols: Vec<String> = cols.into_iter().map(String::from).collect();
         let bound = Bound::bind(&expr, &cols);
-        // Split the row in two, as a join reads it: slots must not care.
-        for split in 0..=row.len() {
+        // With the run's page account, then as the reference evaluator
+        // reads: for free. Split the row in two, as a join reads it:
+        // slots must not care.
+        let passes = [true, false].into_iter();
+        for (account, split) in passes.flat_map(|a| (0..=row.len()).map(move |s| (a, s))) {
+            let ctx = EvalCtx {
+                db: &m.db,
+                methods: &methods,
+                counters: &counters,
+                io: account.then_some(&*io),
+            };
+            let charged = io.borrow().stats();
             counters.evals.set(0);
             counters.method_calls.set(0);
             let at = RowRef(&row[..split], &row[split..]);
@@ -1055,6 +1129,10 @@ fn bound_expressions_evaluate_as_the_interpreter_did() {
             assert_eq!(got.map_err(|e| e.to_string()), expected, "{name}");
             let counted = (counters.evals.get(), counters.method_calls.get());
             assert_eq!(counted, (evals, method_calls), "{name}: (evals, methods)");
+            if !account {
+                assert_eq!(io.borrow().stats(), charged, "{name}: read for free");
+                continue;
+            }
             // The probe form: the outer row is known, the inner row is a
             // one-row chunk.
             let Some(probe) = bound.probe(at.0) else {
@@ -1309,7 +1387,10 @@ fn probed_operators_keep_the_interpreters_counters() {
 /// The probe against the loop it replaces, on inputs nobody chose: random
 /// rows over every kind of value, random predicates, a multi-row inner
 /// chunk. The matches (indices, in order), the `evals` and the first error
-/// are the per-pair `truthy` loop's.
+/// are the per-pair `truthy` loop's. Three trials in ten are the shape the
+/// probe decides in one straight loop — `=` between an `Int`/`Oid` key and
+/// an inner slot, nothing else — over chunks some of which hold a `Null` or
+/// a `Set` in that slot, which send the whole chunk back to the general loop.
 #[test]
 fn probe_is_the_per_pair_loop_on_random_rows_and_predicates() {
     use crate::eval::{Bound, Counters, EvalCtx, RowRef};
@@ -1379,19 +1460,46 @@ fn probe_is_the_per_pair_loop_on_random_rows_and_predicates() {
     let cols: Vec<String> = ["a", "b", "c", "d"].map(String::from).to_vec();
     let mut rng = Prng::new(17);
     let (mut probed, mut failed, mut matched) = (0, 0, 0);
+    let (mut straight, mut sent_back) = (0, 0);
     for trial in 0..4000 {
-        let expr = pred(&mut rng, 2);
-        let bound = Bound::bind(&expr, &cols);
         // A join's split, or a filter's: no outer row at all.
         let split = if rng.chance(0.8) { 2 } else { 0 };
-        let outer: Vec<Value> = (0..split).map(|_| value(&mut rng)).collect();
+        let keyed = rng.chance(0.3);
+        let expr = if keyed {
+            let key = match split {
+                0 => Expr::int(rng.range_i64(0, 3)),
+                _ => Expr::var(["a", "b"][rng.index(2)]),
+            };
+            let slot = Expr::var(["c", "d"][rng.index(2)]);
+            if rng.chance(0.5) {
+                key.eq(slot)
+            } else {
+                slot.eq(key)
+            }
+        } else {
+            pred(&mut rng, 2)
+        };
+        let bound = Bound::bind(&expr, &cols);
+        // A keyed trial compares keys; one value in ten is a planted one.
+        let draw = |rng: &mut Prng| match (keyed, rng.index(10)) {
+            (false, _) => value(rng),
+            (true, 0) => {
+                [Value::Null, Value::Set(vec![Value::Int(1), Value::Int(2)])][rng.index(2)].clone()
+            }
+            (true, n) => [Value::Int(rng.range_i64(0, 3)), scalar(rng)][n % 2].clone(),
+        };
+        let outer: Vec<Value> = (0..split).map(|_| draw(&mut rng)).collect();
         let inner: Vec<Vec<Value>> = (0..rng.index(7))
-            .map(|_| (split..4).map(|_| value(&mut rng)).collect())
+            .map(|_| (split..4).map(|_| draw(&mut rng)).collect())
             .collect();
         let Some(probe) = bound.probe(&outer) else {
             continue;
         };
         probed += 1;
+        match probe.equal_keys(&inner) {
+            Some(_) => straight += 1,
+            None => sent_back += usize::from(keyed),
+        }
 
         counters.evals.set(0);
         let mut hits = Vec::new();
@@ -1419,9 +1527,101 @@ fn probe_is_the_per_pair_loop_on_random_rows_and_predicates() {
         matched += got.0.map_or(0, |hits| hits.len());
     }
     // The generator reaches what it is meant to: predicates the probe
-    // takes, pairs that match, residuals that fail.
+    // takes, pairs that match, residuals that fail, chunks the straight
+    // loop decides and chunks it hands back.
     assert!(
-        probed > 400 && matched > 300 && failed > 20,
-        "{probed} {matched} {failed}"
+        probed > 400 && matched > 300 && failed > 20 && straight >= 200 && sent_back > 100,
+        "{probed} {matched} {failed} {straight} {sent_back}"
     );
+    println!("{probed} probed: {straight} by the straight loop, {sent_back} keyed ones sent back");
+}
+
+/// Rows are deduplicated once, where they can first repeat. A stored
+/// relation is a bag: a projection over it keeps its set of rows seen, and
+/// a root that is not a projection — a selection, an exchange — leaves the
+/// duplicates to `Executor::run`. What a fixpoint hands up is a set: the
+/// projections over it that keep every column skip theirs, and the root
+/// projection's answer is not deduplicated again. Per-operator `(label,
+/// opens, rows_out)` recorded at the commit before either shortcut.
+#[test]
+fn a_bag_is_deduplicated_once_and_a_set_not_again() {
+    let mut m = MusicDb::generate_paged(
+        Arc::new(music_catalog()),
+        MusicConfig {
+            chains: 3,
+            chain_len: 4,
+            ..Default::default()
+        },
+        oorq_storage::WidthModel {
+            page_size: 256,
+            ..Default::default()
+        },
+    );
+    // `Play` holds one row per composer; now every row twice, the second
+    // copies on pages of their own.
+    let play = m.db.catalog().relation_by_name("Play").unwrap();
+    let e = m.db.physical().entities_of_relation(play)[0];
+    for row in m.db.scan_raw(e) {
+        m.db.insert_row(play, row.values).unwrap();
+    }
+    assert_eq!((m.db.entity_len(e), m.db.num_pages(e)), (24, 3));
+    let cols = |var: &str| {
+        let col = |field: &str| (field.to_string(), Expr::var(format!("{var}.{field}")));
+        vec![col("who"), col("instrument")]
+    };
+    let projected = || Pt::proj(cols("p"), Pt::entity(e, "p"));
+    let selected = || {
+        Pt::sel(
+            Expr::var("p.who").ne(Expr::Lit(oorq_query::Literal::Null)),
+            Pt::entity(e, "p"),
+        )
+    };
+    // The same rows through a fixpoint whose recursive side derives
+    // nothing new, under an identity projection.
+    let again = Pt::sel(
+        Expr::var("t.who").ne(Expr::Lit(oorq_query::Literal::Null)),
+        Pt::temp("Played", "t"),
+    );
+    let closed = Pt::proj(
+        vec![
+            ("who".into(), Expr::var("who")),
+            ("instrument".into(), Expr::var("instrument")),
+        ],
+        Pt::fix("Played", Pt::union(projected(), Pt::proj(cols("t"), again))),
+    );
+    let (idx, methods) = (IndexSet::new(), MethodRegistry::new());
+    type Ops = &'static [(&'static str, u64, u64)];
+    #[rustfmt::skip]
+    let cases: [(&str, Pt, u32, &str, Ops); 4] = [
+        ("projected", projected(), 0, "Project", &[("scan Play", 1, 24), ("Proj", 1, 12)]),
+        ("closed", closed, 0, "Project", &[("scan Play", 1, 24), ("Proj", 1, 12), ("scan temp Played", 1, 12), ("Sel[t.who<>null]", 1, 12), ("Proj", 1, 12), ("Fix(Played)", 1, 12), ("Proj", 1, 12)]),
+        ("selected", selected(), 0, "Filter", &[("scan Play", 1, 24), ("Sel[p.who<>null]", 1, 24)]),
+        ("exchanged", selected(), 2, "Exchange", &[("scan Play", 2, 24), ("Sel[p.who<>null]", 2, 24), ("Exchange(x2)", 1, 24)]),
+    ];
+    for (name, plan, threads, root, expected_ops) in cases {
+        let config = ExecConfig {
+            threads,
+            ..ExecConfig::default()
+        };
+        let mut ex = Executor::new(&mut m.db, &idx, &methods)
+            .with_config(config)
+            .with_parallel(oorq_pt::ParallelSpec::from([(0, threads as usize)]));
+        let out = ex.run(&plan).unwrap();
+        let distinct: std::collections::HashSet<_> = out.rows.iter().collect();
+        assert_eq!(
+            (out.len(), distinct.len()),
+            (12, 12),
+            "{name}: each row once"
+        );
+        let lowered = format!("{:?}", ex.last_plan().unwrap().root);
+        assert!(lowered.starts_with(root), "{name}: the root is a {root}");
+        let report = ex.report();
+        assert_eq!(report.workers.len(), threads as usize, "{name}");
+        let ops: Vec<_> = report
+            .ops
+            .iter()
+            .map(|o| (o.label.as_str(), o.opens, o.rows_out))
+            .collect();
+        assert_eq!(ops, expected_ops, "{name}");
+    }
 }

@@ -83,10 +83,11 @@ impl PathIndex {
     }
 
     /// Full path instantiations starting at `head` (each is the oids of
-    /// the path *after* the head). Charges `io` `nblevels` index page
-    /// reads plus extra leaf reads for large fan-outs.
-    pub fn probe(&self, io: &Account, head: Oid) -> Vec<Vec<Oid>> {
-        let hits = self.tree.get(&head).map(|s| s.to_vec()).unwrap_or_default();
+    /// the path *after* the head), lent out of the tree. Charges `io`
+    /// `nblevels` index page reads plus extra leaf reads for large
+    /// fan-outs.
+    pub fn probe(&self, io: &Account, head: Oid) -> &[Vec<Oid>] {
+        let hits = self.tree.get(&head).unwrap_or_default();
         let extra_leaves = (hits.len() as u64).div_ceil(8).saturating_sub(1);
         io.borrow_mut()
             .add_index_reads(self.tree.nblevels() as u64 + extra_leaves);
@@ -98,7 +99,7 @@ impl PathIndex {
     pub fn probe_ends(&self, io: &Account, head: Oid) -> Vec<Oid> {
         let mut seen = std::collections::HashSet::new();
         self.probe(io, head)
-            .into_iter()
+            .iter()
             .filter_map(|tail| tail.last().copied())
             .filter(|o| seen.insert(*o))
             .collect()

@@ -161,7 +161,7 @@ fn path_index_matches_naive_traversal() {
                 naive.push(vec![w, i.as_oid().unwrap()]);
             }
         }
-        let mut sorted_tails = tails.clone();
+        let mut sorted_tails = tails.to_vec();
         sorted_tails.sort();
         naive.sort();
         assert_eq!(sorted_tails, naive);

@@ -6,9 +6,8 @@
 //! footnote 2: "when estimating access_cost, we take into account the fact
 //! that some of the needed data are already in main memory".
 
-use std::collections::HashMap;
-
 use crate::page::PageId;
+use crate::physical::EntityId;
 
 /// Counters accumulated by the buffer manager.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -87,6 +86,7 @@ impl std::ops::Sub for IoStats {
 /// Residency record for one buffered page.
 #[derive(Debug, Clone, Copy)]
 struct Frame {
+    page: PageId,
     /// Clock stamp of last use (LRU victim = smallest stamp).
     stamp: u64,
     /// Whether the page belongs to a temporary entity (breaker state);
@@ -94,7 +94,18 @@ struct Frame {
     temp: bool,
 }
 
+/// `frame_of`'s mark for a page that is not resident: past any frame, so
+/// indexing `frames` with it finds none.
+const NOT_RESIDENT: u32 = u32::MAX;
+
 /// An LRU page cache of a fixed number of frames.
+///
+/// Entity ids and page numbers are small dense integers the store hands
+/// out, so residency is two arrays: the resident frames, and per entity a
+/// page-indexed table of frame numbers. A touch indexes; only an eviction
+/// walks the (at most `capacity`) frames for the smallest stamp. `clock`
+/// is bumped by every fetch and write, so stamps are unique and neither
+/// victim depends on the order the frames are kept in.
 #[derive(Debug)]
 pub struct BufferManager {
     capacity: usize,
@@ -106,8 +117,11 @@ pub struct BufferManager {
     /// Resident temporary pages (maintained incrementally so budget
     /// checks are O(1)).
     temp_resident: usize,
-    /// page -> residency record (LRU stamp + temp flag).
-    resident: HashMap<PageId, Frame>,
+    /// The resident pages, at most `capacity`, in no particular order.
+    frames: Vec<Frame>,
+    /// entity -> page -> index into `frames`, or [`NOT_RESIDENT`]; both
+    /// levels grow to the largest id touched.
+    frame_of: Vec<Vec<u32>>,
     clock: u64,
     stats: IoStats,
     /// What of `stats` the `storage.*` series already carry.
@@ -133,7 +147,8 @@ impl BufferManager {
             capacity: capacity.max(1),
             temp_budget: 0,
             temp_resident: 0,
-            resident: HashMap::new(),
+            frames: Vec::new(),
+            frame_of: Vec::new(),
             clock: 0,
             stats: IoStats::default(),
             published: IoStats::default(),
@@ -204,15 +219,43 @@ impl BufferManager {
         self.temp_budget
     }
 
-    /// Remove `victim` from the frame table, maintaining the temp count.
-    fn drop_frame(&mut self, victim: PageId) -> Option<Frame> {
-        let frame = self.resident.remove(&victim);
-        if let Some(f) = frame {
-            if f.temp {
-                self.temp_resident -= 1;
-            }
+    /// The resident frame of `page`, if it has one.
+    fn frame_mut(&mut self, page: PageId) -> Option<&mut Frame> {
+        let pages = self.frame_of.get(page.entity.0 as usize)?;
+        let &frame = pages.get(page.page as usize)?;
+        self.frames.get_mut(frame as usize)
+    }
+
+    /// `page`'s entry of the frame table, grown to reach it.
+    fn slot(&mut self, page: PageId) -> &mut u32 {
+        let pages = crate::entry(&mut self.frame_of, page.entity.0 as usize, Vec::new());
+        crate::entry(pages, page.page as usize, NOT_RESIDENT)
+    }
+
+    /// Make `page` resident (it is not, and there is room).
+    fn admit(&mut self, page: PageId, temp: bool) {
+        *self.slot(page) = self.frames.len() as u32;
+        let stamp = self.clock;
+        self.frames.push(Frame { page, stamp, temp });
+        self.temp_resident += usize::from(temp);
+    }
+
+    /// Drop frame `i`, maintaining the table and the temp count: the last
+    /// frame takes its place.
+    fn drop_frame(&mut self, i: usize) -> PageId {
+        let frame = self.frames.swap_remove(i);
+        *self.slot(frame.page) = NOT_RESIDENT;
+        if let Some(moved) = self.frames.get(i) {
+            *self.slot(moved.page) = i as u32;
         }
-        frame
+        self.temp_resident -= usize::from(frame.temp);
+        frame.page
+    }
+
+    /// The least recently used frame among those `eligible`.
+    fn lru(&self, eligible: impl Fn(&Frame) -> bool) -> Option<usize> {
+        let frames = self.frames.iter().enumerate().filter(|(_, f)| eligible(f));
+        frames.min_by_key(|(_, f)| f.stamp).map(|(i, _)| i)
     }
 
     /// Fire a structured event identifying a page; a disabled recorder
@@ -229,8 +272,8 @@ impl BufferManager {
 
     /// Evict the least recently used page to make room.
     fn evict_lru(&mut self) {
-        if let Some((&victim, _)) = self.resident.iter().min_by_key(|(_, f)| f.stamp) {
-            self.drop_frame(victim);
+        if let Some(i) = self.lru(|_| true) {
+            let victim = self.drop_frame(i);
             self.stats.page_evictions += 1;
             self.page_event("page-evict", victim);
         }
@@ -240,14 +283,8 @@ impl BufferManager {
     /// the breaker memory budget, counted separately from capacity
     /// evictions.
     fn spill_lru_temp(&mut self) {
-        let victim = self
-            .resident
-            .iter()
-            .filter(|(_, f)| f.temp)
-            .min_by_key(|(_, f)| f.stamp)
-            .map(|(&p, _)| p);
-        if let Some(victim) = victim {
-            self.drop_frame(victim);
+        if let Some(i) = self.lru(|f| f.temp) {
+            let victim = self.drop_frame(i);
             self.stats.spill_evictions += 1;
             self.page_event("spill-evict", victim);
         }
@@ -261,7 +298,7 @@ impl BufferManager {
                 self.spill_lru_temp();
             }
         }
-        if self.resident.len() >= self.capacity {
+        if self.frames.len() >= self.capacity {
             self.evict_lru();
         }
     }
@@ -272,18 +309,15 @@ impl BufferManager {
     pub fn fetch(&mut self, page: PageId, temp: bool) -> bool {
         self.clock += 1;
         let clock = self.clock;
-        if let Some(frame) = self.resident.get_mut(&page) {
+        if let Some(frame) = self.frame_mut(page) {
             frame.stamp = clock;
             self.stats.page_hits += 1;
             self.page_event("page-hit", page);
             false
         } else {
             self.make_room(temp);
-            self.resident.insert(page, Frame { stamp: clock, temp });
-            if temp {
-                self.temp_resident += 1;
-                self.stats.temp_reads += 1;
-            }
+            self.admit(page, temp);
+            self.stats.temp_reads += u64::from(temp);
             self.stats.page_reads += 1;
             self.page_event("page-miss", page);
             true
@@ -296,31 +330,25 @@ impl BufferManager {
         self.clock += 1;
         self.stats.page_writes += 1;
         let clock = self.clock;
-        if let Some(frame) = self.resident.get_mut(&page) {
+        if let Some(frame) = self.frame_mut(page) {
             // An entity's temp-ness never changes, so the flag is stable.
             debug_assert_eq!(frame.temp, temp);
             frame.stamp = clock;
             return;
         }
         self.make_room(temp);
-        self.resident.insert(page, Frame { stamp: clock, temp });
-        if temp {
-            self.temp_resident += 1;
-        }
+        self.admit(page, temp);
     }
 
     /// Drop every resident page of an entity (e.g. when a temporary is
     /// cleared between fixpoint iterations).
-    pub fn invalidate_entity(&mut self, entity: crate::physical::EntityId) {
-        let mut dropped_temps = 0usize;
-        self.resident.retain(|p, f| {
-            let keep = p.entity != entity;
-            if !keep && f.temp {
-                dropped_temps += 1;
+    pub fn invalidate_entity(&mut self, entity: EntityId) {
+        // Back to front: the frame a drop moves down was looked at already.
+        for i in (0..self.frames.len()).rev() {
+            if self.frames[i].page.entity == entity {
+                self.drop_frame(i);
             }
-            keep
-        });
-        self.temp_resident -= dropped_temps;
+        }
     }
 
     /// Count index page reads (index nodes are outside the data buffer).
@@ -342,7 +370,8 @@ impl BufferManager {
     /// Drop all residency and counters.
     pub fn clear(&mut self) {
         self.reset_stats();
-        self.resident.clear();
+        self.frames.clear();
+        self.frame_of.clear();
         self.temp_resident = 0;
         self.clock = 0;
     }
@@ -351,7 +380,6 @@ impl BufferManager {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::physical::EntityId;
 
     fn pid(e: u32, p: u32) -> PageId {
         PageId {

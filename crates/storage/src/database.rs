@@ -1,7 +1,6 @@
 //! The object store: a page-accounted, single-node object database
 //! following the direct storage model of \[VKC86\].
 
-use std::collections::HashMap;
 use std::sync::{Arc, Mutex, RwLock};
 
 use oorq_schema::{AttrId, AttributeKind, Catalog, ClassId, RelationId, ResolvedType, ViewKind};
@@ -42,11 +41,45 @@ enum ClassLayout {
     Horizontal(Vec<EntityId>),
 }
 
+/// Where an entity's records live. Extensions, fragments and stored
+/// relations are written only under `&mut Database`, so reading them takes
+/// no lock; a temporary is the one thing a run writes through `&Database`
+/// (exchange workers share it), and each sits behind a lock of its own.
+#[derive(Debug)]
+enum Home {
+    Base(Arc<Segment>),
+    Temp(RwLock<Arc<Segment>>),
+}
+
+/// A temporary's writer panicked mid-append: its rows are not to be read.
+const POISONED: &str = "a temporary's writer panicked";
+
+impl Home {
+    /// The segment as it is now (a temporary's, under its read lock).
+    fn segment(&self) -> Arc<Segment> {
+        match self {
+            Home::Base(seg) => Arc::clone(seg),
+            Home::Temp(lock) => Arc::clone(&lock.read().expect(POISONED)),
+        }
+    }
+
+    /// The segment for writing in place, copied first if it is shared.
+    fn segment_mut(&mut self) -> &mut Segment {
+        Arc::make_mut(match self {
+            Home::Base(seg) => seg,
+            Home::Temp(lock) => lock.get_mut().expect(POISONED),
+        })
+    }
+}
+
 /// The object database: conceptual catalog + physical schema + segments +
 /// buffer manager.
 ///
-/// The store is shared-read: segments sit behind an `RwLock` that is only
-/// write-locked during (single-threaded) loading and by temporaries. Every
+/// The store is shared-read. Every table is a vector indexed by the dense
+/// id the store itself hands out (entity, class, relation), and only a
+/// temporary's segment sits behind a lock (see [`Home`]): an attribute
+/// read or an object touch is array arithmetic, and a scan takes its
+/// segment once, when it is opened ([`Database::scan_pages`]). Every
 /// accounted read or write names the page [`Account`] it charges. The
 /// database's own account — its buffer frames, breaker budget and
 /// [`IoStats`] — is parked here between runs (a `Mutex`, because `&self`
@@ -59,11 +92,16 @@ enum ClassLayout {
 pub struct Database {
     catalog: Arc<Catalog>,
     physical: PhysicalSchema,
-    segments: RwLock<Vec<Arc<Segment>>>,
-    class_layout: HashMap<ClassId, ClassLayout>,
-    relation_home: HashMap<RelationId, EntityId>,
-    class_count: HashMap<ClassId, u32>,
-    relation_count: HashMap<RelationId, u32>,
+    /// By [`EntityId`].
+    segments: Vec<Home>,
+    /// By [`ClassId`].
+    class_layout: Vec<ClassLayout>,
+    /// By [`RelationId`]; a view has no home.
+    relation_home: Vec<Option<EntityId>>,
+    /// Objects inserted, by [`ClassId`].
+    class_count: Vec<u32>,
+    /// Rows inserted, by [`RelationId`].
+    relation_count: Vec<u32>,
     buffer: Mutex<BufferManager>,
     width: WidthModel,
 }
@@ -74,19 +112,15 @@ impl Database {
     pub fn new(catalog: Arc<Catalog>, config: StorageConfig) -> Self {
         let mut physical = PhysicalSchema::new();
         let mut segments = Vec::new();
-        let mut class_layout = HashMap::new();
-        let mut relation_home = HashMap::new();
+        let mut class_layout = Vec::new();
+        let mut relation_home = vec![None; catalog.relations().len()];
         for (i, c) in catalog.classes().iter().enumerate() {
             let cid = ClassId(i as u32);
             let id = physical.add_entity(c.name.clone(), EntitySource::Class(cid), None);
-            segments.push(Arc::new(Self::class_segment(
-                &catalog,
-                cid,
-                None,
-                &config.width,
-            )));
+            let seg = Self::class_segment(&catalog, cid, None, &config.width);
+            segments.push(Home::Base(Arc::new(seg)));
             debug_assert_eq!(id.0 as usize, segments.len() - 1);
-            class_layout.insert(cid, ClassLayout::Single(id));
+            class_layout.push(ClassLayout::Single(id));
         }
         for (i, r) in catalog.relations().iter().enumerate() {
             if r.kind != ViewKind::Stored {
@@ -96,18 +130,18 @@ impl Database {
             let id = physical.add_entity(r.name.clone(), EntitySource::Relation(rid), None);
             let types: Vec<ResolvedType> = r.fields.iter().map(|(_, t)| t.clone()).collect();
             let rpp = config.width.records_per_page(&types);
-            segments.push(Arc::new(Segment::with_rpp(types, rpp)));
+            segments.push(Home::Base(Arc::new(Segment::with_rpp(types, rpp))));
             debug_assert_eq!(id.0 as usize, segments.len() - 1);
-            relation_home.insert(rid, id);
+            relation_home[i] = Some(id);
         }
         Database {
+            class_count: vec![0; class_layout.len()],
+            relation_count: vec![0; relation_home.len()],
             catalog,
             physical,
-            segments: RwLock::new(segments),
+            segments,
             class_layout,
             relation_home,
-            class_count: HashMap::new(),
-            relation_count: HashMap::new(),
             buffer: Mutex::new(BufferManager::new(config.buffer_frames)),
             width: config.width,
         }
@@ -160,11 +194,13 @@ impl Database {
     /// An independent read view of this database for a serving session.
     ///
     /// Segment data is shared copy-on-write (each segment sits behind an
-    /// `Arc`; a later mutation on either side clones just the touched
-    /// segment), the cheap metadata (physical schema, layouts, counts)
-    /// is cloned, and the snapshot gets its own empty buffer manager so
-    /// every session accounts page I/O — and spends its breaker memory
-    /// budget — independently. Queries executed against the snapshot
+    /// `Arc`, cloned per entity; a later mutation on either side clones
+    /// just the touched segment, and a temporary gets a lock of its own,
+    /// so the two sides append to it independently), the cheap metadata
+    /// (physical schema, layouts, counts) is cloned, and the snapshot gets
+    /// its own empty buffer manager so every session accounts page I/O —
+    /// and spends its breaker memory budget — independently. Queries
+    /// executed against the snapshot
     /// return byte-identical answers to the source database: position
     /// order, record keys and page boundaries are all part of the shared
     /// segment state.
@@ -172,7 +208,14 @@ impl Database {
         Database {
             catalog: Arc::clone(&self.catalog),
             physical: self.physical.clone(),
-            segments: RwLock::new(self.segments.read().unwrap().clone()),
+            segments: self
+                .segments
+                .iter()
+                .map(|home| match home {
+                    Home::Base(_) => Home::Base(home.segment()),
+                    Home::Temp(_) => Home::Temp(RwLock::new(home.segment())),
+                })
+                .collect(),
             class_layout: self.class_layout.clone(),
             relation_home: self.relation_home.clone(),
             class_count: self.class_count.clone(),
@@ -213,21 +256,16 @@ impl Database {
                 got: stored_values.len(),
             });
         }
-        let home = match self.class_layout.get(&class) {
-            Some(ClassLayout::Single(e)) => *e,
-            Some(_) => return Err(StorageError::Decomposed(class)),
-            None => return Err(StorageError::NoHome(class)),
-        };
+        let home = self.whole_extension(class)?;
         let n_attrs = self.catalog.class(class).attrs.len();
         let mut values = vec![Value::Null; n_attrs];
         for (attr, v) in layout.into_iter().zip(stored_values) {
             values[attr.0 as usize] = v;
         }
-        let count = self.class_count.entry(class).or_insert(0);
+        let count = &mut self.class_count[class.0 as usize];
         let index = *count;
         *count += 1;
-        Arc::make_mut(&mut self.segments.write().unwrap()[home.0 as usize])
-            .append(Row { key: index, values });
+        self.segment_mut(home).append(Row { key: index, values });
         Ok(Oid::new(class, index))
     }
 
@@ -235,13 +273,12 @@ impl Database {
     /// wire cyclic references such as `master`).
     pub fn set_attr(&mut self, oid: Oid, attr: AttrId, value: Value) -> Result<(), StorageError> {
         let entity = self.entity_holding(oid, attr)?;
-        let mut segs = self.segments.write().unwrap();
-        let seg = Arc::make_mut(&mut segs[entity.0 as usize]);
+        let slot = self.attr_slot(entity, attr);
+        let seg = self.segment_mut(entity);
         let pos = seg
             .position_of(oid.index)
             .ok_or(StorageError::DanglingOid(oid))?;
         // Row mutation in place.
-        let slot = self.attr_slot(entity, oid.class, attr);
         let row_values = {
             let row = seg.row_at(pos).ok_or(StorageError::DanglingOid(oid))?;
             let mut v = row.values.clone();
@@ -261,9 +298,9 @@ impl Database {
         relation: RelationId,
         values: Vec<Value>,
     ) -> Result<u32, StorageError> {
-        let home = *self
-            .relation_home
-            .get(&relation)
+        let home = self.relation_home.get(relation.0 as usize).copied();
+        let home = home
+            .flatten()
             .ok_or(StorageError::BadEntity(EntityId(u32::MAX)))?;
         let expected = self.catalog.relation(relation).fields.len();
         if values.len() != expected {
@@ -273,23 +310,22 @@ impl Database {
                 got: values.len(),
             });
         }
-        let count = self.relation_count.entry(relation).or_insert(0);
+        let count = &mut self.relation_count[relation.0 as usize];
         let id = *count;
         *count += 1;
-        Arc::make_mut(&mut self.segments.write().unwrap()[home.0 as usize])
-            .append(Row { key: id, values });
+        self.segment_mut(home).append(Row { key: id, values });
         Ok(id)
     }
 
     /// Number of objects in a class extension.
     pub fn object_count(&self, class: ClassId) -> u32 {
-        self.class_count.get(&class).copied().unwrap_or(0)
+        self.class_count.get(class.0 as usize).copied().unwrap_or(0)
     }
 
     /// Scatter the physical placement of an entity (models an unclustered
     /// extension; see [`Segment::shuffle`]).
     pub fn shuffle_entity(&mut self, entity: EntityId, seed: u64) {
-        Arc::make_mut(&mut self.segments.write().unwrap()[entity.0 as usize]).shuffle(seed);
+        self.segment_mut(entity).shuffle(seed);
         self.buffer.lock().unwrap().invalidate_entity(entity);
     }
 
@@ -297,67 +333,96 @@ impl Database {
     // Decomposition
     // ------------------------------------------------------------------
 
+    /// The one entity holding the whole extension of a class.
+    fn whole_extension(&self, class: ClassId) -> Result<EntityId, StorageError> {
+        match self.class_layout.get(class.0 as usize) {
+            Some(ClassLayout::Single(e)) => Ok(*e),
+            Some(_) => Err(StorageError::Decomposed(class)),
+            None => Err(StorageError::NoHome(class)),
+        }
+    }
+
+    /// Add an empty fragment of a class extension holding `attrs` (all of
+    /// them for a horizontal fragment).
+    fn add_fragment(&mut self, name: String, class: ClassId, spec: FragmentSpec) -> EntityId {
+        let attrs = match &spec {
+            FragmentSpec::Vertical { attrs } => Some(attrs.as_slice()),
+            FragmentSpec::Horizontal { .. } => None,
+        };
+        let seg = Self::class_segment(&self.catalog, class, attrs, &self.width);
+        self.segments.push(Home::Base(Arc::new(seg)));
+        self.physical
+            .add_entity(name, EntitySource::Class(class), Some(spec))
+    }
+
+    /// Take the records out of a decomposed extension's former home.
+    fn retire(&mut self, home: EntityId) -> Vec<Row> {
+        let rows = self.scan_raw(home);
+        self.segment_mut(home).clear();
+        self.buffer.lock().unwrap().invalidate_entity(home);
+        self.physical.deactivate_entity(home);
+        rows
+    }
+
     /// Decompose a class extension vertically into fragments holding the
-    /// given attribute groups (every attribute must appear in exactly one
-    /// group). Returns the fragment entities.
+    /// given attribute groups. Every attribute of the class must appear in
+    /// exactly one group; anything else is refused before a record moves.
+    /// Returns the fragment entities.
     pub fn decompose_vertical(
         &mut self,
         class: ClassId,
         groups: &[Vec<AttrId>],
     ) -> Result<Vec<EntityId>, StorageError> {
-        let home = match self.class_layout.get(&class) {
-            Some(ClassLayout::Single(e)) => *e,
-            _ => return Err(StorageError::Decomposed(class)),
+        let home = self.whole_extension(class)?;
+        let catalog = Arc::clone(&self.catalog);
+        let (cname, attrs) = (&catalog.class(class).name, &catalog.class(class).attrs);
+        let refused = |what: String, expected, got| StorageError::ArityMismatch {
+            context: format!("decompose `{cname}` vertically: {what}"),
+            expected,
+            got,
         };
-        let cname = self.catalog.class(class).name.clone();
-        let mut fragments = Vec::new();
-        for (i, group) in groups.iter().enumerate() {
-            let id = self.physical.add_entity(
-                format!("{cname}_v{i}"),
-                EntitySource::Class(class),
-                Some(FragmentSpec::Vertical {
-                    attrs: group.clone(),
-                }),
-            );
-            let seg = Self::class_segment(&self.catalog, class, Some(group), &self.width);
-            self.segments.write().unwrap().push(Arc::new(seg));
-            fragments.push(id);
-        }
-        // Move the data.
-        {
-            let mut segs = self.segments.write().unwrap();
-            let rows: Vec<Row> = segs[home.0 as usize].iter().cloned().collect();
-            for row in rows {
-                for (fi, group) in groups.iter().enumerate() {
-                    let vals: Vec<Value> = group
-                        .iter()
-                        .map(|a| row.values[a.0 as usize].clone())
-                        .collect();
-                    Arc::make_mut(&mut segs[fragments[fi].0 as usize]).append(Row {
-                        key: row.key,
-                        values: vals,
-                    });
+        let mut groups_holding = vec![0usize; attrs.len()];
+        for a in groups.iter().flatten() {
+            match groups_holding.get_mut(a.0 as usize) {
+                Some(n) => *n += 1,
+                None => {
+                    let what = format!("attribute #{} is past the class's attributes", a.0);
+                    return Err(refused(what, attrs.len(), a.0 as usize + 1));
                 }
             }
-            Arc::make_mut(&mut segs[home.0 as usize]).clear();
         }
-        self.buffer.lock().unwrap().invalidate_entity(home);
-        self.physical.deactivate_entity(home);
-        self.class_layout.insert(
-            class,
-            ClassLayout::Vertical(
-                fragments
-                    .iter()
-                    .copied()
-                    .zip(groups.iter().cloned())
-                    .collect(),
-            ),
-        );
+        if let Some(a) = groups_holding.iter().position(|&n| n != 1) {
+            let what = format!("groups holding attribute `{}`", attrs[a].name);
+            return Err(refused(what, 1, groups_holding[a]));
+        }
+        let fragments: Vec<EntityId> = groups
+            .iter()
+            .enumerate()
+            .map(|(i, group)| {
+                let attrs = group.clone();
+                self.add_fragment(
+                    format!("{cname}_v{i}"),
+                    class,
+                    FragmentSpec::Vertical { attrs },
+                )
+            })
+            .collect();
+        // Move the data.
+        for row in self.retire(home) {
+            for (&fragment, group) in fragments.iter().zip(groups) {
+                let values = group.iter().map(|a| row.values[a.0 as usize].clone());
+                let (key, values) = (row.key, values.collect());
+                self.segment_mut(fragment).append(Row { key, values });
+            }
+        }
+        let layout = fragments.iter().copied().zip(groups.iter().cloned());
+        self.class_layout[class.0 as usize] = ClassLayout::Vertical(layout.collect());
         Ok(fragments)
     }
 
     /// Decompose a class extension horizontally; `route` maps a record to
-    /// a fragment number in `0..n_fragments`. `predicates` describe each
+    /// a fragment number in `0..n_fragments` (at least one; a larger
+    /// number goes to the last fragment). `predicates` describe each
     /// fragment for the physical schema.
     pub fn decompose_horizontal(
         &mut self,
@@ -366,47 +431,38 @@ impl Database {
         predicates: &[String],
         route: impl Fn(&[Value]) -> usize,
     ) -> Result<Vec<EntityId>, StorageError> {
-        let home = match self.class_layout.get(&class) {
-            Some(ClassLayout::Single(e)) => *e,
-            _ => return Err(StorageError::Decomposed(class)),
-        };
+        let home = self.whole_extension(class)?;
         let cname = self.catalog.class(class).name.clone();
+        let Some(last) = n_fragments.checked_sub(1) else {
+            return Err(StorageError::ArityMismatch {
+                context: format!("decompose `{cname}` horizontally: fragments"),
+                expected: 1,
+                got: 0,
+            });
+        };
         let total = self.object_count(class).max(1) as f64;
+        let rows = self.retire(home);
         // First pass: count per fragment for the fraction statistic.
         let mut counts = vec![0u64; n_fragments];
-        {
-            let segs = self.segments.read().unwrap();
-            for row in segs[home.0 as usize].iter() {
-                counts[route(&row.values).min(n_fragments - 1)] += 1;
-            }
+        for row in &rows {
+            counts[route(&row.values).min(last)] += 1;
         }
-        let mut fragments = Vec::new();
-        for (i, count) in counts.iter().enumerate() {
-            let id = self.physical.add_entity(
-                format!("{cname}_h{i}"),
-                EntitySource::Class(class),
-                Some(FragmentSpec::Horizontal {
+        let fragments: Vec<EntityId> = counts
+            .iter()
+            .enumerate()
+            .map(|(i, count)| {
+                let spec = FragmentSpec::Horizontal {
                     predicate: predicates.get(i).cloned().unwrap_or_default(),
                     fraction: *count as f64 / total,
-                }),
-            );
-            let seg = Self::class_segment(&self.catalog, class, None, &self.width);
-            self.segments.write().unwrap().push(Arc::new(seg));
-            fragments.push(id);
+                };
+                self.add_fragment(format!("{cname}_h{i}"), class, spec)
+            })
+            .collect();
+        for row in rows {
+            let fragment = fragments[route(&row.values).min(last)];
+            self.segment_mut(fragment).append(row);
         }
-        {
-            let mut segs = self.segments.write().unwrap();
-            let rows: Vec<Row> = segs[home.0 as usize].iter().cloned().collect();
-            for row in rows {
-                let f = route(&row.values).min(n_fragments - 1);
-                Arc::make_mut(&mut segs[fragments[f].0 as usize]).append(row);
-            }
-            Arc::make_mut(&mut segs[home.0 as usize]).clear();
-        }
-        self.buffer.lock().unwrap().invalidate_entity(home);
-        self.physical.deactivate_entity(home);
-        self.class_layout
-            .insert(class, ClassLayout::Horizontal(fragments.clone()));
+        self.class_layout[class.0 as usize] = ClassLayout::Horizontal(fragments.clone());
         Ok(fragments)
     }
 
@@ -424,33 +480,47 @@ impl Database {
             .physical
             .add_entity(name, EntitySource::Temporary, None);
         let rpp = self.width.records_per_page(&field_types);
-        self.segments
-            .write()
-            .unwrap()
-            .push(Arc::new(Segment::with_rpp(field_types, rpp)));
+        let seg = Segment::with_rpp(field_types, rpp);
+        self.segments.push(Home::Temp(RwLock::new(Arc::new(seg))));
         id
+    }
+
+    /// The lock a temporary's segment sits behind.
+    fn temp(&self, entity: EntityId) -> Result<&RwLock<Arc<Segment>>, StorageError> {
+        match self.segments.get(entity.0 as usize) {
+            Some(Home::Temp(lock)) => Ok(lock),
+            _ => Err(StorageError::NotTemporary(entity)),
+        }
     }
 
     /// Append `rows`, in order, to every temporary of `entities` (each row
     /// goes to all of them before the next row does — a fixpoint's
-    /// accumulator and delta fill side by side), under one lock. A page
-    /// write is charged to `io` whenever an append starts a new page.
+    /// accumulator and delta fill side by side), holding their write
+    /// locks, taken in the listed order (an entity listed twice is
+    /// refused: its second lock would wait for the first). A page write is
+    /// charged to `io` whenever an append starts a new page. A segment
+    /// nobody else holds — no snapshot, no scan still open, no page still
+    /// lent out — is written in place; otherwise it is copied first.
     pub fn append_temp_rows(
         &self,
         io: &Account,
         entities: &[EntityId],
         rows: Vec<Vec<Value>>,
     ) -> Result<(), StorageError> {
-        if let Some(&e) = entities.iter().find(|&&e| !self.is_temp_entity(e)) {
-            return Err(StorageError::NotTemporary(e));
+        let mut held = Vec::with_capacity(entities.len());
+        for (i, &entity) in entities.iter().enumerate() {
+            if entities[..i].contains(&entity) {
+                return Err(StorageError::BadEntity(entity));
+            }
+            held.push(self.temp(entity)?.write().expect(POISONED));
         }
-        let Some((&last, init)) = entities.split_last() else {
+        let mut segs: Vec<&mut Segment> = held.iter_mut().map(|seg| Arc::make_mut(seg)).collect();
+        let Some(last) = segs.len().checked_sub(1) else {
             return Ok(());
         };
-        let mut segs = self.segments.write().unwrap();
         let mut io = io.borrow_mut();
-        let mut append = |entity: EntityId, values: Vec<Value>| {
-            let seg = Arc::make_mut(&mut segs[entity.0 as usize]);
+        let mut append = |i: usize, values: Vec<Value>| {
+            let (entity, seg) = (entities[i], &mut *segs[i]);
             let key = seg.len() as u32;
             let pos = seg.append(Row { key, values });
             if pos.is_multiple_of(seg.rows_per_page()) {
@@ -459,8 +529,8 @@ impl Database {
             }
         };
         for values in rows {
-            for &entity in init {
-                append(entity, values.clone());
+            for i in 0..last {
+                append(i, values.clone());
             }
             append(last, values);
         }
@@ -471,10 +541,7 @@ impl Database {
     /// account forked from that one holds frames of its own: whoever
     /// joins the two invalidates the entity in the other as well.
     pub fn truncate_temp(&self, io: &Account, entity: EntityId) -> Result<(), StorageError> {
-        if !self.is_temp_entity(entity) {
-            return Err(StorageError::NotTemporary(entity));
-        }
-        Arc::make_mut(&mut self.segments.write().unwrap()[entity.0 as usize]).clear();
+        Arc::make_mut(&mut self.temp(entity)?.write().expect(POISONED)).clear();
         io.borrow_mut().invalidate_entity(entity);
         Ok(())
     }
@@ -483,79 +550,96 @@ impl Database {
     // Reading (I/O accounted)
     // ------------------------------------------------------------------
 
+    /// The segment of an entity as it is now.
+    fn segment(&self, entity: EntityId) -> Arc<Segment> {
+        self.segments[entity.0 as usize].segment()
+    }
+
+    /// The segment of an entity, for writing through `&mut self`.
+    fn segment_mut(&mut self, entity: EntityId) -> &mut Segment {
+        self.segments[entity.0 as usize].segment_mut()
+    }
+
+    /// The segment of an extension, a fragment or a stored relation.
+    fn base(&self, entity: EntityId) -> &Segment {
+        match &self.segments[entity.0 as usize] {
+            Home::Base(seg) => seg,
+            Home::Temp(_) => unreachable!("{entity} is a temporary: no layout names one"),
+        }
+    }
+
     /// Number of pages of an entity.
     pub fn num_pages(&self, entity: EntityId) -> u32 {
-        self.segments.read().unwrap()[entity.0 as usize].num_pages()
+        self.segment(entity).num_pages()
     }
 
     /// Number of records of an entity.
     pub fn entity_len(&self, entity: EntityId) -> u32 {
-        self.segments.read().unwrap()[entity.0 as usize].len() as u32
+        self.segment(entity).len() as u32
     }
 
     /// Field types of an entity's records.
     pub fn entity_field_types(&self, entity: EntityId) -> Vec<ResolvedType> {
-        self.segments.read().unwrap()[entity.0 as usize]
-            .field_types()
-            .to_vec()
+        self.segment(entity).field_types().to_vec()
+    }
+
+    /// Open a scan over the pages of an entity numbered in `pages` (cut at
+    /// its last page): the scan takes the entity's segment now — the one
+    /// lock of a scan over a temporary, none otherwise — and lets go of it
+    /// when it runs out.
+    pub fn scan_pages(&self, entity: EntityId, pages: std::ops::Range<u32>) -> PageScan {
+        PageScan {
+            seg: Some(self.segment(entity)),
+            entity,
+            temp: self.is_temp_entity(entity),
+            pages,
+        }
     }
 
     /// Fetch (and charge to `io`) one page of an entity and lend out its
-    /// records. Returns `None` past the last page. A consumer walking the
-    /// page numbers streams the entity a page at a time: each fetch is
-    /// accounted when it happens, so interleaved consumers (e.g. a
-    /// pipelined executor) observe honest LRU behaviour.
+    /// records. Returns `None` past the last page.
     pub fn scan_page(&self, io: &Account, entity: EntityId, page: u32) -> Option<PageRows> {
-        let seg = Arc::clone(&self.segments.read().unwrap()[entity.0 as usize]);
-        if page >= seg.num_pages() {
-            return None;
-        }
-        let temp = self.is_temp_entity(entity);
-        io.borrow_mut().fetch(PageId { entity, page }, temp);
-        Some(PageRows { seg, page })
+        // No entity has a page `u32::MAX`: its page *count* is a `u32`.
+        self.scan_pages(entity, page..page.saturating_add(1))
+            .next_page(io)
     }
 
     /// Scan a whole entity, fetching every page (convenience).
     pub fn scan(&self, io: &Account, entity: EntityId) -> Vec<Row> {
-        let pages = (0..).map_while(|page| self.scan_page(io, entity, page));
+        let mut pages = self.scan_pages(entity, 0..u32::MAX);
+        let pages = std::iter::from_fn(|| pages.next_page(io));
         pages.flat_map(|page| page.to_vec()).collect()
     }
 
     /// Scan without I/O accounting (bulk index builds, statistics).
     pub fn scan_raw(&self, entity: EntityId) -> Vec<Row> {
-        self.segments.read().unwrap()[entity.0 as usize]
-            .iter()
-            .cloned()
-            .collect()
+        self.segment(entity).iter().cloned().collect()
     }
 
     /// Which entity holds the given attribute of the given object.
     fn entity_holding(&self, oid: Oid, attr: AttrId) -> Result<EntityId, StorageError> {
-        match self
-            .class_layout
-            .get(&oid.class)
-            .ok_or(StorageError::NoHome(oid.class))?
-        {
+        let layout = self.class_layout.get(oid.class.0 as usize);
+        match layout.ok_or(StorageError::NoHome(oid.class))? {
             ClassLayout::Single(e) => Ok(*e),
             ClassLayout::Vertical(frags) => frags
                 .iter()
                 .find(|(_, attrs)| attrs.contains(&attr))
                 .map(|(e, _)| *e)
                 .ok_or(StorageError::DanglingOid(oid)),
-            ClassLayout::Horizontal(frags) => {
-                let segs = self.segments.read().unwrap();
-                frags
-                    .iter()
-                    .find(|e| segs[e.0 as usize].position_of(oid.index).is_some())
-                    .copied()
-                    .ok_or(StorageError::DanglingOid(oid))
-            }
+            ClassLayout::Horizontal(frags) => self.fragment_holding(frags, oid),
         }
+    }
+
+    /// The horizontal fragment holding an object.
+    fn fragment_holding(&self, frags: &[EntityId], oid: Oid) -> Result<EntityId, StorageError> {
+        let holds = |e: &&EntityId| self.base(**e).position_of(oid.index).is_some();
+        let home = frags.iter().find(holds).copied();
+        home.ok_or(StorageError::DanglingOid(oid))
     }
 
     /// Slot of `attr` within the records of `entity` (vertical fragments
     /// store only a subset of attributes).
-    fn attr_slot(&self, entity: EntityId, _class: ClassId, attr: AttrId) -> usize {
+    fn attr_slot(&self, entity: EntityId, attr: AttrId) -> usize {
         match &self.physical.entity(entity).fragment {
             Some(FragmentSpec::Vertical { attrs }) => {
                 attrs.iter().position(|a| *a == attr).unwrap_or(usize::MAX)
@@ -564,38 +648,40 @@ impl Database {
         }
     }
 
-    /// Read one attribute of an object *without* I/O accounting (index
-    /// builds, statistics, reference loaders).
-    pub fn read_attr_raw(&self, oid: Oid, attr: AttrId) -> Result<Value, StorageError> {
+    /// Where one attribute of an object lies: its page, and the value
+    /// (`None` when the record has no such slot).
+    fn locate(&self, oid: Oid, attr: AttrId) -> Result<(PageId, Option<&Value>), StorageError> {
         let entity = self.entity_holding(oid, attr)?;
-        let segs = self.segments.read().unwrap();
-        let seg = &segs[entity.0 as usize];
-        let pos = seg
-            .position_of(oid.index)
-            .ok_or(StorageError::DanglingOid(oid))?;
-        let slot = self.attr_slot(entity, oid.class, attr);
-        seg.row_at(pos)
-            .and_then(|r| r.values.get(slot))
-            .cloned()
-            .ok_or(StorageError::DanglingOid(oid))
-    }
-
-    /// Read one attribute of an object, fetching (and charging to `io`)
-    /// only the page of the fragment holding that attribute.
-    pub fn read_attr(&self, io: &Account, oid: Oid, attr: AttrId) -> Result<Value, StorageError> {
-        let entity = self.entity_holding(oid, attr)?;
-        let segs = self.segments.read().unwrap();
-        let seg = &segs[entity.0 as usize];
+        let seg = self.base(entity);
         let pos = seg
             .position_of(oid.index)
             .ok_or(StorageError::DanglingOid(oid))?;
         let page = seg.page_of_position(pos);
-        io.borrow_mut().fetch(PageId { entity, page }, false);
-        let slot = self.attr_slot(entity, oid.class, attr);
-        seg.row_at(pos)
-            .and_then(|r| r.values.get(slot))
-            .cloned()
-            .ok_or(StorageError::DanglingOid(oid))
+        let slot = self.attr_slot(entity, attr);
+        let value = seg.row_at(pos).and_then(|r| r.values.get(slot));
+        Ok((PageId { entity, page }, value))
+    }
+
+    /// Read one attribute of an object *without* I/O accounting (index
+    /// builds, statistics, reference loaders).
+    pub fn read_attr_raw(&self, oid: Oid, attr: AttrId) -> Result<Value, StorageError> {
+        let (_, value) = self.locate(oid, attr)?;
+        value.cloned().ok_or(StorageError::DanglingOid(oid))
+    }
+
+    /// One attribute of an object, lent where it lies: fetches (and
+    /// charges to `io`) only the page of the fragment holding that
+    /// attribute, and copies nothing — for a caller that compares the
+    /// value and moves on.
+    pub fn attr_ref(&self, io: &Account, oid: Oid, attr: AttrId) -> Result<&Value, StorageError> {
+        let (page, value) = self.locate(oid, attr)?;
+        io.borrow_mut().fetch(page, false);
+        value.ok_or(StorageError::DanglingOid(oid))
+    }
+
+    /// Read one attribute of an object ([`Database::attr_ref`], copied).
+    pub fn read_attr(&self, io: &Account, oid: Oid, attr: AttrId) -> Result<Value, StorageError> {
+        self.attr_ref(io, oid, attr).cloned()
     }
 
     /// Read a whole object (assembling vertical fragments), charging `io`
@@ -630,13 +716,9 @@ impl Database {
         oid: Oid,
         mut each: impl FnMut(Option<&[AttrId]>, &Row),
     ) -> Result<(), StorageError> {
-        let layout = self
-            .class_layout
-            .get(&oid.class)
-            .ok_or(StorageError::NoHome(oid.class))?;
-        let segs = self.segments.read().unwrap();
+        let layout = self.class_layout.get(oid.class.0 as usize);
         let mut fetch = |entity: EntityId, attrs: Option<&[AttrId]>| {
-            let seg = &segs[entity.0 as usize];
+            let seg = self.base(entity);
             let pos = seg
                 .position_of(oid.index)
                 .ok_or(StorageError::DanglingOid(oid))?;
@@ -648,14 +730,9 @@ impl Database {
             );
             Ok(())
         };
-        match layout {
+        match layout.ok_or(StorageError::NoHome(oid.class))? {
             ClassLayout::Single(e) => fetch(*e, None),
-            ClassLayout::Horizontal(frags) => {
-                let home = frags
-                    .iter()
-                    .find(|e| segs[e.0 as usize].position_of(oid.index).is_some());
-                fetch(*home.ok_or(StorageError::DanglingOid(oid))?, None)
-            }
+            ClassLayout::Horizontal(frags) => fetch(self.fragment_holding(frags, oid)?, None),
             ClassLayout::Vertical(frags) => frags
                 .iter()
                 .try_for_each(|(e, attrs)| fetch(*e, Some(attrs))),
@@ -756,6 +833,39 @@ impl Drop for CheckedOut<'_> {
         let mut parked = self.home.lock().unwrap_or_else(|e| e.into_inner());
         std::mem::swap(&mut *parked, self.account.get_mut());
         parked.publish();
+    }
+}
+
+/// A scan over (a page range of) one entity. It holds the segment it was
+/// opened on until it runs out: a page costs a fetch and no lock, and what
+/// is appended to a temporary while a scan over it is open is not seen by
+/// that scan — its writer copies the segment first, as it does while a
+/// [`PageRows`] is out. Drain a scan, or drop it, before writing what it
+/// reads.
+#[derive(Debug)]
+pub struct PageScan {
+    /// `None` once the scan ran out.
+    seg: Option<Arc<Segment>>,
+    entity: EntityId,
+    temp: bool,
+    pages: std::ops::Range<u32>,
+}
+
+impl PageScan {
+    /// Fetch (and charge to `io`) the next page and lend out its records;
+    /// `None` past the last one. A consumer streams the entity a page at a
+    /// time: each fetch is accounted when it happens, so interleaved
+    /// consumers (e.g. a pipelined executor) observe honest LRU behaviour.
+    pub fn next_page(&mut self, io: &Account) -> Option<PageRows> {
+        let seg = self.seg.as_ref()?;
+        let Some(page) = self.pages.next().filter(|&p| p < seg.num_pages()) else {
+            self.seg = None;
+            return None;
+        };
+        let entity = self.entity;
+        io.borrow_mut().fetch(PageId { entity, page }, self.temp);
+        let seg = Arc::clone(seg);
+        Some(PageRows { seg, page })
     }
 }
 

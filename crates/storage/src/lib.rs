@@ -18,7 +18,7 @@ mod stats;
 mod value;
 
 pub use buffer::{Account, BufferManager, IoStats};
-pub use database::{CheckedOut, Database, PageRows, StorageConfig};
+pub use database::{CheckedOut, Database, PageRows, PageScan, StorageConfig};
 pub use error::StorageError;
 pub use page::{PageId, WidthModel};
 pub use physical::{
@@ -28,6 +28,15 @@ pub use physical::{
 pub use segment::{Row, Segment};
 pub use stats::{AttrStats, ChainDepth, DbStats, EntityStats};
 pub use value::{Oid, Value};
+
+/// Entry `i` of a table indexed by a dense id the store hands out, the
+/// table grown with `absent` to reach it.
+fn entry<T: Clone>(table: &mut Vec<T>, i: usize, absent: T) -> &mut T {
+    if table.len() <= i {
+        table.resize(i + 1, absent);
+    }
+    &mut table[i]
+}
 
 #[cfg(test)]
 mod tests;

@@ -8,7 +8,6 @@
 //! indices* spanning whole attribute hierarchies. An *atomic entity* is a
 //! non-decomposed extension or one fragment of a decomposed extension.
 
-use std::collections::HashMap;
 use std::fmt;
 
 use oorq_schema::{AttrId, ClassId, RelationId};
@@ -146,8 +145,10 @@ impl IndexDesc {
 pub struct PhysicalSchema {
     entities: Vec<EntityDesc>,
     indexes: Vec<IndexDesc>,
-    class_entities: HashMap<ClassId, Vec<EntityId>>,
-    relation_entities: HashMap<RelationId, Vec<EntityId>>,
+    /// By [`ClassId`], grown to the largest class registered.
+    class_entities: Vec<Vec<EntityId>>,
+    /// By [`RelationId`], likewise.
+    relation_entities: Vec<Vec<EntityId>>,
 }
 
 impl PhysicalSchema {
@@ -164,10 +165,13 @@ impl PhysicalSchema {
         fragment: Option<FragmentSpec>,
     ) -> EntityId {
         let id = EntityId(self.entities.len() as u32);
-        match &source {
-            EntitySource::Class(c) => self.class_entities.entry(*c).or_default().push(id),
-            EntitySource::Relation(r) => self.relation_entities.entry(*r).or_default().push(id),
-            EntitySource::Temporary => {}
+        let listed = match &source {
+            EntitySource::Class(c) => Some((&mut self.class_entities, c.0)),
+            EntitySource::Relation(r) => Some((&mut self.relation_entities, r.0)),
+            EntitySource::Temporary => None,
+        };
+        if let Some((lists, i)) = listed {
+            crate::entry(lists, i as usize, Vec::new()).push(id);
         }
         self.entities.push(EntityDesc {
             id,
@@ -192,10 +196,11 @@ impl PhysicalSchema {
     /// descriptor but no longer implements the extension — used when a
     /// decomposition supersedes the original home entity).
     pub fn deactivate_entity(&mut self, id: EntityId) {
-        for v in self.class_entities.values_mut() {
-            v.retain(|e| *e != id);
-        }
-        for v in self.relation_entities.values_mut() {
+        for v in self
+            .class_entities
+            .iter_mut()
+            .chain(&mut self.relation_entities)
+        {
             v.retain(|e| *e != id);
         }
     }
@@ -230,18 +235,14 @@ impl PhysicalSchema {
 
     /// The entities implementing a class extension.
     pub fn entities_of_class(&self, class: ClassId) -> &[EntityId] {
-        self.class_entities
-            .get(&class)
-            .map(Vec::as_slice)
-            .unwrap_or(&[])
+        let listed = self.class_entities.get(class.0 as usize);
+        listed.map_or(&[], Vec::as_slice)
     }
 
     /// The entities implementing a relation extension.
     pub fn entities_of_relation(&self, rel: RelationId) -> &[EntityId] {
-        self.relation_entities
-            .get(&rel)
-            .map(Vec::as_slice)
-            .unwrap_or(&[])
+        let listed = self.relation_entities.get(rel.0 as usize);
+        listed.map_or(&[], Vec::as_slice)
     }
 
     /// Find a selection index on `class.attr`.

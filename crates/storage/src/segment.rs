@@ -1,7 +1,5 @@
 //! Storage segments: the physical home of an entity's records.
 
-use std::collections::HashMap;
-
 use oorq_schema::ResolvedType;
 
 use crate::page::WidthModel;
@@ -23,17 +21,28 @@ impl AsRef<[Value]> for Row {
     }
 }
 
+/// `Segment::position`'s mark for a key the segment holds no record of.
+const NO_RECORD: u32 = u32::MAX;
+
 /// The records of one atomic entity, kept in *physical* (page) order.
 ///
-/// A separate key map supports oid lookup; physical position `p` lives on
-/// page `p / rows_per_page`. Clustering is realized by physical order:
-/// sub-objects created right after their owner land on correlated pages,
-/// while [`Segment::shuffle`] models an unclustered placement.
+/// A key-indexed position vector supports oid lookup; physical position
+/// `p` lives on page `p / rows_per_page`. Clustering is realized by
+/// physical order: sub-objects created right after their owner land on
+/// correlated pages, while [`Segment::shuffle`] models an unclustered
+/// placement.
+///
+/// Keys are assigned by the store, densely per extension (an oid index, a
+/// row id, a temporary's row count), and the position vector depends on
+/// it: it is as long as the largest key held. A horizontal fragment holds
+/// a sparse subset of its extension's keys, so an absent key — in range
+/// or past the end — answers `None`.
 #[derive(Debug, Clone)]
 pub struct Segment {
     field_types: Vec<ResolvedType>,
     rows: Vec<Row>,
-    by_key: HashMap<u32, u32>,
+    /// key -> physical position, or [`NO_RECORD`].
+    position: Vec<u32>,
     rows_per_page: u32,
 }
 
@@ -51,7 +60,7 @@ impl Segment {
         Segment {
             field_types,
             rows: Vec::new(),
-            by_key: HashMap::new(),
+            position: Vec::new(),
             rows_per_page: rows_per_page.max(1),
         }
     }
@@ -92,14 +101,15 @@ impl Segment {
     /// position.
     pub fn append(&mut self, row: Row) -> u32 {
         let pos = self.rows.len() as u32;
-        self.by_key.insert(row.key, pos);
+        *crate::entry(&mut self.position, row.key as usize, NO_RECORD) = pos;
         self.rows.push(row);
         pos
     }
 
     /// Physical position of the record with the given key.
     pub fn position_of(&self, key: u32) -> Option<u32> {
-        self.by_key.get(&key).copied()
+        let pos = self.position.get(key as usize).copied();
+        pos.filter(|&pos| pos != NO_RECORD)
     }
 
     /// The page of a physical position.
@@ -136,7 +146,7 @@ impl Segment {
     /// Remove all records.
     pub fn clear(&mut self) {
         self.rows.clear();
-        self.by_key.clear();
+        self.position.clear();
     }
 
     /// Permute the physical order with a deterministic Fisher–Yates
@@ -157,12 +167,9 @@ impl Segment {
             let j = (next() as usize) % (i + 1);
             self.rows.swap(i, j);
         }
-        self.by_key = self
-            .rows
-            .iter()
-            .enumerate()
-            .map(|(p, r)| (r.key, p as u32))
-            .collect();
+        for (pos, row) in self.rows.iter().enumerate() {
+            self.position[row.key as usize] = pos as u32;
+        }
     }
 }
 

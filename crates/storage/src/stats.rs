@@ -158,41 +158,36 @@ impl DbStats {
         if n == 0 {
             return None;
         }
-        // Build the successor map without I/O accounting.
+        // Build the successor table (by oid index; an object the entity
+        // does not hold has no successor) without I/O accounting.
         let entity = *db.physical().entities_of_class(class).first()?;
-        let mut succ: HashMap<u32, Option<u32>> = HashMap::new();
-        for row in db.scan_raw(entity) {
-            let next = match &row.values[attr.0 as usize] {
-                Value::Oid(o) if o.class == class => Some(o.index),
-                _ => None,
-            };
-            succ.insert(row.key, next);
+        let rows = db.scan_raw(entity);
+        let mut succ: Vec<Option<u32>> = vec![None; n as usize];
+        for row in &rows {
+            if let Value::Oid(o) = &row.values[attr.0 as usize] {
+                succ[row.key as usize] = (o.class == class).then_some(o.index);
+            }
         }
         let mut max = 0u32;
         let mut total = 0u64;
-        for start in succ.keys() {
+        for start in &rows {
             let mut depth = 0u32;
-            let mut cur = Some(*start);
+            let mut cur = Some(start.key);
             let mut hops = 0u32;
             while let Some(k) = cur {
-                if hops > succ.len() as u32 {
+                if hops > rows.len() as u32 {
                     break; // cycle guard
                 }
                 hops += 1;
-                match succ.get(&k) {
-                    Some(Some(next)) => {
-                        depth += 1;
-                        cur = Some(*next);
-                    }
-                    _ => cur = None,
-                }
+                cur = succ.get(k as usize).copied().flatten();
+                depth += u32::from(cur.is_some());
             }
             max = max.max(depth);
             total += depth as u64;
         }
         Some(ChainDepth {
             max,
-            avg: total as f64 / succ.len().max(1) as f64,
+            avg: total as f64 / rows.len().max(1) as f64,
         })
     }
 

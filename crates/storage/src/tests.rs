@@ -316,6 +316,180 @@ fn touch_object_accounts_and_fails_as_read_object_does() {
     }
 }
 
+/// A decomposition's arguments are checked before a record moves: an
+/// attribute id past the class's, an attribute in two groups or in none,
+/// and zero fragments are refused, and the extension reads as before.
+#[test]
+fn bad_decomposition_arguments_are_refused_and_leave_the_extension() {
+    let mut db = small_db();
+    let item_cls = db.catalog().class_by_name("Item").unwrap();
+    for i in 0..12 {
+        db.insert_object(item_cls, vec![Value::text(format!("i{i}")), Value::Int(i)])
+            .unwrap();
+    }
+    let entities = db.physical().entities().len();
+    let (label, weight) = (AttrId(0), AttrId(1));
+    let refused: [(&str, Vec<Vec<AttrId>>); 3] = [
+        (
+            "attribute #7 is past",
+            vec![vec![label], vec![weight, AttrId(7)]],
+        ),
+        (
+            "groups holding attribute `label`: expected 1 values, got 2",
+            vec![vec![label, weight], vec![label]],
+        ),
+        (
+            "groups holding attribute `weight`: expected 1 values, got 0",
+            vec![vec![label]],
+        ),
+    ];
+    let check = |db: &Database, err: StorageError, what: &str| {
+        let said = err.to_string();
+        assert!(matches!(err, StorageError::ArityMismatch { .. }), "{said}");
+        assert!(
+            said.contains("decompose `Item`") && said.contains(what),
+            "{said}"
+        );
+        assert_eq!(
+            db.physical().entities().len(),
+            entities,
+            "no fragment added"
+        );
+        let read = db.read_object(&small_account(), Oid::new(item_cls, 11));
+        assert_eq!(read.unwrap()[1], Value::Int(11), "after: {said}");
+    };
+    for (what, groups) in refused {
+        let err = db.decompose_vertical(item_cls, &groups).unwrap_err();
+        check(&db, err, what);
+    }
+    let err = db
+        .decompose_horizontal(item_cls, 0, &[], |_| 0)
+        .unwrap_err();
+    check(
+        &db,
+        err,
+        "horizontally: fragments: expected 1 values, got 0",
+    );
+    // What was refused can still be done right.
+    db.decompose_vertical(item_cls, &[vec![weight], vec![label]])
+        .unwrap();
+    let read = db.read_object(&small_account(), Oid::new(item_cls, 3));
+    assert_eq!(read.unwrap(), vec![Value::text("i3"), Value::Int(3)]);
+}
+
+/// Record keys index a position vector. Horizontal fragments hold sparse
+/// keys and a shuffle moves every record: each oid still reads back its
+/// own values, and an index one past the extension dangles, through every
+/// accessor.
+#[test]
+fn every_key_reads_back_after_fragmenting_and_shuffling() {
+    let n = 40u32;
+    for layout in ["horizontal", "shuffled", "both"] {
+        let mut db = small_db();
+        let item_cls = db.catalog().class_by_name("Item").unwrap();
+        for i in 0..n {
+            let values = vec![Value::text(format!("i{i}")), Value::Int(i.into())];
+            db.insert_object(item_cls, values).unwrap();
+        }
+        if layout != "shuffled" {
+            // Fragment 2 takes the top quarter and every third key below:
+            // each fragment's keys have gaps its siblings fill.
+            let route = |vals: &[Value]| match vals[1].as_int().unwrap() {
+                w if w >= 30 => 7,
+                w => (w % 3) as usize,
+            };
+            db.decompose_horizontal(item_cls, 3, &[], route).unwrap();
+        }
+        if layout != "horizontal" {
+            for e in db.physical().entities_of_class(item_cls).to_vec() {
+                db.shuffle_entity(e, 11);
+            }
+        }
+        let io = small_account();
+        for i in 0..n {
+            let (oid, weight) = (Oid::new(item_cls, i), Value::Int(i.into()));
+            assert_eq!(
+                db.read_attr(&io, oid, AttrId(1)),
+                Ok(weight.clone()),
+                "{layout}"
+            );
+            assert_eq!(
+                db.read_attr_raw(oid, AttrId(1)),
+                Ok(weight.clone()),
+                "{layout}"
+            );
+            assert_eq!(db.read_object(&io, oid).unwrap()[1], weight, "{layout}");
+            assert_eq!(db.touch_object(&io, oid), Ok(()), "{layout}");
+        }
+        let touches = io.borrow().stats().fetches();
+        assert_eq!(touches, 3 * u64::from(n), "a fetch per accounted access");
+        for past in [n, n + 1, u32::MAX] {
+            let oid = Oid::new(item_cls, past);
+            let dangling = StorageError::DanglingOid(oid);
+            assert_eq!(db.read_attr(&io, oid, AttrId(1)), Err(dangling.clone()));
+            assert_eq!(db.read_attr_raw(oid, AttrId(1)), Err(dangling.clone()));
+            assert_eq!(db.read_object(&io, oid), Err(dangling.clone()));
+            assert_eq!(db.touch_object(&io, oid), Err(dangling));
+        }
+        assert_eq!(io.borrow().stats().fetches(), touches, "{layout}: no fetch");
+    }
+}
+
+/// What the executor's scans rely on. A scan holds the segment it was
+/// opened on until it runs out; once it has, the next write to the
+/// temporary happens in place. A scan left half-way makes that write copy
+/// the segment first — slower, still correct — and goes on reading the
+/// rows it was opened on. (In place or copied shows in where the rows
+/// lie: a cleared segment keeps its allocation and an append within it
+/// does not move it, while a copy is a new allocation beside the old.)
+#[test]
+fn a_drained_scan_lets_the_next_write_happen_in_place() {
+    let mut db = small_db();
+    let int = oorq_schema::ResolvedType::Atomic(oorq_schema::AtomicType::Int);
+    let t = db.create_temp("delta", vec![int.clone(), int]);
+    let io = small_account();
+    let rows = |r: std::ops::Range<i64>| r.map(|i| vec![Value::Int(i), Value::Int(i)]).collect();
+    let lies_at = |db: &Database| db.scan_page(&io, t, 0).unwrap().as_ptr();
+    // Room for 64 rows, 25 of them (three pages) in use.
+    db.append_temp_rows(&io, &[t], rows(0..64)).unwrap();
+    db.truncate_temp(&io, t).unwrap();
+    db.append_temp_rows(&io, &[t], rows(0..25)).unwrap();
+    let before = lies_at(&db);
+
+    let mut scan = db.scan_pages(t, 0..u32::MAX);
+    let mut seen = 0;
+    while let Some(page) = scan.next_page(&io) {
+        seen += page.len();
+    }
+    assert_eq!(seen, 25);
+    assert!(scan.next_page(&io).is_none(), "it stays run out");
+    db.append_temp_rows(&io, &[t], rows(25..30)).unwrap();
+    assert_eq!(lies_at(&db), before, "written in place");
+
+    let mut scan = db.scan_pages(t, 0..u32::MAX);
+    assert_eq!(scan.next_page(&io).unwrap().len(), 10);
+    db.append_temp_rows(&io, &[t], rows(30..35)).unwrap();
+    assert_eq!(db.entity_len(t), 35, "the append went through");
+    assert_ne!(lies_at(&db), before, "on a copy: the scan holds the rows");
+    let rest: usize = std::iter::from_fn(|| scan.next_page(&io))
+        .map(|p| p.len())
+        .sum();
+    assert_eq!(
+        rest, 20,
+        "the half-read scan sees the 30 rows it was opened on"
+    );
+    // A page range is cut at the last page, and an empty one fetches nothing.
+    let fetched = io.borrow().stats().fetches();
+    assert_eq!(db.scan_pages(t, 2..9).next_page(&io).unwrap().len(), 10);
+    assert!(db.scan_pages(t, 4..9).next_page(&io).is_none());
+    assert!(db.scan_page(&io, t, u32::MAX).is_none());
+    assert_eq!(io.borrow().stats().fetches(), fetched + 1);
+    // Listing a temporary twice would wait on its own lock: refused.
+    let twice = db.append_temp_rows(&io, &[t, t], rows(0..1));
+    assert_eq!(twice, Err(StorageError::BadEntity(t)));
+    assert_eq!(db.entity_len(t), 35);
+}
+
 #[test]
 fn temporaries_append_scan_truncate() {
     let mut db = small_db();
@@ -614,4 +788,156 @@ fn snapshot_shares_data_and_isolates_mutation_and_io() {
         .unwrap();
     assert_eq!(db.entity_len(item_entity), 11);
     assert_eq!(snap.entity_len(item_entity), 10);
+
+    // A temporary the source already holds is every snapshot's own from
+    // then on: two sessions append to it through `&Database`, each behind
+    // its own lock, and neither the source nor the other sees the rows.
+    let (a, b) = (snap.snapshot(), snap.snapshot());
+    let row = |i| vec![Value::Int(i)];
+    a.append_temp_rows(&small_account(), &[t], vec![row(1), row(2)])
+        .unwrap();
+    b.append_temp_rows(&small_account(), &[t], vec![row(3)])
+        .unwrap();
+    b.truncate_temp(&small_account(), t).unwrap();
+    b.append_temp_rows(&small_account(), &[t], vec![row(4)])
+        .unwrap();
+    let ints = |db: &Database| -> Vec<i64> {
+        let rows = db.scan_raw(t);
+        rows.iter().map(|r| r.values[0].as_int().unwrap()).collect()
+    };
+    assert_eq!(
+        (ints(&snap), ints(&a), ints(&b)),
+        (vec![7], vec![7, 1, 2], vec![4])
+    );
+}
+
+/// Exchange workers share `&Database` across threads.
+#[test]
+fn database_is_sync() {
+    fn assert_sync<T: Sync>() {}
+    assert_sync::<Database>();
+}
+
+#[test]
+fn sparse_keys_answer_none_in_the_gaps_and_past_the_end() {
+    // A horizontal fragment: the keys between its own live in siblings.
+    let int = oorq_schema::ResolvedType::Atomic(oorq_schema::AtomicType::Int);
+    let mut s = Segment::with_rpp(vec![int], 4);
+    for k in [9u32, 2, 5] {
+        s.append(Row {
+            key: k,
+            values: vec![Value::Int(k as i64)],
+        });
+    }
+    assert_eq!(
+        [2, 5, 9].map(|k| s.position_of(k)),
+        [Some(1), Some(2), Some(0)]
+    );
+    for absent in [0, 1, 3, 8, 10, u32::MAX] {
+        assert_eq!(s.position_of(absent), None, "key {absent}");
+        assert!(s.row_by_key(absent).is_none());
+    }
+    s.shuffle(3);
+    assert_eq!(s.row_by_key(5).unwrap().values[0], Value::Int(5));
+    assert_eq!(s.position_of(3), None, "a shuffle fills no gap");
+}
+
+/// The buffer as it was kept before the dense tables: a map of the
+/// resident pages, each victim found by its smallest stamp.
+struct Model {
+    resident: std::collections::HashMap<PageId, (u64, bool)>,
+    clock: u64,
+    capacity: usize,
+    budget: usize,
+    stats: IoStats,
+}
+
+impl Model {
+    fn evict(&mut self, temps_only: bool) {
+        let eligible = self.resident.iter().filter(|(_, f)| f.1 || !temps_only);
+        let victim = eligible.min_by_key(|(_, f)| f.0).map(|(p, _)| *p);
+        self.resident.remove(&victim.expect("a victim"));
+    }
+
+    /// A fetch (or a write): whether it was a physical read.
+    fn touch(&mut self, page: PageId, temp: bool, write: bool) -> bool {
+        self.clock += 1;
+        self.stats.page_writes += u64::from(write);
+        if let Some(frame) = self.resident.get_mut(&page) {
+            frame.0 = self.clock;
+            self.stats.page_hits += u64::from(!write);
+            return false;
+        }
+        let temps = |m: &Model| m.resident.values().filter(|f| f.1).count();
+        while temp && self.budget > 0 && temps(self) >= self.budget {
+            self.evict(true);
+            self.stats.spill_evictions += 1;
+        }
+        if self.resident.len() >= self.capacity {
+            self.evict(false);
+            self.stats.page_evictions += 1;
+        }
+        self.resident.insert(page, (self.clock, temp));
+        self.stats.page_reads += u64::from(!write);
+        self.stats.temp_reads += u64::from(!write && temp);
+        !write
+    }
+}
+
+/// The dense tables are the map they replace: every fetch answers, and
+/// every counter ends, as the model's — over random steps on three base
+/// and two temporary entities, at every capacity from 1 to 8.
+#[test]
+fn dense_tables_are_the_map_they_replace() {
+    let mut rng = oorq_prng::Prng::new(20);
+    let (mut steps, mut misses) = (0, 0);
+    for capacity in 1..=8 {
+        let mut b = BufferManager::new(capacity);
+        let mut model = Model {
+            resident: Default::default(),
+            clock: 0,
+            capacity,
+            budget: 0,
+            stats: IoStats::default(),
+        };
+        for step in 0..3000 {
+            let entity = rng.range_u32(0, 5);
+            let page = PageId {
+                entity: EntityId(entity),
+                page: rng.range_u32(0, 7),
+            };
+            let temp = entity >= 3;
+            match rng.index(20) {
+                0 => {
+                    b.clear();
+                    model.resident.clear();
+                    (model.clock, model.stats) = (0, IoStats::default());
+                }
+                1 | 2 => {
+                    b.invalidate_entity(page.entity);
+                    model.resident.retain(|p, _| p.entity != page.entity);
+                }
+                3 | 4 => {
+                    model.budget = rng.index(5);
+                    b.set_temp_budget(model.budget);
+                }
+                5..=9 => {
+                    b.write(page, temp);
+                    model.touch(page, temp, true);
+                }
+                _ => {
+                    let missed = b.fetch(page, temp);
+                    assert_eq!(
+                        missed,
+                        model.touch(page, temp, false),
+                        "capacity {capacity}, step {step}: {page:?}"
+                    );
+                    misses += usize::from(missed);
+                }
+            }
+            assert_eq!(b.stats(), model.stats, "capacity {capacity}, step {step}");
+            steps += 1;
+        }
+    }
+    assert!(steps >= 20_000 && misses > 2_000, "{steps} {misses}");
 }
