@@ -11,11 +11,14 @@
 //! semi-naive fixpoint (accumulator and delta temporaries) and the inner
 //! of a nested loop over a non-rescannable subtree.
 //!
-//! Every `open`/`next_chunk` call is bracketed by snapshots of the run's
-//! page account, the CPU counters and a wall clock,
-//! accumulating *inclusive* per-operator figures; [`rollup`] subtracts
-//! each operator's children to yield the exclusive [`OpReport`]s that
-//! bench reports join against the cost model's per-node predictions.
+//! Every `open`/`next_chunk` call that can do something is bracketed by
+//! snapshots of the run's page account, the CPU counters and a wall
+//! clock, accumulating *inclusive* per-operator figures; [`rollup`]
+//! subtracts each operator's children to yield the exclusive
+//! [`OpReport`]s that bench reports join against the cost model's
+//! per-node predictions. Two calls take no bracket, because they touch no
+//! page, evaluate nothing and hand up nothing: the `open` of a leaf scan
+//! (it takes a segment) and a `next_chunk` on a scan that has no page left.
 
 use std::cell::RefCell;
 use std::collections::{HashMap, HashSet};
@@ -72,6 +75,9 @@ pub struct OpReport {
     /// Raw inclusive wall time (children's brackets still included) —
     /// kept alongside the exclusive figure so attribution can be audited.
     pub wall_inclusive_ns: u64,
+    /// Brackets closed for the operator: its `open`/`next_chunk` calls
+    /// that could do something (a leaf scan's are its page fetches).
+    pub calls: u64,
 }
 
 /// The per-iteration delta-size curve of one fixpoint *opening*.
@@ -125,6 +131,8 @@ pub struct WorkerLane {
 #[derive(Debug, Clone, Copy, Default)]
 struct OpStats {
     opens: u64,
+    /// Brackets closed ([`Rt::charge`] calls).
+    calls: u64,
     rows_out: u64,
     io: IoStats,
     evals: u64,
@@ -224,7 +232,7 @@ pub(crate) fn execute(
     threads: u32,
 ) -> Result<ExecOutput, ExecError> {
     let rt = Rt::new(shared, io, counters, plan.ops, Vec::new(), threads, None);
-    let mut root = build(&plan.root, shared.temps);
+    let mut root = build(&plan.root, shared.temps, false);
     root.open(&rt)?;
     let rows = root.drain(&rt)?;
     drop(root);
@@ -279,11 +287,15 @@ fn record_op_spans(obs: &oorq_obs::Recorder, reports: &[OpReport], stats: &[OpSt
     }
 }
 
-/// The rows one `next_chunk` call hands up: what the operator produced
-/// between two possible page touches of its subtree. A scan's chunk is
-/// one storage page; an operator whose own expression dereferences, or
-/// that probes per input row, hands up the rows of one input row; the
-/// others turn each chunk they are given into one chunk.
+/// The rows one `next_chunk` call hands up. A chunk is cut only where a
+/// page touch could fall between its rows and the next ones: a scan's
+/// chunk is one storage page, lent where it lies; an operator above which
+/// something can still touch the page account before the next breaker
+/// ([`OpExec::downstream_touches`]) stops after the rows of one input row
+/// if its own work dereferences or probes, and turns each chunk it is
+/// given into one chunk if not; an operator above which nothing can keeps
+/// going until its input runs out — its own subtree makes the same
+/// fetches in the same order either way.
 enum Chunk {
     /// The records of one fetched page, borrowed from the store.
     Page(PageRows),
@@ -449,6 +461,11 @@ struct OpExec<'p> {
     /// Place in the first child's output.
     input: Cursor,
     st: St,
+    /// Whether anything between this operator and the next breaker above
+    /// it (or the root's `drain`) can touch the page account. Where
+    /// nothing can, the operator cuts no chunk: whatever it hands up is
+    /// consumed touch-free, so handing it up later reorders no touch.
+    downstream_touches: bool,
 }
 
 /// Whether an operator hands up each row at most once per opening: the
@@ -463,7 +480,16 @@ fn is_set(op: &PhysOp) -> bool {
     }
 }
 
-fn build<'p>(op: &'p PhysOp, temps: &Temps) -> OpExec<'p> {
+/// Build the operator tree of `op`, which has `downstream_touches` (see
+/// [`OpExec`]) above it. The root starts touch-free, and so does a
+/// fixpoint's recursive leg: it is drained whole before the sink writes.
+/// A fixpoint's base leg does not — the sink appends chunk by chunk — nor
+/// does anything under an operator that fetches between two pulls of its
+/// input: a dereference, an index probe, a nested loop (which rescans or
+/// re-reads its inner per outer row and materializes it chunk by chunk),
+/// a filter or projection whose expression dereferences. A parallel
+/// boundary starts its subtree the same way in a worker and inline.
+fn build<'p>(op: &'p PhysOp, temps: &Temps, downstream_touches: bool) -> OpExec<'p> {
     let st = match op {
         PhysOp::EntityScan { .. } => St::Scan {
             temps: None,
@@ -516,30 +542,42 @@ fn build<'p>(op: &'p PhysOp, temps: &Temps) -> OpExec<'p> {
         PhysOp::UnionAll { .. } => St::Union(false),
         PhysOp::Exchange { .. } | PhysOp::Merge { .. } => St::Mat(Vec::new()),
     };
+    let kid_touched = |kid: usize| match (op, &st) {
+        (PhysOp::FixPoint { .. }, _) => kid == 0,
+        (PhysOp::Filter { .. }, St::Filter(pred)) => downstream_touches || pred.derefs(),
+        (PhysOp::Project { .. }, St::Project { exprs, .. }) => {
+            downstream_touches || exprs.iter().any(Bound::derefs)
+        }
+        (PhysOp::UnionAll { .. }, _) => downstream_touches,
+        _ => true,
+    };
+    let kids = op.children().into_iter().enumerate();
+    let kids = kids.map(|(i, kid)| build(kid, temps, kid_touched(i)));
     OpExec {
         op,
-        kids: op
-            .children()
-            .into_iter()
-            .map(|kid| build(kid, temps))
-            .collect(),
+        kids: kids.collect(),
         input: Cursor::default(),
         st,
+        downstream_touches,
     }
 }
 
-/// Feed the input's chunks to `each` until it leaves rows in its second
-/// argument; those rows are the chunk handed up. `each` reads on from
-/// where it stopped, so one that stops after the rows of a single input
-/// row keeps its page touches interleaved with its consumers'.
+/// Feed the input's chunks to `each`; the rows it leaves in its second
+/// argument are the chunk handed up. With `cut` — something above can
+/// touch a page — the chunk ends at the first call that left rows: `each`
+/// reads on from where it stopped, so one that stops after the rows of a
+/// single input row keeps its page touches interleaved with its
+/// consumers'. Without, nothing above has a touch to interleave, and the
+/// chunk ends when the input runs out.
 fn pump(
     input: &mut Cursor,
     kid: &mut OpExec<'_>,
     rt: &Rt<'_>,
+    cut: bool,
     mut each: impl FnMut(&mut Cursor, &mut Vec<Vec<Value>>) -> Result<(), ExecError>,
 ) -> Result<Option<Chunk>, ExecError> {
     let mut out = Vec::new();
-    while out.is_empty() && input.fill(|| kid.next_chunk(rt))? {
+    while (!cut || out.is_empty()) && input.fill(|| kid.next_chunk(rt))? {
         each(input, &mut out)?;
     }
     Ok((!out.is_empty()).then_some(Chunk::Rows(out)))
@@ -638,7 +676,7 @@ fn run_worker(
     let rt = Rt::new(shared, &io, &counters, ops_len, delta_active, 0, partition);
     let t_start_ns = rt.obs.now_ns();
     let wall0 = Instant::now();
-    let mut root = build(op, shared.temps);
+    let mut root = build(op, shared.temps, true);
     let res = root.open(&rt).and_then(|()| root.drain(&rt));
     drop(root);
     let t_end_ns = rt.obs.now_ns();
@@ -717,6 +755,7 @@ impl<'a> Rt<'a> {
         let mut stats = self.stats.borrow_mut();
         let s = &mut stats[id];
         s.opens += opens;
+        s.calls += 1;
         s.rows_out += rows_out;
         s.io += io - snap.io;
         s.evals += self.counters.evals.get() - snap.evals;
@@ -745,6 +784,19 @@ impl<'a> Rt<'a> {
                 }
             }
             s.last_ns = s.last_ns.max(end);
+        }
+    }
+
+    /// Count the `open` of a leaf scan, which takes no bracket: it takes a
+    /// segment, touches no page and evaluates nothing. Under an enabled
+    /// recorder the operator's span envelope still starts here.
+    fn count_open(&self, id: usize) {
+        let s = &mut self.stats.borrow_mut()[id];
+        s.opens += 1;
+        if self.obs.enabled() {
+            let now = self.obs.now_ns();
+            s.first_ns = s.first_ns.min(now);
+            s.last_ns = s.last_ns.max(now);
         }
     }
 
@@ -854,6 +906,7 @@ impl<'a> Rt<'a> {
                 for (id, ws) in wo.stats.iter().enumerate() {
                     let s = &mut stats[id];
                     s.opens += ws.opens;
+                    s.calls += ws.calls;
                     s.rows_out += ws.rows_out;
                     s.io += ws.io;
                     s.evals += ws.evals;
@@ -906,17 +959,32 @@ impl<'a> Rt<'a> {
 }
 
 impl OpExec<'_> {
+    /// (Re)open the operator. One bracket — clock, I/O and CPU snapshots,
+    /// the stats borrow — unless the operator is a leaf scan, whose open
+    /// can do nothing a bracket would record and is only counted.
     fn open(&mut self, rt: &Rt<'_>) -> Result<(), ExecError> {
-        let snap = rt.snap();
         self.input = Cursor::default();
+        let id = self.op.meta().id;
+        if matches!(self.op, PhysOp::EntityScan { .. } | PhysOp::TempScan { .. }) {
+            rt.count_open(id);
+            return self.open_inner(rt);
+        }
+        let snap = rt.snap();
         let res = self.open_inner(rt);
-        rt.charge(self.op.meta().id, snap, 1, 0);
+        rt.charge(id, snap, 1, 0);
         res
     }
 
-    /// The next run of rows, `None` once exhausted. One bracket — clock,
-    /// I/O and CPU snapshots, the stats borrow — is paid per chunk.
+    /// The next run of rows, `None` once exhausted (and again on every
+    /// later call). One bracket is paid per call, except by a scan — a
+    /// leaf's, or a fixpoint's read-back — that has no page left: it let
+    /// go of its segment with its last page and answers `None` as it is.
     fn next_chunk(&mut self, rt: &Rt<'_>) -> Result<Option<Chunk>, ExecError> {
+        if let St::Scan { scan, .. } = &self.st {
+            if scan.as_ref().is_none_or(PageScan::is_done) {
+                return Ok(None);
+            }
+        }
         let snap = rt.snap();
         let res = self.next_inner(rt);
         let rows = match &res {
@@ -1137,7 +1205,9 @@ impl OpExec<'_> {
             kids,
             input,
             st,
+            downstream_touches,
         } = self;
+        let downstream_touches = *downstream_touches;
         let ctx = rt.ctx();
         match (&**op, st) {
             (PhysOp::EntityScan { class, .. }, St::Scan { scan, .. }) => {
@@ -1156,21 +1226,25 @@ impl OpExec<'_> {
                 Ok(page.map(Chunk::Page))
             }
             (PhysOp::IndexSelect { class, .. }, St::Probe { pred, oids, .. }) => {
+                let mut out = Vec::new();
                 for o in oids.by_ref().filter(|o| o.class == *class) {
                     // Fetch the object's page (the probe yields only oids),
                     // then apply the full predicate as a residual filter.
                     rt.db.touch_object(rt.io, o)?;
                     let row = vec![Value::Oid(o)];
                     if pred.truthy(&ctx, row.as_slice().into())? {
-                        return Ok(Some(Chunk::Rows(vec![row])));
+                        out.push(row);
+                        if downstream_touches {
+                            break;
+                        }
                     }
                 }
-                Ok(None)
+                Ok((!out.is_empty()).then_some(Chunk::Rows(out)))
             }
             (PhysOp::Filter { .. }, St::Filter(pred)) => {
-                let cut = pred.derefs();
+                let cut = pred.derefs() && downstream_touches;
                 let probe = pred.probe(&[]);
-                pump(input, &mut kids[0], rt, |input, out| {
+                pump(input, &mut kids[0], rt, downstream_touches, |input, out| {
                     if let Some(probe) = &probe {
                         let hits = input.probe(&ctx, probe, &[])?;
                         out.extend(hits.into_iter().map(|i| input.chunk.take(i)));
@@ -1188,8 +1262,8 @@ impl OpExec<'_> {
                 })
             }
             (PhysOp::Project { .. }, St::Project { exprs, seen }) => {
-                let cut = exprs.iter().any(Bound::derefs);
-                pump(input, &mut kids[0], rt, |input, out| {
+                let cut = exprs.iter().any(Bound::derefs) && downstream_touches;
+                pump(input, &mut kids[0], rt, downstream_touches, |input, out| {
                     while let Some(i) = input.next() {
                         let row = RowRef::from(input.chunk.row(i));
                         let mut new_row = Vec::with_capacity(exprs.len());
@@ -1210,7 +1284,7 @@ impl OpExec<'_> {
                 })
             }
             (PhysOp::IjDeref { .. }, St::Deref(on)) => {
-                pump(input, &mut kids[0], rt, |input, out| {
+                pump(input, &mut kids[0], rt, downstream_touches, |input, out| {
                     let row = input.next_row();
                     for m in on.eval(&ctx, row.into())?.members() {
                         if let Value::Oid(o) = m {
@@ -1225,7 +1299,7 @@ impl OpExec<'_> {
             }
             (PhysOp::PijLookup { index, outs, .. }, St::Deref(on)) => {
                 let pix = rt.indexes.path(*index).ok_or(ExecError::MissingIndex)?;
-                pump(input, &mut kids[0], rt, |input, out| {
+                pump(input, &mut kids[0], rt, downstream_touches, |input, out| {
                     let row = input.next_row();
                     for m in on.eval(&ctx, row.into())?.members() {
                         let Value::Oid(head) = m else { continue };
@@ -1251,13 +1325,17 @@ impl OpExec<'_> {
                 let [left, right] = kids.as_mut_slice() else {
                     unreachable!("a join has two operands")
                 };
-                let cut = pred.derefs();
+                let cut = pred.derefs() && downstream_touches;
+                // One `out` across outer rows where nothing above can
+                // touch a page; the matches of one outer row in one inner
+                // chunk where something can.
+                let mut out = Vec::new();
                 loop {
                     let l = match *cur {
                         Some(l) => l,
                         None => {
                             if !input.fill(|| left.next_chunk(rt))? {
-                                return Ok(None);
+                                return Ok((!out.is_empty()).then_some(Chunk::Rows(out)));
                             }
                             if *rescan_inner {
                                 // Honest nested loop: rescan the leaf-ish
@@ -1280,8 +1358,7 @@ impl OpExec<'_> {
                     // the outer row already decides is decided once.
                     let lrow = input.chunk.row(l);
                     let probe = pred.probe(lrow);
-                    let mut out = Vec::new();
-                    while out.is_empty()
+                    while (!downstream_touches || out.is_empty())
                         && inner.fill(|| match miter {
                             Some(scan) => Ok(scan.next_page(rt.io).map(Chunk::Page)),
                             None => right.next_chunk(rt),
@@ -1302,7 +1379,7 @@ impl OpExec<'_> {
                             }
                         }
                     }
-                    if !out.is_empty() {
+                    if downstream_touches && !out.is_empty() {
                         return Ok(Some(Chunk::Rows(out)));
                     }
                     *cur = None;
@@ -1313,7 +1390,7 @@ impl OpExec<'_> {
                     .indexes
                     .selection(*index)
                     .ok_or(ExecError::MissingIndex)?;
-                pump(input, &mut kids[0], rt, |input, out| {
+                pump(input, &mut kids[0], rt, downstream_touches, |input, out| {
                     let lrow = input.next_row();
                     for key in outer.eval(&ctx, lrow.into())?.members() {
                         for o in six.probe(rt.io, key) {
@@ -1435,6 +1512,7 @@ fn rollup(plan: &PhysPlan, stats: &[OpStats]) -> Vec<OpReport> {
                 exclusive(s.wall_ns, kids.wall_ns, "wall_ns", id, label)
             },
             wall_inclusive_ns: s.wall_ns,
+            calls: s.calls,
         };
     });
     out

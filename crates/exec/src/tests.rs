@@ -238,6 +238,58 @@ fn influencer_fix(m: &MusicDb) -> Pt {
     Pt::fix("Influencer", Pt::union(base, rec))
 }
 
+/// The Influencer fixpoint in the Figure 3 plan's shape: the recursive leg
+/// is `Proj ← [Sel[keep] ←] EJ[join](IJ_master(scan y), scan temp)`, the
+/// delta temporary the rescanned inner (borrowed pages), compared slot to
+/// slot with the master an implicit join put in the outer row. With `via`
+/// both legs also carry the disciple's direct master, which the recursive
+/// leg's projection dereferences.
+fn influencer_over_ij(m: &MusicDb, join: Expr, keep: Option<Expr>, via: bool) -> Pt {
+    let e = m.db.physical().entities_of_class(m.composer)[0];
+    let scan = |var: &str| Pt::entity(e, var);
+    let cols = |master: Expr, disciple: &str, gen: Expr| {
+        let via = via.then(|| ("via".into(), Expr::path(disciple, &["master"])));
+        let cols = [
+            ("master".into(), master),
+            ("disciple".into(), Expr::var(disciple)),
+            ("gen".into(), gen),
+        ];
+        cols.into_iter().chain(via).collect()
+    };
+    let base = Pt::proj(
+        cols(Expr::path("x", &["master"]), "x", Expr::int(1)),
+        Pt::sel(
+            Expr::path("x", &["master"]).ne(Expr::Lit(oorq_query::Literal::Null)),
+            scan("x"),
+        ),
+    );
+    let masters = Pt::IJ {
+        on: Expr::path("y", &["master"]),
+        step: oorq_pt::IjStep::class_attr(m.db.catalog(), m.composer, m.master_attr),
+        out: "ym".into(),
+        input: Box::new(scan("y")),
+        target: Box::new(scan("t")),
+    };
+    let joined = Pt::ej(join, masters, Pt::temp("Influencer", "i"));
+    let rec = Pt::proj(
+        cols(
+            Expr::var("i.master"),
+            "y",
+            Expr::var("i.gen").add(Expr::int(1)),
+        ),
+        match keep {
+            Some(keep) => Pt::sel(keep, joined),
+            None => joined,
+        },
+    );
+    Pt::fix("Influencer", Pt::union(base, rec))
+}
+
+/// `influencer_over_ij`'s join: the delta's disciple is the outer's master.
+fn by_master() -> Expr {
+    Expr::var("i.disciple").eq(Expr::var("ym"))
+}
+
 #[test]
 fn seminaive_fixpoint_computes_transitive_closure() {
     let mut m = small_music();
@@ -771,6 +823,53 @@ fn failed_run_reports_itself_and_parks_the_account() {
     assert_eq!(first_scan(&ex.report()), Some((1, 0)), "cold, it is a read");
 }
 
+/// A worker that panics while it writes a temporary poisons that
+/// temporary's lock. The run surfaces `WorkerPanicked`; the session's next
+/// run — a new executor over the same database and temporaries — finds the
+/// lock poisoned, and its fixpoint's truncate puts it right instead of
+/// panicking in turn.
+#[test]
+fn a_run_after_a_worker_panicked_answers_as_before() {
+    let mut m = small_music();
+    let e = m.db.physical().entities_of_class(m.composer)[0];
+    let (idx, quiet) = (IndexSet::new(), MethodRegistry::new());
+    let closure = influencer_fix(&m);
+    let mut ex = Executor::new(&mut m.db, &idx, &quiet);
+    let reference = ex.run(&closure).unwrap();
+    let state = ex.into_state();
+    let (acc, _) = state.temps["Influencer"];
+
+    // `age` appends to the accumulator through an account that is busy:
+    // the append panics with the temporary's write lock held.
+    let mut methods = MethodRegistry::new();
+    let person = m.db.catalog().class_by_name("Person").unwrap();
+    let (age, _) = m.db.catalog().attr(person, "age").unwrap();
+    methods.register(person, age, move |db, _| {
+        let io = oorq_storage::Account::new(oorq_storage::BufferManager::new(1));
+        let _busy = io.borrow_mut();
+        db.append_temp_rows(&io, &[acc], vec![Vec::new()]).unwrap();
+        Value::Null
+    });
+    let aged = Pt::sel(
+        Expr::path("x", &["age"]).ne(Expr::Lit(oorq_query::Literal::Null)),
+        Pt::entity(e, "x"),
+    );
+    let config = ExecConfig {
+        threads: 2,
+        ..ExecConfig::default()
+    };
+    let mut ex = Executor::new(&mut m.db, &idx, &methods)
+        .with_config(config)
+        .with_parallel(oorq_pt::ParallelSpec::from([(0, 2)]))
+        .with_state(state);
+    let err = ex.run(&aged).unwrap_err();
+    assert!(matches!(err, ExecError::WorkerPanicked(_)), "{err}");
+    let state = ex.into_state();
+
+    let mut ex = Executor::new(&mut m.db, &idx, &quiet).with_state(state);
+    assert_eq!(ex.run(&closure).unwrap(), reference);
+}
+
 #[test]
 fn nl_join_materialized_inner_charges_page_store_io() {
     // A nested loop whose inner is itself a join cannot rescan it; the
@@ -1192,6 +1291,14 @@ fn page_touch_order_is_pinned() {
         (14, "fig3", 32, 1, 45, io(24, 2726, 0, 336, 0, 0, 0)),
         (6, "mat", 2, 0, 1080, io(402, 93274, 8, 0, 0, 288, 408)),
         (6, "mat", 32, 1, 1080, io(290, 93386, 8, 0, 295, 288, 0)),
+        // Recorded from the commit before an operator with nothing above
+        // it that can touch a page stopped cutting chunks.
+        (14, "fix", 2, 0, 1274, io(2415, 6065, 27, 0, 0, 1515, 2423)),
+        (14, "fix", 32, 1, 1274, io(1476, 7004, 27, 0, 1483, 1470, 0)),
+        (14, "via", 2, 0, 1274, io(2955, 7166, 32, 0, 0, 2236, 2972)),
+        (14, "via", 32, 1, 1274, io(2207, 7914, 32, 0, 2219, 2201, 0)),
+        (14, "proj-ij", 2, 0, 168, io(6, 728, 0, 0, 0, 0, 4)),
+        (14, "proj-ij", 32, 1, 168, io(6, 728, 0, 0, 0, 0, 0)),
     ];
     for (side, name, buffer_frames, memory_budget_pages, rows, expected) in cases {
         let mut m = MusicDb::generate(
@@ -1221,7 +1328,25 @@ fn page_touch_order_is_pinned() {
             input: Box::new(input),
             target: Box::new(Pt::entity(e, "t")),
         };
-        let plan = if name == "fig3" {
+        let plan = if ["fix", "via"].contains(&name) {
+            // A fixpoint's recursive leg, `Proj ← EJ ← IJ`, is drained
+            // whole before the sink writes: nothing above the join can
+            // touch a page, and it hands up one chunk per pass — unless
+            // (`via`) the projection dereferences, which puts a touch
+            // after every row of the join.
+            influencer_over_ij(&m, by_master(), None, name == "via")
+        } else if name == "proj-ij" {
+            // A root pipeline whose projection only copies slots: the
+            // implicit join below it hands up every row in one chunk.
+            Pt::proj(
+                vec![("x".into(), Expr::var("x")), ("g".into(), Expr::var("g"))],
+                ij(
+                    Expr::path("m", &["master"]),
+                    "g",
+                    ij(Expr::path("x", &["master"]), "m", Pt::entity(e, "x")),
+                ),
+            )
+        } else if name == "fig3" {
             // The Figure 3 shape, IJ → IJ → PIJ → Sel, with a predicate
             // that dereferences a scattered page and a shared one.
             Pt::sel(
@@ -1269,7 +1394,8 @@ fn page_touch_order_is_pinned() {
 /// A join or filter that probes is charged what the per-pair interpreter
 /// was: per-operator `(label, opens, rows_out, evals)` in operator order
 /// and the whole query's `IoStats` under a 2-frame buffer, recorded from
-/// the commit before the probe.
+/// the commit before the probe (`via`: from the commit before a touch-free
+/// region stopped cutting chunks).
 #[test]
 fn probed_operators_keep_the_interpreters_counters() {
     // `page_evictions` as the `storage.page_evictions` series read at the
@@ -1285,9 +1411,10 @@ fn probed_operators_keep_the_interpreters_counters() {
         };
     type Ops = &'static [(&'static str, u64, u64, u64)];
     #[rustfmt::skip]
-    let cases: [(&str, usize, Ops, oorq_storage::IoStats); 5] = [
+    let cases: [(&str, usize, Ops, oorq_storage::IoStats); 6] = [
         ("rescan", 40, &[("scan Composer", 1, 20, 0), ("Sel[x.master<>null]", 1, 16, 20), ("Proj", 1, 16, 0), ("scan Composer", 4, 80, 0), ("IJ_master", 4, 64, 0), ("scan temp Influencer", 64, 640, 0), ("EJ[i.disciple=ym]", 4, 24, 640), ("Proj", 4, 24, 0), ("Fix(Influencer)", 1, 40, 0)], io(192, 139, 11, 86, 195)),
         ("residual", 36, &[("scan Composer", 1, 20, 0), ("Sel[x.master<>null]", 1, 16, 20), ("Proj", 1, 16, 0), ("scan Composer", 3, 60, 0), ("IJ_master", 3, 48, 0), ("scan temp Influencer", 48, 576, 0), ("EJ[i.disciple=ym and i.gen<3]", 3, 20, 600), ("Proj", 3, 20, 0), ("Fix(Influencer)", 1, 36, 0)], io(160, 109, 10, 78, 163)),
+        ("via", 40, &[("scan Composer", 1, 20, 0), ("Sel[x.master<>null]", 1, 16, 20), ("Proj", 1, 16, 0), ("scan Composer", 4, 80, 0), ("IJ_master", 4, 64, 0), ("scan temp Influencer", 64, 640, 0), ("EJ[i.disciple=ym]", 4, 24, 640), ("Proj", 4, 24, 0), ("Fix(Influencer)", 1, 40, 0)], io(243, 162, 15, 127, 252)),
         ("filters", 20, &[("scan Composer", 1, 20, 0), ("Sel[x.master<>null]", 1, 16, 20), ("Proj", 1, 16, 0), ("scan Composer", 3, 60, 0), ("IJ_master", 3, 48, 0), ("scan temp Influencer", 48, 576, 0), ("EJ[i.disciple=ym]", 3, 24, 576), ("Sel[i.gen<3]", 3, 20, 24), ("Proj", 3, 20, 0), ("Fix(Influencer)", 1, 36, 0), ("Sel[1<gen]", 1, 20, 36)], io(160, 109, 10, 78, 163)),
         ("mat", 320, &[("scan Composer", 1, 20, 0), ("scan Composer", 1, 20, 0), ("scan Composer", 20, 400, 0), ("EJ[1=1]", 1, 400, 400), ("EJ[a.master=b.master]", 1, 320, 5120)], io(2447, 14573, 40, 800, 2485)),
         ("mat-slots", 400, &[("scan Composer", 1, 20, 0), ("scan Composer", 1, 20, 0), ("scan Composer", 20, 400, 0), ("EJ[1=1]", 1, 400, 400), ("EJ[a=c]", 1, 400, 8000)], io(1017, 3, 40, 800, 1055)),
@@ -1310,46 +1437,12 @@ fn probed_operators_keep_the_interpreters_counters() {
         );
         let e = m.db.physical().entities_of_class(m.composer)[0];
         let scan = |var: &str| Pt::entity(e, var);
-        // The recursive leg of the Figure 3 plan: the delta temporary is
-        // the rescanned inner (borrowed pages), compared slot to slot with
-        // the master an implicit join put in the outer row.
-        let influencer = |join: Expr, keep: Option<Expr>| {
-            let base = Pt::proj(
-                vec![
-                    ("master".into(), Expr::path("x", &["master"])),
-                    ("disciple".into(), Expr::var("x")),
-                    ("gen".into(), Expr::int(1)),
-                ],
-                Pt::sel(
-                    Expr::path("x", &["master"]).ne(Expr::Lit(oorq_query::Literal::Null)),
-                    scan("x"),
-                ),
-            );
-            let masters = Pt::IJ {
-                on: Expr::path("y", &["master"]),
-                step: oorq_pt::IjStep::class_attr(m.db.catalog(), m.composer, m.master_attr),
-                out: "ym".into(),
-                input: Box::new(scan("y")),
-                target: Box::new(scan("t")),
-            };
-            let joined = Pt::ej(join, masters, Pt::temp("Influencer", "i"));
-            let rec = Pt::proj(
-                vec![
-                    ("master".into(), Expr::var("i.master")),
-                    ("disciple".into(), Expr::var("y")),
-                    ("gen".into(), Expr::var("i.gen").add(Expr::int(1))),
-                ],
-                match keep {
-                    Some(keep) => Pt::sel(keep, joined),
-                    None => joined,
-                },
-            );
-            Pt::fix("Influencer", Pt::union(base, rec))
-        };
-        let by_master = || Expr::var("i.disciple").eq(Expr::var("ym"));
+        let influencer = |join, keep| influencer_over_ij(&m, join, keep, false);
         let cross = || Pt::ej(Expr::int(1).eq(Expr::int(1)), scan("b"), scan("c"));
         let plan = match name {
             "rescan" => influencer(by_master(), None),
+            // The same under a projection that dereferences.
+            "via" => influencer_over_ij(&m, by_master(), None, true),
             // The conjunct after the probe is evaluated on the survivors.
             "residual" => influencer(by_master().and(Expr::var("i.gen").lt(Expr::int(3))), None),
             // A filter over rows a join built, one over borrowed pages
@@ -1381,6 +1474,57 @@ fn probed_operators_keep_the_interpreters_counters() {
         assert_eq!(out.len(), rows, "{name}");
         assert_eq!(ops, expected_ops, "{name}");
         assert_eq!(report.io, expected_io, "{name}");
+    }
+}
+
+/// A bracket is for a call that can do something. The `open` of a leaf
+/// scan and the call that finds it run out take none, so a scan — however
+/// often it is rescanned — closes one bracket per page it fetched; and a
+/// recursive leg nothing above which can touch a page hands up one chunk
+/// per pass instead of one per outer row. A pass that derives rows costs
+/// its `Proj` an open, the chunk and the `None` after it, and the `EJ`
+/// below one `None` more (the projection asks again before it answers
+/// `None` itself); the last pass derives nothing: an open and one `None`.
+#[test]
+fn a_rescan_costs_its_page_fetches() {
+    let paged = || {
+        let width = oorq_storage::WidthModel {
+            page_size: 256,
+            ..Default::default()
+        };
+        let cfg = MusicConfig {
+            chains: 4,
+            chain_len: 5,
+            ..Default::default()
+        };
+        MusicDb::generate_paged(Arc::new(music_catalog()), cfg, width)
+    };
+    for name in ["chain closure", "figure 3 shape"] {
+        let mut m = paged();
+        // (plan, the recursive leg's join, the operator id of its inner)
+        let (plan, join, inner) = match name {
+            "chain closure" => (influencer_fix(&m), "EJ[i.disciple=x.master]", 4),
+            _ => {
+                let plan = influencer_over_ij(&m, by_master(), None, false);
+                (plan, "EJ[i.disciple=ym]", 5)
+            }
+        };
+        let (idx, methods) = (IndexSet::new(), MethodRegistry::new());
+        let mut ex = Executor::new(&mut m.db, &idx, &methods);
+        ex.run(&plan).unwrap();
+        let ops = ex.report().ops;
+        for scan in ops.iter().filter(|o| o.label.starts_with("scan")) {
+            let fetched = scan.page_hits + scan.page_reads;
+            assert_eq!(scan.calls, fetched, "{name}: {}", scan.label);
+        }
+        let join = ops.iter().position(|o| o.label == join).expect(name);
+        let (ej, proj, rescanned) = (&ops[join], &ops[join + 1], &ops[inner]);
+        let passes = ej.opens;
+        assert!(passes > 2 && rescanned.opens > 4 * passes, "{name}");
+        assert!(rescanned.calls > rescanned.opens, "{name}: several pages");
+        assert_eq!(proj.label, "Proj", "{name}");
+        assert_eq!((proj.opens, proj.calls), (passes, 3 * passes - 1), "{name}");
+        assert_eq!(ej.calls, 4 * passes - 2, "{name}");
     }
 }
 

@@ -356,7 +356,9 @@ impl<'s> Session<'s> {
             .with_parallel(plan.parallel.clone())
             .with_state(state);
         let res = ex.run(&plan.pt);
-        let report = ex.report();
+        // Only the drift check below reads the operators' counters.
+        let miss = outcome == CacheOutcome::Miss;
+        let ops = if miss { ex.report().ops } else { Vec::new() };
         self.state = ex.into_state();
         let batch = res.map_err(ServeError::Exec)?;
 
@@ -385,7 +387,7 @@ impl<'s> Session<'s> {
         // it disagrees under *both* readings of the observed counters —
         // per-open (`rows_out / opens`) and total — which stale
         // statistics skew together and execution shape skews apart.
-        let invalidated = outcome == CacheOutcome::Miss && {
+        let invalidated = miss && {
             let recursive = fix_recursive_nodes(&plan.pt);
             let scan_lines: Vec<oorq_cost::NodeCost> = plan
                 .breakdown
@@ -397,7 +399,7 @@ impl<'s> Session<'s> {
                 .cloned()
                 .collect();
             let mut per_node: BTreeMap<usize, (String, u64, u64, u64, u64)> = BTreeMap::new();
-            for o in &report.ops {
+            for o in &ops {
                 let e = per_node
                     .entry(o.pt_node)
                     .or_insert_with(|| (o.label.clone(), 0, 0, 0, 0));

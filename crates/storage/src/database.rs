@@ -52,14 +52,20 @@ enum Home {
 }
 
 /// A temporary's writer panicked mid-append: its rows are not to be read.
+/// The lock stays poisoned — appends are refused, readers see no rows —
+/// until [`Database::truncate_temp`] empties the temporary.
 const POISONED: &str = "a temporary's writer panicked";
 
 impl Home {
-    /// The segment as it is now (a temporary's, under its read lock).
+    /// The segment as it is now (a temporary's, under its read lock; a
+    /// poisoned temporary's as if it were empty).
     fn segment(&self) -> Arc<Segment> {
         match self {
             Home::Base(seg) => Arc::clone(seg),
-            Home::Temp(lock) => Arc::clone(&lock.read().expect(POISONED)),
+            Home::Temp(lock) => match lock.read() {
+                Ok(seg) => Arc::clone(&seg),
+                Err(poisoned) => Arc::new(poisoned.into_inner().emptied()),
+            },
         }
     }
 
@@ -497,10 +503,12 @@ impl Database {
     /// goes to all of them before the next row does — a fixpoint's
     /// accumulator and delta fill side by side), holding their write
     /// locks, taken in the listed order (an entity listed twice is
-    /// refused: its second lock would wait for the first). A page write is
-    /// charged to `io` whenever an append starts a new page. A segment
-    /// nobody else holds — no snapshot, no scan still open, no page still
-    /// lent out — is written in place; otherwise it is copied first.
+    /// refused: its second lock would wait for the first; so is a
+    /// temporary whose last writer panicked, until it is truncated). A
+    /// page write is charged to `io` whenever an append starts a new page.
+    /// A segment nobody else holds — no snapshot, no scan still open, no
+    /// page still lent out — is written in place; otherwise it is copied
+    /// first.
     pub fn append_temp_rows(
         &self,
         io: &Account,
@@ -512,7 +520,8 @@ impl Database {
             if entities[..i].contains(&entity) {
                 return Err(StorageError::BadEntity(entity));
             }
-            held.push(self.temp(entity)?.write().expect(POISONED));
+            let lock = self.temp(entity)?.write();
+            held.push(lock.map_err(|_| StorageError::PoisonedTemporary(entity))?);
         }
         let mut segs: Vec<&mut Segment> = held.iter_mut().map(|seg| Arc::make_mut(seg)).collect();
         let Some(last) = segs.len().checked_sub(1) else {
@@ -539,9 +548,22 @@ impl Database {
 
     /// Clear a temporary's contents and drop its residency from `io`. An
     /// account forked from that one holds frames of its own: whoever
-    /// joins the two invalidates the entity in the other as well.
+    /// joins the two invalidates the entity in the other as well. A
+    /// segment somebody else still holds (a snapshot, an open scan, a lent
+    /// page) is left to them and an empty one of its shape put in its
+    /// place. A lock poisoned by a panicking writer is entered — whatever
+    /// the writer left is what gets emptied — and works again afterwards.
     pub fn truncate_temp(&self, io: &Account, entity: EntityId) -> Result<(), StorageError> {
-        Arc::make_mut(&mut self.temp(entity)?.write().expect(POISONED)).clear();
+        let lock = self.temp(entity)?;
+        let mut seg = lock
+            .write()
+            .unwrap_or_else(|poisoned| poisoned.into_inner());
+        match Arc::get_mut(&mut seg) {
+            Some(seg) => seg.clear(),
+            None => *seg = Arc::new(seg.emptied()),
+        }
+        drop(seg);
+        lock.clear_poison();
         io.borrow_mut().invalidate_entity(entity);
         Ok(())
     }
@@ -586,10 +608,12 @@ impl Database {
     /// Open a scan over the pages of an entity numbered in `pages` (cut at
     /// its last page): the scan takes the entity's segment now — the one
     /// lock of a scan over a temporary, none otherwise — and lets go of it
-    /// when it runs out.
+    /// with its last page (at once, if there is no page to scan).
     pub fn scan_pages(&self, entity: EntityId, pages: std::ops::Range<u32>) -> PageScan {
+        let seg = self.segment(entity);
+        let pages = pages.start..pages.end.min(seg.num_pages());
         PageScan {
-            seg: Some(self.segment(entity)),
+            seg: (!pages.is_empty()).then_some(seg),
             entity,
             temp: self.is_temp_entity(entity),
             pages,
@@ -837,34 +861,44 @@ impl Drop for CheckedOut<'_> {
 }
 
 /// A scan over (a page range of) one entity. It holds the segment it was
-/// opened on until it runs out: a page costs a fetch and no lock, and what
-/// is appended to a temporary while a scan over it is open is not seen by
-/// that scan — its writer copies the segment first, as it does while a
-/// [`PageRows`] is out. Drain a scan, or drop it, before writing what it
-/// reads.
+/// opened on until it hands out its last page, which takes the segment
+/// with it: a page costs a fetch and no lock, and what is appended to a
+/// temporary while a scan over it is open is not seen by that scan — its
+/// writer copies the segment first, as it does while a [`PageRows`] is
+/// out. Drain a scan, or drop it, before writing what it reads. Whether a
+/// page is left is known without asking for one ([`PageScan::is_done`]),
+/// so a caller that pays per request need not make the one that fetches
+/// nothing.
 #[derive(Debug)]
 pub struct PageScan {
-    /// `None` once the scan ran out.
+    /// Held exactly while `pages` has a page left.
     seg: Option<Arc<Segment>>,
     entity: EntityId,
     temp: bool,
+    /// The pages still to fetch, all of them pages of `seg`.
     pages: std::ops::Range<u32>,
 }
 
 impl PageScan {
+    /// Whether the scan has no page left: [`PageScan::next_page`] would
+    /// fetch nothing and answer `None`.
+    pub fn is_done(&self) -> bool {
+        self.seg.is_none()
+    }
+
     /// Fetch (and charge to `io`) the next page and lend out its records;
     /// `None` past the last one. A consumer streams the entity a page at a
     /// time: each fetch is accounted when it happens, so interleaved
     /// consumers (e.g. a pipelined executor) observe honest LRU behaviour.
     pub fn next_page(&mut self, io: &Account) -> Option<PageRows> {
-        let seg = self.seg.as_ref()?;
-        let Some(page) = self.pages.next().filter(|&p| p < seg.num_pages()) else {
-            self.seg = None;
-            return None;
+        let page = self.pages.next()?;
+        let seg = if self.pages.is_empty() {
+            self.seg.take()?
+        } else {
+            Arc::clone(self.seg.as_ref()?)
         };
         let entity = self.entity;
         io.borrow_mut().fetch(PageId { entity, page }, self.temp);
-        let seg = Arc::clone(seg);
         Some(PageRows { seg, page })
     }
 }

@@ -25,6 +25,9 @@ pub enum StorageError {
     BadEntity(EntityId),
     /// Operation requires a temporary entity.
     NotTemporary(EntityId),
+    /// A writer panicked while appending to the temporary: it takes no
+    /// rows until it is truncated.
+    PoisonedTemporary(EntityId),
     /// A class has no home entity (should not happen on a well-formed DB).
     NoHome(ClassId),
     /// The extension is decomposed and the operation needs the full
@@ -45,6 +48,9 @@ impl fmt::Display for StorageError {
             StorageError::DanglingOid(o) => write!(f, "dangling oid {o}"),
             StorageError::BadEntity(e) => write!(f, "bad entity {e}"),
             StorageError::NotTemporary(e) => write!(f, "entity {e} is not a temporary"),
+            StorageError::PoisonedTemporary(e) => {
+                write!(f, "a writer of temporary {e} panicked: truncate it first")
+            }
             StorageError::NoHome(c) => write!(f, "class {c} has no home entity"),
             StorageError::Decomposed(c) => write!(f, "class {c} is decomposed"),
         }

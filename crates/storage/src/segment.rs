@@ -65,6 +65,11 @@ impl Segment {
         }
     }
 
+    /// A new empty segment for records of this one's shape.
+    pub fn emptied(&self) -> Self {
+        Self::with_rpp(self.field_types.clone(), self.rows_per_page)
+    }
+
     /// Replace the values of the record at a physical position.
     pub fn replace_values(&mut self, pos: u32, values: Vec<Value>) {
         if let Some(row) = self.rows.get_mut(pos as usize) {

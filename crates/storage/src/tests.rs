@@ -490,6 +490,80 @@ fn a_drained_scan_lets_the_next_write_happen_in_place() {
     assert_eq!(db.entity_len(t), 35);
 }
 
+/// Emptying a temporary somebody still reads copies nothing: the reader
+/// keeps the segment with its rows, and the temporary gets an empty one of
+/// the same shape, which the next append fills in place.
+#[test]
+fn truncating_under_a_reader_leaves_it_the_segment() {
+    let mut db = small_db();
+    let int = oorq_schema::ResolvedType::Atomic(oorq_schema::AtomicType::Int);
+    let t = db.create_temp("delta", vec![int.clone(), int]);
+    let io = small_account();
+    let rows = |r: std::ops::Range<i64>| r.map(|i| vec![Value::Int(i), Value::Int(i)]).collect();
+    db.append_temp_rows(&io, &[t], rows(0..25)).unwrap();
+    let lent = db.scan_page(&io, t, 1).unwrap();
+    let firsts = |page: &[Row]| page.iter().map(|r| r.values[0].clone()).collect::<Vec<_>>();
+    let before = firsts(&lent);
+    assert_eq!(before.len(), 10);
+
+    db.truncate_temp(&io, t).unwrap();
+    assert_eq!((db.entity_len(t), db.num_pages(t)), (0, 0));
+    db.append_temp_rows(&io, &[t], rows(100..112)).unwrap();
+    assert_eq!(firsts(&lent), before, "the reader keeps its rows");
+    let fresh = db.scan_page(&io, t, 1).unwrap();
+    assert_eq!(firsts(&fresh), [Value::Int(110), Value::Int(111)]);
+    assert_ne!(fresh.as_ptr(), lent.as_ptr(), "a segment of its own");
+    // The same rows per page, the same fields: an empty one of its shape.
+    assert_eq!(db.scan_page(&io, t, 0).unwrap().len(), 10);
+    assert_eq!(db.entity_field_types(t).len(), 2);
+
+    // Nobody reads now: emptied where it lies.
+    drop((lent, fresh));
+    let lies_at = |db: &Database| db.scan_page(&io, t, 0).unwrap().as_ptr();
+    let before = lies_at(&db);
+    db.truncate_temp(&io, t).unwrap();
+    db.append_temp_rows(&io, &[t], rows(0..5)).unwrap();
+    assert_eq!(lies_at(&db), before, "cleared in place");
+}
+
+/// A writer that panics while it holds a temporary's lock poisons that
+/// temporary, not the session: appends are refused with an error, readers
+/// see no rows, and the truncate every fixpoint and materializing join
+/// starts with makes it whole again.
+#[test]
+fn a_poisoned_temporary_is_refused_then_truncated_back_to_work() {
+    let mut db = small_db();
+    let int = oorq_schema::ResolvedType::Atomic(oorq_schema::AtomicType::Int);
+    let t = db.create_temp("acc", vec![int.clone()]);
+    let other = db.create_temp("delta", vec![int]);
+    let io = small_account();
+    let rows = |r: std::ops::Range<i64>| r.map(|i| vec![Value::Int(i)]).collect::<Vec<_>>();
+    db.append_temp_rows(&io, &[t, other], rows(0..3)).unwrap();
+
+    // The writer takes `t`'s lock, then finds its account busy and panics.
+    let writer = std::thread::scope(|scope| {
+        let write = || {
+            let io = small_account();
+            let _busy = io.borrow_mut();
+            db.append_temp_rows(&io, &[t], rows(3..6))
+        };
+        scope.spawn(write).join()
+    });
+    assert!(writer.is_err(), "the writer panicked");
+
+    let refused = db.append_temp_rows(&io, &[other, t], rows(6..9));
+    assert_eq!(refused, Err(StorageError::PoisonedTemporary(t)));
+    assert_eq!(db.entity_len(other), 3, "nothing went to the other either");
+    assert_eq!(db.entity_len(t), 0, "read as empty");
+    assert!(db.scan_pages(t, 0..u32::MAX).next_page(&io).is_none());
+    assert!(db.snapshot().scan(&io, t).is_empty());
+
+    db.truncate_temp(&io, t).unwrap();
+    db.append_temp_rows(&io, &[t], rows(6..9)).unwrap();
+    let read: Vec<Value> = db.scan(&io, t).into_iter().flat_map(|r| r.values).collect();
+    assert_eq!(read, [Value::Int(6), Value::Int(7), Value::Int(8)]);
+}
+
 #[test]
 fn temporaries_append_scan_truncate() {
     let mut db = small_db();

@@ -5,13 +5,18 @@
 //! page sizes (one row per page, the default, a whole entity per page)
 //! and the same plan is run over each: the answer equals the reference
 //! evaluator's, and every operator opens as often, reads and hands up
-//! as many rows, and evaluates and probes as often, at all three.
+//! as many rows, and evaluates and probes as often, at all three. Two
+//! hand-built fixpoints get the same treatment: a recursive leg nothing
+//! above which can touch a page (it hands up one chunk per pass), and one
+//! whose projection dereferences (it still cuts after every row).
 
 use std::sync::Arc;
 
 use oorq::datagen::{ChainConfig, ChainDb, MusicDb};
 use oorq::exec::eval_query_graph;
+use oorq::pt::{IjStep, ParallelSpec, Pt};
 use oorq::query::paper::music_catalog;
+use oorq::query::{Expr, Literal};
 use oorq::storage::WidthModel;
 use oorq_bench::scenarios::{env_budget, CORPUS};
 use oorq_bench::{Knobs, Scenario};
@@ -61,14 +66,83 @@ fn check(entry: &str, build: impl Fn(WidthModel) -> Scenario) {
             let mut answer = answer.rows;
             answer.sort();
             assert_eq!(answer, reference, "{name}: answer differs from reference");
-            let op = |o: &oorq::exec::OpReport| {
-                let counts = (o.opens, o.rows_in, o.rows_out, o.evals, o.index_reads);
-                (o.label.clone(), counts)
-            };
-            report.ops.iter().map(op).collect::<Vec<_>>()
+            report.ops.iter().map(op_counts).collect::<Vec<_>>()
         });
         assert_eq!(per_op[0], per_op[DEFAULT], "{name}: one record per page");
         assert_eq!(per_op[2], per_op[DEFAULT], "{name}: one page per entity");
+    }
+}
+
+/// What of an operator's report the page geometry must not move.
+fn op_counts(o: &oorq::exec::OpReport) -> (String, (u64, u64, u64, u64, u64)) {
+    let counts = (o.opens, o.rows_in, o.rows_out, o.evals, o.index_reads);
+    (o.label.clone(), counts)
+}
+
+/// The Influencer closure with the Figure 3 plan's recursive leg, `Proj ←
+/// EJ(IJ_master(scan y), scan temp Influencer)`. With `via` both legs also
+/// carry the disciple's direct master, which the recursive leg's projection
+/// dereferences.
+fn influencer_over_ij(m: &MusicDb, via: bool) -> Pt {
+    let e = m.db.physical().entities_of_class(m.composer)[0];
+    let cols = |master: Expr, disciple: &str, gen: Expr| {
+        let via = via.then(|| ("via".into(), Expr::path(disciple, &["master"])));
+        let cols = [
+            ("master".into(), master),
+            ("disciple".into(), Expr::var(disciple)),
+            ("gen".into(), gen),
+        ];
+        cols.into_iter().chain(via).collect()
+    };
+    let base = Pt::proj(
+        cols(Expr::path("x", &["master"]), "x", Expr::int(1)),
+        Pt::sel(
+            Expr::path("x", &["master"]).ne(Expr::Lit(Literal::Null)),
+            Pt::entity(e, "x"),
+        ),
+    );
+    let masters = Pt::IJ {
+        on: Expr::path("y", &["master"]),
+        step: IjStep::class_attr(m.db.catalog(), m.composer, m.master_attr),
+        out: "ym".into(),
+        input: Box::new(Pt::entity(e, "y")),
+        target: Box::new(Pt::entity(e, "t")),
+    };
+    let rec = Pt::proj(
+        cols(
+            Expr::var("i.master"),
+            "y",
+            Expr::var("i.gen").add(Expr::int(1)),
+        ),
+        Pt::ej(
+            Expr::var("i.disciple").eq(Expr::var("ym")),
+            masters,
+            Pt::temp("Influencer", "i"),
+        ),
+    );
+    Pt::fix("Influencer", Pt::union(base, rec))
+}
+
+#[test]
+fn fixpoint_leg_counts_are_independent_of_page_capacity() {
+    for via in [false, true] {
+        let per_op = PAGE_SIZES.map(|page_size| {
+            let width = WidthModel {
+                page_size,
+                ..WidthModel::default()
+            };
+            let cfg = Scenario::paper_scale();
+            let m = MusicDb::generate_paged(Arc::new(music_catalog()), cfg, width);
+            let plan = influencer_over_ij(&m, via);
+            let mut s = Scenario::music_from(m, false);
+            let knobs = Knobs::resources(0, env_budget());
+            let (answer, report, _) = s.execute(&plan, &ParallelSpec::default(), &knobs).unwrap();
+            // Ten chains of ten: 45 (master, disciple) pairs each.
+            assert_eq!(answer.len(), 450, "via {via}, page size {page_size}");
+            report.ops.iter().map(op_counts).collect::<Vec<_>>()
+        });
+        assert_eq!(per_op[0], per_op[DEFAULT], "via {via}: one record per page");
+        assert_eq!(per_op[2], per_op[DEFAULT], "via {via}: one page per entity");
     }
 }
 
