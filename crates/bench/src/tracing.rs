@@ -12,6 +12,7 @@ use std::fmt::Write;
 
 use oorq_core::OptimizerConfig;
 use oorq_obs::Recorder;
+use oorq_query::QueryGraph;
 
 use crate::scenarios::{fig7_config, Knobs, Scenario};
 
@@ -29,8 +30,8 @@ pub struct TraceArtifacts {
 /// The scenarios `reproduce trace` understands.
 pub const TRACE_SCENARIOS: &[&str] = &["music-fig7", "music-paper", "music-pushjoin"];
 
-/// Run a named scenario under an enabled recorder and render all sinks.
-pub fn trace_scenario(scenario: &str) -> Result<TraceArtifacts, String> {
+/// The database, query and title behind a [`TRACE_SCENARIOS`] name.
+pub fn trace_case(scenario: &str) -> Result<(Scenario, QueryGraph, &'static str), String> {
     let (cfg, title) = match scenario {
         // The §4.6 regime: the harpsichord filter keeps almost every
         // composer, so pushing it through the recursion loses and the
@@ -60,15 +61,20 @@ pub fn trace_scenario(scenario: &str) -> Result<TraceArtifacts, String> {
             ))
         }
     };
-
-    let obs = Recorder::new();
-    let registry = oorq_obs::MetricsRegistry::new();
-    let mut s = Scenario::music(cfg);
+    let s = Scenario::music(cfg);
     let q = if scenario == "music-pushjoin" {
         s.pushjoin()
     } else {
         s.fig3()
     };
+    Ok((s, q, title))
+}
+
+/// Run a named scenario under an enabled recorder and render all sinks.
+pub fn trace_scenario(scenario: &str) -> Result<TraceArtifacts, String> {
+    let (mut s, q, title) = trace_case(scenario)?;
+    let obs = Recorder::new();
+    let registry = oorq_obs::MetricsRegistry::new();
     let knobs = Knobs {
         recorder: obs.clone(),
         registry: registry.clone(),

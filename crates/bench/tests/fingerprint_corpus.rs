@@ -207,7 +207,6 @@ fn walk_outcomes_equal_the_re_examining_walks() {
                     moves_per_walk,
                     restarts,
                     seed,
-                    ..RandConfig::default()
                 };
                 let pt = rand_optimize(&model, start.pt.clone(), &rc);
                 let cost = model.cost(&pt).map_err(|e| format!("{name}: {e}"))?;

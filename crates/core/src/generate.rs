@@ -13,6 +13,7 @@ use oorq_cost::CostModel;
 use oorq_pt::{applicable_join_indexes, applicable_sel_index, AccessMethod, JoinAlgo, Pt};
 use oorq_query::{Expr, SpjNode};
 
+use crate::decisions::{Decisions, Examined, Outcome};
 use crate::error::OptError;
 use crate::translate::ArcChain;
 
@@ -81,8 +82,7 @@ pub fn generate_pt(
     spj: &SpjNode,
     arc_chains: &[Vec<ArcChain>],
     strategy: SpjStrategy,
-    obs: &oorq_obs::Recorder,
-    cand_metrics: &crate::metrics::CandidateMetrics,
+    sink: &Decisions,
 ) -> Result<(Pt, Vec<String>, f64), OptError> {
     // Combined substitution (alternatives of one arc share theirs).
     let mut subst: HashMap<String, Expr> = HashMap::new();
@@ -146,46 +146,20 @@ pub fn generate_pt(
             return Err(OptError::Unplannable(format!("arc {i}")));
         }
         cands.sort_by(|a, b| a.cost.total_cmp(&b.cost));
-        for rank in 0..cands.len() {
+        for (rank, c) in cands.iter().enumerate() {
+            let seen = Examined {
+                arc: Some(i),
+                cost: Some(c.cost),
+                incumbent: Some(&cands[0].pt),
+                incumbent_cost: Some(cands[0].cost),
+                ..Examined::at("generatePT", &c.pt)
+            };
             if rank < KEEP_PER_ARC {
-                cand_metrics.outcome("accept", "kept in arc beam");
+                let reason = format_args!("kept in arc beam (rank {rank})");
+                sink.candidate(seen, Outcome::Accept, reason);
             } else {
-                cand_metrics.outcome("prune", "beyond keep-per-arc beam");
-            }
-        }
-        if obs.enabled() {
-            let best_fp = format!("{:016x}", cands[0].pt.fingerprint());
-            let best_cost = cands[0].cost;
-            for (rank, c) in cands.iter().enumerate() {
-                let kept = rank < KEEP_PER_ARC;
-                obs.event(
-                    "optimizer",
-                    "candidate",
-                    vec![
-                        ("step".into(), "generatePT".into()),
-                        ("arc".into(), i.into()),
-                        (
-                            "fingerprint".into(),
-                            format!("{:016x}", c.pt.fingerprint()).into(),
-                        ),
-                        ("cost".into(), c.cost.into()),
-                        ("incumbent".into(), best_fp.clone().into()),
-                        ("incumbent_cost".into(), best_cost.into()),
-                        (
-                            "outcome".into(),
-                            if kept { "accept" } else { "prune" }.into(),
-                        ),
-                        (
-                            "reason".into(),
-                            if kept {
-                                format!("kept in arc beam (rank {rank})")
-                            } else {
-                                format!("beyond keep-per-arc beam of {KEEP_PER_ARC}")
-                            }
-                            .into(),
-                        ),
-                    ],
-                );
+                let reason = format_args!("beyond keep-per-arc beam of {KEEP_PER_ARC}");
+                sink.candidate(seen, Outcome::Prune, reason);
             }
         }
         cands.truncate(KEEP_PER_ARC);
@@ -221,26 +195,12 @@ pub fn generate_pt(
         .cost(&pt)
         .map_err(OptError::Cost)?
         .total(&model.params);
-    cand_metrics.outcome("accept", "join-enumeration winner");
-    if obs.enabled() {
-        obs.event(
-            "optimizer",
-            "candidate",
-            vec![
-                ("step".into(), "generatePT".into()),
-                (
-                    "fingerprint".into(),
-                    format!("{:016x}", pt.fingerprint()).into(),
-                ),
-                ("cost".into(), cost.into()),
-                ("outcome".into(), "accept".into()),
-                (
-                    "reason".into(),
-                    format!("{strategy:?} join-enumeration winner for the predicate node").into(),
-                ),
-            ],
-        );
-    }
+    let winner = Examined {
+        cost: Some(cost),
+        ..Examined::at("generatePT", &pt)
+    };
+    let reason = format_args!("{strategy:?} join-enumeration winner for the predicate node");
+    sink.candidate(winner, Outcome::Accept, reason);
     Ok((pt, out_names, cost))
 }
 

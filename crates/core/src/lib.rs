@@ -17,25 +17,25 @@
 //! and unpushed plans — because in an object model the pushed predicate
 //! may embed an expensive path expression or method call.
 
+mod decisions;
 mod error;
 mod generate;
-mod metrics;
 mod optimizer;
 mod rewrite;
 mod trace;
 mod transform;
 mod translate;
 
+pub use decisions::{Decisions, Examined, Outcome};
 pub use error::OptError;
 pub use generate::{generate_pt, rewrite_expr, Candidate, SpjStrategy};
-pub use metrics::CandidateMetrics;
 pub use optimizer::{Optimized, Optimizer, OptimizerConfig, ParallelChoice, VerifyLevel};
 pub use rewrite::{fixpoint_action, fixpoint_recursion, rewrite, union_action};
 pub use trace::{OptTrace, Step, StepTrace, StrategyKind};
 pub use transform::{
     best_selection, can_push, distribute_join_over_union_action, filter_action, neighbours,
     propagated_columns, push_join_action, rand_optimize, rand_optimize_with, FixInfo, MoveFn,
-    PushStrategy, RandConfig, RandKind, RandOutcome,
+    PushStrategy, RandConfig, RandOutcome,
 };
 pub use translate::{collapse_alternatives, translate_arc, ArcChain, BasePlan, ChainOp};
 

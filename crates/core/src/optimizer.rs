@@ -23,6 +23,7 @@ use oorq_pt::{ParallelSpec, PhysOp, Pt};
 use oorq_query::{Expr, GraphTerm, NameRef, QArc, QueryGraph, SpjNode, TreeLabel};
 use oorq_schema::{ResolvedType, ViewKind};
 
+use crate::decisions::{Decisions, Examined, Outcome};
 use crate::error::OptError;
 use crate::generate::{generate_pt, SpjStrategy};
 use crate::rewrite::rewrite;
@@ -197,12 +198,11 @@ pub struct Optimizer<'a> {
     pub model: CostModel<'a>,
     /// Configuration.
     pub config: OptimizerConfig,
-    /// Structured-tracing recorder (disabled by default: every probe is
-    /// one branch).
-    pub obs: oorq_obs::Recorder,
-    /// Aggregated metric series, pre-resolved at attach time (detached
-    /// by default: every bump is one branch).
-    metrics: crate::metrics::OptimizerMetrics,
+    /// Where every choice point announces what it decided: the trace of
+    /// the optimization under way, the structured-tracing recorder and
+    /// the metric series (both detached by default: every probe and
+    /// every bump is one branch).
+    sink: Decisions,
     fresh: usize,
 }
 
@@ -212,8 +212,7 @@ impl<'a> Optimizer<'a> {
         Optimizer {
             model,
             config,
-            obs: oorq_obs::Recorder::disabled(),
-            metrics: crate::metrics::OptimizerMetrics::default(),
+            sink: Decisions::default(),
             fresh: 0,
         }
     }
@@ -221,7 +220,7 @@ impl<'a> Optimizer<'a> {
     /// Attach a structured-tracing recorder: spans per §4 step, one
     /// `candidate` event per enumerated plan, lint violations as events.
     pub fn with_recorder(mut self, obs: oorq_obs::Recorder) -> Self {
-        self.obs = obs;
+        self.sink.obs = obs;
         self
     }
 
@@ -230,23 +229,24 @@ impl<'a> Optimizer<'a> {
     /// arc beam, push decision, randomized-walk move — lands in one
     /// `optimizer.candidates.*` outcome bucket.
     pub fn with_metrics(mut self, registry: &oorq_obs::MetricsRegistry) -> Self {
-        self.metrics = crate::metrics::OptimizerMetrics::resolve(registry);
+        self.sink.metrics = crate::decisions::OptimizerMetrics::resolve(registry);
         self
     }
 
     /// Optimize a query graph into an execution plan.
     pub fn optimize(&mut self, graph: &QueryGraph) -> Result<Optimized, OptError> {
-        let sp_opt = self.obs.begin("optimizer", "optimize");
+        let sp_opt = self.sink.obs.begin("optimizer", "optimize");
         let wall0 = std::time::Instant::now();
         let result = self.optimize_inner(graph);
         if result.is_ok() {
-            self.metrics.queries.inc();
-            self.metrics
+            let metrics = &self.sink.metrics;
+            metrics.queries.inc();
+            metrics
                 .optimize_ns
                 .record(wall0.elapsed().as_nanos() as u64);
         }
         if let Ok(plan) = &result {
-            self.obs.span_fields(
+            self.sink.obs.span_fields(
                 sp_opt,
                 vec![
                     (
@@ -257,7 +257,7 @@ impl<'a> Optimizer<'a> {
                 ],
             );
         }
-        self.obs.end(sp_opt);
+        self.sink.obs.end(sp_opt);
         result
     }
 
@@ -266,13 +266,13 @@ impl<'a> Optimizer<'a> {
         let mut g = graph.clone();
         g.normalize(catalog)?;
         g.validate(catalog)?;
-        let mut trace = OptTrace::default();
+        self.sink.trace = OptTrace::default();
         self.verify_graph(&g, "normalize (query graph)")?;
 
         // Step 1: rewrite (irrevocable).
-        let sp = self.obs.begin("optimizer", "rewrite");
-        rewrite(&mut g, &mut trace);
-        self.obs.end(sp);
+        let sp = self.sink.obs.begin("optimizer", "rewrite");
+        rewrite(&mut g, &mut self.sink);
+        self.sink.obs.end(sp);
         self.verify_graph(&g, "rewrite (query graph)")?;
 
         // Steps 2+3: translate + generatePT, bottom-up over the graph.
@@ -284,12 +284,8 @@ impl<'a> Optimizer<'a> {
                 .position(|(name, term)| self.ready(name, term, &planned))
                 .ok_or(OptError::CyclicGraph)?;
             let (name, term) = remaining.remove(idx);
-            let p = self.plan_term(&g, &name, &term, &planned, &mut trace)?;
-            self.verify_stage(
-                &p.pt,
-                &format!("generatePT({})", name.display(catalog)),
-                &mut trace,
-            )?;
+            let p = self.plan_term(&g, &name, &term, &planned)?;
+            self.verify_stage(&p.pt, &format!("generatePT({})", name.display(catalog)))?;
             planned.insert(name, p);
         }
 
@@ -305,33 +301,31 @@ impl<'a> Optimizer<'a> {
         // accepted; rejected moves are recorded in the trace.
         let (final_pt, walk_cost) = match &self.config.rand {
             Some(rc) => {
-                let t = trace.record(
+                self.sink.step(
                     Step::TransformPt,
                     "the entire query (PT)",
                     StrategyKind::CostBasedTransformational,
                 );
-                t.note(format!("randomized strategy: {:?}", rc.kind));
-                let sp = self.obs.begin("optimizer", "transformPT");
-                self.obs.span_fields(
-                    sp,
-                    vec![("phase".into(), format!("randomized {:?}", rc.kind).into())],
-                );
+                self.sink.note("randomized strategy: IterativeImprovement");
+                let sp = self.sink.obs.begin("optimizer", "transformPT");
+                let phase = "randomized IterativeImprovement";
+                self.sink
+                    .obs
+                    .span_fields(sp, vec![("phase".into(), phase.into())]);
                 let outcome = rand_optimize_with(
                     &self.model,
                     answer.pt.clone(),
                     rc,
                     &neighbours,
                     self.config.verify.active(),
-                    Some(&mut trace),
-                    &self.obs,
-                    &self.metrics.candidates,
+                    &mut self.sink,
                 );
-                self.obs.end(sp);
+                self.sink.obs.end(sp);
                 (outcome.pt, outcome.cost)
             }
             None => (answer.pt.clone(), None),
         };
-        self.verify_stage(&final_pt, "transformPT (final plan)", &mut trace)?;
+        self.verify_stage(&final_pt, "transformPT (final plan)")?;
 
         // The walk costed the plan it returns; without a walk (or when
         // its start could not be costed) this is the one costing.
@@ -339,7 +333,7 @@ impl<'a> Optimizer<'a> {
             Some(cost) => cost,
             None => self.model.cost(&final_pt)?,
         };
-        trace.record_breakdown(&cost.breakdown);
+        self.sink.trace.final_breakdown = cost.breakdown.clone();
 
         // Step 5: parallel placement — choose a degree of parallelism
         // per maximal partitionable subtree, cost-controlled like every
@@ -347,7 +341,7 @@ impl<'a> Optimizer<'a> {
         // predicted parallel cost (startup + merge overhead against the
         // effective-worker speedup) beats its serial cost.
         let (parallel, parallel_choices) = if self.config.threads >= 2 {
-            self.plan_parallel(&final_pt, &cost, &mut trace)?
+            self.plan_parallel(&final_pt, &cost)?
         } else {
             (ParallelSpec::new(), Vec::new())
         };
@@ -359,7 +353,7 @@ impl<'a> Optimizer<'a> {
             cost,
             parallel,
             parallel_choices,
-            trace,
+            trace: std::mem::take(&mut self.sink.trace),
         })
     }
 
@@ -375,7 +369,6 @@ impl<'a> Optimizer<'a> {
         &mut self,
         pt: &Pt,
         cost: &PlanCost,
-        trace: &mut OptTrace,
     ) -> Result<(ParallelSpec, Vec<ParallelChoice>), OptError> {
         let env = self.lint_env();
         let plan = oorq_pt::lower(&env, pt)
@@ -470,36 +463,15 @@ impl<'a> Optimizer<'a> {
         );
 
         if !choices.is_empty() {
-            let t = trace.record(
+            self.sink.step(
                 Step::TransformPt,
                 "parallel placement (PT)",
                 StrategyKind::CostBasedTransformational,
             );
             for c in &choices {
-                t.note(format!(
-                    "{} (node {}): dop {} — serial {:.1} vs parallel {:.1} \
-                     (predicted speedup {:.2}x)",
-                    c.label,
-                    c.pt_node,
-                    c.workers,
-                    c.serial_cost,
-                    c.parallel_cost,
-                    c.predicted_speedup()
-                ));
-                self.obs.event(
-                    "optimizer",
-                    "parallel-choice",
-                    vec![
-                        ("node".into(), c.pt_node.into()),
-                        ("label".into(), c.label.as_str().into()),
-                        ("workers".into(), c.workers.into()),
-                        ("serial_cost".into(), c.serial_cost.into()),
-                        ("parallel_cost".into(), c.parallel_cost.into()),
-                    ],
-                );
+                self.sink.parallel_choice(c);
             }
         }
-        self.metrics.parallel_choices.add(choices.len() as u64);
         Ok((spec, choices))
     }
 
@@ -515,23 +487,23 @@ impl<'a> Optimizer<'a> {
 
     /// Run the plan verifier on an intermediate PT (when configured):
     /// errors abort the optimization and are recorded in the trace.
-    fn verify_stage(&self, pt: &Pt, stage: &str, trace: &mut OptTrace) -> Result<(), OptError> {
+    fn verify_stage(&mut self, pt: &Pt, stage: &str) -> Result<(), OptError> {
         if !self.config.verify.active() {
             return Ok(());
         }
         let report = oorq_lint::verify_pt(&self.lint_env(), pt);
-        oorq_lint::record_report(&self.obs, stage, &report);
+        oorq_lint::record_report(&self.sink.obs, stage, &report);
         if report.is_clean() {
             return Ok(());
         }
         let errors: String = report.errors().map(|d| format!("{d}\n")).collect();
-        let t = trace.record(
+        self.sink.step(
             Step::TransformPt,
             format!("verification after {stage}"),
             StrategyKind::Irrevocable,
         );
         for d in report.errors() {
-            t.note(format!("{d}"));
+            self.sink.note(format!("{d}"));
         }
         Err(OptError::Lint {
             stage: stage.into(),
@@ -545,7 +517,7 @@ impl<'a> Optimizer<'a> {
             return Ok(());
         }
         let report = oorq_lint::lint_graph(self.model.catalog, g);
-        oorq_lint::record_report(&self.obs, stage, &report);
+        oorq_lint::record_report(&self.sink.obs, stage, &report);
         if report.is_clean() {
             return Ok(());
         }
@@ -584,11 +556,10 @@ impl<'a> Optimizer<'a> {
         name: &NameRef,
         term: &GraphTerm,
         planned: &HashMap<NameRef, Planned>,
-        trace: &mut OptTrace,
     ) -> Result<Planned, OptError> {
         match term {
             GraphTerm::Spj(spj) => {
-                let (pt, out_cols, _) = self.plan_spj(g, spj, None, planned, trace, None)?;
+                let (pt, out_cols, _) = self.plan_spj(g, spj, None, planned, None)?;
                 Ok(Planned {
                     pt,
                     out_cols,
@@ -596,15 +567,15 @@ impl<'a> Optimizer<'a> {
                 })
             }
             GraphTerm::Union(l, r) => {
-                let lp = self.plan_term(g, name, l, planned, trace)?;
-                let rp = self.plan_term(g, name, r, planned, trace)?;
+                let lp = self.plan_term(g, name, l, planned)?;
+                let rp = self.plan_term(g, name, r, planned)?;
                 Ok(Planned {
                     pt: Pt::union(lp.pt, rp.pt),
                     out_cols: lp.out_cols,
                     fix: None,
                 })
             }
-            GraphTerm::Fix(fname, body) => self.plan_fix(g, fname, body, planned, trace),
+            GraphTerm::Fix(fname, body) => self.plan_fix(g, fname, body, planned),
         }
     }
 
@@ -614,7 +585,6 @@ impl<'a> Optimizer<'a> {
         fname: &NameRef,
         body: &GraphTerm,
         planned: &HashMap<NameRef, Planned>,
-        trace: &mut OptTrace,
     ) -> Result<Planned, OptError> {
         let catalog = self.model.catalog;
         let GraphTerm::Union(l, r) = body else {
@@ -651,29 +621,14 @@ impl<'a> Optimizer<'a> {
         // (profile-informed when a fitted FixProfile exists, flat-delta
         // fallback otherwise), then plan the recursive side with the
         // curve's mean delta as the temp's cardinality hint.
-        let (base_pt, base_cols, _) = self.plan_spj(g, base_spj, None, planned, trace, None)?;
+        let (base_pt, base_cols, _) = self.plan_spj(g, base_spj, None, planned, None)?;
         let base_col_names: Vec<String> = base_cols.iter().map(|(n, _)| n.clone()).collect();
         let base_rows = self.model.cost(&base_pt)?.rows;
         let curve = self.model.fix_delta_curve(&temp, base_rows);
         let hint = (curve.mass() / curve.iterations.max(1.0)).max(1.0);
-        self.obs.event(
-            "optimizer",
-            "fix-curve",
-            vec![
-                ("temp".into(), temp.as_str().into()),
-                ("profiled".into(), u64::from(curve.profiled).into()),
-                ("iterations".into(), curve.iterations.into()),
-                (
-                    "seed_delta".into(),
-                    curve.deltas.first().copied().unwrap_or(0.0).into(),
-                ),
-                ("total_rows".into(), curve.total_rows.into()),
-                ("delta_hint".into(), hint.into()),
-            ],
-        );
+        self.sink.fix_curve(&curve, hint);
         self.model.hint_temp_rows(temp.clone(), hint);
-        let (rec_pt, _, _) =
-            self.plan_spj(g, rec_spj, Some((fname, &temp)), planned, trace, None)?;
+        let (rec_pt, _, _) = self.plan_spj(g, rec_spj, Some((fname, &temp)), planned, None)?;
 
         let fix_pt = Pt::fix(temp.clone(), Pt::union(base_pt, rec_pt));
         let propagated = propagated_columns(&fix_pt);
@@ -700,7 +655,6 @@ impl<'a> Optimizer<'a> {
         spj: &SpjNode,
         self_fix: Option<(&NameRef, &str)>,
         planned: &HashMap<NameRef, Planned>,
-        trace: &mut OptTrace,
         pred_override: Option<(&Expr, &PluggedOverrides)>,
     ) -> Result<(Pt, Vec<(String, ResolvedType)>, f64), OptError> {
         let catalog = self.model.catalog;
@@ -727,8 +681,9 @@ impl<'a> Optimizer<'a> {
         // Translate every arc.
         let mut chains: Vec<Vec<ArcChain>> = Vec::new();
         {
-            let sp = self.obs.begin("optimizer", "translate");
-            let t = trace.record(Step::Translate, "one arc", StrategyKind::CostBased);
+            let sp = self.sink.obs.begin("optimizer", "translate");
+            self.sink
+                .step(Step::Translate, "one arc", StrategyKind::CostBased);
             for (i, arc) in effective_spj.inputs.iter().enumerate() {
                 let base = self.base_plan(arc, self_fix, planned, pred_override, i)?;
                 let mut counter = self.fresh;
@@ -747,7 +702,7 @@ impl<'a> Optimizer<'a> {
                 self.fresh = counter;
                 for a in &alts {
                     for op in &a.ops {
-                        t.generated(match op {
+                        self.sink.generated(match op {
                             crate::translate::ChainOp::Ij { .. } => "IJ",
                             crate::translate::ChainOp::Pij { .. } => "PIJ",
                         });
@@ -755,32 +710,28 @@ impl<'a> Optimizer<'a> {
                 }
                 chains.push(alts);
             }
-            self.obs
-                .span_fields(sp, vec![("arcs".into(), effective_spj.inputs.len().into())]);
-            self.obs.end(sp);
+            let arcs = effective_spj.inputs.len();
+            self.sink
+                .obs
+                .span_fields(sp, vec![("arcs".into(), arcs.into())]);
+            self.sink.obs.end(sp);
         }
 
         // generatePT for the predicate node.
         let (pt, out_cols, cost) = {
-            let sp = self.obs.begin("optimizer", "generatePT");
-            let t = trace.record(
+            let sp = self.sink.obs.begin("optimizer", "generatePT");
+            self.sink.step(
                 Step::GeneratePt,
                 "one predicate node",
                 StrategyKind::CostBasedGenerative,
             );
-            let r = generate_pt(
-                &self.model,
-                &effective_spj,
-                &chains,
-                self.config.spj_strategy,
-                &self.obs,
-                &self.metrics.candidates,
-            );
-            self.obs.end(sp);
+            let strategy = self.config.spj_strategy;
+            let r = generate_pt(&self.model, &effective_spj, &chains, strategy, &self.sink);
+            self.sink.obs.end(sp);
             let r = r?;
-            t.generated("Sel");
+            self.sink.generated("Sel");
             if spj.inputs.len() > 1 {
-                t.generated("EJ");
+                self.sink.generated("EJ");
             }
             r
         };
@@ -813,104 +764,94 @@ impl<'a> Optimizer<'a> {
                 .iter()
                 .any(|arc| planned.get(&arc.name).is_some_and(|p| p.fix.is_some()));
         if consumes_fix && self.config.push == PushStrategy::NeverPush {
-            let t = trace.record(
+            self.sink.step(
                 Step::TransformPt,
                 "the entire query (PT)",
                 StrategyKind::Irrevocable,
             );
-            t.note("never-push strategy: selective operations stay outside the fixpoint");
+            self.sink
+                .note("never-push strategy: selective operations stay outside the fixpoint");
         }
         if pred_override.is_none() && self.config.push != PushStrategy::NeverPush {
-            let sp = self.obs.begin("optimizer", "transformPT");
-            self.obs
+            let sp = self.sink.obs.begin("optimizer", "transformPT");
+            self.sink
+                .obs
                 .span_fields(sp, vec![("phase".into(), "push-decision".into())]);
-            let pushed = self.try_push(g, spj, self_fix, planned, trace);
-            if let Ok(Some((pushed_pt, _, pushed_cost))) = &pushed {
-                let keep_pushed = match self.config.push {
-                    PushStrategy::AlwaysPush => true,
-                    PushStrategy::CostControlled => *pushed_cost < cost,
-                    PushStrategy::NeverPush => false,
-                };
-                let fp_pushed = format!("{:016x}", pushed_pt.fingerprint());
-                let fp_unpushed = format!("{:016x}", pt.fingerprint());
-                let (outcome, reason) = match (self.config.push, keep_pushed) {
-                    (PushStrategy::AlwaysPush, _) => {
-                        ("accept", "always-push heuristic (no cost comparison)")
-                    }
-                    (_, true) => ("accept", "pushed plan cheaper than unpushed incumbent"),
-                    (_, false) => (
-                        "reject",
-                        "pushing selective operations into the fixpoint costs more \
-                         than evaluating them outside",
-                    ),
-                };
-                self.obs.event(
-                    "optimizer",
-                    "candidate",
-                    vec![
-                        ("step".into(), "push-decision".into()),
-                        ("action".into(), "filter/push-join".into()),
-                        ("fingerprint".into(), fp_pushed.clone().into()),
-                        ("cost".into(), (*pushed_cost).into()),
-                        ("incumbent".into(), fp_unpushed.clone().into()),
-                        ("incumbent_cost".into(), cost.into()),
-                        ("outcome".into(), outcome.into()),
-                        ("reason".into(), reason.into()),
-                    ],
-                );
-                self.metrics.candidates.outcome(outcome, reason);
-                if keep_pushed {
-                    // The displaced incumbent is itself a rejected
-                    // candidate of this decision.
-                    self.obs.event(
-                        "optimizer",
-                        "candidate",
-                        vec![
-                            ("step".into(), "push-decision".into()),
-                            ("action".into(), "keep-unpushed".into()),
-                            ("fingerprint".into(), fp_unpushed.into()),
-                            ("cost".into(), cost.into()),
-                            ("incumbent".into(), fp_pushed.into()),
-                            ("incumbent_cost".into(), (*pushed_cost).into()),
-                            ("outcome".into(), "reject".into()),
-                            (
-                                "reason".into(),
-                                "displaced by the pushed plan at lower cost".into(),
-                            ),
-                        ],
-                    );
-                    self.metrics
-                        .candidates
-                        .outcome("reject", "displaced by the pushed plan");
+            let pushed = self.try_push(g, spj, self_fix, planned);
+            let keep_pushed = match &pushed {
+                Ok(Some((pushed_pt, _, pushed_cost))) => {
+                    self.decide_push(pushed_pt, *pushed_cost, &pt, cost)
                 }
-                self.metrics.push_decisions.inc();
-            }
-            self.obs.end(sp);
-            if let Some((pushed_pt, pushed_cols, pushed_cost)) = pushed? {
-                let keep_pushed = match self.config.push {
-                    PushStrategy::AlwaysPush => true,
-                    PushStrategy::CostControlled => pushed_cost < cost,
-                    PushStrategy::NeverPush => false,
-                };
-                let t = trace.record(
-                    Step::TransformPt,
-                    "the entire query (PT)",
-                    StrategyKind::CostBasedTransformational,
-                );
-                t.note(format!(
-                    "filter/push-join candidate: pushed cost {pushed_cost:.1} vs \
-                     unpushed {cost:.1} -> {}",
-                    if keep_pushed { "pushed" } else { "unpushed" }
-                ));
+                _ => false,
+            };
+            self.sink.obs.end(sp);
+            if let Some(pushed) = pushed? {
                 if keep_pushed {
                     // The push actions rewrote a complete plan; verify
                     // the result before committing to it.
-                    self.verify_stage(&pushed_pt, "transformPT (filter/push-join actions)", trace)?;
-                    return Ok((pushed_pt, pushed_cols, pushed_cost));
+                    self.verify_stage(&pushed.0, "transformPT (filter/push-join actions)")?;
+                    return Ok(pushed);
                 }
             }
         }
         Ok((pt, out_types, cost))
+    }
+
+    /// The push decision: keep the pushed plan or the unpushed one. The
+    /// strategy decides — by the one cost comparison when it is
+    /// cost-controlled — and both plans are announced with what became
+    /// of them. Returns whether the pushed plan is kept.
+    fn decide_push(&mut self, pushed: &Pt, pushed_cost: f64, unpushed: &Pt, cost: f64) -> bool {
+        let always = self.config.push == PushStrategy::AlwaysPush;
+        let keep_pushed = always || pushed_cost < cost;
+        let candidate = Examined {
+            action: Some("filter/push-join"),
+            cost: Some(pushed_cost),
+            incumbent: Some(unpushed),
+            incumbent_cost: Some(cost),
+            ..Examined::at("push-decision", pushed)
+        };
+        let (outcome, reason) = match (always, keep_pushed) {
+            (true, _) => (
+                Outcome::Accept,
+                "always-push heuristic (no cost comparison)",
+            ),
+            (_, true) => (
+                Outcome::Accept,
+                "pushed plan cheaper than unpushed incumbent",
+            ),
+            (_, false) => (
+                Outcome::Reject,
+                "pushing selective operations into the fixpoint costs more \
+                 than evaluating them outside",
+            ),
+        };
+        self.sink.candidate(candidate, outcome, reason);
+        if keep_pushed {
+            // The displaced incumbent is itself a rejected candidate of
+            // this decision.
+            let displaced = Examined {
+                action: Some("keep-unpushed"),
+                cost: Some(cost),
+                incumbent: Some(pushed),
+                incumbent_cost: Some(pushed_cost),
+                ..Examined::at("push-decision", unpushed)
+            };
+            let reason = "displaced by the pushed plan at lower cost";
+            self.sink.candidate(displaced, Outcome::Reject, reason);
+        }
+        self.sink.metrics.push_decisions.inc();
+        self.sink.step(
+            Step::TransformPt,
+            "the entire query (PT)",
+            StrategyKind::CostBasedTransformational,
+        );
+        self.sink.note(format!(
+            "filter/push-join candidate: pushed cost {pushed_cost:.1} vs \
+             unpushed {cost:.1} -> {}",
+            if keep_pushed { "pushed" } else { "unpushed" }
+        ));
+        keep_pushed
     }
 
     fn base_plan(
@@ -1002,7 +943,6 @@ impl<'a> Optimizer<'a> {
         spj: &SpjNode,
         self_fix: Option<(&NameRef, &str)>,
         planned: &HashMap<NameRef, Planned>,
-        trace: &mut OptTrace,
     ) -> Result<Option<(Pt, Vec<(String, ResolvedType)>, f64)>, OptError> {
         // Find a fix-backed arc.
         let mut fix_arc: Option<(usize, &FixInfo, &Planned)> = None;
@@ -1145,14 +1085,7 @@ impl<'a> Optimizer<'a> {
         let reduced = Expr::conjoin(remaining);
         let mut overrides = HashMap::new();
         overrides.insert(arc_i, (pushed_fix, info.fields.clone()));
-        let result = self.plan_spj(
-            g,
-            spj,
-            self_fix,
-            planned,
-            trace,
-            Some((&reduced, &overrides)),
-        )?;
+        let result = self.plan_spj(g, spj, self_fix, planned, Some((&reduced, &overrides)))?;
         Ok(Some(result))
     }
 

@@ -9,7 +9,8 @@
 
 use oorq_query::{GraphTerm, NameRef, QueryGraph};
 
-use crate::trace::{OptTrace, Step, StrategyKind};
+use crate::decisions::Decisions;
+use crate::trace::{Step, StrategyKind};
 
 /// Apply the `union` action once: two producers of the same name are
 /// merged into one `Union` term. Returns whether anything changed.
@@ -68,8 +69,8 @@ pub fn fixpoint_action(graph: &mut QueryGraph) -> bool {
 }
 
 /// The full `rewrite` procedure: both actions to saturation.
-pub fn rewrite(graph: &mut QueryGraph, trace: &mut OptTrace) {
-    let rec = trace.record(
+pub fn rewrite(graph: &mut QueryGraph, sink: &mut Decisions) {
+    sink.step(
         Step::Rewrite,
         "the entire query (graph)",
         StrategyKind::Irrevocable,
@@ -77,11 +78,11 @@ pub fn rewrite(graph: &mut QueryGraph, trace: &mut OptTrace) {
     loop {
         let mut changed = false;
         while union_action(graph) {
-            rec.generated("Union");
+            sink.generated("Union");
             changed = true;
         }
         while fixpoint_action(graph) {
-            rec.generated("Fix");
+            sink.generated("Fix");
             changed = true;
         }
         if !changed {
@@ -101,8 +102,8 @@ mod tests {
         let mut q = fig3_query(&cat);
         influencer_view(&cat).expand(&mut q, &cat).unwrap();
         assert_eq!(q.nodes.len(), 3);
-        let mut trace = OptTrace::default();
-        rewrite(&mut q, &mut trace);
+        let mut sink = Decisions::default();
+        rewrite(&mut q, &mut sink);
         // P1 and P2 merged into Union, wrapped in Fix.
         assert_eq!(q.nodes.len(), 2);
         let influencer = cat.relation_by_name("Influencer").unwrap();
@@ -116,13 +117,12 @@ mod tests {
             other => panic!("expected Fix, got {other:?}"),
         }
         // Trace recorded both node kinds.
-        let s = trace.summary();
+        let s = sink.trace().summary();
         assert!(s.contains("rewrite"), "{s}");
         assert!(s.contains("Fix, Union"), "{s}");
         // Saturation: rewriting again changes nothing.
         let before = q.clone();
-        let mut t2 = OptTrace::default();
-        rewrite(&mut q, &mut t2);
+        rewrite(&mut q, &mut Decisions::default());
         assert_eq!(q, before);
     }
 
@@ -131,8 +131,7 @@ mod tests {
         let cat = music_catalog();
         let mut q = oorq_query::paper::fig2_query(&cat);
         let before = q.clone();
-        let mut trace = OptTrace::default();
-        rewrite(&mut q, &mut trace);
+        rewrite(&mut q, &mut Decisions::default());
         assert_eq!(q, before);
     }
 }

@@ -826,19 +826,10 @@ fn traced_walk(
     moves: &MoveFn<'_>,
     verify: bool,
 ) -> (RandOutcome, Vec<(u64, String)>, u64, OptTrace) {
-    let mut trace = OptTrace::default();
     let obs = oorq_obs::Recorder::new();
     let registry = oorq_obs::MetricsRegistry::new();
-    let outcome = rand_optimize_with(
-        model,
-        start.clone(),
-        config,
-        moves,
-        verify,
-        Some(&mut trace),
-        &obs,
-        &crate::metrics::CandidateMetrics::resolve(&registry),
-    );
+    let mut sink = Decisions::new(obs.clone(), &registry);
+    let outcome = rand_optimize_with(model, start.clone(), config, moves, verify, &mut sink);
     let text = |e: &oorq_obs::Event, key: &str| {
         let v = e.field(key).and_then(|v| v.as_str());
         v.expect("every candidate event carries it").to_string()
@@ -852,7 +843,7 @@ fn traced_walk(
         })
         .collect();
     let revisited = registry.counter("optimizer.candidates.revisited").get();
-    (outcome, events, revisited, trace)
+    (outcome, events, revisited, sink.trace().clone())
 }
 
 /// Injecting a broken transformation action into the randomized walk:

@@ -86,28 +86,6 @@ pub struct OptTrace {
 }
 
 impl OptTrace {
-    /// Record a step.
-    pub fn record(
-        &mut self,
-        step: Step,
-        granularity: impl Into<String>,
-        strategy: StrategyKind,
-    ) -> &mut StepTrace {
-        self.steps.push(StepTrace {
-            step,
-            granularity: granularity.into(),
-            strategy,
-            nodes_generated: Vec::new(),
-            notes: Vec::new(),
-        });
-        self.steps.last_mut().expect("just pushed")
-    }
-
-    /// Record the final plan's per-node predicted cost breakdown.
-    pub fn record_breakdown(&mut self, breakdown: &[NodeCost]) {
-        self.final_breakdown = breakdown.to_vec();
-    }
-
     /// Render the Figure 6 style summary table, followed by each step's
     /// recorded notes (actions applied, costs compared).
     pub fn summary(&self) -> String {
@@ -142,11 +120,6 @@ impl OptTrace {
 }
 
 impl StepTrace {
-    /// Note a generated node kind.
-    pub fn generated(&mut self, kind: &str) {
-        self.nodes_generated.push(kind.to_string());
-    }
-
     /// Node kinds with multiplicity: `Fix, Sel ×3` — deduplicated but
     /// counted (the previous rendering dropped multiplicity), sorted by
     /// kind for a stable table.
@@ -169,10 +142,5 @@ impl StepTrace {
             })
             .collect::<Vec<_>>()
             .join(", ")
-    }
-
-    /// Add a note.
-    pub fn note(&mut self, n: impl Into<String>) {
-        self.notes.push(n.into());
     }
 }

@@ -18,7 +18,9 @@ use oorq_pt::{applicable_join_indexes, applicable_sel_index, AccessMethod, IjSte
 use oorq_query::{bind_path, Expr};
 use oorq_schema::{ClassId, ResolvedType};
 
+use crate::decisions::{Decisions, Examined, Outcome};
 use crate::error::OptError;
+use crate::trace::{Step, StrategyKind};
 use crate::translate::{collapse_alternatives, ChainOp};
 
 /// How pushing through recursion is decided.
@@ -169,9 +171,8 @@ pub fn best_selection(
 fn pick_cheapest(model: &CostModel<'_>, candidates: Vec<Pt>) -> Result<Pt, OptError> {
     let mut best: Option<(f64, Pt)> = None;
     for pt in candidates {
-        // An uncostable alternative is dropped without a `candidate`
-        // event: the recorder does not reach here, and threading it
-        // would change the public `best_selection` and `filter_action`.
+        // An uncostable alternative is dropped unannounced: these are
+        // alternatives inside one candidate, not candidates.
         let Ok(pc) = model.cost(&pt) else { continue };
         let total = pc.total(&model.params);
         match &best {
@@ -393,18 +394,10 @@ pub fn distribute_join_over_union_action<'a>() -> oorq_pt::TransformAction<'a> {
 // Randomized re-optimization (Iterative Improvement, per [IC90]).
 // ---------------------------------------------------------------------
 
-/// Randomized strategy kind.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RandKind {
-    /// Iterative Improvement: random downhill walks with restarts.
-    IterativeImprovement,
-}
-
-/// Configuration of the randomized phase.
+/// Configuration of the randomized phase: Iterative Improvement, random
+/// downhill walks with restarts.
 #[derive(Debug, Clone)]
 pub struct RandConfig {
-    /// Which strategy.
-    pub kind: RandKind,
     /// Moves attempted per walk.
     pub moves_per_walk: usize,
     /// Restarts.
@@ -416,7 +409,6 @@ pub struct RandConfig {
 impl Default for RandConfig {
     fn default() -> Self {
         RandConfig {
-            kind: RandKind::IterativeImprovement,
             moves_per_walk: 30,
             restarts: 3,
             seed: 0xC0FFEE,
@@ -528,26 +520,17 @@ pub struct RandOutcome {
 /// Run a randomized strategy from a starting plan; returns the best plan
 /// found (never worse than the start).
 pub fn rand_optimize(model: &CostModel<'_>, start: Pt, config: &RandConfig) -> Pt {
-    rand_optimize_with(
-        model,
-        start,
-        config,
-        &neighbours,
-        false,
-        None,
-        &oorq_obs::Recorder::disabled(),
-        &crate::metrics::CandidateMetrics::default(),
-    )
-    .pt
+    let detached = &mut Decisions::default();
+    rand_optimize_with(model, start, config, &neighbours, false, detached).pt
 }
 
 /// [`rand_optimize`] with a pluggable move generator and an optional
 /// verification layer: when `verify` is on, every candidate plan is
 /// checked with the lint engine before acceptance — an ill-formed
 /// candidate is rejected (and counted) instead of entering the walk,
-/// and the rejection is recorded in the trace. The move generator is a
-/// parameter so tests can inject a broken transformation action and
-/// observe the verifier catching it.
+/// and the rejection is announced to the sink like every other outcome.
+/// The move generator is a parameter so tests can inject a broken
+/// transformation action and observe the verifier catching it.
 ///
 /// The walk examines each plan once. Draws are with replacement over a
 /// neighbourhood of a handful of plans, so most moves land on a plan
@@ -555,37 +538,14 @@ pub fn rand_optimize(model: &CostModel<'_>, start: Pt, config: &RandConfig) -> P
 /// sequence of draws, every accept decision and the result are those of
 /// a walk that re-examined it) but is only counted, as
 /// `optimizer.candidates.revisited`.
-#[allow(clippy::too_many_arguments)]
 pub fn rand_optimize_with(
     model: &CostModel<'_>,
     start: Pt,
     config: &RandConfig,
     moves: &MoveFn<'_>,
     verify: bool,
-    mut trace: Option<&mut crate::trace::OptTrace>,
-    obs: &oorq_obs::Recorder,
-    cand_metrics: &crate::metrics::CandidateMetrics,
+    sink: &mut Decisions,
 ) -> RandOutcome {
-    // One structured `candidate` event per examined plan; each also
-    // lands in one candidate-outcome metric bucket (metrics aggregate
-    // even when tracing is off).
-    let candidate_event = |fp: u64, c: Option<f64>, incumbent: f64, outcome: &str, reason: &str| {
-        cand_metrics.outcome(outcome, reason);
-        if !obs.enabled() {
-            return;
-        }
-        let mut fields: oorq_obs::Fields = vec![
-            ("step".into(), "transformPT".into()),
-            ("fingerprint".into(), format!("{fp:016x}").into()),
-        ];
-        if let Some(c) = c {
-            fields.push(("cost".into(), c.into()));
-        }
-        fields.push(("incumbent_cost".into(), incumbent.into()));
-        fields.push(("outcome".into(), outcome.into()));
-        fields.push(("reason".into(), reason.into()));
-        obs.event("optimizer", "candidate", fields);
-    };
     let lint_env = oorq_pt::PtEnv {
         catalog: model.catalog,
         physical: model.physical,
@@ -643,34 +603,32 @@ pub fn rand_optimize_with(
             let pick = ns.swap_remove(rng.index(ns.len()));
             let fp = pick.fingerprint();
             if turned_down.contains(&fp) || proven_worse.contains(&fp) {
-                cand_metrics.revisited();
+                sink.revisited();
                 continue;
             }
+            // The pick as announced: costed or not, always against the
+            // incumbent's cost.
+            let seen = |cost: Option<f64>| Examined {
+                cost,
+                incumbent_cost: Some(current_cost),
+                ..Examined::at("transformPT", &pick)
+            };
             if verify {
                 let report = oorq_lint::verify_pt(&lint_env, &pick);
-                oorq_lint::record_report(obs, "transformPT (randomized move)", &report);
+                oorq_lint::record_report(&sink.obs, "transformPT (randomized move)", &report);
                 if !report.is_clean() {
                     violations += 1;
                     turned_down.insert(fp);
-                    candidate_event(
-                        fp,
-                        None,
-                        current_cost,
-                        "reject",
-                        &format!(
-                            "verifier rejected the move: {}",
-                            report.codes().into_iter().collect::<Vec<_>>().join(", ")
-                        ),
+                    let codes = report.codes().into_iter().collect::<Vec<_>>().join(", ");
+                    let reason = format_args!("verifier rejected the move: {codes}");
+                    sink.candidate(seen(None), Outcome::Reject, reason);
+                    sink.step(
+                        Step::TransformPt,
+                        "one move (rejected by the verifier)",
+                        StrategyKind::CostBasedTransformational,
                     );
-                    if let Some(t) = trace.as_deref_mut() {
-                        let s = t.record(
-                            crate::trace::Step::TransformPt,
-                            "one move (rejected by the verifier)",
-                            crate::trace::StrategyKind::CostBasedTransformational,
-                        );
-                        for d in report.errors() {
-                            s.note(format!("{d}"));
-                        }
+                    for d in report.errors() {
+                        sink.note(format!("{d}"));
                     }
                     continue;
                 }
@@ -682,16 +640,11 @@ pub fn rand_optimize_with(
                 if let (Some(inc), Some(cand)) = (cur, analyze(&pick)) {
                     if let Some((lo, hi)) = oorq_analysis::proven_worse(&cand, inc, div) {
                         proven_worse.insert(fp);
-                        candidate_event(
-                            fp,
-                            None,
-                            current_cost,
-                            "prune",
-                            &format!(
-                                "pruned-proven: diverged subtree cost bound [{lo:.3}, …] \
-                                 strictly above incumbent [… , {hi:.3}]"
-                            ),
+                        let reason = format_args!(
+                            "pruned-proven: diverged subtree cost bound [{lo:.3}, …] \
+                             strictly above incumbent [… , {hi:.3}]"
                         );
+                        sink.candidate(seen(None), Outcome::PrunedProven, reason);
                         continue;
                     }
                 }
@@ -700,26 +653,14 @@ pub fn rand_optimize_with(
                 Ok(pc) => pc,
                 Err(e) => {
                     turned_down.insert(fp);
-                    let reason = format!("cost model error: {e}");
-                    candidate_event(fp, None, current_cost, "reject", &reason);
+                    let reason = format_args!("cost model error: {e}");
+                    sink.candidate(seen(None), Outcome::Reject, reason);
                     continue;
                 }
             };
             let c = pc.total(&model.params);
-            let accept = c < current_cost;
-            let reason = if accept {
-                "downhill move"
-            } else {
-                "uphill move (iterative improvement accepts only downhill)"
-            };
-            candidate_event(
-                fp,
-                Some(c),
-                current_cost,
-                if accept { "accept" } else { "reject" },
-                reason,
-            );
-            if accept {
+            if c < current_cost {
+                sink.candidate(seen(Some(c)), Outcome::Accept, "downhill move");
                 current = pick;
                 current_cost = c;
                 current_analysis = None;
@@ -730,6 +671,8 @@ pub fn rand_optimize_with(
                     best_plan_cost = pc;
                 }
             } else {
+                let reason = "uphill move (iterative improvement accepts only downhill)";
+                sink.candidate(seen(Some(c)), Outcome::Reject, reason);
                 turned_down.insert(fp);
             }
         }

@@ -195,35 +195,22 @@ pub fn translate_arc(
     // Collect the IJ branches implied by the tree label, one per root
     // child (sibling order is a cost-based choice).
     let mut branches: Vec<Vec<ChainOp>> = Vec::new();
-    match &root_kind {
-        RootKind::Object(class) => {
-            for child in &arc.label.children {
-                let mut ops = Vec::new();
-                build_object_child(
-                    catalog,
-                    physical,
-                    *class,
-                    &Expr::Var(root_var.clone()),
-                    child,
-                    &mut ops,
-                    &mut subst,
-                    fresh,
-                )?;
-                if !ops.is_empty() {
-                    branches.push(ops);
-                }
+    let mut walk = LabelWalk {
+        catalog,
+        physical,
+        subst: &mut subst,
+        fresh,
+    };
+    for child in &arc.label.children {
+        let mut ops = Vec::new();
+        match &root_kind {
+            RootKind::Object(class) => {
+                walk.object_child(*class, &Expr::Var(root_var.clone()), child, &mut ops)?
             }
+            RootKind::Row(fields) => walk.row_child(fields, &root_var, child, &mut ops)?,
         }
-        RootKind::Row(fields) => {
-            for child in &arc.label.children {
-                let mut ops = Vec::new();
-                build_row_child(
-                    catalog, physical, fields, &root_var, child, &mut ops, &mut subst, fresh,
-                )?;
-                if !ops.is_empty() {
-                    branches.push(ops);
-                }
-            }
+        if !ops.is_empty() {
+            branches.push(ops);
         }
     }
 
@@ -298,164 +285,142 @@ fn home_entity(physical: &PhysicalSchema, class: ClassId) -> Result<EntityId, Op
         .ok_or_else(|| OptError::NoEntity(format!("class {class:?}")))
 }
 
-/// Translate one child of an object-typed node. `parent` is the column
-/// expression of the owning object.
-#[allow(clippy::too_many_arguments)]
-fn build_object_child(
-    catalog: &Catalog,
-    physical: &PhysicalSchema,
-    class: ClassId,
-    parent: &Expr,
-    child: &TreeChild,
-    ops: &mut Vec<ChainOp>,
-    subst: &mut HashMap<String, Expr>,
-    fresh: &mut impl FnMut() -> String,
-) -> Result<(), OptError> {
-    let Some(attr_name) = &child.attr else {
-        // An element step directly under an object node is invalid; the
-        // query validator rejects it earlier.
-        return Err(OptError::Query(oorq_query::QueryError::BadLabelStep {
-            step: "NIL".into(),
-            ty: "object".into(),
-        }));
-    };
-    let (aid, attr) = catalog.attr(class, attr_name).ok_or_else(|| {
-        OptError::Query(oorq_query::QueryError::UnknownAttribute {
-            class: catalog.class(class).name.clone(),
-            attr: attr_name.clone(),
-        })
-    })?;
-    let attr_expr = path_extend(parent, attr_name);
-    match attr.ty.referenced_class() {
-        Some(target_class) if attr.ty.is_collection() => {
-            // Collection of objects: one IJ per element child
-            // (independent member choices).
-            if let Some(v) = &child.var {
-                subst.insert(v.clone(), attr_expr.clone());
-            }
-            for elem in &child.tree.children {
-                if elem.attr.is_some() {
-                    return Err(OptError::Query(oorq_query::QueryError::BadLabelStep {
-                        step: elem.attr.clone().unwrap_or_default(),
-                        ty: "collection".into(),
-                    }));
+/// What translating a tree label threads through every child: the
+/// schemas it resolves against, the variable substitution it extends and
+/// the source of fresh column names.
+struct LabelWalk<'a, F: FnMut() -> String> {
+    catalog: &'a Catalog,
+    physical: &'a PhysicalSchema,
+    subst: &'a mut HashMap<String, Expr>,
+    fresh: &'a mut F,
+}
+
+impl<F: FnMut() -> String> LabelWalk<'_, F> {
+    /// Translate one child of an object-typed node. `parent` is the column
+    /// expression of the owning object.
+    fn object_child(
+        &mut self,
+        class: ClassId,
+        parent: &Expr,
+        child: &TreeChild,
+        ops: &mut Vec<ChainOp>,
+    ) -> Result<(), OptError> {
+        let (catalog, physical) = (self.catalog, self.physical);
+        let Some(attr_name) = &child.attr else {
+            // An element step directly under an object node is invalid; the
+            // query validator rejects it earlier.
+            return Err(OptError::Query(oorq_query::QueryError::BadLabelStep {
+                step: "NIL".into(),
+                ty: "object".into(),
+            }));
+        };
+        let (aid, attr) = catalog.attr(class, attr_name).ok_or_else(|| {
+            OptError::Query(oorq_query::QueryError::UnknownAttribute {
+                class: catalog.class(class).name.clone(),
+                attr: attr_name.clone(),
+            })
+        })?;
+        let attr_expr = path_extend(parent, attr_name);
+        match attr.ty.referenced_class() {
+            Some(target_class) if attr.ty.is_collection() => {
+                // Collection of objects: one IJ per element child
+                // (independent member choices).
+                if let Some(v) = &child.var {
+                    self.subst.insert(v.clone(), attr_expr.clone());
                 }
-                let out = elem.var.clone().unwrap_or_else(&mut *fresh);
+                for elem in &child.tree.children {
+                    if elem.attr.is_some() {
+                        return Err(OptError::Query(oorq_query::QueryError::BadLabelStep {
+                            step: elem.attr.clone().unwrap_or_default(),
+                            ty: "collection".into(),
+                        }));
+                    }
+                    let out = elem.var.clone().unwrap_or_else(&mut *self.fresh);
+                    ops.push(ChainOp::Ij {
+                        on: attr_expr.clone(),
+                        step: IjStep::class_attr(catalog, class, aid),
+                        out: out.clone(),
+                        target: home_entity(physical, target_class)?,
+                    });
+                    self.subst.insert(out.clone(), Expr::Var(out.clone()));
+                    for grand in &elem.tree.children {
+                        self.object_child(target_class, &Expr::Var(out.clone()), grand, ops)?;
+                    }
+                }
+                Ok(())
+            }
+            Some(target_class) => {
+                // Scalar object reference: one IJ.
+                let out = child.var.clone().unwrap_or_else(&mut *self.fresh);
                 ops.push(ChainOp::Ij {
-                    on: attr_expr.clone(),
+                    on: attr_expr,
                     step: IjStep::class_attr(catalog, class, aid),
                     out: out.clone(),
                     target: home_entity(physical, target_class)?,
                 });
-                subst.insert(out.clone(), Expr::Var(out.clone()));
-                for grand in &elem.tree.children {
-                    build_object_child(
-                        catalog,
-                        physical,
-                        target_class,
-                        &Expr::Var(out.clone()),
-                        grand,
-                        ops,
-                        subst,
-                        fresh,
-                    )?;
+                self.subst.insert(out.clone(), Expr::Var(out.clone()));
+                for grand in &child.tree.children {
+                    self.object_child(target_class, &Expr::Var(out.clone()), grand, ops)?;
                 }
+                Ok(())
             }
-            Ok(())
-        }
-        Some(target_class) => {
-            // Scalar object reference: one IJ.
-            let out = child.var.clone().unwrap_or_else(&mut *fresh);
-            ops.push(ChainOp::Ij {
-                on: attr_expr,
-                step: IjStep::class_attr(catalog, class, aid),
-                out: out.clone(),
-                target: home_entity(physical, target_class)?,
-            });
-            subst.insert(out.clone(), Expr::Var(out.clone()));
-            for grand in &child.tree.children {
-                build_object_child(
-                    catalog,
-                    physical,
-                    target_class,
-                    &Expr::Var(out.clone()),
-                    grand,
-                    ops,
-                    subst,
-                    fresh,
-                )?;
+            None => {
+                // Atomic (or atomic-collection) attribute: a short path on
+                // the parent column — no implicit join needed. This is why
+                // pushing the projection on `name` costs nothing (§2.3).
+                if let Some(v) = &child.var {
+                    self.subst.insert(v.clone(), attr_expr);
+                }
+                Ok(())
             }
-            Ok(())
-        }
-        None => {
-            // Atomic (or atomic-collection) attribute: a short path on
-            // the parent column — no implicit join needed. This is why
-            // pushing the projection on `name` costs nothing (§2.3).
-            if let Some(v) = &child.var {
-                subst.insert(v.clone(), attr_expr);
-            }
-            Ok(())
         }
     }
-}
 
-/// Translate one child of a row-typed (relation/temporary) node.
-#[allow(clippy::too_many_arguments)]
-fn build_row_child(
-    catalog: &Catalog,
-    physical: &PhysicalSchema,
-    fields: &[(String, ResolvedType)],
-    root_var: &str,
-    child: &TreeChild,
-    ops: &mut Vec<ChainOp>,
-    subst: &mut HashMap<String, Expr>,
-    fresh: &mut impl FnMut() -> String,
-) -> Result<(), OptError> {
-    let Some(field) = &child.attr else {
-        return Err(OptError::Query(oorq_query::QueryError::BadLabelStep {
-            step: "NIL".into(),
-            ty: "row".into(),
-        }));
-    };
-    let Some((_, field_ty)) = fields.iter().find(|(f, _)| f == field) else {
-        return Err(OptError::Query(oorq_query::QueryError::UnknownField(
-            field.clone(),
-        )));
-    };
-    let field_expr = Expr::Var(format!("{root_var}.{field}"));
-    // We need an IJ only when the child has sub-structure (atomic fields
-    // and bare oid bindings are read directly from the row).
-    if child.tree.is_leaf() {
-        if let Some(v) = &child.var {
-            subst.insert(v.clone(), field_expr);
+    /// Translate one child of a row-typed (relation/temporary) node.
+    fn row_child(
+        &mut self,
+        fields: &[(String, ResolvedType)],
+        root_var: &str,
+        child: &TreeChild,
+        ops: &mut Vec<ChainOp>,
+    ) -> Result<(), OptError> {
+        let Some(field) = &child.attr else {
+            return Err(OptError::Query(oorq_query::QueryError::BadLabelStep {
+                step: "NIL".into(),
+                ty: "row".into(),
+            }));
+        };
+        let Some((_, field_ty)) = fields.iter().find(|(f, _)| f == field) else {
+            return Err(OptError::Query(oorq_query::QueryError::UnknownField(
+                field.clone(),
+            )));
+        };
+        let field_expr = Expr::Var(format!("{root_var}.{field}"));
+        // We need an IJ only when the child has sub-structure (atomic fields
+        // and bare oid bindings are read directly from the row).
+        if child.tree.is_leaf() {
+            if let Some(v) = &child.var {
+                self.subst.insert(v.clone(), field_expr);
+            }
+            return Ok(());
         }
-        return Ok(());
+        // Sub-structure: the field must reference a class.
+        let target_class = field_ty
+            .referenced_class()
+            .ok_or_else(|| OptError::Query(oorq_query::QueryError::UnknownField(field.clone())))?;
+        let out = child.var.clone().unwrap_or_else(&mut *self.fresh);
+        ops.push(ChainOp::Ij {
+            on: field_expr,
+            step: IjStep::field(field.clone()),
+            out: out.clone(),
+            target: home_entity(self.physical, target_class)?,
+        });
+        self.subst.insert(out.clone(), Expr::Var(out.clone()));
+        for grand in &child.tree.children {
+            self.object_child(target_class, &Expr::Var(out.clone()), grand, ops)?;
+        }
+        Ok(())
     }
-    // Sub-structure: the field must reference a class.
-    let target_class = field_ty
-        .referenced_class()
-        .ok_or_else(|| OptError::Query(oorq_query::QueryError::UnknownField(field.clone())))?;
-    let out = child.var.clone().unwrap_or_else(&mut *fresh);
-    ops.push(ChainOp::Ij {
-        on: field_expr,
-        step: IjStep::field(field.clone()),
-        out: out.clone(),
-        target: home_entity(physical, target_class)?,
-    });
-    subst.insert(out.clone(), Expr::Var(out.clone()));
-    for grand in &child.tree.children {
-        build_object_child(
-            catalog,
-            physical,
-            target_class,
-            &Expr::Var(out.clone()),
-            grand,
-            ops,
-            subst,
-            fresh,
-        )?;
-    }
-    Ok(())
 }
 
 fn path_extend(parent: &Expr, step: &str) -> Expr {

@@ -50,7 +50,6 @@ struct Entry {
     plan: Arc<CachedPlan>,
     /// Recency stamp (monotone clock value of the last touch).
     stamp: u64,
-    hits: u64,
 }
 
 /// Capacity-bounded LRU map from query-text fingerprint to optimized
@@ -84,7 +83,6 @@ impl PlanCache {
             .iter_mut()
             .find(|e| e.key == key && e.text == text)?;
         e.stamp = clock;
-        e.hits += 1;
         Some(Arc::clone(&e.plan))
     }
 
@@ -116,7 +114,6 @@ impl PlanCache {
             text,
             plan,
             stamp: self.clock,
-            hits: 0,
         });
         evicted
     }
@@ -131,13 +128,6 @@ impl PlanCache {
             }
             None => false,
         }
-    }
-
-    /// Drop every entry (bulk invalidation after recalibration).
-    pub fn clear(&mut self) -> usize {
-        let n = self.entries.len();
-        self.entries.clear();
-        n
     }
 
     /// Number of cached plans.
@@ -196,9 +186,6 @@ mod tests {
         assert!(c.invalidate(1));
         assert!(!c.invalidate(1));
         assert!(c.get(1, "q").is_none());
-        c.insert(1, "q".into(), plan(0x2));
-        c.insert(2, "r".into(), plan(0x3));
-        assert_eq!(c.clear(), 2);
         assert!(c.is_empty());
     }
 }

@@ -30,7 +30,7 @@ use oorq_cost::{CostModel, CostParams};
 use oorq_exec::{Batch, ExecConfig, ExecError, ExecState, Executor, MethodRegistry};
 use oorq_index::IndexSet;
 use oorq_lint::{lint_drift, DriftTolerance, LintCode, ObservedOp};
-use oorq_obs::MetricsRegistry;
+use oorq_obs::{CounterHandle, HistogramHandle, MetricsRegistry};
 use oorq_pt::{fix_recursive_nodes, Fnv64};
 use oorq_query::{parse_query, ParseError, QueryGraph};
 use oorq_storage::{Database, DbStats};
@@ -106,6 +106,36 @@ pub struct Answer {
     pub wall_ns: u64,
 }
 
+/// The `serve.*` series, interned once when the server stands up so a
+/// request bumps them without the registry's lock.
+struct ServeMetrics {
+    sessions: CounterHandle,
+    queries: CounterHandle,
+    cache_hits: CounterHandle,
+    cache_misses: CounterHandle,
+    cache_evictions: CounterHandle,
+    cache_invalidations: CounterHandle,
+    recalibrations: CounterHandle,
+    query_wall_ns: HistogramHandle,
+    query_rows: HistogramHandle,
+}
+
+impl ServeMetrics {
+    fn resolve(registry: &MetricsRegistry) -> Self {
+        ServeMetrics {
+            sessions: registry.counter("serve.sessions"),
+            queries: registry.counter("serve.queries"),
+            cache_hits: registry.counter("serve.cache.hits"),
+            cache_misses: registry.counter("serve.cache.misses"),
+            cache_evictions: registry.counter("serve.cache.evictions"),
+            cache_invalidations: registry.counter("serve.cache.invalidations"),
+            recalibrations: registry.counter("serve.recalibrations"),
+            query_wall_ns: registry.histogram("serve.query.wall_ns"),
+            query_rows: registry.histogram("serve.query.rows"),
+        }
+    }
+}
+
 /// The shared serving state. Construct once, then open one
 /// [`Session`] per concurrent client with [`Server::session`].
 pub struct Server {
@@ -115,6 +145,7 @@ pub struct Server {
     stats: RwLock<DbStats>,
     cache: Mutex<PlanCache>,
     metrics: MetricsRegistry,
+    series: ServeMetrics,
     config: ServerConfig,
     next_session: AtomicU64,
 }
@@ -131,13 +162,15 @@ impl Server {
     ) -> Self {
         let stats = DbStats::collect(&db);
         let cache = PlanCache::new(config.plan_cache_capacity);
+        let metrics = MetricsRegistry::new();
         Server {
             db,
             indexes,
             methods,
             stats: RwLock::new(stats),
             cache: Mutex::new(cache),
-            metrics: MetricsRegistry::new(),
+            series: ServeMetrics::resolve(&metrics),
+            metrics,
             config,
             next_session: AtomicU64::new(0),
         }
@@ -147,7 +180,7 @@ impl Server {
     /// own buffer accounting and breaker temporaries.
     pub fn session(&self) -> Session<'_> {
         let id = self.next_session.fetch_add(1, Ordering::Relaxed);
-        self.metrics.counter("serve.sessions").inc();
+        self.series.sessions.inc();
         let db = self.db.snapshot();
         db.set_metrics(&self.metrics);
         Session {
@@ -191,7 +224,7 @@ impl Server {
     pub fn recalibrate(&self) {
         let fresh = DbStats::collect(&self.db);
         *self.stats.write().unwrap() = fresh;
-        self.metrics.counter("serve.recalibrations").inc();
+        self.series.recalibrations.inc();
     }
 
     /// Optimize a query under the current statistics and package the
@@ -318,7 +351,7 @@ impl<'s> Session<'s> {
     /// execute on this session's snapshot → drift-check the cached
     /// prediction against the observed counters.
     fn run(&mut self, key: u64, text: &str, graph: &QueryGraph) -> Result<Answer, ServeError> {
-        let metrics = &self.server.metrics;
+        let series = &self.server.series;
         let wall0 = Instant::now();
 
         // Plan: shared cache first, optimizer on miss. The optimizer
@@ -329,7 +362,7 @@ impl<'s> Session<'s> {
             let hit = self.server.cache.lock().unwrap().get(key, text);
             match hit {
                 Some(plan) => {
-                    metrics.counter("serve.cache.hits").inc();
+                    series.cache_hits.inc();
                     (plan, CacheOutcome::Hit)
                 }
                 None => {
@@ -340,9 +373,9 @@ impl<'s> Session<'s> {
                         Arc::clone(&plan),
                     );
                     if evicted.is_some() {
-                        metrics.counter("serve.cache.evictions").inc();
+                        series.cache_evictions.inc();
                     }
-                    metrics.counter("serve.cache.misses").inc();
+                    series.cache_misses.inc();
                     (plan, CacheOutcome::Miss)
                 }
             }
@@ -360,7 +393,18 @@ impl<'s> Session<'s> {
         let miss = outcome == CacheOutcome::Miss;
         let ops = if miss { ex.report().ops } else { Vec::new() };
         self.state = ex.into_state();
-        let batch = res.map_err(ServeError::Exec)?;
+        let batch = match res {
+            Ok(batch) => batch,
+            Err(e) => {
+                // The plan entered the cache before this, its validation
+                // run; a plan whose validation failed must not be served
+                // as validated, so the next request optimizes again.
+                if miss {
+                    self.server.cache.lock().unwrap().invalidate(key);
+                }
+                return Err(ServeError::Exec(e));
+            }
+        };
 
         // Drift check on the validation (cache-miss) run: the fresh
         // plan's predicted breakdown against this execution's observed
@@ -436,17 +480,15 @@ impl<'s> Session<'s> {
             // Stale statistics: evict the plan and recalibrate, so the
             // next request re-optimizes under fresh statistics.
             if self.server.cache.lock().unwrap().invalidate(key) {
-                metrics.counter("serve.cache.invalidations").inc();
+                series.cache_invalidations.inc();
             }
             self.server.recalibrate();
         }
 
         let wall_ns = wall0.elapsed().as_nanos() as u64;
-        metrics.counter("serve.queries").inc();
-        metrics.histogram("serve.query.wall_ns").record(wall_ns);
-        metrics
-            .histogram("serve.query.rows")
-            .record(batch.rows.len() as u64);
+        series.queries.inc();
+        series.query_wall_ns.record(wall_ns);
+        series.query_rows.record(batch.rows.len() as u64);
         Ok(Answer {
             batch,
             cache: outcome,

@@ -252,12 +252,37 @@ fn a_failed_execution_parks_the_sessions_page_account() {
     let failed = ["storage.page_misses", "storage.page_hits"].map(published);
     assert!(failed[0] > 0 && published("storage.page_writes") > 0);
 
+    assert_eq!(server.cached_plans(), 0, "its validation run failed");
+
     s.set_exec_config(ExecConfig::default());
     let good = s.execute_text(CLOSURE).unwrap();
+    assert_eq!(good.cache, CacheOutcome::Miss);
     assert_eq!(good.batch.rows.len(), paths);
     let misses = published("storage.page_misses");
     assert_eq!(misses, failed[0], "`Edge` stayed resident");
     assert!(published("storage.page_hits") > failed[1]);
     let fresh = server.session().execute_text(CLOSURE).unwrap();
     assert_eq!(rendered(&good.batch.rows), rendered(&fresh.batch.rows));
+
+    // The same under stale statistics: the plan whose validation run
+    // failed was never drift-checked, so the retry must be — as a hit it
+    // would serve the stale plan unchecked for good.
+    let server = Server::new(
+        ClosureDb::generate(ClosureConfig { nodes: 32 }).db,
+        IndexSet::new(),
+        MethodRegistry::new(),
+        ServerConfig::default(),
+    );
+    let tiny = ClosureDb::generate(ClosureConfig { nodes: 2 });
+    server.install_stats(DbStats::collect(&tiny.db));
+    let mut s = server.session();
+    s.set_exec_config(ExecConfig {
+        max_fix_iterations: 1,
+        ..ExecConfig::default()
+    });
+    s.execute_text(CLOSURE).unwrap_err();
+    s.set_exec_config(ExecConfig::default());
+    let retried = s.execute_text(CLOSURE).unwrap();
+    assert_eq!(retried.cache, CacheOutcome::Miss);
+    assert!(retried.invalidated, "stale statistics must trip the lints");
 }
