@@ -12,6 +12,22 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "== benchmark/ still compiles against the public API it imports =="
 cargo check --offline --manifest-path benchmark/Cargo.toml
 
+echo "== one numbering, one output rule (a node map keyed by *const Pt outside oorq_pt::node_ids, or a second format!(\"{var}.{n}\") in pt/cost/analysis, fails) =="
+nontest() { find "$@" -name '*.rs' ! -name 'tests.rs' ! -name '*_tests.rs'; }
+if awk 'FNR == 1 { keep = 0 }
+    /^pub fn node_ids\(/ { keep = 1 }
+    !keep && /\*const Pt/ { print FILENAME ":" FNR ": " $0; found = 1 }
+    keep && /^}/ { keep = 0 }
+    END { exit !found }' $(nontest src crates/*/src); then
+    echo "pointer-keyed node map: number nodes with Pt::preorder / oorq_pt::resolve" >&2
+    exit 1
+fi
+rules=$(cat $(nontest crates/pt/src crates/cost/src crates/analysis/src) | grep -cF 'format!("{var}.{n}")' || true)
+if [ "$rules" -ne 1 ]; then
+    echo "the qualified-column rule is stated $rules times; oorq_pt::resolve states it once" >&2
+    exit 1
+fi
+
 echo "== cargo test =="
 cargo test -q --workspace
 

@@ -2,9 +2,9 @@
 //! bounds on cardinality, page accesses, fixpoint passes, and weighted
 //! cost.
 //!
-//! The analyzer walks a PT, reads what each node executes as from
-//! [`oorq_pt::node_op`] — the resolution lowering itself uses — and for
-//! every node that executes as an operator derives intervals guaranteed
+//! The analyzer walks the resolved plan ([`oorq_pt::resolve`]) — the
+//! ids, operators and output columns lowering itself builds from — and
+//! for every node that executes as an operator derives intervals guaranteed
 //! to contain the executor's *exclusive* per-operator counters:
 //!
 //! - `rows_total` ⊇ observed `rows_out`;
@@ -37,10 +37,7 @@ use std::collections::HashMap;
 
 use oorq_cost::CostParams;
 use oorq_lint::{LintCode, LintReport};
-use oorq_pt::{
-    node_ids, node_op, pij_out_classes, type_of_column_expr, IjStep, IndexProbe, NodeOp, Pt, PtEnv,
-    PtError,
-};
+use oorq_pt::{resolve, IndexProbe, Node, NodeOp, Pt, PtError};
 use oorq_query::{bind_path, Expr, Literal};
 use oorq_schema::{AtomicType, AttrId, AttributeKind, Catalog, ClassId, ResolvedType};
 use oorq_storage::{DbStats, EntityId, EntitySource, FragmentSpec, IndexKindDesc, PhysicalSchema};
@@ -110,7 +107,7 @@ pub struct NodeBounds {
     /// `lowered`).
     pub label: String,
     /// False for nodes that do not execute as operators
-    /// ([`NodeOp::absorbed`]: the entity replaced by an index probe, an
+    /// (absorbed by their parent: the entity replaced by an index probe, an
     /// implicit join's target, a fixpoint body's union) — their bounds
     /// are all zero.
     pub lowered: bool,
@@ -241,22 +238,25 @@ impl<'a> Analyzer<'a> {
         pt: &Pt,
         temp_fields: HashMap<String, Vec<(String, ResolvedType)>>,
     ) -> Result<Analysis, PtError> {
-        let size = pt.size();
+        let plan = resolve(self.catalog, self.physical, &temp_fields, pt)?;
         let mut walk = Walk {
             az: self,
-            ids: node_ids(pt),
-            temp_fields,
+            plan: &plan,
             temp_info: HashMap::new(),
-            nodes: vec![None; size],
+            nodes: vec![None; plan.len()],
             report: LintReport::new(),
         };
-        walk.go(pt, Interval::exact(1.0))?;
+        walk.go(0, Interval::exact(1.0))?;
         let mut report = walk.report;
-        let nodes: Vec<NodeBounds> = walk
-            .nodes
-            .into_iter()
-            .enumerate()
-            .map(|(i, n)| n.unwrap_or_else(|| NodeBounds::zero(i, "?".to_string(), 1)))
+        // A node nothing executed is absorbed by its parent: zero
+        // bounds, label parenthesized.
+        let absorbed = |id: usize| {
+            let label = plan[id].op.label(self.catalog, self.physical);
+            NodeBounds::zero(id, format!("({label})"), plan[id].size)
+        };
+        let nodes = walk.nodes.into_iter().enumerate();
+        let nodes: Vec<NodeBounds> = nodes
+            .map(|(id, n)| n.unwrap_or_else(|| absorbed(id)))
             .collect();
         for n in &nodes {
             let degenerate = n.rows_once.is_degenerate()
@@ -347,18 +347,26 @@ fn mul_up(a: f64, b: f64) -> f64 {
     }
 }
 
-/// A column visible to expressions at some point of the tree.
-#[derive(Debug, Clone)]
-struct ColInfo {
-    name: String,
-    ty: ResolvedType,
-    /// Upper bound on the members of one row's value.
-    members: f64,
+/// A node's output as an expression over it sees it: the plan's names
+/// and types beside the analyzer's own per-column bound, `members` — an
+/// upper bound on the members of one row's value.
+#[derive(Clone, Copy)]
+struct Cols<'c> {
+    cols: &'c [(String, ResolvedType)],
+    members: &'c [f64],
+}
+
+impl<'c> Cols<'c> {
+    fn get(&self, name: &str) -> Option<(&'c ResolvedType, f64)> {
+        let i = self.cols.iter().position(|(n, _)| n == name)?;
+        Some((&self.cols[i].1, self.members[i]))
+    }
 }
 
 /// What a subtree feeds its parent.
 struct Out {
-    cols: Vec<ColInfo>,
+    /// Per output column of the node (see [`Cols`]).
+    members: Vec<f64>,
     rows_once: Interval,
     rows_total: Interval,
 }
@@ -377,24 +385,17 @@ struct TempInfo {
 
 struct Walk<'a, 'b> {
     az: &'b Analyzer<'a>,
-    ids: HashMap<*const Pt, usize>,
-    temp_fields: HashMap<String, Vec<(String, ResolvedType)>>,
+    /// The plan being analyzed, resolved: ids, operators and typed output
+    /// columns come with each node.
+    plan: &'b [Node<'b>],
     temp_info: HashMap<String, TempInfo>,
     nodes: Vec<Option<NodeBounds>>,
     report: LintReport,
 }
 
 impl Walk<'_, '_> {
-    fn id_of(&self, pt: &Pt) -> usize {
-        self.ids.get(&(pt as *const Pt)).copied().unwrap_or(0)
-    }
-
-    fn scoped_env(&self) -> PtEnv<'_> {
-        PtEnv {
-            catalog: self.az.catalog,
-            physical: self.az.physical,
-            temp_fields: self.temp_fields.clone(),
-        }
+    fn label(&self, id: usize) -> String {
+        self.plan[id].op.label(self.az.catalog, self.az.physical)
     }
 
     /// Record a lowered node's bounds (cost derived from the features)
@@ -402,22 +403,20 @@ impl Walk<'_, '_> {
     #[allow(clippy::too_many_arguments)]
     fn lowered(
         &mut self,
-        pt: &Pt,
-        label: String,
+        id: usize,
         opens: Interval,
-        cols: Vec<ColInfo>,
+        members: Vec<f64>,
         rows_once: Interval,
         rows_total: Interval,
         feats: FeatBounds,
         passes: Option<Interval>,
     ) -> Out {
-        let id = self.id_of(pt);
         let cost = self.cost_of(&feats);
         self.nodes[id] = Some(NodeBounds {
             pt_node: id,
-            label,
+            label: self.label(id),
             lowered: true,
-            size: pt.size(),
+            size: self.plan[id].size,
             opens,
             rows_once,
             rows_total,
@@ -426,25 +425,9 @@ impl Walk<'_, '_> {
             cost,
         });
         Out {
-            cols,
+            members,
             rows_once,
             rows_total,
-        }
-    }
-
-    /// Record an absorbed node as not lowered (zero bounds) — `whole`:
-    /// with its subtree, which nothing else visits.
-    fn mark_unlowered(&mut self, pt: &Pt, whole: bool) {
-        let id = self.id_of(pt);
-        let label = match node_op(self.az.catalog, self.az.physical, pt) {
-            Ok(op) => format!("({})", op.label(self.az.catalog, self.az.physical)),
-            Err(_) => "(unlowered)".to_string(),
-        };
-        self.nodes[id] = Some(NodeBounds::zero(id, label, pt.size()));
-        if whole {
-            for c in pt.children() {
-                self.mark_unlowered(c, true);
-            }
         }
     }
 
@@ -626,20 +609,16 @@ impl Walk<'_, '_> {
     // Expression bounds
     // ------------------------------------------------------------------
 
-    fn col<'c>(&self, cols: &'c [ColInfo], name: &str) -> Option<&'c ColInfo> {
-        cols.iter().find(|c| c.name == name)
-    }
-
     /// Per-evaluation upper bounds of an expression over the given
     /// columns (follows the executor's `Bound::eval` step for step,
     /// including the single-bump `= null` special case).
-    fn expr_bounds(&self, e: &Expr, cols: &[ColInfo]) -> ExprCost {
+    fn expr_bounds(&self, e: &Expr, cols: Cols<'_>) -> ExprCost {
         match e {
             Expr::True => ExprCost::leaf(1.0),
             Expr::Lit(Literal::Null) => ExprCost::leaf(0.0),
             Expr::Lit(_) => ExprCost::leaf(1.0),
-            Expr::Var(v) => match self.col(cols, v) {
-                Some(c) => ExprCost::leaf(c.members),
+            Expr::Var(v) => match cols.get(v) {
+                Some((_, members)) => ExprCost::leaf(members),
                 None => ExprCost::top(),
             },
             Expr::Path { base, steps } => self.path_bounds(base, steps, cols),
@@ -668,12 +647,12 @@ impl Walk<'_, '_> {
         }
     }
 
-    fn path_bounds(&self, base: &str, steps: &[String], cols: &[ColInfo]) -> ExprCost {
-        let Some((start, rest)) = bind_path(base, steps, |c| self.col(cols, c)) else {
+    fn path_bounds(&self, base: &str, steps: &[String], cols: Cols<'_>) -> ExprCost {
+        let Some(((start, members), rest)) = bind_path(base, steps, |c| cols.get(c)) else {
             return ExprCost::top();
         };
-        let mut cost = ExprCost::leaf(start.members);
-        let mut ty = start.ty.clone();
+        let mut cost = ExprCost::leaf(members);
+        let mut ty = start.clone();
         for step in rest {
             let Some(class) = ty.referenced_class() else {
                 // Non-oid members are skipped by the evaluator: the
@@ -723,95 +702,65 @@ impl Walk<'_, '_> {
     // The transfer functions
     // ------------------------------------------------------------------
 
-    fn go(&mut self, pt: &Pt, opens: Interval) -> Result<Out, PtError> {
-        let op = node_op(self.az.catalog, self.az.physical, pt)?;
-        let label = op.label(self.az.catalog, self.az.physical);
-        // A fixpoint's absorbed body union is marked alone: its legs
-        // execute and record themselves.
-        let whole = !matches!(op, NodeOp::FixPoint { .. });
-        for absorbed in op.absorbed() {
-            self.mark_unlowered(absorbed, whole);
-        }
+    /// Bound node `id` of the resolved plan, opened `opens` times.
+    fn go(&mut self, id: usize, opens: Interval) -> Result<Out, PtError> {
+        let plan = self.plan;
+        let op = &plan[id].op;
         match op {
-            NodeOp::EntityScan { entity, var } => self.go_entity(pt, label, entity, var, opens),
-            NodeOp::TempScan { name, var } => self.go_temp(pt, label, name, var, opens),
-            NodeOp::Filter { pred, input, .. } => self.go_filter(pt, label, input, pred, opens),
+            &NodeOp::EntityScan { entity, .. } => Ok(self.go_entity(id, entity, opens)),
+            NodeOp::TempScan { name, .. } => Ok(self.go_temp(id, name, opens)),
+            &NodeOp::Filter { pred, input, .. } => self.go_filter(id, input, pred, opens),
             NodeOp::IndexSelect { pred, probe, .. } => {
-                self.go_index_select(pt, label, pred, &probe, opens)
+                Ok(self.go_index_select(id, pred, probe, opens))
             }
-            NodeOp::Project { exprs, input } => self.go_proj(pt, label, exprs, input, opens),
-            NodeOp::IjDeref {
-                on,
-                step,
-                out,
-                input,
-                target,
-            } => self.go_ij(pt, label, on, step, out, input, target, opens),
-            NodeOp::PijLookup {
+            &NodeOp::Project { exprs, input } => self.go_proj(id, exprs, input, opens),
+            &NodeOp::IjDeref { on, input, .. } => self.go_ij(id, on, input, opens),
+            &NodeOp::PijLookup {
                 index,
                 on,
                 outs,
                 input,
                 ..
-            } => self.go_pij(pt, label, index, on, outs, input, opens),
-            NodeOp::NlJoin {
+            } => self.go_pij(id, index, on, outs.len(), input, opens),
+            &NodeOp::NlJoin {
                 pred,
                 rescan_inner,
                 left,
                 right,
                 ..
-            } => self.go_nl(pt, label, pred, rescan_inner, left, right, opens),
+            } => self.go_nl(id, pred, rescan_inner, left, right, opens),
             NodeOp::IndexJoin {
                 pred, probe, left, ..
-            } => self.go_index_join(pt, label, pred, left, &probe, opens),
-            NodeOp::UnionAll { left, right } => self.go_union(pt, label, left, right, opens),
-            NodeOp::FixPoint {
+            } => self.go_index_join(id, pred, *left, probe, opens),
+            &NodeOp::UnionAll { left, right } => self.go_union(id, left, right, opens),
+            &NodeOp::FixPoint {
                 temp, base, rec, ..
-            } => self.go_fix(pt, label, temp, base, rec, opens),
+            } => self.go_fix(id, temp, base, rec, opens),
         }
     }
 
-    fn go_entity(
-        &mut self,
-        pt: &Pt,
-        label: String,
-        id: EntityId,
-        var: &str,
-        opens: Interval,
-    ) -> Result<Out, PtError> {
-        let desc = self.az.physical.entity(id);
-        let (card, pages) = match self.az.stats.entity(id) {
+    fn go_entity(&mut self, id: usize, entity: EntityId, opens: Interval) -> Out {
+        let stats = self.az.stats.entity(entity);
+        let (card, pages) = match stats {
             Some(s) => (
                 Interval::exact_u64(s.cardinality),
                 Interval::exact_u64(s.pages),
             ),
             None => (Interval::top(), Interval::top()),
         };
-        let cols = match &desc.source {
-            EntitySource::Class(c) => vec![ColInfo {
-                name: var.to_string(),
-                ty: ResolvedType::Object(*c),
-                members: 1.0,
-            }],
-            EntitySource::Relation(r) => {
-                let stats = self.az.stats.entity(id);
-                self.az
-                    .catalog
-                    .relation(*r)
-                    .fields
-                    .iter()
-                    .enumerate()
-                    .map(|(i, (n, t))| ColInfo {
-                        name: format!("{var}.{n}"),
-                        ty: t.clone(),
-                        members: match stats.and_then(|s| s.attrs.get(i)) {
-                            Some(a) => a.max_fanout as f64,
-                            None => Self::members_of_field(t),
-                        },
-                    })
-                    .collect()
+        // An object column holds one oid; a relation's field as many
+        // members as the widest value measured.
+        let members = match self.az.physical.entity(entity).source {
+            EntitySource::Class(_) => vec![1.0],
+            _ => {
+                let field = |(i, (_, t)): (usize, &(String, ResolvedType))| match stats
+                    .and_then(|s| s.attrs.get(i))
+                {
+                    Some(a) => a.max_fanout as f64,
+                    None => Self::members_of_field(t),
+                };
+                self.plan[id].cols.iter().enumerate().map(field).collect()
             }
-            EntitySource::Temporary => return Err(PtError::TempAsEntity(desc.name.clone())),
         };
         // Full-drain property: every open sequentially reads the whole
         // extent, so pages and rows per open are exact.
@@ -821,22 +770,16 @@ impl Walk<'_, '_> {
             seq: pages.mul(opens),
             ..FeatBounds::zero()
         };
-        Ok(self.lowered(pt, label, opens, cols, rows_once, rows_total, feats, None))
+        self.lowered(id, opens, members, rows_once, rows_total, feats, None)
     }
 
-    fn go_temp(
-        &mut self,
-        pt: &Pt,
-        label: String,
-        name: &str,
-        var: &str,
-        opens: Interval,
-    ) -> Result<Out, PtError> {
-        let fields = self
-            .temp_fields
-            .get(name)
-            .ok_or_else(|| PtError::UnknownTemp(name.to_string()))?
-            .clone();
+    /// One member per scalar field of a temporary's shape.
+    fn members_of_fields(&self, id: usize) -> Vec<f64> {
+        let cols = self.plan[id].cols.iter();
+        cols.map(|(_, t)| Self::members_of_field(t)).collect()
+    }
+
+    fn go_temp(&mut self, id: usize, name: &str, opens: Interval) -> Out {
         let info = self.temp_info.get(name);
         let k_hi = info.map(|i| i.k_hi).unwrap_or(f64::INFINITY);
         let total_cap = info.and_then(|i| i.total_cap);
@@ -853,32 +796,24 @@ impl Walk<'_, '_> {
             seq: Interval::up_to(rows_total.hi),
             ..FeatBounds::zero()
         };
-        let cols = fields
-            .iter()
-            .map(|(n, t)| ColInfo {
-                name: format!("{var}.{n}"),
-                ty: t.clone(),
-                members: Self::members_of_field(t),
-            })
-            .collect();
-        Ok(self.lowered(pt, label, opens, cols, rows_once, rows_total, feats, None))
+        let members = self.members_of_fields(id);
+        self.lowered(id, opens, members, rows_once, rows_total, feats, None)
     }
 
     fn go_index_select(
         &mut self,
-        pt: &Pt,
-        label: String,
+        id: usize,
         pred: &Expr,
         probe: &IndexProbe<Literal>,
         opens: Interval,
-    ) -> Result<Out, PtError> {
+    ) -> Out {
         let (entity_class, nblevels) = (probe.class, probe.nblevels as f64);
-        let cols = vec![ColInfo {
-            name: probe.var.to_string(),
-            ty: ResolvedType::Object(entity_class),
-            members: 1.0,
-        }];
-        let pc = self.expr_bounds(pred, &cols);
+        let members = vec![1.0];
+        let cols = Cols {
+            cols: &self.plan[id].cols,
+            members: &members,
+        };
+        let pc = self.expr_bounds(pred, cols);
         let hits = self.probe_hits_hi(probe);
         let rows_once = Interval::up_to(hits);
         let rows_total = rows_once.mul(opens);
@@ -894,19 +829,27 @@ impl Walk<'_, '_> {
             method_units: Interval::up_to(mul_up(hits, pc.units)).mul(opens),
             ..FeatBounds::zero()
         };
-        Ok(self.lowered(pt, label, opens, cols, rows_once, rows_total, feats, None))
+        self.lowered(id, opens, members, rows_once, rows_total, feats, None)
+    }
+
+    /// What an expression over the output of node `of`, bounded as
+    /// `out`, sees.
+    fn over<'c>(&'c self, of: usize, out: &'c Out) -> Cols<'c> {
+        Cols {
+            cols: &self.plan[of].cols,
+            members: &out.members,
+        }
     }
 
     fn go_filter(
         &mut self,
-        pt: &Pt,
-        label: String,
-        input: &Pt,
+        id: usize,
+        input: usize,
         pred: &Expr,
         opens: Interval,
     ) -> Result<Out, PtError> {
         let child = self.go(input, opens)?;
-        let pc = self.expr_bounds(pred, &child.cols);
+        let pc = self.expr_bounds(pred, self.over(input, &child));
         let rows_once = Interval::up_to(child.rows_once.hi);
         let rows_total = Interval::up_to(child.rows_total.hi);
         let feats = FeatBounds {
@@ -915,39 +858,27 @@ impl Walk<'_, '_> {
             method_units: Interval::up_to(mul_up(child.rows_total.hi, pc.units)),
             ..FeatBounds::zero()
         };
-        Ok(self.lowered(
-            pt, label, opens, child.cols, rows_once, rows_total, feats, None,
-        ))
+        Ok(self.lowered(id, opens, child.members, rows_once, rows_total, feats, None))
     }
 
     fn go_proj(
         &mut self,
-        pt: &Pt,
-        label: String,
-        cols: &[(String, Expr)],
-        input: &Pt,
+        id: usize,
+        exprs: &[(String, Expr)],
+        input: usize,
         opens: Interval,
     ) -> Result<Out, PtError> {
         let child = self.go(input, opens)?;
-        let cenv: HashMap<String, ResolvedType> = child
-            .cols
-            .iter()
-            .map(|c| (c.name.clone(), c.ty.clone()))
-            .collect();
-        let mut out_cols = Vec::with_capacity(cols.len());
+        let mut members = Vec::with_capacity(exprs.len());
         let mut fetches = 0.0;
         let mut evals = 0.0;
         let mut units = 0.0;
-        for (n, e) in cols {
-            let ec = self.expr_bounds(e, &child.cols);
+        for (_, e) in exprs {
+            let ec = self.expr_bounds(e, self.over(input, &child));
             fetches = add_up(fetches, ec.fetches);
             evals = add_up(evals, ec.evals);
             units = add_up(units, ec.units);
-            out_cols.push(ColInfo {
-                name: n.clone(),
-                ty: type_of_column_expr(self.az.catalog, e, &cenv)?,
-                members: ec.members,
-            });
+            members.push(ec.members);
         }
         // Streaming dedup: at least one distinct row per non-empty open,
         // at most the input cardinality.
@@ -960,26 +891,22 @@ impl Walk<'_, '_> {
             method_units: Interval::up_to(mul_up(child.rows_total.hi, units)),
             ..FeatBounds::zero()
         };
-        Ok(self.lowered(
-            pt, label, opens, out_cols, rows_once, rows_total, feats, None,
-        ))
+        Ok(self.lowered(id, opens, members, rows_once, rows_total, feats, None))
     }
 
-    #[allow(clippy::too_many_arguments)]
     fn go_ij(
         &mut self,
-        pt: &Pt,
-        label: String,
+        id: usize,
         on: &Expr,
-        step: &IjStep,
-        out: &str,
-        input: &Pt,
-        target: &Pt,
+        input: usize,
         opens: Interval,
     ) -> Result<Out, PtError> {
-        let child = self.go(input, opens)?;
-        let target_class = step.target_class(self.az.catalog, self.az.physical, target)?;
-        let oc = self.expr_bounds(on, &child.cols);
+        let mut child = self.go(input, opens)?;
+        let bound = self.plan[id].cols.last();
+        let target_class = bound
+            .and_then(|(_, t)| t.referenced_class())
+            .expect("an implicit join hands up the class it binds, last");
+        let oc = self.expr_bounds(on, self.over(input, &child));
         let m = oc.members;
         let rows_once = Interval::up_to(mul_up(child.rows_once.hi, m));
         let rows_total = Interval::up_to(mul_up(child.rows_total.hi, m));
@@ -992,52 +919,38 @@ impl Walk<'_, '_> {
             method_units: Interval::up_to(mul_up(child.rows_total.hi, oc.units)),
             ..FeatBounds::zero()
         };
-        let mut cols = child.cols;
-        cols.push(ColInfo {
-            name: out.to_string(),
-            ty: ResolvedType::Object(target_class),
-            members: 1.0,
-        });
-        Ok(self.lowered(pt, label, opens, cols, rows_once, rows_total, feats, None))
+        child.members.push(1.0);
+        Ok(self.lowered(id, opens, child.members, rows_once, rows_total, feats, None))
     }
 
-    #[allow(clippy::too_many_arguments)]
     fn go_pij(
         &mut self,
-        pt: &Pt,
-        label: String,
+        id: usize,
         index: oorq_storage::IndexId,
         on: &Expr,
-        outs: &[String],
-        input: &Pt,
+        outs: usize,
+        input: usize,
         opens: Interval,
     ) -> Result<Out, PtError> {
-        let child = self.go(input, opens)?;
+        let mut child = self.go(input, opens)?;
         let desc = self
             .az
             .physical
             .indexes()
             .get(index.0 as usize)
             .ok_or(PtError::NotAPathIndex)?;
-        let IndexKindDesc::Path { path } = desc.kind.clone() else {
+        let IndexKindDesc::Path { path } = &desc.kind else {
             return Err(PtError::NotAPathIndex);
         };
         let nbl = desc.stats.nblevels as f64;
         // Path tuples reachable from one head oid: product of the step
         // fan-outs.
         let mut tails = 1.0f64;
-        for (cls, attr) in &path {
-            let name = self.az.catalog.attribute(*cls, *attr).name.clone();
-            tails = mul_up(tails, self.attr_fanout_hi(*cls, &name));
+        for (cls, attr) in path {
+            let name = &self.az.catalog.attribute(*cls, *attr).name;
+            tails = mul_up(tails, self.attr_fanout_hi(*cls, name));
         }
-        let mut cols = child.cols.clone();
-        let classes = pij_out_classes(self.az.catalog, self.az.physical, index, outs)?;
-        cols.extend(outs.iter().zip(classes).map(|(o, c)| ColInfo {
-            name: o.clone(),
-            ty: ResolvedType::Object(c),
-            members: 1.0,
-        }));
-        let oc = self.expr_bounds(on, &child.cols);
+        let oc = self.expr_bounds(on, self.over(input, &child));
         let m = oc.members;
         let rows_once = Interval::up_to(mul_up(child.rows_once.hi, mul_up(m, tails)));
         let rows_total = Interval::up_to(mul_up(child.rows_total.hi, mul_up(m, tails)));
@@ -1051,30 +964,25 @@ impl Walk<'_, '_> {
             method_units: Interval::up_to(mul_up(child.rows_total.hi, oc.units)),
             ..FeatBounds::zero()
         };
-        Ok(self.lowered(pt, label, opens, cols, rows_once, rows_total, feats, None))
+        child.members.extend(std::iter::repeat_n(1.0, outs));
+        Ok(self.lowered(id, opens, child.members, rows_once, rows_total, feats, None))
     }
 
     fn go_index_join(
         &mut self,
-        pt: &Pt,
-        label: String,
+        id: usize,
         pred: &Expr,
-        left: &Pt,
+        left: usize,
         probe: &IndexProbe<Expr>,
         opens: Interval,
     ) -> Result<Out, PtError> {
-        let l = self.go(left, opens)?;
+        let mut l = self.go(left, opens)?;
         let (entity_class, nblevels) = (probe.class, probe.nblevels as f64);
-        let oc = self.expr_bounds(probe.key, &l.cols);
+        let oc = self.expr_bounds(probe.key, self.over(left, &l));
         let m = oc.members;
         let hits = self.probe_hits_hi(probe);
-        let mut cols = l.cols.clone();
-        cols.push(ColInfo {
-            name: probe.var.to_string(),
-            ty: ResolvedType::Object(entity_class),
-            members: 1.0,
-        });
-        let pc = self.expr_bounds(pred, &cols);
+        l.members.push(1.0);
+        let pc = self.expr_bounds(pred, self.over(id, &l));
         let rows_once = Interval::up_to(mul_up(l.rows_once.hi, mul_up(m, hits)));
         let rows_total = Interval::up_to(mul_up(l.rows_total.hi, mul_up(m, hits)));
         let feats = FeatBounds {
@@ -1099,29 +1007,26 @@ impl Walk<'_, '_> {
             )),
             ..FeatBounds::zero()
         };
-        Ok(self.lowered(pt, label, opens, cols, rows_once, rows_total, feats, None))
+        Ok(self.lowered(id, opens, l.members, rows_once, rows_total, feats, None))
     }
 
-    #[allow(clippy::too_many_arguments)]
     fn go_nl(
         &mut self,
-        pt: &Pt,
-        label: String,
+        id: usize,
         pred: &Expr,
         rescan: bool,
-        left: &Pt,
-        right: &Pt,
+        left: usize,
+        right: usize,
         opens: Interval,
     ) -> Result<Out, PtError> {
-        let l = self.go(left, opens)?;
+        let mut l = self.go(left, opens)?;
         // Honest rescan re-opens the inner per outer row; a
         // non-rescannable inner is materialized once per own open.
         let r_opens = if rescan { l.rows_total } else { opens };
         let r = self.go(right, r_opens)?;
         let pairs = l.rows_total.mul(r.rows_once);
-        let mut cols = l.cols;
-        cols.extend(r.cols);
-        let pc = self.expr_bounds(pred, &cols);
+        l.members.extend(r.members);
+        let pc = self.expr_bounds(pred, self.over(id, &l));
         let rows_once = Interval::up_to(mul_up(l.rows_once.hi, r.rows_once.hi));
         let rows_total = Interval::up_to(pairs.hi);
         // A materialized (non-rescannable) inner is the join's own work:
@@ -1148,15 +1053,14 @@ impl Walk<'_, '_> {
             method_units: Interval::up_to(mul_up(pairs.hi, pc.units)),
             ..FeatBounds::zero()
         };
-        Ok(self.lowered(pt, label, opens, cols, rows_once, rows_total, feats, None))
+        Ok(self.lowered(id, opens, l.members, rows_once, rows_total, feats, None))
     }
 
     fn go_union(
         &mut self,
-        pt: &Pt,
-        label: String,
-        left: &Pt,
-        right: &Pt,
+        id: usize,
+        left: usize,
+        right: usize,
         opens: Interval,
     ) -> Result<Out, PtError> {
         // Both legs are fully drained per open (the right leg is opened
@@ -1166,7 +1070,7 @@ impl Walk<'_, '_> {
         let rows_once = l.rows_once.add(r.rows_once);
         let rows_total = l.rows_total.add(r.rows_total);
         let feats = FeatBounds::zero();
-        Ok(self.lowered(pt, label, opens, l.cols, rows_once, rows_total, feats, None))
+        Ok(self.lowered(id, opens, l.members, rows_once, rows_total, feats, None))
     }
 
     /// Size of the key space of one temporary field (`∞` = unbounded).
@@ -1180,22 +1084,19 @@ impl Walk<'_, '_> {
 
     fn go_fix(
         &mut self,
-        pt: &Pt,
-        label: String,
+        id: usize,
         temp: &str,
-        base: &Pt,
-        rec: &Pt,
+        base: usize,
+        rec: usize,
         opens: Interval,
     ) -> Result<Out, PtError> {
-        let fields = base.output_columns(&self.scoped_env())?;
-        self.temp_fields.insert(temp.to_string(), fields.clone());
-
+        let label = self.label(id);
         // Finite key space: the accumulator holds *distinct* rows, so
         // its size — and the pass count — is bounded by the product of
-        // the field domains.
+        // the field domains of the shape the fixpoint hands up.
         let mut kspace = 1.0f64;
         let mut unbounded: Option<&str> = None;
-        for (n, ty) in &fields {
+        for (n, ty) in &self.plan[id].cols {
             let s = self.field_key_space(ty);
             if s.is_infinite() && unbounded.is_none() {
                 unbounded = Some(n);
@@ -1218,7 +1119,7 @@ impl Walk<'_, '_> {
         if base_out.rows_total.hi == 0.0 {
             self.report.push(
                 LintCode::FixProvablyEmpty,
-                label.clone(),
+                label,
                 "the base leg provably produces no rows; the fixpoint is empty".to_string(),
             );
         }
@@ -1265,23 +1166,8 @@ impl Walk<'_, '_> {
             writes: writes_once.mul(opens),
             ..FeatBounds::zero()
         };
-        let cols = fields
-            .iter()
-            .map(|(n, t)| ColInfo {
-                name: n.clone(),
-                ty: t.clone(),
-                members: Self::members_of_field(t),
-            })
-            .collect();
-        Ok(self.lowered(
-            pt,
-            label,
-            opens,
-            cols,
-            rows_once,
-            rows_total,
-            feats,
-            Some(passes),
-        ))
+        let members = self.members_of_fields(id);
+        let passes = Some(passes);
+        Ok(self.lowered(id, opens, members, rows_once, rows_total, feats, passes))
     }
 }

@@ -12,7 +12,7 @@
 use std::collections::BTreeSet;
 
 use oorq_lint::{LintCode, LintReport};
-use oorq_pt::{node_ids, Pt};
+use oorq_pt::{Preorder, Pt};
 use oorq_query::Expr;
 
 /// The demand set flowing down the tree.
@@ -55,27 +55,28 @@ impl Live {
 
 /// Flag provably-dead computed projection columns (`AB004`).
 pub fn dead_columns(pt: &Pt) -> LintReport {
-    let ids = node_ids(pt);
     let mut report = LintReport::new();
-    walk(pt, Live::all(), &ids, &mut report);
+    walk(&pt.preorder(), 0, Live::all(), &mut report);
     report
 }
 
-fn walk(
-    pt: &Pt,
-    live: Live,
-    ids: &std::collections::HashMap<*const Pt, usize>,
-    report: &mut LintReport,
-) {
-    match pt {
+/// Demand `live` of node `id`; its children are `order.kids(id)`, in
+/// operand order.
+fn walk(order: &Preorder<'_>, id: usize, live: Live, report: &mut LintReport) {
+    let mut kids = order.kids(id);
+    // Hand the next child its demand; false once there is none left.
+    let mut below = |live: Live, report: &mut LintReport| {
+        let kid = kids.next();
+        kid.inspect(|&k| walk(order, k, live, report)).is_some()
+    };
+    match order.pt(id) {
         Pt::Entity { .. } | Pt::Temp { .. } => {}
-        Pt::Sel { pred, input, .. } => {
+        Pt::Sel { pred, .. } => {
             let mut l = live;
             l.extend_from(pred);
-            walk(input, l, ids, report);
+            below(l, report);
         }
-        Pt::Proj { cols, input } => {
-            let id = ids.get(&(pt as *const Pt)).copied().unwrap_or(0);
+        Pt::Proj { cols, .. } => {
             let mut demand = Live {
                 all: false,
                 names: BTreeSet::new(),
@@ -96,42 +97,29 @@ fn walk(
                     );
                 }
             }
-            walk(input, demand, ids, report);
+            below(demand, report);
         }
-        Pt::IJ {
-            on, input, target, ..
-        } => {
+        Pt::IJ { on, .. } | Pt::PIJ { on, .. } => {
             let mut l = live;
             l.extend_from(on);
-            walk(input, l, ids, report);
-            walk(target, Live::all(), ids, report);
+            below(l, report);
+            // The targets.
+            while below(Live::all(), report) {}
         }
-        Pt::PIJ {
-            on, input, targets, ..
-        } => {
-            let mut l = live;
-            l.extend_from(on);
-            walk(input, l, ids, report);
-            for t in targets {
-                walk(t, Live::all(), ids, report);
-            }
-        }
-        Pt::EJ {
-            pred, left, right, ..
-        } => {
+        Pt::EJ { pred, .. } => {
             let mut l = live;
             l.extend_from(pred);
-            walk(left, l.clone(), ids, report);
-            walk(right, l, ids, report);
+            below(l.clone(), report);
+            below(l, report);
         }
-        Pt::Union { left, right } => {
-            walk(left, live.clone(), ids, report);
-            walk(right, live, ids, report);
+        Pt::Union { .. } => {
+            below(live.clone(), report);
+            below(live, report);
         }
-        Pt::Fix { body, .. } => {
-            // Every column of the body participates in the accumulator's
-            // row-distinctness check: all live.
-            walk(body, Live::all(), ids, report);
+        // Every column of the body participates in the accumulator's
+        // row-distinctness check: all live.
+        Pt::Fix { .. } => {
+            below(Live::all(), report);
         }
     }
 }

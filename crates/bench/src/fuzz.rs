@@ -25,7 +25,7 @@ use oorq_pt::{subtrees, AccessMethod, JoinAlgo, ParallelSpec, Pt};
 use oorq_query::{Expr, Literal};
 use oorq_storage::IndexId;
 
-use crate::scenarios::{Knobs, TempFields, CORPUS};
+use crate::scenarios::{Knobs, Scenario, TempFields, CORPUS};
 use crate::sections::Args;
 
 /// Default CI smoke parameters.
@@ -33,12 +33,27 @@ pub const SMOKE_ITERS: u64 = 200;
 /// See [`SMOKE_ITERS`].
 pub const SMOKE_SEED: u64 = 0x0f52_a11d_0000_0007;
 
-/// Run `iters` seeded mutations; returns the report, or an error
-/// describing the first soundness violation.
-pub fn fuzz_report(args: &Args) -> Result<String, String> {
-    let (iters, seed) = (args.num(0, SMOKE_ITERS)?, args.num(1, SMOKE_SEED)?);
-    // Base plans: the `fig7` corpus rows (an unselective filter, so
-    // both push strategies and the push-join run sizeable fixpoints).
+/// One seeded mutant of a `fig7` row's chosen plan.
+pub struct Mutant {
+    /// Iteration that drew it.
+    pub iteration: u64,
+    /// Entry of the mutation menu applied (one that does not apply at
+    /// `target` leaves the plan unmutated).
+    pub kind: u32,
+    /// Pre-order id of the mutated node.
+    pub target: usize,
+    /// The mutated plan.
+    pub pt: Pt,
+}
+
+/// Drive `f` over `iters` seeded mutants of the plans the `fig7` corpus
+/// rows choose (an unselective filter, so both push strategies and the
+/// push-join run sizeable fixpoints), with the scenario they run on.
+pub fn for_each_mutant(
+    iters: u64,
+    seed: u64,
+    mut f: impl FnMut(&mut Scenario, Mutant) -> Result<(), String>,
+) -> Result<(), String> {
     let fig7 = CORPUS
         .iter()
         .find(|e| e.name == "fig7")
@@ -50,14 +65,7 @@ pub fn fuzz_report(args: &Args) -> Result<String, String> {
     }
     let index_ids: Vec<IndexId> = s.db.physical().indexes().iter().map(|d| d.id).collect();
     let mut rng = Prng::new(seed);
-    // Outcome tally: rejected by the static verifier; untypable by the
-    // analyzer; executed within every bound; failed at runtime with a
-    // clean error (e.g. a diverging fixpoint hitting its iteration cap).
-    let (mut rejected_lint, mut rejected_analysis, mut executed_ok, mut exec_error) = (0, 0, 0, 0);
-    let mut out =
-        format!("=== Plan-mutation soundness fuzz ({iters} iterations, seed {seed:#x}) ===\n");
-
-    for i in 0..iters {
+    for iteration in 0..iters {
         let pt = &base[rng.index(base.len())];
         let target = rng.index(pt.size());
         let kind = rng.range_u32(0, 8);
@@ -69,33 +77,58 @@ pub fn fuzz_report(args: &Args) -> Result<String, String> {
         if let Some(m) = mutate_here(node, kind, &mut rng, &index_ids) {
             mutant.replace_at(path, m).expect("path of an own subtree");
         }
-
-        if !oorq_lint::verify_pt(&s.env(TempFields::new()), &mutant).is_clean() {
-            rejected_lint += 1;
-            continue;
-        }
-        let Ok(analysis) = s.analyze(&mutant, TempFields::new()) else {
-            rejected_analysis += 1;
-            continue;
+        let mutant = Mutant {
+            iteration,
+            kind,
+            target,
+            pt: mutant,
         };
-        let Ok((_, report, _)) = s.execute(&mutant, &ParallelSpec::new(), &Knobs::default()) else {
+        f(&mut s, mutant)?;
+    }
+    Ok(())
+}
+
+/// Run `iters` seeded mutations; returns the report, or an error
+/// describing the first soundness violation.
+pub fn fuzz_report(args: &Args) -> Result<String, String> {
+    let (iters, seed) = (args.num(0, SMOKE_ITERS)?, args.num(1, SMOKE_SEED)?);
+    // Outcome tally: rejected by the static verifier; untypable by the
+    // analyzer; executed within every bound; failed at runtime with a
+    // clean error (e.g. a diverging fixpoint hitting its iteration cap).
+    let (mut rejected_lint, mut rejected_analysis, mut executed_ok, mut exec_error) = (0, 0, 0, 0);
+    let mut out =
+        format!("=== Plan-mutation soundness fuzz ({iters} iterations, seed {seed:#x}) ===\n");
+
+    for_each_mutant(iters, seed, |s, m| {
+        if !oorq_lint::verify_pt(&s.env(TempFields::new()), &m.pt).is_clean() {
+            rejected_lint += 1;
+            return Ok(());
+        }
+        let Ok(analysis) = s.analyze(&m.pt, TempFields::new()) else {
+            rejected_analysis += 1;
+            return Ok(());
+        };
+        let Ok((_, report, _)) = s.execute(&m.pt, &ParallelSpec::new(), &Knobs::default()) else {
             exec_error += 1;
-            continue;
+            return Ok(());
         };
         let (ops, fixes) = report.observed();
         let check = check_observed(&analysis, &ops, &fixes);
         if check.is_clean() {
             executed_ok += 1;
-        } else {
-            // A violation aborts the run; the tally stays at zero in
-            // every report the caller ever prints.
-            return Err(format!(
-                "{out}\nsoundness violation at iteration {i} (seed {seed:#x}, mutation kind \
-                 {kind}, node {target}):\n{}",
-                check.render()
-            ));
+            return Ok(());
         }
-    }
+        // A violation aborts the run; the tally stays at zero in every
+        // report the caller ever prints.
+        Err(format!(
+            "{out}\nsoundness violation at iteration {} (seed {seed:#x}, mutation kind {}, \
+             node {}):\n{}",
+            m.iteration,
+            m.kind,
+            m.target,
+            check.render()
+        ))
+    })?;
 
     let _ = writeln!(
         out,

@@ -96,10 +96,7 @@ fn run_one(
         par_report
             .ops
             .iter()
-            .filter(|o| {
-                o.pt_node == node
-                    && (o.label.starts_with("Exchange") || o.label.starts_with("Merge"))
-            })
+            .filter(|o| o.pt_node == node && oorq_exec::is_parallel_wrapper(&o.label))
             .map(|o| o.wall_inclusive_ns)
             .max()
     };

@@ -216,9 +216,10 @@ fn applied_in(pt: &Pt) -> Vec<Expr> {
     out
 }
 
-/// Assemble one arc chain into concrete plans (scan vs index access),
-/// applying its selections as soon as their columns are available.
-fn assemble_arc(model: &CostModel<'_>, chain: &ArcChain, sels: &[Expr]) -> Vec<Pt> {
+/// Assemble one arc chain into concrete plans — the scan variant first,
+/// then index access where it applies — applying its selections as soon
+/// as their columns are available.
+pub(crate) fn assemble_arc(model: &CostModel<'_>, chain: &ArcChain, sels: &[Expr]) -> Vec<Pt> {
     let mut variants: Vec<Pt> = Vec::new();
     // Selections applicable directly on the base.
     let base_ready: Vec<&Expr> = sels

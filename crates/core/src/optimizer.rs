@@ -25,7 +25,7 @@ use oorq_schema::{ResolvedType, ViewKind};
 
 use crate::decisions::{Decisions, Examined, Outcome};
 use crate::error::OptError;
-use crate::generate::{generate_pt, SpjStrategy};
+use crate::generate::{assemble_arc, generate_pt, rewrite_expr, SpjStrategy};
 use crate::rewrite::rewrite;
 use crate::trace::{OptTrace, Step, StrategyKind};
 use crate::transform::{
@@ -1116,33 +1116,10 @@ impl<'a> Optimizer<'a> {
         let mut best: Option<(f64, Pt, HashMap<String, Expr>)> = None;
         for chain in &alts {
             let subst = chain.subst.clone();
-            let rewritten: Vec<Expr> = sels
-                .iter()
-                .map(|c| crate::generate::rewrite_expr(c, &subst))
-                .collect();
-            let mut pt = chain.base.clone();
-            let mut available = chain.base_cols.clone();
-            let mut remaining: Vec<Expr> = rewritten;
-            let apply_ready = |pt: Pt, available: &[String], remaining: &mut Vec<Expr>| {
-                let (ready, later): (Vec<Expr>, Vec<Expr>) = remaining
-                    .drain(..)
-                    .partition(|c| c.vars().iter().all(|v| available.contains(&v.to_string())));
-                *remaining = later;
-                if ready.is_empty() {
-                    pt
-                } else {
-                    Pt::sel(Expr::conjoin(ready), pt)
-                }
-            };
-            pt = apply_ready(pt, &available, &mut remaining);
-            for op in &chain.ops {
-                pt = op.apply(pt);
-                available.extend(op.produces());
-                pt = apply_ready(pt, &available, &mut remaining);
-            }
-            if !remaining.is_empty() {
-                pt = Pt::sel(Expr::conjoin(remaining), pt);
-            }
+            let rewritten: Vec<Expr> = sels.iter().map(|c| rewrite_expr(c, &subst)).collect();
+            // The scan variant (always the first) only: probing an index
+            // here would change the §4.5 plans (ROADMAP, PR 23).
+            let pt = assemble_arc(&self.model, chain, &rewritten).swap_remove(0);
             if let Ok(pc) = self.model.cost(&pt) {
                 let total = pc.total(&self.model.params);
                 match &best {

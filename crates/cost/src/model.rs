@@ -24,9 +24,9 @@
 //! fit the weights against observed counters without re-running the
 //! estimator.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
-use oorq_pt::{node_op, pij_out_classes, NodeOp, OpKind, Pt};
+use oorq_pt::{resolve, Node, NodeOp, OpKind, Pt};
 use oorq_query::{bind_path, CmpOp, Expr};
 use oorq_schema::{AttrId, AttributeKind, Catalog, ClassId, ResolvedType};
 use oorq_storage::{DbStats, EntityId, EntitySource, IndexKindDesc, PhysicalSchema, WidthModel};
@@ -73,10 +73,10 @@ pub struct NodeCost {
     pub label: String,
     /// Operator kind (the residual-report grouping key).
     pub kind: OpKind,
-    /// Pre-order index of the PT node this line estimates (the
-    /// numbering of `oorq_pt::node_ids`, shared with the physical
-    /// plan's `OpMeta::pt_node`) — the join key for predicted-vs-
-    /// observed per-operator reporting.
+    /// Pre-order id of the PT node this line estimates
+    /// (`oorq_pt::Preorder`, shared with the physical plan's
+    /// `OpMeta::pt_node`) — the join key for predicted-vs-observed
+    /// per-operator reporting.
     pub node: Option<usize>,
     /// The node's own cost (excluding children).
     pub cost: Cost,
@@ -114,23 +114,46 @@ impl PlanCost {
     }
 }
 
-/// Column provenance tracked during estimation.
-#[derive(Debug, Clone)]
-struct ColInfo {
-    ty: ResolvedType,
-    /// True when direct attribute reads on this column cost no I/O (the
-    /// object's page is in hand at that point of the pipeline).
-    resident: bool,
+/// A node's output as an expression over it sees it: the plan's names
+/// and types beside the estimator's own per-column flag, `resident` —
+/// true when direct attribute reads on the column cost no I/O (the
+/// object's page is in hand at that point of the pipeline). A later
+/// column shadows an earlier one of the same name (the join lint PT010
+/// flags).
+#[derive(Clone, Copy)]
+struct Cols<'c> {
+    cols: &'c [(String, ResolvedType)],
+    resident: &'c [bool],
+}
+
+impl<'c> Cols<'c> {
+    fn get(&self, name: &str) -> Option<(&'c ResolvedType, bool)> {
+        let i = self.cols.iter().rposition(|(n, _)| n == name)?;
+        Some((&self.cols[i].1, self.resident[i]))
+    }
+}
+
+/// The field types of a temporary shaped like `cols`.
+fn field_types(cols: &[(String, ResolvedType)]) -> Vec<ResolvedType> {
+    cols.iter().map(|(_, t)| t.clone()).collect()
+}
+
+/// The field types a materialized row of `cols` is estimated to hold:
+/// one per column a name still reaches.
+fn reachable_types(cols: &[(String, ResolvedType)]) -> Vec<ResolvedType> {
+    let shadowed = |i: usize| cols[i + 1..].iter().any(|(n, _)| *n == cols[i].0);
+    let reachable = (0..cols.len()).filter(|&i| !shadowed(i));
+    reachable.map(|i| cols[i].1.clone()).collect()
 }
 
 /// Snapshot taken when a fan-out operator (IJ/PIJ) multiplies the row
-/// count: remembers the pre-fanout columns and cardinality so a later
-/// projection back onto those columns can estimate the *existential*
-/// row count (`rows_before * (1 - (1 - sel)^mult)`, independence
-/// assumption) instead of keeping the multiplied one.
+/// count: remembers the pre-fanout node and cardinality so a later
+/// projection back onto that node's columns can estimate the
+/// *existential* row count (`rows_before * (1 - (1 - sel)^mult)`,
+/// independence assumption) instead of keeping the multiplied one.
 #[derive(Debug, Clone)]
 struct FanoutBase {
-    cols: Vec<String>,
+    node: usize,
     rows: f64,
     mult: f64,
     sel: f64,
@@ -140,30 +163,42 @@ struct FanoutBase {
 struct NodeEst {
     rows: f64,
     pages: f64,
-    cols: HashMap<String, ColInfo>,
+    /// Per output column of the estimated node (see [`Cols`]).
+    resident: Vec<bool>,
     cost: Cost,
     fanout_base: Option<FanoutBase>,
 }
 
 impl NodeEst {
-    fn new(rows: f64, pages: f64, cols: HashMap<String, ColInfo>, cost: Cost) -> NodeEst {
+    fn new(rows: f64, pages: f64, resident: Vec<bool>, cost: Cost) -> NodeEst {
         NodeEst {
             rows,
             pages,
-            cols,
+            resident,
             cost,
             fanout_base: None,
         }
     }
 
-    /// The estimate above a fan-out operator (IJ/PIJ) over `self` that
-    /// multiplies each row by `fan`.
+    /// What an expression over this estimate's node — whose columns are
+    /// `cols` — sees.
+    fn over<'c>(&'c self, cols: &'c [(String, ResolvedType)]) -> Cols<'c> {
+        Cols {
+            cols,
+            resident: &self.resident,
+        }
+    }
+
+    /// The estimate above a fan-out operator (IJ/PIJ) over `self`, the
+    /// estimate of node `input`, that multiplies each row by `fan` and
+    /// appends `outs` columns.
     fn fanned_out(
-        self,
+        mut self,
+        input: usize,
         fan: f64,
         rows: f64,
         pages: f64,
-        cols: HashMap<String, ColInfo>,
+        outs: &[bool],
     ) -> NodeEst {
         let fanout_base = Some(match self.fanout_base {
             Some(fb) => FanoutBase {
@@ -171,15 +206,16 @@ impl NodeEst {
                 ..fb
             },
             None => FanoutBase {
-                cols: self.cols.keys().cloned().collect(),
+                node: input,
                 rows: self.rows,
                 mult: fan.max(1.0),
                 sel: 1.0,
             },
         });
+        self.resident.extend_from_slice(outs);
         NodeEst {
             fanout_base,
-            ..NodeEst::new(rows, pages, cols, self.cost)
+            ..NodeEst::new(rows, pages, self.resident, self.cost)
         }
     }
 }
@@ -273,6 +309,7 @@ impl<'a> CostModel<'a> {
 
     /// Estimate the cost of a whole plan.
     pub fn cost(&self, pt: &Pt) -> Result<PlanCost, CostError> {
+        let plan = resolve(self.catalog, self.physical, &self.temp_fields, pt)?;
         // Under residency modeling, an entity the plan names as a leaf
         // (and that fits in the buffer) is resident for every *other*
         // access: its scan pays the cold reads — a canonical attribution
@@ -281,49 +318,46 @@ impl<'a> CostModel<'a> {
         // probes is not scanned. (Implicit-join targets and index-join
         // inners still count: the calibrated snapshot was fitted with
         // them in.)
-        let mut scan_resident = std::collections::HashSet::new();
-        if self.params.residency && self.params.buffer_frames > 0 {
-            self.resident_leaves(pt, &mut scan_resident)?;
+        let mut scan_resident = HashSet::new();
+        let frames = self.params.buffer_frames as f64;
+        let mut id = 0;
+        while self.params.residency && frames > 0.0 && id < plan.len() {
+            id += match plan[id].op {
+                NodeOp::EntityScan { entity, .. } => {
+                    let (_, pages) = self.entity_rows_pages(entity);
+                    if pages > 0.0 && pages <= frames {
+                        scan_resident.insert(entity);
+                    }
+                    1
+                }
+                NodeOp::IndexSelect { .. } => plan[id].size,
+                _ => 1,
+            };
         }
         let mut ctx = EstCtx {
             model: self,
+            plan: &plan,
             temp_rows: HashMap::new(),
             breakdown: Vec::new(),
-            node_ids: oorq_pt::node_ids(pt),
-            hot: std::collections::HashSet::new(),
+            hot: HashSet::new(),
             scan_resident,
-            folding: false,
         };
-        let est = ctx.est(pt, true)?;
+        let est = ctx.est(0, true)?;
+        // Lines are labelled once, here: a recursive leg is estimated
+        // once per modeled pass and folded, and no pass needs the text.
+        let mut breakdown = ctx.breakdown;
+        for line in &mut breakdown {
+            let node = line.node.expect("every line estimates a node");
+            line.label = plan[node].op.label(self.catalog, self.physical);
+            if let Some(curve) = &line.fix {
+                line.label = format!("{} x{:.0}", line.label, curve.iterations);
+            }
+        }
         Ok(PlanCost {
             cost: est.cost,
             rows: est.rows,
-            breakdown: ctx.breakdown,
+            breakdown,
         })
-    }
-
-    /// Every buffer-fitting entity leaf of the plan, except the extents
-    /// index selections probe.
-    fn resident_leaves(
-        &self,
-        pt: &Pt,
-        out: &mut std::collections::HashSet<EntityId>,
-    ) -> Result<(), CostError> {
-        match node_op(self.catalog, self.physical, pt)? {
-            NodeOp::EntityScan { entity, .. } => {
-                let (_, pages) = self.entity_rows_pages(entity);
-                if pages > 0.0 && pages <= self.params.buffer_frames as f64 {
-                    out.insert(entity);
-                }
-            }
-            NodeOp::IndexSelect { .. } => {}
-            _ => {
-                for c in pt.children() {
-                    self.resident_leaves(c, out)?;
-                }
-            }
-        }
-        Ok(())
     }
 
     /// Estimated iteration count for fixpoints: the deepest chain in the
@@ -459,27 +493,23 @@ impl<'a> CostModel<'a> {
 
 struct EstCtx<'m, 'a> {
     model: &'m CostModel<'a>,
+    /// The plan being estimated, resolved: ids, operators and typed
+    /// output columns come with each node.
+    plan: &'m [Node<'m>],
     /// Cardinality assumed for each temporary (set while estimating the
     /// recursive side of a fixpoint: the delta size).
     temp_rows: HashMap<String, f64>,
     breakdown: Vec<NodeCost>,
-    /// Pre-order indices of the estimated plan's nodes (join key shared
-    /// with physical-plan lowering).
-    node_ids: HashMap<*const Pt, usize>,
     /// Entities whose whole working set an earlier access of this plan
     /// already paged in (populated only under residency modeling):
     /// later scans and dereference streams into them are charged hot.
     /// Estimation visits operators in execution order, so the set
     /// mirrors the executor's buffer state.
-    hot: std::collections::HashSet<oorq_storage::EntityId>,
+    hot: HashSet<EntityId>,
     /// Entities some operator of this plan scans in full and that fit
     /// in the buffer (see [`CostModel::cost`]): the scan pays their
     /// cold reads, every other access is a buffer hit.
-    scan_resident: std::collections::HashSet<oorq_storage::EntityId>,
-    /// True while re-estimating a recursive leg for passes 2..n: those
-    /// lines are folded into the first pass's and dropped, so they carry
-    /// no label.
-    folding: bool,
+    scan_resident: HashSet<EntityId>,
 }
 
 impl EstCtx<'_, '_> {
@@ -561,54 +591,25 @@ impl EstCtx<'_, '_> {
         cold
     }
 
-    /// Estimate a node as the operator [`node_op`] resolves it to.
-    /// `charge_scan` is false for the leaf an index probe absorbs (its
-    /// sequential scan is replaced by probes; the line keeps the leaf's
-    /// shape and cardinality).
-    fn est(&mut self, pt: &Pt, charge_scan: bool) -> Result<NodeEst, CostError> {
+    /// Estimate node `id` of the resolved plan as the operator it
+    /// executes as. `charge_scan` is false for the leaf an index probe
+    /// absorbs (its sequential scan is replaced by probes; the line keeps
+    /// the leaf's shape and cardinality).
+    fn est(&mut self, id: usize, charge_scan: bool) -> Result<NodeEst, CostError> {
         let m = self.model;
         let p = &m.params;
         let w = &p.weights;
-        let op = node_op(m.catalog, m.physical, pt)?;
-        let kind = op.kind();
-        let mut label = if self.folding {
-            String::new()
-        } else {
-            op.label(m.catalog, m.physical)
-        };
+        let plan = self.plan;
+        let node = &plan[id];
         let mut fix = None;
         // Each arm yields the node's own features and its estimate with
         // the children's cost; the node's own cost is added below.
-        let (feat, mut est) = match op {
-            NodeOp::EntityScan { entity: id, var } => {
+        let (feat, mut est) = match &node.op {
+            &NodeOp::EntityScan { entity: id, .. } => {
                 let (rows, pages) = m.entity_rows_pages(id);
-                let desc = m.physical.entity(id);
-                let mut cols = HashMap::new();
-                match &desc.source {
-                    EntitySource::Class(c) => {
-                        cols.insert(
-                            var.to_string(),
-                            ColInfo {
-                                ty: ResolvedType::Object(*c),
-                                resident: true,
-                            },
-                        );
-                    }
-                    EntitySource::Relation(r) => {
-                        for (n, t) in &m.catalog.relation(*r).fields {
-                            cols.insert(
-                                format!("{var}.{n}"),
-                                ColInfo {
-                                    ty: t.clone(),
-                                    resident: false,
-                                },
-                            );
-                        }
-                    }
-                    EntitySource::Temporary => {
-                        return Err(CostError::TempAsEntity(desc.name.clone()))
-                    }
-                }
+                // An object column has its page in hand; a relation's
+                // fields are values.
+                let in_hand = matches!(m.physical.entity(id).source, EntitySource::Class(_));
                 let feat = CostFeatures {
                     seq_pages: if charge_scan {
                         self.entity_stream(id, pages, pages)
@@ -617,13 +618,10 @@ impl EstCtx<'_, '_> {
                     },
                     ..CostFeatures::default()
                 };
-                (feat, NodeEst::new(rows, pages, cols, Cost::zero()))
+                let resident = vec![in_hand; node.cols.len()];
+                (feat, NodeEst::new(rows, pages, resident, Cost::zero()))
             }
-            NodeOp::TempScan { name, var } => {
-                let fields = m
-                    .temp_fields
-                    .get(name)
-                    .ok_or_else(|| CostError::UnknownTemp(name.to_string()))?;
+            &NodeOp::TempScan { name, .. } => {
                 let rows = sane_rows(
                     self.temp_rows
                         .get(name)
@@ -631,18 +629,7 @@ impl EstCtx<'_, '_> {
                         .copied()
                         .unwrap_or(0.0),
                 );
-                let types: Vec<ResolvedType> = fields.iter().map(|(_, t)| t.clone()).collect();
-                let pages = self.pages_est(rows, &types);
-                let mut cols = HashMap::new();
-                for (n, t) in fields {
-                    cols.insert(
-                        format!("{var}.{n}"),
-                        ColInfo {
-                            ty: t.clone(),
-                            resident: false,
-                        },
-                    );
-                }
+                let pages = self.pages_est(rows, &field_types(&node.cols));
                 // Under residency modeling a buffer-fitting temporary is
                 // read hot: its pages are resident because this very plan
                 // materialized them. Temporaries live under the breaker
@@ -653,12 +640,13 @@ impl EstCtx<'_, '_> {
                     seq_pages: if charge_scan && !hot_temp { pages } else { 0.0 },
                     ..CostFeatures::default()
                 };
-                (feat, NodeEst::new(rows, pages, cols, Cost::zero()))
+                let resident = vec![false; node.cols.len()];
+                (feat, NodeEst::new(rows, pages, resident, Cost::zero()))
             }
-            NodeOp::Filter { pred, input, .. } => {
+            &NodeOp::Filter { pred, input, .. } => {
                 let mut child = self.est(input, true)?;
-                let ec = self.expr_access_cost(pred, &child.cols);
-                let sel = self.selectivity(pred, &child.cols);
+                let ec = self.expr_access_cost(pred, child.over(&plan[input].cols));
+                let sel = self.selectivity(pred, child.over(&plan[input].cols));
                 let feat = CostFeatures {
                     deref_pages: self.expr_stream(child.rows, &ec),
                     evals: child.rows * ec.evals,
@@ -674,8 +662,8 @@ impl EstCtx<'_, '_> {
             }
             NodeOp::IndexSelect { pred, probe, leaf } => {
                 // Index access replaces the scan of the entity leaf.
-                let mut child = self.est(leaf, false)?;
-                let sel = self.selectivity(pred, &child.cols);
+                let mut child = self.est(*leaf, false)?;
+                let sel = self.selectivity(pred, child.over(&plan[*leaf].cols));
                 let matches = sane_rows(child.rows * sel);
                 let feat = CostFeatures {
                     index_level_ios: probe.nblevels as f64,
@@ -691,15 +679,15 @@ impl EstCtx<'_, '_> {
                 child.pages = (child.pages * sel).max(child.rows.min(1.0));
                 (feat, child)
             }
-            NodeOp::Project { exprs: cols, input } => {
+            &NodeOp::Project { exprs, input } => {
                 let child = self.est(input, true)?;
                 // No per-column copy surcharge: the executor counts
                 // evaluations only for comparisons and methods, and the
                 // calibration residuals showed the old copy floor as a
                 // pure phantom (predicted cpu, observed none).
                 let mut ec_total = ExprCost::default();
-                for (_, e) in cols {
-                    ec_total.absorb(self.expr_access_cost(e, &child.cols));
+                for (_, e) in exprs {
+                    ec_total.absorb(self.expr_access_cost(e, child.over(&plan[input].cols)));
                 }
                 let feat = CostFeatures {
                     deref_pages: self.expr_stream(child.rows, &ec_total),
@@ -712,42 +700,23 @@ impl EstCtx<'_, '_> {
                 // (independence assumption over the fanned-out members).
                 let mut out_rows = child.rows;
                 if let Some(fb) = &child.fanout_base {
-                    let mut sources: Vec<String> = Vec::new();
-                    for (_, e) in cols {
-                        for v in e.vars() {
-                            sources.push(v);
-                        }
-                    }
-                    if sources.iter().all(|v| fb.cols.contains(v)) {
+                    let before = &plan[fb.node].cols;
+                    let mut sources = exprs.iter().flat_map(|(_, e)| e.vars());
+                    if sources.all(|v| before.iter().any(|(n, _)| *n == v)) {
                         let pass = 1.0 - (1.0 - fb.sel.clamp(0.0, 1.0)).powf(fb.mult.max(1.0));
                         out_rows = out_rows.min(fb.rows * pass.clamp(0.0, 1.0));
                     }
                 }
                 let out_rows = sane_rows(out_rows);
-                let mut out_cols = HashMap::new();
-                for (n, e) in cols {
-                    let ty = self.expr_out_type(e, &child.cols);
-                    out_cols.insert(
-                        n.clone(),
-                        ColInfo {
-                            ty,
-                            resident: false,
-                        },
-                    );
-                }
-                let types: Vec<ResolvedType> = out_cols.values().map(|c| c.ty.clone()).collect();
-                let pages = self.pages_est(out_rows, &types);
-                (feat, NodeEst::new(out_rows, pages, out_cols, child.cost))
+                let pages = self.pages_est(out_rows, &reachable_types(&node.cols));
+                let resident = vec![false; node.cols.len()];
+                (feat, NodeEst::new(out_rows, pages, resident, child.cost))
             }
-            NodeOp::IjDeref {
-                on,
-                step,
-                out,
-                input,
-                target,
+            &NodeOp::IjDeref {
+                on, step, input, ..
             } => {
                 let child = self.est(input, true)?;
-                let ec = self.expr_access_cost(on, &child.cols);
+                let ec = self.expr_access_cost(on, child.over(&plan[input].cols));
                 let (fanout, clustered) = match step.class_attr {
                     Some((c, a)) => (m.attr_fanout(c, a).max(0.0), m.is_clustered(c, a)),
                     // Oid-valued relation/temporary field: scalar, never
@@ -756,7 +725,9 @@ impl EstCtx<'_, '_> {
                 };
                 let rows = sane_rows(child.rows * fanout.max(f64::MIN_POSITIVE));
                 let per_deref = if clustered { p.clustered_access } else { 1.0 };
-                let target_class = step.target_class(m.catalog, m.physical, target)?;
+                let bound = node.cols.last().and_then(|(_, t)| t.referenced_class());
+                let target_class =
+                    bound.expect("an implicit join hands up the class it binds, last");
                 // Target dereferences are capped at the target entity's
                 // cold pages when it fits in the buffer.
                 let target_fetch = match m.physical.entities_of_class(target_class).first() {
@@ -769,19 +740,10 @@ impl EstCtx<'_, '_> {
                     method_units: child.rows * ec.method_units,
                     ..CostFeatures::default()
                 };
-                let mut cols = child.cols.clone();
-                cols.insert(
-                    out.to_string(),
-                    ColInfo {
-                        ty: ResolvedType::Object(target_class),
-                        resident: true,
-                    },
-                );
-                let types: Vec<ResolvedType> = cols.values().map(|c| c.ty.clone()).collect();
-                let pages = self.pages_est(rows, &types);
-                (feat, child.fanned_out(fanout, rows, pages, cols))
+                let pages = self.pages_est(rows, &reachable_types(&node.cols));
+                (feat, child.fanned_out(input, fanout, rows, pages, &[true]))
             }
-            NodeOp::PijLookup {
+            &NodeOp::PijLookup {
                 index,
                 on,
                 outs,
@@ -790,7 +752,7 @@ impl EstCtx<'_, '_> {
             } => {
                 let child = self.est(input, true)?;
                 let desc = m.physical.index(index);
-                let IndexKindDesc::Path { path } = desc.kind.clone() else {
+                let IndexKindDesc::Path { path } = &desc.kind else {
                     return Err(CostError::Pt(oorq_pt::PtError::NotAPathIndex));
                 };
                 let head_class = path[0].0;
@@ -806,9 +768,9 @@ impl EstCtx<'_, '_> {
                     .map(|s| s.cardinality as f64)
                     .unwrap_or(1.0)
                     .max(1.0);
-                let ec = self.expr_access_cost(on, &child.cols);
+                let ec = self.expr_access_cost(on, child.over(&plan[input].cols));
                 let mut fan = 1.0;
-                for (c, a) in &path {
+                for (c, a) in path {
                     fan *= m.attr_fanout(*c, *a).max(f64::MIN_POSITIVE);
                 }
                 let rows = sane_rows(child.rows * fan);
@@ -821,18 +783,12 @@ impl EstCtx<'_, '_> {
                     method_units: child.rows * ec.method_units,
                     ..CostFeatures::default()
                 };
-                let mut cols = child.cols.clone();
-                let classes = pij_out_classes(m.catalog, m.physical, index, outs)?;
-                for (outn, tc) in outs.iter().zip(classes) {
-                    // Index-only: the objects' pages are NOT read.
-                    let (ty, resident) = (ResolvedType::Object(tc), false);
-                    cols.insert(outn.clone(), ColInfo { ty, resident });
-                }
-                let types: Vec<ResolvedType> = cols.values().map(|c| c.ty.clone()).collect();
-                let pages = self.pages_est(rows, &types);
-                (feat, child.fanned_out(fan, rows, pages, cols))
+                let pages = self.pages_est(rows, &reachable_types(&node.cols));
+                // Index-only: the objects' pages are NOT read.
+                let not_read = vec![false; outs.len()];
+                (feat, child.fanned_out(input, fan, rows, pages, &not_read))
             }
-            NodeOp::NlJoin {
+            &NodeOp::NlJoin {
                 pred,
                 rescan_inner,
                 left,
@@ -841,11 +797,12 @@ impl EstCtx<'_, '_> {
             } => {
                 let l = self.est(left, true)?;
                 let r = self.est(right, true)?;
-                let mut cols = l.cols.clone();
-                for (k, v) in &r.cols {
-                    cols.insert(k.clone(), v.clone());
-                }
-                let sel = self.selectivity(pred, &cols);
+                let resident = [l.resident, r.resident].concat();
+                let cols = Cols {
+                    cols: &node.cols,
+                    resident: &resident,
+                };
+                let sel = self.selectivity(pred, cols);
                 let rows = sane_rows(l.rows * r.rows * sel);
                 // Inner rescans. A rescannable (leaf-ish) inner is
                 // re-opened through the buffer: free when it fits
@@ -869,7 +826,7 @@ impl EstCtx<'_, '_> {
                 } else {
                     (l.rows - 1.0).max(0.0) * r.pages
                 };
-                let ec = self.expr_access_cost(pred, &cols);
+                let ec = self.expr_access_cost(pred, cols);
                 let pairs = l.rows * r.rows;
                 let feat = CostFeatures {
                     seq_pages: rescan_io,
@@ -879,9 +836,8 @@ impl EstCtx<'_, '_> {
                     method_units: pairs * ec.method_units,
                     ..CostFeatures::default()
                 };
-                let types: Vec<ResolvedType> = cols.values().map(|c| c.ty.clone()).collect();
-                let pages = self.pages_est(rows, &types);
-                (feat, NodeEst::new(rows, pages, cols, l.cost + r.cost))
+                let pages = self.pages_est(rows, &reachable_types(&node.cols));
+                (feat, NodeEst::new(rows, pages, resident, l.cost + r.cost))
             }
             NodeOp::IndexJoin {
                 pred,
@@ -889,13 +845,14 @@ impl EstCtx<'_, '_> {
                 left,
                 inner,
             } => {
-                let l = self.est(left, true)?;
-                let r = self.est(inner, false)?;
-                let mut cols = l.cols.clone();
-                for (k, v) in &r.cols {
-                    cols.insert(k.clone(), v.clone());
-                }
-                let sel = self.selectivity(pred, &cols);
+                let l = self.est(*left, true)?;
+                let r = self.est(*inner, false)?;
+                let resident = [l.resident, r.resident].concat();
+                let cols = Cols {
+                    cols: &node.cols,
+                    resident: &resident,
+                };
+                let sel = self.selectivity(pred, cols);
                 let rows = sane_rows(l.rows * r.rows * sel);
                 let matches_per_probe = (r.rows * sel * l.rows).max(0.0) / l.rows.max(1.0);
                 let feat = CostFeatures {
@@ -904,18 +861,17 @@ impl EstCtx<'_, '_> {
                     evals: rows.max(l.rows),
                     ..CostFeatures::default()
                 };
-                let types: Vec<ResolvedType> = cols.values().map(|c| c.ty.clone()).collect();
-                let pages = self.pages_est(rows, &types);
-                (feat, NodeEst::new(rows, pages, cols, l.cost + r.cost))
+                let pages = self.pages_est(rows, &reachable_types(&node.cols));
+                (feat, NodeEst::new(rows, pages, resident, l.cost + r.cost))
             }
-            NodeOp::UnionAll { left, right } => {
+            &NodeOp::UnionAll { left, right } => {
                 let l = self.est(left, true)?;
                 let r = self.est(right, true)?;
                 let (rows, pages) = (l.rows + r.rows, l.pages + r.pages);
-                let est = NodeEst::new(rows, pages, l.cols, l.cost + r.cost);
+                let est = NodeEst::new(rows, pages, l.resident, l.cost + r.cost);
                 (CostFeatures::default(), est)
             }
-            NodeOp::FixPoint {
+            &NodeOp::FixPoint {
                 temp, base, rec, ..
             } => {
                 let base_est = self.est(base, true)?;
@@ -965,9 +921,7 @@ impl EstCtx<'_, '_> {
                 for d in &curve.deltas[1..] {
                     self.temp_rows.insert(temp.to_string(), *d);
                     let pass_mark = self.breakdown.len();
-                    let outer = std::mem::replace(&mut self.folding, true);
                     self.est(rec, true)?;
-                    self.folding = outer;
                     debug_assert_eq!(
                         self.breakdown.len() - pass_mark,
                         first_len,
@@ -1003,13 +957,9 @@ impl EstCtx<'_, '_> {
                 let iter_cost = self.breakdown[rec_mark..]
                     .iter()
                     .fold(Cost::zero(), |acc, l| acc + l.cost);
-                // Materialization writes of the accumulated temporary.
-                let fields = m
-                    .temp_fields
-                    .get(temp)
-                    .ok_or_else(|| CostError::UnknownTemp(temp.to_string()))?;
-                let types: Vec<ResolvedType> = fields.iter().map(|(_, t)| t.clone()).collect();
-                let total_pages = self.pages_est(total_rows, &types);
+                // Materialization writes of the accumulated temporary,
+                // whose shape the fixpoint hands up.
+                let total_pages = self.pages_est(total_rows, &field_types(&node.cols));
                 // The materialization writes, plus the readback: the
                 // breaker streams the accumulated temporary back out of
                 // the page store after convergence — all buffer hits
@@ -1031,29 +981,19 @@ impl EstCtx<'_, '_> {
                     write_pages: total_pages,
                     ..CostFeatures::default()
                 };
-                let mut cols = HashMap::new();
-                for (nf, t) in fields {
-                    cols.insert(
-                        nf.clone(),
-                        ColInfo {
-                            ty: t.clone(),
-                            resident: false,
-                        },
-                    );
-                }
-                label = format!("{label} x{:.0}", curve.iterations);
                 fix = Some(curve);
                 let children = base_est.cost + iter_cost;
-                let est = NodeEst::new(total_rows, total_pages, cols, children);
+                let resident = vec![false; node.cols.len()];
+                let est = NodeEst::new(total_rows, total_pages, resident, children);
                 (own_feat, est)
             }
         };
         let own = Cost::new(feat.io(w), feat.cpu(w));
         est.cost += own;
         self.breakdown.push(NodeCost {
-            label,
-            kind,
-            node: self.node_ids.get(&(pt as *const Pt)).copied(),
+            label: String::new(),
+            kind: node.op.kind(),
+            node: Some(id),
             cost: own,
             feat,
             rows: est.rows,
@@ -1067,18 +1007,17 @@ impl EstCtx<'_, '_> {
     /// for dereferences along paths (fanning out over collections),
     /// method-invocation costs for computed attributes, and one
     /// evaluation per comparison.
-    fn expr_access_cost(&self, expr: &Expr, cols: &HashMap<String, ColInfo>) -> ExprCost {
+    fn expr_access_cost(&self, expr: &Expr, cols: Cols<'_>) -> ExprCost {
         let m = self.model;
         let mut out = ExprCost::default();
         match expr {
             Expr::True | Expr::Lit(_) | Expr::Var(_) => {}
             Expr::Path { base, steps } => {
-                let Some((info, rest)) = bind_path(base, steps, |c| cols.get(c)) else {
+                let Some(((mut ty, mut in_hand), rest)) = bind_path(base, steps, |c| cols.get(c))
+                else {
                     return out;
                 };
                 let mut mult = 1.0f64;
-                let mut in_hand = info.resident;
-                let mut ty = &info.ty;
                 for step in rest {
                     let Some(class) = ty.referenced_class() else {
                         break;
@@ -1129,21 +1068,11 @@ impl EstCtx<'_, '_> {
         out
     }
 
-    /// Output type of a projection expression (best effort).
-    fn expr_out_type(&self, expr: &Expr, cols: &HashMap<String, ColInfo>) -> ResolvedType {
-        let env: HashMap<String, ResolvedType> = cols
-            .iter()
-            .map(|(k, v)| (k.clone(), v.ty.clone()))
-            .collect();
-        oorq_pt::type_of_column_expr(self.model.catalog, expr, &env)
-            .unwrap_or(ResolvedType::Atomic(oorq_schema::AtomicType::Int))
-    }
-
     /// Selectivity of a predicate, guaranteed finite and in `[0, 1]`:
     /// every composite is clamped and a degenerate (NaN) leaf estimate
     /// falls back to the configured default, so a selection provably
     /// never grows its input (CM003 by construction).
-    fn selectivity(&self, expr: &Expr, cols: &HashMap<String, ColInfo>) -> f64 {
+    fn selectivity(&self, expr: &Expr, cols: Cols<'_>) -> f64 {
         let s = self.selectivity_raw(expr, cols);
         if s.is_finite() {
             s.clamp(0.0, 1.0)
@@ -1152,7 +1081,7 @@ impl EstCtx<'_, '_> {
         }
     }
 
-    fn selectivity_raw(&self, expr: &Expr, cols: &HashMap<String, ColInfo>) -> f64 {
+    fn selectivity_raw(&self, expr: &Expr, cols: Cols<'_>) -> f64 {
         match expr {
             Expr::True => 1.0,
             Expr::And(l, r) => {
@@ -1200,15 +1129,14 @@ impl EstCtx<'_, '_> {
     /// Total collection fan-out of a path expression (product of the
     /// average member counts of its collection-valued steps); 1.0 for
     /// non-paths.
-    fn expr_fanout(&self, expr: &Expr, cols: &HashMap<String, ColInfo>) -> f64 {
+    fn expr_fanout(&self, expr: &Expr, cols: Cols<'_>) -> f64 {
         let m = self.model;
         let Expr::Path { base, steps } = expr else {
             return 1.0;
         };
-        let Some((info, rest)) = bind_path(base, steps, |c| cols.get(c)) else {
+        let Some(((mut ty, _), rest)) = bind_path(base, steps, |c| cols.get(c)) else {
             return 1.0;
         };
-        let mut ty = &info.ty;
         let mut fan = 1.0f64;
         for step in rest {
             let Some(class) = ty.referenced_class() else {
@@ -1227,14 +1155,13 @@ impl EstCtx<'_, '_> {
 
     /// Distinct-value count of an expression when it resolves to an
     /// attribute or a column; `None` for constants and computed values.
-    fn expr_distinct(&self, expr: &Expr, cols: &HashMap<String, ColInfo>) -> Option<f64> {
+    fn expr_distinct(&self, expr: &Expr, cols: Cols<'_>) -> Option<f64> {
         let m = self.model;
-        let (info, rest) = match expr {
+        let ((mut ty, _), rest) = match expr {
             Expr::Var(v) => (cols.get(v)?, &[][..]),
             Expr::Path { base, steps } => bind_path(base, steps, |c| cols.get(c))?,
             _ => return None,
         };
-        let mut ty = &info.ty;
         if rest.is_empty() {
             let e = m
                 .physical

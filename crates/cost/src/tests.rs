@@ -318,7 +318,7 @@ fn unknown_temp_is_reported() {
     let pt = Pt::temp("Nope", "n");
     assert_eq!(
         cm.cost(&pt).unwrap_err(),
-        CostError::UnknownTemp("Nope".into())
+        CostError::Pt(PtError::UnknownTemp("Nope".into()))
     );
 }
 
@@ -349,6 +349,38 @@ fn path_is_costed_from_the_qualified_column_when_both_exist() {
     assert_eq!(sel.kind, OpKind::Sel);
     let card = |e| stats.entity(e).unwrap().cardinality as f64;
     assert_eq!(sel.feat.deref_pages, card(composers) * card(works));
+}
+
+/// A join whose sides repeat a column name (lint PT010) is where a
+/// per-name map and a column list differ. The estimate is the map's:
+/// an expression above the join reaches the *inner* side's column, and
+/// a materialized row is sized with the name counted once.
+#[test]
+fn a_join_repeating_a_column_name_is_costed_by_name() {
+    let (m, stats) = setup(MusicConfig::default());
+    let cm = model(&m, &stats);
+    let composers = m.db.physical().entities_of_class(m.composer)[0];
+    let works = m.db.physical().entities_of_class(m.composition)[0];
+    // The outer hands up `x` as a projected composition (not in hand,
+    // and a composition has no `name`); the inner scans composers as `x`.
+    let outer = Pt::proj(vec![("x".into(), Expr::var("w"))], Pt::entity(works, "w"));
+    let join = Pt::ej(Expr::True, outer, Pt::entity(composers, "x"));
+    let plan = Pt::sel(Expr::path("x", &["name"]).eq(Expr::text("Bach")), join);
+    let pc = cm.cost(&plan).unwrap();
+    let [.., ej, sel] = &pc.breakdown[..] else {
+        panic!("scan, Proj, scan, EJ, Sel");
+    };
+    assert_eq!((ej.kind, sel.kind), (OpKind::Ej, OpKind::Sel));
+    let card = |e| stats.entity(e).unwrap().cardinality;
+    let pairs = card(works) * card(composers);
+    assert_eq!(ej.rows, pairs as f64);
+    let one_oid = [oorq_schema::ResolvedType::Object(m.composer)];
+    assert_eq!(ej.pages, cm.width.pages_for(pairs, &one_oid) as f64);
+    // `x.name` is read off the composer in hand: no page fetched, and
+    // the key's selectivity applies.
+    assert_eq!(sel.feat.deref_pages, 0.0);
+    assert_eq!(sel.feat.evals, pairs as f64);
+    assert_eq!(sel.rows, pairs as f64 / card(composers) as f64);
 }
 
 #[test]

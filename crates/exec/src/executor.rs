@@ -139,14 +139,10 @@ pub struct Executor<'a> {
     methods: &'a MethodRegistry,
     counters: Counters,
     config: ExecConfig,
-    /// Per-temporary: (accumulator entity, delta entity).
-    temps: HashMap<String, (EntityId, EntityId)>,
-    /// Field shapes of temporaries (for lowering and `PtEnv` typing).
-    temp_fields: HashMap<String, Vec<(String, ResolvedType)>>,
-    /// Pool of page-store temporaries backing materialized nested-loop
-    /// inners, keyed by row shape (reused across runs; a run assigns
-    /// distinct pool entries to distinct operators).
-    nl_mat_pool: HashMap<Vec<ResolvedType>, Vec<EntityId>>,
+    /// What outlives a run: fixpoint temporaries, their shapes, and the
+    /// pool of materialized-inner temporaries (reused across runs; a run
+    /// assigns distinct pool entries to distinct operators).
+    state: ExecState,
     /// This run's assignment: materializing `NlJoin` operator id → its
     /// backing temporary.
     nl_mats: HashMap<usize, EntityId>,
@@ -178,9 +174,7 @@ impl<'a> Executor<'a> {
             methods,
             counters: Counters::default(),
             config: ExecConfig::default(),
-            temps: HashMap::new(),
-            temp_fields: HashMap::new(),
-            nl_mat_pool: HashMap::new(),
+            state: ExecState::default(),
             nl_mats: HashMap::new(),
             last_ops: Vec::new(),
             last_fix_deltas: Vec::new(),
@@ -202,20 +196,14 @@ impl<'a> Executor<'a> {
     /// database (see [`ExecState`]): temporaries it created are reused
     /// rather than recreated.
     pub fn with_state(mut self, state: ExecState) -> Self {
-        self.temps = state.temps;
-        self.temp_fields = state.temp_fields;
-        self.nl_mat_pool = state.nl_mat_pool;
+        self.state = state;
         self
     }
 
     /// Surrender the durable state for the next executor over this
     /// database.
     pub fn into_state(self) -> ExecState {
-        ExecState {
-            temps: self.temps,
-            temp_fields: self.temp_fields,
-            nl_mat_pool: self.nl_mat_pool,
-        }
+        self.state
     }
 
     /// Apply an optimizer-chosen parallel placement: subsequent runs
@@ -355,7 +343,7 @@ impl<'a> Executor<'a> {
             db: self.db,
             indexes: self.indexes,
             methods: self.methods,
-            temps: &self.temps,
+            temps: &self.state.temps,
             nl_mats: &self.nl_mats,
             max_fix_iterations: self.config.max_fix_iterations,
             obs: &self.obs,
@@ -402,7 +390,7 @@ impl<'a> Executor<'a> {
         };
         // A plan the analyzer cannot type was already vetted by the
         // verifier; bounds are simply unavailable for it.
-        let Ok(analysis) = analyzer.analyze_with_temps(pt, self.temp_fields.clone()) else {
+        let Ok(analysis) = analyzer.analyze_with_temps(pt, self.state.temp_fields.clone()) else {
             return;
         };
         // Exchange/Merge wrappers share their input's (or union's) PT
@@ -411,7 +399,7 @@ impl<'a> Executor<'a> {
         // bound is positive. The wrapped operators' merged counters are
         // checked in full, so skipping the wrappers loses nothing.
         let (mut ops, fixes) = self.report().observed();
-        ops.retain(|o| !o.label.starts_with("Exchange") && !o.label.starts_with("Merge"));
+        ops.retain(|o| !is_parallel_wrapper(&o.label));
         let report = oorq_analysis::check_observed(&analysis, &ops, &fixes);
         debug_assert!(
             report.is_clean(),
@@ -426,7 +414,7 @@ impl<'a> Executor<'a> {
         let env = PtEnv {
             catalog: self.db.catalog(),
             physical: self.db.physical(),
-            temp_fields: self.temp_fields.clone(),
+            temp_fields: self.state.temp_fields.clone(),
         };
         let plan = oorq_pt::lower_with(&env, pt, &self.parallel).map_err(lower_err)?;
         #[cfg(debug_assertions)]
@@ -446,7 +434,7 @@ impl<'a> Executor<'a> {
         let env = PtEnv {
             catalog: self.db.catalog(),
             physical: self.db.physical(),
-            temp_fields: self.temp_fields.clone(),
+            temp_fields: self.state.temp_fields.clone(),
         };
         let report = oorq_lint::verify_pt(&env, pt);
         if report.is_clean() {
@@ -479,11 +467,11 @@ impl<'a> Executor<'a> {
         });
         for (temp, fields) in fixes {
             let types: Vec<ResolvedType> = fields.iter().map(|(_, t)| t.clone()).collect();
-            self.temp_fields.insert(temp.clone(), fields);
-            if !self.temps.contains_key(&temp) {
+            self.state.temp_fields.insert(temp.clone(), fields);
+            if !self.state.temps.contains_key(&temp) {
                 let acc = self.db.create_temp(temp.clone(), types.clone());
                 let delta = self.db.create_temp(format!("{temp}#delta"), types);
-                self.temps.insert(temp, (acc, delta));
+                self.state.temps.insert(temp, (acc, delta));
             }
         }
         // Assign every materializing nested loop a page-store temporary
@@ -493,7 +481,7 @@ impl<'a> Executor<'a> {
         let mut used: HashMap<Vec<ResolvedType>, usize> = HashMap::new();
         for (op_id, types) in mats {
             let n = used.entry(types.clone()).or_insert(0);
-            let pool = self.nl_mat_pool.entry(types.clone()).or_default();
+            let pool = self.state.nl_mat_pool.entry(types.clone()).or_default();
             if *n == pool.len() {
                 let name = format!("#mat{}", pool.len());
                 pool.push(self.db.create_temp(name, types));
@@ -513,6 +501,13 @@ pub fn op_kind(label: &str) -> &str {
         .find(|c: char| !c.is_ascii_alphanumeric())
         .unwrap_or(label.len());
     &label[..end]
+}
+
+/// True for the label of an execution wrapper (`Exchange`, `Merge`): it
+/// shares its PT node with the operator it parallelizes and does no
+/// per-row work of its own.
+pub fn is_parallel_wrapper(label: &str) -> bool {
+    matches!(op_kind(label), "Exchange" | "Merge")
 }
 
 /// Map lowering failures onto the executor's error vocabulary (the

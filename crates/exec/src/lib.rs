@@ -26,7 +26,7 @@ mod reference;
 
 pub use error::ExecError;
 pub use eval::Batch;
-pub use executor::{op_kind, ExecConfig, ExecReport, ExecState, Executor};
+pub use executor::{is_parallel_wrapper, op_kind, ExecConfig, ExecReport, ExecState, Executor};
 pub use explain::explain_analyze;
 pub use methods::{MethodFn, MethodRegistry};
 pub use pipeline::{FixDeltaCurve, OpReport};

@@ -13,12 +13,14 @@ pub mod fingerprint;
 mod node;
 mod pattern;
 pub mod phys;
+mod resolved;
 
 pub use analysis::propagated_columns;
 pub use error::PtError;
 pub use fingerprint::{fnv64_str, Fnv64, FNV_OFFSET, FNV_PRIME};
 pub use node::{
-    pij_out_classes, type_of_column_expr, AccessMethod, IjStep, JoinAlgo, Pt, PtDisplay, PtEnv,
+    pij_out_classes, type_of_column_expr, AccessMethod, IjStep, JoinAlgo, Preorder, Pt, PtDisplay,
+    PtEnv,
 };
 pub use pattern::{match_pattern, subtrees, Binding, Bindings, Pattern, TransformAction};
 pub use phys::{
@@ -26,6 +28,7 @@ pub use phys::{
     lower_with, merge_leg_ok, node_ids, node_op, rescannable, IndexProbe, NodeOp, OpKind, OpMeta,
     ParallelSpec, PhysOp, PhysPlan,
 };
+pub use resolved::{resolve, Cols, Node};
 
 #[cfg(test)]
 mod tests;

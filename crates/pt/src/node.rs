@@ -23,6 +23,7 @@ use oorq_storage::{EntityId, EntitySource, IndexId, IndexKindDesc, PhysicalSchem
 
 use crate::error::PtError;
 use crate::fingerprint::Fnv64;
+use crate::resolved::resolve;
 
 /// Access method of a selection over an entity leaf.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -434,25 +435,28 @@ impl Pt {
         }
     }
 
-    /// `(temp, base, rec)` of a fixpoint: the body must be a `Union` with
-    /// the recursive leg — the one referencing `Temp(temp)` — on either
-    /// side. The one place that splits a `Fix` body.
-    pub fn fix_sides(&self) -> Result<(&str, &Pt, &Pt), PtError> {
+    /// The temporary of a fixpoint, the legs of its body and which of
+    /// them recurses (0 = left): the body must be a `Union` with the
+    /// recursive leg — the one referencing `Temp(temp)` — on either side.
+    /// The one place that splits a `Fix` body.
+    pub(crate) fn fix_legs(&self) -> Result<(&str, [&Pt; 2], usize), PtError> {
         let Pt::Fix { temp, body } = self else {
             return Err(PtError::FixBodyNotUnion);
         };
         let Pt::Union { left, right } = body.as_ref() else {
             return Err(PtError::FixBodyNotUnion);
         };
-        let (base, rec) = if left.references_temp(temp) {
-            (right.as_ref(), left.as_ref())
-        } else {
-            (left.as_ref(), right.as_ref())
-        };
-        if !rec.references_temp(temp) {
+        let rec = if left.references_temp(temp) { 0 } else { 1 };
+        if rec == 1 && !right.references_temp(temp) {
             return Err(PtError::FixNotRecursive(temp.clone()));
         }
-        Ok((temp, base, rec))
+        Ok((temp, [left, right], rec))
+    }
+
+    /// `(temp, base, rec)` of a fixpoint (see [`Pt::fix_legs`]).
+    pub fn fix_sides(&self) -> Result<(&str, &Pt, &Pt), PtError> {
+        let (temp, legs, rec) = self.fix_legs()?;
+        Ok((temp, legs[1 - rec], legs[rec]))
     }
 
     /// Depth-first pre-order visit of every subtree.
@@ -499,76 +503,27 @@ impl Pt {
         Ok(std::mem::replace(slot, new))
     }
 
-    /// Output columns of the node, given the environment (catalog,
-    /// physical schema, temporary shapes).
-    pub fn output_columns(&self, env: &PtEnv) -> Result<Vec<(String, ResolvedType)>, PtError> {
-        match self {
-            Pt::Entity { id, var } => {
-                let desc = env.physical.entity(*id);
-                match &desc.source {
-                    EntitySource::Class(c) => Ok(vec![(var.clone(), ResolvedType::Object(*c))]),
-                    EntitySource::Relation(r) => Ok(env
-                        .catalog
-                        .relation(*r)
-                        .fields
-                        .iter()
-                        .map(|(n, t)| (format!("{var}.{n}"), t.clone()))
-                        .collect()),
-                    EntitySource::Temporary => Err(PtError::TempAsEntity(desc.name.clone())),
-                }
+    /// Every subtree in pre-order (see [`Preorder`]).
+    pub fn preorder(&self) -> Preorder<'_> {
+        fn push<'p>(pt: &'p Pt, nodes: &mut Vec<(&'p Pt, usize)>) {
+            let at = nodes.len();
+            nodes.push((pt, 0));
+            for c in pt.children() {
+                push(c, nodes);
             }
-            Pt::Temp { name, var } => {
-                let fields = env
-                    .temp_fields
-                    .get(name)
-                    .ok_or_else(|| PtError::UnknownTemp(name.clone()))?;
-                Ok(fields
-                    .iter()
-                    .map(|(n, t)| (format!("{var}.{n}"), t.clone()))
-                    .collect())
-            }
-            Pt::Sel { input, .. } => input.output_columns(env),
-            Pt::Proj { cols, input } => {
-                let in_cols = input.output_columns(env)?;
-                let cenv: HashMap<String, ResolvedType> = in_cols.into_iter().collect();
-                cols.iter()
-                    .map(|(n, e)| Ok((n.clone(), type_of_column_expr(env.catalog, e, &cenv)?)))
-                    .collect()
-            }
-            Pt::IJ {
-                out,
-                input,
-                step,
-                target,
-                ..
-            } => {
-                let mut cols = input.output_columns(env)?;
-                let c = step.target_class(env.catalog, env.physical, target)?;
-                cols.push((out.clone(), ResolvedType::Object(c)));
-                Ok(cols)
-            }
-            Pt::PIJ {
-                index, outs, input, ..
-            } => {
-                let mut cols = input.output_columns(env)?;
-                let classes = pij_out_classes(env.catalog, env.physical, *index, outs)?;
-                cols.extend(
-                    outs.iter()
-                        .zip(classes)
-                        .map(|(out, c)| (out.clone(), ResolvedType::Object(c))),
-                );
-                Ok(cols)
-            }
-            Pt::EJ { left, right, .. } => {
-                let mut cols = left.output_columns(env)?;
-                cols.extend(right.output_columns(env)?);
-                Ok(cols)
-            }
-            Pt::Union { left, .. } => left.output_columns(env),
-            // The fixpoint's output is the temporary's shape, derived
-            // from the base (non-recursive) side of the body union.
-            Pt::Fix { .. } => self.fix_sides()?.1.output_columns(env),
+            nodes[at].1 = nodes.len() - at;
         }
+        let mut nodes = Vec::new();
+        push(self, &mut nodes);
+        Preorder { nodes }
+    }
+
+    /// Output columns of the node, given the environment (catalog,
+    /// physical schema, temporary shapes): what the root of the resolved
+    /// plan ([`resolve`]) hands up.
+    pub fn output_columns(&self, env: &PtEnv) -> Result<Vec<(String, ResolvedType)>, PtError> {
+        let mut plan = resolve(env.catalog, env.physical, &env.temp_fields, self)?;
+        Ok(plan.swap_remove(0).cols)
     }
 
     /// Render the PT as a functional term using catalog/physical names.
@@ -664,6 +619,49 @@ impl<'a> PtEnv<'a> {
     ) -> Self {
         self.temp_fields.insert(name.into(), fields);
         self
+    }
+}
+
+/// The subtrees of a PT in pre-order: the one numbering of PT nodes. A
+/// node's id is its index here, its subtree is `id..id + size(id)` — the
+/// ids of a resolved plan ([`resolve`]), `OpMeta::pt_node`, the cost
+/// model's per-node lines and the analyzer's bounds.
+pub struct Preorder<'p> {
+    nodes: Vec<(&'p Pt, usize)>,
+}
+
+impl<'p> Preorder<'p> {
+    /// Number of nodes.
+    #[allow(clippy::len_without_is_empty)]
+    pub fn len(&self) -> usize {
+        self.nodes.len()
+    }
+
+    /// The node with the given id.
+    pub fn pt(&self, id: usize) -> &'p Pt {
+        self.nodes[id].0
+    }
+
+    /// Size of the subtree rooted at `id`.
+    pub fn size(&self, id: usize) -> usize {
+        self.nodes[id].1
+    }
+
+    /// The id a child-index path leads to from `id` ([`Pt::at_path`]).
+    pub fn at_path(&self, id: usize, path: &[usize]) -> usize {
+        let step = |at, &i| {
+            self.kids(at)
+                .nth(i)
+                .expect("a child index within the arity")
+        };
+        path.iter().fold(id, step)
+    }
+
+    /// Ids of the children of `id`, in operand order ([`Pt::children`]).
+    pub fn kids(&self, id: usize) -> impl Iterator<Item = usize> + '_ {
+        let end = id + self.size(id);
+        let within = move |k: usize| (k < end).then_some(k);
+        std::iter::successors(within(id + 1), move |k| within(k + self.size(*k)))
     }
 }
 

@@ -14,8 +14,8 @@
 //! re-deriving it from the PT's annotations.
 //!
 //! Every operator carries an [`OpMeta`] with a dense operator id (for
-//! per-operator runtime counters) and the pre-order index of the `Pt`
-//! node it was lowered from ([`node_ids`]), which is how observed
+//! per-operator runtime counters) and the pre-order id of the `Pt` node
+//! it was lowered from ([`crate::Preorder`]), which is how observed
 //! counters are joined against the cost model's per-node predictions.
 
 use std::collections::{HashMap, HashSet};
@@ -26,6 +26,7 @@ use oorq_storage::{EntityId, EntitySource, IndexId, IndexKindDesc, PhysicalSchem
 
 use crate::error::PtError;
 use crate::node::{AccessMethod, IjStep, JoinAlgo, Pt, PtEnv};
+use crate::resolved::{resolve, Node};
 
 /// Identity of a physical operator within its plan.
 #[derive(Debug, Clone, PartialEq)]
@@ -33,8 +34,8 @@ pub struct OpMeta {
     /// Dense operator id (`0..PhysPlan::ops`), assigned in lowering
     /// order. Indexes the executor's per-operator counter table.
     pub id: usize,
-    /// Pre-order index of the source `Pt` node (see [`node_ids`]); the
-    /// join key against the cost model's per-node breakdown.
+    /// Pre-order id of the source `Pt` node; the join key against the
+    /// cost model's per-node breakdown.
     pub pt_node: usize,
     /// Display label ([`NodeOp::label`]).
     pub label: String,
@@ -346,18 +347,13 @@ pub struct PhysPlan {
     pub ops: usize,
 }
 
-/// Pre-order indices of every node of a PT, keyed by node address. The
-/// same numbering is used by the cost model's per-node breakdown and by
-/// [`lower`]'s `OpMeta::pt_node`, so predictions and observations can be
-/// joined per node.
+/// Pre-order ids of every node of a PT ([`crate::Preorder`]), keyed by
+/// node address, for callers that hold `&Pt`s rather than ids.
 pub fn node_ids(root: &Pt) -> HashMap<*const Pt, usize> {
-    let mut ids = HashMap::new();
-    let mut next = 0usize;
-    root.visit(&mut |pt| {
-        ids.insert(pt as *const Pt, next);
-        next += 1;
-    });
-    ids
+    let order = root.preorder();
+    (0..order.len())
+        .map(|id| (order.pt(id) as *const Pt, id))
+        .collect()
 }
 
 /// Lower a PT into a physical plan: every node becomes the operator
@@ -367,9 +363,9 @@ pub fn lower(env: &PtEnv<'_>, pt: &Pt) -> Result<PhysPlan, PtError> {
     lower_with(env, pt, &ParallelSpec::new())
 }
 
-/// Degree of parallelism chosen per PT node (pre-order id, as in
-/// [`node_ids`]), produced by the optimizer's parallel-placement pass.
-/// Nodes absent from the spec run serially. A `Union` entry turns the
+/// Degree of parallelism chosen per PT node (pre-order id), produced by
+/// the optimizer's parallel-placement pass. Nodes absent from the spec
+/// run serially. A `Union` entry turns the
 /// `UnionAll` into a leg-parallel [`PhysOp::Merge`]; any other entry
 /// wraps the lowered subtree in a [`PhysOp::Exchange`] when
 /// [`exchange_eligible`] admits it (ineligible entries are ignored, so a
@@ -380,66 +376,40 @@ pub type ParallelSpec = HashMap<usize, usize>;
 /// operators. `spec` is advisory: entries on ineligible nodes are
 /// dropped silently, and an empty spec reproduces [`lower`] exactly.
 pub fn lower_with(env: &PtEnv<'_>, pt: &Pt, spec: &ParallelSpec) -> Result<PhysPlan, PtError> {
+    let plan = resolve(env.catalog, env.physical, &env.temp_fields, pt)?;
     let mut lw = Lowering {
         env,
-        temp_fields: env.temp_fields.clone(),
-        ids: node_ids(pt),
+        plan: &plan,
         next_id: 0,
         spec,
     };
-    let root = lw.lower(pt)?;
+    let root = lw.lower(0)?;
     Ok(PhysPlan {
         root,
         ops: lw.next_id,
     })
 }
 
-struct Lowering<'e, 'a> {
-    env: &'e PtEnv<'a>,
-    /// Temporary shapes in scope (grows while descending fixpoints).
-    temp_fields: HashMap<String, Vec<(String, ResolvedType)>>,
-    ids: HashMap<*const Pt, usize>,
+/// Builds the operator each resolved node names; its own are operator
+/// ids, column permutations and the materialized inner's row shape.
+struct Lowering<'e, 'p> {
+    env: &'e PtEnv<'e>,
+    plan: &'e [Node<'p>],
     next_id: usize,
     spec: &'e ParallelSpec,
 }
 
 impl Lowering<'_, '_> {
-    fn scoped_env(&self) -> PtEnv<'_> {
-        PtEnv {
-            catalog: self.env.catalog,
-            physical: self.env.physical,
-            temp_fields: self.temp_fields.clone(),
-        }
-    }
-
-    fn col_names(&self, pt: &Pt) -> Result<Vec<String>, PtError> {
-        Ok(pt
-            .output_columns(&self.scoped_env())?
-            .into_iter()
-            .map(|(n, _)| n)
-            .collect())
-    }
-
-    fn meta(&mut self, pt: &Pt, label: String) -> OpMeta {
+    fn meta(&mut self, pt_node: usize, label: String) -> OpMeta {
         let id = self.next_id;
         self.next_id += 1;
-        OpMeta {
-            id,
-            pt_node: self.ids.get(&(pt as *const Pt)).copied().unwrap_or(0),
-            label,
-        }
-    }
-
-    fn lower(&mut self, pt: &Pt) -> Result<PhysOp, PtError> {
-        let op = self.lower_inner(pt)?;
-        Ok(self.maybe_parallel(pt, op))
+        OpMeta { id, pt_node, label }
     }
 
     /// Apply the parallel spec's choice for this PT node, if any: turn a
     /// `UnionAll` into a `Merge`, or wrap an eligible pipeline subtree in
     /// an `Exchange`. Ineligible or sub-2 choices leave the plan serial.
-    fn maybe_parallel(&mut self, pt: &Pt, op: PhysOp) -> PhysOp {
-        let node = self.ids.get(&(pt as *const Pt)).copied().unwrap_or(0);
+    fn maybe_parallel(&mut self, node: usize, op: PhysOp) -> PhysOp {
         let Some(&dop) = self.spec.get(&node) else {
             return op;
         };
@@ -476,7 +446,7 @@ impl Lowering<'_, '_> {
             }
             op if exchange_eligible(&op) => {
                 let cols = op.cols().to_vec();
-                let meta = self.meta(pt, format!("Exchange(x{dop})"));
+                let meta = self.meta(node, format!("Exchange(x{dop})"));
                 PhysOp::Exchange {
                     meta,
                     workers: dop,
@@ -488,80 +458,72 @@ impl Lowering<'_, '_> {
         }
     }
 
-    fn lower_inner(&mut self, pt: &Pt) -> Result<PhysOp, PtError> {
-        let (catalog, physical) = (self.env.catalog, self.env.physical);
-        let op = node_op(catalog, physical, pt)?;
-        let label = op.label(catalog, physical);
-        match op {
-            NodeOp::EntityScan { entity, var } => {
-                let cols = self.col_names(pt)?;
-                let class = match physical.entity(entity).source {
+    /// Lower node `id`: the operator it names, under the parallel
+    /// wrapper the spec chose for it, if any.
+    fn lower(&mut self, id: usize) -> Result<PhysOp, PtError> {
+        let (plan, physical) = (self.plan, self.env.physical);
+        let node = &plan[id];
+        let label = node.op.label(self.env.catalog, physical);
+        let cols: Vec<String> = node.cols.iter().map(|(n, _)| n.clone()).collect();
+        let op = match &node.op {
+            &NodeOp::EntityScan { entity, var } => PhysOp::EntityScan {
+                meta: self.meta(id, label),
+                entity,
+                var: var.to_string(),
+                class: match physical.entity(entity).source {
                     EntitySource::Class(c) => Some(c),
                     _ => None,
-                };
-                Ok(PhysOp::EntityScan {
-                    meta: self.meta(pt, label),
-                    entity,
-                    var: var.to_string(),
-                    class,
-                    cols,
-                })
-            }
-            NodeOp::TempScan { name, .. } => {
-                let cols = self.col_names(pt)?;
-                Ok(PhysOp::TempScan {
-                    meta: self.meta(pt, label),
-                    name: name.to_string(),
-                    cols,
-                })
-            }
-            NodeOp::Filter {
+                },
+                cols,
+            },
+            &NodeOp::TempScan { name, .. } => PhysOp::TempScan {
+                meta: self.meta(id, label),
+                name: name.to_string(),
+                cols,
+            },
+            &NodeOp::Filter {
                 pred,
                 require_index,
                 input,
             } => {
                 let child = self.lower(input)?;
-                let cols = child.cols().to_vec();
-                Ok(PhysOp::Filter {
-                    meta: self.meta(pt, label),
+                PhysOp::Filter {
+                    meta: self.meta(id, label),
                     pred: pred.clone(),
                     require_index,
                     input: Box::new(child),
                     cols,
-                })
+                }
             }
-            NodeOp::IndexSelect { pred, probe, .. } => Ok(PhysOp::IndexSelect {
-                meta: self.meta(pt, label),
+            NodeOp::IndexSelect { pred, probe, .. } => PhysOp::IndexSelect {
+                meta: self.meta(id, label),
                 index: probe.index,
                 class: probe.class,
                 var: probe.var.to_string(),
                 key: probe.key.clone(),
-                pred: pred.clone(),
-                cols: vec![probe.var.to_string()],
-            }),
-            NodeOp::Project { exprs, input } => {
+                pred: (*pred).clone(),
+                cols,
+            },
+            &NodeOp::Project { exprs, input } => {
                 let child = self.lower(input)?;
-                let cols = self.col_names(pt)?;
-                Ok(PhysOp::Project {
-                    meta: self.meta(pt, label),
+                PhysOp::Project {
+                    meta: self.meta(id, label),
                     exprs: exprs.to_vec(),
                     input: Box::new(child),
                     cols,
-                })
+                }
             }
-            NodeOp::IjDeref { on, out, input, .. } => {
+            &NodeOp::IjDeref { on, out, input, .. } => {
                 let child = self.lower(input)?;
-                let mut cols = child.cols().to_vec();
-                cols.push(out.to_string());
-                Ok(PhysOp::IjDeref {
-                    meta: self.meta(pt, label),
+                PhysOp::IjDeref {
+                    meta: self.meta(id, label),
                     on: on.clone(),
                     out: out.to_string(),
                     input: Box::new(child),
                     cols,
-                })
+                }
             }
-            NodeOp::PijLookup {
+            &NodeOp::PijLookup {
                 index,
                 on,
                 outs,
@@ -569,18 +531,16 @@ impl Lowering<'_, '_> {
                 ..
             } => {
                 let child = self.lower(input)?;
-                let mut cols = child.cols().to_vec();
-                cols.extend(outs.iter().cloned());
-                Ok(PhysOp::PijLookup {
-                    meta: self.meta(pt, label),
+                PhysOp::PijLookup {
+                    meta: self.meta(id, label),
                     index,
                     on: on.clone(),
                     outs: outs.to_vec(),
                     input: Box::new(child),
                     cols,
-                })
+                }
             }
-            NodeOp::NlJoin {
+            &NodeOp::NlJoin {
                 pred,
                 rescan_inner,
                 require_index,
@@ -589,25 +549,18 @@ impl Lowering<'_, '_> {
             } => {
                 let l = self.lower(left)?;
                 let r = self.lower(right)?;
-                let mut cols = l.cols().to_vec();
-                cols.extend(r.cols().iter().cloned());
                 // A parallel wrapper the spec put on the inner is a
                 // breaker of its own: its output is materialized once.
                 let rescan_inner = rescan_inner && r.rescannable();
                 // A materialized inner becomes a page-store temporary at
-                // execution; resolve its row shape here, where the typing
-                // environment is in scope.
+                // execution, shaped like the rows the inner hands up.
                 let mat_types = if rescan_inner {
                     Vec::new()
                 } else {
-                    right
-                        .output_columns(&self.scoped_env())?
-                        .into_iter()
-                        .map(|(_, t)| t)
-                        .collect()
+                    plan[right].cols.iter().map(|(_, t)| t.clone()).collect()
                 };
-                Ok(PhysOp::NlJoin {
-                    meta: self.meta(pt, label),
+                PhysOp::NlJoin {
+                    meta: self.meta(id, label),
                     pred: pred.clone(),
                     rescan_inner,
                     mat_types,
@@ -615,60 +568,51 @@ impl Lowering<'_, '_> {
                     left: Box::new(l),
                     right: Box::new(r),
                     cols,
-                })
+                }
             }
             NodeOp::IndexJoin {
                 pred, probe, left, ..
             } => {
-                let l = self.lower(left)?;
-                let mut cols = l.cols().to_vec();
-                cols.push(probe.var.to_string());
-                Ok(PhysOp::IndexJoin {
-                    meta: self.meta(pt, label),
+                let l = self.lower(*left)?;
+                PhysOp::IndexJoin {
+                    meta: self.meta(id, label),
                     index: probe.index,
                     class: probe.class,
                     outer: probe.key.clone(),
                     var: probe.var.to_string(),
-                    pred: pred.clone(),
+                    pred: (*pred).clone(),
                     left: Box::new(l),
                     cols,
-                })
+                }
             }
-            NodeOp::UnionAll { left, right } => {
+            &NodeOp::UnionAll { left, right } => {
                 let l = self.lower(left)?;
                 let r = self.lower(right)?;
-                let cols = l.cols().to_vec();
-                let perm = align_perm(&cols, r.cols())?;
-                Ok(PhysOp::UnionAll {
-                    meta: self.meta(pt, label),
-                    perm,
+                PhysOp::UnionAll {
+                    meta: self.meta(id, label),
+                    perm: align_perm(&cols, r.cols())?,
                     left: Box::new(l),
                     right: Box::new(r),
                     cols,
-                })
+                }
             }
-            NodeOp::FixPoint {
+            &NodeOp::FixPoint {
                 temp, base, rec, ..
             } => {
-                // Shape of the temporary, from the base side (names
-                // verbatim).
-                let fields = base.output_columns(&self.scoped_env())?;
-                let field_names: Vec<String> = fields.iter().map(|(n, _)| n.clone()).collect();
-                self.temp_fields.insert(temp.to_string(), fields.clone());
                 let base_op = self.lower(base)?;
                 let rec_op = self.lower(rec)?;
-                let perm = align_perm(&field_names, rec_op.cols())?;
-                Ok(PhysOp::FixPoint {
-                    meta: self.meta(pt, label),
+                PhysOp::FixPoint {
+                    meta: self.meta(id, label),
                     temp: temp.to_string(),
-                    fields,
-                    perm,
+                    fields: node.cols.clone(),
+                    perm: align_perm(&cols, rec_op.cols())?,
                     base: Box::new(base_op),
                     rec: Box::new(rec_op),
-                    cols: field_names,
-                })
+                    cols,
+                }
             }
-        }
+        };
+        Ok(self.maybe_parallel(id, op))
     }
 }
 
@@ -766,12 +710,15 @@ impl OpKind {
 /// What one PT node executes as, resolved from the node alone (plus the
 /// schemas): the operator, its operands that execute as operators of
 /// their own (`input`, `left`, `right`, `base`, `rec`) and the children
-/// it absorbs ([`NodeOp::absorbed`]). Lowering builds the [`PhysOp`]
+/// it absorbs, which do not (`leaf`, `target`, `targets`, `inner`,
+/// `body`). Lowering builds the [`PhysOp`]
 /// from it; the cost model, the analyzer, the dominance check and the
 /// lint pass read the same value, so none of them can disagree with the
-/// executor about what a node is.
+/// executor about what a node is. `C` names a child: the subtree itself
+/// as [`node_op`] resolves one node, its pre-order id in a resolved plan
+/// ([`resolve`]).
 #[derive(Debug, Clone, PartialEq)]
-pub enum NodeOp<'p> {
+pub enum NodeOp<'p, C = &'p Pt> {
     /// Stream an atomic entity.
     EntityScan {
         /// The entity scanned.
@@ -794,7 +741,7 @@ pub enum NodeOp<'p> {
         /// probe: the built structure must still exist at runtime.
         require_index: Option<IndexId>,
         /// Input.
-        input: &'p Pt,
+        input: C,
     },
     /// Probe a selection index, then apply `pred` as a residual filter.
     IndexSelect {
@@ -803,14 +750,14 @@ pub enum NodeOp<'p> {
         /// The resolved probe.
         probe: IndexProbe<'p, Literal>,
         /// The class-extension leaf the probe replaces (absorbed).
-        leaf: &'p Pt,
+        leaf: C,
     },
     /// Project (with streaming dedup).
     Project {
         /// Output columns and their defining expressions.
         exprs: &'p [(String, Expr)],
         /// Input.
-        input: &'p Pt,
+        input: C,
     },
     /// Implicit join: dereference `on` and bind each sub-object to `out`.
     IjDeref {
@@ -821,9 +768,9 @@ pub enum NodeOp<'p> {
         /// Output column.
         out: &'p str,
         /// Input.
-        input: &'p Pt,
+        input: C,
         /// The entity holding the sub-objects (absorbed).
-        target: &'p Pt,
+        target: C,
     },
     /// Path-index join.
     PijLookup {
@@ -834,9 +781,9 @@ pub enum NodeOp<'p> {
         /// Output columns, one per path step.
         outs: &'p [String],
         /// Input.
-        input: &'p Pt,
+        input: C,
         /// The entities spanned (absorbed).
-        targets: &'p [Pt],
+        targets: Vec<C>,
     },
     /// Nested-loop explicit join.
     NlJoin {
@@ -849,9 +796,9 @@ pub enum NodeOp<'p> {
         /// degraded to a nested loop.
         require_index: Option<IndexId>,
         /// Outer operand.
-        left: &'p Pt,
+        left: C,
         /// Inner operand.
-        right: &'p Pt,
+        right: C,
     },
     /// Index join: probe the inner's selection index per outer row.
     IndexJoin {
@@ -860,32 +807,32 @@ pub enum NodeOp<'p> {
         /// The resolved probe (its key is the outer expression).
         probe: IndexProbe<'p, Expr>,
         /// Outer operand.
-        left: &'p Pt,
+        left: C,
         /// The class-extension leaf the probe replaces (absorbed).
-        inner: &'p Pt,
+        inner: C,
     },
     /// Bag union.
     UnionAll {
         /// Left operand.
-        left: &'p Pt,
+        left: C,
         /// Right operand.
-        right: &'p Pt,
+        right: C,
     },
     /// Semi-naive fixpoint.
     FixPoint {
         /// Temporary name.
         temp: &'p str,
         /// Base (non-recursive) leg.
-        base: &'p Pt,
+        base: C,
         /// Recursive leg.
-        rec: &'p Pt,
+        rec: C,
         /// The body `Union`, folded into this operator (absorbed; its
         /// two legs are `base` and `rec`, which do execute).
-        body: &'p Pt,
+        body: C,
     },
 }
 
-impl<'p> NodeOp<'p> {
+impl<C: Copy> NodeOp<'_, C> {
     /// The operator's kind.
     pub fn kind(&self) -> OpKind {
         match self {
@@ -923,20 +870,6 @@ impl<'p> NodeOp<'p> {
             NodeOp::FixPoint { temp, .. } => format!("Fix({temp})"),
         }
     }
-
-    /// Children that do not execute as operators of their own: the
-    /// extent an index probe replaces, the target entities of implicit
-    /// joins, and a fixpoint's body union.
-    pub fn absorbed(&self) -> &'p [Pt] {
-        match self {
-            NodeOp::IndexSelect { leaf: one, .. }
-            | NodeOp::IjDeref { target: one, .. }
-            | NodeOp::IndexJoin { inner: one, .. }
-            | NodeOp::FixPoint { body: one, .. } => std::slice::from_ref(one),
-            NodeOp::PijLookup { targets, .. } => targets,
-            _ => &[],
-        }
-    }
 }
 
 /// Resolve what a PT node executes as. Access methods are resolved
@@ -950,6 +883,18 @@ pub fn node_op<'p>(
     physical: &'p PhysicalSchema,
     pt: &'p Pt,
 ) -> Result<NodeOp<'p>, PtError> {
+    let at = |path: &[usize]| pt.at_path(path).expect("the path of an operand");
+    node_op_at(catalog, physical, pt, at)
+}
+
+/// [`node_op`] with each operand named by `at`, given its child-index
+/// path from `pt`.
+pub(crate) fn node_op_at<'p, C>(
+    catalog: &'p Catalog,
+    physical: &'p PhysicalSchema,
+    pt: &'p Pt,
+    at: impl Fn(&[usize]) -> C,
+) -> Result<NodeOp<'p, C>, PtError> {
     Ok(match pt {
         Pt::Entity { id, var } => NodeOp::EntityScan { entity: *id, var },
         Pt::Temp { name, var } => NodeOp::TempScan { name, var },
@@ -966,47 +911,41 @@ pub fn node_op<'p>(
                 Some(probe) => NodeOp::IndexSelect {
                     pred,
                     probe,
-                    leaf: input,
+                    leaf: at(&[0]),
                 },
                 None => NodeOp::Filter {
                     pred,
                     require_index: named,
-                    input,
+                    input: at(&[0]),
                 },
             }
         }
-        Pt::Proj { cols, input } => NodeOp::Project { exprs: cols, input },
-        Pt::IJ {
+        Pt::Proj { cols, .. } => NodeOp::Project {
+            exprs: cols,
+            input: at(&[0]),
+        },
+        Pt::IJ { on, step, out, .. } => NodeOp::IjDeref {
             on,
             step,
             out,
-            input,
-            target,
-        } => NodeOp::IjDeref {
-            on,
-            step,
-            out,
-            input,
-            target,
+            input: at(&[0]),
+            target: at(&[1]),
         },
         Pt::PIJ {
             index,
             on,
             outs,
-            input,
             targets,
+            ..
         } => NodeOp::PijLookup {
             index: *index,
             on,
             outs,
-            input,
-            targets,
+            input: at(&[0]),
+            targets: (1..=targets.len()).map(|i| at(&[i])).collect(),
         },
         Pt::EJ {
-            pred,
-            algo,
-            left,
-            right,
+            pred, algo, right, ..
         } => {
             let named = match algo {
                 JoinAlgo::NestedLoop => None,
@@ -1016,26 +955,29 @@ pub fn node_op<'p>(
                 Some(probe) => NodeOp::IndexJoin {
                     pred,
                     probe,
-                    left,
-                    inner: right,
+                    left: at(&[0]),
+                    inner: at(&[1]),
                 },
                 None => NodeOp::NlJoin {
                     pred,
                     rescan_inner: rescannable(catalog, physical, right),
                     require_index: named,
-                    left,
-                    right,
+                    left: at(&[0]),
+                    right: at(&[1]),
                 },
             }
         }
-        Pt::Union { left, right } => NodeOp::UnionAll { left, right },
-        Pt::Fix { body, .. } => {
-            let (temp, base, rec) = pt.fix_sides()?;
+        Pt::Union { .. } => NodeOp::UnionAll {
+            left: at(&[0]),
+            right: at(&[1]),
+        },
+        Pt::Fix { .. } => {
+            let (temp, _, rec) = pt.fix_legs()?;
             NodeOp::FixPoint {
                 temp,
-                base,
-                rec,
-                body,
+                base: at(&[0, 1 - rec]),
+                rec: at(&[0, rec]),
+                body: at(&[0]),
             }
         }
     })
@@ -1058,22 +1000,25 @@ pub fn rescannable(catalog: &Catalog, physical: &PhysicalSchema, pt: &Pt) -> boo
     }
 }
 
-/// Pre-order ids ([`node_ids`]) of the nodes inside fix recursion: each
-/// `Fix` node plus every node of its recursive leg. Cost lines of these
-/// nodes accumulate the model's *predicted* iteration count, so their
+/// Pre-order ids of the nodes inside fix recursion: each `Fix` node plus
+/// every node of its recursive leg. Cost lines of these nodes
+/// accumulate the model's *predicted* iteration count, so their
 /// cardinalities cannot be joined against observed counters without
 /// re-deriving that multiplier.
 pub fn fix_recursive_nodes(root: &Pt) -> HashSet<usize> {
-    let ids = node_ids(root);
+    let order = root.preorder();
     let mut out = HashSet::new();
-    root.visit(&mut |n| {
-        if let Ok((_, _, rec)) = n.fix_sides() {
-            out.insert(ids[&(n as *const Pt)]);
-            rec.visit(&mut |r| {
-                out.insert(ids[&(r as *const Pt)]);
-            });
+    for id in 0..order.len() {
+        if let Ok((_, _, rec)) = order.pt(id).fix_sides() {
+            out.insert(id);
+            // The body union follows its fixpoint; the legs are its kids.
+            for leg in order.kids(id + 1) {
+                if std::ptr::eq(order.pt(leg), rec) {
+                    out.extend(leg..leg + order.size(leg));
+                }
+            }
         }
-    });
+    }
     out
 }
 

@@ -385,7 +385,6 @@ fn node_op_resolves_every_pt_kind() {
         let op = node_op(&cat, db.physical(), pt).unwrap();
         assert_eq!(op.kind(), *kind, "{label}");
         assert_eq!(op.label(&cat, db.physical()), *label);
-        assert_eq!(op.absorbed().len(), *absorbed, "{label}");
         let required = match &op {
             NodeOp::Filter { require_index, .. } | NodeOp::NlJoin { require_index, .. } => {
                 *require_index
@@ -393,22 +392,29 @@ fn node_op_resolves_every_pt_kind() {
             _ => None,
         };
         assert_eq!(required, *unusable, "{label}");
-        // The operands that execute: every child that is not absorbed —
-        // for a fixpoint, the two legs of its absorbed body, base first.
-        let executed: Vec<&Pt> = match &op {
-            NodeOp::FixPoint {
-                base: b, rec: r, ..
-            } => {
-                assert_eq!((*b, *r), (&base, &rec), "legs found on either side");
-                vec![b, r]
+        if let NodeOp::FixPoint {
+            base: b, rec: r, ..
+        } = &op
+        {
+            assert_eq!((*b, *r), (&base, &rec), "legs found on either side");
+        }
+        // The same resolution with operands named by pre-order id: the
+        // operands that execute are the lowered operator's children — for
+        // a fixpoint the two legs of its absorbed body, base first — and
+        // a child that is absorbed lowers to nothing.
+        let resolved = resolve(&cat, db.physical(), &env.temp_fields, pt).unwrap();
+        let executed = match &resolved[0].op {
+            NodeOp::Filter { input, .. }
+            | NodeOp::Project { input, .. }
+            | NodeOp::IjDeref { input, .. }
+            | NodeOp::PijLookup { input, .. }
+            | NodeOp::IndexJoin { left: input, .. } => vec![*input],
+            NodeOp::NlJoin { left, right, .. } | NodeOp::UnionAll { left, right } => {
+                vec![*left, *right]
             }
-            _ => pt
-                .children()
-                .into_iter()
-                .filter(|c| !op.absorbed().iter().any(|a| std::ptr::eq(a, *c)))
-                .collect(),
+            NodeOp::FixPoint { base, rec, .. } => vec![*base, *rec],
+            _ => vec![],
         };
-        let ids = node_ids(pt);
         let plan = lower(&env, pt).unwrap();
         assert_eq!(plan.root.meta().label, *label);
         let lowered: Vec<usize> = plan
@@ -417,8 +423,10 @@ fn node_op_resolves_every_pt_kind() {
             .iter()
             .map(|c| c.meta().pt_node)
             .collect();
-        let expected: Vec<usize> = executed.iter().map(|c| ids[&(*c as *const Pt)]).collect();
-        assert_eq!(lowered, expected, "{label}: executed operands");
+        assert_eq!(lowered, executed, "{label}: executed operands");
+        let order = pt.preorder();
+        let kids = order.kids(0).filter(|k| !executed.contains(k));
+        assert_eq!(kids.count(), *absorbed, "{label}: absorbed children");
         // What lowering copies out of the resolution: the probe's key, or
         // the index a fallback still demands at run time.
         match &plan.root {

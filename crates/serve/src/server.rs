@@ -193,8 +193,11 @@ impl Server {
         }
     }
 
-    /// The shared metric registry (`serve.*`, plus the `exec.*` and
-    /// `storage.*` series of every session).
+    /// The shared metric registry: the `serve.*` series and the
+    /// `storage.*` counters of every session's page account. The `exec.*`
+    /// series are *not* here: a session's executor runs without a
+    /// registry (its per-operator counters reach the caller through the
+    /// run's `ExecReport`).
     pub fn metrics(&self) -> &MetricsRegistry {
         &self.metrics
     }
