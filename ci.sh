@@ -43,6 +43,13 @@ grep -E "^(warm-recursive|cold-adhoc|spill-closure) ($counts) " target/benchmark
     cut -d' ' -f1-4 >target/benchmark-counts.txt
 grep -v '^#' crates/bench/benchmark_counts.txt | diff - target/benchmark-counts.txt
 
+echo "== plan quality: every workload's cost-controlled plan executes within 1.10x of the cheapest strategy's (the count diff above pins three workloads' exact value; this also holds concurrent-mixed, and any re-recording, to the bound) =="
+if ! awk '$2 == "plan_regret" { seen++; if ($4 > 1.10) { print; bad = 1 } }
+    END { exit bad || !seen }' target/benchmark-quick.txt; then
+    echo "plan_regret above 1.10 (printed above), or none reported" >&2
+    exit 1
+fi
+
 echo "== reproduce all vs the checked-in golden (every figure, byte for byte) =="
 $reproduce all | diff - reproduce_output.txt
 

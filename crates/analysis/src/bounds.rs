@@ -473,15 +473,6 @@ impl Walk<'_, '_> {
     // Statistics helpers (all upper bounds unless noted)
     // ------------------------------------------------------------------
 
-    /// Field slot of a class attribute inside one entity's row layout
-    /// (`None` when a vertical fragment does not carry the attribute).
-    fn slot_of(&self, entity: EntityId, attr: AttrId) -> Option<usize> {
-        match &self.az.physical.entity(entity).fragment {
-            Some(FragmentSpec::Vertical { attrs }) => attrs.iter().position(|a| *a == attr),
-            _ => Some(attr.0 as usize),
-        }
-    }
-
     /// Upper bound on the rows whose oid has *exactly* class `c` (sums
     /// fragment cardinalities; vertical fragments over-count, which is
     /// sound for an upper bound).
@@ -512,7 +503,7 @@ impl Walk<'_, '_> {
     fn attr_max_dup(&self, c: ClassId, attr: AttrId) -> f64 {
         let mut total = 0.0;
         for &e in self.az.physical.entities_of_class(c) {
-            let Some(slot) = self.slot_of(e, attr) else {
+            let Some(slot) = self.az.physical.slot_of(e, attr) else {
                 continue;
             };
             match self.az.stats.entity(e).and_then(|s| s.attrs.get(slot)) {
@@ -559,7 +550,7 @@ impl Walk<'_, '_> {
             let mut sub_best = 0.0f64;
             let mut any = false;
             for &e in self.az.physical.entities_of_class(sub) {
-                let Some(slot) = self.slot_of(e, aid) else {
+                let Some(slot) = self.az.physical.slot_of(e, aid) else {
                     continue;
                 };
                 match self.az.stats.entity(e).and_then(|s| s.attrs.get(slot)) {

@@ -26,10 +26,12 @@
 
 use std::collections::{HashMap, HashSet};
 
-use oorq_pt::{resolve, Node, NodeOp, OpKind, Pt};
-use oorq_query::{bind_path, CmpOp, Expr};
+use oorq_pt::{lit_value, resolve, Node, NodeOp, OpKind, Pt};
+use oorq_query::{bind_path, CmpOp, Expr, Literal};
 use oorq_schema::{AttrId, AttributeKind, Catalog, ClassId, ResolvedType};
-use oorq_storage::{DbStats, EntityId, EntitySource, IndexKindDesc, PhysicalSchema, WidthModel};
+use oorq_storage::{
+    AttrStats, DbStats, EntityId, EntitySource, IndexKindDesc, PhysicalSchema, WidthModel,
+};
 
 use crate::error::CostError;
 use crate::features::CostFeatures;
@@ -114,22 +116,54 @@ impl PlanCost {
     }
 }
 
+/// How the objects of a column were reached: which value-count table of
+/// the statistics says how often an attribute read off the column holds
+/// a given literal.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Reached {
+    /// Scanned from the extent: each object once, so the attribute's own
+    /// table answers.
+    Extent,
+    /// Dereferenced through this reference attribute: an object as often
+    /// as it is referenced, so the table seen through the reference
+    /// answers.
+    Via(ClassId, AttrId),
+    /// Computed, or read back from a temporary: no table answers.
+    Unknown,
+}
+
+/// What the estimator keeps per output column of a node.
+#[derive(Debug, Clone, Copy)]
+struct ColEst {
+    /// Direct attribute reads on the column cost no I/O (the object's
+    /// page is in hand at that point of the pipeline).
+    resident: bool,
+    reached: Reached,
+}
+
+impl ColEst {
+    /// A column of values or of objects whose page is not in hand,
+    /// reached nobody knows how.
+    const OPAQUE: ColEst = ColEst {
+        resident: false,
+        reached: Reached::Unknown,
+    };
+}
+
 /// A node's output as an expression over it sees it: the plan's names
-/// and types beside the estimator's own per-column flag, `resident` —
-/// true when direct attribute reads on the column cost no I/O (the
-/// object's page is in hand at that point of the pipeline). A later
+/// and types beside the estimator's own per-column record. A later
 /// column shadows an earlier one of the same name (the join lint PT010
 /// flags).
 #[derive(Clone, Copy)]
 struct Cols<'c> {
     cols: &'c [(String, ResolvedType)],
-    resident: &'c [bool],
+    est: &'c [ColEst],
 }
 
 impl<'c> Cols<'c> {
-    fn get(&self, name: &str) -> Option<(&'c ResolvedType, bool)> {
+    fn get(&self, name: &str) -> Option<(&'c ResolvedType, ColEst)> {
         let i = self.cols.iter().rposition(|(n, _)| n == name)?;
-        Some((&self.cols[i].1, self.resident[i]))
+        Some((&self.cols[i].1, self.est[i]))
     }
 }
 
@@ -164,17 +198,17 @@ struct NodeEst {
     rows: f64,
     pages: f64,
     /// Per output column of the estimated node (see [`Cols`]).
-    resident: Vec<bool>,
+    cols: Vec<ColEst>,
     cost: Cost,
     fanout_base: Option<FanoutBase>,
 }
 
 impl NodeEst {
-    fn new(rows: f64, pages: f64, resident: Vec<bool>, cost: Cost) -> NodeEst {
+    fn new(rows: f64, pages: f64, cols: Vec<ColEst>, cost: Cost) -> NodeEst {
         NodeEst {
             rows,
             pages,
-            resident,
+            cols,
             cost,
             fanout_base: None,
         }
@@ -185,7 +219,7 @@ impl NodeEst {
     fn over<'c>(&'c self, cols: &'c [(String, ResolvedType)]) -> Cols<'c> {
         Cols {
             cols,
-            resident: &self.resident,
+            est: &self.cols,
         }
     }
 
@@ -198,7 +232,7 @@ impl NodeEst {
         fan: f64,
         rows: f64,
         pages: f64,
-        outs: &[bool],
+        outs: impl IntoIterator<Item = ColEst>,
     ) -> NodeEst {
         let fanout_base = Some(match self.fanout_base {
             Some(fb) => FanoutBase {
@@ -212,10 +246,10 @@ impl NodeEst {
                 sel: 1.0,
             },
         });
-        self.resident.extend_from_slice(outs);
+        self.cols.extend(outs);
         NodeEst {
             fanout_base,
-            ..NodeEst::new(rows, pages, self.resident, self.cost)
+            ..NodeEst::new(rows, pages, self.cols, self.cost)
         }
     }
 }
@@ -441,16 +475,17 @@ impl<'a> CostModel<'a> {
         }
     }
 
+    /// Statistics of an attribute: those of its field in the entity
+    /// that holds it (a vertical fragment stores a subset of the class's
+    /// attributes, in its own order).
+    fn attr_stats(&self, class: ClassId, attr: AttrId) -> Option<&AttrStats> {
+        let (entity, slot) = self.physical.field_of(class, attr)?;
+        self.stats.entity(entity)?.attrs.get(slot)
+    }
+
     /// Fan-out (average members, discounted by nulls) of an attribute.
     fn attr_fanout(&self, class: ClassId, attr: AttrId) -> f64 {
-        let Some(&entity) = self.physical.entities_of_class(class).first() else {
-            return 1.0;
-        };
-        match self
-            .stats
-            .entity(entity)
-            .and_then(|s| s.attrs.get(attr.0 as usize))
-        {
+        match self.attr_stats(class, attr) {
             Some(a) => (a.avg_fanout * (1.0 - a.null_fraction)).max(0.0),
             None => 1.0,
         }
@@ -458,14 +493,7 @@ impl<'a> CostModel<'a> {
 
     /// Distinct values of an attribute (for equality selectivity).
     fn attr_distinct(&self, class: ClassId, attr: AttrId) -> f64 {
-        let Some(&entity) = self.physical.entities_of_class(class).first() else {
-            return 10.0;
-        };
-        match self
-            .stats
-            .entity(entity)
-            .and_then(|s| s.attrs.get(attr.0 as usize))
-        {
+        match self.attr_stats(class, attr) {
             Some(a) if a.distinct > 0 => a.distinct as f64,
             _ => 10.0,
         }
@@ -607,9 +635,15 @@ impl EstCtx<'_, '_> {
         let (feat, mut est) = match &node.op {
             &NodeOp::EntityScan { entity: id, .. } => {
                 let (rows, pages) = m.entity_rows_pages(id);
-                // An object column has its page in hand; a relation's
-                // fields are values.
-                let in_hand = matches!(m.physical.entity(id).source, EntitySource::Class(_));
+                // An object column has its page in hand and each object
+                // once; a relation's fields are values.
+                let col = match m.physical.entity(id).source {
+                    EntitySource::Class(_) => ColEst {
+                        resident: true,
+                        reached: Reached::Extent,
+                    },
+                    _ => ColEst::OPAQUE,
+                };
                 let feat = CostFeatures {
                     seq_pages: if charge_scan {
                         self.entity_stream(id, pages, pages)
@@ -618,8 +652,8 @@ impl EstCtx<'_, '_> {
                     },
                     ..CostFeatures::default()
                 };
-                let resident = vec![in_hand; node.cols.len()];
-                (feat, NodeEst::new(rows, pages, resident, Cost::zero()))
+                let cols = vec![col; node.cols.len()];
+                (feat, NodeEst::new(rows, pages, cols, Cost::zero()))
             }
             &NodeOp::TempScan { name, .. } => {
                 let rows = sane_rows(
@@ -640,8 +674,8 @@ impl EstCtx<'_, '_> {
                     seq_pages: if charge_scan && !hot_temp { pages } else { 0.0 },
                     ..CostFeatures::default()
                 };
-                let resident = vec![false; node.cols.len()];
-                (feat, NodeEst::new(rows, pages, resident, Cost::zero()))
+                let cols = vec![ColEst::OPAQUE; node.cols.len()];
+                (feat, NodeEst::new(rows, pages, cols, Cost::zero()))
             }
             &NodeOp::Filter { pred, input, .. } => {
                 let mut child = self.est(input, true)?;
@@ -709,8 +743,15 @@ impl EstCtx<'_, '_> {
                 }
                 let out_rows = sane_rows(out_rows);
                 let pages = self.pages_est(out_rows, &reachable_types(&node.cols));
-                let resident = vec![false; node.cols.len()];
-                (feat, NodeEst::new(out_rows, pages, resident, child.cost))
+                // A bare column is handed up as it was reached (its page
+                // is not: the projected row is a copy).
+                let input_cols = child.over(&plan[input].cols);
+                let handed_up = |(_, e): &(String, Expr)| ColEst {
+                    reached: whole_column(e, input_cols).map_or(Reached::Unknown, |c| c.reached),
+                    ..ColEst::OPAQUE
+                };
+                let cols = exprs.iter().map(handed_up).collect();
+                (feat, NodeEst::new(out_rows, pages, cols, child.cost))
             }
             &NodeOp::IjDeref {
                 on, step, input, ..
@@ -741,7 +782,13 @@ impl EstCtx<'_, '_> {
                     ..CostFeatures::default()
                 };
                 let pages = self.pages_est(rows, &reachable_types(&node.cols));
-                (feat, child.fanned_out(input, fanout, rows, pages, &[true]))
+                let out = ColEst {
+                    resident: true,
+                    reached: step
+                        .class_attr
+                        .map_or(Reached::Unknown, |(c, a)| Reached::Via(c, a)),
+                };
+                (feat, child.fanned_out(input, fanout, rows, pages, [out]))
             }
             &NodeOp::PijLookup {
                 index,
@@ -784,9 +831,13 @@ impl EstCtx<'_, '_> {
                     ..CostFeatures::default()
                 };
                 let pages = self.pages_est(rows, &reachable_types(&node.cols));
-                // Index-only: the objects' pages are NOT read.
-                let not_read = vec![false; outs.len()];
-                (feat, child.fanned_out(input, fan, rows, pages, &not_read))
+                // Index-only: the objects' pages are NOT read. Output `i`
+                // holds what step `i` of the path references.
+                let outs = path.iter().take(outs.len()).map(|&(c, a)| ColEst {
+                    resident: false,
+                    reached: Reached::Via(c, a),
+                });
+                (feat, child.fanned_out(input, fan, rows, pages, outs))
             }
             &NodeOp::NlJoin {
                 pred,
@@ -797,10 +848,10 @@ impl EstCtx<'_, '_> {
             } => {
                 let l = self.est(left, true)?;
                 let r = self.est(right, true)?;
-                let resident = [l.resident, r.resident].concat();
+                let joined = [l.cols, r.cols].concat();
                 let cols = Cols {
                     cols: &node.cols,
-                    resident: &resident,
+                    est: &joined,
                 };
                 let sel = self.selectivity(pred, cols);
                 let rows = sane_rows(l.rows * r.rows * sel);
@@ -837,7 +888,7 @@ impl EstCtx<'_, '_> {
                     ..CostFeatures::default()
                 };
                 let pages = self.pages_est(rows, &reachable_types(&node.cols));
-                (feat, NodeEst::new(rows, pages, resident, l.cost + r.cost))
+                (feat, NodeEst::new(rows, pages, joined, l.cost + r.cost))
             }
             NodeOp::IndexJoin {
                 pred,
@@ -847,10 +898,10 @@ impl EstCtx<'_, '_> {
             } => {
                 let l = self.est(*left, true)?;
                 let r = self.est(*inner, false)?;
-                let resident = [l.resident, r.resident].concat();
+                let joined = [l.cols, r.cols].concat();
                 let cols = Cols {
                     cols: &node.cols,
-                    resident: &resident,
+                    est: &joined,
                 };
                 let sel = self.selectivity(pred, cols);
                 let rows = sane_rows(l.rows * r.rows * sel);
@@ -862,13 +913,13 @@ impl EstCtx<'_, '_> {
                     ..CostFeatures::default()
                 };
                 let pages = self.pages_est(rows, &reachable_types(&node.cols));
-                (feat, NodeEst::new(rows, pages, resident, l.cost + r.cost))
+                (feat, NodeEst::new(rows, pages, joined, l.cost + r.cost))
             }
             &NodeOp::UnionAll { left, right } => {
                 let l = self.est(left, true)?;
                 let r = self.est(right, true)?;
                 let (rows, pages) = (l.rows + r.rows, l.pages + r.pages);
-                let est = NodeEst::new(rows, pages, l.resident, l.cost + r.cost);
+                let est = NodeEst::new(rows, pages, l.cols, l.cost + r.cost);
                 (CostFeatures::default(), est)
             }
             &NodeOp::FixPoint {
@@ -983,8 +1034,8 @@ impl EstCtx<'_, '_> {
                 };
                 fix = Some(curve);
                 let children = base_est.cost + iter_cost;
-                let resident = vec![false; node.cols.len()];
-                let est = NodeEst::new(total_rows, total_pages, resident, children);
+                let cols = vec![ColEst::OPAQUE; node.cols.len()];
+                let est = NodeEst::new(total_rows, total_pages, cols, children);
                 (own_feat, est)
             }
         };
@@ -1013,10 +1064,10 @@ impl EstCtx<'_, '_> {
         match expr {
             Expr::True | Expr::Lit(_) | Expr::Var(_) => {}
             Expr::Path { base, steps } => {
-                let Some(((mut ty, mut in_hand), rest)) = bind_path(base, steps, |c| cols.get(c))
-                else {
+                let Some(((mut ty, col), rest)) = bind_path(base, steps, |c| cols.get(c)) else {
                     return out;
                 };
+                let mut in_hand = col.resident;
                 let mut mult = 1.0f64;
                 for step in rest {
                     let Some(class) = ty.referenced_class() else {
@@ -1093,35 +1144,43 @@ impl EstCtx<'_, '_> {
                 (a + b - a * b).clamp(0.0, 1.0)
             }
             Expr::Not(e) => (1.0 - self.selectivity(e, cols)).clamp(0.0, 1.0),
-            Expr::Cmp { op, lhs, rhs } => {
-                let dl = self.expr_distinct(lhs, cols);
-                let dr = self.expr_distinct(rhs, cols);
-                match op {
-                    CmpOp::Eq => {
-                        let per_member = match (dl, dr) {
-                            (Some(a), Some(b)) => 1.0 / a.max(b).max(1.0),
-                            (Some(d), None) | (None, Some(d)) => 1.0 / d.max(1.0),
-                            (None, None) => self.model.params.default_selectivity,
-                        };
-                        // Existential semantics: a path fanning out over
-                        // collections succeeds when *any* member matches
-                        // (independence assumption) — keeps the plain
-                        // path-selection estimate consistent with its
-                        // IJ/PIJ-expanded form.
-                        let fan = self.expr_fanout(lhs, cols) * self.expr_fanout(rhs, cols);
-                        if fan > 1.0 {
-                            1.0 - (1.0 - per_member.clamp(0.0, 1.0)).powf(fan)
-                        } else {
-                            per_member.clamp(0.0, 1.0)
-                        }
-                    }
-                    CmpOp::Ne => match dl.or(dr) {
-                        Some(d) => 1.0 - 1.0 / d.max(1.0),
-                        None => 1.0 - self.model.params.default_selectivity,
-                    },
-                    _ => 1.0 / 3.0,
+            Expr::Cmp {
+                op: op @ (CmpOp::Eq | CmpOp::Ne),
+                lhs,
+                rhs,
+            } => {
+                // How often one member equals the other side: what a
+                // value-count table says of a literal, else one in the
+                // distinct values.
+                let counted = match (&**lhs, &**rhs) {
+                    (e, Expr::Lit(l)) | (Expr::Lit(l), e) => self.literal_frequency(e, l, cols),
+                    _ => None,
+                };
+                let per_member = counted.unwrap_or_else(|| {
+                    let dl = self.expr_distinct(lhs, cols);
+                    let dr = self.expr_distinct(rhs, cols);
+                    let distinct = match (op, dl, dr) {
+                        (CmpOp::Eq, Some(a), Some(b)) => Some(a.max(b)),
+                        _ => dl.or(dr),
+                    };
+                    distinct.map_or(self.model.params.default_selectivity, |d| 1.0 / d.max(1.0))
+                });
+                if *op == CmpOp::Ne {
+                    return 1.0 - per_member;
+                }
+                // Existential semantics: a path fanning out over
+                // collections succeeds when *any* member matches
+                // (independence assumption) — keeps the plain
+                // path-selection estimate consistent with its
+                // IJ/PIJ-expanded form.
+                let fan = self.expr_fanout(lhs, cols) * self.expr_fanout(rhs, cols);
+                if fan > 1.0 {
+                    1.0 - (1.0 - per_member.clamp(0.0, 1.0)).powf(fan)
+                } else {
+                    per_member.clamp(0.0, 1.0)
                 }
             }
+            Expr::Cmp { .. } => 1.0 / 3.0,
             _ => self.model.params.default_selectivity,
         }
     }
@@ -1153,31 +1212,96 @@ impl EstCtx<'_, '_> {
         fan
     }
 
-    /// Distinct-value count of an expression when it resolves to an
-    /// attribute or a column; `None` for constants and computed values.
-    fn expr_distinct(&self, expr: &Expr, cols: Cols<'_>) -> Option<f64> {
-        let m = self.model;
-        let ((mut ty, _), rest) = match expr {
+    /// Where a column or path expression ends: at the column itself, or
+    /// at the last attribute the walk could read with how the objects
+    /// holding it were reached. `None` for constants, computed values
+    /// and columns of values.
+    fn path_end(&self, expr: &Expr, cols: Cols<'_>) -> Option<PathEnd> {
+        let ((mut ty, col), rest) = match expr {
             Expr::Var(v) => (cols.get(v)?, &[][..]),
             Expr::Path { base, steps } => bind_path(base, steps, |c| cols.get(c))?,
             _ => return None,
         };
-        if rest.is_empty() {
-            let e = m
-                .physical
-                .entities_of_class(ty.referenced_class()?)
-                .first()?;
-            return Some(m.stats.entity(*e)?.cardinality as f64);
-        }
-        let mut last: Option<f64> = None;
+        let mut reached = col.reached;
+        let mut end = PathEnd::Column(ty.referenced_class()?);
         for step in rest {
             let Some(class) = ty.referenced_class() else {
-                return last;
+                break;
             };
-            let (aid, attr) = m.catalog.attr(class, step)?;
-            last = Some(m.attr_distinct(class, aid));
-            ty = &attr.ty;
+            let (attr, a) = self.model.catalog.attr(class, step)?;
+            end = PathEnd::Attr {
+                class,
+                attr,
+                reached,
+            };
+            reached = Reached::Via(class, attr);
+            ty = &a.ty;
         }
-        last
+        Some(end)
+    }
+
+    /// Distinct-value count of an expression when it resolves to an
+    /// attribute or a column; `None` for constants and computed values.
+    fn expr_distinct(&self, expr: &Expr, cols: Cols<'_>) -> Option<f64> {
+        let m = self.model;
+        match self.path_end(expr, cols)? {
+            PathEnd::Column(class) => {
+                let e = m.physical.entities_of_class(class).first()?;
+                Some(m.stats.entity(*e)?.cardinality as f64)
+            }
+            PathEnd::Attr { class, attr, .. } => Some(m.attr_distinct(class, attr)),
+        }
+    }
+
+    /// The probability that one member `expr` reads equals `lit`, from
+    /// the value-count table matching how the objects the attribute is
+    /// read off were reached: the table seen through the reference for a
+    /// dereferenced column or the last reference step of a path, the
+    /// attribute's own for a scanned column. `None` where no table
+    /// answers (a null literal, no attribute read, unknown provenance).
+    fn literal_frequency(&self, expr: &Expr, lit: &Literal, cols: Cols<'_>) -> Option<f64> {
+        let m = self.model;
+        if *lit == Literal::Null {
+            return None;
+        }
+        let PathEnd::Attr {
+            class,
+            attr,
+            reached,
+        } = self.path_end(expr, cols)?
+        else {
+            return None;
+        };
+        let table = match reached {
+            Reached::Extent => &m.attr_stats(class, attr)?.counts,
+            Reached::Via(owner, reference) => m.attr_stats(owner, reference)?.through(attr)?,
+            Reached::Unknown => return None,
+        };
+        table.frequency(&lit_value(lit))
+    }
+}
+
+/// See [`EstCtx::path_end`].
+enum PathEnd {
+    /// A column of objects of this class; no attribute is read.
+    Column(ClassId),
+    /// This attribute, read off objects of `class` reached so.
+    Attr {
+        class: ClassId,
+        attr: AttrId,
+        reached: Reached,
+    },
+}
+
+/// The input column a projection expression hands up unchanged: a bare
+/// variable, or a path that is wholly one (qualified) column's name.
+fn whole_column(expr: &Expr, cols: Cols<'_>) -> Option<ColEst> {
+    match expr {
+        Expr::Var(v) => cols.get(v).map(|(_, col)| col),
+        Expr::Path { base, steps } => match bind_path(base, steps, |c| cols.get(c))? {
+            ((_, col), []) => Some(col),
+            _ => None,
+        },
+        _ => None,
     }
 }

@@ -481,3 +481,163 @@ fn fit_recovers_planted_weights() {
         );
     }
 }
+
+/// The benchmark's recursive scale — 200 composers × 4 works × 3
+/// instruments, a quarter of the composers with one harpsichord slot —
+/// under the `works.instruments` path index, and the path-index join of
+/// every composer (`x`, then `w` and `ins` per step).
+fn referenced_unevenly() -> (MusicDb, DbStats, Pt) {
+    let (mut m, _) = setup(MusicConfig {
+        chains: 20,
+        chain_len: 10,
+        works_per_composer: 4,
+        instruments_per_work: 3,
+        ..Default::default()
+    });
+    let path = vec![
+        (m.composer, m.works_attr),
+        (m.composition, m.instruments_attr),
+    ];
+    let idx = m.db.physical_mut().add_index(
+        oorq_storage::IndexKindDesc::Path { path },
+        oorq_storage::IndexStats {
+            nblevels: 3,
+            nbleaves: 40,
+        },
+    );
+    let stats = DbStats::collect(&m.db);
+    let entity = |c| m.db.physical().entities_of_class(c)[0];
+    let pij = Pt::PIJ {
+        index: idx,
+        on: Expr::var("x"),
+        outs: vec!["w".into(), "ins".into()],
+        input: Box::new(Pt::entity(entity(m.composer), "x")),
+        targets: vec![
+            Pt::entity(entity(m.composition), "ct"),
+            Pt::entity(entity(m.instrument), "it"),
+        ],
+    };
+    (m, stats, pij)
+}
+
+/// `Instrument.name` is a key: what differs between instruments is how
+/// often each is *referenced* from `Composition.instruments`, and that
+/// is what a selection on the path-index join's output is estimated
+/// from — not one in twelve for every name.
+#[test]
+fn a_dereferenced_column_is_estimated_from_how_often_its_objects_are_referenced() {
+    let (m, stats, pij) = referenced_unevenly();
+    let cm = model(&m, &stats);
+    let rows = |name: &str| {
+        let named = Expr::path("ins", &["name"]).eq(Expr::text(name));
+        cm.cost(&Pt::sel(named, pij.clone())).unwrap().rows
+    };
+    // What the executor's filter lets through: one row per slot of
+    // `Composition.instruments` holding the instrument.
+    let slots = |i: usize| {
+        let compositions = m.db.physical().entities_of_class(m.composition)[0];
+        let works = m.db.scan_raw(compositions);
+        let held = works
+            .iter()
+            .flat_map(|w| w.values[m.instruments_attr.0 as usize].members());
+        held.filter(|v| **v == m.instruments[i].into()).count() as f64
+    };
+    let (harpsichord, flute) = (rows("harpsichord"), rows("flute"));
+    assert!(
+        harpsichord < slots(0) * 1.5 && harpsichord > slots(0) / 1.5,
+        "harpsichord: estimated {harpsichord}, executed {}",
+        slots(0)
+    );
+    assert!(
+        flute < slots(1) * 1.5 && flute > slots(1) / 1.5,
+        "flute: estimated {flute}, executed {}",
+        slots(1)
+    );
+    assert!(flute > harpsichord * 3.0, "{flute} vs {harpsichord}");
+    // A name no instrument has: one slot, never zero rows.
+    let absent = rows("theremin");
+    assert!(absent.is_finite() && absent >= 1.0, "{absent}");
+    assert!(absent < harpsichord);
+}
+
+/// A scanned column reads the attribute's own table; a column nobody
+/// knows the provenance of (a temporary's) reads `1/distinct`, as every
+/// equality did before the tables were kept.
+#[test]
+fn a_scanned_column_reads_its_extent_and_an_unknown_one_the_distinct_count() {
+    let (m, stats, _) = referenced_unevenly();
+    let mut cm = model(&m, &stats);
+    let composers = m.db.physical().entities_of_class(m.composer)[0];
+    let (birth_year, _) = m.db.catalog().attr(m.composer, "birth_year").unwrap();
+    let year_of = |row: &oorq_storage::Row| row.values[birth_year.0 as usize].clone();
+    let extent = m.db.scan_raw(composers);
+    // The year most composers share, so the two rules differ.
+    let year = extent
+        .iter()
+        .map(year_of)
+        .max_by_key(|y| extent.iter().filter(|r| year_of(r) == *y).count())
+        .unwrap();
+    let oorq_storage::Value::Int(y) = year else {
+        panic!("birth_year is an integer");
+    };
+    let born = extent.iter().filter(|r| year_of(r) == year).count() as f64;
+    let distinct = stats.entity(composers).unwrap().attrs[birth_year.0 as usize].distinct as f64;
+    assert!(born > extent.len() as f64 / distinct + 1.0);
+
+    let scanned = Pt::sel(
+        Expr::path("x", &["birth_year"]).eq(Expr::int(y)),
+        Pt::entity(composers, "x"),
+    );
+    assert!((cm.cost(&scanned).unwrap().rows - born).abs() < 1e-9);
+    let by_name = Pt::sel(
+        Expr::path("x", &["name"]).eq(Expr::text("Bach")),
+        Pt::entity(composers, "x"),
+    );
+    assert!((cm.cost(&by_name).unwrap().rows - 1.0).abs() < 1e-9);
+
+    cm.hint_temp_rows("Influencer", 120.0);
+    let unknown = Pt::sel(
+        Expr::path("i", &["master", "birth_year"]).eq(Expr::int(y)),
+        Pt::temp("Influencer", "i"),
+    );
+    assert!((cm.cost(&unknown).unwrap().rows - 120.0 / distinct).abs() < 1e-9);
+}
+
+/// A vertical fragment's fields are a subset of the class's attributes
+/// in the fragment's own order: statistics of `master` and `works` are
+/// those of the fragment that holds them, wherever it comes in the
+/// layout, and collecting the chain depth reads `master` there too.
+#[test]
+fn statistics_of_a_vertically_decomposed_class_are_found_in_the_fragment_that_holds_them() {
+    let (mut m, whole) = setup(MusicConfig::default());
+    let expected = {
+        let cm = model(&m, &whole);
+        let pij = |cm: &CostModel<'_>| deref_works(&m, cm).rows;
+        (pij(&cm), whole.chain(m.composer, m.master_attr).unwrap())
+    };
+    let attrs = m.db.catalog().class(m.composer).attrs.len() as u16;
+    // `master` and `works` (reversed) in the second fragment.
+    let first: Vec<_> = (0..attrs)
+        .map(oorq_schema::AttrId)
+        .filter(|a| *a != m.master_attr && *a != m.works_attr)
+        .collect();
+    m.db.decompose_vertical(m.composer, &[first, vec![m.works_attr, m.master_attr]])
+        .unwrap();
+    let stats = DbStats::collect(&m.db);
+    assert_eq!(stats.chain(m.composer, m.master_attr), Some(expected.1));
+    let cm = model(&m, &stats);
+    assert!((deref_works(&m, &cm).rows - expected.0).abs() < 1e-9);
+}
+
+/// `IJ_works` over every composer.
+fn deref_works(m: &MusicDb, cm: &CostModel<'_>) -> PlanCost {
+    let entity = |c| *m.db.physical().entities_of_class(c).last().unwrap();
+    let ij = Pt::IJ {
+        on: Expr::path("x", &["works"]),
+        step: oorq_pt::IjStep::class_attr(m.db.catalog(), m.composer, m.works_attr),
+        out: "w".into(),
+        input: Box::new(Pt::entity(entity(m.composer), "x")),
+        target: Box::new(Pt::entity(entity(m.composition), "ct")),
+    };
+    cm.cost(&ij).unwrap()
+}

@@ -5,7 +5,8 @@ use std::cell::{Cell, RefCell};
 use std::cmp::Ordering;
 use std::collections::HashSet;
 
-use oorq_query::{bind_path, CmpOp, Expr, Literal};
+use oorq_pt::lit_value;
+use oorq_query::{bind_path, CmpOp, Expr};
 use oorq_schema::{AttrId, AttributeKind, ClassId};
 use oorq_storage::{Account, Database, Oid, Value};
 
@@ -562,16 +563,5 @@ fn collapse(mut members: Vec<Value>) -> Value {
         0 => Value::Null,
         1 => members.pop().expect("len 1"),
         _ => Value::Set(members),
-    }
-}
-
-/// Convert a literal to a runtime value.
-pub(crate) fn lit_value(l: &Literal) -> Value {
-    match l {
-        Literal::Int(i) => Value::Int(*i),
-        Literal::Float(x) => Value::Float(*x),
-        Literal::Text(s) => Value::Text(s.clone()),
-        Literal::Bool(b) => Value::Bool(*b),
-        Literal::Null => Value::Null,
     }
 }

@@ -25,13 +25,13 @@ use std::collections::{HashMap, HashSet};
 use std::time::Instant;
 
 use oorq_index::IndexSet;
-use oorq_pt::{PhysOp, PhysPlan};
+use oorq_pt::{lit_value, PhysOp, PhysPlan};
 use oorq_storage::{
     Account, BufferManager, Database, EntityId, IoStats, Oid, PageRows, PageScan, Value,
 };
 
 use crate::error::ExecError;
-use crate::eval::{lit_value, Bound, Counters, EvalCtx, Probe, RowRef};
+use crate::eval::{Bound, Counters, EvalCtx, Probe, RowRef};
 use crate::methods::MethodRegistry;
 
 /// Observed per-operator counters of one execution (exclusive: each

@@ -22,7 +22,7 @@ use std::collections::{HashMap, HashSet};
 
 use oorq_query::{CmpOp, Expr, Literal};
 use oorq_schema::{Catalog, ClassId, ResolvedType};
-use oorq_storage::{EntityId, EntitySource, IndexId, IndexKindDesc, PhysicalSchema};
+use oorq_storage::{EntityId, EntitySource, IndexId, IndexKindDesc, PhysicalSchema, Value};
 
 use crate::error::PtError;
 use crate::node::{AccessMethod, IjStep, JoinAlgo, Pt, PtEnv};
@@ -1052,6 +1052,18 @@ fn class_leaf<'p>(physical: &PhysicalSchema, pt: &'p Pt) -> Option<(EntityId, &'
     match physical.entities().get(id.0 as usize)?.source {
         EntitySource::Class(class) => Some((*id, var, class)),
         _ => None,
+    }
+}
+
+/// The stored value a literal of a query denotes: what the executor
+/// compares a row against and what the statistics count.
+pub fn lit_value(l: &Literal) -> Value {
+    match l {
+        Literal::Int(i) => Value::Int(*i),
+        Literal::Float(x) => Value::Float(*x),
+        Literal::Text(s) => Value::Text(s.clone()),
+        Literal::Bool(b) => Value::Bool(*b),
+        Literal::Null => Value::Null,
     }
 }
 

@@ -664,12 +664,7 @@ impl Database {
     /// Slot of `attr` within the records of `entity` (vertical fragments
     /// store only a subset of attributes).
     fn attr_slot(&self, entity: EntityId, attr: AttrId) -> usize {
-        match &self.physical.entity(entity).fragment {
-            Some(FragmentSpec::Vertical { attrs }) => {
-                attrs.iter().position(|a| *a == attr).unwrap_or(usize::MAX)
-            }
-            _ => attr.0 as usize,
-        }
+        self.physical.slot_of(entity, attr).unwrap_or(usize::MAX)
     }
 
     /// Where one attribute of an object lies: its page, and the value
@@ -686,11 +681,17 @@ impl Database {
         Ok((PageId { entity, page }, value))
     }
 
-    /// Read one attribute of an object *without* I/O accounting (index
-    /// builds, statistics, reference loaders).
-    pub fn read_attr_raw(&self, oid: Oid, attr: AttrId) -> Result<Value, StorageError> {
+    /// One attribute of an object, lent where it lies, *without* I/O
+    /// accounting (statistics).
+    pub(crate) fn attr_raw(&self, oid: Oid, attr: AttrId) -> Result<&Value, StorageError> {
         let (_, value) = self.locate(oid, attr)?;
-        value.cloned().ok_or(StorageError::DanglingOid(oid))
+        value.ok_or(StorageError::DanglingOid(oid))
+    }
+
+    /// Read one attribute of an object *without* I/O accounting (index
+    /// builds, reference loaders).
+    pub fn read_attr_raw(&self, oid: Oid, attr: AttrId) -> Result<Value, StorageError> {
+        self.attr_raw(oid, attr).cloned()
     }
 
     /// One attribute of an object, lent where it lies: fetches (and

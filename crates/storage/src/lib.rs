@@ -26,7 +26,7 @@ pub use physical::{
     IndexStats, PhysicalSchema,
 };
 pub use segment::{Row, Segment};
-pub use stats::{AttrStats, ChainDepth, DbStats, EntityStats};
+pub use stats::{AttrStats, ChainDepth, DbStats, EntityStats, ValueCounts};
 pub use value::{Oid, Value};
 
 /// Entry `i` of a table indexed by a dense id the store hands out, the

@@ -239,6 +239,24 @@ impl PhysicalSchema {
         listed.map_or(&[], Vec::as_slice)
     }
 
+    /// Field slot of a class attribute in the records of `entity`, one
+    /// of the class's entities: a vertical fragment's fields are the
+    /// attributes it lists, in its own order (`None` when it does not
+    /// list this one); any other entity's are the class's attributes.
+    pub fn slot_of(&self, entity: EntityId, attr: AttrId) -> Option<usize> {
+        match &self.entity(entity).fragment {
+            Some(FragmentSpec::Vertical { attrs }) => attrs.iter().position(|a| *a == attr),
+            _ => Some(attr.0 as usize),
+        }
+    }
+
+    /// The first entity of `class` whose records hold `attr`, and the
+    /// attribute's field slot in them.
+    pub fn field_of(&self, class: ClassId, attr: AttrId) -> Option<(EntityId, usize)> {
+        let mut entities = self.entities_of_class(class).iter();
+        entities.find_map(|&e| Some((e, self.slot_of(e, attr)?)))
+    }
+
     /// The entities implementing a relation extension.
     pub fn entities_of_relation(&self, rel: RelationId) -> &[EntityId] {
         let listed = self.relation_entities.get(rel.0 as usize);

@@ -3,13 +3,48 @@
 //! Statistics are collected by scanning segments directly (no I/O
 //! accounting — a real system would maintain them incrementally).
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
-use oorq_schema::{AttrId, ClassId};
+use oorq_schema::{AttrId, AttributeKind, ClassId, ResolvedType};
 
 use crate::database::Database;
 use crate::physical::{EntityId, EntitySource};
 use crate::value::Value;
+
+/// How often each value occurs among the member slots of a field (a
+/// scalar is one slot, a collection one per member, `Null` none).
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct ValueCounts {
+    counts: HashMap<Value, u64>,
+    slots: u64,
+}
+
+impl ValueCounts {
+    fn of(counted: HashMap<&Value, u64>) -> Self {
+        ValueCounts {
+            slots: counted.values().sum(),
+            counts: counted.into_iter().map(|(v, n)| (v.clone(), n)).collect(),
+        }
+    }
+
+    /// Member slots counted.
+    pub fn slots(&self) -> u64 {
+        self.slots
+    }
+
+    /// Member slots holding `value`.
+    pub fn count(&self, value: &Value) -> u64 {
+        self.counts.get(value).copied().unwrap_or(0)
+    }
+
+    /// Probability that one member slot holds `value`; `None` over no
+    /// slots. A value the table does not hold counts as one slot: the
+    /// statistics may be older than the data, and an estimate of zero
+    /// rows prices everything above it at nothing.
+    pub fn frequency(&self, value: &Value) -> Option<f64> {
+        (self.slots > 0).then(|| self.count(value).max(1) as f64 / self.slots as f64)
+    }
+}
 
 /// Per-field statistics of an entity.
 #[derive(Debug, Clone, PartialEq)]
@@ -27,6 +62,17 @@ pub struct AttrStats {
     /// Largest number of records sharing one member value — a sound
     /// upper bound on the output of an equality selection.
     pub max_dup: u64,
+    /// The field's member values and how many slots hold each. Kept for
+    /// atomic-valued fields only: a reference-valued field's members are
+    /// oids, which no literal of a query can equal, so its table would
+    /// only ever be read for `distinct` and `max_dup` above.
+    pub counts: ValueCounts,
+    /// Of a reference-valued field, per stored atomic attribute of the
+    /// referenced class: the same table seen through the reference —
+    /// how many member slots point at an object whose attribute is each
+    /// value. A key attribute is uniform in its own extent and as skewed
+    /// here as its objects are unevenly referenced.
+    pub through: Vec<(AttrId, ValueCounts)>,
 }
 
 impl Default for AttrStats {
@@ -37,7 +83,18 @@ impl Default for AttrStats {
             null_fraction: 1.0,
             max_fanout: 0,
             max_dup: 0,
+            counts: ValueCounts::default(),
+            through: Vec::new(),
         }
+    }
+}
+
+impl AttrStats {
+    /// The table seen through this reference field of `attr`, an
+    /// attribute of the referenced class.
+    pub fn through(&self, attr: AttrId) -> Option<&ValueCounts> {
+        let found = self.through.iter().find(|(a, _)| *a == attr);
+        found.map(|(_, counts)| counts)
     }
 }
 
@@ -101,35 +158,39 @@ impl DbStats {
 
     fn entity_stats(db: &Database, entity: EntityId) -> EntityStats {
         let rows = db.scan_raw(entity);
-        let n_fields = db.entity_field_types(entity).len();
         let cardinality = rows.len() as u64;
         let pages = db.num_pages(entity) as u64;
-        let mut attrs = Vec::with_capacity(n_fields);
-        for f in 0..n_fields {
-            let mut distinct: HashSet<&Value> = HashSet::new();
-            let mut dup: HashMap<&Value, u64> = HashMap::new();
+        let mut attrs = Vec::new();
+        for (f, ty) in db.entity_field_types(entity).iter().enumerate() {
+            let targets = Self::atomic_attrs_behind(db, ty);
+            let mut counts: HashMap<&Value, u64> = HashMap::new();
+            let mut through: Vec<HashMap<&Value, u64>> = vec![HashMap::new(); targets.len()];
             let mut members = 0u64;
             let mut nulls = 0u64;
-            let mut non_null = 0u64;
             let mut max_fanout = 0u64;
             for row in &rows {
-                match &row.values[f] {
-                    Value::Null => nulls += 1,
-                    v => {
-                        non_null += 1;
-                        let mut row_members = 0u64;
-                        for m in v.members() {
-                            distinct.insert(m);
-                            *dup.entry(m).or_insert(0) += 1;
-                            members += 1;
-                            row_members += 1;
+                if matches!(row.values[f], Value::Null) {
+                    nulls += 1;
+                    continue;
+                }
+                let held = row.values[f].members();
+                for m in held {
+                    *counts.entry(m).or_insert(0) += 1;
+                    let Value::Oid(o) = m else { continue };
+                    for (attr, seen) in targets.iter().zip(&mut through) {
+                        // A dangling oid points at no value: skipped.
+                        match db.attr_raw(*o, *attr) {
+                            Ok(Value::Null) | Err(_) => {}
+                            Ok(behind) => *seen.entry(behind).or_insert(0) += 1,
                         }
-                        max_fanout = max_fanout.max(row_members);
                     }
                 }
+                members += held.len() as u64;
+                max_fanout = max_fanout.max(held.len() as u64);
             }
+            let non_null = cardinality - nulls;
             attrs.push(AttrStats {
-                distinct: distinct.len() as u64,
+                distinct: counts.len() as u64,
                 avg_fanout: if non_null == 0 {
                     0.0
                 } else {
@@ -141,7 +202,16 @@ impl DbStats {
                     nulls as f64 / cardinality as f64
                 },
                 max_fanout,
-                max_dup: dup.values().copied().max().unwrap_or(0),
+                max_dup: counts.values().copied().max().unwrap_or(0),
+                counts: if ty.referenced_class().is_some() {
+                    ValueCounts::default()
+                } else {
+                    ValueCounts::of(counts)
+                },
+                through: targets
+                    .into_iter()
+                    .zip(through.into_iter().map(ValueCounts::of))
+                    .collect(),
             });
         }
         EntityStats {
@@ -149,6 +219,21 @@ impl DbStats {
             pages,
             attrs,
         }
+    }
+
+    /// The stored atomic attributes of the class a field of type `ty`
+    /// references (none when it references no class).
+    fn atomic_attrs_behind(db: &Database, ty: &ResolvedType) -> Vec<AttrId> {
+        let Some(class) = ty.referenced_class() else {
+            return Vec::new();
+        };
+        let attrs = db.catalog().class(class).attrs.iter().enumerate();
+        attrs
+            .filter(|(_, a)| {
+                a.kind == AttributeKind::Stored && matches!(a.ty, ResolvedType::Atomic(_))
+            })
+            .map(|(i, _)| AttrId(i as u16))
+            .collect()
     }
 
     /// Follow `attr` chains from every object of `class` until `Null`
@@ -160,11 +245,11 @@ impl DbStats {
         }
         // Build the successor table (by oid index; an object the entity
         // does not hold has no successor) without I/O accounting.
-        let entity = *db.physical().entities_of_class(class).first()?;
+        let (entity, slot) = db.physical().field_of(class, attr)?;
         let rows = db.scan_raw(entity);
         let mut succ: Vec<Option<u32>> = vec![None; n as usize];
         for row in &rows {
-            if let Value::Oid(o) = &row.values[attr.0 as usize] {
+            if let Some(Value::Oid(o)) = row.values.get(slot) {
                 succ[row.key as usize] = (o.class == class).then_some(o.index);
             }
         }
