@@ -12,7 +12,7 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "== benchmark/ still compiles against the public API it imports =="
 cargo check --offline --manifest-path benchmark/Cargo.toml
 
-echo "== one numbering, one output rule (a node map keyed by *const Pt outside oorq_pt::node_ids, or a second format!(\"{var}.{n}\") in pt/cost/analysis, fails) =="
+echo "== one numbering, one output rule (a node map keyed by *const Pt outside oorq_pt::node_ids, a second format!(\"{var}.{n}\") in pt/cost/analysis, or lint deriving columns itself, fails) =="
 nontest() { find "$@" -name '*.rs' ! -name 'tests.rs' ! -name '*_tests.rs'; }
 if awk 'FNR == 1 { keep = 0 }
     /^pub fn node_ids\(/ { keep = 1 }
@@ -25,6 +25,10 @@ fi
 rules=$(cat $(nontest crates/pt/src crates/cost/src crates/analysis/src) | grep -cF 'format!("{var}.{n}")' || true)
 if [ "$rules" -ne 1 ]; then
     echo "the qualified-column rule is stated $rules times; oorq_pt::resolve states it once" >&2
+    exit 1
+fi
+if grep -nF -e 'output_columns(' -e "rsplit('.')" $(nontest crates/lint/src); then
+    echo "the plan lint derives columns or a temporary's shape itself: read oorq_pt::resolve_each" >&2
     exit 1
 fi
 

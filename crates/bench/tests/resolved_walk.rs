@@ -5,10 +5,11 @@
 //! predicted-vs-observed tables, the AB001–AB003 interval contract, the
 //! drift join — are joins on the pre-order id of a PT node. This suite
 //! holds every consumer of `oorq_pt::resolve` (the cost model, the
-//! analyzer, lowering), the positional helpers (`node_ids`,
-//! `fix_recursive_nodes`, `dead_columns`) and `Pt::output_columns` to one
-//! numbering and one shape, over every corpus row under three strategies
-//! and over the plan-mutation fuzzer's mutants.
+//! analyzer, lowering, the plan lint's `resolve_each`), the positional
+//! helpers (`node_ids`, `subtrees`, `fix_recursive_nodes`,
+//! `dead_columns`) and `Pt::output_columns` to one numbering and one
+//! shape, over every corpus row under three strategies and over the
+//! plan-mutation fuzzer's mutants.
 
 use std::collections::HashSet;
 
@@ -19,8 +20,10 @@ use oorq_bench::Knobs;
 use oorq_core::OptimizerConfig;
 use oorq_cost::CostParams;
 use oorq_exec::is_parallel_wrapper;
+use oorq_lint::verify_pt;
 use oorq_pt::{
-    fix_recursive_nodes, lower_with, node_ids, resolve, subtrees, NodeOp, ParallelSpec, Pt,
+    fix_recursive_nodes, lower_with, node_ids, resolve, resolve_each, subtrees, NodeOp,
+    ParallelSpec, Pt,
 };
 use oorq_query::Expr;
 
@@ -30,6 +33,13 @@ fn check(name: &str, s: &Scenario, pt: &Pt, temps: &TempFields, spec: &ParallelS
     let plan = resolve(catalog, physical, temps, pt).unwrap_or_else(|e| panic!("{name}: {e}"));
     let order = pt.preorder();
     assert_eq!((plan.len(), order.len()), (pt.size(), pt.size()), "{name}");
+    // The walk the plan lint reads, past failures, is the same walk.
+    let each = resolve_each(catalog, physical, temps, &order);
+    let each: Vec<_> = each.into_iter().map(|n| n.and_then(Result::ok)).collect();
+    assert!(
+        each.into_iter().eq(plan.iter().cloned().map(Some)),
+        "{name}"
+    );
 
     // The positional helpers: `node_ids`, the pattern engine's listing
     // (what the fuzzer addresses a mutation by) and `fix_recursive_nodes`.
@@ -197,6 +207,10 @@ fn every_pass_numbers_and_shapes_the_fuzzers_mutants_alike() {
         let temps = TempFields::new();
         if resolve(s.db.catalog(), s.db.physical(), &temps, &m.pt).is_err() {
             assert!(s.analyze(&m.pt, temps.clone()).is_err(), "{name}");
+            assert!(
+                !verify_pt(&s.env(temps.clone()), &m.pt).is_clean(),
+                "{name}"
+            );
             assert!(
                 lower_with(&s.env(temps), &m.pt, &ParallelSpec::new()).is_err(),
                 "{name}"

@@ -318,28 +318,11 @@ impl CostParams {
     /// stays dependency-free.
     pub fn parse_snapshot(src: &str) -> Result<Self, String> {
         let mut p = CostParams::default();
-        let mut section = String::new();
-        for (lineno, raw) in src.lines().enumerate() {
-            let line = raw.split('#').next().unwrap_or("").trim();
-            if line.is_empty() {
+        for line in snapshot_lines(src) {
+            let (lineno, section, Some((key, value))) = line? else {
                 continue;
-            }
-            if let Some(name) = line.strip_prefix('[').and_then(|l| l.strip_suffix(']')) {
-                section = name.trim().to_string();
-                continue;
-            }
-            let (key, value) = line
-                .split_once('=')
-                .ok_or_else(|| format!("line {}: expected `key = value`", lineno + 1))?;
-            let key = key.trim();
-            let value: f64 = value
-                .trim()
-                .parse()
-                .map_err(|e| format!("line {}: bad number: {e}", lineno + 1))?;
-            if !value.is_finite() {
-                return Err(format!("line {}: non-finite value", lineno + 1));
-            }
-            match (section.as_str(), key) {
+            };
+            match (section, key) {
                 ("", "pr") => p.pr = value,
                 ("", "ev") => p.ev = value,
                 ("", "buffer_frames") => p.buffer_frames = value as u64,
@@ -356,13 +339,8 @@ impl CostParams {
                 ("weights", "eval") => p.weights.eval = value,
                 ("weights", "method") => p.weights.method = value,
                 (s, k) => {
-                    return Err(format!(
-                        "line {}: unknown key `{}{}{}`",
-                        lineno + 1,
-                        s,
-                        if s.is_empty() { "" } else { "." },
-                        k
-                    ))
+                    let dot = if s.is_empty() { "" } else { "." };
+                    return Err(format!("line {lineno}: unknown key `{s}{dot}{k}`"));
                 }
             }
         }
@@ -412,4 +390,40 @@ impl CostParams {
             w.method,
         )
     }
+}
+
+/// One line of a cost snapshot: its number, the section it is in (`""`
+/// before any header) and, unless it is the `[section]` header, its
+/// `key = value` entry.
+pub(crate) type SnapshotLine<'a> = (usize, &'a str, Option<(&'a str, f64)>);
+
+/// The lines of a snapshot (`calibrated.toml`, `fix_profiles.toml`): a
+/// deliberately tiny subset of TOML, so the workspace stays
+/// dependency-free. `#` comments and blank lines are skipped, a value
+/// must be a finite number, and an error names its line.
+pub(crate) fn snapshot_lines(src: &str) -> impl Iterator<Item = Result<SnapshotLine<'_>, String>> {
+    fn entry(line: &str) -> Result<(&str, f64), String> {
+        let (key, value) = line.split_once('=').ok_or("expected `key = value`")?;
+        let value: f64 = value
+            .trim()
+            .parse()
+            .map_err(|e| format!("bad number: {e}"))?;
+        if !value.is_finite() {
+            return Err("non-finite value".into());
+        }
+        Ok((key.trim(), value))
+    }
+    let mut section = "";
+    src.lines().zip(1..).filter_map(move |(raw, lineno)| {
+        let line = raw.split('#').next().unwrap_or("").trim();
+        if line.is_empty() {
+            return None;
+        }
+        if let Some(name) = line.strip_prefix('[').and_then(|l| l.strip_suffix(']')) {
+            section = name.trim();
+            return Some(Ok((lineno, section, None)));
+        }
+        let entry = entry(line).map_err(|e| format!("line {lineno}: {e}"));
+        Some(entry.map(|entry| (lineno, section, Some(entry))))
+    })
 }

@@ -15,6 +15,8 @@
 
 use std::collections::BTreeMap;
 
+use crate::params::snapshot_lines;
+
 /// A fitted delta-size curve for one (scenario, temporary) fixpoint:
 /// everything the estimator needs to model the semi-naive iteration
 /// structure is expressed *relative* to quantities it can compute
@@ -176,51 +178,26 @@ impl FixProfiles {
     /// line-numbered errors.
     pub fn parse(src: &str) -> Result<FixProfiles, String> {
         let mut out = FixProfiles::default();
-        let mut section: Option<(String, FixProfile)> = None;
-        let flush = |section: &mut Option<(String, FixProfile)>, out: &mut FixProfiles| {
-            if let Some((key, p)) = section.take() {
-                out.entries.insert(key, p);
-            }
-        };
-        for (lineno, raw) in src.lines().enumerate() {
-            let line = raw.split('#').next().unwrap_or("").trim();
-            if line.is_empty() {
-                continue;
-            }
-            if let Some(name) = line.strip_prefix('[').and_then(|l| l.strip_suffix(']')) {
-                flush(&mut section, &mut out);
-                let name = name.trim();
-                if name.is_empty() {
-                    return Err(format!("line {}: empty section name", lineno + 1));
+        for line in snapshot_lines(src) {
+            let (lineno, section, entry) = line?;
+            let Some((key, value)) = entry else {
+                if section.is_empty() {
+                    return Err(format!("line {lineno}: empty section name"));
                 }
-                section = Some((
-                    name.to_string(),
-                    FixProfile {
-                        iterations: 1.0,
-                        iters_per_depth: 1.0,
-                        seed_scale: 1.0,
-                        decay: 1.0,
-                        mass: 0.0,
-                        mass_scale: 0.0,
-                    },
-                ));
+                let flat = FixProfile {
+                    iterations: 1.0,
+                    iters_per_depth: 1.0,
+                    seed_scale: 1.0,
+                    decay: 1.0,
+                    mass: 0.0,
+                    mass_scale: 0.0,
+                };
+                out.entries.insert(section.to_string(), flat);
                 continue;
-            }
-            let (key, value) = line
-                .split_once('=')
-                .ok_or_else(|| format!("line {}: expected `key = value`", lineno + 1))?;
-            let key = key.trim();
-            let value: f64 = value
-                .trim()
-                .parse()
-                .map_err(|e| format!("line {}: bad number: {e}", lineno + 1))?;
-            if !value.is_finite() {
-                return Err(format!("line {}: non-finite value", lineno + 1));
-            }
-            let Some((_, p)) = section.as_mut() else {
+            };
+            let Some(p) = out.entries.get_mut(section) else {
                 return Err(format!(
-                    "line {}: `{key}` outside a [scenario/temp] section",
-                    lineno + 1
+                    "line {lineno}: `{key}` outside a [scenario/temp] section"
                 ));
             };
             match key {
@@ -230,10 +207,9 @@ impl FixProfiles {
                 "decay" => p.decay = value,
                 "mass" => p.mass = value,
                 "mass_scale" => p.mass_scale = value,
-                k => return Err(format!("line {}: unknown key `{k}`", lineno + 1)),
+                k => return Err(format!("line {lineno}: unknown key `{k}`")),
             }
         }
-        flush(&mut section, &mut out);
         Ok(out)
     }
 

@@ -3,6 +3,7 @@
 use std::fmt;
 
 use oorq_query::QueryError;
+use oorq_storage::EntityId;
 
 /// Errors raised while manipulating processing trees.
 #[derive(Debug, Clone, PartialEq)]
@@ -14,6 +15,8 @@ pub enum PtError {
         /// The node's arity.
         arity: usize,
     },
+    /// An `Entity` leaf names an id the physical schema does not hold.
+    UnknownEntity(EntityId),
     /// A temporary was referenced through an `Entity` leaf.
     TempAsEntity(String),
     /// A `Temp` leaf references an unregistered temporary.
@@ -45,8 +48,11 @@ impl fmt::Display for PtError {
             PtError::BadPath { index, arity } => {
                 write!(f, "child index {index} out of range (arity {arity})")
             }
+            PtError::UnknownEntity(id) => {
+                write!(f, "entity id #{} is not in the physical schema", id.0)
+            }
             PtError::TempAsEntity(n) => write!(f, "temporary `{n}` used as an entity leaf"),
-            PtError::UnknownTemp(n) => write!(f, "unknown temporary `{n}`"),
+            PtError::UnknownTemp(n) => write!(f, "temporary `{n}` is not defined in this scope"),
             PtError::NotAReference(a) => {
                 write!(f, "attribute `{a}` does not reference a class")
             }

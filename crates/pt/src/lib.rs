@@ -28,7 +28,7 @@ pub use phys::{
     lit_value, lower, lower_with, merge_leg_ok, node_ids, node_op, rescannable, IndexProbe, NodeOp,
     OpKind, OpMeta, ParallelSpec, PhysOp, PhysPlan,
 };
-pub use resolved::{resolve, Cols, Node};
+pub use resolved::{resolve, resolve_each, Cols, Node};
 
 #[cfg(test)]
 mod tests;

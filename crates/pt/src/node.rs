@@ -19,7 +19,7 @@ use std::fmt;
 
 use oorq_query::{bind_path, expr_type, Expr};
 use oorq_schema::{AttrId, Catalog, ClassId, ResolvedType};
-use oorq_storage::{EntityId, EntitySource, IndexId, IndexKindDesc, PhysicalSchema};
+use oorq_storage::{EntityDesc, EntityId, EntitySource, IndexId, IndexKindDesc, PhysicalSchema};
 
 use crate::error::PtError;
 use crate::fingerprint::Fnv64;
@@ -83,7 +83,7 @@ impl IjStep {
         target: &Pt,
     ) -> Result<ClassId, PtError> {
         let of_leaf = match target {
-            Pt::Entity { id, .. } => match physical.entity(*id).source {
+            Pt::Entity { id, .. } => match entity_desc(physical, *id)?.source {
                 EntitySource::Class(c) => Some(c),
                 _ => None,
             },
@@ -96,6 +96,12 @@ impl IjStep {
             })
             .ok_or_else(|| PtError::NotAReference(self.name.clone()))
     }
+}
+
+/// The physical schema's entry for an entity leaf's id.
+pub(crate) fn entity_desc(physical: &PhysicalSchema, id: EntityId) -> Result<&EntityDesc, PtError> {
+    let desc = physical.entities().get(id.0 as usize);
+    desc.ok_or(PtError::UnknownEntity(id))
 }
 
 /// Classes bound by the outputs of a `PIJ` over `index`: output `i`

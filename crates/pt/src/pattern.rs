@@ -295,20 +295,19 @@ fn combine(a: Vec<Bindings>, b: Vec<Bindings>) -> Vec<Bindings> {
     out
 }
 
-/// All subtrees with their child-index paths (pre-order; includes the
-/// root with the empty path).
+/// All subtrees with their child-index paths, indexed by pre-order id
+/// ([`Pt::preorder`]; the root has the empty path).
 pub fn subtrees(pt: &Pt) -> Vec<(Vec<usize>, &Pt)> {
-    let mut out = Vec::new();
-    fn walk<'a>(pt: &'a Pt, path: &mut Vec<usize>, out: &mut Vec<(Vec<usize>, &'a Pt)>) {
-        out.push((path.clone(), pt));
-        for (i, c) in pt.children().into_iter().enumerate() {
-            path.push(i);
-            walk(c, path, out);
-            path.pop();
+    let order = pt.preorder();
+    let mut paths = vec![Vec::new(); order.len()];
+    // A parent's id precedes its children's, so its path is known first.
+    for id in 0..order.len() {
+        for (i, kid) in order.kids(id).enumerate() {
+            paths[kid] = [paths[id].as_slice(), &[i]].concat();
         }
     }
-    walk(pt, &mut Vec::new(), &mut out);
-    out
+    let nodes = (0..order.len()).map(|id| order.pt(id));
+    paths.into_iter().zip(nodes).collect()
 }
 
 /// The applicability constraint of a [`TransformAction`].

@@ -9,7 +9,9 @@
 //! temporaries in scope and output columns come with the node. Absorbed
 //! children (the leaf an index probe replaces, an implicit join's target,
 //! a fixpoint's body union) are nodes like any other, so a pass can mark
-//! or skip them.
+//! or skip them. The walk goes on past a node that fails: the plan lint
+//! reads every failure where it happened ([`resolve_each`]), every other
+//! pass the first one.
 
 use std::collections::HashMap;
 
@@ -17,7 +19,7 @@ use oorq_schema::{Catalog, ResolvedType};
 use oorq_storage::{EntitySource, PhysicalSchema};
 
 use crate::error::PtError;
-use crate::node::{pij_out_classes, type_of_column_expr, Preorder, Pt};
+use crate::node::{entity_desc, pij_out_classes, type_of_column_expr, Preorder, Pt};
 use crate::phys::{node_op_at, NodeOp};
 
 /// Named, typed columns: what a node hands up, or a temporary's shape.
@@ -39,7 +41,8 @@ pub struct Node<'p> {
 /// the shapes of temporaries defined outside the plan; a fixpoint's own
 /// temporary has its base leg's shape and is in scope for the recursive
 /// leg and everything walked after it (the accumulator stays
-/// materialized).
+/// materialized). All or nothing: the first failure of the walk
+/// ([`resolve_each`]) is the error.
 pub fn resolve<'p>(
     catalog: &'p Catalog,
     physical: &'p PhysicalSchema,
@@ -47,17 +50,27 @@ pub fn resolve<'p>(
     pt: &'p Pt,
 ) -> Result<Vec<Node<'p>>, PtError> {
     let order = pt.preorder();
-    let mut walk = Walk {
-        catalog,
-        physical,
-        temps,
-        order: &order,
-        defined: Vec::new(),
-        nodes: vec![None; order.len()],
-    };
+    let mut walk = Walk::new(catalog, physical, temps, &order);
     walk.go(0)?;
-    let nodes = walk.nodes.into_iter();
-    Ok(nodes.map(|n| n.expect("every child is walked")).collect())
+    let resolved = |n: Option<Result<_, _>>| n.and_then(Result::ok).expect("no node failed");
+    Ok(walk.nodes.into_iter().map(resolved).collect())
+}
+
+/// [`resolve`]'s walk over every node of `order`, past failures: a node
+/// that fails holds its error, its ancestors are left unresolved
+/// (`None`), and every other subtree is still resolved — a fixpoint's
+/// recursive leg too when its base leg failed (the temporary then has no
+/// columns), and the children of a fixpoint whose body is malformed.
+pub fn resolve_each<'p>(
+    catalog: &'p Catalog,
+    physical: &'p PhysicalSchema,
+    temps: &HashMap<String, Cols>,
+    order: &Preorder<'p>,
+) -> Vec<Option<Result<Node<'p>, PtError>>> {
+    let mut walk = Walk::new(catalog, physical, temps, order);
+    // Every failure stays under the node that failed.
+    let _ = walk.go(0);
+    walk.nodes
 }
 
 /// `fields` as the columns of a relation extent or temporary bound to
@@ -75,13 +88,31 @@ struct Walk<'e, 'p> {
     /// Temporaries of the fixpoints entered so far, innermost last: the
     /// name, and the base leg whose output is its shape.
     defined: Vec<(&'p str, usize)>,
-    nodes: Vec<Option<Node<'p>>>,
+    nodes: Vec<Option<Result<Node<'p>, PtError>>>,
 }
 
-impl<'p> Walk<'_, 'p> {
+impl<'e, 'p> Walk<'e, 'p> {
+    fn new(
+        catalog: &'p Catalog,
+        physical: &'p PhysicalSchema,
+        temps: &'e HashMap<String, Cols>,
+        order: &'e Preorder<'p>,
+    ) -> Self {
+        Walk {
+            catalog,
+            physical,
+            temps,
+            order,
+            defined: Vec::new(),
+            nodes: vec![None; order.len()],
+        }
+    }
+
     fn cols(&self, id: usize) -> &Cols {
-        let node = self.nodes[id].as_ref();
-        &node.expect("walked before it is read").cols
+        match &self.nodes[id] {
+            Some(Ok(node)) => &node.cols,
+            _ => unreachable!("a node's operands resolve before it"),
+        }
     }
 
     /// What node `id` executes as, its operands named by id.
@@ -90,38 +121,64 @@ impl<'p> Walk<'_, 'p> {
         node_op_at(self.catalog, self.physical, self.order.pt(id), at)
     }
 
-    /// Resolve the subtree at `id`, children first.
+    /// Resolve the subtree at `id`, children first; returns the first
+    /// failure in walk order. A node whose operand failed is left
+    /// unresolved, but its other operands are still walked.
     fn go(&mut self, id: usize) -> Result<(), PtError> {
-        let op = self.op(id)?;
-        if let NodeOp::FixPoint {
+        let op = self.op(id);
+        let kids = if let Ok(NodeOp::FixPoint {
             temp,
             base,
             rec,
             body,
-        } = op
+        }) = op
         {
             // The base leg first, whichever side it is on: the recursive
             // leg reads the shape it hands up. The body union is absorbed
             // — resolved, but its legs are walked from here.
-            self.go(base)?;
+            let base_walked = self.go(base);
             self.defined.push((temp, base));
-            self.go(rec)?;
-            self.put(body, self.op(body)?)?;
+            let legs = base_walked.and(self.go(rec));
+            legs.and_then(|()| self.op(body))
+                .and_then(|op| self.put(body, op))
         } else {
+            let mut walked = Ok(());
             for kid in self.order.kids(id) {
-                self.go(kid)?;
+                walked = walked.and(self.go(kid));
             }
+            walked
+        };
+        match op {
+            // A malformed fixpoint fails before its children do.
+            Err(e) => self.record(id, Err(e)),
+            Ok(op) => kids.and_then(|()| self.put(id, op)),
         }
-        self.put(id, op)
     }
 
-    /// Record node `id`, whose children are resolved, with the columns it
-    /// hands up: the one statement of what each operator outputs.
+    /// Record what the walk made of node `id`.
+    fn record(&mut self, id: usize, node: Result<Node<'p>, PtError>) -> Result<(), PtError> {
+        let walked = node.as_ref().map(|_| ()).map_err(Clone::clone);
+        self.nodes[id] = Some(node);
+        walked
+    }
+
+    /// Record node `id`, whose operands are resolved.
     fn put(&mut self, id: usize, op: NodeOp<'p, usize>) -> Result<(), PtError> {
+        let node = self.output(&op).map(|cols| Node {
+            size: self.order.size(id),
+            op,
+            cols,
+        });
+        self.record(id, node)
+    }
+
+    /// The columns a node whose operands are resolved hands up: the one
+    /// statement of what each operator outputs.
+    fn output(&self, op: &NodeOp<'p, usize>) -> Result<Cols, PtError> {
         let (catalog, physical) = (self.catalog, self.physical);
-        let cols = match &op {
+        Ok(match op {
             NodeOp::EntityScan { entity, var } => {
-                let desc = physical.entity(*entity);
+                let desc = entity_desc(physical, *entity)?;
                 match desc.source {
                     EntitySource::Class(c) => vec![(var.to_string(), ResolvedType::Object(c))],
                     EntitySource::Relation(r) => qualified(var, &catalog.relation(r).fields),
@@ -132,7 +189,11 @@ impl<'p> Walk<'_, 'p> {
             }
             NodeOp::TempScan { name, var } => {
                 let fields = match self.defined.iter().rev().find(|(n, _)| n == name) {
-                    Some(&(_, base)) => self.cols(base),
+                    // A base leg that failed leaves its temporary no columns.
+                    Some(&(_, base)) => match &self.nodes[base] {
+                        Some(Ok(base)) => base.cols.as_slice(),
+                        _ => &[],
+                    },
                     None => self
                         .temps
                         .get(*name)
@@ -176,9 +237,6 @@ impl<'p> Walk<'_, 'p> {
             | NodeOp::IndexJoin {
                 left, inner: right, ..
             } => [self.cols(*left).as_slice(), self.cols(*right)].concat(),
-        };
-        let size = self.order.size(id);
-        self.nodes[id] = Some(Node { size, op, cols });
-        Ok(())
+        })
     }
 }
