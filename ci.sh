@@ -54,6 +54,15 @@ if ! awk '$2 == "plan_regret" { seen++; if ($4 > 1.10) { print; bad = 1 } }
     exit 1
 fi
 
+echo "== per-operator wall time stays populated: every workload's exec.op.<kind>.rows above 0 has its exec.op.<kind>.wall_ns above 0 (whatever reads Executor::run's report, such as the traced replay, must not be sent through an unprofiled Executor::answer) =="
+if ! awk '$2 ~ /^exec\.op\.[^.]+\.rows$/ && $4 > 0 { k = $1 " " $2; sub(/\.rows$/, "", k); rows[k] = 1 }
+    $2 ~ /^exec\.op\.[^.]+\.wall_ns$/ && $4 > 0 { k = $1 " " $2; sub(/\.wall_ns$/, "", k); wall[k] = 1 }
+    END { for (k in rows) { seen++; if (!(k in wall)) { print k ".wall_ns"; bad = 1 } }
+        exit bad || !seen }' target/benchmark-quick.txt; then
+    echo "operators with rows but no wall time (printed above), or no operator rows reported" >&2
+    exit 1
+fi
+
 echo "== reproduce all vs the checked-in golden (every figure, byte for byte) =="
 $reproduce all | diff - reproduce_output.txt
 

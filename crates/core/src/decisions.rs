@@ -220,6 +220,9 @@ impl Decisions {
             c.parallel_cost,
             c.predicted_speedup()
         ));
+        if !self.obs.enabled() {
+            return;
+        }
         self.obs.event(
             "optimizer",
             "parallel-choice",
@@ -236,6 +239,9 @@ impl Decisions {
     /// The delta curve a fixpoint was costed under, and the cardinality
     /// hint its temporary got from it.
     pub(crate) fn fix_curve(&self, curve: &FixCurve, delta_hint: f64) {
+        if !self.obs.enabled() {
+            return;
+        }
         self.obs.event(
             "optimizer",
             "fix-curve",

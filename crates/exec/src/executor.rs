@@ -81,16 +81,18 @@ pub struct ExecReport {
     /// Method invocations performed.
     pub method_calls: u64,
     /// Per-operator observed counters of the last run (empty if it
-    /// failed).
+    /// failed or was [`Executor::answer`]ed).
     pub ops: Vec<OpReport>,
-    /// Per-fixpoint delta curves of the last run, if it completed: one entry
+    /// Per-fixpoint delta curves of the last run, if it completed through
+    /// [`Executor::run`]: one entry
     /// per fixpoint *opening* (keyed by pipeline operator id and PT
     /// node), each holding its delta sizes in iteration order (the seed
     /// delta first, then one entry per semi-naive iteration; the final
     /// entry is 0 when the fixpoint converged).
     pub fix_deltas: Vec<FixDeltaCurve>,
     /// Per-worker lanes of the last run's `Exchange`/`Merge` openings, if
-    /// it completed, in fork order (empty under serial execution).
+    /// it completed through [`Executor::run`], in fork order (empty under
+    /// serial execution).
     pub workers: Vec<WorkerLane>,
 }
 
@@ -146,7 +148,8 @@ pub struct Executor<'a> {
     /// This run's assignment: materializing `NlJoin` operator id → its
     /// backing temporary.
     nl_mats: HashMap<usize, EntityId>,
-    /// Per-operator reports of the last run (empty if it failed).
+    /// Per-operator reports of the last run (empty if it failed or was
+    /// answered).
     last_ops: Vec<OpReport>,
     /// Per-fixpoint delta curves of the last run.
     last_fix_deltas: Vec<FixDeltaCurve>,
@@ -236,7 +239,8 @@ impl<'a> Executor<'a> {
         self
     }
 
-    /// The lowered physical plan of the last run, if it completed.
+    /// The lowered physical plan of the last run, if it completed through
+    /// [`Executor::run`].
     pub fn last_plan(&self) -> Option<&PhysPlan> {
         self.last_plan.as_ref()
     }
@@ -258,7 +262,8 @@ impl<'a> Executor<'a> {
     }
 
     /// The resources consumed so far (per-operator counters, delta curves
-    /// and worker lanes cover the last run, and are empty if it failed).
+    /// and worker lanes cover the last run, and are empty if it failed or
+    /// was [`Executor::answer`]ed).
     pub fn report(&self) -> ExecReport {
         ExecReport {
             io: self.db.io_stats(),
@@ -276,11 +281,34 @@ impl<'a> Executor<'a> {
     /// In debug builds both the plan and its lowering are first checked
     /// against the static verifier: an ill-formed plan is rejected with
     /// [`ExecError::PlanLint`] before it can touch the store.
+    ///
+    /// Every operator is profiled: `report()` then holds the run's
+    /// per-operator counters and wall time, its delta curves and worker
+    /// lanes, and `last_plan()` its lowering.
     pub fn run(&mut self, pt: &Pt) -> Result<Batch, ExecError> {
+        self.run_with(pt, true)
+    }
+
+    /// Execute a plan for its answer alone: [`Executor::run`] without the
+    /// per-operator profile, which nobody reads — unless this executor
+    /// has an enabled recorder or metrics registry, whose operator spans
+    /// and `exec.op.*` series it then feeds as `run` does. The answer,
+    /// page I/O, `evals` and method calls are `run`'s; afterwards the
+    /// last-run parts of `report()` and `last_plan()` are empty, as after
+    /// a failed run. Debug builds verify the plan and its lowering as
+    /// `run` does, and check the static bounds only when profiling.
+    pub fn answer(&mut self, pt: &Pt) -> Result<Batch, ExecError> {
+        let profile = self.obs.enabled() || self.metrics.enabled();
+        let res = self.run_with(pt, profile);
+        self.forget_last_run();
+        res
+    }
+
+    fn run_with(&mut self, pt: &Pt, profile: bool) -> Result<Batch, ExecError> {
         let span = self.obs.begin("exec", "run");
         let wall0 = std::time::Instant::now();
         let evals0 = self.counters.evals.get();
-        let res = self.run_inner(pt);
+        let res = self.run_inner(pt, profile);
         if let Ok(batch) = &res {
             self.obs
                 .span_fields(span, vec![("rows".into(), batch.rows.len().into())]);
@@ -331,7 +359,7 @@ impl<'a> Executor<'a> {
         }
     }
 
-    fn run_inner(&mut self, pt: &Pt) -> Result<Batch, ExecError> {
+    fn run_inner(&mut self, pt: &Pt, profile: bool) -> Result<Batch, ExecError> {
         self.forget_last_run();
         #[cfg(debug_assertions)]
         self.verify(pt)?;
@@ -347,6 +375,7 @@ impl<'a> Executor<'a> {
             nl_mats: &self.nl_mats,
             max_fix_iterations: self.config.max_fix_iterations,
             obs: &self.obs,
+            profile,
         };
         // The run owns the store's page account until `io` is dropped, which
         // parks it again: on `Ok`, on `Err`, and when the pipeline unwinds.
@@ -365,7 +394,9 @@ impl<'a> Executor<'a> {
         self.last_workers = workers;
         self.last_plan = Some(plan);
         #[cfg(debug_assertions)]
-        self.assert_bounds(pt);
+        if profile {
+            self.assert_bounds(pt);
+        }
         if !deduplicated {
             rows.dedup();
         }

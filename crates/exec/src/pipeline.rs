@@ -11,14 +11,18 @@
 //! semi-naive fixpoint (accumulator and delta temporaries) and the inner
 //! of a nested loop over a non-rescannable subtree.
 //!
-//! Every `open`/`next_chunk` call that can do something is bracketed by
-//! snapshots of the run's page account, the CPU counters and a wall
-//! clock, accumulating *inclusive* per-operator figures; [`rollup`]
-//! subtracts each operator's children to yield the exclusive
-//! [`OpReport`]s that bench reports join against the cost model's
-//! per-node predictions. Two calls take no bracket, because they touch no
-//! page, evaluate nothing and hand up nothing: the `open` of a leaf scan
-//! (it takes a segment) and a `next_chunk` on a scan that has no page left.
+//! In a profiled run ([`Shared::profile`]) every `open`/`next_chunk` call
+//! that can do something is bracketed by snapshots of the run's page
+//! account, the CPU counters and a wall clock, accumulating *inclusive*
+//! per-operator figures; [`rollup`] subtracts each operator's children to
+//! yield the exclusive [`OpReport`]s that bench reports join against the
+//! cost model's per-node predictions. Two calls take no bracket, because
+//! they touch no page, evaluate nothing and hand up nothing: the `open` of
+//! a leaf scan (it takes a segment) and a `next_chunk` on a scan that has
+//! no page left. An unprofiled run takes no bracket at all and reports no
+//! operator; its page touches, `evals` and delta curves are the same,
+//! because the account and the counters are charged where the work is
+//! done, not by brackets.
 
 use std::cell::RefCell;
 use std::collections::{HashMap, HashSet};
@@ -165,6 +169,10 @@ pub(crate) struct Shared<'a> {
     pub max_fix_iterations: u32,
     /// Trace recorder (disabled by default; one branch per call then).
     pub obs: &'a oorq_obs::Recorder,
+    /// Whether operators are bracketed and reported. Off, `open` and
+    /// `next_chunk` go straight to the operator's work, and `execute`
+    /// returns no `OpReport`.
+    pub profile: bool,
 }
 
 /// Runtime of one pipeline execution on one thread.
@@ -214,8 +222,8 @@ struct Partition {
 }
 
 /// What one pipeline execution produced: rows (bag semantics — the
-/// caller deduplicates the answer), per-operator reports, and the
-/// per-fixpoint delta curves.
+/// caller deduplicates the answer), per-operator reports (none unless
+/// profiled), the per-fixpoint delta curves and the worker lanes.
 pub(crate) type ExecOutput = (
     Vec<Vec<Value>>,
     Vec<OpReport>,
@@ -236,9 +244,12 @@ pub(crate) fn execute(
     root.open(&rt)?;
     let rows = root.drain(&rt)?;
     drop(root);
-    let stats = rt.stats.into_inner();
-    let reports = rollup(plan, &stats);
-    record_op_spans(shared.obs, &reports, &stats);
+    let mut reports = Vec::new();
+    if shared.profile {
+        let stats = rt.stats.into_inner();
+        reports = rollup(plan, &stats);
+        record_op_spans(shared.obs, &reports, &stats);
+    }
     Ok((
         rows,
         reports,
@@ -715,6 +726,7 @@ impl<'a> Rt<'a> {
             first_ns: u64::MAX,
             ..OpStats::default()
         };
+        let ops_len = if shared.profile { ops_len } else { 0 };
         Rt {
             shared,
             io,
@@ -959,11 +971,15 @@ impl<'a> Rt<'a> {
 }
 
 impl OpExec<'_> {
-    /// (Re)open the operator. One bracket — clock, I/O and CPU snapshots,
-    /// the stats borrow — unless the operator is a leaf scan, whose open
-    /// can do nothing a bracket would record and is only counted.
+    /// (Re)open the operator. In a profiled run one bracket — clock, I/O
+    /// and CPU snapshots, the stats borrow — unless the operator is a leaf
+    /// scan, whose open can do nothing a bracket would record and is only
+    /// counted.
     fn open(&mut self, rt: &Rt<'_>) -> Result<(), ExecError> {
         self.input = Cursor::default();
+        if !rt.profile {
+            return self.open_inner(rt);
+        }
         let id = self.op.meta().id;
         if matches!(self.op, PhysOp::EntityScan { .. } | PhysOp::TempScan { .. }) {
             rt.count_open(id);
@@ -976,14 +992,18 @@ impl OpExec<'_> {
     }
 
     /// The next run of rows, `None` once exhausted (and again on every
-    /// later call). One bracket is paid per call, except by a scan — a
-    /// leaf's, or a fixpoint's read-back — that has no page left: it let
-    /// go of its segment with its last page and answers `None` as it is.
+    /// later call). A profiled run pays one bracket per call, except by a
+    /// scan — a leaf's, or a fixpoint's read-back — that has no page left:
+    /// it let go of its segment with its last page and answers `None` as
+    /// it is.
     fn next_chunk(&mut self, rt: &Rt<'_>) -> Result<Option<Chunk>, ExecError> {
         if let St::Scan { scan, .. } = &self.st {
             if scan.as_ref().is_none_or(PageScan::is_done) {
                 return Ok(None);
             }
+        }
+        if !rt.profile {
+            return self.next_inner(rt);
         }
         let snap = rt.snap();
         let res = self.next_inner(rt);
@@ -1105,17 +1125,19 @@ impl OpExec<'_> {
                 let note_delta = |iteration: u32| {
                     let delta_rows = rt.db.entity_len(delta_e) as u64;
                     rt.fix_deltas.borrow_mut()[curve].deltas.push(delta_rows);
-                    rt.obs.event(
-                        "exec",
-                        "fix-iteration",
-                        vec![
-                            ("temp".into(), temp.as_str().into()),
-                            ("op_id".into(), meta.id.into()),
-                            ("pt_node".into(), meta.pt_node.into()),
-                            ("iteration".into(), iteration.into()),
-                            ("delta_rows".into(), delta_rows.into()),
-                        ],
-                    );
+                    if rt.obs.enabled() {
+                        rt.obs.event(
+                            "exec",
+                            "fix-iteration",
+                            vec![
+                                ("temp".into(), temp.as_str().into()),
+                                ("op_id".into(), meta.id.into()),
+                                ("pt_node".into(), meta.pt_node.into()),
+                                ("iteration".into(), iteration.into()),
+                                ("delta_rows".into(), delta_rows.into()),
+                            ],
+                        );
+                    }
                 };
                 // The rows not derived before go to the accumulator and
                 // the delta side by side, so the two temporaries' page

@@ -352,9 +352,9 @@ fn fixpoint_then_selection_matches_reference_evaluator() {
     assert!(got.is_empty());
 }
 
-#[test]
-fn fig3_with_reachable_generation_matches_reference() {
-    let mut m = MusicDb::generate(
+/// Music data whose chains reach the third generation.
+fn fig3_music() -> MusicDb {
+    MusicDb::generate(
         Arc::new(music_catalog()),
         MusicConfig {
             chains: 2,
@@ -362,7 +362,32 @@ fn fig3_with_reachable_generation_matches_reference() {
             harpsichord_fraction: 0.6,
             ..Default::default()
         },
-    );
+    )
+}
+
+/// Like Figure 3 but `gen >= 3`, so the answer is non-empty.
+fn fig3_plan(m: &MusicDb) -> Pt {
+    Pt::proj(
+        vec![("name".into(), Expr::path("i", &["disciple", "name"]))],
+        Pt::sel(
+            Expr::path("i", &["master", "works", "instruments", "name"])
+                .eq(Expr::text("harpsichord"))
+                .and(Expr::path("i", &["gen"]).ge(Expr::int(3))),
+            Pt::proj(
+                vec![
+                    ("i.master".into(), Expr::var("master")),
+                    ("i.disciple".into(), Expr::var("disciple")),
+                    ("i.gen".into(), Expr::var("gen")),
+                ],
+                influencer_fix(m),
+            ),
+        ),
+    )
+}
+
+#[test]
+fn fig3_with_reachable_generation_matches_reference() {
+    let mut m = fig3_music();
     let cat = m.db.catalog_rc();
     // Like Figure 3 but gen >= 3 so the answer is non-empty.
     let influencer = cat.relation_by_name("Influencer").unwrap();
@@ -385,23 +410,7 @@ fn fig3_with_reachable_generation_matches_reference() {
     let reference = eval_query_graph(&m.db, &methods, &q).unwrap();
     assert!(!reference.is_empty(), "some disciples qualify");
 
-    let fix = influencer_fix(&m);
-    let plan = Pt::proj(
-        vec![("name".into(), Expr::path("i", &["disciple", "name"]))],
-        Pt::sel(
-            Expr::path("i", &["master", "works", "instruments", "name"])
-                .eq(Expr::text("harpsichord"))
-                .and(Expr::path("i", &["gen"]).ge(Expr::int(3))),
-            Pt::proj(
-                vec![
-                    ("i.master".into(), Expr::var("master")),
-                    ("i.disciple".into(), Expr::var("disciple")),
-                    ("i.gen".into(), Expr::var("gen")),
-                ],
-                fix,
-            ),
-        ),
-    );
+    let plan = fig3_plan(&m);
     let idx = IndexSet::new();
     let mut ex = Executor::new(&mut m.db, &idx, &methods);
     let got = ex.run(&plan).unwrap();
@@ -410,6 +419,67 @@ fn fig3_with_reachable_generation_matches_reference() {
     a.sort();
     b.sort();
     assert_eq!(a, b, "PT execution must match the reference semantics");
+}
+
+/// Run or answer the Figure 3 plan on fresh data through an executor that
+/// `attach` gave a reader, and hand back what the reader saw. `answer`
+/// leaves no report either way.
+fn fig3_read<T>(
+    answer: bool,
+    attach: impl FnOnce(Executor<'_>) -> Executor<'_>,
+    read: impl FnOnce() -> T,
+) -> T {
+    let mut m = fig3_music();
+    let plan = fig3_plan(&m);
+    let (idx, methods) = (IndexSet::new(), MethodRegistry::new());
+    let mut ex = attach(Executor::new(&mut m.db, &idx, &methods));
+    let out = if answer {
+        ex.answer(&plan)
+    } else {
+        ex.run(&plan)
+    };
+    assert!(!out.unwrap().is_empty());
+    assert_eq!(ex.report().ops.is_empty(), answer);
+    read()
+}
+
+/// An attached recorder is a reader: `answer` then profiles, and emits the
+/// operator spans `run` emits.
+#[test]
+fn answer_under_a_recorder_emits_runs_operator_spans() {
+    let spans = |answer| {
+        let rec = oorq_obs::Recorder::new();
+        let trace = fig3_read(answer, |ex| ex.with_recorder(rec.clone()), || rec.finish());
+        let rows_out = |s: &oorq_obs::Span| s.field("rows_out")?.as_num();
+        let ops = trace.spans.iter().filter(|s| s.cat == "exec");
+        ops.filter_map(|s| Some((s.name.clone(), rows_out(s)? as u64)))
+            .collect::<Vec<_>>()
+    };
+    let run = spans(false);
+    assert!(
+        run.iter().any(|(name, _)| name.starts_with("Fix(")),
+        "{run:?}"
+    );
+    assert_eq!(spans(true), run);
+}
+
+/// An attached metrics registry is a reader: `answer` then profiles, and
+/// publishes the `exec.op.<kind>.rows` series `run` publishes.
+#[test]
+fn answer_under_a_registry_publishes_runs_operator_series() {
+    let series = |answer| {
+        let reg = oorq_obs::MetricsRegistry::new();
+        let snap = fig3_read(answer, |ex| ex.with_metrics(reg.clone()), || reg.snapshot());
+        let rows = snap.histograms.into_iter();
+        rows.filter(|(name, _)| name.starts_with("exec.op.") && name.ends_with(".rows"))
+            .collect::<Vec<_>>()
+    };
+    let run = series(false);
+    assert!(
+        run.iter().any(|(name, _)| name == "exec.op.Fix.rows"),
+        "{run:?}"
+    );
+    assert_eq!(series(true), run);
 }
 
 #[test]

@@ -15,11 +15,13 @@
 //! entirely (the stored text is re-verified, so a hash collision can
 //! only cost a miss, never serve a wrong plan), and a miss optimizes
 //! once and publishes the plan for every session. Invalidation is
-//! driven by the CX00x drift lints: after each execution the cached
-//! plan's predicted per-node breakdown is joined against the observed
-//! operator counters; when the drift lints fire, the entry is evicted,
-//! the server's statistics are recalibrated from the live data, and the
-//! next request re-optimizes under the fresh statistics.
+//! driven by the CX00x drift lints: after a miss's execution — the
+//! plan's validation run — the cached plan's predicted per-node
+//! breakdown is joined against the observed operator counters; when the
+//! drift lints fire, the entry is evicted, the server's statistics are
+//! recalibrated from the live data, and the next request re-optimizes
+//! under the fresh statistics. A hit reads no operator counter, so it
+//! executes through [`Executor::answer`], which takes none.
 
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -196,8 +198,9 @@ impl Server {
     /// The shared metric registry: the `serve.*` series and the
     /// `storage.*` counters of every session's page account. The `exec.*`
     /// series are *not* here: a session's executor runs without a
-    /// registry (its per-operator counters reach the caller through the
-    /// run's `ExecReport`).
+    /// registry, and no session hands out its `ExecReport` — a miss's
+    /// operator counters feed the drift check and go no further, and a
+    /// hit collects none.
     pub fn metrics(&self) -> &MetricsRegistry {
         &self.metrics
     }
@@ -391,10 +394,15 @@ impl<'s> Session<'s> {
             .with_config(self.exec.clone())
             .with_parallel(plan.parallel.clone())
             .with_state(state);
-        let res = ex.run(&plan.pt);
-        // Only the drift check below reads the operators' counters.
+        // Only the drift check below reads the operators' counters, and
+        // only on a miss: a hit runs its plan unprofiled.
         let miss = outcome == CacheOutcome::Miss;
-        let ops = if miss { ex.report().ops } else { Vec::new() };
+        let (res, ops) = if miss {
+            let res = ex.run(&plan.pt);
+            (res, ex.report().ops)
+        } else {
+            (ex.answer(&plan.pt), Vec::new())
+        };
         self.state = ex.into_state();
         let batch = match res {
             Ok(batch) => batch,

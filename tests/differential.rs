@@ -3,13 +3,15 @@
 //! parts BOM, relational chain joins) across seeded PRNG sizes. Each
 //! case asserts the result sets are identical and — for recursive
 //! queries — that the semi-naive fixpoint converged (a bounded number
-//! of delta scans, observed through the per-operator counters).
+//! of delta scans, observed through the per-operator counters) — and
+//! that `Executor::answer` of the same plan is the same run without its
+//! per-operator report.
 
 use std::collections::{HashMap, HashSet};
 
 use oorq::cost::{CostParams, NodeCost, OpKind};
 use oorq::datagen::{ChainConfig, MusicConfig, PartsConfig};
-use oorq::exec::eval_query_graph;
+use oorq::exec::{eval_query_graph, Executor};
 use oorq::optimizer::OptimizerConfig;
 use oorq::pt::{AccessMethod, JoinAlgo, ParallelSpec, Pt};
 use oorq::query::{Expr, NameRef, QArc, QueryGraph, SpjNode};
@@ -26,9 +28,10 @@ fn knobs() -> Knobs {
 }
 
 /// Optimize under the given config, stream the plan, and compare
-/// against the (pre-computed, sorted) reference answer. Returns the
-/// per-operator reports of the streaming run so callers can assert on
-/// counters.
+/// against the (pre-computed, sorted) reference answer; then answer the
+/// same plan unprofiled over a fresh copy of the store, which must be
+/// the streaming run without its report. Returns the per-operator
+/// reports of the streaming run so callers can assert on counters.
 fn diff_one(
     s: &mut Scenario,
     q: &QueryGraph,
@@ -36,9 +39,30 @@ fn diff_one(
     config: OptimizerConfig,
     label: &str,
 ) -> Vec<oorq::exec::OpReport> {
+    // Copied before the run creates its temporaries, so the unprofiled
+    // run creates the same ones. A copy's page account starts empty, as
+    // the run's does after `cold_cache`, so both reports' `io` is the
+    // one execution's.
+    let mut copy = s.db.snapshot();
+    let knobs = knobs();
     let run = s
-        .run(q, config, &knobs())
+        .run(q, config, &knobs)
         .unwrap_or_else(|e| panic!("{label}: {e}"));
+
+    let mut ex = Executor::new(&mut copy, &s.idx, &s.methods).with_config(knobs.exec.clone());
+    let answered = ex
+        .answer(&run.optimized.pt)
+        .unwrap_or_else(|e| panic!("{label}: answer: {e}"));
+    let report = ex.report();
+    assert_eq!(run.answer.rows, answered.rows, "{label}: answer's rows");
+    assert_eq!(
+        (run.report.io, run.report.evals, run.report.method_calls),
+        (report.io, report.evals, report.method_calls),
+        "{label}: answer's I/O, evals and method calls"
+    );
+    assert!(report.ops.is_empty(), "{label}: answer reports no operator");
+    assert!(ex.last_plan().is_none(), "{label}: answer keeps no plan");
+
     let mut b = run.answer.rows;
     b.sort();
     assert_eq!(
