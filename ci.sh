@@ -42,7 +42,7 @@ echo "== benchmark, quick: OQL text in, answer bytes out through oorq-serve (wro
 benchmark/run.sh --quick >target/benchmark-quick.txt
 
 echo "== the quick benchmark's exact counts vs crates/bench/benchmark_counts.txt (a plan, counter, page touch, row count or optimizer decision moved) =="
-counts='sim_io_pages_per_query|plan_regret|exec\.query\.evals|storage\.page_hits|storage\.page_misses|index\.reads|exec\.fix\.iterations|storage\.page_evictions|storage\.page_writes|storage\.spill_evictions|storage\.temp_page_reads|exec\.query\.rows|exec\.op\.scan\.rows|exec\.op\.EJ\.rows|exec\.op\.Proj\.rows|exec\.op\.Fix\.rows|exec\.op\.Sel\.rows|exec\.op\.IJ\.rows|exec\.op\.PIJ\.rows|optimizer\.candidates\.(enumerated|accepted|rejected|pruned|pruned_proven)|optimizer\.push_decisions|optimizer\.plan_nodes|cost\.calls_per_optimize'
+counts='sim_io_pages_per_query|plan_regret|exec\.query\.evals|storage\.page_hits|storage\.page_misses|index\.reads|exec\.fix\.iterations|exec\.fix\.delta_mass|storage\.page_evictions|storage\.page_writes|storage\.spill_evictions|storage\.temp_page_reads|exec\.query\.rows|exec\.op\.scan\.rows|exec\.op\.EJ\.rows|exec\.op\.Proj\.rows|exec\.op\.Fix\.rows|exec\.op\.Sel\.rows|exec\.op\.IJ\.rows|exec\.op\.PIJ\.rows|optimizer\.candidates\.(enumerated|accepted|rejected|pruned|pruned_proven)|optimizer\.push_decisions|optimizer\.plan_nodes|cost\.calls_per_optimize'
 grep -E "^(warm-recursive|cold-adhoc|spill-closure) ($counts) " target/benchmark-quick.txt |
     cut -d' ' -f1-4 >target/benchmark-counts.txt
 grep -v '^#' crates/bench/benchmark_counts.txt | diff - target/benchmark-counts.txt

@@ -3,7 +3,6 @@
 use std::borrow::Cow;
 use std::cell::{Cell, RefCell};
 use std::cmp::Ordering;
-use std::collections::HashSet;
 
 use oorq_pt::lit_value;
 use oorq_query::{bind_path, CmpOp, Expr};
@@ -12,6 +11,7 @@ use oorq_storage::{Account, Database, Oid, Value};
 
 use crate::error::ExecError;
 use crate::methods::MethodRegistry;
+use crate::rowset::RowSet;
 
 /// A materialized stream of binding rows with named columns.
 #[derive(Debug, Clone, PartialEq)]
@@ -48,8 +48,8 @@ impl Batch {
 
     /// Remove duplicate rows, preserving first occurrence order.
     pub fn dedup(&mut self) {
-        let mut seen = HashSet::new();
-        self.rows.retain(|r| seen.insert(r.clone()));
+        let mut seen = RowSet::default();
+        self.rows.retain(|r| seen.insert(r));
     }
 
     /// Reorder the columns of `other` to match `self`'s column order.

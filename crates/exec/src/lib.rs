@@ -23,6 +23,7 @@ mod explain;
 mod methods;
 mod pipeline;
 mod reference;
+mod rowset;
 
 pub use error::ExecError;
 pub use eval::Batch;

@@ -25,7 +25,7 @@
 //! done, not by brackets.
 
 use std::cell::RefCell;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::time::Instant;
 
 use oorq_index::IndexSet;
@@ -37,6 +37,7 @@ use oorq_storage::{
 use crate::error::ExecError;
 use crate::eval::{Bound, Counters, EvalCtx, Probe, RowRef};
 use crate::methods::MethodRegistry;
+use crate::rowset::RowSet;
 
 /// Observed per-operator counters of one execution (exclusive: each
 /// operator's own work, children subtracted).
@@ -441,7 +442,7 @@ enum St {
     /// when no row can come twice.
     Project {
         exprs: Vec<Bound>,
-        seen: Option<HashSet<Vec<Value>>>,
+        seen: Option<RowSet>,
     },
     /// IJ, PIJ: the oid-valued expression followed per input row.
     Deref(Bound),
@@ -528,7 +529,7 @@ fn build<'p>(op: &'p PhysOp, temps: &Temps, downstream_touches: bool) -> OpExec<
                     .any(|e| matches!(e, Bound::Slot(s) if *s == col))
             };
             let distinct = is_set(input) && (0..cols.len()).all(kept);
-            let seen = (!distinct).then(HashSet::new);
+            let seen = (!distinct).then(RowSet::default);
             St::Project { exprs, seen }
         }
         PhysOp::IjDeref { on, input, .. } | PhysOp::PijLookup { on, input, .. } => {
@@ -1055,7 +1056,7 @@ impl OpExec<'_> {
                 kids[0].open(rt)
             }
             (PhysOp::Project { .. }, St::Project { seen, .. }) => {
-                seen.iter_mut().for_each(HashSet::clear);
+                seen.iter_mut().for_each(RowSet::clear);
                 kids[0].open(rt)
             }
             (PhysOp::IjDeref { .. }, St::Deref(_)) => kids[0].open(rt),
@@ -1142,9 +1143,9 @@ impl OpExec<'_> {
                 // The rows not derived before go to the accumulator and
                 // the delta side by side, so the two temporaries' page
                 // writes interleave as their rows do.
-                let mut seen: HashSet<Vec<Value>> = HashSet::new();
+                let mut seen = RowSet::default();
                 let mut sink = |mut rows: Vec<Vec<Value>>| {
-                    rows.retain(|row| seen.insert(row.clone()));
+                    rows.retain(|row| seen.insert(row));
                     rt.db.append_temp_rows(rt.io, &[acc_e, delta_e], rows)
                 };
 
@@ -1292,10 +1293,7 @@ impl OpExec<'_> {
                         for e in exprs.iter() {
                             new_row.push(e.eval(&ctx, row)?.into_owned());
                         }
-                        if seen
-                            .as_mut()
-                            .is_none_or(|seen| seen.insert(new_row.clone()))
-                        {
+                        if seen.as_mut().is_none_or(|seen| seen.insert(&new_row)) {
                             out.push(new_row);
                             if cut {
                                 break;

@@ -77,13 +77,15 @@ pub fn eval_query_graph(
             break;
         }
     }
-    let (_, cols, rows) = state
+    let (_, cols, mut rows) = state
         .into_iter()
         .find(|(n, _, _)| *n == graph.answer)
         .ok_or_else(|| ExecError::Query(oorq_query::QueryError::NoAnswer("answer".into())))?;
-    let mut batch = Batch { cols, rows };
-    batch.dedup();
-    Ok(batch)
+    // Deduplicated here with a plain set, not `Batch::dedup`: the oracle
+    // shares no code with the executor it checks.
+    let mut seen = HashSet::new();
+    rows.retain(|r| seen.insert(r.clone()));
+    Ok(Batch { cols, rows })
 }
 
 fn eval_term(

@@ -1839,3 +1839,112 @@ fn a_bag_is_deduplicated_once_and_a_set_not_again() {
         assert_eq!(ops, expected_ops, "{name}");
     }
 }
+
+/// A fixpoint whose passes derive rows it derived before. Over a cycle and
+/// a diamond (0→1→2→0, 0→3→2) the recursive leg's projection is handed
+/// the same row twice in one pass, and the sink rows the accumulator
+/// already holds; both turn them away. What they keep is the reference
+/// answer, through `run` and `answer`, unbounded and under an 8-page
+/// budget on two-row pages. The delta curve, the per-operator `(label,
+/// opens, rows_out)`, the page I/O and the `evals` were recorded from the
+/// commit before `RowSet`.
+#[test]
+fn a_closure_over_a_cycle_and_a_diamond_keeps_each_row_once() {
+    use oorq_datagen::{closure_catalog, ClosureConfig, ClosureDb};
+    let closure = || {
+        let storage = oorq_storage::StorageConfig {
+            width: oorq_storage::WidthModel {
+                page_size: 48,
+                ..Default::default()
+            },
+            ..Default::default()
+        };
+        let mut db = oorq_storage::Database::new(Arc::new(closure_catalog()), storage);
+        let edge = db.catalog().relation_by_name("Edge").unwrap();
+        for (a, b) in [(0, 1), (1, 2), (2, 0), (0, 3), (3, 2)] {
+            db.insert_row(edge, vec![Value::Int(a), Value::Int(b)])
+                .unwrap();
+        }
+        ClosureDb {
+            db,
+            config: ClosureConfig { nodes: 4 },
+        }
+    };
+    let (idx, methods) = (IndexSet::new(), MethodRegistry::new());
+    let c = closure();
+    let mut reference = eval_query_graph(&c.db, &methods, &c.closure_query())
+        .unwrap()
+        .rows;
+    reference.sort();
+    assert_eq!(reference.len(), 16, "every node reaches every node");
+
+    let edge = c.db.catalog().relation_by_name("Edge").unwrap();
+    let e = c.db.physical().entities_of_relation(edge)[0];
+    let ends = |from: &str, to: &str| {
+        vec![
+            ("a".into(), Expr::var(format!("{from}.a"))),
+            ("b".into(), Expr::var(format!("{to}.b"))),
+        ]
+    };
+    let base = Pt::proj(ends("e", "e"), Pt::entity(e, "e"));
+    let rec = Pt::proj(
+        ends("p", "e"),
+        Pt::ej(
+            Expr::var("p.b").eq(Expr::var("e.a")),
+            Pt::temp("Reach", "p"),
+            Pt::entity(e, "e"),
+        ),
+    );
+    let plan = Pt::fix("Reach", Pt::union(base, rec));
+
+    let io = |page_reads, page_hits, spill_evictions, temp_reads| oorq_storage::IoStats {
+        page_reads,
+        page_hits,
+        page_writes: 17,
+        spill_evictions,
+        temp_reads,
+        ..Default::default()
+    };
+    // The recursive projection keeps 16 of the join's 20 rows over three
+    // passes, and the sink 11 of those 16.
+    #[rustfmt::skip]
+    let ops = [("scan Edge", 1, 5), ("Proj", 1, 5), ("scan temp Reach", 3, 16), ("scan Edge", 16, 80), ("EJ[p.b=e.a]", 3, 20), ("Proj", 3, 16), ("Fix(Reach)", 1, 16)];
+    for (budget, expected_io) in [(0, io(3, 65, 0, 0)), (8, io(6, 62, 3, 3))] {
+        let mut runs = Vec::new();
+        for answer in [false, true] {
+            let mut c = closure();
+            let io0 = c.db.io_stats();
+            let mut ex = Executor::new(&mut c.db, &idx, &methods).with_config(ExecConfig {
+                memory_budget_pages: budget,
+                ..ExecConfig::default()
+            });
+            let out = if answer {
+                ex.answer(&plan)
+            } else {
+                ex.run(&plan)
+            }
+            .unwrap();
+            let report = ex.report();
+            let case = format!("budget {budget}, answer {answer}");
+            let mut sorted = out.rows.clone();
+            sorted.sort();
+            assert_eq!(sorted, reference, "{case}");
+            assert_eq!((report.io - io0, report.evals), (expected_io, 80), "{case}");
+            if !answer {
+                let deltas: Vec<_> = report.fix_deltas.iter().map(|c| &c.deltas[..]).collect();
+                assert_eq!(deltas, [[5, 5, 6, 0]], "{case}");
+                let got: Vec<_> = report
+                    .ops
+                    .iter()
+                    .map(|o| (o.label.as_str(), o.opens, o.rows_out))
+                    .collect();
+                assert_eq!(got, ops, "{case}");
+            }
+            runs.push(out.rows);
+        }
+        assert_eq!(
+            runs[0], runs[1],
+            "budget {budget}: `answer` is `run`, in order"
+        );
+    }
+}

@@ -25,7 +25,7 @@
 
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Arc, Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::time::Instant;
 
 use oorq_cost::{CostModel, CostParams};
@@ -212,7 +212,7 @@ impl Server {
 
     /// Number of plans currently cached.
     pub fn cached_plans(&self) -> usize {
-        self.cache.lock().unwrap().len()
+        self.cache().len()
     }
 
     /// Install externally supplied statistics — e.g. restored from a
@@ -221,7 +221,7 @@ impl Server {
     /// mislead the optimizer, the CX drift lints catch the divergence
     /// on the first execution and trigger eviction + recalibration.
     pub fn install_stats(&self, stats: DbStats) {
-        *self.stats.write().unwrap() = stats;
+        *self.stats_mut() = stats;
     }
 
     /// Re-collect statistics from the live data (the stale-statistics
@@ -229,14 +229,45 @@ impl Server {
     /// the cache).
     pub fn recalibrate(&self) {
         let fresh = DbStats::collect(&self.db);
-        *self.stats.write().unwrap() = fresh;
+        *self.stats_mut() = fresh;
         self.series.recalibrations.inc();
+    }
+
+    /// The plan cache. A session that panicked holding it may have left
+    /// it half-updated, and every plan can be optimized again, so a
+    /// poisoned cache is emptied and its poison cleared, never passed on.
+    fn cache(&self) -> MutexGuard<'_, PlanCache> {
+        self.cache.lock().unwrap_or_else(|poisoned| {
+            let mut cache = poisoned.into_inner();
+            *cache = PlanCache::new(self.config.plan_cache_capacity);
+            self.cache.clear_poison();
+            cache
+        })
+    }
+
+    /// The statistics. A writer only ever swaps in a finished `DbStats`,
+    /// so statistics a panicking writer poisoned are taken as they are —
+    /// the next [`Server::recalibrate`] collects them afresh — and the
+    /// poison is cleared.
+    fn stats(&self) -> RwLockReadGuard<'_, DbStats> {
+        self.stats.read().unwrap_or_else(|poisoned| {
+            self.stats.clear_poison();
+            poisoned.into_inner()
+        })
+    }
+
+    /// [`Server::stats`], for writing.
+    fn stats_mut(&self) -> RwLockWriteGuard<'_, DbStats> {
+        self.stats.write().unwrap_or_else(|poisoned| {
+            self.stats.clear_poison();
+            poisoned.into_inner()
+        })
     }
 
     /// Optimize a query under the current statistics and package the
     /// result for the cache.
     fn optimize(&self, graph: &QueryGraph) -> Result<Arc<CachedPlan>, ServeError> {
-        let stats = self.stats.read().unwrap();
+        let stats = self.stats();
         let model = CostModel::new(
             self.db.catalog(),
             self.db.physical(),
@@ -365,7 +396,7 @@ impl<'s> Session<'s> {
         // key may both optimize, and the second insert wins; that is
         // wasted work, never a wrong answer.
         let (plan, outcome) = {
-            let hit = self.server.cache.lock().unwrap().get(key, text);
+            let hit = self.server.cache().get(key, text);
             match hit {
                 Some(plan) => {
                     series.cache_hits.inc();
@@ -373,11 +404,10 @@ impl<'s> Session<'s> {
                 }
                 None => {
                     let plan = self.server.optimize(graph)?;
-                    let evicted = self.server.cache.lock().unwrap().insert(
-                        key,
-                        text.to_string(),
-                        Arc::clone(&plan),
-                    );
+                    let evicted =
+                        self.server
+                            .cache()
+                            .insert(key, text.to_string(), Arc::clone(&plan));
                     if evicted.is_some() {
                         series.cache_evictions.inc();
                     }
@@ -411,7 +441,7 @@ impl<'s> Session<'s> {
                 // run; a plan whose validation failed must not be served
                 // as validated, so the next request optimizes again.
                 if miss {
-                    self.server.cache.lock().unwrap().invalidate(key);
+                    self.server.cache().invalidate(key);
                 }
                 return Err(ServeError::Exec(e));
             }
@@ -490,7 +520,7 @@ impl<'s> Session<'s> {
         if invalidated {
             // Stale statistics: evict the plan and recalibrate, so the
             // next request re-optimizes under fresh statistics.
-            if self.server.cache.lock().unwrap().invalidate(key) {
+            if self.server.cache().invalidate(key) {
                 series.cache_invalidations.inc();
             }
             self.server.recalibrate();
@@ -516,5 +546,90 @@ impl std::fmt::Debug for Session<'_> {
             .field("id", &self.id)
             .field("prepared", &self.prepared.len())
             .finish()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::sync::Arc;
+
+    use oorq_datagen::{MusicConfig, MusicDb};
+    use oorq_exec::MethodRegistry;
+    use oorq_index::IndexSet;
+    use oorq_query::paper::music_catalog;
+    use oorq_storage::Value;
+
+    use super::*;
+
+    /// A session that panics holding the plan cache or the statistics poisons
+    /// that lock for every session of the server. Neither poison is passed on:
+    /// the cache is emptied, the statistics are read as they are, both locks
+    /// are cleared, and the next session answers Figure 3 as the reference
+    /// evaluator does.
+    #[test]
+    fn a_poisoned_lock_is_recovered_not_passed_on() {
+        const FIG3: &str = r#"view Influencer as
+          select [master: x.master, disciple: x, gen: 1]
+          from x in Composer where x.master <> null
+          union
+          select [master: i.master, disciple: x, gen: i.gen + 1]
+          from i in Influencer, x in Composer where i.disciple = x.master;
+        select [name: i.disciple.name]
+        from i in Influencer
+        where i.master.works.instruments.name = "harpsichord" and i.gen >= 2"#;
+        let music = MusicDb::generate(
+            Arc::new(music_catalog()),
+            MusicConfig {
+                chains: 3,
+                chain_len: 5,
+                harpsichord_fraction: 0.5,
+                ..Default::default()
+            },
+        );
+        let server = Server::new(
+            music.db,
+            IndexSet::new(),
+            MethodRegistry::new(),
+            ServerConfig::default(),
+        );
+        let graph = oorq_query::parse_query(server.database().catalog(), FIG3).unwrap();
+        let sorted = |mut rows: Vec<Vec<Value>>| {
+            rows.sort();
+            rows
+        };
+        let reference =
+            oorq_exec::eval_query_graph(server.database(), &MethodRegistry::new(), &graph);
+        let reference = sorted(reference.unwrap().rows);
+        assert!(!reference.is_empty());
+        assert_eq!(
+            server.session().execute_text(FIG3).unwrap().cache,
+            CacheOutcome::Miss
+        );
+
+        std::thread::scope(|t| {
+            let cache = t.spawn(|| {
+                let _held = server.cache.lock().unwrap();
+                panic!("a session panicked holding the plan cache");
+            });
+            let stats = t.spawn(|| {
+                let _held = server.stats.write().unwrap();
+                panic!("a session panicked holding the statistics");
+            });
+            assert!(cache.join().is_err() && stats.join().is_err());
+        });
+        assert!(server.cache.is_poisoned() && server.stats.is_poisoned());
+
+        let mut s = server.session();
+        let answer = s.execute_text(FIG3).unwrap();
+        assert_eq!(
+            answer.cache,
+            CacheOutcome::Miss,
+            "the poisoned cache was emptied"
+        );
+        assert_eq!(sorted(answer.batch.rows), reference);
+        assert!(!server.cache.is_poisoned() && !server.stats.is_poisoned());
+        assert_eq!(s.execute_text(FIG3).unwrap().cache, CacheOutcome::Hit);
+        server.recalibrate();
+        assert_eq!(server.cached_plans(), 1);
     }
 }
