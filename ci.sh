@@ -32,6 +32,14 @@ if grep -nF -e 'output_columns(' -e "rsplit('.')" $(nontest crates/lint/src); th
     exit 1
 fi
 
+echo "== one engine, and it is serial (a thread in the executor, or an Exchange/Merge operator in pt or exec, fails) =="
+if grep -nE 'thread::(scope|spawn)' $(nontest crates/exec/src) ||
+    grep -nwE 'Exchange|Merge' $(nontest crates/pt/src crates/exec/src); then
+    echo "intra-query parallelism was removed because no workload ran it (DESIGN §12): bring it back" \
+        "only with a BENCHMARK.json workload that runs it and a number it improves" >&2
+    exit 1
+fi
+
 echo "== cargo test =="
 cargo test -q --workspace
 
@@ -70,11 +78,7 @@ echo "== reproduce gates (every gate, one process) =="
 $reproduce gates
 
 echo "== low-budget differential re-run (spilling breakers, byte-identical answers) =="
-OORQ_MEMORY_BUDGET=8 cargo test -q --release --test differential --test parallel_differential \
-    --test serve_differential
-
-echo "== parallel determinism at 2 workers under an 8-page budget =="
-$reproduce parallel --threads 2 --memory-budget 8
+OORQ_MEMORY_BUDGET=8 cargo test -q --release --test differential --test serve_differential
 
 echo "== trace emit + validate with the in-repo checker =="
 rm -rf target/trace-smoke

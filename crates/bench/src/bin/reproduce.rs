@@ -1,6 +1,6 @@
 //! Regenerates every figure and worked example of the paper.
 //!
-//! Usage: `reproduce [section] [args] [--threads N] [--memory-budget N]`.
+//! Usage: `reproduce [section] [args] [--memory-budget N]`.
 //! `reproduce list` prints every section with its arguments — the table
 //! in `oorq_bench::sections` is the only registry. `reproduce all` (the
 //! default) prints the deterministic sections, byte-identical to the
@@ -9,9 +9,8 @@
 //!
 //! Exit status: 0 on success, 1 when a gate fails (it prints its report
 //! and a final `PASS: <name>` / `FAIL: <name>` line), 2 on a usage
-//! error — an unknown section, a malformed flag, or a numeric
-//! environment knob (`OORQ_THREADS`, `OORQ_MEMORY_BUDGET`) that does not
-//! parse, whatever the section.
+//! error — an unknown section, a malformed flag, or an
+//! `OORQ_MEMORY_BUDGET` that does not parse, whatever the section.
 
 use oorq_bench::scenarios::parse_env_knob;
 use oorq_bench::sections::{Args, Section, SECTIONS};
@@ -31,19 +30,15 @@ fn knob(flag: Option<u64>, var: &str) -> u64 {
 
 /// Split the command line into the section name and its [`Args`].
 fn parse_args() -> (String, Args) {
-    let (mut threads, mut budget, mut rest) = (None, None, Vec::new());
+    let (mut budget, mut rest) = (None, Vec::new());
     let mut argv = std::env::args().skip(1);
     while let Some(a) = argv.next() {
-        let slot = match a.as_str() {
-            "--threads" => &mut threads,
-            "--memory-budget" => &mut budget,
-            _ => {
-                rest.push(a);
-                continue;
-            }
-        };
+        if a != "--memory-budget" {
+            rest.push(a);
+            continue;
+        }
         match argv.next().and_then(|v| v.parse().ok()) {
-            Some(v) => *slot = Some(v),
+            Some(v) => budget = Some(v),
             None => usage(&format!("usage: reproduce <section> [{a} <N>]")),
         }
     }
@@ -54,7 +49,6 @@ fn parse_args() -> (String, Args) {
     };
     let args = Args {
         rest,
-        threads: knob(threads, "OORQ_THREADS") as u32,
         memory_budget: knob(budget, "OORQ_MEMORY_BUDGET"),
     };
     (section, args)

@@ -21,7 +21,7 @@ use std::fmt::Write as _;
 
 use oorq_analysis::check_observed;
 use oorq_prng::Prng;
-use oorq_pt::{subtrees, AccessMethod, JoinAlgo, ParallelSpec, Pt};
+use oorq_pt::{subtrees, AccessMethod, JoinAlgo, Pt};
 use oorq_query::{Expr, Literal};
 use oorq_storage::IndexId;
 
@@ -108,7 +108,7 @@ pub fn fuzz_report(args: &Args) -> Result<String, String> {
             rejected_analysis += 1;
             return Ok(());
         };
-        let Ok((_, report, _)) = s.execute(&m.pt, &ParallelSpec::new(), &Knobs::default()) else {
+        let Ok((_, report, _)) = s.execute(&m.pt, &Knobs::default()) else {
             exec_error += 1;
             return Ok(());
         };

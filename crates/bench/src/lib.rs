@@ -11,7 +11,6 @@ pub mod calibrate;
 pub mod feedback;
 pub mod fuzz;
 pub mod metrics;
-pub mod parallel;
 pub mod reports;
 pub mod scenarios;
 pub mod sections;

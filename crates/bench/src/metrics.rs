@@ -37,8 +37,6 @@ pub const METRICS_REPLAYS: usize = 5;
 pub struct MeteredRun {
     /// Answer rows.
     pub rows: usize,
-    /// Worker lanes the executor forked (0 = fully serial).
-    pub lanes: usize,
     /// The rendered EXPLAIN ANALYZE tree for this replay.
     pub explain: String,
 }
@@ -52,25 +50,19 @@ fn replay_query(
     q: &QueryGraph,
     config: OptimizerConfig,
     registry: &MetricsRegistry,
-    threads: u32,
     budget: u64,
     replays: usize,
 ) -> Result<MeteredRun, String> {
     let knobs = Knobs {
         registry: registry.clone(),
-        ..Knobs::resources(threads, budget)
+        ..Knobs::resources(budget)
     };
     let mut last = None;
     for _ in 0..replays.max(1) {
-        let config = OptimizerConfig {
-            threads,
-            ..config.clone()
-        };
-        let run = s.run(q, config, &knobs)?;
+        let run = s.run(q, config.clone(), &knobs)?;
         let analysis = s.analyze(&run.optimized.pt, run.temp_fields).ok();
         last = Some(MeteredRun {
             rows: run.answer.rows.len(),
-            lanes: run.report.workers.len(),
             explain: explain_analyze(
                 &run.phys_plan,
                 &run.optimized.cost.breakdown,
@@ -86,7 +78,6 @@ fn replay_query(
 pub fn replay_scenario(
     row: &str,
     registry: &MetricsRegistry,
-    threads: u32,
     budget: u64,
     replays: usize,
 ) -> Result<MeteredRun, String> {
@@ -94,9 +85,7 @@ pub fn replay_scenario(
     for_each_row(
         |_, name| name == row,
         |_, s, q, config| {
-            last = Some(replay_query(
-                s, q, config, registry, threads, budget, replays,
-            )?);
+            last = Some(replay_query(s, q, config, registry, budget, replays)?);
             Ok::<(), String>(())
         },
     )?;
@@ -107,18 +96,14 @@ pub fn replay_scenario(
 /// EXPLAIN ANALYZE tree, and the Prometheus exposition.
 pub fn metrics_report(args: &Args) -> Result<String, String> {
     let scenario = args.arg(0, "music/fig3/nopush");
-    let (threads, budget) = (args.threads, args.memory_budget);
+    let budget = args.memory_budget;
     let registry = MetricsRegistry::new();
-    let run = replay_scenario(scenario, &registry, threads, budget, METRICS_REPLAYS)?;
+    let run = replay_scenario(scenario, &registry, budget, METRICS_REPLAYS)?;
     let mut out = format!(
         "=== Query metrics: {scenario} × {METRICS_REPLAYS} replays \
-         (threads {threads}, breaker budget {budget} pages) ===\n"
+         (breaker budget {budget} pages) ===\n"
     );
-    let _ = writeln!(
-        out,
-        "answer rows: {}; worker lanes (last replay): {}",
-        run.rows, run.lanes
-    );
+    let _ = writeln!(out, "answer rows: {}", run.rows);
     out.push('\n');
     out.push_str(&registry.render_table());
     out.push('\n');
@@ -140,7 +125,7 @@ fn gate_workload(registry: &MetricsRegistry) -> Result<MeteredRun, String> {
     });
     let q = s.fig3();
     let config = OptimizerConfig::cost_controlled();
-    replay_query(&mut s, &q, config, registry, 0, 0, 1)
+    replay_query(&mut s, &q, config, registry, 0, 1)
 }
 
 /// The checked-in stable-name baseline (regenerate with
@@ -281,7 +266,7 @@ pub fn golden_explain(scenario: &str) -> Result<String, String> {
         other => return Err(format!("no golden for scenario `{other}`")),
     };
     let config = OptimizerConfig::cost_controlled();
-    let run = replay_query(&mut s, &q, config, &MetricsRegistry::disabled(), 0, 0, 1)?;
+    let run = replay_query(&mut s, &q, config, &MetricsRegistry::disabled(), 0, 1)?;
     Ok(scrub_wall(&run.explain))
 }
 
@@ -311,7 +296,7 @@ mod tests {
     #[test]
     fn unknown_scenario_is_rejected() {
         let registry = MetricsRegistry::new();
-        assert!(replay_scenario("no-such", &registry, 0, 0, 1).is_err());
+        assert!(replay_scenario("no-such", &registry, 0, 1).is_err());
     }
 
     /// `reproduce metrics <row>` carries the percentile table, the
@@ -386,30 +371,26 @@ mod tests {
         );
     }
 
-    /// One tally: on every corpus row — serial and at 2 workers, unbounded
-    /// and under an 8-page budget — what the operators were charged, what
+    /// One tally: on every corpus row — unbounded and under an 8-page
+    /// budget — what the operators were charged, what
     /// the run's page account counted and what the `storage.*` series
     /// gained are the same numbers. (Capacity evictions have no
     /// per-operator column, index reads no series.)
     #[test]
     fn operators_account_and_series_agree_over_the_corpus() {
-        let (mut runs, mut lanes, mut spills) = (0, 0, 0);
+        let (mut runs, mut spills) = (0, 0);
         for_each_row(
             |_, _| true,
             |name, s, q, config| {
-                for (threads, budget) in [(0, 0), (2, 0), (0, 8), (2, 8)] {
+                for budget in [0, 8] {
                     let registry = MetricsRegistry::new();
                     let knobs = Knobs {
                         registry: registry.clone(),
-                        ..Knobs::resources(threads, budget)
-                    };
-                    let config = OptimizerConfig {
-                        threads,
-                        ..config.clone()
+                        ..Knobs::resources(budget)
                     };
                     // A cold-cache run: the account was zeroed before it, so
                     // what it reads afterwards is the run's.
-                    let report = s.run(q, config, &knobs)?.report;
+                    let report = s.run(q, config.clone(), &knobs)?.report;
                     let io = report.io;
                     let ops = |counter: fn(&oorq_exec::OpReport) -> u64| {
                         Some(report.ops.iter().map(counter).sum::<u64>())
@@ -426,45 +407,18 @@ mod tests {
                         ("page_evictions", None, io.page_evictions, series("storage.page_evictions")),
                     ];
                     for (counter, ops, account, series) in tallies {
-                        let case = format!("{name}, {threads} threads, budget {budget}: {counter}");
+                        let case = format!("{name}, budget {budget}: {counter}");
                         assert_eq!(ops.unwrap_or(account), account, "{case}, operators");
                         assert_eq!(series.unwrap_or(account), account, "{case}, series");
                     }
                     runs += 1;
-                    lanes += report.workers.len();
                     spills += io.spill_evictions;
                 }
                 Ok::<(), String>(())
             },
         )
         .expect("the corpus runs");
-        assert_eq!(runs, 4 * 27, "every corpus row, four ways");
-        assert!(lanes > 0 && spills > 0, "workers forked, breakers spilled");
-    }
-
-    /// Satellite: a real parallel run with a tight breaker budget leaves
-    /// one sample per worker lane, and its lanes' page traffic, in the
-    /// registry.
-    #[test]
-    fn registry_merges_parallel_worker_lanes() {
-        let registry = MetricsRegistry::new();
-        let run = replay_scenario("bigjoin/chain", &registry, 4, 8, 1).expect("bigjoin runs");
-        assert!(
-            run.lanes > 0,
-            "the chain big-join must fork worker lanes at 4 threads"
-        );
-        assert_eq!(
-            registry.histogram("exec.worker.wall_ns").count() as usize,
-            run.lanes,
-            "one worker wall sample per lane"
-        );
-        assert_eq!(
-            registry.histogram("exec.worker.rows").count() as usize,
-            run.lanes
-        );
-        assert!(
-            registry.counter("storage.page_misses").get() > 0,
-            "worker-lane page traffic lands in the storage series"
-        );
+        assert_eq!(runs, 2 * 27, "every corpus row, two ways");
+        assert!(spills > 0, "breakers spilled");
     }
 }

@@ -20,7 +20,7 @@ use oorq_exec::{Batch, ExecConfig, ExecReport, Executor, MethodRegistry};
 use oorq_index::{IndexSet, PathIndex, SelectionIndex};
 use oorq_obs::{MetricsRegistry, Recorder};
 use oorq_prng::Prng;
-use oorq_pt::{ParallelSpec, PhysPlan, Pt, PtEnv, PtError};
+use oorq_pt::{PhysPlan, Pt, PtEnv, PtError};
 use oorq_query::paper::{fig3_query_gen, influencer_view, music_catalog, sec45_pushjoin_query};
 use oorq_query::{Expr, NameRef, QArc, QueryGraph, SpjNode};
 use oorq_schema::ResolvedType;
@@ -49,10 +49,7 @@ pub struct Scenario {
 pub struct Knobs {
     /// Cost parameters the optimizer plans under.
     pub params: CostParams,
-    /// Worker pool and breaker budget of the run. The optimizer's
-    /// parallel placement is applied only when `threads > 0`, so a
-    /// default-config run of a parallel-planned query is its serial
-    /// reference.
+    /// Breaker budget and fixpoint cap of the run.
     pub exec: ExecConfig,
     /// Trace recorder threaded through optimizer, executor and store.
     pub recorder: Recorder,
@@ -61,11 +58,10 @@ pub struct Knobs {
 }
 
 impl Knobs {
-    /// Default knobs with a worker pool and a breaker budget.
-    pub fn resources(threads: u32, memory_budget_pages: u64) -> Self {
+    /// Default knobs with a breaker budget.
+    pub fn resources(memory_budget_pages: u64) -> Self {
         Knobs {
             exec: ExecConfig {
-                threads,
                 memory_budget_pages,
                 ..ExecConfig::default()
             },
@@ -76,7 +72,7 @@ impl Knobs {
 
 /// One optimized-and-executed query.
 pub struct Run {
-    /// The optimizer's output: plan, cost breakdown, trace, placement.
+    /// The optimizer's output: plan, cost breakdown, trace.
     pub optimized: Optimized,
     /// Temporaries the optimizer registered while planning.
     pub temp_fields: TempFields,
@@ -297,12 +293,10 @@ impl Scenario {
         Ok((optimized, opt.model.temp_fields))
     }
 
-    /// Execute a plan over a cold cache, under the optimizer's parallel
-    /// placement when the knobs enable a worker pool.
+    /// Execute a plan over a cold cache.
     pub fn execute(
         &mut self,
         pt: &Pt,
-        parallel: &ParallelSpec,
         knobs: &Knobs,
     ) -> Result<(Batch, ExecReport, PhysPlan), String> {
         self.db.cold_cache();
@@ -310,9 +304,6 @@ impl Scenario {
             .with_config(knobs.exec.clone())
             .with_recorder(knobs.recorder.clone())
             .with_metrics(knobs.registry.clone());
-        if knobs.exec.threads > 0 {
-            ex = ex.with_parallel(parallel.clone());
-        }
         let answer = ex.run(pt).map_err(|e| format!("execution failed: {e}"))?;
         let plan = ex.last_plan().expect("a completed run keeps its plan");
         Ok((answer, ex.report(), plan.clone()))
@@ -326,8 +317,7 @@ impl Scenario {
         knobs: &Knobs,
     ) -> Result<Run, String> {
         let (optimized, temp_fields) = self.plan(q, config, knobs)?;
-        let (answer, report, phys_plan) =
-            self.execute(&optimized.pt, &optimized.parallel, knobs)?;
+        let (answer, report, phys_plan) = self.execute(&optimized.pt, knobs)?;
         Ok(Run {
             optimized,
             temp_fields,
@@ -414,10 +404,8 @@ const fn entry(
 
 /// The corpus. Calibration entries come first, in fit order; then the
 /// paper-scale scenarios of the figures, the fuzzer's base (`fig7`, its
-/// first three rows) and the parallel report's heavier two: a deeper
-/// parts hierarchy, and `bigjoin` — a rescanned nested loop over an
-/// unindexed pair, the O(n²) regime where partitioning the outer scan
-/// pays most.
+/// first three rows), a deeper parts hierarchy, and `bigjoin` — a
+/// rescanned nested loop over an unindexed pair, the O(n²) regime.
 pub const CORPUS: &[Entry] = &[
     entry(
         "music0",

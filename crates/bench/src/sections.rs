@@ -13,7 +13,7 @@
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
-use crate::{analyze, calibrate, feedback, fuzz, metrics, parallel, reports, spill, tracing};
+use crate::{analyze, calibrate, feedback, fuzz, metrics, reports, spill, tracing};
 
 /// Command-line arguments of one `reproduce` invocation, after the
 /// section name.
@@ -21,8 +21,6 @@ use crate::{analyze, calibrate, feedback, fuzz, metrics, parallel, reports, spil
 pub struct Args {
     /// Positional arguments, in order.
     pub rest: Vec<String>,
-    /// `--threads N`, else `OORQ_THREADS`, else 0 (fully serial).
-    pub threads: u32,
     /// `--memory-budget N`, else `OORQ_MEMORY_BUDGET`, else 0
     /// (unbounded): the cap on resident pipeline-breaker pages.
     pub memory_budget: u64,
@@ -133,7 +131,7 @@ pub const SECTIONS: &[Section] = &[
         "refit the profiles; prints crates/cost/fix_profiles.toml"),
     row("metrics", Tool, metrics::metrics_report,
         "[corpus-row] five metered replays: series table, EXPLAIN ANALYZE, Prometheus text \
-         (wall clock; honours --threads / --memory-budget)"),
+         (wall clock; honours --memory-budget)"),
     row("metrics-fit", Tool, metrics::metrics_fit_report, "prints crates/bench/metrics_baseline.txt"),
     row("spill", Tool, spill::spill_report,
         "closure sweep across the breaker-budget cliff (--memory-budget overrides the budget)"),
@@ -147,9 +145,6 @@ pub const SECTIONS: &[Section] = &[
         "fixpoint row error vs crates/bench/feedback_baseline.txt"),
     row("fuzz", Gate, fuzz::fuzz_report,
         "[iterations [seed]] plan-mutation soundness fuzzer (default: the CI smoke)"),
-    row("parallel", Gate, parallel::parallel_report,
-        "serial vs --threads N (default 4) per corpus row; fails unless byte-identical \
-         (wall clock; honours --memory-budget)"),
     row("spill-gate", Gate, spill::spill_gate,
         "spill-cliff placement and page-read error vs crates/bench/spill_baseline.txt"),
     row("metrics-gate", Gate, metrics::metrics_gate,

@@ -93,7 +93,7 @@ fn spill_point(nodes: u32, budget: u64) -> SpillPoint {
         .run(
             &q,
             OptimizerConfig::cost_controlled(),
-            &Knobs::resources(0, budget),
+            &Knobs::resources(budget),
         )
         .unwrap_or_else(|e| panic!("{scope}: {e}"));
     let (plan, report, out) = (&run.optimized, &run.report, &run.answer);

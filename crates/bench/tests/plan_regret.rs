@@ -37,7 +37,7 @@ fn regret(s: &mut Scenario, q: &QueryGraph, what: &str) -> f64 {
         if let Some((_, cost)) = executed.iter().find(|(f, _)| *f == fingerprint) {
             return *cost;
         }
-        let (answer, report, _) = s.execute(&plan.pt, &plan.parallel, &knobs).expect(what);
+        let (answer, report, _) = s.execute(&plan.pt, &knobs).expect(what);
         let mut rows = answer.rows;
         rows.sort();
         assert_eq!(rows, reference, "{what}: plan {fingerprint:016x}");
@@ -78,9 +78,7 @@ fn selected(s: &mut Scenario, instrument: &str, gen: u32) -> (u64, u64) {
     let (plan, _) = s
         .plan(&q, OptimizerConfig::never_push(), &knobs)
         .expect(instrument);
-    let (_, report, _) = s
-        .execute(&plan.pt, &plan.parallel, &knobs)
-        .expect(instrument);
+    let (_, report, _) = s.execute(&plan.pt, &knobs).expect(instrument);
     let wanted = format!("name=\"{instrument}\"]");
     let mut selections = report
         .ops

@@ -25,23 +25,18 @@ const CHEAP: &[&str] = &["lint", "--explain", "CX003"];
 
 #[test]
 fn unparseable_env_knobs_are_rejected() {
-    for (var, value) in [("OORQ_THREADS", "four"), ("OORQ_MEMORY_BUDGET", "-3")] {
-        let out = reproduce(CHEAP, &[(var, value)]);
-        assert_eq!(out.status.code(), Some(2), "exit 2 on bad {var}");
-        let stderr = String::from_utf8_lossy(&out.stderr);
-        assert!(
-            stderr.contains(var) && stderr.contains(value),
-            "message must name the variable and the bad value, got: {stderr}"
-        );
-    }
+    let out = reproduce(CHEAP, &[("OORQ_MEMORY_BUDGET", "-3")]);
+    assert_eq!(out.status.code(), Some(2), "exit 2 on a bad budget");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("OORQ_MEMORY_BUDGET") && stderr.contains("-3"),
+        "message must name the variable and the bad value, got: {stderr}"
+    );
 }
 
 #[test]
 fn valid_env_values_are_accepted() {
-    let out = reproduce(
-        CHEAP,
-        &[("OORQ_THREADS", "2"), ("OORQ_MEMORY_BUDGET", "16")],
-    );
+    let out = reproduce(CHEAP, &[("OORQ_MEMORY_BUDGET", "16")]);
     assert_eq!(out.status.code(), Some(0), "{out:?}");
     assert!(stdout(&out).contains("CX003"));
 }
@@ -102,7 +97,6 @@ fn all_is_deterministic_and_free_of_wall_time() {
     for (name, in_all) in [
         ("strategies", true),
         ("strategies-time", false),
-        ("parallel", false),
         ("metrics", false),
     ] {
         let s = SECTIONS.iter().find(|s| s.name == name).expect(name);

@@ -19,16 +19,12 @@ use oorq_bench::scenarios::{for_each_row, Scenario, TempFields};
 use oorq_bench::Knobs;
 use oorq_core::OptimizerConfig;
 use oorq_cost::CostParams;
-use oorq_exec::is_parallel_wrapper;
 use oorq_lint::verify_pt;
-use oorq_pt::{
-    fix_recursive_nodes, lower_with, node_ids, resolve, resolve_each, subtrees, NodeOp,
-    ParallelSpec, Pt,
-};
+use oorq_pt::{fix_recursive_nodes, lower, node_ids, resolve, resolve_each, subtrees, NodeOp, Pt};
 use oorq_query::Expr;
 
 /// Check one plan; returns how many lowered operators it compared.
-fn check(name: &str, s: &Scenario, pt: &Pt, temps: &TempFields, spec: &ParallelSpec) -> usize {
+fn check(name: &str, s: &Scenario, pt: &Pt, temps: &TempFields) -> usize {
     let (catalog, physical) = (s.db.catalog(), s.db.physical());
     let plan = resolve(catalog, physical, temps, pt).unwrap_or_else(|e| panic!("{name}: {e}"));
     let order = pt.preorder();
@@ -115,7 +111,7 @@ fn check(name: &str, s: &Scenario, pt: &Pt, temps: &TempFields, spec: &ParallelS
     }
 
     // Lowering: every operator names a node the analyzer bounded as
-    // lowered, under the same label (parallel wrappers aside) and with
+    // lowered, under the same label and with
     // the columns `Pt::output_columns` gives for that node — asked with
     // every fixpoint's temporary registered, so a recursive leg types on
     // its own.
@@ -126,16 +122,14 @@ fn check(name: &str, s: &Scenario, pt: &Pt, temps: &TempFields, spec: &ParallelS
         }
     }
     let env = s.env(scoped);
-    let phys = lower_with(&env, pt, spec).unwrap_or_else(|e| panic!("{name}: {e}"));
+    let phys = lower(&env, pt).unwrap_or_else(|e| panic!("{name}: {e}"));
     let mut named = HashSet::new();
     let mut lowered = 0;
     phys.root.visit(&mut |op| {
         let (id, label) = (op.meta().pt_node, &op.meta().label);
         named.insert(id);
-        if !is_parallel_wrapper(label) {
-            assert_eq!(&analysis.nodes[id].label, label, "{name}: node {id}");
-            assert!(costed.contains(&id), "{name}: {label} has no cost line");
-        }
+        assert_eq!(&analysis.nodes[id].label, label, "{name}: node {id}");
+        assert!(costed.contains(&id), "{name}: {label} has no cost line");
         let handed_up = order.pt(id).output_columns(&env);
         let handed_up = handed_up.unwrap_or_else(|e| panic!("{name}: {label}: {e}"));
         assert_eq!(handed_up, plan[id].cols, "{name}: {label}");
@@ -174,10 +168,7 @@ fn every_pass_numbers_and_shapes_the_corpus_plans_alike() {
                 let (plan, temps) = s
                     .plan(q, config, &knobs)
                     .map_err(|e| format!("{name}: {e}"))?;
-                lowered += check(name, s, &plan.pt, &temps, &plan.parallel);
-                // Every node a parallel wrapper could sit on.
-                let everywhere: ParallelSpec = (0..plan.pt.size()).map(|id| (id, 2)).collect();
-                check(name, s, &plan.pt, &temps, &everywhere);
+                lowered += check(name, s, &plan.pt, &temps);
                 // A computed column nothing reads, one level down: flagged
                 // under the id of the projection that computes it.
                 let pass = |c: &String| (c.clone(), Expr::var(c.clone()));
@@ -186,7 +177,7 @@ fn every_pass_numbers_and_shapes_the_corpus_plans_alike() {
                 let first = Expr::var(plan.out_cols[0].clone());
                 inner.push(("unread".into(), first.clone().eq(first)));
                 let wrapped = Pt::proj(outer, Pt::proj(inner, plan.pt.clone()));
-                check(name, s, &wrapped, &temps, &ParallelSpec::new());
+                check(name, s, &wrapped, &temps);
                 let flagged = dead_columns(&wrapped).diagnostics;
                 let at: Vec<&str> = flagged.iter().map(|d| d.location.as_str()).collect();
                 assert_eq!(at, ["node 1 (Proj)"], "{name}");
@@ -211,15 +202,12 @@ fn every_pass_numbers_and_shapes_the_fuzzers_mutants_alike() {
                 !verify_pt(&s.env(temps.clone()), &m.pt).is_clean(),
                 "{name}"
             );
-            assert!(
-                lower_with(&s.env(temps), &m.pt, &ParallelSpec::new()).is_err(),
-                "{name}"
-            );
+            assert!(lower(&s.env(temps), &m.pt).is_err(), "{name}");
             rejected += 1;
-        } else if lower_with(&s.env(temps.clone()), &m.pt, &ParallelSpec::new()).is_ok() {
+        } else if lower(&s.env(temps.clone()), &m.pt).is_ok() {
             // (A union whose legs the mutation misaligned resolves but
             // does not lower: the permutation is lowering's own.)
-            check(&name, s, &m.pt, &temps, &ParallelSpec::new());
+            check(&name, s, &m.pt, &temps);
             resolved += 1;
         }
         Ok(())

@@ -18,7 +18,6 @@ use oorq_cost::FixCurve;
 use oorq_obs::{CounterHandle, Fields, HistogramHandle, MetricsRegistry, Recorder};
 use oorq_pt::Pt;
 
-use crate::optimizer::ParallelChoice;
 use crate::trace::{OptTrace, Step, StepTrace, StrategyKind};
 
 /// What became of a candidate.
@@ -78,7 +77,6 @@ pub(crate) struct OptimizerMetrics {
     pub(crate) queries: CounterHandle,
     pub(crate) optimize_ns: HistogramHandle,
     pub(crate) push_decisions: CounterHandle,
-    parallel_choices: CounterHandle,
     enumerated: CounterHandle,
     accepted: CounterHandle,
     rejected: CounterHandle,
@@ -93,7 +91,6 @@ impl OptimizerMetrics {
             queries: registry.counter("optimizer.queries"),
             optimize_ns: registry.histogram("optimizer.optimize_ns"),
             push_decisions: registry.counter("optimizer.push_decisions"),
-            parallel_choices: registry.counter("optimizer.parallel_choices"),
             enumerated: registry.counter("optimizer.candidates.enumerated"),
             accepted: registry.counter("optimizer.candidates.accepted"),
             rejected: registry.counter("optimizer.candidates.rejected"),
@@ -205,35 +202,6 @@ impl Decisions {
     /// A randomized-walk move that drew a plan already turned down.
     pub fn revisited(&self) {
         self.metrics.tally(None);
-    }
-
-    /// One subtree the parallel-placement step chose to parallelize.
-    pub(crate) fn parallel_choice(&mut self, c: &ParallelChoice) {
-        self.metrics.parallel_choices.inc();
-        self.note(format!(
-            "{} (node {}): dop {} — serial {:.1} vs parallel {:.1} \
-             (predicted speedup {:.2}x)",
-            c.label,
-            c.pt_node,
-            c.workers,
-            c.serial_cost,
-            c.parallel_cost,
-            c.predicted_speedup()
-        ));
-        if !self.obs.enabled() {
-            return;
-        }
-        self.obs.event(
-            "optimizer",
-            "parallel-choice",
-            vec![
-                ("node".into(), c.pt_node.into()),
-                ("label".into(), c.label.as_str().into()),
-                ("workers".into(), c.workers.into()),
-                ("serial_cost".into(), c.serial_cost.into()),
-                ("parallel_cost".into(), c.parallel_cost.into()),
-            ],
-        );
     }
 
     /// The delta curve a fixpoint was costed under, and the cardinality

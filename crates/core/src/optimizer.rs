@@ -16,10 +16,10 @@
 //! strategy \[IC90\] — so the decision of pushing selective operations
 //! through recursion is taken in the presence of the cost model.
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::HashMap;
 
-use oorq_cost::{CostModel, ParallelParams, PlanCost};
-use oorq_pt::{ParallelSpec, PhysOp, Pt};
+use oorq_cost::{CostModel, PlanCost};
+use oorq_pt::{ParallelSpec, Pt};
 use oorq_query::{Expr, GraphTerm, NameRef, QArc, QueryGraph, SpjNode, TreeLabel};
 use oorq_schema::{ResolvedType, ViewKind};
 
@@ -73,13 +73,6 @@ pub struct OptimizerConfig {
     pub rand: Option<RandConfig>,
     /// Static verification of intermediate plans.
     pub verify: VerifyLevel,
-    /// Worker-pool size available to the executor. `0` (the default)
-    /// disables the parallel-placement pass entirely: the spec stays
-    /// empty and every plan is fully serial. `>= 2` lets the optimizer
-    /// choose a per-subtree degree of parallelism up to this cap.
-    pub threads: u32,
-    /// Overhead constants of the parallel cost term.
-    pub parallel: ParallelParams,
 }
 
 impl Default for OptimizerConfig {
@@ -89,8 +82,6 @@ impl Default for OptimizerConfig {
             push: PushStrategy::CostControlled,
             rand: Some(RandConfig::default()),
             verify: VerifyLevel::default(),
-            threads: 0,
-            parallel: ParallelParams::default(),
         }
     }
 }
@@ -134,33 +125,6 @@ impl OptimizerConfig {
     }
 }
 
-/// One subtree the parallel-placement pass chose to parallelize.
-#[derive(Debug, Clone)]
-pub struct ParallelChoice {
-    /// Pre-order PT node id of the subtree root (the
-    /// [`oorq_pt::ParallelSpec`] key).
-    pub pt_node: usize,
-    /// Label of the subtree's physical root operator.
-    pub label: String,
-    /// Chosen degree of parallelism (number of workers, or Merge legs).
-    pub workers: usize,
-    /// Estimated serial cost of the subtree (abstract time units).
-    pub serial_cost: f64,
-    /// Predicted cost at the chosen DOP.
-    pub parallel_cost: f64,
-}
-
-impl ParallelChoice {
-    /// Predicted speedup of this subtree (serial over parallel cost).
-    pub fn predicted_speedup(&self) -> f64 {
-        if self.parallel_cost > 0.0 {
-            self.serial_cost / self.parallel_cost
-        } else {
-            1.0
-        }
-    }
-}
-
 /// The result of an optimization.
 #[derive(Debug, Clone)]
 pub struct Optimized {
@@ -170,13 +134,9 @@ pub struct Optimized {
     pub out_cols: Vec<String>,
     /// Its estimated cost (with per-node breakdown).
     pub cost: PlanCost,
-    /// Per-PT-node degrees of parallelism (empty when
-    /// [`OptimizerConfig::threads`] is below 2 or nothing pays);
-    /// hand to the executor's `with_parallel`.
+    /// Kept for `benchmark/src/traced.rs` until a `benchmark` PR drops
+    /// it: always the empty [`ParallelSpec`].
     pub parallel: ParallelSpec,
-    /// The placement decisions behind `parallel`, with predicted costs
-    /// (the predicted-vs-observed join key for the parallel report).
-    pub parallel_choices: Vec<ParallelChoice>,
     /// The optimization trace (Figure 6 material).
     pub trace: OptTrace,
 }
@@ -335,144 +295,14 @@ impl<'a> Optimizer<'a> {
         };
         self.sink.trace.final_breakdown = cost.breakdown.clone();
 
-        // Step 5: parallel placement — choose a degree of parallelism
-        // per maximal partitionable subtree, cost-controlled like every
-        // other decision: a subtree is parallelized only when the
-        // predicted parallel cost (startup + merge overhead against the
-        // effective-worker speedup) beats its serial cost.
-        let (parallel, parallel_choices) = if self.config.threads >= 2 {
-            self.plan_parallel(&final_pt, &cost)?
-        } else {
-            (ParallelSpec::new(), Vec::new())
-        };
-
         let out_cols = answer.out_cols.iter().map(|(n, _)| n.clone()).collect();
         Ok(Optimized {
             pt: final_pt,
             out_cols,
             cost,
-            parallel,
-            parallel_choices,
+            parallel: ParallelSpec,
             trace: std::mem::take(&mut self.sink.trace),
         })
-    }
-
-    /// The parallel-placement pass: lower the final plan serially, walk
-    /// the physical tree top-down for maximal parallelizable subtrees
-    /// (`exchange_eligible` pipelines; unions whose legs can each run as
-    /// a `Merge` leg), cost each candidate from the plan-cost breakdown
-    /// (per-PT-node lines summed over the subtree), and keep a choice
-    /// only when the parallel term is cheaper. The resulting spec is
-    /// advisory to `lower_with`, so a decision here can relax but never
-    /// break plan semantics.
-    fn plan_parallel(
-        &mut self,
-        pt: &Pt,
-        cost: &PlanCost,
-    ) -> Result<(ParallelSpec, Vec<ParallelChoice>), OptError> {
-        let env = self.lint_env();
-        let plan = oorq_pt::lower(&env, pt)
-            .map_err(|e| OptError::Unplannable(format!("parallel lowering: {e}")))?;
-        // Per-PT-node cost and row lines (pre-order ids shared with
-        // `OpMeta::pt_node`).
-        let mut node_cost: HashMap<usize, f64> = HashMap::new();
-        let mut node_rows: HashMap<usize, f64> = HashMap::new();
-        for nc in &cost.breakdown {
-            if let Some(n) = nc.node {
-                *node_cost.entry(n).or_insert(0.0) += nc.cost.total(&self.model.params);
-                node_rows.insert(n, nc.rows);
-            }
-        }
-        let subtree_cost = |op: &PhysOp| -> f64 {
-            let mut nodes: BTreeSet<usize> = BTreeSet::new();
-            op.visit(&mut |o| {
-                nodes.insert(o.meta().pt_node);
-            });
-            nodes
-                .iter()
-                .map(|n| node_cost.get(n).copied().unwrap_or(0.0))
-                .sum()
-        };
-
-        let max_workers = self.config.threads as usize;
-        let params = self.config.parallel;
-        let mut spec = ParallelSpec::new();
-        let mut choices: Vec<ParallelChoice> = Vec::new();
-        let mut consider = |op: &PhysOp, workers: usize, serial: f64, par: f64| {
-            spec.insert(op.meta().pt_node, workers);
-            choices.push(ParallelChoice {
-                pt_node: op.meta().pt_node,
-                label: op.meta().label.clone(),
-                workers,
-                serial_cost: serial,
-                parallel_cost: par,
-            });
-        };
-
-        // Top-down: the root of an eligible spine is the maximal
-        // candidate (sub-spines cost strictly less, so a rejected root
-        // rejects its fragments too); only descend past ineligible
-        // operators.
-        fn walk(
-            op: &PhysOp,
-            max_workers: usize,
-            params: &ParallelParams,
-            subtree_cost: &dyn Fn(&PhysOp) -> f64,
-            node_rows: &HashMap<usize, f64>,
-            consider: &mut dyn FnMut(&PhysOp, usize, f64, f64),
-        ) {
-            if let PhysOp::UnionAll {
-                meta, left, right, ..
-            } = op
-            {
-                if oorq_pt::merge_leg_ok(left) && oorq_pt::merge_leg_ok(right) {
-                    let legs = [subtree_cost(left), subtree_cost(right)];
-                    let serial = legs[0] + legs[1];
-                    let rows = node_rows.get(&meta.pt_node).copied().unwrap_or(0.0);
-                    let par = oorq_cost::merge_cost(&legs, rows, params);
-                    if par < serial && max_workers >= 2 {
-                        // The Merge subsumes its legs: lowering rejects
-                        // nested parallel operators inside a leg, so do
-                        // not descend.
-                        consider(op, 2, serial, par);
-                        return;
-                    }
-                }
-            } else if oorq_pt::exchange_eligible(op) {
-                let serial = subtree_cost(op);
-                let rows = node_rows.get(&op.meta().pt_node).copied().unwrap_or(0.0);
-                let (dop, par) = oorq_cost::choose_dop(serial, rows, max_workers, params);
-                if dop >= 2 {
-                    consider(op, dop, serial, par);
-                }
-                // Eligible spine: wrapped or not, its interior is never
-                // a better candidate than its root.
-                return;
-            }
-            for c in op.children() {
-                walk(c, max_workers, params, subtree_cost, node_rows, consider);
-            }
-        }
-        walk(
-            &plan.root,
-            max_workers,
-            &params,
-            &subtree_cost,
-            &node_rows,
-            &mut consider,
-        );
-
-        if !choices.is_empty() {
-            self.sink.step(
-                Step::TransformPt,
-                "parallel placement (PT)",
-                StrategyKind::CostBasedTransformational,
-            );
-            for c in &choices {
-                self.sink.parallel_choice(c);
-            }
-        }
-        Ok((spec, choices))
     }
 
     /// The environment the lint passes see: the model's catalog,

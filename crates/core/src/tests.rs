@@ -1032,88 +1032,3 @@ fn optimizer_verification_levels() {
             .expect("the paper query must verify at every stage");
     }
 }
-
-/// The parallel-placement pass (step 5): with a zero-overhead parallel
-/// term every eligible subtree of positive cost picks the full worker
-/// pool, the recorded choices agree with the spec, and executing the
-/// plan under the spec reproduces the serial answer byte-for-byte.
-#[test]
-fn parallel_placement_chooses_dop_and_preserves_results() {
-    let (mut m, idx, stats) = setup(MusicConfig {
-        chains: 4,
-        chain_len: 6,
-        harpsichord_fraction: 0.7,
-        ..Default::default()
-    });
-    let q = fig3_graph_gen(&m, 2);
-    let methods = MethodRegistry::new();
-
-    let config = OptimizerConfig {
-        threads: 4,
-        parallel: oorq_cost::ParallelParams {
-            startup: 0.0,
-            merge_per_row: 0.0,
-            efficiency: 1.0,
-        },
-        ..OptimizerConfig::cost_controlled()
-    };
-    let plan = {
-        let mut opt = optimizer(&m, &stats, config);
-        opt.optimize(&q).unwrap()
-    };
-    assert!(
-        !plan.parallel.is_empty(),
-        "a zero-overhead parallel term must parallelize something"
-    );
-    assert_eq!(plan.parallel.len(), plan.parallel_choices.len());
-    for c in &plan.parallel_choices {
-        assert_eq!(plan.parallel.get(&c.pt_node), Some(&c.workers));
-        assert!(c.workers >= 2, "{c:?}");
-        assert!(c.parallel_cost < c.serial_cost, "{c:?}");
-        assert!(c.predicted_speedup() > 1.0, "{c:?}");
-    }
-
-    let serial = {
-        let mut ex = Executor::new(&mut m.db, &idx, &methods);
-        ex.run(&plan.pt).unwrap()
-    };
-    let parallel = {
-        let mut ex = Executor::new(&mut m.db, &idx, &methods)
-            .with_config(oorq_exec::ExecConfig {
-                threads: 2,
-                ..Default::default()
-            })
-            .with_parallel(plan.parallel.clone());
-        ex.run(&plan.pt).unwrap()
-    };
-    assert_eq!(
-        serial.rows, parallel.rows,
-        "parallel execution must match serial row-for-row, in order"
-    );
-}
-
-/// With the realistic default overheads every accepted choice is still
-/// cost-justified (parallel strictly cheaper), and threads=0 disables
-/// the pass outright.
-#[test]
-fn parallel_placement_is_cost_controlled() {
-    let (m, _idx, stats) = setup(MusicConfig::default());
-    let q = fig3_graph(&m);
-    let plan = {
-        let config = OptimizerConfig {
-            threads: 4,
-            ..OptimizerConfig::never_push()
-        };
-        let mut opt = optimizer(&m, &stats, config);
-        opt.optimize(&q).unwrap()
-    };
-    for c in &plan.parallel_choices {
-        assert!(c.parallel_cost < c.serial_cost, "{c:?}");
-    }
-    let plan0 = {
-        let mut opt = optimizer(&m, &stats, OptimizerConfig::never_push());
-        opt.optimize(&q).unwrap()
-    };
-    assert!(plan0.parallel.is_empty());
-    assert!(plan0.parallel_choices.is_empty());
-}

@@ -12,7 +12,6 @@ mod features;
 pub mod guard;
 mod model;
 pub mod paper_mode;
-mod parallel;
 mod params;
 mod profiles;
 
@@ -21,7 +20,6 @@ pub use features::CostFeatures;
 pub use guard::{guard_hi, guard_lo, sane_rows};
 pub use model::{CostModel, FixCurve, NodeCost, PlanCost};
 pub use oorq_pt::OpKind;
-pub use parallel::{choose_dop, effective_workers, merge_cost, parallel_cost, ParallelParams};
 pub use params::{Cost, CostParams, CostWeights};
 pub use profiles::{FixProfile, FixProfiles};
 

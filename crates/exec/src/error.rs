@@ -29,17 +29,6 @@ pub enum ExecError {
     /// Lowering to a physical plan failed (the plan is ill-formed in a
     /// way the runtime vocabulary has no specific error for).
     BadPlan(String),
-    /// An exchange worker thread panicked (the panic payload is lost
-    /// across the join; the plan and partition identify the work).
-    WorkerPanicked(String),
-    /// Page-range partition arithmetic left the store's u32 page domain
-    /// (would otherwise silently wrap and mis-assign pages to workers).
-    PartitionOverflow {
-        /// Pages of the partitioned driver leaf.
-        pages: u64,
-        /// Degree of parallelism of the enclosing exchange.
-        workers: u64,
-    },
     /// Storage-level failure.
     Storage(StorageError),
     /// Query-graph failure (reference evaluator).
@@ -61,12 +50,6 @@ impl fmt::Display for ExecError {
             }
             ExecError::PlanLint(d) => write!(f, "plan failed verification:\n{d}"),
             ExecError::BadPlan(m) => write!(f, "cannot lower plan: {m}"),
-            ExecError::WorkerPanicked(w) => write!(f, "parallel worker panicked: {w}"),
-            ExecError::PartitionOverflow { pages, workers } => write!(
-                f,
-                "page-range partition overflow: {pages} pages across {workers} workers \
-                 leaves the u32 page domain"
-            ),
             ExecError::Storage(e) => write!(f, "storage: {e}"),
             ExecError::Query(e) => write!(f, "query: {e}"),
         }

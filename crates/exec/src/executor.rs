@@ -14,24 +14,19 @@ use oorq_storage::{Database, EntityId, IoStats};
 use crate::error::ExecError;
 use crate::eval::{Batch, Counters};
 use crate::methods::MethodRegistry;
-use crate::pipeline::{self, FixDeltaCurve, OpReport, WorkerLane};
+use crate::pipeline::{self, FixDeltaCurve, OpReport};
 
 /// Executor configuration.
 #[derive(Debug, Clone)]
 pub struct ExecConfig {
     /// Safety bound on semi-naive iterations.
     pub max_fix_iterations: u32,
-    /// Worker-pool size for `Exchange`/`Merge` operators. `0` (the
-    /// default) and `1` drain parallel operators inline on the calling
-    /// thread, preserving fully serial execution; the plan shape is
-    /// identical either way.
-    pub threads: u32,
     /// Breaker memory budget: maximum resident pages of pipeline-breaker
     /// temporaries (fixpoint accumulator/delta, materialized nested-loop
     /// inners). `0` (the default) is unbounded; a positive budget spills
     /// the least recently used breaker page and re-fetches it on the
     /// next pass, so answers are identical but page I/O reflects the
-    /// budget. Parallel workers split the budget evenly.
+    /// budget.
     pub memory_budget_pages: u64,
 }
 
@@ -39,7 +34,6 @@ impl Default for ExecConfig {
     fn default() -> Self {
         ExecConfig {
             max_fix_iterations: 10_000,
-            threads: 0,
             memory_budget_pages: 0,
         }
     }
@@ -90,10 +84,6 @@ pub struct ExecReport {
     /// delta first, then one entry per semi-naive iteration; the final
     /// entry is 0 when the fixpoint converged).
     pub fix_deltas: Vec<FixDeltaCurve>,
-    /// Per-worker lanes of the last run's `Exchange`/`Merge` openings, if
-    /// it completed through [`Executor::run`], in fork order (empty under
-    /// serial execution).
-    pub workers: Vec<WorkerLane>,
 }
 
 impl ExecReport {
@@ -153,11 +143,6 @@ pub struct Executor<'a> {
     last_ops: Vec<OpReport>,
     /// Per-fixpoint delta curves of the last run.
     last_fix_deltas: Vec<FixDeltaCurve>,
-    /// Worker lanes of the last run.
-    last_workers: Vec<WorkerLane>,
-    /// Degree of parallelism chosen per PT node by the optimizer,
-    /// applied at lowering (empty = fully serial plans).
-    parallel: oorq_pt::ParallelSpec,
     /// Trace recorder (disabled by default).
     obs: oorq_obs::Recorder,
     /// Aggregated metric series (disabled by default; every run then
@@ -181,8 +166,6 @@ impl<'a> Executor<'a> {
             nl_mats: HashMap::new(),
             last_ops: Vec::new(),
             last_fix_deltas: Vec::new(),
-            last_workers: Vec::new(),
-            parallel: oorq_pt::ParallelSpec::new(),
             obs: oorq_obs::Recorder::disabled(),
             metrics: oorq_obs::MetricsRegistry::disabled(),
             last_plan: None,
@@ -209,12 +192,9 @@ impl<'a> Executor<'a> {
         self.state
     }
 
-    /// Apply an optimizer-chosen parallel placement: subsequent runs
-    /// lower their plans with these per-PT-node degrees of parallelism.
-    /// With `ExecConfig::threads <= 1` the parallel operators still
-    /// appear in the plan but drain inline, so results are unchanged.
-    pub fn with_parallel(mut self, spec: oorq_pt::ParallelSpec) -> Self {
-        self.parallel = spec;
+    /// Kept for `benchmark/src/traced.rs` until a `benchmark` PR drops
+    /// it: the executor is serial, so there is no placement to apply.
+    pub fn with_parallel(self, _: oorq_pt::ParallelSpec) -> Self {
         self
     }
 
@@ -229,8 +209,8 @@ impl<'a> Executor<'a> {
     }
 
     /// Attach a metrics registry: every completed run publishes its
-    /// per-query wall/rows/evals, per-operator-kind, fixpoint and
-    /// worker-lane series (`exec.*`) from its operator reports, and every
+    /// per-query wall/rows/evals, per-operator-kind and fixpoint series
+    /// (`exec.*`) from its operator reports, and every
     /// run, completed or not, brings the `storage.*` counters up to the
     /// page account's when it checks the account back in.
     pub fn with_metrics(mut self, metrics: oorq_obs::MetricsRegistry) -> Self {
@@ -257,13 +237,12 @@ impl<'a> Executor<'a> {
     fn forget_last_run(&mut self) {
         self.last_ops.clear();
         self.last_fix_deltas.clear();
-        self.last_workers.clear();
         self.last_plan = None;
     }
 
-    /// The resources consumed so far (per-operator counters, delta curves
-    /// and worker lanes cover the last run, and are empty if it failed or
-    /// was [`Executor::answer`]ed).
+    /// The resources consumed so far (per-operator counters and delta
+    /// curves cover the last run, and are empty if it failed or was
+    /// [`Executor::answer`]ed).
     pub fn report(&self) -> ExecReport {
         ExecReport {
             io: self.db.io_stats(),
@@ -271,7 +250,6 @@ impl<'a> Executor<'a> {
             method_calls: self.counters.method_calls.get(),
             ops: self.last_ops.clone(),
             fix_deltas: self.last_fix_deltas.clone(),
-            workers: self.last_workers.clone(),
         }
     }
 
@@ -283,8 +261,8 @@ impl<'a> Executor<'a> {
     /// [`ExecError::PlanLint`] before it can touch the store.
     ///
     /// Every operator is profiled: `report()` then holds the run's
-    /// per-operator counters and wall time, its delta curves and worker
-    /// lanes, and `last_plan()` its lowering.
+    /// per-operator counters and wall time and its delta curves, and
+    /// `last_plan()` its lowering.
     pub fn run(&mut self, pt: &Pt) -> Result<Batch, ExecError> {
         self.run_with(pt, true)
     }
@@ -324,8 +302,8 @@ impl<'a> Executor<'a> {
 
     /// Publish one completed run into the metrics registry: the
     /// per-query series, one histogram pair per operator *kind*
-    /// (aggregating e.g. every `EntityScan` in the plan), the fixpoint
-    /// convergence series, and one sample per worker lane.
+    /// (aggregating e.g. every entity scan in the plan), and the fixpoint
+    /// convergence series.
     fn publish_metrics(&self, wall_ns: u64, rows: u64, evals: u64) {
         if !self.metrics.enabled() {
             return;
@@ -351,12 +329,6 @@ impl<'a> Executor<'a> {
                 .histogram("exec.fix.delta_mass")
                 .record(curve.deltas.iter().sum());
         }
-        for lane in &self.last_workers {
-            self.metrics
-                .histogram("exec.worker.wall_ns")
-                .record(lane.wall_ns);
-            self.metrics.histogram("exec.worker.rows").record(lane.rows);
-        }
     }
 
     fn run_inner(&mut self, pt: &Pt, profile: bool) -> Result<Batch, ExecError> {
@@ -380,9 +352,9 @@ impl<'a> Executor<'a> {
         // The run owns the store's page account until `io` is dropped, which
         // parks it again: on `Ok`, on `Err`, and when the pipeline unwinds.
         let io = self.db.check_out();
-        let out = pipeline::execute(&plan, shared, &io, &self.counters, self.config.threads);
+        let out = pipeline::execute(&plan, shared, &io, &self.counters);
         drop(io);
-        let (rows, ops, fix_deltas, workers) = out?;
+        let (rows, ops, fix_deltas) = out?;
         // A projection hands up no row twice; any other root may.
         let deduplicated = matches!(plan.root, PhysOp::Project { .. });
         let mut rows = Batch {
@@ -391,7 +363,6 @@ impl<'a> Executor<'a> {
         };
         self.last_ops = ops;
         self.last_fix_deltas = fix_deltas;
-        self.last_workers = workers;
         self.last_plan = Some(plan);
         #[cfg(debug_assertions)]
         if profile {
@@ -424,13 +395,7 @@ impl<'a> Executor<'a> {
         let Ok(analysis) = analyzer.analyze_with_temps(pt, self.state.temp_fields.clone()) else {
             return;
         };
-        // Exchange/Merge wrappers share their input's (or union's) PT
-        // node but do no per-row work of their own: their exclusive
-        // counters are ~0, which would trip nodes whose *lower* data
-        // bound is positive. The wrapped operators' merged counters are
-        // checked in full, so skipping the wrappers loses nothing.
-        let (mut ops, fixes) = self.report().observed();
-        ops.retain(|o| !is_parallel_wrapper(&o.label));
+        let (ops, fixes) = self.report().observed();
         let report = oorq_analysis::check_observed(&analysis, &ops, &fixes);
         debug_assert!(
             report.is_clean(),
@@ -447,7 +412,7 @@ impl<'a> Executor<'a> {
             physical: self.db.physical(),
             temp_fields: self.state.temp_fields.clone(),
         };
-        let plan = oorq_pt::lower_with(&env, pt, &self.parallel).map_err(lower_err)?;
+        let plan = oorq_pt::lower(&env, pt).map_err(lower_err)?;
         #[cfg(debug_assertions)]
         {
             let report = oorq_lint::verify_phys(&env, &plan);
@@ -507,7 +472,7 @@ impl<'a> Executor<'a> {
         }
         // Assign every materializing nested loop a page-store temporary
         // from the per-shape pool (growing it as needed), so two joins in
-        // one plan — e.g. parallel merge legs — never share a breaker.
+        // one plan never share a breaker.
         self.nl_mats.clear();
         let mut used: HashMap<Vec<ResolvedType>, usize> = HashMap::new();
         for (op_id, types) in mats {
@@ -524,21 +489,14 @@ impl<'a> Executor<'a> {
 }
 
 /// Operator *kind* of a physical-operator label: its leading
-/// alphanumeric run (`EntityScan(Composer)` → `EntityScan`,
-/// `Exchange(x2)` → `Exchange`) — the grouping key of the
+/// alphanumeric run (`scan Composer` → `scan`, `Sel^idx[…]` → `Sel`,
+/// `Fix(Influencer)` → `Fix`) — the grouping key of the
 /// `exec.op.<kind>.*` metric series.
 pub fn op_kind(label: &str) -> &str {
     let end = label
         .find(|c: char| !c.is_ascii_alphanumeric())
         .unwrap_or(label.len());
     &label[..end]
-}
-
-/// True for the label of an execution wrapper (`Exchange`, `Merge`): it
-/// shares its PT node with the operator it parallelizes and does no
-/// per-row work of its own.
-pub fn is_parallel_wrapper(label: &str) -> bool {
-    matches!(op_kind(label), "Exchange" | "Merge")
 }
 
 /// Map lowering failures onto the executor's error vocabulary (the

@@ -9,11 +9,6 @@
 //! escapes its sound interval is flagged with `!!` — on a debug build
 //! the executor would already have asserted, so a flag in a release
 //! run is the analyzer soundness contract failing in the field.
-//!
-//! `Exchange`/`Merge` wrappers share their input's PT node but do no
-//! per-row work of their own (their exclusive counters are ~0), so
-//! they get observed columns but no prediction or bounds check —
-//! mirroring the executor's own `assert_bounds` filter.
 
 use oorq_analysis::Analysis;
 use oorq_cost::NodeCost;
@@ -58,9 +53,6 @@ fn walk(
     use std::fmt::Write as _;
     let meta = op.meta();
     let _ = write!(out, "{}#{} {}", "  ".repeat(depth), meta.id, meta.label);
-    // Exchange/Merge wrappers share their input's PT node; predictions
-    // and bounds belong to the wrapped operator (see module docs).
-    let wrapper = matches!(op, PhysOp::Exchange { .. } | PhysOp::Merge { .. });
     let obs = ops.get(meta.id).filter(|o| o.opens > 0);
     if let Some(o) = obs {
         let pages = o.page_reads + o.page_hits;
@@ -77,32 +69,26 @@ fn walk(
             );
         }
     }
-    if !wrapper {
-        if let Some(nc) = predicted(breakdown, meta.pt_node) {
-            let _ = write!(
-                out,
-                "  est rows={:.1} io={:.1} cpu={:.1}",
-                nc.rows, nc.cost.io, nc.cost.cpu
-            );
-        }
+    if let Some(nc) = predicted(breakdown, meta.pt_node) {
+        let _ = write!(
+            out,
+            "  est rows={:.1} io={:.1} cpu={:.1}",
+            nc.rows, nc.cost.io, nc.cost.cpu
+        );
     }
     if let Some(o) = obs {
         let _ = write!(out, "  wall={:.1}µs", o.wall_ns as f64 / 1_000.0);
-        if !wrapper {
-            if let Some(nb) = analysis.and_then(|a| a.node(meta.pt_node)) {
-                let mut flags = String::new();
-                let pages = o.page_reads + o.page_hits;
-                for (what, observed, iv) in [
-                    ("rows", o.rows_out, nb.rows_total),
-                    ("pages", pages, nb.data()),
-                    ("idx", o.index_reads, nb.index()),
-                    ("writes", o.page_writes, nb.writes()),
-                ] {
-                    if !iv.contains_count(observed) {
-                        let _ = write!(flags, " !! {what}={observed}∉{iv}");
-                    }
+        if let Some(nb) = analysis.and_then(|a| a.node(meta.pt_node)) {
+            let pages = o.page_reads + o.page_hits;
+            for (what, observed, iv) in [
+                ("rows", o.rows_out, nb.rows_total),
+                ("pages", pages, nb.data()),
+                ("idx", o.index_reads, nb.index()),
+                ("writes", o.page_writes, nb.writes()),
+            ] {
+                if !iv.contains_count(observed) {
+                    let _ = write!(out, " !! {what}={observed}∉{iv}");
                 }
-                out.push_str(&flags);
             }
         }
     }

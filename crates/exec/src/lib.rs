@@ -27,7 +27,7 @@ mod rowset;
 
 pub use error::ExecError;
 pub use eval::Batch;
-pub use executor::{is_parallel_wrapper, op_kind, ExecConfig, ExecReport, ExecState, Executor};
+pub use executor::{op_kind, ExecConfig, ExecReport, ExecState, Executor};
 pub use explain::explain_analyze;
 pub use methods::{MethodFn, MethodRegistry};
 pub use pipeline::{FixDeltaCurve, OpReport};

@@ -30,9 +30,7 @@ use std::time::Instant;
 
 use oorq_index::IndexSet;
 use oorq_pt::{lit_value, PhysOp, PhysPlan};
-use oorq_storage::{
-    Account, BufferManager, Database, EntityId, IoStats, Oid, PageRows, PageScan, Value,
-};
+use oorq_storage::{Account, Database, EntityId, IoStats, Oid, PageRows, PageScan, Value};
 
 use crate::error::ExecError;
 use crate::eval::{Bound, Counters, EvalCtx, Probe, RowRef};
@@ -112,26 +110,6 @@ impl std::fmt::Display for FixDeltaCurve {
     }
 }
 
-/// One parallel worker's contribution to one `Exchange`/`Merge`
-/// opening: its partition's rows, wall time and I/O view counters.
-/// Surfaced through `ExecReport` so speedup reports can compare the
-/// per-worker lanes against the serial baseline.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct WorkerLane {
-    /// Operator id of the `Exchange`/`Merge` that forked this worker.
-    pub op_id: usize,
-    /// The operator's label (e.g. `Exchange(x2)`).
-    pub label: String,
-    /// Worker index within the fork (0-based; lanes appear in order).
-    pub worker: usize,
-    /// Rows the worker's partition produced.
-    pub rows: u64,
-    /// The worker's wall time from fork to join.
-    pub wall_ns: u64,
-    /// What the worker charged its fork of the run's page account.
-    pub io: IoStats,
-}
-
 /// Inclusive per-operator tallies (children's work still included).
 #[derive(Debug, Clone, Copy, Default)]
 struct OpStats {
@@ -154,7 +132,8 @@ struct OpStats {
     skew_ns: u64,
 }
 
-/// What every thread of one execution reads and none writes.
+/// What the executor lends one execution: read by every operator,
+/// written by none.
 #[derive(Clone, Copy)]
 pub(crate) struct Shared<'a> {
     pub db: &'a Database,
@@ -176,11 +155,11 @@ pub(crate) struct Shared<'a> {
     pub profile: bool,
 }
 
-/// Runtime of one pipeline execution on one thread.
+/// Runtime of one pipeline execution.
 struct Rt<'a> {
     shared: Shared<'a>,
-    /// The page account this thread charges: the database's own, checked
-    /// out for the run, or a worker's fork of it.
+    /// The page account the run charges: the database's own, checked out
+    /// for the run.
     io: &'a Account,
     counters: &'a Counters,
     /// The deltas their temporaries are currently bound to (a fixpoint
@@ -190,18 +169,6 @@ struct Rt<'a> {
     /// Per-fixpoint-opening delta curves, in execution order (each
     /// `FixPoint` open appends one curve keyed by its operator).
     fix_deltas: RefCell<Vec<FixDeltaCurve>>,
-    /// Worker-pool size for `Exchange`/`Merge` operators (0 or 1 =
-    /// drain them inline on this thread; the plan shape is unchanged).
-    threads: u32,
-    /// Set inside a parallel worker: restricts the driver leaf scan to
-    /// the worker's page range. `None` on the coordinating thread.
-    partition: Option<Partition>,
-    /// Per-worker lanes of every `Exchange`/`Merge` opening, in fork
-    /// order (coordinator-only; workers never nest parallel operators).
-    worker_lanes: RefCell<Vec<WorkerLane>>,
-    /// The temporaries this thread emptied. A worker's list goes to the
-    /// join: the coordinator's account may hold frames of them too.
-    truncated: RefCell<Vec<EntityId>>,
 }
 
 impl<'a> std::ops::Deref for Rt<'a> {
@@ -212,25 +179,10 @@ impl<'a> std::ops::Deref for Rt<'a> {
     }
 }
 
-/// A parallel worker's share of an exchange: worker `worker` of
-/// `workers` runs the subtree with the driver leaf (`driver_op`)
-/// restricted to pages `[worker·P/workers, (worker+1)·P/workers)`.
-#[derive(Debug, Clone, Copy)]
-struct Partition {
-    driver_op: usize,
-    worker: usize,
-    workers: usize,
-}
-
 /// What one pipeline execution produced: rows (bag semantics — the
 /// caller deduplicates the answer), per-operator reports (none unless
-/// profiled), the per-fixpoint delta curves and the worker lanes.
-pub(crate) type ExecOutput = (
-    Vec<Vec<Value>>,
-    Vec<OpReport>,
-    Vec<FixDeltaCurve>,
-    Vec<WorkerLane>,
-);
+/// profiled) and the per-fixpoint delta curves.
+pub(crate) type ExecOutput = (Vec<Vec<Value>>, Vec<OpReport>, Vec<FixDeltaCurve>);
 
 /// Execute a lowered plan, charging every page touch to `io`.
 pub(crate) fn execute(
@@ -238,9 +190,8 @@ pub(crate) fn execute(
     shared: Shared<'_>,
     io: &Account,
     counters: &Counters,
-    threads: u32,
 ) -> Result<ExecOutput, ExecError> {
-    let rt = Rt::new(shared, io, counters, plan.ops, Vec::new(), threads, None);
+    let rt = Rt::new(shared, io, counters, plan.ops);
     let mut root = build(&plan.root, shared.temps, false);
     root.open(&rt)?;
     let rows = root.drain(&rt)?;
@@ -251,12 +202,7 @@ pub(crate) fn execute(
         reports = rollup(plan, &stats);
         record_op_spans(shared.obs, &reports, &stats);
     }
-    Ok((
-        rows,
-        reports,
-        rt.fix_deltas.into_inner(),
-        rt.worker_lanes.into_inner(),
-    ))
+    Ok((rows, reports, rt.fix_deltas.into_inner()))
 }
 
 /// Synthesize one span per operator that actually ran: the interval is
@@ -462,9 +408,6 @@ enum St {
     },
     /// Union: whether the right operand is the one being drained.
     Union(bool),
-    /// Exchange/merge: partition (or leg) outputs concatenated in
-    /// deterministic order at `open`, handed on whole.
-    Mat(Vec<Vec<Value>>),
 }
 
 struct OpExec<'p> {
@@ -499,8 +442,7 @@ fn is_set(op: &PhysOp) -> bool {
 /// does anything under an operator that fetches between two pulls of its
 /// input: a dereference, an index probe, a nested loop (which rescans or
 /// re-reads its inner per outer row and materializes it chunk by chunk),
-/// a filter or projection whose expression dereferences. A parallel
-/// boundary starts its subtree the same way in a worker and inline.
+/// a filter or projection whose expression dereferences.
 fn build<'p>(op: &'p PhysOp, temps: &Temps, downstream_touches: bool) -> OpExec<'p> {
     let st = match op {
         PhysOp::EntityScan { .. } => St::Scan {
@@ -552,7 +494,6 @@ fn build<'p>(op: &'p PhysOp, temps: &Temps, downstream_touches: bool) -> OpExec<
             pred: Bound::bind(pred, cols),
         },
         PhysOp::UnionAll { .. } => St::Union(false),
-        PhysOp::Exchange { .. } | PhysOp::Merge { .. } => St::Mat(Vec::new()),
     };
     let kid_touched = |kid: usize| match (op, &st) {
         (PhysOp::FixPoint { .. }, _) => kid == 0,
@@ -595,63 +536,6 @@ fn pump(
     Ok((!out.is_empty()).then_some(Chunk::Rows(out)))
 }
 
-/// What one parallel worker hands back at the join: its partition's
-/// rows (in partition order), its per-operator inclusive tallies, its
-/// CPU counter totals, and what it charged its page account.
-struct WorkerOut {
-    rows: Vec<Vec<Value>>,
-    stats: Vec<OpStats>,
-    evals: u64,
-    method_calls: u64,
-    io: IoStats,
-    t_start_ns: u64,
-    t_end_ns: u64,
-    wall_ns: u64,
-}
-
-/// Operator id of a pipeline subtree's driver leaf: the leftmost scan,
-/// reached by following first children down the spine. Only called on
-/// [`oorq_pt::exchange_eligible`] subtrees, whose spine always ends in
-/// an `EntityScan`/`TempScan`.
-fn driver_leaf(op: &PhysOp) -> usize {
-    match op {
-        PhysOp::EntityScan { meta, .. } | PhysOp::TempScan { meta, .. } => meta.id,
-        _ => driver_leaf(op.children()[0]),
-    }
-}
-
-/// A partition worker's page range `[lo, hi)` of a `pages`-page driver
-/// leaf: `worker·pages/workers` scaled in u64, then *checked* back into
-/// the store's u32 page domain. The unchecked `as u32` this replaces
-/// silently wrapped for page counts near `u32::MAX`, making a worker
-/// quietly rescan (or skip) pages instead of failing loudly.
-fn partition_range(pages: u64, worker: u64, workers: u64) -> Result<(u32, u32), ExecError> {
-    debug_assert!(workers > 0 && worker < workers);
-    let bound = |w: u64| -> Result<u32, ExecError> {
-        let scaled = w
-            .checked_mul(pages)
-            .ok_or_else(|| partition_overflow(pages, workers))?
-            / workers.max(1);
-        u32::try_from(scaled).map_err(|_| partition_overflow(pages, workers))
-    };
-    Ok((bound(worker)?, bound(worker + 1)?))
-}
-
-fn partition_overflow(pages: u64, workers: u64) -> ExecError {
-    ExecError::PartitionOverflow { pages, workers }
-}
-
-/// A parallel worker's slice of the breaker memory budget: an even
-/// split, floored at one page so a tiny budget still spills rather than
-/// silently lifting the cap (0 stays 0 = unbounded).
-fn worker_budget(budget: usize, workers: usize) -> usize {
-    if budget == 0 {
-        0
-    } else {
-        (budget / workers.max(1)).max(1)
-    }
-}
-
 /// The (accumulator, delta) pair `build` found for temporary `name`.
 fn built(
     temps: Option<(EntityId, EntityId)>,
@@ -660,49 +544,12 @@ fn built(
     temps.ok_or_else(|| ExecError::BadFixpoint(format!("temp `{name}` not built")))
 }
 
-/// Rows with their columns put in the order a union, a merge leg or a
-/// fixpoint's recursive side resolved at lowering.
+/// Rows with their columns put in the order a union or a fixpoint's
+/// recursive side resolved at lowering.
 fn permute(perm: Option<&Vec<usize>>, rows: Vec<Vec<Value>>) -> Vec<Vec<Value>> {
     let Some(perm) = perm else { return rows };
     let pick = |r: Vec<Value>| perm.iter().map(|&i| r[i].clone()).collect();
     rows.into_iter().map(pick).collect()
-}
-
-/// Run one parallel worker: build a private operator tree over the
-/// subtree, drain it against `account` — the worker's fork of the run's
-/// page account — and hand everything back for the coordinator to merge,
-/// the temporaries it emptied even when it fails. The worker's `Rt`
-/// shares the database snapshot, indexes, methods, temps and recorder
-/// with the coordinator but owns its account, counters, per-operator
-/// stats and delta bindings — nothing mutable is shared across threads
-/// except the recorder's internal mutex.
-fn run_worker(
-    op: &PhysOp,
-    shared: Shared<'_>,
-    account: BufferManager,
-    delta_active: Vec<EntityId>,
-    ops_len: usize,
-    partition: Option<Partition>,
-) -> (Vec<EntityId>, Result<WorkerOut, ExecError>) {
-    let (io, counters) = (Account::new(account), Counters::default());
-    let rt = Rt::new(shared, &io, &counters, ops_len, delta_active, 0, partition);
-    let t_start_ns = rt.obs.now_ns();
-    let wall0 = Instant::now();
-    let mut root = build(op, shared.temps, true);
-    let res = root.open(&rt).and_then(|()| root.drain(&rt));
-    drop(root);
-    let t_end_ns = rt.obs.now_ns();
-    let out = res.map(|rows| WorkerOut {
-        rows,
-        evals: counters.evals.get(),
-        method_calls: counters.method_calls.get(),
-        io: io.borrow().stats(),
-        t_start_ns,
-        t_end_ns,
-        wall_ns: wall0.elapsed().as_nanos() as u64,
-        stats: rt.stats.into_inner(),
-    });
-    (rt.truncated.into_inner(), out)
 }
 
 /// Snapshot of the shared counters, for inclusive-delta charging.
@@ -714,15 +561,7 @@ struct Snap {
 }
 
 impl<'a> Rt<'a> {
-    fn new(
-        shared: Shared<'a>,
-        io: &'a Account,
-        counters: &'a Counters,
-        ops_len: usize,
-        delta_active: Vec<EntityId>,
-        threads: u32,
-        partition: Option<Partition>,
-    ) -> Self {
+    fn new(shared: Shared<'a>, io: &'a Account, counters: &'a Counters, ops_len: usize) -> Self {
         let unrun = OpStats {
             first_ns: u64::MAX,
             ..OpStats::default()
@@ -732,13 +571,9 @@ impl<'a> Rt<'a> {
             shared,
             io,
             counters,
-            delta_active: RefCell::new(delta_active),
+            delta_active: RefCell::new(Vec::new()),
             stats: RefCell::new(vec![unrun; ops_len]),
             fix_deltas: RefCell::new(Vec::new()),
-            threads,
-            partition,
-            worker_lanes: RefCell::new(Vec::new()),
-            truncated: RefCell::new(Vec::new()),
         }
     }
 
@@ -813,28 +648,6 @@ impl<'a> Rt<'a> {
         }
     }
 
-    /// The scan of a leaf: the full entity normally, or this worker's
-    /// page range when the leaf is the partitioned driver of the
-    /// enclosing exchange.
-    fn leaf_scan(&self, entity: EntityId, op_id: usize) -> Result<PageScan, ExecError> {
-        let pages = match self.partition {
-            Some(p) if p.driver_op == op_id => {
-                let pages = self.db.num_pages(entity) as u64;
-                let (lo, hi) = partition_range(pages, p.worker as u64, p.workers as u64)?;
-                lo..hi
-            }
-            _ => 0..u32::MAX,
-        };
-        Ok(self.db.scan_pages(entity, pages))
-    }
-
-    /// Empty a temporary, dropping its frames from this thread's account
-    /// (and, through `truncated`, from the one it was forked from).
-    fn truncate(&self, entity: EntityId) -> Result<(), ExecError> {
-        self.truncated.borrow_mut().push(entity);
-        Ok(self.db.truncate_temp(self.io, entity)?)
-    }
-
     /// The page-store temporary backing a materializing `NlJoin`'s inner.
     fn nl_mat(&self, op_id: usize) -> Result<EntityId, ExecError> {
         self.nl_mats.get(&op_id).copied().ok_or_else(|| {
@@ -842,132 +655,6 @@ impl<'a> Rt<'a> {
                 "materialized inner temporary for op #{op_id} not prepared"
             ))
         })
-    }
-
-    /// Run one worker thread per leg (each charging a fork of this
-    /// thread's account with an even share of its frames and of its
-    /// breaker budget) and join them into `out`.
-    fn fork(
-        &self,
-        meta: &oorq_pt::OpMeta,
-        (what, unit): (&str, &str),
-        legs: Vec<(&PhysOp, Option<Partition>)>,
-        out: &mut Vec<Vec<Value>>,
-        perms: Option<&[Option<Vec<usize>>]>,
-    ) -> Result<(), ExecError> {
-        let accounts: Vec<BufferManager> = {
-            let (io, n) = (self.io.borrow(), legs.len());
-            let budget = worker_budget(io.temp_budget(), n);
-            (0..n).map(|_| io.fork(io.capacity() / n, budget)).collect()
-        };
-        let ops_len = self.stats.borrow().len();
-        let delta = self.delta_active.borrow().clone();
-        let shared = self.shared;
-        let results: Vec<_> = std::thread::scope(|scope| {
-            let handles: Vec<_> = legs
-                .into_iter()
-                .zip(accounts)
-                .map(|((leg, part), account)| {
-                    let delta = delta.clone();
-                    scope.spawn(move || run_worker(leg, shared, account, delta, ops_len, part))
-                })
-                .collect();
-            handles
-                .into_iter()
-                .enumerate()
-                .map(|(w, h)| {
-                    h.join().unwrap_or_else(|_| {
-                        let who = format!("{what} #{} {unit} {w}", meta.id);
-                        (Vec::new(), Err(ExecError::WorkerPanicked(who)))
-                    })
-                })
-                .collect()
-        });
-        // Join in worker order: fold each worker's I/O and CPU counters
-        // into this thread's (inside the parallel operator's open
-        // bracket, so its inclusive tallies stay exact), merge its
-        // per-operator stats, record its lane and span, and concatenate
-        // its rows. Deterministic by construction — merge order is
-        // worker order regardless of thread scheduling.
-        let mut first_err = None;
-        for (w, (truncated, res)) in results.into_iter().enumerate() {
-            // A temporary a worker emptied may have been filled through
-            // this account, in an earlier opening or run. Nothing touches
-            // the account between fork and join, so dropping those frames
-            // here is dropping them at the truncate.
-            for entity in truncated {
-                self.io.borrow_mut().invalidate_entity(entity);
-            }
-            let wo = match res {
-                Ok(wo) => wo,
-                Err(e) => {
-                    if first_err.is_none() {
-                        first_err = Some(e);
-                    }
-                    continue;
-                }
-            };
-            self.io.borrow_mut().absorb_stats(wo.io);
-            self.counters
-                .evals
-                .set(self.counters.evals.get() + wo.evals);
-            self.counters
-                .method_calls
-                .set(self.counters.method_calls.get() + wo.method_calls);
-            {
-                let mut stats = self.stats.borrow_mut();
-                for (id, ws) in wo.stats.iter().enumerate() {
-                    let s = &mut stats[id];
-                    s.opens += ws.opens;
-                    s.calls += ws.calls;
-                    s.rows_out += ws.rows_out;
-                    s.io += ws.io;
-                    s.evals += ws.evals;
-                    s.method_calls += ws.method_calls;
-                    s.wall_ns += ws.wall_ns;
-                    s.first_ns = s.first_ns.min(ws.first_ns);
-                    s.last_ns = s.last_ns.max(ws.last_ns);
-                    s.skew_ns += ws.skew_ns;
-                }
-            }
-            if self.obs.enabled() && wo.t_end_ns > wo.t_start_ns {
-                let fields: oorq_obs::Fields = vec![
-                    (
-                        "track".into(),
-                        format!("op#{} {} worker#{w}", meta.id, meta.label).into(),
-                    ),
-                    ("op_id".into(), meta.id.into()),
-                    ("worker".into(), w.into()),
-                    ("rows".into(), (wo.rows.len() as u64).into()),
-                    ("wall_ns".into(), wo.wall_ns.into()),
-                    ("page_reads".into(), wo.io.page_reads.into()),
-                    ("page_hits".into(), wo.io.page_hits.into()),
-                    ("index_reads".into(), wo.io.index_reads.into()),
-                ];
-                self.obs.add_span(
-                    "exec",
-                    &format!("{} worker {w}", meta.label),
-                    None,
-                    wo.t_start_ns,
-                    wo.t_end_ns,
-                    fields,
-                );
-            }
-            self.worker_lanes.borrow_mut().push(WorkerLane {
-                op_id: meta.id,
-                label: meta.label.clone(),
-                worker: w,
-                rows: wo.rows.len() as u64,
-                wall_ns: wo.wall_ns,
-                io: wo.io,
-            });
-            let perm = perms.and_then(|ps| ps.get(w)).and_then(|p| p.as_ref());
-            out.extend(permute(perm, wo.rows));
-        }
-        match first_err {
-            Some(e) => Err(e),
-            None => Ok(()),
-        }
     }
 }
 
@@ -1030,13 +717,14 @@ impl OpExec<'_> {
         let meta = op.meta();
         match (&**op, st) {
             (PhysOp::EntityScan { entity, .. }, St::Scan { scan, .. }) => {
-                *scan = Some(rt.leaf_scan(*entity, meta.id)?);
+                *scan = Some(rt.db.scan_pages(*entity, 0..u32::MAX));
                 Ok(())
             }
             (PhysOp::TempScan { name, .. }, St::Scan { temps, scan }) => {
                 let (acc, delta) = built(*temps, name)?;
                 let on_delta = rt.delta_active.borrow().contains(&delta);
-                *scan = Some(rt.leaf_scan(if on_delta { delta } else { acc }, meta.id)?);
+                let entity = if on_delta { delta } else { acc };
+                *scan = Some(rt.db.scan_pages(entity, 0..u32::MAX));
                 Ok(())
             }
             (PhysOp::IndexSelect { index, .. }, St::Probe { key, oids, .. }) => {
@@ -1085,7 +773,7 @@ impl OpExec<'_> {
                     // against the breaker memory budget and its writes and
                     // re-reads are charged to this operator's `IoStats`.
                     let mat_e = rt.nl_mat(meta.id)?;
-                    rt.truncate(mat_e)?;
+                    rt.db.truncate_temp(rt.io, mat_e)?;
                     kids[1].open(rt)?;
                     while let Some(chunk) = kids[1].next_chunk(rt)? {
                         rt.db.append_temp_rows(rt.io, &[mat_e], chunk.into_rows())?;
@@ -1107,8 +795,8 @@ impl OpExec<'_> {
                 // Let go of the last opening's read-back before writing.
                 *scan = None;
                 let (acc_e, delta_e) = built(*temps, temp)?;
-                rt.truncate(acc_e)?;
-                rt.truncate(delta_e)?;
+                rt.db.truncate_temp(rt.io, acc_e)?;
+                rt.db.truncate_temp(rt.io, delta_e)?;
 
                 // Each opening records its own delta curve, keyed by the
                 // operator (two `Fix` nodes — or one re-opened fixpoint —
@@ -1168,7 +856,7 @@ impl OpExec<'_> {
                     let rec = kids[1].open(rt).and_then(|()| kids[1].drain(rt));
                     rt.delta_active.borrow_mut().pop();
                     let rec = rec?;
-                    rt.truncate(delta_e)?;
+                    rt.db.truncate_temp(rt.io, delta_e)?;
                     sink(permute(perm.as_ref(), rec))?;
                     note_delta(iterations);
                 }
@@ -1179,44 +867,6 @@ impl OpExec<'_> {
                 // spilled it.
                 *scan = Some(rt.db.scan_pages(acc_e, 0..u32::MAX));
                 Ok(())
-            }
-            (PhysOp::Exchange { workers, input, .. }, St::Mat(out)) => {
-                out.clear();
-                let eff = (*workers).min(rt.threads.max(1) as usize);
-                // Serial fallback (threads <= 1, or a hand-built plan the
-                // eligibility rule rejects): drain the child inline. Same
-                // rows, same order, no fork.
-                if eff < 2 || !oorq_pt::exchange_eligible(input) {
-                    kids[0].open(rt)?;
-                    *out = kids[0].drain(rt)?;
-                    return Ok(());
-                }
-                let part = |worker| Partition {
-                    driver_op: driver_leaf(input),
-                    worker,
-                    workers: eff,
-                };
-                let legs = (0..eff).map(|w| (&**input, Some(part(w)))).collect();
-                rt.fork(meta, ("exchange", "worker"), legs, out, None)
-            }
-            (
-                PhysOp::Merge {
-                    perms, children, ..
-                },
-                St::Mat(out),
-            ) => {
-                out.clear();
-                if children.len().min(rt.threads.max(1) as usize) < 2 {
-                    // Serial fallback: drain the legs in order, exactly a
-                    // `UnionAll` chain.
-                    for (kid, perm) in kids.iter_mut().zip(perms) {
-                        kid.open(rt)?;
-                        out.extend(permute(perm.as_ref(), kid.drain(rt)?));
-                    }
-                    return Ok(());
-                }
-                let legs = children.iter().map(|leg| (leg, None)).collect();
-                rt.fork(meta, ("merge", "leg"), legs, out, Some(perms))
             }
             _ => unreachable!("operator/state shape mismatch"),
         }
@@ -1441,9 +1091,6 @@ impl OpExec<'_> {
                     None => chunk,
                 })
             }
-            (PhysOp::Exchange { .. } | PhysOp::Merge { .. }, St::Mat(out)) => {
-                Ok((!out.is_empty()).then(|| Chunk::Rows(std::mem::take(out))))
-            }
             _ => unreachable!("operator/state shape mismatch"),
         }
     }
@@ -1477,15 +1124,6 @@ fn rollup(plan: &PhysPlan, stats: &[OpStats]) -> Vec<OpReport> {
     plan.root.visit(&mut |op| {
         let id = op.meta().id;
         let label = &op.meta().label;
-        // Exchange/Merge cut the wall-attribution chain: their
-        // children's tallies are per-worker sums, so "children <=
-        // parent" holds exactly for the counters (worker totals are
-        // folded back in before the bracket closes) but *not* for wall
-        // time, where the workers' summed wall exceeds the
-        // coordinator's fork-to-join interval by up to the degree of
-        // parallelism. Clamp at the boundary instead of asserting; the
-        // per-worker walls survive in the `WorkerLane`s.
-        let boundary = matches!(op, PhysOp::Exchange { .. } | PhysOp::Merge { .. });
         let s = stats[id];
         let mut kids = OpStats::default();
         let mut rows_in = 0;
@@ -1525,66 +1163,10 @@ fn rollup(plan: &PhysPlan, stats: &[OpStats]) -> Vec<OpReport> {
             // some parent bracket on the same monotonic clock, so the
             // children's sum can never exceed the parent's inclusive
             // tally — assert it rather than silently flooring residue.
-            // (Except across a parallel boundary; see above.)
-            wall_ns: if boundary {
-                s.wall_ns.saturating_sub(kids.wall_ns)
-            } else {
-                exclusive(s.wall_ns, kids.wall_ns, "wall_ns", id, label)
-            },
+            wall_ns: exclusive(s.wall_ns, kids.wall_ns, "wall_ns", id, label),
             wall_inclusive_ns: s.wall_ns,
             calls: s.calls,
         };
     });
     out
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn partition_range_covers_all_pages_without_overlap() {
-        for pages in [0u64, 1, 7, 1000] {
-            for workers in [1u64, 2, 3, 7] {
-                let mut next = 0u32;
-                for w in 0..workers {
-                    let (lo, hi) = partition_range(pages, w, workers).unwrap();
-                    assert_eq!(lo, next, "pages={pages} workers={workers} w={w}");
-                    assert!(hi >= lo);
-                    next = hi;
-                }
-                assert_eq!(next as u64, pages);
-            }
-        }
-    }
-
-    #[test]
-    fn partition_range_at_u32_page_boundary() {
-        // The page domain's ceiling: u32::MAX pages split across workers
-        // must still cover [0, u32::MAX) exactly — the old unchecked
-        // `as u32` arithmetic is only honest if these bounds round-trip.
-        let pages = u32::MAX as u64;
-        let (lo0, hi0) = partition_range(pages, 0, 3).unwrap();
-        let (lo1, hi1) = partition_range(pages, 1, 3).unwrap();
-        let (lo2, hi2) = partition_range(pages, 2, 3).unwrap();
-        assert_eq!(lo0, 0);
-        assert_eq!(hi0, lo1);
-        assert_eq!(hi1, lo2);
-        assert_eq!(hi2, u32::MAX);
-    }
-
-    #[test]
-    fn partition_range_rejects_scaled_overflow() {
-        // worker · pages overflowing u64 must surface as an error, not
-        // wrap into a bogus in-domain page range.
-        let err = partition_range(u64::MAX / 2, 3, 4).unwrap_err();
-        assert!(matches!(err, ExecError::PartitionOverflow { .. }), "{err}");
-    }
-
-    #[test]
-    fn worker_budget_splits_and_floors() {
-        assert_eq!(worker_budget(0, 4), 0, "0 stays unbounded");
-        assert_eq!(worker_budget(8, 2), 4);
-        assert_eq!(worker_budget(3, 4), 1, "floored at one page");
-    }
 }

@@ -866,7 +866,7 @@ fn failed_run_reports_itself_and_parks_the_account() {
     let err = ex.run(&closure).unwrap_err();
     assert!(matches!(err, ExecError::FixpointDiverged(_)), "{err}");
     let failed = ex.report();
-    assert!(failed.ops.is_empty() && failed.fix_deltas.is_empty() && failed.workers.is_empty());
+    assert!(failed.ops.is_empty() && failed.fix_deltas.is_empty());
     assert!(ex.last_plan().is_none(), "no plan just completed");
     assert!(
         failed.io.fetches() > good.io.fetches() && failed.io.page_writes > 0,
@@ -893,13 +893,13 @@ fn failed_run_reports_itself_and_parks_the_account() {
     assert_eq!(first_scan(&ex.report()), Some((1, 0)), "cold, it is a read");
 }
 
-/// A worker that panics while it writes a temporary poisons that
-/// temporary's lock. The run surfaces `WorkerPanicked`; the session's next
-/// run — a new executor over the same database and temporaries — finds the
-/// lock poisoned, and its fixpoint's truncate puts it right instead of
-/// panicking in turn.
+/// A method that panics while it writes a temporary poisons that
+/// temporary's lock, and the panic unwinds through the run. The session's
+/// next run — a new executor over the same database and temporaries —
+/// finds the page account parked and the lock poisoned, and its fixpoint's
+/// truncate puts the lock right instead of panicking in turn.
 #[test]
-fn a_run_after_a_worker_panicked_answers_as_before() {
+fn a_run_after_a_panicking_method_answers_as_before() {
     let mut m = small_music();
     let e = m.db.physical().entities_of_class(m.composer)[0];
     let (idx, quiet) = (IndexSet::new(), MethodRegistry::new());
@@ -924,17 +924,16 @@ fn a_run_after_a_worker_panicked_answers_as_before() {
         Expr::path("x", &["age"]).ne(Expr::Lit(oorq_query::Literal::Null)),
         Pt::entity(e, "x"),
     );
-    let config = ExecConfig {
-        threads: 2,
-        ..ExecConfig::default()
-    };
-    let mut ex = Executor::new(&mut m.db, &idx, &methods)
-        .with_config(config)
-        .with_parallel(oorq_pt::ParallelSpec::from([(0, 2)]))
-        .with_state(state);
-    let err = ex.run(&aged).unwrap_err();
-    assert!(matches!(err, ExecError::WorkerPanicked(_)), "{err}");
+    let mut ex = Executor::new(&mut m.db, &idx, &methods).with_state(state);
+    let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| ex.run(&aged)));
+    assert!(run.is_err(), "the method's panic unwinds through the run");
     let state = ex.into_state();
+    let refused = m.db.append_temp_rows(&m.db.check_out(), &[acc], Vec::new());
+    assert_eq!(
+        refused,
+        Err(oorq_storage::StorageError::PoisonedTemporary(acc)),
+        "the accumulator's lock was left poisoned"
+    );
 
     let mut ex = Executor::new(&mut m.db, &idx, &quiet).with_state(state);
     assert_eq!(ex.run(&closure).unwrap(), reference);
@@ -998,109 +997,6 @@ fn nl_join_materialized_inner_charges_page_store_io() {
         io2.page_reads,
         report.io.page_reads
     );
-}
-
-/// A temporary a worker empties loses its frames in the coordinator's
-/// account as well, at the join. Here a `Merge` leg re-materializes a
-/// nested-loop inner that the coordinator itself filled in an earlier,
-/// serial run: were those frames left behind, the 4-page budget of the
-/// second run would spill them one by one while the root join writes its
-/// own inner. Per-operator `(label, opens, rows_out, page_reads,
-/// page_hits, page_writes, temp_reads, spill_evictions)` and the store's
-/// `IoStats` after both runs, recorded at the commit before the run owned
-/// its page account (a worker's truncate then reached into the shared
-/// buffer under its lock).
-#[test]
-fn merge_leg_rematerializing_an_inner_drops_the_coordinators_frames() {
-    let mut m = MusicDb::generate_paged(
-        Arc::new(music_catalog()),
-        MusicConfig {
-            chains: 3,
-            chain_len: 4,
-            buffer_frames: 128,
-            ..Default::default()
-        },
-        oorq_storage::WidthModel {
-            page_size: 256,
-            ..Default::default()
-        },
-    );
-    let e = m.db.physical().entities_of_class(m.composer)[0];
-    let scan = |var: &str| Pt::entity(e, var);
-    // A leg: a nested loop over a join, whose inner is materialized.
-    let leg = |on: &str| {
-        Pt::ej(
-            Expr::var("a").eq(Expr::var(on)),
-            scan("a"),
-            Pt::ej(Expr::int(1).eq(Expr::int(1)), scan("b"), scan("c")),
-        )
-    };
-    // Pre-order: the root join is node 0, its outer scan 1, the union 2.
-    let plan = Pt::ej(
-        Expr::var("x").eq(Expr::var("a")),
-        scan("x"),
-        Pt::union(leg("b"), leg("c")),
-    );
-    let spec = oorq_pt::ParallelSpec::from([(2, 2)]);
-    let (idx, methods) = (IndexSet::new(), MethodRegistry::new());
-
-    let mut serial = Executor::new(&mut m.db, &idx, &methods).with_parallel(spec.clone());
-    let first = serial.run(&plan).unwrap();
-    assert!(serial.report().workers.is_empty(), "drained inline");
-    let state = serial.into_state();
-    let mut ex = Executor::new(&mut m.db, &idx, &methods)
-        .with_config(ExecConfig {
-            threads: 2,
-            memory_budget_pages: 4,
-            ..ExecConfig::default()
-        })
-        .with_parallel(spec)
-        .with_state(state);
-    let second = ex.run(&plan).unwrap();
-    assert_eq!(first, second);
-    let report = ex.report();
-    assert_eq!(report.workers.len(), 2, "one lane per leg");
-    let ops: Vec<_> = report
-        .ops
-        .iter()
-        .map(|o| {
-            let label = o.label.as_str();
-            let io = (o.page_reads, o.page_hits, o.page_writes);
-            (
-                label,
-                o.opens,
-                o.rows_out,
-                io,
-                o.temp_reads,
-                o.spill_evictions,
-            )
-        })
-        .collect();
-    let leg = |on| {
-        [
-            ("scan Composer", 1, 12, (0, 6, 0), 0, 0),
-            ("scan Composer", 1, 12, (1, 5, 0), 0, 0),
-            ("scan Composer", 12, 144, (5, 67, 0), 0, 0),
-            ("EJ[1=1]", 1, 144, (0, 0, 0), 0, 0),
-            (on, 1, 144, (180, 0, 15), 180, 193),
-        ]
-    };
-    let mut expected = vec![("scan Composer", 1, 12, (0, 6, 0), 0, 0)];
-    expected.extend(leg("EJ[a=b]"));
-    expected.extend(leg("EJ[a=c]"));
-    expected.push(("Merge", 1, 288, (0, 0, 0), 0, 0));
-    // 464 spills: 30 more if the legs' stale frames were still there.
-    expected.push(("EJ[x=a]", 1, 288, (432, 0, 36), 432, 464));
-    assert_eq!(ops, expected);
-    let io = oorq_storage::IoStats {
-        page_reads: 810,
-        page_hits: 1122,
-        page_writes: 132,
-        spill_evictions: 850,
-        temp_reads: 792,
-        ..Default::default()
-    };
-    assert_eq!(report.io, io, "both runs; nothing evicted for capacity");
 }
 
 /// The binder means what the name-resolving interpreter meant: every
@@ -1752,7 +1648,7 @@ fn probe_is_the_per_pair_loop_on_random_rows_and_predicates() {
 
 /// Rows are deduplicated once, where they can first repeat. A stored
 /// relation is a bag: a projection over it keeps its set of rows seen, and
-/// a root that is not a projection — a selection, an exchange — leaves the
+/// a root that is not a projection — a selection — leaves the
 /// duplicates to `Executor::run`. What a fixpoint hands up is a set: the
 /// projections over it that keep every column skip theirs, and the root
 /// projection's answer is not deduplicated again. Per-operator `(label,
@@ -1806,20 +1702,13 @@ fn a_bag_is_deduplicated_once_and_a_set_not_again() {
     let (idx, methods) = (IndexSet::new(), MethodRegistry::new());
     type Ops = &'static [(&'static str, u64, u64)];
     #[rustfmt::skip]
-    let cases: [(&str, Pt, u32, &str, Ops); 4] = [
-        ("projected", projected(), 0, "Project", &[("scan Play", 1, 24), ("Proj", 1, 12)]),
-        ("closed", closed, 0, "Project", &[("scan Play", 1, 24), ("Proj", 1, 12), ("scan temp Played", 1, 12), ("Sel[t.who<>null]", 1, 12), ("Proj", 1, 12), ("Fix(Played)", 1, 12), ("Proj", 1, 12)]),
-        ("selected", selected(), 0, "Filter", &[("scan Play", 1, 24), ("Sel[p.who<>null]", 1, 24)]),
-        ("exchanged", selected(), 2, "Exchange", &[("scan Play", 2, 24), ("Sel[p.who<>null]", 2, 24), ("Exchange(x2)", 1, 24)]),
+    let cases: [(&str, Pt, &str, Ops); 3] = [
+        ("projected", projected(), "Project", &[("scan Play", 1, 24), ("Proj", 1, 12)]),
+        ("closed", closed, "Project", &[("scan Play", 1, 24), ("Proj", 1, 12), ("scan temp Played", 1, 12), ("Sel[t.who<>null]", 1, 12), ("Proj", 1, 12), ("Fix(Played)", 1, 12), ("Proj", 1, 12)]),
+        ("selected", selected(), "Filter", &[("scan Play", 1, 24), ("Sel[p.who<>null]", 1, 24)]),
     ];
-    for (name, plan, threads, root, expected_ops) in cases {
-        let config = ExecConfig {
-            threads,
-            ..ExecConfig::default()
-        };
-        let mut ex = Executor::new(&mut m.db, &idx, &methods)
-            .with_config(config)
-            .with_parallel(oorq_pt::ParallelSpec::from([(0, threads as usize)]));
+    for (name, plan, root, expected_ops) in cases {
+        let mut ex = Executor::new(&mut m.db, &idx, &methods);
         let out = ex.run(&plan).unwrap();
         let distinct: std::collections::HashSet<_> = out.rows.iter().collect();
         assert_eq!(
@@ -1830,7 +1719,6 @@ fn a_bag_is_deduplicated_once_and_a_set_not_again() {
         let lowered = format!("{:?}", ex.last_plan().unwrap().root);
         assert!(lowered.starts_with(root), "{name}: the root is a {root}");
         let report = ex.report();
-        assert_eq!(report.workers.len(), threads as usize, "{name}");
         let ops: Vec<_> = report
             .ops
             .iter()

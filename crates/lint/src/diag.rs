@@ -143,12 +143,8 @@ pub enum LintCode {
     PhysBadRescan,
     /// An entity scan references an entity out of range.
     PhysBadEntity,
-    /// An exchange operator wraps a subtree it cannot partition (a
-    /// materializing breaker, global dedup, or index-driven root).
-    ExchangeUnderBreaker,
-    /// A merge operator's permutation slots disagree with its child
-    /// count (or a permutation fails to map a child's columns).
-    MergeArityMismatch,
+    // PX008 and PX009 are retired with the parallel operators they
+    // checked; the numbers are not reused.
     /// A materializing breaker's estimated page footprint exceeds the
     /// executor's breaker memory budget: the answer stays correct, but
     /// LRU spill makes its re-reads pay full page I/O.
@@ -222,8 +218,6 @@ impl LintCode {
             LintCode::PhysUndefinedTemp => "PX005",
             LintCode::PhysBadRescan => "PX006",
             LintCode::PhysBadEntity => "PX007",
-            LintCode::ExchangeUnderBreaker => "PX008",
-            LintCode::MergeArityMismatch => "PX009",
             LintCode::BreakerOverBudget => "PX010",
             LintCode::BoundRowsViolated => "AB001",
             LintCode::BoundPagesViolated => "AB002",
@@ -264,8 +258,6 @@ impl LintCode {
             | PhysUndefinedTemp
             | PhysBadRescan
             | PhysBadEntity
-            | ExchangeUnderBreaker
-            | MergeArityMismatch
             | BoundRowsViolated
             | BoundPagesViolated
             | BoundPassesViolated
@@ -325,8 +317,6 @@ impl LintCode {
             PhysUndefinedTemp,
             PhysBadRescan,
             PhysBadEntity,
-            ExchangeUnderBreaker,
-            MergeArityMismatch,
             BreakerOverBudget,
             BoundRowsViolated,
             BoundPagesViolated,
@@ -385,10 +375,6 @@ impl LintCode {
             PhysUndefinedTemp => "temp scanned outside a defining fixpoint",
             PhysBadRescan => "nested-loop rescan over a non-rescannable inner",
             PhysBadEntity => "entity scan references an entity out of range",
-            ExchangeUnderBreaker => {
-                "exchange placed under/over a materializing breaker it cannot help"
-            }
-            MergeArityMismatch => "merge permutation slots disagree with its child count",
             BreakerOverBudget => "breaker footprint exceeds the memory budget (expect spill)",
             BoundRowsViolated => "observed row counter escapes its static interval",
             BoundPagesViolated => "observed page-access counter escapes its static interval",

@@ -269,46 +269,6 @@ fn check(env: &PtEnv, scope: &BTreeSet<String>, op: &PhysOp, report: &mut LintRe
             check(env, &inner, rec, report);
             return; // children handled with the extended scope
         }
-        PhysOp::Exchange { workers, input, .. } => {
-            if !oorq_pt::exchange_eligible(input) {
-                report.push(
-                    LintCode::ExchangeUnderBreaker,
-                    loc(op),
-                    "exchange over a subtree it cannot partition (pipeline breaker, \
-                     global dedup, or index-driven root); partitioning the driver \
-                     scan would change results or buy nothing"
-                        .to_string(),
-                );
-            }
-            if *workers < 2 {
-                report.push(
-                    LintCode::ExchangeUnderBreaker,
-                    loc(op),
-                    format!("exchange with {workers} worker(s) is a no-op wrapper"),
-                );
-            }
-            cols_mismatch(op, input.cols(), report);
-        }
-        PhysOp::Merge {
-            perms, children, ..
-        } => {
-            if perms.len() != children.len() || children.is_empty() {
-                report.push(
-                    LintCode::MergeArityMismatch,
-                    loc(op),
-                    format!(
-                        "merge has {} children but {} permutation slots",
-                        children.len(),
-                        perms.len()
-                    ),
-                );
-            } else {
-                cols_mismatch(op, children[0].cols(), report);
-                for (perm, child) in perms.iter().zip(children) {
-                    check_perm(op, perm, op.cols(), child.cols(), report);
-                }
-            }
-        }
     }
     for c in op.children() {
         check(env, scope, c, report);

@@ -640,88 +640,6 @@ fn phys_bad_entity_is_reported() {
     assert!(report.has(LintCode::PhysBadEntity), "{report}");
 }
 
-#[test]
-fn phys_exchange_under_breaker_is_reported() {
-    let (cat, db) = setup();
-    let env = PtEnv::new(&cat, db.physical());
-    // PX008: an exchange over a Project — global dedup makes the subtree
-    // non-partitionable.
-    let root = oorq_pt::PhysOp::Exchange {
-        meta: phys_meta(0),
-        workers: 2,
-        input: Box::new(oorq_pt::PhysOp::Project {
-            meta: phys_meta(1),
-            exprs: vec![("a".into(), Expr::var("x"))],
-            input: Box::new(phys_scan(&cat, &db, 2, "x")),
-            cols: vec!["a".into()],
-        }),
-        cols: vec!["a".into()],
-    };
-    let report = verify_phys(&env, &oorq_pt::PhysPlan { root, ops: 3 });
-    assert!(report.has(LintCode::ExchangeUnderBreaker), "{report}");
-
-    // A single-worker exchange is a no-op wrapper: also PX008.
-    let root = oorq_pt::PhysOp::Exchange {
-        meta: phys_meta(0),
-        workers: 1,
-        input: Box::new(phys_scan(&cat, &db, 1, "x")),
-        cols: vec!["x".into()],
-    };
-    let report = verify_phys(&env, &oorq_pt::PhysPlan { root, ops: 2 });
-    assert!(report.has(LintCode::ExchangeUnderBreaker), "{report}");
-
-    // Exchange over a partitionable spine (Filter -> EntityScan): clean.
-    let root = oorq_pt::PhysOp::Exchange {
-        meta: phys_meta(0),
-        workers: 2,
-        input: Box::new(oorq_pt::PhysOp::Filter {
-            meta: phys_meta(1),
-            pred: Expr::True,
-            require_index: None,
-            input: Box::new(phys_scan(&cat, &db, 2, "x")),
-            cols: vec!["x".into()],
-        }),
-        cols: vec!["x".into()],
-    };
-    let report = verify_phys(&env, &oorq_pt::PhysPlan { root, ops: 3 });
-    assert!(report.is_clean(), "{report}");
-}
-
-#[test]
-fn phys_merge_arity_mismatch_is_reported() {
-    let (cat, db) = setup();
-    let env = PtEnv::new(&cat, db.physical());
-    // PX009: two children but a single permutation slot.
-    let root = oorq_pt::PhysOp::Merge {
-        meta: phys_meta(0),
-        perms: vec![None],
-        children: vec![phys_scan(&cat, &db, 1, "x"), phys_scan(&cat, &db, 2, "x")],
-        cols: vec!["x".into()],
-    };
-    let report = verify_phys(&env, &oorq_pt::PhysPlan { root, ops: 3 });
-    assert!(report.has(LintCode::MergeArityMismatch), "{report}");
-
-    // A childless merge produces nothing and permutes nothing: also PX009.
-    let root = oorq_pt::PhysOp::Merge {
-        meta: phys_meta(0),
-        perms: vec![],
-        children: vec![],
-        cols: vec!["x".into()],
-    };
-    let report = verify_phys(&env, &oorq_pt::PhysPlan { root, ops: 1 });
-    assert!(report.has(LintCode::MergeArityMismatch), "{report}");
-
-    // Matching arity with identity perms: clean.
-    let root = oorq_pt::PhysOp::Merge {
-        meta: phys_meta(0),
-        perms: vec![None, None],
-        children: vec![phys_scan(&cat, &db, 1, "x"), phys_scan(&cat, &db, 2, "x")],
-        cols: vec!["x".into()],
-    };
-    let report = verify_phys(&env, &oorq_pt::PhysPlan { root, ops: 3 });
-    assert!(report.is_clean(), "{report}");
-}
-
 // ---- calibration drift pass ---------------------------------------
 
 fn node_cost(node: usize, label: &str, io: f64, cpu: f64, rows: f64) -> oorq_cost::NodeCost {

@@ -285,7 +285,7 @@ pub struct MetricsSnapshot {
 #[derive(Debug, Clone, Default)]
 pub struct MetricsRegistry(Option<Arc<Mutex<RegistryInner>>>);
 
-/// Take the registry's lock; a poisoned lock (a worker panicked while
+/// Take the registry's lock; a poisoned lock (a thread panicked while
 /// interning) still yields the data — metrics are diagnostics.
 fn lock(inner: &Mutex<RegistryInner>) -> std::sync::MutexGuard<'_, RegistryInner> {
     inner.lock().unwrap_or_else(|e| e.into_inner())

@@ -184,7 +184,7 @@ struct Inner {
     stack: Vec<SpanId>,
 }
 
-/// Take the recorder's lock; a poisoned lock (a worker panicked while
+/// Take the recorder's lock; a poisoned lock (a thread panicked while
 /// recording) still yields the data — traces are diagnostics, not
 /// invariants.
 fn lock(inner: &Mutex<Inner>) -> std::sync::MutexGuard<'_, Inner> {
@@ -192,8 +192,7 @@ fn lock(inner: &Mutex<Inner>) -> std::sync::MutexGuard<'_, Inner> {
 }
 
 /// The recorder handle: cheap to clone, shared by every layer — and
-/// across worker threads (the state sits behind an `Arc<Mutex<_>>`, so
-/// exchange workers can record spans and buffer events concurrently).
+/// across threads (the state sits behind an `Arc<Mutex<_>>`).
 /// [`Recorder::disabled`] (also `Default`) makes every call a no-op
 /// behind a single branch.
 #[derive(Debug, Clone, Default)]

@@ -24,9 +24,9 @@ pub use node::{
 };
 pub use pattern::{match_pattern, subtrees, Binding, Bindings, Pattern, TransformAction};
 pub use phys::{
-    applicable_join_indexes, applicable_sel_index, exchange_eligible, fix_recursive_nodes,
-    lit_value, lower, lower_with, merge_leg_ok, node_ids, node_op, rescannable, IndexProbe, NodeOp,
-    OpKind, OpMeta, ParallelSpec, PhysOp, PhysPlan,
+    applicable_join_indexes, applicable_sel_index, fix_recursive_nodes, lit_value, lower,
+    lower_with, node_ids, node_op, rescannable, IndexProbe, NodeOp, OpKind, OpMeta, ParallelSpec,
+    PhysOp, PhysPlan,
 };
 pub use resolved::{resolve, resolve_each, Cols, Node};
 

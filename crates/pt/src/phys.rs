@@ -227,37 +227,6 @@ pub enum PhysOp {
         /// Output columns (the field names).
         cols: Vec<String>,
     },
-    /// Partition-parallel execution of an eligible pipeline subtree:
-    /// `workers` threads each run a copy of `input` whose driver leaf
-    /// scan is restricted to a disjoint page range, and the partition
-    /// outputs are concatenated in partition order — byte-identical to
-    /// the serial scan order. Exchange is an *execution* wrapper: it has
-    /// its own operator id but shares its input's `pt_node`, so cost
-    /// predictions still join against the underlying operator.
-    Exchange {
-        /// Operator identity (`pt_node` = the input root's).
-        meta: OpMeta,
-        /// Degree of parallelism (>= 2; 1 would be a no-op wrapper).
-        workers: usize,
-        /// The partitioned subtree.
-        input: Box<PhysOp>,
-        /// Output columns (same as the input's).
-        cols: Vec<String>,
-    },
-    /// Leg-parallel n-ary union: each child subtree runs on its own
-    /// worker and the results are concatenated in child order (the
-    /// serial `UnionAll` order). Column permutations per child mirror
-    /// [`PhysOp::UnionAll::perm`] (entry 0 is always `None`).
-    Merge {
-        /// Operator identity.
-        meta: OpMeta,
-        /// Per-child output-column permutation into `cols` order.
-        perms: Vec<Option<Vec<usize>>>,
-        /// Child subtrees, one worker each.
-        children: Vec<PhysOp>,
-        /// Output columns (the first child's).
-        cols: Vec<String>,
-    },
 }
 
 impl PhysOp {
@@ -274,9 +243,7 @@ impl PhysOp {
             | PhysOp::NlJoin { meta, .. }
             | PhysOp::IndexJoin { meta, .. }
             | PhysOp::UnionAll { meta, .. }
-            | PhysOp::FixPoint { meta, .. }
-            | PhysOp::Exchange { meta, .. }
-            | PhysOp::Merge { meta, .. } => meta,
+            | PhysOp::FixPoint { meta, .. } => meta,
         }
     }
 
@@ -293,9 +260,7 @@ impl PhysOp {
             | PhysOp::NlJoin { cols, .. }
             | PhysOp::IndexJoin { cols, .. }
             | PhysOp::UnionAll { cols, .. }
-            | PhysOp::FixPoint { cols, .. }
-            | PhysOp::Exchange { cols, .. }
-            | PhysOp::Merge { cols, .. } => cols,
+            | PhysOp::FixPoint { cols, .. } => cols,
         }
     }
 
@@ -314,8 +279,6 @@ impl PhysOp {
                 vec![left, right]
             }
             PhysOp::FixPoint { base, rec, .. } => vec![base, rec],
-            PhysOp::Exchange { input, .. } => vec![input],
-            PhysOp::Merge { children, .. } => children.iter().collect(),
         }
     }
 
@@ -360,28 +323,11 @@ pub fn node_ids(root: &Pt) -> HashMap<*const Pt, usize> {
 /// [`node_op`] resolves it to. Union and fixpoint column permutations
 /// are resolved statically; a shape mismatch fails the lowering.
 pub fn lower(env: &PtEnv<'_>, pt: &Pt) -> Result<PhysPlan, PtError> {
-    lower_with(env, pt, &ParallelSpec::new())
-}
-
-/// Degree of parallelism chosen per PT node (pre-order id), produced by
-/// the optimizer's parallel-placement pass. Nodes absent from the spec
-/// run serially. A `Union` entry turns the
-/// `UnionAll` into a leg-parallel [`PhysOp::Merge`]; any other entry
-/// wraps the lowered subtree in a [`PhysOp::Exchange`] when
-/// [`exchange_eligible`] admits it (ineligible entries are ignored, so a
-/// stale spec can never produce an unsound plan).
-pub type ParallelSpec = HashMap<usize, usize>;
-
-/// Lower a PT, wrapping the subtrees named by `spec` in parallel
-/// operators. `spec` is advisory: entries on ineligible nodes are
-/// dropped silently, and an empty spec reproduces [`lower`] exactly.
-pub fn lower_with(env: &PtEnv<'_>, pt: &Pt, spec: &ParallelSpec) -> Result<PhysPlan, PtError> {
     let plan = resolve(env.catalog, env.physical, &env.temp_fields, pt)?;
     let mut lw = Lowering {
         env,
         plan: &plan,
         next_id: 0,
-        spec,
     };
     let root = lw.lower(0)?;
     Ok(PhysPlan {
@@ -390,13 +336,24 @@ pub fn lower_with(env: &PtEnv<'_>, pt: &Pt, spec: &ParallelSpec) -> Result<PhysP
     })
 }
 
+/// Kept for `benchmark/src/traced.rs` until a `benchmark` PR drops it:
+/// the executor is serial, so a plan carries no parallel placement and
+/// this type has nothing to hold.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct ParallelSpec;
+
+/// Kept for `benchmark/src/traced.rs` until a `benchmark` PR drops it:
+/// [`lower`].
+pub fn lower_with(env: &PtEnv<'_>, pt: &Pt, _: &ParallelSpec) -> Result<PhysPlan, PtError> {
+    lower(env, pt)
+}
+
 /// Builds the operator each resolved node names; its own are operator
 /// ids, column permutations and the materialized inner's row shape.
 struct Lowering<'e, 'p> {
     env: &'e PtEnv<'e>,
     plan: &'e [Node<'p>],
     next_id: usize,
-    spec: &'e ParallelSpec,
 }
 
 impl Lowering<'_, '_> {
@@ -406,66 +363,13 @@ impl Lowering<'_, '_> {
         OpMeta { id, pt_node, label }
     }
 
-    /// Apply the parallel spec's choice for this PT node, if any: turn a
-    /// `UnionAll` into a `Merge`, or wrap an eligible pipeline subtree in
-    /// an `Exchange`. Ineligible or sub-2 choices leave the plan serial.
-    fn maybe_parallel(&mut self, node: usize, op: PhysOp) -> PhysOp {
-        let Some(&dop) = self.spec.get(&node) else {
-            return op;
-        };
-        if dop < 2 {
-            return op;
-        }
-        match op {
-            PhysOp::UnionAll {
-                meta,
-                perm,
-                left,
-                right,
-                cols,
-            } => {
-                if merge_leg_ok(&left) && merge_leg_ok(&right) {
-                    PhysOp::Merge {
-                        meta: OpMeta {
-                            label: "Merge".to_string(),
-                            ..meta
-                        },
-                        perms: vec![None, perm],
-                        children: vec![*left, *right],
-                        cols,
-                    }
-                } else {
-                    PhysOp::UnionAll {
-                        meta,
-                        perm,
-                        left,
-                        right,
-                        cols,
-                    }
-                }
-            }
-            op if exchange_eligible(&op) => {
-                let cols = op.cols().to_vec();
-                let meta = self.meta(node, format!("Exchange(x{dop})"));
-                PhysOp::Exchange {
-                    meta,
-                    workers: dop,
-                    input: Box::new(op),
-                    cols,
-                }
-            }
-            op => op,
-        }
-    }
-
-    /// Lower node `id`: the operator it names, under the parallel
-    /// wrapper the spec chose for it, if any.
+    /// Lower node `id` to the operator it names.
     fn lower(&mut self, id: usize) -> Result<PhysOp, PtError> {
         let (plan, physical) = (self.plan, self.env.physical);
         let node = &plan[id];
         let label = node.op.label(self.env.catalog, physical);
         let cols: Vec<String> = node.cols.iter().map(|(n, _)| n.clone()).collect();
-        let op = match &node.op {
+        Ok(match &node.op {
             &NodeOp::EntityScan { entity, var } => PhysOp::EntityScan {
                 meta: self.meta(id, label),
                 entity,
@@ -549,9 +453,6 @@ impl Lowering<'_, '_> {
             } => {
                 let l = self.lower(left)?;
                 let r = self.lower(right)?;
-                // A parallel wrapper the spec put on the inner is a
-                // breaker of its own: its output is materialized once.
-                let rescan_inner = rescan_inner && r.rescannable();
                 // A materialized inner becomes a page-store temporary at
                 // execution, shaped like the rows the inner hands up.
                 let mat_types = if rescan_inner {
@@ -611,53 +512,8 @@ impl Lowering<'_, '_> {
                     cols,
                 }
             }
-        };
-        Ok(self.maybe_parallel(id, op))
+        })
     }
-}
-
-/// True when an [`PhysOp::Exchange`] over this subtree preserves serial
-/// semantics under page-range partitioning of its driver leaf: the
-/// subtree must be a streaming pipeline whose leftmost (driver) leaf is
-/// a page-partitionable scan, with no operator whose output depends on
-/// rows from *other* partitions. Excluded:
-///
-/// - `Project` (streaming set-dedup is global; per-partition dedup could
-///   emit duplicates across partitions),
-/// - `IndexSelect` (driven by an index probe, not a partitionable scan),
-/// - materializing `NlJoin` (the once-materialized inner is a breaker;
-///   partitioning the outer around it buys nothing — lint PX008),
-/// - `UnionAll`, `FixPoint`, and nested `Exchange`/`Merge`.
-pub fn exchange_eligible(op: &PhysOp) -> bool {
-    match op {
-        PhysOp::EntityScan { .. } | PhysOp::TempScan { .. } => true,
-        PhysOp::Filter { input, .. }
-        | PhysOp::IjDeref { input, .. }
-        | PhysOp::PijLookup { input, .. } => exchange_eligible(input),
-        PhysOp::IndexJoin { left, .. } => exchange_eligible(left),
-        PhysOp::NlJoin {
-            rescan_inner, left, ..
-        } => *rescan_inner && exchange_eligible(left),
-        _ => false,
-    }
-}
-
-/// True when a subtree may run as a [`PhysOp::Merge`] leg on its own
-/// worker: no pipeline breaker that writes shared temporaries (a
-/// `FixPoint` leg would race on the accumulator/delta entities) and no
-/// already-parallel operator (nested parallelism would corrupt the
-/// per-worker buffer accounting).
-pub fn merge_leg_ok(op: &PhysOp) -> bool {
-    let mut ok = true;
-    op.visit(&mut |o| {
-        if matches!(
-            o,
-            PhysOp::FixPoint { .. } | PhysOp::Exchange { .. } | PhysOp::Merge { .. }
-        ) {
-            ok = false;
-        }
-    });
-    ok
 }
 
 /// The kind of operator a PT node executes as: the grouping key of

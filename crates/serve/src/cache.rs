@@ -23,7 +23,8 @@ pub struct CachedPlan {
     pub pt: Pt,
     /// Its output column names.
     pub out_cols: Vec<String>,
-    /// Optimizer-chosen per-node parallelism (empty = serial).
+    /// Kept for `benchmark/src/traced.rs` until a `benchmark` PR drops
+    /// it: always the empty [`ParallelSpec`].
     pub parallel: ParallelSpec,
     /// The optimizer's final per-node cost breakdown — the predicted
     /// side of the CX drift join that drives invalidation.
@@ -149,7 +150,7 @@ mod tests {
         Arc::new(CachedPlan {
             pt: Pt::temp("T", "t"),
             out_cols: vec!["t".into()],
-            parallel: ParallelSpec::new(),
+            parallel: ParallelSpec,
             breakdown: Vec::new(),
             plan_fingerprint: fp,
         })

@@ -330,8 +330,8 @@ impl<'s> Session<'s> {
         self.id
     }
 
-    /// Override this session's execution configuration (threads,
-    /// breaker memory budget, fixpoint iteration cap).
+    /// Override this session's execution configuration (breaker memory
+    /// budget, fixpoint iteration cap).
     pub fn set_exec_config(&mut self, exec: ExecConfig) {
         self.exec = exec;
     }
@@ -422,7 +422,6 @@ impl<'s> Session<'s> {
         let state = std::mem::take(&mut self.state);
         let mut ex = Executor::new(&mut self.db, &self.server.indexes, &self.server.methods)
             .with_config(self.exec.clone())
-            .with_parallel(plan.parallel.clone())
             .with_state(state);
         // Only the drift check below reads the operators' counters, and
         // only on a miss: a hit runs its plan unprofiled.

@@ -63,8 +63,8 @@ impl IoStats {
     }
 }
 
-/// Fold another account's counters into this one (a worker's at the
-/// exchange join, a bracket's into its operator).
+/// Fold another account's counters into this one (a bracket's into its
+/// operator).
 impl std::ops::AddAssign for IoStats {
     fn add_assign(&mut self, other: IoStats) {
         *self = self.zip(other, |a, b| a + b);
@@ -183,18 +183,10 @@ impl BufferManager {
         }
     }
 
-    /// Fold a joined worker's counters into this account.
-    pub fn absorb_stats(&mut self, io: IoStats) {
-        self.stats += io;
-    }
-
     /// An empty account of `frames` frames with `temp_budget` as its
     /// breaker memory budget (0 = unbounded), sharing this one's recorder
-    /// and series. An exchange worker is handed one by value — its share
-    /// of the frames and of the budget, no frame shared across threads —
-    /// and the join folds its counters back in with
-    /// [`BufferManager::absorb_stats`]; a database keeps one as the
-    /// stand-in while a run has its account checked out.
+    /// and series: a database keeps one as the stand-in while a run has
+    /// its account checked out.
     pub fn fork(&self, frames: usize, temp_budget: usize) -> BufferManager {
         BufferManager {
             obs: self.obs.clone(),
@@ -523,7 +515,7 @@ mod tests {
     }
 
     #[test]
-    fn metrics_registry_counts_buffer_traffic_across_forks() {
+    fn metrics_registry_counts_buffer_traffic() {
         let m = oorq_obs::MetricsRegistry::new();
         let mut b = BufferManager::new(2);
         b.fetch(pid(0, 3), false); // counted before a registry was attached
@@ -535,21 +527,17 @@ mod tests {
         b.write(pid(5, 1), true); // spills temp page 0
         b.fetch(pid(0, 1), false); // miss; capacity-evicts something
         assert_eq!(m.snapshot().counters["storage.page_misses"], 0, "derived");
-        // A worker's fork is folded in at the join, and published with it.
-        let mut w = b.fork(2, 0);
-        w.fetch(pid(0, 7), true); // temp miss in the fork
-        b.absorb_stats(w.stats());
         b.publish();
         b.publish(); // nothing new: adds nothing
         let snap = m.snapshot();
         assert_eq!(
-            snap.counters["storage.page_misses"], 3,
+            snap.counters["storage.page_misses"], 2,
             "the past stays out"
         );
         assert_eq!(snap.counters["storage.page_hits"], 1);
         assert_eq!(snap.counters["storage.page_writes"], 2);
         assert_eq!(snap.counters["storage.spill_evictions"], 1);
-        assert_eq!(snap.counters["storage.temp_page_reads"], 1);
+        assert_eq!(snap.counters["storage.temp_page_reads"], 0);
         assert!(snap.counters["storage.page_evictions"] >= 1);
         assert_eq!(
             snap.counters["storage.page_evictions"],
@@ -561,7 +549,7 @@ mod tests {
         assert_eq!(b.stats(), IoStats::default());
         let hits_and_misses =
             ["storage.page_hits", "storage.page_misses"].map(|s| m.counter(s).get());
-        assert_eq!(hits_and_misses.iter().sum::<u64>(), 5);
+        assert_eq!(hits_and_misses.iter().sum::<u64>(), 4);
     }
 
     #[test]

@@ -43,8 +43,8 @@ enum ClassLayout {
 
 /// Where an entity's records live. Extensions, fragments and stored
 /// relations are written only under `&mut Database`, so reading them takes
-/// no lock; a temporary is the one thing a run writes through `&Database`
-/// (exchange workers share it), and each sits behind a lock of its own.
+/// no lock; a temporary is the one thing a run writes through `&Database`,
+/// and each sits behind a lock of its own.
 #[derive(Debug)]
 enum Home {
     Base(Arc<Segment>),
@@ -91,8 +91,7 @@ impl Home {
 /// [`IoStats`] — is parked here between runs (a `Mutex`, because `&self`
 /// accessors such as [`Database::io_stats`] are reachable from any
 /// thread); a run takes it out with [`Database::check_out`], charges it
-/// without a lock, hands exchange workers forks of it by value, and parks
-/// it again when it ends. Bulk loading does not count I/O; call
+/// without a lock, and parks it again when it ends. Bulk loading does not count I/O; call
 /// [`Database::reset_io`] before a measured run anyway.
 #[derive(Debug)]
 pub struct Database {
@@ -546,9 +545,7 @@ impl Database {
         Ok(())
     }
 
-    /// Clear a temporary's contents and drop its residency from `io`. An
-    /// account forked from that one holds frames of its own: whoever
-    /// joins the two invalidates the entity in the other as well. A
+    /// Clear a temporary's contents and drop its residency from `io`. A
     /// segment somebody else still holds (a snapshot, an open scan, a lent
     /// page) is left to them and an empty one of its shape put in its
     /// place. A lock poisoned by a panicking writer is entered — whatever
@@ -795,8 +792,7 @@ impl Database {
     }
 
     /// Cap resident temporary (breaker) pages of the database's page
-    /// account; 0 lifts the cap. A run's exchange workers split the
-    /// budget among their forks.
+    /// account; 0 lifts the cap.
     pub fn set_temp_budget(&self, pages: usize) {
         self.buffer.lock().unwrap().set_temp_budget(pages);
     }

@@ -14,7 +14,7 @@ use std::sync::Arc;
 
 use oorq::datagen::{ChainConfig, ChainDb, MusicDb};
 use oorq::exec::eval_query_graph;
-use oorq::pt::{IjStep, ParallelSpec, Pt};
+use oorq::pt::{IjStep, Pt};
 use oorq::query::paper::music_catalog;
 use oorq::query::{Expr, Literal};
 use oorq::storage::WidthModel;
@@ -58,10 +58,10 @@ fn check(entry: &str, build: impl Fn(WidthModel) -> Scenario) {
             .unwrap_or_else(|e| panic!("{name}: reference failed: {e}"))
             .rows;
         reference.sort();
-        let knobs = Knobs::resources(0, env_budget());
+        let knobs = Knobs::resources(env_budget());
         let per_op = fixtures.each_mut().map(|s| {
             let (answer, report, _) = s
-                .execute(&optimized.pt, &optimized.parallel, &knobs)
+                .execute(&optimized.pt, &knobs)
                 .unwrap_or_else(|e| panic!("{name}: {e}"));
             let mut answer = answer.rows;
             answer.sort();
@@ -135,8 +135,8 @@ fn fixpoint_leg_counts_are_independent_of_page_capacity() {
             let m = MusicDb::generate_paged(Arc::new(music_catalog()), cfg, width);
             let plan = influencer_over_ij(&m, via);
             let mut s = Scenario::music_from(m, false);
-            let knobs = Knobs::resources(0, env_budget());
-            let (answer, report, _) = s.execute(&plan, &ParallelSpec::default(), &knobs).unwrap();
+            let knobs = Knobs::resources(env_budget());
+            let (answer, report, _) = s.execute(&plan, &knobs).unwrap();
             // Ten chains of ten: 45 (master, disciple) pairs each.
             assert_eq!(answer.len(), 450, "via {via}, page size {page_size}");
             report.ops.iter().map(op_counts).collect::<Vec<_>>()

@@ -13,7 +13,7 @@ use oorq::cost::{CostParams, NodeCost, OpKind};
 use oorq::datagen::{ChainConfig, MusicConfig, PartsConfig};
 use oorq::exec::{eval_query_graph, Executor};
 use oorq::optimizer::OptimizerConfig;
-use oorq::pt::{AccessMethod, JoinAlgo, ParallelSpec, Pt};
+use oorq::pt::{AccessMethod, JoinAlgo, Pt};
 use oorq::query::{Expr, NameRef, QArc, QueryGraph, SpjNode};
 use oorq::storage::IndexKindDesc;
 use oorq_bench::scenarios::{env_budget, for_each_row, TempFields};
@@ -24,7 +24,7 @@ use oorq_bench::{Knobs, Scenario};
 /// this whole suite under a low budget to prove spilling breakers
 /// return byte-identical answers.
 fn knobs() -> Knobs {
-    Knobs::resources(0, env_budget())
+    Knobs::resources(env_budget())
 }
 
 /// Optimize under the given config, stream the plan, and compare
@@ -329,7 +329,7 @@ fn assert_one_operator_per_node(label: &str, s: &mut Scenario, pt: &Pt, temps: T
         .analyze(pt, temps)
         .unwrap_or_else(|e| panic!("{label}: {e}"));
     let (_, report, _) = s
-        .execute(pt, &ParallelSpec::new(), &knobs())
+        .execute(pt, &knobs())
         .unwrap_or_else(|e| panic!("{label}: {e}"));
     let lines: HashMap<usize, &NodeCost> = cost
         .breakdown

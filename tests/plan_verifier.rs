@@ -9,7 +9,7 @@ use oorq::cost::CostParams;
 use oorq::datagen::ChainConfig;
 use oorq::exec::eval_query_graph;
 use oorq::lint::{verify_pt, LintCode};
-use oorq::pt::{lower_with, resolve, ParallelSpec, Pt};
+use oorq::pt::{lower, resolve, Pt};
 use oorq::query::{Expr, NameRef, QArc, QueryGraph, SpjNode};
 use oorq::storage::EntityId;
 use oorq_bench::scenarios::TempFields;
@@ -43,7 +43,7 @@ fn a_fixpoint_over_qualified_columns_verifies_and_runs() {
     let report = verify_pt(&s.env(TempFields::new()), &pt);
     assert!(report.is_clean(), "{}", report.render());
     let (answer, _, _) = s
-        .execute(&pt, &ParallelSpec::new(), &Knobs::default())
+        .execute(&pt, &Knobs::default())
         .expect("the executor verifies and runs the plan");
 
     // The same fixpoint as a query graph, through the reference evaluator.
@@ -90,7 +90,7 @@ fn an_unknown_entity_is_an_error_of_every_pass() {
     let pt = Pt::entity(EntityId(9999), "x");
     let (catalog, physical) = (s.db.catalog(), s.db.physical());
     assert!(resolve(catalog, physical, &TempFields::new(), &pt).is_err());
-    assert!(lower_with(&s.env(TempFields::new()), &pt, &ParallelSpec::new()).is_err());
+    assert!(lower(&s.env(TempFields::new()), &pt).is_err());
     let model = s.model(CostParams::default(), TempFields::new());
     assert!(model.cost(&pt).is_err());
     let analyzer = Analyzer::new(catalog, physical, &s.stats, CostParams::default());

@@ -4,8 +4,7 @@
 //! counter pattern, and stale statistics must trip the CX drift lints
 //! into eviction + recalibration. The whole suite honours
 //! `OORQ_MEMORY_BUDGET` (CI re-runs it under a low budget to prove
-//! spilling sessions still serve identical answers), and the two
-//! concurrency tests also run with a 2-worker pool per session.
+//! spilling sessions still serve identical answers).
 
 use oorq::datagen::{ChainConfig, ChainDb, MusicConfig};
 use oorq::exec::{ExecConfig, MethodRegistry};
@@ -17,16 +16,10 @@ use oorq::storage::{DbStats, Value};
 use oorq_bench::scenarios::env_budget;
 use oorq_bench::Scenario;
 
-/// `threads` sizes both the optimizer's worker budget (so cached plans
-/// carry parallel operators where they pay) and each session's pool.
-fn config(threads: u32) -> ServerConfig {
+fn config() -> ServerConfig {
     ServerConfig {
-        optimizer: OptimizerConfig {
-            threads,
-            ..OptimizerConfig::cost_controlled()
-        },
+        optimizer: OptimizerConfig::cost_controlled(),
         exec: ExecConfig {
-            threads,
             memory_budget_pages: env_budget(),
             ..ExecConfig::default()
         },
@@ -36,7 +29,7 @@ fn config(threads: u32) -> ServerConfig {
 
 /// The paper's music database with its physical design, plus the
 /// Figure 3 query (view expanded).
-fn music_server(threads: u32) -> (Server, QueryGraph) {
+fn music_server() -> (Server, QueryGraph) {
     let s = Scenario::music(MusicConfig {
         chains: 6,
         chain_len: 8,
@@ -45,10 +38,10 @@ fn music_server(threads: u32) -> (Server, QueryGraph) {
         ..MusicConfig::default()
     });
     let q = s.fig3();
-    (Server::new(s.db, s.idx, s.methods, config(threads)), q)
+    (Server::new(s.db, s.idx, s.methods, config()), q)
 }
 
-fn chain_server(rows: u32, threads: u32) -> (Server, Vec<QueryGraph>) {
+fn chain_server(rows: u32) -> (Server, Vec<QueryGraph>) {
     let chain = ChainDb::generate(ChainConfig {
         relations: 3,
         rows,
@@ -60,12 +53,7 @@ fn chain_server(rows: u32, threads: u32) -> (Server, Vec<QueryGraph>) {
         chain.chain_query(10),
         chain.selective_tail_query(3),
     ];
-    let server = Server::new(
-        chain.db,
-        IndexSet::new(),
-        MethodRegistry::new(),
-        config(threads),
-    );
+    let server = Server::new(chain.db, IndexSet::new(), MethodRegistry::new(), config());
     (server, queries)
 }
 
@@ -75,13 +63,7 @@ fn rendered(rows: &[Vec<Value>]) -> Vec<String> {
 
 #[test]
 fn concurrent_music_sessions_match_single_session_replay() {
-    for threads in [0, 2] {
-        concurrent_music_sessions(threads);
-    }
-}
-
-fn concurrent_music_sessions(threads: u32) {
-    let (server, q) = music_server(threads);
+    let (server, q) = music_server();
     let reference = {
         let mut s = server.session();
         rendered(&s.execute(&q).unwrap().batch.rows)
@@ -114,13 +96,7 @@ fn concurrent_music_sessions(threads: u32) {
 
 #[test]
 fn concurrent_chain_sessions_match_single_session_replay() {
-    for threads in [0, 2] {
-        concurrent_chain_sessions(threads);
-    }
-}
-
-fn concurrent_chain_sessions(threads: u32) {
-    let (server, queries) = chain_server(100, threads);
+    let (server, queries) = chain_server(100);
     let reference: Vec<Vec<String>> = {
         let mut s = server.session();
         queries
@@ -150,7 +126,7 @@ fn concurrent_chain_sessions(threads: u32) {
 
 #[test]
 fn warm_cold_pattern_over_the_music_corpus() {
-    let (server, q) = music_server(0);
+    let (server, q) = music_server();
     let mut s = server.session();
     let cold = s.execute(&q).unwrap();
     assert_eq!(cold.cache, CacheOutcome::Miss);
@@ -164,7 +140,7 @@ fn warm_cold_pattern_over_the_music_corpus() {
 
 #[test]
 fn stale_statistics_trip_drift_eviction_and_recalibration() {
-    let (server, queries) = chain_server(120, 0);
+    let (server, queries) = chain_server(120);
     // Statistics from a near-empty twin: the stale-checkpoint case.
     let tiny = ChainDb::generate(ChainConfig {
         relations: 3,
