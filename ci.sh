@@ -77,8 +77,12 @@ $reproduce all | diff - reproduce_output.txt
 echo "== reproduce gates (every gate, one process) =="
 $reproduce gates
 
-echo "== low-budget differential re-run (spilling breakers, byte-identical answers) =="
-OORQ_MEMORY_BUDGET=8 cargo test -q --release --test differential --test serve_differential
+echo "== low-budget differential re-runs (spilling breakers, byte-identical answers) =="
+# Budget 8 spills fixpoint temporaries; budget 1 also spills a held
+# nested-loop inner between the passes that re-read it.
+for budget in 8 1; do
+    OORQ_MEMORY_BUDGET=$budget cargo test -q --release --test differential --test serve_differential
+done
 
 echo "== trace emit + validate with the in-repo checker =="
 rm -rf target/trace-smoke

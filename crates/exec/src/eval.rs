@@ -359,15 +359,8 @@ impl Bound {
         }
     }
 
-    /// What is left of this predicate to decide per inner row once the
-    /// `outer` row is known (a filter has no outer row). `None` — the
-    /// caller runs `truthy` per pair — unless nothing dereferences and
-    /// the conjunct evaluated first compares an inner slot with an outer
-    /// slot or a literal holding one scalar.
-    pub fn probe<'a>(&'a self, outer: &'a [Value]) -> Option<Probe<'a>> {
-        if self.derefs() {
-            return None;
-        }
+    /// [`Pred::probe`] for a predicate that does not dereference.
+    fn probe<'a>(&'a self, outer: &'a [Value]) -> Option<Probe<'a>> {
         let (mut first, mut rest) = (self, Vec::new());
         while let Bound::And(l, r) = first {
             rest.push(&**r);
@@ -397,6 +390,41 @@ impl Bound {
             slot,
             rest,
         })
+    }
+}
+
+/// A filter's or a join's predicate, bound once, with whether it
+/// dereferences decided then instead of per chunk or per outer row.
+#[derive(Debug)]
+pub(crate) struct Pred {
+    pub bound: Bound,
+    /// [`Bound::derefs`] of `bound`.
+    pub derefs: bool,
+}
+
+impl Pred {
+    /// Bind `expr` to rows laid out as `cols`.
+    pub fn bind(expr: &Expr, cols: &[String]) -> Pred {
+        let bound = Bound::bind(expr, cols);
+        let derefs = bound.derefs();
+        Pred { bound, derefs }
+    }
+
+    /// [`Bound::truthy`].
+    pub fn truthy(&self, ctx: &EvalCtx<'_>, row: RowRef<'_>) -> Result<bool, ExecError> {
+        self.bound.truthy(ctx, row)
+    }
+
+    /// What is left of this predicate to decide per inner row once the
+    /// `outer` row is known (a filter has no outer row). `None` — the
+    /// caller runs `truthy` per pair — unless nothing dereferences and
+    /// the conjunct evaluated first compares an inner slot with an outer
+    /// slot or a literal holding one scalar.
+    pub fn probe<'a>(&'a self, outer: &'a [Value]) -> Option<Probe<'a>> {
+        if self.derefs {
+            return None;
+        }
+        self.bound.probe(outer)
     }
 }
 

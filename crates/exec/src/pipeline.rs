@@ -16,11 +16,14 @@
 //! account, the CPU counters and a wall clock, accumulating *inclusive*
 //! per-operator figures; [`rollup`] subtracts each operator's children to
 //! yield the exclusive [`OpReport`]s that bench reports join against the
-//! cost model's per-node predictions. Two calls take no bracket, because
+//! cost model's per-node predictions. Three calls take no bracket, because
 //! they touch no page, evaluate nothing and hand up nothing: the `open` of
-//! a leaf scan (it takes a segment) and a `next_chunk` on a scan that has
-//! no page left. An unprofiled run takes no bracket at all and reports no
-//! operator; its page touches, `evals` and delta curves are the same,
+//! a leaf scan (it takes a segment), a `next_chunk` on a scan that has no
+//! page left, and a `next_chunk` on an operator that has already answered
+//! `None`. A nested loop's held inner ([`Inner::Held`]) is charged to its
+//! scan operator as re-opening it was. An unprofiled run takes no bracket
+//! at all and reports no operator; its page touches, `evals` and delta
+//! curves are the same,
 //! because the account and the counters are charged where the work is
 //! done, not by brackets.
 
@@ -30,10 +33,12 @@ use std::time::Instant;
 
 use oorq_index::IndexSet;
 use oorq_pt::{lit_value, PhysOp, PhysPlan};
-use oorq_storage::{Account, Database, EntityId, IoStats, Oid, PageRows, PageScan, Value};
+use oorq_storage::{
+    Account, Database, EntityId, IoStats, Oid, PageRows, PageScan, SegmentHold, Value,
+};
 
 use crate::error::ExecError;
-use crate::eval::{Bound, Counters, EvalCtx, Probe, RowRef};
+use crate::eval::{Bound, Counters, EvalCtx, Pred, Probe, RowRef};
 use crate::methods::MethodRegistry;
 use crate::rowset::RowSet;
 
@@ -371,7 +376,8 @@ enum St {
     /// hits while resident, reads once the memory budget spilled it).
     /// `scan` holds the segment it reads from `open` until it runs out,
     /// and nothing writes a temporary in between: a fixpoint sinks a leg
-    /// after draining it, a nested loop materializes before it probes.
+    /// after draining it, a nested loop materializes before it probes and
+    /// lets go of a held inner ([`Inner::Held`]) when its outer runs out.
     Scan {
         /// A temp scan's or fixpoint's (accumulator, delta), if built.
         temps: Option<(EntityId, EntityId)>,
@@ -383,7 +389,7 @@ enum St {
         pred: Bound,
         oids: std::vec::IntoIter<Oid>,
     },
-    Filter(Bound),
+    Filter(Pred),
     /// Project: rows already emitted (streaming set semantics); `None`
     /// when no row can come twice.
     Project {
@@ -396,18 +402,33 @@ enum St {
         outer: Bound,
         pred: Bound,
     },
-    /// Nested loop: `cur` is the outer row being joined. When the inner
-    /// is not rescannable (pipeline breaker) `miter` scans the page-store
-    /// temporary it was materialized into at `open`, re-created per outer
-    /// row so every pass over the inner is budget-visible.
+    /// Nested loop: `cur` is the outer row being joined, `inner` the
+    /// place in the inner's pass for it.
     Nl {
-        pred: Bound,
+        pred: Pred,
         cur: Option<usize>,
         inner: Cursor,
-        miter: Option<PageScan>,
+        read: Inner,
     },
     /// Union: whether the right operand is the one being drained.
     Union(bool),
+}
+
+/// How a nested loop reads its inner once per outer row.
+enum Inner {
+    /// Re-open the inner subtree: a class extent, or a filter or
+    /// projection over a scan, builds its rows per page either way.
+    Reopen,
+    /// Walk the pages of one segment: a bare relation or temporary scan's
+    /// (charged to the scan operator, as its own passes would be), or the
+    /// page-store temporary the materialized inner was written to at
+    /// `open` (charged to the join). `seg` is taken at the first outer
+    /// row of an opening — where a temporary scan's `open` chose between
+    /// delta and accumulator — and let go of when the outer runs out, so
+    /// a fixpoint's truncate and sink still write in place; `page` is the
+    /// next page of the current outer row's pass. Every pass fetches
+    /// every page, so it stays budget-visible.
+    Held { seg: Option<SegmentHold>, page: u32 },
 }
 
 struct OpExec<'p> {
@@ -421,6 +442,8 @@ struct OpExec<'p> {
     /// nothing can, the operator cuts no chunk: whatever it hands up is
     /// consumed touch-free, so handing it up later reorders no touch.
     downstream_touches: bool,
+    /// Whether the operator answered `None` since it was last opened.
+    done: bool,
 }
 
 /// Whether an operator hands up each row at most once per opening: the
@@ -460,7 +483,7 @@ fn build<'p>(op: &'p PhysOp, temps: &Temps, downstream_touches: bool) -> OpExec<
             pred: Bound::bind(pred, cols),
             oids: Vec::new().into_iter(),
         },
-        PhysOp::Filter { pred, cols, .. } => St::Filter(Bound::bind(pred, cols)),
+        PhysOp::Filter { pred, cols, .. } => St::Filter(Pred::bind(pred, cols)),
         PhysOp::Project { exprs, input, .. } => {
             let cols = input.cols();
             let exprs: Vec<Bound> = exprs.iter().map(|(_, e)| Bound::bind(e, cols)).collect();
@@ -477,12 +500,28 @@ fn build<'p>(op: &'p PhysOp, temps: &Temps, downstream_touches: bool) -> OpExec<
         PhysOp::IjDeref { on, input, .. } | PhysOp::PijLookup { on, input, .. } => {
             St::Deref(Bound::bind(on, input.cols()))
         }
-        PhysOp::NlJoin { pred, cols, .. } => St::Nl {
-            pred: Bound::bind(pred, cols),
-            cur: None,
-            inner: Cursor::default(),
-            miter: None,
-        },
+        PhysOp::NlJoin {
+            pred,
+            cols,
+            rescan_inner,
+            right,
+            ..
+        } => {
+            let bare = matches!(
+                &**right,
+                PhysOp::EntityScan { class: None, .. } | PhysOp::TempScan { .. }
+            );
+            St::Nl {
+                pred: Pred::bind(pred, cols),
+                cur: None,
+                inner: Cursor::default(),
+                read: if bare || !rescan_inner {
+                    Inner::Held { seg: None, page: 0 }
+                } else {
+                    Inner::Reopen
+                },
+            }
+        }
         PhysOp::IndexJoin {
             outer,
             pred,
@@ -497,7 +536,7 @@ fn build<'p>(op: &'p PhysOp, temps: &Temps, downstream_touches: bool) -> OpExec<
     };
     let kid_touched = |kid: usize| match (op, &st) {
         (PhysOp::FixPoint { .. }, _) => kid == 0,
-        (PhysOp::Filter { .. }, St::Filter(pred)) => downstream_touches || pred.derefs(),
+        (PhysOp::Filter { .. }, St::Filter(pred)) => downstream_touches || pred.derefs,
         (PhysOp::Project { .. }, St::Project { exprs, .. }) => {
             downstream_touches || exprs.iter().any(Bound::derefs)
         }
@@ -512,6 +551,7 @@ fn build<'p>(op: &'p PhysOp, temps: &Temps, downstream_touches: bool) -> OpExec<
         input: Cursor::default(),
         st,
         downstream_touches,
+        done: false,
     }
 }
 
@@ -648,6 +688,23 @@ impl<'a> Rt<'a> {
         }
     }
 
+    /// Fetch page `page` of a held inner and step past it; `None`, at no
+    /// charge, past the last page. In a profiled run a leaf inner's page is
+    /// bracketed to its scan operator `scan`, as the scan's own
+    /// `next_chunk` would be; a materialized inner's is the join's own work.
+    fn held_page(&self, seg: &SegmentHold, page: &mut u32, scan: Option<usize>) -> Option<Chunk> {
+        if *page >= seg.num_pages() {
+            return None;
+        }
+        let snap = scan.filter(|_| self.profile).map(|id| (id, self.snap()));
+        let rows = seg.page(self.io, *page)?;
+        *page += 1;
+        if let Some((id, snap)) = snap {
+            self.charge(id, snap, 0, rows.len() as u64);
+        }
+        Some(Chunk::Page(rows))
+    }
+
     /// The page-store temporary backing a materializing `NlJoin`'s inner.
     fn nl_mat(&self, op_id: usize) -> Result<EntityId, ExecError> {
         self.nl_mats.get(&op_id).copied().ok_or_else(|| {
@@ -665,6 +722,7 @@ impl OpExec<'_> {
     /// counted.
     fn open(&mut self, rt: &Rt<'_>) -> Result<(), ExecError> {
         self.input = Cursor::default();
+        self.done = false;
         if !rt.profile {
             return self.open_inner(rt);
         }
@@ -680,27 +738,49 @@ impl OpExec<'_> {
     }
 
     /// The next run of rows, `None` once exhausted (and again on every
-    /// later call). A profiled run pays one bracket per call, except by a
-    /// scan — a leaf's, or a fixpoint's read-back — that has no page left:
-    /// it let go of its segment with its last page and answers `None` as
-    /// it is.
+    /// later call, until re-opened). A profiled run pays one bracket per
+    /// call, except by an operator with nothing left to do: a scan — a
+    /// leaf's, or a fixpoint's read-back — that has no page left (it let go
+    /// of its segment with its last page), or any operator that has
+    /// already answered `None`, answers `None` as it is.
     fn next_chunk(&mut self, rt: &Rt<'_>) -> Result<Option<Chunk>, ExecError> {
+        if self.done {
+            return Ok(None);
+        }
         if let St::Scan { scan, .. } = &self.st {
             if scan.as_ref().is_none_or(PageScan::is_done) {
                 return Ok(None);
             }
         }
-        if !rt.profile {
-            return self.next_inner(rt);
-        }
-        let snap = rt.snap();
-        let res = self.next_inner(rt);
-        let rows = match &res {
-            Ok(Some(chunk)) => chunk.len() as u64,
-            _ => 0,
+        let res = if rt.profile {
+            let snap = rt.snap();
+            let res = self.next_inner(rt);
+            let rows = match &res {
+                Ok(Some(chunk)) => chunk.len() as u64,
+                _ => 0,
+            };
+            rt.charge(self.op.meta().id, snap, 0, rows);
+            res
+        } else {
+            self.next_inner(rt)
         };
-        rt.charge(self.op.meta().id, snap, 0, rows);
+        self.done = matches!(res, Ok(None));
         res
+    }
+
+    /// The entity a leaf scan reads at this opening: a temporary scan's
+    /// delta while a fixpoint iteration over it is in flight, its
+    /// accumulator otherwise.
+    fn leaf_entity(&self, rt: &Rt<'_>) -> Result<EntityId, ExecError> {
+        match (self.op, &self.st) {
+            (PhysOp::EntityScan { entity, .. }, _) => Ok(*entity),
+            (PhysOp::TempScan { name, .. }, St::Scan { temps, .. }) => {
+                let (acc, delta) = built(*temps, name)?;
+                let on_delta = rt.delta_active.borrow().contains(&delta);
+                Ok(if on_delta { delta } else { acc })
+            }
+            _ => unreachable!("not a leaf scan"),
+        }
     }
 
     /// Every remaining row, by value.
@@ -713,20 +793,16 @@ impl OpExec<'_> {
     }
 
     fn open_inner(&mut self, rt: &Rt<'_>) -> Result<(), ExecError> {
+        if matches!(self.op, PhysOp::EntityScan { .. } | PhysOp::TempScan { .. }) {
+            let pages = rt.db.scan_pages(self.leaf_entity(rt)?, 0..u32::MAX);
+            if let St::Scan { scan, .. } = &mut self.st {
+                *scan = Some(pages);
+            }
+            return Ok(());
+        }
         let OpExec { op, kids, st, .. } = self;
         let meta = op.meta();
         match (&**op, st) {
-            (PhysOp::EntityScan { entity, .. }, St::Scan { scan, .. }) => {
-                *scan = Some(rt.db.scan_pages(*entity, 0..u32::MAX));
-                Ok(())
-            }
-            (PhysOp::TempScan { name, .. }, St::Scan { temps, scan }) => {
-                let (acc, delta) = built(*temps, name)?;
-                let on_delta = rt.delta_active.borrow().contains(&delta);
-                let entity = if on_delta { delta } else { acc };
-                *scan = Some(rt.db.scan_pages(entity, 0..u32::MAX));
-                Ok(())
-            }
             (PhysOp::IndexSelect { index, .. }, St::Probe { key, oids, .. }) => {
                 let six = rt
                     .indexes
@@ -759,13 +835,17 @@ impl OpExec<'_> {
                     ..
                 },
                 St::Nl {
-                    cur, inner, miter, ..
+                    cur, inner, read, ..
                 },
             ) => {
                 if let Some(idx) = require_index {
                     rt.indexes.selection(*idx).ok_or(ExecError::MissingIndex)?;
                 }
-                (*cur, *inner, *miter) = (None, Cursor::default(), None);
+                (*cur, *inner) = (None, Cursor::default());
+                if let Inner::Held { seg, .. } = read {
+                    // Let go of the last opening's inner before writing.
+                    *seg = None;
+                }
                 kids[0].open(rt)?;
                 if !rescan_inner {
                     // Pipeline breaker: materialize the complex inner once
@@ -879,6 +959,7 @@ impl OpExec<'_> {
             input,
             st,
             downstream_touches,
+            ..
         } = self;
         let downstream_touches = *downstream_touches;
         let ctx = rt.ctx();
@@ -915,7 +996,7 @@ impl OpExec<'_> {
                 Ok((!out.is_empty()).then_some(Chunk::Rows(out)))
             }
             (PhysOp::Filter { .. }, St::Filter(pred)) => {
-                let cut = pred.derefs() && downstream_touches;
+                let cut = pred.derefs && downstream_touches;
                 let probe = pred.probe(&[]);
                 pump(input, &mut kids[0], rt, downstream_touches, |input, out| {
                     if let Some(probe) = &probe {
@@ -989,13 +1070,15 @@ impl OpExec<'_> {
                     pred,
                     cur,
                     inner,
-                    miter,
+                    read,
                 },
             ) => {
                 let [left, right] = kids.as_mut_slice() else {
                     unreachable!("a join has two operands")
                 };
-                let cut = pred.derefs() && downstream_touches;
+                // A leaf inner's passes are the scan operator's.
+                let scan_id = rescan_inner.then(|| right.op.meta().id);
+                let cut = pred.derefs && downstream_touches;
                 // One `out` across outer rows where nothing above can
                 // touch a page; the matches of one outer row in one inner
                 // chunk where something can.
@@ -1005,20 +1088,32 @@ impl OpExec<'_> {
                         Some(l) => l,
                         None => {
                             if !input.fill(|| left.next_chunk(rt))? {
+                                if let Inner::Held { seg, .. } = read {
+                                    // Let go of the inner before anything
+                                    // above writes it.
+                                    *seg = None;
+                                }
                                 return Ok((!out.is_empty()).then_some(Chunk::Rows(out)));
                             }
-                            if *rescan_inner {
-                                // Honest nested loop: rescan the leaf-ish
-                                // inner through the buffer manager for
-                                // every outer row.
-                                right.open(rt)?;
-                            } else {
-                                // Re-scan the materialized inner from its
-                                // page-store temporary: hits while it stays
-                                // resident, physical re-reads once the
-                                // memory budget spilled it.
-                                let mat_e = rt.nl_mat(op.meta().id)?;
-                                *miter = Some(rt.db.scan_pages(mat_e, 0..u32::MAX));
+                            // Honest nested loop: pass over the whole inner
+                            // through the buffer manager for every outer
+                            // row — hits while it stays resident, physical
+                            // re-reads once evicted or spilled.
+                            match read {
+                                Inner::Reopen => right.open(rt)?,
+                                Inner::Held { seg, page } => {
+                                    if seg.is_none() {
+                                        let entity = match scan_id {
+                                            Some(_) => right.leaf_entity(rt)?,
+                                            None => rt.nl_mat(op.meta().id)?,
+                                        };
+                                        *seg = Some(rt.db.hold(entity));
+                                    }
+                                    *page = 0;
+                                    if let Some(id) = scan_id.filter(|_| rt.profile) {
+                                        rt.count_open(id);
+                                    }
+                                }
                             }
                             *cur.insert(input.next().expect("filled"))
                         }
@@ -1029,9 +1124,12 @@ impl OpExec<'_> {
                     let lrow = input.chunk.row(l);
                     let probe = pred.probe(lrow);
                     while (!downstream_touches || out.is_empty())
-                        && inner.fill(|| match miter {
-                            Some(scan) => Ok(scan.next_page(rt.io).map(Chunk::Page)),
-                            None => right.next_chunk(rt),
+                        && inner.fill(|| match read {
+                            Inner::Held {
+                                seg: Some(seg),
+                                page,
+                            } => Ok(rt.held_page(seg, page, scan_id)),
+                            _ => right.next_chunk(rt),
                         })?
                     {
                         if let Some(probe) = &probe {

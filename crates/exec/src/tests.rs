@@ -1009,7 +1009,7 @@ fn nl_join_materialized_inner_charges_page_store_io() {
 /// pass every case gets).
 #[test]
 fn bound_expressions_evaluate_as_the_interpreter_did() {
-    use crate::eval::{Bound, Counters, EvalCtx, RowRef};
+    use crate::eval::{Counters, EvalCtx, Pred, RowRef};
     use oorq_query::Literal;
 
     let mut m = small_music();
@@ -1170,7 +1170,7 @@ fn bound_expressions_evaluate_as_the_interpreter_did() {
     for (name, cols, row, expr, as_pred, expected, evals, method_calls) in cases {
         let (counters, io) = (Counters::default(), m.db.check_out());
         let cols: Vec<String> = cols.into_iter().map(String::from).collect();
-        let bound = Bound::bind(&expr, &cols);
+        let pred = Pred::bind(&expr, &cols);
         // With the run's page account, then as the reference evaluator
         // reads: for free. Split the row in two, as a join reads it:
         // slots must not care.
@@ -1187,9 +1187,9 @@ fn bound_expressions_evaluate_as_the_interpreter_did() {
             counters.method_calls.set(0);
             let at = RowRef(&row[..split], &row[split..]);
             let got = if as_pred {
-                bound.truthy(&ctx, at).map(Value::Bool)
+                pred.truthy(&ctx, at).map(Value::Bool)
             } else {
-                bound.eval(&ctx, at).map(|v| v.into_owned())
+                pred.bound.eval(&ctx, at).map(|v| v.into_owned())
             };
             assert_eq!(got.map_err(|e| e.to_string()), expected, "{name}");
             let counted = (counters.evals.get(), counters.method_calls.get());
@@ -1200,7 +1200,7 @@ fn bound_expressions_evaluate_as_the_interpreter_did() {
             }
             // The probe form: the outer row is known, the inner row is a
             // one-row chunk.
-            let Some(probe) = bound.probe(at.0) else {
+            let Some(probe) = pred.probe(at.0) else {
                 continue;
             };
             probed.push((name, split));
@@ -1448,9 +1448,10 @@ fn probed_operators_keep_the_interpreters_counters() {
 /// often it is rescanned — closes one bracket per page it fetched; and a
 /// recursive leg nothing above which can touch a page hands up one chunk
 /// per pass instead of one per outer row. A pass that derives rows costs
-/// its `Proj` an open, the chunk and the `None` after it, and the `EJ`
-/// below one `None` more (the projection asks again before it answers
-/// `None` itself); the last pass derives nothing: an open and one `None`.
+/// its `Proj` and the `EJ` below each an open, the chunk and the `None`
+/// after it (the projection asks the join again before it answers `None`
+/// itself, and finds it run out: no bracket); the last pass derives
+/// nothing: an open and one `None`.
 #[test]
 fn a_rescan_costs_its_page_fetches() {
     let paged = || {
@@ -1490,7 +1491,112 @@ fn a_rescan_costs_its_page_fetches() {
         assert!(rescanned.calls > rescanned.opens, "{name}: several pages");
         assert_eq!(proj.label, "Proj", "{name}");
         assert_eq!((proj.opens, proj.calls), (passes, 3 * passes - 1), "{name}");
-        assert_eq!(ej.calls, 4 * passes - 2, "{name}");
+        assert_eq!((ej.opens, ej.calls), (passes, 3 * passes - 1), "{name}");
+    }
+}
+
+/// A nested loop walks a bare relation or temporary inner, and the
+/// temporary a materialized inner was written to, from one hold per
+/// opening; a class extent is re-opened per outer row. Every kind charges
+/// what a scan opened per outer row did: per operator `(label, opens,
+/// calls, rows_out, page_reads, page_hits, page_writes, temp_reads,
+/// spill_evictions)` and the query's `IoStats` under 2 frames, recorded
+/// from the commit before the hold. Only `calls` moved since, where an
+/// exhausted operator stopped taking a bracket: the temporary leaf's `EJ`
+/// (3 deriving passes × its redundant `None`) and the `IJ_master` below
+/// it (the two redundant `None`s the join asked it for in each).
+#[test]
+fn every_nested_loop_inner_keeps_its_counters() {
+    let io = |page_reads, page_hits, page_writes, page_evictions, spill_evictions, temp_reads| {
+        oorq_storage::IoStats {
+            page_reads,
+            page_hits,
+            page_writes,
+            page_evictions,
+            spill_evictions,
+            temp_reads,
+            ..Default::default()
+        }
+    };
+    type Ops = &'static [(&'static str, u64, u64, u64, u64, u64, u64, u64, u64)];
+    #[rustfmt::skip]
+    let cases: [(&str, usize, &str, Ops, oorq_storage::IoStats); 4] = [
+        ("relation leaf", 20, "scan Play", &[("scan Composer", 1, 10, 20, 10, 0, 0, 0, 0), ("scan Play", 20, 40, 400, 20, 20, 0, 0, 0), ("EJ[p.who=x]", 1, 3, 20, 0, 0, 0, 0, 0)], io(30, 20, 0, 28, 0, 0)),
+        ("temporary leaf", 40, "scan temp Influencer", &[("scan Composer", 1, 10, 20, 10, 0, 0, 0, 0), ("Sel[x.master<>null]", 1, 18, 16, 0, 20, 0, 0, 0), ("Proj", 1, 18, 16, 0, 16, 0, 0, 0), ("scan Composer", 4, 40, 80, 40, 0, 0, 0, 0), ("IJ_master", 4, 72, 64, 56, 88, 0, 0, 0), ("scan temp Influencer", 64, 96, 640, 81, 15, 0, 81, 0), ("EJ[i.disciple=ym]", 4, 11, 24, 0, 0, 0, 0, 0), ("Proj", 4, 11, 24, 0, 0, 0, 0, 0), ("Fix(Influencer)", 1, 6, 40, 5, 0, 11, 5, 0)], io(192, 139, 11, 195, 0, 86)),
+        ("materialized, budget 1", 400, "EJ[a=c]", &[("scan Composer", 1, 10, 20, 10, 0, 0, 0, 0), ("scan Composer", 1, 10, 20, 8, 2, 0, 0, 0), ("scan Composer", 20, 200, 400, 199, 1, 0, 0, 0), ("EJ[1=1]", 1, 202, 400, 0, 0, 0, 0, 0), ("EJ[a=c]", 1, 3, 400, 800, 0, 40, 800, 799)], io(1017, 3, 40, 256, 799, 800)),
+        ("class extent", 16, "scan Composer", &[("scan Composer", 1, 10, 20, 9, 1, 0, 0, 0), ("scan Composer", 20, 200, 400, 179, 21, 0, 0, 0), ("EJ[x.master=y]", 1, 3, 16, 0, 400, 0, 0, 0)], io(188, 422, 0, 186, 0, 0)),
+    ];
+    for (name, rows, inner, expected_ops, expected_io) in cases {
+        let mut m = MusicDb::generate_paged(
+            Arc::new(music_catalog()),
+            MusicConfig {
+                chains: 4,
+                chain_len: 5,
+                buffer_frames: 2,
+                ..Default::default()
+            },
+            oorq_storage::WidthModel {
+                page_size: 256,
+                ..Default::default()
+            },
+        );
+        let e = m.db.physical().entities_of_class(m.composer)[0];
+        let play = m.db.catalog().relation_by_name("Play").unwrap();
+        let play = m.db.physical().entities_of_relation(play)[0];
+        let scan = |var: &str| Pt::entity(e, var);
+        let (plan, memory_budget_pages) = match name {
+            "relation leaf" => {
+                let who = Expr::var("p.who").eq(Expr::var("x"));
+                (Pt::ej(who, scan("x"), Pt::entity(play, "p")), 0)
+            }
+            "temporary leaf" => (influencer_over_ij(&m, by_master(), None, false), 0),
+            // A join inner is materialized, and under a one-page budget
+            // every pass re-reads its spilled pages.
+            "materialized, budget 1" => {
+                let cross = Pt::ej(Expr::int(1).eq(Expr::int(1)), scan("b"), scan("c"));
+                (
+                    Pt::ej(Expr::var("a").eq(Expr::var("c")), scan("a"), cross),
+                    1,
+                )
+            }
+            _ => {
+                let master = Expr::path("x", &["master"]).eq(Expr::var("y"));
+                (Pt::ej(master, scan("x"), scan("y")), 0)
+            }
+        };
+        let (idx, methods) = (IndexSet::new(), MethodRegistry::new());
+        m.db.cold_cache();
+        let mut ex = Executor::new(&mut m.db, &idx, &methods).with_config(ExecConfig {
+            memory_budget_pages,
+            ..ExecConfig::default()
+        });
+        let out = ex.run(&plan).unwrap();
+        let report = ex.report();
+        let ops: Vec<_> = report
+            .ops
+            .iter()
+            .map(|o| {
+                let (label, opens, calls, rows_out) =
+                    (o.label.as_str(), o.opens, o.calls, o.rows_out);
+                let (reads, hits, writes) = (o.page_reads, o.page_hits, o.page_writes);
+                (
+                    label,
+                    opens,
+                    calls,
+                    rows_out,
+                    reads,
+                    hits,
+                    writes,
+                    o.temp_reads,
+                    o.spill_evictions,
+                )
+            })
+            .collect();
+        assert_eq!(out.len(), rows, "{name}");
+        assert_eq!(ops, expected_ops, "{name}");
+        assert_eq!(report.io, expected_io, "{name}");
+        let held = report.ops.iter().rev().find(|o| o.label == inner).unwrap();
+        assert!(held.wall_ns > 0, "{name}: {inner} is timed");
     }
 }
 
@@ -1503,7 +1609,7 @@ fn a_rescan_costs_its_page_fetches() {
 /// a `Set` in that slot, which send the whole chunk back to the general loop.
 #[test]
 fn probe_is_the_per_pair_loop_on_random_rows_and_predicates() {
-    use crate::eval::{Bound, Counters, EvalCtx, RowRef};
+    use crate::eval::{Counters, EvalCtx, Pred, RowRef};
     use oorq_prng::Prng;
     use oorq_query::{CmpOp, Literal};
 
@@ -1589,7 +1695,7 @@ fn probe_is_the_per_pair_loop_on_random_rows_and_predicates() {
         } else {
             pred(&mut rng, 2)
         };
-        let bound = Bound::bind(&expr, &cols);
+        let pred = Pred::bind(&expr, &cols);
         // A keyed trial compares keys; one value in ten is a planted one.
         let draw = |rng: &mut Prng| match (keyed, rng.index(10)) {
             (false, _) => value(rng),
@@ -1602,7 +1708,7 @@ fn probe_is_the_per_pair_loop_on_random_rows_and_predicates() {
         let inner: Vec<Vec<Value>> = (0..rng.index(7))
             .map(|_| (split..4).map(|_| draw(&mut rng)).collect())
             .collect();
-        let Some(probe) = bound.probe(&outer) else {
+        let Some(probe) = pred.probe(&outer) else {
             continue;
         };
         probed += 1;
@@ -1615,7 +1721,7 @@ fn probe_is_the_per_pair_loop_on_random_rows_and_predicates() {
         let mut hits = Vec::new();
         let mut looped = Ok(());
         for (i, row) in inner.iter().enumerate() {
-            match bound.truthy(&ctx, RowRef(&outer, row)) {
+            match pred.truthy(&ctx, RowRef(&outer, row)) {
                 Ok(true) => hits.push(i),
                 Ok(false) => {}
                 Err(e) => {

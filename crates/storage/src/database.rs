@@ -85,7 +85,8 @@ impl Home {
 /// id the store itself hands out (entity, class, relation), and only a
 /// temporary's segment sits behind a lock (see [`Home`]): an attribute
 /// read or an object touch is array arithmetic, and a scan takes its
-/// segment once, when it is opened ([`Database::scan_pages`]). Every
+/// segment once, when it is opened ([`Database::scan_pages`]; a
+/// [`Database::hold`] takes it once for many passes). Every
 /// accounted read or write names the page [`Account`] it charges. The
 /// database's own account — its buffer frames, breaker budget and
 /// [`IoStats`] — is parked here between runs (a `Mutex`, because `&self`
@@ -607,13 +608,22 @@ impl Database {
     /// lock of a scan over a temporary, none otherwise — and lets go of it
     /// with its last page (at once, if there is no page to scan).
     pub fn scan_pages(&self, entity: EntityId, pages: std::ops::Range<u32>) -> PageScan {
-        let seg = self.segment(entity);
-        let pages = pages.start..pages.end.min(seg.num_pages());
+        let hold = self.hold(entity);
+        let pages = pages.start..pages.end.min(hold.num_pages());
         PageScan {
-            seg: (!pages.is_empty()).then_some(seg),
+            hold: (!pages.is_empty()).then_some(hold),
+            pages,
+        }
+    }
+
+    /// Take the entity's segment as it is now — the one lock of a hold on a
+    /// temporary, none otherwise — for reading its pages as often as the
+    /// holder likes ([`SegmentHold`]).
+    pub fn hold(&self, entity: EntityId) -> SegmentHold {
+        SegmentHold {
+            seg: self.segment(entity),
             entity,
             temp: self.is_temp_entity(entity),
-            pages,
         }
     }
 
@@ -869,10 +879,8 @@ impl Drop for CheckedOut<'_> {
 #[derive(Debug)]
 pub struct PageScan {
     /// Held exactly while `pages` has a page left.
-    seg: Option<Arc<Segment>>,
-    entity: EntityId,
-    temp: bool,
-    /// The pages still to fetch, all of them pages of `seg`.
+    hold: Option<SegmentHold>,
+    /// The pages still to fetch, all of them pages of `hold`.
     pages: std::ops::Range<u32>,
 }
 
@@ -880,7 +888,7 @@ impl PageScan {
     /// Whether the scan has no page left: [`PageScan::next_page`] would
     /// fetch nothing and answer `None`.
     pub fn is_done(&self) -> bool {
-        self.seg.is_none()
+        self.hold.is_none()
     }
 
     /// Fetch (and charge to `io`) the next page and lend out its records;
@@ -889,13 +897,43 @@ impl PageScan {
     /// consumers (e.g. a pipelined executor) observe honest LRU behaviour.
     pub fn next_page(&mut self, io: &Account) -> Option<PageRows> {
         let page = self.pages.next()?;
-        let seg = if self.pages.is_empty() {
-            self.seg.take()?
-        } else {
-            Arc::clone(self.seg.as_ref()?)
-        };
+        let rows = self.hold.as_ref()?.page(io, page);
+        if self.pages.is_empty() {
+            self.hold = None;
+        }
+        rows
+    }
+}
+
+/// One entity's segment, taken once ([`Database::hold`]) and read a page
+/// at a time as often as the holder likes: a nested loop walks its inner
+/// from one per opening instead of opening a scan per outer row, and a
+/// [`PageScan`] is a hold read once. A page costs a fetch, charged when it
+/// happens, and no lock. Like an open scan, a hold makes the next write
+/// to a temporary copy the segment and keeps reading the rows it took;
+/// drop it before writing what it reads.
+#[derive(Debug)]
+pub struct SegmentHold {
+    seg: Arc<Segment>,
+    entity: EntityId,
+    temp: bool,
+}
+
+impl SegmentHold {
+    /// Number of pages of the held segment.
+    pub fn num_pages(&self) -> u32 {
+        self.seg.num_pages()
+    }
+
+    /// Fetch (and charge to `io`) page `page` and lend out its records;
+    /// `None`, fetching nothing, past the last page.
+    pub fn page(&self, io: &Account, page: u32) -> Option<PageRows> {
+        if page >= self.num_pages() {
+            return None;
+        }
         let entity = self.entity;
         io.borrow_mut().fetch(PageId { entity, page }, self.temp);
+        let seg = Arc::clone(&self.seg);
         Some(PageRows { seg, page })
     }
 }

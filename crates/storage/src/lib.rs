@@ -18,7 +18,7 @@ mod stats;
 mod value;
 
 pub use buffer::{Account, BufferManager, IoStats};
-pub use database::{CheckedOut, Database, PageRows, PageScan, StorageConfig};
+pub use database::{CheckedOut, Database, PageRows, PageScan, SegmentHold, StorageConfig};
 pub use error::StorageError;
 pub use page::{PageId, WidthModel};
 pub use physical::{

@@ -490,6 +490,70 @@ fn a_drained_scan_lets_the_next_write_happen_in_place() {
     assert_eq!(db.entity_len(t), 35);
 }
 
+/// What a nested loop's held inner relies on. Pass after pass, a hold's
+/// fetches charge what a scan's over the same pages do — after every
+/// fetch, under two frames and a one-page breaker budget, where the LRU
+/// victim and the spills depend on each one. Once it is dropped, the next
+/// write to the temporary happens in place; while it is held, that write
+/// copies the segment and the holder goes on reading the rows it took.
+#[test]
+fn a_hold_reads_as_a_scan_does_and_lets_go_in_place() {
+    let mut db = small_db();
+    let int = oorq_schema::ResolvedType::Atomic(oorq_schema::AtomicType::Int);
+    let t = db.create_temp("delta", vec![int.clone(), int]);
+    let io = small_account();
+    let rows = |r: std::ops::Range<i64>| r.map(|i| vec![Value::Int(i), Value::Int(i)]).collect();
+    let lies_at = |db: &Database| db.scan_page(&io, t, 0).unwrap().as_ptr();
+    // Room for 64 rows, 25 of them (three pages) in use.
+    db.append_temp_rows(&io, &[t], rows(0..64)).unwrap();
+    db.truncate_temp(&io, t).unwrap();
+    db.append_temp_rows(&io, &[t], rows(0..25)).unwrap();
+    let before = lies_at(&db);
+
+    let budgeted = || {
+        let mut buffer = BufferManager::new(2);
+        buffer.set_temp_budget(1);
+        Account::new(buffer)
+    };
+    let (held_io, scanned_io) = (budgeted(), budgeted());
+    let hold = db.hold(t);
+    assert_eq!(hold.num_pages(), 3);
+    for pass in 0..3 {
+        let mut scan = db.scan_pages(t, 0..u32::MAX);
+        for page in 0..hold.num_pages() {
+            let held = hold.page(&held_io, page).unwrap();
+            let scanned = scan.next_page(&scanned_io).unwrap();
+            assert_eq!(held.len(), scanned.len(), "pass {pass}, page {page}");
+            let (held, scanned) = (held_io.borrow().stats(), scanned_io.borrow().stats());
+            assert_eq!(held, scanned, "pass {pass}, page {page}");
+        }
+        assert!(scan.next_page(&scanned_io).is_none());
+        assert!(hold.page(&held_io, hold.num_pages()).is_none());
+        assert_eq!(held_io.borrow().stats(), scanned_io.borrow().stats());
+    }
+    let stats = held_io.borrow().stats();
+    // One page may stay: every fetch re-reads, and spills the one before.
+    assert_eq!(
+        (stats.fetches(), stats.temp_reads, stats.spill_evictions),
+        (9, 9, 8)
+    );
+
+    drop(hold);
+    db.append_temp_rows(&io, &[t], rows(25..30)).unwrap();
+    assert_eq!(lies_at(&db), before, "written in place");
+
+    let hold = db.hold(t);
+    db.append_temp_rows(&io, &[t], rows(30..35)).unwrap();
+    assert_eq!(db.entity_len(t), 35, "the append went through");
+    assert_ne!(lies_at(&db), before, "on a copy: the hold keeps the rows");
+    let taken = (0..hold.num_pages()).map(|page| hold.page(&held_io, page).unwrap().len());
+    assert_eq!(
+        taken.sum::<usize>(),
+        30,
+        "the hold reads the 30 rows it took"
+    );
+}
+
 /// Emptying a temporary somebody still reads copies nothing: the reader
 /// keeps the segment with its rows, and the temporary gets an empty one of
 /// the same shape, which the next append fills in place.
