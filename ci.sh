@@ -40,6 +40,13 @@ if grep -nE 'thread::(scope|spawn)' $(nontest crates/exec/src) ||
     exit 1
 fi
 
+echo "== a row costs its values, not an allocation (a per-row Vec built in crates/exec/src/pipeline.rs fails) =="
+if grep -nE '\]\.concat\(\)|vec!\[Value::|\.iter\(\)\.cloned\(\)\.chain\(' crates/exec/src/pipeline.rs; then
+    echo "operators write a row's values into the flat chunk buffer their consumer keeps (DESIGN §7," \
+        "What a chunk is made of); tests/allocations.rs holds a served hit to its allocation ceiling" >&2
+    exit 1
+fi
+
 echo "== cargo test =="
 cargo test -q --workspace
 

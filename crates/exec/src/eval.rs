@@ -500,23 +500,63 @@ pub(crate) struct Probe<'a> {
     rest: Vec<&'a Bound>,
 }
 
+/// Rows a probe walks, by index: a page's records where they lie, or rows
+/// an operator built end to end.
+pub(crate) trait Rows {
+    /// Number of rows.
+    fn len(&self) -> usize;
+    /// Row `i`.
+    fn row(&self, i: usize) -> &[Value];
+}
+
+impl<R: AsRef<[Value]>> Rows for [R] {
+    fn len(&self) -> usize {
+        <[R]>::len(self)
+    }
+
+    fn row(&self, i: usize) -> &[Value] {
+        self[i].as_ref()
+    }
+}
+
+/// Rows laid end to end, `width` values each: row `i` is
+/// `values[i * width..(i + 1) * width]`.
+pub(crate) struct Flat<'a> {
+    pub values: &'a [Value],
+    pub width: usize,
+    pub len: usize,
+}
+
+impl Rows for Flat<'_> {
+    fn len(&self) -> usize {
+        self.len
+    }
+
+    fn row(&self, i: usize) -> &[Value] {
+        &self.values[i * self.width..][..self.width]
+    }
+}
+
 impl Probe<'_> {
-    /// The rows of `inner` that `outer` joins with, by index, in order:
-    /// pair for pair the answer, the error and the `evals` of `truthy`,
-    /// the evals added to the counters once.
-    pub fn matches<R: AsRef<[Value]>>(
+    /// The rows of `inner` that `outer` joins with, by index, in order,
+    /// into `hits` (emptied first; the caller keeps it from one chunk to
+    /// the next): pair for pair the answer, the error and the `evals` of
+    /// `truthy`, the evals added to the counters once.
+    pub fn matches<R: Rows + ?Sized>(
         &self,
         ctx: &EvalCtx<'_>,
         outer: &[Value],
-        inner: &[R],
-    ) -> Result<Vec<usize>, ExecError> {
-        if let Some(hits) = self.equal_keys(inner) {
+        inner: &R,
+        hits: &mut Vec<usize>,
+    ) -> Result<(), ExecError> {
+        if self.equal_keys(inner, hits) {
             ctx.counters.add_evals(inner.len() as u64);
-            return Ok(hits);
+            return Ok(());
         }
-        let (mut hits, mut evals) = (Vec::new(), 0);
-        let scanned = inner.iter().enumerate().try_for_each(|(i, row)| {
-            let at = RowRef(outer, row.as_ref());
+        hits.clear();
+        let mut evals = 0;
+        let scanned = (0..inner.len()).try_for_each(|i| {
+            let at = RowRef(outer, inner.row(i));
             let ord = match (&at.1[self.slot], self.key) {
                 (Value::Oid(value), Value::Oid(key)) => Some(value.cmp(key)),
                 (Value::Int(value), Value::Int(key)) => Some(value.cmp(key)),
@@ -540,34 +580,35 @@ impl Probe<'_> {
             Ok(())
         });
         ctx.counters.add_evals(evals);
-        scanned.map(|()| hits)
+        scanned
     }
 
     /// The loop that matters, straight: `=` on an `Oid` or `Int` key with
     /// no conjunct left decides every row by one comparison, so the rows
-    /// are the `evals`. `None` — `matches` runs its general loop over the
-    /// whole chunk — for any other probe, and when some inner value has
-    /// no or several members (`truthy` counts those pairs).
-    pub fn equal_keys<R: AsRef<[Value]>>(&self, inner: &[R]) -> Option<Vec<usize>> {
+    /// are the `evals`, and the matches go into `hits` (emptied first).
+    /// `false` — `matches` runs its general loop over the whole chunk —
+    /// for any other probe, and when some inner value has no or several
+    /// members (`truthy` counts those pairs).
+    pub fn equal_keys<R: Rows + ?Sized>(&self, inner: &R, hits: &mut Vec<usize>) -> bool {
         let keyed = matches!(self.key, Value::Oid(_) | Value::Int(_));
         if !(keyed && self.op == CmpOp::Eq && self.rest.is_empty()) {
-            return None;
+            return false;
         }
         // Equality, not an ordering: that is what makes this loop cheaper
         // than the general one (measured, ≈ 1.5 ns a pair).
-        let mut hits = Vec::new();
-        for (i, row) in inner.iter().enumerate() {
-            let equal = match (&row.as_ref()[self.slot], self.key) {
+        hits.clear();
+        for i in 0..inner.len() {
+            let equal = match (&inner.row(i)[self.slot], self.key) {
                 (Value::Oid(value), Value::Oid(key)) => value == key,
                 (Value::Int(value), Value::Int(key)) => value == key,
-                (Value::Null | Value::Set(_) | Value::List(_), _) => return None,
+                (Value::Null | Value::Set(_) | Value::List(_), _) => return false,
                 (value, key) => value == key,
             };
             if equal {
                 hits.push(i);
             }
         }
-        Some(hits)
+        true
     }
 }
 

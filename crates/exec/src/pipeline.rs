@@ -7,9 +7,11 @@
 //! ([`Database::scan_pages`]) instead of materializing whole entities,
 //! and rows flow straight through filters, projections, dereferences
 //! and joins, whose expressions are bound to row slots once, when the
-//! tree is built. Only genuine pipeline breakers materialize: the
-//! semi-naive fixpoint (accumulator and delta temporaries) and the inner
-//! of a nested loop over a non-rescannable subtree.
+//! tree is built. Built rows lie end to end in a buffer the consumer
+//! keeps and hands back to be refilled ([`Chunk`]). Only genuine pipeline
+//! breakers materialize, from borrowed rows: the semi-naive fixpoint
+//! (accumulator and delta temporaries) and the inner of a nested loop
+//! over a non-rescannable subtree.
 //!
 //! In a profiled run ([`Shared::profile`]) every `open`/`next_chunk` call
 //! that can do something is bracketed by snapshots of the run's page
@@ -38,7 +40,7 @@ use oorq_storage::{
 };
 
 use crate::error::ExecError;
-use crate::eval::{Bound, Counters, EvalCtx, Pred, Probe, RowRef};
+use crate::eval::{Bound, Counters, EvalCtx, Flat, Pred, Probe, RowRef};
 use crate::methods::MethodRegistry;
 use crate::rowset::RowSet;
 
@@ -259,76 +261,142 @@ fn record_op_spans(obs: &oorq_obs::Recorder, reports: &[OpReport], stats: &[OpSt
 /// given into one chunk if not; an operator above which nothing can keeps
 /// going until its input runs out — its own subtree makes the same
 /// fetches in the same order either way.
-enum Chunk {
-    /// The records of one fetched page, borrowed from the store.
-    Page(PageRows),
-    /// Rows the operator built.
-    Rows(Vec<Vec<Value>>),
+///
+/// A chunk is a buffer its consumer keeps (a [`Cursor`]'s, or a breaker's)
+/// and clears before each pull: a scan lends its page into `page`, any
+/// other operator writes its rows into `values`, end to end. A row costs
+/// its values, not an allocation of its own, and once the buffer has
+/// grown to a chunk's size, handing up the next one allocates nothing.
+#[derive(Default)]
+struct Chunk {
+    /// The records of one fetched page, borrowed from the store; when set,
+    /// the chunk is that page.
+    page: Option<PageRows>,
+    /// Built rows: row `i` is `values[i * width..(i + 1) * width]`.
+    values: Vec<Value>,
+    /// Values per built row: the producer's column count.
+    width: usize,
+    /// Number of built rows.
+    rows: usize,
 }
 
 impl Chunk {
     fn len(&self) -> usize {
-        match self {
-            Chunk::Page(page) => page.len(),
-            Chunk::Rows(rows) => rows.len(),
+        match &self.page {
+            Some(page) => page.len(),
+            None => self.rows,
         }
     }
 
     fn row(&self, i: usize) -> &[Value] {
-        match self {
-            Chunk::Page(page) => &page[i].values,
-            Chunk::Rows(rows) => &rows[i],
+        match &self.page {
+            Some(page) => &page[i].values,
+            None => &self.values[i * self.width..][..self.width],
         }
     }
 
-    /// Row `i` by value: moved out of built rows, copied off a page.
-    fn take(&mut self, i: usize) -> Vec<Value> {
-        match self {
-            Chunk::Page(page) => page[i].values.clone(),
-            Chunk::Rows(rows) => std::mem::take(&mut rows[i]),
+    /// Every row, in order, borrowed.
+    fn iter(&self) -> impl Iterator<Item = &[Value]> {
+        (0..self.len()).map(|i| self.row(i))
+    }
+
+    /// Empty the chunk for the next pull: let go of a lent page, keep the
+    /// buffer.
+    fn clear(&mut self) {
+        self.page = None;
+        self.values.clear();
+        self.rows = 0;
+    }
+
+    /// Close the row whose values were just pushed onto `values`.
+    fn end_row(&mut self) {
+        self.rows += 1;
+        debug_assert_eq!(
+            self.values.len(),
+            self.rows * self.width,
+            "rows of {}",
+            self.width
+        );
+    }
+
+    /// Append `left` and `right` end to end as one row: a join's outer row
+    /// and its match, or a row and nothing.
+    fn push(&mut self, left: &[Value], right: &[Value]) {
+        self.values.extend_from_slice(left);
+        self.values.extend_from_slice(right);
+        self.end_row();
+    }
+
+    /// Move row `i` onto the end of `out`: out of built rows, copied off a
+    /// page.
+    fn move_row(&mut self, i: usize, out: &mut Chunk) {
+        match &self.page {
+            Some(page) => out.values.extend_from_slice(&page[i].values),
+            None => {
+                let row = &mut self.values[i * self.width..][..self.width];
+                let taken = row.iter_mut().map(|v| std::mem::replace(v, Value::Null));
+                out.values.extend(taken);
+            }
+        }
+        out.end_row();
+    }
+
+    /// Move every row onto the end of `out`, a chunk of built rows of the
+    /// same width; into an empty one, the built rows change places with it.
+    fn move_all(&mut self, out: &mut Chunk) {
+        if out.len() == 0 && self.page.is_none() {
+            std::mem::swap(self, out);
+            return;
+        }
+        for i in 0..self.len() {
+            self.move_row(i, out);
         }
     }
 
-    fn into_rows(self) -> Vec<Vec<Value>> {
-        match self {
-            Chunk::Page(page) => page.iter().map(|r| r.values.clone()).collect(),
-            Chunk::Rows(rows) => rows,
+    /// Every row as a `Vec` of its own, onto the end of `out`: moved out
+    /// of built rows, copied off a page.
+    fn move_into_vecs(&mut self, out: &mut Vec<Vec<Value>>) {
+        match &self.page {
+            Some(page) => out.extend(page.iter().map(|r| r.values.clone())),
+            None => {
+                let mut values = self.values.drain(..);
+                let width = self.width;
+                out.extend((0..self.rows).map(|_| values.by_ref().take(width).collect()));
+            }
         }
     }
 }
 
 /// An operator's place in its input: the chunk it is reading and the
 /// next unread row of it.
+#[derive(Default)]
 struct Cursor {
     chunk: Chunk,
     pos: usize,
 }
 
-impl Default for Cursor {
-    fn default() -> Self {
-        Cursor {
-            chunk: Chunk::Rows(Vec::new()),
-            pos: 0,
-        }
-    }
-}
-
 impl Cursor {
-    /// Make an unread row available, pulling the next chunk once the
-    /// current one is read. `false` when `pull` is exhausted; the read
-    /// chunk — and the page it may borrow — is released before pulling.
+    /// Make an unread row available, pulling the next chunk into the
+    /// cursor's buffer once the current one is read. `false` when `pull`
+    /// is exhausted; the read chunk — and the page it may borrow — is
+    /// released before pulling.
     fn fill(
         &mut self,
-        mut pull: impl FnMut() -> Result<Option<Chunk>, ExecError>,
+        mut pull: impl FnMut(&mut Chunk) -> Result<bool, ExecError>,
     ) -> Result<bool, ExecError> {
         while self.pos >= self.chunk.len() {
-            *self = Cursor::default();
-            match pull()? {
-                Some(chunk) => self.chunk = chunk,
-                None => return Ok(false),
+            self.reset();
+            if !pull(&mut self.chunk)? {
+                return Ok(false);
             }
         }
         Ok(true)
+    }
+
+    /// Forget the chunk being read, keeping its buffer.
+    fn reset(&mut self) {
+        self.chunk.clear();
+        self.pos = 0;
     }
 
     /// Step to the next unread row of the current chunk.
@@ -347,20 +415,31 @@ impl Cursor {
     }
 
     /// Read the rest of the chunk through `probe`: the rows `outer` joins
-    /// with, by index. The rows are borrowed as one slice, where they lie.
+    /// with, by index, into `hits`. The rows are walked where they lie.
     fn probe(
         &mut self,
         ctx: &EvalCtx<'_>,
         probe: &Probe<'_>,
         outer: &[Value],
-    ) -> Result<Vec<usize>, ExecError> {
+        hits: &mut Vec<usize>,
+    ) -> Result<(), ExecError> {
         let from = std::mem::replace(&mut self.pos, self.chunk.len());
-        let mut hits = match &self.chunk {
-            Chunk::Page(page) => probe.matches(ctx, outer, &page[from..])?,
-            Chunk::Rows(rows) => probe.matches(ctx, outer, &rows[from..])?,
-        };
+        match &self.chunk.page {
+            Some(page) => probe.matches(ctx, outer, &page[from..], hits)?,
+            None => {
+                let Chunk { values, width, .. } = &self.chunk;
+                let values = &values[from * width..];
+                let len = self.chunk.rows - from;
+                let rows = Flat {
+                    values,
+                    width: *width,
+                    len,
+                };
+                probe.matches(ctx, outer, &rows, hits)?
+            }
+        }
         hits.iter_mut().for_each(|i| *i += from);
-        Ok(hits)
+        Ok(())
     }
 }
 
@@ -370,26 +449,41 @@ type Temps = HashMap<String, (EntityId, EntityId)>;
 /// Per-operator mutable state. Expressions are bound to the operator's
 /// input columns when the tree is built.
 enum St {
-    /// Entity/temp scan, and the read-back of a fixpoint (computed at
-    /// `open` into the accumulator temporary — the canonical pipeline
-    /// breaker — and streamed out of the page store, so the readback is
-    /// hits while resident, reads once the memory budget spilled it).
-    /// `scan` holds the segment it reads from `open` until it runs out,
-    /// and nothing writes a temporary in between: a fixpoint sinks a leg
-    /// after draining it, a nested loop materializes before it probes and
-    /// lets go of a held inner ([`Inner::Held`]) when its outer runs out.
+    /// Entity/temp scan. `scan` holds the segment it reads from `open`
+    /// until it runs out, and nothing writes a temporary in between: a
+    /// fixpoint sinks a leg after draining it, a nested loop materializes
+    /// before it probes and lets go of a held inner ([`Inner::Held`]) when
+    /// its outer runs out.
     Scan {
-        /// A temp scan's or fixpoint's (accumulator, delta), if built.
+        /// A temp scan's (accumulator, delta), if built.
         temps: Option<(EntityId, EntityId)>,
         scan: Option<PageScan>,
     },
-    /// Index selection: the probe results still to fetch and filter.
+    /// A fixpoint: computed at `open` into the accumulator temporary — the
+    /// canonical pipeline breaker — and read back as a scan of it (`scan`),
+    /// so the readback is hits while resident, reads once the memory
+    /// budget spilled it. A pass of the recursive leg is drained into
+    /// `pass` through `pulled`, which then takes it permuted.
+    Fix {
+        /// The (accumulator, delta) pair, if built.
+        temps: Option<(EntityId, EntityId)>,
+        scan: Option<PageScan>,
+        pass: Chunk,
+        pulled: Chunk,
+    },
+    /// Index selection: the probe's oids (copied at `open`) and the next
+    /// one to fetch and filter.
     Probe {
         key: Value,
         pred: Bound,
-        oids: std::vec::IntoIter<Oid>,
+        oids: Vec<Oid>,
+        next: usize,
     },
-    Filter(Pred),
+    /// Filter: `hits` is where a probe puts the rows that pass.
+    Filter {
+        pred: Pred,
+        hits: Vec<usize>,
+    },
     /// Project: rows already emitted (streaming set semantics); `None`
     /// when no row can come twice.
     Project {
@@ -403,15 +497,21 @@ enum St {
         pred: Bound,
     },
     /// Nested loop: `cur` is the outer row being joined, `inner` the
-    /// place in the inner's pass for it.
+    /// place in the inner's pass for it (and the buffer a materialized
+    /// inner is written from), `hits` where a probe puts its matches.
     Nl {
         pred: Pred,
         cur: Option<usize>,
         inner: Cursor,
         read: Inner,
+        hits: Vec<usize>,
     },
-    /// Union: whether the right operand is the one being drained.
-    Union(bool),
+    /// Union: whether the right operand is the one being drained, and the
+    /// buffer a right chunk is pulled into to be permuted.
+    Union {
+        on_right: bool,
+        pulled: Chunk,
+    },
 }
 
 /// How a nested loop reads its inner once per outer row.
@@ -434,6 +534,8 @@ enum Inner {
 struct OpExec<'p> {
     op: &'p PhysOp,
     kids: Vec<OpExec<'p>>,
+    /// Values per row the operator builds: its column count.
+    width: usize,
     /// Place in the first child's output.
     input: Cursor,
     st: St,
@@ -472,18 +574,28 @@ fn build<'p>(op: &'p PhysOp, temps: &Temps, downstream_touches: bool) -> OpExec<
             temps: None,
             scan: None,
         },
-        PhysOp::TempScan { name, .. } | PhysOp::FixPoint { temp: name, .. } => St::Scan {
+        PhysOp::TempScan { name, .. } => St::Scan {
             temps: temps.get(name).copied(),
             scan: None,
+        },
+        PhysOp::FixPoint { temp, .. } => St::Fix {
+            temps: temps.get(temp).copied(),
+            scan: None,
+            pass: Chunk::default(),
+            pulled: Chunk::default(),
         },
         PhysOp::IndexSelect {
             key, pred, cols, ..
         } => St::Probe {
             key: lit_value(key),
             pred: Bound::bind(pred, cols),
-            oids: Vec::new().into_iter(),
+            oids: Vec::new(),
+            next: 0,
         },
-        PhysOp::Filter { pred, cols, .. } => St::Filter(Pred::bind(pred, cols)),
+        PhysOp::Filter { pred, cols, .. } => St::Filter {
+            pred: Pred::bind(pred, cols),
+            hits: Vec::new(),
+        },
         PhysOp::Project { exprs, input, .. } => {
             let cols = input.cols();
             let exprs: Vec<Bound> = exprs.iter().map(|(_, e)| Bound::bind(e, cols)).collect();
@@ -520,6 +632,7 @@ fn build<'p>(op: &'p PhysOp, temps: &Temps, downstream_touches: bool) -> OpExec<
                 } else {
                     Inner::Reopen
                 },
+                hits: Vec::new(),
             }
         }
         PhysOp::IndexJoin {
@@ -532,11 +645,14 @@ fn build<'p>(op: &'p PhysOp, temps: &Temps, downstream_touches: bool) -> OpExec<
             outer: Bound::bind(outer, left.cols()),
             pred: Bound::bind(pred, cols),
         },
-        PhysOp::UnionAll { .. } => St::Union(false),
+        PhysOp::UnionAll { .. } => St::Union {
+            on_right: false,
+            pulled: Chunk::default(),
+        },
     };
     let kid_touched = |kid: usize| match (op, &st) {
         (PhysOp::FixPoint { .. }, _) => kid == 0,
-        (PhysOp::Filter { .. }, St::Filter(pred)) => downstream_touches || pred.derefs,
+        (PhysOp::Filter { .. }, St::Filter { pred, .. }) => downstream_touches || pred.derefs,
         (PhysOp::Project { .. }, St::Project { exprs, .. }) => {
             downstream_touches || exprs.iter().any(Bound::derefs)
         }
@@ -548,6 +664,7 @@ fn build<'p>(op: &'p PhysOp, temps: &Temps, downstream_touches: bool) -> OpExec<
     OpExec {
         op,
         kids: kids.collect(),
+        width: op.cols().len(),
         input: Cursor::default(),
         st,
         downstream_touches,
@@ -555,25 +672,25 @@ fn build<'p>(op: &'p PhysOp, temps: &Temps, downstream_touches: bool) -> OpExec<
     }
 }
 
-/// Feed the input's chunks to `each`; the rows it leaves in its second
-/// argument are the chunk handed up. With `cut` — something above can
-/// touch a page — the chunk ends at the first call that left rows: `each`
-/// reads on from where it stopped, so one that stops after the rows of a
-/// single input row keeps its page touches interleaved with its
-/// consumers'. Without, nothing above has a touch to interleave, and the
-/// chunk ends when the input runs out.
+/// Feed the input's chunks to `each`; the rows it writes into `out` are
+/// the chunk handed up (whether there are any is the answer). With `cut` —
+/// something above can touch a page — the chunk ends at the first call
+/// that wrote rows: `each` reads on from where it stopped, so one that
+/// stops after the rows of a single input row keeps its page touches
+/// interleaved with its consumers'. Without, nothing above has a touch to
+/// interleave, and the chunk ends when the input runs out.
 fn pump(
     input: &mut Cursor,
     kid: &mut OpExec<'_>,
     rt: &Rt<'_>,
     cut: bool,
-    mut each: impl FnMut(&mut Cursor, &mut Vec<Vec<Value>>) -> Result<(), ExecError>,
-) -> Result<Option<Chunk>, ExecError> {
-    let mut out = Vec::new();
-    while (!cut || out.is_empty()) && input.fill(|| kid.next_chunk(rt))? {
-        each(input, &mut out)?;
+    out: &mut Chunk,
+    mut each: impl FnMut(&mut Cursor, &mut Chunk) -> Result<(), ExecError>,
+) -> Result<bool, ExecError> {
+    while (!cut || out.len() == 0) && input.fill(|chunk| kid.next_chunk(rt, chunk))? {
+        each(input, out)?;
     }
-    Ok((!out.is_empty()).then_some(Chunk::Rows(out)))
+    Ok(out.len() > 0)
 }
 
 /// The (accumulator, delta) pair `build` found for temporary `name`.
@@ -584,12 +701,14 @@ fn built(
     temps.ok_or_else(|| ExecError::BadFixpoint(format!("temp `{name}` not built")))
 }
 
-/// Rows with their columns put in the order a union or a fixpoint's
-/// recursive side resolved at lowering.
-fn permute(perm: Option<&Vec<usize>>, rows: Vec<Vec<Value>>) -> Vec<Vec<Value>> {
-    let Some(perm) = perm else { return rows };
-    let pick = |r: Vec<Value>| perm.iter().map(|&i| r[i].clone()).collect();
-    rows.into_iter().map(pick).collect()
+/// The rows of `from`, their columns put in the order a union or a
+/// fixpoint's recursive side resolved at lowering, onto the end of `to`
+/// (rows of `perm.len()` values).
+fn permute(perm: &[usize], from: &Chunk, to: &mut Chunk) {
+    for row in from.iter() {
+        to.values.extend(perm.iter().map(|&i| row[i].clone()));
+        to.end_row();
+    }
 }
 
 /// Snapshot of the shared counters, for inclusive-delta charging.
@@ -688,21 +807,31 @@ impl<'a> Rt<'a> {
         }
     }
 
-    /// Fetch page `page` of a held inner and step past it; `None`, at no
-    /// charge, past the last page. In a profiled run a leaf inner's page is
-    /// bracketed to its scan operator `scan`, as the scan's own
-    /// `next_chunk` would be; a materialized inner's is the join's own work.
-    fn held_page(&self, seg: &SegmentHold, page: &mut u32, scan: Option<usize>) -> Option<Chunk> {
+    /// Fetch page `page` of a held inner into `out` and step past it;
+    /// `false`, at no charge, past the last page. In a profiled run a leaf
+    /// inner's page is bracketed to its scan operator `scan`, as the scan's
+    /// own `next_chunk` would be; a materialized inner's is the join's own
+    /// work.
+    fn held_page(
+        &self,
+        seg: &SegmentHold,
+        page: &mut u32,
+        scan: Option<usize>,
+        out: &mut Chunk,
+    ) -> bool {
         if *page >= seg.num_pages() {
-            return None;
+            return false;
         }
         let snap = scan.filter(|_| self.profile).map(|id| (id, self.snap()));
-        let rows = seg.page(self.io, *page)?;
+        let Some(rows) = seg.page(self.io, *page) else {
+            return false;
+        };
         *page += 1;
         if let Some((id, snap)) = snap {
             self.charge(id, snap, 0, rows.len() as u64);
         }
-        Some(Chunk::Page(rows))
+        out.page = Some(rows);
+        true
     }
 
     /// The page-store temporary backing a materializing `NlJoin`'s inner.
@@ -721,7 +850,7 @@ impl OpExec<'_> {
     /// scan, whose open can do nothing a bracket would record and is only
     /// counted.
     fn open(&mut self, rt: &Rt<'_>) -> Result<(), ExecError> {
-        self.input = Cursor::default();
+        self.input.reset();
         self.done = false;
         if !rt.profile {
             return self.open_inner(rt);
@@ -737,34 +866,37 @@ impl OpExec<'_> {
         res
     }
 
-    /// The next run of rows, `None` once exhausted (and again on every
-    /// later call, until re-opened). A profiled run pays one bracket per
-    /// call, except by an operator with nothing left to do: a scan — a
-    /// leaf's, or a fixpoint's read-back — that has no page left (it let go
-    /// of its segment with its last page), or any operator that has
-    /// already answered `None`, answers `None` as it is.
-    fn next_chunk(&mut self, rt: &Rt<'_>) -> Result<Option<Chunk>, ExecError> {
+    /// The next run of rows, into `out` (empty: its consumer cleared it);
+    /// `false` once exhausted (and again on every later call, until
+    /// re-opened). A profiled run pays one bracket per call, except by an
+    /// operator with nothing left to do: a scan — a leaf's, or a
+    /// fixpoint's read-back — that has no page left (it let go of its
+    /// segment with its last page), or any operator that has already
+    /// answered `false`, answers `false` as it is.
+    fn next_chunk(&mut self, rt: &Rt<'_>, out: &mut Chunk) -> Result<bool, ExecError> {
+        debug_assert_eq!(out.len(), 0, "a chunk is handed up into an empty buffer");
         if self.done {
-            return Ok(None);
+            return Ok(false);
         }
-        if let St::Scan { scan, .. } = &self.st {
+        if let St::Scan { scan, .. } | St::Fix { scan, .. } = &self.st {
             if scan.as_ref().is_none_or(PageScan::is_done) {
-                return Ok(None);
+                return Ok(false);
             }
         }
+        out.width = self.width;
         let res = if rt.profile {
             let snap = rt.snap();
-            let res = self.next_inner(rt);
+            let res = self.next_inner(rt, out);
             let rows = match &res {
-                Ok(Some(chunk)) => chunk.len() as u64,
+                Ok(true) => out.len() as u64,
                 _ => 0,
             };
             rt.charge(self.op.meta().id, snap, 0, rows);
             res
         } else {
-            self.next_inner(rt)
+            self.next_inner(rt, out)
         };
-        self.done = matches!(res, Ok(None));
+        self.done = matches!(res, Ok(false));
         res
     }
 
@@ -783,13 +915,30 @@ impl OpExec<'_> {
         }
     }
 
-    /// Every remaining row, by value.
+    /// Every remaining row, by value: the root's answer, one `Vec` a row.
     fn drain(&mut self, rt: &Rt<'_>) -> Result<Vec<Vec<Value>>, ExecError> {
-        let mut rows = Vec::new();
-        while let Some(chunk) = self.next_chunk(rt)? {
-            rows.extend(chunk.into_rows());
+        let (mut rows, mut chunk) = (Vec::new(), Chunk::default());
+        while self.next_chunk(rt, &mut chunk)? {
+            chunk.move_into_vecs(&mut rows);
+            chunk.clear();
         }
         Ok(rows)
+    }
+
+    /// Every remaining row, moved onto the end of `into` as built rows,
+    /// each chunk pulled into `pulled` first.
+    fn drain_into(
+        &mut self,
+        rt: &Rt<'_>,
+        pulled: &mut Chunk,
+        into: &mut Chunk,
+    ) -> Result<(), ExecError> {
+        into.width = self.width;
+        while self.next_chunk(rt, pulled)? {
+            pulled.move_all(into);
+            pulled.clear();
+        }
+        Ok(())
     }
 
     fn open_inner(&mut self, rt: &Rt<'_>) -> Result<(), ExecError> {
@@ -803,15 +952,22 @@ impl OpExec<'_> {
         let OpExec { op, kids, st, .. } = self;
         let meta = op.meta();
         match (&**op, st) {
-            (PhysOp::IndexSelect { index, .. }, St::Probe { key, oids, .. }) => {
+            (
+                PhysOp::IndexSelect { index, .. },
+                St::Probe {
+                    key, oids, next, ..
+                },
+            ) => {
                 let six = rt
                     .indexes
                     .selection(*index)
                     .ok_or(ExecError::MissingIndex)?;
-                *oids = six.probe(rt.io, key).into_iter();
+                oids.clear();
+                oids.extend_from_slice(six.probe(rt.io, key));
+                *next = 0;
                 Ok(())
             }
-            (PhysOp::Filter { require_index, .. }, St::Filter(_)) => {
+            (PhysOp::Filter { require_index, .. }, St::Filter { .. }) => {
                 // The named index must exist even though the plan degraded
                 // to a filter (access-method resolution parity).
                 if let Some(idx) = require_index {
@@ -841,7 +997,8 @@ impl OpExec<'_> {
                 if let Some(idx) = require_index {
                     rt.indexes.selection(*idx).ok_or(ExecError::MissingIndex)?;
                 }
-                (*cur, *inner) = (None, Cursor::default());
+                *cur = None;
+                inner.reset();
                 if let Inner::Held { seg, .. } = read {
                     // Let go of the last opening's inner before writing.
                     *seg = None;
@@ -855,8 +1012,10 @@ impl OpExec<'_> {
                     let mat_e = rt.nl_mat(meta.id)?;
                     rt.db.truncate_temp(rt.io, mat_e)?;
                     kids[1].open(rt)?;
-                    while let Some(chunk) = kids[1].next_chunk(rt)? {
-                        rt.db.append_temp_rows(rt.io, &[mat_e], chunk.into_rows())?;
+                    let chunk = &mut inner.chunk;
+                    while kids[1].next_chunk(rt, chunk)? {
+                        rt.db.append_temp_rows(rt.io, &[mat_e], chunk.iter())?;
+                        chunk.clear();
                     }
                 }
                 Ok(())
@@ -867,11 +1026,19 @@ impl OpExec<'_> {
                     .ok_or(ExecError::MissingIndex)?;
                 kids[0].open(rt)
             }
-            (PhysOp::UnionAll { .. }, St::Union(on_right)) => {
+            (PhysOp::UnionAll { .. }, St::Union { on_right, .. }) => {
                 *on_right = false;
                 kids[0].open(rt)
             }
-            (PhysOp::FixPoint { temp, perm, .. }, St::Scan { temps, scan }) => {
+            (
+                PhysOp::FixPoint { temp, perm, .. },
+                St::Fix {
+                    temps,
+                    scan,
+                    pass,
+                    pulled,
+                },
+            ) => {
                 // Let go of the last opening's read-back before writing.
                 *scan = None;
                 let (acc_e, delta_e) = built(*temps, temp)?;
@@ -910,17 +1077,20 @@ impl OpExec<'_> {
                 };
                 // The rows not derived before go to the accumulator and
                 // the delta side by side, so the two temporaries' page
-                // writes interleave as their rows do.
+                // writes interleave as their rows do. The rows are
+                // borrowed where they lie; each temporary copies them.
                 let mut seen = RowSet::default();
-                let mut sink = |mut rows: Vec<Vec<Value>>| {
-                    rows.retain(|row| seen.insert(row));
-                    rt.db.append_temp_rows(rt.io, &[acc_e, delta_e], rows)
+                let mut sink = |rows: &Chunk| {
+                    let new = rows.iter().filter(|row| seen.insert(row));
+                    rt.db.append_temp_rows(rt.io, &[acc_e, delta_e], new)
                 };
 
                 // Base case: seed the accumulator and the delta.
                 kids[0].open(rt)?;
-                while let Some(chunk) = kids[0].next_chunk(rt)? {
-                    sink(chunk.into_rows())?;
+                pass.clear();
+                while kids[0].next_chunk(rt, pass)? {
+                    sink(pass)?;
+                    pass.clear();
                 }
                 note_delta(0);
 
@@ -932,12 +1102,23 @@ impl OpExec<'_> {
                     if iterations > rt.max_fix_iterations {
                         return Err(ExecError::FixpointDiverged(temp.clone()));
                     }
+                    pass.clear();
+                    pulled.clear();
                     rt.delta_active.borrow_mut().push(delta_e);
-                    let rec = kids[1].open(rt).and_then(|()| kids[1].drain(rt));
+                    let rec = kids[1]
+                        .open(rt)
+                        .and_then(|()| kids[1].drain_into(rt, pulled, pass));
                     rt.delta_active.borrow_mut().pop();
-                    let rec = rec?;
+                    rec?;
                     rt.db.truncate_temp(rt.io, delta_e)?;
-                    sink(permute(perm.as_ref(), rec))?;
+                    match perm {
+                        Some(perm) => {
+                            pulled.width = perm.len();
+                            permute(perm, pass, pulled);
+                            sink(pulled)?;
+                        }
+                        None => sink(pass)?,
+                    }
                     note_delta(iterations);
                 }
                 // Converged: stream the answer back out of the
@@ -952,7 +1133,7 @@ impl OpExec<'_> {
         }
     }
 
-    fn next_inner(&mut self, rt: &Rt<'_>) -> Result<Option<Chunk>, ExecError> {
+    fn next_inner(&mut self, rt: &Rt<'_>, out: &mut Chunk) -> Result<bool, ExecError> {
         let OpExec {
             op,
             kids,
@@ -965,104 +1146,152 @@ impl OpExec<'_> {
         let ctx = rt.ctx();
         match (&**op, st) {
             (PhysOp::EntityScan { class, .. }, St::Scan { scan, .. }) => {
-                let page = scan.as_mut().and_then(|scan| scan.next_page(rt.io));
-                Ok(page.map(|page| match class {
-                    Some(c) => Chunk::Rows(
-                        page.iter()
-                            .map(|r| vec![Value::Oid(Oid::new(*c, r.key))])
-                            .collect(),
-                    ),
-                    None => Chunk::Page(page),
-                }))
+                let Some(page) = scan.as_mut().and_then(|scan| scan.next_page(rt.io)) else {
+                    return Ok(false);
+                };
+                match class {
+                    Some(c) => {
+                        for r in page.iter() {
+                            out.push(&[Value::Oid(Oid::new(*c, r.key))], &[]);
+                        }
+                    }
+                    None => out.page = Some(page),
+                }
+                Ok(true)
             }
-            (PhysOp::TempScan { .. } | PhysOp::FixPoint { .. }, St::Scan { scan, .. }) => {
-                let page = scan.as_mut().and_then(|scan| scan.next_page(rt.io));
-                Ok(page.map(Chunk::Page))
+            (PhysOp::TempScan { .. }, St::Scan { scan, .. })
+            | (PhysOp::FixPoint { .. }, St::Fix { scan, .. }) => {
+                out.page = scan.as_mut().and_then(|scan| scan.next_page(rt.io));
+                Ok(out.page.is_some())
             }
-            (PhysOp::IndexSelect { class, .. }, St::Probe { pred, oids, .. }) => {
-                let mut out = Vec::new();
-                for o in oids.by_ref().filter(|o| o.class == *class) {
+            (
+                PhysOp::IndexSelect { class, .. },
+                St::Probe {
+                    pred, oids, next, ..
+                },
+            ) => {
+                while let Some(&o) = oids.get(*next) {
+                    *next += 1;
+                    if o.class != *class {
+                        continue;
+                    }
                     // Fetch the object's page (the probe yields only oids),
                     // then apply the full predicate as a residual filter.
                     rt.db.touch_object(rt.io, o)?;
-                    let row = vec![Value::Oid(o)];
+                    let row = [Value::Oid(o)];
                     if pred.truthy(&ctx, row.as_slice().into())? {
-                        out.push(row);
+                        out.push(&row, &[]);
                         if downstream_touches {
                             break;
                         }
                     }
                 }
-                Ok((!out.is_empty()).then_some(Chunk::Rows(out)))
+                Ok(out.len() > 0)
             }
-            (PhysOp::Filter { .. }, St::Filter(pred)) => {
+            (PhysOp::Filter { .. }, St::Filter { pred, hits }) => {
                 let cut = pred.derefs && downstream_touches;
                 let probe = pred.probe(&[]);
-                pump(input, &mut kids[0], rt, downstream_touches, |input, out| {
-                    if let Some(probe) = &probe {
-                        let hits = input.probe(&ctx, probe, &[])?;
-                        out.extend(hits.into_iter().map(|i| input.chunk.take(i)));
-                        return Ok(());
-                    }
-                    while let Some(i) = input.next() {
-                        if pred.truthy(&ctx, input.chunk.row(i).into())? {
-                            out.push(input.chunk.take(i));
-                            if cut {
-                                break;
+                pump(
+                    input,
+                    &mut kids[0],
+                    rt,
+                    downstream_touches,
+                    out,
+                    |input, out| {
+                        if let Some(probe) = &probe {
+                            input.probe(&ctx, probe, &[], hits)?;
+                            for &i in hits.iter() {
+                                input.chunk.move_row(i, out);
+                            }
+                            return Ok(());
+                        }
+                        while let Some(i) = input.next() {
+                            if pred.truthy(&ctx, input.chunk.row(i).into())? {
+                                input.chunk.move_row(i, out);
+                                if cut {
+                                    break;
+                                }
                             }
                         }
-                    }
-                    Ok(())
-                })
+                        Ok(())
+                    },
+                )
             }
             (PhysOp::Project { .. }, St::Project { exprs, seen }) => {
                 let cut = exprs.iter().any(Bound::derefs) && downstream_touches;
-                pump(input, &mut kids[0], rt, downstream_touches, |input, out| {
-                    while let Some(i) = input.next() {
-                        let row = RowRef::from(input.chunk.row(i));
-                        let mut new_row = Vec::with_capacity(exprs.len());
-                        for e in exprs.iter() {
-                            new_row.push(e.eval(&ctx, row)?.into_owned());
-                        }
-                        if seen.as_mut().is_none_or(|seen| seen.insert(&new_row)) {
-                            out.push(new_row);
-                            if cut {
-                                break;
+                pump(
+                    input,
+                    &mut kids[0],
+                    rt,
+                    downstream_touches,
+                    out,
+                    |input, out| {
+                        while let Some(i) = input.next() {
+                            let row = RowRef::from(input.chunk.row(i));
+                            let start = out.values.len();
+                            for e in exprs.iter() {
+                                out.values.push(e.eval(&ctx, row)?.into_owned());
+                            }
+                            if seen
+                                .as_mut()
+                                .is_none_or(|seen| seen.insert(&out.values[start..]))
+                            {
+                                out.end_row();
+                                if cut {
+                                    break;
+                                }
+                            } else {
+                                out.values.truncate(start);
                             }
                         }
-                    }
-                    Ok(())
-                })
+                        Ok(())
+                    },
+                )
             }
             (PhysOp::IjDeref { .. }, St::Deref(on)) => {
-                pump(input, &mut kids[0], rt, downstream_touches, |input, out| {
-                    let row = input.next_row();
-                    for m in on.eval(&ctx, row.into())?.members() {
-                        if let Value::Oid(o) = m {
-                            // Touch the sub-object's page: the implicit join
-                            // is what pays the dereference.
-                            rt.db.touch_object(rt.io, *o)?;
-                            out.push([row, std::slice::from_ref(m)].concat());
+                pump(
+                    input,
+                    &mut kids[0],
+                    rt,
+                    downstream_touches,
+                    out,
+                    |input, out| {
+                        let row = input.next_row();
+                        for m in on.eval(&ctx, row.into())?.members() {
+                            if let Value::Oid(o) = m {
+                                // Touch the sub-object's page: the implicit join
+                                // is what pays the dereference.
+                                rt.db.touch_object(rt.io, *o)?;
+                                out.push(row, std::slice::from_ref(m));
+                            }
                         }
-                    }
-                    Ok(())
-                })
+                        Ok(())
+                    },
+                )
             }
             (PhysOp::PijLookup { index, outs, .. }, St::Deref(on)) => {
                 let pix = rt.indexes.path(*index).ok_or(ExecError::MissingIndex)?;
-                pump(input, &mut kids[0], rt, downstream_touches, |input, out| {
-                    let row = input.next_row();
-                    for m in on.eval(&ctx, row.into())?.members() {
-                        let Value::Oid(head) = m else { continue };
-                        for tail in pix.probe(rt.io, *head) {
-                            if tail.len() >= outs.len() {
-                                let tail = tail.iter().take(outs.len()).map(|o| Value::Oid(*o));
-                                out.push(row.iter().cloned().chain(tail).collect());
+                pump(
+                    input,
+                    &mut kids[0],
+                    rt,
+                    downstream_touches,
+                    out,
+                    |input, out| {
+                        let row = input.next_row();
+                        for m in on.eval(&ctx, row.into())?.members() {
+                            let Value::Oid(head) = m else { continue };
+                            for tail in pix.probe(rt.io, *head) {
+                                if let Some(tail) = tail.get(..outs.len()) {
+                                    out.values.extend_from_slice(row);
+                                    out.values.extend(tail.iter().map(|&o| Value::Oid(o)));
+                                    out.end_row();
+                                }
                             }
                         }
-                    }
-                    Ok(())
-                })
+                        Ok(())
+                    },
+                )
             }
             (
                 PhysOp::NlJoin { rescan_inner, .. },
@@ -1071,6 +1300,7 @@ impl OpExec<'_> {
                     cur,
                     inner,
                     read,
+                    hits,
                 },
             ) => {
                 let [left, right] = kids.as_mut_slice() else {
@@ -1079,21 +1309,20 @@ impl OpExec<'_> {
                 // A leaf inner's passes are the scan operator's.
                 let scan_id = rescan_inner.then(|| right.op.meta().id);
                 let cut = pred.derefs && downstream_touches;
-                // One `out` across outer rows where nothing above can
+                // One chunk across outer rows where nothing above can
                 // touch a page; the matches of one outer row in one inner
                 // chunk where something can.
-                let mut out = Vec::new();
                 loop {
                     let l = match *cur {
                         Some(l) => l,
                         None => {
-                            if !input.fill(|| left.next_chunk(rt))? {
+                            if !input.fill(|chunk| left.next_chunk(rt, chunk))? {
                                 if let Inner::Held { seg, .. } = read {
                                     // Let go of the inner before anything
                                     // above writes it.
                                     *seg = None;
                                 }
-                                return Ok((!out.is_empty()).then_some(Chunk::Rows(out)));
+                                return Ok(out.len() > 0);
                             }
                             // Honest nested loop: pass over the whole inner
                             // through the buffer manager for every outer
@@ -1123,32 +1352,34 @@ impl OpExec<'_> {
                     // the outer row already decides is decided once.
                     let lrow = input.chunk.row(l);
                     let probe = pred.probe(lrow);
-                    while (!downstream_touches || out.is_empty())
-                        && inner.fill(|| match read {
+                    while (!downstream_touches || out.len() == 0)
+                        && inner.fill(|chunk| match read {
                             Inner::Held {
                                 seg: Some(seg),
                                 page,
-                            } => Ok(rt.held_page(seg, page, scan_id)),
-                            _ => right.next_chunk(rt),
+                            } => Ok(rt.held_page(seg, page, scan_id, chunk)),
+                            _ => right.next_chunk(rt, chunk),
                         })?
                     {
                         if let Some(probe) = &probe {
-                            let hits = inner.probe(&ctx, probe, lrow)?;
-                            out.extend(hits.iter().map(|&r| [lrow, inner.chunk.row(r)].concat()));
+                            inner.probe(&ctx, probe, lrow, hits)?;
+                            for &r in hits.iter() {
+                                out.push(lrow, inner.chunk.row(r));
+                            }
                             continue;
                         }
                         while let Some(r) = inner.next() {
                             let rrow = inner.chunk.row(r);
                             if pred.truthy(&ctx, RowRef(lrow, rrow))? {
-                                out.push([lrow, rrow].concat());
+                                out.push(lrow, rrow);
                                 if cut {
                                     break;
                                 }
                             }
                         }
                     }
-                    if downstream_touches && !out.is_empty() {
-                        return Ok(Some(Chunk::Rows(out)));
+                    if downstream_touches && out.len() > 0 {
+                        return Ok(true);
                     }
                     *cur = None;
                 }
@@ -1158,36 +1389,45 @@ impl OpExec<'_> {
                     .indexes
                     .selection(*index)
                     .ok_or(ExecError::MissingIndex)?;
-                pump(input, &mut kids[0], rt, downstream_touches, |input, out| {
-                    let lrow = input.next_row();
-                    for key in outer.eval(&ctx, lrow.into())?.members() {
-                        for o in six.probe(rt.io, key) {
-                            if o.class != *class {
-                                continue;
-                            }
-                            rt.db.touch_object(rt.io, o)?;
-                            let found = [Value::Oid(o)];
-                            if pred.truthy(&ctx, RowRef(lrow, &found))? {
-                                out.push([lrow, &found].concat());
+                pump(
+                    input,
+                    &mut kids[0],
+                    rt,
+                    downstream_touches,
+                    out,
+                    |input, out| {
+                        let lrow = input.next_row();
+                        for key in outer.eval(&ctx, lrow.into())?.members() {
+                            for &o in six.probe(rt.io, key) {
+                                if o.class != *class {
+                                    continue;
+                                }
+                                rt.db.touch_object(rt.io, o)?;
+                                let found = [Value::Oid(o)];
+                                if pred.truthy(&ctx, RowRef(lrow, &found))? {
+                                    out.push(lrow, &found);
+                                }
                             }
                         }
-                    }
-                    Ok(())
-                })
+                        Ok(())
+                    },
+                )
             }
-            (PhysOp::UnionAll { perm, .. }, St::Union(on_right)) => {
+            (PhysOp::UnionAll { perm, .. }, St::Union { on_right, pulled }) => {
                 if !*on_right {
-                    if let Some(chunk) = kids[0].next_chunk(rt)? {
-                        return Ok(Some(chunk));
+                    if kids[0].next_chunk(rt, out)? {
+                        return Ok(true);
                     }
                     *on_right = true;
                     kids[1].open(rt)?;
                 }
-                let chunk = kids[1].next_chunk(rt)?;
-                Ok(match perm {
-                    Some(_) => chunk.map(|c| Chunk::Rows(permute(perm.as_ref(), c.into_rows()))),
-                    None => chunk,
-                })
+                let Some(perm) = perm else {
+                    return kids[1].next_chunk(rt, out);
+                };
+                let more = kids[1].next_chunk(rt, pulled)?;
+                permute(perm, pulled, out);
+                pulled.clear();
+                Ok(more)
             }
             _ => unreachable!("operator/state shape mismatch"),
         }

@@ -928,7 +928,8 @@ fn a_run_after_a_panicking_method_answers_as_before() {
     let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| ex.run(&aged)));
     assert!(run.is_err(), "the method's panic unwinds through the run");
     let state = ex.into_state();
-    let refused = m.db.append_temp_rows(&m.db.check_out(), &[acc], Vec::new());
+    let refused =
+        m.db.append_temp_rows(&m.db.check_out(), &[acc], Vec::<Vec<Value>>::new());
     assert_eq!(
         refused,
         Err(oorq_storage::StorageError::PoisonedTemporary(acc)),
@@ -1205,9 +1206,10 @@ fn bound_expressions_evaluate_as_the_interpreter_did() {
             };
             probed.push((name, split));
             counters.evals.set(0);
+            let mut hits = vec![7];
             let got = probe
-                .matches(&ctx, at.0, &[at.1])
-                .map(|hits| Value::Bool(hits == [0]));
+                .matches(&ctx, at.0, &[at.1][..], &mut hits)
+                .map(|()| Value::Bool(hits == [0]));
             assert_eq!(got.map_err(|e| e.to_string()), expected, "{name}: probe");
             assert_eq!(counters.evals.get(), evals, "{name}: probe evals");
         }
@@ -1609,7 +1611,7 @@ fn every_nested_loop_inner_keeps_its_counters() {
 /// a `Set` in that slot, which send the whole chunk back to the general loop.
 #[test]
 fn probe_is_the_per_pair_loop_on_random_rows_and_predicates() {
-    use crate::eval::{Counters, EvalCtx, Pred, RowRef};
+    use crate::eval::{Counters, EvalCtx, Flat, Pred, RowRef};
     use oorq_prng::Prng;
     use oorq_query::{CmpOp, Literal};
 
@@ -1712,9 +1714,10 @@ fn probe_is_the_per_pair_loop_on_random_rows_and_predicates() {
             continue;
         };
         probed += 1;
-        match probe.equal_keys(&inner) {
-            Some(_) => straight += 1,
-            None => sent_back += usize::from(keyed),
+        if probe.equal_keys(&inner[..], &mut Vec::new()) {
+            straight += 1;
+        } else {
+            sent_back += usize::from(keyed);
         }
 
         counters.evals.set(0);
@@ -1732,9 +1735,26 @@ fn probe_is_the_per_pair_loop_on_random_rows_and_predicates() {
         }
         let looped = (looped.map(|()| hits), counters.evals.get());
 
+        // Through the flat rows a join hands up too, into a hit buffer
+        // that still holds an earlier chunk's hits.
+        let mut flat_hits = vec![9, 9];
+        let width = 4 - split;
+        let flat = Flat {
+            values: &inner.concat(),
+            width,
+            len: inner.len(),
+        };
+        let flat = probe.matches(&ctx, &outer, &flat, &mut flat_hits);
+        let flat = flat.map(|()| flat_hits).map_err(|e| e.to_string());
+
         counters.evals.set(0);
-        let got = probe.matches(&ctx, &outer, &inner);
-        let got = (got.map_err(|e| e.to_string()), counters.evals.get());
+        let mut hits = vec![9];
+        let got = probe.matches(&ctx, &outer, &inner[..], &mut hits);
+        let got = (
+            got.map(|()| hits).map_err(|e| e.to_string()),
+            counters.evals.get(),
+        );
+        assert_eq!(flat, got.0, "trial {trial}: flat rows");
         assert_eq!(
             got, looped,
             "trial {trial}: {expr} on {outer:?} x {inner:?}"

@@ -52,11 +52,11 @@ impl SelectionIndex {
         }
     }
 
-    /// Oids whose attribute equals `key`. Charges `nblevels` index page
-    /// reads to `io`.
-    pub fn probe(&self, io: &Account, key: &Value) -> Vec<Oid> {
+    /// Oids whose attribute equals `key`, lent out of the tree. Charges
+    /// `nblevels` index page reads to `io`.
+    pub fn probe(&self, io: &Account, key: &Value) -> &[Oid] {
         io.borrow_mut().add_index_reads(self.tree.nblevels() as u64);
-        self.tree.get(key).map(|s| s.to_vec()).unwrap_or_default()
+        self.tree.get(key).unwrap_or_default()
     }
 
     /// Oids whose attribute lies in `[lo, hi]`. Charges `nblevels` plus

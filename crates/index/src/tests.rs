@@ -85,12 +85,18 @@ fn selection_index_probe_matches_scan() {
         db.read_attr_raw(hits[0], name_attr).unwrap(),
         Value::text("c7")
     );
+    let again = idx.probe(&io, &Value::text("c7"));
+    assert_eq!(
+        again.as_ptr(),
+        hits.as_ptr(),
+        "lent where it lies, not copied"
+    );
     assert!(idx.probe(&io, &Value::text("nobody")).is_empty());
     drop(io);
     let charged = db.io_stats().index_reads;
     assert_eq!(
         charged,
-        2 * idx.stats().nblevels as u64,
+        3 * idx.stats().nblevels as u64,
         "a probe charges the levels"
     );
 }
@@ -106,7 +112,7 @@ fn selection_index_on_collection_indexes_members() {
     let hits = idx.probe(&db.check_out(), &Value::Oid(harpsichord));
     // Every hit's instrument set contains the harpsichord.
     assert!(!hits.is_empty());
-    for h in &hits {
+    for h in hits {
         let v = db.read_attr_raw(*h, instr_attr).unwrap();
         assert!(v.members().contains(&Value::Oid(harpsichord)));
     }

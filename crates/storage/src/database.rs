@@ -1,7 +1,7 @@
 //! The object store: a page-accounted, single-node object database
 //! following the direct storage model of \[VKC86\].
 
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError, RwLock};
 
 use oorq_schema::{AttrId, AttributeKind, Catalog, ClassId, RelationId, ResolvedType, ViewKind};
 
@@ -332,7 +332,7 @@ impl Database {
     /// extension; see [`Segment::shuffle`]).
     pub fn shuffle_entity(&mut self, entity: EntityId, seed: u64) {
         self.segment_mut(entity).shuffle(seed);
-        self.buffer.lock().unwrap().invalidate_entity(entity);
+        self.parked().invalidate_entity(entity);
     }
 
     // ------------------------------------------------------------------
@@ -365,7 +365,7 @@ impl Database {
     fn retire(&mut self, home: EntityId) -> Vec<Row> {
         let rows = self.scan_raw(home);
         self.segment_mut(home).clear();
-        self.buffer.lock().unwrap().invalidate_entity(home);
+        self.parked().invalidate_entity(home);
         self.physical.deactivate_entity(home);
         rows
     }
@@ -499,21 +499,23 @@ impl Database {
         }
     }
 
-    /// Append `rows`, in order, to every temporary of `entities` (each row
-    /// goes to all of them before the next row does — a fixpoint's
-    /// accumulator and delta fill side by side), holding their write
-    /// locks, taken in the listed order (an entity listed twice is
+    /// Append a copy of each of `rows`, in order, to every temporary of
+    /// `entities` (each row goes to all of them before the next row does —
+    /// a fixpoint's accumulator and delta fill side by side), holding their
+    /// write locks, taken in the listed order (an entity listed twice is
     /// refused: its second lock would wait for the first; so is a
-    /// temporary whose last writer panicked, until it is truncated). A
+    /// temporary whose last writer panicked, until it is truncated). The
+    /// rows are borrowed, and each copy refills a record a truncation
+    /// emptied before it allocates one ([`Segment::append_copy`]). A
     /// page write is charged to `io` whenever an append starts a new page.
     /// A segment nobody else holds — no snapshot, no scan still open, no
     /// page still lent out — is written in place; otherwise it is copied
     /// first.
-    pub fn append_temp_rows(
+    pub fn append_temp_rows<R: AsRef<[Value]>>(
         &self,
         io: &Account,
         entities: &[EntityId],
-        rows: Vec<Vec<Value>>,
+        rows: impl IntoIterator<Item = R>,
     ) -> Result<(), StorageError> {
         let mut held = Vec::with_capacity(entities.len());
         for (i, &entity) in entities.iter().enumerate() {
@@ -524,40 +526,37 @@ impl Database {
             held.push(lock.map_err(|_| StorageError::PoisonedTemporary(entity))?);
         }
         let mut segs: Vec<&mut Segment> = held.iter_mut().map(|seg| Arc::make_mut(seg)).collect();
-        let Some(last) = segs.len().checked_sub(1) else {
+        if segs.is_empty() {
             return Ok(());
-        };
+        }
         let mut io = io.borrow_mut();
-        let mut append = |i: usize, values: Vec<Value>| {
-            let (entity, seg) = (entities[i], &mut *segs[i]);
-            let key = seg.len() as u32;
-            let pos = seg.append(Row { key, values });
-            if pos.is_multiple_of(seg.rows_per_page()) {
-                let page = seg.page_of_position(pos);
-                io.write(PageId { entity, page }, true);
+        for row in rows {
+            for (&entity, seg) in entities.iter().zip(&mut segs) {
+                let pos = seg.append_copy(seg.len() as u32, row.as_ref());
+                if pos.is_multiple_of(seg.rows_per_page()) {
+                    let page = seg.page_of_position(pos);
+                    io.write(PageId { entity, page }, true);
+                }
             }
-        };
-        for values in rows {
-            for i in 0..last {
-                append(i, values.clone());
-            }
-            append(last, values);
         }
         Ok(())
     }
 
     /// Clear a temporary's contents and drop its residency from `io`. A
-    /// segment somebody else still holds (a snapshot, an open scan, a lent
-    /// page) is left to them and an empty one of its shape put in its
-    /// place. A lock poisoned by a panicking writer is entered — whatever
-    /// the writer left is what gets emptied — and works again afterwards.
+    /// segment nobody else holds is emptied where it lies and keeps its
+    /// records' value vectors for the next appends to refill
+    /// ([`Segment::truncate`]). One somebody else still holds (a snapshot,
+    /// an open scan, a lent page) is left to them and an empty one of its
+    /// shape put in its place. A lock poisoned by a panicking writer is
+    /// entered — whatever the writer left is what gets emptied — and works
+    /// again afterwards.
     pub fn truncate_temp(&self, io: &Account, entity: EntityId) -> Result<(), StorageError> {
         let lock = self.temp(entity)?;
         let mut seg = lock
             .write()
             .unwrap_or_else(|poisoned| poisoned.into_inner());
         match Arc::get_mut(&mut seg) {
-            Some(seg) => seg.clear(),
+            Some(seg) => seg.truncate(),
             None => *seg = Arc::new(seg.emptied()),
         }
         drop(seg);
@@ -782,7 +781,7 @@ impl Database {
     /// run at a time: a second check-out before the handle is dropped
     /// would get the stand-in, whose counters are dropped with it.
     pub fn check_out(&self) -> CheckedOut<'_> {
-        let mut parked = self.buffer.lock().unwrap();
+        let mut parked = self.parked();
         let stand_in = parked.fork(parked.capacity(), parked.temp_budget());
         CheckedOut {
             home: &self.buffer,
@@ -790,9 +789,25 @@ impl Database {
         }
     }
 
+    /// The parked page account ([`enter`]ed: a poisoned lock is no error).
+    fn parked(&self) -> MutexGuard<'_, BufferManager> {
+        enter(&self.buffer)
+    }
+
+    /// Make the lock of the parked page account poisoned, as a thread that
+    /// panicked holding it would.
+    #[cfg(test)]
+    pub(crate) fn poison_parked_account(&self) {
+        let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let _parked = self.buffer.lock();
+            panic!("a panic while the page account is locked");
+        }));
+        assert!(panicked.is_err() && self.buffer.is_poisoned());
+    }
+
     /// Number of frames of the database's page account.
     pub fn buffer_frames(&self) -> usize {
-        self.buffer.lock().unwrap().capacity()
+        self.parked().capacity()
     }
 
     /// Whether an entity is a temporary (breaker state whose pages count
@@ -804,29 +819,29 @@ impl Database {
     /// Cap resident temporary (breaker) pages of the database's page
     /// account; 0 lifts the cap.
     pub fn set_temp_budget(&self, pages: usize) {
-        self.buffer.lock().unwrap().set_temp_budget(pages);
+        self.parked().set_temp_budget(pages);
     }
 
     /// I/O statistics of the database's page account: everything the runs
     /// that checked it out have charged it since the last reset.
     pub fn io_stats(&self) -> IoStats {
-        self.buffer.lock().unwrap().stats()
+        self.parked().stats()
     }
 
     /// Reset I/O counters (keeps buffer residency).
     pub fn reset_io(&self) {
-        self.buffer.lock().unwrap().reset_stats();
+        self.parked().reset_stats();
     }
 
     /// Drop buffer residency and counters (cold-cache measurement).
     pub fn cold_cache(&self) {
-        self.buffer.lock().unwrap().clear();
+        self.parked().clear();
     }
 
     /// Attach a trace recorder to the buffer manager: every subsequent
     /// page hit, miss and eviction fires a structured event on it.
     pub fn set_recorder(&self, obs: oorq_obs::Recorder) {
-        self.buffer.lock().unwrap().set_recorder(obs);
+        self.parked().set_recorder(obs);
     }
 
     /// Attach a metrics registry to the page account: whenever a run
@@ -834,7 +849,7 @@ impl Database {
     /// page hits, misses, writes, evictions, spills and temporary re-reads
     /// counted since are added to the registry's `storage.*` series.
     pub fn set_metrics(&self, registry: &oorq_obs::MetricsRegistry) {
-        self.buffer.lock().unwrap().set_metrics(registry);
+        self.parked().set_metrics(registry);
     }
 }
 
@@ -858,13 +873,19 @@ impl std::ops::Deref for CheckedOut<'_> {
 
 impl Drop for CheckedOut<'_> {
     fn drop(&mut self) {
-        // This runs while a failed run unwinds too, so a poisoned lock is
-        // entered, not panicked on: every section under it swaps or reads
-        // whole values, which leaves what it guards valid at every step.
-        let mut parked = self.home.lock().unwrap_or_else(|e| e.into_inner());
+        // This runs while a failed run unwinds too.
+        let mut parked = enter(self.home);
         std::mem::swap(&mut *parked, self.account.get_mut());
         parked.publish();
     }
+}
+
+/// The lock the parked page account sits behind, entered even when a
+/// panic poisoned it: every section under it swaps or reads whole values,
+/// or calls one `BufferManager` method, which leaves what it guards valid
+/// at every step.
+fn enter(home: &Mutex<BufferManager>) -> MutexGuard<'_, BufferManager> {
+    home.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// A scan over (a page range of) one entity. It holds the segment it was

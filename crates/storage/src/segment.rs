@@ -37,13 +37,34 @@ const NO_RECORD: u32 = u32::MAX;
 /// it: it is as long as the largest key held. A horizontal fragment holds
 /// a sparse subset of its extension's keys, so an absent key — in range
 /// or past the end — answers `None`.
-#[derive(Debug, Clone)]
+///
+/// A temporary is emptied and refilled once per fixpoint pass and once per
+/// request: [`Segment::truncate`] keeps the emptied records' value vectors,
+/// and [`Segment::append_copy`] refills them before it allocates one.
+#[derive(Debug)]
 pub struct Segment {
     field_types: Vec<ResolvedType>,
     rows: Vec<Row>,
     /// key -> physical position, or [`NO_RECORD`].
     position: Vec<u32>,
     rows_per_page: u32,
+    /// Empty value vectors of truncated records, for the next appends.
+    spare: Vec<Vec<Value>>,
+}
+
+/// A copy holds the records, not the spare vectors: a copy-on-write
+/// clone is made because somebody still reads the records, and the copy's
+/// own truncations will leave it spares of its own.
+impl Clone for Segment {
+    fn clone(&self) -> Self {
+        Segment {
+            field_types: self.field_types.clone(),
+            rows: self.rows.clone(),
+            position: self.position.clone(),
+            rows_per_page: self.rows_per_page,
+            spare: Vec::new(),
+        }
+    }
 }
 
 impl Segment {
@@ -62,6 +83,7 @@ impl Segment {
             rows: Vec::new(),
             position: Vec::new(),
             rows_per_page: rows_per_page.max(1),
+            spare: Vec::new(),
         }
     }
 
@@ -111,6 +133,15 @@ impl Segment {
         pos
     }
 
+    /// Append a copy of `values` under `key`, in a value vector a
+    /// truncation left behind if there is one. Returns its physical
+    /// position.
+    pub fn append_copy(&mut self, key: u32, values: &[Value]) -> u32 {
+        let mut copy = self.spare.pop().unwrap_or_default();
+        copy.extend_from_slice(values);
+        self.append(Row { key, values: copy })
+    }
+
     /// Physical position of the record with the given key.
     pub fn position_of(&self, key: u32) -> Option<u32> {
         let pos = self.position.get(key as usize).copied();
@@ -151,6 +182,17 @@ impl Segment {
     /// Remove all records.
     pub fn clear(&mut self) {
         self.rows.clear();
+        self.position.clear();
+    }
+
+    /// Remove all records, keeping their emptied value vectors for
+    /// [`Segment::append_copy`] to refill.
+    pub fn truncate(&mut self) {
+        let emptied = self.rows.drain(..).map(|mut row| {
+            row.values.clear();
+            row.values
+        });
+        self.spare.extend(emptied);
         self.position.clear();
     }
 
@@ -238,6 +280,29 @@ mod tests {
         }
         s2.shuffle(42);
         assert_eq!(order, s2.iter().map(|r| r.key).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn a_truncated_segment_refills_its_rows_and_a_copy_does_not_carry_them() {
+        let mut s = int_segment(4);
+        for k in 0..3u32 {
+            s.append_copy(k, &[Value::Int(k as i64)]);
+        }
+        let buffers: Vec<*const Value> = s.iter().map(|r| r.values.as_ptr()).collect();
+        s.truncate();
+        assert!(s.is_empty());
+        assert_eq!((s.position_of(0), s.num_pages()), (None, 0));
+        for k in 0..3u32 {
+            s.append_copy(k, &[Value::Int(10 + k as i64)]);
+        }
+        let mut refilled: Vec<*const Value> = s.iter().map(|r| r.values.as_ptr()).collect();
+        refilled.reverse();
+        assert_eq!(refilled, buffers, "the last emptied row is refilled first");
+        assert_eq!(s.row_by_key(2).unwrap().values, vec![Value::Int(12)]);
+
+        s.truncate();
+        let copy = s.clone();
+        assert!(copy.spare.is_empty() && s.spare.len() == 3);
     }
 
     #[test]

@@ -448,7 +448,9 @@ fn a_drained_scan_lets_the_next_write_happen_in_place() {
     let int = oorq_schema::ResolvedType::Atomic(oorq_schema::AtomicType::Int);
     let t = db.create_temp("delta", vec![int.clone(), int]);
     let io = small_account();
-    let rows = |r: std::ops::Range<i64>| r.map(|i| vec![Value::Int(i), Value::Int(i)]).collect();
+    let rows = |r: std::ops::Range<i64>| -> Vec<Vec<Value>> {
+        r.map(|i| vec![Value::Int(i), Value::Int(i)]).collect()
+    };
     let lies_at = |db: &Database| db.scan_page(&io, t, 0).unwrap().as_ptr();
     // Room for 64 rows, 25 of them (three pages) in use.
     db.append_temp_rows(&io, &[t], rows(0..64)).unwrap();
@@ -502,7 +504,9 @@ fn a_hold_reads_as_a_scan_does_and_lets_go_in_place() {
     let int = oorq_schema::ResolvedType::Atomic(oorq_schema::AtomicType::Int);
     let t = db.create_temp("delta", vec![int.clone(), int]);
     let io = small_account();
-    let rows = |r: std::ops::Range<i64>| r.map(|i| vec![Value::Int(i), Value::Int(i)]).collect();
+    let rows = |r: std::ops::Range<i64>| -> Vec<Vec<Value>> {
+        r.map(|i| vec![Value::Int(i), Value::Int(i)]).collect()
+    };
     let lies_at = |db: &Database| db.scan_page(&io, t, 0).unwrap().as_ptr();
     // Room for 64 rows, 25 of them (three pages) in use.
     db.append_temp_rows(&io, &[t], rows(0..64)).unwrap();
@@ -563,7 +567,9 @@ fn truncating_under_a_reader_leaves_it_the_segment() {
     let int = oorq_schema::ResolvedType::Atomic(oorq_schema::AtomicType::Int);
     let t = db.create_temp("delta", vec![int.clone(), int]);
     let io = small_account();
-    let rows = |r: std::ops::Range<i64>| r.map(|i| vec![Value::Int(i), Value::Int(i)]).collect();
+    let rows = |r: std::ops::Range<i64>| -> Vec<Vec<Value>> {
+        r.map(|i| vec![Value::Int(i), Value::Int(i)]).collect()
+    };
     db.append_temp_rows(&io, &[t], rows(0..25)).unwrap();
     let lent = db.scan_page(&io, t, 1).unwrap();
     let firsts = |page: &[Row]| page.iter().map(|r| r.values[0].clone()).collect::<Vec<_>>();
@@ -628,6 +634,53 @@ fn a_poisoned_temporary_is_refused_then_truncated_back_to_work() {
     assert_eq!(read, [Value::Int(6), Value::Int(7), Value::Int(8)]);
 }
 
+/// A thread that panics while the parked page account is locked poisons
+/// that lock; every accessor enters it anyway. The counters it held are
+/// read back, a breaker budget set after it is the one the next run
+/// charges under, and a run checks the account out, charges it and parks
+/// it again with its counters.
+#[test]
+fn a_poisoned_page_account_is_entered_and_keeps_its_counters() {
+    let mut db = small_db();
+    let int = oorq_schema::ResolvedType::Atomic(oorq_schema::AtomicType::Int);
+    let t = db.create_temp("acc", vec![int.clone(), int]);
+    let rows = |r: std::ops::Range<i64>| -> Vec<Vec<Value>> {
+        r.map(|i| vec![Value::Int(i), Value::Int(i)]).collect()
+    };
+    db.append_temp_rows(&db.check_out(), &[t], rows(0..5))
+        .unwrap();
+    let before = db.io_stats();
+    assert_eq!(before.page_writes, 1);
+
+    db.poison_parked_account();
+    assert_eq!(db.io_stats(), before, "read as it was");
+    assert_eq!(db.buffer_frames(), small_db_config().buffer_frames);
+    db.set_temp_budget(1);
+    {
+        let io = db.check_out();
+        assert_eq!(
+            io.borrow().temp_budget(),
+            1,
+            "the budget set after the panic"
+        );
+        assert_eq!(
+            io.borrow().stats(),
+            before,
+            "the counters travel with the run"
+        );
+        // 20 more rows start pages 1 and 2; each write spills the one before.
+        db.append_temp_rows(&io, &[t], rows(5..25)).unwrap();
+    }
+    let after = db.io_stats();
+    assert_eq!(
+        (after.page_writes, after.spill_evictions),
+        (3, 2),
+        "parked again with the run's charges"
+    );
+    db.reset_io();
+    assert_eq!(db.io_stats(), IoStats::default());
+}
+
 #[test]
 fn temporaries_append_scan_truncate() {
     let mut db = small_db();
@@ -640,7 +693,7 @@ fn temporaries_append_scan_truncate() {
     );
     let io = small_account();
     let rows = (0..50).map(|i| vec![Value::Int(i), Value::Int(i * 2)]);
-    db.append_temp_rows(&io, &[t], rows.collect()).unwrap();
+    db.append_temp_rows(&io, &[t], rows).unwrap();
     assert!(io.borrow().stats().page_writes > 0, "page writes counted");
     assert_eq!(db.entity_len(t), 50);
     let rows = db.scan(&io, t);
@@ -672,7 +725,7 @@ fn append_temp_counts_one_write_per_page_started() {
         let mut appended = 0usize;
         while appended < 25 {
             let n = chunk.min(25 - appended);
-            let rows = (appended..appended + n).map(|i| row(i as i64)).collect();
+            let rows = (appended..appended + n).map(|i| row(i as i64));
             db.append_temp_rows(&io, &[t], rows).unwrap();
             appended += n;
             assert_eq!(
@@ -699,11 +752,10 @@ fn append_temp_rows_fills_its_temporaries_side_by_side() {
     let delta = db.create_temp("delta", vec![int.clone(), int]);
     let row = |i: i64| vec![Value::Int(i), Value::Int(i)];
     let io = small_account();
-    db.append_temp_rows(&io, &[acc], (0..6).map(row).collect())
-        .unwrap();
+    db.append_temp_rows(&io, &[acc], (0..6).map(row)).unwrap();
     io.borrow_mut().set_temp_budget(1);
     io.borrow_mut().reset_stats();
-    db.append_temp_rows(&io, &[acc, delta], (6..12).map(row).collect())
+    db.append_temp_rows(&io, &[acc, delta], (6..12).map(row))
         .unwrap();
     let counted = io.borrow().stats();
     assert_eq!(
@@ -737,7 +789,9 @@ fn truncated_temp_reuse_restarts_pages_and_accounting() {
     let int = oorq_schema::ResolvedType::Atomic(oorq_schema::AtomicType::Int);
     let t = db.create_temp("acc", vec![int.clone(), int]);
     let io = small_account();
-    let rows = |r: std::ops::Range<i64>| r.map(|i| vec![Value::Int(i), Value::Int(i)]).collect();
+    let rows = |r: std::ops::Range<i64>| -> Vec<Vec<Value>> {
+        r.map(|i| vec![Value::Int(i), Value::Int(i)]).collect()
+    };
     db.append_temp_rows(&io, &[t], rows(0..12)).unwrap();
     assert_eq!(io.borrow().stats().page_writes, 2, "pages 0 and 1 started");
     db.truncate_temp(&io, t).unwrap();
