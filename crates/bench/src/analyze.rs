@@ -1,12 +1,13 @@
 //! The static-analysis reproduction section: per-node interval bounds
-//! versus observed counters, and the `analyze-gate` soundness check.
+//! versus observed counters.
 //!
 //! Every corpus row is optimized, statically analyzed with
 //! [`oorq_analysis::Analyzer`], executed cold-cache, and every observed
 //! per-operator counter checked against its static interval
-//! ([`oorq_analysis::check_observed`]). The gate fails when any counter
-//! escapes its bound — the analyzer's soundness contract, enforced in CI
-//! on top of the executor's per-run debug assertion.
+//! ([`oorq_analysis::check_observed`]). The section fails when any
+//! counter escapes its bound — the analyzer's soundness contract,
+//! enforced by `reproduce all` on top of the executor's per-run debug
+//! assertion.
 
 use std::fmt::Write as _;
 
@@ -17,14 +18,10 @@ use crate::sections::Args;
 
 /// One analyzed-and-executed run.
 pub struct RunCheck {
-    /// Corpus row name.
-    pub name: String,
     /// Rendered per-node bounds-vs-observed table.
     pub table: String,
     /// Bound violations (`AB001`–`AB003`/`AB007` errors).
     pub errors: usize,
-    /// Operators checked.
-    pub checked: usize,
 }
 
 /// Analyze and run every corpus row whose name starts with `prefix`.
@@ -101,12 +98,7 @@ pub fn corpus_runs(prefix: &str) -> Result<Vec<RunCheck>, String> {
                 fixes.len(),
                 errors
             );
-            runs.push(RunCheck {
-                name: name.to_string(),
-                table,
-                errors,
-                checked: ops.len(),
-            });
+            runs.push(RunCheck { table, errors });
             Ok::<(), String>(())
         },
     )?;
@@ -117,7 +109,8 @@ pub fn corpus_runs(prefix: &str) -> Result<Vec<RunCheck>, String> {
 }
 
 /// `reproduce analyze [prefix]`: the per-node bounds-vs-observed report
-/// of the matching corpus rows (all of them by default).
+/// of the matching corpus rows (all of them by default); `Err` when any
+/// observed counter escapes its static interval.
 pub fn analyze_report(args: &Args) -> Result<String, String> {
     let runs = corpus_runs(args.arg(0, ""))?;
     let mut out =
@@ -125,35 +118,10 @@ pub fn analyze_report(args: &Args) -> Result<String, String> {
     for r in &runs {
         let _ = writeln!(out, "\n{}", r.table.trim_end());
     }
-    Ok(out)
-}
-
-/// `reproduce analyze-gate`: the whole corpus; fails when any observed
-/// counter escapes its static interval.
-pub fn analyze_gate(_: &Args) -> Result<String, String> {
-    let runs = corpus_runs("")?;
-    let mut out = String::from("=== Soundness gate: observed counters vs static bounds ===\n");
-    let mut bad = 0usize;
-    let mut checked = 0usize;
-    for r in &runs {
-        checked += r.checked;
-        if r.errors > 0 {
-            bad += r.errors;
-            let _ = writeln!(out, "\n{}", r.table.trim_end());
-        } else {
-            let _ = writeln!(out, "{}: {} operators within bounds", r.name, r.checked);
-        }
-    }
-    let _ = writeln!(
-        out,
-        "{} runs, {} operators checked, {} violations",
-        runs.len(),
-        checked,
-        bad
-    );
+    let bad: usize = runs.iter().map(|r| r.errors).sum();
     if bad > 0 {
-        Err(out)
-    } else {
-        Ok(out)
+        let _ = writeln!(out, "\n{bad} observed counters escape their static bounds");
+        return Err(out);
     }
+    Ok(out)
 }

@@ -4,11 +4,11 @@
 //! `reproduce list` prints every section with its arguments — the table
 //! in `oorq_bench::sections` is the only registry. `reproduce all` (the
 //! default) prints the deterministic sections, byte-identical to the
-//! checked-in `reproduce_output.txt`; `reproduce gates` runs every CI
-//! gate in one process.
+//! checked-in `reproduce_output.txt`; a section there that checks an
+//! invariant ends with its `PASS: <name>` line.
 //!
 //! Exit status: 0 on success, 1 when a gate fails (it prints its report
-//! and a final `PASS: <name>` / `FAIL: <name>` line), 2 on a usage
+//! to stderr and `FAIL: <name>` to stdout), 2 on a usage
 //! error — an unknown section, a malformed flag, or an
 //! `OORQ_MEMORY_BUDGET` that does not parse, whatever the section.
 
@@ -85,10 +85,6 @@ fn main() {
                 "{:<16} every deterministic section above (the default)",
                 "all"
             );
-            println!(
-                "{:<16} every gate in one process; exit 1 if any fails",
-                "gates"
-            );
             true
         }
         "all" => {
@@ -98,24 +94,12 @@ fn main() {
             }
             ok
         }
-        "gates" => {
-            let verdicts: Vec<(&str, bool)> = SECTIONS
-                .iter()
-                .filter(|s| s.is_gate())
-                .map(|s| (s.name, run(s, &args)))
-                .collect();
-            println!("== gates ==");
-            for (name, ok) in &verdicts {
-                println!("{}: {name}", if *ok { "PASS" } else { "FAIL" });
-            }
-            verdicts.iter().all(|(_, ok)| *ok)
-        }
         name => match SECTIONS.iter().find(|s| s.name == name) {
             Some(s) => run(s, &args),
             None => {
                 let names: Vec<&str> = SECTIONS.iter().map(|s| s.name).collect();
                 usage(&format!(
-                    "unknown section `{name}`\nknown sections:\n  {} all gates list",
+                    "unknown section `{name}`\nknown sections:\n  {} all list",
                     names.join(" ")
                 ))
             }

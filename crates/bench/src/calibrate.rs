@@ -12,9 +12,9 @@
 //! the estimator: the residual pairs collected once serve both the fit
 //! and the before/after evaluation. The fitted parameters are persisted
 //! as the checked-in `crates/cost/calibrated.toml` snapshot (loaded by
-//! [`CostParams::calibrated`]); `reproduce calibrate-gate` re-runs the
-//! corpus and fails when any operator kind's median relative error
-//! drifts beyond the checked-in baseline.
+//! [`CostParams::calibrated`]). `reproduce calibrate` prints the
+//! per-kind errors the golden pins, and fails when the snapshot no longer
+//! lowers the overall median error below the identity weights'.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -25,7 +25,7 @@ use oorq_lint::{lint_drift, DriftTolerance, ObservedOp, Severity};
 use oorq_query::QueryGraph;
 
 use crate::scenarios::{for_each_row, Knobs, Scenario};
-use crate::sections::{median, Args, Baseline};
+use crate::sections::{median, Args};
 
 /// Reference weighting for the scalar error metric: one page access
 /// (`pr`) and one evaluation (`ev`), fixed so "relative error" means
@@ -320,7 +320,7 @@ pub fn collect_corpus(res_params: &CostParams) -> Vec<PlanSample> {
 /// residual dominated by cardinality mis-estimation (e.g. recursive
 /// deltas inside a fixpoint) and would teach the fit wrong unit costs.
 /// Such lines are excluded from the normal equations but still scored
-/// by the error tables and the regression gate.
+/// by the error tables.
 const CARD_DRIFT: f64 = 2.0;
 
 /// Whether a row prediction is within [`CARD_DRIFT`] of the
@@ -416,20 +416,23 @@ pub fn drift_warnings(samples: &[PlanSample], w: &CostWeights, res: bool) -> usi
 
 /// The `reproduce calibrate` section: per-operator-kind relative-error
 /// tables before (identity weights) and after (the checked-in fitted
-/// snapshot), plus drift-lint counts.
+/// snapshot), plus drift-lint counts; `Err` when the snapshot does not
+/// lower the overall median error.
 pub fn calibrate_report(_: &Args) -> Result<String, String> {
     let calibrated = CostParams::calibrated();
     let samples = collect_corpus(&calibrated);
     let default = CostParams::default();
-    Ok(render_comparison(
-        &samples,
-        &default.weights,
-        &calibrated.weights,
-    ))
+    match render_comparison(&samples, &default.weights, &calibrated.weights) {
+        (out, true) => Ok(out),
+        (out, false) => Err(out),
+    }
 }
 
-fn render_comparison(samples: &[PlanSample], wa: &CostWeights, wb: &CostWeights) -> String {
+/// The error tables of `wa` against `wb`, and whether `wb` lowers the
+/// overall median.
+fn render_comparison(samples: &[PlanSample], wa: &CostWeights, wb: &CostWeights) -> (String, bool) {
     let (rows, overall_a, overall_b) = kind_medians(samples, wa, wb);
+    let improved = overall_b < overall_a;
     let n_lines: usize = samples.iter().map(|s| s.lines.len()).sum();
     let mut out = String::from(
         "=== Calibration: per-operator-kind median relative error ===\n\
@@ -467,11 +470,7 @@ fn render_comparison(samples: &[PlanSample], wa: &CostWeights, wb: &CostWeights)
         n_lines,
         overall_a,
         overall_b,
-        if overall_b < overall_a {
-            "improved"
-        } else {
-            "NOT improved"
-        }
+        if improved { "improved" } else { "NOT improved" }
     );
     let _ = writeln!(
         out,
@@ -491,7 +490,7 @@ fn render_comparison(samples: &[PlanSample], wa: &CostWeights, wb: &CostWeights)
         wb.eval,
         wb.method
     );
-    out
+    (out, improved)
 }
 
 /// The `reproduce calibrate-fit` section: re-fit the weights on the
@@ -516,47 +515,10 @@ pub fn calibrate_fit_report(_: &Args) -> Result<String, String> {
          # music/parts/chain scenario corpus. Check in as\n\
          # crates/cost/calibrated.toml; loaded by CostParams::calibrated().",
     );
-    let mut out = render_comparison(&samples, &CostParams::default().weights, &w);
+    let (mut out, _) = render_comparison(&samples, &CostParams::default().weights, &w);
     let _ = writeln!(out, "\n--- snapshot (crates/cost/calibrated.toml) ---");
     out.push_str(&snapshot);
     Ok(out)
-}
-
-/// The `reproduce calibrate-gate` section: re-run the corpus and fail
-/// (`Err`) when any operator kind's median relative error under the
-/// checked-in calibrated parameters exceeds its entry in
-/// `calibration_baseline.txt` (regenerate with `reproduce calibrate-fit`
-/// alongside the snapshot), or when the calibrated weights no longer
-/// improve the overall median over the identity weights.
-pub fn calibrate_gate(_: &Args) -> Result<String, String> {
-    let default = CostParams::default();
-    let calibrated = CostParams::calibrated();
-    let samples = collect_corpus(&calibrated);
-    let (rows, overall_default, overall_cal) =
-        kind_medians(&samples, &default.weights, &calibrated.weights);
-    let mut gate = Baseline::parse(
-        "calibration_baseline.txt",
-        include_str!("../calibration_baseline.txt"),
-    )?;
-
-    let mut out = String::from("=== Calibration regression gate ===\n");
-    for r in &rows {
-        gate.check(&mut out, r.kind.name(), "median rel err", r.med_b);
-    }
-    gate.check(&mut out, "overall", "median rel err", overall_cal);
-    if overall_cal > overall_default {
-        gate.fail(format!(
-            "calibrated weights no longer improve the overall median \
-             ({overall_cal:.3} vs {overall_default:.3} under identity weights)"
-        ));
-    } else {
-        let _ = writeln!(
-            out,
-            "overall improvement holds: {overall_cal:.3} (calibrated) <= \
-             {overall_default:.3} (default)"
-        );
-    }
-    gate.finish(out, "calibration")
 }
 
 #[cfg(test)]

@@ -13,9 +13,10 @@
 //! ([`oorq_exec::FixDeltaCurve`], keyed per fixpoint node), fits one
 //! [`FixProfile`] per (scenario, temporary) and persists the set as the
 //! checked-in `crates/cost/fix_profiles.toml` snapshot — loaded by
-//! [`CostParams::calibrated`], consumed by
-//! `CostModel::fix_delta_curve`, and gated by `reproduce
-//! feedback-gate` against `crates/bench/feedback_baseline.txt`.
+//! [`CostParams::calibrated`] and consumed by
+//! `CostModel::fix_delta_curve`. `reproduce feedback` prints the figures
+//! the golden pins, and fails when the profiles no longer improve on the
+//! default estimator.
 
 use std::fmt::Write as _;
 
@@ -23,7 +24,7 @@ use oorq_cost::{CostParams, FixProfile, FixProfiles};
 use oorq_lint::{lint_fix_drift, DriftTolerance, ObservedFix, Severity};
 
 use crate::calibrate::{card_within, collect_corpus, PlanSample};
-use crate::sections::{median, Args, Baseline};
+use crate::sections::{median, Args};
 
 /// Fit one [`FixProfile`] per (scenario, temporary) from the corpus's
 /// joined modeled-vs-observed fixpoint curves.
@@ -230,7 +231,9 @@ fn render_curve_table(out: &mut String, samples: &[PlanSample]) {
 
 /// The `reproduce feedback` section: replay the corpus under the
 /// checked-in profiles and report modeled-vs-observed delta curves,
-/// the Fix rec-side row-error improvement, and the fit-exclusion drop.
+/// the Fix rec-side row-error improvement, and the fit-exclusion drop;
+/// `Err` when either the error does not improve or the exclusions do not
+/// drop.
 pub fn feedback_report(_: &Args) -> Result<String, String> {
     let calibrated = CostParams::calibrated();
     let samples = collect_corpus(&calibrated);
@@ -247,7 +250,11 @@ pub fn feedback_report(_: &Args) -> Result<String, String> {
     );
     render_stats(&mut out, &st);
     render_curve_table(&mut out, &samples);
-    Ok(out)
+    if st.rec_err_profiled < st.rec_err_default && st.excluded_profiled < st.excluded_default {
+        Ok(out)
+    } else {
+        Err(out)
+    }
 }
 
 /// The `reproduce feedback-fit` section: re-fit the profiles on the
@@ -278,50 +285,4 @@ pub fn feedback_fit_report(_: &Args) -> Result<String, String> {
     let _ = writeln!(out, "--- snapshot (crates/cost/fix_profiles.toml) ---");
     out.push_str(&snapshot);
     Ok(out)
-}
-
-/// The `reproduce feedback-gate` section: re-run the corpus and fail
-/// (`Err`, nonzero exit) when the profile-informed Fix rec-side row
-/// error or the fit-exclusion count regresses beyond
-/// `feedback_baseline.txt` (regenerate from `reproduce feedback`
-/// alongside the profile snapshot), or either no longer improves on the
-/// default estimator.
-pub fn feedback_gate(_: &Args) -> Result<String, String> {
-    let calibrated = CostParams::calibrated();
-    let samples = collect_corpus(&calibrated);
-    let st = feedback_stats(&samples);
-    let mut gate = Baseline::parse(
-        "feedback_baseline.txt",
-        include_str!("../feedback_baseline.txt"),
-    )?;
-
-    let mut out = String::from("=== Cardinality-feedback regression gate ===\n");
-    render_stats(&mut out, &st);
-    gate.check(
-        &mut out,
-        "fix_rec_med_err_profiled",
-        "Fix rec-side profiled median row error",
-        st.rec_err_profiled,
-    );
-    gate.check(
-        &mut out,
-        "excluded_fix_profiled",
-        "card_ok exclusions among Fix rec-side lines",
-        st.excluded_profiled as f64,
-    );
-    if st.rec_err_profiled >= st.rec_err_default {
-        gate.fail(format!(
-            "profiles no longer improve the Fix rec-side row error \
-             ({:.3} profiled vs {:.3} default)",
-            st.rec_err_profiled, st.rec_err_default
-        ));
-    }
-    if st.excluded_profiled >= st.excluded_default {
-        gate.fail(format!(
-            "card_ok exclusions among Fix rec-side lines no longer drop \
-             ({} profiled vs {} default)",
-            st.excluded_profiled, st.excluded_default
-        ));
-    }
-    gate.finish(out, "feedback")
 }

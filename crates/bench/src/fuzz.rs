@@ -14,8 +14,9 @@
 //! Anything else — a panic, or an observed counter escaping its bound —
 //! is a soundness bug and fails the run. The walk is [`Prng`]-seeded
 //! and fully deterministic: a failing `(seed, iteration)` pair is a
-//! reproducible bug report. CI runs a fixed smoke (`reproduce fuzz`);
-//! longer sweeps are one flag away (`reproduce fuzz 2000 <seed>`).
+//! reproducible bug report. `reproduce all` runs a fixed smoke, which
+//! the golden pins; longer sweeps are one argument away (`reproduce fuzz
+//! 2000 <seed>`).
 
 use std::fmt::Write as _;
 
@@ -267,8 +268,8 @@ mod tests {
     use super::*;
 
     /// A short seeded run must complete with zero soundness violations
-    /// and classify every iteration. (CI runs the longer smoke via
-    /// `reproduce fuzz`.)
+    /// and classify every iteration. (`reproduce all` runs the longer
+    /// smoke.)
     #[test]
     fn fuzz_short_run_is_sound() {
         let args = Args {

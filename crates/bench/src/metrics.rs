@@ -4,17 +4,20 @@
 //! predicted to observed figures per operator, and the Prometheus-style
 //! text exposition.
 //!
-//! `reproduce metrics-gate` is the CI contract for the subsystem:
+//! The subsystem's contract has three parts:
 //!
 //! 1. **Stable names** — the series a canonical workload interns must
-//!    match `crates/bench/metrics_baseline.txt` exactly (two-way diff);
-//!    renaming a metric breaks every dashboard scraping it, so a rename
-//!    must show up as a deliberate baseline edit in review.
-//! 2. **Disabled-path overhead** — detached handles are the always-on
-//!    promise: a counter bump or histogram record against a disabled
-//!    registry must stay under a hard per-op cap (one `Option` branch).
-//! 3. **Enabled-path overhead** — the same fixed workload, metered
-//!    versus unmetered, must not slow down beyond a generous factor.
+//!    match `crates/bench/metrics_baseline.txt` exactly (two-way diff,
+//!    the `series_names_match_the_baseline` test); renaming a metric
+//!    breaks every dashboard scraping it, so a rename must show up as a
+//!    deliberate baseline edit in review.
+//! 2. **Disabled-path overhead** (`reproduce metrics-gate`) — detached
+//!    handles are the always-on promise: a counter bump or histogram
+//!    record against a disabled registry must stay under a hard per-op
+//!    cap (one `Option` branch).
+//! 3. **Enabled-path overhead** (`reproduce metrics-gate`) — the same
+//!    fixed workload, metered versus unmetered, must not slow down beyond
+//!    a generous factor.
 
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -113,7 +116,7 @@ pub fn metrics_report(args: &Args) -> Result<String, String> {
     Ok(out)
 }
 
-/// The fixed workload behind the gate's name baseline and overhead
+/// The fixed workload behind the name baseline and the overhead
 /// comparison: one serial, unbounded replay of a small music Figure-3
 /// run (recursive, indexed, with a fixpoint — it interns every
 /// optimizer, executor, fixpoint and storage series).
@@ -128,10 +131,6 @@ fn gate_workload(registry: &MetricsRegistry) -> Result<MeteredRun, String> {
     replay_query(&mut s, &q, config, registry, 0, 1)
 }
 
-/// The checked-in stable-name baseline (regenerate with
-/// `reproduce metrics-fit`).
-const BASELINE: &str = include_str!("../metrics_baseline.txt");
-
 /// Hard cap on one detached-handle probe. A detached bump is one
 /// `Option` branch; 25 ns leaves an order of magnitude of headroom over
 /// anything resembling a healthy build.
@@ -142,55 +141,10 @@ const DISABLED_NS_PER_OP_CAP: f64 = 25.0;
 const ENABLED_FACTOR_CAP: f64 = 2.0;
 const ENABLED_SLACK_MS: f64 = 50.0;
 
-/// `reproduce metrics-fit`: print the canonical workload's interned
-/// series, ready to check in as `crates/bench/metrics_baseline.txt`.
-pub fn metrics_fit_report(_: &Args) -> Result<String, String> {
-    let registry = MetricsRegistry::new();
-    gate_workload(&registry)?;
-    let mut out = String::from(
-        "# Stable metric names interned by the canonical workload\n\
-         # (small music fig3, serial, unbounded). Regenerate with\n\
-         # `reproduce metrics-fit`; a diff here is a dashboard-breaking\n\
-         # rename and must be deliberate.\n",
-    );
-    for name in registry.names() {
-        let _ = writeln!(out, "{name}");
-    }
-    Ok(out)
-}
-
-/// `reproduce metrics-gate`: stable names + overhead caps.
+/// `reproduce metrics-gate`: the recorder overhead caps.
 pub fn metrics_gate(_: &Args) -> Result<String, String> {
-    let mut out = String::from("=== Metrics gate: stable names and overhead caps ===\n");
+    let mut out = String::from("=== Metrics gate: recorder overhead caps ===\n");
     let mut bad = 0usize;
-
-    // (1) Stable metric names: exact two-way diff against the baseline.
-    let registry = MetricsRegistry::new();
-    gate_workload(&registry)?;
-    let got = registry.names();
-    let want: Vec<&str> = BASELINE
-        .lines()
-        .map(str::trim)
-        .filter(|l| !l.is_empty() && !l.starts_with('#'))
-        .collect();
-    for name in &want {
-        if !got.iter().any(|g| g == name) {
-            let _ = writeln!(out, "MISSING series `{name}` (in baseline, not interned)");
-            bad += 1;
-        }
-    }
-    for name in &got {
-        if !want.contains(&name.as_str()) {
-            let _ = writeln!(out, "UNKNOWN series `{name}` (interned, not in baseline)");
-            bad += 1;
-        }
-    }
-    let _ = writeln!(
-        out,
-        "stable names: {} series interned, {} in baseline",
-        got.len(),
-        want.len()
-    );
 
     // (2) Disabled-path cost: detached handles against a hard ns/op cap.
     let counter = CounterHandle::default();
@@ -340,9 +294,34 @@ mod tests {
         );
     }
 
-    /// The tentpole integration check: a small metered replay interns
-    /// series from every layer, and the per-query histograms carry one
-    /// sample per replay.
+    /// The canonical workload interns exactly the series named in
+    /// `metrics_baseline.txt`, both ways. On a deliberate rename, the
+    /// failure prints the interned list to check in.
+    #[test]
+    fn series_names_match_the_baseline() {
+        let registry = MetricsRegistry::new();
+        gate_workload(&registry).expect("workload runs");
+        let got = registry.names();
+        let want: Vec<&str> = include_str!("../metrics_baseline.txt")
+            .lines()
+            .map(str::trim)
+            .filter(|l| !l.is_empty() && !l.starts_with('#'))
+            .collect();
+        let missing: Vec<&&str> = want
+            .iter()
+            .filter(|w| !got.iter().any(|g| g == *w))
+            .collect();
+        let unknown: Vec<&String> = got.iter().filter(|g| !want.contains(&g.as_str())).collect();
+        assert!(
+            missing.is_empty() && unknown.is_empty(),
+            "in the baseline, not interned: {missing:?}\ninterned, not in the baseline: \
+             {unknown:?}\nthe interned series:\n{}",
+            got.join("\n")
+        );
+    }
+
+    /// A small metered replay interns series from every layer, and the
+    /// per-query histograms carry one sample per replay.
     #[test]
     fn gate_workload_interns_every_layer() {
         let registry = MetricsRegistry::new();

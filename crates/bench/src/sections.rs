@@ -1,16 +1,16 @@
-//! The section table behind the `reproduce` binary — its only registry —
-//! and the helpers the baseline-backed gates share.
+//! The section table behind the `reproduce` binary — its only registry.
 //!
 //! Every row is `{name, kind, run, doc}`; `reproduce <name>` runs one,
-//! `reproduce all` runs the figures in table order, `reproduce gates`
-//! runs every gate in one process, and `reproduce list` prints the
-//! table. A gate reports `Err` on failure (exit 1, `FAIL: <name>`); any
-//! other row reports `Err` on unusable arguments (exit 2).
+//! `reproduce all` runs the figures in table order, and `reproduce list`
+//! prints the table. A gate reports `Err` when its invariant breaks
+//! (exit 1, `FAIL: <name>`); any other row reports `Err` on unusable
+//! arguments (exit 2). A figure that can fail is a [`Kind::FigureGate`]:
+//! the numbers it checks are the ones the golden pins, so `all` is where
+//! it runs.
 //!
-//! Rule: a row that prints wall time is never a [`Kind::Figure`], so
-//! the checked-in `reproduce_output.txt` can be diffed byte for byte.
+//! Rule: a row that prints wall time is never in `all`, so the
+//! checked-in `reproduce_output.txt` can be diffed byte for byte.
 
-use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 use crate::{analyze, calibrate, feedback, fuzz, metrics, reports, spill, tracing};
@@ -43,16 +43,18 @@ impl Args {
     }
 }
 
-/// What `reproduce all` and `reproduce gates` do with a section.
+/// What `reproduce all` does with a section, and what its `Err` means.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Kind {
     /// Deterministic output, no arguments needed: part of `all`.
     Figure,
     /// Takes arguments, prints wall time, or emits a file to check in.
     Tool,
-    /// A CI gate: part of `gates`; `Err` means FAIL.
+    /// A check that measures wall time, so never in `all`; `Err` means
+    /// FAIL.
     Gate,
-    /// Both a figure and a gate.
+    /// A figure whose invariant is checked where it is printed: part of
+    /// `all`; `Err` means FAIL.
     FigureGate,
 }
 use Kind::{Figure, FigureGate, Gate, Tool};
@@ -61,7 +63,7 @@ use Kind::{Figure, FigureGate, Gate, Tool};
 pub struct Section {
     /// The name on the command line.
     pub name: &'static str,
-    /// Membership in `all` / `gates`.
+    /// Membership in `all`, and whether `Err` means FAIL.
     pub kind: Kind,
     /// One line for `reproduce list`: arguments, then what it prints.
     pub doc: &'static str,
@@ -75,7 +77,7 @@ impl Section {
         matches!(self.kind, Figure | FigureGate)
     }
 
-    /// Part of `reproduce gates`.
+    /// Its `Err` is a failed check (exit 1), not a usage error.
     pub fn is_gate(&self) -> bool {
         matches!(self.kind, Gate | FigureGate)
     }
@@ -115,16 +117,23 @@ pub const SECTIONS: &[Section] = &[
     row("ablation", Figure, reports::ablation_report, "E12: physical-design ablations"),
     row("lint", FigureGate, reports::lint_report,
         "[--explain CODE] lint-code table and a worked pass; fails on a real lint error"),
-    row("analyze", Figure, analyze::analyze_report,
-        "[row-prefix] static bounds vs observed counters per corpus row"),
+    row("analyze", FigureGate, analyze::analyze_report,
+        "[row-prefix] static bounds vs observed counters per corpus row; fails when one escapes"),
     row("trace", Figure, trace,
         "[scenario [out-dir]] traced run: search-space summary; with out-dir also writes \
          trace-<scenario>.{jsonl,json,folded} (scenarios: music-pushjoin music-fig7 music-paper)"),
     row("validate", Figure, reports::validation_report, "E11: cost model vs measured execution"),
-    row("calibrate", Figure, calibrate::calibrate_report,
-        "per-operator-kind cost error, default vs calibrated weights"),
-    row("feedback", Figure, feedback::feedback_report,
-        "fixpoint delta profiles: modeled vs observed curves"),
+    row("calibrate", FigureGate, calibrate::calibrate_report,
+        "per-operator-kind cost error, default vs calibrated weights; fails when calibration \
+         does not lower the overall median"),
+    row("feedback", FigureGate, feedback::feedback_report,
+        "fixpoint delta profiles: modeled vs observed curves; fails when the profiles do not \
+         lower the Fix rec-side row error and card_ok exclusions"),
+    row("spill", FigureGate, spill::spill_report,
+        "closure sweep across the breaker-budget cliff (--memory-budget overrides the budget); \
+         fails on a misplaced point, a side's error above 0.15 or CX007"),
+    row("fuzz", FigureGate, fuzz::fuzz_report,
+        "[iterations [seed]] plan-mutation soundness fuzzer (default: the CI smoke)"),
     row("calibrate-fit", Tool, calibrate::calibrate_fit_report,
         "refit the weights; prints crates/cost/calibrated.toml"),
     row("feedback-fit", Tool, feedback::feedback_fit_report,
@@ -132,23 +141,9 @@ pub const SECTIONS: &[Section] = &[
     row("metrics", Tool, metrics::metrics_report,
         "[corpus-row] five metered replays: series table, EXPLAIN ANALYZE, Prometheus text \
          (wall clock; honours --memory-budget)"),
-    row("metrics-fit", Tool, metrics::metrics_fit_report, "prints crates/bench/metrics_baseline.txt"),
-    row("spill", Tool, spill::spill_report,
-        "closure sweep across the breaker-budget cliff (--memory-budget overrides the budget)"),
     row("trace-check", Tool, trace_check,
         "<trace.json> validate a Chrome trace file with the in-repo checker"),
-    row("analyze-gate", Gate, analyze::analyze_gate,
-        "every observed counter of every corpus row inside its static interval"),
-    row("calibrate-gate", Gate, calibrate::calibrate_gate,
-        "per-kind cost error vs crates/bench/calibration_baseline.txt"),
-    row("feedback-gate", Gate, feedback::feedback_gate,
-        "fixpoint row error vs crates/bench/feedback_baseline.txt"),
-    row("fuzz", Gate, fuzz::fuzz_report,
-        "[iterations [seed]] plan-mutation soundness fuzzer (default: the CI smoke)"),
-    row("spill-gate", Gate, spill::spill_gate,
-        "spill-cliff placement and page-read error vs crates/bench/spill_baseline.txt"),
-    row("metrics-gate", Gate, metrics::metrics_gate,
-        "stable series names vs crates/bench/metrics_baseline.txt, recorder overhead caps"),
+    row("metrics-gate", Gate, metrics::metrics_gate, "recorder overhead caps (wall clock)"),
 ];
 
 /// `reproduce trace [scenario [out-dir]]`: run the scenario under an
@@ -210,97 +205,9 @@ pub fn median(mut v: Vec<f64>) -> f64 {
     }
 }
 
-/// Absolute slack a gate allows over its checked-in baseline. Counters,
-/// fits and sweeps are deterministic, so this only absorbs
-/// float-rounding differences across platforms.
-pub const GATE_TOLERANCE: f64 = 0.05;
-
-/// A checked-in gate baseline — `key = value` lines, `#` comments — and
-/// the failures found against it.
-pub struct Baseline {
-    values: BTreeMap<String, f64>,
-    failures: Vec<String>,
-}
-
-impl Baseline {
-    /// Parse the baseline file `file` (named in error messages).
-    pub fn parse(file: &str, text: &str) -> Result<Self, String> {
-        let mut values = BTreeMap::new();
-        for line in text.lines() {
-            let line = line.split('#').next().unwrap_or("").trim();
-            if line.is_empty() {
-                continue;
-            }
-            let (key, v) = line
-                .split_once('=')
-                .ok_or_else(|| format!("{file}: bad line `{line}`"))?;
-            let v = v.trim().parse().map_err(|e| format!("{file}: {e}"))?;
-            values.insert(key.trim().to_string(), v);
-        }
-        Ok(Baseline {
-            values,
-            failures: Vec::new(),
-        })
-    }
-
-    /// Hold `observed` against the baseline entry `key`: it may exceed
-    /// it by at most [`GATE_TOLERANCE`]. Appends the verdict to `out`; a
-    /// key the baseline lacks is informational.
-    pub fn check(&mut self, out: &mut String, key: &str, what: &str, observed: f64) {
-        let Some(&base) = self.values.get(key) else {
-            let _ = writeln!(out, "{key}: {observed:.3} (no baseline; informational)");
-            return;
-        };
-        let ok = observed <= base + GATE_TOLERANCE;
-        let _ = writeln!(
-            out,
-            "{key}: {what} {observed:.3} vs baseline {base:.3} -> {}",
-            if ok { "ok" } else { "FAIL" }
-        );
-        if !ok {
-            self.fail(format!(
-                "{key}: {what} {observed:.3} exceeds baseline {base:.3} + {GATE_TOLERANCE:.2}"
-            ));
-        }
-    }
-
-    /// Record a failure found by other means.
-    pub fn fail(&mut self, failure: String) {
-        self.failures.push(failure);
-    }
-
-    /// The gate's outcome: the report, with the failures appended when
-    /// there are any.
-    pub fn finish(self, mut out: String, gate: &str) -> Result<String, String> {
-        if self.failures.is_empty() {
-            let _ = writeln!(out, "{gate} gate OK");
-            Ok(out)
-        } else {
-            Err(format!(
-                "{out}\n{gate} gate FAILED:\n{}",
-                self.failures.join("\n")
-            ))
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn baseline_check_allows_the_tolerance_and_no_more() {
-        let mut b = Baseline::parse("t.txt", "# c\nEJ = 0.300  # inline\n\n").unwrap();
-        let mut out = String::new();
-        b.check(&mut out, "EJ", "err", 0.349);
-        b.check(&mut out, "Scan", "err", 9.0);
-        assert!(b.failures.is_empty(), "{out}");
-        b.check(&mut out, "EJ", "err", 0.351);
-        assert_eq!(b.failures.len(), 1);
-        assert!(b.finish(out, "t").unwrap_err().contains("exceeds baseline"));
-        assert!(Baseline::parse("t.txt", "EJ 0.3").is_err());
-        assert!(Baseline::parse("t.txt", "EJ = x").is_err());
-    }
 
     #[test]
     fn even_and_odd_sample_medians() {

@@ -19,11 +19,10 @@
 //! [`FixProfile`] (the same loop as `crate::feedback`, so cardinality
 //! error does not masquerade as residency error), re-estimates under
 //! the calibrated weights *with* the budget, and compares predicted
-//! against observed physical page reads on each side. `reproduce
-//! spill-gate` fails when either side's median relative error regresses
-//! beyond the checked-in `crates/bench/spill_baseline.txt`, exceeds the
-//! absolute [`MAX_SIDE_ERR`] cap, or the model mis-places any point
-//! relative to the cliff.
+//! against observed physical page reads on each side. `reproduce spill`
+//! fails when either side's median relative error exceeds the absolute
+//! [`MAX_SIDE_ERR`] cap, or the model mis-places any point relative to
+//! the cliff.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -34,7 +33,7 @@ use oorq_datagen::{ClosureConfig, ClosureDb};
 use oorq_lint::{lint_breaker_budget, lint_spill_drift, DriftTolerance};
 
 use crate::scenarios::{Knobs, Scenario};
-use crate::sections::{median, Args, Baseline};
+use crate::sections::{median, Args};
 
 /// The sweep's breaker memory budget, in pages. Small enough that the
 /// closure accumulator crosses it mid-sweep (128 closure rows per page
@@ -62,7 +61,7 @@ pub struct SpillPoint {
     /// Executor's side of the cliff: the buffer manager spilled.
     pub obs_spilled: bool,
     /// Predicted physical page reads (read-side features dotted with
-    /// the calibrated weights; writes excluded — the gate metric is
+    /// the calibrated weights; writes excluded — the checked metric is
     /// reads, where the cliff shows).
     pub pred_reads: f64,
     /// Observed physical page reads (data + index pages).
@@ -268,7 +267,14 @@ fn render_stats(out: &mut String, st: &SpillStats) {
     let _ = writeln!(out, "cliff-side mispredictions: {}", st.misplaced);
 }
 
-/// The `reproduce spill` section: sweep, table, per-side medians.
+/// Hard cap on either side's median relative page-read error — the
+/// reproduction target the residency model must hold.
+pub const MAX_SIDE_ERR: f64 = 0.15;
+
+/// The `reproduce spill` section: sweep, table, per-side medians; `Err`
+/// when the sweep does not cross the cliff, the model places a point on
+/// the wrong side of it, either side's median page-read error exceeds
+/// [`MAX_SIDE_ERR`], or `CX007` fires.
 pub fn spill_report(args: &Args) -> Result<String, String> {
     let budget = match args.memory_budget {
         0 => SPILL_BUDGET_PAGES,
@@ -276,39 +282,19 @@ pub fn spill_report(args: &Args) -> Result<String, String> {
     };
     let mut out = String::from("=== Spill calibration: predicted vs observed page reads ===\n");
     let points = spill_sweep(budget);
-    render_sweep(&mut out, &points, budget);
-    render_stats(&mut out, &spill_stats(&points));
-    Ok(out)
-}
-
-/// Hard cap on either side's median relative page-read error — the
-/// reproduction target the residency model must hold, independent of
-/// the baseline.
-pub const MAX_SIDE_ERR: f64 = 0.15;
-
-/// The `reproduce spill-gate` section: re-run the sweep and fail
-/// (`Err`, nonzero exit) when either side's median page-read error
-/// regresses beyond the checked-in baseline, exceeds [`MAX_SIDE_ERR`],
-/// when the model mis-places any point relative to the cliff, or the
-/// sweep no longer crosses it.
-pub fn spill_gate(_: &Args) -> Result<String, String> {
-    let points = spill_sweep(SPILL_BUDGET_PAGES);
     let st = spill_stats(&points);
-
-    let mut gate = Baseline::parse("spill_baseline.txt", include_str!("../spill_baseline.txt"))?;
-
-    let mut out = String::from("=== Spill regression gate ===\n");
-    render_sweep(&mut out, &points, SPILL_BUDGET_PAGES);
+    render_sweep(&mut out, &points, budget);
     render_stats(&mut out, &st);
 
+    let mut failures = Vec::new();
     if st.n_resident == 0 || st.n_spilled == 0 {
-        gate.fail(format!(
-            "sweep no longer crosses the cliff ({} resident / {} spilled points)",
+        failures.push(format!(
+            "sweep does not cross the cliff ({} resident / {} spilled points)",
             st.n_resident, st.n_spilled
         ));
     }
     if st.misplaced > 0 {
-        gate.fail(format!(
+        failures.push(format!(
             "model places {} point(s) on the wrong side of the spill cliff",
             st.misplaced
         ));
@@ -318,22 +304,21 @@ pub fn spill_gate(_: &Args) -> Result<String, String> {
         ("spilled", st.spilled_med_err),
     ] {
         if err > MAX_SIDE_ERR {
-            gate.fail(format!(
+            failures.push(format!(
                 "{side}-side median page-read error {err:.3} exceeds the {MAX_SIDE_ERR:.2} cap"
             ));
         }
-        gate.check(
-            &mut out,
-            &format!("{side}_med_rel_err"),
-            "median page-read error",
-            err,
-        );
     }
     let drift: usize = points.iter().map(|p| p.drift_warns).sum();
     if drift > 0 {
-        gate.fail(format!(
-            "CX007 spill-drift fired on {drift} point(s): modeled cliff side disagrees with observed spill evictions"
+        failures.push(format!(
+            "CX007 spill-drift fired on {drift} point(s): modeled cliff side disagrees with \
+             observed spill evictions"
         ));
     }
-    gate.finish(out, "spill")
+    if failures.is_empty() {
+        Ok(out)
+    } else {
+        Err(format!("{out}\n{}", failures.join("\n")))
+    }
 }

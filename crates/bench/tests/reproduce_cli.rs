@@ -1,12 +1,14 @@
 //! CLI contract of the `reproduce` binary: strict numeric environment
 //! knobs, the section table as the only registry, one verdict line per
-//! gate, a byte-deterministic `all` (CI diffs the release build's
-//! against `reproduce_output.txt`), and fit sections that still emit
-//! what the checked-in snapshots were fitted from.
+//! figure that checks an invariant, a byte-deterministic `all` (CI diffs
+//! the release build's against `reproduce_output.txt`), a trace file the
+//! in-repo checker accepts, and fit sections that still emit what the
+//! checked-in snapshots were fitted from.
 
 use std::process::{Command, Output};
+use std::sync::OnceLock;
 
-use oorq_bench::sections::SECTIONS;
+use oorq_bench::sections::{Kind, SECTIONS};
 
 fn reproduce(args: &[&str], env: &[(&str, &str)]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_reproduce"))
@@ -18,6 +20,23 @@ fn reproduce(args: &[&str], env: &[(&str, &str)]) -> Output {
 
 fn stdout(out: &Output) -> String {
     String::from_utf8_lossy(&out.stdout).into_owned()
+}
+
+/// The stdout of two `reproduce all` runs made side by side, shared by
+/// the tests that read them: they take most of this suite's time.
+fn all_twice() -> &'static [String; 2] {
+    static ALL: OnceLock<[String; 2]> = OnceLock::new();
+    ALL.get_or_init(|| {
+        let run = || {
+            let out = reproduce(&["all"], &[]);
+            assert_eq!(out.status.code(), Some(0), "a figure failed: {out:?}");
+            stdout(&out)
+        };
+        std::thread::scope(|s| {
+            let second = s.spawn(run);
+            [run(), second.join().expect("second run")]
+        })
+    })
 }
 
 /// A cheap section that still goes through `main`'s env validation.
@@ -66,42 +85,73 @@ fn the_table_is_the_only_registry() {
     }
 }
 
-/// `gates` runs every gate in one process and ends with one verdict
-/// line per gate, in table order.
+/// `all` carries exactly one verdict line per figure that checks an
+/// invariant, `PASS` each, in table order.
 #[test]
-fn gates_end_with_one_verdict_line_per_gate() {
-    let out = reproduce(&["gates"], &[]);
-    assert_eq!(out.status.code(), Some(0), "a gate failed: {out:?}");
-    let text = stdout(&out);
-    let verdicts: Vec<&str> = text
+fn all_has_one_verdict_line_per_figure_gate() {
+    let verdicts: Vec<&str> = all_twice()[0]
         .lines()
-        .rev()
-        .take_while(|l| *l != "== gates ==")
+        .filter(|l| l.starts_with("PASS: "))
         .collect();
     let want: Vec<String> = SECTIONS
         .iter()
-        .filter(|s| s.is_gate())
+        .filter(|s| s.kind == Kind::FigureGate)
         .map(|s| format!("PASS: {}", s.name))
         .collect();
-    assert_eq!(verdicts.into_iter().rev().collect::<Vec<_>>(), want);
+    assert_eq!(verdicts, want);
 }
 
 /// Two `all` runs are byte-identical; a section that prints wall time
 /// is never part of it (E10a's µs table is `strategies-time`; E10b, plan
-/// quality, stays).
+/// quality, stays; `metrics-gate` times the recorder).
 #[test]
 fn all_is_deterministic_and_free_of_wall_time() {
-    let first = stdout(&reproduce(&["all"], &[]));
-    assert_eq!(first, stdout(&reproduce(&["all"], &[])));
+    let [first, second] = all_twice();
+    assert_eq!(first, second);
     assert!(first.contains("=== E10b") && !first.contains("=== E10a"));
     for (name, in_all) in [
         ("strategies", true),
         ("strategies-time", false),
         ("metrics", false),
+        ("spill", true),
+        ("fuzz", true),
+        ("metrics-gate", false),
     ] {
         let s = SECTIONS.iter().find(|s| s.name == name).expect(name);
         assert_eq!(s.in_all(), in_all, "{name}");
     }
+}
+
+/// `trace <scenario> <dir>` writes the three exports, and `trace-check`
+/// accepts the Chrome trace and rejects it cut in half.
+#[test]
+fn an_emitted_trace_passes_the_checker_and_a_cut_one_fails() {
+    let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("trace-smoke");
+    let _ = std::fs::remove_dir_all(&dir);
+    let out = reproduce(
+        &["trace", "music-fig7", dir.to_str().expect("utf-8 path")],
+        &[],
+    );
+    assert_eq!(out.status.code(), Some(0), "{out:?}");
+    for ext in ["jsonl", "json", "folded"] {
+        let file = dir.join(format!("trace-music-fig7.{ext}"));
+        assert!(file.is_file(), "{} not written", file.display());
+    }
+    let json = dir.join("trace-music-fig7.json");
+    let check = |path: &std::path::Path| reproduce(&["trace-check", path.to_str().unwrap()], &[]);
+    let ok = check(&json);
+    assert_eq!(ok.status.code(), Some(0), "{ok:?}");
+    assert!(stdout(&ok).contains("OK —"), "{ok:?}");
+
+    let text = std::fs::read_to_string(&json).expect("trace readable");
+    let half = (0..=text.len() / 2)
+        .rev()
+        .find(|&i| text.is_char_boundary(i))
+        .expect("0 is a boundary");
+    let cut = dir.join("cut.json");
+    std::fs::write(&cut, &text[..half]).expect("cut trace written");
+    let bad = check(&cut);
+    assert_ne!(bad.status.code(), Some(0), "a cut trace passed: {bad:?}");
 }
 
 /// No calibration row of the corpus moved: both fits re-emit the

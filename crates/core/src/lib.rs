@@ -29,7 +29,7 @@ mod translate;
 pub use decisions::{Decisions, Examined, Outcome};
 pub use error::OptError;
 pub use generate::{generate_pt, rewrite_expr, Candidate, SpjStrategy};
-pub use optimizer::{Optimized, Optimizer, OptimizerConfig, VerifyLevel};
+pub use optimizer::{Optimized, Optimizer, OptimizerConfig};
 pub use rewrite::{fixpoint_action, fixpoint_recursion, rewrite, union_action};
 pub use trace::{OptTrace, Step, StepTrace, StrategyKind};
 pub use transform::{

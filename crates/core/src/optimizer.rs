@@ -34,31 +34,6 @@ use crate::transform::{
 };
 use crate::translate::{translate_arc, ArcChain, BasePlan};
 
-/// When the static verifier (the `oorq-lint` passes) runs inside the
-/// optimizer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum VerifyLevel {
-    /// Never.
-    Off,
-    /// In debug builds only (the default): every transformation result
-    /// is checked, release builds pay nothing.
-    #[default]
-    Debug,
-    /// Always, also in release builds.
-    Strict,
-}
-
-impl VerifyLevel {
-    /// Whether verification is active in this build.
-    pub fn active(&self) -> bool {
-        match self {
-            VerifyLevel::Off => false,
-            VerifyLevel::Debug => cfg!(debug_assertions),
-            VerifyLevel::Strict => true,
-        }
-    }
-}
-
 /// Cap on translated alternatives per arc.
 const MAX_ARC_ALTERNATIVES: usize = 12;
 
@@ -71,8 +46,6 @@ pub struct OptimizerConfig {
     pub push: PushStrategy,
     /// Randomized re-optimization of the final plan, if any.
     pub rand: Option<RandConfig>,
-    /// Static verification of intermediate plans.
-    pub verify: VerifyLevel,
 }
 
 impl Default for OptimizerConfig {
@@ -81,7 +54,6 @@ impl Default for OptimizerConfig {
             spj_strategy: SpjStrategy::Dp,
             push: PushStrategy::CostControlled,
             rand: Some(RandConfig::default()),
-            verify: VerifyLevel::default(),
         }
     }
 }
@@ -277,7 +249,7 @@ impl<'a> Optimizer<'a> {
                     answer.pt.clone(),
                     rc,
                     &neighbours,
-                    self.config.verify.active(),
+                    cfg!(debug_assertions),
                     &mut self.sink,
                 );
                 self.sink.obs.end(sp);
@@ -315,10 +287,10 @@ impl<'a> Optimizer<'a> {
         }
     }
 
-    /// Run the plan verifier on an intermediate PT (when configured):
+    /// Run the plan verifier on an intermediate PT (in debug builds):
     /// errors abort the optimization and are recorded in the trace.
     fn verify_stage(&mut self, pt: &Pt, stage: &str) -> Result<(), OptError> {
-        if !self.config.verify.active() {
+        if !cfg!(debug_assertions) {
             return Ok(());
         }
         let report = oorq_lint::verify_pt(&self.lint_env(), pt);
@@ -341,9 +313,9 @@ impl<'a> Optimizer<'a> {
         })
     }
 
-    /// Run the graph lint pass (when configured): errors abort.
+    /// Run the graph lint pass (in debug builds): errors abort.
     fn verify_graph(&self, g: &QueryGraph, stage: &str) -> Result<(), OptError> {
-        if !self.config.verify.active() {
+        if !cfg!(debug_assertions) {
             return Ok(());
         }
         let report = oorq_lint::lint_graph(self.model.catalog, g);

@@ -21,7 +21,8 @@
 //!   one branch, so instrumented hot paths cost nothing when metrics
 //!   are off. Series are interned once (at attach time, not per
 //!   increment) and named `layer.noun[.qualifier]` — see the registry
-//!   table in `DESIGN.md` §14; `reproduce metrics-gate` pins the names.
+//!   table in `DESIGN.md` §14; `crates/bench/metrics_baseline.txt` pins
+//!   the names.
 //!
 //! Exports: a human table ([`MetricsRegistry::render_table`]) with
 //! p50/p90/p99/max per histogram, a Prometheus-style text exposition
