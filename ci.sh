@@ -9,6 +9,9 @@ cargo fmt --all -- --check
 echo "== cargo clippy (warnings are errors) =="
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "== cargo doc (warnings are errors: a broken or private intra-doc link fails) =="
+RUSTDOCFLAGS="-D warnings" cargo doc --offline --workspace --no-deps
+
 echo "== benchmark/ still compiles against the public API it imports =="
 cargo check --offline --manifest-path benchmark/Cargo.toml
 

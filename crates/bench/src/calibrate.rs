@@ -54,7 +54,7 @@ pub struct SampleLine {
     pub pred_rows: f64,
     /// Predicted output rows under the calibrated feature model
     /// (residency + fitted fixpoint profiles) — the estimate whose
-    /// cardinality quality gates fit eligibility (see [`card_ok`]).
+    /// cardinality quality gates fit eligibility (see `card_ok`).
     pub pred_rows_res: f64,
     /// True when this line sits on the recursive side of a fixpoint
     /// (or is the fixpoint node itself) — the lines whose row estimates
@@ -323,7 +323,7 @@ pub fn collect_corpus(res_params: &CostParams) -> Vec<PlanSample> {
 /// by the error tables.
 const CARD_DRIFT: f64 = 2.0;
 
-/// Whether a row prediction is within [`CARD_DRIFT`] of the
+/// Whether a row prediction is within `CARD_DRIFT` of the
 /// observation.
 pub fn card_within(pred: f64, obs: f64) -> bool {
     let p = pred.max(1.0);
@@ -343,7 +343,7 @@ fn card_ok(l: &SampleLine) -> bool {
 /// Fit the component weights to the corpus ([`CostWeights::fit`]) over
 /// the calibrated feature model ([`SampleLine::feat_res`]) — the weights
 /// it produces are the ones [`CostParams::calibrated`] applies. Only
-/// matched operators whose own row estimate held (see [`card_ok`])
+/// matched operators whose own row estimate held (see `card_ok`)
 /// contribute equations.
 pub fn fit_weights(samples: &[PlanSample]) -> CostWeights {
     let equations: Vec<(CostFeatures, f64, f64)> = samples

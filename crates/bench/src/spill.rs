@@ -179,7 +179,7 @@ fn spill_point(nodes: u32, budget: u64) -> SpillPoint {
     }
 }
 
-/// Sweep every [`SWEEP`] size at the given budget.
+/// Sweep every `SWEEP` size at the given budget.
 pub fn spill_sweep(budget: u64) -> Vec<SpillPoint> {
     SWEEP.iter().map(|&n| spill_point(n, budget)).collect()
 }

@@ -37,8 +37,9 @@ fn check(name: &str, s: &Scenario, pt: &Pt, temps: &TempFields) -> usize {
         "{name}"
     );
 
-    // The positional helpers: `node_ids`, the pattern engine's listing
-    // (what the fuzzer addresses a mutation by) and `fix_recursive_nodes`.
+    // The positional helpers: `node_ids`, `subtrees` (what the walk's
+    // moves and the fuzzer's mutations rewrite at) and
+    // `fix_recursive_nodes`.
     let ids = node_ids(pt);
     let listed = subtrees(pt);
     let mut recursive = HashSet::new();

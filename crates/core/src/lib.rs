@@ -33,9 +33,8 @@ pub use optimizer::{Optimized, Optimizer, OptimizerConfig};
 pub use rewrite::{fixpoint_action, fixpoint_recursion, rewrite, union_action};
 pub use trace::{OptTrace, Step, StepTrace, StrategyKind};
 pub use transform::{
-    best_selection, can_push, distribute_join_over_union_action, filter_action, neighbours,
-    propagated_columns, push_join_action, rand_optimize, rand_optimize_with, FixInfo, MoveFn,
-    PushStrategy, RandConfig, RandOutcome,
+    best_selection, can_push, filter_action, neighbours, push_join_action, rand_optimize,
+    rand_optimize_with, FixInfo, MoveFn, PushStrategy, RandConfig, RandOutcome,
 };
 pub use translate::{collapse_alternatives, translate_arc, ArcChain, BasePlan, ChainOp};
 

@@ -19,7 +19,7 @@
 use std::collections::HashMap;
 
 use oorq_cost::{CostModel, PlanCost};
-use oorq_pt::{ParallelSpec, Pt};
+use oorq_pt::{propagated_columns, ParallelSpec, Pt};
 use oorq_query::{Expr, GraphTerm, NameRef, QArc, QueryGraph, SpjNode, TreeLabel};
 use oorq_schema::{ResolvedType, ViewKind};
 
@@ -29,8 +29,8 @@ use crate::generate::{assemble_arc, generate_pt, rewrite_expr, SpjStrategy};
 use crate::rewrite::rewrite;
 use crate::trace::{OptTrace, Step, StrategyKind};
 use crate::transform::{
-    can_push, filter_action, neighbours, propagated_columns, push_join_action, rand_optimize_with,
-    FixInfo, PushStrategy, RandConfig,
+    can_push, filter_action, neighbours, push_join_action, rand_optimize_with, FixInfo,
+    PushStrategy, RandConfig,
 };
 use crate::translate::{translate_arc, ArcChain, BasePlan};
 

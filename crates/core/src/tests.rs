@@ -7,7 +7,7 @@ use oorq_cost::{CostModel, CostParams};
 use oorq_datagen::{MusicConfig, MusicDb};
 use oorq_exec::{eval_query_graph, Executor, MethodRegistry};
 use oorq_index::{IndexSet, PathIndex, SelectionIndex};
-use oorq_pt::Pt;
+use oorq_pt::{propagated_columns, Pt};
 use oorq_query::paper::{
     fig2_query, fig3_query, influencer_view, music_catalog, sec45_pushjoin_query,
 };
@@ -697,18 +697,11 @@ fn parsed_program_optimizes_like_hand_built() {
     );
 }
 
-#[test]
-fn distribute_join_over_union_preserves_semantics() {
-    // §5: "distributing union over join and vice-versa ... we are able
-    // to efficiently explore this transformation".
-    let (mut m, idx, stats) = setup(MusicConfig {
-        chains: 2,
-        chain_len: 3,
-        ..Default::default()
-    });
-    let e = m.db.physical().entities_of_class(m.composer)[0];
+/// `Proj(EJ_{l.master = r}(Union(Sel(l), Sel(l)), right))`: an explicit
+/// join over a union of two selections the name index could serve.
+fn join_over_union(e: oorq_storage::EntityId, right: Pt) -> Pt {
     let pred = Expr::path("l", &["master"]).eq(Expr::var("r"));
-    let plan = Pt::proj(
+    Pt::proj(
         vec![("n".into(), Expr::path("r", &["name"]))],
         Pt::ej(
             pred,
@@ -722,11 +715,72 @@ fn distribute_join_over_union_preserves_semantics() {
                     Pt::entity(e, "l"),
                 ),
             ),
-            Pt::entity(e, "r"),
+            right,
         ),
+    )
+}
+
+/// The walk draws an index into `neighbours`' list, so the list's order
+/// is behaviour: local moves in pre-order, then the distributions. The
+/// fingerprints were recorded before the distribution was a
+/// `neighbours` arm.
+#[test]
+fn neighbours_keep_their_order() {
+    let (m, _idx, stats) = setup(MusicConfig {
+        chains: 2,
+        chain_len: 3,
+        ..Default::default()
+    });
+    let e = m.db.physical().entities_of_class(m.composer)[0];
+    // The inner join can probe the name index on `s`.
+    let inner = Pt::ej(
+        Expr::path("r", &["name"]).eq(Expr::path("s", &["name"])),
+        Pt::entity(e, "r"),
+        Pt::entity(e, "s"),
     );
-    let action = distribute_join_over_union_action();
-    let distributed = action.apply(&plan).expect("pattern must match");
+    let plan = join_over_union(e, inner);
+    let model = CostModel::new(
+        m.db.catalog(),
+        m.db.physical(),
+        &stats,
+        CostParams::default(),
+    );
+    let got: Vec<u64> = neighbours(&model, &plan)
+        .iter()
+        .map(Pt::fingerprint)
+        .collect();
+    // Swap the outer join; index-select each `Sel`; swap the inner
+    // join, then index-join it; distribute the outer join.
+    let want = [
+        3491937777058935093,
+        8410823513055222181,
+        5688382343708591439,
+        5953477124716096093,
+        2672124669378175627,
+        13369470883053651101,
+    ];
+    assert_eq!(got, want);
+}
+
+#[test]
+fn distribute_join_over_union_preserves_semantics() {
+    // §5: "distributing union over join and vice-versa ... we are able
+    // to efficiently explore this transformation".
+    let (mut m, idx, stats) = setup(MusicConfig {
+        chains: 2,
+        chain_len: 3,
+        ..Default::default()
+    });
+    let e = m.db.physical().entities_of_class(m.composer)[0];
+    let plan = join_over_union(e, Pt::entity(e, "r"));
+    let model = CostModel::new(
+        m.db.catalog(),
+        m.db.physical(),
+        &stats,
+        CostParams::default(),
+    );
+    // The distribution is the last move.
+    let distributed = neighbours(&model, &plan).pop().unwrap();
     // The join is now below the union.
     let mut shape_ok = false;
     distributed.visit(&mut |n| {
@@ -737,7 +791,11 @@ fn distribute_join_over_union_preserves_semantics() {
         }
     });
     assert!(shape_ok, "expected Union(EJ, EJ)");
-    // Same answers.
+    // Both cost estimates are computable (the framework can compare
+    // them, which is the paper's §5 point).
+    assert!(model.cost(&plan).is_ok());
+    assert!(model.cost(&distributed).is_ok());
+    // And the answers are the same.
     let methods = MethodRegistry::new();
     let mut ex = Executor::new(&mut m.db, &idx, &methods);
     let a = ex.run(&plan).unwrap();
@@ -747,16 +805,6 @@ fn distribute_join_over_union_preserves_semantics() {
     ra.sort();
     rb.sort();
     assert_eq!(ra, rb);
-    // And both cost estimates are computable (the framework can compare
-    // them, which is the paper's §5 point).
-    let model = CostModel::new(
-        m.db.catalog(),
-        m.db.physical(),
-        &stats,
-        CostParams::default(),
-    );
-    assert!(model.cost(&plan).is_ok());
-    assert!(model.cost(&distributed).is_ok());
 }
 
 /// Property: every transformation move the walk can take from a

@@ -8,7 +8,13 @@
 //! \[KL86\]; a similar action pushes **joins** — the novel case §4.5
 //! highlights. The randomized strategy (Iterative Improvement, per
 //! \[IC90\]) then tries to further improve the transformed plan (e.g.
-//! by using an applicable index after a portion of the PT was shifted).
+//! by using an applicable index after a portion of the PT was shifted),
+//! drawing its moves from [`neighbours`].
+//!
+//! Every action is a plain function over [`Pt`] whose doc comment states
+//! its §4.1 rule `action: F | constraint → G`. The walk's moves are the
+//! arms of [`neighbours`], one match arm per node kind they rewrite; a
+//! new class of move is one more arm there.
 
 use std::collections::HashSet;
 
@@ -48,10 +54,6 @@ pub struct FixInfo {
     /// selection on these columns commutes with the fixpoint.
     pub propagated: Vec<String>,
 }
-
-// Moved into `oorq-pt` so the lint engine can share it; re-exported
-// here for existing call sites.
-pub use oorq_pt::propagated_columns;
 
 /// The `canPush` constraint for one conjunct expressed over the
 /// fixpoint's output columns: every column it references must be
@@ -128,10 +130,18 @@ pub fn filter_action(
 
 /// The push-join action (§4.5): restrict the fixpoint's base by a very
 /// selective explicit join (a semi-join, projected back to the
-/// temporary's fields). The join predicate must reference only
-/// propagated columns on the fixpoint side, so every derived tuple of a
-/// surviving base tuple still joins — and every derived tuple of a
-/// dropped one would not.
+/// temporary's fields):
+///
+/// ```text
+/// pushJoin: Fix(Rec, Union(Base, Step))
+///           | canPush(pred, Rec)
+///           → Fix(Rec, Union(Proj_Rec(EJ_pred(Base, Inner)), Step))
+/// ```
+///
+/// The join predicate must reference only propagated columns on the
+/// fixpoint side, so every derived tuple of a surviving base tuple still
+/// joins — and every derived tuple of a dropped one would not. The join
+/// itself stays above the fixpoint, in the consumer's predicate.
 pub fn push_join_action(
     fix: &Pt,
     info: &FixInfo,
@@ -351,45 +361,6 @@ fn expand_sels_over_temp(
     }
 }
 
-/// §5's "open problem" transformation, expressible in this framework:
-/// distribute an explicit join over a union,
-/// `EJ_pred(Union(a, b), c) → Union(EJ_pred(a, c), EJ_pred(b, c))` —
-/// stated as a declarative `action: F | constraint → G` over the
-/// pattern engine, and offered to the randomized strategies as a move.
-pub fn distribute_join_over_union_action<'a>() -> oorq_pt::TransformAction<'a> {
-    use oorq_pt::{Pattern, TransformAction};
-    TransformAction::new(
-        "distributeJoinOverUnion",
-        Pattern::ej(
-            Pattern::union(Pattern::bind("a"), Pattern::bind("b")),
-            Pattern::bind("c"),
-        )
-        .named("join"),
-        |bindings| {
-            let Pt::EJ { pred, algo, .. } = bindings.tree("join").ok()? else {
-                return None;
-            };
-            let a = bindings.tree("a").ok()?.clone();
-            let b = bindings.tree("b").ok()?.clone();
-            let c = bindings.tree("c").ok()?.clone();
-            Some(Pt::union(
-                Pt::EJ {
-                    pred: pred.clone(),
-                    algo: *algo,
-                    left: Box::new(a),
-                    right: Box::new(c.clone()),
-                },
-                Pt::EJ {
-                    pred: pred.clone(),
-                    algo: *algo,
-                    left: Box::new(b),
-                    right: Box::new(c),
-                },
-            ))
-        },
-    )
-}
-
 // ---------------------------------------------------------------------
 // Randomized re-optimization (Iterative Improvement, per [IC90]).
 // ---------------------------------------------------------------------
@@ -416,11 +387,26 @@ impl Default for RandConfig {
     }
 }
 
-/// All neighbour plans reachable by one transformation move: swapping
-/// explicit-join operands, toggling join algorithms, and toggling
-/// selection access methods where an index applies.
+/// All neighbour plans reachable by one transformation move, each an
+/// action applied at one node of `pt`:
+///
+/// ```text
+/// swap:       EJ_pred^algo(A, C)        → EJ_pred(C, A)
+/// joinAlgo:   EJ_pred^idx(A, C)         → EJ_pred(A, C)
+///             EJ_pred(A, C)             | idx ∈ joinIndexes(pred, C) → EJ_pred^idx(A, C)
+/// selAccess:  Sel^idx_pred(A)           → Sel_pred(A)
+///             Sel_pred(A)               | idx ∈ selIndexes(pred, A) → Sel^idx_pred(A)
+/// distribute: EJ_pred^algo(Union(A, B), C)
+///             → Union(EJ_pred^algo(A, C), EJ_pred^algo(B, C))
+/// ```
+///
+/// `distribute` is §5's "open problem" transformation (join over
+/// union). The walk draws an index into this list, so its order is
+/// behaviour: the local moves in pre-order of the node they rewrite,
+/// then every distribution, again in pre-order.
 pub fn neighbours(model: &CostModel<'_>, pt: &Pt) -> Vec<Pt> {
     let mut out = Vec::new();
+    let mut distributed = Vec::new();
     for (path, sub) in oorq_pt::subtrees(pt) {
         match sub {
             Pt::EJ {
@@ -463,6 +449,17 @@ pub fn neighbours(model: &CostModel<'_>, pt: &Pt) -> Vec<Pt> {
                         }
                     }
                 }
+                // Distribute over a union on the left, after every local move.
+                if let Pt::Union { left: a, right: b } = left.as_ref() {
+                    let join = |side: &Pt| Pt::EJ {
+                        pred: pred.clone(),
+                        algo: *algo,
+                        left: Box::new(side.clone()),
+                        right: right.clone(),
+                    };
+                    let union = Pt::union(join(a), join(b));
+                    push_variant(pt, &path, union, &mut distributed);
+                }
             }
             Pt::Sel {
                 pred,
@@ -489,8 +486,7 @@ pub fn neighbours(model: &CostModel<'_>, pt: &Pt) -> Vec<Pt> {
             _ => {}
         }
     }
-    // Distribution of join over union (§5), as additional moves.
-    out.extend(distribute_join_over_union_action().apply_all(pt));
+    out.append(&mut distributed);
     out
 }
 

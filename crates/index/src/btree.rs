@@ -176,41 +176,6 @@ impl<K: Ord + Clone + Debug, V: Clone> BPlusTree<K, V> {
         }
     }
 
-    /// All (key, values) pairs with `lo <= key <= hi`, in key order.
-    pub fn range(&self, lo: &K, hi: &K) -> Vec<(&K, &[V])> {
-        let mut out = Vec::new();
-        self.collect_range(&self.root, lo, hi, &mut out);
-        out
-    }
-
-    fn collect_range<'a>(
-        &'a self,
-        node: &'a Node<K, V>,
-        lo: &K,
-        hi: &K,
-        out: &mut Vec<(&'a K, &'a [V])>,
-    ) {
-        match node {
-            Node::Leaf { entries } => {
-                for (k, vs) in entries {
-                    if k >= lo && k <= hi {
-                        out.push((k, vs.as_slice()));
-                    }
-                }
-            }
-            Node::Internal { keys, children } => {
-                // Visit only children whose key range may intersect [lo, hi].
-                for (i, child) in children.iter().enumerate() {
-                    let lower_ok = i == 0 || keys[i - 1] <= *hi;
-                    let upper_ok = i == keys.len() || keys[i] >= *lo;
-                    if lower_ok && upper_ok {
-                        self.collect_range(child, lo, hi, out);
-                    }
-                }
-            }
-        }
-    }
-
     /// Iterate all (key, values) pairs in key order.
     pub fn iter(&self) -> Vec<(&K, &[V])> {
         let mut out = Vec::new();
@@ -365,19 +330,6 @@ mod tests {
         for k in 0..1000 {
             assert_eq!(t.get(&k), Some(&[k][..]), "key {k}");
         }
-    }
-
-    #[test]
-    fn range_query_matches_filter() {
-        let mut t = BPlusTree::new(6);
-        for k in (0..100).rev() {
-            t.insert(k, k);
-        }
-        let r = t.range(&10, &20);
-        let keys: Vec<i32> = r.iter().map(|(k, _)| **k).collect();
-        assert_eq!(keys, (10..=20).collect::<Vec<_>>());
-        assert!(t.range(&200, &300).is_empty());
-        assert_eq!(t.range(&-5, &0).len(), 1);
     }
 
     #[test]

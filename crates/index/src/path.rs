@@ -52,11 +52,6 @@ impl PathIndex {
         PathIndex { id, path, tree }
     }
 
-    /// A join index \[Va87\]: the single-step special case.
-    pub fn join_index(db: &mut Database, class: ClassId, attr: AttrId) -> Self {
-        Self::build(db, vec![(class, attr)])
-    }
-
     fn traverse(
         db: &Database,
         at: Oid,
@@ -92,22 +87,6 @@ impl PathIndex {
         io.borrow_mut()
             .add_index_reads(self.tree.nblevels() as u64 + extra_leaves);
         hits
-    }
-
-    /// The oids at the *end* of the path from `head` (deduplicated,
-    /// preserving first-seen order).
-    pub fn probe_ends(&self, io: &Account, head: Oid) -> Vec<Oid> {
-        let mut seen = std::collections::HashSet::new();
-        self.probe(io, head)
-            .iter()
-            .filter_map(|tail| tail.last().copied())
-            .filter(|o| seen.insert(*o))
-            .collect()
-    }
-
-    /// Number of entries (path instantiations).
-    pub fn entry_count(&self) -> usize {
-        self.tree.len()
     }
 
     /// Index statistics.

@@ -59,18 +59,6 @@ impl SelectionIndex {
         self.tree.get(key).unwrap_or_default()
     }
 
-    /// Oids whose attribute lies in `[lo, hi]`. Charges `nblevels` plus
-    /// one read per leaf entry range touched.
-    pub fn probe_range(&self, io: &Account, lo: &Value, hi: &Value) -> Vec<Oid> {
-        let hits = self.tree.range(lo, hi);
-        let leaves_touched = (hits.len() as u64).div_ceil(8).max(1);
-        io.borrow_mut()
-            .add_index_reads(self.tree.nblevels() as u64 + leaves_touched - 1);
-        hits.into_iter()
-            .flat_map(|(_, vs)| vs.iter().copied())
-            .collect()
-    }
-
     /// Number of distinct keys.
     pub fn distinct_keys(&self) -> usize {
         self.tree.distinct_keys()

@@ -119,17 +119,6 @@ fn selection_index_on_collection_indexes_members() {
 }
 
 #[test]
-fn selection_index_range_probe() {
-    let mut db = music_db(10);
-    let composer = db.catalog().class_by_name("Composer").unwrap();
-    let (name_attr, _) = db.catalog().attr(composer, "name").unwrap();
-    let idx = SelectionIndex::build(&mut db, composer, name_attr);
-    let hits = idx.probe_range(&db.check_out(), &Value::text("c2"), &Value::text("c5"));
-    // c2, c3, c4, c5
-    assert_eq!(hits.len(), 4);
-}
-
-#[test]
 fn index_descriptor_registered_in_physical_schema() {
     let mut db = music_db(50);
     let composer = db.catalog().class_by_name("Composer").unwrap();
@@ -150,8 +139,6 @@ fn path_index_matches_naive_traversal() {
     let (instruments, _) = db.catalog().attr(composition, "instruments").unwrap();
     // The paper's works.instruments path index.
     let pix = PathIndex::build(&mut db, vec![(composer, works), (composition, instruments)]);
-    // 12 composers * 2 works * 2 instruments
-    assert_eq!(pix.entry_count(), 48);
     let io = db.check_out();
     for c in 0..12u32 {
         let head = Oid::new(composer, c);
@@ -171,22 +158,17 @@ fn path_index_matches_naive_traversal() {
         sorted_tails.sort();
         naive.sort();
         assert_eq!(sorted_tails, naive);
-        // probe_ends deduplicates instruments.
-        let ends = pix.probe_ends(&io, head);
-        assert!(ends.len() <= 4);
-        let set: std::collections::HashSet<_> = ends.iter().collect();
-        assert_eq!(set.len(), ends.len());
     }
     assert!(db.physical().path_index(&pix.path).is_some());
 }
 
+/// A one-step path index is a join index \[Va87\]: one oid per tail.
 #[test]
-fn join_index_is_single_step_path_index() {
+fn one_step_path_index_is_a_join_index() {
     let mut db = music_db(5);
     let composer = db.catalog().class_by_name("Composer").unwrap();
     let (works, _) = db.catalog().attr(composer, "works").unwrap();
-    let jix = PathIndex::join_index(&mut db, composer, works);
-    assert_eq!(jix.entry_count(), 10); // 5 composers x 2 works
+    let jix = PathIndex::build(&mut db, vec![(composer, works)]);
     let tails = jix.probe(&db.check_out(), Oid::new(composer, 0));
     assert_eq!(tails.len(), 2);
     assert_eq!(tails[0].len(), 1);
@@ -200,7 +182,7 @@ fn index_set_stores_and_finds() {
     let (works, _) = db.catalog().attr(composer, "works").unwrap();
     let mut set = IndexSet::new();
     let sid = set.add_selection(SelectionIndex::build(&mut db, composer, name_attr));
-    let pid = set.add_path(PathIndex::join_index(&mut db, composer, works));
+    let pid = set.add_path(PathIndex::build(&mut db, vec![(composer, works)]));
     assert!(set.selection(sid).is_some());
     assert!(set.path(pid).is_some());
     assert!(set.selection(pid).is_none());
@@ -235,27 +217,6 @@ fn btree_matches_oracle() {
         let keys: Vec<i64> = tree.iter().iter().map(|(k, _)| **k).collect();
         let oracle_keys: Vec<i64> = oracle.keys().copied().collect();
         assert_eq!(keys, oracle_keys);
-    }
-}
-
-/// Range queries agree with oracle filtering.
-#[test]
-fn btree_range_matches_oracle() {
-    let mut rng = Prng::new(0x0ac1e5);
-    for case in 0..64 {
-        let lo = rng.range_i64(0, 100);
-        let hi = lo + rng.range_i64(0, 40);
-        let n_keys = rng.index(200);
-        let mut tree = BPlusTree::new(5);
-        let mut oracle: std::collections::BTreeMap<i64, Vec<i64>> = Default::default();
-        for _ in 0..n_keys {
-            let k = rng.range_i64(0, 100);
-            tree.insert(k, k);
-            oracle.entry(k).or_default().push(k);
-        }
-        let got: Vec<i64> = tree.range(&lo, &hi).iter().map(|(k, _)| **k).collect();
-        let want: Vec<i64> = oracle.range(lo..=hi).map(|(k, _)| *k).collect();
-        assert_eq!(got, want, "case {case} [{lo}, {hi}]");
     }
 }
 

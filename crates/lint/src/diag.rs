@@ -47,7 +47,7 @@ pub enum LintCode {
     /// starts from nothing and stays empty (or is not computable).
     UnsafeRecursion,
     /// An alternative consumes its own name more than once (non-linear
-    /// recursion, outside the semi-naive/[KL86] assumptions).
+    /// recursion, outside the semi-naive/\[KL86\] assumptions).
     NonLinearRecursion,
     /// A name is produced but unreachable from the answer.
     UnreachableNode,
@@ -93,7 +93,7 @@ pub enum LintCode {
     /// A projection onto zero columns.
     EmptyProjection,
     /// A fixpoint body propagates no temporary columns verbatim, so no
-    /// selection can ever be pushed through it ([KL86]).
+    /// selection can ever be pushed through it (\[KL86\]).
     NoPropagatedColumns,
 
     // ---- cost-model pass --------------------------------------------

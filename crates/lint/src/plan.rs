@@ -79,7 +79,7 @@ fn map_pt_error(e: &PtError) -> LintCode {
         NotAReference(_) => LintCode::BadIjStep,
         NotAPathIndex => LintCode::BadIndex,
         PathIndexArity { .. } => LintCode::BadIjStep,
-        Typing(_) | BadPath { .. } | UnboundPatternVar(_) => LintCode::IllTypedPredicate,
+        Typing(_) | BadPath { .. } => LintCode::IllTypedPredicate,
     }
 }
 

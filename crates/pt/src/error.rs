@@ -38,8 +38,6 @@ pub enum PtError {
     UnionShapeMismatch,
     /// Column-expression typing failed.
     Typing(QueryError),
-    /// A pattern variable was not bound by the match.
-    UnboundPatternVar(String),
 }
 
 impl fmt::Display for PtError {
@@ -68,7 +66,6 @@ impl fmt::Display for PtError {
                 write!(f, "union sides bind different columns")
             }
             PtError::Typing(e) => write!(f, "typing: {e}"),
-            PtError::UnboundPatternVar(v) => write!(f, "pattern variable `{v}` unbound"),
         }
     }
 }

@@ -459,7 +459,7 @@ impl Pt {
         Ok((temp, [left, right], rec))
     }
 
-    /// `(temp, base, rec)` of a fixpoint (see [`Pt::fix_legs`]).
+    /// `(temp, base, rec)` of a fixpoint (see `Pt::fix_legs`).
     pub fn fix_sides(&self) -> Result<(&str, &Pt, &Pt), PtError> {
         let (temp, legs, rec) = self.fix_legs()?;
         Ok((temp, legs[1 - rec], legs[rec]))
@@ -669,6 +669,21 @@ impl<'p> Preorder<'p> {
         let within = move |k: usize| (k < end).then_some(k);
         std::iter::successors(within(id + 1), move |k| within(k + self.size(*k)))
     }
+}
+
+/// All subtrees with their child-index paths, indexed by pre-order id
+/// ([`Pt::preorder`]; the root has the empty path).
+pub fn subtrees(pt: &Pt) -> Vec<(Vec<usize>, &Pt)> {
+    let order = pt.preorder();
+    let mut paths = vec![Vec::new(); order.len()];
+    // A parent's id precedes its children's, so its path is known first.
+    for id in 0..order.len() {
+        for (i, kid) in order.kids(id).enumerate() {
+            paths[kid] = [paths[id].as_slice(), &[i]].concat();
+        }
+    }
+    let nodes = (0..order.len()).map(|id| order.pt(id));
+    paths.into_iter().zip(nodes).collect()
 }
 
 /// Type an expression over column names. Unlike [`expr_type`]'s variable

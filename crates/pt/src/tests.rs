@@ -1,4 +1,4 @@
-//! PT construction, display, typing and pattern-matching tests.
+//! PT construction, display, typing and lowering tests.
 
 use std::sync::Arc;
 
@@ -148,96 +148,6 @@ fn fix_output_columns_come_from_base_side() {
     let names: Vec<&str> = cols.iter().map(|(n, _)| n.as_str()).collect();
     assert_eq!(names, ["master", "disciple", "gen"]);
     assert!(matches!(cols[2].1, ResolvedType::Atomic(_)));
-}
-
-#[test]
-fn pattern_matches_fix_through_context() {
-    let (cat, db) = setup();
-    let composer = cat.class_by_name("Composer").unwrap();
-    let e = db.physical().entities_of_class(composer)[0];
-    // Sel(IJ(Fix(Union(Entity, EJ(Temp, Entity))), Entity)) — selection
-    // separated from the fixpoint by an implicit join, as in Figure 4.(i).
-    let fix = Pt::fix(
-        "R",
-        Pt::union(
-            Pt::entity(e, "b"),
-            Pt::ej(Expr::True, Pt::temp("R", "r"), Pt::entity(e, "x")),
-        ),
-    );
-    let (master, _) = cat.attr(composer, "master").unwrap();
-    let ij = Pt::IJ {
-        on: Expr::var("d"),
-        step: IjStep::class_attr(&cat, composer, master),
-        out: "o".into(),
-        input: Box::new(fix),
-        target: Box::new(Pt::entity(e, "t")),
-    };
-    let sel = Pt::sel(Expr::var("o").eq(Expr::int(1)), ij);
-
-    // Pattern: Sel(pt(Fix(Union(Base, pt'(Temp))))).
-    let pattern = Pattern::sel(Pattern::context(
-        "ctx",
-        Pattern::fix(Pattern::union(
-            Pattern::bind("base"),
-            Pattern::context("rctx", Pattern::temp().named("rec")),
-        ))
-        .named("fix"),
-    ));
-    let ms = match_pattern(&sel, &pattern);
-    assert!(
-        !ms.is_empty(),
-        "filter pattern must match through the IJ context"
-    );
-    let m = &ms[0];
-    assert!(matches!(m.tree("base").unwrap(), Pt::Entity { .. }));
-    assert!(matches!(m.tree("rec").unwrap(), Pt::Temp { .. }));
-    assert!(matches!(m.tree("fix").unwrap(), Pt::Fix { .. }));
-    // The outer context holds the IJ with the Fix in its hole.
-    assert!(matches!(m.hole_of("ctx").unwrap(), Pt::Fix { .. }));
-    assert!(!m.is_trivial_ctx("ctx"));
-    // Plugging a replacement into the context rebuilds the IJ around it.
-    let plugged = m.plug("ctx", Pt::temp("X", "x")).unwrap();
-    assert!(matches!(plugged, Pt::IJ { .. }));
-    assert!(plugged.references_temp("X"));
-}
-
-#[test]
-fn transform_action_applies_and_saturates() {
-    let (cat, db) = setup();
-    let composer = cat.class_by_name("Composer").unwrap();
-    let e = db.physical().entities_of_class(composer)[0];
-    // Action: collapse Union(X, X) -> X (just for testing the machinery).
-    let action = TransformAction::new(
-        "dedup-union",
-        Pattern::union(Pattern::bind("l"), Pattern::bind("r")),
-        |b| Some(b.tree("l").ok()?.clone()),
-    )
-    .with_constraint(|b| matches!((b.tree("l"), b.tree("r")), (Ok(l), Ok(r)) if l == r));
-    let pt = Pt::union(
-        Pt::union(Pt::entity(e, "a"), Pt::entity(e, "a")),
-        Pt::entity(e, "a"),
-    );
-    let once = action.apply(&pt).unwrap();
-    assert_eq!(once.size(), 3);
-    let saturated = action.saturate(pt, 10);
-    assert_eq!(saturated, Pt::entity(e, "a"));
-    // No match -> None.
-    assert!(action.apply(&Pt::entity(e, "a")).is_none());
-}
-
-#[test]
-fn apply_all_enumerates_every_position() {
-    let (cat, db) = setup();
-    let composer = cat.class_by_name("Composer").unwrap();
-    let e = db.physical().entities_of_class(composer)[0];
-    // Action: wrap any entity leaf in a trivial projection.
-    let action = TransformAction::new("wrap", Pattern::entity().named("e"), |b| {
-        Some(Pt::proj(vec![], b.tree("e").ok()?.clone()))
-    });
-    let pt = Pt::union(Pt::entity(e, "a"), Pt::entity(e, "b"));
-    let all = action.apply_all(&pt);
-    assert_eq!(all.len(), 2, "one rewrite per leaf");
-    assert_ne!(all[0], all[1]);
 }
 
 // ---- lowering to physical plans -------------------------------------

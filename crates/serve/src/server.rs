@@ -454,11 +454,12 @@ impl<'s> Session<'s> {
         // The check must separate stale *statistics* from honest model
         // error, so it keys on the one signal the statistics determine
         // directly: base-relation scan cardinality (CX003 on
-        // `OpKind::Scan` lines), plus fixpoint-shape drift
-        // (CX005/CX006). Interior nodes fold in the model's selectivity
-        // assumptions, and observed page/eval traffic depends on buffer
-        // residency and rescan counts — none of those can tell stale
-        // statistics from a warm cache, so they never evict.
+        // `OpKind::Scan` lines). Interior nodes fold in the model's
+        // selectivity assumptions, fixpoint-shape drift (CX005/CX006) the
+        // model's pessimistic iteration count, and observed page/eval
+        // traffic depends on buffer residency and rescan counts — none
+        // of those can tell stale statistics from a warm cache, so they
+        // never evict.
         //
         // Predicted and observed scan rows follow different accumulation
         // conventions depending on context: the model prices a

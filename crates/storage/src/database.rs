@@ -83,7 +83,7 @@ impl Home {
 ///
 /// The store is shared-read. Every table is a vector indexed by the dense
 /// id the store itself hands out (entity, class, relation), and only a
-/// temporary's segment sits behind a lock (see [`Home`]): an attribute
+/// temporary's segment sits behind a lock (see `Home`): an attribute
 /// read or an object touch is array arithmetic, and a scan takes its
 /// segment once, when it is opened ([`Database::scan_pages`]; a
 /// [`Database::hold`] takes it once for many passes). Every
