@@ -12,8 +12,8 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "== cargo doc (warnings are errors: a broken or private intra-doc link fails) =="
 RUSTDOCFLAGS="-D warnings" cargo doc --offline --workspace --no-deps
 
-echo "== benchmark/ still compiles against the public API it imports =="
-cargo check --offline --manifest-path benchmark/Cargo.toml
+echo "== benchmark/ still compiles against the public API it imports (its tests too) =="
+cargo check --offline --manifest-path benchmark/Cargo.toml --all-targets
 
 echo "== one numbering, one output rule (a node map keyed by *const Pt outside oorq_pt::node_ids, a second format!(\"{var}.{n}\") in pt/cost/analysis, or lint deriving columns itself, fails) =="
 nontest() { find "$@" -name '*.rs' ! -name 'tests.rs' ! -name '*_tests.rs'; }

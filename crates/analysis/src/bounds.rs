@@ -164,7 +164,7 @@ impl NodeBounds {
 pub struct Analysis {
     /// Per-node bounds, indexed by pre-order id.
     pub nodes: Vec<NodeBounds>,
-    /// Diagnostics raised during analysis (`AB004`–`AB007`).
+    /// Diagnostics raised during analysis (`AB005`–`AB007`).
     pub report: LintReport,
     /// Whole-plan cost interval (sum of every node's exclusive cost).
     pub total_cost: Interval,
@@ -178,7 +178,7 @@ impl Analysis {
 
     /// Cost interval of the subtree rooted at a pre-order id (pre-order
     /// ids of a subtree are contiguous).
-    pub fn subtree_cost(&self, pt_node: usize) -> Option<Interval> {
+    pub(crate) fn subtree_cost(&self, pt_node: usize) -> Option<Interval> {
         let root = self.nodes.get(pt_node)?;
         let end = pt_node.checked_add(root.size)?;
         if end > self.nodes.len() {
@@ -573,7 +573,7 @@ impl Walk<'_, '_> {
         }
     }
 
-    /// Upper bound on the data-page fetches of `read_object` for an oid
+    /// Upper bound on the data-page fetches of `touch_object` for an oid
     /// statically typed `c` (vertical decomposition reads one page per
     /// fragment; the runtime class may be any subclass).
     fn deref_cost_hi(&self, c: ClassId) -> f64 {

@@ -4,7 +4,7 @@
 //! chain of float operations can never round a true bound out of the
 //! interval.
 //!
-//! Invariants (enforced by [`Interval::make`]):
+//! Invariants (enforced by `Interval::make`):
 //! - `0.0 <= lo < ∞` (a lower bound of `∞` is meaningless for counters
 //!   and collapses to `0`, mirroring the cost model's CM001 clamp);
 //! - `0.0 <= hi <= ∞` (NaN — unknown — widens to `∞`);
@@ -16,7 +16,7 @@ use std::fmt;
 use oorq_cost::{guard_hi, guard_lo};
 
 /// Bump toward `+∞` by one ulp (identity on NaN and `+∞`).
-pub fn next_up(x: f64) -> f64 {
+pub(crate) fn next_up(x: f64) -> f64 {
     if x.is_nan() || x == f64::INFINITY {
         x
     } else if x == 0.0 {
@@ -29,7 +29,7 @@ pub fn next_up(x: f64) -> f64 {
 }
 
 /// Bump toward `-∞` by one ulp (identity on NaN and `-∞`).
-pub fn next_down(x: f64) -> f64 {
+pub(crate) fn next_down(x: f64) -> f64 {
     -next_up(-x)
 }
 
@@ -46,7 +46,7 @@ pub struct Interval {
 impl Interval {
     /// Build an interval, guarding both endpoints (NaN/∞/negative lower
     /// endpoints collapse to `0`, NaN upper endpoints widen to `∞`).
-    pub fn make(lo: f64, hi: f64) -> Interval {
+    pub(crate) fn make(lo: f64, hi: f64) -> Interval {
         Interval {
             lo: guard_lo(lo),
             hi: guard_hi(hi),
@@ -59,7 +59,7 @@ impl Interval {
     }
 
     /// The exact singleton of an integer counter.
-    pub fn exact_u64(n: u64) -> Interval {
+    pub(crate) fn exact_u64(n: u64) -> Interval {
         Interval::exact(n as f64)
     }
 
@@ -77,12 +77,12 @@ impl Interval {
     }
 
     /// `[0, hi]`.
-    pub fn up_to(hi: f64) -> Interval {
+    pub(crate) fn up_to(hi: f64) -> Interval {
         Interval::make(0.0, hi)
     }
 
     /// Is `lo > hi` or an endpoint NaN? (Should be impossible through
-    /// [`Interval::make`]; checked defensively and surfaced as AB007.)
+    /// `Interval::make`; checked defensively and surfaced as AB007.)
     pub fn is_degenerate(&self) -> bool {
         self.lo.is_nan() || self.hi.is_nan() || self.lo > self.hi
     }
@@ -121,16 +121,8 @@ impl Interval {
         self.mul(Interval::exact(k))
     }
 
-    /// Convex hull (join): the smallest interval containing both.
-    pub fn hull(self, o: Interval) -> Interval {
-        Interval {
-            lo: self.lo.min(o.lo),
-            hi: self.hi.max(o.hi),
-        }
-    }
-
     /// Cap the upper bound (a second, independent upper bound).
-    pub fn cap_hi(self, hi: f64) -> Interval {
+    pub(crate) fn cap_hi(self, hi: f64) -> Interval {
         Interval {
             lo: self.lo.min(guard_hi(hi)),
             hi: self.hi.min(guard_hi(hi)),
@@ -139,7 +131,7 @@ impl Interval {
 
     /// Does `self` lie strictly above `o` (no overlap)? `true` proves
     /// every concrete value of `self` exceeds every value of `o`.
-    pub fn strictly_above(&self, o: &Interval) -> bool {
+    pub(crate) fn strictly_above(&self, o: &Interval) -> bool {
         self.lo > o.hi
     }
 }
@@ -220,7 +212,7 @@ mod tests {
     }
 
     /// Monotonicity property: widening an operand can only widen (never
-    /// narrow) the result of `add`/`mul`/`hull` — the soundness
+    /// narrow) the result of `add`/`mul` — the soundness
     /// argument for propagating bounds through transfer functions.
     /// Driven by the in-repo deterministic PRNG over mixed magnitudes,
     /// zeros, and infinities.
@@ -246,13 +238,13 @@ mod tests {
         for case in 0..2000 {
             let a = iv(&mut rng);
             let b = iv(&mut rng);
-            // A strict widening of `a` (hull with a fresh interval).
-            let wide = a.hull(iv(&mut rng));
+            // A strict widening of `a` (its hull with a fresh interval).
+            let c = iv(&mut rng);
+            let wide = Interval::make(a.lo.min(c.lo), a.hi.max(c.hi));
             assert!(contains(&wide, &a), "hull must contain its operand");
             for (name, narrow, widened) in [
                 ("add", a.add(b), wide.add(b)),
                 ("mul", a.mul(b), wide.mul(b)),
-                ("hull", a.hull(b), wide.hull(b)),
             ] {
                 assert!(
                     contains(&widened, &narrow),

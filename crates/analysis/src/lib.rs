@@ -1,6 +1,6 @@
 //! Static plan analysis by abstract interpretation.
 //!
-//! Three cooperating passes over a processing tree (and, because they
+//! Two cooperating passes over a processing tree (and, because they
 //! read each node's operator from `oorq_pt::node_op` as lowering does,
 //! over the physical plan it lowers to):
 //!
@@ -8,8 +8,6 @@
 //!   operator's cardinality, page accesses, fixpoint pass count, and
 //!   weighted cost, with directed rounding so float arithmetic can never
 //!   round a true bound away;
-//! - [`dataflow`] — column def-use: provably dead computed projection
-//!   columns (`AB004`);
 //! - [`dominance`] — provable candidate pruning: result-preserving
 //!   toggles whose cost intervals do not overlap.
 //!
@@ -20,12 +18,10 @@
 
 pub mod bounds;
 pub mod check;
-pub mod dataflow;
 pub mod dominance;
 pub mod interval;
 
 pub use bounds::{Analysis, Analyzer, AnalyzerConfig, FeatBounds, NodeBounds};
 pub use check::{check_observed, ObservedFix, ObservedOp};
-pub use dataflow::dead_columns;
 pub use dominance::{equivalent_local_change, proven_worse};
-pub use interval::{next_down, next_up, Interval};
+pub use interval::Interval;

@@ -25,7 +25,7 @@ pub struct RunCheck {
 }
 
 /// Analyze and run every corpus row whose name starts with `prefix`.
-pub fn corpus_runs(prefix: &str) -> Result<Vec<RunCheck>, String> {
+pub(crate) fn corpus_runs(prefix: &str) -> Result<Vec<RunCheck>, String> {
     let mut runs = Vec::new();
     for_each_row(
         |_, name| name.starts_with(prefix),
@@ -111,7 +111,7 @@ pub fn corpus_runs(prefix: &str) -> Result<Vec<RunCheck>, String> {
 /// `reproduce analyze [prefix]`: the per-node bounds-vs-observed report
 /// of the matching corpus rows (all of them by default); `Err` when any
 /// observed counter escapes its static interval.
-pub fn analyze_report(args: &Args) -> Result<String, String> {
+pub(crate) fn analyze_report(args: &Args) -> Result<String, String> {
     let runs = corpus_runs(args.arg(0, ""))?;
     let mut out =
         String::from("=== Static bounds vs observed counters (abstract interpretation) ===\n");

@@ -30,9 +30,9 @@ use crate::sections::{median, Args};
 /// Reference weighting for the scalar error metric: one page access
 /// (`pr`) and one evaluation (`ev`), fixed so "relative error" means
 /// the same thing whichever parameters are being judged.
-pub const REF_PR: f64 = 1.0;
+pub(crate) const REF_PR: f64 = 1.0;
 /// See [`REF_PR`].
-pub const REF_EV: f64 = 0.05;
+pub(crate) const REF_EV: f64 = 0.05;
 
 /// One matched (predicted, observed) operator of one executed plan.
 #[derive(Debug, Clone)]
@@ -79,13 +79,13 @@ impl SampleLine {
 
     /// Relative error of the uncalibrated prediction under the given
     /// weights.
-    pub fn rel_err(&self, w: &CostWeights) -> f64 {
+    pub(crate) fn rel_err(&self, w: &CostWeights) -> f64 {
         self.rel_err_of(&self.feat, w)
     }
 
     /// Relative error of the calibrated-feature-model prediction under
     /// the given weights.
-    pub fn rel_err_res(&self, w: &CostWeights) -> f64 {
+    pub(crate) fn rel_err_res(&self, w: &CostWeights) -> f64 {
         self.rel_err_of(&self.feat_res, w)
     }
 }
@@ -301,7 +301,7 @@ fn sample_plan(
 /// multi-joins), recursive queries under both the never-push and
 /// always-push strategies. `res_params` is the calibrated feature model
 /// every plan is re-estimated under (see [`SampleLine::feat_res`]).
-pub fn collect_corpus(res_params: &CostParams) -> Vec<PlanSample> {
+pub(crate) fn collect_corpus(res_params: &CostParams) -> Vec<PlanSample> {
     let mut samples = Vec::new();
     for_each_row(
         |entry, _| entry.calibration,
@@ -325,7 +325,7 @@ const CARD_DRIFT: f64 = 2.0;
 
 /// Whether a row prediction is within `CARD_DRIFT` of the
 /// observation.
-pub fn card_within(pred: f64, obs: f64) -> bool {
+pub(crate) fn card_within(pred: f64, obs: f64) -> bool {
     let p = pred.max(1.0);
     let o = obs.max(1.0);
     p <= o * CARD_DRIFT && o <= p * CARD_DRIFT
@@ -345,7 +345,7 @@ fn card_ok(l: &SampleLine) -> bool {
 /// it produces are the ones [`CostParams::calibrated`] applies. Only
 /// matched operators whose own row estimate held (see `card_ok`)
 /// contribute equations.
-pub fn fit_weights(samples: &[PlanSample]) -> CostWeights {
+pub(crate) fn fit_weights(samples: &[PlanSample]) -> CostWeights {
     let equations: Vec<(CostFeatures, f64, f64)> = samples
         .iter()
         .flat_map(|s| &s.lines)
@@ -371,7 +371,7 @@ pub struct KindRow {
 /// Per-kind and overall median relative error of the uncalibrated
 /// prediction (identity features, `wa`) against the calibrated one
 /// (residency features, `wb`).
-pub fn kind_medians(
+pub(crate) fn kind_medians(
     samples: &[PlanSample],
     wa: &CostWeights,
     wb: &CostWeights,
@@ -401,7 +401,7 @@ pub fn kind_medians(
 
 /// Total drift-lint warnings (CX001–CX003) over the corpus under the
 /// given weights.
-pub fn drift_warnings(samples: &[PlanSample], w: &CostWeights, res: bool) -> usize {
+pub(crate) fn drift_warnings(samples: &[PlanSample], w: &CostWeights, res: bool) -> usize {
     samples
         .iter()
         .map(|s| {
@@ -418,7 +418,7 @@ pub fn drift_warnings(samples: &[PlanSample], w: &CostWeights, res: bool) -> usi
 /// tables before (identity weights) and after (the checked-in fitted
 /// snapshot), plus drift-lint counts; `Err` when the snapshot does not
 /// lower the overall median error.
-pub fn calibrate_report(_: &Args) -> Result<String, String> {
+pub(crate) fn calibrate_report(_: &Args) -> Result<String, String> {
     let calibrated = CostParams::calibrated();
     let samples = collect_corpus(&calibrated);
     let default = CostParams::default();
@@ -496,7 +496,7 @@ fn render_comparison(samples: &[PlanSample], wa: &CostWeights, wb: &CostWeights)
 /// The `reproduce calibrate-fit` section: re-fit the weights on the
 /// corpus and print the snapshot to check in as
 /// `crates/cost/calibrated.toml`.
-pub fn calibrate_fit_report(_: &Args) -> Result<String, String> {
+pub(crate) fn calibrate_fit_report(_: &Args) -> Result<String, String> {
     // The feature model the weights are fitted for: residency on, and
     // the checked-in fixpoint profiles attached (the profile fit —
     // `reproduce feedback-fit` — precedes the weight fit).

@@ -34,7 +34,7 @@ use crate::sections::{median, Args};
 /// profiled prediction — so refitting over a corpus sampled under
 /// already-fitted profiles reproduces the same profiles (no feedback
 /// circularity).
-pub fn fit_profiles(samples: &[PlanSample]) -> FixProfiles {
+pub(crate) fn fit_profiles(samples: &[PlanSample]) -> FixProfiles {
     let mut out = FixProfiles::empty();
     for s in samples {
         for f in &s.fixes {
@@ -77,7 +77,7 @@ fn rel_err(pred: f64, obs: f64) -> f64 {
 }
 
 /// Compute the feedback summary over a sampled corpus.
-pub fn feedback_stats(samples: &[PlanSample]) -> FeedbackStats {
+pub(crate) fn feedback_stats(samples: &[PlanSample]) -> FeedbackStats {
     let mut err_default = Vec::new();
     let mut err_profiled = Vec::new();
     let mut excluded_default = 0usize;
@@ -234,7 +234,7 @@ fn render_curve_table(out: &mut String, samples: &[PlanSample]) {
 /// the Fix rec-side row-error improvement, and the fit-exclusion drop;
 /// `Err` when either the error does not improve or the exclusions do not
 /// drop.
-pub fn feedback_report(_: &Args) -> Result<String, String> {
+pub(crate) fn feedback_report(_: &Args) -> Result<String, String> {
     let calibrated = CostParams::calibrated();
     let samples = collect_corpus(&calibrated);
     let st = feedback_stats(&samples);
@@ -260,7 +260,7 @@ pub fn feedback_report(_: &Args) -> Result<String, String> {
 /// The `reproduce feedback-fit` section: re-fit the profiles on the
 /// corpus and print the snapshot to check in as
 /// `crates/cost/fix_profiles.toml`.
-pub fn feedback_fit_report(_: &Args) -> Result<String, String> {
+pub(crate) fn feedback_fit_report(_: &Args) -> Result<String, String> {
     // Sample under the *default* feature model: profile fitting only
     // consumes observations and default-model estimates, so the fit
     // must not require an existing snapshot to be loadable.

@@ -30,8 +30,8 @@ use crate::scenarios::{Knobs, Scenario, TempFields, CORPUS};
 use crate::sections::Args;
 
 /// Default CI smoke parameters.
-pub const SMOKE_ITERS: u64 = 200;
-/// See [`SMOKE_ITERS`].
+pub(crate) const SMOKE_ITERS: u64 = 200;
+/// See `SMOKE_ITERS`.
 pub const SMOKE_SEED: u64 = 0x0f52_a11d_0000_0007;
 
 /// One seeded mutant of a `fig7` row's chosen plan.
@@ -91,7 +91,7 @@ pub fn for_each_mutant(
 
 /// Run `iters` seeded mutations; returns the report, or an error
 /// describing the first soundness violation.
-pub fn fuzz_report(args: &Args) -> Result<String, String> {
+pub(crate) fn fuzz_report(args: &Args) -> Result<String, String> {
     let (iters, seed) = (args.num(0, SMOKE_ITERS)?, args.num(1, SMOKE_SEED)?);
     // Outcome tally: rejected by the static verifier; untypable by the
     // analyzer; executed within every bound; failed at runtime with a

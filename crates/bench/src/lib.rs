@@ -21,9 +21,30 @@ pub use scenarios::{Knobs, Scenario};
 
 #[cfg(test)]
 mod tests {
-    use crate::reports::{fig5_report, fig7_symbol_env, fig7_symbolic};
+    use std::collections::HashMap;
+
+    use crate::reports::{fig5_report, fig7_symbolic};
     use crate::scenarios::{parse_env_knob, Scenario};
     use oorq_datagen::MusicConfig;
+
+    /// A map environment for evaluating Figure 7 symbols from statistics.
+    fn fig7_symbol_env(s: &Scenario) -> HashMap<String, f64> {
+        let composer = s.db.catalog().class_by_name("Composer").expect("music");
+        let composer_e = s.db.physical().entities_of_class(composer)[0];
+        let es = s.stats.entity(composer_e).expect("stats");
+        let n1 = s.stats.max_chain_depth().unwrap_or(10) as f64;
+        let mut env = HashMap::new();
+        env.insert("pr".into(), 1.0);
+        env.insert("ev".into(), 1.0);
+        env.insert("lev".into(), 2.0);
+        env.insert("lea".into(), (es.cardinality as f64 / 8.0).max(1.0));
+        env.insert("n1".into(), n1);
+        env.insert("n2".into(), n1);
+        env.insert("||Cpr||".into(), es.cardinality as f64);
+        env.insert("|Cpr|".into(), es.pages as f64);
+        env.insert("inv_Cpr".into(), 1.0 / es.cardinality as f64);
+        env
+    }
 
     #[test]
     fn fig7_symbolic_rows_evaluate_under_stats_env() {

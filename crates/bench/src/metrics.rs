@@ -23,7 +23,7 @@ use std::fmt::Write as _;
 use std::time::Instant;
 
 use oorq_core::OptimizerConfig;
-use oorq_datagen::{ChainConfig, MusicConfig};
+use oorq_datagen::MusicConfig;
 use oorq_exec::explain_analyze;
 use oorq_obs::{CounterHandle, HistogramHandle, MetricsRegistry};
 use oorq_query::QueryGraph;
@@ -33,7 +33,7 @@ use crate::sections::Args;
 
 /// Replays per `reproduce metrics` run — enough samples for the
 /// histogram percentiles to mean something.
-pub const METRICS_REPLAYS: usize = 5;
+pub(crate) const METRICS_REPLAYS: usize = 5;
 
 /// One metered optimize-and-execute replay's residue (the registry
 /// itself accumulates across replays).
@@ -78,7 +78,7 @@ fn replay_query(
 }
 
 /// Replay the corpus row named `row` `replays` times into one registry.
-pub fn replay_scenario(
+pub(crate) fn replay_scenario(
     row: &str,
     registry: &MetricsRegistry,
     budget: u64,
@@ -97,7 +97,7 @@ pub fn replay_scenario(
 
 /// `reproduce metrics <scenario>`: the aggregated-series table, the
 /// EXPLAIN ANALYZE tree, and the Prometheus exposition.
-pub fn metrics_report(args: &Args) -> Result<String, String> {
+pub(crate) fn metrics_report(args: &Args) -> Result<String, String> {
     let scenario = args.arg(0, "music/fig3/nopush");
     let budget = args.memory_budget;
     let registry = MetricsRegistry::new();
@@ -142,7 +142,7 @@ const ENABLED_FACTOR_CAP: f64 = 2.0;
 const ENABLED_SLACK_MS: f64 = 50.0;
 
 /// `reproduce metrics-gate`: the recorder overhead caps.
-pub fn metrics_gate(_: &Args) -> Result<String, String> {
+pub(crate) fn metrics_gate(_: &Args) -> Result<String, String> {
     let mut out = String::from("=== Metrics gate: recorder overhead caps ===\n");
     let mut bad = 0usize;
 
@@ -192,60 +192,61 @@ pub fn metrics_gate(_: &Args) -> Result<String, String> {
     }
 }
 
-/// A deterministic small-config EXPLAIN ANALYZE rendering, wall-time
-/// scrubbed — the golden-test subject (`golden_explain_{music,chain}.txt`).
-/// Everything except wall time is machine-independent: seeded data,
-/// cold cache, serial execution.
-pub fn golden_explain(scenario: &str) -> Result<String, String> {
-    let (mut s, q) = match scenario {
-        "music" => {
-            let s = Scenario::music(MusicConfig {
-                chains: 3,
-                chain_len: 4,
-                ..Scenario::paper_scale()
-            });
-            let q = s.fig3();
-            (s, q)
-        }
-        "chain" => {
-            let s = Scenario::chain(ChainConfig {
-                relations: 3,
-                rows: 60,
-                domain: 12,
-                seed: 0x5eed,
-            });
-            let q = s.chain_query(8);
-            (s, q)
-        }
-        other => return Err(format!("no golden for scenario `{other}`")),
-    };
-    let config = OptimizerConfig::cost_controlled();
-    let run = replay_query(&mut s, &q, config, &MetricsRegistry::disabled(), 0, 1)?;
-    Ok(scrub_wall(&run.explain))
-}
-
-/// Scrub wall-clock figures (`wall=12.3µs`, and the gate's `ms`
-/// figures) out of an EXPLAIN ANALYZE rendering so deterministic parts
-/// can be golden-tested across machines.
-pub fn scrub_wall(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    let mut rest = s;
-    while let Some(pos) = rest.find("wall=") {
-        let (head, tail) = rest.split_at(pos + "wall=".len());
-        out.push_str(head);
-        let end = tail
-            .find(|c: char| !(c.is_ascii_digit() || c == '.'))
-            .unwrap_or(tail.len());
-        out.push('?');
-        rest = &tail[end..];
-    }
-    out.push_str(rest);
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use oorq_datagen::ChainConfig;
+
+    /// A deterministic small-config EXPLAIN ANALYZE rendering, wall-time
+    /// scrubbed — the golden-test subject (`golden_explain_{music,chain}.txt`).
+    /// Everything except wall time is machine-independent: seeded data,
+    /// cold cache, serial execution.
+    fn golden_explain(scenario: &str) -> Result<String, String> {
+        let (mut s, q) = match scenario {
+            "music" => {
+                let s = Scenario::music(MusicConfig {
+                    chains: 3,
+                    chain_len: 4,
+                    ..Scenario::paper_scale()
+                });
+                let q = s.fig3();
+                (s, q)
+            }
+            "chain" => {
+                let s = Scenario::chain(ChainConfig {
+                    relations: 3,
+                    rows: 60,
+                    domain: 12,
+                    seed: 0x5eed,
+                });
+                let q = s.chain_query(8);
+                (s, q)
+            }
+            other => return Err(format!("no golden for scenario `{other}`")),
+        };
+        let config = OptimizerConfig::cost_controlled();
+        let run = replay_query(&mut s, &q, config, &MetricsRegistry::disabled(), 0, 1)?;
+        Ok(scrub_wall(&run.explain))
+    }
+
+    /// Scrub wall-clock figures (`wall=12.3µs`, and the gate's `ms`
+    /// figures) out of an EXPLAIN ANALYZE rendering so deterministic parts
+    /// can be golden-tested across machines.
+    fn scrub_wall(s: &str) -> String {
+        let mut out = String::with_capacity(s.len());
+        let mut rest = s;
+        while let Some(pos) = rest.find("wall=") {
+            let (head, tail) = rest.split_at(pos + "wall=".len());
+            out.push_str(head);
+            let end = tail
+                .find(|c: char| !(c.is_ascii_digit() || c == '.'))
+                .unwrap_or(tail.len());
+            out.push('?');
+            rest = &tail[end..];
+        }
+        out.push_str(rest);
+        out
+    }
 
     #[test]
     fn unknown_scenario_is_rejected() {

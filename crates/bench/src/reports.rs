@@ -3,7 +3,6 @@
 //! [`Scenario::run`] driver; none prints wall time, so `reproduce all`
 //! is byte-deterministic.
 
-use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::time::Instant;
 
@@ -27,7 +26,7 @@ fn render_fix_curves(curves: &[oorq_exec::FixDeltaCurve]) -> String {
 }
 
 /// Figure 1: the conceptual schema, validated and printed.
-pub fn fig1_report(_: &Args) -> Result<String, String> {
+pub(crate) fn fig1_report(_: &Args) -> Result<String, String> {
     let cat = music_catalog();
     let mut out = String::from("=== Figure 1: the sample conceptual schema ===\n");
     for c in cat.classes() {
@@ -71,7 +70,7 @@ pub fn fig1_report(_: &Args) -> Result<String, String> {
 
 /// Figure 2: the query graph for "the title of the works of Bach
 /// including a harpsichord and a flute", in the paper's denotation.
-pub fn fig2_report(_: &Args) -> Result<String, String> {
+pub(crate) fn fig2_report(_: &Args) -> Result<String, String> {
     let cat = music_catalog();
     let q = fig2_query(&cat);
     q.validate(&cat).expect("figure 2 must validate");
@@ -82,7 +81,7 @@ pub fn fig2_report(_: &Args) -> Result<String, String> {
 }
 
 /// Figure 3: the recursive query over the `Influencer` view.
-pub fn fig3_report(_: &Args) -> Result<String, String> {
+pub(crate) fn fig3_report(_: &Args) -> Result<String, String> {
     let cat = music_catalog();
     let mut q = fig3_query(&cat);
     influencer_view(&cat).expand(&mut q, &cat).unwrap();
@@ -96,7 +95,7 @@ pub fn fig3_report(_: &Args) -> Result<String, String> {
 /// Figure 4: the two processing trees for the Figure 3 query, produced
 /// by the actual optimizer — (i) selection after the fixpoint,
 /// (ii) selection pushed through recursion.
-pub fn fig4_report(_: &Args) -> Result<String, String> {
+pub(crate) fn fig4_report(_: &Args) -> Result<String, String> {
     let s = Scenario::music(Scenario::paper_scale());
     let q = s.fig3();
     let knobs = Knobs::default();
@@ -112,7 +111,7 @@ pub fn fig4_report(_: &Args) -> Result<String, String> {
 }
 
 /// Figure 5: the generic cost-formula table.
-pub fn fig5_report(_: &Args) -> Result<String, String> {
+pub(crate) fn fig5_report(_: &Args) -> Result<String, String> {
     let mut out = String::from(
         "=== Figure 5: cost formulas (under the §4.6 simplified assumptions) ===\n\
          | PT node | cost formula |\n|---|---|\n",
@@ -124,7 +123,7 @@ pub fn fig5_report(_: &Args) -> Result<String, String> {
 }
 
 /// Figure 6: the optimization-step summary, traced from a real run.
-pub fn fig6_report(_: &Args) -> Result<String, String> {
+pub(crate) fn fig6_report(_: &Args) -> Result<String, String> {
     let s = Scenario::music(Scenario::paper_scale());
     let (plan, _) = s.plan(
         &s.fig3(),
@@ -161,7 +160,7 @@ pub fn fig6_report(_: &Args) -> Result<String, String> {
 /// are instances of three operator shapes: a selection evaluated over
 /// its input's pages, an implicit join dereferencing one object per
 /// input row, and a path-index probe per input row.
-pub fn fig7_symbolic() -> Vec<CostRow> {
+pub(crate) fn fig7_symbolic() -> Vec<CostRow> {
     let pe = Sym::pr_plus_ev;
     let pr = || Sym::par("pr");
     let select = |input: &str| Sym::mul([Sym::pages(input), pe()]);
@@ -224,7 +223,7 @@ pub fn fig7_symbolic() -> Vec<CostRow> {
 /// symbolic per-node table, our estimator's per-node breakdown for both
 /// plans under the §4.6 simplified parameters, the estimated totals, the
 /// measured execution costs, and the decision.
-pub fn fig7_report(_: &Args) -> Result<String, String> {
+pub(crate) fn fig7_report(_: &Args) -> Result<String, String> {
     // The §4.6 conclusion ("pushing is not worthwhile here") arises
     // when the pushed filter saves little; see the E9 crossover for the
     // full picture.
@@ -352,7 +351,7 @@ pub fn fig7_report(_: &Args) -> Result<String, String> {
 /// observed counters on the shared pre-order PT node numbering
 /// (`NodeCost::node` ↔ `OpReport::pt_node`). Both sides are exclusive
 /// (each line excludes its children).
-pub fn predicted_vs_observed(
+pub(crate) fn predicted_vs_observed(
     breakdown: &[oorq_cost::NodeCost],
     ops: &[oorq_exec::OpReport],
 ) -> String {
@@ -392,7 +391,7 @@ pub fn predicted_vs_observed(
 }
 
 /// §4.5: the push-join example, estimated and executed.
-pub fn pushjoin_report(_: &Args) -> Result<String, String> {
+pub(crate) fn pushjoin_report(_: &Args) -> Result<String, String> {
     let mut s = Scenario::music(Scenario::paper_scale());
     let q = s.pushjoin();
     let knobs = Knobs::default();
@@ -429,7 +428,7 @@ pub fn pushjoin_report(_: &Args) -> Result<String, String> {
 /// as a geometric mean. This is the experiment behind the paper's
 /// thesis: neither "always push" nor "never push" is right — the
 /// decision needs a cost model, and the model needs the selectivity.
-pub fn crossover_report(_: &Args) -> Result<String, String> {
+pub(crate) fn crossover_report(_: &Args) -> Result<String, String> {
     let mut out = String::from(
         "=== E9: push/no-push crossover ===\n\
          | harpsichord fraction | works/composer | est. unpushed | est. pushed | \
@@ -501,7 +500,7 @@ fn spj_plan(s: &Scenario, q: &QueryGraph, strategy: SpjStrategy) -> Result<(u128
 /// E10a: optimization *time* of exhaustive \[KZ88\] vs Selinger DP vs
 /// greedy on k-way chain joins. Prints wall time, so it is its own
 /// section and not part of `all`.
-pub fn strategies_time_report(_: &Args) -> Result<String, String> {
+pub(crate) fn strategies_time_report(_: &Args) -> Result<String, String> {
     let mut out = String::from(
         "=== E10a: strategy *time* scaling (k-way chain joins) ===\n\
          | k | exhaustive (µs / cost) | DP (µs / cost) | greedy (µs / cost) |\n|---|---|---|---|\n",
@@ -530,7 +529,7 @@ pub fn strategies_time_report(_: &Args) -> Result<String, String> {
 /// E10b: plan *quality* of the same strategies plus the syntactic
 /// baseline, on chain joins with the selective bound on the tail
 /// (greedy and syntactic can misorder).
-pub fn strategies_report(_: &Args) -> Result<String, String> {
+pub(crate) fn strategies_report(_: &Args) -> Result<String, String> {
     let mut out = String::from(
         "=== E10b: strategy *quality* (chain joins, selective bound on the tail) ===\n\
          | k | exhaustive | DP | greedy | syntactic (query order) | syntactic/best |\n\
@@ -568,7 +567,7 @@ pub fn strategies_report(_: &Args) -> Result<String, String> {
 
 /// E11: cost-model validation — estimated vs measured resources across
 /// plan shapes.
-pub fn validation_report(_: &Args) -> Result<String, String> {
+pub(crate) fn validation_report(_: &Args) -> Result<String, String> {
     let mut out = String::from(
         "=== E11: cost model vs measured execution ===\n\
          | query | plan | est. total | measured total | ratio |\n|---|---|---|---|---|\n",
@@ -611,7 +610,7 @@ pub fn validation_report(_: &Args) -> Result<String, String> {
 /// clustering, buffer size, and path-index availability — measured on
 /// the Figure 3 workload with the optimizer re-planning for each
 /// configuration.
-pub fn ablation_report(_: &Args) -> Result<String, String> {
+pub(crate) fn ablation_report(_: &Args) -> Result<String, String> {
     let mut out = String::from("=== E12: physical-design ablations (measured, fig3 gen>=3) ===\n");
     let run = |mut s: Scenario| {
         let q = s.fig3_gen(3);
@@ -685,7 +684,7 @@ pub fn ablation_report(_: &Args) -> Result<String, String> {
 ///
 /// `reproduce lint --explain <CODE>` prints the registry entry of one
 /// stable lint code instead.
-pub fn lint_report(args: &Args) -> Result<String, String> {
+pub(crate) fn lint_report(args: &Args) -> Result<String, String> {
     match args.rest.as_slice() {
         [] => {}
         [flag, code] if flag == "--explain" => {
@@ -779,24 +778,4 @@ pub fn lint_report(args: &Args) -> Result<String, String> {
     } else {
         Err(out)
     }
-}
-
-/// Convenience: a map environment for evaluating Figure 7 symbols from
-/// statistics (exposed for EXPERIMENTS.md tooling and tests).
-pub fn fig7_symbol_env(s: &Scenario) -> HashMap<String, f64> {
-    let composer = s.db.catalog().class_by_name("Composer").expect("music");
-    let composer_e = s.db.physical().entities_of_class(composer)[0];
-    let es = s.stats.entity(composer_e).expect("stats");
-    let n1 = s.stats.max_chain_depth().unwrap_or(10) as f64;
-    let mut env = HashMap::new();
-    env.insert("pr".into(), 1.0);
-    env.insert("ev".into(), 1.0);
-    env.insert("lev".into(), 2.0);
-    env.insert("lea".into(), (es.cardinality as f64 / 8.0).max(1.0));
-    env.insert("n1".into(), n1);
-    env.insert("n2".into(), n1);
-    env.insert("||Cpr||".into(), es.cardinality as f64);
-    env.insert("|Cpr|".into(), es.pages as f64);
-    env.insert("inv_Cpr".into(), 1.0 / es.cardinality as f64);
-    env
 }

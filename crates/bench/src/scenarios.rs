@@ -98,7 +98,7 @@ impl Run {
     }
 
     /// The plan in the paper's denotation.
-    pub fn plan_text(&self, s: &Scenario) -> String {
+    pub(crate) fn plan_text(&self, s: &Scenario) -> String {
         let env = s.env(self.temp_fields.clone());
         self.optimized.pt.display(&env).to_string()
     }
@@ -140,7 +140,7 @@ impl Scenario {
 
     /// [`Scenario::music`], optionally without the path index (the
     /// physical-design ablation).
-    pub fn music_design(cfg: MusicConfig, path_index: bool) -> Self {
+    pub(crate) fn music_design(cfg: MusicConfig, path_index: bool) -> Self {
         Self::music_from(
             MusicDb::generate(Arc::new(music_catalog()), cfg),
             path_index,
@@ -243,7 +243,7 @@ impl Scenario {
     }
 
     /// The k-way chain join bounded on the tail relation.
-    pub fn tail_query(&self, limit: i64) -> QueryGraph {
+    pub(crate) fn tail_query(&self, limit: i64) -> QueryGraph {
         oorq_datagen::selective_tail_query(self.db.catalog(), limit)
     }
 

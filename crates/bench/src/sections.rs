@@ -33,7 +33,7 @@ impl Args {
     }
 
     /// The `n`-th positional argument as a number, or `default`.
-    pub fn num(&self, n: usize, default: u64) -> Result<u64, String> {
+    pub(crate) fn num(&self, n: usize, default: u64) -> Result<u64, String> {
         match self.rest.get(n) {
             None => Ok(default),
             Some(s) => s

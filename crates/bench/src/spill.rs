@@ -21,7 +21,7 @@
 //! the calibrated weights *with* the budget, and compares predicted
 //! against observed physical page reads on each side. `reproduce spill`
 //! fails when either side's median relative error exceeds the absolute
-//! [`MAX_SIDE_ERR`] cap, or the model mis-places any point relative to
+//! `MAX_SIDE_ERR` cap, or the model mis-places any point relative to
 //! the cliff.
 
 use std::collections::BTreeMap;
@@ -39,7 +39,7 @@ use crate::sections::{median, Args};
 /// closure accumulator crosses it mid-sweep (128 closure rows per page
 /// at the default 4 KiB page; n·(n−1)/2 rows ≈ the budget near n=46),
 /// large enough that the resident side is not degenerate.
-pub const SPILL_BUDGET_PAGES: u64 = 8;
+pub(crate) const SPILL_BUDGET_PAGES: u64 = 8;
 
 /// Chain sizes swept across the budget cliff: the first half's
 /// accumulators fit in [`SPILL_BUDGET_PAGES`], the second half's spill.
@@ -76,7 +76,7 @@ pub struct SpillPoint {
 
 impl SpillPoint {
     /// Relative page-read error, floored at one page of denominator.
-    pub fn rel_err(&self) -> f64 {
+    pub(crate) fn rel_err(&self) -> f64 {
         (self.pred_reads - self.obs_reads).abs() / self.obs_reads.max(1.0)
     }
 }
@@ -180,7 +180,7 @@ fn spill_point(nodes: u32, budget: u64) -> SpillPoint {
 }
 
 /// Sweep every `SWEEP` size at the given budget.
-pub fn spill_sweep(budget: u64) -> Vec<SpillPoint> {
+pub(crate) fn spill_sweep(budget: u64) -> Vec<SpillPoint> {
     SWEEP.iter().map(|&n| spill_point(n, budget)).collect()
 }
 
@@ -199,7 +199,7 @@ pub struct SpillStats {
 }
 
 /// Split a sweep by observed side and take per-side error medians.
-pub fn spill_stats(points: &[SpillPoint]) -> SpillStats {
+pub(crate) fn spill_stats(points: &[SpillPoint]) -> SpillStats {
     let (spilled, resident): (Vec<_>, Vec<_>) = points.iter().partition(|p| p.obs_spilled);
     SpillStats {
         n_resident: resident.len(),
@@ -269,13 +269,13 @@ fn render_stats(out: &mut String, st: &SpillStats) {
 
 /// Hard cap on either side's median relative page-read error — the
 /// reproduction target the residency model must hold.
-pub const MAX_SIDE_ERR: f64 = 0.15;
+pub(crate) const MAX_SIDE_ERR: f64 = 0.15;
 
 /// The `reproduce spill` section: sweep, table, per-side medians; `Err`
 /// when the sweep does not cross the cliff, the model places a point on
 /// the wrong side of it, either side's median page-read error exceeds
 /// [`MAX_SIDE_ERR`], or `CX007` fires.
-pub fn spill_report(args: &Args) -> Result<String, String> {
+pub(crate) fn spill_report(args: &Args) -> Result<String, String> {
     let budget = match args.memory_budget {
         0 => SPILL_BUDGET_PAGES,
         b => b,

@@ -71,7 +71,7 @@ pub fn trace_case(scenario: &str) -> Result<(Scenario, QueryGraph, &'static str)
 }
 
 /// Run a named scenario under an enabled recorder and render all sinks.
-pub fn trace_scenario(scenario: &str) -> Result<TraceArtifacts, String> {
+pub(crate) fn trace_scenario(scenario: &str) -> Result<TraceArtifacts, String> {
     let (mut s, q, title) = trace_case(scenario)?;
     let obs = Recorder::new();
     let registry = oorq_obs::MetricsRegistry::new();

@@ -16,7 +16,7 @@ use std::collections::{HashMap, HashSet};
 use oorq_analysis::{equivalent_local_change, proven_worse, Analyzer};
 use oorq_bench::scenarios::{for_each_row, Scenario, TempFields};
 use oorq_bench::Knobs;
-use oorq_core::{neighbours, rand_optimize, OptimizerConfig, RandConfig};
+use oorq_core::{neighbours, rand_optimize_with, Decisions, OptimizerConfig, RandConfig};
 use oorq_cost::CostModel;
 use oorq_prng::Prng;
 use oorq_pt::{fix_recursive_nodes, lower, rescannable, subtrees, PhysOp, Pt, PtEnv};
@@ -140,8 +140,9 @@ fn fingerprints_are_injective_across_the_optimizer_corpus() {
 const WALK_SEEDS: [u64; 3] = [0xC0FFEE, 1, 2];
 const WALK_BUDGETS: [(usize, usize); 2] = [(30, 3), (5, 1)];
 
-/// What `rand_optimize` returned for every corpus row, from the row's
-/// plan without a randomized phase, as `(fingerprint, cost bits)`:
+/// What the unverified walk (`rand_optimize_with` over `neighbours`)
+/// returned for every corpus row, from the row's plan without a
+/// randomized phase, as `(fingerprint, cost bits)`:
 /// **recorded at the commit before the walk remembered what it had
 /// turned down** (2b7c032), when every draw was verified, analyzed and
 /// costed again. One pair when all six seed × budget runs agree, else
@@ -195,9 +196,9 @@ const WALK_OUTCOMES: &[(&str, &[(u64, u64)])] = &[
 /// Skipping a draw that was already turned down changes no accept
 /// decision: same draws, same moves, same plan and cost, bit for bit.
 /// The randomized walk as it was before it remembered what it had
-/// turned down (2b7c032, unverified as `rand_optimize` runs it): every
-/// draw is analyzed for a proof and costed again, whatever became of the
-/// plan the last time it was drawn.
+/// turned down (2b7c032, unverified, as the test runs
+/// `rand_optimize_with`): every draw is analyzed for a proof and costed
+/// again, whatever became of the plan the last time it was drawn.
 fn re_examining_walk(model: &CostModel<'_>, start: Pt, config: &RandConfig) -> Pt {
     let env = PtEnv {
         catalog: model.catalog,
@@ -275,7 +276,9 @@ fn walk_outcomes_equal_the_re_examining_walks() {
                     restarts,
                     seed,
                 };
-                let pt = rand_optimize(&model, start.pt.clone(), &rc);
+                let sink = &mut Decisions::default();
+                let pt =
+                    rand_optimize_with(&model, start.pt.clone(), &rc, &neighbours, false, sink).pt;
                 assert_eq!(
                     pt.fingerprint(),
                     re_examining_walk(&model, start.pt.clone(), &rc).fingerprint(),

@@ -47,7 +47,7 @@ const KEEP_PER_ARC: usize = 4;
 
 /// Rewrite an expression's variables through the translation
 /// substitution (query-graph variables → column expressions).
-pub fn rewrite_expr(expr: &Expr, subst: &HashMap<String, Expr>) -> Expr {
+pub(crate) fn rewrite_expr(expr: &Expr, subst: &HashMap<String, Expr>) -> Expr {
     expr.map_leaves(&mut |leaf| match leaf {
         Expr::Var(v) => subst.get(v).cloned(),
         Expr::Path { base, steps } => subst.get(base).map(|repl| match repl {
@@ -77,7 +77,7 @@ pub fn rewrite_expr(expr: &Expr, subst: &HashMap<String, Expr>) -> Expr {
 ///
 /// Returns the chosen plan and its output column names (the `out_proj`
 /// field names).
-pub fn generate_pt(
+pub(crate) fn generate_pt(
     model: &CostModel<'_>,
     spj: &SpjNode,
     arc_chains: &[Vec<ArcChain>],

@@ -28,15 +28,14 @@ mod translate;
 
 pub use decisions::{Decisions, Examined, Outcome};
 pub use error::OptError;
-pub use generate::{generate_pt, rewrite_expr, Candidate, SpjStrategy};
+pub use generate::{Candidate, SpjStrategy};
 pub use optimizer::{Optimized, Optimizer, OptimizerConfig};
-pub use rewrite::{fixpoint_action, fixpoint_recursion, rewrite, union_action};
+pub use rewrite::rewrite;
 pub use trace::{OptTrace, Step, StepTrace, StrategyKind};
 pub use transform::{
-    best_selection, can_push, filter_action, neighbours, push_join_action, rand_optimize,
-    rand_optimize_with, FixInfo, MoveFn, PushStrategy, RandConfig, RandOutcome,
+    neighbours, rand_optimize_with, FixInfo, MoveFn, PushStrategy, RandConfig, RandOutcome,
 };
-pub use translate::{collapse_alternatives, translate_arc, ArcChain, BasePlan, ChainOp};
+pub use translate::{ArcChain, BasePlan, ChainOp};
 
 #[cfg(test)]
 mod tests;

@@ -19,7 +19,7 @@ use crate::trace::{Step, StrategyKind};
 /// union: Q | (Name ← p1) ∈ Q ∧ (Name ← p2) ∈ Q
 ///        → Q − {(Name ← p1), (Name ← p2)} ∪ {(Name ← Union(p1, p2))}
 /// ```
-pub fn union_action(graph: &mut QueryGraph) -> bool {
+pub(crate) fn union_action(graph: &mut QueryGraph) -> bool {
     for i in 0..graph.nodes.len() {
         for j in (i + 1)..graph.nodes.len() {
             if graph.nodes[i].0 == graph.nodes[j].0 {
@@ -39,7 +39,7 @@ pub fn union_action(graph: &mut QueryGraph) -> bool {
 /// SPJ inputs reference `name` itself (linearly — at most one recursive
 /// occurrence per SPJ, which both the semi-naive evaluator and the
 /// Kifer–Lozinskii push conditions assume).
-pub fn fixpoint_recursion(name: &NameRef, term: &GraphTerm) -> bool {
+pub(crate) fn fixpoint_recursion(name: &NameRef, term: &GraphTerm) -> bool {
     if matches!(term, GraphTerm::Fix(..)) {
         return false; // already rewritten
     }
@@ -54,7 +54,7 @@ pub fn fixpoint_recursion(name: &NameRef, term: &GraphTerm) -> bool {
 /// fixpoint: Name | (Name ← p) ∈ Q ∧ fixpointRecursion(Name)
 ///           → Fix(Name, p)
 /// ```
-pub fn fixpoint_action(graph: &mut QueryGraph) -> bool {
+pub(crate) fn fixpoint_action(graph: &mut QueryGraph) -> bool {
     for i in 0..graph.nodes.len() {
         let (name, term) = &graph.nodes[i];
         if fixpoint_recursion(name, term) {

@@ -14,6 +14,8 @@ use oorq_query::paper::{
 use oorq_query::{Expr, NameRef, QArc, QueryGraph, SpjNode};
 use oorq_storage::DbStats;
 
+use crate::transform::{best_selection, can_push, filter_action};
+use crate::translate::translate_arc;
 use crate::*;
 
 /// A music database with the paper's physical design: the

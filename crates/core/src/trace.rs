@@ -123,7 +123,7 @@ impl StepTrace {
     /// Node kinds with multiplicity: `Fix, Sel ×3` — deduplicated but
     /// counted (the previous rendering dropped multiplicity), sorted by
     /// kind for a stable table.
-    pub fn nodes_summary(&self) -> String {
+    pub(crate) fn nodes_summary(&self) -> String {
         if self.nodes_generated.is_empty() {
             return "none".to_string();
         }

@@ -58,7 +58,7 @@ pub struct FixInfo {
 /// The `canPush` constraint for one conjunct expressed over the
 /// fixpoint's output columns: every column it references must be
 /// propagated.
-pub fn can_push(conjunct: &Expr, info: &FixInfo) -> bool {
+pub(crate) fn can_push(conjunct: &Expr, info: &FixInfo) -> bool {
     let vars = conjunct.vars();
     !vars.is_empty()
         && vars.iter().all(|v| info.propagated.contains(v))
@@ -83,7 +83,7 @@ pub fn can_push(conjunct: &Expr, info: &FixInfo) -> bool {
 /// applies) so the shifted portion is re-optimized — this is what puts
 /// "additional implicit joins inside the computation of the fixpoint"
 /// (§2.3) and makes the push a genuine cost trade-off.
-pub fn filter_action(
+pub(crate) fn filter_action(
     model: &CostModel<'_>,
     fix: &Pt,
     info: &FixInfo,
@@ -142,7 +142,7 @@ pub fn filter_action(
 /// fixpoint side, so every derived tuple of a surviving base tuple still
 /// joins — and every derived tuple of a dropped one would not. The join
 /// itself stays above the fixpoint, in the consumer's predicate.
-pub fn push_join_action(
+pub(crate) fn push_join_action(
     fix: &Pt,
     info: &FixInfo,
     join_pred_over_fix_cols: &Expr,
@@ -165,7 +165,7 @@ pub fn push_join_action(
 /// contain long path expressions over `cols`: either the plain selection
 /// (paths evaluated by dereference) or the expansion into an IJ chain
 /// (optionally collapsed into a `PIJ`), projected back to `cols`.
-pub fn best_selection(
+pub(crate) fn best_selection(
     model: &CostModel<'_>,
     pred: Expr,
     input: Pt,
@@ -513,18 +513,13 @@ pub struct RandOutcome {
     pub violations: usize,
 }
 
-/// Run a randomized strategy from a starting plan; returns the best plan
-/// found (never worse than the start).
-pub fn rand_optimize(model: &CostModel<'_>, start: Pt, config: &RandConfig) -> Pt {
-    let detached = &mut Decisions::default();
-    rand_optimize_with(model, start, config, &neighbours, false, detached).pt
-}
-
-/// [`rand_optimize`] with a pluggable move generator and an optional
-/// verification layer: when `verify` is on, every candidate plan is
-/// checked with the lint engine before acceptance — an ill-formed
-/// candidate is rejected (and counted) instead of entering the walk,
-/// and the rejection is announced to the sink like every other outcome.
+/// Run a randomized strategy from a starting plan and return the best
+/// plan found (never worse than the start), with a pluggable move
+/// generator and an optional verification layer: when `verify` is on,
+/// every candidate plan is checked with the lint engine before
+/// acceptance — an ill-formed candidate is rejected (and counted)
+/// instead of entering the walk, and the rejection is announced to the
+/// sink like every other outcome.
 /// The move generator is a parameter so tests can inject a broken
 /// transformation action and observe the verifier catching it.
 ///

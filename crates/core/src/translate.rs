@@ -110,7 +110,7 @@ pub struct ArcChain {
 
 impl ArcChain {
     /// All columns available after the whole chain.
-    pub fn all_cols(&self) -> Vec<String> {
+    pub(crate) fn all_cols(&self) -> Vec<String> {
         let mut cols = self.base_cols.clone();
         for op in &self.ops {
             cols.extend(op.produces());
@@ -137,7 +137,7 @@ pub enum BasePlan {
 /// Translate an arc against its base plan, enumerating cost-relevant
 /// alternatives (root-branch orderings × collapse choices). At least one
 /// alternative is always returned.
-pub fn translate_arc(
+pub(crate) fn translate_arc(
     catalog: &Catalog,
     physical: &PhysicalSchema,
     arc: &QArc,
@@ -446,7 +446,7 @@ fn path_extend(parent: &Expr, step: &str) -> Expr {
 /// attributes) by a `PIJ` when the physical schema has a matching path
 /// index. The uncollapsed chain is always included; the choice is
 /// cost-based downstream.
-pub fn collapse_alternatives(
+pub(crate) fn collapse_alternatives(
     _catalog: &Catalog,
     physical: &PhysicalSchema,
     ops: &[ChainOp],

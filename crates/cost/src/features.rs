@@ -49,7 +49,7 @@ impl CostFeatures {
 
     /// The io-side feature columns, in fit order (shared between the
     /// calibration fitter and [`CostFeatures::io`]).
-    pub fn io_columns(&self) -> [f64; 5] {
+    pub(crate) fn io_columns(&self) -> [f64; 5] {
         [
             self.seq_pages,
             self.deref_pages,
@@ -60,7 +60,7 @@ impl CostFeatures {
     }
 
     /// The cpu-side feature columns, in fit order.
-    pub fn cpu_columns(&self) -> [f64; 2] {
+    pub(crate) fn cpu_columns(&self) -> [f64; 2] {
         [self.evals, self.method_units]
     }
 }

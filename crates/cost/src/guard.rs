@@ -9,7 +9,7 @@
 /// 0·∞, negative from mis-set statistics) collapses to zero instead of
 /// poisoning every downstream estimate — CM001 is provable, not merely
 /// checked.
-pub fn sane_rows(r: f64) -> f64 {
+pub(crate) fn sane_rows(r: f64) -> f64 {
     if r.is_finite() && r > 0.0 {
         r
     } else {

@@ -17,7 +17,7 @@ mod profiles;
 
 pub use error::CostError;
 pub use features::CostFeatures;
-pub use guard::{guard_hi, guard_lo, sane_rows};
+pub use guard::{guard_hi, guard_lo};
 pub use model::{CostModel, FixCurve, NodeCost, PlanCost};
 pub use oorq_pt::OpKind;
 pub use params::{Cost, CostParams, CostWeights};

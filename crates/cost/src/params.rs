@@ -224,7 +224,7 @@ pub struct CostParams {
     /// manager spills least-recently-used temporary pages, so breaker
     /// re-reads that would hit in an unbounded buffer pay full page
     /// reads. The effective breaker-resident capacity is
-    /// [`CostParams::breaker_frames`].
+    /// `CostParams::breaker_frames`.
     pub memory_budget_pages: u64,
     /// Default number of fixpoint iterations when the statistics carry no
     /// chain-depth information.
@@ -316,7 +316,7 @@ impl CostParams {
     /// `#` comments, and a `[weights]` section for the component
     /// weights. A deliberately tiny subset of TOML so the workspace
     /// stays dependency-free.
-    pub fn parse_snapshot(src: &str) -> Result<Self, String> {
+    pub(crate) fn parse_snapshot(src: &str) -> Result<Self, String> {
         let mut p = CostParams::default();
         for line in snapshot_lines(src) {
             let (lineno, section, Some((key, value))) = line? else {
@@ -352,7 +352,7 @@ impl CostParams {
     /// breakers (fixpoint accumulators and deltas, nested-loop
     /// materialized inners) whose footprint stays under this stay hot;
     /// past it the executor spills and re-reads pay in full.
-    pub fn breaker_frames(&self) -> f64 {
+    pub(crate) fn breaker_frames(&self) -> f64 {
         let b = self.buffer_frames as f64;
         if self.memory_budget_pages == 0 {
             b

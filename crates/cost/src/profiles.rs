@@ -83,7 +83,7 @@ impl FixProfile {
 }
 
 /// The persisted profile set, keyed `scenario/temp` (e.g.
-/// `music0/fig3/nopush/Influencer`). [`FixProfiles::aggregate`] folds
+/// `music0/fig3/nopush/Influencer`). `FixProfiles::aggregate` folds
 /// all scenarios of one temporary into the single profile the estimator
 /// uses.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -125,7 +125,7 @@ impl FixProfiles {
     /// The profile the estimator uses for a temporary under a scenario
     /// scope: the exact `scope/temp` entry when the scope is known (a
     /// harness replaying a named scenario), otherwise the per-temp
-    /// [`FixProfiles::aggregate`]. Exact entries dominate because a
+    /// `FixProfiles::aggregate`. Exact entries dominate because a
     /// scenario's own observed curve beats a cross-scenario median; the
     /// aggregate remains the answer for unseen scopes.
     pub fn lookup(&self, scope: &str, temp: &str) -> Option<FixProfile> {
@@ -141,7 +141,7 @@ impl FixProfiles {
     /// *median* over every scenario that exercised this temp (key equal
     /// to `temp` or ending in `/temp`). Medians keep one outlier
     /// scenario from dragging the whole estimate.
-    pub fn aggregate(&self, temp: &str) -> Option<FixProfile> {
+    pub(crate) fn aggregate(&self, temp: &str) -> Option<FixProfile> {
         let suffix = format!("/{temp}");
         let matching: Vec<&FixProfile> = self
             .entries

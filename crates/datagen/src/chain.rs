@@ -46,31 +46,8 @@ pub struct ChainDb {
     pub config: ChainConfig,
 }
 
-/// Like [`ChainDb::generate`] but with *skewed* relation sizes
-/// (`rows * 2^i` rows in relation `Ri`), so join order genuinely
-/// matters and greedy/exhaustive strategies can diverge.
-pub fn generate_skewed(config: ChainConfig) -> ChainDb {
-    let catalog = Arc::new(chain_catalog(config.relations));
-    let mut db = Database::new(Arc::clone(&catalog), StorageConfig::default());
-    let mut rng = Prng::new(config.seed);
-    let mut names = Vec::new();
-    for i in 0..config.relations {
-        let name = format!("R{i}");
-        let rel = catalog.relation_by_name(&name).expect("just built");
-        let rows = config.rows << i.min(6);
-        for _ in 0..rows {
-            let a = rng.range_i64(0, config.domain);
-            let b = rng.range_i64(0, config.domain);
-            db.insert_row(rel, vec![Value::Int(a), Value::Int(b)])
-                .expect("insert");
-        }
-        names.push(name);
-    }
-    ChainDb { db, names, config }
-}
-
 /// Build the chain catalog for `k` relations.
-pub fn chain_catalog(k: usize) -> Catalog {
+pub(crate) fn chain_catalog(k: usize) -> Catalog {
     let mut b = SchemaBuilder::new();
     for i in 0..k {
         b = b.relation(RelationDef::new(
@@ -116,7 +93,7 @@ fn chain_join(
     q
 }
 
-/// The k-way chain-join query over a [`chain_catalog`]:
+/// The k-way chain-join query over a `chain_catalog`:
 /// `select R0.a, R(k-1).b where Ri.b = R(i+1).a, R0.a < limit`.
 pub fn chain_query(catalog: &Catalog, limit: i64) -> QueryGraph {
     let k = catalog.relations().len();
@@ -184,42 +161,6 @@ impl ChainDb {
     /// [`selective_tail_query`] over this database's catalog.
     pub fn selective_tail_query(&self, limit: i64) -> QueryGraph {
         selective_tail_query(self.db.catalog(), limit)
-    }
-
-    /// A star query: `R0` joins every other relation on `R0.a = Ri.a`,
-    /// with a bound on `R0.b`. Join order matters here (the satellites
-    /// have different sizes under [`generate_skewed`]).
-    pub fn star_query(&self, limit: i64) -> QueryGraph {
-        let catalog = self.db.catalog();
-        let k = self.config.relations;
-        // Satellites listed largest-first, so a non-optimizing
-        // (syntactic) translator joins the big ones early.
-        let mut order: Vec<usize> = (1..k).rev().collect();
-        order.insert(0, 0);
-        let mut inputs = Vec::new();
-        for i in order {
-            let rel = catalog
-                .relation_by_name(&format!("R{i}"))
-                .expect("chain schema");
-            inputs.push(QArc::new(NameRef::Relation(rel), format!("r{i}")));
-        }
-        // The selective bound sits on the *last-listed* (smallest)
-        // satellite: an optimizer joins it first, a syntactic translator
-        // leaves it for the end.
-        let mut pred = Expr::path("r1", &["b"]).lt(Expr::int(limit));
-        for i in 1..k {
-            pred = pred.and(Expr::path("r0", &["a"]).eq(Expr::path(format!("r{i}"), &["a"])));
-        }
-        let mut q = QueryGraph::new(NameRef::Derived("Answer".into()));
-        q.add_spj(
-            NameRef::Derived("Answer".into()),
-            SpjNode {
-                inputs,
-                pred,
-                out_proj: vec![("hub".into(), Expr::path("r0", &["a"]))],
-            },
-        );
-        q
     }
 }
 
@@ -341,20 +282,6 @@ impl ClosureDb {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn skewed_star_generates_and_validates() {
-        let c = generate_skewed(ChainConfig {
-            relations: 3,
-            rows: 10,
-            ..Default::default()
-        });
-        let q = c.star_query(5);
-        q.validate(c.db.catalog()).unwrap();
-        let r2 = c.db.catalog().relation_by_name("R2").unwrap();
-        let e = c.db.physical().entities_of_relation(r2)[0];
-        assert_eq!(c.db.entity_len(e), 40, "skew doubles each relation");
-    }
 
     #[test]
     fn closure_db_generates_and_query_validates() {

@@ -12,8 +12,8 @@ pub mod music;
 pub mod parts;
 
 pub use chain::{
-    chain_catalog, chain_query, closure_catalog, generate_skewed, selective_tail_query,
-    ChainConfig, ChainDb, ClosureConfig, ClosureDb,
+    chain_query, closure_catalog, selective_tail_query, ChainConfig, ChainDb, ClosureConfig,
+    ClosureDb,
 };
 pub use music::{MusicConfig, MusicDb};
 pub use parts::{contains_view, parts_catalog, PartsConfig, PartsDb};

@@ -32,7 +32,7 @@ impl Batch {
     }
 
     /// Index of a column.
-    pub fn col_index(&self, name: &str) -> Option<usize> {
+    pub(crate) fn col_index(&self, name: &str) -> Option<usize> {
         self.cols.iter().position(|c| c == name)
     }
 
@@ -137,7 +137,7 @@ impl EvalCtx<'_> {
     }
 
     /// Read an attribute of an object by name.
-    pub fn attr_of(&self, oid: Oid, attr_name: &str) -> Result<Value, ExecError> {
+    pub(crate) fn attr_of(&self, oid: Oid, attr_name: &str) -> Result<Value, ExecError> {
         let (aid, computed) = self.resolve(oid.class, attr_name)?;
         self.read(oid, aid, computed, attr_name)
     }
@@ -257,7 +257,7 @@ impl Bound {
 
     /// Whether evaluating can touch a page or call a method: some path
     /// still has a step to dereference.
-    pub fn derefs(&self) -> bool {
+    pub(crate) fn derefs(&self) -> bool {
         match self {
             Bound::Const(_) | Bound::Slot(_) | Bound::Unknown(_) => false,
             Bound::Path { .. } => true,
@@ -333,7 +333,7 @@ impl Bound {
     /// `Null` value is three-valued-logic false (an unknown comparand
     /// filters the row out); any other non-`Bool` value is a type error,
     /// not a silent rejection.
-    pub fn truthy(&self, ctx: &EvalCtx<'_>, row: RowRef<'_>) -> Result<bool, ExecError> {
+    pub(crate) fn truthy(&self, ctx: &EvalCtx<'_>, row: RowRef<'_>) -> Result<bool, ExecError> {
         match self {
             Bound::Cmp { op, lhs, rhs } => {
                 // Explicit null handling: a `<> null` test succeeds iff
@@ -411,7 +411,7 @@ impl Pred {
     }
 
     /// [`Bound::truthy`].
-    pub fn truthy(&self, ctx: &EvalCtx<'_>, row: RowRef<'_>) -> Result<bool, ExecError> {
+    pub(crate) fn truthy(&self, ctx: &EvalCtx<'_>, row: RowRef<'_>) -> Result<bool, ExecError> {
         self.bound.truthy(ctx, row)
     }
 
@@ -589,7 +589,7 @@ impl Probe<'_> {
     /// `false` — `matches` runs its general loop over the whole chunk —
     /// for any other probe, and when some inner value has no or several
     /// members (`truthy` counts those pairs).
-    pub fn equal_keys<R: Rows + ?Sized>(&self, inner: &R, hits: &mut Vec<usize>) -> bool {
+    pub(crate) fn equal_keys<R: Rows + ?Sized>(&self, inner: &R, hits: &mut Vec<usize>) -> bool {
         let keyed = matches!(self.key, Value::Oid(_) | Value::Int(_));
         if !(keyed && self.op == CmpOp::Eq && self.rest.is_empty()) {
             return false;

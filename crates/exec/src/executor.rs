@@ -226,7 +226,8 @@ impl<'a> Executor<'a> {
     }
 
     /// Reset I/O and CPU counters (e.g. after a warm-up run).
-    pub fn reset_counters(&mut self) {
+    #[cfg(test)]
+    pub(crate) fn reset_counters(&mut self) {
         self.db.reset_io();
         self.counters = Counters::default();
         self.forget_last_run();

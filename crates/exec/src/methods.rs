@@ -34,7 +34,7 @@ impl MethodRegistry {
     }
 
     /// Register a method implementation.
-    pub fn register(
+    pub(crate) fn register(
         &mut self,
         class: ClassId,
         attr: AttrId,
@@ -46,7 +46,7 @@ impl MethodRegistry {
     /// Invoke the method for `oid.attr`, if registered (directly or on a
     /// superclass that declared the same attribute id — attribute ids are
     /// stable under inheritance because layouts are parent-first).
-    pub fn call(&self, db: &Database, oid: Oid, attr: AttrId) -> Option<Value> {
+    pub(crate) fn call(&self, db: &Database, oid: Oid, attr: AttrId) -> Option<Value> {
         let mut cls = Some(oid.class);
         while let Some(c) = cls {
             if let Some(f) = self.map.get(&(c, attr)) {

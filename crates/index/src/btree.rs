@@ -17,7 +17,6 @@ pub struct BPlusTree<K, V> {
     root: Node<K, V>,
     order: usize,
     len: usize,
-    distinct: usize,
 }
 
 #[derive(Debug, Clone)]
@@ -48,12 +47,11 @@ impl<K: Ord + Clone + Debug, V: Clone> BPlusTree<K, V> {
             },
             order: order.max(4),
             len: 0,
-            distinct: 0,
         }
     }
 
     /// Default order modelling ~page-sized nodes.
-    pub fn with_default_order() -> Self {
+    pub(crate) fn with_default_order() -> Self {
         Self::new(64)
     }
 
@@ -67,16 +65,10 @@ impl<K: Ord + Clone + Debug, V: Clone> BPlusTree<K, V> {
         self.len == 0
     }
 
-    /// Number of distinct keys.
-    pub fn distinct_keys(&self) -> usize {
-        self.distinct
-    }
-
     /// Insert a pair; duplicate keys accumulate.
     pub fn insert(&mut self, key: K, value: V) {
         let order = self.order;
-        let mut new_key_inserted = false;
-        match Self::insert_into(&mut self.root, key, value, order, &mut new_key_inserted) {
+        match Self::insert_into(&mut self.root, key, value, order) {
             InsertResult::Fit => {}
             InsertResult::Split(sep, right) => {
                 let left = std::mem::replace(&mut self.root, Node::Leaf { entries: vec![] });
@@ -87,26 +79,14 @@ impl<K: Ord + Clone + Debug, V: Clone> BPlusTree<K, V> {
             }
         }
         self.len += 1;
-        if new_key_inserted {
-            self.distinct += 1;
-        }
     }
 
-    fn insert_into(
-        node: &mut Node<K, V>,
-        key: K,
-        value: V,
-        order: usize,
-        new_key: &mut bool,
-    ) -> InsertResult<K, V> {
+    fn insert_into(node: &mut Node<K, V>, key: K, value: V, order: usize) -> InsertResult<K, V> {
         match node {
             Node::Leaf { entries } => {
                 match entries.binary_search_by(|(k, _)| k.cmp(&key)) {
                     Ok(i) => entries[i].1.push(value),
-                    Err(i) => {
-                        entries.insert(i, (key, vec![value]));
-                        *new_key = true;
-                    }
+                    Err(i) => entries.insert(i, (key, vec![value])),
                 }
                 if entries.len() > order {
                     let mid = entries.len() / 2;
@@ -127,7 +107,7 @@ impl<K: Ord + Clone + Debug, V: Clone> BPlusTree<K, V> {
                     Ok(i) => i + 1,
                     Err(i) => i,
                 };
-                match Self::insert_into(&mut children[idx], key, value, order, new_key) {
+                match Self::insert_into(&mut children[idx], key, value, order) {
                     InsertResult::Fit => InsertResult::Fit,
                     InsertResult::Split(sep, right) => {
                         keys.insert(idx, sep);
@@ -222,7 +202,8 @@ impl<K: Ord + Clone + Debug, V: Clone> BPlusTree<K, V> {
 
     /// Structural invariant check (used by property tests): keys sorted in
     /// every node, children count = keys + 1, separators bound subtrees.
-    pub fn check_invariants(&self) -> Result<(), String> {
+    #[cfg(test)]
+    pub(crate) fn check_invariants(&self) -> Result<(), String> {
         fn check<K: Ord + Clone + Debug, V>(
             node: &Node<K, V>,
             lo: Option<&K>,
@@ -302,7 +283,6 @@ mod tests {
         assert_eq!(t.get(&3), Some(&[30][..]));
         assert_eq!(t.get(&4), None);
         assert_eq!(t.len(), 5);
-        assert_eq!(t.distinct_keys(), 5);
         t.check_invariants().unwrap();
     }
 
@@ -314,7 +294,6 @@ mod tests {
         t.insert("b", 3);
         assert_eq!(t.get(&"a"), Some(&[1, 2][..]));
         assert_eq!(t.len(), 3);
-        assert_eq!(t.distinct_keys(), 2);
     }
 
     #[test]

@@ -59,11 +59,6 @@ impl SelectionIndex {
         self.tree.get(key).unwrap_or_default()
     }
 
-    /// Number of distinct keys.
-    pub fn distinct_keys(&self) -> usize {
-        self.tree.distinct_keys()
-    }
-
     /// Index statistics.
     pub fn stats(&self) -> IndexStats {
         IndexStats {

@@ -77,7 +77,6 @@ fn selection_index_probe_matches_scan() {
     let composer = db.catalog().class_by_name("Composer").unwrap();
     let (name_attr, _) = db.catalog().attr(composer, "name").unwrap();
     let idx = SelectionIndex::build(&mut db, composer, name_attr);
-    assert_eq!(idx.distinct_keys(), 20);
     let io = db.check_out();
     let hits = idx.probe(&io, &Value::text("c7"));
     assert_eq!(hits.len(), 1);
@@ -209,7 +208,6 @@ fn btree_matches_oracle() {
             oracle.values().map(Vec::len).sum::<usize>(),
             "case {case} (order {order})"
         );
-        assert_eq!(tree.distinct_keys(), oracle.len());
         for (k, vs) in &oracle {
             assert_eq!(tree.get(k), Some(vs.as_slice()));
         }

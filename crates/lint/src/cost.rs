@@ -35,7 +35,7 @@ pub fn lint_plan_cost(model: &CostModel<'_>, pt: &Pt) -> LintReport {
 /// clamps its arithmetic, so a live model reaches these arms only
 /// through corrupt calibration inputs (e.g. a poisoned fitted-weight
 /// file).
-pub fn lint_cost_figures(pc: &PlanCost) -> LintReport {
+pub(crate) fn lint_cost_figures(pc: &PlanCost) -> LintReport {
     let mut report = LintReport::new();
     if !(pc.rows.is_finite() && pc.rows >= 0.0) {
         report.push(
@@ -109,7 +109,7 @@ pub fn lint_breaker_budget(breakdown: &[oorq_cost::NodeCost], budget_pages: u64)
 /// Check one selection's whole-subtree row estimate against its
 /// input's (`CM003`). The estimator clamps selectivities to `[0, 1]`,
 /// so this arm firing on a live model means the clamp regressed.
-pub fn lint_selection_rows(outer_rows: f64, inner_rows: f64, report: &mut LintReport) {
+pub(crate) fn lint_selection_rows(outer_rows: f64, inner_rows: f64, report: &mut LintReport) {
     if outer_rows > inner_rows * (1.0 + 1e-9) + 1e-9 {
         report.push(
             LintCode::SelectivityOutOfRange,

@@ -159,9 +159,8 @@ pub enum LintCode {
     /// An observed fixpoint ran more semi-naive passes than the static
     /// bound allows.
     BoundPassesViolated,
-    /// A computed projection column is never consumed upstream (dead
-    /// definition beyond PT006's shape check).
-    DeadComputedColumn,
+    // AB004 is retired with the dead-column pass that reported it; the
+    // number is not reused.
     /// A fixpoint's key space is unbounded: termination rests on the
     /// iteration cap, not on a finiteness proof.
     FixKeySpaceUnbounded,
@@ -174,102 +173,78 @@ pub enum LintCode {
 }
 
 impl LintCode {
+    /// A code's stable short code, fixed severity and one-line
+    /// description: one row per code, the one place its facts are
+    /// written.
+    #[rustfmt::skip]
+    fn facts(&self) -> (&'static str, Severity, &'static str) {
+        use LintCode::*;
+        use Severity::{Error, Note, Warn};
+        match self {
+            UnboundVariable       => ("QG001", Error, "variable used but never bound by a tree label"),
+            UnknownName           => ("QG002", Error, "arc references a name the graph does not define"),
+            DuplicateVariable     => ("QG003", Error, "variable bound twice in one predicate node"),
+            BadLabel              => ("QG004", Error, "tree label names an attribute the input type lacks"),
+            UnsafeRecursion       => ("QG005", Error, "recursive name with no non-recursive alternative"),
+            NonLinearRecursion    => ("QG006", Warn,  "alternative consumes its own name twice"),
+            UnreachableNode       => ("QG007", Warn,  "produced name unreachable from the answer"),
+            DeadViewCycle         => ("QG008", Warn,  "dependency cycle the answer never consumes"),
+            MutualRecursion       => ("QG009", Error, "two names consume each other"),
+            UnusedVariable        => ("QG010", Note,  "bound variable is never used"),
+            CartesianProduct      => ("QG011", Note,  "multi-input node with no connecting conjunct"),
+            LinearRecursion       => ("QG012", Note,  "name is linearly recursive"),
+            FixBodyNotUnion       => ("PT001", Error, "Fix body is not a Union"),
+            FixNoRecursiveLeg     => ("PT002", Error, "no leg of the fixpoint references the temporary"),
+            FixNoBaseLeg          => ("PT003", Error, "every leg of the fixpoint references the temporary"),
+            BadIjStep             => ("PT004", Error, "IJ/PIJ step unusable on its input"),
+            BadIndex              => ("PT005", Error, "operator names a missing or wrong-kind index"),
+            ProjDropsNeeded       => ("PT006", Error, "projection drops a column consumed upstream"),
+            UnionShapeMismatch    => ("PT007", Error, "union legs produce different columns"),
+            IllTypedPredicate     => ("PT008", Error, "expression does not type-check over its columns"),
+            UndefinedTemp         => ("PT009", Error, "temporary referenced outside a defining scope"),
+            DuplicateColumn       => ("PT010", Warn,  "join duplicates a column name"),
+            EmptyProjection       => ("PT011", Warn,  "projection onto zero columns"),
+            NoPropagatedColumns   => ("PT012", Note,  "fixpoint propagates no columns (nothing pushable)"),
+            NegativeCardinality   => ("CM001", Error, "negative or NaN cardinality estimate"),
+            NonFiniteCost         => ("CM002", Error, "negative, NaN or infinite cost estimate"),
+            SelectivityOutOfRange => ("CM003", Error, "selection estimated to grow its input"),
+            IoDrift               => ("CX001", Warn,  "predicted page accesses drift beyond tolerance from observed"),
+            CpuDrift              => ("CX002", Warn,  "predicted evaluations drift beyond tolerance from observed"),
+            RowsDrift             => ("CX003", Warn,  "predicted cardinality drifts beyond tolerance from observed rows"),
+            UnmatchedOperator     => ("CX004", Note,  "cost-breakdown node without an observed counterpart"),
+            FixIterationsDrift    => ("CX005", Warn,  "modeled fixpoint iteration count drifts from the observed passes"),
+            FixDeltaMassDrift     => ("CX006", Warn,  "modeled fixpoint delta mass drifts from the observed curve"),
+            SpillDrift            => ("CX007", Warn,  "modeled spill-cliff side disagrees with observed spill evictions"),
+            PhysOpIds             => ("PX001", Error, "physical operator ids not dense and unique"),
+            PhysColsMismatch      => ("PX002", Error, "physical operator columns disagree with operands"),
+            PhysBadPerm           => ("PX003", Error, "union/fixpoint permutation does not map operand columns"),
+            PhysBadIndex          => ("PX004", Error, "physical operator names a missing or wrong-kind index"),
+            PhysUndefinedTemp     => ("PX005", Error, "temp scanned outside a defining fixpoint"),
+            PhysBadRescan         => ("PX006", Error, "nested-loop rescan over a non-rescannable inner"),
+            PhysBadEntity         => ("PX007", Error, "entity scan references an entity out of range"),
+            BreakerOverBudget     => ("PX010", Warn,  "breaker footprint exceeds the memory budget (expect spill)"),
+            BoundRowsViolated     => ("AB001", Error, "observed row counter escapes its static interval"),
+            BoundPagesViolated    => ("AB002", Error, "observed page-access counter escapes its static interval"),
+            BoundPassesViolated   => ("AB003", Error, "fixpoint exceeded its static semi-naive pass bound"),
+            FixKeySpaceUnbounded  => ("AB005", Note,  "fixpoint key space unbounded; termination rests on the cap"),
+            FixProvablyEmpty      => ("AB006", Warn,  "fixpoint base leg provably empty"),
+            DegenerateInterval    => ("AB007", Error, "analysis derived a degenerate interval (lo > hi or NaN)"),
+        }
+    }
+
     /// The stable short code (what tests and tools match on).
     pub fn code(&self) -> &'static str {
-        match self {
-            LintCode::UnboundVariable => "QG001",
-            LintCode::UnknownName => "QG002",
-            LintCode::DuplicateVariable => "QG003",
-            LintCode::BadLabel => "QG004",
-            LintCode::UnsafeRecursion => "QG005",
-            LintCode::NonLinearRecursion => "QG006",
-            LintCode::UnreachableNode => "QG007",
-            LintCode::DeadViewCycle => "QG008",
-            LintCode::MutualRecursion => "QG009",
-            LintCode::UnusedVariable => "QG010",
-            LintCode::CartesianProduct => "QG011",
-            LintCode::LinearRecursion => "QG012",
-            LintCode::FixBodyNotUnion => "PT001",
-            LintCode::FixNoRecursiveLeg => "PT002",
-            LintCode::FixNoBaseLeg => "PT003",
-            LintCode::BadIjStep => "PT004",
-            LintCode::BadIndex => "PT005",
-            LintCode::ProjDropsNeeded => "PT006",
-            LintCode::UnionShapeMismatch => "PT007",
-            LintCode::IllTypedPredicate => "PT008",
-            LintCode::UndefinedTemp => "PT009",
-            LintCode::DuplicateColumn => "PT010",
-            LintCode::EmptyProjection => "PT011",
-            LintCode::NoPropagatedColumns => "PT012",
-            LintCode::NegativeCardinality => "CM001",
-            LintCode::NonFiniteCost => "CM002",
-            LintCode::SelectivityOutOfRange => "CM003",
-            LintCode::IoDrift => "CX001",
-            LintCode::CpuDrift => "CX002",
-            LintCode::RowsDrift => "CX003",
-            LintCode::UnmatchedOperator => "CX004",
-            LintCode::FixIterationsDrift => "CX005",
-            LintCode::FixDeltaMassDrift => "CX006",
-            LintCode::SpillDrift => "CX007",
-            LintCode::PhysOpIds => "PX001",
-            LintCode::PhysColsMismatch => "PX002",
-            LintCode::PhysBadPerm => "PX003",
-            LintCode::PhysBadIndex => "PX004",
-            LintCode::PhysUndefinedTemp => "PX005",
-            LintCode::PhysBadRescan => "PX006",
-            LintCode::PhysBadEntity => "PX007",
-            LintCode::BreakerOverBudget => "PX010",
-            LintCode::BoundRowsViolated => "AB001",
-            LintCode::BoundPagesViolated => "AB002",
-            LintCode::BoundPassesViolated => "AB003",
-            LintCode::DeadComputedColumn => "AB004",
-            LintCode::FixKeySpaceUnbounded => "AB005",
-            LintCode::FixProvablyEmpty => "AB006",
-            LintCode::DegenerateInterval => "AB007",
-        }
+        self.facts().0
     }
 
     /// The fixed severity of this code.
     pub fn severity(&self) -> Severity {
-        use LintCode::*;
-        match self {
-            UnboundVariable
-            | UnknownName
-            | DuplicateVariable
-            | BadLabel
-            | UnsafeRecursion
-            | MutualRecursion
-            | FixBodyNotUnion
-            | FixNoRecursiveLeg
-            | FixNoBaseLeg
-            | BadIjStep
-            | BadIndex
-            | ProjDropsNeeded
-            | UnionShapeMismatch
-            | IllTypedPredicate
-            | UndefinedTemp
-            | NegativeCardinality
-            | NonFiniteCost
-            | SelectivityOutOfRange
-            | PhysOpIds
-            | PhysColsMismatch
-            | PhysBadPerm
-            | PhysBadIndex
-            | PhysUndefinedTemp
-            | PhysBadRescan
-            | PhysBadEntity
-            | BoundRowsViolated
-            | BoundPagesViolated
-            | BoundPassesViolated
-            | DegenerateInterval => Severity::Error,
-            NonLinearRecursion | UnreachableNode | DeadViewCycle | DuplicateColumn
-            | EmptyProjection | IoDrift | CpuDrift | RowsDrift | FixIterationsDrift
-            | FixDeltaMassDrift | SpillDrift | BreakerOverBudget | FixProvablyEmpty => {
-                Severity::Warn
-            }
-            UnusedVariable | CartesianProduct | LinearRecursion | NoPropagatedColumns
-            | UnmatchedOperator | DeadComputedColumn | FixKeySpaceUnbounded => Severity::Note,
-        }
+        self.facts().1
+    }
+
+    /// One-line description of what the check enforces.
+    pub fn describe(&self) -> &'static str {
+        self.facts().2
     }
 
     /// All codes the engine can emit, in code order.
@@ -321,69 +296,10 @@ impl LintCode {
             BoundRowsViolated,
             BoundPagesViolated,
             BoundPassesViolated,
-            DeadComputedColumn,
             FixKeySpaceUnbounded,
             FixProvablyEmpty,
             DegenerateInterval,
         ]
-    }
-
-    /// One-line description of what the check enforces.
-    pub fn describe(&self) -> &'static str {
-        use LintCode::*;
-        match self {
-            UnboundVariable => "variable used but never bound by a tree label",
-            UnknownName => "arc references a name the graph does not define",
-            DuplicateVariable => "variable bound twice in one predicate node",
-            BadLabel => "tree label names an attribute the input type lacks",
-            UnsafeRecursion => "recursive name with no non-recursive alternative",
-            NonLinearRecursion => "alternative consumes its own name twice",
-            UnreachableNode => "produced name unreachable from the answer",
-            DeadViewCycle => "dependency cycle the answer never consumes",
-            MutualRecursion => "two names consume each other",
-            UnusedVariable => "bound variable is never used",
-            CartesianProduct => "multi-input node with no connecting conjunct",
-            LinearRecursion => "name is linearly recursive",
-            FixBodyNotUnion => "Fix body is not a Union",
-            FixNoRecursiveLeg => "no leg of the fixpoint references the temporary",
-            FixNoBaseLeg => "every leg of the fixpoint references the temporary",
-            BadIjStep => "IJ/PIJ step unusable on its input",
-            BadIndex => "operator names a missing or wrong-kind index",
-            ProjDropsNeeded => "projection drops a column consumed upstream",
-            UnionShapeMismatch => "union legs produce different columns",
-            IllTypedPredicate => "expression does not type-check over its columns",
-            UndefinedTemp => "temporary referenced outside a defining scope",
-            DuplicateColumn => "join duplicates a column name",
-            EmptyProjection => "projection onto zero columns",
-            NoPropagatedColumns => "fixpoint propagates no columns (nothing pushable)",
-            NegativeCardinality => "negative or NaN cardinality estimate",
-            NonFiniteCost => "negative, NaN or infinite cost estimate",
-            SelectivityOutOfRange => "selection estimated to grow its input",
-            IoDrift => "predicted page accesses drift beyond tolerance from observed",
-            CpuDrift => "predicted evaluations drift beyond tolerance from observed",
-            RowsDrift => "predicted cardinality drifts beyond tolerance from observed rows",
-            UnmatchedOperator => "cost-breakdown node without an observed counterpart",
-            FixIterationsDrift => {
-                "modeled fixpoint iteration count drifts from the observed passes"
-            }
-            FixDeltaMassDrift => "modeled fixpoint delta mass drifts from the observed curve",
-            SpillDrift => "modeled spill-cliff side disagrees with observed spill evictions",
-            PhysOpIds => "physical operator ids not dense and unique",
-            PhysColsMismatch => "physical operator columns disagree with operands",
-            PhysBadPerm => "union/fixpoint permutation does not map operand columns",
-            PhysBadIndex => "physical operator names a missing or wrong-kind index",
-            PhysUndefinedTemp => "temp scanned outside a defining fixpoint",
-            PhysBadRescan => "nested-loop rescan over a non-rescannable inner",
-            PhysBadEntity => "entity scan references an entity out of range",
-            BreakerOverBudget => "breaker footprint exceeds the memory budget (expect spill)",
-            BoundRowsViolated => "observed row counter escapes its static interval",
-            BoundPagesViolated => "observed page-access counter escapes its static interval",
-            BoundPassesViolated => "fixpoint exceeded its static semi-naive pass bound",
-            DeadComputedColumn => "computed projection column never consumed upstream",
-            FixKeySpaceUnbounded => "fixpoint key space unbounded; termination rests on the cap",
-            FixProvablyEmpty => "fixpoint base leg provably empty",
-            DegenerateInterval => "analysis derived a degenerate interval (lo > hi or NaN)",
-        }
     }
 }
 

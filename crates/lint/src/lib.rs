@@ -31,7 +31,7 @@ mod graph;
 mod phys;
 mod plan;
 
-pub use cost::{lint_breaker_budget, lint_cost_figures, lint_plan_cost, lint_selection_rows};
+pub use cost::{lint_breaker_budget, lint_plan_cost};
 pub use diag::{Diagnostic, LintCode, LintReport, Severity};
 pub use drift::{
     lint_drift, lint_fix_drift, lint_spill_drift, DriftTolerance, ObservedFix, ObservedOp,

@@ -458,6 +458,12 @@ fn report_renders_codes_and_severities() {
         assert!(!code.code().is_empty());
         assert!(!code.describe().is_empty());
     }
+    let ids: std::collections::BTreeSet<&str> = LintCode::all().iter().map(|c| c.code()).collect();
+    assert_eq!(
+        ids.len(),
+        LintCode::all().len(),
+        "two codes share a short code"
+    );
 }
 
 // ---- physical-plan pass ---------------------------------------------
@@ -931,7 +937,7 @@ fn cost_figures_flag_degenerate_estimates() {
         rows: -3.0,
         breakdown: vec![node_cost(0, "Sel", 10.0, 5.0, f64::NAN)],
     };
-    let report = crate::lint_cost_figures(&pc);
+    let report = crate::cost::lint_cost_figures(&pc);
     assert!(report.has(LintCode::NegativeCardinality), "{report}");
     assert!(report.has(LintCode::NonFiniteCost), "{report}");
     assert!(!report.is_clean());
@@ -941,15 +947,15 @@ fn cost_figures_flag_degenerate_estimates() {
         rows: 3.0,
         breakdown: vec![node_cost(0, "Sel", 10.0, 5.0, 3.0)],
     };
-    assert!(crate::lint_cost_figures(&pc).is_clean());
+    assert!(crate::cost::lint_cost_figures(&pc).is_clean());
 }
 
 #[test]
 fn selection_growing_its_input_is_reported() {
     let mut report = LintReport::new();
-    crate::lint_selection_rows(100.0, 100.0, &mut report);
+    crate::cost::lint_selection_rows(100.0, 100.0, &mut report);
     assert!(report.diagnostics.is_empty(), "equal rows are fine");
-    crate::lint_selection_rows(120.0, 100.0, &mut report);
+    crate::cost::lint_selection_rows(120.0, 100.0, &mut report);
     assert!(report.has(LintCode::SelectivityOutOfRange), "{report}");
 }
 

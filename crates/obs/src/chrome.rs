@@ -17,7 +17,7 @@
 //! [`Recorder::add_span`]: crate::Recorder::add_span
 
 use crate::json::Json;
-use crate::recorder::{FieldValue, Span, Trace};
+use crate::recorder::{FieldValue, Span, Trace, SCHEMA_NAME, SCHEMA_VERSION};
 use std::collections::BTreeMap;
 
 /// Process id used for every emitted trace event.
@@ -188,8 +188,8 @@ impl Trace {
             (
                 "otherData".into(),
                 Json::Obj(vec![
-                    ("schema".into(), Json::Str(crate::SCHEMA_NAME.into())),
-                    ("version".into(), Json::Num(crate::SCHEMA_VERSION as f64)),
+                    ("schema".into(), Json::Str(SCHEMA_NAME.into())),
+                    ("version".into(), Json::Num(SCHEMA_VERSION as f64)),
                 ]),
             ),
         ]);
@@ -243,21 +243,18 @@ pub fn check_chrome_trace(src: &str) -> Result<ChromeSummary, String> {
         .and_then(|o| o.get("schema"))
         .and_then(Json::as_str)
         .ok_or("missing `otherData.schema` tag")?;
-    if schema != crate::SCHEMA_NAME {
-        return Err(format!(
-            "schema drift: `{schema}` != `{}`",
-            crate::SCHEMA_NAME
-        ));
+    if schema != SCHEMA_NAME {
+        return Err(format!("schema drift: `{schema}` != `{}`", SCHEMA_NAME));
     }
     let version = doc
         .get("otherData")
         .and_then(|o| o.get("version"))
         .and_then(Json::as_num)
         .ok_or("missing `otherData.version` tag")?;
-    if version != crate::SCHEMA_VERSION as f64 {
+    if version != SCHEMA_VERSION as f64 {
         return Err(format!(
             "schema drift: version {version} != {}",
-            crate::SCHEMA_VERSION
+            SCHEMA_VERSION
         ));
     }
 

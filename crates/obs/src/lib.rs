@@ -41,9 +41,7 @@ pub use metrics::{
     Counter, CounterHandle, Histogram, HistogramHandle, HistogramSnapshot, MetricsRegistry,
     MetricsSnapshot,
 };
-pub use recorder::{
-    Event, FieldValue, Fields, Recorder, Span, SpanId, Trace, SCHEMA_NAME, SCHEMA_VERSION,
-};
+pub use recorder::{Event, FieldValue, Fields, Recorder, Span, SpanId, Trace};
 pub use search::search_space_table;
 
 #[cfg(test)]

@@ -48,7 +48,7 @@ const MAX_BOUND: u64 = 600_000_000_000;
 /// times ~1.3, rounded up (and forced strictly increasing, so the small
 /// bounds are exact consecutive integers until the geometric step
 /// exceeds 1).
-pub fn bucket_bounds() -> &'static [u64] {
+pub(crate) fn bucket_bounds() -> &'static [u64] {
     static BOUNDS: OnceLock<Vec<u64>> = OnceLock::new();
     BOUNDS.get_or_init(|| {
         let mut bounds = Vec::with_capacity(96);
@@ -185,7 +185,7 @@ impl Histogram {
 
     /// Non-empty `(upper_bound, cumulative_count)` pairs in bound order
     /// (the overflow bucket's bound is `u64::MAX`), for expositions.
-    pub fn cumulative_buckets(&self) -> Vec<(u64, u64)> {
+    pub(crate) fn cumulative_buckets(&self) -> Vec<(u64, u64)> {
         let bounds = bucket_bounds();
         let mut out = Vec::new();
         let mut cum = 0u64;

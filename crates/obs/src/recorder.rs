@@ -5,9 +5,9 @@ use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 /// JSONL schema identifier (the header line's `schema` field).
-pub const SCHEMA_NAME: &str = "oorq-trace";
+pub(crate) const SCHEMA_NAME: &str = "oorq-trace";
 /// JSONL schema version; bump on any incompatible layout change.
-pub const SCHEMA_VERSION: u64 = 1;
+pub(crate) const SCHEMA_VERSION: u64 = 1;
 
 /// A span identifier: 1-based index into [`Trace::spans`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -163,7 +163,7 @@ impl Trace {
     }
 
     /// Spans whose parent is `parent` (`None`: roots), in order.
-    pub fn children_of(&self, parent: Option<SpanId>) -> Vec<&Span> {
+    pub(crate) fn children_of(&self, parent: Option<SpanId>) -> Vec<&Span> {
         self.spans.iter().filter(|s| s.parent == parent).collect()
     }
 

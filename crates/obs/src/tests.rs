@@ -1,8 +1,6 @@
 use crate::json::Json;
-use crate::{
-    check_chrome_trace, search_space_table, FieldValue, Recorder, SpanId, Trace, SCHEMA_NAME,
-    SCHEMA_VERSION,
-};
+use crate::recorder::{SCHEMA_NAME, SCHEMA_VERSION};
+use crate::{check_chrome_trace, search_space_table, FieldValue, Recorder, SpanId, Trace};
 
 fn sample_trace() -> Trace {
     let rec = Recorder::new();

@@ -22,10 +22,10 @@
 use std::fmt::Debug;
 
 /// The 64-bit FNV offset basis.
-pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+pub(crate) const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 
 /// The 64-bit FNV prime, 2^40 + 2^8 + 0xb3.
-pub const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+pub(crate) const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
 /// A 64-bit FNV-1a accumulator with framed write helpers.
 #[derive(Debug, Clone)]
@@ -71,7 +71,7 @@ impl Fnv64 {
     /// rendering's byte length. Derived `Debug` output is injective per
     /// type (strings are quoted and escaped), and the length prefix
     /// keeps adjacent fields from bleeding into each other.
-    pub fn write_debug<T: Debug>(&mut self, v: &T) {
+    pub(crate) fn write_debug<T: Debug>(&mut self, v: &T) {
         self.write_str(&format!("{v:?}"));
     }
 
@@ -79,13 +79,6 @@ impl Fnv64 {
     pub fn finish(&self) -> u64 {
         self.0
     }
-}
-
-/// Convenience: the framed FNV-1a hash of one string.
-pub fn fnv64_str(s: &str) -> u64 {
-    let mut h = Fnv64::new();
-    h.write_str(s);
-    h.finish()
 }
 
 #[cfg(test)]

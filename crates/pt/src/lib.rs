@@ -19,10 +19,9 @@ mod resolved;
 
 pub use analysis::propagated_columns;
 pub use error::PtError;
-pub use fingerprint::{fnv64_str, Fnv64, FNV_OFFSET, FNV_PRIME};
+pub use fingerprint::Fnv64;
 pub use node::{
-    pij_out_classes, subtrees, type_of_column_expr, AccessMethod, IjStep, JoinAlgo, Preorder, Pt,
-    PtDisplay, PtEnv,
+    subtrees, type_of_column_expr, AccessMethod, IjStep, JoinAlgo, Preorder, Pt, PtDisplay, PtEnv,
 };
 pub use phys::{
     applicable_join_indexes, applicable_sel_index, fix_recursive_nodes, lit_value, lower,

@@ -106,7 +106,7 @@ pub(crate) fn entity_desc(physical: &PhysicalSchema, id: EntityId) -> Result<&En
 
 /// Classes bound by the outputs of a `PIJ` over `index`: output `i`
 /// holds the objects step `i` of the index's path references.
-pub fn pij_out_classes(
+pub(crate) fn pij_out_classes(
     catalog: &Catalog,
     physical: &PhysicalSchema,
     index: IndexId,
@@ -474,7 +474,7 @@ impl Pt {
     }
 
     /// The subtree at a child-index path (empty path = self).
-    pub fn at_path(&self, path: &[usize]) -> Option<&Pt> {
+    pub(crate) fn at_path(&self, path: &[usize]) -> Option<&Pt> {
         let mut cur = self;
         for &i in path {
             cur = *cur.children().get(i)?;
@@ -654,7 +654,7 @@ impl<'p> Preorder<'p> {
     }
 
     /// The id a child-index path leads to from `id` ([`Pt::at_path`]).
-    pub fn at_path(&self, id: usize, path: &[usize]) -> usize {
+    pub(crate) fn at_path(&self, id: usize, path: &[usize]) -> usize {
         let step = |at, &i| {
             self.kids(at)
                 .nth(i)

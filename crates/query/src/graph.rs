@@ -36,7 +36,7 @@ impl NameRef {
 
     /// The row/object type this name denotes. Derived names are resolved
     /// by the owning [`QueryGraph`].
-    pub fn base_type(&self, catalog: &Catalog) -> Option<ResolvedType> {
+    pub(crate) fn base_type(&self, catalog: &Catalog) -> Option<ResolvedType> {
         match self {
             NameRef::Class(c) => Some(ResolvedType::Object(*c)),
             NameRef::Relation(r) => Some(ResolvedType::Tuple(catalog.relation(*r).fields.clone())),
@@ -96,14 +96,6 @@ pub struct SpjNode {
     pub out_proj: Vec<(String, Expr)>,
 }
 
-impl SpjNode {
-    /// All variables bound in the tree labels of the incoming arcs
-    /// (excluding root variables).
-    pub fn label_vars(&self) -> Vec<String> {
-        self.inputs.iter().flat_map(|a| a.label.vars()).collect()
-    }
-}
-
 /// A term producing a name node. Original query graphs contain only
 /// `Spj`; the optimizer's `rewrite` step introduces `Union` and `Fix`.
 #[derive(Debug, Clone, PartialEq)]
@@ -137,7 +129,7 @@ impl GraphTerm {
     }
 
     /// Mutable variant of [`GraphTerm::spjs`].
-    pub fn spjs_mut(&mut self) -> Vec<&mut SpjNode> {
+    pub(crate) fn spjs_mut(&mut self) -> Vec<&mut SpjNode> {
         let mut out = Vec::new();
         fn walk<'a>(t: &'a mut GraphTerm, out: &mut Vec<&'a mut SpjNode>) {
             match t {
@@ -328,7 +320,7 @@ impl QueryGraph {
 
     /// The variable typing environment of an SPJ node: root variables plus
     /// every variable bound in its tree labels.
-    pub fn binding_env(
+    pub(crate) fn binding_env(
         &self,
         catalog: &Catalog,
         spj: &SpjNode,
@@ -634,11 +626,6 @@ impl ViewRegistry {
     /// Register the defining predicate nodes of a view.
     pub fn define(&mut self, view: RelationId, nodes: Vec<SpjNode>) {
         self.defs.insert(view, nodes);
-    }
-
-    /// The definition of a view, if registered.
-    pub fn definition(&self, view: RelationId) -> Option<&[SpjNode]> {
-        self.defs.get(&view).map(Vec::as_slice)
     }
 
     /// Splice the definitions of every referenced view into the graph

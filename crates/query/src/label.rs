@@ -59,7 +59,7 @@ impl TreeLabel {
     }
 
     /// Add an attribute child with a subtree (no variable).
-    pub fn attr_tree(mut self, attr: impl Into<String>, tree: TreeLabel) -> Self {
+    pub(crate) fn attr_tree(mut self, attr: impl Into<String>, tree: TreeLabel) -> Self {
         self.children.push(TreeChild {
             attr: Some(attr.into()),
             var: None,
@@ -74,16 +74,6 @@ impl TreeLabel {
             attr: None,
             var: None,
             tree,
-        });
-        self
-    }
-
-    /// Add an element step binding a variable at a leaf.
-    pub fn elem_var(mut self, var: impl Into<String>) -> Self {
-        self.children.push(TreeChild {
-            attr: None,
-            var: Some(var.into()),
-            tree: TreeLabel::leaf(),
         });
         self
     }
@@ -153,7 +143,7 @@ impl TreeLabel {
     /// open a fresh branch, so independently grafted paths make
     /// independent member choices. Identical full paths should be grafted
     /// once and their variable reused by the caller.
-    pub fn graft_path(
+    pub(crate) fn graft_path(
         &mut self,
         catalog: &Catalog,
         ty: &ResolvedType,

@@ -19,7 +19,7 @@ pub use error::QueryError;
 pub use expr::{bind_path, CmpOp, Expr, Literal};
 pub use graph::{expr_type, GraphTerm, NameRef, QArc, QueryGraph, SpjNode, ViewRegistry};
 pub use label::{TreeChild, TreeLabel};
-pub use parse::{parse_program, parse_query, ParseError, ParsedProgram};
+pub use parse::{parse_query, ParseError, ParsedProgram};
 
 #[cfg(test)]
 mod tests;

@@ -75,7 +75,7 @@ pub fn parse_query(catalog: &Catalog, src: &str) -> Result<QueryGraph, ParseErro
 }
 
 /// Parse a program without expanding views.
-pub fn parse_program(catalog: &Catalog, src: &str) -> Result<ParsedProgram, ParseError> {
+pub(crate) fn parse_program(catalog: &Catalog, src: &str) -> Result<ParsedProgram, ParseError> {
     let tokens = lex(src)?;
     let mut p = Parser {
         catalog,

@@ -103,7 +103,7 @@ fn normalization_shares_identical_paths() {
     );
     q.normalize(&cat).unwrap();
     let spj = q.nodes[0].1.spjs()[0];
-    let vars = spj.label_vars();
+    let vars: Vec<String> = spj.inputs.iter().flat_map(|a| a.label.vars()).collect();
     assert_eq!(vars.len(), 1, "one shared variable, got {vars:?}");
 }
 
@@ -192,7 +192,16 @@ fn bad_label_step_rejected() {
                 name: NameRef::Class(composer),
                 var: Some("x".into()),
                 // `name` is text: an element step cannot apply.
-                label: TreeLabel::leaf().attr_tree("name", TreeLabel::leaf().elem_var("bad")),
+                label: TreeLabel::leaf().attr_tree(
+                    "name",
+                    TreeLabel {
+                        children: vec![TreeChild {
+                            attr: None,
+                            var: Some("bad".into()),
+                            tree: TreeLabel::leaf(),
+                        }],
+                    },
+                ),
             }],
             pred: Expr::True,
             out_proj: vec![("a".into(), Expr::var("x"))],

@@ -90,13 +90,6 @@ pub struct RelationCat {
     pub kind: ViewKind,
 }
 
-impl RelationCat {
-    /// Index of the named field.
-    pub fn field_index(&self, name: &str) -> Option<usize> {
-        self.fields.iter().position(|(n, _)| n == name)
-    }
-}
-
 /// A validated conceptual schema.
 #[derive(Debug, Clone)]
 pub struct Catalog {
@@ -152,7 +145,7 @@ impl Catalog {
     }
 
     /// True iff `sub` equals `sup` or is a (transitive) subclass of it.
-    pub fn is_subclass_of(&self, sub: ClassId, sup: ClassId) -> bool {
+    pub(crate) fn is_subclass_of(&self, sub: ClassId, sup: ClassId) -> bool {
         let mut cur = Some(sub);
         while let Some(c) = cur {
             if c == sup {

@@ -119,7 +119,6 @@ fn view_kind_is_recorded() {
     let inf = cat.relation_by_name("Influencer").unwrap();
     assert_eq!(cat.relation(play).kind, ViewKind::Stored);
     assert_eq!(cat.relation(inf).kind, ViewKind::View);
-    assert_eq!(cat.relation(inf).field_index("gen"), Some(2));
 }
 
 #[test]

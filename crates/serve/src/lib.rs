@@ -1,7 +1,6 @@
 //! The multi-session serving layer: concurrent read sessions over
-//! copy-on-write database snapshots, prepared queries, and a
-//! fingerprint-keyed LRU plan cache invalidated by the CX00x drift
-//! lints.
+//! copy-on-write database snapshots and a fingerprint-keyed LRU plan
+//! cache invalidated by the CX00x drift lints.
 //!
 //! This is the amortization layer the paper's premise asks for:
 //! cost-controlled optimization is worth its price when an optimized

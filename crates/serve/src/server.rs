@@ -23,7 +23,7 @@
 //! under the fresh statistics. A hit reads no operator counter, so it
 //! executes through [`Executor::answer`], which takes none.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::time::Instant;
@@ -76,8 +76,6 @@ pub enum ServeError {
     Optimize(oorq_core::OptError),
     /// Execution failed.
     Exec(ExecError),
-    /// `execute_prepared` named an unknown prepared query.
-    UnknownPrepared(String),
 }
 
 impl std::fmt::Display for ServeError {
@@ -86,7 +84,6 @@ impl std::fmt::Display for ServeError {
             ServeError::Parse(e) => write!(f, "parse error: {e}"),
             ServeError::Optimize(e) => write!(f, "optimization failed: {e}"),
             ServeError::Exec(e) => write!(f, "execution failed: {e}"),
-            ServeError::UnknownPrepared(name) => write!(f, "unknown prepared query `{name}`"),
         }
     }
 }
@@ -190,7 +187,6 @@ impl Server {
             id,
             db,
             state: ExecState::default(),
-            prepared: HashMap::new(),
             exec: self.config.exec.clone(),
         }
     }
@@ -227,7 +223,7 @@ impl Server {
     /// Re-collect statistics from the live data (the stale-statistics
     /// half of the invalidation contract; the eviction half happens at
     /// the cache).
-    pub fn recalibrate(&self) {
+    pub(crate) fn recalibrate(&self) {
         let fresh = DbStats::collect(&self.db);
         *self.stats_mut() = fresh;
         self.series.recalibrations.inc();
@@ -303,15 +299,6 @@ pub fn query_key(text: &str) -> u64 {
     h.finish()
 }
 
-/// A prepared query: translated (parsed and canonicalized) once,
-/// executed many times by key.
-#[derive(Debug, Clone)]
-struct PreparedQuery {
-    graph: Arc<QueryGraph>,
-    text: Arc<str>,
-    key: u64,
-}
-
 /// One client's connection to a [`Server`]: a private database
 /// snapshot, private breaker temporaries, private execution
 /// configuration — and the shared plan cache.
@@ -320,7 +307,6 @@ pub struct Session<'s> {
     id: u64,
     db: Database,
     state: ExecState,
-    prepared: HashMap<String, PreparedQuery>,
     exec: ExecConfig,
 }
 
@@ -336,42 +322,7 @@ impl<'s> Session<'s> {
         self.exec = exec;
     }
 
-    /// Parse, translate and register a query under a name; subsequent
-    /// [`Session::execute_prepared`] calls skip parsing and
-    /// canonicalization entirely.
-    pub fn prepare(&mut self, name: &str, src: &str) -> Result<(), ServeError> {
-        let graph = parse_query(self.db.catalog(), src).map_err(ServeError::Parse)?;
-        self.prepare_graph(name, graph);
-        Ok(())
-    }
-
-    /// Register an already-built query graph under a name (the
-    /// programmatic twin of [`Session::prepare`]).
-    pub fn prepare_graph(&mut self, name: &str, graph: QueryGraph) {
-        let text = canonical_text(&graph);
-        let key = query_key(&text);
-        self.prepared.insert(
-            name.to_string(),
-            PreparedQuery {
-                graph: Arc::new(graph),
-                text: text.into(),
-                key,
-            },
-        );
-    }
-
-    /// Execute a previously prepared query.
-    pub fn execute_prepared(&mut self, name: &str) -> Result<Answer, ServeError> {
-        let p = self
-            .prepared
-            .get(name)
-            .cloned()
-            .ok_or_else(|| ServeError::UnknownPrepared(name.to_string()))?;
-        self.run(p.key, &p.text, &p.graph)
-    }
-
-    /// Execute a query given as source text (parsed per call; prefer
-    /// [`Session::prepare`] for repeated queries).
+    /// Execute a query given as source text (parsed per call).
     pub fn execute_text(&mut self, src: &str) -> Result<Answer, ServeError> {
         let graph = parse_query(self.db.catalog(), src).map_err(ServeError::Parse)?;
         self.execute(&graph)
@@ -542,10 +493,7 @@ impl<'s> Session<'s> {
 
 impl std::fmt::Debug for Session<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Session")
-            .field("id", &self.id)
-            .field("prepared", &self.prepared.len())
-            .finish()
+        f.debug_struct("Session").field("id", &self.id).finish()
     }
 }
 

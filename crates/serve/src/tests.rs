@@ -72,30 +72,19 @@ fn warm_cold_cache_pattern_and_counters() {
 }
 
 #[test]
-fn prepared_queries_share_the_cache() {
+fn a_second_session_hits_the_plan_the_first_optimized() {
     let server = chain_server(40);
     let q = chain_graph(&server, 6);
 
-    let mut s1 = server.session();
-    let mut s2 = server.session();
-    s1.prepare_graph("chain", q.clone());
-    s2.prepare_graph("chain", q.clone());
-
-    let a1 = s1.execute_prepared("chain").unwrap();
+    let a1 = server.session().execute(&q).unwrap();
     assert_eq!(a1.cache, CacheOutcome::Miss);
-    // The second session hits the plan the first one optimized, and an
-    // ad-hoc execution of the same graph maps to the same key.
-    let a2 = s2.execute_prepared("chain").unwrap();
+    let a2 = server.session().execute(&q).unwrap();
     assert_eq!(a2.cache, CacheOutcome::Hit);
-    let a3 = s2.execute(&q).unwrap();
-    assert_eq!(a3.cache, CacheOutcome::Hit);
+    assert_eq!(a1.plan_fingerprint, a2.plan_fingerprint);
     assert_eq!(rendered(&a1.batch.rows), rendered(&a2.batch.rows));
-    assert_eq!(rendered(&a1.batch.rows), rendered(&a3.batch.rows));
-
-    assert!(matches!(
-        s1.execute_prepared("nope"),
-        Err(ServeError::UnknownPrepared(_))
-    ));
+    let m = server.metrics();
+    assert_eq!(m.counter("serve.cache.misses").get(), 1);
+    assert_eq!(m.counter("serve.cache.hits").get(), 1);
 }
 
 #[test]

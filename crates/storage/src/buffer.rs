@@ -163,7 +163,7 @@ impl BufferManager {
         self.obs = obs;
     }
 
-    /// Attach a metrics registry: every later [`BufferManager::publish`]
+    /// Attach a metrics registry: every later `BufferManager::publish`
     /// adds what the counters moved to its `storage.*` series. What was
     /// counted before the call is not the new registry's to report.
     pub fn set_metrics(&mut self, registry: &oorq_obs::MetricsRegistry) {
@@ -175,7 +175,7 @@ impl BufferManager {
     /// series of whatever was counted since the last call. Called where an
     /// account comes to rest — a run checking it back in, and before the
     /// counters are zeroed.
-    pub fn publish(&mut self) {
+    pub(crate) fn publish(&mut self) {
         let unpublished = (self.stats - self.published).series();
         self.published = self.stats;
         for (series, (_, n)) in self.metrics.iter().zip(unpublished) {
@@ -187,7 +187,7 @@ impl BufferManager {
     /// breaker memory budget (0 = unbounded), sharing this one's recorder
     /// and series: a database keeps one as the stand-in while a run has
     /// its account checked out.
-    pub fn fork(&self, frames: usize, temp_budget: usize) -> BufferManager {
+    pub(crate) fn fork(&self, frames: usize, temp_budget: usize) -> BufferManager {
         BufferManager {
             obs: self.obs.clone(),
             metrics: self.metrics.clone(),
@@ -207,7 +207,7 @@ impl BufferManager {
     }
 
     /// The breaker memory budget in pages (0 = unbounded).
-    pub fn temp_budget(&self) -> usize {
+    pub(crate) fn temp_budget(&self) -> usize {
         self.temp_budget
     }
 
@@ -334,7 +334,7 @@ impl BufferManager {
 
     /// Drop every resident page of an entity (e.g. when a temporary is
     /// cleared between fixpoint iterations).
-    pub fn invalidate_entity(&mut self, entity: EntityId) {
+    pub(crate) fn invalidate_entity(&mut self, entity: EntityId) {
         // Back to front: the frame a drop moves down was looked at already.
         for i in (0..self.frames.len()).rev() {
             if self.frames[i].page.entity == entity {
@@ -354,7 +354,7 @@ impl BufferManager {
     }
 
     /// Reset counters (keeps residency); the series get them first.
-    pub fn reset_stats(&mut self) {
+    pub(crate) fn reset_stats(&mut self) {
         self.publish();
         (self.stats, self.published) = Default::default();
     }

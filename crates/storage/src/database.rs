@@ -236,7 +236,7 @@ impl Database {
     // ------------------------------------------------------------------
 
     /// Positions (attr ids) of the stored attributes of a class.
-    pub fn stored_layout(&self, class: ClassId) -> Vec<AttrId> {
+    pub(crate) fn stored_layout(&self, class: ClassId) -> Vec<AttrId> {
         self.catalog
             .class(class)
             .attrs
@@ -506,7 +506,7 @@ impl Database {
     /// refused: its second lock would wait for the first; so is a
     /// temporary whose last writer panicked, until it is truncated). The
     /// rows are borrowed, and each copy refills a record a truncation
-    /// emptied before it allocates one ([`Segment::append_copy`]). A
+    /// emptied before it allocates one (`Segment::append_copy`). A
     /// page write is charged to `io` whenever an append starts a new page.
     /// A segment nobody else holds — no snapshot, no scan still open, no
     /// page still lent out — is written in place; otherwise it is copied
@@ -626,14 +626,6 @@ impl Database {
         }
     }
 
-    /// Fetch (and charge to `io`) one page of an entity and lend out its
-    /// records. Returns `None` past the last page.
-    pub fn scan_page(&self, io: &Account, entity: EntityId, page: u32) -> Option<PageRows> {
-        // No entity has a page `u32::MAX`: its page *count* is a `u32`.
-        self.scan_pages(entity, page..page.saturating_add(1))
-            .next_page(io)
-    }
-
     /// Scan a whole entity, fetching every page (convenience).
     pub fn scan(&self, io: &Account, entity: EntityId) -> Vec<Row> {
         let mut pages = self.scan_pages(entity, 0..u32::MAX);
@@ -716,8 +708,10 @@ impl Database {
     }
 
     /// Read a whole object (assembling vertical fragments), charging `io`
-    /// a page fetch per fragment touched.
-    pub fn read_object(&self, io: &Account, oid: Oid) -> Result<Vec<Value>, StorageError> {
+    /// a page fetch per fragment touched (the oracle `touch_object` is
+    /// tested against).
+    #[cfg(test)]
+    pub(crate) fn read_object(&self, io: &Account, oid: Oid) -> Result<Vec<Value>, StorageError> {
         let mut values = Vec::new();
         self.fetch_object(io, oid, |attrs, row| match attrs {
             None => values = row.values.clone(),
@@ -731,8 +725,8 @@ impl Database {
         Ok(values)
     }
 
-    /// Pay for an object without reading it: the page fetches (and the
-    /// errors) of [`Database::read_object`], in its order, nothing copied.
+    /// Pay for an object without reading it: a page fetch per fragment
+    /// holding a part of it, in layout order, nothing copied.
     pub fn touch_object(&self, io: &Account, oid: Oid) -> Result<(), StorageError> {
         self.fetch_object(io, oid, |_, _| {})
     }
@@ -812,7 +806,7 @@ impl Database {
 
     /// Whether an entity is a temporary (breaker state whose pages count
     /// against the breaker memory budget).
-    pub fn is_temp_entity(&self, entity: EntityId) -> bool {
+    pub(crate) fn is_temp_entity(&self, entity: EntityId) -> bool {
         self.physical.entity(entity).source == EntitySource::Temporary
     }
 

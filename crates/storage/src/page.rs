@@ -39,7 +39,7 @@ impl Default for WidthModel {
 
 impl WidthModel {
     /// Estimated width in bytes of a value of the given type.
-    pub fn type_width(&self, ty: &ResolvedType) -> usize {
+    pub(crate) fn type_width(&self, ty: &ResolvedType) -> usize {
         match ty {
             ResolvedType::Atomic(a) => match a {
                 oorq_schema::AtomicType::Int | oorq_schema::AtomicType::Float => 8,
@@ -55,12 +55,12 @@ impl WidthModel {
     }
 
     /// Estimated record width for a record with the given field types.
-    pub fn record_width(&self, fields: &[ResolvedType]) -> usize {
+    pub(crate) fn record_width(&self, fields: &[ResolvedType]) -> usize {
         8 + fields.iter().map(|t| self.type_width(t)).sum::<usize>()
     }
 
     /// Records that fit on one page (at least 1).
-    pub fn records_per_page(&self, fields: &[ResolvedType]) -> u32 {
+    pub(crate) fn records_per_page(&self, fields: &[ResolvedType]) -> u32 {
         (self.page_size / self.record_width(fields)).max(1) as u32
     }
 

@@ -158,7 +158,7 @@ impl PhysicalSchema {
     }
 
     /// Register an entity; its `id` field is assigned here.
-    pub fn add_entity(
+    pub(crate) fn add_entity(
         &mut self,
         name: impl Into<String>,
         source: EntitySource,
@@ -195,7 +195,7 @@ impl PhysicalSchema {
     /// Remove an entity from its class/relation lookup (it keeps its
     /// descriptor but no longer implements the extension — used when a
     /// decomposition supersedes the original home entity).
-    pub fn deactivate_entity(&mut self, id: EntityId) {
+    pub(crate) fn deactivate_entity(&mut self, id: EntityId) {
         for v in self
             .class_entities
             .iter_mut()

@@ -40,7 +40,7 @@ const NO_RECORD: u32 = u32::MAX;
 ///
 /// A temporary is emptied and refilled once per fixpoint pass and once per
 /// request: [`Segment::truncate`] keeps the emptied records' value vectors,
-/// and [`Segment::append_copy`] refills them before it allocates one.
+/// and `Segment::append_copy` refills them before it allocates one.
 #[derive(Debug)]
 pub struct Segment {
     field_types: Vec<ResolvedType>,
@@ -77,7 +77,7 @@ impl Segment {
     /// New empty segment with an explicit records-per-page (used when the
     /// stored width differs from the full record shape, e.g. computed
     /// attributes occupy a slot but no bytes).
-    pub fn with_rpp(field_types: Vec<ResolvedType>, rows_per_page: u32) -> Self {
+    pub(crate) fn with_rpp(field_types: Vec<ResolvedType>, rows_per_page: u32) -> Self {
         Segment {
             field_types,
             rows: Vec::new(),
@@ -93,7 +93,7 @@ impl Segment {
     }
 
     /// Replace the values of the record at a physical position.
-    pub fn replace_values(&mut self, pos: u32, values: Vec<Value>) {
+    pub(crate) fn replace_values(&mut self, pos: u32, values: Vec<Value>) {
         if let Some(row) = self.rows.get_mut(pos as usize) {
             row.values = values;
         }
@@ -105,7 +105,7 @@ impl Segment {
     }
 
     /// Records per page.
-    pub fn rows_per_page(&self) -> u32 {
+    pub(crate) fn rows_per_page(&self) -> u32 {
         self.rows_per_page
     }
 
@@ -136,35 +136,30 @@ impl Segment {
     /// Append a copy of `values` under `key`, in a value vector a
     /// truncation left behind if there is one. Returns its physical
     /// position.
-    pub fn append_copy(&mut self, key: u32, values: &[Value]) -> u32 {
+    pub(crate) fn append_copy(&mut self, key: u32, values: &[Value]) -> u32 {
         let mut copy = self.spare.pop().unwrap_or_default();
         copy.extend_from_slice(values);
         self.append(Row { key, values: copy })
     }
 
     /// Physical position of the record with the given key.
-    pub fn position_of(&self, key: u32) -> Option<u32> {
+    pub(crate) fn position_of(&self, key: u32) -> Option<u32> {
         let pos = self.position.get(key as usize).copied();
         pos.filter(|&pos| pos != NO_RECORD)
     }
 
     /// The page of a physical position.
-    pub fn page_of_position(&self, pos: u32) -> u32 {
+    pub(crate) fn page_of_position(&self, pos: u32) -> u32 {
         pos / self.rows_per_page
     }
 
     /// Record at a physical position.
-    pub fn row_at(&self, pos: u32) -> Option<&Row> {
+    pub(crate) fn row_at(&self, pos: u32) -> Option<&Row> {
         self.rows.get(pos as usize)
     }
 
-    /// Record by key.
-    pub fn row_by_key(&self, key: u32) -> Option<&Row> {
-        self.position_of(key).and_then(|p| self.row_at(p))
-    }
-
     /// Records of one page, with their physical positions.
-    pub fn page_rows(&self, page: u32) -> &[Row] {
+    pub(crate) fn page_rows(&self, page: u32) -> &[Row] {
         let start = (page * self.rows_per_page) as usize;
         let end = (start + self.rows_per_page as usize).min(self.rows.len());
         if start >= self.rows.len() {
@@ -186,7 +181,7 @@ impl Segment {
     }
 
     /// Remove all records, keeping their emptied value vectors for
-    /// [`Segment::append_copy`] to refill.
+    /// `Segment::append_copy` to refill.
     pub fn truncate(&mut self) {
         let emptied = self.rows.drain(..).map(|mut row| {
             row.values.clear();
@@ -248,7 +243,7 @@ mod tests {
         assert_eq!(s.num_pages(), 3);
         assert_eq!(s.position_of(7), Some(7));
         assert_eq!(s.page_of_position(7), 1);
-        assert_eq!(s.row_by_key(9).unwrap().values[0], Value::Int(9));
+        assert_eq!(s.row_at(9).unwrap().values[0], Value::Int(9));
         assert_eq!(s.page_rows(2).len(), 2);
         assert_eq!(s.page_rows(5).len(), 0);
     }
@@ -265,7 +260,8 @@ mod tests {
         s.shuffle(42);
         // Every key still resolves to its record.
         for k in 0..32u32 {
-            assert_eq!(s.row_by_key(k).unwrap().values[0], Value::Int(k as i64));
+            let pos = s.position_of(k).unwrap();
+            assert_eq!(s.row_at(pos).unwrap().values[0], Value::Int(k as i64));
         }
         // And the order actually changed.
         let order: Vec<u32> = s.iter().map(|r| r.key).collect();
@@ -298,7 +294,7 @@ mod tests {
         let mut refilled: Vec<*const Value> = s.iter().map(|r| r.values.as_ptr()).collect();
         refilled.reverse();
         assert_eq!(refilled, buffers, "the last emptied row is refilled first");
-        assert_eq!(s.row_by_key(2).unwrap().values, vec![Value::Int(12)]);
+        assert_eq!(s.row_at(2).unwrap().values, vec![Value::Int(12)]);
 
         s.truncate();
         let copy = s.clone();

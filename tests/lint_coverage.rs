@@ -10,7 +10,7 @@ use oorq::optimizer::OptimizerConfig;
 use oorq::pt::Pt;
 use oorq::query::Expr;
 use oorq::storage::DbStats;
-use oorq_analysis::{check_observed, dead_columns, Analysis, Analyzer, ObservedFix, ObservedOp};
+use oorq_analysis::{check_observed, Analysis, Analyzer, ObservedFix, ObservedOp};
 use oorq_bench::scenarios::{fig7_config, TempFields};
 use oorq_bench::{Knobs, Scenario};
 use oorq_lint::LintCode;
@@ -124,44 +124,6 @@ fn ab003_fixpoint_passes_escaping_bound_are_flagged() {
         iterations: passes.hi as u64,
     };
     assert!(check_observed(&analysis, &[], &[observed]).is_clean());
-}
-
-/// AB004: a computed projection column no ancestor ever reads is dead
-/// work; a plain column rename is not flagged.
-#[test]
-fn ab004_dead_computed_column_is_flagged() {
-    let chain = ChainDb::generate(ChainConfig {
-        relations: 1,
-        rows: 4,
-        domain: 8,
-        seed: 0xAB004,
-    });
-    let r0 = chain
-        .db
-        .catalog()
-        .relation_by_name("R0")
-        .expect("chain relation R0");
-    let e = chain.db.physical().entities_of_relation(r0)[0];
-    let inner = Pt::proj(
-        vec![
-            ("a".to_string(), Expr::var("x.a")),
-            // Computed (a path step, not a rename) and never read above.
-            ("dead".to_string(), Expr::path("x", &["b"])),
-            // A plain rename is never dead *work*, so never flagged.
-            ("alias".to_string(), Expr::var("x.b")),
-        ],
-        Pt::entity(e, "x"),
-    );
-    let plan = Pt::proj(vec![("out".to_string(), Expr::var("a"))], inner);
-    let report = dead_columns(&plan);
-    assert!(
-        report.has(LintCode::DeadComputedColumn),
-        "{}",
-        report.render()
-    );
-    assert_eq!(report.codes().len(), 1, "only AB004: {}", report.render());
-    assert!(report.render().contains("`dead`"));
-    assert!(!report.render().contains("`alias`"));
 }
 
 /// AB005: the fig3 fixpoint accumulates a string-typed column, so its
