@@ -50,6 +50,14 @@ if grep -nE '\]\.concat\(\)|vec!\[Value::|\.iter\(\)\.cloned\(\)\.chain\(' crate
     exit 1
 fi
 
+echo "== a query is written once, as OQL text (a query graph assembled outside the parser and Figure 2 fails) =="
+if grep -nF 'SpjNode {' $(nontest src crates/*/src examples | grep -vE '^crates/query/src/(parse|paper)\.rs$') |
+    grep -vF 'struct SpjNode {'; then
+    echo "write the query as text beside its schema (oorq_query::paper, oorq_datagen) and read it with" \
+        "oorq_query::parse_query: only the parser and Figure 2 (whose tree label no text states) build an SpjNode" >&2
+    exit 1
+fi
+
 echo "== cargo test =="
 cargo test -q --workspace
 

@@ -10,7 +10,7 @@ use oorq_core::{OptimizerConfig, SpjStrategy};
 use oorq_cost::paper_mode::{CostRow, Sym};
 use oorq_cost::CostParams;
 use oorq_datagen::{ChainConfig, MusicConfig};
-use oorq_query::paper::{fig2_query, fig3_query, influencer_view, music_catalog};
+use oorq_query::paper::{fig2_query, fig3_query, music_catalog};
 use oorq_query::QueryGraph;
 
 use crate::scenarios::{fig7_config, Knobs, Scenario};
@@ -83,8 +83,7 @@ pub(crate) fn fig2_report(_: &Args) -> Result<String, String> {
 /// Figure 3: the recursive query over the `Influencer` view.
 pub(crate) fn fig3_report(_: &Args) -> Result<String, String> {
     let cat = music_catalog();
-    let mut q = fig3_query(&cat);
-    influencer_view(&cat).expand(&mut q, &cat).unwrap();
+    let q = fig3_query(&cat);
     q.validate(&cat).expect("figure 3 must validate");
     Ok(format!(
         "=== Figure 3: a recursive query (P3 + Influencer view P1, P2) ===\n{}\n",

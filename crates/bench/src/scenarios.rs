@@ -14,15 +14,15 @@ use oorq_analysis::{Analysis, Analyzer};
 use oorq_core::{Optimized, Optimizer, OptimizerConfig};
 use oorq_cost::{CostModel, CostParams};
 use oorq_datagen::{
-    contains_view, parts_catalog, ChainConfig, ChainDb, MusicConfig, MusicDb, PartsConfig, PartsDb,
+    parts_catalog, ChainConfig, ChainDb, MusicConfig, MusicDb, PartsConfig, PartsDb,
 };
 use oorq_exec::{Batch, ExecConfig, ExecReport, Executor, MethodRegistry};
 use oorq_index::{IndexSet, PathIndex, SelectionIndex};
 use oorq_obs::{MetricsRegistry, Recorder};
 use oorq_prng::Prng;
 use oorq_pt::{PhysPlan, Pt, PtEnv, PtError};
-use oorq_query::paper::{fig3_query_gen, influencer_view, music_catalog, sec45_pushjoin_query};
-use oorq_query::{Expr, NameRef, QArc, QueryGraph, SpjNode};
+use oorq_query::paper::{fig3_query, fig3_query_gen, music_catalog, sec45_pushjoin_query};
+use oorq_query::QueryGraph;
 use oorq_schema::ResolvedType;
 use oorq_storage::{Database, DbStats};
 
@@ -188,53 +188,24 @@ impl Scenario {
     /// The Figure 3 query (`gen >= 6`) with the `Influencer` view
     /// expanded.
     pub fn fig3(&self) -> QueryGraph {
-        self.fig3_gen(6)
+        fig3_query(self.db.catalog())
     }
 
     /// Figure 3 with a custom generation bound (so tiny databases can
     /// have non-empty answers).
     pub fn fig3_gen(&self, gen: i64) -> QueryGraph {
-        let cat = self.db.catalog();
-        let mut q = fig3_query_gen(cat, gen);
-        influencer_view(cat).expand(&mut q, cat).unwrap();
-        q
+        fig3_query_gen(self.db.catalog(), gen)
     }
 
     /// The §4.5 push-join query with the view expanded.
     pub fn pushjoin(&self) -> QueryGraph {
-        let cat = self.db.catalog();
-        let mut q = sec45_pushjoin_query(cat);
-        influencer_view(cat).expand(&mut q, cat).unwrap();
-        q
+        sec45_pushjoin_query(self.db.catalog())
     }
 
-    /// The recursive parts bill-of-materials query ("components of
-    /// `asm0` heavier than 40, with their unit test cost"), with the
-    /// `Contains` view expanded.
+    /// The recursive parts bill-of-materials query with the `Contains`
+    /// view expanded.
     pub fn parts_query(&self) -> QueryGraph {
-        let cat = self.db.catalog();
-        let contains = cat.relation_by_name("Contains").expect("parts schema");
-        let mut q = QueryGraph::new(NameRef::Derived("Answer".into()));
-        q.add_spj(
-            NameRef::Derived("Answer".into()),
-            SpjNode {
-                inputs: vec![QArc::new(NameRef::Relation(contains), "k")],
-                pred: Expr::path("k", &["assembly", "name"])
-                    .eq(Expr::text("asm0"))
-                    .and(Expr::path("k", &["component", "weight"]).ge(Expr::int(40))),
-                out_proj: vec![
-                    ("component".into(), Expr::path("k", &["component", "name"])),
-                    (
-                        "cost".into(),
-                        Expr::path("k", &["component", "unit_test_cost"]),
-                    ),
-                ],
-            },
-        );
-        contains_view(cat)
-            .expand(&mut q, cat)
-            .expect("parts view must expand");
-        q
+        oorq_datagen::parts_query(self.db.catalog())
     }
 
     /// The k-way chain join bounded on the head relation.

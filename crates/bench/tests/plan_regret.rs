@@ -13,6 +13,7 @@ use oorq_bench::{Knobs, Scenario};
 use oorq_core::OptimizerConfig;
 use oorq_datagen::MusicConfig;
 use oorq_exec::eval_query_graph;
+use oorq_query::paper::fig3;
 use oorq_query::{parse_query, QueryGraph};
 
 /// Executed cost (`pr` = 1, `ev` = 0.05, cold cache) of the
@@ -51,29 +52,11 @@ fn regret(s: &mut Scenario, q: &QueryGraph, what: &str) -> f64 {
     costs[0] / cheapest
 }
 
-/// The benchmark's hot text: the Figure 3 query over the `Influencer`
-/// view, as OQL.
-fn hot_text(instrument: &str, gen: u32) -> String {
-    format!(
-        "view Influencer as
-           select [master: x.master, disciple: x, gen: 1]
-           from x in Composer
-           where x.master <> null
-           union
-           select [master: i.master, disciple: x, gen: i.gen + 1]
-           from i in Influencer, x in Composer
-           where i.disciple = x.master;
-         select [name: i.disciple.name]
-         from i in Influencer
-         where i.master.works.instruments.name = \"{instrument}\" and i.gen >= {gen}"
-    )
-}
-
 /// Rows the instrument selection of the unpushed plan pulls and keeps:
 /// how often the literal is reached through `works.instruments` from
 /// the masters the generation bound admits.
 fn selected(s: &mut Scenario, instrument: &str, gen: u32) -> (u64, u64) {
-    let q = parse_query(s.db.catalog(), &hot_text(instrument, gen)).expect(instrument);
+    let q = parse_query(s.db.catalog(), &fig3(instrument, gen.into())).expect(instrument);
     let knobs = Knobs::default();
     let (plan, _) = s
         .plan(&q, OptimizerConfig::never_push(), &knobs)
@@ -133,7 +116,7 @@ fn the_cost_controlled_plan_is_the_cheapest_that_runs_at_the_benchmarks_scales()
         for instrument in ["harpsichord", "flute"] {
             for gen in 3..=6 {
                 let what = format!("{chains}0 composers, {instrument}, gen >= {gen}");
-                let q = parse_query(s.db.catalog(), &hot_text(instrument, gen)).expect(&what);
+                let q = parse_query(s.db.catalog(), &fig3(instrument, gen.into())).expect(&what);
                 let ratio = regret(&mut s, &q, &what);
                 assert!(ratio <= 1.15, "{what}: regret {ratio:.3}");
             }

@@ -94,13 +94,12 @@ pub fn rewrite(graph: &mut QueryGraph, sink: &mut Decisions) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use oorq_query::paper::{fig3_query, influencer_view, music_catalog};
+    use oorq_query::paper::{fig3_query, music_catalog};
 
     #[test]
     fn rewrite_makes_union_and_fix_explicit() {
         let cat = music_catalog();
         let mut q = fig3_query(&cat);
-        influencer_view(&cat).expand(&mut q, &cat).unwrap();
         assert_eq!(q.nodes.len(), 3);
         let mut sink = Decisions::default();
         rewrite(&mut q, &mut sink);

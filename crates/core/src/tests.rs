@@ -9,7 +9,7 @@ use oorq_exec::{eval_query_graph, Executor, MethodRegistry};
 use oorq_index::{IndexSet, PathIndex, SelectionIndex};
 use oorq_pt::{propagated_columns, Pt};
 use oorq_query::paper::{
-    fig2_query, fig3_query, influencer_view, music_catalog, sec45_pushjoin_query,
+    fig2_query, fig3, fig3_query, fig3_query_gen, music_catalog, sec45_pushjoin_query,
 };
 use oorq_query::{Expr, NameRef, QArc, QueryGraph, SpjNode};
 use oorq_storage::DbStats;
@@ -37,30 +37,7 @@ fn setup(cfg: MusicConfig) -> (MusicDb, IndexSet, DbStats) {
 }
 
 fn fig3_graph(m: &MusicDb) -> QueryGraph {
-    let cat = m.db.catalog();
-    let mut q = fig3_query(cat);
-    influencer_view(cat).expand(&mut q, cat).unwrap();
-    q
-}
-
-/// Figure 3 with a reachable generation bound (tiny test databases have
-/// short chains).
-fn fig3_graph_gen(m: &MusicDb, gen: i64) -> QueryGraph {
-    let cat = m.db.catalog();
-    let influencer = cat.relation_by_name("Influencer").unwrap();
-    let mut q = QueryGraph::new(NameRef::Derived("Answer".into()));
-    q.add_spj(
-        NameRef::Derived("Answer".into()),
-        SpjNode {
-            inputs: vec![QArc::new(NameRef::Relation(influencer), "i")],
-            pred: Expr::path("i", &["master", "works", "instruments", "name"])
-                .eq(Expr::text("harpsichord"))
-                .and(Expr::path("i", &["gen"]).ge(Expr::int(gen))),
-            out_proj: vec![("name".into(), Expr::path("i", &["disciple", "name"]))],
-        },
-    );
-    influencer_view(cat).expand(&mut q, cat).unwrap();
-    q
+    fig3_query(m.db.catalog())
 }
 
 fn optimizer<'a>(m: &'a MusicDb, stats: &'a DbStats, config: OptimizerConfig) -> Optimizer<'a> {
@@ -107,7 +84,7 @@ fn fig3_recursive_query_output_matches_reference() {
         harpsichord_fraction: 0.7,
         ..Default::default()
     });
-    let q = fig3_graph_gen(&m, 2);
+    let q = fig3_query_gen(m.db.catalog(), 2);
     let methods = MethodRegistry::new();
     let reference = eval_query_graph(&m.db, &methods, &q).unwrap();
     assert!(
@@ -222,12 +199,7 @@ fn pushjoin_query_pushes_selective_join() {
         chain_len: 8,
         ..Default::default()
     });
-    let q = {
-        let cat = m.db.catalog();
-        let mut q = sec45_pushjoin_query(cat);
-        influencer_view(cat).expand(&mut q, cat).unwrap();
-        q
-    };
+    let q = sec45_pushjoin_query(m.db.catalog());
     let unpushed = {
         let mut o = optimizer(&m, &stats, OptimizerConfig::never_push());
         o.optimize(&q).unwrap()
@@ -268,12 +240,7 @@ fn pushjoin_execution_matches_reference_both_ways() {
         chain_len: 5,
         ..Default::default()
     });
-    let q = {
-        let cat = m.db.catalog();
-        let mut q = sec45_pushjoin_query(cat);
-        influencer_view(cat).expand(&mut q, cat).unwrap();
-        q
-    };
+    let q = sec45_pushjoin_query(m.db.catalog());
     let methods = MethodRegistry::new();
     let reference = eval_query_graph(&m.db, &methods, &q).unwrap();
     assert!(!reference.is_empty(), "Bach's chain has disciples");
@@ -460,7 +427,7 @@ fn always_push_executes_correctly_too() {
         harpsichord_fraction: 0.7,
         ..Default::default()
     });
-    let q = fig3_graph_gen(&m, 2);
+    let q = fig3_query_gen(m.db.catalog(), 2);
     let methods = MethodRegistry::new();
     let reference = eval_query_graph(&m.db, &methods, &q).unwrap();
     let plan = {
@@ -668,35 +635,14 @@ fn neighbours_enumerate_join_and_access_moves() {
 }
 
 #[test]
-fn parsed_program_optimizes_like_hand_built() {
+fn parsed_program_optimizes() {
     let (m, _idx, stats) = setup(MusicConfig::default());
     let cat = m.db.catalog();
-    let src = r#"
-        view Influencer as
-          select [master: x.master, disciple: x, gen: 1]
-          from x in Composer where x.master <> null
-          union
-          select [master: i.master, disciple: x, gen: i.gen + 1]
-          from i in Influencer, x in Composer where i.disciple = x.master;
-        select [name: i.disciple.name]
-        from i in Influencer
-        where i.master.works.instruments.name = "harpsichord" and i.gen >= 6
-    "#;
-    let q_parsed = oorq_query::parse::parse_query(cat, src).unwrap();
-    let q_built = fig3_graph(&m);
-    let params = CostParams::default();
-    let a = {
-        let mut o = optimizer(&m, &stats, OptimizerConfig::never_push());
-        o.optimize(&q_parsed).unwrap().cost.total(&params)
-    };
-    let b = {
-        let mut o = optimizer(&m, &stats, OptimizerConfig::never_push());
-        o.optimize(&q_built).unwrap().cost.total(&params)
-    };
-    assert!(
-        (a - b).abs() < 1e-6,
-        "parsed and hand-built plans must cost the same: {a} vs {b}"
-    );
+    let q = oorq_query::parse_query(cat, &fig3("harpsichord", 6)).unwrap();
+    q.validate(cat).unwrap();
+    let mut o = optimizer(&m, &stats, OptimizerConfig::never_push());
+    let cost = o.optimize(&q).unwrap().cost.total(&CostParams::default());
+    assert!(cost.is_finite() && cost > 0.0, "parsed plan costs {cost}");
 }
 
 /// `Proj(EJ_{l.master = r}(Union(Sel(l), Sel(l)), right))`: an explicit
@@ -816,13 +762,7 @@ fn distribute_join_over_union_preserves_semantics() {
 fn transformation_moves_preserve_lint_cleanliness_and_columns() {
     let (m, _idx, stats) = setup(MusicConfig::default());
     let cat = m.db.catalog();
-    let mut queries = vec![fig3_graph(&m)];
-    {
-        let mut q = sec45_pushjoin_query(cat);
-        influencer_view(cat).expand(&mut q, cat).unwrap();
-        queries.push(q);
-    }
-    for q in queries {
+    for q in [fig3_graph(&m), sec45_pushjoin_query(cat)] {
         let plan = {
             let mut opt = optimizer(&m, &stats, OptimizerConfig::never_push());
             opt.optimize(&q).unwrap()
@@ -1013,8 +953,7 @@ fn proven_prunes_are_per_incumbent_and_cost_rejections_are_for_good() {
         ..Default::default()
     });
     let cat = m.db.catalog();
-    let mut q = sec45_pushjoin_query(cat);
-    influencer_view(cat).expand(&mut q, cat).unwrap();
+    let q = sec45_pushjoin_query(cat);
     let config = OptimizerConfig {
         rand: None,
         ..OptimizerConfig::cost_controlled()

@@ -8,7 +8,7 @@
 use std::sync::Arc;
 
 use oorq_prng::Prng;
-use oorq_query::{Expr, NameRef, QArc, QueryGraph, SpjNode, ViewRegistry};
+use oorq_query::{parse_query, QueryGraph};
 use oorq_schema::{Catalog, Field, RelationDef, SchemaBuilder, TypeExpr};
 use oorq_storage::{Database, StorageConfig, Value, WidthModel};
 
@@ -61,50 +61,28 @@ pub(crate) fn chain_catalog(k: usize) -> Catalog {
     b.build().expect("chain schema must validate")
 }
 
-/// The chain join `Ri.b = R(i+1).a` over all `k` relations of a
-/// [`chain_catalog`], restricted by `bound`, projecting `out_proj`.
-fn chain_join(
-    catalog: &Catalog,
-    k: usize,
-    bound: Expr,
-    out_proj: Vec<(String, Expr)>,
-) -> QueryGraph {
-    let mut inputs = Vec::new();
-    for i in 0..k {
-        let rel = catalog
-            .relation_by_name(&format!("R{i}"))
-            .expect("chain schema");
-        inputs.push(QArc::new(NameRef::Relation(rel), format!("r{i}")));
+/// The chain join `Ri.b = R(i+1).a` over every relation of a
+/// [`chain_catalog`], restricted by `bound` and selecting the fields
+/// `select`, written as OQL text and parsed.
+fn parsed_chain(catalog: &Catalog, bound: &str, select: &str) -> QueryGraph {
+    let k = catalog.relations().len();
+    let from: Vec<String> = (0..k).map(|i| format!("r{i} in R{i}")).collect();
+    let mut pred = bound.to_string();
+    for i in 1..k {
+        pred += &format!(" and r{}.b = r{i}.a", i - 1);
     }
-    let mut pred = bound;
-    for i in 0..k - 1 {
-        pred = pred
-            .and(Expr::path(format!("r{i}"), &["b"]).eq(Expr::path(format!("r{}", i + 1), &["a"])));
-    }
-    let mut q = QueryGraph::new(NameRef::Derived("Answer".into()));
-    q.add_spj(
-        NameRef::Derived("Answer".into()),
-        SpjNode {
-            inputs,
-            pred,
-            out_proj,
-        },
-    );
-    q
+    let text = format!("select [{select}]\nfrom {}\nwhere {pred}", from.join(", "));
+    parse_query(catalog, &text).expect("the chain queries parse over the chain schema")
 }
 
 /// The k-way chain-join query over a `chain_catalog`:
 /// `select R0.a, R(k-1).b where Ri.b = R(i+1).a, R0.a < limit`.
 pub fn chain_query(catalog: &Catalog, limit: i64) -> QueryGraph {
-    let k = catalog.relations().len();
-    chain_join(
+    let last = catalog.relations().len() - 1;
+    parsed_chain(
         catalog,
-        k,
-        Expr::path("r0", &["a"]).lt(Expr::int(limit)),
-        vec![
-            ("first".into(), Expr::path("r0", &["a"])),
-            ("last".into(), Expr::path(format!("r{}", k - 1), &["b"])),
-        ],
+        &format!("r0.a < {limit}"),
+        &format!("first: r0.a, last: r{last}.b"),
     )
 }
 
@@ -113,13 +91,8 @@ pub fn chain_query(catalog: &Catalog, limit: i64) -> QueryGraph {
 /// head relations first and drags huge intermediates down the chain,
 /// while a cost-based optimizer starts from the filtered tail.
 pub fn selective_tail_query(catalog: &Catalog, limit: i64) -> QueryGraph {
-    let k = catalog.relations().len();
-    chain_join(
-        catalog,
-        k,
-        Expr::path(format!("r{}", k - 1), &["b"]).lt(Expr::int(limit)),
-        vec![("first".into(), Expr::path("r0", &["a"]))],
-    )
+    let last = catalog.relations().len() - 1;
+    parsed_chain(catalog, &format!("r{last}.b < {limit}"), "first: r0.a")
 }
 
 impl ChainDb {
@@ -152,16 +125,6 @@ impl ChainDb {
         }
         ChainDb { db, names, config }
     }
-
-    /// [`chain_query`] over this database's catalog.
-    pub fn chain_query(&self, limit: i64) -> QueryGraph {
-        chain_query(self.db.catalog(), limit)
-    }
-
-    /// [`selective_tail_query`] over this database's catalog.
-    pub fn selective_tail_query(&self, limit: i64) -> QueryGraph {
-        selective_tail_query(self.db.catalog(), limit)
-    }
 }
 
 /// Build the transitive-closure schema: a stored `Edge [a, b]` relation
@@ -185,6 +148,19 @@ pub fn closure_catalog() -> Catalog {
         .build()
         .expect("closure schema must validate")
 }
+
+/// The full transitive closure of a [`closure_catalog`] as OQL text:
+/// `Path = Edge ∪ (Path ⋈ Edge on Path.b = Edge.a)`, answering every
+/// path endpoint pair.
+pub const CLOSURE_TEXT: &str = "view Path as
+  select [a: e.a, b: e.b]
+  from e in Edge
+  union
+  select [a: p.a, b: e.b]
+  from p in Path, e in Edge
+  where p.b = e.a;
+select [a: t.a, b: t.b]
+from t in Path";
 
 /// Configuration of the transitive-closure generator.
 #[derive(Debug, Clone)]
@@ -231,51 +207,10 @@ impl ClosureDb {
         n * n.saturating_sub(1) / 2
     }
 
-    /// The full transitive-closure query: `Path = Edge ∪ (Path ⋈
-    /// Edge on Path.b = Edge.a)`, answering every path endpoint pair.
+    /// The full transitive-closure query, [`CLOSURE_TEXT`] parsed with
+    /// its view expanded.
     pub fn closure_query(&self) -> QueryGraph {
-        let catalog = self.db.catalog();
-        let edge = catalog.relation_by_name("Edge").expect("closure schema");
-        let path = catalog.relation_by_name("Path").expect("closure schema");
-        let mut reg = ViewRegistry::new();
-        reg.define(
-            path,
-            vec![
-                SpjNode {
-                    inputs: vec![QArc::new(NameRef::Relation(edge), "e")],
-                    pred: Expr::True,
-                    out_proj: vec![
-                        ("a".into(), Expr::path("e", &["a"])),
-                        ("b".into(), Expr::path("e", &["b"])),
-                    ],
-                },
-                SpjNode {
-                    inputs: vec![
-                        QArc::new(NameRef::Relation(path), "p"),
-                        QArc::new(NameRef::Relation(edge), "e"),
-                    ],
-                    pred: Expr::path("p", &["b"]).eq(Expr::path("e", &["a"])),
-                    out_proj: vec![
-                        ("a".into(), Expr::path("p", &["a"])),
-                        ("b".into(), Expr::path("e", &["b"])),
-                    ],
-                },
-            ],
-        );
-        let mut q = QueryGraph::new(NameRef::Derived("Answer".into()));
-        q.add_spj(
-            NameRef::Derived("Answer".into()),
-            SpjNode {
-                inputs: vec![QArc::new(NameRef::Relation(path), "t")],
-                pred: Expr::True,
-                out_proj: vec![
-                    ("a".into(), Expr::path("t", &["a"])),
-                    ("b".into(), Expr::path("t", &["b"])),
-                ],
-            },
-        );
-        reg.expand(&mut q, catalog).expect("Path view must expand");
-        q
+        parse_query(self.db.catalog(), CLOSURE_TEXT).expect("the closure parses")
     }
 }
 
@@ -302,7 +237,7 @@ mod tests {
             ..Default::default()
         });
         assert_eq!(c.names.len(), 3);
-        let q = c.chain_query(10);
+        let q = chain_query(c.db.catalog(), 10);
         q.validate(c.db.catalog()).unwrap();
         let rel = c.db.catalog().relation_by_name("R1").unwrap();
         let e = c.db.physical().entities_of_relation(rel)[0];

@@ -13,10 +13,10 @@ pub mod parts;
 
 pub use chain::{
     chain_query, closure_catalog, selective_tail_query, ChainConfig, ChainDb, ClosureConfig,
-    ClosureDb,
+    ClosureDb, CLOSURE_TEXT,
 };
 pub use music::{MusicConfig, MusicDb};
-pub use parts::{contains_view, parts_catalog, PartsConfig, PartsDb};
+pub use parts::{parts_catalog, parts_query, PartsConfig, PartsDb, CONTAINS_VIEW};
 
 #[cfg(test)]
 mod tests;

@@ -6,7 +6,7 @@
 use std::sync::Arc;
 
 use oorq_prng::Prng;
-use oorq_query::{Expr, NameRef, QArc, SpjNode, ViewRegistry};
+use oorq_query::{parse_query, QueryGraph};
 use oorq_schema::{
     AttrId, AttributeDef, Catalog, ClassDef, ClassId, Field, RelationDef, SchemaBuilder, TypeExpr,
 };
@@ -46,49 +46,29 @@ pub fn parts_catalog() -> Catalog {
 }
 
 /// The recursive definition of the `Contains` view of
-/// [`parts_catalog`] (membership is the existential equality of a
-/// comparison over a collection-valued path):
-///
-/// ```text
-/// relation Contains
-///   includes (select [assembly: p, component: s, depth: 1]
-///             from p in Part, s in Part where s in p.subparts)
-///   union    (select [assembly: c.assembly, component: s, depth: c.depth+1]
-///             from c in Contains, s in Part where s in c.component.subparts)
-/// ```
-pub fn contains_view(catalog: &Catalog) -> ViewRegistry {
-    let part = catalog.class_by_name("Part").expect("parts schema");
-    let contains = catalog.relation_by_name("Contains").expect("parts schema");
-    let base = SpjNode {
-        inputs: vec![
-            QArc::new(NameRef::Class(part), "p"),
-            QArc::new(NameRef::Class(part), "s"),
-        ],
-        pred: Expr::path("p", &["subparts"]).eq(Expr::var("s")),
-        out_proj: vec![
-            ("assembly".into(), Expr::var("p")),
-            ("component".into(), Expr::var("s")),
-            ("depth".into(), Expr::int(1)),
-        ],
-    };
-    let rec = SpjNode {
-        inputs: vec![
-            QArc::new(NameRef::Relation(contains), "c"),
-            QArc::new(NameRef::Class(part), "s"),
-        ],
-        pred: Expr::path("c", &["component", "subparts"]).eq(Expr::var("s")),
-        out_proj: vec![
-            ("assembly".into(), Expr::path("c", &["assembly"])),
-            ("component".into(), Expr::var("s")),
-            (
-                "depth".into(),
-                Expr::path("c", &["depth"]).add(Expr::int(1)),
-            ),
-        ],
-    };
-    let mut reg = ViewRegistry::new();
-    reg.define(contains, vec![base, rec]);
-    reg
+/// [`parts_catalog`] as OQL text, prepended to every query over it
+/// (membership is the existential equality of a comparison over a
+/// collection-valued path).
+pub const CONTAINS_VIEW: &str = "view Contains as
+  select [assembly: p, component: s, depth: 1]
+  from p in Part, s in Part
+  where p.subparts = s
+  union
+  select [assembly: c.assembly, component: s, depth: c.depth + 1]
+  from c in Contains, s in Part
+  where c.component.subparts = s;
+";
+
+/// The recursive bill-of-materials query ("components of `asm0`
+/// heavier than 40, with their unit test cost") over a
+/// [`parts_catalog`], with the `Contains` view expanded.
+pub fn parts_query(catalog: &Catalog) -> QueryGraph {
+    let text = format!(
+        "{CONTAINS_VIEW}select [component: k.component.name, cost: k.component.unit_test_cost]
+from k in Contains
+where k.assembly.name = \"asm0\" and k.component.weight >= 40"
+    );
+    parse_query(catalog, &text).expect("the parts query parses over the parts schema")
 }
 
 /// Configuration of the parts generator.
@@ -234,13 +214,5 @@ impl PartsDb {
     /// Total number of parts.
     pub fn part_count(&self) -> u32 {
         self.db.object_count(self.part)
-    }
-
-    /// The `Contains` view declaration.
-    pub fn contains_view(&self) -> oorq_schema::RelationId {
-        self.db
-            .catalog()
-            .relation_by_name("Contains")
-            .expect("parts schema")
     }
 }

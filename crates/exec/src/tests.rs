@@ -5,7 +5,7 @@ use std::sync::Arc;
 use oorq_datagen::{MusicConfig, MusicDb};
 use oorq_index::{IndexSet, PathIndex, SelectionIndex};
 use oorq_pt::Pt;
-use oorq_query::paper::{fig3_query, influencer_view, music_catalog};
+use oorq_query::paper::{fig3_query, fig3_query_gen, music_catalog};
 use oorq_query::Expr;
 use oorq_storage::Value;
 
@@ -319,7 +319,6 @@ fn fixpoint_then_selection_matches_reference_evaluator() {
     let cat = m.db.catalog_rc();
     // Reference: the Figure 3 query over the expanded Influencer view.
     let mut q = fig3_query(&cat);
-    influencer_view(&cat).expand(&mut q, &cat).unwrap();
     q.normalize(&cat).unwrap();
     let methods = MethodRegistry::new();
     let reference = eval_query_graph(&m.db, &methods, &q).unwrap();
@@ -390,22 +389,7 @@ fn fig3_with_reachable_generation_matches_reference() {
     let mut m = fig3_music();
     let cat = m.db.catalog_rc();
     // Like Figure 3 but gen >= 3 so the answer is non-empty.
-    let influencer = cat.relation_by_name("Influencer").unwrap();
-    let mut q = oorq_query::QueryGraph::new(oorq_query::NameRef::Derived("Answer".into()));
-    q.add_spj(
-        oorq_query::NameRef::Derived("Answer".into()),
-        oorq_query::SpjNode {
-            inputs: vec![oorq_query::QArc::new(
-                oorq_query::NameRef::Relation(influencer),
-                "i",
-            )],
-            pred: Expr::path("i", &["master", "works", "instruments", "name"])
-                .eq(Expr::text("harpsichord"))
-                .and(Expr::path("i", &["gen"]).ge(Expr::int(3))),
-            out_proj: vec![("name".into(), Expr::path("i", &["disciple", "name"]))],
-        },
-    );
-    influencer_view(&cat).expand(&mut q, &cat).unwrap();
+    let q = fig3_query_gen(&cat, 3);
     let methods = MethodRegistry::new();
     let reference = eval_query_graph(&m.db, &methods, &q).unwrap();
     assert!(!reference.is_empty(), "some disciples qualify");
@@ -536,8 +520,7 @@ fn union_aligns_columns() {
 fn reference_evaluator_handles_fig3_shape() {
     let m = small_music();
     let cat = m.db.catalog_rc();
-    let mut q = fig3_query(&cat);
-    influencer_view(&cat).expand(&mut q, &cat).unwrap();
+    let q = fig3_query(&cat);
     let methods = MethodRegistry::new();
     // Unnormalized and normalized agree.
     let a = eval_query_graph(&m.db, &methods, &q).unwrap();

@@ -613,25 +613,29 @@ fn normalize_spj(
 /// Registry of view definitions: the predicate nodes whose output is the
 /// view's relation name (e.g. the two select blocks of `Influencer`).
 #[derive(Debug, Clone, Default)]
-pub struct ViewRegistry {
+pub(crate) struct ViewRegistry {
     defs: HashMap<RelationId, Vec<SpjNode>>,
 }
 
 impl ViewRegistry {
     /// New empty registry.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Register the defining predicate nodes of a view.
-    pub fn define(&mut self, view: RelationId, nodes: Vec<SpjNode>) {
+    pub(crate) fn define(&mut self, view: RelationId, nodes: Vec<SpjNode>) {
         self.defs.insert(view, nodes);
     }
 
     /// Splice the definitions of every referenced view into the graph
     /// (transitively). Each view's nodes are added once, producing the
     /// view's relation name.
-    pub fn expand(&self, graph: &mut QueryGraph, catalog: &Catalog) -> Result<(), QueryError> {
+    pub(crate) fn expand(
+        &self,
+        graph: &mut QueryGraph,
+        catalog: &Catalog,
+    ) -> Result<(), QueryError> {
         let mut done: BTreeSet<RelationId> = BTreeSet::new();
         loop {
             let mut todo: Vec<RelationId> = Vec::new();

@@ -17,9 +17,9 @@ pub mod parse;
 
 pub use error::QueryError;
 pub use expr::{bind_path, CmpOp, Expr, Literal};
-pub use graph::{expr_type, GraphTerm, NameRef, QArc, QueryGraph, SpjNode, ViewRegistry};
+pub use graph::{expr_type, GraphTerm, NameRef, QArc, QueryGraph, SpjNode};
 pub use label::{TreeChild, TreeLabel};
-pub use parse::{parse_query, ParseError, ParsedProgram};
+pub use parse::{parse_query, ParseError};
 
 #[cfg(test)]
 mod tests;

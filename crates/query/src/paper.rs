@@ -1,14 +1,22 @@
 //! The paper's running example: the Figure 1 schema, the Figure 2 query,
 //! the `Influencer` recursive view of §2.3, and the Figure 3 query.
 //!
-//! These constructions are shared by tests, examples and the benchmark
-//! harness that regenerates the paper's figures.
+//! The queries are OQL text, read by [`parse_query`] as the server reads
+//! a request: [`INFLUENCER_VIEW`] and [`fig3`] are the texts, and each
+//! `*_query` constructor returns its text parsed, views expanded. Tests,
+//! examples and the figures of `reproduce` share them.
+//!
+//! Figure 2 alone is built by hand. Its point is its tree label: two
+//! independent `instruments` elements of one work, bound to `i1` and
+//! `i2`. A `from` clause binds only classes and relations, so no text
+//! states that label.
 
 use oorq_schema::{AttributeDef, Catalog, ClassDef, Field, RelationDef, SchemaBuilder, TypeExpr};
 
 use crate::expr::Expr;
-use crate::graph::{NameRef, QArc, QueryGraph, SpjNode, ViewRegistry};
+use crate::graph::{NameRef, QArc, QueryGraph, SpjNode};
 use crate::label::TreeLabel;
+use crate::parse::parse_query;
 
 /// Build the Figure 1 conceptual schema: `Person`, `Composer isa Person`,
 /// `Composition`, `Instrument`, the `Play` relation, plus the
@@ -102,54 +110,35 @@ pub fn fig2_query(catalog: &Catalog) -> QueryGraph {
     q
 }
 
-/// Register the §2.3 `Influencer` view:
-///
-/// ```text
-/// relation Influencer
-///   includes (select [master: x.master, disciple: x, gen: 1]
-///             from x in Composer)
-///   union    (select [master: i.master, disciple: x, gen: add1gen(i.gen)]
-///             from i in Influencer, x in Composer
-///             where i.disciple = x.master)
-/// ```
-pub fn influencer_view(catalog: &Catalog) -> ViewRegistry {
-    let composer = catalog.class_by_name("Composer").expect("music schema");
-    let influencer = catalog
-        .relation_by_name("Influencer")
-        .expect("music schema");
-    // P1: base case.
-    let p1 = SpjNode {
-        inputs: vec![QArc::new(NameRef::Class(composer), "x")],
-        pred: Expr::path("x", &["master"]).ne(Expr::Lit(crate::expr::Literal::Null)),
-        out_proj: vec![
-            ("master".into(), Expr::path("x", &["master"])),
-            ("disciple".into(), Expr::var("x")),
-            ("gen".into(), Expr::int(1)),
-        ],
-    };
-    // P2: recursive case.
-    let p2 = SpjNode {
-        inputs: vec![
-            QArc::new(NameRef::Relation(influencer), "i"),
-            QArc::new(NameRef::Class(composer), "x"),
-        ],
-        pred: Expr::path("i", &["disciple"]).eq(Expr::path("x", &["master"])),
-        out_proj: vec![
-            ("master".into(), Expr::path("i", &["master"])),
-            ("disciple".into(), Expr::var("x")),
-            ("gen".into(), Expr::path("i", &["gen"]).add(Expr::int(1))),
-        ],
-    };
-    let mut reg = ViewRegistry::new();
-    reg.define(influencer, vec![p1, p2]);
-    reg
+/// The §2.3 `Influencer` view as OQL text, prepended to every query
+/// over it: the base case P1 and the recursive case P2, whose `gen:
+/// add1gen(i.gen)` is written `i.gen + 1`.
+pub const INFLUENCER_VIEW: &str = "view Influencer as
+  select [master: x.master, disciple: x, gen: 1]
+  from x in Composer
+  where x.master <> null
+  union
+  select [master: i.master, disciple: x, gen: i.gen + 1]
+  from i in Influencer, x in Composer
+  where i.disciple = x.master;
+";
+
+/// The Figure 3 program as OQL text: P3 over the [`INFLUENCER_VIEW`],
+/// selecting the composers whose master's works include `instrument`,
+/// `gen >= min_gen` generations down.
+pub fn fig3(instrument: &str, min_gen: i64) -> String {
+    format!(
+        "{INFLUENCER_VIEW}select [name: i.disciple.name]
+from i in Influencer
+where i.master.works.instruments.name = \"{instrument}\" and i.gen >= {min_gen}"
+    )
 }
 
 /// The Figure 3 query: *"the names of the composers influenced by
 /// composers for harpsichord that lived 6 generations before"* — P3 over
 /// the `Influencer` view, with the selection on the master's instruments
 /// (the path `master.works.instruments.name`), the selection `gen >= 6`,
-/// and the projection on the disciple's name.
+/// and the projection on the disciple's name. The view is expanded.
 pub fn fig3_query(catalog: &Catalog) -> QueryGraph {
     fig3_query_gen(catalog, 6)
 }
@@ -157,44 +146,22 @@ pub fn fig3_query(catalog: &Catalog) -> QueryGraph {
 /// [`fig3_query`] with a custom generation bound `gen >= min_gen` (so
 /// tiny databases can have non-empty answers).
 pub fn fig3_query_gen(catalog: &Catalog, min_gen: i64) -> QueryGraph {
-    let influencer = catalog
-        .relation_by_name("Influencer")
-        .expect("music schema");
-    let mut q = QueryGraph::new(NameRef::Derived("Answer".into()));
-    q.add_spj(
-        NameRef::Derived("Answer".into()),
-        SpjNode {
-            inputs: vec![QArc::new(NameRef::Relation(influencer), "i")],
-            pred: Expr::path("i", &["master", "works", "instruments", "name"])
-                .eq(Expr::text("harpsichord"))
-                .and(Expr::path("i", &["gen"]).ge(Expr::int(min_gen))),
-            out_proj: vec![("name".into(), Expr::path("i", &["disciple", "name"]))],
-        },
-    );
-    q
+    parsed(catalog, &fig3("harpsichord", min_gen))
 }
 
 /// The §4.5 push-join query: *"the composers that were influenced by the
 /// masters of Bach"* — a very selective explicit join
-/// `Influencer.master = Composer.master and Composer.name = "Bach"`.
+/// `Influencer.master = Composer.master and Composer.name = "Bach"`. The
+/// view is expanded.
 pub fn sec45_pushjoin_query(catalog: &Catalog) -> QueryGraph {
-    let influencer = catalog
-        .relation_by_name("Influencer")
-        .expect("music schema");
-    let composer = catalog.class_by_name("Composer").expect("music schema");
-    let mut q = QueryGraph::new(NameRef::Derived("Answer".into()));
-    q.add_spj(
-        NameRef::Derived("Answer".into()),
-        SpjNode {
-            inputs: vec![
-                QArc::new(NameRef::Relation(influencer), "i"),
-                QArc::new(NameRef::Class(composer), "c"),
-            ],
-            pred: Expr::path("i", &["master"])
-                .eq(Expr::path("c", &["master"]))
-                .and(Expr::path("c", &["name"]).eq(Expr::text("Bach"))),
-            out_proj: vec![("name".into(), Expr::path("i", &["disciple", "name"]))],
-        },
+    let text = format!(
+        "{INFLUENCER_VIEW}select [name: i.disciple.name]
+from i in Influencer, c in Composer
+where i.master = c.master and c.name = \"Bach\""
     );
-    q
+    parsed(catalog, &text)
+}
+
+fn parsed(catalog: &Catalog, text: &str) -> QueryGraph {
+    parse_query(catalog, text).expect("the paper's queries parse over the music schema")
 }

@@ -2,6 +2,7 @@
 
 use oorq_schema::ResolvedType;
 
+use crate::graph::ViewRegistry;
 use crate::paper::*;
 use crate::*;
 
@@ -25,12 +26,20 @@ fn fig2_query_validates_and_displays() {
     );
 }
 
+/// Figure 3 before its views are expanded, and the views it names.
+fn fig3_program(cat: &oorq_schema::Catalog) -> parse::ParsedProgram {
+    parse::parse_program(cat, &fig3("harpsichord", 6)).unwrap()
+}
+
 #[test]
 fn fig3_query_with_view_expands_and_validates() {
     let cat = music_catalog();
-    let mut q = fig3_query(&cat);
-    let reg = influencer_view(&cat);
-    reg.expand(&mut q, &cat).unwrap();
+    let parse::ParsedProgram {
+        graph: mut q,
+        views,
+    } = fig3_program(&cat);
+    assert_eq!(q.nodes.len(), 1, "P3 alone before expansion");
+    views.expand(&mut q, &cat).unwrap();
     // P3 + P1 + P2
     assert_eq!(q.nodes.len(), 3);
     q.validate(&cat).unwrap();
@@ -42,14 +51,17 @@ fn fig3_query_with_view_expands_and_validates() {
 #[test]
 fn expansion_is_idempotent_and_missing_views_error() {
     let cat = music_catalog();
-    let mut q = fig3_query(&cat);
-    let reg = influencer_view(&cat);
-    reg.expand(&mut q, &cat).unwrap();
+    let parse::ParsedProgram {
+        graph: mut q,
+        views,
+    } = fig3_program(&cat);
+    let unexpanded = q.clone();
+    views.expand(&mut q, &cat).unwrap();
     let n = q.nodes.len();
-    reg.expand(&mut q, &cat).unwrap();
+    views.expand(&mut q, &cat).unwrap();
     assert_eq!(q.nodes.len(), n, "second expansion adds nothing");
 
-    let mut q2 = fig3_query(&cat);
+    let mut q2 = unexpanded;
     let err = ViewRegistry::new().expand(&mut q2, &cat).unwrap_err();
     assert_eq!(err, QueryError::UnknownView("Influencer".into()));
 }
@@ -58,7 +70,6 @@ fn expansion_is_idempotent_and_missing_views_error() {
 fn normalization_grafts_paths_and_rewrites_predicates() {
     let cat = music_catalog();
     let mut q = fig3_query(&cat);
-    influencer_view(&cat).expand(&mut q, &cat).unwrap();
     q.normalize(&cat).unwrap();
     q.validate(&cat).unwrap();
     // After normalization no path expressions remain in predicates.
@@ -111,7 +122,6 @@ fn normalization_shares_identical_paths() {
 fn binding_env_types_variables() {
     let cat = music_catalog();
     let mut q = fig3_query(&cat);
-    influencer_view(&cat).expand(&mut q, &cat).unwrap();
     q.normalize(&cat).unwrap();
     let p3 = q.nodes[0].1.spjs()[0];
     let env = q.binding_env(&cat, p3).unwrap();
@@ -126,7 +136,6 @@ fn binding_env_types_variables() {
 fn derived_name_type_inferred_from_projection() {
     let cat = music_catalog();
     let mut q = fig3_query(&cat);
-    influencer_view(&cat).expand(&mut q, &cat).unwrap();
     q.normalize(&cat).unwrap();
     let ty = q.type_of(&cat, &NameRef::Derived("Answer".into())).unwrap();
     match ty {
@@ -245,8 +254,7 @@ fn answer_must_be_produced() {
 #[test]
 fn fig3_denotation_mentions_fixpoint_inputs() {
     let cat = music_catalog();
-    let mut q = fig3_query(&cat);
-    influencer_view(&cat).expand(&mut q, &cat).unwrap();
+    let q = fig3_query(&cat);
     let s = q.display(&cat).to_string();
     assert!(s.contains("Influencer <- SPJ"), "got: {s}");
     assert!(s.contains("gen: i.gen+1"), "got: {s}");
@@ -256,7 +264,6 @@ fn fig3_denotation_mentions_fixpoint_inputs() {
 fn pushjoin_query_validates() {
     let cat = music_catalog();
     let mut q = sec45_pushjoin_query(&cat);
-    influencer_view(&cat).expand(&mut q, &cat).unwrap();
     q.normalize(&cat).unwrap();
     q.validate(&cat).unwrap();
 }

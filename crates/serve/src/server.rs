@@ -499,15 +499,8 @@ impl std::fmt::Debug for Session<'_> {
 
 #[cfg(test)]
 mod tests {
-    use std::sync::Arc;
-
-    use oorq_datagen::{MusicConfig, MusicDb};
-    use oorq_exec::MethodRegistry;
-    use oorq_index::IndexSet;
-    use oorq_query::paper::music_catalog;
-    use oorq_storage::Value;
-
     use super::*;
+    use crate::tests::{music_server, sorted};
 
     /// A session that panics holding the plan cache or the statistics poisons
     /// that lock for every session of the server. Neither poison is passed on:
@@ -516,41 +509,9 @@ mod tests {
     /// evaluator does.
     #[test]
     fn a_poisoned_lock_is_recovered_not_passed_on() {
-        const FIG3: &str = r#"view Influencer as
-          select [master: x.master, disciple: x, gen: 1]
-          from x in Composer where x.master <> null
-          union
-          select [master: i.master, disciple: x, gen: i.gen + 1]
-          from i in Influencer, x in Composer where i.disciple = x.master;
-        select [name: i.disciple.name]
-        from i in Influencer
-        where i.master.works.instruments.name = "harpsichord" and i.gen >= 2"#;
-        let music = MusicDb::generate(
-            Arc::new(music_catalog()),
-            MusicConfig {
-                chains: 3,
-                chain_len: 5,
-                harpsichord_fraction: 0.5,
-                ..Default::default()
-            },
-        );
-        let server = Server::new(
-            music.db,
-            IndexSet::new(),
-            MethodRegistry::new(),
-            ServerConfig::default(),
-        );
-        let graph = oorq_query::parse_query(server.database().catalog(), FIG3).unwrap();
-        let sorted = |mut rows: Vec<Vec<Value>>| {
-            rows.sort();
-            rows
-        };
-        let reference =
-            oorq_exec::eval_query_graph(server.database(), &MethodRegistry::new(), &graph);
-        let reference = sorted(reference.unwrap().rows);
-        assert!(!reference.is_empty());
+        let (server, text, reference) = music_server();
         assert_eq!(
-            server.session().execute_text(FIG3).unwrap().cache,
+            server.session().execute_text(&text).unwrap().cache,
             CacheOutcome::Miss
         );
 
@@ -568,7 +529,7 @@ mod tests {
         assert!(server.cache.is_poisoned() && server.stats.is_poisoned());
 
         let mut s = server.session();
-        let answer = s.execute_text(FIG3).unwrap();
+        let answer = s.execute_text(&text).unwrap();
         assert_eq!(
             answer.cache,
             CacheOutcome::Miss,
@@ -576,7 +537,7 @@ mod tests {
         );
         assert_eq!(sorted(answer.batch.rows), reference);
         assert!(!server.cache.is_poisoned() && !server.stats.is_poisoned());
-        assert_eq!(s.execute_text(FIG3).unwrap().cache, CacheOutcome::Hit);
+        assert_eq!(s.execute_text(&text).unwrap().cache, CacheOutcome::Hit);
         server.recalibrate();
         assert_eq!(server.cached_plans(), 1);
     }

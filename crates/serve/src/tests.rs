@@ -1,9 +1,12 @@
 //! Serving-layer tests: cache hit/miss patterns, concurrent-session
 //! byte-identity, and drift-lint invalidation.
 
-use oorq_datagen::{ChainConfig, ChainDb};
+use std::sync::Arc;
+
+use oorq_datagen::{chain_query, ChainConfig, ChainDb, MusicConfig, MusicDb};
 use oorq_exec::MethodRegistry;
 use oorq_index::IndexSet;
+use oorq_query::paper::{fig3, music_catalog};
 use oorq_storage::{DbStats, Value};
 
 use crate::*;
@@ -24,19 +27,7 @@ fn chain_server(rows: u32) -> Server {
 }
 
 fn chain_graph(server: &Server, limit: i64) -> oorq_query::QueryGraph {
-    // Rebuild the query against the server's catalog (the ChainDb was
-    // consumed by the server).
-    let chain = ChainDb {
-        db: server.database().snapshot(),
-        names: (0..3).map(|i| format!("R{i}")).collect(),
-        config: ChainConfig {
-            relations: 3,
-            rows: 0,
-            domain: 16,
-            seed: 7,
-        },
-    };
-    chain.chain_query(limit)
+    chain_query(server.database().catalog(), limit)
 }
 
 /// Render an answer's rows for byte-comparison.
@@ -274,4 +265,67 @@ fn a_failed_execution_parks_the_sessions_page_account() {
     let retried = s.execute_text(CLOSURE).unwrap();
     assert_eq!(retried.cache, CacheOutcome::Miss);
     assert!(retried.invalidated, "stale statistics must trip the lints");
+}
+
+/// A small music server, unindexed, and Figure 3 at `gen >= 2` with
+/// its answer from the reference evaluator, sorted.
+pub(crate) fn music_server() -> (Server, String, Vec<Vec<Value>>) {
+    let music = MusicDb::generate(
+        Arc::new(music_catalog()),
+        MusicConfig {
+            chains: 3,
+            chain_len: 5,
+            harpsichord_fraction: 0.5,
+            ..Default::default()
+        },
+    );
+    let server = Server::new(
+        music.db,
+        IndexSet::new(),
+        MethodRegistry::new(),
+        ServerConfig::default(),
+    );
+    let text = fig3("harpsichord", 2);
+    let graph = oorq_query::parse_query(server.database().catalog(), &text).unwrap();
+    let reference = oorq_exec::eval_query_graph(server.database(), &MethodRegistry::new(), &graph);
+    let reference = sorted(reference.unwrap().rows);
+    assert!(!reference.is_empty());
+    (server, text, reference)
+}
+
+pub(crate) fn sorted(mut rows: Vec<Vec<Value>>) -> Vec<Vec<Value>> {
+    rows.sort();
+    rows
+}
+
+/// A text nested past the parser's bound is refused as a parse error,
+/// not parsed until the thread's stack overflows and aborts every
+/// session. Run on a spawned thread, whose stack is the default a
+/// server's session threads get.
+#[test]
+fn a_deeply_nested_text_is_a_parse_error_not_an_abort() {
+    let (server, text, reference) = music_server();
+    let nested = |open: &str, depth: usize| {
+        format!(
+            "select [n: x.name] from x in Composer where {}x.name = \"Bach\"{}",
+            open.repeat(depth),
+            ")".repeat(depth)
+        )
+    };
+    std::thread::scope(|t| {
+        t.spawn(|| {
+            let mut s = server.session();
+            for open in ["(", "not("] {
+                let deep = nested(open, 10_000);
+                assert!(matches!(s.execute_text(&deep), Err(ServeError::Parse(_))));
+            }
+            let answer = s.execute_text(&text).unwrap();
+            assert_eq!(sorted(answer.batch.rows), reference);
+            for open in ["(", "not("] {
+                s.execute_text(&nested(open, 100)).unwrap();
+            }
+        })
+        .join()
+        .unwrap();
+    });
 }

@@ -11,31 +11,9 @@ use oorq::datagen::{MusicConfig, MusicDb};
 use oorq::exec::{Executor, MethodRegistry};
 use oorq::index::{IndexSet, PathIndex, SelectionIndex};
 use oorq::optimizer::{Optimizer, OptimizerConfig};
-use oorq::query::paper::{influencer_view, music_catalog, sec45_pushjoin_query};
-use oorq::query::{Expr, NameRef, QArc, QueryGraph, SpjNode};
+use oorq::query::paper::{fig3_query_gen, music_catalog, sec45_pushjoin_query};
+use oorq::query::QueryGraph;
 use oorq::storage::DbStats;
-
-/// Figure 3 with a configurable generation bound and filter instrument.
-fn influenced_query(catalog: &oorq::schema::Catalog, gen: i64) -> QueryGraph {
-    let influencer = catalog
-        .relation_by_name("Influencer")
-        .expect("music schema");
-    let mut q = QueryGraph::new(NameRef::Derived("Answer".into()));
-    q.add_spj(
-        NameRef::Derived("Answer".into()),
-        SpjNode {
-            inputs: vec![QArc::new(NameRef::Relation(influencer), "i")],
-            pred: Expr::path("i", &["master", "works", "instruments", "name"])
-                .eq(Expr::text("harpsichord"))
-                .and(Expr::path("i", &["gen"]).ge(Expr::int(gen))),
-            out_proj: vec![("name".into(), Expr::path("i", &["disciple", "name"]))],
-        },
-    );
-    influencer_view(catalog)
-        .expand(&mut q, catalog)
-        .expect("view registered");
-    q
-}
 
 fn run_one(
     label: &str,
@@ -95,7 +73,7 @@ fn main() {
     ));
 
     println!("Figure 3 (selection on the master's instruments, gen >= 3):");
-    let q = influenced_query(&catalog, 3);
+    let q = fig3_query_gen(&catalog, 3);
     run_one(
         "never push",
         &mut music,
@@ -119,13 +97,7 @@ fn main() {
     );
 
     println!("\n§4.5 (composers influenced by the masters of Bach — very selective join):");
-    let qj = {
-        let mut qj = sec45_pushjoin_query(&catalog);
-        influencer_view(&catalog)
-            .expand(&mut qj, &catalog)
-            .expect("view registered");
-        qj
-    };
+    let qj = sec45_pushjoin_query(&catalog);
     run_one(
         "never push",
         &mut music,

@@ -16,21 +16,13 @@ use oorq::datagen::{MusicConfig, MusicDb};
 use oorq::exec::{Executor, MethodRegistry};
 use oorq::index::{IndexSet, PathIndex, SelectionIndex};
 use oorq::optimizer::{Optimizer, OptimizerConfig};
-use oorq::query::paper::music_catalog;
+use oorq::query::paper::{music_catalog, INFLUENCER_VIEW};
 use oorq::query::parse::parse_query;
 use oorq::storage::DbStats;
 
-const DEFAULT_PROGRAM: &str = r#"
--- The paper's Figure 3, as text.
-view Influencer as
-  select [master: x.master, disciple: x, gen: 1]
-  from x in Composer
-  where x.master <> null
-  union
-  select [master: i.master, disciple: x, gen: i.gen + 1]
-  from i in Influencer, x in Composer
-  where i.disciple = x.master;
-
+/// The paper's Figure 3 over its `Influencer` view, projecting the
+/// generation too.
+const DEFAULT_SELECT: &str = r#"
 select [name: i.disciple.name, gen: i.gen]
 from i in Influencer
 where i.master.works.instruments.name = "harpsichord" and i.gen >= 3
@@ -39,7 +31,7 @@ where i.master.works.instruments.name = "harpsichord" and i.gen >= 3
 fn main() {
     let program = std::env::args()
         .nth(1)
-        .unwrap_or_else(|| DEFAULT_PROGRAM.to_string());
+        .unwrap_or_else(|| format!("{INFLUENCER_VIEW}{DEFAULT_SELECT}"));
     let catalog = Arc::new(music_catalog());
 
     let query = match parse_query(&catalog, &program) {

@@ -9,11 +9,11 @@
 use std::sync::Arc;
 
 use oorq::cost::{CostModel, CostParams};
-use oorq::datagen::{contains_view, parts_catalog, PartsConfig, PartsDb};
+use oorq::datagen::{parts_catalog, PartsConfig, PartsDb, CONTAINS_VIEW};
 use oorq::exec::{eval_query_graph, Executor, MethodRegistry};
 use oorq::index::IndexSet;
 use oorq::optimizer::{Optimizer, OptimizerConfig};
-use oorq::query::{Expr, NameRef, QArc, QueryGraph, SpjNode};
+use oorq::query::parse_query;
 use oorq::storage::DbStats;
 
 fn main() {
@@ -35,28 +35,12 @@ fn main() {
     // "The name and unit test cost of every component of asm0 heavier
     //  than 40 units" — unit_test_cost is a *method* (computed
     //  attribute), so the optimizer must weigh its invocation cost.
-    let contains = catalog.relation_by_name("Contains").expect("parts schema");
-    let mut query = QueryGraph::new(NameRef::Derived("Answer".into()));
-    query.add_spj(
-        NameRef::Derived("Answer".into()),
-        SpjNode {
-            inputs: vec![QArc::new(NameRef::Relation(contains), "k")],
-            pred: Expr::path("k", &["assembly", "name"])
-                .eq(Expr::text("asm0"))
-                .and(Expr::path("k", &["component", "weight"]).ge(Expr::int(40))),
-            out_proj: vec![
-                ("component".into(), Expr::path("k", &["component", "name"])),
-                (
-                    "test_cost".into(),
-                    Expr::path("k", &["component", "unit_test_cost"]),
-                ),
-                ("depth".into(), Expr::path("k", &["depth"])),
-            ],
-        },
+    let text = format!(
+        "{CONTAINS_VIEW}select [component: k.component.name, test_cost: k.component.unit_test_cost, depth: k.depth]
+from k in Contains
+where k.assembly.name = \"asm0\" and k.component.weight >= 40"
     );
-    contains_view(&catalog)
-        .expand(&mut query, &catalog)
-        .expect("view registered");
+    let query = parse_query(&catalog, &text).expect("query parses");
     println!("\nquery graph:\n{}", query.display(&catalog));
 
     let stats = DbStats::collect(&parts.db);

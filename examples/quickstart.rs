@@ -10,8 +10,8 @@ use oorq::datagen::{MusicConfig, MusicDb};
 use oorq::exec::{Executor, MethodRegistry};
 use oorq::index::{IndexSet, PathIndex, SelectionIndex};
 use oorq::optimizer::{Optimizer, OptimizerConfig};
-use oorq::query::paper::{influencer_view, music_catalog};
-use oorq::query::{Expr, NameRef, QArc, QueryGraph, SpjNode};
+use oorq::query::paper::{fig3, music_catalog};
+use oorq::query::parse_query;
 use oorq::storage::DbStats;
 
 fn main() {
@@ -56,23 +56,11 @@ fn main() {
 
     // 4. A recursive query: "names of composers influenced — over at
     //    least 3 generations — by composers for harpsichord".
-    let influencer = catalog
-        .relation_by_name("Influencer")
-        .expect("declared in the schema");
-    let mut query = QueryGraph::new(NameRef::Derived("Answer".into()));
-    query.add_spj(
-        NameRef::Derived("Answer".into()),
-        SpjNode {
-            inputs: vec![QArc::new(NameRef::Relation(influencer), "i")],
-            pred: Expr::path("i", &["master", "works", "instruments", "name"])
-                .eq(Expr::text("harpsichord"))
-                .and(Expr::path("i", &["gen"]).ge(Expr::int(3))),
-            out_proj: vec![("name".into(), Expr::path("i", &["disciple", "name"]))],
-        },
-    );
-    influencer_view(&catalog)
-        .expand(&mut query, &catalog)
-        .expect("view registered");
+    //    The query is OQL text: the paper's Influencer view, then the
+    //    select over it.
+    let text = fig3("harpsichord", 3);
+    println!("\nquery text:\n{text}");
+    let query = parse_query(&catalog, &text).expect("query parses");
     println!("\nquery graph:\n{}", query.display(&catalog));
 
     // 5. Optimize with the paper's cost-controlled strategy: the decision

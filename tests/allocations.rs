@@ -24,10 +24,10 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::Arc;
 
-use oorq::datagen::{ClosureConfig, ClosureDb, MusicConfig, MusicDb};
+use oorq::datagen::{ClosureConfig, ClosureDb, MusicConfig, MusicDb, CLOSURE_TEXT};
 use oorq::exec::{ExecConfig, MethodRegistry};
 use oorq::index::{IndexSet, PathIndex, SelectionIndex};
-use oorq::query::paper::music_catalog;
+use oorq::query::paper::{fig3, music_catalog};
 use oorq::serve::{CacheOutcome, Server, ServerConfig, Session};
 
 struct Counting;
@@ -105,33 +105,6 @@ fn per_hit(session: &mut Session<'_>, text: &str) -> u64 {
     n
 }
 
-/// The `Influencer` view of the paper's §2.3 and the Figure 3 query over it.
-fn figure3(instrument: &str, gen: u32) -> String {
-    format!(
-        "view Influencer as
-  select [master: x.master, disciple: x, gen: 1]
-  from x in Composer
-  where x.master <> null
-  union
-  select [master: i.master, disciple: x, gen: i.gen + 1]
-  from i in Influencer, x in Composer
-  where i.disciple = x.master;
-select [name: i.disciple.name]
-from i in Influencer
-where i.master.works.instruments.name = \"{instrument}\" and i.gen >= {gen}"
-    )
-}
-
-const CLOSURE_TEXT: &str = "view Path as
-  select [a: e.a, b: e.b]
-  from e in Edge
-  union
-  select [a: p.a, b: e.b]
-  from p in Path, e in Edge
-  where p.b = e.a;
-select [a: t.a, b: t.b]
-from t in Path";
-
 /// 200 composers against 8 buffer frames, with the path and selection
 /// indexes the Figure 3 plans use.
 fn music_server() -> Server {
@@ -167,8 +140,8 @@ fn a_served_music_hit_allocates_a_fifth_of_what_it_did() {
     let server = music_server();
     let mut session = server.session();
     for (text, before) in [
-        (figure3("harpsichord", 5), BEFORE[0]),
-        (figure3("flute", 4), BEFORE[1]),
+        (fig3("harpsichord", 5), BEFORE[0]),
+        (fig3("flute", 4), BEFORE[1]),
     ] {
         let n = per_hit(&mut session, &text);
         assert!(

@@ -10,8 +10,8 @@ use oorq::cost::CostParams;
 use oorq::datagen::{ChainConfig, MusicConfig};
 use oorq::exec::eval_query_graph;
 use oorq::optimizer::{OptimizerConfig, SpjStrategy};
-use oorq::query::paper::influencer_view;
-use oorq::query::{Expr, NameRef, QArc, QueryGraph, SpjNode};
+use oorq::query::paper::INFLUENCER_VIEW;
+use oorq::query::{parse_query, QueryGraph};
 use oorq_bench::{Knobs, Scenario};
 use oorq_prng::Prng;
 
@@ -27,24 +27,15 @@ fn music(chains: u32, len: u32, works: u32, fraction: f64, seed: u64) -> Scenari
     })
 }
 
+/// Figure 3 over `instrument` at `gen >= gen`, projecting the
+/// generation too.
 fn influenced(cat: &oorq::schema::Catalog, gen: i64, instrument: &str) -> QueryGraph {
-    let influencer = cat.relation_by_name("Influencer").unwrap();
-    let mut q = QueryGraph::new(NameRef::Derived("Answer".into()));
-    q.add_spj(
-        NameRef::Derived("Answer".into()),
-        SpjNode {
-            inputs: vec![QArc::new(NameRef::Relation(influencer), "i")],
-            pred: Expr::path("i", &["master", "works", "instruments", "name"])
-                .eq(Expr::text(instrument))
-                .and(Expr::path("i", &["gen"]).ge(Expr::int(gen))),
-            out_proj: vec![
-                ("name".into(), Expr::path("i", &["disciple", "name"])),
-                ("gen".into(), Expr::path("i", &["gen"])),
-            ],
-        },
+    let text = format!(
+        "{INFLUENCER_VIEW}select [name: i.disciple.name, gen: i.gen]
+from i in Influencer
+where i.master.works.instruments.name = \"{instrument}\" and i.gen >= {gen}"
     );
-    influencer_view(cat).expand(&mut q, cat).unwrap();
-    q
+    parse_query(cat, &text).unwrap()
 }
 
 /// Optimized plans preserve query semantics on random databases and

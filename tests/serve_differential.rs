@@ -6,7 +6,7 @@
 //! `OORQ_MEMORY_BUDGET` (CI re-runs it under a low budget to prove
 //! spilling sessions still serve identical answers).
 
-use oorq::datagen::{ChainConfig, ChainDb, MusicConfig};
+use oorq::datagen::{chain_query, selective_tail_query, ChainConfig, ChainDb, MusicConfig};
 use oorq::exec::{ExecConfig, MethodRegistry};
 use oorq::index::IndexSet;
 use oorq::optimizer::OptimizerConfig;
@@ -48,10 +48,11 @@ fn chain_server(rows: u32) -> (Server, Vec<QueryGraph>) {
         domain: 16,
         seed: 9,
     });
+    let cat = chain.db.catalog();
     let queries = vec![
-        chain.chain_query(4),
-        chain.chain_query(10),
-        chain.selective_tail_query(3),
+        chain_query(cat, 4),
+        chain_query(cat, 10),
+        selective_tail_query(cat, 3),
     ];
     let server = Server::new(chain.db, IndexSet::new(), MethodRegistry::new(), config());
     (server, queries)
