@@ -58,6 +58,13 @@ if grep -nF 'SpjNode {' $(nontest src crates/*/src examples | grep -vE '^crates/
     exit 1
 fi
 
+echo "== a trace has one export, the Chrome file its readers load (a pub fn to_…( in non-test crates/obs/src other than to_chrome fails) =="
+if grep -nE 'pub fn to_[A-Za-z0-9_]*[(<]' $(nontest crates/obs/src) | grep -vF 'pub fn to_chrome('; then
+    echo "the benchmark, CI and reproduce trace-check read the Chrome trace (Trace::to_chrome); a second" \
+        "export of a Trace needs a reader in the repo first" >&2
+    exit 1
+fi
+
 echo "== cargo test =="
 cargo test -q --workspace
 

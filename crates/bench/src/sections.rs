@@ -120,8 +120,8 @@ pub const SECTIONS: &[Section] = &[
     row("analyze", FigureGate, analyze::analyze_report,
         "[row-prefix] static bounds vs observed counters per corpus row; fails when one escapes"),
     row("trace", Figure, trace,
-        "[scenario [out-dir]] traced run: search-space summary; with out-dir also writes \
-         trace-<scenario>.{jsonl,json,folded} (scenarios: music-pushjoin music-fig7 music-paper)"),
+        "[scenario [out-dir]] traced run: search-space summary; with out-dir also writes the \
+         Chrome trace trace-<scenario>.json (scenarios: music-pushjoin music-fig7 music-paper)"),
     row("validate", Figure, reports::validation_report, "E11: cost model vs measured execution"),
     row("calibrate", FigureGate, calibrate::calibrate_report,
         "per-operator-kind cost error, default vs calibrated weights; fails when calibration \
@@ -147,30 +147,17 @@ pub const SECTIONS: &[Section] = &[
 ];
 
 /// `reproduce trace [scenario [out-dir]]`: run the scenario under an
-/// enabled recorder; with an out-dir, also write all three exports.
+/// enabled recorder; with an out-dir, also write its Chrome trace.
 fn trace(args: &Args) -> Result<String, String> {
     let scenario = args.arg(0, "music-pushjoin");
     let art = tracing::trace_scenario(scenario)?;
     let mut out = art.summary;
     if let Some(dir) = args.rest.get(1) {
         std::fs::create_dir_all(dir).map_err(|e| format!("cannot create `{dir}`: {e}"))?;
-        let base = format!("{dir}/trace-{scenario}");
-        let (jsonl, folded) = (art.trace.to_jsonl(), art.trace.to_folded());
-        for (ext, contents) in [
-            ("jsonl", &jsonl),
-            ("json", &art.trace.to_chrome()),
-            ("folded", &folded),
-        ] {
-            let path = format!("{base}.{ext}");
-            std::fs::write(&path, contents).map_err(|e| format!("cannot write `{path}`: {e}"))?;
-        }
-        let _ = writeln!(
-            out,
-            "wrote {base}.jsonl ({} lines), {base}.json (Perfetto-loadable), {base}.folded ({} \
-             frames)",
-            jsonl.lines().count(),
-            folded.lines().count(),
-        );
+        let path = format!("{dir}/trace-{scenario}.json");
+        std::fs::write(&path, art.trace.to_chrome())
+            .map_err(|e| format!("cannot write `{path}`: {e}"))?;
+        let _ = writeln!(out, "wrote {path} (Perfetto-loadable)");
     }
     Ok(out)
 }

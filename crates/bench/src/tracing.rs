@@ -1,5 +1,5 @@
 //! `reproduce trace <scenario>`: run one scenario end-to-end with the
-//! structured-tracing recorder enabled, and render every sink.
+//! structured-tracing recorder enabled, and summarize the trace.
 //!
 //! One recorder is threaded through all four layers — the optimizer
 //! (spans per §4 step, `candidate` events), the lint engine (violation
@@ -18,9 +18,8 @@ use crate::scenarios::{fig7_config, Knobs, Scenario};
 
 /// Everything one traced scenario run produced.
 pub struct TraceArtifacts {
-    /// The accumulated trace; `to_jsonl` (schema-versioned,
-    /// round-trippable), `to_chrome` (Perfetto-loadable) and `to_folded`
-    /// (flamegraph stacks) render its exports.
+    /// The accumulated trace; `to_chrome` renders it as the
+    /// Perfetto-loadable file `reproduce trace` writes.
     pub trace: oorq_obs::Trace,
     /// Human-readable summary: search-space table, fixpoint deltas,
     /// counters registry.
@@ -70,7 +69,7 @@ pub fn trace_case(scenario: &str) -> Result<(Scenario, QueryGraph, &'static str)
     Ok((s, q, title))
 }
 
-/// Run a named scenario under an enabled recorder and render all sinks.
+/// Run a named scenario under an enabled recorder and summarize it.
 pub(crate) fn trace_scenario(scenario: &str) -> Result<TraceArtifacts, String> {
     let (mut s, q, title) = trace_case(scenario)?;
     let obs = Recorder::new();
@@ -84,7 +83,7 @@ pub(crate) fn trace_scenario(scenario: &str) -> Result<TraceArtifacts, String> {
     let (optimized, report, answer) = (&run.optimized, &run.report, run.answer.len());
     // Fold the aggregated series into the trace as `metrics.*` counters
     // (the only way a counter reaches a trace), so the Chrome export
-    // carries them as `C` samples and the JSONL header round-trips them.
+    // carries them as `C` samples.
     registry.publish_to_recorder(&obs);
     let trace = obs.finish();
 
@@ -227,12 +226,7 @@ mod tests {
             assert!(e.field("reason").is_some(), "rejects carry reasons");
         }
         assert!(art.summary.contains("Rejected candidates"));
-        // All three exports are well-formed.
-        for line in art.trace.to_jsonl().lines() {
-            oorq_obs::json::Json::parse(line).expect("every JSONL line parses");
-        }
         oorq_obs::check_chrome_trace(&art.trace.to_chrome()).expect("chrome trace valid");
-        assert!(art.trace.to_folded().lines().count() > 0);
     }
 
     #[test]

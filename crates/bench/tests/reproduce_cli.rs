@@ -122,8 +122,8 @@ fn all_is_deterministic_and_free_of_wall_time() {
     }
 }
 
-/// `trace <scenario> <dir>` writes the three exports, and `trace-check`
-/// accepts the Chrome trace and rejects it cut in half.
+/// `trace <scenario> <dir>` writes the Chrome trace and nothing else,
+/// and `trace-check` accepts it and rejects it cut in half.
 #[test]
 fn an_emitted_trace_passes_the_checker_and_a_cut_one_fails() {
     let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("trace-smoke");
@@ -133,11 +133,12 @@ fn an_emitted_trace_passes_the_checker_and_a_cut_one_fails() {
         &[],
     );
     assert_eq!(out.status.code(), Some(0), "{out:?}");
-    for ext in ["jsonl", "json", "folded"] {
-        let file = dir.join(format!("trace-music-fig7.{ext}"));
-        assert!(file.is_file(), "{} not written", file.display());
-    }
     let json = dir.join("trace-music-fig7.json");
+    assert!(json.is_file(), "{} not written", json.display());
+    for ext in ["jsonl", "folded"] {
+        let file = dir.join(format!("trace-music-fig7.{ext}"));
+        assert!(!file.exists(), "{} written", file.display());
+    }
     let check = |path: &std::path::Path| reproduce(&["trace-check", path.to_str().unwrap()], &[]);
     let ok = check(&json);
     assert_eq!(ok.status.code(), Some(0), "{ok:?}");
@@ -152,6 +153,23 @@ fn an_emitted_trace_passes_the_checker_and_a_cut_one_fails() {
     std::fs::write(&cut, &text[..half]).expect("cut trace written");
     let bad = check(&cut);
     assert_ne!(bad.status.code(), Some(0), "a cut trace passed: {bad:?}");
+}
+
+/// `trace-check` on a file nested past the JSON reader's bound reports
+/// it invalid, as a usage error, instead of overflowing its stack.
+#[test]
+fn a_deeply_nested_file_is_invalid_not_an_abort() {
+    let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("trace-deep");
+    std::fs::create_dir_all(&dir).expect("dir created");
+    let deep = dir.join("deep.json");
+    std::fs::write(&deep, "[".repeat(200_000)).expect("deep file written");
+    let out = reproduce(&["trace-check", deep.to_str().expect("utf-8 path")], &[]);
+    assert_eq!(out.status.code(), Some(2), "{out:?}");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("INVALID") && stderr.contains("nested too deeply"),
+        "{stderr}"
+    );
 }
 
 /// No calibration row of the corpus moved: both fits re-emit the

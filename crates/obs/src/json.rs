@@ -1,6 +1,10 @@
-//! A minimal JSON value, writer and parser — enough for the trace
-//! sinks and the in-repo Chrome-trace checker, with no external
-//! dependencies (the workspace builds offline).
+//! A minimal JSON value, writer and parser — enough for the Chrome
+//! trace export and its in-repo checker, with no external dependencies
+//! (the workspace builds offline).
+//!
+//! The parser refuses arrays and objects nested deeper than
+//! `MAX_DEPTH`: it recurses once per level, and `reproduce trace-check`
+//! feeds it whatever file it is given.
 //!
 //! Numbers are `f64`; integral values render without a fractional part
 //! and Rust's shortest-round-trip `f64` display is used otherwise, so
@@ -102,6 +106,7 @@ impl Json {
         let mut p = Parser {
             bytes: src.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let v = p.value()?;
@@ -158,9 +163,16 @@ impl std::fmt::Display for JsonError {
     }
 }
 
+/// Deepest nesting of arrays and objects [`Json::parse`] accepts. The
+/// deepest document the workspace reads (a benchmark result file) nests
+/// about six levels.
+const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around the current byte.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -209,11 +221,25 @@ impl<'a> Parser<'a> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(b'-') | Some(b'0'..=b'9') => self.number(),
             _ => Err(self.err("expected a JSON value")),
         }
+    }
+
+    /// An array or object, one level deeper than the current byte.
+    fn nested(
+        &mut self,
+        container: fn(&mut Self) -> Result<Json, JsonError>,
+    ) -> Result<Json, JsonError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err("nested too deeply"));
+        }
+        self.depth += 1;
+        let v = container(self);
+        self.depth -= 1;
+        v
     }
 
     fn array(&mut self) -> Result<Json, JsonError> {

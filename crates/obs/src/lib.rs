@@ -1,5 +1,5 @@
 //! Structured tracing for the whole stack: hierarchical spans, runtime
-//! events, and a counters registry, with offline exporters.
+//! events, and a counters registry, with an offline Chrome-trace export.
 //!
 //! The paper's contribution is a *cost-controlled* decision; this crate
 //! is the window into how that decision was reached. The optimizer
@@ -10,18 +10,13 @@
 //! per-fixpoint-iteration events with delta sizes; the buffer manager
 //! records page hit/miss/eviction events; the lint engine records
 //! violations with their stable codes. Everything lands in one
-//! [`Trace`], exportable as:
-//!
-//! - **JSONL** ([`Trace::to_jsonl`]) — one schema-versioned JSON object
-//!   per line, the durable machine-readable stream.
-//! - **Chrome trace-event JSON** ([`Trace::to_chrome`]) — loadable in
-//!   Perfetto / `chrome://tracing`; stack spans become balanced `B`/`E`
-//!   pairs, synthesized operator spans get one named track each, the
-//!   counters registry becomes `C` samples. [`check_chrome_trace`] is
-//!   the in-repo validity checker CI runs (balanced `B`/`E`, monotone
-//!   `ts`, schema fields present) — no network, no external tools.
-//! - **Folded stacks** ([`Trace::to_folded`]) — `a;b;c <ns>` lines for
-//!   flamegraph tooling, weighted by exclusive wall time.
+//! [`Trace`], written as **Chrome trace-event JSON**
+//! ([`Trace::to_chrome`]), loadable in Perfetto / `chrome://tracing`:
+//! stack spans become balanced `B`/`E` pairs, synthesized operator
+//! spans get one named track each, the counters registry becomes `C`
+//! samples. [`check_chrome_trace`] is the in-repo validity checker CI
+//! and the benchmark run (balanced `B`/`E`, monotone `ts`, schema fields
+//! present) — no network, no external tools.
 //!
 //! The recorder is a cheap cloneable handle; [`Recorder::disabled`]
 //! (the default everywhere) reduces every call to one branch, so
@@ -29,9 +24,7 @@
 //! dependencies; the JSON reader/writer is in [`json`].
 
 mod chrome;
-mod folded;
 pub mod json;
-mod jsonl;
 pub mod metrics;
 mod recorder;
 mod search;

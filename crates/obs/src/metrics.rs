@@ -28,8 +28,8 @@
 //! p50/p90/p99/max per histogram, a Prometheus-style text exposition
 //! ([`MetricsRegistry::render_prometheus`]), and a bridge into the
 //! trace counter registry ([`MetricsRegistry::publish_to_recorder`])
-//! so `reproduce trace` JSONL/Chrome exports carry the series without
-//! any schema change.
+//! so the Chrome trace `reproduce trace` writes carries the series
+//! without any schema change.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -429,8 +429,8 @@ impl MetricsRegistry {
 
     /// Publish every series into a trace recorder's counter registry
     /// under a `metrics.` prefix — histograms as their percentile
-    /// summaries — so the existing schema-v1 JSONL header and the Chrome
-    /// `C` counter samples carry the series with no schema change.
+    /// summaries — so the Chrome trace's `C` counter samples carry the
+    /// series with no schema change.
     pub fn publish_to_recorder(&self, rec: &Recorder) {
         if !self.enabled() || !rec.enabled() {
             return;

@@ -4,9 +4,10 @@ use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-/// JSONL schema identifier (the header line's `schema` field).
+/// Trace schema identifier (the Chrome file's `otherData.schema`).
 pub(crate) const SCHEMA_NAME: &str = "oorq-trace";
-/// JSONL schema version; bump on any incompatible layout change.
+/// Trace schema version (`otherData.version`); bump on any incompatible
+/// layout change.
 pub(crate) const SCHEMA_VERSION: u64 = 1;
 
 /// A span identifier: 1-based index into [`Trace::spans`].
@@ -160,11 +161,6 @@ impl Trace {
     /// The span behind an id.
     pub fn span(&self, id: SpanId) -> Option<&Span> {
         self.spans.get((id.0 as usize).checked_sub(1)?)
-    }
-
-    /// Spans whose parent is `parent` (`None`: roots), in order.
-    pub(crate) fn children_of(&self, parent: Option<SpanId>) -> Vec<&Span> {
-        self.spans.iter().filter(|s| s.parent == parent).collect()
     }
 
     /// Events with the given name, in order.

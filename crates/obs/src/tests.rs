@@ -1,5 +1,4 @@
 use crate::json::Json;
-use crate::recorder::{SCHEMA_NAME, SCHEMA_VERSION};
 use crate::{check_chrome_trace, search_space_table, FieldValue, Recorder, SpanId, Trace};
 
 fn sample_trace() -> Trace {
@@ -69,40 +68,24 @@ fn disabled_recorder_is_inert() {
 }
 
 #[test]
-fn jsonl_lines_parse_and_header_carries_the_schema() {
-    let trace = sample_trace();
-    let jsonl = trace.to_jsonl();
-    let lines: Vec<Json> = jsonl
-        .lines()
-        .map(|l| Json::parse(l).expect("every line is one JSON object"))
-        .collect();
-    assert_eq!(lines.len(), 1 + trace.spans.len() + trace.events.len());
-    assert_eq!(
-        lines[0].get("schema").and_then(Json::as_str),
-        Some(SCHEMA_NAME)
-    );
-    assert_eq!(
-        lines[0].get("version").and_then(Json::as_num),
-        Some(SCHEMA_VERSION as f64)
-    );
-    for line in &lines[1..] {
-        let kind = line.get("t").and_then(Json::as_str);
-        assert!(matches!(kind, Some("span" | "event")), "{kind:?}");
-    }
-}
-
-#[test]
-fn jsonl_preserves_string_escapes() {
+fn chrome_preserves_string_escapes() {
     let rec = Recorder::new();
     let (name, note) = ("weird \"name\"\nwith\tescapes", "π ≈ 3.14159; cost < ∞");
     let s = rec.begin("x", name);
     rec.span_fields(s, vec![("note".into(), FieldValue::Str(note.into()))]);
     rec.end(s);
-    let jsonl = rec.finish().to_jsonl();
-    let span = Json::parse(jsonl.lines().nth(1).expect("one span line")).expect("parses");
-    assert_eq!(span.get("name").and_then(Json::as_str), Some(name));
-    let fields = span.get("fields").expect("fields");
-    assert_eq!(fields.get("note").and_then(Json::as_str), Some(note));
+    let chrome = Json::parse(&rec.finish().to_chrome()).expect("parses");
+    let events = chrome
+        .get("traceEvents")
+        .and_then(Json::as_arr)
+        .expect("events");
+    let begin = events
+        .iter()
+        .find(|e| e.get("ph").and_then(Json::as_str) == Some("B"))
+        .expect("one `B` event");
+    assert_eq!(begin.get("name").and_then(Json::as_str), Some(name));
+    let args = begin.get("args").expect("args");
+    assert_eq!(args.get("note").and_then(Json::as_str), Some(note));
 }
 
 #[test]
@@ -140,19 +123,6 @@ fn chrome_checker_catches_violations() {
 }
 
 #[test]
-fn folded_stacks_weight_exclusive_time() {
-    let trace = sample_trace();
-    let folded = trace.to_folded();
-    for line in folded.lines() {
-        let (path, weight) = line.rsplit_once(' ').expect("path weight");
-        assert!(!path.is_empty());
-        assert!(weight.parse::<u64>().expect("numeric weight") > 0);
-    }
-    // The root frame appears as a path prefix.
-    assert!(folded.contains("optimizer:optimize"));
-}
-
-#[test]
 fn search_table_lists_rejections() {
     let trace = sample_trace();
     let table = search_space_table(&trace);
@@ -179,4 +149,23 @@ fn json_parser_round_trips() {
     assert!(Json::parse("{").is_err());
     assert!(Json::parse("1 2").is_err());
     assert!(Json::parse("'single'").is_err());
+}
+
+/// A document nested past the parser's bound is refused at the bracket
+/// that passes it, not parsed until the thread's stack overflows. Run on
+/// a spawned thread, whose stack is the default size.
+#[test]
+fn json_nesting_is_bounded() {
+    std::thread::spawn(|| {
+        let err = Json::parse(&"[".repeat(100_000)).unwrap_err();
+        assert_eq!(
+            (err.offset, err.message.as_str()),
+            (128, "nested too deeply")
+        );
+        let deepest = format!("{}0{}", "[{\"a\":".repeat(64), "}]".repeat(64));
+        Json::parse(&deepest).expect("128 levels parse");
+        assert!(Json::parse(&format!("[{deepest}]")).is_err());
+    })
+    .join()
+    .unwrap();
 }

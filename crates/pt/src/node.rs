@@ -536,65 +536,6 @@ impl Pt {
     pub fn display<'a>(&'a self, env: &'a PtEnv<'a>) -> PtDisplay<'a> {
         PtDisplay { pt: self, env }
     }
-
-    /// Render the PT as an indented operator tree (EXPLAIN-style).
-    pub fn explain(&self, env: &PtEnv<'_>) -> String {
-        let mut out = String::new();
-        self.explain_into(env, 0, &mut out);
-        out
-    }
-
-    fn explain_into(&self, env: &PtEnv<'_>, depth: usize, out: &mut String) {
-        use std::fmt::Write as _;
-        let pad = "  ".repeat(depth);
-        let line = match self {
-            Pt::Entity { id, var } => {
-                format!("scan {} as {var}", env.physical.entity(*id).name)
-            }
-            Pt::Temp { name, var } => format!("scan temp {name} as {var}"),
-            Pt::Sel { pred, method, .. } => match method {
-                AccessMethod::Scan => format!("select {pred}"),
-                AccessMethod::Index(idx) => format!(
-                    "select {pred} via index {}",
-                    env.physical.index(*idx).display_name(env.catalog)
-                ),
-            },
-            Pt::Proj { cols, .. } => {
-                let cs: Vec<String> = cols
-                    .iter()
-                    .map(|(n, e)| {
-                        if matches!(e, Expr::Var(v) if v == n) {
-                            n.clone()
-                        } else {
-                            format!("{n}: {e}")
-                        }
-                    })
-                    .collect();
-                format!("project [{}]", cs.join(", "))
-            }
-            Pt::IJ { step, out: o, .. } => format!("implicit join .{} as {o}", step.name),
-            Pt::PIJ { index, outs, .. } => format!(
-                "path-index join {} as [{}]",
-                env.physical.index(*index).display_name(env.catalog),
-                outs.join(", ")
-            ),
-            Pt::EJ { pred, algo, .. } => match algo {
-                JoinAlgo::NestedLoop => format!("nested-loop join on {pred}"),
-                JoinAlgo::IndexJoin(idx) => format!(
-                    "index join on {pred} via {}",
-                    env.physical.index(*idx).display_name(env.catalog)
-                ),
-            },
-            Pt::Union { .. } => "union".to_string(),
-            Pt::Fix { temp, .. } => format!("fixpoint into temp {temp} (semi-naive)"),
-        };
-        let _ = writeln!(out, "{pad}{line}");
-        // Operand order: print the driving input last so the tree reads
-        // top-down like an EXPLAIN.
-        for child in self.children() {
-            child.explain_into(env, depth + 1, out);
-        }
-    }
 }
 
 /// Shared naming/typing environment for PTs.

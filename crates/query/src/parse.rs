@@ -24,8 +24,10 @@
 //!
 //! Every query the workspace runs is written this way, and the parser is
 //! the one place outside Figure 2 that assembles a graph from its parts.
-//! A parenthesis or `not(` nests at most `MAX_NESTING` levels deep, so a
-//! text cannot recurse the parser off its thread's stack.
+//! An expression nests at most `MAX_NESTING` levels deep, counting each
+//! parenthesis, `not(` and chained `and`, `or` or `+`, so a text can
+//! recurse neither the parser nor a later pass over its `Expr` off its
+//! thread's stack.
 
 use std::fmt;
 
@@ -338,16 +340,25 @@ fn lex_number(
 // Parser
 // ---------------------------------------------------------------------
 
-/// Deepest nesting of `(` and `not(` a text may have. Each level is one
-/// recursion of the parser, and a thread's stack bounds the recursion: a
-/// text nested past it is refused, not parsed into an abort.
+/// Deepest nesting an expression may have. A `(` or `not(` is one level
+/// and one recursion of the parser. Each operator of an `or`, `and` or
+/// `+` chain is one level too: the parser loops over a chain but builds
+/// it left-deep, so a chain of N operators is an `Expr` N deep, which
+/// later passes (derived `Debug`, normalization, drop) recurse down. A
+/// thread's stack bounds both recursions: a text nested past this is
+/// refused, not parsed into an abort.
 const MAX_NESTING: usize = 256;
+
+/// A parsed expression and the chain operators on its deepest path (its
+/// levels below the current token; see [`MAX_NESTING`]).
+type Nested = Result<(Expr, usize), ParseError>;
 
 struct Parser<'a> {
     catalog: &'a Catalog,
     tokens: Vec<Spanned>,
     pos: usize,
-    /// Parentheses open around the current token.
+    /// Levels open around the current token: parentheses, and the
+    /// operators of the chains whose right operand it is in.
     depth: usize,
 }
 
@@ -497,43 +508,72 @@ impl Parser<'_> {
         })
     }
 
-    /// Disjunction.
+    /// A whole expression; `or` binds loosest.
     fn expr(&mut self) -> Result<Expr, ParseError> {
-        let mut e = self.conjunction()?;
-        while self.eat_kw("or") {
-            let r = self.conjunction()?;
-            e = e.or(r);
-        }
-        Ok(e)
+        Ok(self.disjunction()?.0)
     }
 
-    fn conjunction(&mut self) -> Result<Expr, ParseError> {
-        let mut e = self.comparison()?;
-        while self.eat_kw("and") {
-            let r = self.comparison()?;
-            e = e.and(r);
+    fn disjunction(&mut self) -> Nested {
+        self.chain(|p| p.peek_kw("or"), Self::conjunction, Expr::or)
+    }
+
+    fn conjunction(&mut self) -> Nested {
+        self.chain(|p| p.peek_kw("and"), Self::comparison, Expr::and)
+    }
+
+    fn sum(&mut self) -> Nested {
+        self.chain(|p| p.peek_sym("+"), Self::primary, Expr::add)
+    }
+
+    /// `operand (op operand)*`, joined left-deep. Each operator puts the
+    /// chain one level deeper and its right operand one level below the
+    /// chain; the operator that would pass [`MAX_NESTING`] is refused
+    /// before anything deeper is built.
+    fn chain(
+        &mut self,
+        op: fn(&Self) -> bool,
+        operand: fn(&mut Self) -> Nested,
+        join: fn(Expr, Expr) -> Expr,
+    ) -> Nested {
+        let (mut e, mut levels) = operand(self)?;
+        while op(self) {
+            self.nest(levels)?;
+            self.pos += 1;
+            self.depth += 1;
+            let (r, r_levels) = operand(self)?;
+            self.depth -= 1;
+            levels = levels.max(r_levels) + 1;
+            e = join(e, r);
         }
-        Ok(e)
+        Ok((e, levels))
+    }
+
+    /// Refuse the current token when it would open a level past
+    /// [`MAX_NESTING`] on top of `levels` already below it.
+    fn nest(&self, levels: usize) -> Result<(), ParseError> {
+        if self.depth + levels >= MAX_NESTING {
+            return Err(self.error("expression nested too deeply"));
+        }
+        Ok(())
     }
 
     /// `( expr )`, one nesting level deeper than the current token.
-    fn parenthesized(&mut self) -> Result<Expr, ParseError> {
-        if self.depth == MAX_NESTING {
-            return Err(self.error("expression nested too deeply"));
-        }
+    fn parenthesized(&mut self) -> Nested {
+        self.nest(0)?;
         self.expect_sym("(")?;
         self.depth += 1;
-        let e = self.expr()?;
+        let e = self.disjunction()?;
         self.depth -= 1;
         self.expect_sym(")")?;
         Ok(e)
     }
 
-    fn comparison(&mut self) -> Result<Expr, ParseError> {
+    fn comparison(&mut self) -> Nested {
         if self.eat_kw("not") {
-            return Ok(Expr::Not(Box::new(self.parenthesized()?)));
+            let (e, levels) = self.parenthesized()?;
+            return Ok((Expr::Not(Box::new(e)), levels));
         }
-        let lhs = self.sum()?;
+        let (lhs, l_levels) = self.sum()?;
         let op = if self.eat_sym("=") {
             Some(CmpOp::Eq)
         } else if self.eat_sym("<>") {
@@ -550,53 +590,45 @@ impl Parser<'_> {
             None
         };
         match op {
-            None => Ok(lhs),
+            None => Ok((lhs, l_levels)),
             Some(op) => {
-                let rhs = self.sum()?;
-                Ok(Expr::Cmp {
+                let (rhs, r_levels) = self.sum()?;
+                let cmp = Expr::Cmp {
                     op,
                     lhs: Box::new(lhs),
                     rhs: Box::new(rhs),
-                })
+                };
+                Ok((cmp, l_levels.max(r_levels)))
             }
         }
     }
 
-    fn sum(&mut self) -> Result<Expr, ParseError> {
-        let mut e = self.primary()?;
-        while self.eat_sym("+") {
-            let r = self.primary()?;
-            e = e.add(r);
-        }
-        Ok(e)
-    }
-
-    fn primary(&mut self) -> Result<Expr, ParseError> {
-        match self.cur().tok.clone() {
+    fn primary(&mut self) -> Nested {
+        let leaf = match self.cur().tok.clone() {
             Tok::Int(i) => {
                 self.pos += 1;
-                Ok(Expr::Lit(Literal::Int(i)))
+                Expr::Lit(Literal::Int(i))
             }
             Tok::Float(x) => {
                 self.pos += 1;
-                Ok(Expr::Lit(Literal::Float(x)))
+                Expr::Lit(Literal::Float(x))
             }
             Tok::Str(s) => {
                 self.pos += 1;
-                Ok(Expr::Lit(Literal::Text(s)))
+                Expr::Lit(Literal::Text(s))
             }
-            Tok::Sym("(") => self.parenthesized(),
+            Tok::Sym("(") => return self.parenthesized(),
             Tok::Ident(id) if id.eq_ignore_ascii_case("null") => {
                 self.pos += 1;
-                Ok(Expr::Lit(Literal::Null))
+                Expr::Lit(Literal::Null)
             }
             Tok::Ident(id) if id.eq_ignore_ascii_case("true") => {
                 self.pos += 1;
-                Ok(Expr::Lit(Literal::Bool(true)))
+                Expr::Lit(Literal::Bool(true))
             }
             Tok::Ident(id) if id.eq_ignore_ascii_case("false") => {
                 self.pos += 1;
-                Ok(Expr::Lit(Literal::Bool(false)))
+                Expr::Lit(Literal::Bool(false))
             }
             Tok::Ident(id) => {
                 self.pos += 1;
@@ -605,13 +637,14 @@ impl Parser<'_> {
                     steps.push(self.ident()?);
                 }
                 if steps.is_empty() {
-                    Ok(Expr::Var(id))
+                    Expr::Var(id)
                 } else {
-                    Ok(Expr::Path { base: id, steps })
+                    Expr::Path { base: id, steps }
                 }
             }
-            _ => Err(self.error("expected expression")),
-        }
+            _ => return Err(self.error("expected expression")),
+        };
+        Ok((leaf, 0))
     }
 }
 
@@ -752,5 +785,36 @@ mod tests {
                 "select [n: x.name] from x in Composer where ".len() + open.len() * MAX_NESTING;
             assert_eq!((err.line, err.col), (1, at + open.len()), "{open}");
         }
+    }
+
+    /// A chain of `MAX_NESTING` operators parses and one more operator
+    /// is refused where it stands; a parenthesized chain's operators
+    /// count toward the chain it is an operand of.
+    #[test]
+    fn chains_are_bounded_at_the_offending_operator() {
+        let cat = music_catalog();
+        let prefix = "select [n: x.name] from x in Composer where ";
+        for (first, term) in [
+            ("x.birth_year", " + 1"),
+            ("x.name = \"Bach\"", " and x.name = \"Bach\""),
+            ("x.name = \"Bach\"", " or x.name = \"Bach\""),
+        ] {
+            let chain = |terms: usize| format!("{prefix}{first}{}", term.repeat(terms));
+            parse_query(&cat, &chain(MAX_NESTING)).unwrap();
+            let err = parse_query(&cat, &chain(MAX_NESTING + 1)).unwrap_err();
+            assert_eq!(err.message, "expression nested too deeply");
+            let at = prefix.len() + first.len() + term.len() * MAX_NESTING;
+            assert_eq!((err.line, err.col), (1, at + 2), "{term}");
+        }
+        let split = |inner: usize, outer: usize| {
+            format!(
+                "{prefix}(x.birth_year{}){}",
+                " + 1".repeat(inner),
+                " + 1".repeat(outer)
+            )
+        };
+        parse_query(&cat, &split(200, MAX_NESTING - 200)).unwrap();
+        let err = parse_query(&cat, &split(200, MAX_NESTING - 199)).unwrap_err();
+        assert_eq!(err.message, "expression nested too deeply");
     }
 }

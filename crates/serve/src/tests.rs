@@ -300,29 +300,38 @@ pub(crate) fn sorted(mut rows: Vec<Vec<Value>>) -> Vec<Vec<Value>> {
 
 /// A text nested past the parser's bound is refused as a parse error,
 /// not parsed until the thread's stack overflows and aborts every
-/// session. Run on a spawned thread, whose stack is the default a
-/// server's session threads get.
+/// session: parentheses nest the parser, and a flat `and`, `or` or `+`
+/// chain nests the `Expr` it builds, which later passes recurse down.
+/// Run on a spawned thread, whose stack is the default a server's
+/// session threads get.
 #[test]
 fn a_deeply_nested_text_is_a_parse_error_not_an_abort() {
     let (server, text, reference) = music_server();
-    let nested = |open: &str, depth: usize| {
-        format!(
-            "select [n: x.name] from x in Composer where {}x.name = \"Bach\"{}",
-            open.repeat(depth),
-            ")".repeat(depth)
-        )
+    let texts = |depth: usize| {
+        let nested = |open: &str| {
+            let (open, close) = (open.repeat(depth), ")".repeat(depth));
+            format!("{open}x.name = \"Bach\"{close}")
+        };
+        let bach = "x.name = \"Bach\"";
+        [
+            nested("("),
+            nested("not("),
+            format!("{bach}{}", format!(" and {bach}").repeat(depth)),
+            format!("{bach}{}", format!(" or {bach}").repeat(depth)),
+            format!("x.birth_year{} > 0", " + 1".repeat(depth)),
+        ]
+        .map(|pred| format!("select [n: x.name] from x in Composer where {pred}"))
     };
     std::thread::scope(|t| {
         t.spawn(|| {
             let mut s = server.session();
-            for open in ["(", "not("] {
-                let deep = nested(open, 10_000);
+            for deep in texts(10_000) {
                 assert!(matches!(s.execute_text(&deep), Err(ServeError::Parse(_))));
             }
             let answer = s.execute_text(&text).unwrap();
             assert_eq!(sorted(answer.batch.rows), reference);
-            for open in ["(", "not("] {
-                s.execute_text(&nested(open, 100)).unwrap();
+            for shallow in texts(100) {
+                s.execute_text(&shallow).unwrap();
             }
         })
         .join()

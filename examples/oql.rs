@@ -1,5 +1,6 @@
 //! Textual query front-end: parse an OQL-style program, optimize it
-//! cost-controlled, print the chosen plan, and execute it.
+//! cost-controlled, print the chosen plan, execute it and print its
+//! EXPLAIN ANALYZE.
 //!
 //! Run with a program as the first argument, or without arguments to run
 //! the built-in Figure 3 program:
@@ -13,7 +14,7 @@ use std::sync::Arc;
 
 use oorq::cost::{CostModel, CostParams};
 use oorq::datagen::{MusicConfig, MusicDb};
-use oorq::exec::{Executor, MethodRegistry};
+use oorq::exec::{explain_analyze, Executor, MethodRegistry};
 use oorq::index::{IndexSet, PathIndex, SelectionIndex};
 use oorq::optimizer::{Optimizer, OptimizerConfig};
 use oorq::query::paper::{music_catalog, INFLUENCER_VIEW};
@@ -95,7 +96,7 @@ fn main() {
         "chosen plan (estimated {:.0}):",
         plan.cost.total(&CostParams::default())
     );
-    println!("{}\n", plan.pt.explain(&env));
+    println!("{}\n", plan.pt.display(&env));
 
     let methods = MethodRegistry::with_music_methods(music.db.catalog());
     music.db.cold_cache();
@@ -112,6 +113,10 @@ fn main() {
                 "\nmeasured: {} page reads, {} index reads, {} evaluations, {} method calls",
                 r.io.page_reads, r.io.index_reads, r.evals, r.method_calls
             );
+            if let Some(phys) = executor.last_plan() {
+                let breakdown = &plan.trace.final_breakdown;
+                println!("\n{}", explain_analyze(phys, breakdown, None, &r));
+            }
         }
         Err(e) => eprintln!("execution failed: {e}"),
     }
