@@ -65,6 +65,13 @@ if grep -nE 'pub fn to_[A-Za-z0-9_]*[(<]' $(nontest crates/obs/src) | grep -vF '
     exit 1
 fi
 
+echo "== a class is stored as one extension (FragmentSpec, ClassLayout or decompose_vertical/decompose_horizontal in non-test src, crates/*/src or examples fails) =="
+if grep -nwE 'FragmentSpec|ClassLayout|decompose_(vertical|horizontal)' $(nontest src crates/*/src examples); then
+    echo "horizontal and vertical decomposition (§3.2) was removed because no figure, workload or served" \
+        "query ran it (DESIGN §2): bring it back only with a BENCHMARK.json workload that runs it" >&2
+    exit 1
+fi
+
 echo "== cargo test =="
 cargo test -q --workspace
 

@@ -40,7 +40,7 @@ use oorq_lint::{LintCode, LintReport};
 use oorq_pt::{resolve, IndexProbe, Node, NodeOp, Pt, PtError};
 use oorq_query::{bind_path, Expr, Literal};
 use oorq_schema::{AtomicType, AttrId, AttributeKind, Catalog, ClassId, ResolvedType};
-use oorq_storage::{DbStats, EntityId, EntitySource, FragmentSpec, IndexKindDesc, PhysicalSchema};
+use oorq_storage::{DbStats, EntityId, EntitySource, IndexKindDesc, PhysicalSchema};
 
 use crate::interval::{next_up, Interval};
 
@@ -166,8 +166,6 @@ pub struct Analysis {
     pub nodes: Vec<NodeBounds>,
     /// Diagnostics raised during analysis (`AB005`–`AB007`).
     pub report: LintReport,
-    /// Whole-plan cost interval (sum of every node's exclusive cost).
-    pub total_cost: Interval,
 }
 
 impl Analysis {
@@ -275,14 +273,7 @@ impl<'a> Analyzer<'a> {
                 );
             }
         }
-        let total_cost = nodes
-            .iter()
-            .fold(Interval::zero(), |acc, n| acc.add(n.cost));
-        Ok(Analysis {
-            nodes,
-            report,
-            total_cost,
-        })
+        Ok(Analysis { nodes, report })
     }
 }
 
@@ -331,6 +322,10 @@ impl ExprCost {
         }
     }
 }
+
+/// Data-page fetches of one `touch_object`: the page of the object's
+/// record in its class's extension.
+const TOUCH_PAGES: f64 = 1.0;
 
 /// `a + b` rounded toward `+∞`.
 fn add_up(a: f64, b: f64) -> f64 {
@@ -473,18 +468,16 @@ impl Walk<'_, '_> {
     // Statistics helpers (all upper bounds unless noted)
     // ------------------------------------------------------------------
 
-    /// Upper bound on the rows whose oid has *exactly* class `c` (sums
-    /// fragment cardinalities; vertical fragments over-count, which is
-    /// sound for an upper bound).
+    /// Upper bound on the rows whose oid has *exactly* class `c`: its
+    /// extension's cardinality.
     fn class_rows_hi(&self, c: ClassId) -> f64 {
-        let mut total = 0.0;
-        for &e in self.az.physical.entities_of_class(c) {
-            match self.az.stats.entity(e) {
-                Some(s) => total = add_up(total, s.cardinality as f64),
-                None => return f64::INFINITY,
-            }
+        let Some(e) = self.az.physical.class_entity(c) else {
+            return 0.0;
+        };
+        match self.az.stats.entity(e) {
+            Some(s) => add_up(0.0, s.cardinality as f64),
+            None => f64::INFINITY,
         }
-        total
     }
 
     /// Size of the key space of an `Object(c)` field: any oid of `c` or
@@ -501,17 +494,14 @@ impl Walk<'_, '_> {
     /// value of `attr` — bounds the hits of an equality index probe
     /// after the executor's exact-class filter.
     fn attr_max_dup(&self, c: ClassId, attr: AttrId) -> f64 {
-        let mut total = 0.0;
-        for &e in self.az.physical.entities_of_class(c) {
-            let Some(slot) = self.az.physical.slot_of(e, attr) else {
-                continue;
-            };
-            match self.az.stats.entity(e).and_then(|s| s.attrs.get(slot)) {
-                Some(a) => total = add_up(total, a.max_dup as f64),
-                None => return f64::INFINITY,
-            }
+        let Some(e) = self.az.physical.class_entity(c) else {
+            return 0.0;
+        };
+        let stats = self.az.stats.entity(e);
+        match stats.and_then(|s| s.attrs.get(attr.0 as usize)) {
+            Some(a) => add_up(0.0, a.max_dup as f64),
+            None => f64::INFINITY,
         }
-        total
     }
 
     /// Upper bound on the hits of one index probe. They are filtered to
@@ -547,53 +537,15 @@ impl Walk<'_, '_> {
                 best = best.max(fallback);
                 continue;
             }
-            let mut sub_best = 0.0f64;
-            let mut any = false;
-            for &e in self.az.physical.entities_of_class(sub) {
-                let Some(slot) = self.az.physical.slot_of(e, aid) else {
-                    continue;
-                };
-                match self.az.stats.entity(e).and_then(|s| s.attrs.get(slot)) {
-                    Some(a) => {
-                        any = true;
-                        sub_best = sub_best.max(a.max_fanout as f64);
-                    }
-                    None => {
-                        any = true;
-                        sub_best = fallback;
-                    }
-                }
-            }
-            best = best.max(if any { sub_best } else { fallback });
+            let stats = self.az.physical.class_entity(sub);
+            let stats = stats.and_then(|e| self.az.stats.entity(e)?.attrs.get(aid.0 as usize));
+            best = best.max(stats.map_or(fallback, |a| a.max_fanout as f64));
         }
         if found {
             best
         } else {
             f64::INFINITY
         }
-    }
-
-    /// Upper bound on the data-page fetches of `touch_object` for an oid
-    /// statically typed `c` (vertical decomposition reads one page per
-    /// fragment; the runtime class may be any subclass).
-    fn deref_cost_hi(&self, c: ClassId) -> f64 {
-        let mut best = 1.0f64;
-        for sub in self.az.catalog.subclasses_of(c) {
-            let vert = self
-                .az
-                .physical
-                .entities_of_class(sub)
-                .iter()
-                .filter(|&&e| {
-                    matches!(
-                        self.az.physical.entity(e).fragment,
-                        Some(FragmentSpec::Vertical { .. })
-                    )
-                })
-                .count();
-            best = best.max(if vert == 0 { 1.0 } else { vert as f64 });
-        }
-        best
     }
 
     // ------------------------------------------------------------------
@@ -798,7 +750,7 @@ impl Walk<'_, '_> {
         probe: &IndexProbe<Literal>,
         opens: Interval,
     ) -> Out {
-        let (entity_class, nblevels) = (probe.class, probe.nblevels as f64);
+        let nblevels = probe.nblevels as f64;
         let members = vec![1.0];
         let cols = Cols {
             cols: &self.plan[id].cols,
@@ -811,11 +763,7 @@ impl Walk<'_, '_> {
         let feats = FeatBounds {
             // The B+-tree descent runs unconditionally at every open.
             index: Interval::exact(nblevels).mul(opens),
-            deref: Interval::up_to(mul_up(
-                hits,
-                add_up(self.deref_cost_hi(entity_class), pc.fetches),
-            ))
-            .mul(opens),
+            deref: Interval::up_to(mul_up(hits, add_up(TOUCH_PAGES, pc.fetches))).mul(opens),
             evals: Interval::up_to(mul_up(hits, pc.evals)).mul(opens),
             method_units: Interval::up_to(mul_up(hits, pc.units)).mul(opens),
             ..FeatBounds::zero()
@@ -893,10 +841,6 @@ impl Walk<'_, '_> {
         opens: Interval,
     ) -> Result<Out, PtError> {
         let mut child = self.go(input, opens)?;
-        let bound = self.plan[id].cols.last();
-        let target_class = bound
-            .and_then(|(_, t)| t.referenced_class())
-            .expect("an implicit join hands up the class it binds, last");
         let oc = self.expr_bounds(on, self.over(input, &child));
         let m = oc.members;
         let rows_once = Interval::up_to(mul_up(child.rows_once.hi, m));
@@ -904,7 +848,7 @@ impl Walk<'_, '_> {
         let feats = FeatBounds {
             deref: Interval::up_to(mul_up(
                 child.rows_total.hi,
-                add_up(oc.fetches, mul_up(m, self.deref_cost_hi(target_class))),
+                add_up(oc.fetches, mul_up(m, TOUCH_PAGES)),
             )),
             evals: Interval::up_to(mul_up(child.rows_total.hi, oc.evals)),
             method_units: Interval::up_to(mul_up(child.rows_total.hi, oc.units)),
@@ -968,7 +912,7 @@ impl Walk<'_, '_> {
         opens: Interval,
     ) -> Result<Out, PtError> {
         let mut l = self.go(left, opens)?;
-        let (entity_class, nblevels) = (probe.class, probe.nblevels as f64);
+        let nblevels = probe.nblevels as f64;
         let oc = self.expr_bounds(probe.key, self.over(left, &l));
         let m = oc.members;
         let hits = self.probe_hits_hi(probe);
@@ -982,10 +926,7 @@ impl Walk<'_, '_> {
                 l.rows_total.hi,
                 add_up(
                     oc.fetches,
-                    mul_up(
-                        m,
-                        mul_up(hits, add_up(self.deref_cost_hi(entity_class), pc.fetches)),
-                    ),
+                    mul_up(m, mul_up(hits, add_up(TOUCH_PAGES, pc.fetches))),
                 ),
             )),
             evals: Interval::up_to(mul_up(

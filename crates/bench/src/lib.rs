@@ -30,7 +30,10 @@ mod tests {
     /// A map environment for evaluating Figure 7 symbols from statistics.
     fn fig7_symbol_env(s: &Scenario) -> HashMap<String, f64> {
         let composer = s.db.catalog().class_by_name("Composer").expect("music");
-        let composer_e = s.db.physical().entities_of_class(composer)[0];
+        let composer_e =
+            s.db.physical()
+                .class_entity(composer)
+                .expect("one extension per class");
         let es = s.stats.entity(composer_e).expect("stats");
         let n1 = s.stats.max_chain_depth().unwrap_or(10) as f64;
         let mut env = HashMap::new();

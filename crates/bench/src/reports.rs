@@ -752,7 +752,10 @@ pub(crate) fn lint_report(args: &Args) -> Result<String, String> {
     // A deliberately broken plan: the projection drops `x.birth`, which
     // the selection above it still consumes.
     let composer = s.db.catalog().class_by_name("Composer").expect("music");
-    let composer_e = s.db.physical().entities_of_class(composer)[0];
+    let composer_e =
+        s.db.physical()
+            .class_entity(composer)
+            .expect("one extension per class");
     let broken = Pt::sel(
         Expr::var("x.birth").eq(Expr::int(1685)),
         Pt::proj(

@@ -43,12 +43,11 @@ pub struct Scenario {
 }
 
 /// Everything an optimize-and-execute takes beyond scenario, query and
-/// strategy. The default is what every figure runs under: uncalibrated
-/// cost parameters, serial unbounded execution, nothing recorded.
+/// strategy. The default is what every figure runs under: serial
+/// unbounded execution, nothing recorded. Plans are always costed under
+/// the uncalibrated `CostParams::default()`.
 #[derive(Clone, Default)]
 pub struct Knobs {
-    /// Cost parameters the optimizer plans under.
-    pub params: CostParams,
     /// Breaker budget and fixpoint cap of the run.
     pub exec: ExecConfig,
     /// Trace recorder threaded through optimizer, executor and store.
@@ -254,7 +253,7 @@ impl Scenario {
         config: OptimizerConfig,
         knobs: &Knobs,
     ) -> Result<(Optimized, TempFields), String> {
-        let model = self.model(knobs.params.clone(), TempFields::new());
+        let model = self.model(CostParams::default(), TempFields::new());
         let mut opt = Optimizer::new(model, config)
             .with_recorder(knobs.recorder.clone())
             .with_metrics(&knobs.registry);

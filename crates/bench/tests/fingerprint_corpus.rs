@@ -17,7 +17,7 @@ use oorq_analysis::{equivalent_local_change, proven_worse, Analyzer};
 use oorq_bench::scenarios::{for_each_row, Scenario, TempFields};
 use oorq_bench::Knobs;
 use oorq_core::{neighbours, rand_optimize_with, Decisions, OptimizerConfig, RandConfig};
-use oorq_cost::CostModel;
+use oorq_cost::{CostModel, CostParams};
 use oorq_prng::Prng;
 use oorq_pt::{fix_recursive_nodes, lower, rescannable, subtrees, PhysOp, Pt, PtEnv};
 
@@ -263,7 +263,7 @@ fn walk_outcomes_equal_the_re_examining_walks() {
                 ..config
             };
             let (start, temps) = s.plan(q, config, &Knobs::default())?;
-            let model = s.model(Knobs::default().params, temps);
+            let model = s.model(CostParams::default(), temps);
             assert!(!neighbours(&model, &start.pt).is_empty(), "{name}");
             let (row, outcomes) = expected.next().expect("a recorded row");
             assert_eq!(*row, name);

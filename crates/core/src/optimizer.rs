@@ -435,7 +435,6 @@ impl<'a> Optimizer<'a> {
         let fix_pt = Pt::fix(temp.clone(), Pt::union(base_pt, rec_pt));
         let propagated = propagated_columns(&fix_pt);
         let info = FixInfo {
-            temp,
             out_cols: base_col_names,
             fields,
             propagated,
@@ -684,45 +683,13 @@ impl<'a> Optimizer<'a> {
         }
         match &arc.name {
             NameRef::Class(c) => {
-                let active = self.model.physical.entities_of_class(*c);
-                if active.is_empty() {
-                    return Err(OptError::NoEntity(catalog.class(*c).name.clone()));
-                }
-                // Vertical fragments all hold every instance: scan the
-                // cheapest one. Horizontal fragments partition the
-                // extension: scan their union.
-                let vertical = active.iter().all(|e| {
-                    matches!(
-                        self.model.physical.entity(*e).fragment,
-                        Some(oorq_storage::FragmentSpec::Vertical { .. })
-                    )
-                });
-                let entities = if active.len() > 1 && vertical {
-                    let cheapest = active
-                        .iter()
-                        .copied()
-                        .min_by_key(|e| {
-                            self.model
-                                .stats
-                                .entity(*e)
-                                .map(|s| s.pages)
-                                .unwrap_or(u64::MAX)
-                        })
-                        .expect("non-empty");
-                    vec![cheapest]
-                } else {
-                    active.to_vec()
-                };
-                Ok(BasePlan::Class(entities, *c))
+                let e = self.model.physical.class_entity(*c);
+                let e = e.ok_or_else(|| OptError::NoEntity(catalog.class(*c).name.clone()))?;
+                Ok(BasePlan::Class(e, *c))
             }
             NameRef::Relation(r) if catalog.relation(*r).kind == ViewKind::Stored => {
-                let e = self
-                    .model
-                    .physical
-                    .entities_of_relation(*r)
-                    .first()
-                    .copied()
-                    .ok_or_else(|| OptError::NoEntity(catalog.relation(*r).name.clone()))?;
+                let e = self.model.physical.relation_entity(*r);
+                let e = e.ok_or_else(|| OptError::NoEntity(catalog.relation(*r).name.clone()))?;
                 Ok(BasePlan::Relation(e, catalog.relation(*r).fields.clone()))
             }
             name => {

@@ -327,7 +327,7 @@ fn filter_action_pushes_only_propagated_conjuncts() {
     )
     .with_temp("Influencer", m.influencer_fields());
     // Hand-build the Influencer fixpoint.
-    let e = m.db.physical().entities_of_class(m.composer)[0];
+    let e = m.db.physical().class_entity(m.composer).unwrap();
     let base = Pt::proj(
         vec![
             ("master".into(), Expr::path("x", &["master"])),
@@ -356,7 +356,6 @@ fn filter_action_pushes_only_propagated_conjuncts() {
         "only master is copied"
     );
     let info = FixInfo {
-        temp: "Influencer".into(),
         out_cols: vec!["master".into(), "disciple".into(), "gen".into()],
         fields: m.influencer_fields(),
         propagated,
@@ -523,7 +522,7 @@ fn translate_enumerates_orderings_and_collapse() {
     let mut q = oorq_query::paper::fig2_query(cat);
     q.normalize(cat).unwrap();
     let spj = q.nodes[0].1.spjs()[0].clone();
-    let composer_e = m.db.physical().entities_of_class(m.composer)[0];
+    let composer_e = m.db.physical().class_entity(m.composer).unwrap();
     let mut counter = 0;
     let mut fresh = || {
         counter += 1;
@@ -533,7 +532,7 @@ fn translate_enumerates_orderings_and_collapse() {
         cat,
         m.db.physical(),
         &spj.inputs[0],
-        BasePlan::Class(vec![composer_e], m.composer),
+        BasePlan::Class(composer_e, m.composer),
         &mut fresh,
         16,
     )
@@ -569,7 +568,7 @@ fn best_selection_expands_long_paths_when_cheaper() {
         &stats,
         CostParams::default(),
     );
-    let e = m.db.physical().entities_of_class(m.composer)[0];
+    let e = m.db.physical().class_entity(m.composer).unwrap();
     let pred = Expr::path("x", &["works", "instruments", "name"]).eq(Expr::text("flute"));
     let chosen = best_selection(&model, pred, Pt::entity(e, "x"), &["x".to_string()]).unwrap();
     // With the path index registered, the expansion through
@@ -600,7 +599,7 @@ fn neighbours_enumerate_join_and_access_moves() {
         &stats,
         CostParams::default(),
     );
-    let e = m.db.physical().entities_of_class(m.composer)[0];
+    let e = m.db.physical().class_entity(m.composer).unwrap();
     let plan = Pt::ej(
         Expr::path("l", &["master"]).eq(Expr::path("r", &["master"])),
         Pt::sel(
@@ -679,7 +678,7 @@ fn neighbours_keep_their_order() {
         chain_len: 3,
         ..Default::default()
     });
-    let e = m.db.physical().entities_of_class(m.composer)[0];
+    let e = m.db.physical().class_entity(m.composer).unwrap();
     // The inner join can probe the name index on `s`.
     let inner = Pt::ej(
         Expr::path("r", &["name"]).eq(Expr::path("s", &["name"])),
@@ -719,7 +718,7 @@ fn distribute_join_over_union_preserves_semantics() {
         chain_len: 3,
         ..Default::default()
     });
-    let e = m.db.physical().entities_of_class(m.composer)[0];
+    let e = m.db.physical().class_entity(m.composer).unwrap();
     let plan = join_over_union(e, Pt::entity(e, "r"));
     let model = CostModel::new(
         m.db.catalog(),

@@ -43,8 +43,6 @@ pub enum PushStrategy {
 /// Facts about a planned fixpoint needed by the push actions.
 #[derive(Debug, Clone)]
 pub struct FixInfo {
-    /// The temporary's name.
-    pub temp: String,
     /// Output column names of the fixpoint.
     pub out_cols: Vec<String>,
     /// Field types of the temporary.
@@ -260,7 +258,7 @@ fn try_rewrite(
         }
         // One implicit join into `class`; yields its fresh output column.
         let mut emit = |on: Expr, step: IjStep, class: ClassId| {
-            let Some(&target) = model.physical.entities_of_class(class).first() else {
+            let Some(target) = model.physical.class_entity(class) else {
                 failure = Some(OptError::NoEntity(format!("{class:?}")));
                 return None;
             };

@@ -104,8 +104,6 @@ pub struct ArcChain {
     pub ops: Vec<ChainOp>,
     /// Query variable → column expression.
     pub subst: HashMap<String, Expr>,
-    /// Root variable of the arc.
-    pub root_var: String,
 }
 
 impl ArcChain {
@@ -121,10 +119,8 @@ impl ArcChain {
 
 /// What a name node bottoms out to.
 pub enum BasePlan {
-    /// A class extension implemented by one or more atomic entities
-    /// (several for a horizontally decomposed extension: the base plan
-    /// is their union).
-    Class(Vec<EntityId>, ClassId),
+    /// A class extension, with the entity holding it.
+    Class(EntityId, ClassId),
     /// A stored relation entity, with its typed fields.
     Relation(EntityId, Vec<(String, ResolvedType)>),
     /// The recursive occurrence of a fixpoint: a temporary.
@@ -148,13 +144,9 @@ pub(crate) fn translate_arc(
     let root_var = arc.var.clone().unwrap_or_else(&mut *fresh);
     let mut subst: HashMap<String, Expr> = HashMap::new();
     let (base_pt, base_cols, root_kind) = match base {
-        BasePlan::Class(entities, c) => {
+        BasePlan::Class(e, c) => {
             subst.insert(root_var.clone(), Expr::Var(root_var.clone()));
-            let mut it = entities.into_iter();
-            let first = it.next().expect("a class has at least one entity");
-            let pt = it.fold(Pt::entity(first, root_var.clone()), |acc, e| {
-                Pt::union(acc, Pt::entity(e, root_var.clone()))
-            });
+            let pt = Pt::entity(e, root_var.clone());
             (pt, vec![root_var.clone()], RootKind::Object(c))
         }
         BasePlan::Relation(e, fields) => {
@@ -233,7 +225,6 @@ pub(crate) fn translate_arc(
                 base_cols: base_cols.clone(),
                 ops: collapsed,
                 subst: subst.clone(),
-                root_var: root_var.clone(),
             });
             if out.len() >= max_alternatives {
                 return Ok(dedup_chains(out));
@@ -279,9 +270,7 @@ fn permutations(n: usize) -> Vec<Vec<usize>> {
 
 fn home_entity(physical: &PhysicalSchema, class: ClassId) -> Result<EntityId, OptError> {
     physical
-        .entities_of_class(class)
-        .first()
-        .copied()
+        .class_entity(class)
         .ok_or_else(|| OptError::NoEntity(format!("class {class:?}")))
 }
 

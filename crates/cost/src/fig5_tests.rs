@@ -39,7 +39,7 @@ fn paper_model<'a>(m: &'a MusicDb, stats: &'a DbStats) -> CostModel<'a> {
 fn paper_mode_sel_is_pages_plus_one_eval_per_row() {
     let (m, stats) = setup(MusicConfig::default());
     let cm = paper_model(&m, &stats);
-    let e = m.db.physical().entities_of_class(m.composer)[0];
+    let e = m.db.physical().class_entity(m.composer).unwrap();
     let s = stats.entity(e).unwrap();
     let plan = Pt::sel(
         Expr::path("x", &["name"]).eq(Expr::text("Bach")),
@@ -57,7 +57,7 @@ fn paper_mode_sel_is_pages_plus_one_eval_per_row() {
 fn paper_mode_ej_nested_loop_rescans_inner_per_outer_row() {
     let (m, stats) = setup(MusicConfig::default());
     let cm = paper_model(&m, &stats);
-    let e = m.db.physical().entities_of_class(m.composer)[0];
+    let e = m.db.physical().class_entity(m.composer).unwrap();
     let s = stats.entity(e).unwrap();
     let (rows, pages) = (s.cardinality as f64, s.pages as f64);
     let join = Pt::ej(
@@ -78,8 +78,8 @@ fn paper_mode_ej_nested_loop_rescans_inner_per_outer_row() {
 fn paper_mode_ij_charges_one_page_per_dereference() {
     let (m, stats) = setup(MusicConfig::default());
     let cm = paper_model(&m, &stats);
-    let e = m.db.physical().entities_of_class(m.composer)[0];
-    let t = m.db.physical().entities_of_class(m.composition)[0];
+    let e = m.db.physical().class_entity(m.composer).unwrap();
+    let t = m.db.physical().class_entity(m.composition).unwrap();
     let s = stats.entity(e).unwrap();
     let ij = Pt::IJ {
         on: Expr::path("x", &["works"]),
@@ -117,9 +117,9 @@ fn paper_mode_pij_follows_probe_formula() {
     );
     let stats = DbStats::collect(&m.db);
     let cm = paper_model(&m, &stats);
-    let e = m.db.physical().entities_of_class(composer)[0];
-    let ce = m.db.physical().entities_of_class(composition)[0];
-    let ie = m.db.physical().entities_of_class(m.instrument)[0];
+    let e = m.db.physical().class_entity(composer).unwrap();
+    let ce = m.db.physical().class_entity(composition).unwrap();
+    let ie = m.db.physical().class_entity(m.instrument).unwrap();
     let pij = Pt::PIJ {
         index: idx,
         on: Expr::var("x"),
@@ -140,7 +140,7 @@ fn paper_mode_pij_follows_probe_formula() {
 }
 
 fn influencer_fix_plan(m: &MusicDb) -> Pt {
-    let e = m.db.physical().entities_of_class(m.composer)[0];
+    let e = m.db.physical().class_entity(m.composer).unwrap();
     let base = Pt::proj(
         vec![
             ("master".into(), Expr::path("x", &["master"])),
@@ -222,7 +222,7 @@ fn paper_mode_cost_is_monotone_in_cardinality() {
             ..Default::default()
         });
         let plan = |m: &MusicDb| {
-            let e = m.db.physical().entities_of_class(m.composer)[0];
+            let e = m.db.physical().class_entity(m.composer).unwrap();
             Pt::ej(
                 Expr::path("l", &["master"]).eq(Expr::var("r")),
                 Pt::sel(
@@ -261,8 +261,6 @@ fn snapshot_round_trips_including_residency() {
         buffer_frames: 48,
         clustered_access: 0.2,
         residency: true,
-        default_fix_iterations: 7.0,
-        default_selectivity: 0.25,
         weights: CostWeights {
             seq_page: 0.75,
             deref_page: 1.25,

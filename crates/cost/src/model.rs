@@ -36,7 +36,7 @@ use oorq_storage::{
 use crate::error::CostError;
 use crate::features::CostFeatures;
 use crate::guard::sane_rows;
-use crate::params::{Cost, CostParams};
+use crate::params::{Cost, CostParams, DEFAULT_FIX_ITERATIONS, DEFAULT_SELECTIVITY};
 
 /// The modeled per-iteration delta curve of one fixpoint: what the
 /// estimator assumed about the semi-naive iteration structure when it
@@ -400,7 +400,7 @@ impl<'a> CostModel<'a> {
         self.stats
             .max_chain_depth()
             .map(|d| (d as f64).max(1.0))
-            .unwrap_or(self.params.default_fix_iterations)
+            .unwrap_or(DEFAULT_FIX_ITERATIONS)
     }
 
     /// Model the per-iteration delta curve of a fixpoint over `temp`
@@ -475,12 +475,11 @@ impl<'a> CostModel<'a> {
         }
     }
 
-    /// Statistics of an attribute: those of its field in the entity
-    /// that holds it (a vertical fragment stores a subset of the class's
-    /// attributes, in its own order).
+    /// Statistics of an attribute: those of its field in the class's
+    /// extension.
     fn attr_stats(&self, class: ClassId, attr: AttrId) -> Option<&AttrStats> {
-        let (entity, slot) = self.physical.field_of(class, attr)?;
-        self.stats.entity(entity)?.attrs.get(slot)
+        let entity = self.physical.class_entity(class)?;
+        self.stats.entity(entity)?.attrs.get(attr.0 as usize)
     }
 
     /// Fan-out (average members, discounted by nulls) of an attribute.
@@ -499,22 +498,20 @@ impl<'a> CostModel<'a> {
         }
     }
 
-    /// Pages of the (first) entity extending a class; `+∞` when unknown
-    /// so buffer-residency caps never apply to unsized targets.
+    /// Pages of a class's extension; `+∞` when unknown so
+    /// buffer-residency caps never apply to unsized targets.
     fn class_pages(&self, class: ClassId) -> f64 {
         self.physical
-            .entities_of_class(class)
-            .first()
-            .and_then(|&e| self.stats.entity(e))
+            .class_entity(class)
+            .and_then(|e| self.stats.entity(e))
             .map(|s| s.pages as f64)
             .unwrap_or(f64::INFINITY)
     }
 
     fn is_clustered(&self, class: ClassId, attr: AttrId) -> bool {
         self.physical
-            .entities_of_class(class)
-            .first()
-            .map(|&e| self.physical.entity(e).is_clustered(attr))
+            .class_entity(class)
+            .map(|e| self.physical.entity(e).is_clustered(attr))
             .unwrap_or(false)
     }
 }
@@ -771,8 +768,8 @@ impl EstCtx<'_, '_> {
                     bound.expect("an implicit join hands up the class it binds, last");
                 // Target dereferences are capped at the target entity's
                 // cold pages when it fits in the buffer.
-                let target_fetch = match m.physical.entities_of_class(target_class).first() {
-                    Some(&e) => self.fetch_stream(e, m.class_pages(target_class), rows),
+                let target_fetch = match m.physical.class_entity(target_class) {
+                    Some(e) => self.fetch_stream(e, m.class_pages(target_class), rows),
                     None => rows,
                 };
                 let feat = CostFeatures {
@@ -805,9 +802,7 @@ impl EstCtx<'_, '_> {
                 let head_class = path[0].0;
                 let head_entity = m
                     .physical
-                    .entities_of_class(head_class)
-                    .first()
-                    .copied()
+                    .class_entity(head_class)
                     .ok_or(CostError::MissingStats)?;
                 let head_card = m
                     .stats
@@ -1075,8 +1070,8 @@ impl EstCtx<'_, '_> {
                     };
                     if !in_hand {
                         out.io += mult; // fetch the object's page
-                        match m.physical.entities_of_class(class).first() {
-                            Some(&e) => {
+                        match m.physical.class_entity(class) {
+                            Some(e) => {
                                 if !self.hot.contains(&e) && !self.scan_resident.contains(&e) {
                                     out.footprint += m
                                         .stats
@@ -1128,7 +1123,7 @@ impl EstCtx<'_, '_> {
         if s.is_finite() {
             s.clamp(0.0, 1.0)
         } else {
-            self.model.params.default_selectivity
+            DEFAULT_SELECTIVITY
         }
     }
 
@@ -1163,7 +1158,7 @@ impl EstCtx<'_, '_> {
                         (CmpOp::Eq, Some(a), Some(b)) => Some(a.max(b)),
                         _ => dl.or(dr),
                     };
-                    distinct.map_or(self.model.params.default_selectivity, |d| 1.0 / d.max(1.0))
+                    distinct.map_or(DEFAULT_SELECTIVITY, |d| 1.0 / d.max(1.0))
                 });
                 if *op == CmpOp::Ne {
                     return 1.0 - per_member;
@@ -1181,7 +1176,7 @@ impl EstCtx<'_, '_> {
                 }
             }
             Expr::Cmp { .. } => 1.0 / 3.0,
-            _ => self.model.params.default_selectivity,
+            _ => DEFAULT_SELECTIVITY,
         }
     }
 
@@ -1246,8 +1241,8 @@ impl EstCtx<'_, '_> {
         let m = self.model;
         match self.path_end(expr, cols)? {
             PathEnd::Column(class) => {
-                let e = m.physical.entities_of_class(class).first()?;
-                Some(m.stats.entity(*e)?.cardinality as f64)
+                let e = m.physical.class_entity(class)?;
+                Some(m.stats.entity(e)?.cardinality as f64)
             }
             PathEnd::Attr { class, attr, .. } => Some(m.attr_distinct(class, attr)),
         }

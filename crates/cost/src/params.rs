@@ -226,11 +226,6 @@ pub struct CostParams {
     /// reads. The effective breaker-resident capacity is
     /// `CostParams::breaker_frames`.
     pub memory_budget_pages: u64,
-    /// Default number of fixpoint iterations when the statistics carry no
-    /// chain-depth information.
-    pub default_fix_iterations: f64,
-    /// Default selectivity for predicates that cannot be estimated.
-    pub default_selectivity: f64,
     /// Component weights (see [`CostWeights`]); identity by default,
     /// fitted by the calibration harness.
     pub weights: CostWeights,
@@ -247,6 +242,13 @@ pub struct CostParams {
     pub profile_scope: String,
 }
 
+/// Number of fixpoint iterations assumed when the statistics carry no
+/// chain-depth information.
+pub(crate) const DEFAULT_FIX_ITERATIONS: f64 = 10.0;
+
+/// Selectivity of a predicate that cannot be estimated.
+pub(crate) const DEFAULT_SELECTIVITY: f64 = 0.1;
+
 impl Default for CostParams {
     fn default() -> Self {
         CostParams {
@@ -256,8 +258,6 @@ impl Default for CostParams {
             clustered_access: 0.1,
             residency: false,
             memory_budget_pages: 0,
-            default_fix_iterations: 10.0,
-            default_selectivity: 0.1,
             weights: CostWeights::default(),
             fix_profiles: FixProfiles::empty(),
             profile_scope: String::new(),
@@ -285,8 +285,6 @@ impl CostParams {
             clustered_access: 1.0,
             residency: false,
             memory_budget_pages: 0,
-            default_fix_iterations: 10.0,
-            default_selectivity: 0.1,
             weights: CostWeights::default(),
             fix_profiles: FixProfiles::empty(),
             profile_scope: String::new(),
@@ -329,8 +327,6 @@ impl CostParams {
                 ("", "clustered_access") => p.clustered_access = value,
                 ("", "residency") => p.residency = value != 0.0,
                 ("", "memory_budget_pages") => p.memory_budget_pages = value as u64,
-                ("", "default_fix_iterations") => p.default_fix_iterations = value,
-                ("", "default_selectivity") => p.default_selectivity = value,
                 ("weights", "seq_page") => p.weights.seq_page = value,
                 ("weights", "deref_page") => p.weights.deref_page = value,
                 ("weights", "index_level") => p.weights.index_level = value,
@@ -368,8 +364,7 @@ impl CostParams {
         format!(
             "# {header}\n\
              pr = {}\nev = {}\nbuffer_frames = {}\nclustered_access = {}\n\
-             residency = {}\nmemory_budget_pages = {}\n\
-             default_fix_iterations = {}\ndefault_selectivity = {}\n\n\
+             residency = {}\nmemory_budget_pages = {}\n\n\
              [weights]\n\
              seq_page = {}\nderef_page = {}\nindex_level = {}\nindex_leaf = {}\n\
              write_page = {}\neval = {}\nmethod = {}\n",
@@ -379,8 +374,6 @@ impl CostParams {
             self.clustered_access,
             if self.residency { 1 } else { 0 },
             self.memory_budget_pages,
-            self.default_fix_iterations,
-            self.default_selectivity,
             w.seq_page,
             w.deref_page,
             w.index_level,

@@ -2,7 +2,7 @@
 //! geometric delta-decay curves, fed back from execution traces.
 //!
 //! The default estimator guesses one global iteration count
-//! (`max_chain_depth` / `default_fix_iterations`) and assumes *flat*
+//! (`max_chain_depth` / `DEFAULT_FIX_ITERATIONS`) and assumes *flat*
 //! per-iteration deltas, but the paper's §3.2 point (Figure 5:
 //! `Fix(T,P) = Σᵢ cost(Exp(Tᵢ))`) is that push decisions hinge on
 //! per-iteration volumes. The feedback harness (`oorq-bench`) replays
@@ -29,7 +29,7 @@ pub struct FixProfile {
     pub iterations: f64,
     /// Passes per unit of the chain-depth statistic the default
     /// estimator consults (`max_chain_depth`, falling back to
-    /// `default_fix_iterations`); lets the profile extrapolate when the
+    /// `DEFAULT_FIX_ITERATIONS`); lets the profile extrapolate when the
     /// statistic moves.
     pub iters_per_depth: f64,
     /// Observed seed delta over the estimator's base-case row estimate.

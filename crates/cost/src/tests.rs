@@ -31,7 +31,7 @@ fn model<'a>(m: &'a MusicDb, stats: &'a DbStats) -> CostModel<'a> {
 fn entity_scan_costs_its_pages() {
     let (m, stats) = setup(MusicConfig::default());
     let cm = model(&m, &stats);
-    let e = m.db.physical().entities_of_class(m.composer)[0];
+    let e = m.db.physical().class_entity(m.composer).unwrap();
     let pc = cm.cost(&Pt::entity(e, "x")).unwrap();
     let s = stats.entity(e).unwrap();
     assert_eq!(pc.cost.io, s.pages as f64);
@@ -47,7 +47,7 @@ fn selection_reduces_cardinality_by_selectivity() {
         ..Default::default()
     });
     let cm = model(&m, &stats);
-    let e = m.db.physical().entities_of_class(m.composer)[0];
+    let e = m.db.physical().class_entity(m.composer).unwrap();
     // name is a key: equality selectivity 1/100.
     let sel = Pt::sel(
         Expr::path("x", &["name"]).eq(Expr::text("Bach")),
@@ -67,7 +67,7 @@ fn selection_reduces_cardinality_by_selectivity() {
 fn deep_path_predicate_costs_dereferences() {
     let (m, stats) = setup(MusicConfig::default());
     let cm = model(&m, &stats);
-    let e = m.db.physical().entities_of_class(m.composer)[0];
+    let e = m.db.physical().class_entity(m.composer).unwrap();
     let cheap = Pt::sel(
         Expr::path("x", &["name"]).eq(Expr::text("Bach")),
         Pt::entity(e, "x"),
@@ -91,7 +91,7 @@ fn deep_path_predicate_costs_dereferences() {
 fn computed_attribute_charges_method_cost() {
     let (m, stats) = setup(MusicConfig::default());
     let cm = model(&m, &stats);
-    let e = m.db.physical().entities_of_class(m.composer)[0];
+    let e = m.db.physical().class_entity(m.composer).unwrap();
     let on_stored = Pt::sel(
         Expr::path("x", &["birth_year"]).ge(Expr::int(1700)),
         Pt::entity(e, "x"),
@@ -131,8 +131,8 @@ fn ij_cost_reflects_clustering() {
     let su = DbStats::collect(&unclustered.db);
     let sc = DbStats::collect(&clustered.db);
     let build = |m: &MusicDb| {
-        let e = m.db.physical().entities_of_class(m.composer)[0];
-        let t = m.db.physical().entities_of_class(m.composition)[0];
+        let e = m.db.physical().class_entity(m.composer).unwrap();
+        let t = m.db.physical().class_entity(m.composition).unwrap();
         Pt::IJ {
             on: Expr::path("x", &["works"]),
             step: oorq_pt::IjStep::class_attr(m.db.catalog(), m.composer, m.works_attr),
@@ -173,9 +173,9 @@ fn pij_probe_follows_figure5_formula() {
     );
     let stats = DbStats::collect(&m.db);
     let cm = model(&m, &stats);
-    let e = m.db.physical().entities_of_class(composer)[0];
-    let ce = m.db.physical().entities_of_class(composition)[0];
-    let ie = m.db.physical().entities_of_class(m.instrument)[0];
+    let e = m.db.physical().class_entity(composer).unwrap();
+    let ce = m.db.physical().class_entity(composition).unwrap();
+    let ie = m.db.physical().class_entity(m.instrument).unwrap();
     let pij = Pt::PIJ {
         index: idx,
         on: Expr::var("x"),
@@ -204,7 +204,7 @@ fn nested_loop_rescans_depend_on_buffer() {
         chain_len: 10,
         ..Default::default()
     });
-    let e = m.db.physical().entities_of_class(m.composer)[0];
+    let e = m.db.physical().class_entity(m.composer).unwrap();
     let join = Pt::ej(
         Expr::path("l", &["master"]).eq(Expr::var("r")),
         Pt::entity(e, "l"),
@@ -243,7 +243,7 @@ fn fix_cost_scales_with_chain_depth() {
         ..Default::default()
     });
     let fix_plan = |m: &MusicDb| {
-        let e = m.db.physical().entities_of_class(m.composer)[0];
+        let e = m.db.physical().class_entity(m.composer).unwrap();
         let base = Pt::proj(
             vec![
                 ("master".into(), Expr::path("x", &["master"])),
@@ -290,7 +290,7 @@ fn fix_cost_scales_with_chain_depth() {
 fn fix_requires_recursive_union() {
     let (m, stats) = setup(MusicConfig::default());
     let cm = model(&m, &stats);
-    let e = m.db.physical().entities_of_class(m.composer)[0];
+    let e = m.db.physical().class_entity(m.composer).unwrap();
     let bad = Pt::fix("Influencer", Pt::entity(e, "x"));
     assert_eq!(
         cm.cost(&bad).err(),
@@ -331,8 +331,8 @@ fn unknown_temp_is_reported() {
 fn path_is_costed_from_the_qualified_column_when_both_exist() {
     let (m, stats) = setup(MusicConfig::default());
     let cm = model(&m, &stats);
-    let composers = m.db.physical().entities_of_class(m.composer)[0];
-    let works = m.db.physical().entities_of_class(m.composition)[0];
+    let composers = m.db.physical().class_entity(m.composer).unwrap();
+    let works = m.db.physical().class_entity(m.composition).unwrap();
     let plan = Pt::sel(
         Expr::path("i", &["master", "title"]).eq(Expr::text("op0-0")),
         Pt::ej(
@@ -359,8 +359,8 @@ fn path_is_costed_from_the_qualified_column_when_both_exist() {
 fn a_join_repeating_a_column_name_is_costed_by_name() {
     let (m, stats) = setup(MusicConfig::default());
     let cm = model(&m, &stats);
-    let composers = m.db.physical().entities_of_class(m.composer)[0];
-    let works = m.db.physical().entities_of_class(m.composition)[0];
+    let composers = m.db.physical().class_entity(m.composer).unwrap();
+    let works = m.db.physical().class_entity(m.composition).unwrap();
     // The outer hands up `x` as a projected composition (not in hand,
     // and a composition has no `name`); the inner scans composers as `x`.
     let outer = Pt::proj(vec![("x".into(), Expr::var("w"))], Pt::entity(works, "w"));
@@ -387,7 +387,7 @@ fn a_join_repeating_a_column_name_is_costed_by_name() {
 fn breakdown_covers_every_node() {
     let (m, stats) = setup(MusicConfig::default());
     let cm = model(&m, &stats);
-    let e = m.db.physical().entities_of_class(m.composer)[0];
+    let e = m.db.physical().class_entity(m.composer).unwrap();
     let plan = Pt::sel(
         Expr::path("x", &["name"]).eq(Expr::text("Bach")),
         Pt::entity(e, "x"),
@@ -420,7 +420,7 @@ fn index_selection_beats_scan_for_selective_predicates() {
     );
     let stats = DbStats::collect(&m.db);
     let cm = model(&m, &stats);
-    let e = m.db.physical().entities_of_class(m.composer)[0];
+    let e = m.db.physical().class_entity(m.composer).unwrap();
     let pred = Expr::path("x", &["name"]).eq(Expr::text("Bach"));
     let scan = Pt::sel(pred.clone(), Pt::entity(e, "x"));
     let indexed = Pt::Sel {
@@ -506,7 +506,7 @@ fn referenced_unevenly() -> (MusicDb, DbStats, Pt) {
         },
     );
     let stats = DbStats::collect(&m.db);
-    let entity = |c| m.db.physical().entities_of_class(c)[0];
+    let entity = |c| m.db.physical().class_entity(c).unwrap();
     let pij = Pt::PIJ {
         index: idx,
         on: Expr::var("x"),
@@ -535,7 +535,7 @@ fn a_dereferenced_column_is_estimated_from_how_often_its_objects_are_referenced(
     // What the executor's filter lets through: one row per slot of
     // `Composition.instruments` holding the instrument.
     let slots = |i: usize| {
-        let compositions = m.db.physical().entities_of_class(m.composition)[0];
+        let compositions = m.db.physical().class_entity(m.composition).unwrap();
         let works = m.db.scan_raw(compositions);
         let held = works
             .iter()
@@ -567,7 +567,7 @@ fn a_dereferenced_column_is_estimated_from_how_often_its_objects_are_referenced(
 fn a_scanned_column_reads_its_extent_and_an_unknown_one_the_distinct_count() {
     let (m, stats, _) = referenced_unevenly();
     let mut cm = model(&m, &stats);
-    let composers = m.db.physical().entities_of_class(m.composer)[0];
+    let composers = m.db.physical().class_entity(m.composer).unwrap();
     let (birth_year, _) = m.db.catalog().attr(m.composer, "birth_year").unwrap();
     let year_of = |row: &oorq_storage::Row| row.values[birth_year.0 as usize].clone();
     let extent = m.db.scan_raw(composers);
@@ -601,43 +601,4 @@ fn a_scanned_column_reads_its_extent_and_an_unknown_one_the_distinct_count() {
         Pt::temp("Influencer", "i"),
     );
     assert!((cm.cost(&unknown).unwrap().rows - 120.0 / distinct).abs() < 1e-9);
-}
-
-/// A vertical fragment's fields are a subset of the class's attributes
-/// in the fragment's own order: statistics of `master` and `works` are
-/// those of the fragment that holds them, wherever it comes in the
-/// layout, and collecting the chain depth reads `master` there too.
-#[test]
-fn statistics_of_a_vertically_decomposed_class_are_found_in_the_fragment_that_holds_them() {
-    let (mut m, whole) = setup(MusicConfig::default());
-    let expected = {
-        let cm = model(&m, &whole);
-        let pij = |cm: &CostModel<'_>| deref_works(&m, cm).rows;
-        (pij(&cm), whole.chain(m.composer, m.master_attr).unwrap())
-    };
-    let attrs = m.db.catalog().class(m.composer).attrs.len() as u16;
-    // `master` and `works` (reversed) in the second fragment.
-    let first: Vec<_> = (0..attrs)
-        .map(oorq_schema::AttrId)
-        .filter(|a| *a != m.master_attr && *a != m.works_attr)
-        .collect();
-    m.db.decompose_vertical(m.composer, &[first, vec![m.works_attr, m.master_attr]])
-        .unwrap();
-    let stats = DbStats::collect(&m.db);
-    assert_eq!(stats.chain(m.composer, m.master_attr), Some(expected.1));
-    let cm = model(&m, &stats);
-    assert!((deref_works(&m, &cm).rows - expected.0).abs() < 1e-9);
-}
-
-/// `IJ_works` over every composer.
-fn deref_works(m: &MusicDb, cm: &CostModel<'_>) -> PlanCost {
-    let entity = |c| *m.db.physical().entities_of_class(c).last().unwrap();
-    let ij = Pt::IJ {
-        on: Expr::path("x", &["works"]),
-        step: oorq_pt::IjStep::class_attr(m.db.catalog(), m.composer, m.works_attr),
-        out: "w".into(),
-        input: Box::new(Pt::entity(entity(m.composer), "x")),
-        target: Box::new(Pt::entity(entity(m.composition), "ct")),
-    };
-    cm.cost(&ij).unwrap()
 }

@@ -42,8 +42,6 @@ pub struct ChainDb {
     pub db: Database,
     /// Relation names, in chain order.
     pub names: Vec<String>,
-    /// The configuration used.
-    pub config: ChainConfig,
 }
 
 /// Build the chain catalog for `k` relations.
@@ -123,7 +121,7 @@ impl ChainDb {
             }
             names.push(name);
         }
-        ChainDb { db, names, config }
+        ChainDb { db, names }
     }
 }
 
@@ -225,7 +223,10 @@ mod tests {
         let q = c.closure_query();
         q.validate(c.db.catalog()).unwrap();
         let edge = c.db.catalog().relation_by_name("Edge").unwrap();
-        let e = c.db.physical().entities_of_relation(edge)[0];
+        let e =
+            c.db.physical()
+                .relation_entity(edge)
+                .expect("one extension per stored relation");
         assert_eq!(c.db.entity_len(e), 7);
     }
 
@@ -240,7 +241,10 @@ mod tests {
         let q = chain_query(c.db.catalog(), 10);
         q.validate(c.db.catalog()).unwrap();
         let rel = c.db.catalog().relation_by_name("R1").unwrap();
-        let e = c.db.physical().entities_of_relation(rel)[0];
+        let e =
+            c.db.physical()
+                .relation_entity(rel)
+                .expect("one extension per stored relation");
         assert_eq!(c.db.entity_len(e), 20);
     }
 }

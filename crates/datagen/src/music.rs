@@ -209,16 +209,15 @@ impl MusicDb {
         }
 
         // Physical placement.
+        let physical = db.physical();
+        let [composer_e, composition_e, instrument_e] = [composer, composition, instrument]
+            .map(|c| physical.class_entity(c).expect("one extension per class"));
         if config.clustered {
-            let composer_e = db.physical().entities_of_class(composer)[0];
             let (works_attr_c, _) = catalog.attr(composer, "works").expect("works");
             db.physical_mut().set_clustered(composer_e, works_attr_c);
-            let composition_e = db.physical().entities_of_class(composition)[0];
             db.physical_mut()
                 .set_clustered(composition_e, instruments_attr);
         } else {
-            let composition_e = db.physical().entities_of_class(composition)[0];
-            let instrument_e = db.physical().entities_of_class(instrument)[0];
             db.shuffle_entity(composition_e, config.seed ^ 0x5eed);
             db.shuffle_entity(instrument_e, config.seed ^ 0xfeed);
         }

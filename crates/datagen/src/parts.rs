@@ -111,12 +111,8 @@ pub struct PartsDb {
     pub subparts_attr: AttrId,
     /// `assembly` attribute (scalar self-reference: owning assembly).
     pub assembly_attr: AttrId,
-    /// `name` attribute.
-    pub name_attr: AttrId,
     /// Root assemblies.
     pub roots: Vec<Oid>,
-    /// The configuration used.
-    pub config: PartsConfig,
 }
 
 impl PartsDb {
@@ -131,7 +127,6 @@ impl PartsDb {
             },
         );
         let part = catalog.class_by_name("Part").expect("parts schema");
-        let (name_attr, _) = catalog.attr(part, "name").expect("name");
         let (subparts_attr, _) = catalog.attr(part, "subparts").expect("subparts");
         let (assembly_attr, _) = catalog.attr(part, "assembly").expect("assembly");
 
@@ -148,11 +143,13 @@ impl PartsDb {
             );
             roots.push(root);
         }
+        let e = db
+            .physical()
+            .class_entity(part)
+            .expect("one extension per class");
         if !config.clustered {
-            let e = db.physical().entities_of_class(part)[0];
             db.shuffle_entity(e, config.seed ^ 0xa55e);
         } else {
-            let e = db.physical().entities_of_class(part)[0];
             db.physical_mut().set_clustered(e, subparts_attr);
         }
         PartsDb {
@@ -160,9 +157,7 @@ impl PartsDb {
             part,
             subparts_attr,
             assembly_attr,
-            name_attr,
             roots,
-            config,
         }
     }
 

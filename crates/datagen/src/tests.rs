@@ -46,8 +46,8 @@ fn music_generation_is_deterministic() {
     let cat = Arc::new(music_catalog());
     let a = MusicDb::generate(Arc::clone(&cat), MusicConfig::default());
     let b = MusicDb::generate(Arc::clone(&cat), MusicConfig::default());
-    let ea = a.db.physical().entities_of_class(a.composition)[0];
-    let eb = b.db.physical().entities_of_class(b.composition)[0];
+    let ea = a.db.physical().class_entity(a.composition).unwrap();
+    let eb = b.db.physical().class_entity(b.composition).unwrap();
     let ra: Vec<_> = a.db.scan_raw(ea).into_iter().map(|r| r.values).collect();
     let rb: Vec<_> = b.db.scan_raw(eb).into_iter().map(|r| r.values).collect();
     assert_eq!(ra, rb);
@@ -66,7 +66,7 @@ fn harpsichord_fraction_controlled() {
         },
     );
     // Nobody uses a harpsichord.
-    let comp_e = m.db.physical().entities_of_class(m.composition)[0];
+    let comp_e = m.db.physical().class_entity(m.composition).unwrap();
     for row in m.db.scan_raw(comp_e) {
         let insts = &row.values[m.instruments_attr.0 as usize];
         assert!(!insts.members().contains(&Value::Oid(m.instruments[0])));

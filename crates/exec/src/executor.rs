@@ -61,18 +61,16 @@ pub struct ExecState {
     pub nl_mat_pool: HashMap<Vec<ResolvedType>, Vec<EntityId>>,
 }
 
-/// A report of the resources one execution consumed.
+/// A report of the resources the executor's last run consumed, whether
+/// it completed or failed.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ExecReport {
-    /// Page I/O accumulated by the *store's* page account since its last
-    /// reset: every run of every executor over the database, a failed
-    /// run's touches included — a wider scope than `evals` and
-    /// `method_calls` (this executor's runs) and than `ops` (the last
-    /// run), so in a session [`ExecReport::total`] mixes the three.
+    /// Page I/O the run charged the store's page account (the account's
+    /// counters after the run less those before it).
     pub io: IoStats,
-    /// Predicate evaluations performed.
+    /// Predicate evaluations the run performed.
     pub evals: u64,
-    /// Method invocations performed.
+    /// Method invocations the run performed.
     pub method_calls: u64,
     /// Per-operator observed counters of the last run (empty if it
     /// failed or was [`Executor::answer`]ed).
@@ -129,7 +127,10 @@ pub struct Executor<'a> {
     db: &'a mut Database,
     indexes: &'a IndexSet,
     methods: &'a MethodRegistry,
+    /// Evaluations and method calls of the last run.
     counters: Counters,
+    /// Page I/O of the last run.
+    last_io: IoStats,
     config: ExecConfig,
     /// What outlives a run: fixpoint temporaries, their shapes, and the
     /// pool of materialized-inner temporaries (reused across runs; a run
@@ -161,6 +162,7 @@ impl<'a> Executor<'a> {
             indexes,
             methods,
             counters: Counters::default(),
+            last_io: IoStats::default(),
             config: ExecConfig::default(),
             state: ExecState::default(),
             nl_mats: HashMap::new(),
@@ -225,14 +227,6 @@ impl<'a> Executor<'a> {
         self.last_plan.as_ref()
     }
 
-    /// Reset I/O and CPU counters (e.g. after a warm-up run).
-    #[cfg(test)]
-    pub(crate) fn reset_counters(&mut self) {
-        self.db.reset_io();
-        self.counters = Counters::default();
-        self.forget_last_run();
-    }
-
     /// Drop what describes the last run: `report()` and `last_plan()`
     /// must never pair one run's operators and plan with another's totals.
     fn forget_last_run(&mut self) {
@@ -241,12 +235,12 @@ impl<'a> Executor<'a> {
         self.last_plan = None;
     }
 
-    /// The resources consumed so far (per-operator counters and delta
-    /// curves cover the last run, and are empty if it failed or was
+    /// The resources the last run consumed (its per-operator counters
+    /// and delta curves are empty if it failed or was
     /// [`Executor::answer`]ed).
     pub fn report(&self) -> ExecReport {
         ExecReport {
-            io: self.db.io_stats(),
+            io: self.last_io,
             evals: self.counters.evals.get(),
             method_calls: self.counters.method_calls.get(),
             ops: self.last_ops.clone(),
@@ -286,15 +280,17 @@ impl<'a> Executor<'a> {
     fn run_with(&mut self, pt: &Pt, profile: bool) -> Result<Batch, ExecError> {
         let span = self.obs.begin("exec", "run");
         let wall0 = std::time::Instant::now();
-        let evals0 = self.counters.evals.get();
+        self.counters = Counters::default();
+        let io0 = self.db.io_stats();
         let res = self.run_inner(pt, profile);
+        self.last_io = self.db.io_stats() - io0;
         if let Ok(batch) = &res {
             self.obs
                 .span_fields(span, vec![("rows".into(), batch.rows.len().into())]);
             self.publish_metrics(
                 wall0.elapsed().as_nanos() as u64,
                 batch.rows.len() as u64,
-                self.counters.evals.get() - evals0,
+                self.counters.evals.get(),
             );
         }
         self.obs.end(span);

@@ -123,14 +123,16 @@ fn instances(
             Ok((0..n).map(|i| vec![Value::Oid(Oid::new(*c, i))]).collect())
         }
         NameRef::Relation(r) => {
-            let entities = ctx.db.physical().entities_of_relation(*r);
-            let mut rows = Vec::new();
-            for e in entities {
-                for row in ctx.db.scan_raw(*e) {
-                    rows.push(row.values);
-                }
-            }
-            Ok(rows)
+            let rows = ctx
+                .db
+                .physical()
+                .relation_entity(*r)
+                .map(|e| ctx.db.scan_raw(e));
+            Ok(rows
+                .unwrap_or_default()
+                .into_iter()
+                .map(|row| row.values)
+                .collect())
         }
         NameRef::Derived(d) => Err(ExecError::Query(oorq_query::QueryError::UndefinedDerived(
             d.clone(),

@@ -29,7 +29,7 @@ fn small_music() -> MusicDb {
 #[test]
 fn scan_and_select_by_name() {
     let mut m = small_music();
-    let e = m.db.physical().entities_of_class(m.composer)[0];
+    let e = m.db.physical().class_entity(m.composer).unwrap();
     let idx = IndexSet::new();
     let methods = MethodRegistry::with_music_methods(m.db.catalog());
     let mut ex = Executor::new(&mut m.db, &idx, &methods);
@@ -51,8 +51,8 @@ fn scan_and_select_by_name() {
 #[test]
 fn path_reads_the_qualified_column_when_both_exist() {
     let mut m = small_music();
-    let composers = m.db.physical().entities_of_class(m.composer)[0];
-    let works = m.db.physical().entities_of_class(m.composition)[0];
+    let composers = m.db.physical().class_entity(m.composer).unwrap();
+    let works = m.db.physical().class_entity(m.composition).unwrap();
     let n = m.composer_count() as usize;
     let idx = IndexSet::new();
     let methods = MethodRegistry::with_music_methods(m.db.catalog());
@@ -86,18 +86,16 @@ fn indexed_select_matches_scan_with_less_io() {
             ..Default::default()
         },
     );
-    let e = m.db.physical().entities_of_class(m.composer)[0];
+    let e = m.db.physical().class_entity(m.composer).unwrap();
     let mut idx = IndexSet::new();
     let sid = idx.add_selection(SelectionIndex::build(&mut m.db, m.composer, m.name_attr));
     let methods = MethodRegistry::new();
     let pred = Expr::path("x", &["name"]).eq(Expr::text("Bach"));
     let mut ex = Executor::new(&mut m.db, &idx, &methods);
 
-    ex.reset_counters();
     let scan_out = ex.run(&Pt::sel(pred.clone(), Pt::entity(e, "x"))).unwrap();
     let scan_reads = ex.report().io.page_reads;
 
-    ex.reset_counters();
     let idx_plan = Pt::Sel {
         pred,
         method: oorq_pt::AccessMethod::Index(sid),
@@ -115,8 +113,8 @@ fn indexed_select_matches_scan_with_less_io() {
 #[test]
 fn implicit_join_fans_out_over_works() {
     let mut m = small_music();
-    let e = m.db.physical().entities_of_class(m.composer)[0];
-    let t = m.db.physical().entities_of_class(m.composition)[0];
+    let e = m.db.physical().class_entity(m.composer).unwrap();
+    let t = m.db.physical().class_entity(m.composition).unwrap();
     let idx = IndexSet::new();
     let methods = MethodRegistry::new();
     let plan = Pt::IJ {
@@ -143,9 +141,9 @@ fn pij_equals_ij_chain() {
             (m.composition, m.instruments_attr),
         ],
     ));
-    let e = m.db.physical().entities_of_class(m.composer)[0];
-    let ce = m.db.physical().entities_of_class(m.composition)[0];
-    let ie = m.db.physical().entities_of_class(m.instrument)[0];
+    let e = m.db.physical().class_entity(m.composer).unwrap();
+    let ce = m.db.physical().class_entity(m.composition).unwrap();
+    let ie = m.db.physical().class_entity(m.instrument).unwrap();
     let methods = MethodRegistry::new();
 
     let ij_chain = Pt::IJ {
@@ -170,7 +168,6 @@ fn pij_equals_ij_chain() {
     };
     let mut ex = Executor::new(&mut m.db, &idx, &methods);
     let a = ex.run(&ij_chain).unwrap();
-    ex.reset_counters();
     let b = ex.run(&pij).unwrap();
     let mut ra = a.rows.clone();
     let rb_aligned = a.aligned(b.clone()).unwrap();
@@ -185,7 +182,7 @@ fn pij_equals_ij_chain() {
 #[test]
 fn nested_loop_and_index_join_agree() {
     let mut m = small_music();
-    let e = m.db.physical().entities_of_class(m.composer)[0];
+    let e = m.db.physical().class_entity(m.composer).unwrap();
     let mut idx = IndexSet::new();
     let sid = idx.add_selection(SelectionIndex::build(&mut m.db, m.composer, m.master_attr));
     let methods = MethodRegistry::new();
@@ -211,7 +208,7 @@ fn nested_loop_and_index_join_agree() {
 /// Build the translated Influencer fixpoint by hand (what translate +
 /// generatePT will produce automatically).
 fn influencer_fix(m: &MusicDb) -> Pt {
-    let e = m.db.physical().entities_of_class(m.composer)[0];
+    let e = m.db.physical().class_entity(m.composer).unwrap();
     let base = Pt::proj(
         vec![
             ("master".into(), Expr::path("x", &["master"])),
@@ -245,7 +242,7 @@ fn influencer_fix(m: &MusicDb) -> Pt {
 /// both legs also carry the disciple's direct master, which the recursive
 /// leg's projection dereferences.
 fn influencer_over_ij(m: &MusicDb, join: Expr, keep: Option<Expr>, via: bool) -> Pt {
-    let e = m.db.physical().entities_of_class(m.composer)[0];
+    let e = m.db.physical().class_entity(m.composer).unwrap();
     let scan = |var: &str| Pt::entity(e, var);
     let cols = |master: Expr, disciple: &str, gen: Expr| {
         let via = via.then(|| ("via".into(), Expr::path(disciple, &["master"])));
@@ -469,7 +466,7 @@ fn answer_under_a_registry_publishes_runs_operator_series() {
 #[test]
 fn computed_attribute_dispatches_to_method() {
     let mut m = small_music();
-    let e = m.db.physical().entities_of_class(m.composer)[0];
+    let e = m.db.physical().class_entity(m.composer).unwrap();
     let idx = IndexSet::new();
     let methods = MethodRegistry::with_music_methods(m.db.catalog());
     let mut ex = Executor::new(&mut m.db, &idx, &methods);
@@ -493,7 +490,7 @@ fn computed_attribute_dispatches_to_method() {
 #[test]
 fn union_aligns_columns() {
     let mut m = small_music();
-    let e = m.db.physical().entities_of_class(m.composer)[0];
+    let e = m.db.physical().class_entity(m.composer).unwrap();
     let idx = IndexSet::new();
     let methods = MethodRegistry::new();
     let mut ex = Executor::new(&mut m.db, &idx, &methods);
@@ -552,8 +549,8 @@ fn clustered_execution_costs_less_io_than_scattered() {
                 ..cfg.clone()
             },
         );
-        let e = m.db.physical().entities_of_class(m.composer)[0];
-        let t = m.db.physical().entities_of_class(m.composition)[0];
+        let e = m.db.physical().class_entity(m.composer).unwrap();
+        let t = m.db.physical().class_entity(m.composition).unwrap();
         let plan = Pt::IJ {
             on: Expr::path("x", &["works"]),
             step: oorq_pt::IjStep::class_attr(m.db.catalog(), m.composer, m.works_attr),
@@ -567,7 +564,6 @@ fn clustered_execution_costs_less_io_than_scattered() {
         m_run(&mut ex, &plan)
     };
     fn m_run(ex: &mut Executor<'_>, plan: &Pt) -> u64 {
-        ex.reset_counters();
         ex.run(plan).unwrap();
         ex.report().io.page_reads
     }
@@ -580,38 +576,9 @@ fn clustered_execution_costs_less_io_than_scattered() {
 }
 
 #[test]
-fn horizontally_decomposed_class_scans_union_of_fragments() {
-    let mut m = small_music();
-    // Split composers by name parity.
-    let frags =
-        m.db.decompose_horizontal(
-            m.composer,
-            2,
-            &["even oid".into(), "odd oid".into()],
-            |vals| (vals[0].as_text().map(|s| s.len()).unwrap_or(0)) % 2,
-        )
-        .unwrap();
-    // A union plan over the fragments enumerates every composer once.
-    let plan = Pt::union(Pt::entity(frags[0], "x"), Pt::entity(frags[1], "x"));
-    let idx = IndexSet::new();
-    let methods = MethodRegistry::new();
-    let mut ex = Executor::new(&mut m.db, &idx, &methods);
-    let out = ex.run(&plan).unwrap();
-    assert_eq!(out.len(), 12);
-    // Attribute reads still route to the right fragment.
-    let plan2 = Pt::proj(
-        vec![("n".into(), Expr::path("x", &["name"]))],
-        Pt::union(Pt::entity(frags[0], "x"), Pt::entity(frags[1], "x")),
-    );
-    let mut ex2 = Executor::new(&mut m.db, &idx, &methods);
-    let out2 = ex2.run(&plan2).unwrap();
-    assert_eq!(out2.len(), 12);
-}
-
-#[test]
 fn expression_evaluation_edge_cases() {
     let mut m = small_music();
-    let e = m.db.physical().entities_of_class(m.composer)[0];
+    let e = m.db.physical().class_entity(m.composer).unwrap();
     let idx = IndexSet::new();
     let methods = MethodRegistry::new();
     // Or / Not / Add / float mixing.
@@ -662,7 +629,7 @@ fn expression_evaluation_edge_cases() {
 #[test]
 fn integer_add_overflow_is_reported_not_wrapped() {
     let mut m = small_music();
-    let e = m.db.physical().entities_of_class(m.composer)[0];
+    let e = m.db.physical().class_entity(m.composer).unwrap();
     let idx = IndexSet::new();
     let methods = MethodRegistry::new();
     let overflow = Pt::proj(
@@ -695,7 +662,7 @@ fn integer_add_overflow_is_reported_not_wrapped() {
 #[test]
 fn non_boolean_predicate_is_a_bad_value_not_false() {
     let mut m = small_music();
-    let e = m.db.physical().entities_of_class(m.composer)[0];
+    let e = m.db.physical().class_entity(m.composer).unwrap();
     let idx = IndexSet::new();
     let methods = MethodRegistry::new();
     // A selection predicate evaluating to an Int must error, not be
@@ -726,7 +693,7 @@ fn non_boolean_predicate_is_a_bad_value_not_false() {
 #[test]
 fn union_mismatch_is_reported() {
     let mut m = small_music();
-    let e = m.db.physical().entities_of_class(m.composer)[0];
+    let e = m.db.physical().class_entity(m.composer).unwrap();
     let idx = IndexSet::new();
     let methods = MethodRegistry::new();
     let l = Pt::proj(vec![("a".into(), Expr::var("x"))], Pt::entity(e, "x"));
@@ -743,7 +710,7 @@ fn union_mismatch_is_reported() {
 #[test]
 fn fixpoint_over_empty_base_terminates_empty() {
     let mut m = small_music();
-    let e = m.db.physical().entities_of_class(m.composer)[0];
+    let e = m.db.physical().class_entity(m.composer).unwrap();
     let idx = IndexSet::new();
     let methods = MethodRegistry::new();
     let base = Pt::proj(
@@ -816,6 +783,44 @@ fn single_iteration_fixpoint_scans_delta_once() {
     );
 }
 
+/// A report describes the executor's last run, not the executor's or the
+/// store's total: run one plan twice on one executor, and the second
+/// report holds the first's evaluations again, and the page I/O the
+/// store's account counted around the second run (read from the
+/// `storage.*` series the account publishes whenever a run checks it back
+/// in).
+#[test]
+fn a_second_run_on_one_executor_reports_itself_alone() {
+    let mut m = small_music();
+    let (idx, methods) = (IndexSet::new(), MethodRegistry::new());
+    let closure = influencer_fix(&m);
+    let reg = oorq_obs::MetricsRegistry::new();
+    let account = || {
+        ["page_hits", "page_misses", "page_writes", "page_evictions"]
+            .map(|name| reg.counter(&format!("storage.{name}")).get())
+    };
+    let mut ex = Executor::new(&mut m.db, &idx, &methods).with_metrics(reg.clone());
+    let first_rows = ex.run(&closure).unwrap();
+    let first = ex.report();
+    let before = account();
+    assert_eq!(ex.run(&closure).unwrap(), first_rows);
+    let (second, after) = (ex.report(), account());
+    assert!(first.evals > 0);
+    assert_eq!(second.evals, first.evals, "the second run's evaluations");
+    let io = second.io;
+    assert!(io.fetches() > 0 && io.page_writes > 0, "{io:?}");
+    assert_eq!(
+        [
+            io.page_hits,
+            io.page_reads,
+            io.page_writes,
+            io.page_evictions
+        ],
+        [0, 1, 2, 3].map(|i| after[i] - before[i]),
+        "the second run's page I/O"
+    );
+}
+
 /// A run that fails reports itself — not the run before it — and leaves
 /// the store's page account where the next run finds it.
 #[test]
@@ -833,7 +838,7 @@ fn failed_run_reports_itself_and_parks_the_account() {
     };
     let mut m = four_frames();
     let (idx, methods) = (IndexSet::new(), MethodRegistry::new());
-    let e = m.db.physical().entities_of_class(m.composer)[0];
+    let e = m.db.physical().class_entity(m.composer).unwrap();
     let closure = influencer_fix(&m);
     // Chains of length 4 take three passes: one is not enough.
     let mut ex = Executor::new(&mut m.db, &idx, &methods).with_config(ExecConfig {
@@ -841,11 +846,8 @@ fn failed_run_reports_itself_and_parks_the_account() {
         ..ExecConfig::default()
     });
     ex.run(&Pt::entity(e, "x")).unwrap();
-    assert!(!ex.report().ops.is_empty() && ex.last_plan().is_some());
-    ex.reset_counters();
-    assert!(ex.report().ops.is_empty() && ex.last_plan().is_none());
-    ex.run(&Pt::entity(e, "x")).unwrap();
     let good = ex.report();
+    assert!(!good.ops.is_empty() && ex.last_plan().is_some());
     let err = ex.run(&closure).unwrap_err();
     assert!(matches!(err, ExecError::FixpointDiverged(_)), "{err}");
     let failed = ex.report();
@@ -853,14 +855,16 @@ fn failed_run_reports_itself_and_parks_the_account() {
     assert!(ex.last_plan().is_none(), "no plan just completed");
     assert!(
         failed.io.fetches() > good.io.fetches() && failed.io.page_writes > 0,
-        "the failed run's touches are in the account: {:?}",
+        "the failed run's touches are in its report: {:?}",
         failed.io
     );
     drop(ex);
 
-    // The account was parked as the failed run left it: counters, frames,
-    // and what is resident in them.
-    assert_eq!(m.db.io_stats(), failed.io);
+    // The account was parked as the failed run left it: counters (the two
+    // runs' together), frames, and what is resident in them.
+    let mut both = good.io;
+    both += failed.io;
+    assert_eq!(m.db.io_stats(), both);
     assert_eq!(m.db.buffer_frames(), 4);
     let mut ex = Executor::new(&mut m.db, &idx, &methods);
     let out = ex.run(&closure).unwrap();
@@ -884,7 +888,7 @@ fn failed_run_reports_itself_and_parks_the_account() {
 #[test]
 fn a_run_after_a_panicking_method_answers_as_before() {
     let mut m = small_music();
-    let e = m.db.physical().entities_of_class(m.composer)[0];
+    let e = m.db.physical().class_entity(m.composer).unwrap();
     let (idx, quiet) = (IndexSet::new(), MethodRegistry::new());
     let closure = influencer_fix(&m);
     let mut ex = Executor::new(&mut m.db, &idx, &quiet);
@@ -939,7 +943,7 @@ fn nl_join_materialized_inner_charges_page_store_io() {
             ..Default::default()
         },
     );
-    let e = m.db.physical().entities_of_class(m.composer)[0];
+    let e = m.db.physical().class_entity(m.composer).unwrap();
     let idx = IndexSet::new();
     let methods = MethodRegistry::new();
     // The inner cross join materializes |Composer|² rows — several
@@ -1269,9 +1273,9 @@ fn page_touch_order_is_pinned() {
                 (m.composition, m.instruments_attr),
             ],
         ));
-        let e = m.db.physical().entities_of_class(m.composer)[0];
-        let ce = m.db.physical().entities_of_class(m.composition)[0];
-        let ie = m.db.physical().entities_of_class(m.instrument)[0];
+        let e = m.db.physical().class_entity(m.composer).unwrap();
+        let ce = m.db.physical().class_entity(m.composition).unwrap();
+        let ie = m.db.physical().class_entity(m.instrument).unwrap();
         let ij = |on: Expr, out: &str, input: Pt| Pt::IJ {
             on,
             step: oorq_pt::IjStep::class_attr(m.db.catalog(), m.composer, m.master_attr),
@@ -1386,7 +1390,7 @@ fn probed_operators_keep_the_interpreters_counters() {
                 ..Default::default()
             },
         );
-        let e = m.db.physical().entities_of_class(m.composer)[0];
+        let e = m.db.physical().class_entity(m.composer).unwrap();
         let scan = |var: &str| Pt::entity(e, var);
         let influencer = |join, keep| influencer_over_ij(&m, join, keep, false);
         let cross = || Pt::ej(Expr::int(1).eq(Expr::int(1)), scan("b"), scan("c"));
@@ -1525,9 +1529,9 @@ fn every_nested_loop_inner_keeps_its_counters() {
                 ..Default::default()
             },
         );
-        let e = m.db.physical().entities_of_class(m.composer)[0];
+        let e = m.db.physical().class_entity(m.composer).unwrap();
         let play = m.db.catalog().relation_by_name("Play").unwrap();
-        let play = m.db.physical().entities_of_relation(play)[0];
+        let play = m.db.physical().relation_entity(play).unwrap();
         let scan = |var: &str| Pt::entity(e, var);
         let (plan, memory_budget_pages) = match name {
             "relation leaf" => {
@@ -1779,7 +1783,7 @@ fn a_bag_is_deduplicated_once_and_a_set_not_again() {
     // `Play` holds one row per composer; now every row twice, the second
     // copies on pages of their own.
     let play = m.db.catalog().relation_by_name("Play").unwrap();
-    let e = m.db.physical().entities_of_relation(play)[0];
+    let e = m.db.physical().relation_entity(play).unwrap();
     for row in m.db.scan_raw(e) {
         m.db.insert_row(play, row.values).unwrap();
     }
@@ -1876,7 +1880,7 @@ fn a_closure_over_a_cycle_and_a_diamond_keeps_each_row_once() {
     assert_eq!(reference.len(), 16, "every node reaches every node");
 
     let edge = c.db.catalog().relation_by_name("Edge").unwrap();
-    let e = c.db.physical().entities_of_relation(edge)[0];
+    let e = c.db.physical().relation_entity(edge).unwrap();
     let ends = |from: &str, to: &str| {
         vec![
             ("a".into(), Expr::var(format!("{from}.a"))),

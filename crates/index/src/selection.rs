@@ -12,10 +12,6 @@ use crate::btree::BPlusTree;
 pub struct SelectionIndex {
     /// Registered descriptor id in the physical schema.
     pub id: IndexId,
-    /// Indexed class.
-    pub class: ClassId,
-    /// Indexed attribute.
-    pub attr: AttrId,
     tree: BPlusTree<Value, Oid>,
 }
 
@@ -24,16 +20,12 @@ impl SelectionIndex {
     /// accounting) and register its descriptor in the physical schema.
     pub fn build(db: &mut Database, class: ClassId, attr: AttrId) -> Self {
         let mut tree = BPlusTree::with_default_order();
-        let entities: Vec<_> = db.physical().entities_of_class(class).to_vec();
-        for entity in entities {
-            for row in db.scan_raw(entity) {
-                let oid = Oid::new(class, row.key);
-                // Fragments may not hold the attribute; read through the
-                // database to assemble correctly.
-                if let Ok(v) = db.read_attr_raw(oid, attr) {
-                    for m in v.members() {
-                        tree.insert(m.clone(), oid);
-                    }
+        let rows = db.physical().class_entity(class).map(|e| db.scan_raw(e));
+        for row in rows.unwrap_or_default() {
+            let oid = Oid::new(class, row.key);
+            if let Some(v) = row.values.get(attr.0 as usize) {
+                for m in v.members() {
+                    tree.insert(m.clone(), oid);
                 }
             }
         }
@@ -44,12 +36,7 @@ impl SelectionIndex {
         let id = db
             .physical_mut()
             .add_index(IndexKindDesc::Selection { class, attr }, stats);
-        SelectionIndex {
-            id,
-            class,
-            attr,
-            tree,
-        }
+        SelectionIndex { id, tree }
     }
 
     /// Oids whose attribute equals `key`, lent out of the tree. Charges

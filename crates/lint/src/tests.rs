@@ -263,7 +263,7 @@ fn cartesian_product_is_noted() {
 /// `select x from Composer` as a one-entity plan.
 fn scan(cat: &Catalog, db: &Database) -> Pt {
     let composer = cat.class_by_name("Composer").unwrap();
-    Pt::entity(db.physical().entities_of_class(composer)[0], "x")
+    Pt::entity(db.physical().class_entity(composer).unwrap(), "x")
 }
 
 #[test]
@@ -332,7 +332,7 @@ fn path_demands_the_qualified_column_when_both_exist() {
             Pt::entity(id, "i"),
             Pt::proj(
                 vec![("i.master".into(), Expr::var("w"))],
-                Pt::entity(db.physical().entities_of_class(composition)[0], "w"),
+                Pt::entity(db.physical().class_entity(composition).unwrap(), "w"),
             ),
         ),
     );
@@ -467,7 +467,7 @@ fn report_renders_codes_and_severities() {
 /// A lowered fixpoint plan (the Influencer shape) for the phys pass.
 fn lowered_fix(cat: &Catalog, db: &Database) -> oorq_pt::PhysPlan {
     let composer = cat.class_by_name("Composer").unwrap();
-    let e = db.physical().entities_of_class(composer)[0];
+    let e = db.physical().class_entity(composer).unwrap();
     let base = Pt::proj(
         vec![
             ("master".into(), Expr::path("x", &["master"])),
@@ -521,7 +521,7 @@ fn phys_scan(cat: &Catalog, db: &Database, id: usize, var: &str) -> oorq_pt::Phy
     let composer = cat.class_by_name("Composer").unwrap();
     oorq_pt::PhysOp::EntityScan {
         meta: phys_meta(id),
-        entity: db.physical().entities_of_class(composer)[0],
+        entity: db.physical().class_entity(composer).unwrap(),
         var: var.into(),
         class: Some(composer),
         cols: vec![var.into()],

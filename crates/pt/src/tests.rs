@@ -43,10 +43,11 @@ fn display_matches_paper_notation() {
             },
         );
         (
-            db.physical().entities_of_class(composer)[0],
-            db.physical().entities_of_class(composition)[0],
+            db.physical().class_entity(composer).unwrap(),
+            db.physical().class_entity(composition).unwrap(),
             db.physical()
-                .entities_of_class(cat.class_by_name("Instrument").unwrap())[0],
+                .class_entity(cat.class_by_name("Instrument").unwrap())
+                .unwrap(),
             pix,
         )
     };
@@ -88,7 +89,7 @@ fn display_matches_paper_notation() {
 fn tree_navigation_and_replacement() {
     let (cat, db) = setup();
     let composer = cat.class_by_name("Composer").unwrap();
-    let e = db.physical().entities_of_class(composer)[0];
+    let e = db.physical().class_entity(composer).unwrap();
     let pt = Pt::sel(
         Expr::var("x").eq(Expr::int(1)),
         Pt::union(Pt::entity(e, "a"), Pt::entity(e, "b")),
@@ -111,7 +112,7 @@ fn tree_navigation_and_replacement() {
 fn fix_output_columns_come_from_base_side() {
     let (cat, db) = setup();
     let composer = cat.class_by_name("Composer").unwrap();
-    let e = db.physical().entities_of_class(composer)[0];
+    let e = db.physical().class_entity(composer).unwrap();
     let base = Pt::proj(
         vec![
             ("master".into(), Expr::path("x", &["master"])),
@@ -188,8 +189,8 @@ fn node_op_resolves_every_pt_kind() {
             nbleaves: 10,
         },
     );
-    let e = db.physical().entities_of_class(composer)[0];
-    let we = db.physical().entities_of_class(composition)[0];
+    let e = db.physical().class_entity(composer).unwrap();
+    let we = db.physical().class_entity(composition).unwrap();
     let obj = ResolvedType::Object(composer);
     let env = PtEnv::new(&cat, db.physical()).with_temp(
         "R",
@@ -394,7 +395,7 @@ fn node_op_resolves_every_pt_kind() {
 fn lowering_shares_preorder_node_numbering() {
     let (cat, db) = setup();
     let composer = cat.class_by_name("Composer").unwrap();
-    let e = db.physical().entities_of_class(composer)[0];
+    let e = db.physical().class_entity(composer).unwrap();
     let env = PtEnv::new(&cat, db.physical());
     let pt = Pt::sel(
         Expr::path("x", &["name"]).eq(Expr::text("Bach")),
@@ -420,7 +421,7 @@ fn lowering_shares_preorder_node_numbering() {
 fn lowering_fix_aligns_recursive_columns() {
     let (cat, db) = setup();
     let composer = cat.class_by_name("Composer").unwrap();
-    let e = db.physical().entities_of_class(composer)[0];
+    let e = db.physical().class_entity(composer).unwrap();
     let env = PtEnv::new(&cat, db.physical());
     let base = Pt::proj(
         vec![
@@ -502,7 +503,7 @@ fn column_expr_typing_handles_qualified_names() {
 fn fingerprint_pinned_known_good() {
     let (cat, db) = setup();
     let composer = cat.class_by_name("Composer").unwrap();
-    let e = db.physical().entities_of_class(composer)[0];
+    let e = db.physical().class_entity(composer).unwrap();
 
     let leaf = Pt::entity(e, "c");
     let temp = Pt::temp("Influencer", "i");
@@ -527,7 +528,7 @@ fn fingerprint_pinned_known_good() {
 fn fingerprint_framing_no_alias() {
     let (cat, db) = setup();
     let composer = cat.class_by_name("Composer").unwrap();
-    let e = db.physical().entities_of_class(composer)[0];
+    let e = db.physical().class_entity(composer).unwrap();
 
     // Name/var boundary shifts: ("ab","c") vs ("a","bc").
     assert_ne!(

@@ -8,7 +8,7 @@ use oorq_schema::{AttrId, AttributeKind, Catalog, ClassId, RelationId, ResolvedT
 use crate::buffer::{Account, BufferManager, IoStats};
 use crate::error::StorageError;
 use crate::page::{PageId, WidthModel};
-use crate::physical::{EntityId, EntitySource, FragmentSpec, PhysicalSchema};
+use crate::physical::{EntityId, EntitySource, PhysicalSchema};
 use crate::segment::{Row, Segment};
 use crate::value::{Oid, Value};
 
@@ -30,19 +30,8 @@ impl Default for StorageConfig {
     }
 }
 
-/// How a class extension is laid out across atomic entities.
-#[derive(Debug, Clone)]
-enum ClassLayout {
-    /// One non-decomposed extension.
-    Single(EntityId),
-    /// Vertical fragments; each holds a subset of the attributes.
-    Vertical(Vec<(EntityId, Vec<AttrId>)>),
-    /// Horizontal fragments.
-    Horizontal(Vec<EntityId>),
-}
-
-/// Where an entity's records live. Extensions, fragments and stored
-/// relations are written only under `&mut Database`, so reading them takes
+/// Where an entity's records live. Extensions and stored relations are
+/// written only under `&mut Database`, so reading them takes
 /// no lock; a temporary is the one thing a run writes through `&Database`,
 /// and each sits behind a lock of its own.
 #[derive(Debug)]
@@ -100,10 +89,6 @@ pub struct Database {
     physical: PhysicalSchema,
     /// By [`EntityId`].
     segments: Vec<Home>,
-    /// By [`ClassId`].
-    class_layout: Vec<ClassLayout>,
-    /// By [`RelationId`]; a view has no home.
-    relation_home: Vec<Option<EntityId>>,
     /// Objects inserted, by [`ClassId`].
     class_count: Vec<u32>,
     /// Rows inserted, by [`RelationId`].
@@ -118,59 +103,44 @@ impl Database {
     pub fn new(catalog: Arc<Catalog>, config: StorageConfig) -> Self {
         let mut physical = PhysicalSchema::new();
         let mut segments = Vec::new();
-        let mut class_layout = Vec::new();
-        let mut relation_home = vec![None; catalog.relations().len()];
         for (i, c) in catalog.classes().iter().enumerate() {
             let cid = ClassId(i as u32);
-            let id = physical.add_entity(c.name.clone(), EntitySource::Class(cid), None);
-            let seg = Self::class_segment(&catalog, cid, None, &config.width);
+            let id = physical.add_entity(c.name.clone(), EntitySource::Class(cid));
+            let seg = Self::class_segment(&catalog, cid, &config.width);
             segments.push(Home::Base(Arc::new(seg)));
             debug_assert_eq!(id.0 as usize, segments.len() - 1);
-            class_layout.push(ClassLayout::Single(id));
         }
         for (i, r) in catalog.relations().iter().enumerate() {
             if r.kind != ViewKind::Stored {
                 continue;
             }
             let rid = RelationId(i as u32);
-            let id = physical.add_entity(r.name.clone(), EntitySource::Relation(rid), None);
+            let id = physical.add_entity(r.name.clone(), EntitySource::Relation(rid));
             let types: Vec<ResolvedType> = r.fields.iter().map(|(_, t)| t.clone()).collect();
             let rpp = config.width.records_per_page(&types);
             segments.push(Home::Base(Arc::new(Segment::with_rpp(types, rpp))));
             debug_assert_eq!(id.0 as usize, segments.len() - 1);
-            relation_home[i] = Some(id);
         }
         Database {
-            class_count: vec![0; class_layout.len()],
-            relation_count: vec![0; relation_home.len()],
+            class_count: vec![0; catalog.classes().len()],
+            relation_count: vec![0; catalog.relations().len()],
             catalog,
             physical,
             segments,
-            class_layout,
-            relation_home,
             buffer: Mutex::new(BufferManager::new(config.buffer_frames)),
             width: config.width,
         }
     }
 
-    /// Build a segment for (a fragment of) a class extension. Computed
-    /// attributes occupy a slot (holding `Null`) but contribute no width.
-    fn class_segment(
-        catalog: &Catalog,
-        class: ClassId,
-        attrs: Option<&[AttrId]>,
-        width: &WidthModel,
-    ) -> Segment {
-        let all = &catalog.class(class).attrs;
-        let selected: Vec<usize> = match attrs {
-            Some(subset) => subset.iter().map(|a| a.0 as usize).collect(),
-            None => (0..all.len()).collect(),
-        };
-        let types: Vec<ResolvedType> = selected.iter().map(|&i| all[i].ty.clone()).collect();
-        let stored_types: Vec<ResolvedType> = selected
+    /// Build the segment of a class extension. Computed attributes occupy
+    /// a slot (holding `Null`) but contribute no width.
+    fn class_segment(catalog: &Catalog, class: ClassId, width: &WidthModel) -> Segment {
+        let attrs = &catalog.class(class).attrs;
+        let types: Vec<ResolvedType> = attrs.iter().map(|a| a.ty.clone()).collect();
+        let stored_types: Vec<ResolvedType> = attrs
             .iter()
-            .filter(|&&i| all[i].kind == AttributeKind::Stored)
-            .map(|&i| all[i].ty.clone())
+            .filter(|a| a.kind == AttributeKind::Stored)
+            .map(|a| a.ty.clone())
             .collect();
         let rpp = width.records_per_page(&stored_types);
         Segment::with_rpp(types, rpp)
@@ -186,7 +156,7 @@ impl Database {
         Arc::clone(&self.catalog)
     }
 
-    /// The physical schema (entities, fragments, clustering, indexes).
+    /// The physical schema (entities, clustering, indexes).
     pub fn physical(&self) -> &PhysicalSchema {
         &self.physical
     }
@@ -203,7 +173,7 @@ impl Database {
     /// `Arc`, cloned per entity; a later mutation on either side clones
     /// just the touched segment, and a temporary gets a lock of its own,
     /// so the two sides append to it independently), the cheap metadata
-    /// (physical schema, layouts, counts) is cloned, and the snapshot gets
+    /// (physical schema, counts) is cloned, and the snapshot gets
     /// its own empty buffer manager so every session accounts page I/O —
     /// and spends its breaker memory budget — independently. Queries
     /// executed against the snapshot
@@ -222,8 +192,6 @@ impl Database {
                     Home::Temp(_) => Home::Temp(RwLock::new(home.segment())),
                 })
                 .collect(),
-            class_layout: self.class_layout.clone(),
-            relation_home: self.relation_home.clone(),
             class_count: self.class_count.clone(),
             relation_count: self.relation_count.clone(),
             buffer: Mutex::new(BufferManager::new(self.buffer_frames())),
@@ -278,8 +246,8 @@ impl Database {
     /// Update a stored attribute of an existing object (used by loaders to
     /// wire cyclic references such as `master`).
     pub fn set_attr(&mut self, oid: Oid, attr: AttrId, value: Value) -> Result<(), StorageError> {
-        let entity = self.entity_holding(oid, attr)?;
-        let slot = self.attr_slot(entity, attr);
+        let entity = self.whole_extension(oid.class)?;
+        let slot = attr.0 as usize;
         let seg = self.segment_mut(entity);
         let pos = seg
             .position_of(oid.index)
@@ -304,10 +272,8 @@ impl Database {
         relation: RelationId,
         values: Vec<Value>,
     ) -> Result<u32, StorageError> {
-        let home = self.relation_home.get(relation.0 as usize).copied();
-        let home = home
-            .flatten()
-            .ok_or(StorageError::BadEntity(EntityId(u32::MAX)))?;
+        let home = self.physical.relation_entity(relation);
+        let home = home.ok_or(StorageError::BadEntity(EntityId(u32::MAX)))?;
         let expected = self.catalog.relation(relation).fields.len();
         if values.len() != expected {
             return Err(StorageError::ArityMismatch {
@@ -335,141 +301,10 @@ impl Database {
         self.parked().invalidate_entity(entity);
     }
 
-    // ------------------------------------------------------------------
-    // Decomposition
-    // ------------------------------------------------------------------
-
-    /// The one entity holding the whole extension of a class.
+    /// The entity holding the extension of a class.
     fn whole_extension(&self, class: ClassId) -> Result<EntityId, StorageError> {
-        match self.class_layout.get(class.0 as usize) {
-            Some(ClassLayout::Single(e)) => Ok(*e),
-            Some(_) => Err(StorageError::Decomposed(class)),
-            None => Err(StorageError::NoHome(class)),
-        }
-    }
-
-    /// Add an empty fragment of a class extension holding `attrs` (all of
-    /// them for a horizontal fragment).
-    fn add_fragment(&mut self, name: String, class: ClassId, spec: FragmentSpec) -> EntityId {
-        let attrs = match &spec {
-            FragmentSpec::Vertical { attrs } => Some(attrs.as_slice()),
-            FragmentSpec::Horizontal { .. } => None,
-        };
-        let seg = Self::class_segment(&self.catalog, class, attrs, &self.width);
-        self.segments.push(Home::Base(Arc::new(seg)));
-        self.physical
-            .add_entity(name, EntitySource::Class(class), Some(spec))
-    }
-
-    /// Take the records out of a decomposed extension's former home.
-    fn retire(&mut self, home: EntityId) -> Vec<Row> {
-        let rows = self.scan_raw(home);
-        self.segment_mut(home).clear();
-        self.parked().invalidate_entity(home);
-        self.physical.deactivate_entity(home);
-        rows
-    }
-
-    /// Decompose a class extension vertically into fragments holding the
-    /// given attribute groups. Every attribute of the class must appear in
-    /// exactly one group; anything else is refused before a record moves.
-    /// Returns the fragment entities.
-    pub fn decompose_vertical(
-        &mut self,
-        class: ClassId,
-        groups: &[Vec<AttrId>],
-    ) -> Result<Vec<EntityId>, StorageError> {
-        let home = self.whole_extension(class)?;
-        let catalog = Arc::clone(&self.catalog);
-        let (cname, attrs) = (&catalog.class(class).name, &catalog.class(class).attrs);
-        let refused = |what: String, expected, got| StorageError::ArityMismatch {
-            context: format!("decompose `{cname}` vertically: {what}"),
-            expected,
-            got,
-        };
-        let mut groups_holding = vec![0usize; attrs.len()];
-        for a in groups.iter().flatten() {
-            match groups_holding.get_mut(a.0 as usize) {
-                Some(n) => *n += 1,
-                None => {
-                    let what = format!("attribute #{} is past the class's attributes", a.0);
-                    return Err(refused(what, attrs.len(), a.0 as usize + 1));
-                }
-            }
-        }
-        if let Some(a) = groups_holding.iter().position(|&n| n != 1) {
-            let what = format!("groups holding attribute `{}`", attrs[a].name);
-            return Err(refused(what, 1, groups_holding[a]));
-        }
-        let fragments: Vec<EntityId> = groups
-            .iter()
-            .enumerate()
-            .map(|(i, group)| {
-                let attrs = group.clone();
-                self.add_fragment(
-                    format!("{cname}_v{i}"),
-                    class,
-                    FragmentSpec::Vertical { attrs },
-                )
-            })
-            .collect();
-        // Move the data.
-        for row in self.retire(home) {
-            for (&fragment, group) in fragments.iter().zip(groups) {
-                let values = group.iter().map(|a| row.values[a.0 as usize].clone());
-                let (key, values) = (row.key, values.collect());
-                self.segment_mut(fragment).append(Row { key, values });
-            }
-        }
-        let layout = fragments.iter().copied().zip(groups.iter().cloned());
-        self.class_layout[class.0 as usize] = ClassLayout::Vertical(layout.collect());
-        Ok(fragments)
-    }
-
-    /// Decompose a class extension horizontally; `route` maps a record to
-    /// a fragment number in `0..n_fragments` (at least one; a larger
-    /// number goes to the last fragment). `predicates` describe each
-    /// fragment for the physical schema.
-    pub fn decompose_horizontal(
-        &mut self,
-        class: ClassId,
-        n_fragments: usize,
-        predicates: &[String],
-        route: impl Fn(&[Value]) -> usize,
-    ) -> Result<Vec<EntityId>, StorageError> {
-        let home = self.whole_extension(class)?;
-        let cname = self.catalog.class(class).name.clone();
-        let Some(last) = n_fragments.checked_sub(1) else {
-            return Err(StorageError::ArityMismatch {
-                context: format!("decompose `{cname}` horizontally: fragments"),
-                expected: 1,
-                got: 0,
-            });
-        };
-        let total = self.object_count(class).max(1) as f64;
-        let rows = self.retire(home);
-        // First pass: count per fragment for the fraction statistic.
-        let mut counts = vec![0u64; n_fragments];
-        for row in &rows {
-            counts[route(&row.values).min(last)] += 1;
-        }
-        let fragments: Vec<EntityId> = counts
-            .iter()
-            .enumerate()
-            .map(|(i, count)| {
-                let spec = FragmentSpec::Horizontal {
-                    predicate: predicates.get(i).cloned().unwrap_or_default(),
-                    fraction: *count as f64 / total,
-                };
-                self.add_fragment(format!("{cname}_h{i}"), class, spec)
-            })
-            .collect();
-        for row in rows {
-            let fragment = fragments[route(&row.values).min(last)];
-            self.segment_mut(fragment).append(row);
-        }
-        self.class_layout[class.0 as usize] = ClassLayout::Horizontal(fragments.clone());
-        Ok(fragments)
+        let home = self.physical.class_entity(class);
+        home.ok_or(StorageError::NoHome(class))
     }
 
     // ------------------------------------------------------------------
@@ -482,9 +317,7 @@ impl Database {
         name: impl Into<String>,
         field_types: Vec<ResolvedType>,
     ) -> EntityId {
-        let id = self
-            .physical
-            .add_entity(name, EntitySource::Temporary, None);
+        let id = self.physical.add_entity(name, EntitySource::Temporary);
         let rpp = self.width.records_per_page(&field_types);
         let seg = Segment::with_rpp(field_types, rpp);
         self.segments.push(Home::Temp(RwLock::new(Arc::new(seg))));
@@ -579,7 +412,7 @@ impl Database {
         self.segments[entity.0 as usize].segment_mut()
     }
 
-    /// The segment of an extension, a fragment or a stored relation.
+    /// The segment of a class's or a stored relation's extension.
     fn base(&self, entity: EntityId) -> &Segment {
         match &self.segments[entity.0 as usize] {
             Home::Base(seg) => seg,
@@ -638,52 +471,29 @@ impl Database {
         self.segment(entity).iter().cloned().collect()
     }
 
-    /// Which entity holds the given attribute of the given object.
-    fn entity_holding(&self, oid: Oid, attr: AttrId) -> Result<EntityId, StorageError> {
-        let layout = self.class_layout.get(oid.class.0 as usize);
-        match layout.ok_or(StorageError::NoHome(oid.class))? {
-            ClassLayout::Single(e) => Ok(*e),
-            ClassLayout::Vertical(frags) => frags
-                .iter()
-                .find(|(_, attrs)| attrs.contains(&attr))
-                .map(|(e, _)| *e)
-                .ok_or(StorageError::DanglingOid(oid)),
-            ClassLayout::Horizontal(frags) => self.fragment_holding(frags, oid),
-        }
-    }
-
-    /// The horizontal fragment holding an object.
-    fn fragment_holding(&self, frags: &[EntityId], oid: Oid) -> Result<EntityId, StorageError> {
-        let holds = |e: &&EntityId| self.base(**e).position_of(oid.index).is_some();
-        let home = frags.iter().find(holds).copied();
-        home.ok_or(StorageError::DanglingOid(oid))
-    }
-
-    /// Slot of `attr` within the records of `entity` (vertical fragments
-    /// store only a subset of attributes).
-    fn attr_slot(&self, entity: EntityId, attr: AttrId) -> usize {
-        self.physical.slot_of(entity, attr).unwrap_or(usize::MAX)
-    }
-
-    /// Where one attribute of an object lies: its page, and the value
-    /// (`None` when the record has no such slot).
-    fn locate(&self, oid: Oid, attr: AttrId) -> Result<(PageId, Option<&Value>), StorageError> {
-        let entity = self.entity_holding(oid, attr)?;
+    /// Where an object lies: its page, and its record.
+    fn locate(&self, oid: Oid) -> Result<(PageId, &Row), StorageError> {
+        let entity = self.whole_extension(oid.class)?;
         let seg = self.base(entity);
         let pos = seg
             .position_of(oid.index)
             .ok_or(StorageError::DanglingOid(oid))?;
+        let row = seg.row_at(pos).ok_or(StorageError::DanglingOid(oid))?;
         let page = seg.page_of_position(pos);
-        let slot = self.attr_slot(entity, attr);
-        let value = seg.row_at(pos).and_then(|r| r.values.get(slot));
-        Ok((PageId { entity, page }, value))
+        Ok((PageId { entity, page }, row))
+    }
+
+    /// Attribute `attr` of an object's record.
+    fn field(row: &Row, oid: Oid, attr: AttrId) -> Result<&Value, StorageError> {
+        let value = row.values.get(attr.0 as usize);
+        value.ok_or(StorageError::DanglingOid(oid))
     }
 
     /// One attribute of an object, lent where it lies, *without* I/O
     /// accounting (statistics).
     pub(crate) fn attr_raw(&self, oid: Oid, attr: AttrId) -> Result<&Value, StorageError> {
-        let (_, value) = self.locate(oid, attr)?;
-        value.ok_or(StorageError::DanglingOid(oid))
+        let (_, row) = self.locate(oid)?;
+        Self::field(row, oid, attr)
     }
 
     /// Read one attribute of an object *without* I/O accounting (index
@@ -693,13 +503,12 @@ impl Database {
     }
 
     /// One attribute of an object, lent where it lies: fetches (and
-    /// charges to `io`) only the page of the fragment holding that
-    /// attribute, and copies nothing — for a caller that compares the
-    /// value and moves on.
+    /// charges to `io`) the object's page, and copies nothing — for a
+    /// caller that compares the value and moves on.
     pub fn attr_ref(&self, io: &Account, oid: Oid, attr: AttrId) -> Result<&Value, StorageError> {
-        let (page, value) = self.locate(oid, attr)?;
+        let (page, row) = self.locate(oid)?;
         io.borrow_mut().fetch(page, false);
-        value.ok_or(StorageError::DanglingOid(oid))
+        Self::field(row, oid, attr)
     }
 
     /// Read one attribute of an object ([`Database::attr_ref`], copied).
@@ -707,61 +516,21 @@ impl Database {
         self.attr_ref(io, oid, attr).cloned()
     }
 
-    /// Read a whole object (assembling vertical fragments), charging `io`
-    /// a page fetch per fragment touched (the oracle `touch_object` is
-    /// tested against).
+    /// Read a whole object, charging `io` its page fetch (the oracle
+    /// `touch_object` is tested against).
     #[cfg(test)]
     pub(crate) fn read_object(&self, io: &Account, oid: Oid) -> Result<Vec<Value>, StorageError> {
-        let mut values = Vec::new();
-        self.fetch_object(io, oid, |attrs, row| match attrs {
-            None => values = row.values.clone(),
-            Some(attrs) => {
-                values.resize(self.catalog.class(oid.class).attrs.len(), Value::Null);
-                for (slot, attr) in attrs.iter().enumerate() {
-                    values[attr.0 as usize] = row.values[slot].clone();
-                }
-            }
-        })?;
-        Ok(values)
+        let (page, row) = self.locate(oid)?;
+        io.borrow_mut().fetch(page, false);
+        Ok(row.values.clone())
     }
 
-    /// Pay for an object without reading it: a page fetch per fragment
-    /// holding a part of it, in layout order, nothing copied.
+    /// Pay for an object without reading it: its page fetch, nothing
+    /// copied.
     pub fn touch_object(&self, io: &Account, oid: Oid) -> Result<(), StorageError> {
-        self.fetch_object(io, oid, |_, _| {})
-    }
-
-    /// Fetch (and charge to `io`) the page of every fragment holding a part of
-    /// `oid` — each vertical fragment in layout order, the owning
-    /// horizontal one — and hand each record to `each`, a vertical
-    /// fragment's with the attributes it stores.
-    fn fetch_object(
-        &self,
-        io: &Account,
-        oid: Oid,
-        mut each: impl FnMut(Option<&[AttrId]>, &Row),
-    ) -> Result<(), StorageError> {
-        let layout = self.class_layout.get(oid.class.0 as usize);
-        let mut fetch = |entity: EntityId, attrs: Option<&[AttrId]>| {
-            let seg = self.base(entity);
-            let pos = seg
-                .position_of(oid.index)
-                .ok_or(StorageError::DanglingOid(oid))?;
-            let page = seg.page_of_position(pos);
-            io.borrow_mut().fetch(PageId { entity, page }, false);
-            each(
-                attrs,
-                seg.row_at(pos).ok_or(StorageError::DanglingOid(oid))?,
-            );
-            Ok(())
-        };
-        match layout.ok_or(StorageError::NoHome(oid.class))? {
-            ClassLayout::Single(e) => fetch(*e, None),
-            ClassLayout::Horizontal(frags) => fetch(self.fragment_holding(frags, oid)?, None),
-            ClassLayout::Vertical(frags) => frags
-                .iter()
-                .try_for_each(|(e, attrs)| fetch(*e, Some(attrs))),
-        }
+        let (page, _) = self.locate(oid)?;
+        io.borrow_mut().fetch(page, false);
+        Ok(())
     }
 
     // ------------------------------------------------------------------

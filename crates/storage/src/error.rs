@@ -30,9 +30,6 @@ pub enum StorageError {
     PoisonedTemporary(EntityId),
     /// A class has no home entity (should not happen on a well-formed DB).
     NoHome(ClassId),
-    /// The extension is decomposed and the operation needs the full
-    /// extension.
-    Decomposed(ClassId),
 }
 
 impl fmt::Display for StorageError {
@@ -52,7 +49,6 @@ impl fmt::Display for StorageError {
                 write!(f, "a writer of temporary {e} panicked: truncate it first")
             }
             StorageError::NoHome(c) => write!(f, "class {c} has no home entity"),
-            StorageError::Decomposed(c) => write!(f, "class {c} is decomposed"),
         }
     }
 }

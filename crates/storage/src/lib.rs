@@ -3,10 +3,11 @@
 //! Implements the physical database model of §3 of the paper: the *direct
 //! storage* approach of \[VKC86\] (sub-object oids stored within owners),
 //! page-based extensions with a buffer manager that accounts physical
-//! I/O, static clustering, horizontal/vertical decomposition into atomic
-//! entities, temporary files for intermediate results, and the statistics
-//! (`|C|`, `‖C‖`, selectivities, fan-outs, chain depths) consumed by the
-//! cost model.
+//! I/O, static clustering, temporary files for intermediate results, and
+//! the statistics (`|C|`, `‖C‖`, selectivities, fan-outs, chain depths)
+//! consumed by the cost model. Each class and each stored relation is one
+//! atomic entity, its whole extension: §3.2's horizontal and vertical
+//! decompositions are not modelled.
 
 mod buffer;
 mod database;
@@ -22,8 +23,8 @@ pub use database::{CheckedOut, Database, PageRows, PageScan, SegmentHold, Storag
 pub use error::StorageError;
 pub use page::{PageId, WidthModel};
 pub use physical::{
-    EntityDesc, EntityId, EntitySource, FragmentSpec, IndexDesc, IndexId, IndexKindDesc,
-    IndexStats, PhysicalSchema,
+    EntityDesc, EntityId, EntitySource, IndexDesc, IndexId, IndexKindDesc, IndexStats,
+    PhysicalSchema,
 };
 pub use segment::{Row, Segment};
 pub use stats::{AttrStats, ChainDepth, DbStats, EntityStats, ValueCounts};

@@ -9,7 +9,7 @@ use oorq_schema::ResolvedType;
 /// Identifier of a page: a storage entity plus a page number within it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct PageId {
-    /// Owning entity (extension, fragment or temporary).
+    /// Owning entity (extension or temporary).
     pub entity: crate::physical::EntityId,
     /// Page number within the entity.
     pub page: u32,

@@ -1,12 +1,13 @@
-//! The physical schema: atomic entities, fragments, clustering and index
+//! The physical schema: atomic entities, clustering and index
 //! descriptors.
 //!
 //! Following §3 of the paper, the physical model uses *direct storage*
 //! (oids of sub-objects stored inside owners), allows *clustering*
-//! sub-object instances close to the owner, allows *decomposing*
-//! extensions into horizontal or vertical fragments, and provides *path
-//! indices* spanning whole attribute hierarchies. An *atomic entity* is a
-//! non-decomposed extension or one fragment of a decomposed extension.
+//! sub-object instances close to the owner, and provides *path indices*
+//! spanning whole attribute hierarchies. An *atomic entity* is the whole
+//! extension of one class or stored relation, or a temporary; §3.2's
+//! decomposed extensions are not modelled (no figure uses one, and
+//! Figure 5 prices an entity the same way whatever it holds).
 
 use std::fmt;
 
@@ -38,36 +39,15 @@ pub enum EntitySource {
     Temporary,
 }
 
-/// Fragmentation of a decomposed extension.
-#[derive(Debug, Clone, PartialEq)]
-pub enum FragmentSpec {
-    /// Horizontal fragment: a predicate-defined subset of instances.
-    /// `fraction` is the fraction of the extension it holds.
-    Horizontal {
-        /// Human-readable description of the fragmentation predicate.
-        predicate: String,
-        /// Fraction of the class extension stored here.
-        fraction: f64,
-    },
-    /// Vertical fragment: the projection of the extension on a subset of
-    /// attributes (the oid is implicitly kept in every fragment).
-    Vertical {
-        /// Attributes stored in this fragment.
-        attrs: Vec<AttrId>,
-    },
-}
-
 /// Descriptor of one atomic entity.
 #[derive(Debug, Clone)]
 pub struct EntityDesc {
     /// Entity id.
     pub id: EntityId,
-    /// Name, for display (`Composer`, `Composer_v1`, `Influencer'`).
+    /// Name, for display (`Composer`, `Influencer'`).
     pub name: String,
     /// Conceptual source.
     pub source: EntitySource,
-    /// `None` for a non-decomposed extension.
-    pub fragment: Option<FragmentSpec>,
     /// Attributes whose referenced sub-objects are clustered close to the
     /// owner (same or neighbour page) — §3's static clustering strategy.
     pub clustered_attrs: Vec<AttrId>,
@@ -146,9 +126,9 @@ pub struct PhysicalSchema {
     entities: Vec<EntityDesc>,
     indexes: Vec<IndexDesc>,
     /// By [`ClassId`], grown to the largest class registered.
-    class_entities: Vec<Vec<EntityId>>,
-    /// By [`RelationId`], likewise.
-    relation_entities: Vec<Vec<EntityId>>,
+    class_entities: Vec<Option<EntityId>>,
+    /// By [`RelationId`], likewise; a view has none.
+    relation_entities: Vec<Option<EntityId>>,
 }
 
 impl PhysicalSchema {
@@ -158,12 +138,7 @@ impl PhysicalSchema {
     }
 
     /// Register an entity; its `id` field is assigned here.
-    pub(crate) fn add_entity(
-        &mut self,
-        name: impl Into<String>,
-        source: EntitySource,
-        fragment: Option<FragmentSpec>,
-    ) -> EntityId {
+    pub(crate) fn add_entity(&mut self, name: impl Into<String>, source: EntitySource) -> EntityId {
         let id = EntityId(self.entities.len() as u32);
         let listed = match &source {
             EntitySource::Class(c) => Some((&mut self.class_entities, c.0)),
@@ -171,13 +146,12 @@ impl PhysicalSchema {
             EntitySource::Temporary => None,
         };
         if let Some((lists, i)) = listed {
-            crate::entry(lists, i as usize, Vec::new()).push(id);
+            *crate::entry(lists, i as usize, None) = Some(id);
         }
         self.entities.push(EntityDesc {
             id,
             name: name.into(),
             source,
-            fragment,
             clustered_attrs: Vec::new(),
         });
         id
@@ -189,19 +163,6 @@ impl PhysicalSchema {
         let e = &mut self.entities[entity.0 as usize];
         if !e.clustered_attrs.contains(&attr) {
             e.clustered_attrs.push(attr);
-        }
-    }
-
-    /// Remove an entity from its class/relation lookup (it keeps its
-    /// descriptor but no longer implements the extension — used when a
-    /// decomposition supersedes the original home entity).
-    pub(crate) fn deactivate_entity(&mut self, id: EntityId) {
-        for v in self
-            .class_entities
-            .iter_mut()
-            .chain(&mut self.relation_entities)
-        {
-            v.retain(|e| *e != id);
         }
     }
 
@@ -233,34 +194,17 @@ impl PhysicalSchema {
         &self.indexes
     }
 
-    /// The entities implementing a class extension.
-    pub fn entities_of_class(&self, class: ClassId) -> &[EntityId] {
-        let listed = self.class_entities.get(class.0 as usize);
-        listed.map_or(&[], Vec::as_slice)
+    /// The entity holding a class's extension.
+    pub fn class_entity(&self, class: ClassId) -> Option<EntityId> {
+        self.class_entities.get(class.0 as usize).copied().flatten()
     }
 
-    /// Field slot of a class attribute in the records of `entity`, one
-    /// of the class's entities: a vertical fragment's fields are the
-    /// attributes it lists, in its own order (`None` when it does not
-    /// list this one); any other entity's are the class's attributes.
-    pub fn slot_of(&self, entity: EntityId, attr: AttrId) -> Option<usize> {
-        match &self.entity(entity).fragment {
-            Some(FragmentSpec::Vertical { attrs }) => attrs.iter().position(|a| *a == attr),
-            _ => Some(attr.0 as usize),
-        }
-    }
-
-    /// The first entity of `class` whose records hold `attr`, and the
-    /// attribute's field slot in them.
-    pub fn field_of(&self, class: ClassId, attr: AttrId) -> Option<(EntityId, usize)> {
-        let mut entities = self.entities_of_class(class).iter();
-        entities.find_map(|&e| Some((e, self.slot_of(e, attr)?)))
-    }
-
-    /// The entities implementing a relation extension.
-    pub fn entities_of_relation(&self, rel: RelationId) -> &[EntityId] {
-        let listed = self.relation_entities.get(rel.0 as usize);
-        listed.map_or(&[], Vec::as_slice)
+    /// The entity holding a stored relation's extension.
+    pub fn relation_entity(&self, rel: RelationId) -> Option<EntityId> {
+        self.relation_entities
+            .get(rel.0 as usize)
+            .copied()
+            .flatten()
     }
 
     /// Find a selection index on `class.attr`.
@@ -287,25 +231,22 @@ mod tests {
     #[test]
     fn entity_registration_and_lookup() {
         let mut ps = PhysicalSchema::new();
-        let c = ClassId(0);
-        let e0 = ps.add_entity("Composer", EntitySource::Class(c), None);
-        let e1 = ps.add_entity(
-            "Composer_h1",
-            EntitySource::Class(c),
-            Some(FragmentSpec::Horizontal {
-                predicate: "name < 'M'".into(),
-                fraction: 0.5,
-            }),
-        );
-        assert_eq!(ps.entities_of_class(c), &[e0, e1]);
+        let (c, r) = (ClassId(2), RelationId(1));
+        let e0 = ps.add_entity("Composer", EntitySource::Class(c));
+        let e1 = ps.add_entity("Likes", EntitySource::Relation(r));
+        ps.add_entity("Influencer'", EntitySource::Temporary);
+        assert_eq!(ps.class_entity(c), Some(e0));
+        assert_eq!(ps.class_entity(ClassId(0)), None, "a gap below");
+        assert_eq!(ps.class_entity(ClassId(3)), None, "past the last");
+        assert_eq!(ps.relation_entity(r), Some(e1));
+        assert_eq!(ps.relation_entity(RelationId(0)), None);
         assert_eq!(ps.entity(e0).name, "Composer");
-        assert!(ps.entity(e1).fragment.is_some());
     }
 
     #[test]
     fn clustering_flags() {
         let mut ps = PhysicalSchema::new();
-        let e = ps.add_entity("C", EntitySource::Class(ClassId(0)), None);
+        let e = ps.add_entity("C", EntitySource::Class(ClassId(0)));
         assert!(!ps.entity(e).is_clustered(AttrId(1)));
         ps.set_clustered(e, AttrId(1));
         ps.set_clustered(e, AttrId(1)); // idempotent

@@ -34,9 +34,8 @@ const NO_RECORD: u32 = u32::MAX;
 ///
 /// Keys are assigned by the store, densely per extension (an oid index, a
 /// row id, a temporary's row count), and the position vector depends on
-/// it: it is as long as the largest key held. A horizontal fragment holds
-/// a sparse subset of its extension's keys, so an absent key — in range
-/// or past the end — answers `None`.
+/// it: it is as long as the largest key held, and an absent key — in
+/// range or past the end — answers `None`.
 ///
 /// A temporary is emptied and refilled once per fixpoint pass and once per
 /// request: [`Segment::truncate`] keeps the emptied records' value vectors,
@@ -174,12 +173,6 @@ impl Segment {
         self.rows.iter()
     }
 
-    /// Remove all records.
-    pub fn clear(&mut self) {
-        self.rows.clear();
-        self.position.clear();
-    }
-
     /// Remove all records, keeping their emptied value vectors for
     /// `Segment::append_copy` to refill.
     pub fn truncate(&mut self) {
@@ -299,18 +292,5 @@ mod tests {
         s.truncate();
         let copy = s.clone();
         assert!(copy.spare.is_empty() && s.spare.len() == 3);
-    }
-
-    #[test]
-    fn clear_empties_segment() {
-        let mut s = int_segment(4);
-        s.append(Row {
-            key: 0,
-            values: vec![Value::Int(1)],
-        });
-        s.clear();
-        assert!(s.is_empty());
-        assert_eq!(s.position_of(0), None);
-        assert_eq!(s.num_pages(), 0);
     }
 }

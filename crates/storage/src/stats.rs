@@ -243,9 +243,8 @@ impl DbStats {
         if n == 0 {
             return None;
         }
-        // Build the successor table (by oid index; an object the entity
-        // does not hold has no successor) without I/O accounting.
-        let (entity, slot) = db.physical().field_of(class, attr)?;
+        // Build the successor table (by oid index) without I/O accounting.
+        let (entity, slot) = (db.physical().class_entity(class)?, attr.0 as usize);
         let rows = db.scan_raw(entity);
         let mut succ: Vec<Option<u32>> = vec![None; n as usize];
         for row in &rows {

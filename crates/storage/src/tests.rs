@@ -150,7 +150,7 @@ fn scans_account_page_io() {
         db.insert_object(item_cls, vec![Value::text(format!("i{i}")), Value::Int(i)])
             .unwrap();
     }
-    let entity = db.physical().entities_of_class(item_cls)[0];
+    let entity = db.physical().class_entity(item_cls).unwrap();
     let pages = db.num_pages(entity);
     assert!(pages > 1, "need a multi-page extent for this test");
     let io = small_account();
@@ -191,7 +191,7 @@ fn clustered_vs_shuffled_dereference_io() {
             .unwrap();
         owners.push((owner, item));
     }
-    let item_entity = db.physical().entities_of_class(item_cls)[0];
+    let item_entity = db.physical().class_entity(item_cls).unwrap();
 
     // Clustered (insertion-order) placement: dereferencing items of
     // consecutive owners hits mostly-resident pages.
@@ -214,233 +214,71 @@ fn clustered_vs_shuffled_dereference_io() {
     );
 }
 
-#[test]
-fn vertical_decomposition_reads_only_needed_fragment() {
-    let mut db = small_db();
-    let item_cls = db.catalog().class_by_name("Item").unwrap();
-    for i in 0..32 {
-        db.insert_object(item_cls, vec![Value::text(format!("i{i}")), Value::Int(i)])
-            .unwrap();
-    }
-    let frags = db
-        .decompose_vertical(item_cls, &[vec![AttrId(0)], vec![AttrId(1)]])
-        .unwrap();
-    assert_eq!(frags.len(), 2);
-    // Whole-object read touches both fragments.
-    let io = small_account();
-    let vals = db.read_object(&io, Oid::new(item_cls, 5)).unwrap();
-    assert_eq!(vals[1], Value::Int(5));
-    assert_eq!(io.borrow().stats().page_reads, 2);
-    // Single-attribute read touches one.
-    io.borrow_mut().clear();
-    let w = db.read_attr(&io, Oid::new(item_cls, 9), AttrId(1)).unwrap();
-    assert_eq!(w, Value::Int(9));
-    assert_eq!(io.borrow().stats().page_reads, 1);
-    // Narrow fragment occupies fewer pages than the original extent shape.
-    let (f1, f0) = (frags[1], frags[0]);
-    assert!(db.num_pages(f1) <= db.num_pages(f0));
-    // Further decomposition is rejected.
-    assert!(matches!(
-        db.decompose_vertical(item_cls, &[vec![AttrId(0), AttrId(1)]]),
-        Err(StorageError::Decomposed(_))
-    ));
-}
-
-#[test]
-fn horizontal_decomposition_routes_and_records_fractions() {
-    let mut db = small_db();
-    let item_cls = db.catalog().class_by_name("Item").unwrap();
-    for i in 0..20 {
-        db.insert_object(item_cls, vec![Value::text(format!("i{i}")), Value::Int(i)])
-            .unwrap();
-    }
-    let frags = db
-        .decompose_horizontal(
-            item_cls,
-            2,
-            &["weight < 15".into(), "weight >= 15".into()],
-            |vals| if vals[1].as_int().unwrap() < 15 { 0 } else { 1 },
-        )
-        .unwrap();
-    assert_eq!(db.entity_len(frags[0]), 15);
-    assert_eq!(db.entity_len(frags[1]), 5);
-    match &db.physical().entity(frags[0]).fragment {
-        Some(FragmentSpec::Horizontal { fraction, .. }) => {
-            assert!((fraction - 0.75).abs() < 1e-9)
-        }
-        other => panic!("expected horizontal fragment, got {other:?}"),
-    }
-    // Objects remain addressable by oid.
-    let v = db
-        .read_object(&small_account(), Oid::new(item_cls, 17))
-        .unwrap();
-    assert_eq!(v[1], Value::Int(17));
-}
-
 /// `touch_object` pays what `read_object` pays — the same fetches in the
 /// same order, so the same hits, misses and LRU victims under two frames
-/// — and fails where it fails, on every layout.
+/// — and fails where it fails.
 #[test]
 fn touch_object_accounts_and_fails_as_read_object_does() {
-    for layout in ["single", "vertical", "horizontal"] {
-        let mut db = small_db();
-        let item_cls = db.catalog().class_by_name("Item").unwrap();
-        for i in 0..40 {
-            db.insert_object(item_cls, vec![Value::text(format!("i{i}")), Value::Int(i)])
-                .unwrap();
-        }
-        match layout {
-            "vertical" => {
-                drop(db.decompose_vertical(item_cls, &[vec![AttrId(0)], vec![AttrId(1)]]))
-            }
-            "horizontal" => drop(db.decompose_horizontal(
-                item_cls,
-                2,
-                &["weight % 3 = 0".into(), "weight % 3 <> 0".into()],
-                |vals| usize::from(vals[1].as_int().unwrap() % 3 != 0),
-            )),
-            _ => {}
-        }
-        // One store, two accounts of two frames: one pays for reads, the
-        // other for touches.
-        let [read, touched] = [(); 2].map(|()| Account::new(BufferManager::new(2)));
-        // Neighbours (a hit), a stride that comes back to pages others
-        // evicted, dangling oids mid-way, a class with no extension.
-        let oids = (0..60u32)
-            .flat_map(|i| [i * 7 % 45, (i * 7 + 1) % 45])
-            .map(|i| Oid::new(item_cls, i))
-            .chain([Oid::new(oorq_schema::ClassId(9), 0)]);
-        for oid in oids {
-            assert_eq!(
-                db.touch_object(&touched, oid),
-                db.read_object(&read, oid).map(drop),
-                "{layout}: {oid}"
-            );
-            let (touched, read) = (touched.borrow().stats(), read.borrow().stats());
-            assert_eq!(touched, read, "{layout}: after {oid}");
-        }
-        let read = read.borrow().stats();
-        assert!(read.page_reads > 2 && read.page_hits > 0);
-    }
-}
-
-/// A decomposition's arguments are checked before a record moves: an
-/// attribute id past the class's, an attribute in two groups or in none,
-/// and zero fragments are refused, and the extension reads as before.
-#[test]
-fn bad_decomposition_arguments_are_refused_and_leave_the_extension() {
     let mut db = small_db();
     let item_cls = db.catalog().class_by_name("Item").unwrap();
-    for i in 0..12 {
+    for i in 0..40 {
         db.insert_object(item_cls, vec![Value::text(format!("i{i}")), Value::Int(i)])
             .unwrap();
     }
-    let entities = db.physical().entities().len();
-    let (label, weight) = (AttrId(0), AttrId(1));
-    let refused: [(&str, Vec<Vec<AttrId>>); 3] = [
-        (
-            "attribute #7 is past",
-            vec![vec![label], vec![weight, AttrId(7)]],
-        ),
-        (
-            "groups holding attribute `label`: expected 1 values, got 2",
-            vec![vec![label, weight], vec![label]],
-        ),
-        (
-            "groups holding attribute `weight`: expected 1 values, got 0",
-            vec![vec![label]],
-        ),
-    ];
-    let check = |db: &Database, err: StorageError, what: &str| {
-        let said = err.to_string();
-        assert!(matches!(err, StorageError::ArityMismatch { .. }), "{said}");
-        assert!(
-            said.contains("decompose `Item`") && said.contains(what),
-            "{said}"
-        );
+    // One store, two accounts of two frames: one pays for reads, the
+    // other for touches.
+    let [read, touched] = [(); 2].map(|()| Account::new(BufferManager::new(2)));
+    // Neighbours (a hit), a stride that comes back to pages others
+    // evicted, dangling oids mid-way, a class with no extension.
+    let oids = (0..60u32)
+        .flat_map(|i| [i * 7 % 45, (i * 7 + 1) % 45])
+        .map(|i| Oid::new(item_cls, i))
+        .chain([Oid::new(oorq_schema::ClassId(9), 0)]);
+    for oid in oids {
         assert_eq!(
-            db.physical().entities().len(),
-            entities,
-            "no fragment added"
+            db.touch_object(&touched, oid),
+            db.read_object(&read, oid).map(drop),
+            "{oid}"
         );
-        let read = db.read_object(&small_account(), Oid::new(item_cls, 11));
-        assert_eq!(read.unwrap()[1], Value::Int(11), "after: {said}");
-    };
-    for (what, groups) in refused {
-        let err = db.decompose_vertical(item_cls, &groups).unwrap_err();
-        check(&db, err, what);
+        let (touched, read) = (touched.borrow().stats(), read.borrow().stats());
+        assert_eq!(touched, read, "after {oid}");
     }
-    let err = db
-        .decompose_horizontal(item_cls, 0, &[], |_| 0)
-        .unwrap_err();
-    check(
-        &db,
-        err,
-        "horizontally: fragments: expected 1 values, got 0",
-    );
-    // What was refused can still be done right.
-    db.decompose_vertical(item_cls, &[vec![weight], vec![label]])
-        .unwrap();
-    let read = db.read_object(&small_account(), Oid::new(item_cls, 3));
-    assert_eq!(read.unwrap(), vec![Value::text("i3"), Value::Int(3)]);
+    let read = read.borrow().stats();
+    assert!(read.page_reads > 2 && read.page_hits > 0);
 }
 
-/// Record keys index a position vector. Horizontal fragments hold sparse
-/// keys and a shuffle moves every record: each oid still reads back its
-/// own values, and an index one past the extension dangles, through every
-/// accessor.
+/// Record keys index a position vector, and a shuffle moves every
+/// record: each oid still reads back its own values, and an index one
+/// past the extension dangles, through every accessor.
 #[test]
-fn every_key_reads_back_after_fragmenting_and_shuffling() {
+fn every_key_reads_back_after_shuffling() {
     let n = 40u32;
-    for layout in ["horizontal", "shuffled", "both"] {
-        let mut db = small_db();
-        let item_cls = db.catalog().class_by_name("Item").unwrap();
-        for i in 0..n {
-            let values = vec![Value::text(format!("i{i}")), Value::Int(i.into())];
-            db.insert_object(item_cls, values).unwrap();
-        }
-        if layout != "shuffled" {
-            // Fragment 2 takes the top quarter and every third key below:
-            // each fragment's keys have gaps its siblings fill.
-            let route = |vals: &[Value]| match vals[1].as_int().unwrap() {
-                w if w >= 30 => 7,
-                w => (w % 3) as usize,
-            };
-            db.decompose_horizontal(item_cls, 3, &[], route).unwrap();
-        }
-        if layout != "horizontal" {
-            for e in db.physical().entities_of_class(item_cls).to_vec() {
-                db.shuffle_entity(e, 11);
-            }
-        }
-        let io = small_account();
-        for i in 0..n {
-            let (oid, weight) = (Oid::new(item_cls, i), Value::Int(i.into()));
-            assert_eq!(
-                db.read_attr(&io, oid, AttrId(1)),
-                Ok(weight.clone()),
-                "{layout}"
-            );
-            assert_eq!(
-                db.read_attr_raw(oid, AttrId(1)),
-                Ok(weight.clone()),
-                "{layout}"
-            );
-            assert_eq!(db.read_object(&io, oid).unwrap()[1], weight, "{layout}");
-            assert_eq!(db.touch_object(&io, oid), Ok(()), "{layout}");
-        }
-        let touches = io.borrow().stats().fetches();
-        assert_eq!(touches, 3 * u64::from(n), "a fetch per accounted access");
-        for past in [n, n + 1, u32::MAX] {
-            let oid = Oid::new(item_cls, past);
-            let dangling = StorageError::DanglingOid(oid);
-            assert_eq!(db.read_attr(&io, oid, AttrId(1)), Err(dangling.clone()));
-            assert_eq!(db.read_attr_raw(oid, AttrId(1)), Err(dangling.clone()));
-            assert_eq!(db.read_object(&io, oid), Err(dangling.clone()));
-            assert_eq!(db.touch_object(&io, oid), Err(dangling));
-        }
-        assert_eq!(io.borrow().stats().fetches(), touches, "{layout}: no fetch");
+    let mut db = small_db();
+    let item_cls = db.catalog().class_by_name("Item").unwrap();
+    for i in 0..n {
+        let values = vec![Value::text(format!("i{i}")), Value::Int(i.into())];
+        db.insert_object(item_cls, values).unwrap();
     }
+    db.shuffle_entity(db.physical().class_entity(item_cls).unwrap(), 11);
+    let io = small_account();
+    for i in 0..n {
+        let (oid, weight) = (Oid::new(item_cls, i), Value::Int(i.into()));
+        assert_eq!(db.read_attr(&io, oid, AttrId(1)), Ok(weight.clone()));
+        assert_eq!(db.read_attr_raw(oid, AttrId(1)), Ok(weight.clone()));
+        assert_eq!(db.read_object(&io, oid).unwrap()[1], weight);
+        assert_eq!(db.touch_object(&io, oid), Ok(()));
+    }
+    let touches = io.borrow().stats().fetches();
+    assert_eq!(touches, 3 * u64::from(n), "a fetch per accounted access");
+    for past in [n, n + 1, u32::MAX] {
+        let oid = Oid::new(item_cls, past);
+        let dangling = StorageError::DanglingOid(oid);
+        assert_eq!(db.read_attr(&io, oid, AttrId(1)), Err(dangling.clone()));
+        assert_eq!(db.read_attr_raw(oid, AttrId(1)), Err(dangling.clone()));
+        assert_eq!(db.read_object(&io, oid), Err(dangling.clone()));
+        assert_eq!(db.touch_object(&io, oid), Err(dangling));
+    }
+    assert_eq!(io.borrow().stats().fetches(), touches, "no fetch");
 }
 
 /// What the executor's scans rely on. A scan holds the segment it was
@@ -710,7 +548,7 @@ fn temporaries_append_scan_truncate() {
     assert_eq!(db.entity_len(t), 0);
     // Appending to a non-temporary is rejected.
     let item_cls = db.catalog().class_by_name("Item").unwrap();
-    let item_entity = db.physical().entities_of_class(item_cls)[0];
+    let item_entity = db.physical().class_entity(item_cls).unwrap();
     assert!(matches!(
         db.append_temp_rows(&io, &[t, item_entity], vec![vec![]]),
         Err(StorageError::NotTemporary(e)) if e == item_entity
@@ -839,7 +677,7 @@ fn relation_rows_roundtrip() {
         )
         .unwrap();
     assert_eq!((r0, r1), (0, 1));
-    let entity = db.physical().entities_of_relation(likes)[0];
+    let entity = db.physical().relation_entity(likes).unwrap();
     assert_eq!(db.scan(&small_account(), entity).len(), 2);
     let err = db.insert_row(likes, vec![Value::Int(1)]).unwrap_err();
     assert!(matches!(err, StorageError::ArityMismatch { .. }));
@@ -872,7 +710,7 @@ fn stats_collect_cardinality_pages_fanout_and_chains() {
         prev = Some(o);
     }
     let stats = DbStats::collect(&db);
-    let owner_entity = db.physical().entities_of_class(owner_cls)[0];
+    let owner_entity = db.physical().class_entity(owner_cls).unwrap();
     let es = stats.entity(owner_entity).unwrap();
     assert_eq!(es.cardinality, 4);
     assert!(es.pages >= 1);
@@ -921,7 +759,7 @@ fn snapshot_shares_data_and_isolates_mutation_and_io() {
         db.insert_object(item_cls, vec![Value::Text(format!("it{i}")), Value::Int(i)])
             .unwrap();
     }
-    let item_entity = db.physical().entities_of_class(item_cls)[0];
+    let item_entity = db.physical().class_entity(item_cls).unwrap();
 
     let snap = db.snapshot();
     // Identical data, independently accounted I/O.
@@ -978,7 +816,7 @@ fn database_is_sync() {
 
 #[test]
 fn sparse_keys_answer_none_in_the_gaps_and_past_the_end() {
-    // A horizontal fragment: the keys between its own live in siblings.
+    // Keys out of order with gaps between them.
     let int = oorq_schema::ResolvedType::Atomic(oorq_schema::AtomicType::Int);
     let mut s = Segment::with_rpp(vec![int], 4);
     for k in [9u32, 2, 5] {

@@ -21,7 +21,7 @@ fn music() -> MusicDb {
 
 /// Statistics of `attr` of a class stored whole.
 fn field(m: &MusicDb, stats: &DbStats, class: oorq_schema::ClassId, attr: AttrId) -> AttrStats {
-    let entity = m.db.physical().entities_of_class(class)[0];
+    let entity = m.db.physical().class_entity(class).unwrap();
     stats.entity(entity).unwrap().attrs[attr.0 as usize].clone()
 }
 
@@ -67,7 +67,7 @@ fn harpsichord_through_instruments_is_what_a_scan_of_the_compositions_counts() {
     let through = instruments
         .through(name)
         .expect("Instrument.name is atomic");
-    let compositions = m.db.physical().entities_of_class(m.composition)[0];
+    let compositions = m.db.physical().class_entity(m.composition).unwrap();
     let works = m.db.scan_raw(compositions);
     for (i, instrument) in ["harpsichord", "flute"].into_iter().enumerate() {
         let oid = Value::Oid(m.instruments[i]);
@@ -101,7 +101,7 @@ fn a_dangling_oid_is_skipped() {
     let mut m = music();
     let before = DbStats::collect(&m.db);
     let (name, _) = m.db.catalog().attr(m.instrument, "name").unwrap();
-    let compositions = m.db.physical().entities_of_class(m.composition)[0];
+    let compositions = m.db.physical().class_entity(m.composition).unwrap();
     let slots = |m: &MusicDb, stats: &DbStats| {
         let held = m.db.scan_raw(compositions);
         let held = held

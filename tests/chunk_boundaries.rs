@@ -84,7 +84,7 @@ fn op_counts(o: &oorq::exec::OpReport) -> (String, (u64, u64, u64, u64, u64)) {
 /// carry the disciple's direct master, which the recursive leg's projection
 /// dereferences.
 fn influencer_over_ij(m: &MusicDb, via: bool) -> Pt {
-    let e = m.db.physical().entities_of_class(m.composer)[0];
+    let e = m.db.physical().class_entity(m.composer).unwrap();
     let cols = |master: Expr, disciple: &str, gen: Expr| {
         let via = via.then(|| ("via".into(), Expr::path(disciple, &["master"])));
         let cols = [

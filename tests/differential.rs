@@ -382,7 +382,7 @@ fn predicted_bounded_and_executed_operators_agree() {
         ..Default::default()
     });
     let composer = s.db.catalog().class_by_name("Composer").unwrap();
-    let e = s.db.physical().entities_of_class(composer)[0];
+    let e = s.db.physical().class_entity(composer).unwrap();
     let by_name =
         s.db.physical()
             .indexes()

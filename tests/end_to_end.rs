@@ -7,7 +7,6 @@ use oorq::exec::{eval_query_graph, MethodRegistry};
 use oorq::optimizer::OptimizerConfig;
 use oorq::query::paper::fig2_query;
 use oorq::query::{Expr, NameRef, QArc, QueryGraph, SpjNode};
-use oorq::storage::DbStats;
 use oorq_bench::{Knobs, Scenario};
 
 fn all_configs() -> Vec<OptimizerConfig> {
@@ -119,45 +118,6 @@ fn chain_joins_match_reference_across_strategies() {
     });
     let q = s.chain_query(6);
     check_equivalence(&mut s, &q, "chain-4");
-}
-
-#[test]
-fn decomposed_extensions_still_answer_queries() {
-    // Vertically decompose Composition; the executor reads through
-    // fragments transparently.
-    let mut s = Scenario::music(MusicConfig {
-        chains: 2,
-        chain_len: 4,
-        ..Default::default()
-    });
-    let cat = s.db.catalog_rc();
-    let composition = cat.class_by_name("Composition").unwrap();
-    let (title, _) = cat.attr(composition, "title").unwrap();
-    let (author, _) = cat.attr(composition, "author").unwrap();
-    let (instruments, _) = cat.attr(composition, "instruments").unwrap();
-    s.db.decompose_vertical(composition, &[vec![title], vec![author, instruments]])
-        .unwrap();
-    s.stats = DbStats::collect(&s.db);
-    // A query touching both fragments through paths.
-    let composer = cat.class_by_name("Composer").unwrap();
-    let mut q = QueryGraph::new(NameRef::Derived("A".into()));
-    q.add_spj(
-        NameRef::Derived("A".into()),
-        SpjNode {
-            inputs: vec![QArc::new(NameRef::Class(composer), "x")],
-            pred: Expr::path("x", &["works", "instruments", "name"]).eq(Expr::text("flute")),
-            out_proj: vec![("name".into(), Expr::path("x", &["name"]))],
-        },
-    );
-    let mut reference = eval_query_graph(&s.db, &s.methods, &q).unwrap().rows;
-    let mut got = s
-        .run(&q, OptimizerConfig::cost_controlled(), &Knobs::default())
-        .unwrap()
-        .answer
-        .rows;
-    reference.sort();
-    got.sort();
-    assert_eq!(reference, got);
 }
 
 /// The plans the `reproduce` figures print (Figure 3 and the §4.5

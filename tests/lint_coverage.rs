@@ -34,7 +34,7 @@ fn fig3_analysis() -> Analysis {
 /// The single atomic entity implementing the Composer extension.
 fn composer_entity(s: &Scenario) -> oorq::storage::EntityId {
     let composer = s.db.catalog().class_by_name("Composer").expect("music");
-    s.db.physical().entities_of_class(composer)[0]
+    s.db.physical().class_entity(composer).unwrap()
 }
 
 /// A well-behaved observation for one analyzed node: every counter at
@@ -187,7 +187,7 @@ fn ab006_provably_empty_fixpoint_is_noted() {
         .catalog()
         .relation_by_name("R0")
         .expect("chain relation R0");
-    let e = chain.db.physical().entities_of_relation(r0)[0];
+    let e = chain.db.physical().relation_entity(r0).unwrap();
     let base = Pt::proj(
         vec![("a".to_string(), Expr::var("x.a"))],
         Pt::entity(e, "x"),

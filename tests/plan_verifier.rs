@@ -28,7 +28,7 @@ fn chain() -> Scenario {
 /// temporary is shaped like the base leg, `e.a` and `e.b`.
 fn copy_fix(s: &Scenario, a: &str, b: &str) -> Pt {
     let r0 = s.db.catalog().relation_by_name("R0").expect("chain schema");
-    let base = Pt::entity(s.db.physical().entities_of_relation(r0)[0], "e");
+    let base = Pt::entity(s.db.physical().relation_entity(r0).unwrap(), "e");
     let rec = Pt::proj(
         vec![("e.a".into(), Expr::var(a)), ("e.b".into(), Expr::var(b))],
         Pt::temp("T", "t"),
