@@ -116,4 +116,7 @@ for budget in 8 1; do
     OORQ_MEMORY_BUDGET=$budget cargo test -q --release --test differential --test serve_differential
 done
 
+echo "== release allocation ceilings (a served hit's heap allocations; the workspace tests above checked the debug profile's) =="
+cargo test -q --release --test allocations
+
 echo "CI OK"

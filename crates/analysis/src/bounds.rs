@@ -15,6 +15,13 @@
 //! - `passes` (fixpoints only) ⊇ the observed semi-naive iteration
 //!   count of every delta curve.
 //!
+//! A replayed operand ([`oorq_pt::replayed`]) derives its rows on the
+//! first pass of a run and reads them back on every later one, so its
+//! children do less than these intervals allow and it does a little
+//! more: its page bounds also admit one write per row and one read-back
+//! per row per opening. Its cost interval prices it as the cost model
+//! does, once per pass.
+//!
 //! Violations of this contract are surfaced by [`crate::check_observed`]
 //! as `AB001`–`AB003` lints and (in debug builds) break the executor's
 //! soundness assertion.
@@ -37,7 +44,7 @@ use std::collections::HashMap;
 
 use oorq_cost::CostParams;
 use oorq_lint::{LintCode, LintReport};
-use oorq_pt::{resolve, IndexProbe, Node, NodeOp, Pt, PtError};
+use oorq_pt::{replayed, resolve, IndexProbe, Node, NodeOp, Pt, PtError};
 use oorq_query::{bind_path, Expr, Literal};
 use oorq_schema::{AtomicType, AttrId, AttributeKind, Catalog, ClassId, ResolvedType};
 use oorq_storage::{DbStats, EntityId, EntitySource, IndexKindDesc, PhysicalSchema};
@@ -240,6 +247,7 @@ impl<'a> Analyzer<'a> {
         let mut walk = Walk {
             az: self,
             plan: &plan,
+            replayed: replayed(&plan),
             temp_info: HashMap::new(),
             nodes: vec![None; plan.len()],
             report: LintReport::new(),
@@ -383,6 +391,8 @@ struct Walk<'a, 'b> {
     /// The plan being analyzed, resolved: ids, operators and typed output
     /// columns come with each node.
     plan: &'b [Node<'b>],
+    /// [`replayed`] of `plan`.
+    replayed: Vec<bool>,
     temp_info: HashMap<String, TempInfo>,
     nodes: Vec<Option<NodeBounds>>,
     report: LintReport,
@@ -403,10 +413,17 @@ impl Walk<'_, '_> {
         members: Vec<f64>,
         rows_once: Interval,
         rows_total: Interval,
-        feats: FeatBounds,
+        mut feats: FeatBounds,
         passes: Option<Interval>,
     ) -> Out {
         let cost = self.cost_of(&feats);
+        if self.replayed[id] {
+            // At most one page per row an opening hands up: written by an
+            // opening that derives them, read back by one that replays.
+            let replay = Interval::up_to(mul_up(rows_once.hi, opens.hi));
+            feats.seq = feats.seq.add(replay);
+            feats.writes = feats.writes.add(replay);
+        }
         self.nodes[id] = Some(NodeBounds {
             pt_node: id,
             label: self.label(id),

@@ -273,7 +273,9 @@ mod tests {
     /// shape, observed counters, predictions — is deterministic).
     /// Regenerate by writing `golden_explain(scenario)` back to
     /// `crates/bench/golden_explain_<scenario>.txt` after a deliberate
-    /// format or plan change.
+    /// format or plan change. The music tree's `#5 IJ_master` replays:
+    /// its line shows one pass of rows, the passes it served and its
+    /// replay temporary's write and read-backs, and its scan one pass.
     #[test]
     fn explain_analyze_matches_music_golden() {
         let got = golden_explain("music").expect("music golden runs");

@@ -1,7 +1,9 @@
 //! The PT executor: lowers a verified plan to a physical-operator
 //! pipeline ([`oorq_pt::phys`]) and streams it with honest page-I/O
 //! accounting against the store's page account, which each run checks
-//! out ([`Database::check_out`]) and parks again when it ends.
+//! out ([`Database::check_out`]) and parks again when it ends. A plan
+//! already lowered (a served plan-cache hit) is streamed as it is
+//! ([`Executor::answer`]).
 
 use std::collections::HashMap;
 
@@ -47,9 +49,9 @@ impl Default for ExecConfig {
 /// alive between them. Instead it carries this state: build each
 /// per-query executor with [`Executor::with_state`], and take the state
 /// back with [`Executor::into_state`] when the query completes. Temps
-/// and nested-loop materialization pools are then reused by name/shape
-/// instead of growing the physical schema by a fresh set of temporary
-/// entities per query.
+/// and the pool of materialization temporaries are then reused by
+/// name/shape instead of growing the physical schema by a fresh set of
+/// temporary entities per query.
 #[derive(Debug, Clone, Default)]
 pub struct ExecState {
     /// Per-temporary: (accumulator entity, delta entity).
@@ -57,8 +59,8 @@ pub struct ExecState {
     /// Field shapes of temporaries (for lowering and `PtEnv` typing).
     pub temp_fields: HashMap<String, Vec<(String, ResolvedType)>>,
     /// Pool of page-store temporaries backing materialized nested-loop
-    /// inners, keyed by row shape.
-    pub nl_mat_pool: HashMap<Vec<ResolvedType>, Vec<EntityId>>,
+    /// inners and replayed operands, keyed by row shape.
+    pub mat_pool: HashMap<Vec<ResolvedType>, Vec<EntityId>>,
 }
 
 /// A report of the resources the executor's last run consumed, whether
@@ -136,9 +138,9 @@ pub struct Executor<'a> {
     /// pool of materialized-inner temporaries (reused across runs; a run
     /// assigns distinct pool entries to distinct operators).
     state: ExecState,
-    /// This run's assignment: materializing `NlJoin` operator id → its
-    /// backing temporary.
-    nl_mats: HashMap<usize, EntityId>,
+    /// This run's assignment: materializing `NlJoin` or replayed operand
+    /// (by operator id) → its backing temporary.
+    mats: HashMap<usize, EntityId>,
     /// Per-operator reports of the last run (empty if it failed or was
     /// answered).
     last_ops: Vec<OpReport>,
@@ -165,7 +167,7 @@ impl<'a> Executor<'a> {
             last_io: IoStats::default(),
             config: ExecConfig::default(),
             state: ExecState::default(),
-            nl_mats: HashMap::new(),
+            mats: HashMap::new(),
             last_ops: Vec::new(),
             last_fix_deltas: Vec::new(),
             obs: oorq_obs::Recorder::disabled(),
@@ -250,39 +252,63 @@ impl<'a> Executor<'a> {
 
     /// Execute a plan and return its (deduplicated) answer.
     ///
-    /// The plan is lowered to a physical-operator pipeline and streamed.
-    /// In debug builds both the plan and its lowering are first checked
-    /// against the static verifier: an ill-formed plan is rejected with
-    /// [`ExecError::PlanLint`] before it can touch the store.
-    ///
-    /// Every operator is profiled: `report()` then holds the run's
-    /// per-operator counters and wall time and its delta curves, and
-    /// `last_plan()` its lowering.
+    /// The plan is lowered to a physical-operator pipeline
+    /// ([`Executor::prepare`]) and streamed. Every operator is profiled:
+    /// `report()` then holds the run's per-operator counters and wall
+    /// time and its delta curves, and `last_plan()` its lowering. Debug
+    /// builds check the observed counters against the static bounds.
     pub fn run(&mut self, pt: &Pt) -> Result<Batch, ExecError> {
-        self.run_with(pt, true)
+        self.timed(|ex| {
+            ex.forget_last_run();
+            let plan = ex.prepare(pt)?;
+            let rows = ex.execute(&plan, true)?;
+            ex.last_plan = Some(plan);
+            #[cfg(debug_assertions)]
+            ex.assert_bounds(pt);
+            Ok(rows)
+        })
     }
 
-    /// Execute a plan for its answer alone: [`Executor::run`] without the
-    /// per-operator profile, which nobody reads — unless this executor
-    /// has an enabled recorder or metrics registry, whose operator spans
-    /// and `exec.op.*` series it then feeds as `run` does. The answer,
-    /// page I/O, `evals` and method calls are `run`'s; afterwards the
-    /// last-run parts of `report()` and `last_plan()` are empty, as after
-    /// a failed run. Debug builds verify the plan and its lowering as
-    /// `run` does, and check the static bounds only when profiling.
-    pub fn answer(&mut self, pt: &Pt) -> Result<Batch, ExecError> {
+    /// Execute a lowered plan for its answer alone: [`Executor::run`]
+    /// without the lowering and the per-operator profile, which nobody
+    /// reads — unless this executor has an enabled recorder or metrics
+    /// registry, whose operator spans and `exec.op.*` series it then
+    /// feeds as `run` does. The answer, page I/O, `evals` and method
+    /// calls are `run`'s; afterwards the last-run parts of `report()` and
+    /// `last_plan()` are empty, as after a failed run. The plan is not
+    /// verified again: [`Executor::prepare`] (or the `run` whose
+    /// `last_plan()` it is) did that when it was lowered.
+    pub fn answer(&mut self, plan: &PhysPlan) -> Result<Batch, ExecError> {
         let profile = self.obs.enabled() || self.metrics.enabled();
-        let res = self.run_with(pt, profile);
+        let res = self.timed(|ex| {
+            ex.forget_last_run();
+            ex.execute(plan, profile)
+        });
         self.forget_last_run();
         res
     }
 
-    fn run_with(&mut self, pt: &Pt, profile: bool) -> Result<Batch, ExecError> {
+    /// Lower a plan for [`Executor::answer`]. In debug builds both the
+    /// plan and its lowering are first checked against the static
+    /// verifier: an ill-formed plan is rejected with
+    /// [`ExecError::PlanLint`] before it can touch the store.
+    pub fn prepare(&self, pt: &Pt) -> Result<PhysPlan, ExecError> {
+        #[cfg(debug_assertions)]
+        self.verify(pt)?;
+        self.lower(pt)
+    }
+
+    /// One run, spanned, timed and accounted: `report()`'s totals are
+    /// what `run` did to the counters and the page account.
+    fn timed(
+        &mut self,
+        run: impl FnOnce(&mut Self) -> Result<Batch, ExecError>,
+    ) -> Result<Batch, ExecError> {
         let span = self.obs.begin("exec", "run");
         let wall0 = std::time::Instant::now();
         self.counters = Counters::default();
         let io0 = self.db.io_stats();
-        let res = self.run_inner(pt, profile);
+        let res = run(self);
         self.last_io = self.db.io_stats() - io0;
         if let Ok(batch) = &res {
             self.obs
@@ -328,12 +354,10 @@ impl<'a> Executor<'a> {
         }
     }
 
-    fn run_inner(&mut self, pt: &Pt, profile: bool) -> Result<Batch, ExecError> {
-        self.forget_last_run();
-        #[cfg(debug_assertions)]
-        self.verify(pt)?;
-        let plan = self.lower(pt)?;
-        self.prepare_temps(&plan);
+    /// Stream a lowered plan over this executor's store; keeps the
+    /// operator reports and delta curves as the last run's.
+    fn execute(&mut self, plan: &PhysPlan, profile: bool) -> Result<Batch, ExecError> {
+        self.prepare_temps(plan);
         self.db
             .set_temp_budget(self.config.memory_budget_pages as usize);
         let shared = pipeline::Shared {
@@ -341,7 +365,7 @@ impl<'a> Executor<'a> {
             indexes: self.indexes,
             methods: self.methods,
             temps: &self.state.temps,
-            nl_mats: &self.nl_mats,
+            mats: &self.mats,
             max_fix_iterations: self.config.max_fix_iterations,
             obs: &self.obs,
             profile,
@@ -349,7 +373,7 @@ impl<'a> Executor<'a> {
         // The run owns the store's page account until `io` is dropped, which
         // parks it again: on `Ok`, on `Err`, and when the pipeline unwinds.
         let io = self.db.check_out();
-        let out = pipeline::execute(&plan, shared, &io, &self.counters);
+        let out = pipeline::execute(plan, shared, &io, &self.counters);
         drop(io);
         let (rows, ops, fix_deltas) = out?;
         // A projection hands up no row twice; any other root may.
@@ -360,11 +384,6 @@ impl<'a> Executor<'a> {
         };
         self.last_ops = ops;
         self.last_fix_deltas = fix_deltas;
-        self.last_plan = Some(plan);
-        #[cfg(debug_assertions)]
-        if profile {
-            self.assert_bounds(pt);
-        }
         if !deduplicated {
             rows.dedup();
         }
@@ -439,47 +458,53 @@ impl<'a> Executor<'a> {
 
     /// Create (or reuse) the accumulator/delta temporaries of every
     /// fixpoint in the plan, and register their shapes for subsequent
-    /// lowerings. Creation needs `&mut Database`; the streaming pipeline
-    /// itself runs over `&Database`.
+    /// lowerings; assign every materializing nested loop and replayed
+    /// operand a page-store temporary. Creation needs `&mut Database`;
+    /// the streaming pipeline itself runs over `&Database`.
     fn prepare_temps(&mut self, plan: &PhysPlan) {
-        let mut fixes: Vec<(String, Vec<(String, ResolvedType)>)> = Vec::new();
-        let mut mats: Vec<(usize, Vec<ResolvedType>)> = Vec::new();
-        plan.root.visit(&mut |op| match op {
-            PhysOp::FixPoint { temp, fields, .. } => {
-                fixes.push((temp.clone(), fields.clone()));
+        let mut fixes: Vec<(&String, &Vec<(String, ResolvedType)>)> = Vec::new();
+        let mut mats: Vec<(usize, &Vec<ResolvedType>)> = Vec::new();
+        plan.root.visit(&mut |op| {
+            match op {
+                PhysOp::FixPoint { temp, fields, .. } => fixes.push((temp, fields)),
+                PhysOp::NlJoin {
+                    meta,
+                    rescan_inner: false,
+                    mat_types,
+                    ..
+                } => mats.push((meta.id, mat_types)),
+                _ => {}
             }
-            PhysOp::NlJoin {
-                meta,
-                rescan_inner: false,
-                mat_types,
-                ..
-            } => {
-                mats.push((meta.id, mat_types.clone()));
+            if let Some(types) = &op.meta().replay {
+                mats.push((op.meta().id, types));
             }
-            _ => {}
         });
         for (temp, fields) in fixes {
-            let types: Vec<ResolvedType> = fields.iter().map(|(_, t)| t.clone()).collect();
-            self.state.temp_fields.insert(temp.clone(), fields);
-            if !self.state.temps.contains_key(&temp) {
+            if self.state.temp_fields.get(temp) != Some(fields) {
+                self.state.temp_fields.insert(temp.clone(), fields.clone());
+            }
+            if !self.state.temps.contains_key(temp) {
+                let types: Vec<ResolvedType> = fields.iter().map(|(_, t)| t.clone()).collect();
                 let acc = self.db.create_temp(temp.clone(), types.clone());
                 let delta = self.db.create_temp(format!("{temp}#delta"), types);
-                self.state.temps.insert(temp, (acc, delta));
+                self.state.temps.insert(temp.clone(), (acc, delta));
             }
         }
-        // Assign every materializing nested loop a page-store temporary
-        // from the per-shape pool (growing it as needed), so two joins in
-        // one plan never share a breaker.
-        self.nl_mats.clear();
-        let mut used: HashMap<Vec<ResolvedType>, usize> = HashMap::new();
+        // Draw each from the per-shape pool (growing it as needed), so two
+        // operators of one plan never share a temporary.
+        self.mats.clear();
+        let mut used: HashMap<&Vec<ResolvedType>, usize> = HashMap::new();
         for (op_id, types) in mats {
-            let n = used.entry(types.clone()).or_insert(0);
-            let pool = self.state.nl_mat_pool.entry(types.clone()).or_default();
+            let n = used.entry(types).or_insert(0);
+            if !self.state.mat_pool.contains_key(types) {
+                self.state.mat_pool.insert(types.clone(), Vec::new());
+            }
+            let pool = self.state.mat_pool.get_mut(types).expect("inserted");
             if *n == pool.len() {
                 let name = format!("#mat{}", pool.len());
-                pool.push(self.db.create_temp(name, types));
+                pool.push(self.db.create_temp(name, types.clone()));
             }
-            self.nl_mats.insert(op_id, pool[*n]);
+            self.mats.insert(op_id, pool[*n]);
             *n += 1;
         }
     }

@@ -5,7 +5,10 @@
 //! (`OpMeta::pt_node`): the cost model's per-node prediction
 //! ([`oorq_cost::NodeCost`]), the §11 sound interval bounds
 //! ([`oorq_analysis::NodeBounds`]), and the executor's exclusive
-//! observed counters ([`crate::OpReport`]). An observed counter that
+//! observed counters ([`crate::OpReport`]). A replayed operand's line
+//! shows the passes it served and how many of them it replayed, so its
+//! one pass of observed rows against the model's every-pass estimate
+//! reads as a replay, not an estimation error. An observed counter that
 //! escapes its sound interval is flagged with `!!` — on a debug build
 //! the executor would already have asserted, so a flag in a release
 //! run is the analyzer soundness contract failing in the field.
@@ -61,6 +64,11 @@ fn walk(
             "  rows obs={} pages obs={} idx obs={} writes obs={}",
             o.rows_out, pages, o.index_reads, o.page_writes
         );
+        if o.replays > 0 {
+            // A replayed operand derives its rows on one pass and reads
+            // them back on the others: `rows obs` is one pass's rows.
+            let _ = write!(out, " passes={} replayed={}", o.opens, o.replays);
+        }
         if o.temp_reads + o.spill_evictions > 0 {
             let _ = write!(
                 out,

@@ -10,8 +10,8 @@
 //! index selections, filters, projections, implicit joins
 //! (dereferences), path-index lookups, nested-loop joins with honest
 //! inner rescans, index joins, unions, and **semi-naive fixpoints** with
-//! materialized accumulator/delta temporaries (the pipeline breakers).
-//! Every
+//! materialized accumulator/delta temporaries (the pipeline breakers),
+//! whose recursive leg replays the operands no pass can change. Every
 //! operator tallies its own rows, page/index I/O, evaluations, method
 //! calls and wall time ([`OpReport`]), joinable against the cost
 //! model's per-node predictions.

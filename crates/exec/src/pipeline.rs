@@ -10,8 +10,12 @@
 //! tree is built. Built rows lie end to end in a buffer the consumer
 //! keeps and hands back to be refilled ([`Chunk`]). Only genuine pipeline
 //! breakers materialize, from borrowed rows: the semi-naive fixpoint
-//! (accumulator and delta temporaries) and the inner of a nested loop
-//! over a non-rescannable subtree.
+//! (accumulator and delta temporaries), the inner of a nested loop
+//! over a non-rescannable subtree, and a replayed operand of a
+//! fixpoint's recursive leg ([`oorq_pt::replayed`]), whose first pass in
+//! a run writes its rows to a page-store temporary as it hands them up
+//! and whose later passes read them back instead of re-opening its
+//! children.
 //!
 //! In a profiled run ([`Shared::profile`]) every `open`/`next_chunk` call
 //! that can do something is bracketed by snapshots of the run's page
@@ -23,7 +27,9 @@
 //! a leaf scan (it takes a segment), a `next_chunk` on a scan that has no
 //! page left, and a `next_chunk` on an operator that has already answered
 //! `None`. A nested loop's held inner ([`Inner::Held`]) is charged to its
-//! scan operator as re-opening it was. An unprofiled run takes no bracket
+//! scan operator as re-opening it was; a replayed operand's writes and
+//! read-backs are its own, and the rows it reads back are not in its
+//! `rows_out`. An unprofiled run takes no bracket
 //! at all and reports no operator; its page touches, `evals` and delta
 //! curves are the same,
 //! because the account and the counters are charged where the work is
@@ -58,9 +64,13 @@ pub struct OpReport {
     /// Times the operator was opened (1, plus nested-loop rescans of an
     /// inner, plus one per fixpoint iteration for the recursive side).
     pub opens: u64,
-    /// Rows pulled from children.
+    /// Openings a replayed operand served from its replay temporary
+    /// (every pass of a run after the one that derived its rows).
+    pub replays: u64,
+    /// Rows pulled from children (replayed rows included).
     pub rows_in: u64,
-    /// Rows produced.
+    /// Rows produced (derived: the rows a replayed operand read back are
+    /// not counted).
     pub rows_out: u64,
     /// Data pages fetched from disk.
     pub page_reads: u64,
@@ -121,9 +131,12 @@ impl std::fmt::Display for FixDeltaCurve {
 #[derive(Debug, Clone, Copy, Default)]
 struct OpStats {
     opens: u64,
+    replays: u64,
     /// Brackets closed ([`Rt::charge`] calls).
     calls: u64,
     rows_out: u64,
+    /// Rows read back from a replay temporary.
+    replayed_rows: u64,
     io: IoStats,
     evals: u64,
     method_calls: u64,
@@ -149,10 +162,11 @@ pub(crate) struct Shared<'a> {
     /// Per-temporary: (accumulator entity, delta entity); pre-created by
     /// the executor (creation needs `&mut Database`).
     pub temps: &'a Temps,
-    /// Per materializing `NlJoin` (keyed by operator id): the page-store
-    /// temporary backing its materialized inner; pre-created by the
-    /// executor alongside the fixpoint temporaries.
-    pub nl_mats: &'a HashMap<usize, EntityId>,
+    /// Per materializing `NlJoin` and replayed operand (keyed by
+    /// operator id): the page-store temporary backing its materialized
+    /// inner or its replayed rows; pre-created by the executor alongside
+    /// the fixpoint temporaries.
+    pub mats: &'a HashMap<usize, EntityId>,
     pub max_fix_iterations: u32,
     /// Trace recorder (disabled by default; one branch per call then).
     pub obs: &'a oorq_obs::Recorder,
@@ -199,7 +213,7 @@ pub(crate) fn execute(
     counters: &Counters,
 ) -> Result<ExecOutput, ExecError> {
     let rt = Rt::new(shared, io, counters, plan.ops);
-    let mut root = build(&plan.root, shared.temps, false);
+    let mut root = build(&plan.root, &shared, false);
     root.open(&rt)?;
     let rows = root.drain(&rt)?;
     drop(root);
@@ -531,9 +545,20 @@ enum Inner {
     Held { seg: Option<SegmentHold>, page: u32 },
 }
 
+/// A replayed operand's rows: `temp` is where the run's first pass writes
+/// them as they are handed up, `filled` whether a pass has drained the
+/// operator since, and `scan` a later opening's read-back of `temp`.
+struct Replay {
+    temp: Option<EntityId>,
+    filled: bool,
+    scan: Option<PageScan>,
+}
+
 struct OpExec<'p> {
     op: &'p PhysOp,
     kids: Vec<OpExec<'p>>,
+    /// Set when the operator is a replayed operand (`OpMeta::replay`).
+    replay: Option<Replay>,
     /// Values per row the operator builds: its column count.
     width: usize,
     /// Place in the first child's output.
@@ -564,11 +589,20 @@ fn is_set(op: &PhysOp) -> bool {
 /// [`OpExec`]) above it. The root starts touch-free, and so does a
 /// fixpoint's recursive leg: it is drained whole before the sink writes.
 /// A fixpoint's base leg does not — the sink appends chunk by chunk — nor
-/// does anything under an operator that fetches between two pulls of its
+/// does a replayed operand, which writes what it hands up chunk by chunk,
+/// nor anything under an operator that fetches between two pulls of its
 /// input: a dereference, an index probe, a nested loop (which rescans or
 /// re-reads its inner per outer row and materializes it chunk by chunk),
 /// a filter or projection whose expression dereferences.
-fn build<'p>(op: &'p PhysOp, temps: &Temps, downstream_touches: bool) -> OpExec<'p> {
+fn build<'p>(op: &'p PhysOp, shared: &Shared<'_>, downstream_touches: bool) -> OpExec<'p> {
+    let temps = shared.temps;
+    let meta = op.meta();
+    let replay = meta.replay.as_ref().map(|_| Replay {
+        temp: shared.mats.get(&meta.id).copied(),
+        filled: false,
+        scan: None,
+    });
+    let downstream_touches = downstream_touches || replay.is_some();
     let st = match op {
         PhysOp::EntityScan { .. } => St::Scan {
             temps: None,
@@ -660,10 +694,11 @@ fn build<'p>(op: &'p PhysOp, temps: &Temps, downstream_touches: bool) -> OpExec<
         _ => true,
     };
     let kids = op.children().into_iter().enumerate();
-    let kids = kids.map(|(i, kid)| build(kid, temps, kid_touched(i)));
+    let kids = kids.map(|(i, kid)| build(kid, shared, kid_touched(i)));
     OpExec {
         op,
         kids: kids.collect(),
+        replay,
         width: op.cols().len(),
         input: Cursor::default(),
         st,
@@ -691,6 +726,15 @@ fn pump(
         each(input, out)?;
     }
     Ok(out.len() > 0)
+}
+
+/// The materialization temporary `build` found for operator `op_id`.
+fn mat_temp(temp: Option<EntityId>, op_id: usize) -> Result<EntityId, ExecError> {
+    temp.ok_or_else(|| {
+        ExecError::BadPlan(format!(
+            "materialization temporary for op #{op_id} not prepared"
+        ))
+    })
 }
 
 /// The (accumulator, delta) pair `build` found for temporary `name`.
@@ -807,6 +851,13 @@ impl<'a> Rt<'a> {
         }
     }
 
+    /// Count an opening a replayed operand serves from its temporary: no
+    /// bracket, as a leaf scan's open takes none.
+    fn count_replay(&self, id: usize) {
+        self.count_open(id);
+        self.stats.borrow_mut()[id].replays += 1;
+    }
+
     /// Fetch page `page` of a held inner into `out` and step past it;
     /// `false`, at no charge, past the last page. In a profiled run a leaf
     /// inner's page is bracketed to its scan operator `scan`, as the scan's
@@ -836,11 +887,7 @@ impl<'a> Rt<'a> {
 
     /// The page-store temporary backing a materializing `NlJoin`'s inner.
     fn nl_mat(&self, op_id: usize) -> Result<EntityId, ExecError> {
-        self.nl_mats.get(&op_id).copied().ok_or_else(|| {
-            ExecError::BadPlan(format!(
-                "materialized inner temporary for op #{op_id} not prepared"
-            ))
-        })
+        mat_temp(self.mats.get(&op_id).copied(), op_id)
     }
 }
 
@@ -852,10 +899,25 @@ impl OpExec<'_> {
     fn open(&mut self, rt: &Rt<'_>) -> Result<(), ExecError> {
         self.input.reset();
         self.done = false;
+        let id = self.op.meta().id;
+        if let Some(replay) = &mut self.replay {
+            let temp = mat_temp(replay.temp, id)?;
+            if replay.filled {
+                // A later pass: read the rows back, leave the children be.
+                replay.scan = Some(rt.db.scan_pages(temp, 0..u32::MAX));
+                if rt.profile {
+                    rt.count_replay(id);
+                }
+                return Ok(());
+            }
+            // The run's first pass (or one after a pass that stopped short):
+            // derive the rows, writing them down as they are handed up.
+            replay.scan = None;
+            rt.db.truncate_temp(rt.io, temp)?;
+        }
         if !rt.profile {
             return self.open_inner(rt);
         }
-        let id = self.op.meta().id;
         if matches!(self.op, PhysOp::EntityScan { .. } | PhysOp::TempScan { .. }) {
             rt.count_open(id);
             return self.open_inner(rt);
@@ -869,8 +931,8 @@ impl OpExec<'_> {
     /// The next run of rows, into `out` (empty: its consumer cleared it);
     /// `false` once exhausted (and again on every later call, until
     /// re-opened). A profiled run pays one bracket per call, except by an
-    /// operator with nothing left to do: a scan — a leaf's, or a
-    /// fixpoint's read-back — that has no page left (it let go of its
+    /// operator with nothing left to do: a scan — a leaf's, a
+    /// fixpoint's read-back or a replay — that has no page left (it let go of its
     /// segment with its last page), or any operator that has already
     /// answered `false`, answers `false` as it is.
     fn next_chunk(&mut self, rt: &Rt<'_>, out: &mut Chunk) -> Result<bool, ExecError> {
@@ -878,26 +940,65 @@ impl OpExec<'_> {
         if self.done {
             return Ok(false);
         }
-        if let St::Scan { scan, .. } | St::Fix { scan, .. } = &self.st {
-            if scan.as_ref().is_none_or(PageScan::is_done) {
-                return Ok(false);
+        let exhausted = match (&self.replay, &self.st) {
+            (
+                Some(Replay {
+                    scan: Some(scan), ..
+                }),
+                _,
+            ) => scan.is_done(),
+            (_, St::Scan { scan, .. } | St::Fix { scan, .. }) => {
+                scan.as_ref().is_none_or(PageScan::is_done)
             }
+            _ => false,
+        };
+        if exhausted {
+            return Ok(false);
         }
+        let replaying = matches!(self.replay, Some(Replay { scan: Some(_), .. }));
         out.width = self.width;
         let res = if rt.profile {
             let snap = rt.snap();
-            let res = self.next_inner(rt, out);
+            let res = self.next_own(rt, out);
             let rows = match &res {
                 Ok(true) => out.len() as u64,
                 _ => 0,
             };
-            rt.charge(self.op.meta().id, snap, 0, rows);
+            let id = self.op.meta().id;
+            if replaying {
+                rt.charge(id, snap, 0, 0);
+                rt.stats.borrow_mut()[id].replayed_rows += rows;
+            } else {
+                rt.charge(id, snap, 0, rows);
+            }
             res
         } else {
-            self.next_inner(rt, out)
+            self.next_own(rt, out)
         };
         self.done = matches!(res, Ok(false));
         res
+    }
+
+    /// [`OpExec::next_inner`], through a replayed operand's temporary: read
+    /// back on a later pass, written down on the first.
+    fn next_own(&mut self, rt: &Rt<'_>, out: &mut Chunk) -> Result<bool, ExecError> {
+        let temp = match &mut self.replay {
+            None => return self.next_inner(rt, out),
+            Some(Replay {
+                scan: Some(scan), ..
+            }) => {
+                out.page = scan.next_page(rt.io);
+                return Ok(out.page.is_some());
+            }
+            Some(Replay { temp, .. }) => mat_temp(*temp, self.op.meta().id)?,
+        };
+        let more = self.next_inner(rt, out)?;
+        if more {
+            rt.db.append_temp_rows(rt.io, &[temp], out.iter())?;
+        } else if let Some(replay) = &mut self.replay {
+            replay.filled = true;
+        }
+        Ok(more)
     }
 
     /// The entity a leaf scan reads at this opening: a temporary scan's
@@ -1467,7 +1568,7 @@ fn rollup(plan: &PhysPlan, stats: &[OpStats]) -> Vec<OpReport> {
         let mut rows_in = 0;
         for c in op.children() {
             let cs = stats[c.meta().id];
-            rows_in += cs.rows_out;
+            rows_in += cs.rows_out + cs.replayed_rows;
             kids.io += cs.io;
             kids.evals += cs.evals;
             kids.method_calls += cs.method_calls;
@@ -1486,6 +1587,7 @@ fn rollup(plan: &PhysPlan, stats: &[OpStats]) -> Vec<OpReport> {
             pt_node: op.meta().pt_node,
             label: label.clone(),
             opens: s.opens,
+            replays: s.replays,
             rows_in,
             rows_out: s.rows_out,
             page_reads: io.page_reads,

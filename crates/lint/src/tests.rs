@@ -514,6 +514,7 @@ fn phys_meta(id: usize) -> oorq_pt::OpMeta {
         id,
         pt_node: id,
         label: format!("op{id}"),
+        replay: None,
     }
 }
 

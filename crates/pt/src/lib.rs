@@ -25,8 +25,8 @@ pub use node::{
 };
 pub use phys::{
     applicable_join_indexes, applicable_sel_index, fix_recursive_nodes, lit_value, lower,
-    lower_with, node_ids, node_op, rescannable, IndexProbe, NodeOp, OpKind, OpMeta, ParallelSpec,
-    PhysOp, PhysPlan,
+    lower_with, node_ids, node_op, replayed, rescannable, IndexProbe, NodeOp, OpKind, OpMeta,
+    ParallelSpec, PhysOp, PhysPlan,
 };
 pub use resolved::{resolve, resolve_each, Cols, Node};
 

@@ -17,6 +17,9 @@
 //! per-operator runtime counters) and the pre-order id of the `Pt` node
 //! it was lowered from ([`crate::Preorder`]), which is how observed
 //! counters are joined against the cost model's per-node predictions.
+//! Lowering also marks the operands of a fixpoint's recursive leg that
+//! every pass would derive alike ([`replayed`]): the executor derives
+//! their rows once per run and replays them on every later pass.
 
 use std::collections::{HashMap, HashSet};
 
@@ -39,6 +42,11 @@ pub struct OpMeta {
     pub pt_node: usize,
     /// Display label ([`NodeOp::label`]).
     pub label: String,
+    /// The field types of the operator's rows when it is a replayed
+    /// operand of a fixpoint's recursive leg ([`replayed`]): the first
+    /// pass of a run writes its rows to a page-store temporary of this
+    /// shape, and every later pass reads them back.
+    pub replay: Option<Vec<ResolvedType>>,
 }
 
 /// A physical operator. Every variant stores its output column names
@@ -283,7 +291,7 @@ impl PhysOp {
     }
 
     /// Depth-first pre-order visit of every operator.
-    pub fn visit(&self, f: &mut impl FnMut(&PhysOp)) {
+    pub fn visit<'s>(&'s self, f: &mut impl FnMut(&'s PhysOp)) {
         f(self);
         for c in self.children() {
             c.visit(f);
@@ -327,6 +335,7 @@ pub fn lower(env: &PtEnv<'_>, pt: &Pt) -> Result<PhysPlan, PtError> {
     let mut lw = Lowering {
         env,
         plan: &plan,
+        replayed: replayed(&plan),
         next_id: 0,
     };
     let root = lw.lower(0)?;
@@ -349,10 +358,13 @@ pub fn lower_with(env: &PtEnv<'_>, pt: &Pt, _: &ParallelSpec) -> Result<PhysPlan
 }
 
 /// Builds the operator each resolved node names; its own are operator
-/// ids, column permutations and the materialized inner's row shape.
+/// ids, column permutations and the row shapes of a materialized inner
+/// and a replayed operand.
 struct Lowering<'e, 'p> {
     env: &'e PtEnv<'e>,
     plan: &'e [Node<'p>],
+    /// [`replayed`] of `plan`.
+    replayed: Vec<bool>,
     next_id: usize,
 }
 
@@ -360,7 +372,16 @@ impl Lowering<'_, '_> {
     fn meta(&mut self, pt_node: usize, label: String) -> OpMeta {
         let id = self.next_id;
         self.next_id += 1;
-        OpMeta { id, pt_node, label }
+        let replay = self.replayed[pt_node].then(|| {
+            let cols = &self.plan[pt_node].cols;
+            cols.iter().map(|(_, t)| t.clone()).collect()
+        });
+        OpMeta {
+            id,
+            pt_node,
+            label,
+            replay,
+        }
     }
 
     /// Lower node `id` to the operator it names.
@@ -872,6 +893,54 @@ pub fn fix_recursive_nodes(root: &Pt) -> HashSet<usize> {
                 if std::ptr::eq(order.pt(leg), rec) {
                     out.extend(leg..leg + order.size(leg));
                 }
+            }
+        }
+    }
+    out
+}
+
+/// The replayed operands of a resolved plan, by pre-order id. In a
+/// fixpoint's recursive leg, an operand that reads no temporary derives
+/// the same rows on every pass: only the delta changes from one pass to
+/// the next. Each maximal such operand is replayed, unless it is a bare
+/// entity scan (re-reading the extent costs what re-reading a copy
+/// would) or a nested loop's inner (the join already re-opens it per
+/// outer row, or holds it materialized).
+pub fn replayed(plan: &[Node<'_>]) -> Vec<bool> {
+    let reads_temp = |id: usize| {
+        let subtree = &plan[id..id + plan[id].size];
+        subtree
+            .iter()
+            .any(|n| matches!(n.op, NodeOp::TempScan { .. }))
+    };
+    let mut out = vec![false; plan.len()];
+    // (node, whether it lies in a recursive leg)
+    let mut stack = vec![(0, false)];
+    while let Some((id, in_rec)) = stack.pop() {
+        let operands: Vec<(usize, bool)> = match plan[id].op {
+            NodeOp::EntityScan { .. } | NodeOp::TempScan { .. } | NodeOp::IndexSelect { .. } => {
+                vec![]
+            }
+            NodeOp::Filter { input, .. }
+            | NodeOp::Project { input, .. }
+            | NodeOp::IjDeref { input, .. }
+            | NodeOp::PijLookup { input, .. }
+            | NodeOp::IndexJoin { left: input, .. } => vec![(input, in_rec)],
+            NodeOp::UnionAll { left, right } => vec![(left, in_rec), (right, in_rec)],
+            NodeOp::NlJoin { left, right, .. } => {
+                if in_rec && !reads_temp(right) {
+                    vec![(left, in_rec)]
+                } else {
+                    vec![(left, in_rec), (right, in_rec)]
+                }
+            }
+            NodeOp::FixPoint { base, rec, .. } => vec![(base, in_rec), (rec, true)],
+        };
+        for (kid, in_rec) in operands {
+            if !in_rec || reads_temp(kid) {
+                stack.push((kid, in_rec));
+            } else if !matches!(plan[kid].op, NodeOp::EntityScan { .. }) {
+                out[kid] = true;
             }
         }
     }

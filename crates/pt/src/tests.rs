@@ -563,3 +563,69 @@ fn fingerprint_framing_no_alias() {
         Pt::temp("T", "x").fingerprint()
     );
 }
+
+/// A recursive leg replays its maximal operands that read no temporary:
+/// a nested loop's outer, but neither a bare entity scan nor a nested
+/// loop's inner; nothing outside a recursive leg is replayed.
+#[test]
+fn replayed_marks_the_temporary_free_outer_of_a_recursive_join() {
+    let (cat, db) = setup();
+    let composer = cat.class_by_name("Composer").unwrap();
+    let e = db.physical().class_entity(composer).unwrap();
+    let env = PtEnv::new(&cat, db.physical());
+    let has_master = |var: &str| {
+        Pt::sel(
+            Expr::path(var, &["master"]).ne(Expr::Lit(oorq_query::Literal::Null)),
+            Pt::entity(e, var),
+        )
+    };
+    let fix = |outer_first: bool, outer: Pt| {
+        let base = Pt::proj(
+            vec![
+                ("master".into(), Expr::path("x", &["master"])),
+                ("disciple".into(), Expr::var("x")),
+            ],
+            has_master("x"),
+        );
+        let (left, right) = if outer_first {
+            (outer, Pt::temp("R", "i"))
+        } else {
+            (Pt::temp("R", "i"), outer)
+        };
+        let rec = Pt::proj(
+            vec![
+                ("master".into(), Expr::var("i.master")),
+                ("disciple".into(), Expr::var("y")),
+            ],
+            Pt::ej(
+                Expr::var("i.disciple").eq(Expr::path("y", &["master"])),
+                left,
+                right,
+            ),
+        );
+        Pt::fix("R", Pt::union(base, rec))
+    };
+    let replayed = |pt: &Pt| {
+        let mut labels = Vec::new();
+        let plan = lower(&env, pt).unwrap();
+        plan.root.visit(&mut |op| {
+            if let Some(types) = &op.meta().replay {
+                assert_eq!(types, &[ResolvedType::Object(composer)]);
+                labels.push(op.meta().label.clone());
+            }
+        });
+        labels
+    };
+    assert_eq!(
+        replayed(&fix(true, has_master("y"))),
+        ["Sel[y.master<>null]"]
+    );
+    assert!(
+        replayed(&fix(false, has_master("y"))).is_empty(),
+        "an inner"
+    );
+    assert!(
+        replayed(&fix(true, Pt::entity(e, "y"))).is_empty(),
+        "a bare scan"
+    );
+}

@@ -14,7 +14,11 @@
 //! with the framed FNV-1a fingerprint, a hit skips the optimizer
 //! entirely (the stored text is re-verified, so a hash collision can
 //! only cost a miss, never serve a wrong plan), and a miss optimizes
-//! once and publishes the plan for every session. Invalidation is
+//! once and publishes the plan for every session. The first hit lowers
+//! and verifies the plan, and the cache keeps that lowering beside it for
+//! every session's later hits, which stream it as it is. A session also
+//! remembers the key of each source text it sent, so sending it again
+//! parses nothing. Invalidation is
 //! driven by the CX00x drift lints: after a miss's execution — the
 //! plan's validation run — the cached plan's predicted per-node
 //! breakdown is joined against the observed operator counters; when the
@@ -22,6 +26,11 @@
 //! recalibrated from the live data, and the next request re-optimizes
 //! under the fresh statistics. A hit reads no operator counter, so it
 //! executes through [`Executor::answer`], which takes none.
+//!
+//! The request path, then: source text → the session's text memo → on a
+//! memo miss, `parse_query` and [`canonical_text`] → [`query_key`] → the
+//! plan cache → on a hit, the prepared plan (lowered by the first hit);
+//! on a miss, the optimizer, then a profiled validation run.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -33,11 +42,11 @@ use oorq_exec::{Batch, ExecConfig, ExecError, ExecState, Executor, MethodRegistr
 use oorq_index::IndexSet;
 use oorq_lint::{lint_drift, DriftTolerance, LintCode, ObservedOp};
 use oorq_obs::{CounterHandle, HistogramHandle, MetricsRegistry};
-use oorq_pt::{fix_recursive_nodes, Fnv64};
+use oorq_pt::{fix_recursive_nodes, Fnv64, PhysPlan};
 use oorq_query::{parse_query, ParseError, QueryGraph};
 use oorq_storage::{Database, DbStats};
 
-use crate::cache::{CacheOutcome, CachedPlan, PlanCache};
+use crate::cache::{CacheOutcome, CachedPlan, Hit, PlanCache, TextMemo};
 
 /// Serving-layer configuration.
 #[derive(Debug, Clone)]
@@ -99,6 +108,9 @@ pub struct Answer {
     pub cache: CacheOutcome,
     /// Structural fingerprint of the executed plan.
     pub plan_fingerprint: u64,
+    /// On a hit, the lowered plan it streamed: the one the cache shares
+    /// with every session (a miss's validation run lowers for itself).
+    pub plan: Option<Arc<PhysPlan>>,
     /// Whether this execution's drift check fired and evicted the plan.
     pub invalidated: bool,
     /// Wall time of the whole request (lookup + optimize + execute).
@@ -188,6 +200,7 @@ impl Server {
             db,
             state: ExecState::default(),
             exec: self.config.exec.clone(),
+            memo: TextMemo::new(self.config.plan_cache_capacity),
         }
     }
 
@@ -301,13 +314,15 @@ pub fn query_key(text: &str) -> u64 {
 
 /// One client's connection to a [`Server`]: a private database
 /// snapshot, private breaker temporaries, private execution
-/// configuration — and the shared plan cache.
+/// configuration, the keys of the texts it sent — and the shared plan
+/// cache.
 pub struct Session<'s> {
     server: &'s Server,
     id: u64,
     db: Database,
     state: ExecState,
     exec: ExecConfig,
+    memo: TextMemo,
 }
 
 impl<'s> Session<'s> {
@@ -316,57 +331,96 @@ impl<'s> Session<'s> {
         self.id
     }
 
+    /// How many source texts this session remembers the key of.
+    #[cfg(test)]
+    pub(crate) fn remembered_texts(&self) -> usize {
+        self.memo.len()
+    }
+
     /// Override this session's execution configuration (breaker memory
     /// budget, fixpoint iteration cap).
     pub fn set_exec_config(&mut self, exec: ExecConfig) {
         self.exec = exec;
     }
 
-    /// Execute a query given as source text (parsed per call).
+    /// Execute a query given as source text. A text this session sent
+    /// before, whose plan is still cached, is not parsed again.
     pub fn execute_text(&mut self, src: &str) -> Result<Answer, ServeError> {
+        let wall0 = Instant::now();
+        if let Some((key, canonical)) = self.memo.get(src) {
+            // Looked up in a statement of its own: the cache's lock is let
+            // go of before the plan runs.
+            let hit = self.server.cache().lookup(key, &canonical);
+            if let Some(hit) = hit {
+                self.server.series.cache_hits.inc();
+                return self.serve(key, hit, CacheOutcome::Hit, wall0);
+            }
+        }
         let graph = parse_query(self.db.catalog(), src).map_err(ServeError::Parse)?;
-        self.execute(&graph)
+        self.run(&graph, Some(src))
     }
 
     /// Execute an already-built query graph.
     pub fn execute(&mut self, graph: &QueryGraph) -> Result<Answer, ServeError> {
-        let text = canonical_text(graph);
-        let key = query_key(&text);
-        self.run(key, &text, graph)
+        self.run(graph, None)
     }
 
     /// The full request path: cache lookup → (optimize on miss) →
     /// execute on this session's snapshot → drift-check the cached
-    /// prediction against the observed counters.
-    fn run(&mut self, key: u64, text: &str, graph: &QueryGraph) -> Result<Answer, ServeError> {
+    /// prediction against the observed counters. `src`, the source text
+    /// `graph` was parsed from, is remembered with its key.
+    fn run(&mut self, graph: &QueryGraph, src: Option<&str>) -> Result<Answer, ServeError> {
         let series = &self.server.series;
+        let text = canonical_text(graph);
+        let key = query_key(&text);
         let wall0 = Instant::now();
 
         // Plan: shared cache first, optimizer on miss. The optimizer
         // runs outside the cache lock — two sessions missing the same
         // key may both optimize, and the second insert wins; that is
         // wasted work, never a wrong answer.
-        let (plan, outcome) = {
-            let hit = self.server.cache().get(key, text);
-            match hit {
-                Some(plan) => {
-                    series.cache_hits.inc();
-                    (plan, CacheOutcome::Hit)
+        let hit = self.server.cache().lookup(key, &text);
+        let (hit, outcome) = match hit {
+            Some(hit) => {
+                series.cache_hits.inc();
+                (hit, CacheOutcome::Hit)
+            }
+            None => {
+                let plan = self.server.optimize(graph)?;
+                let text: Arc<str> = text.into();
+                let evicted =
+                    self.server
+                        .cache()
+                        .insert_shared(key, Arc::clone(&text), Arc::clone(&plan));
+                if evicted.is_some() {
+                    series.cache_evictions.inc();
                 }
-                None => {
-                    let plan = self.server.optimize(graph)?;
-                    let evicted =
-                        self.server
-                            .cache()
-                            .insert(key, text.to_string(), Arc::clone(&plan));
-                    if evicted.is_some() {
-                        series.cache_evictions.inc();
-                    }
-                    series.cache_misses.inc();
-                    (plan, CacheOutcome::Miss)
-                }
+                series.cache_misses.inc();
+                let hit = Hit {
+                    plan,
+                    phys: None,
+                    text,
+                };
+                (hit, CacheOutcome::Miss)
             }
         };
+        if let Some(src) = src {
+            self.memo.insert(src, key, &hit.text);
+        }
+        self.serve(key, hit, outcome, wall0)
+    }
+
+    /// Execute a plan the cache handed out (or just took in) on this
+    /// session's snapshot; a miss's run is its validation run.
+    fn serve(
+        &mut self,
+        key: u64,
+        hit: Hit,
+        outcome: CacheOutcome,
+        wall0: Instant,
+    ) -> Result<Answer, ServeError> {
+        let series = &self.server.series;
+        let plan = hit.plan;
 
         // Execute on this session's snapshot, reusing the session's
         // breaker temporaries across queries.
@@ -375,17 +429,27 @@ impl<'s> Session<'s> {
             .with_config(self.exec.clone())
             .with_state(state);
         // Only the drift check below reads the operators' counters, and
-        // only on a miss: a hit runs its plan unprofiled.
+        // only on a miss: a hit runs its plan unprofiled. The entry's
+        // first hit lowers the plan and hands the lowering to the cache,
+        // so a plan nobody asks for again holds none.
         let miss = outcome == CacheOutcome::Miss;
-        let (res, ops) = if miss {
-            let res = ex.run(&plan.pt);
-            (res, ex.report().ops)
+        let res = if miss {
+            ex.run(&plan.pt).map(|batch| (batch, None))
         } else {
-            (ex.answer(&plan.pt), Vec::new())
+            let phys = match hit.phys {
+                Some(phys) => Ok(phys),
+                None => ex.prepare(&plan.pt).map(|phys| {
+                    let phys = Arc::new(phys);
+                    self.server.cache().prepare(key, &plan, Arc::clone(&phys));
+                    phys
+                }),
+            };
+            phys.and_then(|phys| Ok((ex.answer(&phys)?, Some(phys))))
         };
+        let ops = if miss { ex.report().ops } else { Vec::new() };
         self.state = ex.into_state();
-        let batch = match res {
-            Ok(batch) => batch,
+        let (batch, phys) = match res {
+            Ok(done) => done,
             Err(e) => {
                 // The plan entered the cache before this, its validation
                 // run; a plan whose validation failed must not be served
@@ -485,6 +549,7 @@ impl<'s> Session<'s> {
             batch,
             cache: outcome,
             plan_fingerprint: plan.plan_fingerprint,
+            plan: phys,
             invalidated,
             wall_ns,
         })

@@ -338,3 +338,106 @@ fn a_deeply_nested_text_is_a_parse_error_not_an_abort() {
         .unwrap();
     });
 }
+
+/// A lowered plan goes with the entry it was lowered for. Statistics from
+/// a near-empty twin make the chain join's validation run drift: the
+/// entry is invalidated, so the same text — which the session's memo
+/// still maps to its key — misses again, is optimized and lowered afresh
+/// by its new validation run, and answers as the reference evaluator
+/// does; the hit after it lowers the new plan once, for every later hit.
+#[test]
+fn a_text_after_an_invalidation_misses_and_is_lowered_again() {
+    let server = chain_server(120);
+    let tiny = ChainDb::generate(ChainConfig {
+        relations: 3,
+        rows: 2,
+        domain: 16,
+        seed: 7,
+    });
+    server.install_stats(DbStats::collect(&tiny.db));
+    let text = "select [first: r0.a, last: r2.b]
+        from r0 in R0, r1 in R1, r2 in R2
+        where r0.a < 12 and r0.b = r1.a and r1.b = r2.a";
+    let graph = oorq_query::parse_query(server.database().catalog(), text).unwrap();
+    let reference = oorq_exec::eval_query_graph(server.database(), &MethodRegistry::new(), &graph);
+    let reference = sorted(reference.unwrap().rows);
+    assert!(!reference.is_empty());
+    let mut s = server.session();
+
+    let stale = s.execute_text(text).unwrap();
+    assert_eq!(stale.cache, CacheOutcome::Miss);
+    assert!(
+        stale.invalidated,
+        "stale statistics must trip the drift lints"
+    );
+    assert_eq!(server.cached_plans(), 0);
+
+    let again = s.execute_text(text).unwrap();
+    assert_eq!(
+        again.cache,
+        CacheOutcome::Miss,
+        "the plan went, its lowering with it"
+    );
+    assert!(!again.invalidated);
+    assert!(again.plan.is_none(), "a validation run lowers for itself");
+    assert_eq!(sorted(again.batch.rows), reference);
+
+    let hits = [(); 2].map(|()| s.execute_text(text).unwrap());
+    for hit in &hits {
+        assert_eq!(hit.cache, CacheOutcome::Hit);
+        assert_eq!(sorted(hit.batch.rows.clone()), reference);
+    }
+    let [first, second] = hits.map(|hit| hit.plan.expect("a hit streams a lowering"));
+    assert!(Arc::ptr_eq(&first, &second), "lowered once");
+}
+
+/// A session's memo of source texts holds no more texts than the plan
+/// cache holds plans, however many ad-hoc texts the session sends, and
+/// the texts it still holds are answered from the cache.
+#[test]
+fn a_sessions_text_memo_is_bounded_by_the_plan_cache_capacity() {
+    let capacity = 4;
+    let music = MusicDb::generate(Arc::new(music_catalog()), MusicConfig::default());
+    let server = Server::new(
+        music.db,
+        IndexSet::new(),
+        MethodRegistry::new(),
+        ServerConfig {
+            plan_cache_capacity: capacity,
+            ..ServerConfig::default()
+        },
+    );
+    let text =
+        |year: usize| format!("select [n: x.name] from x in Composer where x.birth_year > {year}");
+    let mut s = server.session();
+    for year in 0..10 * capacity {
+        let answer = s.execute_text(&text(year)).unwrap();
+        assert_eq!(answer.cache, CacheOutcome::Miss);
+        assert!(s.remembered_texts() <= capacity);
+    }
+    assert_eq!(s.remembered_texts(), capacity);
+    let last = s.execute_text(&text(10 * capacity - 1)).unwrap();
+    assert_eq!(last.cache, CacheOutcome::Hit);
+    assert_eq!(s.remembered_texts(), capacity);
+}
+
+/// Every session's hit streams the one lowering the first hit made and
+/// the cache keeps.
+#[test]
+fn sessions_hitting_one_text_stream_one_lowered_plan() {
+    let (server, text, reference) = music_server();
+    let miss = server.session().execute_text(&text).unwrap();
+    assert_eq!(miss.cache, CacheOutcome::Miss);
+    let (mut a, mut b) = (server.session(), server.session());
+    let (ha, hb) = (
+        a.execute_text(&text).unwrap(),
+        b.execute_text(&text).unwrap(),
+    );
+    assert_eq!((ha.cache, hb.cache), (CacheOutcome::Hit, CacheOutcome::Hit));
+    assert!(Arc::ptr_eq(
+        ha.plan.as_ref().unwrap(),
+        hb.plan.as_ref().unwrap()
+    ));
+    assert_eq!(sorted(ha.batch.rows), reference);
+    assert_eq!(sorted(hb.batch.rows), reference);
+}

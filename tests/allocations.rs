@@ -2,23 +2,28 @@
 //! allocator wrapped around the system one.
 //!
 //! A warmed session answers a cached plan through `Session::execute_text`
-//! (parse, cache lookup, `Executor::answer`). Operators hand rows up in
-//! flat buffers that outlive the chunk, breakers write from borrowed rows,
-//! and a truncated temporary refills the rows it emptied, so what is left
-//! is parsing, lowering, the per-run buffers' first growth and one `Vec`
-//! per answer row. The ceilings are fractions of the counts made by the
-//! executor that built a `Vec` per row (before) — a fifth for the music
-//! hits, a third for the closure, which keeps its 2,016 answer rows:
+//! (the session's text memo, cache lookup, `Executor::answer` of the
+//! cached lowering). Operators hand rows up in flat buffers that outlive
+//! the chunk, breakers write from borrowed rows, and a truncated
+//! temporary refills the rows it emptied; a hit parses, lowers and
+//! verifies nothing, so what is left is the per-run buffers' first
+//! growth and one `Vec` per answer row, and both build profiles count
+//! the same. Each count is held to a fraction of what the executor that
+//! built a `Vec` per row made (before) — a fifth for the music hits, a
+//! third for the closure, which keeps its 2,016 answer rows — and to a
+//! ceiling at today's count (after):
 //!
 //! | hit | release: before → after | debug: before → after |
 //! |---|---:|---:|
-//! | Figure 3, `harpsichord`, `gen >= 5` | 17,797 → 1,917 | 18,763 → 2,883 |
-//! | Figure 3, `flute`, `gen >= 4` | 20,998 → 1,921 | 21,740 → 2,663 |
-//! | 64-node closure, 8-page budget | 13,122 → 2,623 | 13,457 → 2,958 |
+//! | Figure 3, `harpsichord`, `gen >= 5` | 17,797 → 1,619 | 18,763 → 1,619 |
+//! | Figure 3, `flute`, `gen >= 4` | 20,998 → 1,717 | 21,740 → 1,717 |
+//! | 64-node closure, 8-page budget | 13,122 → 2,311 | 13,457 → 2,311 |
 //!
-//! (A debug build also verifies every plan it runs.) Counters are
-//! thread-local, so tests running in parallel do not mix their counts; an
-//! allocation is counted once, a reallocation once more.
+//! (Hits that still parsed and lowered counted 1,917 / 1,921 / 2,623 in
+//! release, and a debug build, which also verified the plan of every hit,
+//! 2,883 / 2,663 / 2,958.) Counters are thread-local, so tests running in
+//! parallel do not mix their counts; an allocation is counted once, a
+//! reallocation once more.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -139,15 +144,16 @@ fn music_server() -> Server {
 fn a_served_music_hit_allocates_a_fifth_of_what_it_did() {
     let server = music_server();
     let mut session = server.session();
-    for (text, before) in [
-        (fig3("harpsichord", 5), BEFORE[0]),
-        (fig3("flute", 4), BEFORE[1]),
+    for (text, before, after) in [
+        (fig3("harpsichord", 5), BEFORE[0], AFTER[0]),
+        (fig3("flute", 4), BEFORE[1], AFTER[1]),
     ] {
         let n = per_hit(&mut session, &text);
         assert!(
             n * 5 <= before,
             "{n} allocations per hit, more than a fifth of {before}"
         );
+        assert!(n <= after, "{n} allocations per hit, more than {after}");
     }
 }
 
@@ -164,11 +170,12 @@ fn a_served_spilling_closure_hit_allocates_a_third_of_what_it_did() {
     let server = Server::new(closure.db, IndexSet::new(), MethodRegistry::new(), config);
     let mut session = server.session();
     let n = per_hit(&mut session, CLOSURE_TEXT);
-    let before = BEFORE[2];
+    let (before, after) = (BEFORE[2], AFTER[2]);
     assert!(
         n * 3 <= before,
         "{n} allocations per hit, more than a third of {before}"
     );
+    assert!(n <= after, "{n} allocations per hit, more than {after}");
 }
 
 /// The "before" counts (`harpsichord`, `flute`, closure) of this build's
@@ -178,3 +185,7 @@ const BEFORE: [u64; 3] = if cfg!(debug_assertions) {
 } else {
     [17_797, 20_998, 13_122]
 };
+
+/// The ceilings (`harpsichord`, `flute`, closure): the counts of a hit
+/// that streams its cached lowering, in either profile.
+const AFTER: [u64; 3] = [1_619, 1_717, 2_311];

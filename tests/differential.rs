@@ -50,8 +50,11 @@ fn diff_one(
         .unwrap_or_else(|e| panic!("{label}: {e}"));
 
     let mut ex = Executor::new(&mut copy, &s.idx, &s.methods).with_config(knobs.exec.clone());
+    let lowered = ex
+        .prepare(&run.optimized.pt)
+        .unwrap_or_else(|e| panic!("{label}: prepare: {e}"));
     let answered = ex
-        .answer(&run.optimized.pt)
+        .answer(&lowered)
         .unwrap_or_else(|e| panic!("{label}: answer: {e}"));
     let report = ex.report();
     assert_eq!(run.answer.rows, answered.rows, "{label}: answer's rows");
