@@ -50,6 +50,14 @@ if grep -nE '\]\.concat\(\)|vec!\[Value::|\.iter\(\)\.cloned\(\)\.chain\(' crate
     exit 1
 fi
 
+echo "== a row is hashed by RowSet (RandomState, DefaultHasher or HashSet<Vec<Value>> in non-test crates/exec/src outside rowset.rs and reference.rs fails) =="
+if grep -nE 'RandomState|DefaultHasher|HashSet<Vec<Value>>' \
+    $(nontest crates/exec/src | grep -vE '^crates/exec/src/(rowset|reference)\.rs$'); then
+    echo "the executor asks \"seen?\" of a row through RowSet (crates/exec/src/rowset.rs, DESIGN §7," \
+        "Deduplicated once); only the reference evaluator keeps a set of its own" >&2
+    exit 1
+fi
+
 echo "== a query is written once, as OQL text (a query graph assembled outside the parser and Figure 2 fails) =="
 if grep -nF 'SpjNode {' $(nontest src crates/*/src examples | grep -vE '^crates/query/src/(parse|paper)\.rs$') |
     grep -vF 'struct SpjNode {'; then

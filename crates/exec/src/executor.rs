@@ -360,20 +360,10 @@ impl<'a> Executor<'a> {
         self.prepare_temps(plan);
         self.db
             .set_temp_budget(self.config.memory_budget_pages as usize);
-        let shared = pipeline::Shared {
-            db: self.db,
-            indexes: self.indexes,
-            methods: self.methods,
-            temps: &self.state.temps,
-            mats: &self.mats,
-            max_fix_iterations: self.config.max_fix_iterations,
-            obs: &self.obs,
-            profile,
-        };
         // The run owns the store's page account until `io` is dropped, which
         // parks it again: on `Ok`, on `Err`, and when the pipeline unwinds.
         let io = self.db.check_out();
-        let out = pipeline::execute(plan, shared, &io, &self.counters);
+        let out = pipeline::execute(plan, self.shared(profile), &io, &self.counters);
         drop(io);
         let (rows, ops, fix_deltas) = out?;
         // A projection hands up no row twice; any other root may.
@@ -388,6 +378,32 @@ impl<'a> Executor<'a> {
             rows.dedup();
         }
         Ok(rows)
+    }
+
+    /// What this executor lends one run of a plan its temporaries were
+    /// prepared for.
+    fn shared(&self, profile: bool) -> pipeline::Shared<'_> {
+        pipeline::Shared {
+            db: self.db,
+            indexes: self.indexes,
+            methods: self.methods,
+            temps: &self.state.temps,
+            mats: &self.mats,
+            max_fix_iterations: self.config.max_fix_iterations,
+            obs: &self.obs,
+            profile,
+        }
+    }
+
+    /// The chunks the root of `plan` hands up in one unprofiled run, each
+    /// as whether it is a page lent by the store, and its rows.
+    #[cfg(test)]
+    pub(crate) fn root_chunks(&mut self, plan: &PhysPlan) -> pipeline::RootChunks {
+        self.prepare_temps(plan);
+        self.db
+            .set_temp_budget(self.config.memory_budget_pages as usize);
+        let io = self.db.check_out();
+        pipeline::root_chunks(plan, self.shared(false), &io, &self.counters)
     }
 
     /// Debug-build soundness assertion: after every run, each observed

@@ -213,7 +213,7 @@ pub(crate) fn execute(
     counters: &Counters,
 ) -> Result<ExecOutput, ExecError> {
     let rt = Rt::new(shared, io, counters, plan.ops);
-    let mut root = build(&plan.root, &shared, false);
+    let mut root = build(&plan.root, &shared, false, None);
     root.open(&rt)?;
     let rows = root.drain(&rt)?;
     drop(root);
@@ -224,6 +224,32 @@ pub(crate) fn execute(
         record_op_spans(shared.obs, &reports, &stats);
     }
     Ok((rows, reports, rt.fix_deltas.into_inner()))
+}
+
+/// The chunks a root hands up, each as whether it is a page lent by the
+/// store, and its rows.
+#[cfg(test)]
+pub(crate) type RootChunks = Result<Vec<(bool, Vec<Vec<Value>>)>, ExecError>;
+
+/// [`execute`]'s drain of the root, chunk by chunk, unprofiled.
+#[cfg(test)]
+pub(crate) fn root_chunks(
+    plan: &PhysPlan,
+    shared: Shared<'_>,
+    io: &Account,
+    counters: &Counters,
+) -> RootChunks {
+    let rt = Rt::new(shared, io, counters, plan.ops);
+    let mut root = build(&plan.root, &shared, false, None);
+    root.open(&rt)?;
+    let (mut chunks, mut chunk) = (Vec::new(), Chunk::default());
+    while root.next_chunk(&rt, &mut chunk)? {
+        let (lent, mut rows) = (chunk.page.is_some(), Vec::new());
+        chunk.move_into_vecs(&mut rows);
+        chunks.push((lent, rows));
+        chunk.clear();
+    }
+    Ok(chunks)
 }
 
 /// Synthesize one span per operator that actually ran: the interval is
@@ -462,7 +488,7 @@ type Temps = HashMap<String, (EntityId, EntityId)>;
 
 /// Per-operator mutable state. Expressions are bound to the operator's
 /// input columns when the tree is built.
-enum St {
+enum St<'p> {
     /// Entity/temp scan. `scan` holds the segment it reads from `open`
     /// until it runs out, and nothing writes a temporary in between: a
     /// fixpoint sinks a leg after draining it, a nested loop materializes
@@ -476,12 +502,16 @@ enum St {
     /// A fixpoint: computed at `open` into the accumulator temporary — the
     /// canonical pipeline breaker — and read back as a scan of it (`scan`),
     /// so the readback is hits while resident, reads once the memory
-    /// budget spilled it. A pass of the recursive leg is drained into
-    /// `pass` through `pulled`, which then takes it permuted.
+    /// budget spilled it. `seen` holds the rows derived since `open`, in
+    /// the accumulator's column order; a leg whose root is a lent
+    /// projection holds it while it is drained ([`OpExec::swap_lent`]). A
+    /// pass of the recursive leg is drained into `pass` through `pulled`,
+    /// which then takes it permuted.
     Fix {
         /// The (accumulator, delta) pair, if built.
         temps: Option<(EntityId, EntityId)>,
         scan: Option<PageScan>,
+        seen: RowSet,
         pass: Chunk,
         pulled: Chunk,
     },
@@ -498,12 +528,15 @@ enum St {
         pred: Pred,
         hits: Vec<usize>,
     },
-    /// Project: rows already emitted (streaming set semantics); `None`
-    /// when no row can come twice.
+    /// Project: the set it asks "seen?" of each row it builds.
     Project {
         exprs: Vec<Bound>,
-        seen: Option<RowSet>,
+        seen: Seen<'p>,
     },
+    /// A projection that keeps every column in place over an input that
+    /// cannot repeat a row, and asks no set: it hands its input's chunks
+    /// up as they are, a lent page still lent.
+    HandUp,
     /// IJ, PIJ: the oid-valued expression followed per input row.
     Deref(Bound),
     IndexJoin {
@@ -526,6 +559,39 @@ enum St {
         on_right: bool,
         pulled: Chunk,
     },
+}
+
+/// The set a projection asks "seen?" of each row it builds.
+enum Seen<'p> {
+    /// None: its input is a set and it keeps every input column, so no
+    /// row can come twice.
+    Never,
+    /// Its own, cleared at each opening: its input can repeat a row.
+    Own(RowSet),
+    /// Its fixpoint's: the projection is a leg's root, which asks in the
+    /// accumulator's column order (`order`, or its own when `None`), and
+    /// the fixpoint's sink appends what it hands up without asking again.
+    /// The fixpoint swaps its set in for each drain of the leg and back
+    /// after ([`OpExec::swap_lent`]); `set` is an empty stand-in between,
+    /// not cleared when the projection re-opens.
+    Lent {
+        set: RowSet,
+        order: Option<&'p [usize]>,
+    },
+}
+
+impl Seen<'_> {
+    /// Whether `row` is new: added to the set asked, if any.
+    fn insert(&mut self, row: &[Value]) -> bool {
+        match self {
+            Seen::Never => true,
+            Seen::Own(set) | Seen::Lent { set, order: None } => set.insert(row),
+            Seen::Lent {
+                set,
+                order: Some(order),
+            } => set.insert_in(row, order),
+        }
+    }
 }
 
 /// How a nested loop reads its inner once per outer row.
@@ -563,7 +629,7 @@ struct OpExec<'p> {
     width: usize,
     /// Place in the first child's output.
     input: Cursor,
-    st: St,
+    st: St<'p>,
     /// Whether anything between this operator and the next breaker above
     /// it (or the root's `drain`) can touch the page account. Where
     /// nothing can, the operator cuts no chunk: whatever it hands up is
@@ -594,7 +660,16 @@ fn is_set(op: &PhysOp) -> bool {
 /// input: a dereference, an index probe, a nested loop (which rescans or
 /// re-reads its inner per outer row and materializes it chunk by chunk),
 /// a filter or projection whose expression dereferences.
-fn build<'p>(op: &'p PhysOp, shared: &Shared<'_>, downstream_touches: bool) -> OpExec<'p> {
+///
+/// `leg` is set when `op` is a fixpoint's leg: the column order the
+/// fixpoint's set is asked in for its rows (`None`: theirs). A projection
+/// there that is not replayed borrows that set ([`Seen::Lent`]).
+fn build<'p>(
+    op: &'p PhysOp,
+    shared: &Shared<'_>,
+    downstream_touches: bool,
+    leg: Option<Option<&'p [usize]>>,
+) -> OpExec<'p> {
     let temps = shared.temps;
     let meta = op.meta();
     let replay = meta.replay.as_ref().map(|_| Replay {
@@ -615,6 +690,7 @@ fn build<'p>(op: &'p PhysOp, shared: &Shared<'_>, downstream_touches: bool) -> O
         PhysOp::FixPoint { temp, .. } => St::Fix {
             temps: temps.get(temp).copied(),
             scan: None,
+            seen: RowSet::default(),
             pass: Chunk::default(),
             pulled: Chunk::default(),
         },
@@ -640,8 +716,21 @@ fn build<'p>(op: &'p PhysOp, shared: &Shared<'_>, downstream_touches: bool) -> O
                     .any(|e| matches!(e, Bound::Slot(s) if *s == col))
             };
             let distinct = is_set(input) && (0..cols.len()).all(kept);
-            let seen = (!distinct).then(RowSet::default);
-            St::Project { exprs, seen }
+            let in_place = exprs.len() == cols.len()
+                && (exprs.iter().enumerate()).all(|(i, e)| matches!(e, Bound::Slot(s) if *s == i));
+            let seen = match leg.filter(|_| replay.is_none()) {
+                Some(order) => Seen::Lent {
+                    set: RowSet::default(),
+                    order,
+                },
+                None if distinct => Seen::Never,
+                None => Seen::Own(RowSet::default()),
+            };
+            if in_place && matches!(seen, Seen::Never) {
+                St::HandUp
+            } else {
+                St::Project { exprs, seen }
+            }
         }
         PhysOp::IjDeref { on, input, .. } | PhysOp::PijLookup { on, input, .. } => {
             St::Deref(Bound::bind(on, input.cols()))
@@ -690,11 +779,16 @@ fn build<'p>(op: &'p PhysOp, shared: &Shared<'_>, downstream_touches: bool) -> O
         (PhysOp::Project { .. }, St::Project { exprs, .. }) => {
             downstream_touches || exprs.iter().any(Bound::derefs)
         }
-        (PhysOp::UnionAll { .. }, _) => downstream_touches,
+        (PhysOp::Project { .. }, St::HandUp) | (PhysOp::UnionAll { .. }, _) => downstream_touches,
         _ => true,
     };
+    // The recursive leg's rows are asked in the accumulator's order.
+    let leg = |kid: usize| match op {
+        PhysOp::FixPoint { perm, .. } => Some(perm.as_deref().filter(|_| kid == 1)),
+        _ => None,
+    };
     let kids = op.children().into_iter().enumerate();
-    let kids = kids.map(|(i, kid)| build(kid, shared, kid_touched(i)));
+    let kids = kids.map(|(i, kid)| build(kid, shared, kid_touched(i), leg(i)));
     OpExec {
         op,
         kids: kids.collect(),
@@ -1016,6 +1110,23 @@ impl OpExec<'_> {
         }
     }
 
+    /// Swap `set` with the stand-in of a leg root that borrows its
+    /// fixpoint's set ([`Seen::Lent`]): the fixpoint lends its set before
+    /// draining the leg and takes it back after. Whether the operator is
+    /// such a root, and so has asked the set of every row it hands up.
+    fn swap_lent(&mut self, set: &mut RowSet) -> bool {
+        match &mut self.st {
+            St::Project {
+                seen: Seen::Lent { set: lent, .. },
+                ..
+            } => {
+                std::mem::swap(lent, set);
+                true
+            }
+            _ => false,
+        }
+    }
+
     /// Every remaining row, by value: the root's answer, one `Vec` a row.
     fn drain(&mut self, rt: &Rt<'_>) -> Result<Vec<Vec<Value>>, ExecError> {
         let (mut rows, mut chunk) = (Vec::new(), Chunk::default());
@@ -1077,9 +1188,12 @@ impl OpExec<'_> {
                 kids[0].open(rt)
             }
             (PhysOp::Project { .. }, St::Project { seen, .. }) => {
-                seen.iter_mut().for_each(RowSet::clear);
+                if let Seen::Own(set) = seen {
+                    set.clear();
+                }
                 kids[0].open(rt)
             }
+            (PhysOp::Project { .. }, St::HandUp) => kids[0].open(rt),
             (PhysOp::IjDeref { .. }, St::Deref(_)) => kids[0].open(rt),
             (PhysOp::PijLookup { index, .. }, St::Deref(_)) => {
                 rt.indexes.path(*index).ok_or(ExecError::MissingIndex)?;
@@ -1136,6 +1250,7 @@ impl OpExec<'_> {
                 St::Fix {
                     temps,
                     scan,
+                    seen,
                     pass,
                     pulled,
                 },
@@ -1145,6 +1260,7 @@ impl OpExec<'_> {
                 let (acc_e, delta_e) = built(*temps, temp)?;
                 rt.db.truncate_temp(rt.io, acc_e)?;
                 rt.db.truncate_temp(rt.io, delta_e)?;
+                seen.clear();
 
                 // Each opening records its own delta curve, keyed by the
                 // operator (two `Fix` nodes — or one re-opened fixpoint —
@@ -1179,20 +1295,29 @@ impl OpExec<'_> {
                 // The rows not derived before go to the accumulator and
                 // the delta side by side, so the two temporaries' page
                 // writes interleave as their rows do. The rows are
-                // borrowed where they lie; each temporary copies them.
-                let mut seen = RowSet::default();
-                let mut sink = |rows: &Chunk| {
-                    let new = rows.iter().filter(|row| seen.insert(row));
+                // borrowed where they lie; each temporary copies them. A
+                // leg whose root `asked` the set itself hands up only
+                // such rows; any other leg's are asked here.
+                let sink = |rows: &Chunk, seen: &mut RowSet, asked: bool| {
+                    let new = rows.iter().filter(|row| asked || seen.insert(row));
                     rt.db.append_temp_rows(rt.io, &[acc_e, delta_e], new)
+                };
+                let [base, rec] = kids.as_mut_slice() else {
+                    unreachable!("a fixpoint has two legs")
                 };
 
                 // Base case: seed the accumulator and the delta.
-                kids[0].open(rt)?;
                 pass.clear();
-                while kids[0].next_chunk(rt, pass)? {
-                    sink(pass)?;
-                    pass.clear();
-                }
+                let asked = base.swap_lent(seen);
+                let seeded = base.open(rt).and_then(|()| {
+                    while base.next_chunk(rt, pass)? {
+                        sink(pass, seen, asked)?;
+                        pass.clear();
+                    }
+                    Ok(())
+                });
+                base.swap_lent(seen);
+                seeded?;
                 note_delta(0);
 
                 // Iterate the recursive side over the delta until no new
@@ -1206,19 +1331,19 @@ impl OpExec<'_> {
                     pass.clear();
                     pulled.clear();
                     rt.delta_active.borrow_mut().push(delta_e);
-                    let rec = kids[1]
-                        .open(rt)
-                        .and_then(|()| kids[1].drain_into(rt, pulled, pass));
+                    let asked = rec.swap_lent(seen);
+                    let drained = rec.open(rt).and_then(|()| rec.drain_into(rt, pulled, pass));
+                    rec.swap_lent(seen);
                     rt.delta_active.borrow_mut().pop();
-                    rec?;
+                    drained?;
                     rt.db.truncate_temp(rt.io, delta_e)?;
                     match perm {
                         Some(perm) => {
                             pulled.width = perm.len();
                             permute(perm, pass, pulled);
-                            sink(pulled)?;
+                            sink(pulled, seen, asked)?;
                         }
-                        None => sink(pass)?,
+                        None => sink(pass, seen, asked)?,
                     }
                     note_delta(iterations);
                 }
@@ -1333,10 +1458,7 @@ impl OpExec<'_> {
                             for e in exprs.iter() {
                                 out.values.push(e.eval(&ctx, row)?.into_owned());
                             }
-                            if seen
-                                .as_mut()
-                                .is_none_or(|seen| seen.insert(&out.values[start..]))
-                            {
+                            if seen.insert(&out.values[start..]) {
                                 out.end_row();
                                 if cut {
                                     break;
@@ -1349,6 +1471,7 @@ impl OpExec<'_> {
                     },
                 )
             }
+            (PhysOp::Project { .. }, St::HandUp) => kids[0].next_chunk(rt, out),
             (PhysOp::IjDeref { .. }, St::Deref(on)) => {
                 pump(
                     input,

@@ -1,10 +1,10 @@
-//! The one set the executor deduplicates rows with: a fixpoint's sink, a
-//! projection over a bag and [`crate::Batch::dedup`] each ask it "seen?"
-//! of every row they hand on.
+//! The one set the executor deduplicates rows with: a fixpoint's sink (or
+//! the leg root it lends the set to), a projection over a bag and
+//! [`crate::Batch::dedup`] each ask it "seen?" of every row they hand on.
 
 use std::collections::hash_map::{Entry, RandomState};
 use std::collections::HashMap;
-use std::hash::{BuildHasher, BuildHasherDefault, Hasher};
+use std::hash::{BuildHasher, BuildHasherDefault, Hash, Hasher};
 
 use oorq_storage::Value;
 
@@ -12,14 +12,15 @@ use oorq_storage::Value;
 /// values only when the row is new.
 ///
 /// The kept rows lie end to end in `values`; row `i` ends at `ends[i]`.
-/// Each row is hashed once, with the set's own keyed SipHash. That hash
-/// is the key of `heads`, which names the newest row with it, and
+/// Each row is hashed once, with the set's own keys ([`Folded`]). That
+/// hash is the key of `heads`, which names the newest row with it, and
 /// `older[i]` names the row kept before `i` with the same 64-bit hash, so
 /// a full collision is still decided by `Value`'s `Eq`. Growing `heads`
-/// moves hashes; no row is hashed again. `clear` keeps every capacity.
-#[derive(Default)]
+/// moves hashes; no row is hashed again. `clear` keeps every capacity and
+/// the keys.
 pub(crate) struct RowSet {
-    hasher: RandomState,
+    /// The hash's starting state and multiplier, drawn per set.
+    keys: [u64; 2],
     heads: HashMap<u64, usize, BuildHasherDefault<PassThrough>>,
     older: Vec<usize>,
     ends: Vec<usize>,
@@ -29,16 +30,52 @@ pub(crate) struct RowSet {
 /// The end of a chain in `RowSet::older`.
 const NONE: usize = usize::MAX;
 
+impl Default for RowSet {
+    /// An empty set with two keys of its own, drawn from `RandomState`.
+    fn default() -> Self {
+        let state = RandomState::new();
+        RowSet {
+            keys: [state.hash_one(0u64), state.hash_one(1u64)],
+            heads: HashMap::default(),
+            older: Vec::new(),
+            ends: Vec::new(),
+            values: Vec::new(),
+        }
+    }
+}
+
 impl RowSet {
     /// Add `row` unless an equal row is in the set; whether it was added.
     pub(crate) fn insert(&mut self, row: &[Value]) -> bool {
-        let hash = self.hasher.hash_one(row);
-        self.insert_hashed(row, hash)
+        self.insert_with(row.len(), |j| &row[j])
     }
 
-    /// [`RowSet::insert`] with the row's hash given (equal rows must be
-    /// given equal hashes).
-    fn insert_hashed(&mut self, row: &[Value], hash: u64) -> bool {
+    /// [`RowSet::insert`] of the row `row[order[0]], row[order[1]], …`,
+    /// without building it: the hash, the comparisons and the copy read
+    /// `row` through `order`.
+    pub(crate) fn insert_in(&mut self, row: &[Value], order: &[usize]) -> bool {
+        self.insert_with(order.len(), |j| &row[order[j]])
+    }
+
+    /// Add the row of `len` values whose `j`-th is `col(j)`.
+    fn insert_with<'r>(&mut self, len: usize, col: impl Fn(usize) -> &'r Value) -> bool {
+        let mut hasher = Folded {
+            state: self.keys[0],
+            key: self.keys[1],
+        };
+        hasher.write_usize(len);
+        (0..len).for_each(|j| col(j).hash(&mut hasher));
+        self.insert_hashed(len, col, hasher.finish())
+    }
+
+    /// Add the row of `len` values whose `j`-th is `col(j)`, its hash given
+    /// (equal rows must be given equal hashes).
+    fn insert_hashed<'r>(
+        &mut self,
+        len: usize,
+        col: impl Fn(usize) -> &'r Value,
+        hash: u64,
+    ) -> bool {
         let RowSet {
             heads,
             older,
@@ -56,7 +93,8 @@ impl RowSet {
                 let mut i = *head.get();
                 while i != NONE {
                     let start = if i == 0 { 0 } else { ends[i - 1] };
-                    if values[start..ends[i]] == *row {
+                    let kept = &values[start..ends[i]];
+                    if kept.len() == len && kept.iter().enumerate().all(|(j, v)| *v == *col(j)) {
                         return false;
                     }
                     i = older[i];
@@ -65,7 +103,7 @@ impl RowSet {
             }
         };
         older.push(next);
-        values.extend_from_slice(row);
+        values.extend((0..len).map(|j| col(j).clone()));
         ends.push(values.len());
         true
     }
@@ -76,6 +114,55 @@ impl RowSet {
         self.older.clear();
         self.ends.clear();
         self.values.clear();
+    }
+}
+
+/// A row's hasher: every word written is folded into `state` by a
+/// multiply with `key` whose 128-bit product's halves are XORed (the
+/// folded multiply of foldhash and aHash). Both words come from the set's
+/// `RandomState`, so no constant of the program decides which rows
+/// collide: a row cannot be chosen to collide without the keys.
+struct Folded {
+    state: u64,
+    key: u64,
+}
+
+impl Hasher for Folded {
+    fn finish(&self) -> u64 {
+        self.state
+    }
+
+    /// Bytes (a text's): their length, then eight at a time, the last
+    /// word zero-padded.
+    fn write(&mut self, bytes: &[u8]) {
+        self.write_usize(bytes.len());
+        let mut words = bytes.chunks_exact(8);
+        for word in &mut words {
+            self.write_u64(u64::from_le_bytes(word.try_into().expect("eight bytes")));
+        }
+        let rest = words.remainder();
+        if !rest.is_empty() {
+            let mut word = [0; 8];
+            word[..rest.len()].copy_from_slice(rest);
+            self.write_u64(u64::from_le_bytes(word));
+        }
+    }
+
+    fn write_u8(&mut self, n: u8) {
+        self.write_u64(n.into());
+    }
+
+    fn write_u32(&mut self, n: u32) {
+        self.write_u64(n.into());
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        let product = u128::from(self.state ^ n) * u128::from(self.key);
+        self.state = (product as u64) ^ ((product >> 64) as u64);
+    }
+
+    fn write_usize(&mut self, n: usize) {
+        self.write_u64(n as u64);
     }
 }
 
@@ -132,26 +219,43 @@ mod tests {
 
     /// `RowSet` answers every insert as a `HashSet<Vec<Value>>` does, over
     /// rows of mixed arity (the empty row too), `Int`s equal to `Float`s,
-    /// nested collections, and sets reused after `clear`. The second set
-    /// hashes every row alike, so each insert walks one collision chain.
+    /// nested collections, and sets reused after `clear`. Each row is
+    /// also asked of two more sets as a wider row read through an order
+    /// (`insert_in`), with repeated and skipped columns. The second set of
+    /// each pair hashes every row alike, so each insert walks one
+    /// collision chain.
     #[test]
     fn a_row_set_is_the_hash_set_it_replaces() {
         let mut rng = Prng::new(27);
-        let (mut hashed, mut collided) = (RowSet::default(), RowSet::default());
+        let mut sets: [RowSet; 4] = Default::default();
         let mut model: HashSet<Vec<Value>> = HashSet::new();
         let (mut kept, mut turned_away, mut clears) = (0, 0, 0);
         for step in 0..24_000 {
             if rng.chance(0.004) {
-                hashed.clear();
-                collided.clear();
+                sets.iter_mut().for_each(RowSet::clear);
                 model.clear();
                 clears += 1;
                 continue;
             }
-            let row: Vec<Value> = (0..rng.index(4)).map(|_| value(&mut rng, 2)).collect();
+            let wide: Vec<Value> = (0..1 + rng.index(4)).map(|_| value(&mut rng, 2)).collect();
+            let order: Vec<usize> = (0..rng.index(4)).map(|_| rng.index(wide.len())).collect();
+            let row: Vec<Value> = order.iter().map(|&i| wide[i].clone()).collect();
             let new = model.insert(row.clone());
-            assert_eq!(hashed.insert(&row), new, "step {step}: {row:?}");
-            assert_eq!(collided.insert_hashed(&row, 7), new, "step {step}: {row:?}");
+            let [hashed, collided, ordered, ordered_collided] = &mut sets;
+            let case = format!("step {step}: {row:?} as {order:?} of {wide:?}");
+            assert_eq!(hashed.insert(&row), new, "{case}");
+            assert_eq!(
+                collided.insert_hashed(row.len(), |j| &row[j], 7),
+                new,
+                "{case}"
+            );
+            assert_eq!(ordered.insert_in(&wide, &order), new, "{case}");
+            let read = |j: usize| &wide[order[j]];
+            assert_eq!(
+                ordered_collided.insert_hashed(order.len(), read, 7),
+                new,
+                "{case}"
+            );
             if new {
                 kept += 1;
             } else {
@@ -171,5 +275,9 @@ mod tests {
         assert!(set.insert(&[Value::Tuple(vec![Value::Int(1)])]));
         assert!(!set.insert(&[Value::Tuple(vec![Value::Float(1.0)])]));
         assert!(set.insert(&[Value::Set(vec![Value::Int(1)])]));
+        let wide = [Value::text("a"), Value::Float(2.0), Value::Int(1)];
+        assert!(!set.insert_in(&wide, &[2, 0]));
+        assert!(set.insert_in(&wide, &[1, 0]));
+        assert!(!set.insert(&[Value::Int(2), Value::text("a")]));
     }
 }

@@ -4,7 +4,7 @@ use std::sync::Arc;
 
 use oorq_datagen::{MusicConfig, MusicDb};
 use oorq_index::{IndexSet, PathIndex, SelectionIndex};
-use oorq_pt::Pt;
+use oorq_pt::{PhysOp, Pt};
 use oorq_query::paper::{fig3_query, fig3_query_gen, music_catalog};
 use oorq_query::Expr;
 use oorq_storage::Value;
@@ -1775,7 +1775,10 @@ fn probe_is_the_per_pair_loop_on_random_rows_and_predicates() {
 /// duplicates to `Executor::run`. What a fixpoint hands up is a set: the
 /// projections over it that keep every column skip theirs, and the root
 /// projection's answer is not deduplicated again. Per-operator `(label,
-/// opens, rows_out)` recorded at the commit before either shortcut.
+/// opens, rows_out)` recorded at the commit before either shortcut, but
+/// for the `closed` recursive leg's root projection: it asks the
+/// fixpoint's own set, so its `rows_out` counts the rows new to the
+/// fixpoint — none, where it counted the 12 its own set let through.
 #[test]
 fn a_bag_is_deduplicated_once_and_a_set_not_again() {
     let mut m = MusicDb::generate_paged(
@@ -1827,7 +1830,7 @@ fn a_bag_is_deduplicated_once_and_a_set_not_again() {
     #[rustfmt::skip]
     let cases: [(&str, Pt, &str, Ops); 3] = [
         ("projected", projected(), "Project", &[("scan Play", 1, 24), ("Proj", 1, 12)]),
-        ("closed", closed, "Project", &[("scan Play", 1, 24), ("Proj", 1, 12), ("scan temp Played", 1, 12), ("Sel[t.who<>null]", 1, 12), ("Proj", 1, 12), ("Fix(Played)", 1, 12), ("Proj", 1, 12)]),
+        ("closed", closed, "Project", &[("scan Play", 1, 24), ("Proj", 1, 12), ("scan temp Played", 1, 12), ("Sel[t.who<>null]", 1, 12), ("Proj", 1, 0), ("Fix(Played)", 1, 12), ("Proj", 1, 12)]),
         ("selected", selected(), "Filter", &[("scan Play", 1, 24), ("Sel[p.who<>null]", 1, 24)]),
     ];
     for (name, plan, root, expected_ops) in cases {
@@ -1851,52 +1854,72 @@ fn a_bag_is_deduplicated_once_and_a_set_not_again() {
     }
 }
 
-/// A fixpoint whose passes derive rows it derived before. Over a cycle and
-/// a diamond (0→1→2→0, 0→3→2) the recursive leg's projection is handed
-/// the same row twice in one pass, and the sink rows the accumulator
-/// already holds; both turn them away. What they keep is the reference
-/// answer, through `run` and `answer`, unbounded and under an 8-page
-/// budget on two-row pages. The delta curve, the per-operator `(label,
-/// opens, rows_out)`, the page I/O and the `evals` were recorded from the
-/// commit before `RowSet`.
-#[test]
-fn a_closure_over_a_cycle_and_a_diamond_keeps_each_row_once() {
-    use oorq_datagen::{closure_catalog, ClosureConfig, ClosureDb};
-    let closure = || {
-        let storage = oorq_storage::StorageConfig {
-            width: oorq_storage::WidthModel {
-                page_size: 48,
-                ..Default::default()
-            },
+/// The closure schema's `Edge` over a cycle and a diamond, 0→1→2→0 and
+/// 0→3→2, two rows a page.
+fn cycle_and_diamond() -> oorq_datagen::ClosureDb {
+    let storage = oorq_storage::StorageConfig {
+        width: oorq_storage::WidthModel {
+            page_size: 48,
             ..Default::default()
-        };
-        let mut db = oorq_storage::Database::new(Arc::new(closure_catalog()), storage);
-        let edge = db.catalog().relation_by_name("Edge").unwrap();
-        for (a, b) in [(0, 1), (1, 2), (2, 0), (0, 3), (3, 2)] {
-            db.insert_row(edge, vec![Value::Int(a), Value::Int(b)])
-                .unwrap();
-        }
-        ClosureDb {
-            db,
-            config: ClosureConfig { nodes: 4 },
-        }
+        },
+        ..Default::default()
     };
-    let (idx, methods) = (IndexSet::new(), MethodRegistry::new());
-    let c = closure();
-    let mut reference = eval_query_graph(&c.db, &methods, &c.closure_query())
+    let catalog = Arc::new(oorq_datagen::closure_catalog());
+    let mut db = oorq_storage::Database::new(catalog, storage);
+    let edge = db.catalog().relation_by_name("Edge").unwrap();
+    for (a, b) in [(0, 1), (1, 2), (2, 0), (0, 3), (3, 2)] {
+        db.insert_row(edge, vec![Value::Int(a), Value::Int(b)])
+            .unwrap();
+    }
+    oorq_datagen::ClosureDb {
+        db,
+        config: oorq_datagen::ClosureConfig { nodes: 4 },
+    }
+}
+
+/// The reference evaluator's closure of `c`, sorted.
+fn sorted_closure(c: &oorq_datagen::ClosureDb) -> Vec<Vec<Value>> {
+    let query = c.closure_query();
+    let mut rows = eval_query_graph(&c.db, &MethodRegistry::new(), &query)
         .unwrap()
         .rows;
-    reference.sort();
+    rows.sort();
+    rows
+}
+
+/// The extension of `c`'s `Edge`.
+fn edge_entity(c: &oorq_datagen::ClosureDb) -> oorq_storage::EntityId {
+    let edge = c.db.catalog().relation_by_name("Edge").unwrap();
+    c.db.physical().relation_entity(edge).unwrap()
+}
+
+/// `[a: from.a, b: to.b]`.
+fn ends(from: &str, to: &str) -> Vec<(String, Expr)> {
+    vec![
+        ("a".into(), Expr::var(format!("{from}.a"))),
+        ("b".into(), Expr::var(format!("{to}.b"))),
+    ]
+}
+
+/// A fixpoint whose passes derive rows it derived before. Over a cycle and
+/// a diamond (0→1→2→0, 0→3→2) the recursive leg's projection is handed
+/// the same row twice in one pass, and rows the accumulator already
+/// holds; it asks the fixpoint's set and turns both away. What it keeps
+/// is the reference answer, through `run` and `answer`, unbounded and
+/// under an 8-page budget on two-row pages. The delta curve, the
+/// per-operator `(label, opens, rows_out)`, the page I/O and the `evals`
+/// were recorded from the commit before `RowSet`, but for that
+/// projection's `rows_out`: it counted the 16 rows its own per-pass set
+/// let through, and counts the 11 new to the fixpoint since it borrows
+/// the fixpoint's.
+#[test]
+fn a_closure_over_a_cycle_and_a_diamond_keeps_each_row_once() {
+    let (idx, methods) = (IndexSet::new(), MethodRegistry::new());
+    let c = cycle_and_diamond();
+    let reference = sorted_closure(&c);
     assert_eq!(reference.len(), 16, "every node reaches every node");
 
-    let edge = c.db.catalog().relation_by_name("Edge").unwrap();
-    let e = c.db.physical().relation_entity(edge).unwrap();
-    let ends = |from: &str, to: &str| {
-        vec![
-            ("a".into(), Expr::var(format!("{from}.a"))),
-            ("b".into(), Expr::var(format!("{to}.b"))),
-        ]
-    };
+    let e = edge_entity(&c);
     let base = Pt::proj(ends("e", "e"), Pt::entity(e, "e"));
     let rec = Pt::proj(
         ends("p", "e"),
@@ -1916,14 +1939,14 @@ fn a_closure_over_a_cycle_and_a_diamond_keeps_each_row_once() {
         temp_reads,
         ..Default::default()
     };
-    // The recursive projection keeps 16 of the join's 20 rows over three
-    // passes, and the sink 11 of those 16.
+    // The recursive projection keeps 11 of the join's 20 rows over three
+    // passes: the rows new to the fixpoint, which the sink appends.
     #[rustfmt::skip]
-    let ops = [("scan Edge", 1, 5), ("Proj", 1, 5), ("scan temp Reach", 3, 16), ("scan Edge", 16, 80), ("EJ[p.b=e.a]", 3, 20), ("Proj", 3, 16), ("Fix(Reach)", 1, 16)];
+    let ops = [("scan Edge", 1, 5), ("Proj", 1, 5), ("scan temp Reach", 3, 16), ("scan Edge", 16, 80), ("EJ[p.b=e.a]", 3, 20), ("Proj", 3, 11), ("Fix(Reach)", 1, 16)];
     for (budget, expected_io) in [(0, io(3, 65, 0, 0)), (8, io(6, 62, 3, 3))] {
         let mut runs = Vec::new();
         for answer in [false, true] {
-            let mut c = closure();
+            let mut c = cycle_and_diamond();
             let io0 = c.db.io_stats();
             let mut ex = Executor::new(&mut c.db, &idx, &methods).with_config(ExecConfig {
                 memory_budget_pages: budget,
@@ -2099,4 +2122,267 @@ fn a_leg_that_reads_the_delta_throughout_replays_nothing() {
         ..Default::default()
     };
     assert_eq!(report.io, io);
+}
+
+/// [`small_music`] on 128-byte pages: the Influencer closure's
+/// accumulator takes several.
+fn small_music_paged() -> MusicDb {
+    let small = small_music();
+    let width = oorq_storage::WidthModel {
+        page_size: 128,
+        ..Default::default()
+    };
+    MusicDb::generate_paged(small.db.catalog_rc(), small.config, width)
+}
+
+/// `[n: n, …]` over `input`: its columns `names`, each kept as it is.
+fn keep(names: &[&str], input: Pt) -> Pt {
+    let cols = names.iter().map(|n| (n.to_string(), Expr::var(*n)));
+    Pt::proj(cols.collect(), input)
+}
+
+/// An identity projection — every column kept in place, over an input
+/// that cannot repeat a row — hands its input's chunks up as they are:
+/// over a fixpoint's read-back (a scan of its accumulator) the pages the
+/// store lends, over a selection of class objects the rows the selection
+/// built. Its run reports what the projection that copied each row
+/// reported: per operator `(label, [opens, rows_in, rows_out, calls],
+/// [page_reads, page_hits, page_writes], evals)` and the run's `IoStats`
+/// and `evals`, recorded from the commit before the hand-up, and its
+/// input's answer. One figure moves: over the read-back the projection
+/// closes a bracket per page it hands up (7), where the copying one
+/// drained the five pages into one chunk (3). A projection that reorders
+/// or drops a column builds its rows.
+#[test]
+fn an_identity_projection_hands_its_input_chunks_up() {
+    let (idx, methods) = (IndexSet::new(), MethodRegistry::new());
+    let m = small_music_paged();
+    let fix = influencer_fix(&m);
+    let e = m.db.physical().class_entity(m.composer).unwrap();
+    let chosen = Pt::sel(
+        Expr::path("x", &["master"]).ne(Expr::Lit(oorq_query::Literal::Null)),
+        Pt::entity(e, "x"),
+    );
+    let chunks = |plan: &Pt| {
+        let mut m = small_music_paged();
+        let mut ex = Executor::new(&mut m.db, &idx, &methods);
+        let lowered = ex.prepare(plan).unwrap();
+        ex.root_chunks(&lowered).unwrap()
+    };
+    let run = |plan: &Pt| {
+        let mut m = small_music_paged();
+        m.db.cold_cache();
+        let mut ex = Executor::new(&mut m.db, &idx, &methods);
+        let out = ex.run(plan).unwrap();
+        (out, ex.report())
+    };
+    let io = |page_reads, page_hits, page_writes| oorq_storage::IoStats {
+        page_reads,
+        page_hits,
+        page_writes,
+        ..Default::default()
+    };
+    type Ops = &'static [(&'static str, [u64; 4], [u64; 3], u64)];
+    #[rustfmt::skip]
+    let cases: [(Pt, &Pt, bool, Ops, _, u64); 2] = [
+        (keep(&["master", "disciple", "gen"], fix.clone()), &fix, true, &[
+            ("scan Composer", [1, 0, 12, 12], [12, 0, 0], 0),
+            ("Sel[x.master<>null]", [1, 12, 9, 11], [0, 12, 0], 12),
+            ("Proj", [1, 9, 9, 11], [0, 9, 0], 0),
+            ("scan temp Influencer", [3, 0, 18, 6], [0, 6, 0], 0),
+            ("scan Composer", [18, 0, 216, 216], [0, 216, 0], 0),
+            ("EJ[i.disciple=x.master]", [3, 234, 9, 8], [0, 216, 0], 162),
+            ("Proj", [3, 9, 9, 8], [0, 0, 0], 0),
+            ("Fix(Influencer)", [1, 18, 18, 6], [0, 5, 11], 0),
+            ("Proj", [1, 18, 18, 7], [0, 0, 0], 0),
+        ], io(12, 464, 11), 174),
+        (keep(&["x"], chosen.clone()), &chosen, false, &[
+            ("scan Composer", [1, 0, 12, 12], [12, 0, 0], 0),
+            ("Sel[x.master<>null]", [1, 12, 9, 3], [0, 12, 0], 12),
+            ("Proj", [1, 9, 9, 3], [0, 0, 0], 0),
+        ], io(12, 12, 0), 12),
+    ];
+    for (plan, input, lent, expected_ops, expected_io, expected_evals) in cases {
+        let got = chunks(&plan);
+        assert_eq!(got, chunks(input), "the input's chunks");
+        assert!(!got.is_empty() && got.iter().all(|(l, _)| *l == lent));
+
+        let (out, report) = run(&plan);
+        let ops: Vec<_> = report
+            .ops
+            .iter()
+            .map(|o| {
+                (
+                    o.label.as_str(),
+                    [o.opens, o.rows_in, o.rows_out, o.calls],
+                    [o.page_reads, o.page_hits, o.page_writes],
+                    o.evals,
+                )
+            })
+            .collect();
+        assert_eq!(ops, expected_ops);
+        assert_eq!((report.io, report.evals), (expected_io, expected_evals));
+        assert_eq!(out.rows, run(input).0.rows);
+    }
+
+    // Reordered or narrowed, the projection builds its rows.
+    let read_back = chunks(&fix);
+    assert!(read_back.len() > 2, "{} pages", read_back.len());
+    let rows = read_back.iter().flat_map(|(_, rows)| rows);
+    let reordered: Vec<Vec<Value>> = rows
+        .clone()
+        .map(|r| vec![r[2].clone(), r[0].clone(), r[1].clone()])
+        .collect();
+    let mut masters: Vec<Vec<Value>> = Vec::new();
+    for r in rows {
+        if !masters.contains(&vec![r[0].clone()]) {
+            masters.push(vec![r[0].clone()]);
+        }
+    }
+    assert!(masters.len() < reordered.len());
+    for (names, expected) in [
+        (&["gen", "master", "disciple"][..], reordered),
+        (&["master"], masters),
+    ] {
+        let got = chunks(&keep(names, fix.clone()));
+        assert!(got.iter().all(|(lent, _)| !lent), "{names:?}: built rows");
+        let got: Vec<_> = got.into_iter().flat_map(|(_, rows)| rows).collect();
+        assert_eq!(got, expected, "{names:?}");
+    }
+}
+
+/// A closure whose recursive leg builds `[b, a]` while the accumulator
+/// holds `[a, b]`: lowering gives the fixpoint a `perm`, and the leg's
+/// root asks the fixpoint's set in the accumulator's order. Over the
+/// cycle and the diamond it answers the reference through `run` and
+/// `answer`, unbounded and under an 8-page budget, with the curve and the
+/// per-operator rows of the closure whose leg is in order.
+#[test]
+fn a_reordered_recursive_leg_asks_in_the_accumulators_order() {
+    let (idx, methods) = (IndexSet::new(), MethodRegistry::new());
+    let c = cycle_and_diamond();
+    let reference = sorted_closure(&c);
+    let e = edge_entity(&c);
+    let base = Pt::proj(ends("e", "e"), Pt::entity(e, "e"));
+    let rec = Pt::proj(
+        vec![
+            ("b".into(), Expr::var("e.b")),
+            ("a".into(), Expr::var("p.a")),
+        ],
+        Pt::ej(
+            Expr::var("p.b").eq(Expr::var("e.a")),
+            Pt::temp("Reach", "p"),
+            Pt::entity(e, "e"),
+        ),
+    );
+    let plan = Pt::fix("Reach", Pt::union(base, rec));
+    #[rustfmt::skip]
+    let ops = [("scan Edge", 1, 5), ("Proj", 1, 5), ("scan temp Reach", 3, 16), ("scan Edge", 16, 80), ("EJ[p.b=e.a]", 3, 20), ("Proj", 3, 11), ("Fix(Reach)", 1, 16)];
+    for budget in [0, 8] {
+        for answer in [false, true] {
+            let mut c = cycle_and_diamond();
+            let mut ex = Executor::new(&mut c.db, &idx, &methods).with_config(ExecConfig {
+                memory_budget_pages: budget,
+                ..ExecConfig::default()
+            });
+            let lowered = ex.prepare(&plan).unwrap();
+            let PhysOp::FixPoint { perm, .. } = &lowered.root else {
+                panic!("a fixpoint at the root")
+            };
+            assert_eq!(perm.as_deref(), Some(&[1, 0][..]));
+            let out = if answer {
+                ex.answer(&lowered)
+            } else {
+                ex.run(&plan)
+            }
+            .unwrap();
+            let case = format!("budget {budget}, answer {answer}");
+            let mut sorted = out.rows.clone();
+            sorted.sort();
+            assert_eq!(sorted, reference, "{case}");
+            if !answer {
+                let report = ex.report();
+                let deltas: Vec<_> = report.fix_deltas.iter().map(|c| &c.deltas[..]).collect();
+                assert_eq!(deltas, [[5, 5, 6, 0]], "{case}");
+                let got: Vec<_> = report
+                    .ops
+                    .iter()
+                    .map(|o| (o.label.as_str(), o.opens, o.rows_out))
+                    .collect();
+                assert_eq!(got, ops, "{case}");
+            }
+        }
+    }
+}
+
+/// A leg root that is a replayed operand does not borrow its fixpoint's
+/// set: a later pass reads its rows back rather than projecting them, so
+/// they reach the sink unasked, and the sink asks. Lowering makes no such
+/// plan — a recursive leg reads its temporary, and only an operand that
+/// reads none is replayed — so it is made from a lowered closure whose
+/// leg is `[a: p.a, b: p.b]` over the temporary: the leg reads `Edge`
+/// instead and its root is marked replayed. The base leg seeds the edges
+/// out of node 0, the leg derives every edge: the first pass keeps the
+/// three new ones, the second (a replay) none. Were the replayed rows not
+/// asked, every pass would add them again until the iteration bound. The
+/// answer, under a projection that does not deduplicate it again, is the
+/// reference evaluator's, unbounded and under an 8-page budget.
+#[test]
+fn a_replayed_leg_root_leaves_the_check_to_the_sink() {
+    let (idx, methods) = (IndexSet::new(), MethodRegistry::new());
+    let c = cycle_and_diamond();
+    let text = "view Path as
+      select [a: e.a, b: e.b] from e in Edge where e.a = 0
+      union
+      select [a: p.a, b: p.b] from p in Edge;
+    select [a: r.a, b: r.b] from r in Path";
+    let query = oorq_query::parse_query(c.db.catalog(), text).unwrap();
+    let mut reference = eval_query_graph(&c.db, &methods, &query).unwrap().rows;
+    reference.sort();
+    assert_eq!(reference.len(), 5, "every edge");
+
+    let e = edge_entity(&c);
+    let base = Pt::proj(
+        ends("e", "e"),
+        Pt::sel(Expr::var("e.a").eq(Expr::int(0)), Pt::entity(e, "e")),
+    );
+    let rec = Pt::proj(ends("p", "p"), Pt::temp("Reach", "p"));
+    let plan = keep(&["a", "b"], Pt::fix("Reach", Pt::union(base, rec)));
+    let env = oorq_pt::PtEnv::new(c.db.catalog(), c.db.physical());
+    let mut lowered = oorq_pt::lower(&env, &plan).unwrap();
+    let PhysOp::Project { input: fix, .. } = &mut lowered.root else {
+        panic!("a projection at the root")
+    };
+    let PhysOp::FixPoint { rec, .. } = &mut **fix else {
+        panic!("over the fixpoint")
+    };
+    let PhysOp::Project { meta, input, .. } = &mut **rec else {
+        panic!("a projection at the leg's root")
+    };
+    let PhysOp::TempScan {
+        meta: scan, cols, ..
+    } = &**input
+    else {
+        panic!("over the temporary")
+    };
+    **input = PhysOp::EntityScan {
+        meta: scan.clone(),
+        entity: e,
+        var: "p".into(),
+        class: None,
+        cols: cols.clone(),
+    };
+    let int = oorq_schema::ResolvedType::Atomic(oorq_schema::AtomicType::Int);
+    meta.replay = Some(vec![int.clone(), int]);
+
+    for budget in [0, 8] {
+        let mut c = cycle_and_diamond();
+        let mut ex = Executor::new(&mut c.db, &idx, &methods).with_config(ExecConfig {
+            memory_budget_pages: budget,
+            ..ExecConfig::default()
+        });
+        let mut rows = ex.answer(&lowered).unwrap().rows;
+        rows.sort();
+        assert_eq!(rows, reference, "budget {budget}");
+    }
 }
