@@ -80,6 +80,25 @@ if grep -nwE 'FragmentSpec|ClassLayout|decompose_(vertical|horizontal)' $(nontes
     exit 1
 fi
 
+echo "== a query graph is admitted by one check in every build (a QueryGraph::validate in crates/query/src/graph.rs, or the optimizer's admission lint behind debug_assertions, fails) =="
+if grep -nF 'fn validate(&self, catalog' crates/query/src/graph.rs; then
+    echo "oorq_lint::lint_graph is the one check that admits a query graph (DESIGN §6): a second" \
+        "checker disagrees with it, as validate did on recursion" >&2
+    exit 1
+fi
+if ! awk '/fn optimize_inner\(/ { inner = 1 }
+    inner && /debug_assertions/ { print FILENAME ":" FNR ": " $0; gated = 1 }
+    inner && /verify_graph\(&g, "normalize/ { admitted = !gated; inner = 0 }
+    /fn verify_graph\(/ { body = 1 }
+    body && /debug_assertions/ { print FILENAME ":" FNR ": " $0; gated = 1 }
+    body && /oorq_lint::lint_graph\(/ { lints = 1 }
+    body && /^    }$/ { body = 0 }
+    END { exit !(admitted && lints && !gated) }' crates/core/src/optimizer.rs; then
+    echo "Optimizer::optimize must admit the normalized graph with oorq_lint::lint_graph" \
+        "(verify_graph) in release builds too: only the post-rewrite re-check is a debug assertion" >&2
+    exit 1
+fi
+
 echo "== cargo test =="
 cargo test -q --workspace
 

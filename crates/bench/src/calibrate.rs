@@ -20,7 +20,9 @@ use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 use oorq_core::OptimizerConfig;
-use oorq_cost::{Cost, CostFeatures, CostParams, CostWeights, FixCurve, NodeCost, OpKind};
+use oorq_cost::{
+    Cost, CostFeatures, CostParams, CostWeights, FixCurve, FixProfiles, NodeCost, OpKind,
+};
 use oorq_lint::{lint_drift, DriftTolerance, ObservedOp, Severity};
 use oorq_query::QueryGraph;
 
@@ -182,10 +184,7 @@ fn sample_plan(
     // with every temporary the optimizer registered.
     let res_model = s.model(
         CostParams {
-            // The harness knows which scenario this plan came from, so the
-            // re-estimate may use the exact (scenario, temp) profile rather
-            // than the cross-scenario aggregate.
-            profile_scope: scenario.to_string(),
+            fix_profiles: scenario_profiles(&res_params.fix_profiles, scenario),
             ..res_params.clone()
         },
         run.temp_fields.clone(),
@@ -292,6 +291,23 @@ fn sample_plan(
         lines,
         fixes,
     })
+}
+
+/// The harness knows which scenario a plan came from, so its re-estimate
+/// uses that scenario's own profile of a temporary rather than the
+/// cross-scenario aggregate: where `scenario/temp` exists, every other
+/// profile of `temp` is dropped, and [`FixProfiles::lookup`]'s median
+/// over the one left is that profile.
+fn scenario_profiles(profiles: &FixProfiles, scenario: &str) -> FixProfiles {
+    let mut out = FixProfiles::empty();
+    for (key, p) in profiles.iter() {
+        let temp = key.rsplit('/').next().unwrap_or(key);
+        let exact = format!("{scenario}/{temp}");
+        if key == exact || profiles.get(&exact).is_none() {
+            out.insert(key, *p);
+        }
+    }
+    out
 }
 
 /// Run the calibration rows of the corpus (`Entry::calibration`): the

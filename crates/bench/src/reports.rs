@@ -73,7 +73,10 @@ pub(crate) fn fig1_report(_: &Args) -> Result<String, String> {
 pub(crate) fn fig2_report(_: &Args) -> Result<String, String> {
     let cat = music_catalog();
     let q = fig2_query(&cat);
-    q.validate(&cat).expect("figure 2 must validate");
+    assert!(
+        oorq_lint::lint_graph(&cat, &q).is_clean(),
+        "figure 2 must lint clean"
+    );
     Ok(format!(
         "=== Figure 2: a query graph ===\n{}\n",
         q.display(&cat)
@@ -84,7 +87,10 @@ pub(crate) fn fig2_report(_: &Args) -> Result<String, String> {
 pub(crate) fn fig3_report(_: &Args) -> Result<String, String> {
     let cat = music_catalog();
     let q = fig3_query(&cat);
-    q.validate(&cat).expect("figure 3 must validate");
+    assert!(
+        oorq_lint::lint_graph(&cat, &q).is_clean(),
+        "figure 3 must lint clean"
+    );
     Ok(format!(
         "=== Figure 3: a recursive query (P3 + Influencer view P1, P2) ===\n{}\n",
         q.display(&cat)

@@ -97,13 +97,13 @@ fn spill_point(nodes: u32, budget: u64) -> SpillPoint {
         .unwrap_or_else(|e| panic!("{scope}: {e}"));
     let (plan, report, out) = (&run.optimized, &run.report, &run.answer);
 
-    // Feed the observed delta curve back as an exact-scope profile so
-    // the re-estimate's residual error is residency error, not
+    // Feed the observed delta curve back as the temporary's only profile
+    // (the calibrated set has none of the closure's) so the
+    // re-estimate's residual error is residency error, not
     // fixpoint-cardinality error.
     let mut res_params = CostParams {
         residency: true,
         memory_budget_pages: budget,
-        profile_scope: scope.clone(),
         ..CostParams::calibrated()
     };
     let depth = s

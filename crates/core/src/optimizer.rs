@@ -197,7 +197,6 @@ impl<'a> Optimizer<'a> {
         let catalog = self.model.catalog;
         let mut g = graph.clone();
         g.normalize(catalog)?;
-        g.validate(catalog)?;
         self.sink.trace = OptTrace::default();
         self.verify_graph(&g, "normalize (query graph)")?;
 
@@ -205,7 +204,9 @@ impl<'a> Optimizer<'a> {
         let sp = self.sink.obs.begin("optimizer", "rewrite");
         rewrite(&mut g, &mut self.sink);
         self.sink.obs.end(sp);
-        self.verify_graph(&g, "rewrite (query graph)")?;
+        if cfg!(debug_assertions) {
+            self.verify_graph(&g, "rewrite (query graph)")?;
+        }
 
         // Steps 2+3: translate + generatePT, bottom-up over the graph.
         let mut planned: HashMap<NameRef, Planned> = HashMap::new();
@@ -313,11 +314,10 @@ impl<'a> Optimizer<'a> {
         })
     }
 
-    /// Run the graph lint pass (in debug builds): errors abort.
+    /// Run the graph lint pass: errors abort. On the normalized graph it
+    /// is the admission check, in every build; after `rewrite` it is a
+    /// debug assertion, as `verify_stage` is for plans.
     fn verify_graph(&self, g: &QueryGraph, stage: &str) -> Result<(), OptError> {
-        if !cfg!(debug_assertions) {
-            return Ok(());
-        }
         let report = oorq_lint::lint_graph(self.model.catalog, g);
         oorq_lint::record_report(&self.sink.obs, stage, &report);
         if report.is_clean() {

@@ -36,16 +36,13 @@ pub(crate) fn union_action(graph: &mut QueryGraph) -> bool {
 }
 
 /// True when `Name = p(Name)` is computable as a fixpoint: the term's
-/// SPJ inputs reference `name` itself (linearly — at most one recursive
-/// occurrence per SPJ, which both the semi-naive evaluator and the
-/// Kifer–Lozinskii push conditions assume).
+/// SPJ inputs reference `name` itself. Admission (`oorq_lint::lint_graph`,
+/// QG006) guarantees each alternative's [`GraphTerm::self_references`]
+/// is at most 1 — the linear recursion both the semi-naive evaluator and
+/// the Kifer–Lozinskii push conditions assume.
 pub(crate) fn fixpoint_recursion(name: &NameRef, term: &GraphTerm) -> bool {
-    if matches!(term, GraphTerm::Fix(..)) {
-        return false; // already rewritten
-    }
-    term.spjs()
-        .iter()
-        .any(|spj| spj.inputs.iter().any(|arc| arc.name == *name))
+    // A `Fix` is already rewritten.
+    !matches!(term, GraphTerm::Fix(..)) && term.self_references(name) > 0
 }
 
 /// Apply the `fixpoint` action once.

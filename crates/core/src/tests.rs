@@ -638,7 +638,7 @@ fn parsed_program_optimizes() {
     let (m, _idx, stats) = setup(MusicConfig::default());
     let cat = m.db.catalog();
     let q = oorq_query::parse_query(cat, &fig3("harpsichord", 6)).unwrap();
-    q.validate(cat).unwrap();
+    assert!(oorq_lint::lint_graph(cat, &q).is_clean());
     let mut o = optimizer(&m, &stats, OptimizerConfig::never_push());
     let cost = o.optimize(&q).unwrap().cost.total(&CostParams::default());
     assert!(cost.is_finite() && cost > 0.0, "parsed plan costs {cost}");

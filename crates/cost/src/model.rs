@@ -411,11 +411,7 @@ impl<'a> CostModel<'a> {
     /// without one it falls back to the flat-delta default (total =
     /// base × avg chain depth, split evenly over the iterations).
     pub fn fix_delta_curve(&self, temp: &str, base_rows: f64) -> FixCurve {
-        if let Some(prof) = self
-            .params
-            .fix_profiles
-            .lookup(&self.params.profile_scope, temp)
-        {
+        if let Some(prof) = self.params.fix_profiles.lookup(temp) {
             let depth = self.fix_iterations();
             let passes = ((prof.iters_per_depth * depth).round().max(1.0)) as usize;
             let d0 = (base_rows * prof.seed_scale).max(1.0);

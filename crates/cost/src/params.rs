@@ -234,12 +234,6 @@ pub struct CostParams {
     /// falls back to flat per-iteration deltas — and loaded from the
     /// checked-in `fix_profiles.toml` by [`CostParams::calibrated`].
     pub fix_profiles: FixProfiles,
-    /// Scenario scope for profile lookup: when non-empty, the estimator
-    /// first tries the exact `scope/temp` profile before falling back to
-    /// the per-temp aggregate ([`FixProfiles::lookup`]). Set by harnesses
-    /// that know which scenario a plan belongs to; empty (aggregate-only)
-    /// in normal operation.
-    pub profile_scope: String,
 }
 
 /// Number of fixpoint iterations assumed when the statistics carry no
@@ -260,7 +254,6 @@ impl Default for CostParams {
             memory_budget_pages: 0,
             weights: CostWeights::default(),
             fix_profiles: FixProfiles::empty(),
-            profile_scope: String::new(),
         }
     }
 }
@@ -287,7 +280,6 @@ impl CostParams {
             memory_budget_pages: 0,
             weights: CostWeights::default(),
             fix_profiles: FixProfiles::empty(),
-            profile_scope: String::new(),
         }
     }
 

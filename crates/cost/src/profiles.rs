@@ -83,7 +83,7 @@ impl FixProfile {
 }
 
 /// The persisted profile set, keyed `scenario/temp` (e.g.
-/// `music0/fig3/nopush/Influencer`). `FixProfiles::aggregate` folds
+/// `music0/fig3/nopush/Influencer`). [`FixProfiles::lookup`] folds
 /// all scenarios of one temporary into the single profile the estimator
 /// uses.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -122,26 +122,11 @@ impl FixProfiles {
         self.entries.iter().map(|(k, v)| (k.as_str(), v))
     }
 
-    /// The profile the estimator uses for a temporary under a scenario
-    /// scope: the exact `scope/temp` entry when the scope is known (a
-    /// harness replaying a named scenario), otherwise the per-temp
-    /// `FixProfiles::aggregate`. Exact entries dominate because a
-    /// scenario's own observed curve beats a cross-scenario median; the
-    /// aggregate remains the answer for unseen scopes.
-    pub fn lookup(&self, scope: &str, temp: &str) -> Option<FixProfile> {
-        if !scope.is_empty() {
-            if let Some(p) = self.get(&format!("{scope}/{temp}")) {
-                return Some(*p);
-            }
-        }
-        self.aggregate(temp)
-    }
-
-    /// The scope-free profile for a temporary: the per-field
-    /// *median* over every scenario that exercised this temp (key equal
-    /// to `temp` or ending in `/temp`). Medians keep one outlier
-    /// scenario from dragging the whole estimate.
-    pub(crate) fn aggregate(&self, temp: &str) -> Option<FixProfile> {
+    /// The profile the estimator uses for a temporary: the per-field
+    /// *median* over every scenario that exercised it (key equal to
+    /// `temp` or ending in `/temp`). Medians keep one outlier scenario
+    /// from dragging the whole estimate.
+    pub fn lookup(&self, temp: &str) -> Option<FixProfile> {
         let suffix = format!("/{temp}");
         let matching: Vec<&FixProfile> = self
             .entries
@@ -336,25 +321,20 @@ mod tests {
     #[test]
     fn aggregate_takes_per_field_medians_per_temp() {
         let ps = sample();
-        let inf = ps.aggregate("Influencer").unwrap();
+        let inf = ps.lookup("Influencer").unwrap();
         // Two Influencer entries: even-count medians average the pair.
         assert_eq!(inf.iterations, 3.0);
         assert!((inf.seed_scale - 1.1875).abs() < 1e-12);
-        let contains = ps.aggregate("Contains").unwrap();
+        let contains = ps.lookup("Contains").unwrap();
         assert_eq!(contains.iterations, 3.0);
-        assert!(ps.aggregate("Nope").is_none());
+        assert!(ps.lookup("Nope").is_none());
     }
 
     #[test]
-    fn lookup_prefers_exact_scope_over_aggregate() {
+    fn lookup_answers_the_aggregate_not_one_scenario() {
         let ps = sample();
-        let exact = ps.lookup("music0/fig3/nopush", "Influencer").unwrap();
+        let exact = ps.get("music0/fig3/nopush/Influencer").unwrap();
         assert_eq!(exact.iterations, 2.0);
-        // Unknown scope and empty scope both fall back to the aggregate.
-        assert_eq!(
-            ps.lookup("music9/other", "Influencer").unwrap().iterations,
-            3.0
-        );
-        assert_eq!(ps.lookup("", "Influencer").unwrap().iterations, 3.0);
+        assert_eq!(ps.lookup("Influencer").unwrap().iterations, 3.0);
     }
 }

@@ -217,11 +217,11 @@ mod tests {
     use super::*;
 
     #[test]
-    fn closure_db_generates_and_query_validates() {
+    fn closure_db_generates_and_query_lints_clean() {
         let c = ClosureDb::generate(ClosureConfig { nodes: 8 });
         assert_eq!(c.closure_rows(), 28);
         let q = c.closure_query();
-        q.validate(c.db.catalog()).unwrap();
+        assert!(oorq_lint::lint_graph(c.db.catalog(), &q).is_clean());
         let edge = c.db.catalog().relation_by_name("Edge").unwrap();
         let e =
             c.db.physical()
@@ -231,7 +231,7 @@ mod tests {
     }
 
     #[test]
-    fn chain_db_generates_and_query_validates() {
+    fn chain_db_generates_and_query_lints_clean() {
         let c = ChainDb::generate(ChainConfig {
             relations: 3,
             rows: 20,
@@ -239,7 +239,7 @@ mod tests {
         });
         assert_eq!(c.names.len(), 3);
         let q = chain_query(c.db.catalog(), 10);
-        q.validate(c.db.catalog()).unwrap();
+        assert!(oorq_lint::lint_graph(c.db.catalog(), &q).is_clean());
         let rel = c.db.catalog().relation_by_name("R1").unwrap();
         let e =
             c.db.physical()

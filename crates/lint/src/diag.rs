@@ -47,7 +47,9 @@ pub enum LintCode {
     /// starts from nothing and stays empty (or is not computable).
     UnsafeRecursion,
     /// An alternative consumes its own name more than once (non-linear
-    /// recursion, outside the semi-naive/\[KL86\] assumptions).
+    /// recursion, outside the semi-naive/\[KL86\] assumptions: each pass
+    /// reads every occurrence as the last pass's delta, so `Fix` would
+    /// miss the rows that join a new row with an older one).
     NonLinearRecursion,
     /// A name is produced but unreachable from the answer.
     UnreachableNode,
@@ -186,7 +188,7 @@ impl LintCode {
             DuplicateVariable     => ("QG003", Error, "variable bound twice in one predicate node"),
             BadLabel              => ("QG004", Error, "tree label names an attribute the input type lacks"),
             UnsafeRecursion       => ("QG005", Error, "recursive name with no non-recursive alternative"),
-            NonLinearRecursion    => ("QG006", Warn,  "alternative consumes its own name twice"),
+            NonLinearRecursion    => ("QG006", Error, "alternative consumes its own name twice"),
             UnreachableNode       => ("QG007", Warn,  "produced name unreachable from the answer"),
             DeadViewCycle         => ("QG008", Warn,  "dependency cycle the answer never consumes"),
             MutualRecursion       => ("QG009", Error, "two names consume each other"),

@@ -8,9 +8,10 @@ use oorq_schema::Catalog;
 
 use crate::diag::{LintCode, LintReport};
 
-/// Lint a query graph against the catalog. Tolerant: it keeps going
-/// after the first problem and reports everything it can see, unlike
-/// [`QueryGraph::validate`] which stops at the first error.
+/// Lint a query graph against the catalog: the one check that admits a
+/// graph to the optimizer (`Optimizer::optimize` runs it after
+/// `normalize` in every build). Tolerant: it keeps going after the
+/// first problem and reports everything it can see.
 pub fn lint_graph(catalog: &Catalog, graph: &QueryGraph) -> LintReport {
     let mut report = LintReport::new();
 
@@ -143,10 +144,7 @@ fn lint_recursion(catalog: &Catalog, graph: &QueryGraph, report: &mut LintReport
             .iter()
             .flat_map(|t| t.alternatives())
             .collect();
-        let self_counts: Vec<usize> = alts
-            .iter()
-            .map(|alt| alt.consumed_names().iter().filter(|n| *n == name).count())
-            .collect();
+        let self_counts: Vec<usize> = alts.iter().map(|alt| alt.self_references(name)).collect();
         let recursive = self_counts.iter().any(|&c| c > 0);
         if !recursive {
             continue;
@@ -202,32 +200,21 @@ fn lint_recursion(catalog: &Catalog, graph: &QueryGraph, report: &mut LintReport
 /// Names transitively consumed by the producers of `start`, excluding
 /// the trivial `start → start` self-edge.
 fn transitive_deps<'g>(graph: &'g QueryGraph, start: &NameRef) -> HashSet<&'g NameRef> {
-    let mut seen: HashSet<&NameRef> = HashSet::new();
-    let mut work: Vec<&NameRef> = Vec::new();
-    for t in graph.producers(start) {
-        for n in t.consumed_names() {
-            if n != start && seen.insert(n) {
-                work.push(n);
-            }
-        }
-    }
-    while let Some(n) = work.pop() {
-        for t in graph.producers(n) {
-            for m in t.consumed_names() {
-                if seen.insert(m) {
-                    work.push(m);
-                }
-            }
-        }
-    }
-    seen
+    let producers = graph.producers(start).into_iter();
+    let first = producers
+        .flat_map(|t| t.consumed_names())
+        .filter(|n| *n != start);
+    consumed_closure(graph, first.collect())
 }
 
 /// Names reachable from the answer through producer → consumed edges.
 fn reachable_from_answer(graph: &QueryGraph) -> HashSet<&NameRef> {
-    let mut seen: HashSet<&NameRef> = HashSet::new();
-    let mut work = vec![&graph.answer];
-    seen.insert(&graph.answer);
+    consumed_closure(graph, vec![&graph.answer])
+}
+
+/// `work` and every name their producers transitively consume.
+fn consumed_closure<'g>(graph: &'g QueryGraph, mut work: Vec<&'g NameRef>) -> HashSet<&'g NameRef> {
+    let mut seen: HashSet<&NameRef> = work.iter().copied().collect();
     while let Some(n) = work.pop() {
         for t in graph.producers(n) {
             for m in t.consumed_names() {

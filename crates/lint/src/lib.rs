@@ -8,6 +8,8 @@
 //! - [`lint_graph`] — the *graph pass*: tree-label binding discipline,
 //!   name resolution against the catalog, recursion classification
 //!   (linear / non-linear / unsafe), reachability and dead view cycles.
+//!   It is the one check that admits a query graph: the optimizer runs
+//!   it in every build and refuses a graph it reports an error on.
 //! - [`verify_pt`] — the *plan pass*: fixpoint shape, implicit-join
 //!   steps against the physical schema, projections vs. columns
 //!   consumed upstream, expression typing, temporary scoping.
@@ -20,9 +22,9 @@
 //! Every check has a stable code ([`LintCode`],
 //! `QG*`/`PT*`/`CM*`/`CX*`/`PX*`) and
 //! a fixed severity; a [`LintReport`] is clean when no error-severity
-//! diagnostic fired. The optimizer runs the plan pass after every
-//! transformation in debug builds; the executor re-checks its input
-//! plan at the boundary.
+//! diagnostic fired. The optimizer runs the plan pass, and the graph
+//! pass again after `rewrite`, in debug builds only; the executor
+//! re-checks its input plan at the boundary.
 
 mod cost;
 mod diag;
@@ -40,15 +42,20 @@ pub use graph::lint_graph;
 pub use phys::verify_phys;
 pub use plan::verify_pt;
 
-/// Record every diagnostic of a report as a structured trace event
-/// (cat `lint`, name `violation`) carrying the stable code, severity,
-/// location and message, plus a `lint.violations` counter bump. A
-/// no-op on a disabled recorder or a clean report.
+/// Record every warning and error of a report as a structured trace
+/// event (cat `lint`, name `violation`) carrying the stable code,
+/// severity, location and message, plus a `lint.violations` counter
+/// bump. A note is not a violation and is not recorded, so a report of
+/// notes only records nothing. A no-op on a disabled recorder.
 pub fn record_report(obs: &oorq_obs::Recorder, stage: &str, report: &LintReport) {
     if !obs.enabled() {
         return;
     }
-    for d in &report.diagnostics {
+    for d in report
+        .diagnostics
+        .iter()
+        .filter(|d| d.severity() != Severity::Note)
+    {
         obs.event(
             "lint",
             "violation",

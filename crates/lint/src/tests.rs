@@ -4,8 +4,8 @@
 use std::sync::Arc;
 
 use oorq_pt::{IjStep, Pt, PtEnv};
-use oorq_query::paper::{fig2_query, fig3_query, music_catalog};
-use oorq_query::{Expr, NameRef, QArc, QueryGraph, SpjNode, TreeLabel};
+use oorq_query::paper::{fig2_query, fig3_query, music_catalog, sec45_pushjoin_query};
+use oorq_query::{parse_query, Expr, NameRef, QArc, QueryGraph, SpjNode, TreeChild, TreeLabel};
 use oorq_schema::Catalog;
 use oorq_storage::{Database, StorageConfig};
 
@@ -50,6 +50,26 @@ fn clean_paper_queries_lint_clean() {
     let report = lint_graph(&cat, &fig3_query(&cat));
     assert!(report.is_clean(), "unexpected errors:\n{report}");
     assert!(report.has(LintCode::LinearRecursion));
+    // Normalized, as the optimizer admits them.
+    for mut q in [fig3_query(&cat), sec45_pushjoin_query(&cat)] {
+        q.normalize(&cat).unwrap();
+        let report = lint_graph(&cat, &q);
+        assert!(report.is_clean(), "unexpected errors:\n{report}");
+    }
+    let q = parse_query(
+        &cat,
+        "-- all composers\nselect [n: x.name] from x in Composer;",
+    )
+    .unwrap();
+    assert!(lint_graph(&cat, &q).is_clean());
+}
+
+#[test]
+fn an_answer_nothing_produces_is_reported() {
+    let (cat, _) = setup();
+    let report = lint_graph(&cat, &QueryGraph::new(answer()));
+    assert!(report.has(LintCode::UnknownName), "{report}");
+    assert!(!report.is_clean());
 }
 
 #[test]
@@ -122,6 +142,40 @@ fn bad_label_is_reported() {
 }
 
 #[test]
+fn an_element_step_on_an_atomic_attribute_is_reported() {
+    let (cat, _) = setup();
+    let composer = cat.class_by_name("Composer").unwrap();
+    let mut g = QueryGraph::new(answer());
+    g.add_spj(
+        answer(),
+        SpjNode {
+            inputs: vec![QArc {
+                name: NameRef::Class(composer),
+                var: Some("x".into()),
+                // `name` is text: an element step cannot apply.
+                label: TreeLabel {
+                    children: vec![TreeChild {
+                        attr: Some("name".into()),
+                        var: None,
+                        tree: TreeLabel {
+                            children: vec![TreeChild {
+                                attr: None,
+                                var: Some("bad".into()),
+                                tree: TreeLabel::leaf(),
+                            }],
+                        },
+                    }],
+                },
+            }],
+            pred: Expr::True,
+            out_proj: vec![("a".into(), Expr::var("x"))],
+        },
+    );
+    let report = lint_graph(&cat, &g);
+    assert!(report.has(LintCode::BadLabel), "{report}");
+}
+
+#[test]
 fn unsafe_recursion_without_base_case() {
     let (cat, _) = setup();
     let loop_name = NameRef::Derived("Loop".into());
@@ -181,8 +235,8 @@ fn non_linear_recursion_is_flagged() {
     );
     let report = lint_graph(&cat, &g);
     assert!(report.has(LintCode::NonLinearRecursion), "{report}");
-    // Warn, not error: still evaluable, just outside the [KL86] shape.
-    assert_eq!(LintCode::NonLinearRecursion.severity(), Severity::Warn);
+    assert_eq!(LintCode::NonLinearRecursion.severity(), Severity::Error);
+    assert!(!report.is_clean());
 }
 
 #[test]

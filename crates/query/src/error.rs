@@ -1,8 +1,8 @@
-//! Query-graph validation errors.
+//! Query-graph errors.
 
 use std::fmt;
 
-/// Errors raised while building, validating or normalizing query graphs.
+/// Errors raised while building, typing or normalizing query graphs.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum QueryError {
     /// A name node references an unknown class/relation.

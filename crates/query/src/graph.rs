@@ -145,6 +145,15 @@ impl GraphTerm {
         out
     }
 
+    /// How many of the term's SPJ inputs read `name`. Of one union
+    /// alternative (see [`GraphTerm::alternatives`]) producing `name`,
+    /// this is its self-reference count: 0 is a base case, 1 a linear
+    /// recursive step, 2 or more non-linear recursion.
+    pub fn self_references(&self, name: &NameRef) -> usize {
+        let inputs = self.spjs().into_iter().flat_map(|s| &s.inputs);
+        inputs.filter(|arc| arc.name == *name).count()
+    }
+
     /// Names consumed by the term's SPJ inputs.
     pub fn consumed_names(&self) -> Vec<&NameRef> {
         self.spjs()
@@ -320,14 +329,6 @@ impl QueryGraph {
 
     /// The variable typing environment of an SPJ node: root variables plus
     /// every variable bound in its tree labels.
-    pub(crate) fn binding_env(
-        &self,
-        catalog: &Catalog,
-        spj: &SpjNode,
-    ) -> Result<HashMap<String, ResolvedType>, QueryError> {
-        self.binding_env_in(catalog, spj, &mut Vec::new())
-    }
-
     fn binding_env_in(
         &self,
         catalog: &Catalog,
@@ -345,43 +346,6 @@ impl QueryGraph {
             collect_label_types(catalog, &arc.label, &ty, &mut env)?;
         }
         Ok(env)
-    }
-
-    /// Validate the whole graph: labels match types, variables are bound
-    /// and unique per node, derived names are produced, the answer exists.
-    pub fn validate(&self, catalog: &Catalog) -> Result<(), QueryError> {
-        if self.producers(&self.answer).is_empty() {
-            let name = format!("{}", self.answer.display(catalog));
-            return Err(QueryError::NoAnswer(name));
-        }
-        for (_, term) in &self.nodes {
-            for spj in term.spjs() {
-                let env = self.binding_env(catalog, spj)?;
-                for arc in &spj.inputs {
-                    let ty = self.type_of(catalog, &arc.name)?;
-                    arc.label.validate(catalog, &ty)?;
-                    // Derived/relation inputs must be producible.
-                    if let NameRef::Derived(d) = &arc.name {
-                        if self.producers(&arc.name).is_empty() {
-                            return Err(QueryError::UndefinedDerived(d.clone()));
-                        }
-                    }
-                }
-                for v in spj.pred.vars() {
-                    if !env.contains_key(&v) {
-                        return Err(QueryError::UnboundVariable(v));
-                    }
-                }
-                for (_, e) in &spj.out_proj {
-                    for v in e.vars() {
-                        if !env.contains_key(&v) {
-                            return Err(QueryError::UnboundVariable(v));
-                        }
-                    }
-                }
-            }
-        }
-        Ok(())
     }
 
     /// Normalize the graph: every path expression in predicates and

@@ -657,7 +657,6 @@ mod tests {
     fn parses_the_fig3_program() {
         let cat = music_catalog();
         let q = parse_query(&cat, &fig3("harpsichord", 6)).unwrap();
-        q.validate(&cat).unwrap();
         assert_eq!(q.nodes.len(), 3, "P3 + expanded P1, P2");
         let influencer = cat.relation_by_name("Influencer").unwrap();
         assert_eq!(q.producers(&NameRef::Relation(influencer)).len(), 2);
@@ -686,7 +685,7 @@ mod tests {
             "-- all composers\nselect [n: x.name] from x in Composer;",
         )
         .unwrap();
-        q.validate(&cat).unwrap();
+        assert_eq!(q.nodes.len(), 1);
     }
 
     #[test]
@@ -764,7 +763,6 @@ mod tests {
         let mut q = parse_query(&cat, &src).unwrap();
         assert_eq!(q.nodes.len(), 3, "the join + expanded P1, P2");
         q.normalize(&cat).unwrap();
-        q.validate(&cat).unwrap();
     }
 
     #[test]

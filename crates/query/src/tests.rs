@@ -7,10 +7,9 @@ use crate::paper::*;
 use crate::*;
 
 #[test]
-fn fig2_query_validates_and_displays() {
+fn fig2_query_displays() {
     let cat = music_catalog();
     let q = fig2_query(&cat);
-    q.validate(&cat).unwrap();
     let s = q.display(&cat).to_string();
     assert!(s.contains("Answer <- SPJ({(Composer,"), "got: {s}");
     assert!(s.contains("n=\"Bach\" and i1=\"harpsichord\" and i2=\"flute\""));
@@ -32,7 +31,7 @@ fn fig3_program(cat: &oorq_schema::Catalog) -> parse::ParsedProgram {
 }
 
 #[test]
-fn fig3_query_with_view_expands_and_validates() {
+fn fig3_query_with_view_expands() {
     let cat = music_catalog();
     let parse::ParsedProgram {
         graph: mut q,
@@ -42,7 +41,6 @@ fn fig3_query_with_view_expands_and_validates() {
     views.expand(&mut q, &cat).unwrap();
     // P3 + P1 + P2
     assert_eq!(q.nodes.len(), 3);
-    q.validate(&cat).unwrap();
     // The Influencer name is produced by two predicate nodes (P1, P2).
     let influencer = cat.relation_by_name("Influencer").unwrap();
     assert_eq!(q.producers(&NameRef::Relation(influencer)).len(), 2);
@@ -71,7 +69,6 @@ fn normalization_grafts_paths_and_rewrites_predicates() {
     let cat = music_catalog();
     let mut q = fig3_query(&cat);
     q.normalize(&cat).unwrap();
-    q.validate(&cat).unwrap();
     // After normalization no path expressions remain in predicates.
     for (_, term) in &q.nodes {
         for spj in term.spjs() {
@@ -119,20 +116,6 @@ fn normalization_shares_identical_paths() {
 }
 
 #[test]
-fn binding_env_types_variables() {
-    let cat = music_catalog();
-    let mut q = fig3_query(&cat);
-    q.normalize(&cat).unwrap();
-    let p3 = q.nodes[0].1.spjs()[0];
-    let env = q.binding_env(&cat, p3).unwrap();
-    // The arc root variable i has the Influencer tuple type.
-    match env.get("i").unwrap() {
-        ResolvedType::Tuple(fields) => assert_eq!(fields.len(), 3),
-        other => panic!("expected tuple, got {other:?}"),
-    }
-}
-
-#[test]
 fn derived_name_type_inferred_from_projection() {
     let cat = music_catalog();
     let mut q = fig3_query(&cat);
@@ -146,80 +129,6 @@ fn derived_name_type_inferred_from_projection() {
         }
         other => panic!("expected tuple, got {other:?}"),
     }
-}
-
-#[test]
-fn unbound_variable_rejected() {
-    let cat = music_catalog();
-    let composer = cat.class_by_name("Composer").unwrap();
-    let mut q = QueryGraph::new(NameRef::Derived("A".into()));
-    q.add_spj(
-        NameRef::Derived("A".into()),
-        SpjNode {
-            inputs: vec![QArc::new(NameRef::Class(composer), "x")],
-            pred: Expr::var("zz").eq(Expr::int(1)),
-            out_proj: vec![("a".into(), Expr::var("x"))],
-        },
-    );
-    assert_eq!(
-        q.validate(&cat).unwrap_err(),
-        QueryError::UnboundVariable("zz".into())
-    );
-}
-
-#[test]
-fn duplicate_variable_rejected() {
-    let cat = music_catalog();
-    let composer = cat.class_by_name("Composer").unwrap();
-    let mut q = QueryGraph::new(NameRef::Derived("A".into()));
-    q.add_spj(
-        NameRef::Derived("A".into()),
-        SpjNode {
-            inputs: vec![
-                QArc::new(NameRef::Class(composer), "x"),
-                QArc::new(NameRef::Class(composer), "x"),
-            ],
-            pred: Expr::True,
-            out_proj: vec![("a".into(), Expr::var("x"))],
-        },
-    );
-    assert_eq!(
-        q.validate(&cat).unwrap_err(),
-        QueryError::DuplicateVariable("x".into())
-    );
-}
-
-#[test]
-fn bad_label_step_rejected() {
-    let cat = music_catalog();
-    let composer = cat.class_by_name("Composer").unwrap();
-    let mut q = QueryGraph::new(NameRef::Derived("A".into()));
-    q.add_spj(
-        NameRef::Derived("A".into()),
-        SpjNode {
-            inputs: vec![QArc {
-                name: NameRef::Class(composer),
-                var: Some("x".into()),
-                // `name` is text: an element step cannot apply.
-                label: TreeLabel::leaf().attr_tree(
-                    "name",
-                    TreeLabel {
-                        children: vec![TreeChild {
-                            attr: None,
-                            var: Some("bad".into()),
-                            tree: TreeLabel::leaf(),
-                        }],
-                    },
-                ),
-            }],
-            pred: Expr::True,
-            out_proj: vec![("a".into(), Expr::var("x"))],
-        },
-    );
-    assert!(matches!(
-        q.validate(&cat).unwrap_err(),
-        QueryError::BadLabelStep { .. }
-    ));
 }
 
 #[test]
@@ -242,16 +151,6 @@ fn unknown_attribute_in_path_rejected() {
 }
 
 #[test]
-fn answer_must_be_produced() {
-    let cat = music_catalog();
-    let q = QueryGraph::new(NameRef::Derived("Answer".into()));
-    assert!(matches!(
-        q.validate(&cat).unwrap_err(),
-        QueryError::NoAnswer(_)
-    ));
-}
-
-#[test]
 fn fig3_denotation_mentions_fixpoint_inputs() {
     let cat = music_catalog();
     let q = fig3_query(&cat);
@@ -261,9 +160,8 @@ fn fig3_denotation_mentions_fixpoint_inputs() {
 }
 
 #[test]
-fn pushjoin_query_validates() {
+fn pushjoin_query_normalizes() {
     let cat = music_catalog();
     let mut q = sec45_pushjoin_query(&cat);
     q.normalize(&cat).unwrap();
-    q.validate(&cat).unwrap();
 }

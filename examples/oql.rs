@@ -1,6 +1,6 @@
-//! Textual query front-end: parse an OQL-style program, optimize it
-//! cost-controlled, print the chosen plan, execute it and print its
-//! EXPLAIN ANALYZE.
+//! Textual query front-end: parse an OQL-style program, lint it (exit 1
+//! on an error), optimize it cost-controlled, print the chosen plan,
+//! execute it and print its EXPLAIN ANALYZE.
 //!
 //! Run with a program as the first argument, or without arguments to run
 //! the built-in Figure 3 program:
@@ -16,6 +16,7 @@ use oorq::cost::{CostModel, CostParams};
 use oorq::datagen::{MusicConfig, MusicDb};
 use oorq::exec::{explain_analyze, Executor, MethodRegistry};
 use oorq::index::{IndexSet, PathIndex, SelectionIndex};
+use oorq::lint::lint_graph;
 use oorq::optimizer::{Optimizer, OptimizerConfig};
 use oorq::query::paper::{music_catalog, INFLUENCER_VIEW};
 use oorq::query::parse::parse_query;
@@ -42,8 +43,9 @@ fn main() {
             std::process::exit(1);
         }
     };
-    if let Err(e) = query.validate(&catalog) {
-        eprintln!("invalid query: {e}");
+    let lint = lint_graph(&catalog, &query);
+    print!("lint report:\n{lint}\n");
+    if !lint.is_clean() {
         std::process::exit(1);
     }
     println!("parsed query graph:\n{}\n", query.display(&catalog));

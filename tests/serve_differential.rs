@@ -2,16 +2,20 @@
 //! copy-on-write snapshots must return answers byte-identical to a
 //! single-session replay, the plan cache must show the warm/cold
 //! counter pattern, and stale statistics must trip the CX drift lints
-//! into eviction + recalibration. The whole suite honours
+//! into eviction + recalibration. A recursive text the semi-naive `Fix`
+//! cannot answer is refused by the graph lint in every build, and one it
+//! can matches the reference evaluator. The whole suite honours
 //! `OORQ_MEMORY_BUDGET` (CI re-runs it under a low budget to prove
 //! spilling sessions still serve identical answers).
 
-use oorq::datagen::{chain_query, selective_tail_query, ChainConfig, ChainDb, MusicConfig};
-use oorq::exec::{ExecConfig, MethodRegistry};
+use oorq::datagen::{
+    chain_query, selective_tail_query, ChainConfig, ChainDb, ClosureConfig, ClosureDb, MusicConfig,
+};
+use oorq::exec::{eval_query_graph, ExecConfig, MethodRegistry};
 use oorq::index::IndexSet;
-use oorq::optimizer::OptimizerConfig;
-use oorq::query::QueryGraph;
-use oorq::serve::{CacheOutcome, Server, ServerConfig};
+use oorq::optimizer::{OptError, OptimizerConfig};
+use oorq::query::{parse_query, QueryGraph};
+use oorq::serve::{CacheOutcome, ServeError, Server, ServerConfig};
 use oorq::storage::{DbStats, Value};
 use oorq_bench::scenarios::env_budget;
 use oorq_bench::Scenario;
@@ -177,4 +181,89 @@ fn stale_statistics_trip_drift_eviction_and_recalibration() {
     // Invalidation is about cost honesty, never about answers.
     assert_eq!(rendered(&a1.batch.rows), rendered(&a2.batch.rows));
     assert_eq!(rendered(&a1.batch.rows), rendered(&a3.batch.rows));
+}
+
+/// A closure view whose recursive alternative reads `Path` twice. The
+/// semi-naive `Fix` reads every occurrence as the last pass's delta, so
+/// on a 4-node chain it answered 5 of the reference's 6 rows, missing
+/// `(0, 3)`.
+const PATH_SQUARED: &str = "view Path as
+  select [a: e.a, b: e.b] from e in Edge
+  union select [a: p.a, b: q.b] from p in Path, q in Path where p.b = q.a;
+select [a: t.a, b: t.b] from t in Path";
+
+/// The same, joined with an edge leaving the second `Path`: on a 6-node
+/// chain it answered 9 of the reference's 11 rows.
+const PATH_SQUARED_EDGE: &str = "view Path as
+  select [a: e.a, b: e.b] from e in Edge
+  union select [a: p.a, b: q.b] from p in Path, q in Path, e in Edge
+    where p.b = q.a and q.b = e.a;
+select [a: t.a, b: t.b] from t in Path";
+
+/// A closure view with no base alternative.
+const PATH_WITHOUT_BASE: &str = "view Path as
+  select [a: p.a, b: e.b] from p in Path, e in Edge where p.b = e.a;
+select [a: t.a, b: t.b] from t in Path";
+
+/// A linear closure whose recursive step is filtered by a `not` over a
+/// base column: it never appends the edge into node 3.
+const PATH_NOT_THROUGH_3: &str = "view Path as
+  select [a: e.a, b: e.b] from e in Edge
+  union select [a: p.a, b: e.b] from p in Path, e in Edge
+    where p.b = e.a and not (e.b = 3);
+select [a: t.a, b: t.b] from t in Path";
+
+fn closure_server(nodes: u32) -> Server {
+    let db = ClosureDb::generate(ClosureConfig { nodes }).db;
+    Server::new(db, IndexSet::new(), MethodRegistry::new(), config())
+}
+
+/// The sorted reference answer of `text` over a `nodes`-node chain.
+fn closure_reference(text: &str, nodes: u32) -> Vec<String> {
+    let c = ClosureDb::generate(ClosureConfig { nodes });
+    let q = parse_query(c.db.catalog(), text).unwrap();
+    let mut rows = eval_query_graph(&c.db, &MethodRegistry::new(), &q)
+        .unwrap()
+        .rows;
+    rows.sort();
+    rendered(&rows)
+}
+
+/// Serve `text` over a `nodes`-node chain and expect the optimizer to
+/// refuse it with a lint error naming `code`.
+fn assert_refused(text: &str, nodes: u32, code: &str) {
+    match closure_server(nodes).session().execute_text(text) {
+        Err(ServeError::Optimize(OptError::Lint { errors, .. })) => {
+            assert!(errors.contains(code), "{code} expected:\n{errors}")
+        }
+        Err(e) => panic!("{code} expected, got: {e}"),
+        Ok(got) => panic!("{code} expected, got {} rows", got.batch.rows.len()),
+    }
+}
+
+#[test]
+fn non_linear_recursion_is_refused_rather_than_answered_wrongly() {
+    assert_eq!(closure_reference(PATH_SQUARED, 4).len(), 6);
+    assert_refused(PATH_SQUARED, 4, "QG006");
+    assert_eq!(closure_reference(PATH_SQUARED_EDGE, 6).len(), 11);
+    assert_refused(PATH_SQUARED_EDGE, 6, "QG006");
+}
+
+#[test]
+fn recursion_without_a_base_case_is_the_same_lint_error_in_every_build() {
+    assert_refused(PATH_WITHOUT_BASE, 4, "QG005");
+}
+
+#[test]
+fn a_not_over_base_columns_in_a_recursive_body_matches_the_reference() {
+    for nodes in [4, 8] {
+        let mut got = closure_server(nodes)
+            .session()
+            .execute_text(PATH_NOT_THROUGH_3)
+            .unwrap()
+            .batch
+            .rows;
+        got.sort();
+        assert_eq!(rendered(&got), closure_reference(PATH_NOT_THROUGH_3, nodes));
+    }
 }
