@@ -58,7 +58,8 @@ pub struct AnalyzerConfig {
     /// with `FixpointDiverged`, so the cap is a sound pass bound for
     /// every *completed* run. Must match the executing
     /// `ExecConfig::max_fix_iterations` for the soundness contract to
-    /// hold.
+    /// hold; the default is stated here, and `ExecConfig::default`
+    /// takes it.
     pub max_fix_iterations: u64,
 }
 
@@ -525,7 +526,7 @@ impl Walk<'_, '_> {
     /// the exact class before any page is touched, so object fetches are
     /// bounded by the worst per-key duplication of the attribute within
     /// that class.
-    fn probe_hits_hi<K>(&self, probe: &IndexProbe<K>) -> f64 {
+    fn probe_hits_hi(&self, probe: &IndexProbe) -> f64 {
         let dup = match self.az.catalog.attr(probe.class, probe.attr) {
             Some((aid, _)) => self.attr_max_dup(probe.class, aid),
             None => f64::INFINITY,
@@ -689,9 +690,6 @@ impl Walk<'_, '_> {
                 right,
                 ..
             } => self.go_nl(id, pred, rescan_inner, left, right, opens),
-            NodeOp::IndexJoin {
-                pred, probe, left, ..
-            } => self.go_index_join(id, pred, *left, probe, opens),
             &NodeOp::UnionAll { left, right } => self.go_union(id, left, right, opens),
             &NodeOp::FixPoint {
                 temp, base, rec, ..
@@ -764,7 +762,7 @@ impl Walk<'_, '_> {
         &mut self,
         id: usize,
         pred: &Expr,
-        probe: &IndexProbe<Literal>,
+        probe: &IndexProbe,
         opens: Interval,
     ) -> Out {
         let nblevels = probe.nblevels as f64;
@@ -918,45 +916,6 @@ impl Walk<'_, '_> {
         };
         child.members.extend(std::iter::repeat_n(1.0, outs));
         Ok(self.lowered(id, opens, child.members, rows_once, rows_total, feats, None))
-    }
-
-    fn go_index_join(
-        &mut self,
-        id: usize,
-        pred: &Expr,
-        left: usize,
-        probe: &IndexProbe<Expr>,
-        opens: Interval,
-    ) -> Result<Out, PtError> {
-        let mut l = self.go(left, opens)?;
-        let nblevels = probe.nblevels as f64;
-        let oc = self.expr_bounds(probe.key, self.over(left, &l));
-        let m = oc.members;
-        let hits = self.probe_hits_hi(probe);
-        l.members.push(1.0);
-        let pc = self.expr_bounds(pred, self.over(id, &l));
-        let rows_once = Interval::up_to(mul_up(l.rows_once.hi, mul_up(m, hits)));
-        let rows_total = Interval::up_to(mul_up(l.rows_total.hi, mul_up(m, hits)));
-        let feats = FeatBounds {
-            index: Interval::up_to(mul_up(l.rows_total.hi, mul_up(m, nblevels))),
-            deref: Interval::up_to(mul_up(
-                l.rows_total.hi,
-                add_up(
-                    oc.fetches,
-                    mul_up(m, mul_up(hits, add_up(TOUCH_PAGES, pc.fetches))),
-                ),
-            )),
-            evals: Interval::up_to(mul_up(
-                l.rows_total.hi,
-                add_up(oc.evals, mul_up(m, mul_up(hits, pc.evals))),
-            )),
-            method_units: Interval::up_to(mul_up(
-                l.rows_total.hi,
-                add_up(oc.units, mul_up(m, mul_up(hits, pc.units))),
-            )),
-            ..FeatBounds::zero()
-        };
-        Ok(self.lowered(id, opens, l.members, rows_once, rows_total, feats, None))
     }
 
     fn go_nl(

@@ -1,29 +1,24 @@
 //! Provable candidate pruning: when two plans differ by exactly one
-//! *result-preserving* local change (an access-method or join-algorithm
+//! *result-preserving* local change (a selection's access-method
 //! toggle), their executions agree everywhere outside the toggled
 //! subtree — so if the candidate subtree's cost *lower* bound strictly
 //! exceeds the incumbent subtree's *upper* bound, the candidate is
 //! provably worse and can be discarded without estimation error.
 
-use std::collections::HashMap;
-
-use oorq_pt::{node_op, type_of_column_expr, NodeOp, Pt, PtEnv};
-use oorq_schema::{ClassId, ResolvedType};
+use oorq_pt::{node_op, NodeOp, Pt, PtEnv};
+use oorq_schema::ClassId;
 
 use crate::bounds::Analysis;
 
 /// If `a` and `b` differ by exactly one safe, result-preserving toggle,
 /// return the pre-order id of the diverging node; otherwise `None`.
 ///
-/// Recognized toggles:
-/// - `Sel` access method (sequential vs. index), provided a resolving
-///   index probe targets a *non-collection* attribute — a collection
-///   index lists an oid once per member, which would change the emitted
-///   multiset versus the scan's single existential emission;
-/// - `EJ` join algorithm (nested loop vs. index join), provided a
-///   resolving index join probes a non-collection attribute *and* the
-///   outer expression is non-collection-typed — either collection would
-///   duplicate pairs.
+/// The one recognized toggle is a `Sel`'s access method (sequential vs.
+/// index), provided a resolving index probe targets a *non-collection*
+/// attribute — a collection index lists an oid once per member, which
+/// would change the emitted multiset versus the scan's single
+/// existential emission. An `EJ` has one algorithm, the nested loop, so
+/// two explicit joins differ only by their predicates or operands.
 ///
 /// The toggle may sit inside a fixpoint body: each semi-naive pass fully
 /// drains the recursive leg before the next delta forms, so per-pass
@@ -55,11 +50,10 @@ impl Diff<'_, '_> {
             let (ca, cb) = (a.children(), b.children());
             return ca.len() == cb.len() && ca.iter().zip(cb.iter()).all(|(x, y)| self.walk(x, y));
         }
-        // The nodes differ: admissible once, as an access-method or
-        // join-algorithm toggle over identical operands.
+        // The nodes differ: admissible once, as an access-method toggle
+        // over identical operands.
         let toggle = match (a, b) {
-            (Pt::Sel { pred: p1, .. }, Pt::Sel { pred: p2, .. })
-            | (Pt::EJ { pred: p1, .. }, Pt::EJ { pred: p2, .. }) => {
+            (Pt::Sel { pred: p1, .. }, Pt::Sel { pred: p2, .. }) => {
                 p1 == p2 && a.children() == b.children()
             }
             _ => false,
@@ -73,27 +67,12 @@ impl Diff<'_, '_> {
     }
 
     /// One side of a toggle is safe when it executes as a plain filter
-    /// or nested loop (trivially equivalent to the other side), as an
-    /// index probe on a non-collection attribute, or as an index join
-    /// whose indexed attribute and outer expression are both
-    /// non-collection.
+    /// (trivially equivalent to the other side) or as an index probe on
+    /// a non-collection attribute.
     fn toggle_safe(&self, pt: &Pt) -> bool {
         match node_op(self.env.catalog, self.env.physical, pt) {
             Ok(NodeOp::IndexSelect { probe, .. }) => {
                 self.attr_non_collection(probe.class, probe.attr)
-            }
-            Ok(NodeOp::IndexJoin { probe, left, .. }) => {
-                if !self.attr_non_collection(probe.class, probe.attr) {
-                    return false;
-                }
-                let Ok(cols) = left.output_columns(self.env) else {
-                    return false;
-                };
-                let cenv: HashMap<String, ResolvedType> = cols.into_iter().collect();
-                match type_of_column_expr(self.env.catalog, probe.key, &cenv) {
-                    Ok(ty) => !ty.is_collection(),
-                    Err(_) => false,
-                }
             }
             Ok(_) => true,
             Err(_) => false,
@@ -154,14 +133,7 @@ fn same_shape_here(a: &Pt, b: &Pt) -> bool {
                 ..
             },
         ) => i1 == i2 && o1 == o2 && u1 == u2,
-        (
-            Pt::EJ {
-                pred: p1, algo: a1, ..
-            },
-            Pt::EJ {
-                pred: p2, algo: a2, ..
-            },
-        ) => p1 == p2 && a1 == a2,
+        (Pt::EJ { pred: p1, .. }, Pt::EJ { pred: p2, .. }) => p1 == p2,
         (Pt::Union { .. }, Pt::Union { .. }) => true,
         (Pt::Fix { temp: t1, .. }, Pt::Fix { temp: t2, .. }) => t1 == t2,
         _ => false,

@@ -1,9 +1,9 @@
 //! A seeded plan-mutation soundness fuzzer.
 //!
 //! Starting from the optimizer's chosen plans for the music corpus, the
-//! fuzzer applies random local mutations (access-method and
-//! join-algorithm toggles, predicate rewrites, projection edits,
-//! wrapper insertion) and demands, for every mutant, one of exactly two
+//! fuzzer applies random local mutations (access-method toggles, join
+//! operand swaps, predicate rewrites, projection edits, wrapper
+//! insertion) and demands, for every mutant, one of exactly two
 //! outcomes:
 //!
 //! - the static verifier or the analyzer *rejects* the plan
@@ -22,7 +22,7 @@ use std::fmt::Write as _;
 
 use oorq_analysis::check_observed;
 use oorq_prng::Prng;
-use oorq_pt::{subtrees, AccessMethod, JoinAlgo, Pt};
+use oorq_pt::{subtrees, AccessMethod, Pt};
 use oorq_query::{Expr, Literal};
 use oorq_storage::IndexId;
 
@@ -69,7 +69,7 @@ pub fn for_each_mutant(
     for iteration in 0..iters {
         let pt = &base[rng.index(base.len())];
         let target = rng.index(pt.size());
-        let kind = rng.range_u32(0, 8);
+        let kind = rng.range_u32(0, 7);
         // Apply mutation `kind` at pre-order node `target`; a kind that
         // does not apply there leaves the plan unmutated, which must
         // also stay inside its bounds.
@@ -169,53 +169,20 @@ fn mutate_here(pt: &Pt, kind: u32, rng: &mut Prng, index_ids: &[IndexId]) -> Opt
                 input: input.clone(),
             })
         }
-        // Toggle a join's algorithm.
-        (
-            1,
-            Pt::EJ {
-                pred,
-                algo,
-                left,
-                right,
-            },
-        ) => {
-            let algo = match algo {
-                JoinAlgo::NestedLoop if !index_ids.is_empty() => {
-                    JoinAlgo::IndexJoin(index_ids[rng.index(index_ids.len())])
-                }
-                JoinAlgo::NestedLoop => return None,
-                JoinAlgo::IndexJoin(_) => JoinAlgo::NestedLoop,
-            };
-            Some(Pt::EJ {
-                pred: pred.clone(),
-                algo,
-                left: left.clone(),
-                right: right.clone(),
-            })
-        }
         // Drop a selection's predicate.
-        (2, Pt::Sel { method, input, .. }) => Some(Pt::Sel {
+        (1, Pt::Sel { method, input, .. }) => Some(Pt::Sel {
             pred: Expr::True,
             method: *method,
             input: input.clone(),
         }),
         // Swap a join's operands.
-        (
-            3,
-            Pt::EJ {
-                pred,
-                algo,
-                left,
-                right,
-            },
-        ) => Some(Pt::EJ {
+        (2, Pt::EJ { pred, left, right }) => Some(Pt::EJ {
             pred: pred.clone(),
-            algo: *algo,
             left: right.clone(),
             right: left.clone(),
         }),
         // Drop a projection column.
-        (4, Pt::Proj { cols, input }) if cols.len() > 1 => {
+        (3, Pt::Proj { cols, input }) if cols.len() > 1 => {
             let mut cols = cols.clone();
             cols.remove(rng.index(cols.len()));
             Some(Pt::Proj {
@@ -224,7 +191,7 @@ fn mutate_here(pt: &Pt, kind: u32, rng: &mut Prng, index_ids: &[IndexId]) -> Opt
             })
         }
         // Rename a projection column (breaks consumers; lint's job).
-        (5, Pt::Proj { cols, input }) if !cols.is_empty() => {
+        (4, Pt::Proj { cols, input }) if !cols.is_empty() => {
             let mut cols = cols.clone();
             let i = rng.index(cols.len());
             cols[i].0 = format!("fz_{}", rng.range_u32(0, 1 << 16));
@@ -234,14 +201,14 @@ fn mutate_here(pt: &Pt, kind: u32, rng: &mut Prng, index_ids: &[IndexId]) -> Opt
             })
         }
         // Wrap the node in a pass-through selection.
-        (6, _) => Some(Pt::Sel {
+        (5, _) => Some(Pt::Sel {
             pred: Expr::True,
             method: AccessMethod::Scan,
             input: Box::new(pt.clone()),
         }),
         // Perturb the integer literals of a selection predicate.
         (
-            7,
+            6,
             Pt::Sel {
                 pred,
                 method,

@@ -10,7 +10,7 @@
 use std::collections::HashMap;
 
 use oorq_cost::CostModel;
-use oorq_pt::{applicable_join_indexes, applicable_sel_index, AccessMethod, JoinAlgo, Pt};
+use oorq_pt::{applicable_sel_index, AccessMethod, Pt};
 use oorq_query::{Expr, SpjNode};
 
 use crate::decisions::{Decisions, Examined, Outcome};
@@ -272,16 +272,16 @@ pub(crate) fn assemble_arc(model: &CostModel<'_>, chain: &ArcChain, sels: &[Expr
     out
 }
 
-/// The `join` action: combine two candidates with every applicable
-/// algorithm. `disjoint` holds by construction (candidates cover
-/// disjoint arc sets). Requires a connecting predicate unless `force`.
+/// The `join` action: combine two candidates with a nested-loop join.
+/// `disjoint` holds by construction (candidates cover disjoint arc
+/// sets). Requires a connecting predicate unless `force`.
 fn join_pair(
     model: &CostModel<'_>,
     left: &Candidate,
     right: &Candidate,
     join_conjuncts: &[Expr],
     force: bool,
-) -> Vec<Candidate> {
+) -> Option<Candidate> {
     let mut cols = left.cols.clone();
     cols.extend(right.cols.iter().cloned());
     let applicable: Vec<Expr> = join_conjuncts
@@ -295,31 +295,11 @@ fn join_pair(
         .cloned()
         .collect();
     if applicable.is_empty() && !force {
-        return Vec::new();
+        return None;
     }
-    let pred = Expr::conjoin(applicable.clone());
-    let mut out = Vec::new();
-    let mut push = |pt: Pt| {
-        if let Ok(pc) = model.cost(&pt) {
-            out.push(Candidate {
-                pt,
-                cols: cols.clone(),
-                cost: pc.total(&model.params),
-            });
-        }
-    };
-    push(Pt::ej(pred.clone(), left.pt.clone(), right.pt.clone()));
-    // Index join: right side must be a bare entity leaf with an indexed
-    // equality attribute in the predicate.
-    for idx in applicable_join_indexes(model.catalog, model.physical, &pred, &right.pt) {
-        push(Pt::EJ {
-            pred: pred.clone(),
-            algo: JoinAlgo::IndexJoin(idx),
-            left: Box::new(left.pt.clone()),
-            right: Box::new(right.pt.clone()),
-        });
-    }
-    out
+    let pt = Pt::ej(Expr::conjoin(applicable), left.pt.clone(), right.pt.clone());
+    let cost = model.cost(&pt).ok()?.total(&model.params);
+    Some(Candidate { pt, cols, cost })
 }
 
 fn best(cands: Vec<Candidate>) -> Option<Candidate> {
@@ -327,7 +307,7 @@ fn best(cands: Vec<Candidate>) -> Option<Candidate> {
 }
 
 /// Exhaustive enumeration of left-deep join orders (every permutation,
-/// every access-plan alternative, every algorithm) — the \[KZ88\]
+/// every access-plan alternative) — the \[KZ88\]
 /// baseline. Exponential; used for small queries and as the optimality
 /// oracle.
 fn enumerate_exhaustive(
@@ -364,7 +344,7 @@ fn enumerate_exhaustive(
                     continue;
                 }
                 for cand in &candidates[i] {
-                    for joined in join_pair(model, current, cand, join_conjuncts, force) {
+                    if let Some(joined) = join_pair(model, current, cand, join_conjuncts, force) {
                         extended_any = true;
                         used[i] = true;
                         recurse(
@@ -433,7 +413,7 @@ fn enumerate_dp(
                     let force = pass == 1;
                     let mut found = false;
                     for cand in &candidates[i] {
-                        for joined in join_pair(model, left, cand, join_conjuncts, force) {
+                        if let Some(joined) = join_pair(model, left, cand, join_conjuncts, force) {
                             found = true;
                             match &best_plan {
                                 Some(b) if b.cost <= joined.cost => {}
@@ -461,8 +441,8 @@ fn enumerate_dp(
         .ok_or_else(|| OptError::Unplannable("dp join enumeration".into()))
 }
 
-/// Syntactic: join the arcs in their textual order with the default
-/// algorithm — what a non-optimizing translator would emit.
+/// Syntactic: join the arcs in their textual order, each arc's first
+/// access plan — what a non-optimizing translator would emit.
 fn enumerate_syntactic(
     model: &CostModel<'_>,
     candidates: &[Vec<Candidate>],
@@ -477,8 +457,6 @@ fn enumerate_syntactic(
             .first()
             .ok_or_else(|| OptError::Unplannable("syntactic join enumeration".into()))?;
         let joined = join_pair(model, &current, cand, join_conjuncts, true)
-            .into_iter()
-            .next()
             .ok_or_else(|| OptError::Unplannable("syntactic join enumeration".into()))?;
         current = joined;
     }
@@ -510,7 +488,7 @@ fn enumerate_greedy(
                     continue;
                 }
                 for cand in &candidates[i] {
-                    for joined in join_pair(model, &current, cand, join_conjuncts, force) {
+                    if let Some(joined) = join_pair(model, &current, cand, join_conjuncts, force) {
                         match &best_ext {
                             Some((_, b)) if b.cost <= joined.cost => {}
                             _ => best_ext = Some((i, joined)),

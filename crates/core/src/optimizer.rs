@@ -217,7 +217,7 @@ impl<'a> Optimizer<'a> {
                 .position(|(name, term)| self.ready(name, term, &planned))
                 .ok_or(OptError::CyclicGraph)?;
             let (name, term) = remaining.remove(idx);
-            let p = self.plan_term(&g, &name, &term, &planned)?;
+            let p = self.plan_term(&g, &term, &planned)?;
             self.verify_stage(&p.pt, &format!("generatePT({})", name.display(catalog)))?;
             planned.insert(name, p);
         }
@@ -351,11 +351,9 @@ impl<'a> Optimizer<'a> {
         })
     }
 
-    #[allow(clippy::only_used_in_recursion)]
     fn plan_term(
         &mut self,
         g: &QueryGraph,
-        name: &NameRef,
         term: &GraphTerm,
         planned: &HashMap<NameRef, Planned>,
     ) -> Result<Planned, OptError> {
@@ -369,8 +367,8 @@ impl<'a> Optimizer<'a> {
                 })
             }
             GraphTerm::Union(l, r) => {
-                let lp = self.plan_term(g, name, l, planned)?;
-                let rp = self.plan_term(g, name, r, planned)?;
+                let lp = self.plan_term(g, l, planned)?;
+                let rp = self.plan_term(g, r, planned)?;
                 Ok(Planned {
                     pt: Pt::union(lp.pt, rp.pt),
                     out_cols: lp.out_cols,

@@ -20,7 +20,7 @@ use std::collections::HashSet;
 
 use oorq_cost::{CostModel, PlanCost};
 use oorq_prng::Prng;
-use oorq_pt::{applicable_join_indexes, applicable_sel_index, AccessMethod, IjStep, JoinAlgo, Pt};
+use oorq_pt::{applicable_sel_index, AccessMethod, IjStep, Pt};
 use oorq_query::{bind_path, Expr};
 use oorq_schema::{ClassId, ResolvedType};
 
@@ -389,13 +389,10 @@ impl Default for RandConfig {
 /// action applied at one node of `pt`:
 ///
 /// ```text
-/// swap:       EJ_pred^algo(A, C)        → EJ_pred(C, A)
-/// joinAlgo:   EJ_pred^idx(A, C)         → EJ_pred(A, C)
-///             EJ_pred(A, C)             | idx ∈ joinIndexes(pred, C) → EJ_pred^idx(A, C)
+/// swap:       EJ_pred(A, C)             → EJ_pred(C, A)
 /// selAccess:  Sel^idx_pred(A)           → Sel_pred(A)
 ///             Sel_pred(A)               | idx ∈ selIndexes(pred, A) → Sel^idx_pred(A)
-/// distribute: EJ_pred^algo(Union(A, B), C)
-///             → Union(EJ_pred^algo(A, C), EJ_pred^algo(B, C))
+/// distribute: EJ_pred(Union(A, B), C)   → Union(EJ_pred(A, C), EJ_pred(B, C))
 /// ```
 ///
 /// `distribute` is §5's "open problem" transformation (join over
@@ -407,51 +404,18 @@ pub fn neighbours(model: &CostModel<'_>, pt: &Pt) -> Vec<Pt> {
     let mut distributed = Vec::new();
     for (path, sub) in oorq_pt::subtrees(pt) {
         match sub {
-            Pt::EJ {
-                pred,
-                algo,
-                left,
-                right,
-            } => {
+            Pt::EJ { pred, left, right } => {
                 // Swap operands.
                 let swapped = Pt::EJ {
                     pred: pred.clone(),
-                    algo: JoinAlgo::NestedLoop,
                     left: right.clone(),
                     right: left.clone(),
                 };
                 push_variant(pt, &path, swapped, &mut out);
-                // Toggle algorithm.
-                match algo {
-                    JoinAlgo::IndexJoin(_) => {
-                        let nl = Pt::EJ {
-                            pred: pred.clone(),
-                            algo: JoinAlgo::NestedLoop,
-                            left: left.clone(),
-                            right: right.clone(),
-                        };
-                        push_variant(pt, &path, nl, &mut out);
-                    }
-                    JoinAlgo::NestedLoop => {
-                        if let Some(idx) =
-                            applicable_join_indexes(model.catalog, model.physical, pred, right)
-                                .next()
-                        {
-                            let ij = Pt::EJ {
-                                pred: pred.clone(),
-                                algo: JoinAlgo::IndexJoin(idx),
-                                left: left.clone(),
-                                right: right.clone(),
-                            };
-                            push_variant(pt, &path, ij, &mut out);
-                        }
-                    }
-                }
                 // Distribute over a union on the left, after every local move.
                 if let Pt::Union { left: a, right: b } = left.as_ref() {
                     let join = |side: &Pt| Pt::EJ {
                         pred: pred.clone(),
-                        algo: *algo,
                         left: Box::new(side.clone()),
                         right: right.clone(),
                     };

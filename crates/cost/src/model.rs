@@ -6,7 +6,7 @@
 //! and buffer aware: a dereference stream whose target working set fits
 //! in the buffer pays only its cold reads), path-index probes
 //! (`‖C‖ · (nblevels + nbleaves/‖C₁‖)`), nested-loop rescans (buffer
-//! aware), index-join probes, and semi-naive fixpoints
+//! aware), and semi-naive fixpoints
 //! (`Σᵢ cost(Exp(Tᵢ))` with the iteration count bounded by the
 //! chain-depth statistics; pages re-touched by iterations 2..n of a
 //! buffer-resident recursive side are charged hot). The residency
@@ -349,9 +349,8 @@ impl<'a> CostModel<'a> {
         // access: its scan pays the cold reads — a canonical attribution
         // independent of operator order, matching the executor's buffer
         // whichever branch runs first. The extent an index selection
-        // probes is not scanned. (Implicit-join targets and index-join
-        // inners still count: the calibrated snapshot was fitted with
-        // them in.)
+        // probes is not scanned. (Implicit-join targets still count: the
+        // calibrated snapshot was fitted with them in.)
         let mut scan_resident = HashSet::new();
         let frames = self.params.buffer_frames as f64;
         let mut id = 0;
@@ -876,31 +875,6 @@ impl EstCtx<'_, '_> {
                     write_pages: mat_writes,
                     evals: pairs * ec.evals.max(1.0),
                     method_units: pairs * ec.method_units,
-                    ..CostFeatures::default()
-                };
-                let pages = self.pages_est(rows, &reachable_types(&node.cols));
-                (feat, NodeEst::new(rows, pages, joined, l.cost + r.cost))
-            }
-            NodeOp::IndexJoin {
-                pred,
-                probe,
-                left,
-                inner,
-            } => {
-                let l = self.est(*left, true)?;
-                let r = self.est(*inner, false)?;
-                let joined = [l.cols, r.cols].concat();
-                let cols = Cols {
-                    cols: &node.cols,
-                    est: &joined,
-                };
-                let sel = self.selectivity(pred, cols);
-                let rows = sane_rows(l.rows * r.rows * sel);
-                let matches_per_probe = (r.rows * sel * l.rows).max(0.0) / l.rows.max(1.0);
-                let feat = CostFeatures {
-                    index_level_ios: l.rows * probe.nblevels as f64,
-                    index_leaf_ios: l.rows * matches_per_probe,
-                    evals: rows.max(l.rows),
                     ..CostFeatures::default()
                 };
                 let pages = self.pages_est(rows, &reachable_types(&node.cols));

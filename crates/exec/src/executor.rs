@@ -7,7 +7,7 @@
 
 use std::collections::HashMap;
 
-use oorq_analysis::{ObservedFix, ObservedOp};
+use oorq_analysis::{AnalyzerConfig, ObservedFix, ObservedOp};
 use oorq_index::IndexSet;
 use oorq_pt::{PhysOp, PhysPlan, Pt, PtEnv, PtError};
 use oorq_schema::ResolvedType;
@@ -21,7 +21,7 @@ use crate::pipeline::{self, FixDeltaCurve, OpReport};
 /// Executor configuration.
 #[derive(Debug, Clone)]
 pub struct ExecConfig {
-    /// Safety bound on semi-naive iterations.
+    /// Safety bound on semi-naive iterations; [`AnalyzerConfig`]'s by default.
     pub max_fix_iterations: u32,
     /// Breaker memory budget: maximum resident pages of pipeline-breaker
     /// temporaries (fixpoint accumulator/delta, materialized nested-loop
@@ -35,7 +35,7 @@ pub struct ExecConfig {
 impl Default for ExecConfig {
     fn default() -> Self {
         ExecConfig {
-            max_fix_iterations: 10_000,
+            max_fix_iterations: AnalyzerConfig::default().max_fix_iterations as u32,
             memory_budget_pages: 0,
         }
     }
@@ -418,7 +418,7 @@ impl<'a> Executor<'a> {
             physical: self.db.physical(),
             stats: &stats,
             params: oorq_cost::CostParams::default(),
-            config: oorq_analysis::AnalyzerConfig {
+            config: AnalyzerConfig {
                 max_fix_iterations: self.config.max_fix_iterations as u64,
             },
         };

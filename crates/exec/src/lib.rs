@@ -6,15 +6,14 @@
 //! Plans are lowered (`oorq_pt::lower`) to pull-based operators that hand
 //! up a chunk of rows per call, their expressions bound to row slots
 //! once (and a slot-comparing join or filter predicate to the outer row
-//! once) — entity/temporary scans lending out one fetched page at a time,
-//! index selections, filters, projections, implicit joins
-//! (dereferences), path-index lookups, nested-loop joins with honest
-//! inner rescans, index joins, unions, and **semi-naive fixpoints** with
-//! materialized accumulator/delta temporaries (the pipeline breakers),
-//! whose recursive leg replays the operands no pass can change. Every
-//! operator tallies its own rows, page/index I/O, evaluations, method
-//! calls and wall time ([`OpReport`]), joinable against the cost
-//! model's per-node predictions.
+//! once): entity/temporary scans lending out one fetched page at a time,
+//! index selections, filters, projections, implicit joins (dereferences),
+//! path-index lookups, nested-loop joins with honest inner rescans,
+//! unions, and **semi-naive fixpoints** with materialized accumulator and
+//! delta temporaries (the pipeline breakers), whose recursive leg replays
+//! the operands no pass can change. Every operator tallies its rows,
+//! page/index I/O, evaluations, method calls and wall time ([`OpReport`]),
+//! joinable against the cost model's per-node predictions.
 
 mod error;
 mod eval;

@@ -524,25 +524,15 @@ enum St<'p> {
         next: usize,
     },
     /// Filter: `hits` is where a probe puts the rows that pass.
-    Filter {
-        pred: Pred,
-        hits: Vec<usize>,
-    },
+    Filter { pred: Pred, hits: Vec<usize> },
     /// Project: the set it asks "seen?" of each row it builds.
-    Project {
-        exprs: Vec<Bound>,
-        seen: Seen<'p>,
-    },
+    Project { exprs: Vec<Bound>, seen: Seen<'p> },
     /// A projection that keeps every column in place over an input that
     /// cannot repeat a row, and asks no set: it hands its input's chunks
     /// up as they are, a lent page still lent.
     HandUp,
     /// IJ, PIJ: the oid-valued expression followed per input row.
     Deref(Bound),
-    IndexJoin {
-        outer: Bound,
-        pred: Bound,
-    },
     /// Nested loop: `cur` is the outer row being joined, `inner` the
     /// place in the inner's pass for it (and the buffer a materialized
     /// inner is written from), `hits` where a probe puts its matches.
@@ -555,10 +545,7 @@ enum St<'p> {
     },
     /// Union: whether the right operand is the one being drained, and the
     /// buffer a right chunk is pulled into to be permuted.
-    Union {
-        on_right: bool,
-        pulled: Chunk,
-    },
+    Union { on_right: bool, pulled: Chunk },
 }
 
 /// The set a projection asks "seen?" of each row it builds.
@@ -758,16 +745,6 @@ fn build<'p>(
                 hits: Vec::new(),
             }
         }
-        PhysOp::IndexJoin {
-            outer,
-            pred,
-            left,
-            cols,
-            ..
-        } => St::IndexJoin {
-            outer: Bound::bind(outer, left.cols()),
-            pred: Bound::bind(pred, cols),
-        },
         PhysOp::UnionAll { .. } => St::Union {
             on_right: false,
             pulled: Chunk::default(),
@@ -1200,18 +1177,11 @@ impl OpExec<'_> {
                 kids[0].open(rt)
             }
             (
-                PhysOp::NlJoin {
-                    rescan_inner,
-                    require_index,
-                    ..
-                },
+                PhysOp::NlJoin { rescan_inner, .. },
                 St::Nl {
                     cur, inner, read, ..
                 },
             ) => {
-                if let Some(idx) = require_index {
-                    rt.indexes.selection(*idx).ok_or(ExecError::MissingIndex)?;
-                }
                 *cur = None;
                 inner.reset();
                 if let Inner::Held { seg, .. } = read {
@@ -1234,12 +1204,6 @@ impl OpExec<'_> {
                     }
                 }
                 Ok(())
-            }
-            (PhysOp::IndexJoin { index, .. }, St::IndexJoin { .. }) => {
-                rt.indexes
-                    .selection(*index)
-                    .ok_or(ExecError::MissingIndex)?;
-                kids[0].open(rt)
             }
             (PhysOp::UnionAll { .. }, St::Union { on_right, .. }) => {
                 *on_right = false;
@@ -1607,35 +1571,6 @@ impl OpExec<'_> {
                     }
                     *cur = None;
                 }
-            }
-            (PhysOp::IndexJoin { index, class, .. }, St::IndexJoin { outer, pred }) => {
-                let six = rt
-                    .indexes
-                    .selection(*index)
-                    .ok_or(ExecError::MissingIndex)?;
-                pump(
-                    input,
-                    &mut kids[0],
-                    rt,
-                    downstream_touches,
-                    out,
-                    |input, out| {
-                        let lrow = input.next_row();
-                        for key in outer.eval(&ctx, lrow.into())?.members() {
-                            for &o in six.probe(rt.io, key) {
-                                if o.class != *class {
-                                    continue;
-                                }
-                                rt.db.touch_object(rt.io, o)?;
-                                let found = [Value::Oid(o)];
-                                if pred.truthy(&ctx, RowRef(lrow, &found))? {
-                                    out.push(lrow, &found);
-                                }
-                            }
-                        }
-                        Ok(())
-                    },
-                )
             }
             (PhysOp::UnionAll { perm, .. }, St::Union { on_right, pulled }) => {
                 if !*on_right {

@@ -179,32 +179,6 @@ fn pij_equals_ij_chain() {
     assert!(ex.report().io.index_reads > 0);
 }
 
-#[test]
-fn nested_loop_and_index_join_agree() {
-    let mut m = small_music();
-    let e = m.db.physical().class_entity(m.composer).unwrap();
-    let mut idx = IndexSet::new();
-    let sid = idx.add_selection(SelectionIndex::build(&mut m.db, m.composer, m.master_attr));
-    let methods = MethodRegistry::new();
-    let pred = Expr::path("l", &["master"]).eq(Expr::path("r", &["master"]));
-    // pred: l.master = r.master -- needs the index on master keyed by oid.
-    let nl = Pt::ej(pred.clone(), Pt::entity(e, "l"), Pt::entity(e, "r"));
-    let ij = Pt::EJ {
-        pred,
-        algo: oorq_pt::JoinAlgo::IndexJoin(sid),
-        left: Box::new(Pt::entity(e, "l")),
-        right: Box::new(Pt::entity(e, "r")),
-    };
-    let mut ex = Executor::new(&mut m.db, &idx, &methods);
-    let a = ex.run(&nl).unwrap();
-    let b = ex.run(&ij).unwrap();
-    let mut ra = a.rows.clone();
-    let mut rb = b.rows.clone();
-    ra.sort();
-    rb.sort();
-    assert_eq!(ra, rb);
-}
-
 /// Build the translated Influencer fixpoint by hand (what translate +
 /// generatePT will produce automatically).
 fn influencer_fix(m: &MusicDb) -> Pt {

@@ -208,14 +208,10 @@ fn check(env: &PtEnv, scope: &BTreeSet<String>, op: &PhysOp, report: &mut LintRe
         }
         PhysOp::NlJoin {
             rescan_inner,
-            require_index,
             left,
             right,
             ..
         } => {
-            if let Some(idx) = require_index {
-                check_selection_index(env, op, *idx, report);
-            }
             if *rescan_inner && !right.rescannable() {
                 report.push(
                     LintCode::PhysBadRescan,
@@ -225,14 +221,6 @@ fn check(env: &PtEnv, scope: &BTreeSet<String>, op: &PhysOp, report: &mut LintRe
             }
             let mut expect = left.cols().to_vec();
             expect.extend(right.cols().iter().cloned());
-            cols_mismatch(op, &expect, report);
-        }
-        PhysOp::IndexJoin {
-            index, var, left, ..
-        } => {
-            check_selection_index(env, op, *index, report);
-            let mut expect = left.cols().to_vec();
-            expect.push(var.clone());
             cols_mismatch(op, &expect, report);
         }
         PhysOp::UnionAll {

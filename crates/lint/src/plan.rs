@@ -12,8 +12,8 @@
 use std::collections::{BTreeSet, HashMap};
 
 use oorq_pt::{
-    node_op, propagated_columns, resolve_each, type_of_column_expr, AccessMethod, Cols, JoinAlgo,
-    Node, OpKind, Preorder, Pt, PtEnv, PtError,
+    node_op, propagated_columns, resolve_each, type_of_column_expr, AccessMethod, Cols, Node,
+    OpKind, Preorder, Pt, PtEnv, PtError,
 };
 use oorq_query::{bind_path, Expr};
 use oorq_storage::IndexKindDesc;
@@ -261,10 +261,7 @@ impl Plan<'_, '_> {
                     self.check(t, &loc, &empty, report);
                 }
             }
-            Pt::EJ { pred, algo, .. } => {
-                if let JoinAlgo::IndexJoin(ix) = algo {
-                    check_index(env, *ix, false, &loc, report);
-                }
+            Pt::EJ { pred, .. } => {
                 let (left, right) = (kids[0], kids[1]);
                 let (mut lneeded, mut rneeded) = (BTreeSet::new(), BTreeSet::new());
                 if let (Some(lc), Some(rc)) = (self.cols(left), self.cols(right)) {

@@ -663,7 +663,6 @@ fn phys_bad_rescan_is_reported() {
         pred: Expr::True,
         rescan_inner: true,
         mat_types: Vec::new(),
-        require_index: None,
         left: Box::new(phys_scan(&cat, &db, 2, "b")),
         right: Box::new(phys_scan(&cat, &db, 3, "c")),
         cols: vec!["b".into(), "c".into()],
@@ -673,7 +672,6 @@ fn phys_bad_rescan_is_reported() {
         pred: Expr::True,
         rescan_inner: true,
         mat_types: Vec::new(),
-        require_index: None,
         left: Box::new(phys_scan(&cat, &db, 4, "a")),
         right: Box::new(inner),
         cols: vec!["a".into(), "b".into(), "c".into()],

@@ -21,12 +21,11 @@ pub use analysis::propagated_columns;
 pub use error::PtError;
 pub use fingerprint::Fnv64;
 pub use node::{
-    subtrees, type_of_column_expr, AccessMethod, IjStep, JoinAlgo, Preorder, Pt, PtDisplay, PtEnv,
+    subtrees, type_of_column_expr, AccessMethod, IjStep, Preorder, Pt, PtDisplay, PtEnv,
 };
 pub use phys::{
-    applicable_join_indexes, applicable_sel_index, fix_recursive_nodes, lit_value, lower,
-    lower_with, node_ids, node_op, replayed, rescannable, IndexProbe, NodeOp, OpKind, OpMeta,
-    ParallelSpec, PhysOp, PhysPlan,
+    applicable_sel_index, fix_recursive_nodes, lit_value, lower, lower_with, node_ids, node_op,
+    replayed, rescannable, IndexProbe, NodeOp, OpKind, OpMeta, ParallelSpec, PhysOp, PhysPlan,
 };
 pub use resolved::{resolve, resolve_each, Cols, Node};
 

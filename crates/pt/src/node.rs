@@ -34,15 +34,6 @@ pub enum AccessMethod {
     Index(IndexId),
 }
 
-/// Join algorithm of an explicit join.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum JoinAlgo {
-    /// Nested-loop join.
-    NestedLoop,
-    /// Index join: probe a selection index on the inner operand.
-    IndexJoin(IndexId),
-}
-
 /// The attribute (or relation/temporary field) an implicit join
 /// traverses. Class attributes carry their `(class, attr)` ids so the
 /// cost model can consult fan-out and clustering statistics; oid-valued
@@ -197,12 +188,10 @@ pub enum Pt {
         /// touches only index pages).
         targets: Vec<Pt>,
     },
-    /// Explicit join.
+    /// Explicit (nested-loop) join.
     EJ {
         /// Join predicate.
         pred: Expr,
-        /// Algorithm.
-        algo: JoinAlgo,
         /// Outer operand.
         left: Box<Pt>,
         /// Inner operand.
@@ -264,7 +253,6 @@ impl Pt {
     pub fn ej(pred: Expr, left: Pt, right: Pt) -> Pt {
         Pt::EJ {
             pred,
-            algo: JoinAlgo::NestedLoop,
             left: Box::new(left),
             right: Box::new(right),
         }
@@ -369,15 +357,13 @@ impl Pt {
                     t.hash_into(h);
                 }
             }
-            Pt::EJ {
-                pred,
-                algo,
-                left,
-                right,
-            } => {
+            Pt::EJ { pred, left, right } => {
                 h.write_tag(6);
                 h.write_debug(pred);
-                h.write_debug(algo);
+                // The bytes the join-algorithm field hashed when an `EJ`
+                // could also be an index join: every fingerprint pinned
+                // before that variant was deleted stays valid.
+                h.write_str("NestedLoop");
                 left.hash_into(h);
                 right.hash_into(h);
             }
@@ -726,16 +712,8 @@ fn write_pt(pt: &Pt, env: &PtEnv<'_>, f: &mut fmt::Formatter<'_>) -> fmt::Result
             }
             write!(f, ")")
         }
-        Pt::EJ {
-            pred,
-            algo,
-            left,
-            right,
-        } => {
-            match algo {
-                JoinAlgo::NestedLoop => write!(f, "EJ_{{{pred}}}(")?,
-                JoinAlgo::IndexJoin(_) => write!(f, "EJ^idx_{{{pred}}}(")?,
-            }
+        Pt::EJ { pred, left, right } => {
+            write!(f, "EJ_{{{pred}}}(")?;
             write_pt(left, env, f)?;
             write!(f, ", ")?;
             write_pt(right, env, f)?;

@@ -2,8 +2,7 @@
 //!
 //! [`lower`] compiles a verified [`Pt`] into a [`PhysPlan`] — a tree of
 //! physical operators with *resolved* access methods (the `attr = lit`
-//! key of an index selection, the outer expression of an index join),
-//! *resolved* column layouts (every operator knows its output columns
+//! key of an index selection), *resolved* column layouts (every operator knows its output columns
 //! statically), and explicit pipeline-breaker placement (the semi-naive
 //! fixpoint accumulator/delta and the materialize-once inner of a
 //! nested-loop join over a non-rescannable subtree).
@@ -28,7 +27,7 @@ use oorq_schema::{Catalog, ClassId, ResolvedType};
 use oorq_storage::{EntityId, EntitySource, IndexId, IndexKindDesc, PhysicalSchema, Value};
 
 use crate::error::PtError;
-use crate::node::{AccessMethod, IjStep, JoinAlgo, Pt, PtEnv};
+use crate::node::{AccessMethod, IjStep, Pt, PtEnv};
 use crate::resolved::{resolve, Node};
 
 /// Identity of a physical operator within its plan.
@@ -168,34 +167,10 @@ pub enum PhysOp {
         /// lowering so the executor can back the breaker with a
         /// page-store temporary (empty when `rescan_inner`).
         mat_types: Vec<ResolvedType>,
-        /// See [`PhysOp::Filter::require_index`]: set when an index join
-        /// degraded to a nested loop at lowering.
-        require_index: Option<IndexId>,
         /// Outer operand.
         left: Box<PhysOp>,
         /// Inner operand.
         right: Box<PhysOp>,
-        /// Output columns.
-        cols: Vec<String>,
-    },
-    /// Index join: per outer row, evaluate the resolved outer expression
-    /// and probe the inner's selection index; the inner is never
-    /// scanned.
-    IndexJoin {
-        /// Operator identity.
-        meta: OpMeta,
-        /// The selection index probed.
-        index: IndexId,
-        /// Class of the inner entity.
-        class: ClassId,
-        /// The resolved outer key expression (over outer columns).
-        outer: Expr,
-        /// Binding variable of the inner entity.
-        var: String,
-        /// The full join predicate (residual filter).
-        pred: Expr,
-        /// Outer operand.
-        left: Box<PhysOp>,
         /// Output columns.
         cols: Vec<String>,
     },
@@ -249,7 +224,6 @@ impl PhysOp {
             | PhysOp::IjDeref { meta, .. }
             | PhysOp::PijLookup { meta, .. }
             | PhysOp::NlJoin { meta, .. }
-            | PhysOp::IndexJoin { meta, .. }
             | PhysOp::UnionAll { meta, .. }
             | PhysOp::FixPoint { meta, .. } => meta,
         }
@@ -266,7 +240,6 @@ impl PhysOp {
             | PhysOp::IjDeref { cols, .. }
             | PhysOp::PijLookup { cols, .. }
             | PhysOp::NlJoin { cols, .. }
-            | PhysOp::IndexJoin { cols, .. }
             | PhysOp::UnionAll { cols, .. }
             | PhysOp::FixPoint { cols, .. } => cols,
         }
@@ -282,7 +255,6 @@ impl PhysOp {
             | PhysOp::Project { input, .. }
             | PhysOp::IjDeref { input, .. }
             | PhysOp::PijLookup { input, .. } => vec![input],
-            PhysOp::IndexJoin { left, .. } => vec![left],
             PhysOp::NlJoin { left, right, .. } | PhysOp::UnionAll { left, right, .. } => {
                 vec![left, right]
             }
@@ -468,7 +440,6 @@ impl Lowering<'_, '_> {
             &NodeOp::NlJoin {
                 pred,
                 rescan_inner,
-                require_index,
                 left,
                 right,
             } => {
@@ -486,24 +457,8 @@ impl Lowering<'_, '_> {
                     pred: pred.clone(),
                     rescan_inner,
                     mat_types,
-                    require_index,
                     left: Box::new(l),
                     right: Box::new(r),
-                    cols,
-                }
-            }
-            NodeOp::IndexJoin {
-                pred, probe, left, ..
-            } => {
-                let l = self.lower(*left)?;
-                PhysOp::IndexJoin {
-                    meta: self.meta(id, label),
-                    index: probe.index,
-                    class: probe.class,
-                    outer: probe.key.clone(),
-                    var: probe.var.to_string(),
-                    pred: (*pred).clone(),
-                    left: Box::new(l),
                     cols,
                 }
             }
@@ -557,8 +512,6 @@ pub enum OpKind {
     Pij,
     /// Explicit nested-loop join.
     Ej,
-    /// Explicit join through an index.
-    EjIdx,
     /// Union of two legs.
     Union,
     /// Semi-naive fixpoint.
@@ -577,7 +530,6 @@ impl OpKind {
             OpKind::Ij => "IJ",
             OpKind::Pij => "PIJ",
             OpKind::Ej => "EJ",
-            OpKind::EjIdx => "EJ^idx",
             OpKind::Union => "Union",
             OpKind::Fix => "Fix",
         }
@@ -625,7 +577,7 @@ pub enum NodeOp<'p, C = &'p Pt> {
         /// The full predicate.
         pred: &'p Expr,
         /// The resolved probe.
-        probe: IndexProbe<'p, Literal>,
+        probe: IndexProbe<'p>,
         /// The class-extension leaf the probe replaces (absorbed).
         leaf: C,
     },
@@ -669,24 +621,10 @@ pub enum NodeOp<'p, C = &'p Pt> {
         /// Whether the inner is re-opened per outer row
         /// ([`rescannable`]) or materialized once.
         rescan_inner: bool,
-        /// See [`NodeOp::Filter::require_index`]: an index join that
-        /// degraded to a nested loop.
-        require_index: Option<IndexId>,
         /// Outer operand.
         left: C,
         /// Inner operand.
         right: C,
-    },
-    /// Index join: probe the inner's selection index per outer row.
-    IndexJoin {
-        /// The full join predicate.
-        pred: &'p Expr,
-        /// The resolved probe (its key is the outer expression).
-        probe: IndexProbe<'p, Expr>,
-        /// Outer operand.
-        left: C,
-        /// The class-extension leaf the probe replaces (absorbed).
-        inner: C,
     },
     /// Bag union.
     UnionAll {
@@ -721,7 +659,6 @@ impl<C: Copy> NodeOp<'_, C> {
             NodeOp::IjDeref { .. } => OpKind::Ij,
             NodeOp::PijLookup { .. } => OpKind::Pij,
             NodeOp::NlJoin { .. } => OpKind::Ej,
-            NodeOp::IndexJoin { .. } => OpKind::EjIdx,
             NodeOp::UnionAll { .. } => OpKind::Union,
             NodeOp::FixPoint { .. } => OpKind::Fix,
         }
@@ -742,7 +679,6 @@ impl<C: Copy> NodeOp<'_, C> {
                 None => "PIJ".to_string(),
             },
             NodeOp::NlJoin { pred, .. } => format!("EJ[{pred}]"),
-            NodeOp::IndexJoin { pred, .. } => format!("EJ^idx[{pred}]"),
             NodeOp::UnionAll { .. } => "Union".to_string(),
             NodeOp::FixPoint { temp, .. } => format!("Fix({temp})"),
         }
@@ -750,11 +686,10 @@ impl<C: Copy> NodeOp<'_, C> {
 }
 
 /// Resolve what a PT node executes as. Access methods are resolved
-/// here, including their fallbacks: an index selection without a usable
-/// `var.attr = literal` conjunct or over a non-class input is a filter,
-/// an index join without a usable equality conjunct is a nested loop —
-/// in both cases remembering the named index so the runtime still
-/// demands the built structure.
+/// here, including their fallback: an index selection without a usable
+/// `var.attr = literal` conjunct or over a non-class input is a filter
+/// that remembers the named index, so the runtime still demands the
+/// built structure.
 pub fn node_op<'p>(
     catalog: &'p Catalog,
     physical: &'p PhysicalSchema,
@@ -821,29 +756,12 @@ pub(crate) fn node_op_at<'p, C>(
             input: at(&[0]),
             targets: (1..=targets.len()).map(|i| at(&[i])).collect(),
         },
-        Pt::EJ {
-            pred, algo, right, ..
-        } => {
-            let named = match algo {
-                JoinAlgo::NestedLoop => None,
-                JoinAlgo::IndexJoin(idx) => Some(*idx),
-            };
-            match named.and_then(|idx| resolve_index_join(catalog, physical, idx, pred, right)) {
-                Some(probe) => NodeOp::IndexJoin {
-                    pred,
-                    probe,
-                    left: at(&[0]),
-                    inner: at(&[1]),
-                },
-                None => NodeOp::NlJoin {
-                    pred,
-                    rescan_inner: rescannable(catalog, physical, right),
-                    require_index: named,
-                    left: at(&[0]),
-                    right: at(&[1]),
-                },
-            }
-        }
+        Pt::EJ { pred, right, .. } => NodeOp::NlJoin {
+            pred,
+            rescan_inner: rescannable(catalog, physical, right),
+            left: at(&[0]),
+            right: at(&[1]),
+        },
         Pt::Union { .. } => NodeOp::UnionAll {
             left: at(&[0]),
             right: at(&[1]),
@@ -924,8 +842,7 @@ pub fn replayed(plan: &[Node<'_>]) -> Vec<bool> {
             NodeOp::Filter { input, .. }
             | NodeOp::Project { input, .. }
             | NodeOp::IjDeref { input, .. }
-            | NodeOp::PijLookup { input, .. }
-            | NodeOp::IndexJoin { left: input, .. } => vec![(input, in_rec)],
+            | NodeOp::PijLookup { input, .. } => vec![(input, in_rec)],
             NodeOp::UnionAll { left, right } => vec![(left, in_rec), (right, in_rec)],
             NodeOp::NlJoin { left, right, .. } => {
                 if in_rec && !reads_temp(right) {
@@ -950,7 +867,7 @@ pub fn replayed(plan: &[Node<'_>]) -> Vec<bool> {
 /// A selection-index probe resolved against the physical schema: the
 /// one answer to "can this predicate use this index".
 #[derive(Debug, Clone, PartialEq)]
-pub struct IndexProbe<'p, K> {
+pub struct IndexProbe<'p> {
     /// The selection index probed.
     pub index: IndexId,
     /// The probed class-extension entity.
@@ -963,9 +880,8 @@ pub struct IndexProbe<'p, K> {
     pub attr: &'p str,
     /// Height of the index's B+-tree.
     pub nblevels: u32,
-    /// What is looked up: the literal of an index selection, the outer
-    /// expression of an index join.
-    pub key: &'p K,
+    /// The literal looked up.
+    pub key: &'p Literal,
 }
 
 /// `(entity, var, exact class)` of a bare class-extension leaf, the only
@@ -1019,47 +935,24 @@ fn eq_literal_attrs<'p>(
     })
 }
 
-/// `(attr, outer)` of every `outer = var.attr` (or mirrored) conjunct
-/// whose outer side does not mention `var`, in conjunct order.
-fn eq_outer_attrs<'p>(pred: &'p Expr, var: &'p str) -> impl Iterator<Item = (&'p str, &'p Expr)> {
-    pred.conjuncts().into_iter().filter_map(move |c| {
-        let Expr::Cmp {
-            op: CmpOp::Eq,
-            lhs,
-            rhs,
-        } = c
-        else {
-            return None;
-        };
-        [(rhs, lhs), (lhs, rhs)]
-            .into_iter()
-            .find_map(|(inner, outer)| match inner.as_ref() {
-                Expr::Path { base, steps }
-                    if base == var && steps.len() == 1 && !outer.vars().contains(var) =>
-                {
-                    Some((steps[0].as_str(), outer.as_ref()))
-                }
-                _ => None,
-            })
-    })
-}
-
-/// Resolve `idx` as the probe of a `Sel` or `EJ` over `leaf`: it must be
-/// a selection index and `leaf` a class-extension entity; `key` then
-/// finds what the predicate looks up under the indexed attribute.
-fn resolve_probe<'p, K>(
+/// Whether `Sel_pred^idx(input)` executes as an index probe: `idx` must
+/// be a selection index, `input` a class-extension entity, and the
+/// predicate must carry a `var.attr = literal` conjunct on the indexed
+/// attribute.
+fn resolve_index_select<'p>(
     catalog: &'p Catalog,
     physical: &'p PhysicalSchema,
     idx: IndexId,
-    leaf: &'p Pt,
-    key: impl FnOnce(&'p str, &'p str) -> Option<&'p K>,
-) -> Option<IndexProbe<'p, K>> {
+    pred: &'p Expr,
+    input: &'p Pt,
+) -> Option<IndexProbe<'p>> {
     let desc = physical.indexes().get(idx.0 as usize)?;
     let IndexKindDesc::Selection { class, attr } = desc.kind else {
         return None;
     };
-    let (entity, var, entity_class) = class_leaf(physical, leaf)?;
+    let (entity, var, entity_class) = class_leaf(physical, input)?;
     let attr = catalog.attribute(class, attr).name.as_str();
+    let key = eq_literal_attrs(pred, var).find(|(a, _)| *a == attr)?.1;
     Some(IndexProbe {
         index: idx,
         entity,
@@ -1067,55 +960,7 @@ fn resolve_probe<'p, K>(
         var,
         attr,
         nblevels: desc.stats.nblevels,
-        key: key(var, attr)?,
-    })
-}
-
-/// Whether `Sel_pred^idx(input)` executes as an index probe: the
-/// predicate must carry a `var.attr = literal` conjunct on the indexed
-/// attribute of a class-extension `input`.
-fn resolve_index_select<'p>(
-    catalog: &'p Catalog,
-    physical: &'p PhysicalSchema,
-    idx: IndexId,
-    pred: &'p Expr,
-    input: &'p Pt,
-) -> Option<IndexProbe<'p, Literal>> {
-    resolve_probe(catalog, physical, idx, input, |var, attr| {
-        eq_literal_attrs(pred, var)
-            .find(|(a, _)| *a == attr)
-            .map(|(_, l)| l)
-    })
-}
-
-/// Whether `EJ_pred^idx(_, right)` executes as an index join: the
-/// predicate must carry an `outer = var.attr` conjunct on the indexed
-/// attribute of a class-extension `right`, with `outer` free of `var`.
-fn resolve_index_join<'p>(
-    catalog: &'p Catalog,
-    physical: &'p PhysicalSchema,
-    idx: IndexId,
-    pred: &'p Expr,
-    right: &'p Pt,
-) -> Option<IndexProbe<'p, Expr>> {
-    resolve_probe(catalog, physical, idx, right, |var, attr| {
-        eq_outer_attrs(pred, var)
-            .find(|(a, _)| *a == attr)
-            .map(|(_, outer)| outer)
-    })
-}
-
-/// Selection indexes on `class` over the given attribute names, in
-/// order.
-fn indexes_on<'a>(
-    catalog: &'a Catalog,
-    physical: &'a PhysicalSchema,
-    class: ClassId,
-    attrs: impl Iterator<Item = &'a str> + 'a,
-) -> impl Iterator<Item = IndexId> + 'a {
-    attrs.filter_map(move |a| {
-        let (aid, _) = catalog.attr(class, a)?;
-        physical.selection_index(class, aid).map(|d| d.id)
+        key,
     })
 }
 
@@ -1129,25 +974,10 @@ pub fn applicable_sel_index(
     input: &Pt,
 ) -> Option<IndexId> {
     let (_, var, class) = class_leaf(physical, input)?;
-    let attrs = eq_literal_attrs(pred, var).map(|(a, _)| a);
-    indexes_on(catalog, physical, class, attrs).next()
-}
-
-/// Every selection index a nested-loop `EJ_pred(_, right)` could probe
-/// instead, in conjunct order ([`node_op`] resolves each to an
-/// [`NodeOp::IndexJoin`]).
-pub fn applicable_join_indexes<'a>(
-    catalog: &'a Catalog,
-    physical: &'a PhysicalSchema,
-    pred: &'a Expr,
-    right: &'a Pt,
-) -> impl Iterator<Item = IndexId> + 'a {
-    class_leaf(physical, right)
-        .into_iter()
-        .flat_map(move |(_, var, class)| {
-            let attrs = eq_outer_attrs(pred, var).map(|(a, _)| a);
-            indexes_on(catalog, physical, class, attrs)
-        })
+    eq_literal_attrs(pred, var).find_map(|(a, _)| {
+        let (aid, _) = catalog.attr(class, a)?;
+        physical.selection_index(class, aid).map(|d| d.id)
+    })
 }
 
 /// Permutation aligning `from` columns onto the `to` order; `None` when

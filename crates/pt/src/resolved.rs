@@ -233,10 +233,9 @@ impl<'e, 'p> Walk<'e, 'p> {
                 cols.extend(outs.iter().cloned().zip(bound));
                 cols
             }
-            NodeOp::NlJoin { left, right, .. }
-            | NodeOp::IndexJoin {
-                left, inner: right, ..
-            } => [self.cols(*left).as_slice(), self.cols(*right)].concat(),
+            NodeOp::NlJoin { left, right, .. } => {
+                [self.cols(*left).as_slice(), self.cols(*right)].concat()
+            }
         })
     }
 }

@@ -169,7 +169,7 @@ fn name_index(cat: &Catalog, db: &mut Database) -> oorq_storage::IndexId {
     )
 }
 
-/// One row per `Pt` kind (both access-method fallbacks included): the
+/// One row per `Pt` kind (the access-method fallback included): the
 /// operator `node_op` resolves, its label, and which children it
 /// absorbs — checked against what lowering actually builds.
 #[test]
@@ -200,17 +200,10 @@ fn node_op_resolves_every_pt_kind() {
     let is_bach = Expr::path("x", &["name"]).eq(Expr::text("Bach"));
     let not_bach = Expr::path("x", &["name"]).ne(Expr::text("Bach"));
     let same_name = Expr::path("l", &["name"]).eq(Expr::path("x", &["name"]));
-    let older = Expr::path("l", &["birth_year"]).ge(Expr::path("x", &["birth_year"]));
     let sel_idx = |pred: &Expr| Pt::Sel {
         pred: pred.clone(),
         method: AccessMethod::Index(sid),
         input: Box::new(scan("x")),
-    };
-    let ej_idx = |pred: &Expr| Pt::EJ {
-        pred: pred.clone(),
-        algo: JoinAlgo::IndexJoin(sid),
-        left: Box::new(scan("l")),
-        right: Box::new(scan("x")),
     };
     let pairs = |input: Pt| {
         Pt::proj(
@@ -274,20 +267,6 @@ fn node_op_resolves_every_pt_kind() {
         (ij, OpKind::Ij, "IJ_master", 1, None),
         (pij, OpKind::Pij, "PIJ_works", 1, None),
         (nl, OpKind::Ej, "EJ[l.name=x.name]", 0, None),
-        (
-            ej_idx(&same_name),
-            OpKind::EjIdx,
-            "EJ^idx[l.name=x.name]",
-            1,
-            None,
-        ),
-        (
-            ej_idx(&older),
-            OpKind::Ej,
-            "EJ[l.birth_year>=x.birth_year]",
-            0,
-            Some(sid),
-        ),
         (union, OpKind::Union, "Union", 0, None),
         (fix_rec_right, OpKind::Fix, "Fix(R)", 1, None),
         (fix_rec_left, OpKind::Fix, "Fix(R)", 1, None),
@@ -297,9 +276,7 @@ fn node_op_resolves_every_pt_kind() {
         assert_eq!(op.kind(), *kind, "{label}");
         assert_eq!(op.label(&cat, db.physical()), *label);
         let required = match &op {
-            NodeOp::Filter { require_index, .. } | NodeOp::NlJoin { require_index, .. } => {
-                *require_index
-            }
+            NodeOp::Filter { require_index, .. } => *require_index,
             _ => None,
         };
         assert_eq!(required, *unusable, "{label}");
@@ -318,8 +295,7 @@ fn node_op_resolves_every_pt_kind() {
             NodeOp::Filter { input, .. }
             | NodeOp::Project { input, .. }
             | NodeOp::IjDeref { input, .. }
-            | NodeOp::PijLookup { input, .. }
-            | NodeOp::IndexJoin { left: input, .. } => vec![*input],
+            | NodeOp::PijLookup { input, .. } => vec![*input],
             NodeOp::NlJoin { left, right, .. } | NodeOp::UnionAll { left, right } => {
                 vec![*left, *right]
             }
@@ -345,20 +321,8 @@ fn node_op_resolves_every_pt_kind() {
                 assert_eq!(*index, sid);
                 assert_eq!(*key, oorq_query::Literal::Text("Bach".into()));
             }
-            PhysOp::IndexJoin {
-                index, outer, var, ..
-            } => {
-                assert_eq!(*index, sid);
-                assert_eq!(*outer, Expr::path("l", &["name"]));
-                assert_eq!(var, "x");
-            }
             PhysOp::Filter { require_index, .. } => assert_eq!(require_index, unusable),
-            PhysOp::NlJoin {
-                require_index,
-                rescan_inner,
-                ..
-            } => {
-                assert_eq!(require_index, unusable);
+            PhysOp::NlJoin { rescan_inner, .. } => {
                 assert!(*rescan_inner, "entity inner is honestly rescannable");
             }
             _ => {}

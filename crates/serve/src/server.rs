@@ -113,7 +113,8 @@ pub struct Answer {
     pub plan: Option<Arc<PhysPlan>>,
     /// Whether this execution's drift check fired and evicted the plan.
     pub invalidated: bool,
-    /// Wall time of the whole request (lookup + optimize + execute).
+    /// Wall time of the whole request, from entering the session to the
+    /// answer (parse + canonicalize + lookup + optimize + execute).
     pub wall_ns: u64,
 }
 
@@ -357,23 +358,28 @@ impl<'s> Session<'s> {
             }
         }
         let graph = parse_query(self.db.catalog(), src).map_err(ServeError::Parse)?;
-        self.run(&graph, Some(src))
+        self.run(&graph, Some(src), wall0)
     }
 
     /// Execute an already-built query graph.
     pub fn execute(&mut self, graph: &QueryGraph) -> Result<Answer, ServeError> {
-        self.run(graph, None)
+        self.run(graph, None, Instant::now())
     }
 
     /// The full request path: cache lookup → (optimize on miss) →
     /// execute on this session's snapshot → drift-check the cached
     /// prediction against the observed counters. `src`, the source text
-    /// `graph` was parsed from, is remembered with its key.
-    fn run(&mut self, graph: &QueryGraph, src: Option<&str>) -> Result<Answer, ServeError> {
+    /// `graph` was parsed from, is remembered with its key; `wall0` is
+    /// when the request entered the session.
+    fn run(
+        &mut self,
+        graph: &QueryGraph,
+        src: Option<&str>,
+        wall0: Instant,
+    ) -> Result<Answer, ServeError> {
         let series = &self.server.series;
         let text = canonical_text(graph);
         let key = query_key(&text);
-        let wall0 = Instant::now();
 
         // Plan: shared cache first, optimizer on miss. The optimizer
         // runs outside the cache lock — two sessions missing the same

@@ -13,7 +13,7 @@ use oorq::cost::{CostParams, NodeCost, OpKind};
 use oorq::datagen::{ChainConfig, MusicConfig, PartsConfig};
 use oorq::exec::{eval_query_graph, Executor};
 use oorq::optimizer::OptimizerConfig;
-use oorq::pt::{AccessMethod, JoinAlgo, Pt};
+use oorq::pt::{AccessMethod, Pt};
 use oorq::query::{Expr, NameRef, QArc, QueryGraph, SpjNode};
 use oorq::storage::IndexKindDesc;
 use oorq_bench::scenarios::{env_budget, for_each_row, TempFields};
@@ -361,9 +361,9 @@ fn assert_one_operator_per_node(label: &str, s: &mut Scenario, pt: &Pt, temps: T
 }
 
 /// Predicted, bounded and executed operator are the same operator: on
-/// every corpus row, and on the two hand-built plans whose index
-/// annotation the predicate cannot use (they run as `Filter` / `NlJoin`
-/// and must be priced and bounded as such, not as probes).
+/// every corpus row, and on a hand-built plan whose index annotation the
+/// predicate cannot use (it runs as a `Filter` and must be priced and
+/// bounded as such, not as a probe).
 #[test]
 fn predicted_bounded_and_executed_operators_agree() {
     let mut rows = 0;
@@ -398,13 +398,5 @@ fn predicted_bounded_and_executed_operators_agree() {
         method: AccessMethod::Index(by_name),
         input: Box::new(Pt::entity(e, "x")),
     };
-    let ej = Pt::EJ {
-        pred: Expr::path("l", &["birth_year"]).ge(Expr::path("x", &["birth_year"])),
-        algo: JoinAlgo::IndexJoin(by_name),
-        left: Box::new(Pt::entity(e, "l")),
-        right: Box::new(Pt::entity(e, "x")),
-    };
-    for (label, pt) in [("fallback/sel", sel), ("fallback/ej", ej)] {
-        assert_one_operator_per_node(label, &mut s, &pt, TempFields::new());
-    }
+    assert_one_operator_per_node("fallback/sel", &mut s, &sel, TempFields::new());
 }

@@ -2,7 +2,8 @@
 //! copy-on-write snapshots must return answers byte-identical to a
 //! single-session replay, the plan cache must show the warm/cold
 //! counter pattern, and stale statistics must trip the CX drift lints
-//! into eviction + recalibration. A recursive text the semi-naive `Fix`
+//! into eviction + recalibration. A join on composer names answers as
+//! the reference evaluator does, cold and warm. A recursive text the semi-naive `Fix`
 //! cannot answer is refused by the graph lint in every build, and one it
 //! can matches the reference evaluator. The whole suite honours
 //! `OORQ_MEMORY_BUDGET` (CI re-runs it under a low budget to prove
@@ -141,6 +142,34 @@ fn warm_cold_pattern_over_the_music_corpus() {
     assert_eq!(cold.plan_fingerprint, warm.plan_fingerprint);
     assert_eq!(rendered(&cold.batch.rows), rendered(&warm.batch.rows));
     assert_eq!(server.cached_plans(), 1);
+}
+
+/// Two composers joined on their names: the one join of the music corpus
+/// whose inner attribute the physical design indexes. An explicit join
+/// is a nested loop; cold and warm, it answers as the reference does.
+const SAME_NAME: &str = "select [a: x.name, b: y.birth_year] from x in Composer, y in Composer
+  where x.name = y.name and y.birth_year >= 1700";
+
+#[test]
+fn a_join_on_composer_names_matches_the_reference() {
+    let s = Scenario::music(MusicConfig {
+        chains: 6,
+        chain_len: 8,
+        ..MusicConfig::default()
+    });
+    let q = parse_query(s.db.catalog(), SAME_NAME).unwrap();
+    let mut want = eval_query_graph(&s.db, &s.methods, &q).unwrap().rows;
+    want.sort();
+    assert!(!want.is_empty(), "some composer is born from 1700 on");
+    let server = Server::new(s.db, s.idx, s.methods, config());
+    let mut session = server.session();
+    for outcome in [CacheOutcome::Miss, CacheOutcome::Hit] {
+        let answer = session.execute_text(SAME_NAME).unwrap();
+        assert_eq!(answer.cache, outcome);
+        let mut got = answer.batch.rows;
+        got.sort();
+        assert_eq!(rendered(&got), rendered(&want), "{outcome:?}");
+    }
 }
 
 #[test]
