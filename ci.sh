@@ -35,10 +35,10 @@ if grep -nF -e 'output_columns(' -e "rsplit('.')" $(nontest crates/lint/src); th
     exit 1
 fi
 
-echo "== what no workload runs stays deleted (a thread or an Exchange/Merge operator in the engine; FragmentSpec, ClassLayout or decompose_vertical/decompose_horizontal; IndexJoin, EjIdx, applicable_join_indexes or EJ^idx in non-test src, crates/*/src or examples fails) =="
+echo "== what no workload runs stays deleted (a thread or an Exchange/Merge operator in the engine; FragmentSpec, ClassLayout or decompose_vertical/decompose_horizontal; IndexJoin, EjIdx, applicable_join_indexes or EJ^idx, or require_index, in non-test src, crates/*/src or examples fails) =="
 if grep -nE 'thread::(scope|spawn)' $(nontest crates/exec/src) ||
     grep -nwE 'Exchange|Merge' $(nontest crates/pt/src crates/exec/src); then
-    echo "intra-query parallelism was removed because no workload ran it (DESIGN §12): bring it back" \
+    echo "intra-query parallelism was removed because no workload ran it (CHANGES.md, PR 28): bring it back" \
         "only with a BENCHMARK.json workload that runs it and a number it improves" >&2
     exit 1
 fi
@@ -52,6 +52,11 @@ if grep -nwE 'IndexJoin|EjIdx|applicable_join_indexes' $(nontest src crates/*/sr
     echo "the index-nested-loop join was removed because no figure, workload or corpus plan chose it:" \
         "an explicit join is Figure 5's nested loop (DESIGN §7); join-algorithm choice comes back with" \
         "ROADMAP item 10, together with a BENCHMARK.json workload that runs it" >&2
+    exit 1
+fi
+if grep -nw 'require_index' $(nontest src crates/*/src examples); then
+    echo "a Sel^idx is a probe or a PT005 refusal (DESIGN §7): the filter that still demanded its index" \
+        "was removed because only hand-built and fuzzed plans reached it" >&2
     exit 1
 fi
 

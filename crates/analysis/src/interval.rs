@@ -6,7 +6,8 @@
 //!
 //! Invariants (enforced by `Interval::make`):
 //! - `0.0 <= lo < ∞` (a lower bound of `∞` is meaningless for counters
-//!   and collapses to `0`, mirroring the cost model's CM001 clamp);
+//!   and collapses to `0`, mirroring the cost model's cardinality
+//!   clamp);
 //! - `0.0 <= hi <= ∞` (NaN — unknown — widens to `∞`);
 //! - `lo <= hi` (a violation downstream is reported as AB007, see
 //!   [`crate::check`]).
@@ -199,7 +200,7 @@ mod tests {
     }
 
     /// The endpoint guards are the *same* functions the cost model's
-    /// CM002/CM003 clamps use (`oorq_cost::guard_lo`/`guard_hi`), so
+    /// clamps use (`oorq_cost::guard_lo`/`guard_hi`), so
     /// the point estimator and the interval domain agree on what
     /// degenerate inputs mean.
     #[test]

@@ -23,5 +23,5 @@ pub mod interval;
 
 pub use bounds::{Analysis, Analyzer, AnalyzerConfig, FeatBounds, NodeBounds};
 pub use check::{check_observed, ObservedFix, ObservedOp};
-pub use dominance::{equivalent_local_change, proven_worse};
+pub use dominance::{equivalent_toggle, proven_worse};
 pub use interval::Interval;

@@ -22,7 +22,7 @@ use std::fmt::Write as _;
 
 use oorq_analysis::check_observed;
 use oorq_prng::Prng;
-use oorq_pt::{subtrees, AccessMethod, Pt};
+use oorq_pt::{applicable_sel_index, subtrees, AccessMethod, Pt};
 use oorq_query::{Expr, Literal};
 use oorq_storage::IndexId;
 
@@ -75,7 +75,7 @@ pub fn for_each_mutant(
         // also stay inside its bounds.
         let mut mutant = pt.clone();
         let (path, node) = &subtrees(pt)[target];
-        if let Some(m) = mutate_here(node, kind, &mut rng, &index_ids) {
+        if let Some(m) = mutate_here(&s, node, kind, &mut rng, &index_ids) {
             mutant.replace_at(path, m).expect("path of an own subtree");
         }
         let mutant = Mutant {
@@ -145,9 +145,17 @@ pub(crate) fn fuzz_report(args: &Args) -> Result<String, String> {
 }
 
 /// The mutation menu; `None` when the kind does not apply to this node.
-fn mutate_here(pt: &Pt, kind: u32, rng: &mut Prng, index_ids: &[IndexId]) -> Option<Pt> {
+fn mutate_here(
+    s: &Scenario,
+    pt: &Pt,
+    kind: u32,
+    rng: &mut Prng,
+    index_ids: &[IndexId],
+) -> Option<Pt> {
     match (kind, pt) {
-        // Toggle a selection's access method.
+        // Toggle a selection's access method: to the index the predicate
+        // can probe where there is one (a probe the executor runs), else
+        // to a random index (which the verifier refuses).
         (
             0,
             Pt::Sel {
@@ -156,11 +164,15 @@ fn mutate_here(pt: &Pt, kind: u32, rng: &mut Prng, index_ids: &[IndexId]) -> Opt
                 input,
             },
         ) => {
+            let (catalog, physical) = (s.db.catalog(), s.db.physical());
             let method = match method {
-                AccessMethod::Scan if !index_ids.is_empty() => {
-                    AccessMethod::Index(index_ids[rng.index(index_ids.len())])
-                }
-                AccessMethod::Scan => return None,
+                AccessMethod::Scan => match applicable_sel_index(catalog, physical, pred, input) {
+                    Some(idx) => AccessMethod::Index(idx),
+                    None if !index_ids.is_empty() => {
+                        AccessMethod::Index(index_ids[rng.index(index_ids.len())])
+                    }
+                    None => return None,
+                },
                 AccessMethod::Index(_) => AccessMethod::Scan,
             };
             Some(Pt::Sel {

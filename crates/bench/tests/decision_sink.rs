@@ -17,7 +17,7 @@ use std::fmt::Write;
 use oorq_bench::scenarios::Scenario;
 use oorq_bench::tracing::{trace_case, TRACE_SCENARIOS};
 use oorq_bench::Knobs;
-use oorq_core::{rand_optimize_with, Decisions, OptTrace, OptimizerConfig, RandConfig};
+use oorq_core::{rand_optimize_with, Decisions, Move, OptTrace, OptimizerConfig, RandConfig};
 use oorq_cost::{CostModel, CostParams};
 use oorq_datagen::MusicConfig;
 use oorq_obs::{FieldValue, MetricsRegistry, Recorder};
@@ -86,18 +86,24 @@ fn verifier_rejected_move(s: &Scenario, q: &QueryGraph) -> String {
     let model: CostModel<'_> = s.model(CostParams::default(), temps);
     let broken = |_: &CostModel<'_>, pt: &Pt| {
         let pred = Expr::var("no_such_column").eq(Expr::int(1));
-        vec![Pt::sel(pred, pt.clone())]
+        let plan = Pt::sel(pred, pt.clone());
+        vec![Move { plan, node: 0 }]
     };
     let config = RandConfig {
-        moves_per_walk: 5,
-        restarts: 1,
+        moves: 5,
         ..Default::default()
     };
     let (obs, registry) = (Recorder::new(), MetricsRegistry::new());
     let mut sink = Decisions::new(obs.clone(), &registry);
     let outcome = rand_optimize_with(&model, plan.pt.clone(), &config, &broken, true, &mut sink);
-    assert_eq!((outcome.violations, &outcome.pt), (1, &plan.pt));
-    render("walk/verifier-rejected-move", &obs, sink.trace(), &registry)
+    assert_eq!(outcome.pt, plan.pt);
+    let rendered = render("walk/verifier-rejected-move", &obs, sink.trace(), &registry);
+    let verifier_rejections = rendered
+        .lines()
+        .filter(|l| l.contains("outcome=\"reject\"") && l.contains("reason=\"verifier rejected"))
+        .count();
+    assert_eq!(verifier_rejections, 1, "{rendered}");
+    rendered
 }
 
 #[test]

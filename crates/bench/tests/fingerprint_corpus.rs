@@ -13,10 +13,10 @@
 
 use std::collections::{HashMap, HashSet};
 
-use oorq_analysis::{equivalent_local_change, proven_worse, Analyzer};
+use oorq_analysis::{equivalent_toggle, proven_worse, Analyzer};
 use oorq_bench::scenarios::{for_each_row, Scenario, TempFields};
 use oorq_bench::Knobs;
-use oorq_core::{neighbours, rand_optimize_with, Decisions, OptimizerConfig, RandConfig};
+use oorq_core::{neighbours, rand_optimize_with, Decisions, Move, OptimizerConfig, RandConfig};
 use oorq_cost::{CostModel, CostParams};
 use oorq_prng::Prng;
 use oorq_pt::{fix_recursive_nodes, lower, rescannable, subtrees, PhysOp, Pt, PtEnv};
@@ -61,7 +61,6 @@ fn corpus() -> Vec<(u64, String)> {
 fn pt_helpers_agree_with_lowering_across_the_optimizer_corpus() {
     let mut checked = 0usize;
     for_each_plan(|name, s, pt, temps| {
-        let (catalog, physical) = (s.db.catalog(), s.db.physical());
         // Pre-order, the numbering of `OpMeta::pt_node`.
         let nodes = subtrees(pt);
         let plan = lower(&s.env(temps), pt).unwrap_or_else(|e| panic!("{name}: {e}"));
@@ -71,7 +70,7 @@ fn pt_helpers_agree_with_lowering_across_the_optimizer_corpus() {
             let node = nodes[op.meta().pt_node].1;
             assert_eq!(
                 op.rescannable(),
-                rescannable(catalog, physical, node),
+                rescannable(node),
                 "{name}: {}",
                 op.meta().label
             );
@@ -135,10 +134,12 @@ fn fingerprints_are_injective_across_the_optimizer_corpus() {
     );
 }
 
-/// Seeds × `(moves_per_walk, restarts)` budgets [`WALK_OUTCOMES`] covers,
-/// seed-major.
+/// Seeds × move budgets [`WALK_OUTCOMES`] covers, seed-major. (The
+/// budgets were recorded as walks of 30 moves restarted thrice and of 5
+/// moves: a restart resumed from the incumbent, so they are one walk of
+/// 90 moves and one of 5.)
 const WALK_SEEDS: [u64; 3] = [0xC0FFEE, 1, 2];
-const WALK_BUDGETS: [(usize, usize); 2] = [(30, 3), (5, 1)];
+const WALK_BUDGETS: [usize; 2] = [90, 5];
 
 /// What the unverified walk (`rand_optimize_with` over `neighbours`)
 /// returned for every corpus row, from the row's plan without a
@@ -217,39 +218,32 @@ fn re_examining_walk(model: &CostModel<'_>, start: Pt, config: &RandConfig) -> P
             .ok()
     };
     let total = |pt: &Pt| model.cost(pt).ok().map(|pc| pc.total(&model.params));
-    let Some(mut best_cost) = total(&start) else {
+    let Some(mut current_cost) = total(&start) else {
         return start;
     };
-    let mut best = start;
+    let mut current = start;
     let mut rng = Prng::new(config.seed);
-    for _ in 0..config.restarts.max(1) {
-        let mut current = best.clone();
-        let mut current_cost = best_cost;
-        for _ in 0..config.moves_per_walk {
-            let ns = neighbours(model, &current);
-            if ns.is_empty() {
-                break;
-            }
-            let pick = ns[rng.index(ns.len())].clone();
-            if let Some(div) = equivalent_local_change(&env, &pick, &current) {
-                if let (Some(inc), Some(cand)) = (analyze(&current), analyze(&pick)) {
-                    if proven_worse(&cand, &inc, div).is_some() {
-                        continue;
-                    }
-                }
-            }
-            let Some(c) = total(&pick) else { continue };
-            if c < current_cost {
-                current = pick;
-                current_cost = c;
-                if c < best_cost {
-                    best = current.clone();
-                    best_cost = c;
+    for _ in 0..config.moves {
+        let ns = neighbours(model, &current);
+        if ns.is_empty() {
+            break;
+        }
+        let Move { plan: pick, node } = ns[rng.index(ns.len())].clone();
+        let (moved, was) = (pick.preorder().pt(node), current.preorder().pt(node));
+        if equivalent_toggle(&env, moved, was) {
+            if let (Some(inc), Some(cand)) = (analyze(&current), analyze(&pick)) {
+                if proven_worse(&cand, &inc, node).is_some() {
+                    continue;
                 }
             }
         }
+        let Some(c) = total(&pick) else { continue };
+        if c < current_cost {
+            current = pick;
+            current_cost = c;
+        }
     }
-    best
+    current
 }
 
 #[test]
@@ -270,25 +264,21 @@ fn walk_outcomes_equal_the_re_examining_walks() {
             let runs = WALK_SEEDS
                 .iter()
                 .flat_map(|seed| WALK_BUDGETS.iter().map(move |budget| (*seed, *budget)));
-            for (i, (seed, (moves_per_walk, restarts))) in runs.enumerate() {
-                let rc = RandConfig {
-                    moves_per_walk,
-                    restarts,
-                    seed,
-                };
+            for (i, (seed, moves)) in runs.enumerate() {
+                let rc = RandConfig { moves, seed };
                 let sink = &mut Decisions::default();
                 let pt =
                     rand_optimize_with(&model, start.pt.clone(), &rc, &neighbours, false, sink).pt;
                 assert_eq!(
                     pt.fingerprint(),
                     re_examining_walk(&model, start.pt.clone(), &rc).fingerprint(),
-                    "{name}: seed {seed:#x}, budget {moves_per_walk}x{restarts}"
+                    "{name}: seed {seed:#x}, {moves} moves"
                 );
                 let cost = model.cost(&pt).map_err(|e| format!("{name}: {e}"))?;
                 assert_eq!(
                     (pt.fingerprint(), cost.total(&model.params).to_bits()),
                     outcomes[i % outcomes.len()],
-                    "{name}: seed {seed:#x}, budget {moves_per_walk}x{restarts}"
+                    "{name}: seed {seed:#x}, {moves} moves"
                 );
             }
             Ok::<(), String>(())
@@ -296,4 +286,24 @@ fn walk_outcomes_equal_the_re_examining_walks() {
     )
     .expect("the corpus optimizes");
     assert!(expected.next().is_none(), "a recorded row was not run");
+}
+
+/// The move contract the walk's provable pruning trusts: a move rewrites
+/// only the node it names, so putting the source's subtree back there
+/// gives the source.
+#[test]
+fn every_move_rewrites_only_the_node_it_names() {
+    let mut moves = 0;
+    for_each_plan(|name, s, pt, temps| {
+        let model = s.model(CostParams::default(), temps);
+        for Move { plan, node } in neighbours(&model, pt) {
+            let mut back = plan.clone();
+            let path = subtrees(&plan)[node].0.clone();
+            back.replace_at(&path, pt.preorder().pt(node).clone())
+                .unwrap_or_else(|e| panic!("{name}: node {node}: {e}"));
+            assert_eq!(&back, pt, "{name}: a move at node {node}");
+            moves += 1;
+        }
+    });
+    assert!(moves >= 50, "too few moves: {moves}");
 }

@@ -33,7 +33,7 @@ pub use optimizer::{Optimized, Optimizer, OptimizerConfig};
 pub use rewrite::rewrite;
 pub use trace::{OptTrace, Step, StepTrace, StrategyKind};
 pub use transform::{
-    neighbours, rand_optimize_with, FixInfo, MoveFn, PushStrategy, RandConfig, RandOutcome,
+    neighbours, rand_optimize_with, FixInfo, Move, MoveFn, PushStrategy, RandConfig, RandOutcome,
 };
 pub use translate::{ArcChain, BasePlan, ChainOp};
 

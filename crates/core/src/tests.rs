@@ -608,7 +608,10 @@ fn neighbours_enumerate_join_and_access_moves() {
         ),
         Pt::entity(e, "r"),
     );
-    let ns = neighbours(&model, &plan);
+    let ns: Vec<Pt> = neighbours(&model, &plan)
+        .into_iter()
+        .map(|m| m.plan)
+        .collect();
     // Swap and the Sel scan->index toggle.
     assert!(
         ns.len() >= 2,
@@ -691,18 +694,19 @@ fn neighbours_keep_their_order() {
         &stats,
         CostParams::default(),
     );
-    let got: Vec<u64> = neighbours(&model, &plan)
+    let got: Vec<(u64, usize)> = neighbours(&model, &plan)
         .iter()
-        .map(Pt::fingerprint)
+        .map(|m| (m.plan.fingerprint(), m.node))
         .collect();
     // Swap the outer join; index-select each `Sel`; swap the inner
-    // join; distribute the outer join.
+    // join; distribute the outer join. Pre-order: `Proj` 0, outer `EJ`
+    // 1, `Union` 2, the `Sel`s 3 and 5, inner `EJ` 7.
     let want = [
-        3491937777058935093,
-        8410823513055222181,
-        5688382343708591439,
-        5953477124716096093,
-        13369470883053651101,
+        (3491937777058935093, 1),
+        (8410823513055222181, 3),
+        (5688382343708591439, 5),
+        (5953477124716096093, 7),
+        (13369470883053651101, 1),
     ];
     assert_eq!(got, want);
 }
@@ -725,7 +729,7 @@ fn distribute_join_over_union_preserves_semantics() {
         CostParams::default(),
     );
     // The distribution is the last move.
-    let distributed = neighbours(&model, &plan).pop().unwrap();
+    let distributed = neighbours(&model, &plan).pop().unwrap().plan;
     // The join is now below the union.
     let mut shape_ok = false;
     distributed.visit(&mut |n| {
@@ -783,7 +787,7 @@ fn transformation_moves_preserve_lint_cleanliness_and_columns() {
         for _depth in 0..2 {
             let mut next = Vec::new();
             for pt in &frontier {
-                for n in neighbours(&model, pt) {
+                for Move { plan: n, .. } in neighbours(&model, pt) {
                     let report = oorq_lint::verify_pt(&env, &n);
                     assert!(
                         report.is_clean(),
@@ -802,17 +806,31 @@ fn transformation_moves_preserve_lint_cleanliness_and_columns() {
     }
 }
 
+/// The node a scripted move rewrites: the deepest node of `from` whose
+/// subtree, replaced by `to`'s at the same position, gives `to`.
+fn changed_node(from: &Pt, to: &Pt) -> usize {
+    let theirs = oorq_pt::subtrees(to);
+    let fits = |(path, _): &(Vec<usize>, &Pt)| {
+        theirs.iter().any(|(p, sub)| {
+            let mut back = from.clone();
+            p == path && back.replace_at(path, (*sub).clone()).is_ok() && back == *to
+        })
+    };
+    let ours = oorq_pt::subtrees(from);
+    ours.iter().rposition(fits).expect("the root always fits")
+}
+
 /// The randomized walk under an enabled recorder and registry: its
-/// outcome, the `(fingerprint, outcome)` of every `candidate` event in
-/// order, the `optimizer.candidates.revisited` count and the Figure 6
-/// trace.
+/// outcome, the `(fingerprint, outcome, reason)` of every `candidate`
+/// event in order, the `optimizer.candidates.revisited` count and the
+/// Figure 6 trace.
 fn traced_walk(
     model: &CostModel<'_>,
     start: &Pt,
     config: &RandConfig,
     moves: &MoveFn<'_>,
     verify: bool,
-) -> (RandOutcome, Vec<(u64, String)>, u64, OptTrace) {
+) -> (RandOutcome, Vec<(u64, String, String)>, u64, OptTrace) {
     let obs = oorq_obs::Recorder::new();
     let registry = oorq_obs::MetricsRegistry::new();
     let mut sink = Decisions::new(obs.clone(), &registry);
@@ -826,11 +844,19 @@ fn traced_walk(
         .events_named("candidate")
         .map(|e| {
             let fp = u64::from_str_radix(&text(e, "fingerprint"), 16).expect("hex");
-            (fp, text(e, "outcome"))
+            (fp, text(e, "outcome"), text(e, "reason"))
         })
         .collect();
     let revisited = registry.counter("optimizer.candidates.revisited").get();
     (outcome, events, revisited, sink.trace().clone())
+}
+
+/// The candidates the verifier turned down, as the sink announced them.
+fn verifier_rejections(events: &[(u64, String, String)]) -> usize {
+    let rejected = |(_, outcome, reason): &&(u64, String, String)| {
+        outcome == "reject" && reason.starts_with("verifier rejected")
+    };
+    events.iter().filter(rejected).count()
 }
 
 /// Injecting a broken transformation action into the randomized walk:
@@ -854,20 +880,18 @@ fn broken_transformation_action_is_caught_by_the_verifier() {
     .with_temp("Influencer", m.influencer_fields());
     // A "transformation action" that always produces an ill-typed plan:
     // it filters on a column no input produces.
-    let broken = |_: &CostModel<'_>, pt: &Pt| -> Vec<Pt> {
-        vec![Pt::sel(
-            Expr::var("no_such_column").eq(Expr::int(1)),
-            pt.clone(),
-        )]
+    let broken = |_: &CostModel<'_>, pt: &Pt| -> Vec<Move> {
+        let plan = Pt::sel(Expr::var("no_such_column").eq(Expr::int(1)), pt.clone());
+        vec![Move { plan, node: 0 }]
     };
     let config = RandConfig {
-        moves_per_walk: 5,
-        restarts: 1,
+        moves: 5,
         ..Default::default()
     };
     let (outcome, events, revisited, trace) = traced_walk(&model, &plan.pt, &config, &broken, true);
     assert_eq!(
-        outcome.violations, 1,
+        verifier_rejections(&events),
+        1,
         "the verifier must reject the one broken plan, once"
     );
     assert_eq!(outcome.pt, plan.pt, "no broken move may enter the walk");
@@ -879,7 +903,7 @@ fn broken_transformation_action_is_caught_by_the_verifier() {
         .iter()
         .filter(|s| s.granularity.contains("rejected by the verifier"))
         .collect();
-    assert_eq!(rejected.len(), outcome.violations);
+    assert_eq!(rejected.len(), 1);
     assert!(
         rejected[0].notes.iter().any(|n| n.contains("PT008")),
         "the trace must carry the lint diagnostic: {:?}",
@@ -912,23 +936,28 @@ fn walk_examines_each_plan_once_whatever_the_budget() {
     for w in &two {
         assert!(model.cost(w).unwrap().total(&model.params) > start_cost);
     }
-    let moves = |_: &CostModel<'_>, _: &Pt| two.to_vec();
-    for (moves_per_walk, restarts) in [(30, 3), (5, 1), (2, 4)] {
+    let offer = |_: &CostModel<'_>, _: &Pt| {
+        let at_root = |plan: &Pt| Move {
+            plan: plan.clone(),
+            node: 0,
+        };
+        two.iter().map(at_root).collect()
+    };
+    for moves in [90, 5, 8] {
         let config = RandConfig {
-            moves_per_walk,
-            restarts,
+            moves,
             ..Default::default()
         };
-        let (outcome, events, revisited, _) = traced_walk(model, &start, &config, &moves, true);
-        let mut seen: Vec<u64> = events.iter().map(|(fp, _)| *fp).collect();
+        let (outcome, events, revisited, _) = traced_walk(model, &start, &config, &offer, true);
+        let mut seen: Vec<u64> = events.iter().map(|(fp, ..)| *fp).collect();
         seen.sort_unstable();
         let mut offered = [two[0].fingerprint(), two[1].fingerprint()];
         offered.sort_unstable();
         assert_eq!(seen, offered, "one event per distinct plan: {events:?}");
-        assert!(events.iter().all(|(_, outcome)| outcome == "reject"));
-        assert_eq!(revisited as usize, moves_per_walk * restarts - 2);
+        assert!(events.iter().all(|(_, outcome, _)| outcome == "reject"));
+        assert_eq!(revisited as usize, moves - 2);
         assert_eq!(outcome.pt, start);
-        assert_eq!(outcome.violations, 0);
+        assert_eq!(verifier_rejections(&events), 0);
         let cost = outcome.cost.expect("the start is costable");
         assert_eq!(cost.total(&model.params).to_bits(), start_cost.to_bits());
     }
@@ -959,22 +988,29 @@ fn proven_prunes_are_per_incumbent_and_cost_rejections_are_for_good() {
     let start = opt.optimize(&q).unwrap().pt;
     let model = &opt.model;
 
-    // A scripted move generator: the i-th call offers `script[i]` alone.
+    // A scripted move generator: the i-th call offers `script[i]` alone,
+    // as a move at the node it rewrites in the current plan.
     let walk = |script: &[&Pt]| {
         let calls = std::cell::Cell::new(0);
-        let moves = |_: &CostModel<'_>, _: &Pt| {
+        let moves = |_: &CostModel<'_>, current: &Pt| {
             calls.set(calls.get() + 1);
-            vec![script[calls.get() - 1].clone()]
+            let plan = script[calls.get() - 1].clone();
+            vec![Move {
+                node: changed_node(current, &plan),
+                plan,
+            }]
         };
         let config = RandConfig {
-            moves_per_walk: script.len(),
-            restarts: 1,
+            moves: script.len(),
             ..Default::default()
         };
         traced_walk(model, &start, &config, &moves, false)
     };
     // Classify the start's neighbours by what one move makes of each.
-    let ns = neighbours(model, &start);
+    let ns: Vec<Pt> = neighbours(model, &start)
+        .into_iter()
+        .map(|m| m.plan)
+        .collect();
     let first = |outcome: &str| {
         let hit = ns.iter().find(|n| walk(&[n]).1[0].1 == outcome);
         hit.unwrap_or_else(|| panic!("no neighbour the walk would {outcome}"))
@@ -987,8 +1023,8 @@ fn proven_prunes_are_per_incumbent_and_cost_rejections_are_for_good() {
     let (outcome, events, revisited, _) = walk(&script);
     assert_eq!(&outcome.pt, better);
     let of = |pt: &Pt| -> Vec<&str> {
-        let mine = events.iter().filter(|(fp, _)| *fp == pt.fingerprint());
-        mine.map(|(_, outcome)| outcome.as_str()).collect()
+        let mine = events.iter().filter(|(fp, ..)| *fp == pt.fingerprint());
+        mine.map(|(_, outcome, _)| outcome.as_str()).collect()
     };
     assert_eq!(of(worse), ["reject"], "rejected by cost: never again");
     assert_eq!(of(better), ["accept"]);

@@ -363,14 +363,12 @@ fn expand_sels_over_temp(
 // Randomized re-optimization (Iterative Improvement, per [IC90]).
 // ---------------------------------------------------------------------
 
-/// Configuration of the randomized phase: Iterative Improvement, random
-/// downhill walks with restarts.
+/// Configuration of the randomized phase: Iterative Improvement, one
+/// random downhill walk.
 #[derive(Debug, Clone)]
 pub struct RandConfig {
-    /// Moves attempted per walk.
-    pub moves_per_walk: usize,
-    /// Restarts.
-    pub restarts: usize,
+    /// Moves attempted.
+    pub moves: usize,
     /// RNG seed.
     pub seed: u64,
 }
@@ -378,11 +376,22 @@ pub struct RandConfig {
 impl Default for RandConfig {
     fn default() -> Self {
         RandConfig {
-            moves_per_walk: 30,
-            restarts: 3,
+            moves: 90,
             seed: 0xC0FFEE,
         }
     }
+}
+
+/// One transformation move: the plan it leads to and the pre-order id
+/// of the node it rewrote. Everything outside that node's subtree is
+/// the source plan's: putting the source's subtree back at `node` gives
+/// the source.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Move {
+    /// The plan one move away.
+    pub plan: Pt,
+    /// Pre-order id of the rewritten node.
+    pub node: usize,
 }
 
 /// All neighbour plans reachable by one transformation move, each an
@@ -399,10 +408,16 @@ impl Default for RandConfig {
 /// union). The walk draws an index into this list, so its order is
 /// behaviour: the local moves in pre-order of the node they rewrite,
 /// then every distribution, again in pre-order.
-pub fn neighbours(model: &CostModel<'_>, pt: &Pt) -> Vec<Pt> {
+pub fn neighbours(model: &CostModel<'_>, pt: &Pt) -> Vec<Move> {
     let mut out = Vec::new();
     let mut distributed = Vec::new();
-    for (path, sub) in oorq_pt::subtrees(pt) {
+    for (node, (path, sub)) in oorq_pt::subtrees(pt).into_iter().enumerate() {
+        let push = |replacement: Pt, out: &mut Vec<Move>| {
+            let mut plan = pt.clone();
+            if plan.replace_at(&path, replacement).is_ok() {
+                out.push(Move { plan, node });
+            }
+        };
         match sub {
             Pt::EJ { pred, left, right } => {
                 // Swap operands.
@@ -411,7 +426,7 @@ pub fn neighbours(model: &CostModel<'_>, pt: &Pt) -> Vec<Pt> {
                     left: right.clone(),
                     right: left.clone(),
                 };
-                push_variant(pt, &path, swapped, &mut out);
+                push(swapped, &mut out);
                 // Distribute over a union on the left, after every local move.
                 if let Pt::Union { left: a, right: b } = left.as_ref() {
                     let join = |side: &Pt| Pt::EJ {
@@ -419,8 +434,7 @@ pub fn neighbours(model: &CostModel<'_>, pt: &Pt) -> Vec<Pt> {
                         left: Box::new(side.clone()),
                         right: right.clone(),
                     };
-                    let union = Pt::union(join(a), join(b));
-                    push_variant(pt, &path, union, &mut distributed);
+                    push(Pt::union(join(a), join(b)), &mut distributed);
                 }
             }
             Pt::Sel {
@@ -430,7 +444,7 @@ pub fn neighbours(model: &CostModel<'_>, pt: &Pt) -> Vec<Pt> {
             } => match method {
                 AccessMethod::Index(_) => {
                     let scan = Pt::sel(pred.clone(), input.as_ref().clone());
-                    push_variant(pt, &path, scan, &mut out);
+                    push(scan, &mut out);
                 }
                 AccessMethod::Scan => {
                     if let Some(idx) =
@@ -441,7 +455,7 @@ pub fn neighbours(model: &CostModel<'_>, pt: &Pt) -> Vec<Pt> {
                             method: AccessMethod::Index(idx),
                             input: input.clone(),
                         };
-                        push_variant(pt, &path, isel, &mut out);
+                        push(isel, &mut out);
                     }
                 }
             },
@@ -452,40 +466,33 @@ pub fn neighbours(model: &CostModel<'_>, pt: &Pt) -> Vec<Pt> {
     out
 }
 
-fn push_variant(pt: &Pt, path: &[usize], replacement: Pt, out: &mut Vec<Pt>) {
-    let mut variant = pt.clone();
-    if variant.replace_at(path, replacement).is_ok() {
-        out.push(variant);
-    }
-}
-
-/// A neighbour generator for the randomized walk: every plan one move
-/// away from the current one.
-pub type MoveFn<'f> = dyn Fn(&CostModel<'_>, &Pt) -> Vec<Pt> + 'f;
+/// A neighbour generator for the randomized walk: every move from the
+/// current plan.
+pub type MoveFn<'f> = dyn Fn(&CostModel<'_>, &Pt) -> Vec<Move> + 'f;
 
 /// What a verified randomized walk produced.
 #[derive(Debug, Clone)]
 pub struct RandOutcome {
-    /// The best plan found (never worse than the start).
+    /// The plan the walk ended on (never worse than the start).
     pub pt: Pt,
     /// The cost the walk computed for `pt`; `None` when the start plan
     /// could not be costed (the walk then returns it untouched).
     pub cost: Option<PlanCost>,
-    /// Distinct candidate plans the verifier rejected as ill-formed.
-    pub violations: usize,
 }
 
-/// Run a randomized strategy from a starting plan and return the best
-/// plan found (never worse than the start), with a pluggable move
+/// Run a randomized strategy from a starting plan and return the plan
+/// it ends on (never worse than the start), with a pluggable move
 /// generator and an optional verification layer: when `verify` is on,
 /// every candidate plan is checked with the lint engine before
-/// acceptance — an ill-formed candidate is rejected (and counted)
-/// instead of entering the walk, and the rejection is announced to the
-/// sink like every other outcome.
+/// acceptance — an ill-formed candidate is rejected instead of entering
+/// the walk, and the rejection is announced to the sink like every
+/// other outcome.
 /// The move generator is a parameter so tests can inject a broken
 /// transformation action and observe the verifier catching it.
 ///
-/// The walk examines each plan once. Draws are with replacement over a
+/// The walk is Iterative Improvement's downhill walk: it accepts only a
+/// cheaper plan, so the incumbent is always the best plan seen. It
+/// examines each plan once. Draws are with replacement over a
 /// neighbourhood of a handful of plans, so most moves land on a plan
 /// already turned down; such a move still consumes its draw (the
 /// sequence of draws, every accept decision and the result are those of
@@ -504,18 +511,16 @@ pub fn rand_optimize_with(
         physical: model.physical,
         temp_fields: model.temp_fields.clone(),
     };
-    let mut violations = 0usize;
     let Ok(start_cost) = model.cost(&start) else {
         return RandOutcome {
             pt: start,
             cost: None,
-            violations,
         };
     };
-    // Static analyzer for provable pruning: when a candidate differs
-    // from the incumbent by one result-preserving toggle and its
-    // subtree cost interval lies strictly above the incumbent's, the
-    // move is discarded by proof instead of estimate.
+    // Static analyzer for provable pruning: when a move toggles one
+    // node's access method, result-preservingly, and the candidate's
+    // subtree cost interval there lies strictly above the incumbent's,
+    // the move is discarded by proof instead of estimate.
     let analyzer = oorq_analysis::Analyzer::new(
         model.catalog,
         model.physical,
@@ -530,109 +535,98 @@ pub fn rand_optimize_with(
     // Plans turned down for good, by `Pt::fingerprint`: the verifier or
     // the cost model failed on the plan (functions of the plan alone),
     // or it was costed at `c >= current_cost` — the incumbent's cost
-    // only ever falls, across moves and across restarts (a restart
-    // resumes from `best`), so that holds for every later incumbent.
+    // only ever falls, so that holds for every later incumbent.
     let mut turned_down: HashSet<u64> = HashSet::new();
     // Plans proven worse than the present incumbent. The proof compares
-    // against one incumbent and says nothing about the next (where the
-    // plans may no longer differ by one toggle): cleared on every
-    // accepted move, and only then — a restart keeps the incumbent.
+    // against one incumbent and says nothing about the next: cleared on
+    // every accepted move.
     let mut proven_worse: HashSet<u64> = HashSet::new();
-    let mut best = start.clone();
-    let mut best_cost = start_cost.total(&model.params);
-    let mut best_plan_cost = start_cost;
+    let mut current = start;
+    let mut current_cost = start_cost.total(&model.params);
+    let mut current_plan_cost = start_cost;
+    // Analysis of `current`, computed lazily and invalidated on every
+    // accepted move.
+    let mut current_analysis: Option<Option<oorq_analysis::Analysis>> = None;
     let mut rng = Prng::new(config.seed);
-    for _ in 0..config.restarts.max(1) {
-        let mut current = best.clone();
-        let mut current_cost = best_cost;
-        // Analysis of `current`, computed lazily and invalidated on
-        // every accepted move.
-        let mut current_analysis: Option<Option<oorq_analysis::Analysis>> = None;
-        for _ in 0..config.moves_per_walk {
-            let mut ns = moves(model, &current);
-            if ns.is_empty() {
-                break;
-            }
-            let pick = ns.swap_remove(rng.index(ns.len()));
-            let fp = pick.fingerprint();
-            if turned_down.contains(&fp) || proven_worse.contains(&fp) {
-                sink.revisited();
+    for _ in 0..config.moves {
+        let mut ns = moves(model, &current);
+        if ns.is_empty() {
+            break;
+        }
+        let Move { plan: pick, node } = ns.swap_remove(rng.index(ns.len()));
+        let fp = pick.fingerprint();
+        if turned_down.contains(&fp) || proven_worse.contains(&fp) {
+            sink.revisited();
+            continue;
+        }
+        // The pick as announced: costed or not, always against the
+        // incumbent's cost.
+        let seen = |cost: Option<f64>| Examined {
+            cost,
+            incumbent_cost: Some(current_cost),
+            ..Examined::at("transformPT", &pick)
+        };
+        if verify {
+            let report = oorq_lint::verify_pt(&lint_env, &pick);
+            oorq_lint::record_report(&sink.obs, "transformPT (randomized move)", &report);
+            if !report.is_clean() {
+                turned_down.insert(fp);
+                let codes = report.codes().into_iter().collect::<Vec<_>>().join(", ");
+                let reason = format_args!("verifier rejected the move: {codes}");
+                sink.candidate(seen(None), Outcome::Reject, reason);
+                sink.step(
+                    Step::TransformPt,
+                    "one move (rejected by the verifier)",
+                    StrategyKind::CostBasedTransformational,
+                );
+                for d in report.errors() {
+                    sink.note(format!("{d}"));
+                }
                 continue;
             }
-            // The pick as announced: costed or not, always against the
-            // incumbent's cost.
-            let seen = |cost: Option<f64>| Examined {
-                cost,
-                incumbent_cost: Some(current_cost),
-                ..Examined::at("transformPT", &pick)
-            };
-            if verify {
-                let report = oorq_lint::verify_pt(&lint_env, &pick);
-                oorq_lint::record_report(&sink.obs, "transformPT (randomized move)", &report);
-                if !report.is_clean() {
-                    violations += 1;
-                    turned_down.insert(fp);
-                    let codes = report.codes().into_iter().collect::<Vec<_>>().join(", ");
-                    let reason = format_args!("verifier rejected the move: {codes}");
-                    sink.candidate(seen(None), Outcome::Reject, reason);
-                    sink.step(
-                        Step::TransformPt,
-                        "one move (rejected by the verifier)",
-                        StrategyKind::CostBasedTransformational,
+        }
+        let (moved, was) = (pick.preorder().pt(node), current.preorder().pt(node));
+        if oorq_analysis::equivalent_toggle(&lint_env, moved, was) {
+            let cur = current_analysis
+                .get_or_insert_with(|| analyze(&current))
+                .as_ref();
+            if let (Some(inc), Some(cand)) = (cur, analyze(&pick)) {
+                if let Some((lo, hi)) = oorq_analysis::proven_worse(&cand, inc, node) {
+                    proven_worse.insert(fp);
+                    let reason = format_args!(
+                        "pruned-proven: diverged subtree cost bound [{lo:.3}, …] \
+                         strictly above incumbent [… , {hi:.3}]"
                     );
-                    for d in report.errors() {
-                        sink.note(format!("{d}"));
-                    }
+                    sink.candidate(seen(None), Outcome::PrunedProven, reason);
                     continue;
                 }
             }
-            if let Some(div) = oorq_analysis::equivalent_local_change(&lint_env, &pick, &current) {
-                let cur = current_analysis
-                    .get_or_insert_with(|| analyze(&current))
-                    .as_ref();
-                if let (Some(inc), Some(cand)) = (cur, analyze(&pick)) {
-                    if let Some((lo, hi)) = oorq_analysis::proven_worse(&cand, inc, div) {
-                        proven_worse.insert(fp);
-                        let reason = format_args!(
-                            "pruned-proven: diverged subtree cost bound [{lo:.3}, …] \
-                             strictly above incumbent [… , {hi:.3}]"
-                        );
-                        sink.candidate(seen(None), Outcome::PrunedProven, reason);
-                        continue;
-                    }
-                }
-            }
-            let pc = match model.cost(&pick) {
-                Ok(pc) => pc,
-                Err(e) => {
-                    turned_down.insert(fp);
-                    let reason = format_args!("cost model error: {e}");
-                    sink.candidate(seen(None), Outcome::Reject, reason);
-                    continue;
-                }
-            };
-            let c = pc.total(&model.params);
-            if c < current_cost {
-                sink.candidate(seen(Some(c)), Outcome::Accept, "downhill move");
-                current = pick;
-                current_cost = c;
-                current_analysis = None;
-                proven_worse.clear();
-                if c < best_cost {
-                    best = current.clone();
-                    best_cost = c;
-                    best_plan_cost = pc;
-                }
-            } else {
-                let reason = "uphill move (iterative improvement accepts only downhill)";
-                sink.candidate(seen(Some(c)), Outcome::Reject, reason);
+        }
+        let pc = match model.cost(&pick) {
+            Ok(pc) => pc,
+            Err(e) => {
                 turned_down.insert(fp);
+                let reason = format_args!("cost model error: {e}");
+                sink.candidate(seen(None), Outcome::Reject, reason);
+                continue;
             }
+        };
+        let c = pc.total(&model.params);
+        if c < current_cost {
+            sink.candidate(seen(Some(c)), Outcome::Accept, "downhill move");
+            current = pick;
+            current_cost = c;
+            current_plan_cost = pc;
+            current_analysis = None;
+            proven_worse.clear();
+        } else {
+            let reason = "uphill move (iterative improvement accepts only downhill)";
+            sink.candidate(seen(Some(c)), Outcome::Reject, reason);
+            turned_down.insert(fp);
         }
     }
     RandOutcome {
-        pt: best,
-        cost: Some(best_plan_cost),
-        violations,
+        pt: current,
+        cost: Some(current_plan_cost),
     }
 }

@@ -308,4 +308,5 @@ fn snapshot_parser_rejects_bad_input() {
     assert!(CostParams::parse_snapshot("pr = inf\n").is_err());
     assert!(CostParams::parse_snapshot("pr 1\n").is_err());
     assert!(CostParams::parse_snapshot("[weights]\nseq_page = nope\n").is_err());
+    assert!(CostParams::parse_snapshot("[weights]\nseq_page = -1\n").is_err());
 }

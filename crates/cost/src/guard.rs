@@ -1,14 +1,14 @@
 //! Shared NaN/∞ guards for cardinality and cost figures.
 //!
-//! The point-estimate side (CM001/CM002/CM003 clamping in the cost
-//! model) and the interval side (`oorq-analysis` directed rounding) must
+//! The point-estimate side (the cost model's cardinality and
+//! selectivity clamps) and the interval side (`oorq-analysis` directed rounding) must
 //! agree on how degenerate arithmetic is neutralized, so both use these
 //! helpers.
 
 /// Sanitize a cardinality estimate: degenerate arithmetic (NaN from
 /// 0·∞, negative from mis-set statistics) collapses to zero instead of
-/// poisoning every downstream estimate — CM001 is provable, not merely
-/// checked.
+/// poisoning every downstream estimate — a non-negative cardinality is
+/// provable, not merely checked.
 pub(crate) fn sane_rows(r: f64) -> f64 {
     if r.is_finite() && r > 0.0 {
         r

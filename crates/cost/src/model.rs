@@ -1087,7 +1087,7 @@ impl EstCtx<'_, '_> {
     /// Selectivity of a predicate, guaranteed finite and in `[0, 1]`:
     /// every composite is clamped and a degenerate (NaN) leaf estimate
     /// falls back to the configured default, so a selection provably
-    /// never grows its input (CM003 by construction).
+    /// never grows its input.
     fn selectivity(&self, expr: &Expr, cols: Cols<'_>) -> f64 {
         let s = self.selectivity_raw(expr, cols);
         if s.is_finite() {

@@ -305,13 +305,18 @@ impl CostParams {
     /// Parse a `calibrated.toml`-style snapshot: `key = value` lines,
     /// `#` comments, and a `[weights]` section for the component
     /// weights. A deliberately tiny subset of TOML so the workspace
-    /// stays dependency-free.
-    pub(crate) fn parse_snapshot(src: &str) -> Result<Self, String> {
+    /// stays dependency-free. A weight scales a non-negative feature, so
+    /// a negative one (like a non-finite value) is refused here: it is
+    /// the one input through which an estimate could turn negative.
+    pub fn parse_snapshot(src: &str) -> Result<Self, String> {
         let mut p = CostParams::default();
         for line in snapshot_lines(src) {
             let (lineno, section, Some((key, value))) = line? else {
                 continue;
             };
+            if section == "weights" && value < 0.0 {
+                return Err(format!("line {lineno}: negative weight `{key}`"));
+            }
             match (section, key) {
                 ("", "pr") => p.pr = value,
                 ("", "ev") => p.ev = value,

@@ -1156,14 +1156,7 @@ impl OpExec<'_> {
                 *next = 0;
                 Ok(())
             }
-            (PhysOp::Filter { require_index, .. }, St::Filter { .. }) => {
-                // The named index must exist even though the plan degraded
-                // to a filter (access-method resolution parity).
-                if let Some(idx) = require_index {
-                    rt.indexes.selection(*idx).ok_or(ExecError::MissingIndex)?;
-                }
-                kids[0].open(rt)
-            }
+            (PhysOp::Filter { .. }, St::Filter { .. }) => kids[0].open(rt),
             (PhysOp::Project { .. }, St::Project { seen, .. }) => {
                 if let Seen::Own(set) = seen {
                     set.clear();

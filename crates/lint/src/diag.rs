@@ -28,9 +28,8 @@ impl fmt::Display for Severity {
 
 /// Every check the lint engine performs, with a stable code.
 ///
-/// `QG*` codes come from the query-graph pass ([`crate::lint_graph`]),
-/// `PT*` from the plan pass ([`crate::verify_pt`]) and `CM*` from the
-/// cost-model pass ([`crate::lint_plan_cost`]).
+/// `QG*` codes come from the query-graph pass ([`crate::lint_graph`])
+/// and `PT*` from the plan pass ([`crate::verify_pt`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum LintCode {
     // ---- query-graph pass ------------------------------------------
@@ -79,7 +78,8 @@ pub enum LintCode {
     /// the input, or the step's attribute is not a reference.
     BadIjStep,
     /// An operator names an index that does not exist or has the wrong
-    /// kind for the operator.
+    /// kind for the operator, or a `Sel^idx` names one its predicate
+    /// and input cannot probe.
     BadIndex,
     /// A projection drops a column an enclosing operator still consumes.
     ProjDropsNeeded,
@@ -97,14 +97,6 @@ pub enum LintCode {
     /// A fixpoint body propagates no temporary columns verbatim, so no
     /// selection can ever be pushed through it (\[KL86\]).
     NoPropagatedColumns,
-
-    // ---- cost-model pass --------------------------------------------
-    /// A cardinality or page estimate is negative or NaN.
-    NegativeCardinality,
-    /// A cost figure is negative, NaN or infinite.
-    NonFiniteCost,
-    /// A selection is estimated to *grow* its input (selectivity > 1).
-    SelectivityOutOfRange,
 
     // ---- calibration drift pass -------------------------------------
     /// An operator's predicted page accesses drift beyond tolerance from
@@ -207,9 +199,6 @@ impl LintCode {
             DuplicateColumn       => ("PT010", Warn,  "join duplicates a column name"),
             EmptyProjection       => ("PT011", Warn,  "projection onto zero columns"),
             NoPropagatedColumns   => ("PT012", Note,  "fixpoint propagates no columns (nothing pushable)"),
-            NegativeCardinality   => ("CM001", Error, "negative or NaN cardinality estimate"),
-            NonFiniteCost         => ("CM002", Error, "negative, NaN or infinite cost estimate"),
-            SelectivityOutOfRange => ("CM003", Error, "selection estimated to grow its input"),
             IoDrift               => ("CX001", Warn,  "predicted page accesses drift beyond tolerance from observed"),
             CpuDrift              => ("CX002", Warn,  "predicted evaluations drift beyond tolerance from observed"),
             RowsDrift             => ("CX003", Warn,  "predicted cardinality drifts beyond tolerance from observed rows"),
@@ -277,9 +266,6 @@ impl LintCode {
             DuplicateColumn,
             EmptyProjection,
             NoPropagatedColumns,
-            NegativeCardinality,
-            NonFiniteCost,
-            SelectivityOutOfRange,
             IoDrift,
             CpuDrift,
             RowsDrift,

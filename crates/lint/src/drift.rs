@@ -1,7 +1,7 @@
 //! The calibration-drift pass (`CX*`): predicted vs observed
 //! per-operator accounting.
 //!
-//! The cost pass (`CM*`) proves estimates are *well-formed*; this pass
+//! The estimator's clamps keep estimates *well-formed*; this pass
 //! checks they are *honest*. Given the optimizer's per-node cost
 //! breakdown and the executor's per-operator counters (summarised by
 //! the caller into [`ObservedOp`] — this crate never depends on the

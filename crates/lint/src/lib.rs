@@ -13,14 +13,12 @@
 //! - [`verify_pt`] — the *plan pass*: fixpoint shape, implicit-join
 //!   steps against the physical schema, projections vs. columns
 //!   consumed upstream, expression typing, temporary scoping.
-//! - [`lint_plan_cost`] — the *cost pass*: finite non-negative
-//!   estimates, selectivities within [0, 1].
 //! - [`lint_drift`] — the *calibration pass*: per-operator predicted
 //!   vs observed accounting, flagging estimates that drift beyond
 //!   tolerance (`CX*`).
 //!
 //! Every check has a stable code ([`LintCode`],
-//! `QG*`/`PT*`/`CM*`/`CX*`/`PX*`) and
+//! `QG*`/`PT*`/`CX*`/`PX*`/`AB*`) and
 //! a fixed severity; a [`LintReport`] is clean when no error-severity
 //! diagnostic fired. The optimizer runs the plan pass, and the graph
 //! pass again after `rewrite`, in debug builds only; the executor
@@ -33,7 +31,7 @@ mod graph;
 mod phys;
 mod plan;
 
-pub use cost::{lint_breaker_budget, lint_plan_cost};
+pub use cost::lint_breaker_budget;
 pub use diag::{Diagnostic, LintCode, LintReport, Severity};
 pub use drift::{
     lint_drift, lint_fix_drift, lint_spill_drift, DriftTolerance, ObservedFix, ObservedOp,

@@ -104,27 +104,6 @@ fn check_perm(
     }
 }
 
-fn check_selection_index(
-    env: &PtEnv,
-    op: &PhysOp,
-    idx: oorq_storage::IndexId,
-    report: &mut LintReport,
-) {
-    match env.physical.indexes().get(idx.0 as usize).map(|d| &d.kind) {
-        Some(IndexKindDesc::Selection { .. }) => {}
-        Some(_) => report.push(
-            LintCode::PhysBadIndex,
-            loc(op),
-            format!("index {} is not a selection index", idx.0),
-        ),
-        None => report.push(
-            LintCode::PhysBadIndex,
-            loc(op),
-            format!("index {} does not exist", idx.0),
-        ),
-    }
-}
-
 fn check(env: &PtEnv, scope: &BTreeSet<String>, op: &PhysOp, report: &mut LintReport) {
     match op {
         PhysOp::EntityScan { entity, .. } => {
@@ -146,19 +125,27 @@ fn check(env: &PtEnv, scope: &BTreeSet<String>, op: &PhysOp, report: &mut LintRe
             }
         }
         PhysOp::IndexSelect { index, var, .. } => {
-            check_selection_index(env, op, *index, report);
+            match env
+                .physical
+                .indexes()
+                .get(index.0 as usize)
+                .map(|d| &d.kind)
+            {
+                Some(IndexKindDesc::Selection { .. }) => {}
+                Some(_) => report.push(
+                    LintCode::PhysBadIndex,
+                    loc(op),
+                    format!("index {} is not a selection index", index.0),
+                ),
+                None => report.push(
+                    LintCode::PhysBadIndex,
+                    loc(op),
+                    format!("index {} does not exist", index.0),
+                ),
+            }
             cols_mismatch(op, std::slice::from_ref(var), report);
         }
-        PhysOp::Filter {
-            require_index,
-            input,
-            ..
-        } => {
-            if let Some(idx) = require_index {
-                check_selection_index(env, op, *idx, report);
-            }
-            cols_mismatch(op, input.cols(), report);
-        }
+        PhysOp::Filter { input, .. } => cols_mismatch(op, input.cols(), report),
         PhysOp::Project { exprs, .. } => {
             let expect: Vec<String> = exprs.iter().map(|(n, _)| n.clone()).collect();
             cols_mismatch(op, &expect, report);

@@ -12,8 +12,8 @@
 use std::collections::{BTreeSet, HashMap};
 
 use oorq_pt::{
-    node_op, propagated_columns, resolve_each, type_of_column_expr, AccessMethod, Cols, Node,
-    OpKind, Preorder, Pt, PtEnv, PtError,
+    node_op, propagated_columns, resolve_each, type_of_column_expr, Cols, Node, OpKind, Preorder,
+    Pt, PtEnv, PtError,
 };
 use oorq_query::{bind_path, Expr};
 use oorq_storage::IndexKindDesc;
@@ -77,7 +77,7 @@ fn map_pt_error(e: &PtError) -> LintCode {
         UnionShapeMismatch => LintCode::UnionShapeMismatch,
         UnknownEntity(_) | TempAsEntity(_) | UnknownTemp(_) => LintCode::UndefinedTemp,
         NotAReference(_) => LintCode::BadIjStep,
-        NotAPathIndex => LintCode::BadIndex,
+        NoProbe { .. } | NotAPathIndex => LintCode::BadIndex,
         PathIndexArity { .. } => LintCode::BadIjStep,
         Typing(_) | BadPath { .. } => LintCode::IllTypedPredicate,
     }
@@ -121,31 +121,22 @@ fn check_legs(left: &Cols, right: &Cols, loc: &str, what: &str, report: &mut Lin
     }
 }
 
-/// Check an index reference: in range and of the kind its operator
-/// probes (a path index for `PIJ`, a selection index otherwise).
-fn check_index(
-    env: &PtEnv,
-    id: oorq_storage::IndexId,
-    path: bool,
-    loc: &str,
-    report: &mut LintReport,
-) {
-    match env.physical.indexes().get(id.0 as usize) {
+/// Check a `PIJ`'s index reference: in range and a path index. (A
+/// `Sel^idx` whose index cannot probe fails to resolve, and is reported
+/// where it failed.)
+fn check_path_index(env: &PtEnv, id: oorq_storage::IndexId, loc: &str, report: &mut LintReport) {
+    match env.physical.indexes().get(id.0 as usize).map(|d| &d.kind) {
         None => report.push(
             LintCode::BadIndex,
             loc,
             format!("index #{} does not exist", id.0),
         ),
-        Some(d) if matches!(d.kind, IndexKindDesc::Path { .. }) != path => report.push(
+        Some(IndexKindDesc::Path { .. }) => {}
+        Some(_) => report.push(
             LintCode::BadIndex,
             loc,
-            if path {
-                "PIJ requires a path index, got a selection index"
-            } else {
-                "a path index cannot serve a selection probe"
-            },
+            "PIJ requires a path index, got a selection index",
         ),
-        Some(_) => {}
     }
 }
 
@@ -170,11 +161,12 @@ impl Plan<'_, '_> {
     fn check(&self, id: usize, path: &str, needed: &BTreeSet<String>, report: &mut LintReport) {
         let (env, pt) = (self.env, self.order.pt(id));
         // A node is located by the kind it executes as; only a malformed
-        // `Fix` fails to say.
+        // `Fix` and an unprobeable `Sel^idx` fail to say.
         let kind = match &self.nodes[id] {
             Some(Ok(node)) => node.op.kind(),
             _ => match node_op(env.catalog, env.physical, pt) {
                 Ok(op) => op.kind(),
+                Err(_) if matches!(pt, Pt::Sel { .. }) => OpKind::SelIdx,
                 Err(_) => OpKind::Fix,
             },
         };
@@ -184,10 +176,7 @@ impl Plan<'_, '_> {
 
         match pt {
             Pt::Entity { .. } | Pt::Temp { .. } => {}
-            Pt::Sel { pred, method, .. } => {
-                if let AccessMethod::Index(ix) = method {
-                    check_index(env, *ix, false, &loc, report);
-                }
+            Pt::Sel { pred, .. } => {
                 let child_needed = self.cols(kids[0]).map(|cols| {
                     let what = "selection predicate";
                     let code = LintCode::IllTypedPredicate;
@@ -245,7 +234,7 @@ impl Plan<'_, '_> {
             Pt::PIJ {
                 index, on, outs, ..
             } => {
-                check_index(env, *index, true, &loc, report);
+                check_path_index(env, *index, &loc, report);
                 let child_needed = self.cols(kids[0]).map(|cols| {
                     let what = "PIJ head-oid expression";
                     let used = check_expr(env, LintCode::BadIjStep, on, cols, &loc, what, report);

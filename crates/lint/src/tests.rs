@@ -11,7 +11,7 @@ use oorq_storage::{Database, StorageConfig};
 
 use crate::{
     lint_breaker_budget, lint_drift, lint_graph, lint_spill_drift, verify_phys, verify_pt,
-    DriftTolerance, LintCode, LintReport, ObservedOp, Severity,
+    DriftTolerance, LintCode, ObservedOp, Severity,
 };
 
 fn setup() -> (Arc<Catalog>, Database) {
@@ -591,7 +591,6 @@ fn phys_cols_mismatch_is_reported() {
     let root = oorq_pt::PhysOp::Filter {
         meta: phys_meta(0),
         pred: Expr::True,
-        require_index: None,
         input: Box::new(phys_scan(&cat, &db, 1, "x")),
         cols: vec!["y".into()],
     };
@@ -974,55 +973,24 @@ fn fixpoint_without_propagated_columns_is_noted() {
     assert!(!report.has(LintCode::NoPropagatedColumns), "{report}");
 }
 
-// ---- cost pass ------------------------------------------------------
-
-#[test]
-fn cost_figures_flag_degenerate_estimates() {
-    // The estimator clamps its own arithmetic, so these arms guard
-    // against corrupt *inputs* (calibration files); check them against
-    // hand-built figures.
-    let pc = oorq_cost::PlanCost {
-        cost: oorq_cost::Cost::new(-1.0, f64::NAN),
-        rows: -3.0,
-        breakdown: vec![node_cost(0, "Sel", 10.0, 5.0, f64::NAN)],
-    };
-    let report = crate::cost::lint_cost_figures(&pc);
-    assert!(report.has(LintCode::NegativeCardinality), "{report}");
-    assert!(report.has(LintCode::NonFiniteCost), "{report}");
-    assert!(!report.is_clean());
-    // Sane figures are clean.
-    let pc = oorq_cost::PlanCost {
-        cost: oorq_cost::Cost::new(10.0, 5.0),
-        rows: 3.0,
-        breakdown: vec![node_cost(0, "Sel", 10.0, 5.0, 3.0)],
-    };
-    assert!(crate::cost::lint_cost_figures(&pc).is_clean());
-}
-
-#[test]
-fn selection_growing_its_input_is_reported() {
-    let mut report = LintReport::new();
-    crate::cost::lint_selection_rows(100.0, 100.0, &mut report);
-    assert!(report.diagnostics.is_empty(), "equal rows are fine");
-    crate::cost::lint_selection_rows(120.0, 100.0, &mut report);
-    assert!(report.has(LintCode::SelectivityOutOfRange), "{report}");
-}
-
 // ---- physical-plan pass: index descriptors --------------------------
 
 #[test]
 fn phys_bad_index_is_reported() {
     let (cat, db) = setup();
     let env = PtEnv::new(&cat, db.physical());
-    // A filter demanding an index that does not exist.
-    let root = oorq_pt::PhysOp::Filter {
+    // A probe of an index that does not exist.
+    let composer = cat.class_by_name("Composer").unwrap();
+    let root = oorq_pt::PhysOp::IndexSelect {
         meta: phys_meta(0),
-        pred: Expr::True,
-        require_index: Some(oorq_storage::IndexId(999)),
-        input: Box::new(phys_scan(&cat, &db, 1, "x")),
+        index: oorq_storage::IndexId(999),
+        class: composer,
+        var: "x".into(),
+        key: oorq_query::Literal::Text("Bach".into()),
+        pred: Expr::path("x", &["name"]).eq(Expr::text("Bach")),
         cols: vec!["x".into()],
     };
-    let report = verify_phys(&env, &oorq_pt::PhysPlan { root, ops: 2 });
+    let report = verify_phys(&env, &oorq_pt::PhysPlan { root, ops: 1 });
     assert!(report.has(LintCode::PhysBadIndex), "{report}");
 }
 

@@ -3,7 +3,7 @@
 use std::fmt;
 
 use oorq_query::QueryError;
-use oorq_storage::EntityId;
+use oorq_storage::{EntityId, IndexId};
 
 /// Errors raised while manipulating processing trees.
 #[derive(Debug, Clone, PartialEq)]
@@ -23,6 +23,14 @@ pub enum PtError {
     UnknownTemp(String),
     /// `IJ`'s attribute does not reference a class.
     NotAReference(String),
+    /// A `Sel^idx` names an index that cannot probe its predicate and
+    /// input.
+    NoProbe {
+        /// The index named.
+        index: IndexId,
+        /// Why it cannot serve the probe.
+        why: &'static str,
+    },
     /// A `PIJ` node names an index that is not a path index.
     NotAPathIndex,
     /// A `PIJ` node binds more outputs than the path has steps.
@@ -53,6 +61,9 @@ impl fmt::Display for PtError {
             PtError::UnknownTemp(n) => write!(f, "temporary `{n}` is not defined in this scope"),
             PtError::NotAReference(a) => {
                 write!(f, "attribute `{a}` does not reference a class")
+            }
+            PtError::NoProbe { index, why } => {
+                write!(f, "Sel^idx cannot probe index #{}: {why}", index.0)
             }
             PtError::NotAPathIndex => write!(f, "PIJ names a non-path index"),
             PtError::PathIndexArity { wanted } => {

@@ -102,10 +102,6 @@ pub enum PhysOp {
         meta: OpMeta,
         /// The predicate.
         pred: Expr,
-        /// An index the original plan named but the predicate or input
-        /// cannot probe (no usable conjunct, or a non-entity input): the
-        /// built structure must still exist at runtime.
-        require_index: Option<IndexId>,
         /// Input operator.
         input: Box<PhysOp>,
         /// Output columns (same as the input's).
@@ -378,16 +374,11 @@ impl Lowering<'_, '_> {
                 name: name.to_string(),
                 cols,
             },
-            &NodeOp::Filter {
-                pred,
-                require_index,
-                input,
-            } => {
+            &NodeOp::Filter { pred, input } => {
                 let child = self.lower(input)?;
                 PhysOp::Filter {
                     meta: self.meta(id, label),
                     pred: pred.clone(),
-                    require_index,
                     input: Box::new(child),
                     cols,
                 }
@@ -566,9 +557,6 @@ pub enum NodeOp<'p, C = &'p Pt> {
     Filter {
         /// The predicate.
         pred: &'p Expr,
-        /// An index the plan named but the predicate or input cannot
-        /// probe: the built structure must still exist at runtime.
-        require_index: Option<IndexId>,
         /// Input.
         input: C,
     },
@@ -686,10 +674,9 @@ impl<C: Copy> NodeOp<'_, C> {
 }
 
 /// Resolve what a PT node executes as. Access methods are resolved
-/// here, including their fallback: an index selection without a usable
-/// `var.attr = literal` conjunct or over a non-class input is a filter
-/// that remembers the named index, so the runtime still demands the
-/// built structure.
+/// here: an index selection is a probe, or fails with
+/// [`PtError::NoProbe`] when its index cannot serve its predicate and
+/// input.
 pub fn node_op<'p>(
     catalog: &'p Catalog,
     physical: &'p PhysicalSchema,
@@ -714,24 +701,17 @@ pub(crate) fn node_op_at<'p, C>(
             pred,
             method,
             input,
-        } => {
-            let named = match method {
-                AccessMethod::Scan => None,
-                AccessMethod::Index(idx) => Some(*idx),
-            };
-            match named.and_then(|idx| resolve_index_select(catalog, physical, idx, pred, input)) {
-                Some(probe) => NodeOp::IndexSelect {
-                    pred,
-                    probe,
-                    leaf: at(&[0]),
-                },
-                None => NodeOp::Filter {
-                    pred,
-                    require_index: named,
-                    input: at(&[0]),
-                },
-            }
-        }
+        } => match method {
+            AccessMethod::Scan => NodeOp::Filter {
+                pred,
+                input: at(&[0]),
+            },
+            &AccessMethod::Index(idx) => NodeOp::IndexSelect {
+                pred,
+                probe: resolve_index_select(catalog, physical, idx, pred, input)?,
+                leaf: at(&[0]),
+            },
+        },
         Pt::Proj { cols, .. } => NodeOp::Project {
             exprs: cols,
             input: at(&[0]),
@@ -758,7 +738,7 @@ pub(crate) fn node_op_at<'p, C>(
         },
         Pt::EJ { pred, right, .. } => NodeOp::NlJoin {
             pred,
-            rescan_inner: rescannable(catalog, physical, right),
+            rescan_inner: rescannable(right),
             left: at(&[0]),
             right: at(&[1]),
         },
@@ -782,15 +762,16 @@ pub(crate) fn node_op_at<'p, C>(
 /// re-open per outer row of a nested loop — a leaf scan under filters
 /// and projections ([`PhysOp::rescannable`] of the lowered subtree) —
 /// rather than a materialize-once breaker.
-pub fn rescannable(catalog: &Catalog, physical: &PhysicalSchema, pt: &Pt) -> bool {
+pub fn rescannable(pt: &Pt) -> bool {
     match pt {
         Pt::Entity { .. } | Pt::Temp { .. } => true,
-        Pt::Proj { input, .. } => rescannable(catalog, physical, input),
         // A filter passes rescans through; an index probe does not.
-        Pt::Sel { .. } => matches!(
-            node_op(catalog, physical, pt),
-            Ok(NodeOp::Filter { input, .. }) if rescannable(catalog, physical, input)
-        ),
+        Pt::Proj { input, .. }
+        | Pt::Sel {
+            method: AccessMethod::Scan,
+            input,
+            ..
+        } => rescannable(input),
         _ => false,
     }
 }
@@ -935,25 +916,32 @@ fn eq_literal_attrs<'p>(
     })
 }
 
-/// Whether `Sel_pred^idx(input)` executes as an index probe: `idx` must
-/// be a selection index, `input` a class-extension entity, and the
-/// predicate must carry a `var.attr = literal` conjunct on the indexed
-/// attribute.
+/// The probe `Sel_pred^idx(input)` executes as: `idx` must be a
+/// selection index, `input` a class-extension entity, and the predicate
+/// must carry a `var.attr = literal` conjunct on the indexed attribute.
 fn resolve_index_select<'p>(
     catalog: &'p Catalog,
     physical: &'p PhysicalSchema,
     idx: IndexId,
     pred: &'p Expr,
     input: &'p Pt,
-) -> Option<IndexProbe<'p>> {
-    let desc = physical.indexes().get(idx.0 as usize)?;
+) -> Result<IndexProbe<'p>, PtError> {
+    let no_probe = |why| PtError::NoProbe { index: idx, why };
+    let desc = physical.indexes().get(idx.0 as usize);
+    let desc = desc.ok_or(no_probe("no such index"))?;
     let IndexKindDesc::Selection { class, attr } = desc.kind else {
-        return None;
+        return Err(no_probe("a path index cannot serve a selection probe"));
     };
-    let (entity, var, entity_class) = class_leaf(physical, input)?;
+    let leaf = class_leaf(physical, input);
+    let (entity, var, entity_class) = leaf.ok_or(no_probe("the input is not a class extension"))?;
     let attr = catalog.attribute(class, attr).name.as_str();
-    let key = eq_literal_attrs(pred, var).find(|(a, _)| *a == attr)?.1;
-    Some(IndexProbe {
+    let key = eq_literal_attrs(pred, var).find(|(a, _)| *a == attr);
+    let key = key
+        .ok_or(no_probe(
+            "no `var.attr = literal` conjunct on the indexed attribute",
+        ))?
+        .1;
+    Ok(IndexProbe {
         index: idx,
         entity,
         class: entity_class,

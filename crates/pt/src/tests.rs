@@ -169,9 +169,9 @@ fn name_index(cat: &Catalog, db: &mut Database) -> oorq_storage::IndexId {
     )
 }
 
-/// One row per `Pt` kind (the access-method fallback included): the
-/// operator `node_op` resolves, its label, and which children it
-/// absorbs — checked against what lowering actually builds.
+/// One row per `Pt` kind: the operator `node_op` resolves, its label,
+/// and which children it absorbs — checked against what lowering
+/// actually builds.
 #[test]
 fn node_op_resolves_every_pt_kind() {
     let (cat, mut db) = setup();
@@ -238,48 +238,34 @@ fn node_op_resolves_every_pt_kind() {
     let union = Pt::union(scan("x"), scan("x"));
     let fix_rec_right = Pt::fix("R", Pt::union(base.clone(), rec.clone()));
     let fix_rec_left = Pt::fix("R", Pt::union(rec.clone(), base.clone()));
-    // (plan, kind, label, absorbed children, named-but-unusable index)
+    // (plan, kind, label, absorbed children)
     let rows = [
-        (scan("x"), OpKind::Scan, "scan Composer", 0, None),
-        (Pt::temp("R", "i"), OpKind::TempScan, "scan temp R", 0, None),
+        (scan("x"), OpKind::Scan, "scan Composer", 0),
+        (Pt::temp("R", "i"), OpKind::TempScan, "scan temp R", 0),
         (
             Pt::sel(is_bach.clone(), scan("x")),
             OpKind::Sel,
             "Sel[x.name=\"Bach\"]",
             0,
-            None,
         ),
         (
             sel_idx(&is_bach),
             OpKind::SelIdx,
             "Sel^idx[x.name=\"Bach\"]",
             1,
-            None,
         ),
-        (
-            sel_idx(&not_bach),
-            OpKind::Sel,
-            "Sel[x.name<>\"Bach\"]",
-            0,
-            Some(sid),
-        ),
-        (base.clone(), OpKind::Proj, "Proj", 0, None),
-        (ij, OpKind::Ij, "IJ_master", 1, None),
-        (pij, OpKind::Pij, "PIJ_works", 1, None),
-        (nl, OpKind::Ej, "EJ[l.name=x.name]", 0, None),
-        (union, OpKind::Union, "Union", 0, None),
-        (fix_rec_right, OpKind::Fix, "Fix(R)", 1, None),
-        (fix_rec_left, OpKind::Fix, "Fix(R)", 1, None),
+        (base.clone(), OpKind::Proj, "Proj", 0),
+        (ij, OpKind::Ij, "IJ_master", 1),
+        (pij, OpKind::Pij, "PIJ_works", 1),
+        (nl, OpKind::Ej, "EJ[l.name=x.name]", 0),
+        (union, OpKind::Union, "Union", 0),
+        (fix_rec_right, OpKind::Fix, "Fix(R)", 1),
+        (fix_rec_left, OpKind::Fix, "Fix(R)", 1),
     ];
-    for (pt, kind, label, absorbed, unusable) in &rows {
+    for (pt, kind, label, absorbed) in &rows {
         let op = node_op(&cat, db.physical(), pt).unwrap();
         assert_eq!(op.kind(), *kind, "{label}");
         assert_eq!(op.label(&cat, db.physical()), *label);
-        let required = match &op {
-            NodeOp::Filter { require_index, .. } => *require_index,
-            _ => None,
-        };
-        assert_eq!(required, *unusable, "{label}");
         if let NodeOp::FixPoint {
             base: b, rec: r, ..
         } = &op
@@ -314,25 +300,30 @@ fn node_op_resolves_every_pt_kind() {
         let order = pt.preorder();
         let kids = order.kids(0).filter(|k| !executed.contains(k));
         assert_eq!(kids.count(), *absorbed, "{label}: absorbed children");
-        // What lowering copies out of the resolution: the probe's key, or
-        // the index a fallback still demands at run time.
+        // What lowering copies out of the resolution: the probe's key.
         match &plan.root {
             PhysOp::IndexSelect { index, key, .. } => {
                 assert_eq!(*index, sid);
                 assert_eq!(*key, oorq_query::Literal::Text("Bach".into()));
             }
-            PhysOp::Filter { require_index, .. } => assert_eq!(require_index, unusable),
             PhysOp::NlJoin { rescan_inner, .. } => {
                 assert!(*rescan_inner, "entity inner is honestly rescannable");
             }
             _ => {}
         }
-        assert_eq!(
-            rescannable(&cat, db.physical(), pt),
-            plan.root.rescannable(),
-            "{label}"
-        );
+        assert_eq!(rescannable(pt), plan.root.rescannable(), "{label}");
     }
+
+    // An index selection is a probe or nothing: one its predicate cannot
+    // key fails to resolve and to lower.
+    let unprobeable = sel_idx(&not_bach);
+    let why = "no `var.attr = literal` conjunct on the indexed attribute";
+    let err = PtError::NoProbe { index: sid, why };
+    assert_eq!(
+        node_op(&cat, db.physical(), &unprobeable).err(),
+        Some(err.clone())
+    );
+    assert_eq!(lower(&env, &unprobeable).err(), Some(err));
 
     // The one error for a malformed fixpoint, whoever asks.
     let not_union = Pt::fix("R", base.clone());

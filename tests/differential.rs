@@ -360,10 +360,11 @@ fn assert_one_operator_per_node(label: &str, s: &mut Scenario, pt: &Pt, temps: T
     }
 }
 
-/// Predicted, bounded and executed operator are the same operator: on
-/// every corpus row, and on a hand-built plan whose index annotation the
-/// predicate cannot use (it runs as a `Filter` and must be priced and
-/// bounded as such, not as a probe).
+/// Predicted, bounded and executed operator are the same operator on
+/// every corpus row. A hand-built plan whose index annotation the
+/// predicate cannot use is not run as a filter: the verifier reports
+/// PT005, and lowering (all a release build does before it runs a plan)
+/// fails.
 #[test]
 fn predicted_bounded_and_executed_operators_agree() {
     let mut rows = 0;
@@ -398,5 +399,13 @@ fn predicted_bounded_and_executed_operators_agree() {
         method: AccessMethod::Index(by_name),
         input: Box::new(Pt::entity(e, "x")),
     };
-    assert_one_operator_per_node("fallback/sel", &mut s, &sel, TempFields::new());
+    let env = s.env(TempFields::new());
+    let report = oorq::lint::verify_pt(&env, &sel);
+    assert_eq!(report.codes().into_iter().collect::<Vec<_>>(), ["PT005"]);
+    let lowered = oorq::pt::lower(&env, &sel);
+    assert!(
+        matches!(lowered, Err(oorq::pt::PtError::NoProbe { index, .. }) if index == by_name),
+        "{lowered:?}"
+    );
+    assert!(s.execute(&sel, &knobs()).is_err());
 }

@@ -256,26 +256,30 @@ fn ab007_unanalyzed_operator_is_flagged() {
     );
 }
 
-/// CM002 on a live model: the estimator clamps its own arithmetic, so
-/// the non-finite-cost arm is reachable only through corrupt
-/// *calibration inputs* — here a NaN fitted page weight poisons every
-/// feature product.
+/// The estimator clamps its own arithmetic, so the one way to a
+/// negative or non-finite estimate is a corrupt fitted weight: the
+/// snapshot parser refuses one, and the checked-in snapshot prices a
+/// plan with finite, non-negative figures.
 #[test]
-fn cm002_poisoned_fitted_weights_fire_on_live_model() {
+fn poisoned_fitted_weights_are_refused_when_parsed() {
+    for bad in ["seq_page = nan", "seq_page = inf", "deref_page = -0.5"] {
+        let src = format!("pr = 1\n[weights]\n{bad}\n");
+        assert!(CostParams::parse_snapshot(&src).is_err(), "{bad}");
+    }
     let setup = Scenario::music(fig7_config());
-    let mut params = CostParams::default();
-    params.weights.seq_page = f64::NAN;
-    let model = setup.model(params, TempFields::new());
+    let model = setup.model(CostParams::calibrated(), TempFields::new());
     let e = composer_entity(&setup);
     let plan = Pt::sel(
         Expr::path("x", &["name"]).eq(Expr::text("Bach")),
         Pt::entity(e, "x"),
     );
-    let report = oorq_lint::lint_plan_cost(&model, &plan);
-    assert!(report.has(LintCode::NonFiniteCost), "{}", report.render());
-    // The same plan under sane weights is clean.
-    let model = setup.model(CostParams::default(), TempFields::new());
-    assert!(oorq_lint::lint_plan_cost(&model, &plan).is_clean());
+    let pc = model.cost(&plan).expect("a selection over an extension");
+    let sane = |x: f64| x.is_finite() && x >= 0.0;
+    assert!(sane(pc.rows) && sane(pc.cost.io) && sane(pc.cost.cpu));
+    for line in &pc.breakdown {
+        let figures = [line.rows, line.pages, line.cost.io, line.cost.cpu];
+        assert!(figures.into_iter().all(sane), "{}", line.label);
+    }
 }
 
 /// Every code in the registry must be exercised by at least one test:
