@@ -35,7 +35,7 @@ if grep -nF -e 'output_columns(' -e "rsplit('.')" $(nontest crates/lint/src); th
     exit 1
 fi
 
-echo "== what no workload runs stays deleted (a thread or an Exchange/Merge operator in the engine; FragmentSpec, ClassLayout or decompose_vertical/decompose_horizontal; IndexJoin, EjIdx, applicable_join_indexes or EJ^idx, or require_index, in non-test src, crates/*/src or examples fails) =="
+echo "== what no workload runs stays deleted (a thread or an Exchange/Merge operator in the engine; FragmentSpec, ClassLayout or decompose_vertical/decompose_horizontal; IndexJoin, EjIdx, applicable_join_indexes or EJ^idx, or require_index; CostWeights, FixProfile(s), CostParams::calibrated, parse_snapshot, lint_fix_drift, lint_spill_drift or lint_breaker_budget, in non-test src, crates/*/src or examples, or a crates/cost/*.toml snapshot, fails) =="
 if grep -nE 'thread::(scope|spawn)' $(nontest crates/exec/src) ||
     grep -nwE 'Exchange|Merge' $(nontest crates/pt/src crates/exec/src); then
     echo "intra-query parallelism was removed because no workload ran it (CHANGES.md, PR 28): bring it back" \
@@ -57,6 +57,14 @@ fi
 if grep -nw 'require_index' $(nontest src crates/*/src examples); then
     echo "a Sel^idx is a probe or a PT005 refusal (DESIGN §7): the filter that still demanded its index" \
         "was removed because only hand-built and fuzzed plans reached it" >&2
+    exit 1
+fi
+if grep -nwE 'CostWeights|FixProfiles?|parse_snapshot|lint_(fix|spill)_drift|lint_breaker_budget' \
+    $(nontest src crates/*/src examples) ||
+    grep -nF 'CostParams::calibrated' $(nontest src crates/*/src examples) ||
+    find crates/cost -maxdepth 1 -name '*.toml' ! -name Cargo.toml | grep .; then
+    echo "one cost model serves, CostParams::default() (ROADMAP item 11): the fitted weights, fixpoint" \
+        "profiles and residency model were removed because no served plan was priced under them" >&2
     exit 1
 fi
 

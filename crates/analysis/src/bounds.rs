@@ -131,7 +131,7 @@ pub struct NodeBounds {
     pub feats: FeatBounds,
     /// Fixpoints only: bound on the semi-naive pass count *per open*.
     pub passes: Option<Interval>,
-    /// Exclusive weighted cost (features × weights, `io·pr + cpu·ev`).
+    /// Exclusive cost (`io·pr + cpu·ev`).
     pub cost: Interval,
 }
 
@@ -208,7 +208,7 @@ pub struct Analyzer<'a> {
     /// Measured database statistics (the `max_fanout`/`max_dup` columns
     /// are what makes the upper bounds finite).
     pub stats: &'a DbStats,
-    /// Cost parameters whose weights price the feature intervals.
+    /// Cost parameters whose `pr`/`ev` price the feature intervals.
     pub params: CostParams,
     /// Knobs.
     pub config: AnalyzerConfig,
@@ -444,41 +444,17 @@ impl Walk<'_, '_> {
         }
     }
 
-    /// Price a feature interval vector under the analyzer's weights. Any
-    /// negative or non-finite weight makes signs ambiguous — the cost
-    /// interval collapses to top (which disables provable pruning but
-    /// keeps every counter check intact).
+    /// Price a feature interval vector at `pr` per page access and `ev`
+    /// per evaluation. A negative or non-finite constant makes signs
+    /// ambiguous — the cost interval collapses to top (which disables
+    /// provable pruning but keeps every counter check intact).
     fn cost_of(&self, f: &FeatBounds) -> Interval {
         let p = &self.az.params;
-        let w = &p.weights;
-        let ws = [
-            w.seq_page,
-            w.deref_page,
-            w.index_level,
-            w.index_leaf,
-            w.write_page,
-            w.eval,
-            w.method,
-            p.pr,
-            p.ev,
-        ];
-        if ws.iter().any(|x| !x.is_finite() || *x < 0.0) {
+        if [p.pr, p.ev].iter().any(|x| !x.is_finite() || *x < 0.0) {
             return Interval::top();
         }
-        // The executor does not split index accesses into levels and
-        // leaves, so the probe count is priced with the hull of the two
-        // weights.
-        let wi = Interval::make(
-            w.index_level.min(w.index_leaf),
-            w.index_level.max(w.index_leaf),
-        );
-        let io = f
-            .seq
-            .scale(w.seq_page)
-            .add(f.deref.scale(w.deref_page))
-            .add(f.index.mul(wi))
-            .add(f.writes.scale(w.write_page));
-        let cpu = f.evals.scale(w.eval).add(f.method_units.scale(w.method));
+        let io = f.seq.add(f.deref).add(f.index).add(f.writes);
+        let cpu = f.evals.add(f.method_units);
         io.scale(p.pr).add(cpu.scale(p.ev))
     }
 

@@ -7,14 +7,11 @@
 //! themselves. Wall-clock measurement lives in `benchmark/`, not here.
 
 pub mod analyze;
-pub mod calibrate;
-pub mod feedback;
 pub mod fuzz;
 pub mod metrics;
 pub mod reports;
 pub mod scenarios;
 pub mod sections;
-pub mod spill;
 pub mod tracing;
 
 pub use scenarios::{Knobs, Scenario};

@@ -45,7 +45,7 @@ pub struct Scenario {
 /// Everything an optimize-and-execute takes beyond scenario, query and
 /// strategy. The default is what every figure runs under: serial
 /// unbounded execution, nothing recorded. Plans are always costed under
-/// the uncalibrated `CostParams::default()`.
+/// `CostParams::default()`, the model every optimizer serves.
 #[derive(Clone, Default)]
 pub struct Knobs {
     /// Breaker budget and fixpoint cap of the run.
@@ -84,12 +84,12 @@ pub struct Run {
 }
 
 impl Run {
-    /// The plan's estimated total under the production cost weights.
+    /// The plan's estimated total under `CostParams::default()`.
     pub fn estimated(&self) -> f64 {
         self.optimized.cost.total(&CostParams::default())
     }
 
-    /// The run's measured total under the same weights (`pr`=1,
+    /// The run's measured total priced the same way (`pr`=1,
     /// `ev`=0.05).
     pub fn measured(&self) -> f64 {
         let p = CostParams::default();
@@ -322,11 +322,6 @@ pub type Row = (&'static str, QueryFn, StrategyFn);
 pub struct Entry {
     /// Scenario name; prefixes its rows' names.
     pub name: &'static str,
-    /// Whether the rows feed the cost-weight and fixpoint-profile fits.
-    /// `crates/cost/calibrated.toml`, `crates/cost/fix_profiles.toml`
-    /// (keyed by row name) and the gate baselines are fitted to exactly
-    /// these rows: renaming, reordering or reseeding one is a refit.
-    pub calibration: bool,
     /// Builds the database (deterministic: fixed configuration and seed).
     pub build: fn() -> Scenario,
     /// The (query, strategy) rows.
@@ -338,7 +333,7 @@ const PUSH: StrategyFn = OptimizerConfig::deductive_heuristic;
 const CHOSEN: StrategyFn = OptimizerConfig::cost_controlled;
 
 const FIG3_GEN2: QueryFn = |s| s.fig3_gen(2);
-const MUSIC_CALIBRATION_ROWS: &[Row] = &[
+const MUSIC_SMALL_ROWS: &[Row] = &[
     ("fig3/nopush", FIG3_GEN2, NOPUSH),
     ("fig3/push", FIG3_GEN2, PUSH),
     ("pushjoin/nopush", Scenario::pushjoin, NOPUSH),
@@ -358,72 +353,35 @@ const CHAIN_ROWS: &[Row] = &[
     ("tail", |s| s.tail_query(3), CHOSEN),
 ];
 
-const fn entry(
-    name: &'static str,
-    calibration: bool,
-    build: fn() -> Scenario,
-    rows: &'static [Row],
-) -> Entry {
-    Entry {
-        name,
-        calibration,
-        build,
-        rows,
-    }
+const fn entry(name: &'static str, build: fn() -> Scenario, rows: &'static [Row]) -> Entry {
+    Entry { name, build, rows }
 }
 
-/// The corpus. Calibration entries come first, in fit order; then the
+/// The corpus. Seven small generated scenarios come first (music, parts
+/// and chain, seeded by successive draws of one generator); then the
 /// paper-scale scenarios of the figures, the fuzzer's base (`fig7`, its
 /// first three rows), a deeper parts hierarchy, and `bigjoin` — a
 /// rescanned nested loop over an unindexed pair, the O(n²) regime.
 pub const CORPUS: &[Entry] = &[
-    entry(
-        "music0",
-        true,
-        || calibration_music(0),
-        MUSIC_CALIBRATION_ROWS,
-    ),
-    entry(
-        "music1",
-        true,
-        || calibration_music(1),
-        MUSIC_CALIBRATION_ROWS,
-    ),
-    entry(
-        "music2",
-        true,
-        || calibration_music(2),
-        MUSIC_CALIBRATION_ROWS,
-    ),
-    entry("parts0", true, || calibration_parts(0, 2, 2), PARTS_ROWS),
-    entry("parts1", true, || calibration_parts(1, 3, 3), PARTS_ROWS),
-    entry(
-        "chain0",
-        true,
-        || calibration_chain(0, 3, 80, 16),
-        CHAIN_ROWS,
-    ),
-    entry(
-        "chain1",
-        true,
-        || calibration_chain(1, 4, 50, 12),
-        CHAIN_ROWS,
-    ),
+    entry("music0", || small_music(0), MUSIC_SMALL_ROWS),
+    entry("music1", || small_music(1), MUSIC_SMALL_ROWS),
+    entry("music2", || small_music(2), MUSIC_SMALL_ROWS),
+    entry("parts0", || small_parts(0, 2, 2), PARTS_ROWS),
+    entry("parts1", || small_parts(1, 3, 3), PARTS_ROWS),
+    entry("chain0", || small_chain(0, 3, 80, 16), CHAIN_ROWS),
+    entry("chain1", || small_chain(1, 4, 50, 12), CHAIN_ROWS),
     entry(
         "music",
-        false,
         || Scenario::music(Scenario::paper_scale()),
         MUSIC_ROWS,
     ),
     entry(
         "fig7",
-        false,
         || Scenario::music(fig7_config()),
         MUSIC_ROWS.split_at(3).0,
     ),
     entry(
         "parts",
-        false,
         || {
             Scenario::parts(PartsConfig {
                 roots: 3,
@@ -435,7 +393,6 @@ pub const CORPUS: &[Entry] = &[
     ),
     entry(
         "bigjoin",
-        false,
         || {
             Scenario::chain(ChainConfig {
                 relations: 2,
@@ -448,9 +405,9 @@ pub const CORPUS: &[Entry] = &[
     ),
 ];
 
-/// Seed of the `n`-th calibration scenario (music 0–2, parts 0–1, chain
-/// 0–1, in that order): successive draws of one generator.
-fn calibration_seed(n: usize) -> u64 {
+/// Seed of the `n`-th small scenario (music 0–2, parts 0–1, chain 0–1,
+/// in that order): successive draws of one generator.
+fn small_seed(n: usize) -> u64 {
     let mut rng = Prng::new(0x0ca1_1b8a_7e00_0003);
     let mut seed = 0;
     for _ in 0..=n {
@@ -459,7 +416,7 @@ fn calibration_seed(n: usize) -> u64 {
     seed
 }
 
-fn calibration_music(i: u32) -> Scenario {
+fn small_music(i: u32) -> Scenario {
     Scenario::music(MusicConfig {
         chains: 3 + i,
         chain_len: 3 + 2 * i,
@@ -467,28 +424,28 @@ fn calibration_music(i: u32) -> Scenario {
         instruments_per_work: 2 + i % 2,
         harpsichord_fraction: [0.25, 0.5, 0.9][i as usize],
         clustered: i % 2 == 1,
-        seed: calibration_seed(i as usize),
+        seed: small_seed(i as usize),
         ..MusicConfig::default()
     })
 }
 
-fn calibration_parts(i: usize, roots: u32, fanout: u32) -> Scenario {
+fn small_parts(i: usize, roots: u32, fanout: u32) -> Scenario {
     Scenario::parts(PartsConfig {
         roots,
         fanout,
         depth: 3,
         clustered: i % 2 == 1,
-        seed: calibration_seed(3 + i),
+        seed: small_seed(3 + i),
         ..PartsConfig::default()
     })
 }
 
-fn calibration_chain(i: usize, relations: usize, rows: u32, domain: i64) -> Scenario {
+fn small_chain(i: usize, relations: usize, rows: u32, domain: i64) -> Scenario {
     Scenario::chain(ChainConfig {
         relations,
         rows,
         domain,
-        seed: calibration_seed(5 + i),
+        seed: small_seed(5 + i),
     })
 }
 

@@ -13,7 +13,7 @@
 
 use std::fmt::Write as _;
 
-use crate::{analyze, calibrate, feedback, fuzz, metrics, reports, spill, tracing};
+use crate::{analyze, fuzz, metrics, reports, tracing};
 
 /// Command-line arguments of one `reproduce` invocation, after the
 /// section name.
@@ -123,21 +123,8 @@ pub const SECTIONS: &[Section] = &[
         "[scenario [out-dir]] traced run: search-space summary; with out-dir also writes the \
          Chrome trace trace-<scenario>.json (scenarios: music-pushjoin music-fig7 music-paper)"),
     row("validate", Figure, reports::validation_report, "E11: cost model vs measured execution"),
-    row("calibrate", FigureGate, calibrate::calibrate_report,
-        "per-operator-kind cost error, default vs calibrated weights; fails when calibration \
-         does not lower the overall median"),
-    row("feedback", FigureGate, feedback::feedback_report,
-        "fixpoint delta profiles: modeled vs observed curves; fails when the profiles do not \
-         lower the Fix rec-side row error and card_ok exclusions"),
-    row("spill", FigureGate, spill::spill_report,
-        "closure sweep across the breaker-budget cliff (--memory-budget overrides the budget); \
-         fails on a misplaced point, a side's error above 0.15 or CX007"),
     row("fuzz", FigureGate, fuzz::fuzz_report,
         "[iterations [seed]] plan-mutation soundness fuzzer (default: the CI smoke)"),
-    row("calibrate-fit", Tool, calibrate::calibrate_fit_report,
-        "refit the weights; prints crates/cost/calibrated.toml"),
-    row("feedback-fit", Tool, feedback::feedback_fit_report,
-        "refit the profiles; prints crates/cost/fix_profiles.toml"),
     row("metrics", Tool, metrics::metrics_report,
         "[corpus-row] five metered replays: series table, EXPLAIN ANALYZE, Prometheus text \
          (wall clock; honours --memory-budget)"),

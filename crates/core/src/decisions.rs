@@ -215,7 +215,6 @@ impl Decisions {
             "fix-curve",
             vec![
                 ("temp".into(), curve.temp.as_str().into()),
-                ("profiled".into(), u64::from(curve.profiled).into()),
                 ("iterations".into(), curve.iterations.into()),
                 (
                     "seed_delta".into(),

@@ -417,10 +417,9 @@ impl<'a> Optimizer<'a> {
         };
         self.model.temp_fields.insert(temp.clone(), fields.clone());
 
-        // Plan the base, model the fixpoint's per-iteration delta curve
-        // (profile-informed when a fitted FixProfile exists, flat-delta
-        // fallback otherwise), then plan the recursive side with the
-        // curve's mean delta as the temp's cardinality hint.
+        // Plan the base, model the fixpoint's per-iteration delta curve,
+        // then plan the recursive side with the curve's mean delta as the
+        // temp's cardinality hint.
         let (base_pt, base_cols, _) = self.plan_spj(g, base_spj, None, planned, None)?;
         let base_col_names: Vec<String> = base_cols.iter().map(|(n, _)| n.clone()).collect();
         let base_rows = self.model.cost(&base_pt)?.rows;

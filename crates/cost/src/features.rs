@@ -1,18 +1,10 @@
 //! Cost features: the parameter-independent measurements each per-node
-//! estimate is built from. (Residual reporting groups them by
-//! [`oorq_pt::OpKind`], re-exported from this crate.)
-//!
-//! Splitting every Figure 5 formula into a feature vector times the
-//! [`CostWeights`](crate::CostWeights) makes the model *calibratable*:
-//! the features are pure functions of the plan and the statistics, so a
-//! least-squares fit of the weights against observed per-operator
-//! counters never has to re-run the estimator.
-
-use crate::params::CostWeights;
+//! estimate is built from, split by component so the static analyzer
+//! can bound each one separately.
 
 /// The feature vector of one operator's *own* (exclusive) work. All
-/// entries are counts in the estimator's physical units; predicted cost
-/// components are the dot products with the fitted [`CostWeights`].
+/// entries are counts in the estimator's physical units; the predicted
+/// page accesses and evaluations are their sums.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct CostFeatures {
     /// Pages read by sequential scans.
@@ -33,35 +25,18 @@ pub struct CostFeatures {
 }
 
 impl CostFeatures {
-    /// Predicted page accesses under the given weights.
-    pub fn io(&self, w: &CostWeights) -> f64 {
-        self.seq_pages * w.seq_page
-            + self.deref_pages * w.deref_page
-            + self.index_level_ios * w.index_level
-            + self.index_leaf_ios * w.index_leaf
-            + self.write_pages * w.write_page
+    /// Predicted page accesses.
+    pub fn io(&self) -> f64 {
+        self.seq_pages
+            + self.deref_pages
+            + self.index_level_ios
+            + self.index_leaf_ios
+            + self.write_pages
     }
 
-    /// Predicted evaluations under the given weights.
-    pub fn cpu(&self, w: &CostWeights) -> f64 {
-        self.evals * w.eval + self.method_units * w.method
-    }
-
-    /// The io-side feature columns, in fit order (shared between the
-    /// calibration fitter and [`CostFeatures::io`]).
-    pub(crate) fn io_columns(&self) -> [f64; 5] {
-        [
-            self.seq_pages,
-            self.deref_pages,
-            self.index_level_ios,
-            self.index_leaf_ios,
-            self.write_pages,
-        ]
-    }
-
-    /// The cpu-side feature columns, in fit order.
-    pub(crate) fn cpu_columns(&self) -> [f64; 2] {
-        [self.evals, self.method_units]
+    /// Predicted evaluations.
+    pub fn cpu(&self) -> f64 {
+        self.evals + self.method_units
     }
 }
 

@@ -13,15 +13,13 @@ pub mod guard;
 mod model;
 pub mod paper_mode;
 mod params;
-mod profiles;
 
 pub use error::CostError;
 pub use features::CostFeatures;
 pub use guard::{guard_hi, guard_lo};
 pub use model::{CostModel, FixCurve, NodeCost, PlanCost};
 pub use oorq_pt::OpKind;
-pub use params::{Cost, CostParams, CostWeights};
-pub use profiles::{FixProfile, FixProfiles};
+pub use params::{Cost, CostParams};
 
 #[cfg(test)]
 mod fig5_tests;

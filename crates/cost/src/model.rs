@@ -2,36 +2,27 @@
 //! over the statistics of §3.2.
 //!
 //! The estimator predicts the behaviour of the pipelined executor in
-//! `oorq-exec`: page I/O of scans, implicit-join dereferences (clustering
-//! and buffer aware: a dereference stream whose target working set fits
-//! in the buffer pays only its cold reads), path-index probes
-//! (`‖C‖ · (nblevels + nbleaves/‖C₁‖)`), nested-loop rescans (buffer
-//! aware), and semi-naive fixpoints
-//! (`Σᵢ cost(Exp(Tᵢ))` with the iteration count bounded by the
-//! chain-depth statistics; pages re-touched by iterations 2..n of a
-//! buffer-resident recursive side are charged hot). The residency
-//! discounts are gated on [`CostParams::residency`] — off in
-//! [`CostParams::default`] and [`CostParams::paper_mode`] (Figure 5
-//! verbatim), on in the calibrated snapshot where the observed
-//! counters show buffer hits dominating the dereference residuals.
+//! `oorq-exec`: page I/O of scans, implicit-join dereferences
+//! (clustering aware), path-index probes
+//! (`‖C‖ · (nblevels + nbleaves/‖C₁‖)`), nested-loop rescans (free
+//! while the inner fits [`CostParams::buffer_frames`]), and semi-naive
+//! fixpoints (`Σᵢ cost(Exp(Tᵢ))` with the iteration count bounded by the
+//! chain-depth statistics).
 //!
 //! Every per-node estimate is assembled as a [`CostFeatures`] vector
 //! (sequential pages, dereference pages, index level/leaf accesses,
-//! temporary writes, evaluations, method units) dotted with the
-//! calibratable [`CostParams::weights`]; identity weights reproduce the
-//! uncalibrated Figure 5 formulas exactly, and the feature vectors are
-//! exported per node (`NodeCost::feat`) so the calibration harness can
-//! fit the weights against observed counters without re-running the
-//! estimator.
+//! temporary writes, evaluations, method units) whose sums are the
+//! node's page accesses and evaluations; the vectors are exported per
+//! node (`NodeCost::feat`). A node's estimate depends only on its
+//! subtree and, inside a fixpoint's recursive leg, on the delta the
+//! fixpoint assumes for its temporary.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 use oorq_pt::{lit_value, resolve, Node, NodeOp, OpKind, Pt};
 use oorq_query::{bind_path, CmpOp, Expr, Literal};
 use oorq_schema::{AttrId, AttributeKind, Catalog, ClassId, ResolvedType};
-use oorq_storage::{
-    AttrStats, DbStats, EntityId, EntitySource, IndexKindDesc, PhysicalSchema, WidthModel,
-};
+use oorq_storage::{AttrStats, DbStats, EntitySource, IndexKindDesc, PhysicalSchema, WidthModel};
 
 use crate::error::CostError;
 use crate::features::CostFeatures;
@@ -40,9 +31,9 @@ use crate::params::{Cost, CostParams, DEFAULT_FIX_ITERATIONS, DEFAULT_SELECTIVIT
 
 /// The modeled per-iteration delta curve of one fixpoint: what the
 /// estimator assumed about the semi-naive iteration structure when it
-/// costed the recursive side as `Σᵢ cost(Exp(Tᵢ))` (Figure 5). Either
-/// derived from a fitted [`crate::FixProfile`] (`profiled`) or the
-/// flat-delta fallback.
+/// costed the recursive side as `Σᵢ cost(Exp(Tᵢ))` (Figure 5): flat
+/// deltas, the base case grown by the average chain depth and split
+/// evenly over the passes.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FixCurve {
     /// The fixpoint's temporary.
@@ -56,9 +47,6 @@ pub struct FixCurve {
     pub deltas: Vec<f64>,
     /// Modeled accumulator cardinality (the fixpoint's output rows).
     pub total_rows: f64,
-    /// True when a fitted profile produced the curve; false for the
-    /// flat-delta default.
-    pub profiled: bool,
 }
 
 impl FixCurve {
@@ -82,8 +70,8 @@ pub struct NodeCost {
     pub node: Option<usize>,
     /// The node's own cost (excluding children).
     pub cost: Cost,
-    /// The node's own feature vector (`cost` is `feat` dotted with the
-    /// model's weights). For nodes on the recursive side of a fixpoint
+    /// The node's own feature vector (`cost` is its io and cpu sums).
+    /// For nodes on the recursive side of a fixpoint
     /// the features are already multiplied by the estimated iteration
     /// count, matching the executor's per-operator counters which
     /// accumulate across iterations.
@@ -92,9 +80,8 @@ pub struct NodeCost {
     pub rows: f64,
     /// Estimated output pages if materialized.
     pub pages: f64,
-    /// For `Fix` lines: the modeled delta curve behind the estimate
-    /// (feedback harness and drift lints join it against the observed
-    /// curve). `None` for every other operator.
+    /// For `Fix` lines: the modeled delta curve behind the estimate.
+    /// `None` for every other operator.
     pub fix: Option<FixCurve>,
 }
 
@@ -255,7 +242,7 @@ impl NodeEst {
 }
 
 /// Per-row access cost of evaluating an expression, split by component
-/// so each lands in its own calibratable feature.
+/// so each lands in its own feature.
 #[derive(Debug, Clone, Default)]
 struct ExprCost {
     /// Object pages fetched dereferencing paths.
@@ -264,16 +251,6 @@ struct ExprCost {
     evals: f64,
     /// Method cost units (declared `eval_cost` per invocation).
     method_units: f64,
-    /// Cold pages of the entities dereferenced along paths — the
-    /// working set a stream of such dereferences touches, with entities
-    /// already resident from earlier in the plan contributing nothing.
-    /// When it fits in the buffer, repeated fetches hit: the
-    /// operator-level I/O is capped at the footprint (cold reads)
-    /// instead of one page per dereference.
-    footprint: f64,
-    /// Entities whose objects the expression dereferences (so a stream
-    /// that visits the whole working set can mark them resident).
-    touched: Vec<oorq_storage::EntityId>,
 }
 
 impl ExprCost {
@@ -281,8 +258,6 @@ impl ExprCost {
         self.io += other.io;
         self.evals += other.evals;
         self.method_units += other.method_units;
-        self.footprint += other.footprint;
-        self.touched.extend(other.touched);
     }
 }
 
@@ -344,36 +319,11 @@ impl<'a> CostModel<'a> {
     /// Estimate the cost of a whole plan.
     pub fn cost(&self, pt: &Pt) -> Result<PlanCost, CostError> {
         let plan = resolve(self.catalog, self.physical, &self.temp_fields, pt)?;
-        // Under residency modeling, an entity the plan names as a leaf
-        // (and that fits in the buffer) is resident for every *other*
-        // access: its scan pays the cold reads — a canonical attribution
-        // independent of operator order, matching the executor's buffer
-        // whichever branch runs first. The extent an index selection
-        // probes is not scanned. (Implicit-join targets still count: the
-        // calibrated snapshot was fitted with them in.)
-        let mut scan_resident = HashSet::new();
-        let frames = self.params.buffer_frames as f64;
-        let mut id = 0;
-        while self.params.residency && frames > 0.0 && id < plan.len() {
-            id += match plan[id].op {
-                NodeOp::EntityScan { entity, .. } => {
-                    let (_, pages) = self.entity_rows_pages(entity);
-                    if pages > 0.0 && pages <= frames {
-                        scan_resident.insert(entity);
-                    }
-                    1
-                }
-                NodeOp::IndexSelect { .. } => plan[id].size,
-                _ => 1,
-            };
-        }
         let mut ctx = EstCtx {
             model: self,
             plan: &plan,
             temp_rows: HashMap::new(),
             breakdown: Vec::new(),
-            hot: HashSet::new(),
-            scan_resident,
         };
         let est = ctx.est(0, true)?;
         // Lines are labelled once, here: a recursive leg is estimated
@@ -403,63 +353,20 @@ impl<'a> CostModel<'a> {
     }
 
     /// Model the per-iteration delta curve of a fixpoint over `temp`
-    /// whose base case is estimated at `base_rows`. With a fitted
-    /// profile ([`crate::FixProfiles::lookup`]) the curve is
-    /// geometric — seed scaled off the base estimate, per-pass decay,
-    /// pass count extrapolated from the chain-depth statistic;
-    /// without one it falls back to the flat-delta default (total =
-    /// base × avg chain depth, split evenly over the iterations).
+    /// whose base case is estimated at `base_rows`: flat deltas, total =
+    /// base × avg chain depth, split evenly over the iterations.
     pub fn fix_delta_curve(&self, temp: &str, base_rows: f64) -> FixCurve {
-        if let Some(prof) = self.params.fix_profiles.lookup(temp) {
-            let depth = self.fix_iterations();
-            let passes = ((prof.iters_per_depth * depth).round().max(1.0)) as usize;
-            let d0 = (base_rows * prof.seed_scale).max(1.0);
-            let mut deltas = Vec::with_capacity(passes);
-            let mut d = d0;
-            for _ in 0..passes {
-                deltas.push(d.max(1.0));
-                d *= prof.decay;
-            }
-            // The geometric endpoints-fit matches the curve's extremes
-            // but not necessarily its area: a linearly decaying frontier
-            // sums to far more than its geometric interpolation. When
-            // the profile recorded its mass-over-seed ratio, rescale the
-            // reconstruction so the total transfers exactly — the
-            // accumulator footprint (hence the spill-cliff side) rides
-            // on the total, not the endpoints.
-            if prof.mass_scale > 0.0 {
-                let sum: f64 = deltas.iter().sum();
-                let target = d0 * prof.mass_scale;
-                if sum > 0.0 && target > 0.0 {
-                    let f = target / sum;
-                    for d in &mut deltas {
-                        *d *= f;
-                    }
-                }
-            }
-            let total_rows = sane_rows(deltas.iter().sum()).max(1.0);
-            FixCurve {
-                temp: temp.to_string(),
-                base_rows,
-                iterations: passes as f64,
-                deltas,
-                total_rows,
-                profiled: true,
-            }
-        } else {
-            let n = self.fix_iterations().max(1.0);
-            let growth = self.stats.avg_chain_depth().unwrap_or(2.0).max(1.0);
-            let total_rows = sane_rows(base_rows * growth);
-            let delta = (total_rows / n).max(1.0);
-            let passes = ((n - 1.0).max(1.0).round()) as usize;
-            FixCurve {
-                temp: temp.to_string(),
-                base_rows,
-                iterations: passes as f64,
-                deltas: vec![delta; passes],
-                total_rows,
-                profiled: false,
-            }
+        let n = self.fix_iterations().max(1.0);
+        let growth = self.stats.avg_chain_depth().unwrap_or(2.0).max(1.0);
+        let total_rows = sane_rows(base_rows * growth);
+        let delta = (total_rows / n).max(1.0);
+        let passes = ((n - 1.0).max(1.0).round()) as usize;
+        FixCurve {
+            temp: temp.to_string(),
+            base_rows,
+            iterations: passes as f64,
+            deltas: vec![delta; passes],
+            total_rows,
         }
     }
 
@@ -493,16 +400,6 @@ impl<'a> CostModel<'a> {
         }
     }
 
-    /// Pages of a class's extension; `+∞` when unknown so
-    /// buffer-residency caps never apply to unsized targets.
-    fn class_pages(&self, class: ClassId) -> f64 {
-        self.physical
-            .class_entity(class)
-            .and_then(|e| self.stats.entity(e))
-            .map(|s| s.pages as f64)
-            .unwrap_or(f64::INFINITY)
-    }
-
     fn is_clustered(&self, class: ClassId, attr: AttrId) -> bool {
         self.physical
             .class_entity(class)
@@ -520,16 +417,6 @@ struct EstCtx<'m, 'a> {
     /// recursive side of a fixpoint: the delta size).
     temp_rows: HashMap<String, f64>,
     breakdown: Vec<NodeCost>,
-    /// Entities whose whole working set an earlier access of this plan
-    /// already paged in (populated only under residency modeling):
-    /// later scans and dereference streams into them are charged hot.
-    /// Estimation visits operators in execution order, so the set
-    /// mirrors the executor's buffer state.
-    hot: HashSet<EntityId>,
-    /// Entities some operator of this plan scans in full and that fit
-    /// in the buffer (see [`CostModel::cost`]): the scan pays their
-    /// cold reads, every other access is a buffer hit.
-    scan_resident: HashSet<EntityId>,
 }
 
 impl EstCtx<'_, '_> {
@@ -545,72 +432,6 @@ impl EstCtx<'_, '_> {
         (self.model.width.pages_for(rows.ceil() as u64, types) as f64).max(1.0)
     }
 
-    /// Page cost of a stream of `total` random dereferences whose
-    /// distinct target pages span `footprint` pages. Under residency
-    /// modeling ([`CostParams::residency`]) a working set that fits in
-    /// the buffer stays resident: only the cold reads pay — at most the
-    /// footprint — and every further access hits. A working set larger
-    /// than the buffer thrashes and every dereference pays, which is
-    /// also the paper's §4.6 simplification (residency off).
-    fn deref_stream(&self, total: f64, footprint: f64) -> f64 {
-        let p = &self.model.params;
-        let b = p.buffer_frames as f64;
-        if p.residency && b > 0.0 && footprint <= b {
-            total.min(footprint)
-        } else {
-            total
-        }
-    }
-
-    /// Cold-read pages of `accesses` page accesses into entity `id`
-    /// (`pages` total). Under residency modeling an already-hot entity
-    /// costs nothing, and an access stream that visits the whole
-    /// working set of a buffer-fitting entity marks it hot for the rest
-    /// of the plan.
-    fn entity_stream(&mut self, id: oorq_storage::EntityId, pages: f64, accesses: f64) -> f64 {
-        let p = &self.model.params;
-        let b = p.buffer_frames as f64;
-        if !p.residency || b <= 0.0 || pages > b {
-            return accesses;
-        }
-        if self.hot.contains(&id) {
-            return 0.0;
-        }
-        let cold = accesses.min(pages);
-        if cold >= pages {
-            self.hot.insert(id);
-        }
-        cold
-    }
-
-    /// Page cost of fetching `accesses` objects of entity `id` by oid —
-    /// an index-match fetch or an implicit-join target fetch. Free when
-    /// the plan scans the entity in full anyway (the scan pays the cold
-    /// reads, whichever branch the executor happens to run first);
-    /// otherwise the ordinary cold-read accounting of
-    /// [`EstCtx::entity_stream`].
-    fn fetch_stream(&mut self, id: oorq_storage::EntityId, pages: f64, accesses: f64) -> f64 {
-        if self.scan_resident.contains(&id) {
-            return 0.0;
-        }
-        self.entity_stream(id, pages, accesses)
-    }
-
-    /// Operator-level page cost of evaluating `ec` once per each of `n`
-    /// rows: the dereference stream is capped at its cold footprint,
-    /// and a stream that visits every touched entity's working set
-    /// marks them hot for the rest of the plan.
-    fn expr_stream(&mut self, n: f64, ec: &ExprCost) -> f64 {
-        let total = n * ec.io;
-        let cold = self.deref_stream(total, ec.footprint);
-        let p = &self.model.params;
-        let b = p.buffer_frames as f64;
-        if p.residency && b > 0.0 && ec.footprint <= b && total >= ec.footprint {
-            self.hot.extend(ec.touched.iter().copied());
-        }
-        cold
-    }
-
     /// Estimate node `id` of the resolved plan as the operator it
     /// executes as. `charge_scan` is false for the leaf an index probe
     /// absorbs (its sequential scan is replaced by probes; the line keeps
@@ -618,7 +439,6 @@ impl EstCtx<'_, '_> {
     fn est(&mut self, id: usize, charge_scan: bool) -> Result<NodeEst, CostError> {
         let m = self.model;
         let p = &m.params;
-        let w = &p.weights;
         let plan = self.plan;
         let node = &plan[id];
         let mut fix = None;
@@ -637,11 +457,7 @@ impl EstCtx<'_, '_> {
                     _ => ColEst::OPAQUE,
                 };
                 let feat = CostFeatures {
-                    seq_pages: if charge_scan {
-                        self.entity_stream(id, pages, pages)
-                    } else {
-                        0.0
-                    },
+                    seq_pages: if charge_scan { pages } else { 0.0 },
                     ..CostFeatures::default()
                 };
                 let cols = vec![col; node.cols.len()];
@@ -656,14 +472,8 @@ impl EstCtx<'_, '_> {
                         .unwrap_or(0.0),
                 );
                 let pages = self.pages_est(rows, &field_types(&node.cols));
-                // Under residency modeling a buffer-fitting temporary is
-                // read hot: its pages are resident because this very plan
-                // materialized them. Temporaries live under the breaker
-                // memory budget, so the capacity is the budget-capped one.
-                let bt = p.breaker_frames();
-                let hot_temp = p.residency && bt > 0.0 && pages <= bt;
                 let feat = CostFeatures {
-                    seq_pages: if charge_scan && !hot_temp { pages } else { 0.0 },
+                    seq_pages: if charge_scan { pages } else { 0.0 },
                     ..CostFeatures::default()
                 };
                 let cols = vec![ColEst::OPAQUE; node.cols.len()];
@@ -674,7 +484,7 @@ impl EstCtx<'_, '_> {
                 let ec = self.expr_access_cost(pred, child.over(&plan[input].cols));
                 let sel = self.selectivity(pred, child.over(&plan[input].cols));
                 let feat = CostFeatures {
-                    deref_pages: self.expr_stream(child.rows, &ec),
+                    deref_pages: child.rows * ec.io,
                     evals: child.rows * ec.evals,
                     method_units: child.rows * ec.method_units,
                     ..CostFeatures::default()
@@ -694,10 +504,8 @@ impl EstCtx<'_, '_> {
                 let feat = CostFeatures {
                     index_level_ios: probe.nblevels as f64,
                     index_leaf_ios: (matches / 8.0).max(0.0),
-                    // Fetch the matched objects' pages (free when the
-                    // plan scans the entity anyway, else at most its
-                    // pages when it fits in the buffer).
-                    deref_pages: self.fetch_stream(probe.entity, child.pages, matches),
+                    // Fetch the matched objects' pages.
+                    deref_pages: matches,
                     evals: matches,
                     ..CostFeatures::default()
                 };
@@ -708,15 +516,13 @@ impl EstCtx<'_, '_> {
             &NodeOp::Project { exprs, input } => {
                 let child = self.est(input, true)?;
                 // No per-column copy surcharge: the executor counts
-                // evaluations only for comparisons and methods, and the
-                // calibration residuals showed the old copy floor as a
-                // pure phantom (predicted cpu, observed none).
+                // evaluations only for comparisons and methods.
                 let mut ec_total = ExprCost::default();
                 for (_, e) in exprs {
                     ec_total.absorb(self.expr_access_cost(e, child.over(&plan[input].cols)));
                 }
                 let feat = CostFeatures {
-                    deref_pages: self.expr_stream(child.rows, &ec_total),
+                    deref_pages: child.rows * ec_total.io,
                     evals: child.rows * ec_total.evals,
                     method_units: child.rows * ec_total.method_units,
                     ..CostFeatures::default()
@@ -758,17 +564,8 @@ impl EstCtx<'_, '_> {
                 };
                 let rows = sane_rows(child.rows * fanout.max(f64::MIN_POSITIVE));
                 let per_deref = if clustered { p.clustered_access } else { 1.0 };
-                let bound = node.cols.last().and_then(|(_, t)| t.referenced_class());
-                let target_class =
-                    bound.expect("an implicit join hands up the class it binds, last");
-                // Target dereferences are capped at the target entity's
-                // cold pages when it fits in the buffer.
-                let target_fetch = match m.physical.class_entity(target_class) {
-                    Some(e) => self.fetch_stream(e, m.class_pages(target_class), rows),
-                    None => rows,
-                };
                 let feat = CostFeatures {
-                    deref_pages: self.expr_stream(child.rows, &ec) + target_fetch * per_deref,
+                    deref_pages: child.rows * ec.io + rows * per_deref,
                     evals: child.rows * ec.evals,
                     method_units: child.rows * ec.method_units,
                     ..CostFeatures::default()
@@ -813,7 +610,7 @@ impl EstCtx<'_, '_> {
                 let rows = sane_rows(child.rows * fan);
                 // Figure 5: ‖C‖ * (nblevels + nbleaves / ‖C₁‖).
                 let feat = CostFeatures {
-                    deref_pages: self.expr_stream(child.rows, &ec),
+                    deref_pages: child.rows * ec.io,
                     index_level_ios: child.rows * desc.stats.nblevels as f64,
                     index_leaf_ios: child.rows * desc.stats.nbleaves as f64 / head_card,
                     evals: child.rows * ec.evals,
@@ -830,11 +627,7 @@ impl EstCtx<'_, '_> {
                 (feat, child.fanned_out(input, fan, rows, pages, outs))
             }
             &NodeOp::NlJoin {
-                pred,
-                rescan_inner,
-                left,
-                right,
-                ..
+                pred, left, right, ..
             } => {
                 let l = self.est(left, true)?;
                 let r = self.est(right, true)?;
@@ -845,25 +638,10 @@ impl EstCtx<'_, '_> {
                 };
                 let sel = self.selectivity(pred, cols);
                 let rows = sane_rows(l.rows * r.rows * sel);
-                // Inner rescans. A rescannable (leaf-ish) inner is
-                // re-opened through the buffer: free when it fits
-                // the buffer, a full rescan per outer row past it.
-                // A non-rescannable inner is materialized into a
-                // page-store temporary under the breaker memory
-                // budget: the build writes its pages once, and
-                // every outer row rescans the temporary — hot
-                // while it fits the budget-capped capacity, full
-                // page re-reads once spilled. The materialization
-                // terms are residency-gated so the symbolic §4.6
-                // model keeps its shape.
-                let bt = p.breaker_frames();
-                let mat = p.residency && !rescan_inner;
-                let mat_writes = if mat { r.pages } else { 0.0 };
-                let cap = if mat { bt } else { p.buffer_frames as f64 };
-                let rescan_io = if r.pages <= cap {
+                // Inner rescans: free while the inner fits the buffer, a
+                // full rescan per outer row after the first past it.
+                let rescan_io = if r.pages <= p.buffer_frames as f64 {
                     0.0
-                } else if mat {
-                    l.rows * r.pages
                 } else {
                     (l.rows - 1.0).max(0.0) * r.pages
                 };
@@ -871,8 +649,7 @@ impl EstCtx<'_, '_> {
                 let pairs = l.rows * r.rows;
                 let feat = CostFeatures {
                     seq_pages: rescan_io,
-                    deref_pages: self.expr_stream(pairs, &ec),
-                    write_pages: mat_writes,
+                    deref_pages: pairs * ec.io,
                     evals: pairs * ec.evals.max(1.0),
                     method_units: pairs * ec.method_units,
                     ..CostFeatures::default()
@@ -891,12 +668,10 @@ impl EstCtx<'_, '_> {
                 temp, base, rec, ..
             } => {
                 let base_est = self.est(base, true)?;
-                // Model the per-iteration delta curve — a fitted profile
-                // when one exists, the flat-delta fallback otherwise —
-                // and estimate the recursive side once per modeled pass
-                // with that pass's delta as the temp's cardinality
-                // (Figure 5's Σᵢ cost(Exp(Tᵢ)), per-iteration volumes
-                // and all).
+                // Model the per-iteration delta curve and estimate the
+                // recursive side once per modeled pass with that pass's
+                // delta as the temp's cardinality (Figure 5's
+                // Σᵢ cost(Exp(Tᵢ)), per-iteration volumes and all).
                 let curve = m.fix_delta_curve(temp, base_est.rows);
                 let total_rows = curve.total_rows;
                 let saved = self.temp_rows.insert(
@@ -909,31 +684,7 @@ impl EstCtx<'_, '_> {
                 // The executor's per-operator counters accumulate across
                 // iterations, so later passes fold into the first pass's
                 // breakdown lines (positional: the same subtree produces
-                // the same line sequence each pass). Under residency
-                // modeling the page features are buffer aware: a per-pass
-                // page footprint that fits in the buffer is re-touched
-                // hot on passes 2..n, so only the first pass pays cold
-                // reads; CPU work and index probes repeat in full.
-                // Sequential pages of temp-backed lines (delta scans,
-                // materialized join inners, nested fixpoints) live under
-                // the breaker memory budget, so their hot/cold cut is the
-                // budget-capped capacity; base-entity pages use the full
-                // buffer.
-                let (b_base, b_temp) = if p.residency {
-                    (p.buffer_frames as f64, p.breaker_frames())
-                } else {
-                    (0.0, 0.0)
-                };
-                let first_pages: Vec<(f64, f64, f64)> = self.breakdown[rec_mark..]
-                    .iter()
-                    .map(|l| {
-                        let b_seq = match l.kind {
-                            OpKind::TempScan | OpKind::Ej | OpKind::Fix => b_temp,
-                            _ => b_base,
-                        };
-                        (l.feat.seq_pages, l.feat.deref_pages, b_seq)
-                    })
-                    .collect();
+                // the same line sequence each pass).
                 for d in &curve.deltas[1..] {
                     self.temp_rows.insert(temp.to_string(), *d);
                     let pass_mark = self.breakdown.len();
@@ -943,17 +694,9 @@ impl EstCtx<'_, '_> {
                         first_len,
                         "recursive side must produce the same line sequence each pass"
                     );
-                    for (i, &(first_seq, first_deref, b_seq)) in first_pages.iter().enumerate() {
-                        let src = self.breakdown[pass_mark + i].clone();
-                        let mut add = src.feat;
-                        if b_seq > 0.0 && first_seq <= b_seq {
-                            add.seq_pages = 0.0;
-                        }
-                        if b_base > 0.0 && first_deref <= b_base {
-                            add.deref_pages = 0.0;
-                        }
-                        let dst = &mut self.breakdown[rec_mark + i];
-                        dst.feat += add;
+                    let (first, pass) = self.breakdown.split_at_mut(pass_mark);
+                    for (dst, src) in first[rec_mark..].iter_mut().zip(pass.iter()) {
+                        dst.feat += src.feat;
                         dst.rows += src.rows;
                         dst.pages += src.pages;
                     }
@@ -968,7 +711,7 @@ impl EstCtx<'_, '_> {
                     }
                 }
                 for line in &mut self.breakdown[rec_mark..] {
-                    line.cost = Cost::new(line.feat.io(w), line.feat.cpu(w));
+                    line.cost = Cost::new(line.feat.io(), line.feat.cpu());
                 }
                 let iter_cost = self.breakdown[rec_mark..]
                     .iter()
@@ -976,24 +719,9 @@ impl EstCtx<'_, '_> {
                 // Materialization writes of the accumulated temporary,
                 // whose shape the fixpoint hands up.
                 let total_pages = self.pages_est(total_rows, &field_types(&node.cols));
-                // The materialization writes, plus the readback: the
-                // breaker streams the accumulated temporary back out of
-                // the page store after convergence — all buffer hits
-                // while it fits the breaker memory budget, one full
-                // sequential re-read once spilled. (Residency-gated so
-                // the symbolic §4.6 model keeps its shape.) The dedup
-                // bookkeeping stays uncharged: the executor counts
-                // comparisons and method calls, not hash probes, so
-                // charging it as `evals` was a phantom the calibration
-                // residuals flagged.
-                let bt = p.breaker_frames();
-                let readback = if p.residency && (bt <= 0.0 || total_pages > bt) {
-                    total_pages
-                } else {
-                    0.0
-                };
+                // The dedup bookkeeping stays uncharged: the executor
+                // counts comparisons and method calls, not hash probes.
                 let own_feat = CostFeatures {
-                    seq_pages: readback,
                     write_pages: total_pages,
                     ..CostFeatures::default()
                 };
@@ -1004,7 +732,7 @@ impl EstCtx<'_, '_> {
                 (own_feat, est)
             }
         };
-        let own = Cost::new(feat.io(w), feat.cpu(w));
+        let own = Cost::new(feat.io(), feat.cpu());
         est.cost += own;
         self.breakdown.push(NodeCost {
             label: String::new(),
@@ -1040,19 +768,6 @@ impl EstCtx<'_, '_> {
                     };
                     if !in_hand {
                         out.io += mult; // fetch the object's page
-                        match m.physical.class_entity(class) {
-                            Some(e) => {
-                                if !self.hot.contains(&e) && !self.scan_resident.contains(&e) {
-                                    out.footprint += m
-                                        .stats
-                                        .entity(e)
-                                        .map(|s| s.pages as f64)
-                                        .unwrap_or(f64::INFINITY);
-                                }
-                                out.touched.push(e);
-                            }
-                            None => out.footprint += f64::INFINITY,
-                        }
                     }
                     let Some((aid, attr)) = m.catalog.attr(class, step) else {
                         break;

@@ -439,49 +439,6 @@ fn index_selection_beats_scan_for_selective_predicates() {
     );
 }
 
-/// The fit recovers weights that generated the observations.
-#[test]
-fn fit_recovers_planted_weights() {
-    let truth = CostWeights {
-        seq_page: 0.8,
-        deref_page: 1.4,
-        index_level: 2.0,
-        index_leaf: 0.5,
-        write_page: 3.0,
-        eval: 1.2,
-        method: 2.5,
-    };
-    let mut equations = Vec::new();
-    let mut rng = oorq_prng::Prng::new(0xf17);
-    for _ in 0..64 {
-        let feat = CostFeatures {
-            seq_pages: rng.range_u32(0, 20) as f64,
-            deref_pages: rng.range_u32(0, 20) as f64,
-            index_level_ios: rng.range_u32(0, 8) as f64,
-            index_leaf_ios: rng.range_u32(0, 8) as f64,
-            write_pages: rng.range_u32(0, 6) as f64,
-            evals: rng.range_u32(0, 40) as f64,
-            method_units: rng.range_u32(0, 12) as f64,
-        };
-        equations.push((feat, feat.io(&truth), feat.cpu(&truth)));
-    }
-    let w = CostWeights::fit(&equations);
-    for (name, got, want) in [
-        ("seq_page", w.seq_page, truth.seq_page),
-        ("deref_page", w.deref_page, truth.deref_page),
-        ("index_level", w.index_level, truth.index_level),
-        ("index_leaf", w.index_leaf, truth.index_leaf),
-        ("write_page", w.write_page, truth.write_page),
-        ("eval", w.eval, truth.eval),
-        ("method", w.method, truth.method),
-    ] {
-        assert!(
-            (got - want).abs() < 0.05,
-            "{name}: fitted {got} vs planted {want}"
-        );
-    }
-}
-
 /// The benchmark's recursive scale — 200 composers × 4 works × 3
 /// instruments, a quarter of the composers with one harpsichord slot —
 /// under the `works.instruments` path index, and the path-index join of

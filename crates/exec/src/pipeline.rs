@@ -1596,7 +1596,7 @@ impl OpExec<'_> {
 /// `saturating_sub` chain would clamp one child's overshoot to zero and
 /// then subtract the remaining children from the wrong base, silently
 /// mis-attributing their work to the parent — exactly the kind of
-/// systematic drift the calibration gate exists to catch. Release
+/// systematic drift the `CX*` drift lints exist to catch. Release
 /// builds still clamp at zero rather than underflow.
 fn rollup(plan: &PhysPlan, stats: &[OpStats]) -> Vec<OpReport> {
     /// Checked exclusive counter: `inclusive - children`, clamped in

@@ -98,7 +98,7 @@ pub enum LintCode {
     /// selection can ever be pushed through it (\[KL86\]).
     NoPropagatedColumns,
 
-    // ---- calibration drift pass -------------------------------------
+    // ---- drift pass -------------------------------------------------
     /// An operator's predicted page accesses drift beyond tolerance from
     /// the observed ones.
     IoDrift,
@@ -111,16 +111,8 @@ pub enum LintCode {
     /// A plan node in the cost breakdown has no observed counterpart (or
     /// vice versa) — predicted-vs-observed attribution is incomplete.
     UnmatchedOperator,
-    /// A fixpoint profile's predicted iteration count drifts beyond
-    /// tolerance from the observed semi-naive pass count.
-    FixIterationsDrift,
-    /// A fixpoint profile's predicted delta mass drifts beyond tolerance
-    /// from the observed delta curve's total.
-    FixDeltaMassDrift,
-    /// The model and the run disagree about which side of the spill
-    /// cliff the plan is on: breaker pages modeled past the memory
-    /// budget against observed spill evictions.
-    SpillDrift,
+    // CX005–CX007 are retired with the fitted fixpoint profiles and the
+    // residency model they checked; the numbers are not reused.
 
     // ---- physical-plan pass -----------------------------------------
     /// Physical operator ids are not dense and unique.
@@ -138,11 +130,8 @@ pub enum LintCode {
     /// An entity scan references an entity out of range.
     PhysBadEntity,
     // PX008 and PX009 are retired with the parallel operators they
-    // checked; the numbers are not reused.
-    /// A materializing breaker's estimated page footprint exceeds the
-    /// executor's breaker memory budget: the answer stays correct, but
-    /// LRU spill makes its re-reads pay full page I/O.
-    BreakerOverBudget,
+    // checked, PX010 with the breaker-budget model; the numbers are not
+    // reused.
 
     // ---- abstract-interpretation (static bounds) pass ---------------
     /// An observed operator row counter escapes its static interval.
@@ -203,9 +192,6 @@ impl LintCode {
             CpuDrift              => ("CX002", Warn,  "predicted evaluations drift beyond tolerance from observed"),
             RowsDrift             => ("CX003", Warn,  "predicted cardinality drifts beyond tolerance from observed rows"),
             UnmatchedOperator     => ("CX004", Note,  "cost-breakdown node without an observed counterpart"),
-            FixIterationsDrift    => ("CX005", Warn,  "modeled fixpoint iteration count drifts from the observed passes"),
-            FixDeltaMassDrift     => ("CX006", Warn,  "modeled fixpoint delta mass drifts from the observed curve"),
-            SpillDrift            => ("CX007", Warn,  "modeled spill-cliff side disagrees with observed spill evictions"),
             PhysOpIds             => ("PX001", Error, "physical operator ids not dense and unique"),
             PhysColsMismatch      => ("PX002", Error, "physical operator columns disagree with operands"),
             PhysBadPerm           => ("PX003", Error, "union/fixpoint permutation does not map operand columns"),
@@ -213,7 +199,6 @@ impl LintCode {
             PhysUndefinedTemp     => ("PX005", Error, "temp scanned outside a defining fixpoint"),
             PhysBadRescan         => ("PX006", Error, "nested-loop rescan over a non-rescannable inner"),
             PhysBadEntity         => ("PX007", Error, "entity scan references an entity out of range"),
-            BreakerOverBudget     => ("PX010", Warn,  "breaker footprint exceeds the memory budget (expect spill)"),
             BoundRowsViolated     => ("AB001", Error, "observed row counter escapes its static interval"),
             BoundPagesViolated    => ("AB002", Error, "observed page-access counter escapes its static interval"),
             BoundPassesViolated   => ("AB003", Error, "fixpoint exceeded its static semi-naive pass bound"),
@@ -270,9 +255,6 @@ impl LintCode {
             CpuDrift,
             RowsDrift,
             UnmatchedOperator,
-            FixIterationsDrift,
-            FixDeltaMassDrift,
-            SpillDrift,
             PhysOpIds,
             PhysColsMismatch,
             PhysBadPerm,
@@ -280,7 +262,6 @@ impl LintCode {
             PhysUndefinedTemp,
             PhysBadRescan,
             PhysBadEntity,
-            BreakerOverBudget,
             BoundRowsViolated,
             BoundPagesViolated,
             BoundPassesViolated,

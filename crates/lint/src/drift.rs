@@ -1,4 +1,4 @@
-//! The calibration-drift pass (`CX*`): predicted vs observed
+//! The drift pass (`CX*`): predicted vs observed
 //! per-operator accounting.
 //!
 //! The estimator's clamps keep estimates *well-formed*; this pass
@@ -9,15 +9,11 @@
 //! and flags operators whose predicted/observed ratio drifts beyond
 //! tolerance: `CX001` for page accesses, `CX002` for evaluations,
 //! `CX003` for cardinality, and `CX004` for nodes with no counterpart
-//! on the other side. A second entry point ([`lint_fix_drift`]) checks
-//! the *fixpoint profile* predictions: `CX005` when a modeled iteration
-//! count drifts from the observed semi-naive pass count, `CX006` when
-//! the modeled delta mass drifts from the observed curve's total.
+//! on the other side.
 //!
 //! Drift lints are warnings, not errors: an estimate can be off without
-//! the plan being wrong. They exist so the calibration harness (and
-//! `reproduce calibrate`) can gate on systematic mis-weighting instead
-//! of silently absorbing it.
+//! the plan being wrong. The server reads them to tell stale statistics
+//! from honest model error.
 
 use std::collections::BTreeMap;
 
@@ -79,7 +75,7 @@ impl DriftTolerance {
 }
 
 /// Join a plan-cost breakdown against observed per-operator totals and
-/// flag calibration drift (`CX001`–`CX004`).
+/// flag drift (`CX001`–`CX004`).
 ///
 /// Breakdown lines without a node id (synthetic lines) are skipped;
 /// several observations of one PT node (an operator re-instantiated by
@@ -161,107 +157,5 @@ pub fn lint_drift(
         }
     }
 
-    report
-}
-
-/// Check the model's spill prediction against the run (`CX007`). The
-/// breakdown's breaker write footprints against the memory budget say
-/// how many breaker pages the model expects to be forced out of
-/// residency; the buffer manager's spill-eviction counter says how many
-/// actually were. Disagreement beyond tolerance means the residency
-/// model put the plan on the wrong side of the spill cliff — the exact
-/// mis-prediction the spill calibration harness gates on. A budget of
-/// `0` (unbounded) never fires.
-pub fn lint_spill_drift(
-    breakdown: &[NodeCost],
-    budget_pages: u64,
-    observed_spill_evictions: f64,
-    tol: DriftTolerance,
-) -> LintReport {
-    let mut report = LintReport::new();
-    if budget_pages == 0 {
-        return report;
-    }
-    let b = budget_pages as f64;
-    let predicted_excess: f64 = breakdown
-        .iter()
-        .map(|l| (l.feat.write_pages - b).max(0.0))
-        .sum();
-    if tol.drifted(predicted_excess, observed_spill_evictions.max(0.0)) {
-        report.push(
-            LintCode::SpillDrift,
-            "plan",
-            format!(
-                "modeled {:.0} breaker pages past the {budget_pages}-page budget, \
-                 observed {:.0} spill evictions",
-                predicted_excess, observed_spill_evictions
-            ),
-        );
-    }
-    report
-}
-
-/// One executed fixpoint's observed delta curve, summarised by the
-/// caller: `iterations` is the recursive-side pass count (curve length
-/// minus the seed entry), `mass` the curve's total delta rows.
-#[derive(Debug, Clone)]
-pub struct ObservedFix {
-    /// Pre-order PT node index of the `Fix` node (the join key shared
-    /// with [`NodeCost::node`]).
-    pub pt_node: usize,
-    /// The fixpoint's temporary, for diagnostics.
-    pub temp: String,
-    /// Observed semi-naive pass count.
-    pub iterations: f64,
-    /// Observed total delta mass (sum over the curve).
-    pub mass: f64,
-}
-
-/// Join the `Fix` lines of a plan-cost breakdown (those carrying a
-/// modeled [`oorq_cost::FixCurve`]) against observed fixpoint curves
-/// and flag profile drift: `CX005` for iteration counts, `CX006` for
-/// delta mass.
-///
-/// Iteration counts are small integers, so their check overrides the
-/// magnitude floor with a floor of 2 — a modeled 2-pass fixpoint that
-/// runs a dozen passes is exactly the drift the feedback loop exists to
-/// catch — while the mass check uses the caller's tolerance as-is.
-pub fn lint_fix_drift(
-    breakdown: &[NodeCost],
-    observed: &[ObservedFix],
-    tol: DriftTolerance,
-) -> LintReport {
-    let mut report = LintReport::new();
-    let iter_tol = DriftTolerance { floor: 2.0, ..tol };
-    for line in breakdown {
-        let (Some(node), Some(curve)) = (line.node, line.fix.as_ref()) else {
-            continue;
-        };
-        let Some(obs) = observed.iter().find(|o| o.pt_node == node) else {
-            continue;
-        };
-        let loc = format!("node {} (Fix({}))", node, obs.temp);
-        if iter_tol.drifted(curve.iterations, obs.iterations) {
-            report.push(
-                LintCode::FixIterationsDrift,
-                loc.clone(),
-                format!(
-                    "modeled {:.0} fixpoint passes, observed {:.0}",
-                    curve.iterations, obs.iterations
-                ),
-            );
-        }
-        if tol.drifted(curve.mass(), obs.mass) {
-            report.push(
-                LintCode::FixDeltaMassDrift,
-                loc,
-                format!(
-                    "modeled {:.1} total delta rows, observed {:.1}",
-                    curve.mass(),
-                    obs.mass
-                ),
-            );
-        }
-    }
     report
 }

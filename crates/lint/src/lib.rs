@@ -13,9 +13,10 @@
 //! - [`verify_pt`] — the *plan pass*: fixpoint shape, implicit-join
 //!   steps against the physical schema, projections vs. columns
 //!   consumed upstream, expression typing, temporary scoping.
-//! - [`lint_drift`] — the *calibration pass*: per-operator predicted
-//!   vs observed accounting, flagging estimates that drift beyond
-//!   tolerance (`CX*`).
+//! - [`lint_drift`] — the *drift pass*: per-operator predicted vs
+//!   observed accounting, flagging estimates that drift beyond
+//!   tolerance (`CX*`); the server evicts a plan on it when its
+//!   statistics go stale.
 //!
 //! Every check has a stable code ([`LintCode`],
 //! `QG*`/`PT*`/`CX*`/`PX*`/`AB*`) and
@@ -24,18 +25,14 @@
 //! pass again after `rewrite`, in debug builds only; the executor
 //! re-checks its input plan at the boundary.
 
-mod cost;
 mod diag;
 mod drift;
 mod graph;
 mod phys;
 mod plan;
 
-pub use cost::lint_breaker_budget;
 pub use diag::{Diagnostic, LintCode, LintReport, Severity};
-pub use drift::{
-    lint_drift, lint_fix_drift, lint_spill_drift, DriftTolerance, ObservedFix, ObservedOp,
-};
+pub use drift::{lint_drift, DriftTolerance, ObservedOp};
 pub use graph::lint_graph;
 pub use phys::verify_phys;
 pub use plan::verify_pt;

@@ -10,8 +10,7 @@ use oorq_schema::Catalog;
 use oorq_storage::{Database, StorageConfig};
 
 use crate::{
-    lint_breaker_budget, lint_drift, lint_graph, lint_spill_drift, verify_phys, verify_pt,
-    DriftTolerance, LintCode, ObservedOp, Severity,
+    lint_drift, lint_graph, verify_phys, verify_pt, DriftTolerance, LintCode, ObservedOp, Severity,
 };
 
 fn setup() -> (Arc<Catalog>, Database) {
@@ -478,6 +477,81 @@ fn bad_index_kind_for_probe() {
     assert!(report.has(LintCode::BadIndex), "{report}");
 }
 
+/// Figure 3's plan with the generator selection of its base leg as a
+/// `Sel^idx` on `name`: `probe` makes it one that cannot probe.
+fn fig3_plan(cat: &Catalog, db: &mut Database, probe: bool) -> Pt {
+    let composer = cat.class_by_name("Composer").unwrap();
+    let (name, _) = cat.attr(composer, "name").unwrap();
+    let (master, _) = cat.attr(composer, "master").unwrap();
+    let e = db.physical().class_entity(composer).unwrap();
+    let six = db.physical_mut().add_index(
+        oorq_storage::IndexKindDesc::Selection {
+            class: composer,
+            attr: name,
+        },
+        oorq_storage::IndexStats {
+            nblevels: 2,
+            nbleaves: 30,
+        },
+    );
+    let ij = |on: Expr, out: &str, input: Pt, target: &str| Pt::IJ {
+        on,
+        step: IjStep::class_attr(cat, composer, master),
+        out: out.into(),
+        input: Box::new(input),
+        target: Box::new(Pt::entity(e, target)),
+    };
+    // `name <> "Bach"` has no `name = literal` conjunct to probe with.
+    let pred = Expr::path("x", &["name"]).ne(Expr::text("Bach"));
+    let generator = match probe {
+        true => Pt::Sel {
+            pred,
+            method: oorq_pt::AccessMethod::Index(six),
+            input: Box::new(Pt::entity(e, "x")),
+        },
+        false => Pt::sel(pred, Pt::entity(e, "x")),
+    };
+    let base = Pt::proj(
+        vec![
+            ("master".into(), Expr::path("x", &["master"])),
+            ("disciple".into(), Expr::var("x")),
+            ("gen".into(), Expr::int(1)),
+        ],
+        generator,
+    );
+    let rec = Pt::proj(
+        vec![
+            ("master".into(), Expr::var("i.master")),
+            ("disciple".into(), Expr::var("x")),
+            ("gen".into(), Expr::var("i.gen").add(Expr::int(1))),
+        ],
+        Pt::ej(
+            Expr::var("i.disciple").eq(Expr::var("m")),
+            ij(Expr::path("x", &["master"]), "m", Pt::entity(e, "x"), "mc"),
+            Pt::temp("Influencer", "i"),
+        ),
+    );
+    let fix = Pt::fix("Influencer", Pt::union(base, rec));
+    let answer = ij(Expr::var("disciple"), "d", fix, "dc");
+    Pt::proj(vec![("name".into(), Expr::path("d", &["name"]))], answer)
+}
+
+/// A base leg that fails leaves its temporary without a shape: the one
+/// real error is reported, not a `PT008` for every read of the
+/// temporary in the recursive leg.
+#[test]
+fn a_failed_base_leg_is_its_one_diagnostic() {
+    let (cat, mut db) = setup();
+    let scanning = fig3_plan(&cat, &mut db, false);
+    let probing = fig3_plan(&cat, &mut db, true);
+    let env = PtEnv::new(&cat, db.physical());
+    let report = verify_pt(&env, &scanning);
+    assert!(report.diagnostics.is_empty(), "{report}");
+    let report = verify_pt(&env, &probing);
+    let codes: Vec<&str> = report.diagnostics.iter().map(|d| d.code.code()).collect();
+    assert_eq!(codes, ["PT005"], "{report}");
+}
+
 #[test]
 fn bad_ij_on_expression() {
     let (cat, db) = setup();
@@ -694,7 +768,7 @@ fn phys_bad_entity_is_reported() {
     assert!(report.has(LintCode::PhysBadEntity), "{report}");
 }
 
-// ---- calibration drift pass ---------------------------------------
+// ---- drift pass ---------------------------------------------------
 
 fn node_cost(node: usize, label: &str, io: f64, cpu: f64, rows: f64) -> oorq_cost::NodeCost {
     oorq_cost::NodeCost {
@@ -779,90 +853,6 @@ fn drift_sums_repeated_observations_of_one_node() {
     ];
     let report = lint_drift(&breakdown, &obs, DriftTolerance::default());
     assert!(report.diagnostics.is_empty(), "{report}");
-}
-
-// ---- fixpoint-profile drift pass -----------------------------------
-
-fn fix_node(node: usize, temp: &str, iterations: f64, deltas: &[f64]) -> oorq_cost::NodeCost {
-    let curve = oorq_cost::FixCurve {
-        temp: temp.to_string(),
-        base_rows: deltas.first().copied().unwrap_or(0.0),
-        iterations,
-        deltas: deltas.to_vec(),
-        total_rows: deltas.iter().sum(),
-        profiled: true,
-    };
-    oorq_cost::NodeCost {
-        label: format!("Fix({temp})"),
-        kind: oorq_cost::OpKind::Fix,
-        node: Some(node),
-        cost: oorq_cost::Cost::zero(),
-        feat: oorq_cost::CostFeatures::default(),
-        rows: curve.total_rows,
-        pages: 1.0,
-        fix: Some(curve),
-    }
-}
-
-fn observed_fix(node: usize, temp: &str, iterations: f64, mass: f64) -> crate::ObservedFix {
-    crate::ObservedFix {
-        pt_node: node,
-        temp: temp.to_string(),
-        iterations,
-        mass,
-    }
-}
-
-#[test]
-fn fix_drift_clean_when_profile_matches() {
-    let breakdown = vec![fix_node(2, "Influencer", 4.0, &[20.0, 12.0, 6.0, 2.0, 0.0])];
-    let obs = vec![observed_fix(2, "Influencer", 4.0, 41.0)];
-    let report = crate::lint_fix_drift(&breakdown, &obs, DriftTolerance::default());
-    assert!(report.diagnostics.is_empty(), "{report}");
-}
-
-#[test]
-fn fix_drift_iterations_fire_beyond_ratio() {
-    // Modeled 2 passes, ran 12: CX005, even though both counts sit far
-    // below the generic magnitude floor.
-    let breakdown = vec![fix_node(2, "Influencer", 2.0, &[200.0, 100.0, 0.0])];
-    let obs = vec![observed_fix(2, "Influencer", 12.0, 300.0)];
-    let report = crate::lint_fix_drift(&breakdown, &obs, DriftTolerance::default());
-    assert!(report.has(LintCode::FixIterationsDrift), "{report}");
-    assert!(!report.has(LintCode::FixDeltaMassDrift), "{report}");
-    // Warnings, not errors.
-    assert!(report.is_clean(), "{report}");
-}
-
-#[test]
-fn fix_drift_mass_fires_on_volume_misestimate() {
-    let breakdown = vec![fix_node(2, "Contains", 3.0, &[500.0, 400.0, 300.0, 0.0])];
-    let obs = vec![observed_fix(2, "Contains", 3.0, 60.0)];
-    let report = crate::lint_fix_drift(&breakdown, &obs, DriftTolerance::default());
-    assert!(report.has(LintCode::FixDeltaMassDrift), "{report}");
-    assert!(!report.has(LintCode::FixIterationsDrift), "{report}");
-}
-
-#[test]
-fn fix_drift_joins_per_node_and_skips_unobserved() {
-    // Two fixpoints in one plan: only the drifted node fires, keyed to
-    // its own PT node; the unmatched Fix line is skipped quietly.
-    let breakdown = vec![
-        fix_node(2, "A", 3.0, &[50.0, 30.0, 0.0]),
-        fix_node(8, "B", 2.0, &[40.0, 20.0, 0.0]),
-        fix_node(11, "C", 2.0, &[10.0, 0.0]),
-    ];
-    let obs = vec![
-        observed_fix(2, "A", 3.0, 80.0),
-        observed_fix(8, "B", 2.0, 700.0),
-    ];
-    let report = crate::lint_fix_drift(&breakdown, &obs, DriftTolerance::default());
-    assert_eq!(report.diagnostics.len(), 1, "{report}");
-    assert!(report.has(LintCode::FixDeltaMassDrift), "{report}");
-    assert!(
-        report.diagnostics[0].location.contains("node 8"),
-        "{report}"
-    );
 }
 
 #[test]
@@ -992,53 +982,4 @@ fn phys_bad_index_is_reported() {
     };
     let report = verify_phys(&env, &oorq_pt::PhysPlan { root, ops: 1 });
     assert!(report.has(LintCode::PhysBadIndex), "{report}");
-}
-
-// ---- breaker-budget / spill-drift passes ----------------------------
-
-fn breaker_line(label: &str, write_pages: f64) -> oorq_cost::NodeCost {
-    oorq_cost::NodeCost {
-        label: label.to_string(),
-        kind: oorq_cost::OpKind::Fix,
-        node: Some(0),
-        cost: oorq_cost::Cost::zero(),
-        feat: oorq_cost::CostFeatures {
-            write_pages,
-            ..Default::default()
-        },
-        rows: 1.0,
-        pages: write_pages,
-        fix: None,
-    }
-}
-
-#[test]
-fn breaker_over_budget_is_reported() {
-    let over = vec![breaker_line("Fix(R)", 96.0)];
-    let report = lint_breaker_budget(&over, 8);
-    assert!(report.has(LintCode::BreakerOverBudget), "{report}");
-    assert_eq!(LintCode::BreakerOverBudget.severity(), Severity::Warn);
-    // Fitting breakers and unbounded budgets stay quiet.
-    assert!(lint_breaker_budget(&over, 0).diagnostics.is_empty());
-    let fit = vec![breaker_line("Fix(R)", 4.0)];
-    assert!(lint_breaker_budget(&fit, 8).diagnostics.is_empty());
-}
-
-#[test]
-fn spill_drift_fires_on_cliff_disagreement() {
-    let tol = DriftTolerance::default();
-    let over = vec![breaker_line("Fix(R)", 96.0)];
-    // Modeled 88 pages past the budget but no observed evictions: the
-    // model put the plan on the wrong side of the cliff.
-    let report = lint_spill_drift(&over, 8, 0.0, tol);
-    assert!(report.has(LintCode::SpillDrift), "{report}");
-    // Observed evictions in the modeled ballpark: quiet.
-    let report = lint_spill_drift(&over, 8, 90.0, tol);
-    assert!(report.diagnostics.is_empty(), "{report}");
-    // Modeled fit, observed heavy spilling: drift again.
-    let fit = vec![breaker_line("Fix(R)", 4.0)];
-    let report = lint_spill_drift(&fit, 8, 200.0, tol);
-    assert!(report.has(LintCode::SpillDrift), "{report}");
-    // An unbounded budget never fires.
-    assert!(lint_spill_drift(&fit, 0, 200.0, tol).diagnostics.is_empty());
 }

@@ -484,7 +484,7 @@ impl Lowering<'_, '_> {
 }
 
 /// The kind of operator a PT node executes as: the grouping key of
-/// residual, drift and calibration reports.
+/// residual and drift reports.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum OpKind {
     /// Entity (class/relation extension) sequential scan.

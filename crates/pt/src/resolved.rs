@@ -59,8 +59,9 @@ pub fn resolve<'p>(
 /// [`resolve`]'s walk over every node of `order`, past failures: a node
 /// that fails holds its error, its ancestors are left unresolved
 /// (`None`), and every other subtree is still resolved — a fixpoint's
-/// recursive leg too when its base leg failed (the temporary then has no
-/// columns), and the children of a fixpoint whose body is malformed.
+/// recursive leg too when its base leg failed (a scan of the temporary,
+/// which then has no shape, is left unresolved like an ancestor of the
+/// failure), and the children of a fixpoint whose body is malformed.
 pub fn resolve_each<'p>(
     catalog: &'p Catalog,
     physical: &'p PhysicalSchema,
@@ -86,8 +87,9 @@ struct Walk<'e, 'p> {
     temps: &'e HashMap<String, Cols>,
     order: &'e Preorder<'p>,
     /// Temporaries of the fixpoints entered so far, innermost last: the
-    /// name, and the base leg whose output is its shape.
-    defined: Vec<(&'p str, usize)>,
+    /// name, and the base leg whose output is its shape — or that leg's
+    /// failure.
+    defined: Vec<(&'p str, Result<usize, PtError>)>,
     nodes: Vec<Option<Result<Node<'p>, PtError>>>,
 }
 
@@ -137,10 +139,17 @@ impl<'e, 'p> Walk<'e, 'p> {
             // leg reads the shape it hands up. The body union is absorbed
             // — resolved, but its legs are walked from here.
             let base_walked = self.go(base);
-            self.defined.push((temp, base));
+            self.defined
+                .push((temp, base_walked.clone().map(|()| base)));
             let legs = base_walked.and(self.go(rec));
             legs.and_then(|()| self.op(body))
                 .and_then(|op| self.put(body, op))
+        } else if let Ok(NodeOp::TempScan { name, .. }) = op {
+            // A temporary whose base leg failed has no shape to hand up.
+            match self.defined.iter().rev().find(|(n, _)| *n == name) {
+                Some((_, Err(e))) => Err(e.clone()),
+                _ => Ok(()),
+            }
         } else {
             let mut walked = Ok(());
             for kid in self.order.kids(id) {
@@ -189,11 +198,8 @@ impl<'e, 'p> Walk<'e, 'p> {
             }
             NodeOp::TempScan { name, var } => {
                 let fields = match self.defined.iter().rev().find(|(n, _)| n == name) {
-                    // A base leg that failed leaves its temporary no columns.
-                    Some(&(_, base)) => match &self.nodes[base] {
-                        Some(Ok(base)) => base.cols.as_slice(),
-                        _ => &[],
-                    },
+                    Some((_, Ok(base))) => self.cols(*base).as_slice(),
+                    Some((_, Err(_))) => unreachable!("`go` leaves this scan unresolved"),
                     None => self
                         .temps
                         .get(*name)

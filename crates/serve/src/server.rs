@@ -476,8 +476,8 @@ impl<'s> Session<'s> {
         // error, so it keys on the one signal the statistics determine
         // directly: base-relation scan cardinality (CX003 on
         // `OpKind::Scan` lines). Interior nodes fold in the model's
-        // selectivity assumptions, fixpoint-shape drift (CX005/CX006) the
-        // model's pessimistic iteration count, and observed page/eval
+        // selectivity assumptions, fixpoint lines the model's
+        // pessimistic iteration count, and observed page/eval
         // traffic depends on buffer residency and rescan counts — none
         // of those can tell stale statistics from a warm cache, so they
         // never evict.
