@@ -35,7 +35,7 @@ if grep -nF -e 'output_columns(' -e "rsplit('.')" $(nontest crates/lint/src); th
     exit 1
 fi
 
-echo "== what no workload runs stays deleted (a thread or an Exchange/Merge operator in the engine; FragmentSpec, ClassLayout or decompose_vertical/decompose_horizontal; IndexJoin, EjIdx, applicable_join_indexes or EJ^idx, or require_index; CostWeights, FixProfile(s), CostParams::calibrated, parse_snapshot, lint_fix_drift, lint_spill_drift or lint_breaker_budget, in non-test src, crates/*/src or examples, or a crates/cost/*.toml snapshot, fails) =="
+echo "== what no workload runs stays deleted (a thread or an Exchange/Merge operator in the engine; FragmentSpec, ClassLayout or decompose_vertical/decompose_horizontal; IndexJoin, EjIdx, applicable_join_indexes or EJ^idx, or require_index; CostWeights, FixProfile(s), CostParams::calibrated, parse_snapshot, lint_fix_drift, lint_spill_drift or lint_breaker_budget, in non-test src, crates/*/src or examples, or a crates/cost/*.toml snapshot; equivalent_toggle, proven_worse, PrunedProven or subtree_cost there, fails) =="
 if grep -nE 'thread::(scope|spawn)' $(nontest crates/exec/src) ||
     grep -nwE 'Exchange|Merge' $(nontest crates/pt/src crates/exec/src); then
     echo "intra-query parallelism was removed because no workload ran it (CHANGES.md, PR 28): bring it back" \
@@ -65,6 +65,12 @@ if grep -nwE 'CostWeights|FixProfiles?|parse_snapshot|lint_(fix|spill)_drift|lin
     find crates/cost -maxdepth 1 -name '*.toml' ! -name Cargo.toml | grep .; then
     echo "one cost model serves, CostParams::default() (ROADMAP item 11): the fitted weights, fixpoint" \
         "profiles and residency model were removed because no served plan was priced under them" >&2
+    exit 1
+fi
+if grep -nwE 'equivalent_toggle|proven_worse|PrunedProven|subtree_cost' $(nontest src crates/*/src examples); then
+    echo "the analyzer bounds what the executor counts and prices nothing: the walk's proof pruning and the" \
+        "cost intervals only it read were removed because the cost model turned down every plan they pruned" \
+        "(ROADMAP item 2c)" >&2
     exit 1
 fi
 

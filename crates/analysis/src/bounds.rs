@@ -1,6 +1,7 @@
 //! Abstract interpretation of processing trees: sound per-node interval
-//! bounds on cardinality, page accesses, fixpoint passes, and weighted
-//! cost.
+//! bounds on what the executor counts — cardinality, page accesses,
+//! writes and fixpoint passes. It prices nothing; plans are costed by
+//! `oorq_cost` alone.
 //!
 //! The analyzer walks the resolved plan ([`oorq_pt::resolve`]) — the
 //! ids, operators and output columns lowering itself builds from — and
@@ -19,8 +20,7 @@
 //! first pass of a run and reads them back on every later one, so its
 //! children do less than these intervals allow and it does a little
 //! more: its page bounds also admit one write per row and one read-back
-//! per row per opening. Its cost interval prices it as the cost model
-//! does, once per pass.
+//! per row per opening.
 //!
 //! Violations of this contract are surfaced by [`crate::check_observed`]
 //! as `AB001`–`AB003` lints and (in debug builds) break the executor's
@@ -35,10 +35,8 @@
 //! product of the field domains. An unbounded field degrades the pass
 //! bound to the executor's iteration cap (`AB005`).
 //!
-//! Cost intervals apply the Figure-5 feature×weight model with directed
-//! rounding (see [`Interval`]), so two plans' intervals can be compared:
-//! if one plan's lower cost bound exceeds another's upper bound, the
-//! first is *provably* worse (see [`crate::dominance`]).
+//! Every bound is built with directed rounding (see [`Interval`]), so
+//! float arithmetic never rounds a true count out of its interval.
 
 use std::collections::HashMap;
 
@@ -85,10 +83,6 @@ pub struct FeatBounds {
     pub index: Interval,
     /// Temporary pages written.
     pub writes: Interval,
-    /// Predicate comparisons.
-    pub evals: Interval,
-    /// Method cost units (declared `eval_cost` × invocations).
-    pub method_units: Interval,
 }
 
 impl FeatBounds {
@@ -99,8 +93,6 @@ impl FeatBounds {
             deref: Interval::zero(),
             index: Interval::zero(),
             writes: Interval::zero(),
-            evals: Interval::zero(),
-            method_units: Interval::zero(),
         }
     }
 }
@@ -131,8 +123,6 @@ pub struct NodeBounds {
     pub feats: FeatBounds,
     /// Fixpoints only: bound on the semi-naive pass count *per open*.
     pub passes: Option<Interval>,
-    /// Exclusive cost (`io·pr + cpu·ev`).
-    pub cost: Interval,
 }
 
 impl NodeBounds {
@@ -162,7 +152,6 @@ impl NodeBounds {
             rows_total: Interval::zero(),
             feats: FeatBounds::zero(),
             passes: None,
-            cost: Interval::zero(),
         }
     }
 }
@@ -181,25 +170,10 @@ impl Analysis {
     pub fn node(&self, pt_node: usize) -> Option<&NodeBounds> {
         self.nodes.get(pt_node)
     }
-
-    /// Cost interval of the subtree rooted at a pre-order id (pre-order
-    /// ids of a subtree are contiguous).
-    pub(crate) fn subtree_cost(&self, pt_node: usize) -> Option<Interval> {
-        let root = self.nodes.get(pt_node)?;
-        let end = pt_node.checked_add(root.size)?;
-        if end > self.nodes.len() {
-            return None;
-        }
-        Some(
-            self.nodes[pt_node..end]
-                .iter()
-                .fold(Interval::zero(), |acc, n| acc.add(n.cost)),
-        )
-    }
 }
 
 /// The static plan analyzer. Borrowed context: catalog, physical schema,
-/// measured statistics, cost parameters.
+/// measured statistics.
 pub struct Analyzer<'a> {
     /// Conceptual catalog.
     pub catalog: &'a Catalog,
@@ -208,7 +182,9 @@ pub struct Analyzer<'a> {
     /// Measured database statistics (the `max_fanout`/`max_dup` columns
     /// are what makes the upper bounds finite).
     pub stats: &'a DbStats,
-    /// Cost parameters whose `pr`/`ev` price the feature intervals.
+    /// Kept for `benchmark/src/traced.rs` until a `benchmark` PR drops
+    /// it: its struct literal names the field, which nothing reads (the
+    /// analyzer prices nothing).
     pub params: CostParams,
     /// Knobs.
     pub config: AnalyzerConfig,
@@ -216,17 +192,12 @@ pub struct Analyzer<'a> {
 
 impl<'a> Analyzer<'a> {
     /// New analyzer with default knobs.
-    pub fn new(
-        catalog: &'a Catalog,
-        physical: &'a PhysicalSchema,
-        stats: &'a DbStats,
-        params: CostParams,
-    ) -> Self {
+    pub fn new(catalog: &'a Catalog, physical: &'a PhysicalSchema, stats: &'a DbStats) -> Self {
         Analyzer {
             catalog,
             physical,
             stats,
-            params,
+            params: CostParams::default(),
             config: AnalyzerConfig::default(),
         }
     }
@@ -272,7 +243,6 @@ impl<'a> Analyzer<'a> {
                 || n.data().is_degenerate()
                 || n.index().is_degenerate()
                 || n.writes().is_degenerate()
-                || n.cost.is_degenerate()
                 || n.passes.is_some_and(|p| p.is_degenerate());
             if degenerate {
                 report.push(
@@ -286,7 +256,7 @@ impl<'a> Analyzer<'a> {
     }
 }
 
-/// Upper bounds on the cost of evaluating one expression on one row —
+/// Upper bounds on what evaluating one expression on one row touches —
 /// every field is a sound `hi` (the matching lower bounds are all zero:
 /// `And`/`Or` short-circuit and comparisons stop at the first true
 /// member pair, so nothing below the top-level count is guaranteed).
@@ -294,10 +264,6 @@ impl<'a> Analyzer<'a> {
 struct ExprCost {
     /// Data pages fetched by path traversal (`read_attr`).
     fetches: f64,
-    /// Comparison bumps.
-    evals: f64,
-    /// Method cost units.
-    units: f64,
     /// Members of the result value (fan-out under existential
     /// semantics).
     members: f64,
@@ -307,8 +273,6 @@ impl ExprCost {
     fn leaf(members: f64) -> ExprCost {
         ExprCost {
             fetches: 0.0,
-            evals: 0.0,
-            units: 0.0,
             members,
         }
     }
@@ -316,8 +280,6 @@ impl ExprCost {
     fn top() -> ExprCost {
         ExprCost {
             fetches: f64::INFINITY,
-            evals: f64::INFINITY,
-            units: f64::INFINITY,
             members: f64::INFINITY,
         }
     }
@@ -325,8 +287,6 @@ impl ExprCost {
     fn merge(self, o: ExprCost, members: f64) -> ExprCost {
         ExprCost {
             fetches: add_up(self.fetches, o.fetches),
-            evals: add_up(self.evals, o.evals),
-            units: add_up(self.units, o.units),
             members,
         }
     }
@@ -404,8 +364,8 @@ impl Walk<'_, '_> {
         self.plan[id].op.label(self.az.catalog, self.az.physical)
     }
 
-    /// Record a lowered node's bounds (cost derived from the features)
-    /// and hand its parent what it feeds it.
+    /// Record a lowered node's bounds and hand its parent what it feeds
+    /// it.
     #[allow(clippy::too_many_arguments)]
     fn lowered(
         &mut self,
@@ -417,7 +377,6 @@ impl Walk<'_, '_> {
         mut feats: FeatBounds,
         passes: Option<Interval>,
     ) -> Out {
-        let cost = self.cost_of(&feats);
         if self.replayed[id] {
             // At most one page per row an opening hands up: written by an
             // opening that derives them, read back by one that replays.
@@ -435,27 +394,12 @@ impl Walk<'_, '_> {
             rows_total,
             feats,
             passes,
-            cost,
         });
         Out {
             members,
             rows_once,
             rows_total,
         }
-    }
-
-    /// Price a feature interval vector at `pr` per page access and `ev`
-    /// per evaluation. A negative or non-finite constant makes signs
-    /// ambiguous — the cost interval collapses to top (which disables
-    /// provable pruning but keeps every counter check intact).
-    fn cost_of(&self, f: &FeatBounds) -> Interval {
-        let p = &self.az.params;
-        if [p.pr, p.ev].iter().any(|x| !x.is_finite() || *x < 0.0) {
-            return Interval::top();
-        }
-        let io = f.seq.add(f.deref).add(f.index).add(f.writes);
-        let cpu = f.evals.add(f.method_units);
-        io.scale(p.pr).add(cpu.scale(p.ev))
     }
 
     // ------------------------------------------------------------------
@@ -547,8 +491,7 @@ impl Walk<'_, '_> {
     // ------------------------------------------------------------------
 
     /// Per-evaluation upper bounds of an expression over the given
-    /// columns (follows the executor's `Bound::eval` step for step,
-    /// including the single-bump `= null` special case).
+    /// columns (follows the executor's `Bound::eval` step for step).
     fn expr_bounds(&self, e: &Expr, cols: Cols<'_>) -> ExprCost {
         match e {
             Expr::True => ExprCost::leaf(1.0),
@@ -559,19 +502,10 @@ impl Walk<'_, '_> {
                 None => ExprCost::top(),
             },
             Expr::Path { base, steps } => self.path_bounds(base, steps, cols),
-            Expr::Cmp { lhs, rhs, .. } => {
-                let l = self.expr_bounds(lhs, cols);
-                let r = self.expr_bounds(rhs, cols);
-                let bumps = if matches!(rhs.as_ref(), Expr::Lit(Literal::Null)) {
-                    1.0
-                } else {
-                    mul_up(l.members, r.members)
-                };
-                let mut out = l.merge(r, 1.0);
-                out.evals = add_up(out.evals, bumps);
-                out
-            }
-            Expr::And(l, r) | Expr::Or(l, r) | Expr::Add(l, r) => {
+            Expr::Cmp { lhs: l, rhs: r, .. }
+            | Expr::And(l, r)
+            | Expr::Or(l, r)
+            | Expr::Add(l, r) => {
                 let a = self.expr_bounds(l, cols);
                 let b = self.expr_bounds(r, cols);
                 a.merge(b, 1.0)
@@ -600,7 +534,6 @@ impl Walk<'_, '_> {
             // The runtime class of a member may be any subclass; take
             // the worst case over all of them.
             let mut any_stored = false;
-            let mut unit = 0.0f64;
             let mut next_ty = None;
             let mut found = false;
             for sub in self.az.catalog.subclasses_of(class) {
@@ -608,10 +541,7 @@ impl Walk<'_, '_> {
                     continue;
                 };
                 found = true;
-                match attr.kind {
-                    AttributeKind::Stored => any_stored = true,
-                    AttributeKind::Computed { eval_cost } => unit = unit.max(eval_cost.max(0.0)),
-                }
+                any_stored |= matches!(attr.kind, AttributeKind::Stored);
                 next_ty = Some(attr.ty.clone());
             }
             if !found {
@@ -620,7 +550,6 @@ impl Walk<'_, '_> {
             if any_stored {
                 cost.fetches = add_up(cost.fetches, cost.members);
             }
-            cost.units = add_up(cost.units, mul_up(cost.members, unit));
             cost.members = mul_up(cost.members, self.attr_fanout_hi(class, step));
             ty = next_ty.expect("found implies type");
         }
@@ -755,8 +684,6 @@ impl Walk<'_, '_> {
             // The B+-tree descent runs unconditionally at every open.
             index: Interval::exact(nblevels).mul(opens),
             deref: Interval::up_to(mul_up(hits, add_up(TOUCH_PAGES, pc.fetches))).mul(opens),
-            evals: Interval::up_to(mul_up(hits, pc.evals)).mul(opens),
-            method_units: Interval::up_to(mul_up(hits, pc.units)).mul(opens),
             ..FeatBounds::zero()
         };
         self.lowered(id, opens, members, rows_once, rows_total, feats, None)
@@ -784,8 +711,6 @@ impl Walk<'_, '_> {
         let rows_total = Interval::up_to(child.rows_total.hi);
         let feats = FeatBounds {
             deref: Interval::up_to(mul_up(child.rows_total.hi, pc.fetches)),
-            evals: Interval::up_to(mul_up(child.rows_total.hi, pc.evals)),
-            method_units: Interval::up_to(mul_up(child.rows_total.hi, pc.units)),
             ..FeatBounds::zero()
         };
         Ok(self.lowered(id, opens, child.members, rows_once, rows_total, feats, None))
@@ -801,13 +726,9 @@ impl Walk<'_, '_> {
         let child = self.go(input, opens)?;
         let mut members = Vec::with_capacity(exprs.len());
         let mut fetches = 0.0;
-        let mut evals = 0.0;
-        let mut units = 0.0;
         for (_, e) in exprs {
             let ec = self.expr_bounds(e, self.over(input, &child));
             fetches = add_up(fetches, ec.fetches);
-            evals = add_up(evals, ec.evals);
-            units = add_up(units, ec.units);
             members.push(ec.members);
         }
         // Streaming dedup: at least one distinct row per non-empty open,
@@ -817,8 +738,6 @@ impl Walk<'_, '_> {
         let rows_total = rows_once.mul(opens).cap_hi(child.rows_total.hi);
         let feats = FeatBounds {
             deref: Interval::up_to(mul_up(child.rows_total.hi, fetches)),
-            evals: Interval::up_to(mul_up(child.rows_total.hi, evals)),
-            method_units: Interval::up_to(mul_up(child.rows_total.hi, units)),
             ..FeatBounds::zero()
         };
         Ok(self.lowered(id, opens, members, rows_once, rows_total, feats, None))
@@ -841,8 +760,6 @@ impl Walk<'_, '_> {
                 child.rows_total.hi,
                 add_up(oc.fetches, mul_up(m, TOUCH_PAGES)),
             )),
-            evals: Interval::up_to(mul_up(child.rows_total.hi, oc.evals)),
-            method_units: Interval::up_to(mul_up(child.rows_total.hi, oc.units)),
             ..FeatBounds::zero()
         };
         child.members.push(1.0);
@@ -886,8 +803,6 @@ impl Walk<'_, '_> {
         let feats = FeatBounds {
             index: Interval::up_to(mul_up(child.rows_total.hi, mul_up(m, probe))),
             deref: Interval::up_to(mul_up(child.rows_total.hi, oc.fetches)),
-            evals: Interval::up_to(mul_up(child.rows_total.hi, oc.evals)),
-            method_units: Interval::up_to(mul_up(child.rows_total.hi, oc.units)),
             ..FeatBounds::zero()
         };
         child.members.extend(std::iter::repeat_n(1.0, outs));
@@ -933,8 +848,6 @@ impl Walk<'_, '_> {
             seq: mat_rescans,
             writes: mat_writes,
             deref: Interval::up_to(mul_up(pairs.hi, pc.fetches)),
-            evals: Interval::up_to(mul_up(pairs.hi, pc.evals)),
-            method_units: Interval::up_to(mul_up(pairs.hi, pc.units)),
             ..FeatBounds::zero()
         };
         Ok(self.lowered(id, opens, l.members, rows_once, rows_total, feats, None))

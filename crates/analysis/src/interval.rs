@@ -35,7 +35,7 @@ pub(crate) fn next_down(x: f64) -> f64 {
 }
 
 /// A non-negative interval `[lo, hi]`, the abstract value of every
-/// counter (rows, page accesses, passes) and cost figure.
+/// counter (rows, page accesses, writes, passes).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Interval {
     /// Sound lower bound (finite, non-negative).
@@ -117,23 +117,12 @@ impl Interval {
         Interval::make(lo, hi)
     }
 
-    /// Multiply by an exact non-negative scalar.
-    pub fn scale(self, k: f64) -> Interval {
-        self.mul(Interval::exact(k))
-    }
-
     /// Cap the upper bound (a second, independent upper bound).
     pub(crate) fn cap_hi(self, hi: f64) -> Interval {
         Interval {
             lo: self.lo.min(guard_hi(hi)),
             hi: self.hi.min(guard_hi(hi)),
         }
-    }
-
-    /// Does `self` lie strictly above `o` (no overlap)? `true` proves
-    /// every concrete value of `self` exceeds every value of `o`.
-    pub(crate) fn strictly_above(&self, o: &Interval) -> bool {
-        self.lo > o.hi
     }
 }
 
@@ -263,12 +252,10 @@ mod tests {
     }
 
     #[test]
-    fn containment_and_dominance() {
+    fn containment_includes_both_endpoints() {
         let i = Interval::make(2.0, 5.0);
         assert!(i.contains_count(2));
         assert!(i.contains_count(5));
         assert!(!i.contains_count(6));
-        assert!(Interval::make(6.0, 9.0).strictly_above(&i));
-        assert!(!Interval::make(5.0, 9.0).strictly_above(&i));
     }
 }

@@ -233,16 +233,11 @@ impl Scenario {
         }
     }
 
-    /// The sound static bounds of a plan (`oorq-analysis`, default
-    /// parameters — the contract every executed plan is checked against).
+    /// The sound static bounds of a plan (`oorq-analysis` — the
+    /// contract every executed plan is checked against).
     pub fn analyze(&self, pt: &Pt, temp_fields: TempFields) -> Result<Analysis, PtError> {
-        Analyzer::new(
-            self.db.catalog(),
-            self.db.physical(),
-            &self.stats,
-            CostParams::default(),
-        )
-        .analyze_with_temps(pt, temp_fields)
+        Analyzer::new(self.db.catalog(), self.db.physical(), &self.stats)
+            .analyze_with_temps(pt, temp_fields)
     }
 
     /// Optimize a query; returns the plan and the temporaries the

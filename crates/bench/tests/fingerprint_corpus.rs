@@ -13,13 +13,12 @@
 
 use std::collections::{HashMap, HashSet};
 
-use oorq_analysis::{equivalent_toggle, proven_worse, Analyzer};
 use oorq_bench::scenarios::{for_each_row, Scenario, TempFields};
 use oorq_bench::Knobs;
 use oorq_core::{neighbours, rand_optimize_with, Decisions, Move, OptimizerConfig, RandConfig};
 use oorq_cost::{CostModel, CostParams};
 use oorq_prng::Prng;
-use oorq_pt::{fix_recursive_nodes, lower, rescannable, subtrees, PhysOp, Pt, PtEnv};
+use oorq_pt::{fix_recursive_nodes, lower, rescannable, subtrees, PhysOp, Pt};
 
 /// Every plan the corpus rows choose, each under its own and under the
 /// two enumeration-heavy strategies.
@@ -198,25 +197,9 @@ const WALK_OUTCOMES: &[(&str, &[(u64, u64)])] = &[
 /// decision: same draws, same moves, same plan and cost, bit for bit.
 /// The randomized walk as it was before it remembered what it had
 /// turned down (2b7c032, unverified, as the test runs
-/// `rand_optimize_with`): every draw is analyzed for a proof and costed
-/// again, whatever became of the plan the last time it was drawn.
+/// `rand_optimize_with`): every draw is costed again, whatever became of
+/// the plan the last time it was drawn.
 fn re_examining_walk(model: &CostModel<'_>, start: Pt, config: &RandConfig) -> Pt {
-    let env = PtEnv {
-        catalog: model.catalog,
-        physical: model.physical,
-        temp_fields: model.temp_fields.clone(),
-    };
-    let analyzer = Analyzer::new(
-        model.catalog,
-        model.physical,
-        model.stats,
-        model.params.clone(),
-    );
-    let analyze = |pt: &Pt| {
-        analyzer
-            .analyze_with_temps(pt, model.temp_fields.clone())
-            .ok()
-    };
     let total = |pt: &Pt| model.cost(pt).ok().map(|pc| pc.total(&model.params));
     let Some(mut current_cost) = total(&start) else {
         return start;
@@ -228,15 +211,7 @@ fn re_examining_walk(model: &CostModel<'_>, start: Pt, config: &RandConfig) -> P
         if ns.is_empty() {
             break;
         }
-        let Move { plan: pick, node } = ns[rng.index(ns.len())].clone();
-        let (moved, was) = (pick.preorder().pt(node), current.preorder().pt(node));
-        if equivalent_toggle(&env, moved, was) {
-            if let (Some(inc), Some(cand)) = (analyze(&current), analyze(&pick)) {
-                if proven_worse(&cand, &inc, node).is_some() {
-                    continue;
-                }
-            }
-        }
+        let pick = ns[rng.index(ns.len())].plan.clone();
         let Some(c) = total(&pick) else { continue };
         if c < current_cost {
             current = pick;
@@ -288,9 +263,8 @@ fn walk_outcomes_equal_the_re_examining_walks() {
     assert!(expected.next().is_none(), "a recorded row was not run");
 }
 
-/// The move contract the walk's provable pruning trusts: a move rewrites
-/// only the node it names, so putting the source's subtree back there
-/// gives the source.
+/// The move contract: a move rewrites only the node it names, so putting
+/// the source's subtree back there gives the source.
 #[test]
 fn every_move_rewrites_only_the_node_it_names() {
     let mut moves = 0;

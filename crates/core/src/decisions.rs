@@ -4,8 +4,7 @@
 //! makes of the announcement.
 //!
 //! Every candidate lands in exactly one bucket — accepted, rejected (by
-//! cost or by the verifier), pruned (beam/heuristic), or pruned-proven
-//! (discarded by non-overlapping §11 cost intervals) — and in one
+//! cost or by the verifier) or pruned (beam/heuristic) — and in one
 //! event, both made by [`Decisions::candidate`], so
 //! `optimizer.candidates.enumerated` = the bucket sum = the `candidate`
 //! events. A randomized-walk move whose draw lands on a plan already
@@ -29,9 +28,6 @@ pub enum Outcome {
     Reject,
     /// Cut by a beam or heuristic, on an estimate.
     Prune,
-    /// Cut by proof: its cost interval lies strictly above the
-    /// incumbent's.
-    PrunedProven,
 }
 
 /// A plan examined at a choice point: the fields of its `candidate`
@@ -81,12 +77,14 @@ pub(crate) struct OptimizerMetrics {
     accepted: CounterHandle,
     rejected: CounterHandle,
     pruned: CounterHandle,
-    pruned_proven: CounterHandle,
     revisited: CounterHandle,
 }
 
 impl OptimizerMetrics {
     pub(crate) fn resolve(registry: &MetricsRegistry) -> Self {
+        // Never bumped: registered, at 0, only because the benchmark
+        // still declares the series (ROADMAP item 1a).
+        registry.counter("optimizer.candidates.pruned_proven");
         OptimizerMetrics {
             queries: registry.counter("optimizer.queries"),
             optimize_ns: registry.histogram("optimizer.optimize_ns"),
@@ -95,7 +93,6 @@ impl OptimizerMetrics {
             accepted: registry.counter("optimizer.candidates.accepted"),
             rejected: registry.counter("optimizer.candidates.rejected"),
             pruned: registry.counter("optimizer.candidates.pruned"),
-            pruned_proven: registry.counter("optimizer.candidates.pruned_proven"),
             revisited: registry.counter("optimizer.candidates.revisited"),
         }
     }
@@ -108,7 +105,6 @@ impl OptimizerMetrics {
             Some(Outcome::Accept) => &self.accepted,
             Some(Outcome::Reject) => &self.rejected,
             Some(Outcome::Prune) => &self.pruned,
-            Some(Outcome::PrunedProven) => &self.pruned_proven,
         };
         self.enumerated.inc();
         bucket.inc();
@@ -164,8 +160,7 @@ impl Decisions {
         step.notes.push(note.into());
     }
 
-    /// One candidate and what became of it: one bucket, one event. The
-    /// event reports a proven prune as a `prune` whose reason says so.
+    /// One candidate and what became of it: one bucket, one event.
     pub fn candidate(&self, c: Examined<'_>, outcome: Outcome, reason: impl fmt::Display) {
         self.metrics.tally(Some(outcome));
         if !self.obs.enabled() {
@@ -192,7 +187,7 @@ impl Decisions {
         let outcome = match outcome {
             Outcome::Accept => "accept",
             Outcome::Reject => "reject",
-            Outcome::Prune | Outcome::PrunedProven => "prune",
+            Outcome::Prune => "prune",
         };
         fields.push(("outcome".into(), outcome.into()));
         fields.push(("reason".into(), reason.to_string().into()));

@@ -517,45 +517,23 @@ pub fn rand_optimize_with(
             cost: None,
         };
     };
-    // Static analyzer for provable pruning: when a move toggles one
-    // node's access method, result-preservingly, and the candidate's
-    // subtree cost interval there lies strictly above the incumbent's,
-    // the move is discarded by proof instead of estimate.
-    let analyzer = oorq_analysis::Analyzer::new(
-        model.catalog,
-        model.physical,
-        model.stats,
-        model.params.clone(),
-    );
-    let analyze = |pt: &Pt| {
-        analyzer
-            .analyze_with_temps(pt, model.temp_fields.clone())
-            .ok()
-    };
     // Plans turned down for good, by `Pt::fingerprint`: the verifier or
     // the cost model failed on the plan (functions of the plan alone),
     // or it was costed at `c >= current_cost` — the incumbent's cost
     // only ever falls, so that holds for every later incumbent.
     let mut turned_down: HashSet<u64> = HashSet::new();
-    // Plans proven worse than the present incumbent. The proof compares
-    // against one incumbent and says nothing about the next: cleared on
-    // every accepted move.
-    let mut proven_worse: HashSet<u64> = HashSet::new();
     let mut current = start;
     let mut current_cost = start_cost.total(&model.params);
     let mut current_plan_cost = start_cost;
-    // Analysis of `current`, computed lazily and invalidated on every
-    // accepted move.
-    let mut current_analysis: Option<Option<oorq_analysis::Analysis>> = None;
     let mut rng = Prng::new(config.seed);
     for _ in 0..config.moves {
         let mut ns = moves(model, &current);
         if ns.is_empty() {
             break;
         }
-        let Move { plan: pick, node } = ns.swap_remove(rng.index(ns.len()));
+        let pick = ns.swap_remove(rng.index(ns.len())).plan;
         let fp = pick.fingerprint();
-        if turned_down.contains(&fp) || proven_worse.contains(&fp) {
+        if turned_down.contains(&fp) {
             sink.revisited();
             continue;
         }
@@ -585,23 +563,6 @@ pub fn rand_optimize_with(
                 continue;
             }
         }
-        let (moved, was) = (pick.preorder().pt(node), current.preorder().pt(node));
-        if oorq_analysis::equivalent_toggle(&lint_env, moved, was) {
-            let cur = current_analysis
-                .get_or_insert_with(|| analyze(&current))
-                .as_ref();
-            if let (Some(inc), Some(cand)) = (cur, analyze(&pick)) {
-                if let Some((lo, hi)) = oorq_analysis::proven_worse(&cand, inc, node) {
-                    proven_worse.insert(fp);
-                    let reason = format_args!(
-                        "pruned-proven: diverged subtree cost bound [{lo:.3}, …] \
-                         strictly above incumbent [… , {hi:.3}]"
-                    );
-                    sink.candidate(seen(None), Outcome::PrunedProven, reason);
-                    continue;
-                }
-            }
-        }
         let pc = match model.cost(&pick) {
             Ok(pc) => pc,
             Err(e) => {
@@ -617,8 +578,6 @@ pub fn rand_optimize_with(
             current = pick;
             current_cost = c;
             current_plan_cost = pc;
-            current_analysis = None;
-            proven_worse.clear();
         } else {
             let reason = "uphill move (iterative improvement accepts only downhill)";
             sink.candidate(seen(Some(c)), Outcome::Reject, reason);

@@ -414,13 +414,10 @@ impl<'a> Executor<'a> {
     fn assert_bounds(&self, pt: &Pt) {
         let stats = oorq_storage::DbStats::collect(self.db);
         let analyzer = oorq_analysis::Analyzer {
-            catalog: self.db.catalog(),
-            physical: self.db.physical(),
-            stats: &stats,
-            params: oorq_cost::CostParams::default(),
             config: AnalyzerConfig {
                 max_fix_iterations: self.config.max_fix_iterations as u64,
             },
+            ..oorq_analysis::Analyzer::new(self.db.catalog(), self.db.physical(), &stats)
         };
         // A plan the analyzer cannot type was already vetted by the
         // verifier; bounds are simply unavailable for it.

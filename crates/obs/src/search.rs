@@ -12,10 +12,7 @@
 //! - `incumbent` / `incumbent_cost`: what it was compared against
 //! - `outcome`: `accept` | `reject` | `prune`
 //! - `reason`: why (e.g. `cheaper than incumbent`, `uphill move`,
-//!   `beyond keep-per-arc beam`, `verifier rejected`). A `prune` whose
-//!   reason starts with `pruned-proven` was discarded by the static
-//!   analyzer's non-overlapping cost intervals (a proof, not a
-//!   heuristic) and is tallied in its own column.
+//!   `beyond keep-per-arc beam`, `verifier rejected`).
 
 use crate::recorder::{FieldValue, Trace};
 use std::collections::BTreeMap;
@@ -25,7 +22,6 @@ use std::fmt::Write as _;
 struct StepAgg {
     enumerated: usize,
     pruned: usize,
-    proven: usize,
     costed: usize,
     accepted: usize,
     rejected: usize,
@@ -45,7 +41,6 @@ pub fn search_space_table(trace: &Trace) -> String {
         reason: String,
     }
     let mut rejected: Vec<Rejected> = Vec::new();
-    let mut proven: Vec<String> = Vec::new();
 
     for e in trace.events_named("candidate") {
         let step = e
@@ -65,24 +60,8 @@ pub fn search_space_table(trace: &Trace) -> String {
             .field("outcome")
             .and_then(FieldValue::as_str)
             .unwrap_or("?");
-        let reason = e
-            .field("reason")
-            .and_then(FieldValue::as_str)
-            .unwrap_or("?")
-            .to_string();
         match outcome {
             "accept" => agg.accepted += 1,
-            "prune" if reason.starts_with("pruned-proven") => {
-                agg.proven += 1;
-                proven.push(format!(
-                    "- [{}] pt {} — {}",
-                    step,
-                    e.field("fingerprint")
-                        .and_then(FieldValue::as_str)
-                        .unwrap_or("?"),
-                    reason
-                ));
-            }
             "prune" => agg.pruned += 1,
             "reject" => {
                 agg.rejected += 1;
@@ -95,7 +74,11 @@ pub fn search_space_table(trace: &Trace) -> String {
                         .to_string(),
                     cost: e.field("cost").and_then(FieldValue::as_num),
                     incumbent_cost: e.field("incumbent_cost").and_then(FieldValue::as_num),
-                    reason,
+                    reason: e
+                        .field("reason")
+                        .and_then(FieldValue::as_str)
+                        .unwrap_or("?")
+                        .to_string(),
                 });
             }
             _ => {}
@@ -108,56 +91,27 @@ pub fn search_space_table(trace: &Trace) -> String {
 
     let mut out = String::new();
     out.push_str("## Search space\n\n");
-    out.push_str("| step | enumerated | costed | pruned | pruned-proven | rejected | accepted |\n");
-    out.push_str("|------|-----------:|-------:|-------:|--------------:|---------:|---------:|\n");
+    out.push_str("| step | enumerated | costed | pruned | rejected | accepted |\n");
+    out.push_str("|------|-----------:|-------:|-------:|---------:|---------:|\n");
     let mut totals = StepAgg::default();
     for step in &order {
         let a = &steps[step];
         let _ = writeln!(
             out,
-            "| {} | {} | {} | {} | {} | {} | {} |",
-            step, a.enumerated, a.costed, a.pruned, a.proven, a.rejected, a.accepted
+            "| {} | {} | {} | {} | {} | {} |",
+            step, a.enumerated, a.costed, a.pruned, a.rejected, a.accepted
         );
         totals.enumerated += a.enumerated;
         totals.costed += a.costed;
         totals.pruned += a.pruned;
-        totals.proven += a.proven;
         totals.rejected += a.rejected;
         totals.accepted += a.accepted;
     }
     let _ = writeln!(
         out,
-        "| total | {} | {} | {} | {} | {} | {} |",
-        totals.enumerated,
-        totals.costed,
-        totals.pruned,
-        totals.proven,
-        totals.rejected,
-        totals.accepted
+        "| total | {} | {} | {} | {} | {} |",
+        totals.enumerated, totals.costed, totals.pruned, totals.rejected, totals.accepted
     );
-
-    if !proven.is_empty() {
-        out.push_str("\n### Provably pruned candidates\n\n");
-        let mut counts: BTreeMap<String, usize> = BTreeMap::new();
-        let mut lines: Vec<String> = Vec::new();
-        for line in proven {
-            match counts.entry(line.clone()) {
-                std::collections::btree_map::Entry::Vacant(e) => {
-                    e.insert(1);
-                    lines.push(line);
-                }
-                std::collections::btree_map::Entry::Occupied(mut e) => *e.get_mut() += 1,
-            }
-        }
-        for line in &lines {
-            let n = counts[line];
-            if n > 1 {
-                let _ = writeln!(out, "{line} (×{n})");
-            } else {
-                let _ = writeln!(out, "{line}");
-            }
-        }
-    }
 
     if !rejected.is_empty() {
         // A randomized walk can reject the same move many times; list

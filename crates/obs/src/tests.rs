@@ -126,7 +126,7 @@ fn chrome_checker_catches_violations() {
 fn search_table_lists_rejections() {
     let trace = sample_trace();
     let table = search_space_table(&trace);
-    assert!(table.contains("| generatePT | 1 | 1 | 0 | 0 | 1 | 0 |"));
+    assert!(table.contains("| generatePT | 1 | 1 | 0 | 1 | 0 |"));
     assert!(table.contains("Rejected candidates"));
     assert!(table.contains("0xdeadbeef"));
     assert!(table.contains("costlier than incumbent"));

@@ -532,9 +532,9 @@ impl OpKind {
 /// their own (`input`, `left`, `right`, `base`, `rec`) and the children
 /// it absorbs, which do not (`leaf`, `target`, `targets`, `inner`,
 /// `body`). Lowering builds the [`PhysOp`]
-/// from it; the cost model, the analyzer, the dominance check and the
-/// lint pass read the same value, so none of them can disagree with the
-/// executor about what a node is. `C` names a child: the subtree itself
+/// from it; the cost model, the analyzer and the lint pass read the
+/// same value, so none of them can disagree with the executor about what
+/// a node is. `C` names a child: the subtree itself
 /// as [`node_op`] resolves one node, its pre-order id in a resolved plan
 /// ([`resolve`]).
 #[derive(Debug, Clone, PartialEq)]

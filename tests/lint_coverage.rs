@@ -198,12 +198,7 @@ fn ab006_provably_empty_fixpoint_is_noted() {
     );
     let plan = Pt::fix("t", Pt::union(base, rec));
     let stats = DbStats::collect(&chain.db);
-    let analyzer = Analyzer::new(
-        chain.db.catalog(),
-        chain.db.physical(),
-        &stats,
-        CostParams::default(),
-    );
+    let analyzer = Analyzer::new(chain.db.catalog(), chain.db.physical(), &stats);
     let analysis = analyzer.analyze(&plan).expect("empty-base fix analyzes");
     assert!(
         analysis.report.has(LintCode::FixProvablyEmpty),

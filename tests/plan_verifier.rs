@@ -93,7 +93,7 @@ fn an_unknown_entity_is_an_error_of_every_pass() {
     assert!(lower(&s.env(TempFields::new()), &pt).is_err());
     let model = s.model(CostParams::default(), TempFields::new());
     assert!(model.cost(&pt).is_err());
-    let analyzer = Analyzer::new(catalog, physical, &s.stats, CostParams::default());
+    let analyzer = Analyzer::new(catalog, physical, &s.stats);
     assert!(analyzer.analyze(&pt).is_err());
 
     let report = verify_pt(&s.env(TempFields::new()), &pt);
