@@ -74,6 +74,20 @@ if grep -nwE 'equivalent_toggle|proven_worse|PrunedProven|subtree_cost' $(nontes
     exit 1
 fi
 
+echo "== release builds are one optimized program (.cargo/config.toml without lto = \"fat\" and codegen-units = 1 under [profile.release], or a Cargo.toml with a [profile.release] of its own, fails) =="
+if ! awk '/^[[:space:]]*\[/ { release = /^[[:space:]]*\[profile\.release\][[:space:]]*(#.*)?$/ }
+    release && /^[[:space:]]*lto[[:space:]]*=[[:space:]]*"fat"[[:space:]]*(#.*)?$/ { lto = 1 }
+    release && /^[[:space:]]*codegen-units[[:space:]]*=[[:space:]]*1[[:space:]]*(#.*)?$/ { cgu = 1 }
+    END { exit !(lto && cgu) }' .cargo/config.toml 2>/dev/null ||
+    find . \( -name target -o -name '.?*' \) -prune -o -name Cargo.toml -print |
+    xargs -r grep -nE '^[[:space:]]*\[profile\.release[].]'; then
+    echo "every release binary (server, reproduce, benchmark) is built with fat LTO and one codegen unit," \
+        "stated once in .cargo/config.toml, which also reaches benchmark/'s own workspace: without it a" \
+        "warm hit's storage calls are not inlined and warm-recursive p50 goes from 0.63 to 0.87 ms (EXPERIMENTS.md," \
+        "Release profile)" >&2
+    exit 1
+fi
+
 echo "== a row costs its values, not an allocation (a per-row Vec built in crates/exec/src/pipeline.rs fails) =="
 if grep -nE '\]\.concat\(\)|vec!\[Value::|\.iter\(\)\.cloned\(\)\.chain\(' crates/exec/src/pipeline.rs; then
     echo "operators write a row's values into the flat chunk buffer their consumer keeps (DESIGN §7," \
