@@ -35,7 +35,7 @@ if grep -nF -e 'output_columns(' -e "rsplit('.')" $(nontest crates/lint/src); th
     exit 1
 fi
 
-echo "== what no workload runs stays deleted (a thread or an Exchange/Merge operator in the engine; FragmentSpec, ClassLayout or decompose_vertical/decompose_horizontal; IndexJoin, EjIdx, applicable_join_indexes or EJ^idx, or require_index; CostWeights, FixProfile(s), CostParams::calibrated, parse_snapshot, lint_fix_drift, lint_spill_drift or lint_breaker_budget, in non-test src, crates/*/src or examples, or a crates/cost/*.toml snapshot; equivalent_toggle, proven_worse, PrunedProven or subtree_cost there, fails) =="
+echo "== what no workload runs stays deleted (a thread or an Exchange/Merge operator in the engine; FragmentSpec, ClassLayout or decompose_vertical/decompose_horizontal; IndexJoin, EjIdx, applicable_join_indexes or EJ^idx, or require_index; CostWeights, FixProfile(s), CostParams::calibrated, parse_snapshot, lint_fix_drift, lint_spill_drift or lint_breaker_budget, in non-test src, crates/*/src or examples, or a crates/cost/*.toml snapshot; equivalent_toggle, proven_worse, PrunedProven or subtree_cost there; CostFeatures there, or deltas or fn mass in non-test crates/cost/src, fails) =="
 if grep -nE 'thread::(scope|spawn)' $(nontest crates/exec/src) ||
     grep -nwE 'Exchange|Merge' $(nontest crates/pt/src crates/exec/src); then
     echo "intra-query parallelism was removed because no workload ran it (CHANGES.md, PR 28): bring it back" \
@@ -71,6 +71,13 @@ if grep -nwE 'equivalent_toggle|proven_worse|PrunedProven|subtree_cost' $(nontes
     echo "the analyzer bounds what the executor counts and prices nothing: the walk's proof pruning and the" \
         "cost intervals only it read were removed because the cost model turned down every plan they pruned" \
         "(ROADMAP item 2c)" >&2
+    exit 1
+fi
+if grep -nw 'CostFeatures' $(nontest src crates/*/src examples) ||
+    grep -nwE 'deltas|fn mass' $(nontest crates/cost/src); then
+    echo "a plan node's estimate is one Cost, and a fixpoint's recursive leg is estimated once, under the" \
+        "one delta its modeled curve holds, and scaled by the pass count: the feature vector and the per-pass" \
+        "re-estimation were removed because nothing read them (ROADMAP item 2d)" >&2
     exit 1
 fi
 

@@ -199,9 +199,9 @@ impl Decisions {
         self.metrics.tally(None);
     }
 
-    /// The delta curve a fixpoint was costed under, and the cardinality
-    /// hint its temporary got from it.
-    pub(crate) fn fix_curve(&self, curve: &FixCurve, delta_hint: f64) {
+    /// The delta curve a fixpoint was costed under; its delta is the
+    /// cardinality hint the temporary got.
+    pub(crate) fn fix_curve(&self, curve: &FixCurve) {
         if !self.obs.enabled() {
             return;
         }
@@ -211,12 +211,8 @@ impl Decisions {
             vec![
                 ("temp".into(), curve.temp.as_str().into()),
                 ("iterations".into(), curve.iterations.into()),
-                (
-                    "seed_delta".into(),
-                    curve.deltas.first().copied().unwrap_or(0.0).into(),
-                ),
+                ("seed_delta".into(), curve.delta.into()),
                 ("total_rows".into(), curve.total_rows.into()),
-                ("delta_hint".into(), delta_hint.into()),
             ],
         );
     }

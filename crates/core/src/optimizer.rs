@@ -418,15 +418,14 @@ impl<'a> Optimizer<'a> {
         self.model.temp_fields.insert(temp.clone(), fields.clone());
 
         // Plan the base, model the fixpoint's per-iteration delta curve,
-        // then plan the recursive side with the curve's mean delta as the
+        // then plan the recursive side with the curve's delta as the
         // temp's cardinality hint.
         let (base_pt, base_cols, _) = self.plan_spj(g, base_spj, None, planned, None)?;
         let base_col_names: Vec<String> = base_cols.iter().map(|(n, _)| n.clone()).collect();
         let base_rows = self.model.cost(&base_pt)?.rows;
         let curve = self.model.fix_delta_curve(&temp, base_rows);
-        let hint = (curve.mass() / curve.iterations.max(1.0)).max(1.0);
-        self.sink.fix_curve(&curve, hint);
-        self.model.hint_temp_rows(temp.clone(), hint);
+        self.sink.fix_curve(&curve);
+        self.model.hint_temp_rows(temp.clone(), curve.delta);
         let (rec_pt, _, _) = self.plan_spj(g, rec_spj, Some((fname, &temp)), planned, None)?;
 
         let fix_pt = Pt::fix(temp.clone(), Pt::union(base_pt, rec_pt));

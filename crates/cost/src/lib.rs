@@ -3,19 +3,18 @@
 //!
 //! Two layers are provided:
 //! - [`CostModel`] — the general estimator predicting the pipelined
-//!   executor of `oorq-exec` (clustering-, buffer- and index-aware);
+//!   executor of `oorq-exec` (clustering-, buffer- and index-aware),
+//!   whose estimate of every plan node is one [`Cost`] ([`NodeCost`]);
 //! - [`paper_mode`] — symbolic cost expressions reproducing Figure 5's
 //!   formula table and the §4.6 simplified model behind Figure 7.
 
 mod error;
-mod features;
 pub mod guard;
 mod model;
 pub mod paper_mode;
 mod params;
 
 pub use error::CostError;
-pub use features::CostFeatures;
 pub use guard::{guard_hi, guard_lo};
 pub use model::{CostModel, FixCurve, NodeCost, PlanCost};
 pub use oorq_pt::OpKind;

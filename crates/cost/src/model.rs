@@ -9,13 +9,12 @@
 //! fixpoints (`Σᵢ cost(Exp(Tᵢ))` with the iteration count bounded by the
 //! chain-depth statistics).
 //!
-//! Every per-node estimate is assembled as a [`CostFeatures`] vector
-//! (sequential pages, dereference pages, index level/leaf accesses,
-//! temporary writes, evaluations, method units) whose sums are the
-//! node's page accesses and evaluations; the vectors are exported per
-//! node (`NodeCost::feat`). A node's estimate depends only on its
-//! subtree and, inside a fixpoint's recursive leg, on the delta the
-//! fixpoint assumes for its temporary.
+//! Every node's own estimate is one [`Cost`] — the page accesses and
+//! evaluations the optimizer compares — exported per node
+//! ([`NodeCost::cost`]). A node's estimate depends only on its subtree
+//! and, inside a fixpoint's recursive leg, on the delta the fixpoint
+//! assumes for its temporary. Every modeled pass reads the same delta,
+//! so the leg is estimated once and its lines scaled by the pass count.
 
 use std::collections::HashMap;
 
@@ -25,35 +24,25 @@ use oorq_schema::{AttrId, AttributeKind, Catalog, ClassId, ResolvedType};
 use oorq_storage::{AttrStats, DbStats, EntitySource, IndexKindDesc, PhysicalSchema, WidthModel};
 
 use crate::error::CostError;
-use crate::features::CostFeatures;
 use crate::guard::sane_rows;
 use crate::params::{Cost, CostParams, DEFAULT_FIX_ITERATIONS, DEFAULT_SELECTIVITY};
 
 /// The modeled per-iteration delta curve of one fixpoint: what the
 /// estimator assumed about the semi-naive iteration structure when it
-/// costed the recursive side as `Σᵢ cost(Exp(Tᵢ))` (Figure 5): flat
-/// deltas, the base case grown by the average chain depth and split
+/// costed the recursive side as `Σᵢ cost(Exp(Tᵢ))` (Figure 5): a flat
+/// curve, the base case grown by the average chain depth and split
 /// evenly over the passes.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FixCurve {
     /// The fixpoint's temporary.
     pub temp: String,
-    /// The base case's estimated cardinality the curve was seeded from.
-    pub base_rows: f64,
     /// Modeled recursive-side pass count (the executor's observed
     /// equivalent is the delta-curve length minus the seed entry).
     pub iterations: f64,
-    /// Modeled per-pass input delta cardinalities, seed first.
-    pub deltas: Vec<f64>,
+    /// Modeled input delta cardinality of every pass.
+    pub delta: f64,
     /// Modeled accumulator cardinality (the fixpoint's output rows).
     pub total_rows: f64,
-}
-
-impl FixCurve {
-    /// Total modeled delta mass (sum over the curve).
-    pub fn mass(&self) -> f64 {
-        self.deltas.iter().sum()
-    }
 }
 
 /// Per-node cost line of a plan-cost breakdown.
@@ -68,21 +57,19 @@ pub struct NodeCost {
     /// `OpMeta::pt_node`) — the join key for predicted-vs-observed
     /// per-operator reporting.
     pub node: Option<usize>,
-    /// The node's own cost (excluding children).
+    /// The node's own cost (excluding children). For nodes on the
+    /// recursive side of a fixpoint it (like `rows` and `pages`) is
+    /// already multiplied by the modeled pass count, matching the
+    /// executor's per-operator counters which accumulate across
+    /// iterations.
     pub cost: Cost,
-    /// The node's own feature vector (`cost` is its io and cpu sums).
-    /// For nodes on the recursive side of a fixpoint
-    /// the features are already multiplied by the estimated iteration
-    /// count, matching the executor's per-operator counters which
-    /// accumulate across iterations.
-    pub feat: CostFeatures,
     /// Estimated output rows.
     pub rows: f64,
     /// Estimated output pages if materialized.
     pub pages: f64,
-    /// For `Fix` lines: the modeled delta curve behind the estimate.
-    /// `None` for every other operator.
-    pub fix: Option<FixCurve>,
+    /// For `Fix` lines: the modeled recursive-side pass count behind
+    /// the estimate. `None` for every other operator.
+    pub passes: Option<f64>,
 }
 
 /// The cost estimate of a whole plan.
@@ -241,9 +228,10 @@ impl NodeEst {
     }
 }
 
-/// Per-row access cost of evaluating an expression, split by component
-/// so each lands in its own feature.
-#[derive(Debug, Clone, Default)]
+/// Per-row access cost of evaluating an expression. Evaluations stay
+/// apart from method units because a nested-loop join charges at least
+/// one evaluation per pair.
+#[derive(Debug, Clone, Copy, Default)]
 struct ExprCost {
     /// Object pages fetched dereferencing paths.
     io: f64,
@@ -258,6 +246,14 @@ impl ExprCost {
         self.io += other.io;
         self.evals += other.evals;
         self.method_units += other.method_units;
+    }
+}
+
+/// The cost of evaluating an expression on `self` rows.
+impl std::ops::Mul<ExprCost> for f64 {
+    type Output = Cost;
+    fn mul(self, ec: ExprCost) -> Cost {
+        Cost::new(self * ec.io, self * ec.evals + self * ec.method_units)
     }
 }
 
@@ -326,14 +322,13 @@ impl<'a> CostModel<'a> {
             breakdown: Vec::new(),
         };
         let est = ctx.est(0, true)?;
-        // Lines are labelled once, here: a recursive leg is estimated
-        // once per modeled pass and folded, and no pass needs the text.
+        // Lines are labelled once, here: estimating needs no text.
         let mut breakdown = ctx.breakdown;
         for line in &mut breakdown {
             let node = line.node.expect("every line estimates a node");
             line.label = plan[node].op.label(self.catalog, self.physical);
-            if let Some(curve) = &line.fix {
-                line.label = format!("{} x{:.0}", line.label, curve.iterations);
+            if let Some(passes) = line.passes {
+                line.label = format!("{} x{passes:.0}", line.label);
             }
         }
         Ok(PlanCost {
@@ -353,19 +348,17 @@ impl<'a> CostModel<'a> {
     }
 
     /// Model the per-iteration delta curve of a fixpoint over `temp`
-    /// whose base case is estimated at `base_rows`: flat deltas, total =
-    /// base × avg chain depth, split evenly over the iterations.
+    /// whose base case is estimated at `base_rows`: a flat curve, total
+    /// = base × avg chain depth, split evenly over the iterations.
     pub fn fix_delta_curve(&self, temp: &str, base_rows: f64) -> FixCurve {
         let n = self.fix_iterations().max(1.0);
         let growth = self.stats.avg_chain_depth().unwrap_or(2.0).max(1.0);
         let total_rows = sane_rows(base_rows * growth);
         let delta = (total_rows / n).max(1.0);
-        let passes = ((n - 1.0).max(1.0).round()) as usize;
         FixCurve {
             temp: temp.to_string(),
-            base_rows,
-            iterations: passes as f64,
-            deltas: vec![delta; passes],
+            iterations: (n - 1.0).max(1.0).round(),
+            delta,
             total_rows,
         }
     }
@@ -441,10 +434,10 @@ impl EstCtx<'_, '_> {
         let p = &m.params;
         let plan = self.plan;
         let node = &plan[id];
-        let mut fix = None;
-        // Each arm yields the node's own features and its estimate with
-        // the children's cost; the node's own cost is added below.
-        let (feat, mut est) = match &node.op {
+        let mut passes = None;
+        // Each arm yields the node's own cost and its estimate with the
+        // children's cost; the node's own cost is added below.
+        let (own, mut est) = match &node.op {
             &NodeOp::EntityScan { entity: id, .. } => {
                 let (rows, pages) = m.entity_rows_pages(id);
                 // An object column has its page in hand and each object
@@ -456,12 +449,9 @@ impl EstCtx<'_, '_> {
                     },
                     _ => ColEst::OPAQUE,
                 };
-                let feat = CostFeatures {
-                    seq_pages: if charge_scan { pages } else { 0.0 },
-                    ..CostFeatures::default()
-                };
+                let own = Cost::new(if charge_scan { pages } else { 0.0 }, 0.0);
                 let cols = vec![col; node.cols.len()];
-                (feat, NodeEst::new(rows, pages, cols, Cost::zero()))
+                (own, NodeEst::new(rows, pages, cols, Cost::zero()))
             }
             &NodeOp::TempScan { name, .. } => {
                 let rows = sane_rows(
@@ -472,46 +462,34 @@ impl EstCtx<'_, '_> {
                         .unwrap_or(0.0),
                 );
                 let pages = self.pages_est(rows, &field_types(&node.cols));
-                let feat = CostFeatures {
-                    seq_pages: if charge_scan { pages } else { 0.0 },
-                    ..CostFeatures::default()
-                };
+                let own = Cost::new(if charge_scan { pages } else { 0.0 }, 0.0);
                 let cols = vec![ColEst::OPAQUE; node.cols.len()];
-                (feat, NodeEst::new(rows, pages, cols, Cost::zero()))
+                (own, NodeEst::new(rows, pages, cols, Cost::zero()))
             }
             &NodeOp::Filter { pred, input, .. } => {
                 let mut child = self.est(input, true)?;
                 let ec = self.expr_access_cost(pred, child.over(&plan[input].cols));
                 let sel = self.selectivity(pred, child.over(&plan[input].cols));
-                let feat = CostFeatures {
-                    deref_pages: child.rows * ec.io,
-                    evals: child.rows * ec.evals,
-                    method_units: child.rows * ec.method_units,
-                    ..CostFeatures::default()
-                };
+                let own = child.rows * ec;
                 child.rows = sane_rows(child.rows * sel);
                 child.pages = (child.pages * sel).max(child.rows.min(1.0));
                 if let Some(fb) = &mut child.fanout_base {
                     fb.sel *= sel;
                 }
-                (feat, child)
+                (own, child)
             }
             NodeOp::IndexSelect { pred, probe, leaf } => {
                 // Index access replaces the scan of the entity leaf.
                 let mut child = self.est(*leaf, false)?;
                 let sel = self.selectivity(pred, child.over(&plan[*leaf].cols));
                 let matches = sane_rows(child.rows * sel);
-                let feat = CostFeatures {
-                    index_level_ios: probe.nblevels as f64,
-                    index_leaf_ios: (matches / 8.0).max(0.0),
-                    // Fetch the matched objects' pages.
-                    deref_pages: matches,
-                    evals: matches,
-                    ..CostFeatures::default()
-                };
+                // Fetch the matched objects' pages, then descend the
+                // levels and read the leaves.
+                let leaves = (matches / 8.0).max(0.0);
+                let own = Cost::new(matches + probe.nblevels as f64 + leaves, matches);
                 child.rows = matches;
                 child.pages = (child.pages * sel).max(child.rows.min(1.0));
-                (feat, child)
+                (own, child)
             }
             &NodeOp::Project { exprs, input } => {
                 let child = self.est(input, true)?;
@@ -521,12 +499,7 @@ impl EstCtx<'_, '_> {
                 for (_, e) in exprs {
                     ec_total.absorb(self.expr_access_cost(e, child.over(&plan[input].cols)));
                 }
-                let feat = CostFeatures {
-                    deref_pages: child.rows * ec_total.io,
-                    evals: child.rows * ec_total.evals,
-                    method_units: child.rows * ec_total.method_units,
-                    ..CostFeatures::default()
-                };
+                let own = child.rows * ec_total;
                 // Existential dedup: projecting back onto columns that
                 // existed before a fan-out collapses the multiplied rows
                 // (independence assumption over the fanned-out members).
@@ -549,7 +522,7 @@ impl EstCtx<'_, '_> {
                     ..ColEst::OPAQUE
                 };
                 let cols = exprs.iter().map(handed_up).collect();
-                (feat, NodeEst::new(out_rows, pages, cols, child.cost))
+                (own, NodeEst::new(out_rows, pages, cols, child.cost))
             }
             &NodeOp::IjDeref {
                 on, step, input, ..
@@ -564,12 +537,7 @@ impl EstCtx<'_, '_> {
                 };
                 let rows = sane_rows(child.rows * fanout.max(f64::MIN_POSITIVE));
                 let per_deref = if clustered { p.clustered_access } else { 1.0 };
-                let feat = CostFeatures {
-                    deref_pages: child.rows * ec.io + rows * per_deref,
-                    evals: child.rows * ec.evals,
-                    method_units: child.rows * ec.method_units,
-                    ..CostFeatures::default()
-                };
+                let own = child.rows * ec + Cost::new(rows * per_deref, 0.0);
                 let pages = self.pages_est(rows, &reachable_types(&node.cols));
                 let out = ColEst {
                     resident: true,
@@ -577,7 +545,7 @@ impl EstCtx<'_, '_> {
                         .class_attr
                         .map_or(Reached::Unknown, |(c, a)| Reached::Via(c, a)),
                 };
-                (feat, child.fanned_out(input, fanout, rows, pages, [out]))
+                (own, child.fanned_out(input, fanout, rows, pages, [out]))
             }
             &NodeOp::PijLookup {
                 index,
@@ -609,14 +577,10 @@ impl EstCtx<'_, '_> {
                 }
                 let rows = sane_rows(child.rows * fan);
                 // Figure 5: ‖C‖ * (nblevels + nbleaves / ‖C₁‖).
-                let feat = CostFeatures {
-                    deref_pages: child.rows * ec.io,
-                    index_level_ios: child.rows * desc.stats.nblevels as f64,
-                    index_leaf_ios: child.rows * desc.stats.nbleaves as f64 / head_card,
-                    evals: child.rows * ec.evals,
-                    method_units: child.rows * ec.method_units,
-                    ..CostFeatures::default()
-                };
+                let eval = child.rows * ec;
+                let levels = child.rows * desc.stats.nblevels as f64;
+                let leaves = child.rows * desc.stats.nbleaves as f64 / head_card;
+                let own = Cost::new(eval.io + levels + leaves, eval.cpu);
                 let pages = self.pages_est(rows, &reachable_types(&node.cols));
                 // Index-only: the objects' pages are NOT read. Output `i`
                 // holds what step `i` of the path references.
@@ -624,7 +588,7 @@ impl EstCtx<'_, '_> {
                     resident: false,
                     reached: Reached::Via(c, a),
                 });
-                (feat, child.fanned_out(input, fan, rows, pages, outs))
+                (own, child.fanned_out(input, fan, rows, pages, outs))
             }
             &NodeOp::NlJoin {
                 pred, left, right, ..
@@ -647,61 +611,31 @@ impl EstCtx<'_, '_> {
                 };
                 let ec = self.expr_access_cost(pred, cols);
                 let pairs = l.rows * r.rows;
-                let feat = CostFeatures {
-                    seq_pages: rescan_io,
-                    deref_pages: pairs * ec.io,
-                    evals: pairs * ec.evals.max(1.0),
-                    method_units: pairs * ec.method_units,
-                    ..CostFeatures::default()
-                };
+                let evals = ec.evals.max(1.0);
+                let own = Cost::new(rescan_io, 0.0) + pairs * ExprCost { evals, ..ec };
                 let pages = self.pages_est(rows, &reachable_types(&node.cols));
-                (feat, NodeEst::new(rows, pages, joined, l.cost + r.cost))
+                (own, NodeEst::new(rows, pages, joined, l.cost + r.cost))
             }
             &NodeOp::UnionAll { left, right } => {
                 let l = self.est(left, true)?;
                 let r = self.est(right, true)?;
                 let (rows, pages) = (l.rows + r.rows, l.pages + r.pages);
                 let est = NodeEst::new(rows, pages, l.cols, l.cost + r.cost);
-                (CostFeatures::default(), est)
+                (Cost::zero(), est)
             }
             &NodeOp::FixPoint {
                 temp, base, rec, ..
             } => {
                 let base_est = self.est(base, true)?;
-                // Model the per-iteration delta curve and estimate the
-                // recursive side once per modeled pass with that pass's
-                // delta as the temp's cardinality (Figure 5's
-                // Σᵢ cost(Exp(Tᵢ)), per-iteration volumes and all).
+                // Figure 5's Σᵢ cost(Exp(Tᵢ)) under the modeled curve:
+                // every pass reads the same delta, so the recursive side
+                // is estimated once with it as the temp's cardinality and
+                // its lines are scaled by the pass count (the executor's
+                // per-operator counters accumulate across passes).
                 let curve = m.fix_delta_curve(temp, base_est.rows);
-                let total_rows = curve.total_rows;
-                let saved = self.temp_rows.insert(
-                    temp.to_string(),
-                    curve.deltas.first().copied().unwrap_or(1.0),
-                );
+                let saved = self.temp_rows.insert(temp.to_string(), curve.delta);
                 let rec_mark = self.breakdown.len();
                 self.est(rec, true)?;
-                let first_len = self.breakdown.len() - rec_mark;
-                // The executor's per-operator counters accumulate across
-                // iterations, so later passes fold into the first pass's
-                // breakdown lines (positional: the same subtree produces
-                // the same line sequence each pass).
-                for d in &curve.deltas[1..] {
-                    self.temp_rows.insert(temp.to_string(), *d);
-                    let pass_mark = self.breakdown.len();
-                    self.est(rec, true)?;
-                    debug_assert_eq!(
-                        self.breakdown.len() - pass_mark,
-                        first_len,
-                        "recursive side must produce the same line sequence each pass"
-                    );
-                    let (first, pass) = self.breakdown.split_at_mut(pass_mark);
-                    for (dst, src) in first[rec_mark..].iter_mut().zip(pass.iter()) {
-                        dst.feat += src.feat;
-                        dst.rows += src.rows;
-                        dst.pages += src.pages;
-                    }
-                    self.breakdown.truncate(pass_mark);
-                }
                 match saved {
                     Some(s) => {
                         self.temp_rows.insert(temp.to_string(), s);
@@ -710,39 +644,35 @@ impl EstCtx<'_, '_> {
                         self.temp_rows.remove(temp);
                     }
                 }
+                let n = curve.iterations;
+                let mut iter_cost = Cost::zero();
                 for line in &mut self.breakdown[rec_mark..] {
-                    line.cost = Cost::new(line.feat.io(), line.feat.cpu());
+                    line.cost = Cost::new(line.cost.io * n, line.cost.cpu * n);
+                    line.rows *= n;
+                    line.pages *= n;
+                    iter_cost += line.cost;
                 }
-                let iter_cost = self.breakdown[rec_mark..]
-                    .iter()
-                    .fold(Cost::zero(), |acc, l| acc + l.cost);
                 // Materialization writes of the accumulated temporary,
                 // whose shape the fixpoint hands up.
-                let total_pages = self.pages_est(total_rows, &field_types(&node.cols));
-                // The dedup bookkeeping stays uncharged: the executor
-                // counts comparisons and method calls, not hash probes.
-                let own_feat = CostFeatures {
-                    write_pages: total_pages,
-                    ..CostFeatures::default()
-                };
-                fix = Some(curve);
+                let total_pages = self.pages_est(curve.total_rows, &field_types(&node.cols));
+                passes = Some(n);
                 let children = base_est.cost + iter_cost;
                 let cols = vec![ColEst::OPAQUE; node.cols.len()];
-                let est = NodeEst::new(total_rows, total_pages, cols, children);
-                (own_feat, est)
+                let est = NodeEst::new(curve.total_rows, total_pages, cols, children);
+                // The dedup bookkeeping stays uncharged: the executor
+                // counts comparisons and method calls, not hash probes.
+                (Cost::new(total_pages, 0.0), est)
             }
         };
-        let own = Cost::new(feat.io(), feat.cpu());
         est.cost += own;
         self.breakdown.push(NodeCost {
             label: String::new(),
             kind: node.op.kind(),
             node: Some(id),
             cost: own,
-            feat,
             rows: est.rows,
             pages: est.pages,
-            fix,
+            passes,
         });
         Ok(est)
     }

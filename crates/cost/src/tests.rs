@@ -286,6 +286,122 @@ fn fix_cost_scales_with_chain_depth() {
     assert!(cd.rows > cs.rows);
 }
 
+/// Figure 3 with the selection pushed through recursion — the plan the
+/// cost-controlled optimizer chooses on the default music database
+/// (Figure 4 (ii)) — down to its fixpoint, over the `works.instruments`
+/// path index it probes.
+fn fig3_pushed_fixpoint() -> (MusicDb, DbStats, Pt) {
+    let (mut m, _) = setup(MusicConfig::default());
+    let path = vec![
+        (m.composer, m.works_attr),
+        (m.composition, m.instruments_attr),
+    ];
+    let index = m.db.physical_mut().add_index(
+        oorq_storage::IndexKindDesc::Path { path },
+        oorq_storage::IndexStats {
+            nblevels: 1,
+            nbleaves: 1,
+        },
+    );
+    let stats = DbStats::collect(&m.db);
+    let entity = |c| m.db.physical().class_entity(c).unwrap();
+    let (composers, works, instruments) = (
+        entity(m.composer),
+        entity(m.composition),
+        entity(m.instrument),
+    );
+    let master = |out: &str| Pt::IJ {
+        on: Expr::path("x", &["master"]),
+        step: oorq_pt::IjStep::class_attr(m.db.catalog(), m.composer, m.master_attr),
+        out: out.into(),
+        input: Box::new(Pt::entity(composers, "x")),
+        target: Box::new(Pt::entity(composers, format!("_t_{out}"))),
+    };
+    let harpsichord = |on: &str, input: Pt| {
+        Pt::sel(
+            Expr::path("_x2", &["name"]).eq(Expr::text("harpsichord")),
+            Pt::PIJ {
+                index,
+                on: Expr::var(on),
+                outs: vec!["_x1".into(), "_x2".into()],
+                input: Box::new(input),
+                targets: vec![Pt::entity(works, "_p0"), Pt::entity(instruments, "_p1")],
+            },
+        )
+    };
+    let keep = |cols: [&str; 3], input| {
+        Pt::proj(cols.map(|c| (c.to_string(), Expr::var(c))).to_vec(), input)
+    };
+    let base = Pt::proj(
+        vec![
+            ("master".into(), Expr::var("_v4")),
+            ("disciple".into(), Expr::var("x")),
+            ("gen".into(), Expr::int(1)),
+        ],
+        Pt::sel(
+            Expr::var("_v4").ne(Expr::Lit(oorq_query::Literal::Null)),
+            master("_v4"),
+        ),
+    );
+    let base = keep(["master", "disciple", "gen"], harpsichord("master", base));
+    let pushed = harpsichord("i.master", Pt::temp("Influencer", "i"));
+    let rec = Pt::proj(
+        vec![
+            ("master".into(), Expr::var("i.master")),
+            ("disciple".into(), Expr::var("x")),
+            ("gen".into(), Expr::var("i.gen").add(Expr::int(1))),
+        ],
+        Pt::ej(
+            Expr::var("i.disciple").eq(Expr::var("_v6")),
+            master("_v6"),
+            keep(["i.master", "i.disciple", "i.gen"], pushed),
+        ),
+    );
+    let plan = Pt::fix("Influencer", Pt::union(base, rec));
+    (m, stats, plan)
+}
+
+/// Figure 5's `Σᵢ cost(Exp(Tᵢ))` over a flat curve: a fixpoint's
+/// recursive-leg lines are the leg costed alone, with its temporary
+/// hinted at the modeled delta, times the modeled pass count — bit for
+/// bit.
+#[test]
+fn a_recursive_leg_is_its_one_estimate_times_the_passes() {
+    let (m, stats, plan) = fig3_pushed_fixpoint();
+    let Pt::Fix { body, .. } = &plan else {
+        unreachable!("a fixpoint")
+    };
+    let Pt::Union {
+        left: base,
+        right: rec,
+    } = &**body
+    else {
+        unreachable!("a recursive union")
+    };
+    let mut cm = model(&m, &stats);
+    let base = cm.cost(base).unwrap();
+    let curve = cm.fix_delta_curve("Influencer", base.rows);
+    assert_eq!(curve.iterations, 6.0, "{curve:?}");
+    let whole = cm.cost(&plan).unwrap();
+    cm.hint_temp_rows("Influencer", curve.delta);
+    let alone = cm.cost(rec).unwrap();
+    // Post-order: the base's lines, the leg's, then the fixpoint's.
+    let leg = &whole.breakdown[base.breakdown.len()..whole.breakdown.len() - 1];
+    assert_eq!(leg.len(), alone.breakdown.len());
+    let n = curve.iterations;
+    for (got, one) in leg.iter().zip(&alone.breakdown) {
+        assert_eq!(got.label, one.label);
+        let scaled = [
+            one.cost.io * n,
+            one.cost.cpu * n,
+            one.rows * n,
+            one.pages * n,
+        ];
+        let got_bits = [got.cost.io, got.cost.cpu, got.rows, got.pages].map(f64::to_bits);
+        assert_eq!(got_bits, scaled.map(f64::to_bits), "{}", one.label);
+    }
+}
+
 #[test]
 fn fix_requires_recursive_union() {
     let (m, stats) = setup(MusicConfig::default());
@@ -348,7 +464,7 @@ fn path_is_costed_from_the_qualified_column_when_both_exist() {
     let sel = pc.breakdown.last().unwrap();
     assert_eq!(sel.kind, OpKind::Sel);
     let card = |e| stats.entity(e).unwrap().cardinality as f64;
-    assert_eq!(sel.feat.deref_pages, card(composers) * card(works));
+    assert_eq!(sel.cost.io, card(composers) * card(works));
 }
 
 /// A join whose sides repeat a column name (lint PT010) is where a
@@ -378,8 +494,8 @@ fn a_join_repeating_a_column_name_is_costed_by_name() {
     assert_eq!(ej.pages, cm.width.pages_for(pairs, &one_oid) as f64);
     // `x.name` is read off the composer in hand: no page fetched, and
     // the key's selectivity applies.
-    assert_eq!(sel.feat.deref_pages, 0.0);
-    assert_eq!(sel.feat.evals, pairs as f64);
+    assert_eq!(sel.cost.io, 0.0);
+    assert_eq!(sel.cost.cpu, pairs as f64);
     assert_eq!(sel.rows, pairs as f64 / card(composers) as f64);
 }
 

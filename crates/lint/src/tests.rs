@@ -776,10 +776,9 @@ fn node_cost(node: usize, label: &str, io: f64, cpu: f64, rows: f64) -> oorq_cos
         kind: oorq_cost::OpKind::Sel,
         node: Some(node),
         cost: oorq_cost::Cost::new(io, cpu),
-        feat: oorq_cost::CostFeatures::default(),
         rows,
         pages: 1.0,
-        fix: None,
+        passes: None,
     }
 }
 
