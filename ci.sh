@@ -35,7 +35,7 @@ if grep -nF -e 'output_columns(' -e "rsplit('.')" $(nontest crates/lint/src); th
     exit 1
 fi
 
-echo "== what no workload runs stays deleted (a thread or an Exchange/Merge operator in the engine; FragmentSpec, ClassLayout or decompose_vertical/decompose_horizontal; IndexJoin, EjIdx, applicable_join_indexes or EJ^idx, or require_index; CostWeights, FixProfile(s), CostParams::calibrated, parse_snapshot, lint_fix_drift, lint_spill_drift or lint_breaker_budget, in non-test src, crates/*/src or examples, or a crates/cost/*.toml snapshot; equivalent_toggle, proven_worse, PrunedProven or subtree_cost there; CostFeatures there, or deltas or fn mass in non-test crates/cost/src, fails) =="
+echo "== what no workload runs stays deleted (a thread or an Exchange/Merge operator in the engine; FragmentSpec, ClassLayout or decompose_vertical/decompose_horizontal; IndexJoin, EjIdx, applicable_join_indexes or EJ^idx, or require_index; CostWeights, FixProfile(s), CostParams::calibrated, parse_snapshot, lint_fix_drift, lint_spill_drift or lint_breaker_budget, in non-test src, crates/*/src or examples, or a crates/cost/*.toml snapshot; equivalent_toggle, proven_worse, PrunedProven or subtree_cost there; CostFeatures there, or deltas or fn mass in non-test crates/cost/src; a walk candidate rejected by the verifier in non-test crates/core/src, fails) =="
 if grep -nE 'thread::(scope|spawn)' $(nontest crates/exec/src) ||
     grep -nwE 'Exchange|Merge' $(nontest crates/pt/src crates/exec/src); then
     echo "intra-query parallelism was removed because no workload ran it (CHANGES.md, PR 28): bring it back" \
@@ -78,6 +78,13 @@ if grep -nw 'CostFeatures' $(nontest src crates/*/src examples) ||
     echo "a plan node's estimate is one Cost, and a fixpoint's recursive leg is estimated once, under the" \
         "one delta its modeled curve holds, and scaled by the pass count: the feature vector and the per-pass" \
         "re-estimation were removed because nothing read them (ROADMAP item 2d)" >&2
+    exit 1
+fi
+
+if grep -nE 'verifier rejected the move|rejected by the verifier' $(nontest crates/core/src); then
+    echo "the randomized walk judges a move by its cost alone, in every build: tests/plan_closure.rs lints," \
+        "executes and compares with the reference every plan neighbours reaches from a corpus plan, so the" \
+        "per-candidate lint that only debug builds ran was removed (ROADMAP item 15)" >&2
     exit 1
 fi
 
@@ -187,6 +194,10 @@ echo "== low-budget differential re-runs (spilling breakers, byte-identical answ
 for budget in 8 1; do
     OORQ_MEMORY_BUDGET=$budget cargo test -q --release --test differential --test serve_differential
 done
+
+echo "== release: every plan the walk can reach from every corpus plan answers like the reference (the debug run above took the small entries), and the release build announces the debug build's decisions =="
+cargo test -q --release --test plan_closure
+cargo test -q --release -p oorq-bench --test decision_sink
 
 echo "== release allocation ceilings (a served hit's heap allocations; the workspace tests above checked the debug profile's) =="
 cargo test -q --release --test allocations

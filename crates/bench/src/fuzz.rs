@@ -1,10 +1,10 @@
 //! A seeded plan-mutation soundness fuzzer.
 //!
 //! Starting from the optimizer's chosen plans for the music corpus, the
-//! fuzzer applies random local mutations (access-method toggles, join
-//! operand swaps, predicate rewrites, projection edits, wrapper
-//! insertion) and demands, for every mutant, one of exactly two
-//! outcomes:
+//! fuzzer applies random local mutations that change or break a plan's
+//! meaning (an index the predicate cannot probe, predicate rewrites,
+//! projection edits, wrapper insertion) and demands, for every mutant,
+//! one of exactly two outcomes:
 //!
 //! - the static verifier or the analyzer *rejects* the plan
 //!   (lint errors, or a typing error from [`oorq_analysis::Analyzer`]);
@@ -17,6 +17,11 @@
 //! reproducible bug report. `reproduce all` runs a fixed smoke, which
 //! the golden pins; longer sweeps are one argument away (`reproduce fuzz
 //! 2000 <seed>`).
+//!
+//! The moves that keep a plan's meaning (operand swaps, access-method
+//! toggles) are not here: they are `oorq_core::neighbours`, and every
+//! plan they reach from a corpus plan is executed and compared with the
+//! reference by `tests/plan_closure.rs`.
 
 use std::fmt::Write as _;
 
@@ -69,7 +74,7 @@ pub fn for_each_mutant(
     for iteration in 0..iters {
         let pt = &base[rng.index(base.len())];
         let target = rng.index(pt.size());
-        let kind = rng.range_u32(0, 7);
+        let kind = rng.range_u32(0, 6);
         // Apply mutation `kind` at pre-order node `target`; a kind that
         // does not apply there leaves the plan unmutated, which must
         // also stay inside its bounds.
@@ -153,31 +158,21 @@ fn mutate_here(
     index_ids: &[IndexId],
 ) -> Option<Pt> {
     match (kind, pt) {
-        // Toggle a selection's access method: to the index the predicate
-        // can probe where there is one (a probe the executor runs), else
-        // to a random index (which the verifier refuses).
+        // Give a scanning selection an index its predicate cannot probe
+        // (which the verifier refuses).
         (
             0,
             Pt::Sel {
                 pred,
-                method,
+                method: AccessMethod::Scan,
                 input,
             },
-        ) => {
-            let (catalog, physical) = (s.db.catalog(), s.db.physical());
-            let method = match method {
-                AccessMethod::Scan => match applicable_sel_index(catalog, physical, pred, input) {
-                    Some(idx) => AccessMethod::Index(idx),
-                    None if !index_ids.is_empty() => {
-                        AccessMethod::Index(index_ids[rng.index(index_ids.len())])
-                    }
-                    None => return None,
-                },
-                AccessMethod::Index(_) => AccessMethod::Scan,
-            };
+        ) if !index_ids.is_empty()
+            && applicable_sel_index(s.db.catalog(), s.db.physical(), pred, input).is_none() =>
+        {
             Some(Pt::Sel {
                 pred: pred.clone(),
-                method,
+                method: AccessMethod::Index(index_ids[rng.index(index_ids.len())]),
                 input: input.clone(),
             })
         }
@@ -187,14 +182,8 @@ fn mutate_here(
             method: *method,
             input: input.clone(),
         }),
-        // Swap a join's operands.
-        (2, Pt::EJ { pred, left, right }) => Some(Pt::EJ {
-            pred: pred.clone(),
-            left: right.clone(),
-            right: left.clone(),
-        }),
         // Drop a projection column.
-        (3, Pt::Proj { cols, input }) if cols.len() > 1 => {
+        (2, Pt::Proj { cols, input }) if cols.len() > 1 => {
             let mut cols = cols.clone();
             cols.remove(rng.index(cols.len()));
             Some(Pt::Proj {
@@ -203,7 +192,7 @@ fn mutate_here(
             })
         }
         // Rename a projection column (breaks consumers; lint's job).
-        (4, Pt::Proj { cols, input }) if !cols.is_empty() => {
+        (3, Pt::Proj { cols, input }) if !cols.is_empty() => {
             let mut cols = cols.clone();
             let i = rng.index(cols.len());
             cols[i].0 = format!("fz_{}", rng.range_u32(0, 1 << 16));
@@ -213,14 +202,14 @@ fn mutate_here(
             })
         }
         // Wrap the node in a pass-through selection.
-        (5, _) => Some(Pt::Sel {
+        (4, _) => Some(Pt::Sel {
             pred: Expr::True,
             method: AccessMethod::Scan,
             input: Box::new(pt.clone()),
         }),
         // Perturb the integer literals of a selection predicate.
         (
-            6,
+            5,
             Pt::Sel {
                 pred,
                 method,

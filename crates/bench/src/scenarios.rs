@@ -7,11 +7,11 @@
 //! over it; [`Scenario::run`] is the only place that assembles cost
 //! model → optimizer → cold cache → executor → report.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 use oorq_analysis::{Analysis, Analyzer};
-use oorq_core::{Optimized, Optimizer, OptimizerConfig};
+use oorq_core::{neighbours, Optimized, Optimizer, OptimizerConfig};
 use oorq_cost::{CostModel, CostParams};
 use oorq_datagen::{
     parts_catalog, ChainConfig, ChainDb, MusicConfig, MusicDb, PartsConfig, PartsDb,
@@ -291,6 +291,25 @@ impl Scenario {
             phys_plan,
         })
     }
+}
+
+/// Every plan the randomized walk can reach from `pt`: its closure under
+/// [`neighbours`], `pt` first, then breadth-first, each plan once by
+/// `Pt::fingerprint`.
+pub fn neighbour_closure(model: &CostModel<'_>, pt: &Pt) -> Vec<Pt> {
+    let mut seen = HashSet::from([pt.fingerprint()]);
+    let mut plans = vec![pt.clone()];
+    let mut next = 0;
+    while let Some(plan) = plans.get(next) {
+        let fresh: Vec<Pt> = neighbours(model, plan)
+            .into_iter()
+            .map(|m| m.plan)
+            .filter(|n| seen.insert(n.fingerprint()))
+            .collect();
+        plans.extend(fresh);
+        next += 1;
+    }
+    plans
 }
 
 /// The configuration of the Figure 7 regime: an unselective filter over

@@ -140,7 +140,7 @@ fn fingerprints_are_injective_across_the_optimizer_corpus() {
 const WALK_SEEDS: [u64; 3] = [0xC0FFEE, 1, 2];
 const WALK_BUDGETS: [usize; 2] = [90, 5];
 
-/// What the unverified walk (`rand_optimize_with` over `neighbours`)
+/// What the walk (`rand_optimize_with` over `neighbours`)
 /// returned for every corpus row, from the row's plan without a
 /// randomized phase, as `(fingerprint, cost bits)`:
 /// **recorded at the commit before the walk remembered what it had
@@ -196,9 +196,9 @@ const WALK_OUTCOMES: &[(&str, &[(u64, u64)])] = &[
 /// Skipping a draw that was already turned down changes no accept
 /// decision: same draws, same moves, same plan and cost, bit for bit.
 /// The randomized walk as it was before it remembered what it had
-/// turned down (2b7c032, unverified, as the test runs
-/// `rand_optimize_with`): every draw is costed again, whatever became of
-/// the plan the last time it was drawn.
+/// turned down (2b7c032, without the per-candidate lint, as
+/// `rand_optimize_with` walks in every build): every draw is costed
+/// again, whatever became of the plan the last time it was drawn.
 fn re_examining_walk(model: &CostModel<'_>, start: Pt, config: &RandConfig) -> Pt {
     let total = |pt: &Pt| model.cost(pt).ok().map(|pc| pc.total(&model.params));
     let Some(mut current_cost) = total(&start) else {
@@ -242,8 +242,7 @@ fn walk_outcomes_equal_the_re_examining_walks() {
             for (i, (seed, moves)) in runs.enumerate() {
                 let rc = RandConfig { moves, seed };
                 let sink = &mut Decisions::default();
-                let pt =
-                    rand_optimize_with(&model, start.pt.clone(), &rc, &neighbours, false, sink).pt;
+                let pt = rand_optimize_with(&model, start.pt.clone(), &rc, &neighbours, sink).pt;
                 assert_eq!(
                     pt.fingerprint(),
                     re_examining_walk(&model, start.pt.clone(), &rc).fingerprint(),

@@ -7,14 +7,14 @@
 //! holds every consumer of `oorq_pt::resolve` (the cost model, the
 //! analyzer, lowering, the plan lint's `resolve_each`), the positional
 //! helpers (`node_ids`, `subtrees`, `fix_recursive_nodes`) and
-//! `Pt::output_columns` to one numbering and one shape, over every corpus
-//! row under three strategies and over the plan-mutation fuzzer's
-//! mutants.
+//! `Pt::output_columns` to one numbering and one shape, over every plan
+//! the randomized walk can reach from every corpus row's plan under
+//! three strategies and over the plan-mutation fuzzer's mutants.
 
 use std::collections::HashSet;
 
 use oorq_bench::fuzz::{for_each_mutant, SMOKE_SEED};
-use oorq_bench::scenarios::{for_each_row, Scenario, TempFields};
+use oorq_bench::scenarios::{for_each_row, neighbour_closure, Scenario, TempFields};
 use oorq_bench::Knobs;
 use oorq_core::OptimizerConfig;
 use oorq_cost::CostParams;
@@ -160,7 +160,11 @@ fn every_pass_numbers_and_shapes_the_corpus_plans_alike() {
                 let (plan, temps) = s
                     .plan(q, config, &knobs)
                     .map_err(|e| format!("{name}: {e}"))?;
-                lowered += check(name, s, &plan.pt, &temps);
+                // Every plan the walk can reach, the chosen one first.
+                let model = s.model(CostParams::default(), temps.clone());
+                for pt in neighbour_closure(&model, &plan.pt) {
+                    lowered += check(name, s, &pt, &temps);
+                }
                 // The plan under two more projections, the inner one
                 // computing a column nothing reads.
                 let pass = |c: &String| (c.clone(), Expr::var(c.clone()));

@@ -229,9 +229,9 @@ impl<'a> Optimizer<'a> {
 
         // Step 4: transformPT — randomized re-optimization of the final
         // plan (the push decisions were taken, cost-compared, while
-        // assembling consumers of fixpoints; see `plan_spj`). Under
-        // verification every candidate move is checked before it can be
-        // accepted; rejected moves are recorded in the trace.
+        // assembling consumers of fixpoints; see `plan_spj`). The walk
+        // judges each move by cost alone; the plan it returns is verified
+        // below.
         let (final_pt, walk_cost) = match &self.config.rand {
             Some(rc) => {
                 self.sink.step(
@@ -250,7 +250,6 @@ impl<'a> Optimizer<'a> {
                     answer.pt.clone(),
                     rc,
                     &neighbours,
-                    cfg!(debug_assertions),
                     &mut self.sink,
                 );
                 self.sink.obs.end(sp);

@@ -26,7 +26,6 @@ use oorq_schema::{ClassId, ResolvedType};
 
 use crate::decisions::{Decisions, Examined, Outcome};
 use crate::error::OptError;
-use crate::trace::{Step, StrategyKind};
 use crate::translate::{collapse_alternatives, ChainOp};
 
 /// How pushing through recursion is decided.
@@ -467,10 +466,11 @@ pub fn neighbours(model: &CostModel<'_>, pt: &Pt) -> Vec<Move> {
 }
 
 /// A neighbour generator for the randomized walk: every move from the
-/// current plan.
+/// current plan. The optimizer passes [`neighbours`]; the walk takes it
+/// as a parameter so tests can script the moves it draws.
 pub type MoveFn<'f> = dyn Fn(&CostModel<'_>, &Pt) -> Vec<Move> + 'f;
 
-/// What a verified randomized walk produced.
+/// What a randomized walk produced.
 #[derive(Debug, Clone)]
 pub struct RandOutcome {
     /// The plan the walk ended on (never worse than the start).
@@ -481,14 +481,12 @@ pub struct RandOutcome {
 }
 
 /// Run a randomized strategy from a starting plan and return the plan
-/// it ends on (never worse than the start), with a pluggable move
-/// generator and an optional verification layer: when `verify` is on,
-/// every candidate plan is checked with the lint engine before
-/// acceptance — an ill-formed candidate is rejected instead of entering
-/// the walk, and the rejection is announced to the sink like every
-/// other outcome.
-/// The move generator is a parameter so tests can inject a broken
-/// transformation action and observe the verifier catching it.
+/// it ends on (never worse than the start), drawing its moves from
+/// `moves`. A move is judged by its cost alone, as §4's `transformPT`
+/// judges it, in every build: the walk lints no candidate. That every
+/// plan [`neighbours`] reaches from a corpus plan is well formed and
+/// answers like the reference is held by `tests/plan_closure.rs`; the
+/// optimizer lints the plan the walk returns.
 ///
 /// The walk is Iterative Improvement's downhill walk: it accepts only a
 /// cheaper plan, so the incumbent is always the best plan seen. It
@@ -503,24 +501,18 @@ pub fn rand_optimize_with(
     start: Pt,
     config: &RandConfig,
     moves: &MoveFn<'_>,
-    verify: bool,
     sink: &mut Decisions,
 ) -> RandOutcome {
-    let lint_env = oorq_pt::PtEnv {
-        catalog: model.catalog,
-        physical: model.physical,
-        temp_fields: model.temp_fields.clone(),
-    };
     let Ok(start_cost) = model.cost(&start) else {
         return RandOutcome {
             pt: start,
             cost: None,
         };
     };
-    // Plans turned down for good, by `Pt::fingerprint`: the verifier or
-    // the cost model failed on the plan (functions of the plan alone),
-    // or it was costed at `c >= current_cost` — the incumbent's cost
-    // only ever falls, so that holds for every later incumbent.
+    // Plans turned down for good, by `Pt::fingerprint`: the cost model
+    // failed on the plan (a function of the plan alone), or it was
+    // costed at `c >= current_cost` — the incumbent's cost only ever
+    // falls, so that holds for every later incumbent.
     let mut turned_down: HashSet<u64> = HashSet::new();
     let mut current = start;
     let mut current_cost = start_cost.total(&model.params);
@@ -544,25 +536,6 @@ pub fn rand_optimize_with(
             incumbent_cost: Some(current_cost),
             ..Examined::at("transformPT", &pick)
         };
-        if verify {
-            let report = oorq_lint::verify_pt(&lint_env, &pick);
-            oorq_lint::record_report(&sink.obs, "transformPT (randomized move)", &report);
-            if !report.is_clean() {
-                turned_down.insert(fp);
-                let codes = report.codes().into_iter().collect::<Vec<_>>().join(", ");
-                let reason = format_args!("verifier rejected the move: {codes}");
-                sink.candidate(seen(None), Outcome::Reject, reason);
-                sink.step(
-                    Step::TransformPt,
-                    "one move (rejected by the verifier)",
-                    StrategyKind::CostBasedTransformational,
-                );
-                for d in report.errors() {
-                    sink.note(format!("{d}"));
-                }
-                continue;
-            }
-        }
         let pc = match model.cost(&pick) {
             Ok(pc) => pc,
             Err(e) => {

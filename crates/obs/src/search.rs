@@ -12,7 +12,7 @@
 //! - `incumbent` / `incumbent_cost`: what it was compared against
 //! - `outcome`: `accept` | `reject` | `prune`
 //! - `reason`: why (e.g. `cheaper than incumbent`, `uphill move`,
-//!   `beyond keep-per-arc beam`, `verifier rejected`).
+//!   `beyond keep-per-arc beam`, `cost model error`).
 
 use crate::recorder::{FieldValue, Trace};
 use std::collections::BTreeMap;

@@ -9,8 +9,11 @@
 //! server.
 //! Each outcome must be `Ok` or a typed error; answers are not compared
 //! (ROADMAP item 14 lists the served-versus-reference divergences a
-//! mutant can reach). Afterwards the same session still answers Figure 3
-//! as the reference evaluator does.
+//! mutant can reach). A mutant that parses and optimizes also has every
+//! plan the randomized walk can reach from its plan (the plan's closure
+//! under `neighbours`) linted: the walk itself lints no candidate.
+//! Afterwards the same session still answers Figure 3 as the reference
+//! evaluator does.
 //!
 //! The server bounds a fixpoint at 64 passes (Figure 3 needs 3 here), so
 //! a mutant whose recursion no longer converges fails with
@@ -18,15 +21,17 @@
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
+use oorq::cost::CostParams;
 use oorq::datagen::MusicConfig;
 use oorq::exec::{eval_query_graph, ExecConfig};
-use oorq::lint::lint_graph;
+use oorq::lint::{lint_graph, verify_pt};
 use oorq::query::paper::{fig3, music_catalog, INFLUENCER_VIEW};
-use oorq::query::parse_query;
+use oorq::query::{parse_query, QueryGraph};
 use oorq::schema::Catalog;
 use oorq::serve::{Server, ServerConfig, Session};
 use oorq::storage::Value;
-use oorq_bench::Scenario;
+use oorq_bench::scenarios::neighbour_closure;
+use oorq_bench::{Knobs, Scenario};
 use oorq_prng::Prng;
 
 const SEED: u64 = 0x0a1f_2e55;
@@ -101,18 +106,49 @@ fn mutate(rng: &mut Prng, tokens: &[&str], text: &str) -> String {
     chars.into_iter().collect()
 }
 
-/// Parse, lint and serve one text, and say whether it parsed; a panic
-/// anywhere fails the test with the text that caused it.
-fn feed(catalog: &Catalog, session: &mut Session<'_>, text: &str) -> bool {
-    catch_unwind(AssertUnwindSafe(|| {
+/// Lint every plan the walk can reach from the plan `planner` chooses
+/// for `graph` under the server's strategy: how many plans that was (0
+/// when the graph does not optimize), or the first unclean report.
+fn lint_closure(planner: &Scenario, graph: &QueryGraph) -> Result<usize, String> {
+    let strategy = ServerConfig::default().optimizer;
+    let Ok((plan, temps)) = planner.plan(graph, strategy, &Knobs::default()) else {
+        return Ok(0);
+    };
+    let env = planner.env(temps.clone());
+    let closure = neighbour_closure(&planner.model(CostParams::default(), temps), &plan.pt);
+    for pt in &closure {
+        let report = verify_pt(&env, pt);
+        if !report.is_clean() {
+            return Err(report.render());
+        }
+    }
+    Ok(closure.len())
+}
+
+/// Parse, lint and serve one text, and lint the closure of its plan
+/// (`lint_closure`); says whether it parsed and how many plans the
+/// closure held. A panic anywhere, or an unclean plan, fails the test
+/// with the text that caused it.
+fn feed(
+    catalog: &Catalog,
+    planner: &Scenario,
+    session: &mut Session<'_>,
+    text: &str,
+) -> (bool, usize) {
+    let (parsed, closure) = catch_unwind(AssertUnwindSafe(|| {
         let graph = parse_query(catalog, text);
+        let mut closure = Ok(0);
         if let Ok(graph) = &graph {
             lint_graph(catalog, graph);
+            closure = lint_closure(planner, graph);
         }
         let _ = session.execute_text(text);
-        graph.is_ok()
+        (graph.is_ok(), closure)
     }))
-    .unwrap_or_else(|_| panic!("a query text panicked:\n{text}"))
+    .unwrap_or_else(|_| panic!("a query text panicked:\n{text}"));
+    let closure = closure
+        .unwrap_or_else(|report| panic!("a plan one walk away is ill-formed:\n{text}\n{report}"));
+    (parsed, closure)
 }
 
 fn sorted(mut rows: Vec<Vec<Value>>) -> Vec<String> {
@@ -124,12 +160,15 @@ fn sorted(mut rows: Vec<Vec<Value>>) -> Vec<String> {
 fn mutated_query_texts_are_answered_or_refused_never_panic() {
     let catalog = music_catalog();
     // Two chains of four composers: small enough that every mutant that
-    // parses is optimized and run in a debug test.
-    let s = Scenario::music(MusicConfig {
+    // parses is optimized and run in a debug test. The planner is the
+    // same database, kept out of the server to plan the mutants on.
+    let small = MusicConfig {
         chains: 2,
         chain_len: 4,
         ..MusicConfig::default()
-    });
+    };
+    let s = Scenario::music(small.clone());
+    let planner = Scenario::music(small);
     let texts = corpus();
     let fig3 = &texts[0];
     let graph = parse_query(&catalog, fig3).unwrap();
@@ -150,15 +189,22 @@ fn mutated_query_texts_are_answered_or_refused_never_panic() {
     }
     let tokens: Vec<&str> = TOKENS.split_whitespace().collect();
     let mut rng = Prng::new(SEED);
-    let mut parsed = 0;
+    let (mut parsed, mut optimized) = (0, 0);
     for n in 0..MUTANTS {
         let mutant = mutate(&mut rng, &tokens, &texts[n % texts.len()]);
-        parsed += usize::from(feed(&catalog, &mut session, &mutant));
+        let (ok, closure) = feed(&catalog, &planner, &mut session, &mutant);
+        parsed += usize::from(ok);
+        optimized += usize::from(closure > 0);
     }
     assert!(
         parsed > MUTANTS / 20,
         "only {parsed} of {MUTANTS} mutants parse: the smoke reaches little past the parser"
     );
+    assert!(
+        optimized > MUTANTS / 40,
+        "only {optimized} of {MUTANTS} mutants optimize: the closure lint reaches little"
+    );
+    println!("{parsed} of {MUTANTS} mutants parse, {optimized} optimize");
 
     let got = session.execute_text(fig3).unwrap();
     assert_eq!(sorted(got.batch.rows), want);
