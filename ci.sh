@@ -109,11 +109,18 @@ if grep -nE '\]\.concat\(\)|vec!\[Value::|\.iter\(\)\.cloned\(\)\.chain\(' crate
     exit 1
 fi
 
-echo "== a row is hashed by RowSet (RandomState, DefaultHasher or HashSet<Vec<Value>> in non-test crates/exec/src outside rowset.rs and reference.rs fails) =="
+echo "== a row is hashed by RowSet (RandomState, DefaultHasher or HashSet<Vec<Value>> in non-test crates/exec/src outside rowset.rs and reference.rs, or impl Hasher, impl std::hash::Hasher or BuildHasherDefault outside rowset.rs, fails) =="
 if grep -nE 'RandomState|DefaultHasher|HashSet<Vec<Value>>' \
     $(nontest crates/exec/src | grep -vE '^crates/exec/src/(rowset|reference)\.rs$'); then
     echo "the executor asks \"seen?\" of a row through RowSet (crates/exec/src/rowset.rs, DESIGN §7," \
         "Deduplicated once); only the reference evaluator keeps a set of its own" >&2
+    exit 1
+fi
+if grep -nE 'impl[[:space:]]+(std::hash::)?Hasher([^[:alnum:]_]|$)|BuildHasherDefault' \
+    $(nontest crates/exec/src | grep -vE '^crates/exec/src/rowset\.rs$'); then
+    echo "the executor hashes a row or a key with RowSet's keyed folded multiply (crates/exec/src/rowset.rs:" \
+        "RowSet, and KeyTable for a nested loop's held inner); a second hasher is a second set of" \
+        "collisions to reason about" >&2
     exit 1
 fi
 

@@ -87,7 +87,7 @@ pub(crate) struct Counters {
 }
 
 impl Counters {
-    fn add_evals(&self, n: u64) {
+    pub(crate) fn add_evals(&self, n: u64) {
         self.evals.set(self.evals.get() + n);
     }
     fn bump_methods(&self) {
@@ -584,31 +584,47 @@ impl Probe<'_> {
     }
 
     /// The loop that matters, straight: `=` on an `Oid` or `Int` key with
-    /// no conjunct left decides every row by one comparison, so the rows
-    /// are the `evals`, and the matches go into `hits` (emptied first).
-    /// `false` — `matches` runs its general loop over the whole chunk —
-    /// for any other probe, and when some inner value has no or several
-    /// members (`truthy` counts those pairs).
+    /// no conjunct left ([`Probe::keyed`]) decides every row by one
+    /// comparison ([`same_key`]), so the rows are the `evals`, and the
+    /// matches go into `hits` (emptied first). `false` — `matches` runs its
+    /// general loop over the whole chunk — for any other probe, and when
+    /// some inner value has no or several members (`truthy` counts those
+    /// pairs).
     pub(crate) fn equal_keys<R: Rows + ?Sized>(&self, inner: &R, hits: &mut Vec<usize>) -> bool {
-        let keyed = matches!(self.key, Value::Oid(_) | Value::Int(_));
-        if !(keyed && self.op == CmpOp::Eq && self.rest.is_empty()) {
+        let Some((key, slot)) = self.keyed() else {
             return false;
-        }
+        };
         // Equality, not an ordering: that is what makes this loop cheaper
         // than the general one (measured, ≈ 1.5 ns a pair).
         hits.clear();
         for i in 0..inner.len() {
-            let equal = match (&inner.row(i)[self.slot], self.key) {
-                (Value::Oid(value), Value::Oid(key)) => value == key,
-                (Value::Int(value), Value::Int(key)) => value == key,
-                (Value::Null | Value::Set(_) | Value::List(_), _) => return false,
-                (value, key) => value == key,
-            };
-            if equal {
-                hits.push(i);
+            match same_key(&inner.row(i)[slot], key) {
+                Some(true) => hits.push(i),
+                Some(false) => {}
+                None => return false,
             }
         }
         true
+    }
+
+    /// The key and the inner slot of a probe [`Probe::equal_keys`] decides:
+    /// `=` on an `Oid` or `Int` key with no conjunct left. `None` for any
+    /// other probe.
+    pub(crate) fn keyed(&self) -> Option<(&Value, usize)> {
+        let keyed = matches!(self.key, Value::Oid(_) | Value::Int(_));
+        (keyed && self.op == CmpOp::Eq && self.rest.is_empty()).then_some((self.key, self.slot))
+    }
+}
+
+/// Whether the inner value `value` equals the `Oid` or `Int` `key` of a
+/// [`Probe::keyed`] probe, as [`Probe::equal_keys`] decides it; `None`
+/// when `value` has no member or several (`Null`, a `Set`, a `List`).
+pub(crate) fn same_key(value: &Value, key: &Value) -> Option<bool> {
+    match (value, key) {
+        (Value::Oid(value), Value::Oid(key)) => Some(value == key),
+        (Value::Int(value), Value::Int(key)) => Some(value == key),
+        (Value::Null | Value::Set(_) | Value::List(_), _) => None,
+        (value, key) => Some(value == key),
     }
 }
 

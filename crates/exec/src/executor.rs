@@ -17,6 +17,7 @@ use crate::error::ExecError;
 use crate::eval::{Batch, Counters};
 use crate::methods::MethodRegistry;
 use crate::pipeline::{self, FixDeltaCurve, OpReport};
+use crate::rowset::KeyTable;
 
 /// Executor configuration.
 #[derive(Debug, Clone)]
@@ -42,7 +43,8 @@ impl Default for ExecConfig {
 }
 
 /// The durable part of an executor: the breaker temporaries it has
-/// created in its database and their registered shapes.
+/// created in its database and their registered shapes, and the buffers a
+/// run would otherwise allocate anew.
 ///
 /// An [`Executor`] borrows the database mutably, so a serving session
 /// that holds a database across many queries cannot keep one executor
@@ -61,6 +63,9 @@ pub struct ExecState {
     /// Pool of page-store temporaries backing materialized nested-loop
     /// inners and replayed operands, keyed by row shape.
     pub mat_pool: HashMap<Vec<ResolvedType>, Vec<EntityId>>,
+    /// Pool of the key tables nested loops find their held inners' rows
+    /// in, emptied, their memory kept for the next run.
+    key_tables: Vec<KeyTable>,
 }
 
 /// A report of the resources the executor's last run consumed, whether
@@ -70,7 +75,9 @@ pub struct ExecReport {
     /// Page I/O the run charged the store's page account (the account's
     /// counters after the run less those before it).
     pub io: IoStats,
-    /// Predicate evaluations the run performed.
+    /// Pairs the run's predicates decided (Figure 5's `ev`s): every
+    /// comparison made, and every pair a nested loop's held inner decided
+    /// by looking its key up, counted as the comparison it replaces.
     pub evals: u64,
     /// Method invocations the run performed.
     pub method_calls: u64,
@@ -363,7 +370,9 @@ impl<'a> Executor<'a> {
         // The run owns the store's page account until `io` is dropped, which
         // parks it again: on `Ok`, on `Err`, and when the pipeline unwinds.
         let io = self.db.check_out();
-        let out = pipeline::execute(plan, self.shared(profile), &io, &self.counters);
+        let mut tables = std::mem::take(&mut self.state.key_tables);
+        let out = pipeline::execute(plan, self.shared(profile), &io, &self.counters, &mut tables);
+        self.state.key_tables = tables;
         drop(io);
         let (rows, ops, fix_deltas) = out?;
         // A projection hands up no row twice; any other root may.

@@ -46,9 +46,9 @@ use oorq_storage::{
 };
 
 use crate::error::ExecError;
-use crate::eval::{Bound, Counters, EvalCtx, Flat, Pred, Probe, RowRef};
+use crate::eval::{same_key, Bound, Counters, EvalCtx, Flat, Pred, Probe, RowRef, Rows};
 use crate::methods::MethodRegistry;
-use crate::rowset::RowSet;
+use crate::rowset::{KeyTable, RowSet};
 
 /// Observed per-operator counters of one execution (exclusive: each
 /// operator's own work, children subtracted).
@@ -190,6 +190,9 @@ struct Rt<'a> {
     /// Per-fixpoint-opening delta curves, in execution order (each
     /// `FixPoint` open appends one curve keyed by its operator).
     fix_deltas: RefCell<Vec<FixDeltaCurve>>,
+    /// Key tables no held inner is using: an opening takes one and gives
+    /// it back, emptied, when it lets go of its inner ([`Keys`]).
+    tables: RefCell<Vec<KeyTable>>,
 }
 
 impl<'a> std::ops::Deref for Rt<'a> {
@@ -205,18 +208,21 @@ impl<'a> std::ops::Deref for Rt<'a> {
 /// profiled) and the per-fixpoint delta curves.
 pub(crate) type ExecOutput = (Vec<Vec<Value>>, Vec<OpReport>, Vec<FixDeltaCurve>);
 
-/// Execute a lowered plan, charging every page touch to `io`.
+/// Execute a lowered plan, charging every page touch to `io`. Held inners
+/// take their key tables from `tables` and give them back.
 pub(crate) fn execute(
     plan: &PhysPlan,
     shared: Shared<'_>,
     io: &Account,
     counters: &Counters,
+    tables: &mut Vec<KeyTable>,
 ) -> Result<ExecOutput, ExecError> {
-    let rt = Rt::new(shared, io, counters, plan.ops);
+    let rt = Rt::new(shared, io, counters, plan.ops, std::mem::take(tables));
     let mut root = build(&plan.root, &shared, false, None);
-    root.open(&rt)?;
-    let rows = root.drain(&rt)?;
+    let rows = root.open(&rt).and_then(|()| root.drain(&rt));
     drop(root);
+    *tables = rt.tables.take();
+    let rows = rows?;
     let mut reports = Vec::new();
     if shared.profile {
         let stats = rt.stats.into_inner();
@@ -239,7 +245,7 @@ pub(crate) fn root_chunks(
     io: &Account,
     counters: &Counters,
 ) -> RootChunks {
-    let rt = Rt::new(shared, io, counters, plan.ops);
+    let rt = Rt::new(shared, io, counters, plan.ops, Vec::new());
     let mut root = build(&plan.root, &shared, false, None);
     root.open(&rt)?;
     let (mut chunks, mut chunk) = (Vec::new(), Chunk::default());
@@ -594,8 +600,118 @@ enum Inner {
     /// delta and accumulator — and let go of when the outer runs out, so
     /// a fixpoint's truncate and sink still write in place; `page` is the
     /// next page of the current outer row's pass. Every pass fetches
-    /// every page, so it stays budget-visible.
-    Held { seg: Option<SegmentHold>, page: u32 },
+    /// every page, so it stays budget-visible. `keys` finds a keyed outer
+    /// row's matches on each page, and lives as long as `seg`.
+    Held {
+        seg: Option<SegmentHold>,
+        page: u32,
+        keys: Keys,
+    },
+}
+
+impl Inner {
+    /// Let go of a held inner's segment and give its key table back to
+    /// `pool`: the next opening takes both afresh.
+    fn let_go(&mut self, pool: &RefCell<Vec<KeyTable>>) {
+        if let Inner::Held { seg, keys, .. } = self {
+            *seg = None;
+            keys.let_go(pool);
+        }
+    }
+}
+
+/// A held inner's rows by the key an [`Probe::equal_keys`] probe compares,
+/// over one opening. Every outer row still fetches every page, and each
+/// page still counts its rows as `evals`: only how a pair is decided
+/// changes — looked up instead of compared.
+pub(crate) enum Keys {
+    /// No keyed outer row has started a pass over the inner yet.
+    Unfilled,
+    /// The pass of the opening's first keyed outer row compares as ever
+    /// and adds each page's rows to `table` by their key in `slot`.
+    Filling { table: KeyTable, slot: usize },
+    /// The table holds every row: a keyed outer row on `slot` reads its
+    /// matches off it, page by page, from `at`, its place in the chain of
+    /// its key (found on the pass's first page).
+    Full {
+        table: KeyTable,
+        slot: usize,
+        at: u32,
+    },
+    /// Some inner key has no or several members (`Null`, a `Set`, a
+    /// `List`): every outer row of the opening compares.
+    Off,
+}
+
+impl Keys {
+    /// [`Probe::matches`] of page `page` of a held inner, `rows`, for the
+    /// outer row `outer`: the same hits, in order, and the same `evals`. A
+    /// keyed outer row reads them off a full table; any other compares,
+    /// and the opening's first keyed one fills a table from `pool` as it
+    /// goes.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn matches<R: Rows + ?Sized>(
+        &mut self,
+        pool: &RefCell<Vec<KeyTable>>,
+        ctx: &EvalCtx<'_>,
+        probe: &Probe<'_>,
+        outer: &[Value],
+        page: u32,
+        rows: &R,
+        hits: &mut Vec<usize>,
+    ) -> Result<(), ExecError> {
+        let Some((key, slot)) = probe.keyed() else {
+            return probe.matches(ctx, outer, rows, hits);
+        };
+        if let (Keys::Unfilled, 0) = (&*self, page) {
+            let table = pool.borrow_mut().pop().unwrap_or_default();
+            *self = Keys::Filling { table, slot };
+        }
+        match self {
+            Keys::Full {
+                table,
+                slot: filled,
+                at,
+            } if *filled == slot => {
+                if page == 0 {
+                    *at = table.chain(key);
+                }
+                hits.clear();
+                let equal = |r: usize| same_key(&rows.row(r)[slot], key) == Some(true);
+                table.walk(at, page, equal, hits);
+                ctx.counters.add_evals(rows.len() as u64);
+                return Ok(());
+            }
+            Keys::Filling { table, .. } => {
+                if (0..rows.len()).any(|r| same_key(&rows.row(r)[slot], key).is_none()) {
+                    self.let_go(pool);
+                    *self = Keys::Off;
+                } else {
+                    (0..rows.len()).for_each(|r| table.add(&rows.row(r)[slot], page, r as u32));
+                }
+            }
+            _ => {}
+        }
+        probe.matches(ctx, outer, rows, hits)
+    }
+
+    /// An outer row's pass is over: a table it filled serves the next.
+    pub(crate) fn pass_done(&mut self) {
+        *self = match std::mem::replace(self, Keys::Unfilled) {
+            Keys::Filling { table, slot } => Keys::Full { table, slot, at: 0 },
+            keys => keys,
+        };
+    }
+
+    /// The opening is over: give the table back to `pool`, emptied.
+    pub(crate) fn let_go(&mut self, pool: &RefCell<Vec<KeyTable>>) {
+        if let Keys::Filling { mut table, .. } | Keys::Full { mut table, .. } =
+            std::mem::replace(self, Keys::Unfilled)
+        {
+            table.clear();
+            pool.borrow_mut().push(table);
+        }
+    }
 }
 
 /// A replayed operand's rows: `temp` is where the run's first pass writes
@@ -738,7 +854,11 @@ fn build<'p>(
                 cur: None,
                 inner: Cursor::default(),
                 read: if bare || !rescan_inner {
-                    Inner::Held { seg: None, page: 0 }
+                    Inner::Held {
+                        seg: None,
+                        page: 0,
+                        keys: Keys::Unfilled,
+                    }
                 } else {
                     Inner::Reopen
                 },
@@ -835,7 +955,13 @@ struct Snap {
 }
 
 impl<'a> Rt<'a> {
-    fn new(shared: Shared<'a>, io: &'a Account, counters: &'a Counters, ops_len: usize) -> Self {
+    fn new(
+        shared: Shared<'a>,
+        io: &'a Account,
+        counters: &'a Counters,
+        ops_len: usize,
+        tables: Vec<KeyTable>,
+    ) -> Self {
         let unrun = OpStats {
             first_ns: u64::MAX,
             ..OpStats::default()
@@ -848,6 +974,7 @@ impl<'a> Rt<'a> {
             delta_active: RefCell::new(Vec::new()),
             stats: RefCell::new(vec![unrun; ops_len]),
             fix_deltas: RefCell::new(Vec::new()),
+            tables: RefCell::new(tables),
         }
     }
 
@@ -1177,10 +1304,8 @@ impl OpExec<'_> {
             ) => {
                 *cur = None;
                 inner.reset();
-                if let Inner::Held { seg, .. } = read {
-                    // Let go of the last opening's inner before writing.
-                    *seg = None;
-                }
+                // Let go of the last opening's inner before writing.
+                read.let_go(&rt.tables);
                 kids[0].open(rt)?;
                 if !rescan_inner {
                     // Pipeline breaker: materialize the complex inner once
@@ -1498,11 +1623,9 @@ impl OpExec<'_> {
                         Some(l) => l,
                         None => {
                             if !input.fill(|chunk| left.next_chunk(rt, chunk))? {
-                                if let Inner::Held { seg, .. } = read {
-                                    // Let go of the inner before anything
-                                    // above writes it.
-                                    *seg = None;
-                                }
+                                // Let go of the inner before anything above
+                                // writes it.
+                                read.let_go(&rt.tables);
                                 return Ok(out.len() > 0);
                             }
                             // Honest nested loop: pass over the whole inner
@@ -1511,7 +1634,7 @@ impl OpExec<'_> {
                             // re-reads once evicted or spilled.
                             match read {
                                 Inner::Reopen => right.open(rt)?,
-                                Inner::Held { seg, page } => {
+                                Inner::Held { seg, page, .. } => {
                                     if seg.is_none() {
                                         let entity = match scan_id {
                                             Some(_) => right.leaf_entity(rt)?,
@@ -1538,12 +1661,23 @@ impl OpExec<'_> {
                             Inner::Held {
                                 seg: Some(seg),
                                 page,
+                                ..
                             } => Ok(rt.held_page(seg, page, scan_id, chunk)),
                             _ => right.next_chunk(rt, chunk),
                         })?
                     {
                         if let Some(probe) = &probe {
-                            inner.probe(&ctx, probe, lrow, hits)?;
+                            match read {
+                                // A held inner's chunk is the page just
+                                // fetched, whole.
+                                Inner::Held { page, keys, .. } => {
+                                    let rows = inner.chunk.page.as_deref().expect("a fetched page");
+                                    let tables = &rt.tables;
+                                    keys.matches(tables, &ctx, probe, lrow, *page - 1, rows, hits)?;
+                                    inner.pos = rows.len();
+                                }
+                                Inner::Reopen => inner.probe(&ctx, probe, lrow, hits)?,
+                            }
                             for &r in hits.iter() {
                                 out.push(lrow, inner.chunk.row(r));
                             }
@@ -1561,6 +1695,9 @@ impl OpExec<'_> {
                     }
                     if downstream_touches && out.len() > 0 {
                         return Ok(true);
+                    }
+                    if let Inner::Held { keys, .. } = read {
+                        keys.pass_done();
                     }
                     *cur = None;
                 }

@@ -1,6 +1,8 @@
 //! The one set the executor deduplicates rows with: a fixpoint's sink (or
 //! the leg root it lends the set to), a projection over a bag and
 //! [`crate::Batch::dedup`] each ask it "seen?" of every row they hand on.
+//! Beside it, the one table a nested loop finds its held inner's rows in
+//! by key ([`KeyTable`]), hashed the same way.
 
 use std::collections::hash_map::{Entry, RandomState};
 use std::collections::HashMap;
@@ -117,6 +119,120 @@ impl RowSet {
     }
 }
 
+/// A nested loop's held inner by one key column: where each row lies
+/// (its page and its place on the page), chained by its key's hash in the
+/// order the rows were added, so the rows of one key are found page by
+/// page without comparing the others. A key is hashed as [`RowSet`]
+/// hashes a value, with two keys of the table's own. A chain holds every
+/// row whose key has its 64-bit hash, so the caller confirms each row
+/// [`KeyTable::walk`] offers. `clear` keeps every capacity and the keys.
+#[derive(Clone, Debug)]
+pub(crate) struct KeyTable {
+    /// The hash's starting state and multiplier, drawn per table.
+    keys: [u64; 2],
+    /// Per hash: the first and the last row of its chain, in `rows`.
+    heads: HashMap<u64, [u32; 2], BuildHasherDefault<PassThrough>>,
+    /// Every row added, in the order it was.
+    rows: Vec<Place>,
+}
+
+/// Where a row of a [`KeyTable`] lies, and the next row of its chain
+/// (`u32::MAX`: none).
+#[derive(Clone, Copy, Debug)]
+struct Place {
+    page: u32,
+    row: u32,
+    next: u32,
+}
+
+impl Default for KeyTable {
+    /// An empty table with two keys of its own, drawn from `RandomState`.
+    fn default() -> Self {
+        let state = RandomState::new();
+        KeyTable {
+            keys: [state.hash_one(0u64), state.hash_one(1u64)],
+            heads: HashMap::default(),
+            rows: Vec::new(),
+        }
+    }
+}
+
+impl KeyTable {
+    /// Add row `row` of page `page`, whose key is `key`. Rows are added
+    /// in the order they lie: by page, then by row.
+    pub(crate) fn add(&mut self, key: &Value, page: u32, row: u32) {
+        self.add_hashed(self.hash(key), page, row);
+    }
+
+    /// Add a row whose key hashes to `hash` (equal keys must be given
+    /// equal hashes).
+    fn add_hashed(&mut self, hash: u64, page: u32, row: u32) {
+        let new = self.rows.len() as u32;
+        self.rows.push(Place {
+            page,
+            row,
+            next: u32::MAX,
+        });
+        match self.heads.entry(hash) {
+            Entry::Vacant(head) => {
+                head.insert([new, new]);
+            }
+            Entry::Occupied(mut head) => {
+                let [_, last] = head.get_mut();
+                self.rows[*last as usize].next = new;
+                *last = new;
+            }
+        }
+    }
+
+    /// The start of the chain that holds every row keyed `key`: a place
+    /// for [`KeyTable::walk`].
+    pub(crate) fn chain(&self, key: &Value) -> u32 {
+        self.chain_hashed(self.hash(key))
+    }
+
+    /// The start of the chain of `hash`.
+    fn chain_hashed(&self, hash: u64) -> u32 {
+        self.heads.get(&hash).map_or(u32::MAX, |&[first, _]| first)
+    }
+
+    /// The rows of page `page` on the chain from `at`, by row, in order,
+    /// for which `keep` holds, onto the end of `hits`; `at` steps past
+    /// them, to the chain's first row of a later page. Walked page by
+    /// page from the chain's start, every row of the chain is offered
+    /// once, on its own page.
+    pub(crate) fn walk(
+        &self,
+        at: &mut u32,
+        page: u32,
+        mut keep: impl FnMut(usize) -> bool,
+        hits: &mut Vec<usize>,
+    ) {
+        while let Some(place) = self.rows.get(*at as usize).filter(|p| p.page == page) {
+            if keep(place.row as usize) {
+                hits.push(place.row as usize);
+            }
+            *at = place.next;
+        }
+    }
+
+    /// `key`'s hash under the table's keys.
+    fn hash(&self, key: &Value) -> u64 {
+        let mut hasher = Folded {
+            state: self.keys[0],
+            key: self.keys[1],
+        };
+        key.hash(&mut hasher);
+        hasher.finish()
+    }
+
+    /// Forget every row, keeping the memory for the next ones.
+    pub(crate) fn clear(&mut self) {
+        self.heads.clear();
+        self.rows.clear();
+    }
+}
+
 /// A row's hasher: every word written is folded into `state` by a
 /// multiply with `key` whose 128-bit product's halves are XORed (the
 /// folded multiply of foldhash and aHash). Both words come from the set's
@@ -166,7 +282,8 @@ impl Hasher for Folded {
     }
 }
 
-/// `RowSet::heads`' hasher: its keys are hashes already.
+/// `RowSet::heads`' and `KeyTable::heads`' hasher: their keys are hashes
+/// already.
 #[derive(Default)]
 struct PassThrough(u64);
 
@@ -176,7 +293,7 @@ impl Hasher for PassThrough {
     }
 
     fn write(&mut self, _: &[u8]) {
-        unreachable!("RowSet::heads is keyed by u64 hashes")
+        unreachable!("heads are keyed by u64 hashes")
     }
 
     fn write_u64(&mut self, hash: u64) {
@@ -191,7 +308,7 @@ mod tests {
     use oorq_prng::Prng;
     use oorq_storage::{Oid, Value};
 
-    use super::RowSet;
+    use super::{KeyTable, RowSet};
 
     fn scalar(rng: &mut Prng) -> Value {
         match rng.index(7) {
@@ -279,5 +396,63 @@ mod tests {
         assert!(!set.insert_in(&wide, &[2, 0]));
         assert!(set.insert_in(&wide, &[1, 0]));
         assert!(!set.insert(&[Value::Int(2), Value::text("a")]));
+    }
+
+    /// `KeyTable` finds, page by page, the rows whose key equals a probe's,
+    /// in order — what comparing every row of every page finds — over pages
+    /// of random keys (`Int`s equal to `Float`s, texts, oids, duplicates
+    /// on several pages, empty pages) and tables reused after `clear`. The
+    /// second table hashes every key alike, so every walk is one chain of
+    /// every row, and only the caller's `==` tells the keys apart.
+    #[test]
+    fn a_key_table_finds_what_comparing_every_row_finds() {
+        let mut rng = Prng::new(41);
+        let (mut hashed, mut collided) = (KeyTable::default(), KeyTable::default());
+        let (mut found, mut offered) = (0, 0);
+        for _ in 0..300 {
+            hashed.clear();
+            collided.clear();
+            let pages: Vec<Vec<Value>> = (0..rng.index(5))
+                .map(|_| (0..rng.index(6)).map(|_| scalar(&mut rng)).collect())
+                .collect();
+            for (page, keys) in pages.iter().enumerate() {
+                for (row, key) in keys.iter().enumerate() {
+                    hashed.add(key, page as u32, row as u32);
+                    collided.add_hashed(7, page as u32, row as u32);
+                }
+            }
+            for _ in 0..8 {
+                let key = scalar(&mut rng);
+                let (mut at, mut at_collided) = (hashed.chain(&key), collided.chain_hashed(7));
+                for (page, keys) in pages.iter().enumerate() {
+                    let model: Vec<usize> = (0..keys.len()).filter(|&r| keys[r] == key).collect();
+                    let (mut hits, mut all) = (vec![9], Vec::new());
+                    hashed.walk(&mut at, page as u32, |r| keys[r] == key, &mut hits);
+                    collided.walk(&mut at_collided, page as u32, |_| true, &mut all);
+                    assert_eq!(hits[1..], model, "{key:?} on page {page} of {pages:?}");
+                    assert_eq!(all, (0..keys.len()).collect::<Vec<_>>(), "page {page}");
+                    found += model.len();
+                    offered += all.len();
+                }
+                assert_eq!(at, u32::MAX, "{key:?}: the chain is walked to its end");
+            }
+        }
+        assert!(
+            found > 500 && offered > 10_000,
+            "{found} found, {offered} offered"
+        );
+
+        // A number is one key, whichever kind holds it.
+        let mut table = KeyTable::default();
+        table.add(&Value::Float(1.0), 0, 0);
+        table.add(&Value::text("a"), 0, 1);
+        table.add(&Value::Int(1), 2, 3);
+        let mut at = table.chain(&Value::Int(1));
+        let mut hits = Vec::new();
+        table.walk(&mut at, 0, |_| true, &mut hits);
+        assert_eq!(hits, [0]);
+        table.walk(&mut at, 1, |_| true, &mut hits);
+        table.walk(&mut at, 2, |_| true, &mut hits);
+        assert_eq!((hits, at), (vec![0, 3], u32::MAX));
     }
 }

@@ -1330,7 +1330,10 @@ fn page_touch_order_is_pinned() {
 /// region stopped cutting chunks). The four fixpoints were re-recorded
 /// when the recursive leg's `IJ_master(scan Composer)` began to replay:
 /// the scan and the implicit join derive on the first pass only, and
-/// every count of the join and the probe stays as it was.
+/// every count of the join and the probe stays as it was. `mat-keyed-via`
+/// and `mat-null-key` were recorded from the commit before a held inner
+/// was looked up by key: the first reads a 40-page inner off its key
+/// table, one page's matches per call, and the second keeps comparing.
 #[test]
 fn probed_operators_keep_the_interpreters_counters() {
     // `page_evictions` as the `storage.page_evictions` series read at the
@@ -1346,13 +1349,15 @@ fn probed_operators_keep_the_interpreters_counters() {
         };
     type Ops = &'static [(&'static str, u64, u64, u64)];
     #[rustfmt::skip]
-    let cases: [(&str, usize, Ops, oorq_storage::IoStats); 6] = [
+    let cases: [(&str, usize, Ops, oorq_storage::IoStats); 8] = [
         ("rescan", 40, &[("scan Composer", 1, 20, 0), ("Sel[x.master<>null]", 1, 16, 20), ("Proj", 1, 16, 0), ("scan Composer", 1, 20, 0), ("IJ_master", 4, 16, 0), ("scan temp Influencer", 64, 640, 0), ("EJ[i.disciple=ym]", 4, 24, 640), ("Proj", 4, 24, 0), ("Fix(Influencer)", 1, 40, 0)], io(82, 117, 13, 48, 87)),
         ("residual", 36, &[("scan Composer", 1, 20, 0), ("Sel[x.master<>null]", 1, 16, 20), ("Proj", 1, 16, 0), ("scan Composer", 1, 20, 0), ("IJ_master", 3, 16, 0), ("scan temp Influencer", 48, 576, 0), ("EJ[i.disciple=ym and i.gen<3]", 3, 20, 600), ("Proj", 3, 20, 0), ("Fix(Influencer)", 1, 36, 0)], io(80, 101, 12, 46, 85)),
         ("via", 40, &[("scan Composer", 1, 20, 0), ("Sel[x.master<>null]", 1, 16, 20), ("Proj", 1, 16, 0), ("scan Composer", 1, 20, 0), ("IJ_master", 4, 16, 0), ("scan temp Influencer", 64, 640, 0), ("EJ[i.disciple=ym]", 4, 24, 640), ("Proj", 4, 24, 0), ("Fix(Influencer)", 1, 40, 0)], io(143, 130, 17, 89, 154)),
         ("filters", 20, &[("scan Composer", 1, 20, 0), ("Sel[x.master<>null]", 1, 16, 20), ("Proj", 1, 16, 0), ("scan Composer", 1, 20, 0), ("IJ_master", 3, 16, 0), ("scan temp Influencer", 48, 576, 0), ("EJ[i.disciple=ym]", 3, 24, 576), ("Sel[i.gen<3]", 3, 20, 24), ("Proj", 3, 20, 0), ("Fix(Influencer)", 1, 36, 0), ("Sel[1<gen]", 1, 20, 36)], io(80, 101, 12, 46, 85)),
         ("mat", 320, &[("scan Composer", 1, 20, 0), ("scan Composer", 1, 20, 0), ("scan Composer", 20, 400, 0), ("EJ[1=1]", 1, 400, 400), ("EJ[a.master=b.master]", 1, 320, 5120)], io(2447, 14573, 40, 800, 2485)),
         ("mat-slots", 400, &[("scan Composer", 1, 20, 0), ("scan Composer", 1, 20, 0), ("scan Composer", 20, 400, 0), ("EJ[1=1]", 1, 400, 400), ("EJ[a=c]", 1, 400, 8000)], io(1017, 3, 40, 800, 1055)),
+        ("mat-keyed-via", 400, &[("scan Composer", 1, 20, 0), ("scan Composer", 1, 20, 0), ("scan Composer", 20, 400, 0), ("EJ[1=1]", 1, 400, 400), ("EJ[a=c]", 1, 400, 8000), ("Proj", 1, 400, 0)], io(1412, 8, 40, 800, 1450)),
+        ("mat-null-key", 16, &[("scan Composer", 1, 20, 0), ("scan Composer", 1, 20, 0), ("scan Composer", 20, 400, 0), ("EJ[1=1]", 1, 400, 400), ("Proj", 1, 20, 0), ("EJ[a=bm]", 1, 16, 320)], io(218, 442, 2, 20, 218)),
     ];
     for (name, rows, expected_ops, expected_io) in cases {
         // Small pages: every scan is several chunks, and two frames do
@@ -1394,7 +1399,31 @@ fn probed_operators_keep_the_interpreters_counters() {
                 cross(),
             ),
             // The same materialized inner under a slot comparison.
-            _ => Pt::ej(Expr::var("a").eq(Expr::var("c")), scan("a"), cross()),
+            "mat-slots" => Pt::ej(Expr::var("a").eq(Expr::var("c")), scan("a"), cross()),
+            // The same under a projection that dereferences: the join hands
+            // up one page's matches at a time and resumes at the next page
+            // of the same outer row (a held inner of 40 pages, looked up
+            // by key after the first outer row's pass).
+            "mat-keyed-via" => Pt::proj(
+                vec![
+                    ("n".into(), Expr::path("a", &["name"])),
+                    ("b".into(), Expr::var("b")),
+                ],
+                Pt::ej(Expr::var("a").eq(Expr::var("c")), scan("a"), cross()),
+            ),
+            // A held inner whose key is `Null` where a composer has no
+            // master: every outer row compares.
+            _ => Pt::ej(
+                Expr::var("a").eq(Expr::var("bm")),
+                scan("a"),
+                Pt::proj(
+                    vec![
+                        ("b".into(), Expr::var("b")),
+                        ("bm".into(), Expr::path("b", &["master"])),
+                    ],
+                    cross(),
+                ),
+            ),
         };
         let (idx, methods) = (IndexSet::new(), MethodRegistry::new());
         m.db.cold_cache();
@@ -1741,6 +1770,137 @@ fn probe_is_the_per_pair_loop_on_random_rows_and_predicates() {
         "{probed} {matched} {failed} {straight} {sent_back}"
     );
     println!("{probed} probed: {straight} by the straight loop, {sent_back} keyed ones sent back");
+}
+
+/// A held inner's key table against the probe it stands in for, on
+/// openings nobody chose: random multi-page inners (keys repeated on
+/// several pages, `Int` keys equal to `Float` values, texts, oids, and in
+/// some openings a `Null`, a `Set` or a `List` that sends the whole opening
+/// back to comparing), random outer keys, and now and then a predicate the
+/// table does not serve. Page by page, every outer row's hits (in order),
+/// error and `evals` are `Probe::matches`'s on that page, whether the
+/// table filled, served or stood aside.
+#[test]
+fn a_held_inners_key_table_finds_what_the_probe_finds() {
+    use std::cell::RefCell;
+
+    use crate::eval::{Counters, EvalCtx, Pred};
+    use crate::pipeline::Keys;
+    use oorq_prng::Prng;
+
+    fn key(rng: &mut Prng) -> Value {
+        match rng.index(6) {
+            0 | 1 => Value::Int(rng.range_i64(0, 3)),
+            2 => Value::Float([0.0, 1.0, 1.5, 2.0][rng.index(4)]),
+            3 => Value::text(["a", "b"][rng.index(2)]),
+            _ => Value::Oid(oorq_storage::Oid::new(
+                oorq_schema::ClassId(rng.range_u32(0, 2)),
+                rng.range_u32(0, 3),
+            )),
+        }
+    }
+    fn unkeyed(rng: &mut Prng) -> Value {
+        match rng.index(3) {
+            0 => Value::Null,
+            1 => Value::Set(vec![Value::Int(1), Value::Int(2)]),
+            _ => Value::List(vec![Value::Int(rng.range_i64(0, 3))]),
+        }
+    }
+
+    let m = small_music();
+    let methods = MethodRegistry::new();
+    let counters = Counters::default();
+    let io = m.db.check_out();
+    let ctx = EvalCtx {
+        db: &m.db,
+        methods: &methods,
+        counters: &counters,
+        io: Some(&io),
+    };
+    let cols: Vec<String> = ["a", "b", "c", "d"].map(String::from).to_vec();
+    let pool = RefCell::new(Vec::new());
+    let mut rng = Prng::new(53);
+    let (mut served, mut compared, mut fell_back, mut matched) = (0, 0, 0, 0);
+    for opening in 0..1500 {
+        let slot = Expr::var(["c", "d"][rng.index(2)]);
+        let outer_key = Expr::var(["a", "b"][rng.index(2)]);
+        let expr = match rng.index(10) {
+            0 => outer_key.lt(slot),
+            1 => outer_key.eq(slot).and(Expr::var("c").ne(Expr::var("d"))),
+            2..=5 => slot.eq(outer_key),
+            _ => outer_key.eq(slot),
+        };
+        let pred = Pred::bind(&expr, &cols);
+        // One opening in four plants a value with no or several members.
+        let planted = rng.chance(0.25);
+        let mut pages: Vec<Vec<Vec<Value>>> = (0..1 + rng.index(4))
+            .map(|_| {
+                let rows = (0..rng.index(6)).map(|_| vec![key(&mut rng), key(&mut rng)]);
+                rows.collect()
+            })
+            .collect();
+        if planted {
+            let page = rng.index(pages.len());
+            let row = vec![unkeyed(&mut rng), unkeyed(&mut rng)];
+            let at = rng.index(pages[page].len() + 1);
+            pages[page].insert(at, row);
+        }
+        let mut keys = Keys::Unfilled;
+        for _ in 0..1 + rng.index(8) {
+            let outer = [key(&mut rng), key(&mut rng)];
+            let Some(probe) = pred.probe(&outer) else {
+                continue;
+            };
+            for (page, rows) in pages.iter().enumerate() {
+                let full = matches!(keys, Keys::Full { .. });
+                counters.evals.set(0);
+                let mut hits = vec![9];
+                let got = keys.matches(
+                    &pool,
+                    &ctx,
+                    &probe,
+                    &outer,
+                    page as u32,
+                    &rows[..],
+                    &mut hits,
+                );
+                let got = (
+                    got.map(|()| hits).map_err(|e| e.to_string()),
+                    counters.evals.get(),
+                );
+                counters.evals.set(0);
+                let mut hits = vec![9, 9];
+                let want = probe.matches(&ctx, &outer, &rows[..], &mut hits);
+                let want = (
+                    want.map(|()| hits).map_err(|e| e.to_string()),
+                    counters.evals.get(),
+                );
+                let case =
+                    format!("opening {opening}: {expr} on {outer:?}, page {page} of {pages:?}");
+                assert_eq!(got, want, "{case}");
+                let served_here = full && probe.keyed().is_some();
+                served += usize::from(served_here);
+                compared += usize::from(!served_here);
+                matched += want.0.map_or(0, |hits| hits.len());
+            }
+            keys.pass_done();
+        }
+        if planted && matches!(keys, Keys::Off) {
+            fell_back += 1;
+        }
+        assert!(
+            !(planted && matches!(keys, Keys::Full { .. })),
+            "opening {opening}: a table over {pages:?}"
+        );
+        keys.let_go(&pool);
+        assert!(pool.borrow().len() <= 1, "a table is given back once");
+    }
+    // The generator reaches what it is meant to: pages the table decides,
+    // pages compared, matches, and openings a planted value sent back.
+    assert!(
+        served > 2_000 && compared > 2_000 && matched > 2_000 && fell_back > 100,
+        "{served} served, {compared} compared, {matched} matched, {fell_back} fell back"
+    );
 }
 
 /// Rows are deduplicated once, where they can first repeat. A stored

@@ -24,7 +24,9 @@
 //! 2,883 / 2,663 / 2,958. Before a fixpoint lent its set to a leg's root
 //! projection and an identity projection handed its input's chunks up,
 //! a hit counted 1,619 / 1,717 / 2,311: the leg root's own set and the
-//! copying projections' buffers.) Counters are thread-local, so tests
+//! copying projections' buffers. The key tables a nested loop looks its
+//! held inner up in are pooled in the session's `ExecState`, so they added
+//! none.) Counters are thread-local, so tests
 //! running in parallel do not mix their counts; an allocation is counted
 //! once, a reallocation once more.
 
