@@ -202,9 +202,10 @@ for budget in 8 1; do
     OORQ_MEMORY_BUDGET=$budget cargo test -q --release --test differential --test serve_differential
 done
 
-echo "== release: every plan the walk can reach from every corpus plan answers like the reference (the debug run above took the small entries), and the release build announces the debug build's decisions =="
+echo "== release: every plan the walk can reach from every corpus plan answers like the reference (the debug run above took the small entries), the release build announces the debug build's decisions, and a mutated query text is answered or refused as in debug (the optimizer verifies no plan in release, so admission must refuse what it cannot plan) =="
 cargo test -q --release --test plan_closure
 cargo test -q --release -p oorq-bench --test decision_sink
+cargo test -q --release --test query_text_fuzz
 
 echo "== release allocation ceilings (a served hit's heap allocations; the workspace tests above checked the debug profile's) =="
 cargo test -q --release --test allocations

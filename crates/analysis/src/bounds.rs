@@ -262,7 +262,7 @@ impl<'a> Analyzer<'a> {
 /// member pair, so nothing below the top-level count is guaranteed).
 #[derive(Debug, Clone, Copy)]
 struct ExprCost {
-    /// Data pages fetched by path traversal (`read_attr`).
+    /// Data pages fetched by path traversal (`attr_ref`).
     fetches: f64,
     /// Members of the result value (fan-out under existential
     /// semantics).

@@ -130,7 +130,7 @@ impl EvalCtx<'_> {
                 ExecError::MissingMethod(format!("{class}.{name}"))
             })
         } else if let Some(io) = self.io {
-            Ok(self.db.read_attr(io, oid, aid)?)
+            Ok(self.db.attr_ref(io, oid, aid)?.clone())
         } else {
             Ok(self.db.read_attr_raw(oid, aid)?)
         }

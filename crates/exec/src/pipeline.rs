@@ -540,8 +540,9 @@ enum St<'p> {
     /// IJ, PIJ: the oid-valued expression followed per input row.
     Deref(Bound),
     /// Nested loop: `cur` is the outer row being joined, `inner` the
-    /// place in the inner's pass for it (and the buffer a materialized
-    /// inner is written from), `hits` where a probe puts its matches.
+    /// place in the inner's pass for it (a held inner's `pos` only; and
+    /// the buffer a materialized inner is written from), `hits` where a
+    /// probe puts its matches.
     Nl {
         pred: Pred,
         cur: Option<usize>,
@@ -600,8 +601,9 @@ enum Inner {
     /// delta and accumulator — and let go of when the outer runs out, so
     /// a fixpoint's truncate and sink still write in place; `page` is the
     /// next page of the current outer row's pass. Every pass fetches
-    /// every page, so it stays budget-visible. `keys` finds a keyed outer
-    /// row's matches on each page, and lives as long as `seg`.
+    /// every page, so it stays budget-visible, and reads it where it lies
+    /// in `seg` ([`SegmentHold::lend`]). `keys` finds a keyed outer row's
+    /// matches on each page, and lives as long as `seg`.
     Held {
         seg: Option<SegmentHold>,
         page: u32,
@@ -1054,33 +1056,6 @@ impl<'a> Rt<'a> {
     fn count_replay(&self, id: usize) {
         self.count_open(id);
         self.stats.borrow_mut()[id].replays += 1;
-    }
-
-    /// Fetch page `page` of a held inner into `out` and step past it;
-    /// `false`, at no charge, past the last page. In a profiled run a leaf
-    /// inner's page is bracketed to its scan operator `scan`, as the scan's
-    /// own `next_chunk` would be; a materialized inner's is the join's own
-    /// work.
-    fn held_page(
-        &self,
-        seg: &SegmentHold,
-        page: &mut u32,
-        scan: Option<usize>,
-        out: &mut Chunk,
-    ) -> bool {
-        if *page >= seg.num_pages() {
-            return false;
-        }
-        let snap = scan.filter(|_| self.profile).map(|id| (id, self.snap()));
-        let Some(rows) = seg.page(self.io, *page) else {
-            return false;
-        };
-        *page += 1;
-        if let Some((id, snap)) = snap {
-            self.charge(id, snap, 0, rows.len() as u64);
-        }
-        out.page = Some(rows);
-        true
     }
 
     /// The page-store temporary backing a materializing `NlJoin`'s inner.
@@ -1656,39 +1631,75 @@ impl OpExec<'_> {
                     // the outer row already decides is decided once.
                     let lrow = input.chunk.row(l);
                     let probe = pred.probe(lrow);
-                    while (!downstream_touches || out.len() == 0)
-                        && inner.fill(|chunk| match read {
-                            Inner::Held {
-                                seg: Some(seg),
-                                page,
-                                ..
-                            } => Ok(rt.held_page(seg, page, scan_id, chunk)),
-                            _ => right.next_chunk(rt, chunk),
-                        })?
-                    {
-                        if let Some(probe) = &probe {
-                            match read {
-                                // A held inner's chunk is the page just
-                                // fetched, whole.
-                                Inner::Held { page, keys, .. } => {
-                                    let rows = inner.chunk.page.as_deref().expect("a fetched page");
+                    match read {
+                        Inner::Held {
+                            seg: Some(seg),
+                            page,
+                            keys,
+                        } => {
+                            // Pages are borrowed from the hold: the pass
+                            // goes on at `inner.pos` of the page fetched
+                            // last, or fetches the next.
+                            while !downstream_touches || out.len() == 0 {
+                                let mut rows = page.checked_sub(1).map_or(&[][..], |p| seg.lent(p));
+                                if inner.pos >= rows.len() {
+                                    if *page == seg.num_pages() {
+                                        break;
+                                    }
+                                    // A leaf inner's page is bracketed to
+                                    // its scan operator, as the scan's own
+                                    // `next_chunk` would be.
+                                    let snap =
+                                        scan_id.filter(|_| rt.profile).map(|id| (id, rt.snap()));
+                                    rows = seg.lend(rt.io, *page).expect("a page of the hold");
+                                    (*page, inner.pos) = (*page + 1, 0);
+                                    if let Some((id, snap)) = snap {
+                                        rt.charge(id, snap, 0, rows.len() as u64);
+                                    }
+                                }
+                                if let Some(probe) = &probe {
+                                    // The page just fetched, whole.
                                     let tables = &rt.tables;
                                     keys.matches(tables, &ctx, probe, lrow, *page - 1, rows, hits)?;
                                     inner.pos = rows.len();
+                                    for &r in hits.iter() {
+                                        out.push(lrow, &rows[r].values);
+                                    }
+                                    continue;
                                 }
-                                Inner::Reopen => inner.probe(&ctx, probe, lrow, hits)?,
+                                while let Some(rrow) = rows.get(inner.pos) {
+                                    inner.pos += 1;
+                                    if pred.truthy(&ctx, RowRef(lrow, &rrow.values))? {
+                                        out.push(lrow, &rrow.values);
+                                        if cut {
+                                            break;
+                                        }
+                                    }
+                                }
                             }
-                            for &r in hits.iter() {
-                                out.push(lrow, inner.chunk.row(r));
-                            }
-                            continue;
                         }
-                        while let Some(r) = inner.next() {
-                            let rrow = inner.chunk.row(r);
-                            if pred.truthy(&ctx, RowRef(lrow, rrow))? {
-                                out.push(lrow, rrow);
-                                if cut {
-                                    break;
+                        Inner::Held { seg: None, .. } => {
+                            unreachable!("held at the outer row's start")
+                        }
+                        Inner::Reopen => {
+                            while (!downstream_touches || out.len() == 0)
+                                && inner.fill(|chunk| right.next_chunk(rt, chunk))?
+                            {
+                                if let Some(probe) = &probe {
+                                    inner.probe(&ctx, probe, lrow, hits)?;
+                                    for &r in hits.iter() {
+                                        out.push(lrow, inner.chunk.row(r));
+                                    }
+                                    continue;
+                                }
+                                while let Some(r) = inner.next() {
+                                    let rrow = inner.chunk.row(r);
+                                    if pred.truthy(&ctx, RowRef(lrow, rrow))? {
+                                        out.push(lrow, rrow);
+                                        if cut {
+                                            break;
+                                        }
+                                    }
                                 }
                             }
                         }

@@ -1334,6 +1334,9 @@ fn page_touch_order_is_pinned() {
 /// and `mat-null-key` were recorded from the commit before a held inner
 /// was looked up by key: the first reads a 40-page inner off its key
 /// table, one page's matches per call, and the second keeps comparing.
+/// `mat-via` was recorded from the commit before a held inner's pages
+/// were borrowed from its hold: a join that hands up one match per call
+/// goes on in the middle of the page it fetched last.
 #[test]
 fn probed_operators_keep_the_interpreters_counters() {
     // `page_evictions` as the `storage.page_evictions` series read at the
@@ -1349,7 +1352,7 @@ fn probed_operators_keep_the_interpreters_counters() {
         };
     type Ops = &'static [(&'static str, u64, u64, u64)];
     #[rustfmt::skip]
-    let cases: [(&str, usize, Ops, oorq_storage::IoStats); 8] = [
+    let cases: [(&str, usize, Ops, oorq_storage::IoStats); 9] = [
         ("rescan", 40, &[("scan Composer", 1, 20, 0), ("Sel[x.master<>null]", 1, 16, 20), ("Proj", 1, 16, 0), ("scan Composer", 1, 20, 0), ("IJ_master", 4, 16, 0), ("scan temp Influencer", 64, 640, 0), ("EJ[i.disciple=ym]", 4, 24, 640), ("Proj", 4, 24, 0), ("Fix(Influencer)", 1, 40, 0)], io(82, 117, 13, 48, 87)),
         ("residual", 36, &[("scan Composer", 1, 20, 0), ("Sel[x.master<>null]", 1, 16, 20), ("Proj", 1, 16, 0), ("scan Composer", 1, 20, 0), ("IJ_master", 3, 16, 0), ("scan temp Influencer", 48, 576, 0), ("EJ[i.disciple=ym and i.gen<3]", 3, 20, 600), ("Proj", 3, 20, 0), ("Fix(Influencer)", 1, 36, 0)], io(80, 101, 12, 46, 85)),
         ("via", 40, &[("scan Composer", 1, 20, 0), ("Sel[x.master<>null]", 1, 16, 20), ("Proj", 1, 16, 0), ("scan Composer", 1, 20, 0), ("IJ_master", 4, 16, 0), ("scan temp Influencer", 64, 640, 0), ("EJ[i.disciple=ym]", 4, 24, 640), ("Proj", 4, 24, 0), ("Fix(Influencer)", 1, 40, 0)], io(143, 130, 17, 89, 154)),
@@ -1358,6 +1361,7 @@ fn probed_operators_keep_the_interpreters_counters() {
         ("mat-slots", 400, &[("scan Composer", 1, 20, 0), ("scan Composer", 1, 20, 0), ("scan Composer", 20, 400, 0), ("EJ[1=1]", 1, 400, 400), ("EJ[a=c]", 1, 400, 8000)], io(1017, 3, 40, 800, 1055)),
         ("mat-keyed-via", 400, &[("scan Composer", 1, 20, 0), ("scan Composer", 1, 20, 0), ("scan Composer", 20, 400, 0), ("EJ[1=1]", 1, 400, 400), ("EJ[a=c]", 1, 400, 8000), ("Proj", 1, 400, 0)], io(1412, 8, 40, 800, 1450)),
         ("mat-null-key", 16, &[("scan Composer", 1, 20, 0), ("scan Composer", 1, 20, 0), ("scan Composer", 20, 400, 0), ("EJ[1=1]", 1, 400, 400), ("Proj", 1, 20, 0), ("EJ[a=bm]", 1, 16, 320)], io(218, 442, 2, 20, 218)),
+        ("mat-via", 16, &[("scan Composer", 1, 20, 0), ("scan Composer", 1, 20, 0), ("scan Composer", 20, 400, 0), ("EJ[1=1]", 1, 400, 400), ("EJ[a.master=b.master]", 1, 320, 5120), ("Proj", 1, 16, 0)], io(2447, 14893, 40, 800, 2485)),
     ];
     for (name, rows, expected_ops, expected_io) in cases {
         // Small pages: every scan is several chunks, and two frames do
@@ -1410,6 +1414,20 @@ fn probed_operators_keep_the_interpreters_counters() {
                     ("b".into(), Expr::var("b")),
                 ],
                 Pt::ej(Expr::var("a").eq(Expr::var("c")), scan("a"), cross()),
+            ),
+            // `mat` under a projection that dereferences: the join hands
+            // up one match at a time and resumes in the middle of the
+            // held inner's page.
+            "mat-via" => Pt::proj(
+                vec![
+                    ("n".into(), Expr::path("a", &["name"])),
+                    ("b".into(), Expr::var("b")),
+                ],
+                Pt::ej(
+                    Expr::path("a", &["master"]).eq(Expr::path("b", &["master"])),
+                    scan("a"),
+                    cross(),
+                ),
             ),
             // A held inner whose key is `Null` where a composer has no
             // master: every outer row compares.

@@ -83,10 +83,12 @@ pub enum LintCode {
     BadIndex,
     /// A projection drops a column an enclosing operator still consumes.
     ProjDropsNeeded,
-    /// The two legs of a union produce different column sets.
+    /// The two legs of a union produce different column sets (the graph
+    /// pass reports it too, for a name's alternatives).
     UnionShapeMismatch,
     /// A predicate or projection expression does not type-check against
-    /// the columns actually produced below it.
+    /// the columns actually produced below it (the graph pass reports it
+    /// too, for a conjunct that is no truth value).
     IllTypedPredicate,
     /// A temporary is referenced outside any scope that defines it.
     UndefinedTemp,

@@ -3,8 +3,8 @@
 
 use std::collections::{BTreeSet, HashMap, HashSet};
 
-use oorq_query::{Expr, GraphTerm, NameRef, QueryGraph, SpjNode};
-use oorq_schema::Catalog;
+use oorq_query::{expr_type, Expr, GraphTerm, Literal, NameRef, QueryGraph, SpjNode};
+use oorq_schema::{AtomicType, Catalog, ResolvedType};
 
 use crate::diag::{LintCode, LintReport};
 
@@ -27,6 +27,21 @@ pub fn lint_graph(catalog: &Catalog, graph: &QueryGraph) -> LintReport {
         let loc = format!("{}", name.display(catalog));
         for spj in term.spjs() {
             lint_spj(catalog, graph, &loc, spj, &mut report);
+        }
+    }
+
+    // The alternatives of a name are the legs of one union: they produce
+    // the same fields.
+    let mut shapes: HashMap<&NameRef, BTreeSet<&str>> = HashMap::new();
+    for (name, term) in &graph.nodes {
+        for spj in term.spjs() {
+            let fields: BTreeSet<&str> = spj.out_proj.iter().map(|(f, _)| f.as_str()).collect();
+            let first = shapes.entry(name).or_insert_with(|| fields.clone());
+            if *first != fields {
+                let loc = format!("{}", name.display(catalog));
+                let msg = format!("alternatives produce {first:?} and {fields:?}");
+                report.push(LintCode::UnionShapeMismatch, loc, msg);
+            }
         }
     }
 
@@ -98,6 +113,24 @@ fn lint_spj(
         }
     }
 
+    // A predicate is a truth value in every part: one that cannot be
+    // would reach the plan as a selection the executor cannot decide (an
+    // arc's root variable, its whole row, is no column of any operator).
+    // The node is typed only if some part is not a condition.
+    let mut env = None;
+    for c in spj.pred.conjuncts() {
+        typed_parts(c, &mut |what| {
+            let env = env.get_or_insert_with(|| graph.binding_env(catalog, spj));
+            match env.as_ref().map(|env| expr_type(catalog, what, env)) {
+                Ok(Ok(ty)) if ty != ResolvedType::Atomic(AtomicType::Bool) => {
+                    let msg = format!("conjunct `{c}` is no truth value: `{what}` is a {ty:?}");
+                    report.push(LintCode::IllTypedPredicate, loc, msg);
+                }
+                _ => {}
+            }
+        });
+    }
+
     // Cartesian product: ≥2 inputs and no conjunct (nor projection
     // expression) mentions variables from two different arcs.
     if spj.inputs.len() >= 2 {
@@ -119,6 +152,21 @@ fn lint_spj(
                 format!("{} inputs with no connecting condition", spj.inputs.len()),
             );
         }
+    }
+}
+
+/// Hand `out` each part of predicate `e` that is a truth value only if its
+/// type is boolean: a comparison, `true`, `false` or `null` is one, and a
+/// conjunction, disjunction or negation is one if its operands are.
+fn typed_parts<'e>(e: &'e Expr, out: &mut impl FnMut(&'e Expr)) {
+    match e {
+        Expr::And(l, r) | Expr::Or(l, r) => {
+            typed_parts(l, out);
+            typed_parts(r, out);
+        }
+        Expr::Not(e) => typed_parts(e, out),
+        Expr::True | Expr::Cmp { .. } | Expr::Lit(Literal::Bool(_) | Literal::Null) => {}
+        _ => out(e),
     }
 }
 

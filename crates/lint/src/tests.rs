@@ -431,6 +431,55 @@ fn ill_typed_predicate() {
     assert!(report.has(LintCode::IllTypedPredicate), "{report}");
 }
 
+/// The graph pass refuses a conjunct that is no truth value — here the
+/// query-text fuzz mutant whose bare `i` once reached a release plan as a
+/// selection over a column no operator produces — while conditions,
+/// `null` and their negations stay clean.
+#[test]
+fn a_conjunct_that_is_no_truth_value_is_refused_at_admission() {
+    let (cat, _) = setup();
+    let lint = |text: &str| {
+        let mut q = parse_query(&cat, text).unwrap();
+        q.normalize(&cat).unwrap();
+        lint_graph(&cat, &q)
+    };
+    let mutant = oorq_query::paper::fig3("harpsichord", 1).replace("i.gen >= 1", "i");
+    assert!(mutant.ends_with("= \"harpsichord\" and i"), "{mutant}");
+    let refused = [
+        mutant.as_str(),
+        "select [n: x.name] from x in Composer where x.name",
+        "select [n: x.name] from x in Composer where x.birth_year + 1",
+        "select [n: x.name] from x in Composer where not (x.name = \"Bach\" or 7)",
+        "select [n: x.name] from x in Composer where x",
+    ];
+    for text in refused {
+        let report = lint(text);
+        assert!(report.has(LintCode::IllTypedPredicate), "{text}\n{report}");
+        assert!(!report.is_clean(), "{text}");
+    }
+    let clean =
+        "select [n: x.name] from x in Composer where not (x.master = null or x.name = \"Bach\")";
+    assert!(lint(clean).is_clean(), "{}", lint(clean));
+}
+
+/// The alternatives of a name are the legs of one union: the graph pass
+/// refuses two that produce different fields (a fuzz mutant that renamed
+/// the recursive leg's `gen` once reached a release plan that way).
+#[test]
+fn alternatives_with_different_fields_are_refused_at_admission() {
+    let (cat, _) = setup();
+    let fig3 = oorq_query::paper::fig3("harpsichord", 1);
+    let mutant = fig3.replacen("gen: i.gen + 1", "en: i.gen + 1", 1);
+    assert_ne!(mutant, fig3);
+    let mut q = parse_query(&cat, &mutant).unwrap();
+    q.normalize(&cat).unwrap();
+    let report = lint_graph(&cat, &q);
+    assert!(report.has(LintCode::UnionShapeMismatch), "{report}");
+    let mut q = parse_query(&cat, &fig3).unwrap();
+    q.normalize(&cat).unwrap();
+    assert!(lint_graph(&cat, &q).is_clean());
+}
+
 #[test]
 fn undefined_temporary() {
     let (cat, db) = setup();

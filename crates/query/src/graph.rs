@@ -329,6 +329,14 @@ impl QueryGraph {
 
     /// The variable typing environment of an SPJ node: root variables plus
     /// every variable bound in its tree labels.
+    pub fn binding_env(
+        &self,
+        catalog: &Catalog,
+        spj: &SpjNode,
+    ) -> Result<HashMap<String, ResolvedType>, QueryError> {
+        self.binding_env_in(catalog, spj, &mut Vec::new())
+    }
+
     fn binding_env_in(
         &self,
         catalog: &Catalog,

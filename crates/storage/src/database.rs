@@ -295,7 +295,7 @@ impl Database {
     }
 
     /// Scatter the physical placement of an entity (models an unclustered
-    /// extension; see [`Segment::shuffle`]).
+    /// extension; see `Segment::shuffle`).
     pub fn shuffle_entity(&mut self, entity: EntityId, seed: u64) {
         self.segment_mut(entity).shuffle(seed);
         self.parked().invalidate_entity(entity);
@@ -332,42 +332,44 @@ impl Database {
         }
     }
 
-    /// Append a copy of each of `rows`, in order, to every temporary of
-    /// `entities` (each row goes to all of them before the next row does —
-    /// a fixpoint's accumulator and delta fill side by side), holding their
-    /// write locks, taken in the listed order (an entity listed twice is
-    /// refused: its second lock would wait for the first; so is a
-    /// temporary whose last writer panicked, until it is truncated). The
-    /// rows are borrowed, and each copy refills a record a truncation
-    /// emptied before it allocates one (`Segment::append_copy`). A
-    /// page write is charged to `io` whenever an append starts a new page.
-    /// A segment nobody else holds — no snapshot, no scan still open, no
-    /// page still lent out — is written in place; otherwise it is copied
-    /// first.
+    /// Append a copy of each of `rows`, in order, to the one or two
+    /// temporaries of `entities` (each row to both before the next: a
+    /// fixpoint's accumulator and delta fill side by side), holding their
+    /// write locks, taken in the listed order without allocating. An entity
+    /// listed twice is refused (its second lock would wait for the first),
+    /// and so are a third and a temporary whose last writer panicked, until
+    /// it is truncated. Each row is copied into a record a truncation left
+    /// before one is allocated (`Segment::append_copy`), and a page write is
+    /// charged to `io` whenever an append starts a page. A segment nobody
+    /// else holds (no snapshot, open scan or lent page) is written in
+    /// place; otherwise it is copied first.
     pub fn append_temp_rows<R: AsRef<[Value]>>(
         &self,
         io: &Account,
         entities: &[EntityId],
         rows: impl IntoIterator<Item = R>,
     ) -> Result<(), StorageError> {
-        let mut held = Vec::with_capacity(entities.len());
-        for (i, &entity) in entities.iter().enumerate() {
-            if entities[..i].contains(&entity) {
-                return Err(StorageError::BadEntity(entity));
-            }
+        let lock = |entity| {
             let lock = self.temp(entity)?.write();
-            held.push(lock.map_err(|_| StorageError::PoisonedTemporary(entity))?);
-        }
-        let mut segs: Vec<&mut Segment> = held.iter_mut().map(|seg| Arc::make_mut(seg)).collect();
-        if segs.is_empty() {
+            lock.map_err(|_| StorageError::PoisonedTemporary(entity))
+        };
+        let [first, rest @ ..] = entities else {
             return Ok(());
-        }
+        };
+        let mut held = lock(*first)?;
+        let mut second = match rest {
+            [] => None,
+            [second] if second != first => Some((*second, lock(*second)?)),
+            [.., last] => return Err(StorageError::BadEntity(*last)),
+        };
+        let mut first = (*first, Arc::make_mut(&mut held));
+        let mut second = second.as_mut().map(|(e, seg)| (*e, Arc::make_mut(seg)));
         let mut io = io.borrow_mut();
         for row in rows {
-            for (&entity, seg) in entities.iter().zip(&mut segs) {
-                let pos = seg.append_copy(seg.len() as u32, row.as_ref());
+            for (entity, seg) in std::iter::once(&mut first).chain(second.as_mut()) {
+                let pos = seg.append_copy(row.as_ref());
                 if pos.is_multiple_of(seg.rows_per_page()) {
-                    let page = seg.page_of_position(pos);
+                    let (entity, page) = (*entity, seg.page_of_position(pos));
                     io.write(PageId { entity, page }, true);
                 }
             }
@@ -377,12 +379,11 @@ impl Database {
 
     /// Clear a temporary's contents and drop its residency from `io`. A
     /// segment nobody else holds is emptied where it lies and keeps its
-    /// records' value vectors for the next appends to refill
-    /// ([`Segment::truncate`]). One somebody else still holds (a snapshot,
-    /// an open scan, a lent page) is left to them and an empty one of its
-    /// shape put in its place. A lock poisoned by a panicking writer is
-    /// entered — whatever the writer left is what gets emptied — and works
-    /// again afterwards.
+    /// records for the next appends to refill (`Segment::truncate`). One
+    /// somebody else still holds (a snapshot, an open scan, a lent page) is
+    /// left to them and an empty one of its shape put in its place. A lock
+    /// poisoned by a panicking writer is entered — whatever the writer left
+    /// is what gets emptied — and works again afterwards.
     pub fn truncate_temp(&self, io: &Account, entity: EntityId) -> Result<(), StorageError> {
         let lock = self.temp(entity)?;
         let mut seg = lock
@@ -452,18 +453,14 @@ impl Database {
     /// temporary, none otherwise — for reading its pages as often as the
     /// holder likes ([`SegmentHold`]).
     pub fn hold(&self, entity: EntityId) -> SegmentHold {
+        let seg = self.segment(entity);
+        let (pages, temp) = (seg.num_pages(), self.is_temp_entity(entity));
         SegmentHold {
-            seg: self.segment(entity),
+            seg,
             entity,
-            temp: self.is_temp_entity(entity),
+            temp,
+            pages,
         }
-    }
-
-    /// Scan a whole entity, fetching every page (convenience).
-    pub fn scan(&self, io: &Account, entity: EntityId) -> Vec<Row> {
-        let mut pages = self.scan_pages(entity, 0..u32::MAX);
-        let pages = std::iter::from_fn(|| pages.next_page(io));
-        pages.flat_map(|page| page.to_vec()).collect()
     }
 
     /// Scan without I/O accounting (bulk index builds, statistics).
@@ -509,11 +506,6 @@ impl Database {
         let (page, row) = self.locate(oid)?;
         io.borrow_mut().fetch(page, false);
         Self::field(row, oid, attr)
-    }
-
-    /// Read one attribute of an object ([`Database::attr_ref`], copied).
-    pub fn read_attr(&self, io: &Account, oid: Oid, attr: AttrId) -> Result<Value, StorageError> {
-        self.attr_ref(io, oid, attr).cloned()
     }
 
     /// Read a whole object, charging `io` its page fetch (the oracle
@@ -693,30 +685,45 @@ impl PageScan {
 /// at a time as often as the holder likes: a nested loop walks its inner
 /// from one per opening instead of opening a scan per outer row, and a
 /// [`PageScan`] is a hold read once. A page costs a fetch, charged when it
-/// happens, and no lock. Like an open scan, a hold makes the next write
-/// to a temporary copy the segment and keeps reading the rows it took;
-/// drop it before writing what it reads.
+/// happens, and no lock, and its records are borrowed from the hold. Like
+/// an open scan, a hold makes the next write to a temporary copy the
+/// segment and keeps reading the rows it took; drop it before writing
+/// what it reads.
 #[derive(Debug)]
 pub struct SegmentHold {
     seg: Arc<Segment>,
     entity: EntityId,
     temp: bool,
+    /// Counted once: a held segment cannot change.
+    pages: u32,
 }
 
 impl SegmentHold {
     /// Number of pages of the held segment.
     pub fn num_pages(&self) -> u32 {
-        self.seg.num_pages()
+        self.pages
     }
 
-    /// Fetch (and charge to `io`) page `page` and lend out its records;
-    /// `None`, fetching nothing, past the last page.
-    pub fn page(&self, io: &Account, page: u32) -> Option<PageRows> {
-        if page >= self.num_pages() {
+    /// Fetch (and charge to `io`) page `page` and lend its records from
+    /// the hold; `None`, fetching nothing, past the last page.
+    pub fn lend(&self, io: &Account, page: u32) -> Option<&[Row]> {
+        if page >= self.pages {
             return None;
         }
         let entity = self.entity;
         io.borrow_mut().fetch(PageId { entity, page }, self.temp);
+        Some(self.seg.page_rows(page))
+    }
+
+    /// The records of page `page`, which the holder fetched already and
+    /// stopped part-way through ([`SegmentHold::lend`]): no fetch, no charge.
+    pub fn lent(&self, page: u32) -> &[Row] {
+        self.seg.page_rows(page)
+    }
+
+    /// [`SegmentHold::lend`], as a handle that keeps the segment alive.
+    pub fn page(&self, io: &Account, page: u32) -> Option<PageRows> {
+        self.lend(io, page)?;
         let seg = Arc::clone(&self.seg);
         Some(PageRows { seg, page })
     }

@@ -26,7 +26,7 @@ pub use physical::{
     EntityDesc, EntityId, EntitySource, IndexDesc, IndexId, IndexKindDesc, IndexStats,
     PhysicalSchema,
 };
-pub use segment::{Row, Segment};
+pub use segment::Row;
 pub use stats::{AttrStats, ChainDepth, DbStats, EntityStats, ValueCounts};
 pub use value::{Oid, Value};
 

@@ -2,12 +2,11 @@
 
 use oorq_schema::ResolvedType;
 
-use crate::page::WidthModel;
 use crate::value::Value;
 
 /// One stored record: a logical key (oid index or row id) plus the
 /// attribute/field values in layout order.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Row {
     /// Logical key: oid index for class extents, row id for relations.
     pub key: u32,
@@ -33,46 +32,38 @@ const NO_RECORD: u32 = u32::MAX;
 /// placement.
 ///
 /// Keys are assigned by the store, densely per extension (an oid index, a
-/// row id, a temporary's row count), and the position vector depends on
-/// it: it is as long as the largest key held, and an absent key — in
-/// range or past the end — answers `None`.
+/// row id), and the position vector depends on it: it is as long as the
+/// largest key held, and an absent key — in range or past the end —
+/// answers `None`. A temporary's key is its position, which nothing looks
+/// up, so its appends write no position.
 ///
 /// A temporary is emptied and refilled once per fixpoint pass and once per
-/// request: [`Segment::truncate`] keeps the emptied records' value vectors,
-/// and `Segment::append_copy` refills them before it allocates one.
+/// request: [`Segment::truncate`] resets the live count `len`, and
+/// `Segment::append_copy` rewrites the next record where it lies. Every
+/// reader sees the first `len` records only.
 #[derive(Debug)]
-pub struct Segment {
+pub(crate) struct Segment {
     field_types: Vec<ResolvedType>,
+    /// The `len` live records, then the ones left to be refilled.
     rows: Vec<Row>,
+    len: usize,
     /// key -> physical position, or [`NO_RECORD`].
     position: Vec<u32>,
     rows_per_page: u32,
-    /// Empty value vectors of truncated records, for the next appends.
-    spare: Vec<Vec<Value>>,
 }
 
-/// A copy holds the records, not the spare vectors: a copy-on-write
-/// clone is made because somebody still reads the records, and the copy's
-/// own truncations will leave it spares of its own.
+/// A copy holds the live records only: a copy-on-write clone is made
+/// because somebody still reads them.
 impl Clone for Segment {
     fn clone(&self) -> Self {
-        Segment {
-            field_types: self.field_types.clone(),
-            rows: self.rows.clone(),
-            position: self.position.clone(),
-            rows_per_page: self.rows_per_page,
-            spare: Vec::new(),
-        }
+        let mut copy = self.emptied();
+        (copy.rows, copy.len) = (self.live().to_vec(), self.len);
+        copy.position.clone_from(&self.position);
+        copy
     }
 }
 
 impl Segment {
-    /// New empty segment for records of the given shape.
-    pub fn new(field_types: Vec<ResolvedType>, width: &WidthModel) -> Self {
-        let rows_per_page = width.records_per_page(&field_types);
-        Self::with_rpp(field_types, rows_per_page)
-    }
-
     /// New empty segment with an explicit records-per-page (used when the
     /// stored width differs from the full record shape, e.g. computed
     /// attributes occupy a slot but no bytes).
@@ -80,9 +71,9 @@ impl Segment {
         Segment {
             field_types,
             rows: Vec::new(),
+            len: 0,
             position: Vec::new(),
             rows_per_page: rows_per_page.max(1),
-            spare: Vec::new(),
         }
     }
 
@@ -91,9 +82,14 @@ impl Segment {
         Self::with_rpp(self.field_types.clone(), self.rows_per_page)
     }
 
+    /// The live records.
+    fn live(&self) -> &[Row] {
+        &self.rows[..self.len]
+    }
+
     /// Replace the values of the record at a physical position.
     pub(crate) fn replace_values(&mut self, pos: u32, values: Vec<Value>) {
-        if let Some(row) = self.rows.get_mut(pos as usize) {
+        if let Some(row) = self.rows[..self.len].get_mut(pos as usize) {
             row.values = values;
         }
     }
@@ -110,35 +106,38 @@ impl Segment {
 
     /// Number of records.
     pub fn len(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// True when the segment holds no records.
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
+        self.len
     }
 
     /// Number of pages occupied.
     pub fn num_pages(&self) -> u32 {
-        (self.rows.len() as u32).div_ceil(self.rows_per_page)
+        (self.len as u32).div_ceil(self.rows_per_page)
     }
 
     /// Append a record at the end (next free slot). Returns its physical
     /// position.
     pub fn append(&mut self, row: Row) -> u32 {
-        let pos = self.rows.len() as u32;
+        let pos = self.len as u32;
         *crate::entry(&mut self.position, row.key as usize, NO_RECORD) = pos;
+        self.rows.truncate(self.len);
         self.rows.push(row);
+        self.len += 1;
         pos
     }
 
-    /// Append a copy of `values` under `key`, in a value vector a
-    /// truncation left behind if there is one. Returns its physical
+    /// Append a copy of `values` to a temporary, keyed by its position,
+    /// in the record a truncation left there if there is one. Returns the
     /// position.
-    pub(crate) fn append_copy(&mut self, key: u32, values: &[Value]) -> u32 {
-        let mut copy = self.spare.pop().unwrap_or_default();
-        copy.extend_from_slice(values);
-        self.append(Row { key, values: copy })
+    pub(crate) fn append_copy(&mut self, values: &[Value]) -> u32 {
+        let pos = self.len;
+        if self.rows.len() == pos {
+            self.rows.push(Row::default());
+        }
+        self.len += 1;
+        let row = &mut self.rows[pos];
+        row.key = pos as u32;
+        values.clone_into(&mut row.values);
+        pos as u32
     }
 
     /// Physical position of the record with the given key.
@@ -154,33 +153,25 @@ impl Segment {
 
     /// Record at a physical position.
     pub(crate) fn row_at(&self, pos: u32) -> Option<&Row> {
-        self.rows.get(pos as usize)
+        self.live().get(pos as usize)
     }
 
     /// Records of one page, with their physical positions.
     pub(crate) fn page_rows(&self, page: u32) -> &[Row] {
-        let start = (page * self.rows_per_page) as usize;
-        let end = (start + self.rows_per_page as usize).min(self.rows.len());
-        if start >= self.rows.len() {
-            &[]
-        } else {
-            &self.rows[start..end]
-        }
+        let start = (page as usize * self.rows_per_page as usize).min(self.len);
+        let end = (start + self.rows_per_page as usize).min(self.len);
+        &self.rows[start..end]
     }
 
     /// Iterate all records in physical order.
     pub fn iter(&self) -> impl Iterator<Item = &Row> {
-        self.rows.iter()
+        self.live().iter()
     }
 
-    /// Remove all records, keeping their emptied value vectors for
+    /// Remove all records, keeping them where they lie for
     /// `Segment::append_copy` to refill.
     pub fn truncate(&mut self) {
-        let emptied = self.rows.drain(..).map(|mut row| {
-            row.values.clear();
-            row.values
-        });
-        self.spare.extend(emptied);
+        self.len = 0;
         self.position.clear();
     }
 
@@ -197,13 +188,15 @@ impl Segment {
                 .wrapping_add(1442695040888963407);
             (state >> 33) as u32
         };
-        let n = self.rows.len();
-        for i in (1..n).rev() {
+        let rows = &mut self.rows[..self.len];
+        for i in (1..rows.len()).rev() {
             let j = (next() as usize) % (i + 1);
-            self.rows.swap(i, j);
+            rows.swap(i, j);
         }
-        for (pos, row) in self.rows.iter().enumerate() {
-            self.position[row.key as usize] = pos as u32;
+        for (pos, row) in rows.iter().enumerate() {
+            if let Some(at) = self.position.get_mut(row.key as usize) {
+                *at = pos as u32;
+            }
         }
     }
 }
@@ -211,6 +204,7 @@ impl Segment {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::page::WidthModel;
     use oorq_schema::{AtomicType, ResolvedType};
 
     fn int_segment(rpp_target: usize) -> Segment {
@@ -219,7 +213,8 @@ mod tests {
             page_size: 16 * rpp_target,
             ..WidthModel::default()
         };
-        Segment::new(vec![ResolvedType::Atomic(AtomicType::Int)], &width)
+        let types = vec![ResolvedType::Atomic(AtomicType::Int)];
+        Segment::with_rpp(types.clone(), width.records_per_page(&types))
     }
 
     #[test]
@@ -269,28 +264,5 @@ mod tests {
         }
         s2.shuffle(42);
         assert_eq!(order, s2.iter().map(|r| r.key).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn a_truncated_segment_refills_its_rows_and_a_copy_does_not_carry_them() {
-        let mut s = int_segment(4);
-        for k in 0..3u32 {
-            s.append_copy(k, &[Value::Int(k as i64)]);
-        }
-        let buffers: Vec<*const Value> = s.iter().map(|r| r.values.as_ptr()).collect();
-        s.truncate();
-        assert!(s.is_empty());
-        assert_eq!((s.position_of(0), s.num_pages()), (None, 0));
-        for k in 0..3u32 {
-            s.append_copy(k, &[Value::Int(10 + k as i64)]);
-        }
-        let mut refilled: Vec<*const Value> = s.iter().map(|r| r.values.as_ptr()).collect();
-        refilled.reverse();
-        assert_eq!(refilled, buffers, "the last emptied row is refilled first");
-        assert_eq!(s.row_at(2).unwrap().values, vec![Value::Int(12)]);
-
-        s.truncate();
-        let copy = s.clone();
-        assert!(copy.spare.is_empty() && s.spare.len() == 3);
     }
 }

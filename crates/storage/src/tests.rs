@@ -6,6 +6,7 @@ use oorq_schema::{
     AttrId, AttributeDef, Catalog, ClassDef, Field, RelationDef, SchemaBuilder, TypeExpr,
 };
 
+use crate::segment::Segment;
 use crate::*;
 
 /// A small two-class schema: `Owner` with a set of `Item`s and a scalar
@@ -64,6 +65,13 @@ fn scan_page(db: &Database, io: &Account, entity: EntityId, page: u32) -> Option
         .next_page(io)
 }
 
+/// Scan a whole entity, fetching every page.
+fn scan(db: &Database, io: &Account, entity: EntityId) -> Vec<Row> {
+    let mut pages = db.scan_pages(entity, 0..u32::MAX);
+    let pages = std::iter::from_fn(|| pages.next_page(io));
+    pages.flat_map(|page| page.to_vec()).collect()
+}
+
 fn small_account() -> Account {
     Account::new(BufferManager::new(small_db_config().buffer_frames))
 }
@@ -94,7 +102,7 @@ fn insert_and_read_objects() {
     // layout: name, birth... here: name, parent, items, rank(computed -> Null)
     assert_eq!(vals[0], Value::text("ada"));
     assert_eq!(vals[3], Value::Null, "computed slot holds Null");
-    let items = db.read_attr(&io, owner, AttrId(2)).unwrap();
+    let items = db.attr_ref(&io, owner, AttrId(2)).unwrap().clone();
     assert_eq!(items.members()[0], Value::Oid(item));
 }
 
@@ -139,7 +147,10 @@ fn set_attr_wires_references() {
         .unwrap();
     db.set_attr(b, AttrId(1), Value::Oid(a)).unwrap();
     let io = small_account();
-    assert_eq!(db.read_attr(&io, b, AttrId(1)).unwrap(), Value::Oid(a));
+    assert_eq!(
+        db.attr_ref(&io, b, AttrId(1)).unwrap().clone(),
+        Value::Oid(a)
+    );
 }
 
 #[test]
@@ -154,13 +165,13 @@ fn scans_account_page_io() {
     let pages = db.num_pages(entity);
     assert!(pages > 1, "need a multi-page extent for this test");
     let io = small_account();
-    let rows = db.scan(&io, entity);
+    let rows = scan(&db, &io, entity);
     assert_eq!(rows.len(), 40);
     assert_eq!(io.borrow().stats().page_reads, pages as u64);
     // Second scan with a tiny buffer (4 frames) still misses every page
     // if the extent exceeds the buffer; otherwise hits.
     io.borrow_mut().reset_stats();
-    let _ = db.scan(&io, entity);
+    let _ = scan(&db, &io, entity);
     if pages as usize > 4 {
         assert_eq!(io.borrow().stats().page_reads, pages as u64);
     } else {
@@ -197,7 +208,7 @@ fn clustered_vs_shuffled_dereference_io() {
     // consecutive owners hits mostly-resident pages.
     let io = small_account();
     for (_, item) in &owners {
-        db.read_attr(&io, *item, AttrId(1)).unwrap();
+        db.attr_ref(&io, *item, AttrId(1)).unwrap();
     }
     let clustered_reads = io.borrow().stats().page_reads;
 
@@ -205,7 +216,7 @@ fn clustered_vs_shuffled_dereference_io() {
     db.shuffle_entity(item_entity, 7);
     io.borrow_mut().clear();
     for (_, item) in &owners {
-        db.read_attr(&io, *item, AttrId(1)).unwrap();
+        db.attr_ref(&io, *item, AttrId(1)).unwrap();
     }
     let scattered_reads = io.borrow().stats().page_reads;
     assert!(
@@ -263,7 +274,7 @@ fn every_key_reads_back_after_shuffling() {
     let io = small_account();
     for i in 0..n {
         let (oid, weight) = (Oid::new(item_cls, i), Value::Int(i.into()));
-        assert_eq!(db.read_attr(&io, oid, AttrId(1)), Ok(weight.clone()));
+        assert_eq!(db.attr_ref(&io, oid, AttrId(1)), Ok(&weight));
         assert_eq!(db.read_attr_raw(oid, AttrId(1)), Ok(weight.clone()));
         assert_eq!(db.read_object(&io, oid).unwrap()[1], weight);
         assert_eq!(db.touch_object(&io, oid), Ok(()));
@@ -273,7 +284,7 @@ fn every_key_reads_back_after_shuffling() {
     for past in [n, n + 1, u32::MAX] {
         let oid = Oid::new(item_cls, past);
         let dangling = StorageError::DanglingOid(oid);
-        assert_eq!(db.read_attr(&io, oid, AttrId(1)), Err(dangling.clone()));
+        assert_eq!(db.attr_ref(&io, oid, AttrId(1)), Err(dangling.clone()));
         assert_eq!(db.read_attr_raw(oid, AttrId(1)), Err(dangling.clone()));
         assert_eq!(db.read_object(&io, oid), Err(dangling.clone()));
         assert_eq!(db.touch_object(&io, oid), Err(dangling));
@@ -404,6 +415,116 @@ fn a_hold_reads_as_a_scan_does_and_lets_go_in_place() {
     );
 }
 
+/// `SegmentHold::lend` is `SegmentHold::page` without the handle: pass
+/// after pass, the same rows and, after every fetch, the same charges
+/// (two frames and a one-page breaker budget, so every fetch re-reads and
+/// spills); `SegmentHold::lent` reads a fetched page again at no charge.
+#[test]
+fn a_hold_lends_the_rows_and_charges_its_pages_hand_out() {
+    let mut db = small_db();
+    let int = oorq_schema::ResolvedType::Atomic(oorq_schema::AtomicType::Int);
+    let t = db.create_temp("delta", vec![int.clone(), int]);
+    let rows = (0..25).map(|i| vec![Value::Int(i), Value::Int(-i)]);
+    db.append_temp_rows(&small_account(), &[t], rows).unwrap();
+    let budgeted = || {
+        let mut buffer = BufferManager::new(2);
+        buffer.set_temp_budget(1);
+        Account::new(buffer)
+    };
+    let (lent_io, paged_io) = (budgeted(), budgeted());
+    let hold = db.hold(t);
+    assert_eq!(hold.num_pages(), 3);
+    for pass in 0..3 {
+        for page in 0..=hold.num_pages() {
+            let lent = hold.lend(&lent_io, page);
+            let paged = hold.page(&paged_io, page);
+            assert_eq!(lent, paged.as_deref(), "pass {pass}, page {page}");
+            let charged = lent_io.borrow().stats();
+            assert_eq!(
+                charged,
+                paged_io.borrow().stats(),
+                "pass {pass}, page {page}"
+            );
+            if let Some(rows) = lent {
+                assert_eq!(hold.lent(page), rows);
+                assert_eq!(lent_io.borrow().stats(), charged, "no charge");
+            }
+        }
+    }
+    let stats = lent_io.borrow().stats();
+    assert_eq!(
+        (stats.fetches(), stats.temp_reads, stats.spill_evictions),
+        (9, 9, 8)
+    );
+}
+
+/// A temporary refilled with fewer rows than its last fill keeps the
+/// longer fill's records past its live count, and the refill rewrites
+/// them where they lie: no reader sees one of the rest — not the
+/// segment's, not a copy-on-write clone's, not the database's.
+#[test]
+fn a_shorter_refill_exposes_no_stale_record() {
+    let int = oorq_schema::ResolvedType::Atomic(oorq_schema::AtomicType::Int);
+    let mut s = Segment::with_rpp(vec![int.clone()], 4);
+    for i in 0..7 {
+        s.append_copy(&[Value::Int(i)]);
+    }
+    let lies_at = |s: &Segment| s.iter().map(|r| r.values.as_ptr()).collect::<Vec<_>>();
+    let before = lies_at(&s);
+    s.truncate();
+    assert_eq!((s.len(), s.num_pages(), s.iter().count()), (0, 0, 0));
+    assert!(s.row_at(0).is_none() && s.page_rows(0).is_empty());
+    for i in 10..15 {
+        s.append_copy(&[Value::Int(i)]);
+    }
+    let ints =
+        |s: &Segment| -> Vec<i64> { s.iter().map(|r| r.values[0].as_int().unwrap()).collect() };
+    assert_eq!((s.len(), s.num_pages()), (5, 2));
+    assert_eq!(
+        s.page_rows(1).len(),
+        1,
+        "the last page ends at the live count"
+    );
+    assert!(s.page_rows(2).is_empty() && s.row_at(5).is_none());
+    assert_eq!(s.row_at(4).unwrap().values, [Value::Int(14)]);
+    assert_eq!(ints(&s), [10, 11, 12, 13, 14]);
+    assert_eq!(lies_at(&s), before[..5], "refilled where they lie");
+    let keys: Vec<u32> = s.iter().map(|r| r.key).collect();
+    assert_eq!(keys, [0, 1, 2, 3, 4], "a temporary's key is its position");
+    assert_eq!(s.position_of(0), None, "and nothing looks one up");
+    let copy = s.clone();
+    assert_eq!(
+        (copy.len(), copy.num_pages(), ints(&copy)),
+        (5, 2, ints(&s))
+    );
+    assert!(copy.page_rows(1).len() == 1 && copy.row_at(5).is_none());
+
+    // The same through the database: 25 rows, then 12 (two pages).
+    let mut db = small_db();
+    let t = db.create_temp("acc", vec![int.clone(), int]);
+    let io = small_account();
+    let rows = |r: std::ops::Range<i64>| -> Vec<Vec<Value>> {
+        r.map(|i| vec![Value::Int(i), Value::Int(i)]).collect()
+    };
+    db.append_temp_rows(&io, &[t], rows(0..25)).unwrap();
+    db.truncate_temp(&io, t).unwrap();
+    db.append_temp_rows(&io, &[t], rows(100..112)).unwrap();
+    let firsts =
+        |rows: &[Row]| -> Vec<i64> { rows.iter().map(|r| r.values[0].as_int().unwrap()).collect() };
+    assert_eq!((db.entity_len(t), db.num_pages(t)), (12, 2));
+    assert_eq!(firsts(&scan_page(&db, &io, t, 1).unwrap()), [110, 111]);
+    assert!(scan_page(&db, &io, t, 2).is_none());
+    assert_eq!(firsts(&db.scan_raw(t)), (100..112).collect::<Vec<_>>());
+    // A write under a hold copies the segment: the copy holds the 12 live
+    // rows and the one appended, the hold the 12 it took.
+    let hold = db.hold(t);
+    db.append_temp_rows(&io, &[t], rows(112..113)).unwrap();
+    assert_eq!(firsts(&db.scan_raw(t)), (100..113).collect::<Vec<_>>());
+    assert_eq!((hold.num_pages(), hold.lent(1).len()), (2, 2));
+    // Statistics describe stored extents only; a temporary is not one.
+    assert!(DbStats::collect(&db).entity(t).is_none());
+}
+
 /// Emptying a temporary somebody still reads copies nothing: the reader
 /// keeps the segment with its rows, and the temporary gets an empty one of
 /// the same shape, which the next append fills in place.
@@ -472,11 +593,14 @@ fn a_poisoned_temporary_is_refused_then_truncated_back_to_work() {
     assert_eq!(db.entity_len(other), 3, "nothing went to the other either");
     assert_eq!(db.entity_len(t), 0, "read as empty");
     assert!(db.scan_pages(t, 0..u32::MAX).next_page(&io).is_none());
-    assert!(db.snapshot().scan(&io, t).is_empty());
+    assert!(scan(&db.snapshot(), &io, t).is_empty());
 
     db.truncate_temp(&io, t).unwrap();
     db.append_temp_rows(&io, &[t], rows(6..9)).unwrap();
-    let read: Vec<Value> = db.scan(&io, t).into_iter().flat_map(|r| r.values).collect();
+    let read: Vec<Value> = scan(&db, &io, t)
+        .into_iter()
+        .flat_map(|r| r.values)
+        .collect();
     assert_eq!(read, [Value::Int(6), Value::Int(7), Value::Int(8)]);
 }
 
@@ -542,7 +666,7 @@ fn temporaries_append_scan_truncate() {
     db.append_temp_rows(&io, &[t], rows).unwrap();
     assert!(io.borrow().stats().page_writes > 0, "page writes counted");
     assert_eq!(db.entity_len(t), 50);
-    let rows = db.scan(&io, t);
+    let rows = scan(&db, &io, t);
     assert_eq!(rows.len(), 50);
     db.truncate_temp(&io, t).unwrap();
     assert_eq!(db.entity_len(t), 0);
@@ -581,7 +705,7 @@ fn append_temp_counts_one_write_per_page_started() {
             );
         }
         assert_eq!(db.num_pages(t), 3);
-        assert_eq!(db.scan(&io, t).len(), 25);
+        assert_eq!(scan(&db, &io, t).len(), 25);
     }
 }
 
@@ -653,7 +777,7 @@ fn truncated_temp_reuse_restarts_pages_and_accounting() {
         "restarted page 0 paid for"
     );
     assert_eq!(db.num_pages(t), 1);
-    let rows = db.scan(&io, t);
+    let rows = scan(&db, &io, t);
     assert_eq!(rows.len(), 8);
     assert!(rows.iter().all(|r| r.values[0].as_int().unwrap() >= 100));
 }
@@ -678,7 +802,7 @@ fn relation_rows_roundtrip() {
         .unwrap();
     assert_eq!((r0, r1), (0, 1));
     let entity = db.physical().relation_entity(likes).unwrap();
-    assert_eq!(db.scan(&small_account(), entity).len(), 2);
+    assert_eq!(scan(&db, &small_account(), entity).len(), 2);
     let err = db.insert_row(likes, vec![Value::Int(1)]).unwrap_err();
     assert!(matches!(err, StorageError::ArityMismatch { .. }));
 }
@@ -764,7 +888,7 @@ fn snapshot_shares_data_and_isolates_mutation_and_io() {
     let snap = db.snapshot();
     // Identical data, independently accounted I/O.
     assert_eq!(db.scan_raw(item_entity), snap.scan_raw(item_entity));
-    snap.scan(&snap.check_out(), item_entity);
+    scan(&snap, &snap.check_out(), item_entity);
     assert!(snap.io_stats().page_reads > 0);
     assert_eq!(db.io_stats().page_reads, 0, "source buffer untouched");
 

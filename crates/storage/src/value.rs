@@ -194,12 +194,12 @@ impl Hash for Value {
 impl fmt::Display for Value {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            Value::Null => write!(f, "null"),
-            Value::Int(i) => write!(f, "{i}"),
-            Value::Float(x) => write!(f, "{x}"),
-            Value::Text(s) => write!(f, "\"{s}\""),
-            Value::Bool(b) => write!(f, "{b}"),
-            Value::Oid(o) => write!(f, "{o}"),
+            Value::Null => f.write_str("null"),
+            Value::Int(i) => fmt::Display::fmt(i, f),
+            Value::Float(x) => fmt::Display::fmt(x, f),
+            Value::Text(s) => ["\"", s, "\""].iter().try_for_each(|p| f.write_str(p)),
+            Value::Bool(b) => fmt::Display::fmt(b, f),
+            Value::Oid(o) => fmt::Display::fmt(o, f),
             Value::Set(vs) => write_seq(f, "{", vs, "}"),
             Value::List(vs) => write_seq(f, "<", vs, ">"),
             Value::Tuple(vs) => write_seq(f, "[", vs, "]"),
@@ -208,14 +208,14 @@ impl fmt::Display for Value {
 }
 
 fn write_seq(f: &mut fmt::Formatter<'_>, open: &str, vs: &[Value], close: &str) -> fmt::Result {
-    write!(f, "{open}")?;
+    f.write_str(open)?;
     for (i, v) in vs.iter().enumerate() {
         if i > 0 {
-            write!(f, ", ")?;
+            f.write_str(", ")?;
         }
-        write!(f, "{v}")?;
+        fmt::Display::fmt(v, f)?;
     }
-    write!(f, "{close}")
+    f.write_str(close)
 }
 
 impl From<i64> for Value {
@@ -291,6 +291,62 @@ mod tests {
             Value::List(vec![Value::Bool(true)]),
         ]);
         assert_eq!(v.to_string(), "[\"x\", {1}, <true>]");
+    }
+
+    /// The rendering `Display` had when each kind went through a
+    /// `write!` of its own.
+    fn nested_write(v: &Value) -> String {
+        let seq = |open: &str, vs: &[Value], close: &str| {
+            let inner: Vec<String> = vs.iter().map(nested_write).collect();
+            format!("{open}{}{close}", inner.join(", "))
+        };
+        match v {
+            Value::Null => "null".to_string(),
+            Value::Int(i) => format!("{i}"),
+            Value::Float(x) => format!("{x}"),
+            Value::Text(s) => format!("\"{s}\""),
+            Value::Bool(b) => format!("{b}"),
+            Value::Oid(o) => format!("{o}"),
+            Value::Set(vs) => seq("{", vs, "}"),
+            Value::List(vs) => seq("<", vs, ">"),
+            Value::Tuple(vs) => seq("[", vs, "]"),
+        }
+    }
+
+    #[test]
+    fn display_renders_every_kind_as_nested_writes_did() {
+        let scalars = vec![
+            Value::Null,
+            Value::Int(0),
+            Value::Int(-1),
+            Value::Int(i64::MIN),
+            Value::Int(i64::MAX),
+            Value::Float(0.0),
+            Value::Float(-0.0),
+            Value::Float(1.5),
+            Value::Float(-2.25e-300),
+            Value::Float(1e300),
+            Value::Float(f64::NAN),
+            Value::Float(f64::INFINITY),
+            Value::Float(f64::NEG_INFINITY),
+            Value::text(""),
+            Value::text("say \"hi\""),
+            Value::text("Dvořák — 作曲家 🎻"),
+            Value::Bool(true),
+            Value::Bool(false),
+            Value::Oid(Oid::new(ClassId(3), u32::MAX)),
+        ];
+        let nested = Value::Tuple(vec![
+            Value::Set(scalars.clone()),
+            Value::List(vec![
+                Value::Set(vec![]),
+                Value::Tuple(vec![Value::List(vec![])]),
+            ]),
+            Value::Tuple(scalars.clone()),
+        ]);
+        for v in scalars.iter().chain([&nested]) {
+            assert_eq!(v.to_string(), nested_write(v), "{v:?}");
+        }
     }
 
     #[test]

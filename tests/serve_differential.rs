@@ -234,6 +234,13 @@ const PATH_WITHOUT_BASE: &str = "view Path as
   select [a: p.a, b: e.b] from p in Path, e in Edge where p.b = e.a;
 select [a: t.a, b: t.b] from t in Path";
 
+/// A closure read under a selection and a bare row variable, which is no
+/// truth value.
+const PATH_AND_BARE_ROW: &str = "view Path as
+  select [a: e.a, b: e.b] from e in Edge
+  union select [a: p.a, b: e.b] from p in Path, e in Edge where p.b = e.a;
+select [a: t.a, b: t.b] from t in Path where t.a = 0 and t";
+
 /// A linear closure whose recursive step is filtered by a `not` over a
 /// base column: it never appends the edge into node 3.
 const PATH_NOT_THROUGH_3: &str = "view Path as
@@ -281,6 +288,11 @@ fn non_linear_recursion_is_refused_rather_than_answered_wrongly() {
 #[test]
 fn recursion_without_a_base_case_is_the_same_lint_error_in_every_build() {
     assert_refused(PATH_WITHOUT_BASE, 4, "QG005");
+}
+
+#[test]
+fn a_conjunct_that_is_no_truth_value_is_the_same_lint_error_in_every_build() {
+    assert_refused(PATH_AND_BARE_ROW, 4, "PT008");
 }
 
 #[test]
