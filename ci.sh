@@ -35,7 +35,7 @@ if grep -nF -e 'output_columns(' -e "rsplit('.')" $(nontest crates/lint/src); th
     exit 1
 fi
 
-echo "== what no workload runs stays deleted (a thread or an Exchange/Merge operator in the engine; FragmentSpec, ClassLayout or decompose_vertical/decompose_horizontal; IndexJoin, EjIdx, applicable_join_indexes or EJ^idx, or require_index; CostWeights, FixProfile(s), CostParams::calibrated, parse_snapshot, lint_fix_drift, lint_spill_drift or lint_breaker_budget, in non-test src, crates/*/src or examples, or a crates/cost/*.toml snapshot; equivalent_toggle, proven_worse, PrunedProven or subtree_cost there; CostFeatures there, or deltas or fn mass in non-test crates/cost/src; a walk candidate rejected by the verifier in non-test crates/core/src, fails) =="
+echo "== what no workload runs stays deleted (a thread or an Exchange/Merge operator in the engine; FragmentSpec, ClassLayout or decompose_vertical/decompose_horizontal; IndexJoin, EjIdx, applicable_join_indexes or EJ^idx, or require_index; CostWeights, FixProfile(s), CostParams::calibrated, parse_snapshot, lint_fix_drift, lint_spill_drift or lint_breaker_budget, in non-test src, crates/*/src or examples, or a crates/cost/*.toml snapshot; equivalent_toggle, proven_worse, PrunedProven or subtree_cost there; CostFeatures there, or deltas or fn mass in non-test crates/cost/src; a walk candidate rejected by the verifier in non-test crates/core/src; delta_active in non-test crates/exec/src, a read of temp_fields in crates/lint/src/phys.rs, or TempFields in non-test crates/bench/src, fails) =="
 if grep -nE 'thread::(scope|spawn)' $(nontest crates/exec/src) ||
     grep -nwE 'Exchange|Merge' $(nontest crates/pt/src crates/exec/src); then
     echo "intra-query parallelism was removed because no workload ran it (CHANGES.md, PR 28): bring it back" \
@@ -78,6 +78,15 @@ if grep -nw 'CostFeatures' $(nontest src crates/*/src examples) ||
     echo "a plan node's estimate is one Cost, and a fixpoint's recursive leg is estimated once, under the" \
         "one delta its modeled curve holds, and scaled by the pass count: the feature vector and the per-pass" \
         "re-estimation were removed because nothing read them (ROADMAP item 2d)" >&2
+    exit 1
+fi
+if grep -nw 'delta_active' $(nontest crates/exec/src) ||
+    grep -nw 'temp_fields' crates/lint/src/phys.rs ||
+    grep -nw 'TempFields' $(nontest crates/bench/src); then
+    echo "a temporary is in scope only in its fixpoint's recursive leg, where every scan of it reads the" \
+        "last pass's delta (oorq_pt::resolve states it once): the executor's run-time delta binding, the" \
+        "environment-seeded PX005 scope and the bench crate's temporary-shape tables were removed because no" \
+        "complete plan needs them (ROADMAP item 13a)" >&2
     exit 1
 fi
 

@@ -209,7 +209,9 @@ impl<'a> Analyzer<'a> {
 
     /// Analyze a plan; `temp_fields` pre-registers the shapes of
     /// temporaries defined outside the plan (their cardinalities are
-    /// unknown, so their bounds are top).
+    /// unknown, so their bounds are top). A complete plan defines its own
+    /// ([`Analyzer::analyze`]); kept for `benchmark/src/traced.rs` until a
+    /// `benchmark` change drops it.
     pub fn analyze_with_temps(
         &self,
         pt: &Pt,

@@ -34,7 +34,7 @@ pub(crate) fn corpus_runs(prefix: &str) -> Result<Vec<RunCheck>, String> {
                 .run(q, config, &Knobs::default())
                 .map_err(|e| format!("{name}: {e}"))?;
             let analysis = s
-                .analyze(&run.optimized.pt, run.temp_fields)
+                .analyze(&run.optimized.pt)
                 .map_err(|e| format!("{name}: analysis failed: {e:?}"))?;
             let (ops, fixes) = run.report.observed();
             let check = check_observed(&analysis, &ops, &fixes);

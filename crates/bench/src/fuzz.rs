@@ -31,7 +31,7 @@ use oorq_pt::{applicable_sel_index, subtrees, AccessMethod, Pt};
 use oorq_query::{Expr, Literal};
 use oorq_storage::IndexId;
 
-use crate::scenarios::{Knobs, Scenario, TempFields, CORPUS};
+use crate::scenarios::{Knobs, Scenario, CORPUS};
 use crate::sections::Args;
 
 /// Default CI smoke parameters.
@@ -67,7 +67,7 @@ pub fn for_each_mutant(
     let mut s = (fig7.build)();
     let mut base: Vec<Pt> = Vec::new();
     for (_, query, strategy) in fig7.rows {
-        base.push(s.plan(&query(&s), strategy(), &Knobs::default())?.0.pt);
+        base.push(s.plan(&query(&s), strategy(), &Knobs::default())?.pt);
     }
     let index_ids: Vec<IndexId> = s.db.physical().indexes().iter().map(|d| d.id).collect();
     let mut rng = Prng::new(seed);
@@ -106,11 +106,11 @@ pub(crate) fn fuzz_report(args: &Args) -> Result<String, String> {
         format!("=== Plan-mutation soundness fuzz ({iters} iterations, seed {seed:#x}) ===\n");
 
     for_each_mutant(iters, seed, |s, m| {
-        if !oorq_lint::verify_pt(&s.env(TempFields::new()), &m.pt).is_clean() {
+        if !oorq_lint::verify_pt(&s.env(), &m.pt).is_clean() {
             rejected_lint += 1;
             return Ok(());
         }
-        let Ok(analysis) = s.analyze(&m.pt, TempFields::new()) else {
+        let Ok(analysis) = s.analyze(&m.pt) else {
             rejected_analysis += 1;
             return Ok(());
         };

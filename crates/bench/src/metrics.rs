@@ -63,7 +63,7 @@ fn replay_query(
     let mut last = None;
     for _ in 0..replays.max(1) {
         let run = s.run(q, config.clone(), &knobs)?;
-        let analysis = s.analyze(&run.optimized.pt, run.temp_fields).ok();
+        let analysis = s.analyze(&run.optimized.pt).ok();
         last = Some(MeteredRun {
             rows: run.answer.rows.len(),
             explain: explain_analyze(

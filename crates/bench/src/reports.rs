@@ -104,14 +104,14 @@ pub(crate) fn fig4_report(_: &Args) -> Result<String, String> {
     let s = Scenario::music(Scenario::paper_scale());
     let q = s.fig3();
     let knobs = Knobs::default();
-    let (unpushed, unpushed_temps) = s.plan(&q, OptimizerConfig::never_push(), &knobs)?;
-    let (pushed, pushed_temps) = s.plan(&q, OptimizerConfig::deductive_heuristic(), &knobs)?;
+    let unpushed = s.plan(&q, OptimizerConfig::never_push(), &knobs)?;
+    let pushed = s.plan(&q, OptimizerConfig::deductive_heuristic(), &knobs)?;
     Ok(format!(
         "=== Figure 4: processing trees for the Figure 3 query ===\n\
          (i)  selection after the fixpoint:\n     {}\n\
          (ii) selection pushed through recursion:\n     {}\n",
-        unpushed.pt.display(&s.env(unpushed_temps)),
-        pushed.pt.display(&s.env(pushed_temps))
+        unpushed.pt.display(&s.env()),
+        pushed.pt.display(&s.env())
     ))
 }
 
@@ -130,7 +130,7 @@ pub(crate) fn fig5_report(_: &Args) -> Result<String, String> {
 /// Figure 6: the optimization-step summary, traced from a real run.
 pub(crate) fn fig6_report(_: &Args) -> Result<String, String> {
     let s = Scenario::music(Scenario::paper_scale());
-    let (plan, _) = s.plan(
+    let plan = s.plan(
         &s.fig3(),
         OptimizerConfig::cost_controlled(),
         &Knobs::default(),
@@ -257,7 +257,7 @@ pub(crate) fn fig7_report(_: &Args) -> Result<String, String> {
         ("PT (ii) — pushed", &pushed),
     ] {
         let pc = s
-            .model(CostParams::paper_mode(), run.temp_fields.clone())
+            .model(CostParams::paper_mode())
             .cost(&run.optimized.pt)
             .map_err(|e| format!("paper-mode costing failed: {e}"))?;
         let _ = writeln!(
@@ -495,7 +495,7 @@ fn spj_plan(s: &Scenario, q: &QueryGraph, strategy: SpjStrategy) -> Result<(u128
         ..Default::default()
     };
     let t0 = Instant::now();
-    let (plan, _) = s.plan(q, config, &Knobs::default())?;
+    let plan = s.plan(q, config, &Knobs::default())?;
     Ok((
         t0.elapsed().as_micros(),
         plan.cost.total(&CostParams::default()),
@@ -740,8 +740,8 @@ pub(crate) fn lint_report(args: &Args) -> Result<String, String> {
     let _ = write!(out, "{}", graph.render());
 
     // Plan pass over the optimized plan.
-    let (plan, temps) = s.plan(&q, OptimizerConfig::never_push(), &Knobs::default())?;
-    let env = s.env(temps);
+    let plan = s.plan(&q, OptimizerConfig::never_push(), &Knobs::default())?;
+    let env = s.env();
     let verified = verify_pt(&env, &plan.pt);
     let _ = writeln!(out, "\n-- plan pass: optimized figure 3 plan --");
     let _ = writeln!(

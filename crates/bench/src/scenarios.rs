@@ -7,7 +7,7 @@
 //! over it; [`Scenario::run`] is the only place that assembles cost
 //! model → optimizer → cold cache → executor → report.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::sync::Arc;
 
 use oorq_analysis::{Analysis, Analyzer};
@@ -23,11 +23,7 @@ use oorq_prng::Prng;
 use oorq_pt::{PhysPlan, Pt, PtEnv, PtError};
 use oorq_query::paper::{fig3_query, fig3_query_gen, music_catalog, sec45_pushjoin_query};
 use oorq_query::QueryGraph;
-use oorq_schema::ResolvedType;
 use oorq_storage::{Database, DbStats};
-
-/// Shapes of the temporaries an optimization registered, by name.
-pub type TempFields = HashMap<String, Vec<(String, ResolvedType)>>;
 
 /// A generated database with everything a plan needs to be costed and
 /// run.
@@ -73,8 +69,6 @@ impl Knobs {
 pub struct Run {
     /// The optimizer's output: plan, cost breakdown, trace.
     pub optimized: Optimized,
-    /// Temporaries the optimizer registered while planning.
-    pub temp_fields: TempFields,
     /// The answer.
     pub answer: Batch,
     /// Observed counters of the cold-cache execution.
@@ -98,8 +92,7 @@ impl Run {
 
     /// The plan in the paper's denotation.
     pub(crate) fn plan_text(&self, s: &Scenario) -> String {
-        let env = s.env(self.temp_fields.clone());
-        self.optimized.pt.display(&env).to_string()
+        self.optimized.pt.display(&s.env()).to_string()
     }
 }
 
@@ -217,45 +210,34 @@ impl Scenario {
         oorq_datagen::selective_tail_query(self.db.catalog(), limit)
     }
 
-    /// A cost model over this scenario that knows the given temporaries.
-    pub fn model(&self, params: CostParams, temp_fields: TempFields) -> CostModel<'_> {
-        let mut model = CostModel::new(self.db.catalog(), self.db.physical(), &self.stats, params);
-        model.temp_fields = temp_fields;
-        model
+    /// A cost model over this scenario.
+    pub fn model(&self, params: CostParams) -> CostModel<'_> {
+        CostModel::new(self.db.catalog(), self.db.physical(), &self.stats, params)
     }
 
     /// A typing and display environment for plans over this scenario.
-    pub fn env(&self, temp_fields: TempFields) -> PtEnv<'_> {
-        PtEnv {
-            catalog: self.db.catalog(),
-            physical: self.db.physical(),
-            temp_fields,
-        }
+    pub fn env(&self) -> PtEnv<'_> {
+        PtEnv::new(self.db.catalog(), self.db.physical())
     }
 
     /// The sound static bounds of a plan (`oorq-analysis` — the
     /// contract every executed plan is checked against).
-    pub fn analyze(&self, pt: &Pt, temp_fields: TempFields) -> Result<Analysis, PtError> {
-        Analyzer::new(self.db.catalog(), self.db.physical(), &self.stats)
-            .analyze_with_temps(pt, temp_fields)
+    pub fn analyze(&self, pt: &Pt) -> Result<Analysis, PtError> {
+        Analyzer::new(self.db.catalog(), self.db.physical(), &self.stats).analyze(pt)
     }
 
-    /// Optimize a query; returns the plan and the temporaries the
-    /// optimizer registered.
+    /// Optimize a query.
     pub fn plan(
         &self,
         q: &QueryGraph,
         config: OptimizerConfig,
         knobs: &Knobs,
-    ) -> Result<(Optimized, TempFields), String> {
-        let model = self.model(CostParams::default(), TempFields::new());
-        let mut opt = Optimizer::new(model, config)
+    ) -> Result<Optimized, String> {
+        Optimizer::new(self.model(CostParams::default()), config)
             .with_recorder(knobs.recorder.clone())
-            .with_metrics(&knobs.registry);
-        let optimized = opt
+            .with_metrics(&knobs.registry)
             .optimize(q)
-            .map_err(|e| format!("optimization failed: {e}"))?;
-        Ok((optimized, opt.model.temp_fields))
+            .map_err(|e| format!("optimization failed: {e}"))
     }
 
     /// Execute a plan over a cold cache.
@@ -281,11 +263,10 @@ impl Scenario {
         config: OptimizerConfig,
         knobs: &Knobs,
     ) -> Result<Run, String> {
-        let (optimized, temp_fields) = self.plan(q, config, knobs)?;
+        let optimized = self.plan(q, config, knobs)?;
         let (answer, report, phys_plan) = self.execute(&optimized.pt, knobs)?;
         Ok(Run {
             optimized,
-            temp_fields,
             answer,
             report,
             phys_plan,

@@ -72,7 +72,7 @@ fn optimized(name: &str, s: &Scenario, q: &QueryGraph, config: OptimizerConfig) 
         registry: MetricsRegistry::new(),
         ..Knobs::default()
     };
-    let (plan, _) = s.plan(q, config, &knobs).expect("optimizes");
+    let plan = s.plan(q, config, &knobs).expect("optimizes");
     render(name, &knobs.recorder, &plan.trace, &knobs.registry)
 }
 

@@ -13,7 +13,7 @@
 
 use std::collections::{HashMap, HashSet};
 
-use oorq_bench::scenarios::{for_each_row, Scenario, TempFields};
+use oorq_bench::scenarios::{for_each_row, Scenario};
 use oorq_bench::Knobs;
 use oorq_core::{neighbours, rand_optimize_with, Decisions, Move, OptimizerConfig, RandConfig};
 use oorq_cost::{CostModel, CostParams};
@@ -22,7 +22,7 @@ use oorq_pt::{fix_recursive_nodes, lower, rescannable, subtrees, PhysOp, Pt};
 
 /// Every plan the corpus rows choose, each under its own and under the
 /// two enumeration-heavy strategies.
-fn for_each_plan(mut f: impl FnMut(&str, &Scenario, &Pt, TempFields)) {
+fn for_each_plan(mut f: impl FnMut(&str, &Scenario, &Pt)) {
     for_each_row(
         |_, _| true,
         |name, s, q, config| {
@@ -31,10 +31,10 @@ fn for_each_plan(mut f: impl FnMut(&str, &Scenario, &Pt, TempFields)) {
                 OptimizerConfig::cost_controlled(),
                 OptimizerConfig::exhaustive(),
             ] {
-                let (plan, temps) = s
+                let plan = s
                     .plan(q, config, &Knobs::default())
                     .map_err(|e| format!("{name}: {e}"))?;
-                f(name, s, &plan.pt, temps);
+                f(name, s, &plan.pt);
             }
             Ok::<(), String>(())
         },
@@ -46,7 +46,7 @@ fn for_each_plan(mut f: impl FnMut(&str, &Scenario, &Pt, TempFields)) {
 /// text) pairs.
 fn corpus() -> Vec<(u64, String)> {
     let mut pool: Vec<(u64, String)> = Vec::new();
-    for_each_plan(|_, _, pt, _| {
+    for_each_plan(|_, _, pt| {
         pt.visit(&mut |n| pool.push((n.fingerprint(), format!("{n:?}"))));
     });
     pool
@@ -59,10 +59,10 @@ fn corpus() -> Vec<(u64, String)> {
 #[test]
 fn pt_helpers_agree_with_lowering_across_the_optimizer_corpus() {
     let mut checked = 0usize;
-    for_each_plan(|name, s, pt, temps| {
+    for_each_plan(|name, s, pt| {
         // Pre-order, the numbering of `OpMeta::pt_node`.
         let nodes = subtrees(pt);
-        let plan = lower(&s.env(temps), pt).unwrap_or_else(|e| panic!("{name}: {e}"));
+        let plan = lower(&s.env(), pt).unwrap_or_else(|e| panic!("{name}: {e}"));
         let mut lowered: HashSet<usize> = HashSet::new();
         let mut under_rec: HashSet<usize> = HashSet::new();
         plan.root.visit(&mut |op| {
@@ -231,8 +231,8 @@ fn walk_outcomes_equal_the_re_examining_walks() {
                 rand: None,
                 ..config
             };
-            let (start, temps) = s.plan(q, config, &Knobs::default())?;
-            let model = s.model(CostParams::default(), temps);
+            let start = s.plan(q, config, &Knobs::default())?;
+            let model = s.model(CostParams::default());
             assert!(!neighbours(&model, &start.pt).is_empty(), "{name}");
             let (row, outcomes) = expected.next().expect("a recorded row");
             assert_eq!(*row, name);
@@ -267,8 +267,8 @@ fn walk_outcomes_equal_the_re_examining_walks() {
 #[test]
 fn every_move_rewrites_only_the_node_it_names() {
     let mut moves = 0;
-    for_each_plan(|name, s, pt, temps| {
-        let model = s.model(CostParams::default(), temps);
+    for_each_plan(|name, s, pt| {
+        let model = s.model(CostParams::default());
         for Move { plan, node } in neighbours(&model, pt) {
             let mut back = plan.clone();
             let path = subtrees(&plan)[node].0.clone();

@@ -33,7 +33,7 @@ fn regret(s: &mut Scenario, q: &QueryGraph, what: &str) -> f64 {
     .into_iter()
     .map(|config| {
         let knobs = Knobs::default();
-        let (plan, _) = s.plan(q, config, &knobs).expect(what);
+        let plan = s.plan(q, config, &knobs).expect(what);
         let fingerprint = plan.pt.fingerprint();
         if let Some((_, cost)) = executed.iter().find(|(f, _)| *f == fingerprint) {
             return *cost;
@@ -58,7 +58,7 @@ fn regret(s: &mut Scenario, q: &QueryGraph, what: &str) -> f64 {
 fn selected(s: &mut Scenario, instrument: &str, gen: u32) -> (u64, u64) {
     let q = parse_query(s.db.catalog(), &fig3(instrument, gen.into())).expect(instrument);
     let knobs = Knobs::default();
-    let (plan, _) = s
+    let plan = s
         .plan(&q, OptimizerConfig::never_push(), &knobs)
         .expect(instrument);
     let (_, report, _) = s.execute(&plan.pt, &knobs).expect(instrument);

@@ -42,9 +42,7 @@ pub enum PushStrategy {
 /// Facts about a planned fixpoint needed by the push actions.
 #[derive(Debug, Clone)]
 pub struct FixInfo {
-    /// Output column names of the fixpoint.
-    pub out_cols: Vec<String>,
-    /// Field types of the temporary.
+    /// The temporary's fields, typed: the fixpoint's output columns.
     pub fields: Vec<(String, ResolvedType)>,
     /// Columns *propagated unchanged* by the recursive side (copied from
     /// the temporary input) — the \[KL86\] `canPush` condition: a
@@ -89,7 +87,8 @@ pub(crate) fn filter_action(
     let (temp, base, rec) = fix.fix_sides().map_err(OptError::Pt)?;
 
     // Base side: selection over the base's output columns, expanded.
-    let base_sel = best_selection(model, pred.clone(), base.clone(), &info.out_cols)?;
+    let out_cols: Vec<String> = info.fields.iter().map(|(n, _)| n.clone()).collect();
+    let base_sel = best_selection(model, pred.clone(), base.clone(), &out_cols)?;
 
     // Recursive side: wrap the temporary occurrence. Re-qualify the
     // predicate to the temp leaf's columns.
@@ -149,9 +148,9 @@ pub(crate) fn push_join_action(
     // Semi-join: EJ then project back to the temporary's fields (the
     // projection deduplicates).
     let semi = Pt::proj(
-        info.out_cols
+        info.fields
             .iter()
-            .map(|c| (c.clone(), Expr::Var(c.clone())))
+            .map(|(c, _)| (c.clone(), Expr::Var(c.clone())))
             .collect(),
         Pt::ej(join_pred_over_fix_cols.clone(), base.clone(), inner.clone()),
     );

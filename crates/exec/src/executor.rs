@@ -43,8 +43,8 @@ impl Default for ExecConfig {
 }
 
 /// The durable part of an executor: the breaker temporaries it has
-/// created in its database and their registered shapes, and the buffers a
-/// run would otherwise allocate anew.
+/// created in its database, and the buffers a run would otherwise
+/// allocate anew.
 ///
 /// An [`Executor`] borrows the database mutably, so a serving session
 /// that holds a database across many queries cannot keep one executor
@@ -58,7 +58,8 @@ impl Default for ExecConfig {
 pub struct ExecState {
     /// Per-temporary: (accumulator entity, delta entity).
     pub temps: HashMap<String, (EntityId, EntityId)>,
-    /// Field shapes of temporaries (for lowering and `PtEnv` typing).
+    /// Always empty: a complete plan scopes its own temporaries. Kept
+    /// for `benchmark/src/traced.rs` until a `benchmark` change drops it.
     pub temp_fields: HashMap<String, Vec<(String, ResolvedType)>>,
     /// Pool of page-store temporaries backing materialized nested-loop
     /// inners and replayed operands, keyed by row shape.
@@ -430,7 +431,7 @@ impl<'a> Executor<'a> {
         };
         // A plan the analyzer cannot type was already vetted by the
         // verifier; bounds are simply unavailable for it.
-        let Ok(analysis) = analyzer.analyze_with_temps(pt, self.state.temp_fields.clone()) else {
+        let Ok(analysis) = analyzer.analyze(pt) else {
             return;
         };
         let (ops, fixes) = self.report().observed();
@@ -445,11 +446,7 @@ impl<'a> Executor<'a> {
     /// Lower the PT to a physical plan; in debug builds, verify the
     /// lowering with the physical-plan lint pass.
     fn lower(&self, pt: &Pt) -> Result<PhysPlan, ExecError> {
-        let env = PtEnv {
-            catalog: self.db.catalog(),
-            physical: self.db.physical(),
-            temp_fields: self.state.temp_fields.clone(),
-        };
+        let env = PtEnv::new(self.db.catalog(), self.db.physical());
         let plan = oorq_pt::lower(&env, pt).map_err(lower_err)?;
         #[cfg(debug_assertions)]
         {
@@ -465,11 +462,7 @@ impl<'a> Executor<'a> {
     /// Run the plan verifier at the executor boundary.
     #[cfg(debug_assertions)]
     fn verify(&self, pt: &Pt) -> Result<(), ExecError> {
-        let env = PtEnv {
-            catalog: self.db.catalog(),
-            physical: self.db.physical(),
-            temp_fields: self.state.temp_fields.clone(),
-        };
+        let env = PtEnv::new(self.db.catalog(), self.db.physical());
         let report = oorq_lint::verify_pt(&env, pt);
         if report.is_clean() {
             return Ok(());
@@ -479,9 +472,8 @@ impl<'a> Executor<'a> {
     }
 
     /// Create (or reuse) the accumulator/delta temporaries of every
-    /// fixpoint in the plan, and register their shapes for subsequent
-    /// lowerings; assign every materializing nested loop and replayed
-    /// operand a page-store temporary. Creation needs `&mut Database`;
+    /// fixpoint in the plan; assign every materializing nested loop and
+    /// replayed operand a page-store temporary. Creation needs `&mut Database`;
     /// the streaming pipeline itself runs over `&Database`.
     fn prepare_temps(&mut self, plan: &PhysPlan) {
         let mut fixes: Vec<(&String, &Vec<(String, ResolvedType)>)> = Vec::new();
@@ -502,9 +494,6 @@ impl<'a> Executor<'a> {
             }
         });
         for (temp, fields) in fixes {
-            if self.state.temp_fields.get(temp) != Some(fields) {
-                self.state.temp_fields.insert(temp.clone(), fields.clone());
-            }
             if !self.state.temps.contains_key(temp) {
                 let types: Vec<ResolvedType> = fields.iter().map(|(_, t)| t.clone()).collect();
                 let acc = self.db.create_temp(temp.clone(), types.clone());

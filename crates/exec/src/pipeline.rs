@@ -183,9 +183,6 @@ struct Rt<'a> {
     /// for the run.
     io: &'a Account,
     counters: &'a Counters,
-    /// The deltas their temporaries are currently bound to (a fixpoint
-    /// iteration is in flight), innermost last.
-    delta_active: RefCell<Vec<EntityId>>,
     stats: RefCell<Vec<OpStats>>,
     /// Per-fixpoint-opening delta curves, in execution order (each
     /// `FixPoint` open appends one curve keyed by its operator).
@@ -501,8 +498,8 @@ enum St<'p> {
     /// before it probes and lets go of a held inner ([`Inner::Held`]) when
     /// its outer runs out.
     Scan {
-        /// A temp scan's (accumulator, delta), if built.
-        temps: Option<(EntityId, EntityId)>,
+        /// A temp scan's delta, if built.
+        delta: Option<EntityId>,
         scan: Option<PageScan>,
     },
     /// A fixpoint: computed at `open` into the accumulator temporary — the
@@ -593,13 +590,13 @@ enum Inner {
     /// Re-open the inner subtree: a class extent, or a filter or
     /// projection over a scan, builds its rows per page either way.
     Reopen,
-    /// Walk the pages of one segment: a bare relation or temporary scan's
-    /// (charged to the scan operator, as its own passes would be), or the
-    /// page-store temporary the materialized inner was written to at
-    /// `open` (charged to the join). `seg` is taken at the first outer
-    /// row of an opening — where a temporary scan's `open` chose between
-    /// delta and accumulator — and let go of when the outer runs out, so
-    /// a fixpoint's truncate and sink still write in place; `page` is the
+    /// Walk the pages of one segment: a bare relation scan's, a
+    /// temporary scan's delta (both charged to the scan operator, as its
+    /// own passes would be), or the page-store temporary the materialized
+    /// inner was written to at `open` (charged to the join). `seg` is
+    /// taken at the first outer row of an opening, once the delta of the
+    /// pass is written, and let go of when the outer runs out, so a
+    /// fixpoint's truncate and sink still write in place; `page` is the
     /// next page of the current outer row's pass. Every pass fetches
     /// every page, so it stays budget-visible, and reads it where it lies
     /// in `seg` ([`SegmentHold::lend`]). `keys` finds a keyed outer row's
@@ -785,11 +782,11 @@ fn build<'p>(
     let downstream_touches = downstream_touches || replay.is_some();
     let st = match op {
         PhysOp::EntityScan { .. } => St::Scan {
-            temps: None,
+            delta: None,
             scan: None,
         },
         PhysOp::TempScan { name, .. } => St::Scan {
-            temps: temps.get(name).copied(),
+            delta: temps.get(name).map(|&(_, delta)| delta),
             scan: None,
         },
         PhysOp::FixPoint { temp, .. } => St::Fix {
@@ -930,12 +927,10 @@ fn mat_temp(temp: Option<EntityId>, op_id: usize) -> Result<EntityId, ExecError>
     })
 }
 
-/// The (accumulator, delta) pair `build` found for temporary `name`.
-fn built(
-    temps: Option<(EntityId, EntityId)>,
-    name: &str,
-) -> Result<(EntityId, EntityId), ExecError> {
-    temps.ok_or_else(|| ExecError::BadFixpoint(format!("temp `{name}` not built")))
+/// What `build` found for temporary `name`: a fixpoint's (accumulator,
+/// delta) pair, or a temporary scan's delta.
+fn built<T>(found: Option<T>, name: &str) -> Result<T, ExecError> {
+    found.ok_or_else(|| ExecError::BadFixpoint(format!("temp `{name}` not built")))
 }
 
 /// The rows of `from`, their columns put in the order a union or a
@@ -973,7 +968,6 @@ impl<'a> Rt<'a> {
             shared,
             io,
             counters,
-            delta_active: RefCell::new(Vec::new()),
             stats: RefCell::new(vec![unrun; ops_len]),
             fix_deltas: RefCell::new(Vec::new()),
             tables: RefCell::new(tables),
@@ -1174,17 +1168,12 @@ impl OpExec<'_> {
         Ok(more)
     }
 
-    /// The entity a leaf scan reads at this opening: a temporary scan's
-    /// delta while a fixpoint iteration over it is in flight, its
-    /// accumulator otherwise.
-    fn leaf_entity(&self, rt: &Rt<'_>) -> Result<EntityId, ExecError> {
+    /// The entity a leaf scan reads: its relation or class extent, or
+    /// its fixpoint's delta.
+    fn leaf_entity(&self) -> Result<EntityId, ExecError> {
         match (self.op, &self.st) {
             (PhysOp::EntityScan { entity, .. }, _) => Ok(*entity),
-            (PhysOp::TempScan { name, .. }, St::Scan { temps, .. }) => {
-                let (acc, delta) = built(*temps, name)?;
-                let on_delta = rt.delta_active.borrow().contains(&delta);
-                Ok(if on_delta { delta } else { acc })
-            }
+            (PhysOp::TempScan { name, .. }, St::Scan { delta, .. }) => built(*delta, name),
             _ => unreachable!("not a leaf scan"),
         }
     }
@@ -1234,7 +1223,7 @@ impl OpExec<'_> {
 
     fn open_inner(&mut self, rt: &Rt<'_>) -> Result<(), ExecError> {
         if matches!(self.op, PhysOp::EntityScan { .. } | PhysOp::TempScan { .. }) {
-            let pages = rt.db.scan_pages(self.leaf_entity(rt)?, 0..u32::MAX);
+            let pages = rt.db.scan_pages(self.leaf_entity()?, 0..u32::MAX);
             if let St::Scan { scan, .. } = &mut self.st {
                 *scan = Some(pages);
             }
@@ -1387,11 +1376,9 @@ impl OpExec<'_> {
                     }
                     pass.clear();
                     pulled.clear();
-                    rt.delta_active.borrow_mut().push(delta_e);
                     let asked = rec.swap_lent(seen);
                     let drained = rec.open(rt).and_then(|()| rec.drain_into(rt, pulled, pass));
                     rec.swap_lent(seen);
-                    rt.delta_active.borrow_mut().pop();
                     drained?;
                     rt.db.truncate_temp(rt.io, delta_e)?;
                     match perm {
@@ -1612,7 +1599,7 @@ impl OpExec<'_> {
                                 Inner::Held { seg, page, .. } => {
                                     if seg.is_none() {
                                         let entity = match scan_id {
-                                            Some(_) => right.leaf_entity(rt)?,
+                                            Some(_) => right.leaf_entity()?,
                                             None => rt.nl_mat(op.meta().id)?,
                                         };
                                         *seg = Some(rt.db.hold(entity));

@@ -88,9 +88,11 @@ pub enum LintCode {
     UnionShapeMismatch,
     /// A predicate or projection expression does not type-check against
     /// the columns actually produced below it (the graph pass reports it
-    /// too, for a conjunct that is no truth value).
+    /// too, for a conjunct that is no truth value and for a relation
+    /// arc's row used as a value).
     IllTypedPredicate,
-    /// A temporary is referenced outside any scope that defines it.
+    /// A temporary is scanned outside the recursive leg of the fixpoint
+    /// that defines it, and no enclosing context gives its shape.
     UndefinedTemp,
     /// A join produces the same column name from both sides.
     DuplicateColumn,
@@ -125,7 +127,7 @@ pub enum LintCode {
     PhysBadPerm,
     /// A physical operator names a missing or wrong-kind index.
     PhysBadIndex,
-    /// A temp scan outside any defining fixpoint scope.
+    /// A temp scan outside the recursive leg of its `FixPoint`.
     PhysUndefinedTemp,
     /// A nested loop marked rescannable over a non-rescannable inner.
     PhysBadRescan,

@@ -62,6 +62,8 @@ fn lint_spj(
     let mut bound: BTreeSet<String> = BTreeSet::new();
     // Variable → index of the arc that bound it (for the product check).
     let mut arc_of: HashMap<String, usize> = HashMap::new();
+    // The root variables of arcs over relations: rows, not values.
+    let mut rows: BTreeSet<&str> = BTreeSet::new();
 
     for (i, arc) in spj.inputs.iter().enumerate() {
         let ty = match graph.type_of(catalog, &arc.name) {
@@ -75,6 +77,9 @@ fn lint_spj(
             if let Err(e) = arc.label.validate(catalog, ty) {
                 report.push(LintCode::BadLabel, loc, format!("{e}"));
             }
+        }
+        if let (Some(v), Some(ResolvedType::Tuple(_))) = (&arc.var, &ty) {
+            rows.insert(v);
         }
         let mut arc_vars: Vec<String> = arc.var.iter().cloned().collect();
         arc_vars.extend(arc.label.vars());
@@ -131,6 +136,23 @@ fn lint_spj(
         });
     }
 
+    // A relation arc's row is read through its fields (`i.master`): a
+    // plan binds those, never the row itself, so a row used as a value —
+    // compared, or projected — could not be served (ROADMAP item 14).
+    let mut misused: BTreeSet<&str> = BTreeSet::new();
+    let exprs = std::iter::once(&spj.pred).chain(spj.out_proj.iter().map(|(_, e)| e));
+    for e in exprs {
+        bare_vars(e, &mut |v| {
+            if rows.contains(v) {
+                misused.insert(v);
+            }
+        });
+    }
+    for v in misused {
+        let msg = format!("`{v}` is a relation's row, used as a value: only its fields are");
+        report.push(LintCode::IllTypedPredicate, loc, msg);
+    }
+
     // Cartesian product: ≥2 inputs and no conjunct (nor projection
     // expression) mentions variables from two different arcs.
     if spj.inputs.len() >= 2 {
@@ -167,6 +189,22 @@ fn typed_parts<'e>(e: &'e Expr, out: &mut impl FnMut(&'e Expr)) {
         Expr::Not(e) => typed_parts(e, out),
         Expr::True | Expr::Cmp { .. } | Expr::Lit(Literal::Bool(_) | Literal::Null) => {}
         _ => out(e),
+    }
+}
+
+/// Hand `out` each variable `e` reads as a value, not as a path's base.
+fn bare_vars<'e>(e: &'e Expr, out: &mut impl FnMut(&'e str)) {
+    match e {
+        Expr::Var(v) => out(v),
+        Expr::Cmp { lhs, rhs, .. }
+        | Expr::And(lhs, rhs)
+        | Expr::Or(lhs, rhs)
+        | Expr::Add(lhs, rhs) => {
+            bare_vars(lhs, out);
+            bare_vars(rhs, out);
+        }
+        Expr::Not(e) => bare_vars(e, out),
+        Expr::True | Expr::Lit(_) | Expr::Path { .. } => {}
     }
 }
 

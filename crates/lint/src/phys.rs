@@ -7,9 +7,9 @@
 //! optimizer: operator ids dense and unique, per-operator output
 //! columns consistent with the operands, union/fixpoint permutations
 //! actually permutations of the operand columns, index kinds matching
-//! the operators that probe them, temporaries scanned only under a
-//! defining fixpoint, and nested-loop rescans only over rescannable
-//! inners.
+//! the operators that probe them, temporaries scanned only in the
+//! recursive leg of their fixpoint, and nested-loop rescans only over
+//! rescannable inners.
 
 use std::collections::BTreeSet;
 
@@ -18,9 +18,9 @@ use oorq_storage::IndexKindDesc;
 
 use crate::diag::{LintCode, LintReport};
 
-/// Verify a lowered physical plan against its environment. The
-/// environment's `temp_fields` seed the temporary scope (temporaries
-/// defined by an enclosing context).
+/// Verify a lowered physical plan against its environment's catalog and
+/// physical schema. A lowered plan is complete: each temporary is in
+/// scope only in the recursive leg of the `FixPoint` that defines it.
 pub fn verify_phys(env: &PtEnv, plan: &PhysPlan) -> LintReport {
     let mut report = LintReport::new();
 
@@ -50,8 +50,7 @@ pub fn verify_phys(env: &PtEnv, plan: &PhysPlan) -> LintReport {
         );
     }
 
-    let scope: BTreeSet<String> = env.temp_fields.keys().cloned().collect();
-    check(env, &scope, &plan.root, &mut report);
+    check(env, &BTreeSet::new(), &plan.root, &mut report);
     report
 }
 
@@ -240,9 +239,9 @@ fn check(env: &PtEnv, scope: &BTreeSet<String>, op: &PhysOp, report: &mut LintRe
             check_perm(op, perm, &expect, rec.cols(), report);
             let mut inner = scope.clone();
             inner.insert(temp.clone());
-            check(env, &inner, base, report);
+            check(env, scope, base, report);
             check(env, &inner, rec, report);
-            return; // children handled with the extended scope
+            return; // the recursive leg is checked with the extended scope
         }
     }
     for c in op.children() {

@@ -433,8 +433,10 @@ fn ill_typed_predicate() {
 
 /// The graph pass refuses a conjunct that is no truth value — here the
 /// query-text fuzz mutant whose bare `i` once reached a release plan as a
-/// selection over a column no operator produces — while conditions,
-/// `null` and their negations stay clean.
+/// selection over a column no operator produces — and a relation arc's
+/// row used as a value (compared or projected, over a recursive view or a
+/// stored relation), which translation never binds; conditions, `null`,
+/// their negations and a class arc's variable stay clean.
 #[test]
 fn a_conjunct_that_is_no_truth_value_is_refused_at_admission() {
     let (cat, _) = setup();
@@ -443,23 +445,36 @@ fn a_conjunct_that_is_no_truth_value_is_refused_at_admission() {
         q.normalize(&cat).unwrap();
         lint_graph(&cat, &q)
     };
-    let mutant = oorq_query::paper::fig3("harpsichord", 1).replace("i.gen >= 1", "i");
+    let fig3 = oorq_query::paper::fig3("harpsichord", 1);
+    let view = oorq_query::paper::INFLUENCER_VIEW;
+    let mutant = fig3.replace("i.gen >= 1", "i");
     assert!(mutant.ends_with("= \"harpsichord\" and i"), "{mutant}");
     let refused = [
-        mutant.as_str(),
-        "select [n: x.name] from x in Composer where x.name",
-        "select [n: x.name] from x in Composer where x.birth_year + 1",
-        "select [n: x.name] from x in Composer where not (x.name = \"Bach\" or 7)",
-        "select [n: x.name] from x in Composer where x",
+        mutant,
+        "select [n: x.name] from x in Composer where x.name".into(),
+        "select [n: x.name] from x in Composer where x.birth_year + 1".into(),
+        "select [n: x.name] from x in Composer where not (x.name = \"Bach\" or 7)".into(),
+        "select [n: x.name] from x in Composer where x".into(),
+        format!("{fig3} and i <> null"),
+        format!("{fig3} and i = i"),
+        format!("{fig3} and not (i = null)"),
+        format!("{fig3} and (i.gen >= 1 or i = i)"),
+        format!("{view}select [name: i.disciple.name] from i in Influencer where i <> null"),
+        format!("{view}select [x: i] from i in Influencer"),
+        "select [w: p.who.name] from p in Play where p <> null".into(),
     ];
-    for text in refused {
+    for text in &refused {
         let report = lint(text);
         assert!(report.has(LintCode::IllTypedPredicate), "{text}\n{report}");
         assert!(!report.is_clean(), "{text}");
     }
-    let clean =
-        "select [n: x.name] from x in Composer where not (x.master = null or x.name = \"Bach\")";
-    assert!(lint(clean).is_clean(), "{}", lint(clean));
+    let clean = [
+        "select [n: x.name] from x in Composer where not (x.master = null or x.name = \"Bach\")",
+        "select [n: c.name] from c in Composer where c = c",
+    ];
+    for text in clean {
+        assert!(lint(text).is_clean(), "{}", lint(text));
+    }
 }
 
 /// The alternatives of a name are the legs of one union: the graph pass
@@ -498,6 +513,22 @@ fn undefined_temporary() {
         )],
     );
     assert!(verify_pt(&env, &plan).is_clean());
+}
+
+/// A fixpoint's temporary is in scope only in its recursive leg: a scan
+/// of it after the fixpoint, beside it in a join, is undefined.
+#[test]
+fn a_temporary_scanned_after_its_fixpoint_is_undefined() {
+    let (cat, db) = setup();
+    let env = PtEnv::new(&cat, db.physical());
+    assert!(verify_pt(&env, &influencer_fix(&cat, &db)).is_clean());
+    let plan = Pt::ej(
+        Expr::var("master").eq(Expr::var("i.master")),
+        influencer_fix(&cat, &db),
+        Pt::temp("R", "i"),
+    );
+    let report = verify_pt(&env, &plan);
+    assert!(report.has(LintCode::UndefinedTemp), "{report}");
 }
 
 #[test]
@@ -641,8 +672,8 @@ fn report_renders_codes_and_severities() {
 
 // ---- physical-plan pass ---------------------------------------------
 
-/// A lowered fixpoint plan (the Influencer shape) for the phys pass.
-fn lowered_fix(cat: &Catalog, db: &Database) -> oorq_pt::PhysPlan {
+/// A fixpoint of the Influencer shape over temporary `R`.
+fn influencer_fix(cat: &Catalog, db: &Database) -> Pt {
     let composer = cat.class_by_name("Composer").unwrap();
     let e = db.physical().class_entity(composer).unwrap();
     let base = Pt::proj(
@@ -663,7 +694,12 @@ fn lowered_fix(cat: &Catalog, db: &Database) -> oorq_pt::PhysPlan {
             Pt::entity(e, "x"),
         ),
     );
-    let fix = Pt::fix("R", Pt::union(base, rec));
+    Pt::fix("R", Pt::union(base, rec))
+}
+
+/// [`influencer_fix`] lowered, for the phys pass.
+fn lowered_fix(cat: &Catalog, db: &Database) -> oorq_pt::PhysPlan {
+    let fix = influencer_fix(cat, db);
     oorq_pt::lower(&PtEnv::new(cat, db.physical()), &fix).expect("lowers")
 }
 
@@ -758,20 +794,22 @@ fn phys_undefined_temp_is_reported() {
     };
     let report = verify_phys(&env, &oorq_pt::PhysPlan { root, ops: 1 });
     assert!(report.has(LintCode::PhysUndefinedTemp), "{report}");
-    // In scope via the environment: clean.
-    let env2 = PtEnv::new(&cat, db.physical()).with_temp(
-        "Ghost",
-        vec![(
-            "g".into(),
-            oorq_schema::ResolvedType::Object(cat.class_by_name("Composer").unwrap()),
-        )],
-    );
-    let root = oorq_pt::PhysOp::TempScan {
-        meta: phys_meta(0),
-        name: "Ghost".into(),
-        cols: vec!["g".into()],
+    // In the recursive leg of its fixpoint: clean.
+    assert!(verify_phys(&env, &lowered_fix(&cat, &db)).is_clean());
+}
+
+/// A temporary is out of scope in its fixpoint's base leg: the
+/// recursive leg's scan, swapped there, is reported.
+#[test]
+fn phys_temp_scan_in_a_base_leg_is_reported() {
+    let (cat, db) = setup();
+    let mut plan = lowered_fix(&cat, &db);
+    let oorq_pt::PhysOp::FixPoint { base, rec, .. } = &mut plan.root else {
+        panic!("a fixpoint at the root")
     };
-    assert!(verify_phys(&env2, &oorq_pt::PhysPlan { root, ops: 1 }).is_clean());
+    std::mem::swap(base, rec);
+    let report = verify_phys(&PtEnv::new(&cat, db.physical()), &plan);
+    assert_eq!(report.codes(), ["PX005"].into(), "{report}");
 }
 
 #[test]

@@ -530,7 +530,9 @@ pub struct PtEnv<'a> {
     pub catalog: &'a Catalog,
     /// Physical schema.
     pub physical: &'a PhysicalSchema,
-    /// Field shapes of temporaries (by name).
+    /// Field shapes of temporaries defined outside the plan, by name: a
+    /// complete plan needs none (each fixpoint scopes its own), a
+    /// recursive leg typed before its fixpoint exists needs its own.
     pub temp_fields: HashMap<String, Vec<(String, ResolvedType)>>,
 }
 

@@ -66,8 +66,8 @@ pub enum PhysOp {
         /// Output columns.
         cols: Vec<String>,
     },
-    /// Stream a fixpoint temporary (the accumulator, or the delta while
-    /// a fixpoint iteration has the name delta-bound).
+    /// Stream the last pass's delta of the fixpoint whose recursive leg
+    /// this scan is in (the only place a temporary is in scope).
     TempScan {
         /// Operator identity.
         meta: OpMeta,
@@ -489,7 +489,7 @@ impl Lowering<'_, '_> {
 pub enum OpKind {
     /// Entity (class/relation extension) sequential scan.
     Scan,
-    /// Temporary (fixpoint accumulator/delta) scan.
+    /// Scan of a fixpoint's delta.
     TempScan,
     /// Predicate selection by scan.
     Sel,
@@ -546,7 +546,7 @@ pub enum NodeOp<'p, C = &'p Pt> {
         /// Binding variable.
         var: &'p str,
     },
-    /// Stream a fixpoint temporary.
+    /// Stream its fixpoint's delta (see [`PhysOp::TempScan`]).
     TempScan {
         /// Temporary name.
         name: &'p str,

@@ -37,12 +37,14 @@ pub struct Node<'p> {
     pub cols: Cols,
 }
 
-/// Resolve every node of `pt`, indexed by pre-order id. `temps` holds
-/// the shapes of temporaries defined outside the plan; a fixpoint's own
-/// temporary has its base leg's shape and is in scope for the recursive
-/// leg and everything walked after it (the accumulator stays
-/// materialized). All or nothing: the first failure of the walk
-/// ([`resolve_each`]) is the error.
+/// Resolve every node of `pt`, indexed by pre-order id. A fixpoint's
+/// temporary has its base leg's shape and is in scope only in that
+/// fixpoint's recursive leg, where every scan of it reads the last pass's
+/// delta; a scan anywhere else is [`PtError::UnknownTemp`]. `temps` holds
+/// the shapes of temporaries defined outside the plan: only a recursive
+/// leg costed before its fixpoint exists (the optimizer's) needs any. All
+/// or nothing: the first failure of the walk ([`resolve_each`]) is the
+/// error.
 pub fn resolve<'p>(
     catalog: &'p Catalog,
     physical: &'p PhysicalSchema,
@@ -56,7 +58,8 @@ pub fn resolve<'p>(
     Ok(walk.nodes.into_iter().map(resolved).collect())
 }
 
-/// [`resolve`]'s walk over every node of `order`, past failures: a node
+/// [`resolve`]'s walk over every node of `order`, each temporary in scope
+/// only in its fixpoint's recursive leg, carried on past failures: a node
 /// that fails holds its error, its ancestors are left unresolved
 /// (`None`), and every other subtree is still resolved — a fixpoint's
 /// recursive leg too when its base leg failed (a scan of the temporary,
@@ -86,9 +89,9 @@ struct Walk<'e, 'p> {
     physical: &'p PhysicalSchema,
     temps: &'e HashMap<String, Cols>,
     order: &'e Preorder<'p>,
-    /// Temporaries of the fixpoints entered so far, innermost last: the
-    /// name, and the base leg whose output is its shape — or that leg's
-    /// failure.
+    /// Temporaries of the fixpoints whose recursive leg is being walked,
+    /// innermost last: the name, and the base leg whose output is its
+    /// shape — or that leg's failure.
     defined: Vec<(&'p str, Result<usize, PtError>)>,
     nodes: Vec<Option<Result<Node<'p>, PtError>>>,
 }
@@ -142,6 +145,7 @@ impl<'e, 'p> Walk<'e, 'p> {
             self.defined
                 .push((temp, base_walked.clone().map(|()| base)));
             let legs = base_walked.and(self.go(rec));
+            self.defined.pop();
             legs.and_then(|()| self.op(body))
                 .and_then(|op| self.put(body, op))
         } else if let Ok(NodeOp::TempScan { name, .. }) = op {

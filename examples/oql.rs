@@ -87,13 +87,7 @@ fn main() {
             std::process::exit(1);
         }
     };
-    let env = oorq::pt::PtEnv {
-        catalog: music.db.catalog(),
-        physical: music.db.physical(),
-        temp_fields: [("Influencer".to_string(), music.influencer_fields())]
-            .into_iter()
-            .collect(),
-    };
+    let env = oorq::pt::PtEnv::new(music.db.catalog(), music.db.physical());
     println!(
         "chosen plan (estimated {:.0}):",
         plan.cost.total(&CostParams::default())

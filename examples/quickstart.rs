@@ -80,13 +80,7 @@ fn main() {
         "\nchosen plan (estimated cost {:.0} io + {:.0} cpu):",
         plan.cost.cost.io, plan.cost.cost.cpu
     );
-    let env = oorq::pt::PtEnv {
-        catalog: music.db.catalog(),
-        physical: music.db.physical(),
-        temp_fields: [("Influencer".to_string(), music.influencer_fields())]
-            .into_iter()
-            .collect(),
-    };
+    let env = oorq::pt::PtEnv::new(music.db.catalog(), music.db.physical());
     println!("  {}", plan.pt.display(&env));
     println!(
         "\noptimization trace (the paper's Figure 6):\n{}",

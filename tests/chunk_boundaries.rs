@@ -50,7 +50,7 @@ fn check(entry: &str, build: impl Fn(WidthModel) -> Scenario) {
         let q = query(&fixtures[DEFAULT]);
         // One plan for all three: costs depend on page counts, so
         // planning per fixture would compare different plans.
-        let (optimized, _) = fixtures[DEFAULT]
+        let optimized = fixtures[DEFAULT]
             .plan(&q, strategy(), &Knobs::default())
             .unwrap_or_else(|e| panic!("{name}: {e}"));
         let s = &fixtures[DEFAULT];

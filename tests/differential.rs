@@ -16,7 +16,7 @@ use oorq::optimizer::OptimizerConfig;
 use oorq::pt::{AccessMethod, Pt};
 use oorq::query::{Expr, NameRef, QArc, QueryGraph, SpjNode};
 use oorq::storage::IndexKindDesc;
-use oorq_bench::scenarios::{env_budget, for_each_row, TempFields};
+use oorq_bench::scenarios::{env_budget, for_each_row};
 use oorq_bench::{Knobs, Scenario};
 
 /// The knobs of every streaming run: the breaker memory budget (pages)
@@ -323,14 +323,12 @@ fn chain_scenario_differential_across_seeds() {
 /// what every node is: each executed operator carries the label of its
 /// node's cost line (the cost line of a `Fix` appends ` x<iterations>`),
 /// and the analyzer marks as lowered exactly the nodes that executed.
-fn assert_one_operator_per_node(label: &str, s: &mut Scenario, pt: &Pt, temps: TempFields) {
+fn assert_one_operator_per_node(label: &str, s: &mut Scenario, pt: &Pt) {
     let cost = s
-        .model(CostParams::default(), temps.clone())
+        .model(CostParams::default())
         .cost(pt)
         .unwrap_or_else(|e| panic!("{label}: {e}"));
-    let analysis = s
-        .analyze(pt, temps)
-        .unwrap_or_else(|e| panic!("{label}: {e}"));
+    let analysis = s.analyze(pt).unwrap_or_else(|e| panic!("{label}: {e}"));
     let (_, report, _) = s
         .execute(pt, &knobs())
         .unwrap_or_else(|e| panic!("{label}: {e}"));
@@ -371,8 +369,8 @@ fn predicted_bounded_and_executed_operators_agree() {
     for_each_row(
         |_, _| true,
         |name, s, q, config| {
-            let (plan, temps) = s.plan(q, config, &knobs())?;
-            assert_one_operator_per_node(name, s, &plan.pt, temps);
+            let plan = s.plan(q, config, &knobs())?;
+            assert_one_operator_per_node(name, s, &plan.pt);
             rows += 1;
             Ok::<(), String>(())
         },
@@ -399,7 +397,7 @@ fn predicted_bounded_and_executed_operators_agree() {
         method: AccessMethod::Index(by_name),
         input: Box::new(Pt::entity(e, "x")),
     };
-    let env = s.env(TempFields::new());
+    let env = s.env();
     let report = oorq::lint::verify_pt(&env, &sel);
     assert_eq!(report.codes().into_iter().collect::<Vec<_>>(), ["PT005"]);
     let lowered = oorq::pt::lower(&env, &sel);

@@ -11,7 +11,7 @@ use oorq::pt::Pt;
 use oorq::query::Expr;
 use oorq::storage::DbStats;
 use oorq_analysis::{check_observed, Analysis, Analyzer, ObservedFix, ObservedOp};
-use oorq_bench::scenarios::{fig7_config, TempFields};
+use oorq_bench::scenarios::fig7_config;
 use oorq_bench::{Knobs, Scenario};
 use oorq_lint::LintCode;
 
@@ -19,16 +19,14 @@ use oorq_lint::LintCode;
 /// chosen plan — the shared fixture for the observed-counter checks.
 fn fig3_analysis() -> Analysis {
     let setup = Scenario::music(fig7_config());
-    let (opt, _) = setup
+    let opt = setup
         .plan(
             &setup.fig3(),
             OptimizerConfig::never_push(),
             &Knobs::default(),
         )
         .expect("fig3 optimizes");
-    setup
-        .analyze(&opt.pt, TempFields::new())
-        .expect("fig3 plan analyzes")
+    setup.analyze(&opt.pt).expect("fig3 plan analyzes")
 }
 
 /// The single atomic entity implementing the Composer extension.
@@ -151,9 +149,7 @@ fn object_only_fixpoint_has_finite_pass_bound() {
         Pt::temp("t", "d"),
     );
     let plan = Pt::fix("t", Pt::union(base, rec));
-    let analysis = setup
-        .analyze(&plan, TempFields::new())
-        .expect("object-chain fix analyzes");
+    let analysis = setup.analyze(&plan).expect("object-chain fix analyzes");
     assert!(
         !analysis.report.has(LintCode::FixKeySpaceUnbounded),
         "{}",
@@ -263,7 +259,7 @@ fn default_and_paper_models_give_finite_non_negative_estimates() {
     );
     let sane = |x: f64| x.is_finite() && x >= 0.0;
     for params in [CostParams::default(), CostParams::paper_mode()] {
-        let model = setup.model(params, TempFields::new());
+        let model = setup.model(params);
         let pc = model.cost(&plan).expect("a selection over an extension");
         assert!(sane(pc.rows) && sane(pc.cost.io) && sane(pc.cost.cpu));
         for line in &pc.breakdown {

@@ -49,11 +49,11 @@ fn check_closure(
     config: OptimizerConfig,
     cheapest: bool,
 ) -> usize {
-    let (plan, temps) = s
+    let plan = s
         .plan(q, config, &Knobs::default())
         .unwrap_or_else(|e| panic!("{label}: {e}"));
-    let model = s.model(CostParams::default(), temps.clone());
-    let env = s.env(temps.clone());
+    let model = s.model(CostParams::default());
+    let env = s.env();
     let closure = neighbour_closure(&model, &plan.pt);
     let label = |i: usize| format!("{label}, plan {i} of {}", closure.len());
     // What a plan is before it runs: its lint, columns, cost and bounds.
@@ -67,7 +67,7 @@ fn check_closure(
             let columns = columns.unwrap_or_else(|e| panic!("{}: {e}", label(i)));
             let cost = model.cost(pt);
             let cost = cost.unwrap_or_else(|e| panic!("{}: {e}", label(i)));
-            let analysis = s.analyze(pt, temps.clone());
+            let analysis = s.analyze(pt);
             let analysis = analysis.unwrap_or_else(|e| panic!("{}: {e}", label(i)));
             (columns, cost.total(&model.params), analysis)
         })

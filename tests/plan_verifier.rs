@@ -4,6 +4,8 @@
 //! temporary is blamed where it is read, and an entity id outside the
 //! physical schema is an error every pass returns rather than a panic.
 
+use std::collections::HashMap;
+
 use oorq::analysis::Analyzer;
 use oorq::cost::CostParams;
 use oorq::datagen::ChainConfig;
@@ -12,7 +14,6 @@ use oorq::lint::{verify_pt, LintCode};
 use oorq::pt::{lower, resolve, Pt};
 use oorq::query::{Expr, NameRef, QArc, QueryGraph, SpjNode};
 use oorq::storage::EntityId;
-use oorq_bench::scenarios::TempFields;
 use oorq_bench::{Knobs, Scenario};
 
 fn chain() -> Scenario {
@@ -40,7 +41,7 @@ fn copy_fix(s: &Scenario, a: &str, b: &str) -> Pt {
 fn a_fixpoint_over_qualified_columns_verifies_and_runs() {
     let mut s = chain();
     let pt = copy_fix(&s, "t.e.a", "t.e.b");
-    let report = verify_pt(&s.env(TempFields::new()), &pt);
+    let report = verify_pt(&s.env(), &pt);
     assert!(report.is_clean(), "{}", report.render());
     let (answer, _, _) = s
         .execute(&pt, &Knobs::default())
@@ -72,7 +73,7 @@ fn a_fixpoint_over_qualified_columns_verifies_and_runs() {
 fn a_misread_temporary_is_blamed_where_it_is_read() {
     let s = chain();
     let pt = copy_fix(&s, "t.a", "t.b");
-    let report = verify_pt(&s.env(TempFields::new()), &pt);
+    let report = verify_pt(&s.env(), &pt);
     assert!(!report.is_clean());
     for d in &report.diagnostics {
         assert_eq!(
@@ -89,14 +90,14 @@ fn an_unknown_entity_is_an_error_of_every_pass() {
     let s = chain();
     let pt = Pt::entity(EntityId(9999), "x");
     let (catalog, physical) = (s.db.catalog(), s.db.physical());
-    assert!(resolve(catalog, physical, &TempFields::new(), &pt).is_err());
-    assert!(lower(&s.env(TempFields::new()), &pt).is_err());
-    let model = s.model(CostParams::default(), TempFields::new());
+    assert!(resolve(catalog, physical, &HashMap::new(), &pt).is_err());
+    assert!(lower(&s.env(), &pt).is_err());
+    let model = s.model(CostParams::default());
     assert!(model.cost(&pt).is_err());
     let analyzer = Analyzer::new(catalog, physical, &s.stats);
     assert!(analyzer.analyze(&pt).is_err());
 
-    let report = verify_pt(&s.env(TempFields::new()), &pt);
+    let report = verify_pt(&s.env(), &pt);
     let found: Vec<_> = report
         .diagnostics
         .iter()

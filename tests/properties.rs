@@ -135,7 +135,7 @@ fn cost_is_sane_and_monotone() {
         let q = influenced(small.db.catalog(), 2, "harpsichord");
         let mut totals = Vec::new();
         for m in [&small, &large] {
-            let (plan, _) = m
+            let plan = m
                 .plan(&q, OptimizerConfig::never_push(), &Knobs::default())
                 .unwrap();
             let t = plan.cost.total(&CostParams::default());

@@ -111,11 +111,11 @@ fn mutate(rng: &mut Prng, tokens: &[&str], text: &str) -> String {
 /// when the graph does not optimize), or the first unclean report.
 fn lint_closure(planner: &Scenario, graph: &QueryGraph) -> Result<usize, String> {
     let strategy = ServerConfig::default().optimizer;
-    let Ok((plan, temps)) = planner.plan(graph, strategy, &Knobs::default()) else {
+    let Ok(plan) = planner.plan(graph, strategy, &Knobs::default()) else {
         return Ok(0);
     };
-    let env = planner.env(temps.clone());
-    let closure = neighbour_closure(&planner.model(CostParams::default(), temps), &plan.pt);
+    let env = planner.env();
+    let closure = neighbour_closure(&planner.model(CostParams::default()), &plan.pt);
     for pt in &closure {
         let report = verify_pt(&env, pt);
         if !report.is_clean() {

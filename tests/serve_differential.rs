@@ -15,6 +15,7 @@ use oorq::datagen::{
 use oorq::exec::{eval_query_graph, ExecConfig, MethodRegistry};
 use oorq::index::IndexSet;
 use oorq::optimizer::{OptError, OptimizerConfig};
+use oorq::query::paper::{fig3, INFLUENCER_VIEW};
 use oorq::query::{parse_query, QueryGraph};
 use oorq::serve::{CacheOutcome, ServeError, Server, ServerConfig};
 use oorq::storage::{DbStats, Value};
@@ -268,7 +269,13 @@ fn closure_reference(text: &str, nodes: u32) -> Vec<String> {
 /// Serve `text` over a `nodes`-node chain and expect the optimizer to
 /// refuse it with a lint error naming `code`.
 fn assert_refused(text: &str, nodes: u32, code: &str) {
-    match closure_server(nodes).session().execute_text(text) {
+    assert_served_refused(&closure_server(nodes), text, code);
+}
+
+/// Serve `text` and expect the optimizer to refuse it with a lint error
+/// naming `code`.
+fn assert_served_refused(server: &Server, text: &str, code: &str) {
+    match server.session().execute_text(text) {
         Err(ServeError::Optimize(OptError::Lint { errors, .. })) => {
             assert!(errors.contains(code), "{code} expected:\n{errors}")
         }
@@ -293,6 +300,34 @@ fn recursion_without_a_base_case_is_the_same_lint_error_in_every_build() {
 #[test]
 fn a_conjunct_that_is_no_truth_value_is_the_same_lint_error_in_every_build() {
     assert_refused(PATH_AND_BARE_ROW, 4, "PT008");
+}
+
+/// A relation arc's row used as a value: the reference answers each text,
+/// but a plan binds a relation's fields, never its row, so every build
+/// refuses it at admission rather than failing at execution.
+#[test]
+fn a_relations_row_used_as_a_value_is_the_same_lint_error_in_every_build() {
+    let s = Scenario::music(MusicConfig {
+        chains: 2,
+        chain_len: 4,
+        ..MusicConfig::default()
+    });
+    let server = Server::new(s.db, s.idx, s.methods, config());
+    let fig3 = fig3("harpsichord", 1);
+    let texts = [
+        format!("{fig3} and i <> null"),
+        format!("{fig3} and i = i"),
+        format!("{fig3} and not (i = null)"),
+        format!("{fig3} and (i.gen >= 1 or i = i)"),
+        format!(
+            "{INFLUENCER_VIEW}select [name: i.disciple.name] from i in Influencer where i <> null"
+        ),
+        format!("{INFLUENCER_VIEW}select [x: i] from i in Influencer"),
+        "select [w: p.who.name] from p in Play where p <> null".to_string(),
+    ];
+    for text in &texts {
+        assert_served_refused(&server, text, "PT008");
+    }
 }
 
 #[test]
