@@ -24,7 +24,16 @@ fn model<'a>(m: &'a MusicDb, stats: &'a DbStats) -> CostModel<'a> {
         stats,
         CostParams::default(),
     )
-    .with_temp("Influencer", m.influencer_fields())
+    .with_temp("Influencer", influencer_fields(m))
+}
+
+/// Shape of the `Influencer` temporary: the view's declared fields.
+pub(crate) fn influencer_fields(m: &MusicDb) -> Vec<(String, oorq_schema::ResolvedType)> {
+    let catalog = m.db.catalog();
+    let view = catalog
+        .relation_by_name("Influencer")
+        .expect("music schema");
+    catalog.relation(view).fields.clone()
 }
 
 #[test]

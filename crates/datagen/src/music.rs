@@ -9,7 +9,7 @@
 use std::sync::Arc;
 
 use oorq_prng::Prng;
-use oorq_schema::{AttrId, Catalog, ClassId, ViewKind};
+use oorq_schema::{AttrId, Catalog, ClassId};
 use oorq_storage::{Database, Oid, StorageConfig, Value, WidthModel};
 
 /// Configuration of the music database generator.
@@ -238,23 +238,8 @@ impl MusicDb {
         }
     }
 
-    /// The relation id of the `Influencer` view declaration.
-    pub fn influencer(&self) -> oorq_schema::RelationId {
-        self.db
-            .catalog()
-            .relation_by_name("Influencer")
-            .expect("music schema")
-    }
-
     /// Total number of composers.
     pub fn composer_count(&self) -> u32 {
         self.db.object_count(self.composer)
-    }
-
-    /// Shape of the `Influencer` temporary (its relation fields).
-    pub fn influencer_fields(&self) -> Vec<(String, oorq_schema::ResolvedType)> {
-        let rel = self.influencer();
-        debug_assert_eq!(self.db.catalog().relation(rel).kind, ViewKind::View);
-        self.db.catalog().relation(rel).fields.clone()
     }
 }
