@@ -35,7 +35,7 @@ if grep -nF -e 'output_columns(' -e "rsplit('.')" $(nontest crates/lint/src); th
     exit 1
 fi
 
-echo "== what no workload runs stays deleted (a thread or an Exchange/Merge operator in the engine; FragmentSpec, ClassLayout or decompose_vertical/decompose_horizontal; IndexJoin, EjIdx, applicable_join_indexes or EJ^idx, or require_index; CostWeights, FixProfile(s), CostParams::calibrated, parse_snapshot, lint_fix_drift, lint_spill_drift or lint_breaker_budget, in non-test src, crates/*/src or examples, or a crates/cost/*.toml snapshot; equivalent_toggle, proven_worse, PrunedProven or subtree_cost there; CostFeatures there, or deltas or fn mass in non-test crates/cost/src; a walk candidate rejected by the verifier in non-test crates/core/src; delta_active in non-test crates/exec/src, a read of temp_fields in crates/lint/src/phys.rs, or TempFields in non-test crates/bench/src, fails) =="
+echo "== what no workload runs stays deleted (a thread or an Exchange/Merge operator in the engine; FragmentSpec, ClassLayout or decompose_vertical/decompose_horizontal; IndexJoin, EjIdx, applicable_join_indexes or EJ^idx, or require_index; CostWeights, FixProfile(s), CostParams::calibrated, parse_snapshot, lint_fix_drift, lint_spill_drift or lint_breaker_budget, in non-test src, crates/*/src or examples, or a crates/cost/*.toml snapshot; equivalent_toggle, proven_worse, PrunedProven or subtree_cost there; CostFeatures there, or deltas or fn mass in non-test crates/cost/src; a walk candidate rejected by the verifier in non-test crates/core/src; delta_active in non-test crates/exec/src, a read of temp_fields in crates/lint/src/phys.rs, or TempFields in non-test crates/bench/src; temp_rows_hint or hint_temp_rows in non-test crates/*/src, or with_temp in non-test crates/{pt,core,lint,bench}/src, src or examples, fails) =="
 if grep -nE 'thread::(scope|spawn)' $(nontest crates/exec/src) ||
     grep -nwE 'Exchange|Merge' $(nontest crates/pt/src crates/exec/src); then
     echo "intra-query parallelism was removed because no workload ran it (CHANGES.md, PR 28): bring it back" \
@@ -87,6 +87,13 @@ if grep -nw 'delta_active' $(nontest crates/exec/src) ||
         "last pass's delta (oorq_pt::resolve states it once): the executor's run-time delta binding, the" \
         "environment-seeded PX005 scope and the bench crate's temporary-shape tables were removed because no" \
         "complete plan needs them (ROADMAP item 13a)" >&2
+    exit 1
+fi
+if grep -nwE 'temp_rows_hint|hint_temp_rows' $(nontest crates/*/src) ||
+    grep -nw 'with_temp' $(nontest crates/pt/src crates/core/src crates/lint/src crates/bench/src src examples); then
+    echo "a recursive leg is planned against its own fixpoint's open temporary (CostModel::open_temp, set by" \
+        "plan_fix only while it plans that leg): the optimizer's query-wide temporary registry was removed" \
+        "because it let a plan price a scan of a temporary outside its fixpoint (ROADMAP item 19)" >&2
     exit 1
 fi
 

@@ -202,22 +202,19 @@ impl<'a> Analyzer<'a> {
         }
     }
 
-    /// Analyze a plan with no pre-registered temporaries.
-    pub fn analyze(&self, pt: &Pt) -> Result<Analysis, PtError> {
-        self.analyze_with_temps(pt, HashMap::new())
-    }
-
-    /// Analyze a plan; `temp_fields` pre-registers the shapes of
-    /// temporaries defined outside the plan (their cardinalities are
-    /// unknown, so their bounds are top). A complete plan defines its own
-    /// ([`Analyzer::analyze`]); kept for `benchmark/src/traced.rs` until a
-    /// `benchmark` change drops it.
+    /// Kept for `benchmark/src/traced.rs` until a `benchmark` change drops
+    /// it (it passes an always-empty map): [`Analyzer::analyze`].
     pub fn analyze_with_temps(
         &self,
         pt: &Pt,
-        temp_fields: HashMap<String, Vec<(String, ResolvedType)>>,
+        _temp_fields: HashMap<String, Vec<(String, ResolvedType)>>,
     ) -> Result<Analysis, PtError> {
-        let plan = resolve(self.catalog, self.physical, &temp_fields, pt)?;
+        self.analyze(pt)
+    }
+
+    /// Analyze a plan. Each fixpoint scopes its own temporary.
+    pub fn analyze(&self, pt: &Pt) -> Result<Analysis, PtError> {
+        let plan = resolve(self.catalog, self.physical, None, pt)?;
         let mut walk = Walk {
             az: self,
             plan: &plan,

@@ -7,28 +7,29 @@
 //! holds every consumer of `oorq_pt::resolve` (the cost model, the
 //! analyzer, lowering, the plan lint's `resolve_each`), the positional
 //! helpers (`node_ids`, `subtrees`, `fix_recursive_nodes`) and
-//! `Pt::output_columns` to one numbering and one shape, over every plan
-//! the randomized walk can reach from every corpus row's plan under
-//! three strategies and over the plan-mutation fuzzer's mutants.
+//! `Pt::output_columns` / `CostModel::resolve` to one numbering and one
+//! shape, over every plan the randomized walk can reach from every corpus
+//! row's plan under three strategies and over the plan-mutation fuzzer's
+//! mutants.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 
 use oorq_bench::fuzz::{for_each_mutant, SMOKE_SEED};
 use oorq_bench::scenarios::{for_each_row, neighbour_closure, Scenario};
 use oorq_core::{Optimizer, OptimizerConfig};
-use oorq_cost::CostParams;
+use oorq_cost::{CostParams, OpenTemp};
 use oorq_lint::verify_pt;
 use oorq_pt::{fix_recursive_nodes, lower, node_ids, resolve, resolve_each, subtrees, NodeOp, Pt};
 use oorq_query::Expr;
 
 /// Check one plan; returns how many lowered operators it compared.
 fn check(name: &str, s: &Scenario, pt: &Pt) -> usize {
-    let (catalog, physical, none) = (s.db.catalog(), s.db.physical(), &HashMap::new());
-    let plan = resolve(catalog, physical, none, pt).unwrap_or_else(|e| panic!("{name}: {e}"));
+    let (catalog, physical) = (s.db.catalog(), s.db.physical());
+    let plan = resolve(catalog, physical, None, pt).unwrap_or_else(|e| panic!("{name}: {e}"));
     let order = pt.preorder();
     assert_eq!((plan.len(), order.len()), (pt.size(), pt.size()), "{name}");
     // The walk the plan lint reads, past failures, is the same walk.
-    let each = resolve_each(catalog, physical, none, &order);
+    let each = resolve_each(catalog, physical, None, &order);
     let each: Vec<_> = each.into_iter().map(|n| n.and_then(Result::ok)).collect();
     assert!(
         each.into_iter().eq(plan.iter().cloned().map(Some)),
@@ -41,6 +42,8 @@ fn check(name: &str, s: &Scenario, pt: &Pt) -> usize {
     let ids = node_ids(pt);
     let listed = subtrees(pt);
     let mut recursive = HashSet::new();
+    // Per node, the innermost fixpoint whose recursive leg holds it.
+    let mut leg_of = vec![None; plan.len()];
     for (id, node) in plan.iter().enumerate() {
         assert_eq!(ids[&(order.pt(id) as *const Pt)], id, "{name}: node_ids");
         assert!(std::ptr::eq(listed[id].1, order.pt(id)), "{name}: subtrees");
@@ -51,6 +54,7 @@ fn check(name: &str, s: &Scenario, pt: &Pt) -> usize {
         {
             recursive.insert(id);
             recursive.extend(rec..rec + plan[rec].size);
+            leg_of[rec..rec + plan[rec].size].fill(Some((temp, base)));
             // A fixpoint hands up its base leg's output.
             assert_eq!(node.cols, plan[base].cols, "{name}: Fix({temp})");
         }
@@ -96,16 +100,11 @@ fn check(name: &str, s: &Scenario, pt: &Pt) -> usize {
     }
 
     // Lowering: every operator names a node the analyzer bounded as
-    // lowered, under the same label and with
-    // the columns `Pt::output_columns` gives for that node — asked with
-    // every fixpoint's temporary registered, so a recursive leg types on
-    // its own.
-    let mut env = s.env();
-    for node in &plan {
-        if let NodeOp::FixPoint { temp, .. } = node.op {
-            env.temp_fields.insert(temp.to_string(), node.cols.clone());
-        }
-    }
+    // lowered, under the same label and with the columns the node hands
+    // up resolved on its own: `Pt::output_columns`, or inside a recursive
+    // leg `CostModel::resolve` with the fixpoint's temporary open, as the
+    // optimizer plans the leg.
+    let env = s.env();
     let phys = lower(&env, pt).unwrap_or_else(|e| panic!("{name}: {e}"));
     let mut named = HashSet::new();
     let mut lowered = 0;
@@ -114,7 +113,20 @@ fn check(name: &str, s: &Scenario, pt: &Pt) -> usize {
         named.insert(id);
         assert_eq!(&analysis.nodes[id].label, label, "{name}: node {id}");
         assert!(costed.contains(&id), "{name}: {label} has no cost line");
-        let handed_up = order.pt(id).output_columns(&env);
+        let handed_up = match leg_of[id] {
+            None => order.pt(id).output_columns(&env),
+            Some((temp, base)) => {
+                let mut model = s.model(CostParams::default());
+                model.open_temp = Some(OpenTemp {
+                    name: temp.to_string(),
+                    cols: plan[base].cols.clone(),
+                    delta: 0.0,
+                });
+                model
+                    .resolve(order.pt(id))
+                    .map(|mut n| n.swap_remove(0).cols)
+            }
+        };
         let handed_up = handed_up.unwrap_or_else(|e| panic!("{name}: {label}: {e}"));
         assert_eq!(handed_up, plan[id].cols, "{name}: {label}");
         let names: Vec<&String> = handed_up.iter().map(|(n, _)| n).collect();
@@ -148,23 +160,11 @@ fn every_pass_numbers_and_shapes_the_corpus_plans_alike() {
                 OptimizerConfig::cost_controlled(),
                 OptimizerConfig::exhaustive(),
             ] {
-                // The optimizer registers each fixpoint's temporary with
-                // the shape `resolve` gives its base leg.
+                // A fixpoint's temporary is open only while its
+                // recursive leg is planned: none outlives `optimize`.
                 let mut opt = Optimizer::new(s.model(CostParams::default()), config);
                 let plan = opt.optimize(q).map_err(|e| format!("{name}: {e}"))?;
-                let none = &HashMap::new();
-                let resolved = resolve(s.db.catalog(), s.db.physical(), none, &plan.pt)
-                    .map_err(|e| format!("{name}: {e}"))?;
-                for node in &resolved {
-                    if let NodeOp::FixPoint { temp, base, .. } = node.op {
-                        let registered = opt.model.temp_fields.get(temp);
-                        assert_eq!(
-                            registered,
-                            Some(&resolved[base].cols),
-                            "{name}: temporary {temp}"
-                        );
-                    }
-                }
+                assert_eq!(opt.model.open_temp, None, "{name}");
                 // Every plan the walk can reach, the chosen one first.
                 let model = s.model(CostParams::default());
                 for pt in neighbour_closure(&model, &plan.pt) {
@@ -193,7 +193,7 @@ fn every_pass_numbers_and_shapes_the_fuzzers_mutants_alike() {
     for_each_mutant(150, SMOKE_SEED, |s, m| {
         let name = format!("mutant {} (kind {} at {})", m.iteration, m.kind, m.target);
         // A mutant the walk rejects is rejected by every pass built on it.
-        if resolve(s.db.catalog(), s.db.physical(), &HashMap::new(), &m.pt).is_err() {
+        if resolve(s.db.catalog(), s.db.physical(), None, &m.pt).is_err() {
             assert!(s.analyze(&m.pt).is_err(), "{name}");
             assert!(!verify_pt(&s.env(), &m.pt).is_clean(), "{name}");
             assert!(lower(&s.env(), &m.pt).is_err(), "{name}");

@@ -18,8 +18,8 @@
 
 use std::collections::HashMap;
 
-use oorq_cost::{CostModel, PlanCost};
-use oorq_pt::{propagated_columns, ParallelSpec, Pt};
+use oorq_cost::{CostModel, OpenTemp, PlanCost};
+use oorq_pt::{propagated_columns, ParallelSpec, Pt, PtEnv};
 use oorq_query::{Expr, GraphTerm, NameRef, QArc, QueryGraph, SpjNode, TreeLabel};
 use oorq_schema::{ResolvedType, ViewKind};
 
@@ -121,11 +121,16 @@ type PluggedOverrides = HashMap<usize, (Pt, Vec<(String, ResolvedType)>)>;
 struct Planned {
     pt: Pt,
     out_cols: Vec<(String, ResolvedType)>,
+    /// For a fixpoint: the temporary its recursive leg was planned
+    /// against, which a selection pushed into that leg is planned against
+    /// too.
+    open: Option<OpenTemp>,
 }
 
 /// The cost-controlled optimizer.
 pub struct Optimizer<'a> {
-    /// The cost model (owned so temp shapes can be registered).
+    /// The cost model (owned so a fixpoint's temporary can be opened on
+    /// it while the fixpoint's recursive leg is planned).
     pub model: CostModel<'a>,
     /// Configuration.
     pub config: OptimizerConfig,
@@ -276,23 +281,14 @@ impl<'a> Optimizer<'a> {
         })
     }
 
-    /// The environment the lint passes see: the model's catalog,
-    /// physical schema and currently registered temporaries.
-    fn lint_env(&self) -> oorq_pt::PtEnv<'a> {
-        oorq_pt::PtEnv {
-            catalog: self.model.catalog,
-            physical: self.model.physical,
-            temp_fields: self.model.temp_fields.clone(),
-        }
-    }
-
     /// Run the plan verifier on an intermediate PT (in debug builds):
     /// errors abort the optimization and are recorded in the trace.
     fn verify_stage(&mut self, pt: &Pt, stage: &str) -> Result<(), OptError> {
         if !cfg!(debug_assertions) {
             return Ok(());
         }
-        let report = oorq_lint::verify_pt(&self.lint_env(), pt);
+        let env = PtEnv::new(self.model.catalog, self.model.physical);
+        let report = oorq_lint::verify_pt(&env, pt);
         oorq_lint::record_report(&self.sink.obs, stage, &report);
         if report.is_clean() {
             return Ok(());
@@ -358,7 +354,8 @@ impl<'a> Optimizer<'a> {
         match term {
             GraphTerm::Spj(spj) => {
                 let (pt, out_cols, _) = self.plan_spj(g, spj, None, planned, None)?;
-                Ok(Planned { pt, out_cols })
+                let open = None;
+                Ok(Planned { pt, out_cols, open })
             }
             GraphTerm::Union(l, r) => {
                 let lp = self.plan_term(g, l, planned)?;
@@ -366,6 +363,7 @@ impl<'a> Optimizer<'a> {
                 Ok(Planned {
                     pt: Pt::union(lp.pt, rp.pt),
                     out_cols: lp.out_cols,
+                    open: None,
                 })
             }
             GraphTerm::Fix(fname, body) => self.plan_fix(g, fname, body, planned),
@@ -401,39 +399,44 @@ impl<'a> Optimizer<'a> {
             return Err(OptError::Unplannable("nested non-spj fix recursion".into()));
         };
 
-        // Plan the base: the temporary, named after the view/derived
-        // name, has what the resolved base leg hands up — the shape
-        // `resolve` gives the fixpoint, so the recursive leg is translated
-        // and costed against the typing the executor uses. Then model the
-        // fixpoint's per-iteration delta curve, and plan the recursive
-        // side with the curve's delta as the temp's cardinality hint.
+        // Plan the base, then model the fixpoint's per-iteration delta
+        // curve. The temporary, named after the view/derived name, is
+        // open while the recursive side is planned: it has what the
+        // resolved base leg hands up — the shape `resolve` gives it inside
+        // the fixpoint — and the curve's delta as its rows.
         let temp = format!("{}", fname.display(catalog));
         let (base_pt, _, _) = self.plan_spj(g, base_spj, None, planned, None)?;
-        let base_cols = base_pt.output_columns(&self.lint_env())?;
-        self.model
-            .temp_fields
-            .insert(temp.clone(), base_cols.clone());
+        let base_cols = base_pt.output_columns(&PtEnv::new(catalog, self.model.physical))?;
         let base_rows = self.model.cost(&base_pt)?.rows;
         let curve = self.model.fix_delta_curve(&temp, base_rows);
         self.sink.fix_curve(&curve);
-        self.model.hint_temp_rows(temp.clone(), curve.delta);
-        let (rec_pt, _, _) = self.plan_spj(g, rec_spj, Some((fname, &temp)), planned, None)?;
+        let open = OpenTemp {
+            name: temp.clone(),
+            cols: base_cols.clone(),
+            delta: curve.delta,
+        };
+        let outer = self.model.open_temp.replace(open.clone());
+        let rec = self.plan_spj(g, rec_spj, Some(fname), planned, None);
+        self.model.open_temp = outer;
+        let (rec_pt, _, _) = rec?;
 
         Ok(Planned {
             pt: Pt::fix(temp, Pt::union(base_pt, rec_pt)),
             out_cols: base_cols,
+            open: Some(open),
         })
     }
 
     /// Plan one predicate node. `self_fix` marks the name whose arcs are
-    /// the recursive occurrence (bound to the temporary). `pred_override`
-    /// replaces the node's predicate (used by the push replanning).
+    /// the recursive occurrence (bound to the model's open temporary).
+    /// `pred_override` replaces the node's predicate (used by the push
+    /// replanning).
     #[allow(clippy::type_complexity)]
     fn plan_spj(
         &mut self,
         g: &QueryGraph,
         spj: &SpjNode,
-        self_fix: Option<(&NameRef, &str)>,
+        self_fix: Option<&NameRef>,
         planned: &HashMap<NameRef, Planned>,
         pred_override: Option<(&Expr, &PluggedOverrides)>,
     ) -> Result<(Pt, Vec<(String, ResolvedType)>, f64), OptError> {
@@ -638,7 +641,7 @@ impl<'a> Optimizer<'a> {
     fn base_plan(
         &mut self,
         arc: &QArc,
-        self_fix: Option<(&NameRef, &str)>,
+        self_fix: Option<&NameRef>,
         planned: &HashMap<NameRef, Planned>,
         pred_override: Option<(&Expr, &PluggedOverrides)>,
         arc_index: usize,
@@ -650,15 +653,9 @@ impl<'a> Optimizer<'a> {
                 return Ok(BasePlan::Plugged(pt.clone(), cols.clone()));
             }
         }
-        if let Some((fix_name, temp)) = self_fix {
-            if arc.name == *fix_name {
-                let fields = self
-                    .model
-                    .temp_fields
-                    .get(temp)
-                    .cloned()
-                    .unwrap_or_default();
-                return Ok(BasePlan::Temp(temp.to_string(), fields));
+        if let Some(open) = self.model.open_temp.as_ref() {
+            if self_fix == Some(&arc.name) {
+                return Ok(BasePlan::Temp(open.name.clone(), open.cols.clone()));
             }
         }
         match &arc.name {
@@ -690,15 +687,15 @@ impl<'a> Optimizer<'a> {
         &mut self,
         g: &QueryGraph,
         spj: &SpjNode,
-        self_fix: Option<(&NameRef, &str)>,
+        self_fix: Option<&NameRef>,
         planned: &HashMap<NameRef, Planned>,
     ) -> Result<Option<(Pt, Vec<(String, ResolvedType)>, f64)>, OptError> {
         // Find a fix-backed arc.
         let fix_arc = spj.inputs.iter().enumerate().find_map(|(i, arc)| {
             let p = planned.get(&arc.name)?;
-            matches!(p.pt, Pt::Fix { .. }).then_some((i, p))
+            Some((i, p, p.open.clone()?))
         });
-        let Some((arc_i, fix_planned)) = fix_arc else {
+        let Some((arc_i, fix_planned, open)) = fix_arc else {
             return Ok(None);
         };
         let info = FixInfo {
@@ -823,7 +820,10 @@ impl<'a> Optimizer<'a> {
         }
         if !pushed_sel.is_empty() {
             let pred = Expr::conjoin(pushed_sel.clone());
-            pushed_fix = filter_action(&self.model, &pushed_fix, &info, &pred)?;
+            let outer = self.model.open_temp.replace(open);
+            let filtered = filter_action(&self.model, &pushed_fix, &info, &pred);
+            self.model.open_temp = outer;
+            pushed_fix = filtered?;
         }
 
         // Replan the consumer with the pushed fix and the reduced

@@ -3,11 +3,11 @@
 
 use std::sync::Arc;
 
-use oorq_cost::{CostModel, CostParams};
+use oorq_cost::{CostError, CostModel, CostParams, OpenTemp};
 use oorq_datagen::{MusicConfig, MusicDb};
 use oorq_exec::{eval_query_graph, Executor, MethodRegistry};
 use oorq_index::{IndexSet, PathIndex, SelectionIndex};
-use oorq_pt::{propagated_columns, Pt};
+use oorq_pt::{propagated_columns, Pt, PtError};
 use oorq_query::paper::{
     fig2_query, fig3, fig3_query, fig3_query_gen, music_catalog, sec45_pushjoin_query,
 };
@@ -335,17 +335,24 @@ fn filter_action_pushes_only_propagated_conjuncts() {
             Pt::entity(e, "x"),
         ),
     );
-    let fix = Pt::fix("Influencer", Pt::union(base, rec));
-    // The temporary has the fixpoint's shape: its base leg's output.
+    let fix = Pt::fix("Influencer", Pt::union(base.clone(), rec));
+    // The pushed selection is planned against the fixpoint's temporary,
+    // open as while its recursive leg is planned: the base leg's output,
+    // at the modeled delta.
     let env = oorq_pt::PtEnv::new(m.db.catalog(), m.db.physical());
     let fields = fix.output_columns(&env).unwrap();
-    let model = CostModel::new(
+    let mut model = CostModel::new(
         m.db.catalog(),
         m.db.physical(),
         &stats,
         CostParams::default(),
-    )
-    .with_temp("Influencer", fields.clone());
+    );
+    let curve = model.fix_delta_curve("Influencer", model.cost(&base).unwrap().rows);
+    model.open_temp = Some(OpenTemp {
+        name: "Influencer".into(),
+        cols: fields.clone(),
+        delta: curve.delta,
+    });
     let propagated = propagated_columns(&fix);
     assert_eq!(
         propagated,
@@ -379,6 +386,32 @@ fn filter_action_pushes_only_propagated_conjuncts() {
     assert!(
         sel_count >= 2,
         "selection must appear in base and recursive sides"
+    );
+}
+
+/// A fixpoint's temporary is open only while the optimizer plans its
+/// recursive leg: after `optimize`, the model prices no scan of it
+/// outside the fixpoint.
+#[test]
+fn no_temporary_outlives_its_fixpoint_in_the_model() {
+    let (m, _idx, stats) = setup(MusicConfig::default());
+    let mut opt = optimizer(&m, &stats, OptimizerConfig::cost_controlled());
+    let plan = opt.optimize(&fig3_graph(&m)).unwrap();
+    let mut fix = None;
+    plan.pt.visit(&mut |n| {
+        if matches!(n, Pt::Fix { .. }) && fix.is_none() {
+            fix = Some(n.clone());
+        }
+    });
+    let escaped = Pt::ej(
+        Expr::var("master").eq(Expr::var("i.master")),
+        fix.expect("Figure 3's plan has a fixpoint"),
+        Pt::temp("Influencer", "i"),
+    );
+    assert_eq!(opt.model.open_temp, None);
+    assert_eq!(
+        opt.model.cost(&escaped).err(),
+        Some(CostError::Pt(PtError::UnknownTemp("Influencer".into())))
     );
 }
 

@@ -199,17 +199,11 @@ fn expand_path_selection(
     input: &Pt,
     cols: &[String],
 ) -> Result<Option<Vec<Pt>>, OptError> {
-    // Resolve column classes from the input plan.
-    let env = oorq_pt::PtEnv {
-        catalog: model.catalog,
-        physical: model.physical,
-        temp_fields: model.temp_fields.clone(),
-    };
-    let col_types: std::collections::HashMap<String, ResolvedType> = input
-        .output_columns(&env)
-        .map_err(OptError::Pt)?
-        .into_iter()
-        .collect();
+    // Resolve column classes from the input plan, which may scan the
+    // model's open temporary.
+    let mut resolved = model.resolve(input).map_err(OptError::Pt)?;
+    let col_types: std::collections::HashMap<String, ResolvedType> =
+        resolved.swap_remove(0).cols.into_iter().collect();
     let mut ops: Vec<ChainOp> = Vec::new();
     let mut fresh = 0usize;
     let mut any_long = false;

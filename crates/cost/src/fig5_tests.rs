@@ -29,7 +29,6 @@ fn paper_model<'a>(m: &'a MusicDb, stats: &'a DbStats) -> CostModel<'a> {
         stats,
         CostParams::paper_mode(),
     )
-    .with_temp("Influencer", crate::tests::influencer_fields(m))
 }
 
 /// Figure 5 `Sel_selpred(C)` with sequential access: scan every page,

@@ -16,7 +16,7 @@ mod params;
 
 pub use error::CostError;
 pub use guard::{guard_hi, guard_lo};
-pub use model::{CostModel, FixCurve, NodeCost, PlanCost};
+pub use model::{CostModel, FixCurve, NodeCost, OpenTemp, PlanCost};
 pub use oorq_pt::OpKind;
 pub use params::{Cost, CostParams};
 

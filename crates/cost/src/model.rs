@@ -16,9 +16,7 @@
 //! assumes for its temporary. Every modeled pass reads the same delta,
 //! so the leg is estimated once and its lines scaled by the pass count.
 
-use std::collections::HashMap;
-
-use oorq_pt::{lit_value, resolve, Node, NodeOp, OpKind, Pt};
+use oorq_pt::{lit_value, resolve, Node, NodeOp, OpKind, Pt, PtError};
 use oorq_query::{bind_path, CmpOp, Expr, Literal};
 use oorq_schema::{AttrId, AttributeKind, Catalog, ClassId, ResolvedType};
 use oorq_storage::{AttrStats, DbStats, EntitySource, IndexKindDesc, PhysicalSchema, WidthModel};
@@ -43,6 +41,20 @@ pub struct FixCurve {
     pub delta: f64,
     /// Modeled accumulator cardinality (the fixpoint's output rows).
     pub total_rows: f64,
+}
+
+/// A fixpoint's temporary while the fixpoint's recursive leg is planned
+/// apart from it: the one temporary a costed plan may scan outside its
+/// `Fix`. The scans are typed with the resolved base leg's columns and
+/// read the modeled delta, as they are inside the `Fix`.
+#[derive(Debug, Clone, PartialEq)]
+pub struct OpenTemp {
+    /// The temporary's name.
+    pub name: String,
+    /// Its shape: what the resolved base leg hands up.
+    pub cols: Vec<(String, ResolvedType)>,
+    /// Its rows in every modeled pass ([`FixCurve::delta`]).
+    pub delta: f64,
 }
 
 /// Per-node cost line of a plan-cost breakdown.
@@ -269,12 +281,10 @@ pub struct CostModel<'a> {
     pub params: CostParams,
     /// Width model for page estimates of intermediate results.
     pub width: WidthModel,
-    /// Shapes of temporaries (qualified by PT `Temp` names).
-    pub temp_fields: HashMap<String, Vec<(String, ResolvedType)>>,
-    /// Assumed cardinality of temporaries referenced *outside* a `Fix`
-    /// that builds them (e.g. while planning the recursive side of a
-    /// fixpoint in isolation).
-    pub temp_rows_hint: HashMap<String, f64>,
+    /// The temporary of the fixpoint whose recursive leg is being
+    /// planned, if any. The optimizer sets it only while it plans that
+    /// leg.
+    pub open_temp: Option<OpenTemp>,
 }
 
 impl<'a> CostModel<'a> {
@@ -291,34 +301,41 @@ impl<'a> CostModel<'a> {
             stats,
             params,
             width: WidthModel::default(),
-            temp_fields: HashMap::new(),
-            temp_rows_hint: HashMap::new(),
+            open_temp: None,
         }
     }
 
-    /// Assume a cardinality for a temporary when no fixpoint context
-    /// provides one.
-    pub fn hint_temp_rows(&mut self, name: impl Into<String>, rows: f64) {
-        self.temp_rows_hint.insert(name.into(), rows);
-    }
-
-    /// Register a temporary's shape.
+    /// Kept for `benchmark/src/traced.rs` until a `benchmark` change drops
+    /// it (it calls this over an always-empty map): opens `name` at 0
+    /// rows, as a temporary with no modeled delta is costed.
     pub fn with_temp(
         mut self,
         name: impl Into<String>,
         fields: Vec<(String, ResolvedType)>,
     ) -> Self {
-        self.temp_fields.insert(name.into(), fields);
+        self.open_temp = Some(OpenTemp {
+            name: name.into(),
+            cols: fields,
+            delta: 0.0,
+        });
         self
+    }
+
+    /// Resolve `pt` ([`oorq_pt::resolve`]) with the open temporary in
+    /// scope.
+    pub fn resolve<'p>(&'p self, pt: &'p Pt) -> Result<Vec<Node<'p>>, PtError> {
+        let open = self.open_temp.as_ref().map(|t| (t.name.as_str(), &t.cols));
+        resolve(self.catalog, self.physical, open, pt)
     }
 
     /// Estimate the cost of a whole plan.
     pub fn cost(&self, pt: &Pt) -> Result<PlanCost, CostError> {
-        let plan = resolve(self.catalog, self.physical, &self.temp_fields, pt)?;
+        let plan = self.resolve(pt)?;
+        let open = self.open_temp.iter();
         let mut ctx = EstCtx {
             model: self,
             plan: &plan,
-            temp_rows: HashMap::new(),
+            temp_rows: open.map(|t| (t.name.as_str(), t.delta)).collect(),
             breakdown: Vec::new(),
         };
         let est = ctx.est(0, true)?;
@@ -406,9 +423,10 @@ struct EstCtx<'m, 'a> {
     /// The plan being estimated, resolved: ids, operators and typed
     /// output columns come with each node.
     plan: &'m [Node<'m>],
-    /// Cardinality assumed for each temporary (set while estimating the
-    /// recursive side of a fixpoint: the delta size).
-    temp_rows: HashMap<String, f64>,
+    /// Cardinality assumed for each temporary in scope, innermost last:
+    /// the open one's delta, then each fixpoint's whose recursive side is
+    /// being estimated.
+    temp_rows: Vec<(&'m str, f64)>,
     breakdown: Vec<NodeCost>,
 }
 
@@ -454,13 +472,8 @@ impl EstCtx<'_, '_> {
                 (own, NodeEst::new(rows, pages, cols, Cost::zero()))
             }
             &NodeOp::TempScan { name, .. } => {
-                let rows = sane_rows(
-                    self.temp_rows
-                        .get(name)
-                        .or_else(|| m.temp_rows_hint.get(name))
-                        .copied()
-                        .unwrap_or(0.0),
-                );
+                let rows = self.temp_rows.iter().rev().find(|(n, _)| *n == name);
+                let rows = sane_rows(rows.map_or(0.0, |&(_, r)| r));
                 let pages = self.pages_est(rows, &field_types(&node.cols));
                 let own = Cost::new(if charge_scan { pages } else { 0.0 }, 0.0);
                 let cols = vec![ColEst::OPAQUE; node.cols.len()];
@@ -633,17 +646,10 @@ impl EstCtx<'_, '_> {
                 // its lines are scaled by the pass count (the executor's
                 // per-operator counters accumulate across passes).
                 let curve = m.fix_delta_curve(temp, base_est.rows);
-                let saved = self.temp_rows.insert(temp.to_string(), curve.delta);
+                self.temp_rows.push((temp, curve.delta));
                 let rec_mark = self.breakdown.len();
                 self.est(rec, true)?;
-                match saved {
-                    Some(s) => {
-                        self.temp_rows.insert(temp.to_string(), s);
-                    }
-                    None => {
-                        self.temp_rows.remove(temp);
-                    }
-                }
+                self.temp_rows.pop();
                 let n = curve.iterations;
                 let mut iter_cost = Cost::zero();
                 for line in &mut self.breakdown[rec_mark..] {

@@ -24,16 +24,6 @@ fn model<'a>(m: &'a MusicDb, stats: &'a DbStats) -> CostModel<'a> {
         stats,
         CostParams::default(),
     )
-    .with_temp("Influencer", influencer_fields(m))
-}
-
-/// Shape of the `Influencer` temporary: the view's declared fields.
-pub(crate) fn influencer_fields(m: &MusicDb) -> Vec<(String, oorq_schema::ResolvedType)> {
-    let catalog = m.db.catalog();
-    let view = catalog
-        .relation_by_name("Influencer")
-        .expect("music schema");
-    catalog.relation(view).fields.clone()
 }
 
 #[test]
@@ -371,9 +361,9 @@ fn fig3_pushed_fixpoint() -> (MusicDb, DbStats, Pt) {
 }
 
 /// Figure 5's `Σᵢ cost(Exp(Tᵢ))` over a flat curve: a fixpoint's
-/// recursive-leg lines are the leg costed alone, with its temporary
-/// hinted at the modeled delta, times the modeled pass count — bit for
-/// bit.
+/// recursive-leg lines are the leg costed alone, with its temporary open
+/// at the modeled delta (as the optimizer plans the leg), times the
+/// modeled pass count — bit for bit.
 #[test]
 fn a_recursive_leg_is_its_one_estimate_times_the_passes() {
     let (m, stats, plan) = fig3_pushed_fixpoint();
@@ -388,11 +378,21 @@ fn a_recursive_leg_is_its_one_estimate_times_the_passes() {
         unreachable!("a recursive union")
     };
     let mut cm = model(&m, &stats);
+    let base_cols = cm.resolve(base).unwrap().swap_remove(0).cols;
     let base = cm.cost(base).unwrap();
     let curve = cm.fix_delta_curve("Influencer", base.rows);
     assert_eq!(curve.iterations, 6.0, "{curve:?}");
     let whole = cm.cost(&plan).unwrap();
-    cm.hint_temp_rows("Influencer", curve.delta);
+    assert_eq!(
+        cm.cost(rec).unwrap_err(),
+        CostError::Pt(PtError::UnknownTemp("Influencer".into())),
+        "a leg alone scans a temporary no fixpoint defines"
+    );
+    cm.open_temp = Some(OpenTemp {
+        name: "Influencer".into(),
+        cols: base_cols,
+        delta: curve.delta,
+    });
     let alone = cm.cost(rec).unwrap();
     // Post-order: the base's lines, the leg's, then the fixpoint's.
     let leg = &whole.breakdown[base.breakdown.len()..whole.breakdown.len() - 1];
@@ -677,7 +677,13 @@ fn a_scanned_column_reads_its_extent_and_an_unknown_one_the_distinct_count() {
     );
     assert!((cm.cost(&by_name).unwrap().rows - 1.0).abs() < 1e-9);
 
-    cm.hint_temp_rows("Influencer", 120.0);
+    // The view's temporary, open at 120 rows.
+    let view = m.db.catalog().relation_by_name("Influencer").unwrap();
+    cm.open_temp = Some(OpenTemp {
+        name: "Influencer".into(),
+        cols: m.db.catalog().relation(view).fields.clone(),
+        delta: 120.0,
+    });
     let unknown = Pt::sel(
         Expr::path("i", &["master", "birth_year"]).eq(Expr::int(y)),
         Pt::temp("Influencer", "i"),

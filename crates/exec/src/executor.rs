@@ -16,7 +16,7 @@ use oorq_storage::{Database, EntityId, IoStats};
 use crate::error::ExecError;
 use crate::eval::{Batch, Counters};
 use crate::methods::MethodRegistry;
-use crate::pipeline::{self, FixDeltaCurve, OpReport};
+use crate::pipeline::{self, FixDeltaCurve, FixTemps, OpReport};
 use crate::rowset::KeyTable;
 
 /// Executor configuration.
@@ -56,8 +56,9 @@ impl Default for ExecConfig {
 /// temporary entities per query.
 #[derive(Debug, Clone, Default)]
 pub struct ExecState {
-    /// Per-temporary: (accumulator entity, delta entity).
-    pub temps: HashMap<String, (EntityId, EntityId)>,
+    /// Per fixpoint name: the accumulator and delta entities made for
+    /// each record shape it has had.
+    pub(crate) temps: pipeline::Temps,
     /// Always empty: a complete plan scopes its own temporaries. Kept
     /// for `benchmark/src/traced.rs` until a `benchmark` change drops it.
     pub temp_fields: HashMap<String, Vec<(String, ResolvedType)>>,
@@ -494,12 +495,20 @@ impl<'a> Executor<'a> {
             }
         });
         for (temp, fields) in fixes {
-            if !self.state.temps.contains_key(temp) {
-                let types: Vec<ResolvedType> = fields.iter().map(|(_, t)| t.clone()).collect();
-                let acc = self.db.create_temp(temp.clone(), types.clone());
-                let delta = self.db.create_temp(format!("{temp}#delta"), types);
-                self.state.temps.insert(temp.clone(), (acc, delta));
+            // A record's width sets a page's capacity: reuse only the
+            // temporaries made for this shape, and put them first.
+            let fits = |made: &FixTemps| fields.iter().map(|(_, t)| t).eq(&made.types);
+            if let Some(made) = self.state.temps.get_mut(temp) {
+                if let Some(at) = made.iter().position(fits) {
+                    made.swap(0, at);
+                    continue;
+                }
             }
+            let types: Vec<ResolvedType> = fields.iter().map(|(_, t)| t.clone()).collect();
+            let acc = self.db.create_temp(temp.clone(), types.clone());
+            let delta = self.db.create_temp(format!("{temp}#delta"), types.clone());
+            let made = self.state.temps.entry(temp.clone()).or_default();
+            made.insert(0, FixTemps { types, acc, delta });
         }
         // Draw each from the per-shape pool (growing it as needed), so two
         // operators of one plan never share a temporary.

@@ -159,8 +159,9 @@ pub(crate) struct Shared<'a> {
     pub db: &'a Database,
     pub indexes: &'a IndexSet,
     pub methods: &'a MethodRegistry,
-    /// Per-temporary: (accumulator entity, delta entity); pre-created by
-    /// the executor (creation needs `&mut Database`).
+    /// Per fixpoint name, its accumulator and delta entities, those of
+    /// the run's record shape first; pre-created by the executor
+    /// (creation needs `&mut Database`).
     pub temps: &'a Temps,
     /// Per materializing `NlJoin` and replayed operand (keyed by
     /// operator id): the page-store temporary backing its materialized
@@ -486,8 +487,20 @@ impl Cursor {
     }
 }
 
-/// The accumulator and delta temporaries of a fixpoint, by name.
-type Temps = HashMap<String, (EntityId, EntityId)>;
+/// The accumulator and delta temporaries of a fixpoint, made for one
+/// record shape.
+#[derive(Debug, Clone)]
+pub(crate) struct FixTemps {
+    /// The record shape.
+    pub(crate) types: Vec<oorq_schema::ResolvedType>,
+    pub(crate) acc: EntityId,
+    pub(crate) delta: EntityId,
+}
+
+/// Per fixpoint name, the temporaries made for each record shape a
+/// fixpoint of that name has had: those of the shape a run's fixpoint
+/// has, first.
+pub(crate) type Temps = HashMap<String, Vec<FixTemps>>;
 
 /// Per-operator mutable state. Expressions are bound to the operator's
 /// input columns when the tree is built.
@@ -786,11 +799,11 @@ fn build<'p>(
             scan: None,
         },
         PhysOp::TempScan { name, .. } => St::Scan {
-            delta: temps.get(name).map(|&(_, delta)| delta),
+            delta: temps.get(name).map(|made| made[0].delta),
             scan: None,
         },
         PhysOp::FixPoint { temp, .. } => St::Fix {
-            temps: temps.get(temp).copied(),
+            temps: temps.get(temp).map(|made| (made[0].acc, made[0].delta)),
             scan: None,
             seen: RowSet::default(),
             pass: Chunk::default(),

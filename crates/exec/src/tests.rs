@@ -869,7 +869,7 @@ fn a_run_after_a_panicking_method_answers_as_before() {
     let mut ex = Executor::new(&mut m.db, &idx, &quiet);
     let reference = ex.run(&closure).unwrap();
     let state = ex.into_state();
-    let (acc, _) = state.temps["Influencer"];
+    let acc = state.temps["Influencer"][0].acc;
 
     // `age` appends to the accumulator through an account that is busy:
     // the append panics with the temporary's write lock held.
@@ -2133,6 +2133,61 @@ fn a_closure_over_a_cycle_and_a_diamond_keeps_each_row_once() {
             runs[0], runs[1],
             "budget {budget}: `answer` is `run`, in order"
         );
+    }
+}
+
+/// A fixpoint's temporaries are reused by name and record shape: a
+/// record's width sets how many fit a page. A three-column `Reach` run
+/// after a two-column one, over the executor state the first left, counts
+/// what a fresh executor counts, on two-row pages, unbounded and under an
+/// 8-page budget. (Reused by name alone, the two-column temporaries held
+/// the three-column rows: 17 pages written instead of 32, and 3 spills
+/// instead of 29 at budget 8.)
+#[test]
+fn a_fixpoints_temporaries_are_reused_only_for_its_record_shape() {
+    let (idx, methods) = (IndexSet::new(), MethodRegistry::new());
+    let e = edge_entity(&cycle_and_diamond());
+    // `[a, b]`, or `[a, b, c]` with `c` a copy of `b`.
+    let reach = |extra: bool| {
+        let cols = |from: &str, to: &str| {
+            let mut cols = ends(from, to);
+            if extra {
+                cols.push(("c".into(), Expr::var(format!("{to}.b"))));
+            }
+            cols
+        };
+        let base = Pt::proj(cols("e", "e"), Pt::entity(e, "e"));
+        let rec = Pt::proj(
+            cols("p", "e"),
+            Pt::ej(
+                Expr::var("p.b").eq(Expr::var("e.a")),
+                Pt::temp("Reach", "p"),
+                Pt::entity(e, "e"),
+            ),
+        );
+        Pt::fix("Reach", Pt::union(base, rec))
+    };
+    let (two, three) = (reach(false), reach(true));
+    for budget in [0, 8] {
+        let config = ExecConfig {
+            memory_budget_pages: budget,
+            ..ExecConfig::default()
+        };
+        let run = |c: &mut oorq_datagen::ClosureDb, state: ExecState, pt: &Pt| {
+            c.db.cold_cache();
+            let mut ex = Executor::new(&mut c.db, &idx, &methods)
+                .with_config(config.clone())
+                .with_state(state);
+            let rows = ex.run(pt).unwrap().rows.len();
+            let report = ex.report();
+            ((rows, report.io, report.evals), ex.into_state())
+        };
+        let (fresh, _) = run(&mut cycle_and_diamond(), ExecState::default(), &three);
+        let mut c = cycle_and_diamond();
+        let (_, state) = run(&mut c, ExecState::default(), &two);
+        let (reused, _) = run(&mut c, state, &three);
+        assert_eq!(reused, fresh, "budget {budget}");
+        assert_eq!(fresh.1.page_writes, 32, "budget {budget}");
     }
 }
 

@@ -20,12 +20,12 @@ use oorq_storage::IndexKindDesc;
 
 use crate::diag::{LintCode, LintReport};
 
-/// Verify a processing tree against its environment. The environment's
-/// `temp_fields` are the temporaries defined by an enclosing context
-/// (e.g. while linting a fixpoint leg in isolation).
+/// Verify a processing tree against its environment. A temporary is in
+/// scope only in its fixpoint's recursive leg ([`oorq_pt::resolve`]), so
+/// a recursive leg is verified inside its fixpoint.
 pub fn verify_pt(env: &PtEnv, pt: &Pt) -> LintReport {
     let order = pt.preorder();
-    let nodes = resolve_each(env.catalog, env.physical, &env.temp_fields, &order);
+    let nodes = resolve_each(env.catalog, env.physical, None, &order);
     let mut report = LintReport::new();
     let plan = Plan { env, order, nodes };
     plan.check(0, "plan", &BTreeSet::new(), &mut report);

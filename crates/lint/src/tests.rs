@@ -504,15 +504,6 @@ fn undefined_temporary() {
     );
     let report = verify_pt(&PtEnv::new(&cat, db.physical()), &plan);
     assert!(report.has(LintCode::UndefinedTemp), "{report}");
-    // The same temporary in scope is fine.
-    let env = PtEnv::new(&cat, db.physical()).with_temp(
-        "NeverDefined",
-        vec![(
-            "who".into(),
-            oorq_schema::ResolvedType::Object(cat.class_by_name("Composer").unwrap()),
-        )],
-    );
-    assert!(verify_pt(&env, &plan).is_clean());
 }
 
 /// A fixpoint's temporary is in scope only in its recursive leg: a scan

@@ -510,11 +510,11 @@ impl Pt {
         Preorder { nodes }
     }
 
-    /// Output columns of the node, given the environment (catalog,
-    /// physical schema, temporary shapes): what the root of the resolved
-    /// plan ([`resolve`]) hands up.
+    /// Output columns of the node, given the environment (catalog and
+    /// physical schema): what the root of the resolved plan ([`resolve`])
+    /// hands up.
     pub fn output_columns(&self, env: &PtEnv) -> Result<Vec<(String, ResolvedType)>, PtError> {
-        let mut plan = resolve(env.catalog, env.physical, &env.temp_fields, self)?;
+        let mut plan = resolve(env.catalog, env.physical, None, self)?;
         Ok(plan.swap_remove(0).cols)
     }
 
@@ -530,30 +530,20 @@ pub struct PtEnv<'a> {
     pub catalog: &'a Catalog,
     /// Physical schema.
     pub physical: &'a PhysicalSchema,
-    /// Field shapes of temporaries defined outside the plan, by name: a
-    /// complete plan needs none (each fixpoint scopes its own), a
-    /// recursive leg typed before its fixpoint exists needs its own.
+    /// Read by nothing: each fixpoint scopes its own temporary
+    /// ([`resolve`]). Kept for `benchmark/src/traced.rs`, which builds an
+    /// environment by struct literal, until a `benchmark` change drops it.
     pub temp_fields: HashMap<String, Vec<(String, ResolvedType)>>,
 }
 
 impl<'a> PtEnv<'a> {
-    /// New environment with no temporaries.
+    /// New environment over a catalog and its physical schema.
     pub fn new(catalog: &'a Catalog, physical: &'a PhysicalSchema) -> Self {
         PtEnv {
             catalog,
             physical,
             temp_fields: HashMap::new(),
         }
-    }
-
-    /// Register a temporary's shape.
-    pub fn with_temp(
-        mut self,
-        name: impl Into<String>,
-        fields: Vec<(String, ResolvedType)>,
-    ) -> Self {
-        self.temp_fields.insert(name.into(), fields);
-        self
     }
 }
 

@@ -299,7 +299,7 @@ pub fn node_ids(root: &Pt) -> HashMap<*const Pt, usize> {
 /// [`node_op`] resolves it to. Union and fixpoint column permutations
 /// are resolved statically; a shape mismatch fails the lowering.
 pub fn lower(env: &PtEnv<'_>, pt: &Pt) -> Result<PhysPlan, PtError> {
-    let plan = resolve(env.catalog, env.physical, &env.temp_fields, pt)?;
+    let plan = resolve(env.catalog, env.physical, None, pt)?;
     let mut lw = Lowering {
         env,
         plan: &plan,

@@ -40,19 +40,19 @@ pub struct Node<'p> {
 /// Resolve every node of `pt`, indexed by pre-order id. A fixpoint's
 /// temporary has its base leg's shape and is in scope only in that
 /// fixpoint's recursive leg, where every scan of it reads the last pass's
-/// delta; a scan anywhere else is [`PtError::UnknownTemp`]. `temps` holds
-/// the shapes of temporaries defined outside the plan: only a recursive
-/// leg costed before its fixpoint exists (the optimizer's) needs any. All
-/// or nothing: the first failure of the walk ([`resolve_each`]) is the
-/// error.
+/// delta; a scan anywhere else is [`PtError::UnknownTemp`]. `open` is the
+/// one temporary defined outside the plan, by name and shape: the
+/// optimizer's, while it plans a recursive leg apart from its fixpoint;
+/// every other caller passes `None`. All or nothing: the first failure of
+/// the walk ([`resolve_each`]) is the error.
 pub fn resolve<'p>(
     catalog: &'p Catalog,
     physical: &'p PhysicalSchema,
-    temps: &HashMap<String, Cols>,
+    open: Option<(&str, &Cols)>,
     pt: &'p Pt,
 ) -> Result<Vec<Node<'p>>, PtError> {
     let order = pt.preorder();
-    let mut walk = Walk::new(catalog, physical, temps, &order);
+    let mut walk = Walk::new(catalog, physical, open, &order);
     walk.go(0)?;
     let resolved = |n: Option<Result<_, _>>| n.and_then(Result::ok).expect("no node failed");
     Ok(walk.nodes.into_iter().map(resolved).collect())
@@ -68,10 +68,10 @@ pub fn resolve<'p>(
 pub fn resolve_each<'p>(
     catalog: &'p Catalog,
     physical: &'p PhysicalSchema,
-    temps: &HashMap<String, Cols>,
+    open: Option<(&str, &Cols)>,
     order: &Preorder<'p>,
 ) -> Vec<Option<Result<Node<'p>, PtError>>> {
-    let mut walk = Walk::new(catalog, physical, temps, order);
+    let mut walk = Walk::new(catalog, physical, open, order);
     // Every failure stays under the node that failed.
     let _ = walk.go(0);
     walk.nodes
@@ -87,7 +87,7 @@ fn qualified(var: &str, fields: &[(String, ResolvedType)]) -> Cols {
 struct Walk<'e, 'p> {
     catalog: &'p Catalog,
     physical: &'p PhysicalSchema,
-    temps: &'e HashMap<String, Cols>,
+    open: Option<(&'e str, &'e Cols)>,
     order: &'e Preorder<'p>,
     /// Temporaries of the fixpoints whose recursive leg is being walked,
     /// innermost last: the name, and the base leg whose output is its
@@ -100,13 +100,13 @@ impl<'e, 'p> Walk<'e, 'p> {
     fn new(
         catalog: &'p Catalog,
         physical: &'p PhysicalSchema,
-        temps: &'e HashMap<String, Cols>,
+        open: Option<(&'e str, &'e Cols)>,
         order: &'e Preorder<'p>,
     ) -> Self {
         Walk {
             catalog,
             physical,
-            temps,
+            open,
             order,
             defined: Vec::new(),
             nodes: vec![None; order.len()],
@@ -204,10 +204,10 @@ impl<'e, 'p> Walk<'e, 'p> {
                 let fields = match self.defined.iter().rev().find(|(n, _)| n == name) {
                     Some((_, Ok(base))) => self.cols(*base).as_slice(),
                     Some((_, Err(_))) => unreachable!("`go` leaves this scan unresolved"),
-                    None => self
-                        .temps
-                        .get(*name)
-                        .ok_or_else(|| PtError::UnknownTemp(name.to_string()))?,
+                    None => match self.open {
+                        Some((open, cols)) if open == *name => cols,
+                        _ => return Err(PtError::UnknownTemp(name.to_string())),
+                    },
                 };
                 qualified(var, fields)
             }

@@ -73,14 +73,17 @@ fn display_matches_paper_notation() {
         Expr::path("ins", &["name"]).eq(Expr::text("harpsichord")),
         pij,
     );
-    let env = PtEnv::new(&cat, db.physical()).with_temp("Influencer", influencer_fields);
+    let env = PtEnv::new(&cat, db.physical());
     assert_eq!(
         sel.display(&env).to_string(),
         "Sel_{ins.name=\"harpsichord\"}(PIJ_works.instruments(IJ_master(Influencer, \
          Composer), Composition, Instrument))"
     );
-    // Output columns: Influencer fields + m + w + ins.
-    let cols = sel.output_columns(&env).unwrap();
+    // Output columns, with the temporary open as in its fixpoint's
+    // recursive leg: Influencer fields + m + w + ins.
+    let open = Some(("Influencer", &influencer_fields));
+    let mut plan = resolve(&cat, db.physical(), open, &sel).unwrap();
+    let cols = plan.swap_remove(0).cols;
     let names: Vec<&str> = cols.iter().map(|(n, _)| n.as_str()).collect();
     assert_eq!(names, ["i.master", "i.disciple", "i.gen", "m", "w", "ins"]);
 }
@@ -134,18 +137,9 @@ fn fix_output_columns_come_from_base_side() {
         ),
     );
     let fix = Pt::fix("Influencer", Pt::union(base, rec));
-    let env = PtEnv::new(&cat, db.physical()).with_temp(
-        "Influencer",
-        vec![
-            ("master".into(), ResolvedType::Object(composer)),
-            ("disciple".into(), ResolvedType::Object(composer)),
-            (
-                "gen".into(),
-                ResolvedType::Atomic(oorq_schema::AtomicType::Int),
-            ),
-        ],
-    );
-    let cols = fix.output_columns(&env).unwrap();
+    let cols = fix
+        .output_columns(&PtEnv::new(&cat, db.physical()))
+        .unwrap();
     let names: Vec<&str> = cols.iter().map(|(n, _)| n.as_str()).collect();
     assert_eq!(names, ["master", "disciple", "gen"]);
     assert!(matches!(cols[2].1, ResolvedType::Atomic(_)));
@@ -192,10 +186,8 @@ fn node_op_resolves_every_pt_kind() {
     let e = db.physical().class_entity(composer).unwrap();
     let we = db.physical().class_entity(composition).unwrap();
     let obj = ResolvedType::Object(composer);
-    let env = PtEnv::new(&cat, db.physical()).with_temp(
-        "R",
-        vec![("master".into(), obj.clone()), ("disciple".into(), obj)],
-    );
+    let r_cols = vec![("master".into(), obj.clone()), ("disciple".into(), obj)];
+    let env = PtEnv::new(&cat, db.physical());
     let scan = |v: &str| Pt::entity(e, v);
     let is_bach = Expr::path("x", &["name"]).eq(Expr::text("Bach"));
     let not_bach = Expr::path("x", &["name"]).ne(Expr::text("Bach"));
@@ -276,7 +268,9 @@ fn node_op_resolves_every_pt_kind() {
         // operands that execute are the lowered operator's children — for
         // a fixpoint the two legs of its absorbed body, base first — and
         // a child that is absorbed lowers to nothing.
-        let resolved = resolve(&cat, db.physical(), &env.temp_fields, pt).unwrap();
+        // With `R` open, as in a recursive leg planned apart from its
+        // fixpoint; a fixpoint of `R` scopes its own.
+        let resolved = resolve(&cat, db.physical(), Some(("R", &r_cols)), pt).unwrap();
         let executed = match &resolved[0].op {
             NodeOp::Filter { input, .. }
             | NodeOp::Project { input, .. }
@@ -288,6 +282,12 @@ fn node_op_resolves_every_pt_kind() {
             NodeOp::FixPoint { base, rec, .. } => vec![*base, *rec],
             _ => vec![],
         };
+        if *kind == OpKind::TempScan {
+            // Outside its fixpoint a temporary lowers to nothing.
+            let unknown = PtError::UnknownTemp("R".into());
+            assert_eq!(lower(&env, pt).err(), Some(unknown), "{label}");
+            continue;
+        }
         let plan = lower(&env, pt).unwrap();
         assert_eq!(plan.root.meta().label, *label);
         let lowered: Vec<usize> = plan

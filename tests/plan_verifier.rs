@@ -4,8 +4,6 @@
 //! temporary is blamed where it is read, and an entity id outside the
 //! physical schema is an error every pass returns rather than a panic.
 
-use std::collections::HashMap;
-
 use oorq::analysis::Analyzer;
 use oorq::cost::CostParams;
 use oorq::datagen::ChainConfig;
@@ -90,7 +88,7 @@ fn an_unknown_entity_is_an_error_of_every_pass() {
     let s = chain();
     let pt = Pt::entity(EntityId(9999), "x");
     let (catalog, physical) = (s.db.catalog(), s.db.physical());
-    assert!(resolve(catalog, physical, &HashMap::new(), &pt).is_err());
+    assert!(resolve(catalog, physical, None, &pt).is_err());
     assert!(lower(&s.env(), &pt).is_err());
     let model = s.model(CostParams::default());
     assert!(model.cost(&pt).is_err());
