@@ -155,22 +155,28 @@ if grep -nE 'pub fn to_[A-Za-z0-9_]*[(<]' $(nontest crates/obs/src) | grep -vF '
     exit 1
 fi
 
-echo "== a query graph is admitted by one check in every build (a QueryGraph::validate in crates/query/src/graph.rs, or the optimizer's admission lint behind debug_assertions, fails) =="
+echo "== a query graph is admitted by one check, and a plan verified at one boundary, in every build (a QueryGraph::validate in crates/query/src/graph.rs; an optimizer without its admission lint; verify_stage or debug_assertions in non-test crates/core/src; or debug_assertions in non-test crates/exec/src gating anything but assert_bounds, fails) =="
 if grep -nF 'fn validate(&self, catalog' crates/query/src/graph.rs; then
     echo "oorq_lint::lint_graph is the one check that admits a query graph (DESIGN §6): a second" \
         "checker disagrees with it, as validate did on recursion" >&2
     exit 1
 fi
 if ! awk '/fn optimize_inner\(/ { inner = 1 }
-    inner && /debug_assertions/ { print FILENAME ":" FNR ": " $0; gated = 1 }
-    inner && /verify_graph\(&g, "normalize/ { admitted = !gated; inner = 0 }
+    inner && /verify_graph\(&g, "normalize/ { admitted = 1; inner = 0 }
     /fn verify_graph\(/ { body = 1 }
-    body && /debug_assertions/ { print FILENAME ":" FNR ": " $0; gated = 1 }
     body && /oorq_lint::lint_graph\(/ { lints = 1 }
     body && /^    }$/ { body = 0 }
-    END { exit !(admitted && lints && !gated) }' crates/core/src/optimizer.rs; then
-    echo "Optimizer::optimize must admit the normalized graph with oorq_lint::lint_graph" \
-        "(verify_graph) in release builds too: only the post-rewrite re-check is a debug assertion" >&2
+    END { exit !(admitted && lints) }' crates/core/src/optimizer.rs; then
+    echo "Optimizer::optimize must admit the normalized graph with oorq_lint::lint_graph (verify_graph)" >&2
+    exit 1
+fi
+if grep -nwE 'verify_stage|debug_assertions' $(nontest crates/core/src) ||
+    awk 'pending { if ($0 !~ /assert_bounds\(/) { print pending; bad = 1 } pending = "" }
+        /debug_assertions/ { pending = FILENAME ":" FNR ": " $0 }
+        END { if (pending) { print pending; bad = 1 } exit !bad }' $(nontest crates/exec/src); then
+    echo "Executor::prepare verifies every plan and its lowering, in every build (DESIGN §6): the optimizer" \
+        "verifies no plan, and only assert_bounds, which collects DbStats on every run, is debug-only;" \
+        "a check one build runs and the other skips lets a release server serve what a debug one refuses" >&2
     exit 1
 fi
 
@@ -218,7 +224,7 @@ for budget in 8 1; do
     OORQ_MEMORY_BUDGET=$budget cargo test -q --release --test differential --test serve_differential
 done
 
-echo "== release: every plan the walk can reach from every corpus plan answers like the reference (the debug run above took the small entries), the release build announces the debug build's decisions, and a mutated query text is answered or refused as in debug (the optimizer verifies no plan in release, so admission must refuse what it cannot plan) =="
+echo "== release: every plan the walk can reach from every corpus plan answers like the reference (the debug run above took the small entries), the release build announces the debug build's decisions, and a mutated query text is answered or refused as in debug (admission and the executor's plan boundary run in both builds; these runs hold the release build to that) =="
 cargo test -q --release --test plan_closure
 cargo test -q --release -p oorq-bench --test decision_sink
 cargo test -q --release --test query_text_fuzz

@@ -208,9 +208,6 @@ impl<'a> Optimizer<'a> {
         let sp = self.sink.obs.begin("optimizer", "rewrite");
         rewrite(&mut g, &mut self.sink);
         self.sink.obs.end(sp);
-        if cfg!(debug_assertions) {
-            self.verify_graph(&g, "rewrite (query graph)")?;
-        }
 
         // Steps 2+3: translate + generatePT, bottom-up over the graph.
         let mut planned: HashMap<NameRef, Planned> = HashMap::new();
@@ -222,7 +219,6 @@ impl<'a> Optimizer<'a> {
                 .ok_or(OptError::CyclicGraph)?;
             let (name, term) = remaining.remove(idx);
             let p = self.plan_term(&g, &term, &planned)?;
-            self.verify_stage(&p.pt, &format!("generatePT({})", name.display(catalog)))?;
             planned.insert(name, p);
         }
 
@@ -234,8 +230,8 @@ impl<'a> Optimizer<'a> {
         // Step 4: transformPT — randomized re-optimization of the final
         // plan (the push decisions were taken, cost-compared, while
         // assembling consumers of fixpoints; see `plan_spj`). The walk
-        // judges each move by cost alone; the plan it returns is verified
-        // below.
+        // judges each move by cost alone; `Executor::prepare` verifies
+        // the plan it returns.
         let (final_pt, walk_cost) = match &self.config.rand {
             Some(rc) => {
                 self.sink.step(
@@ -261,7 +257,6 @@ impl<'a> Optimizer<'a> {
             }
             None => (answer.pt.clone(), None),
         };
-        self.verify_stage(&final_pt, "transformPT (final plan)")?;
 
         // The walk costed the plan it returns; without a walk (or when
         // its start could not be costed) this is the one costing.
@@ -281,36 +276,9 @@ impl<'a> Optimizer<'a> {
         })
     }
 
-    /// Run the plan verifier on an intermediate PT (in debug builds):
-    /// errors abort the optimization and are recorded in the trace.
-    fn verify_stage(&mut self, pt: &Pt, stage: &str) -> Result<(), OptError> {
-        if !cfg!(debug_assertions) {
-            return Ok(());
-        }
-        let env = PtEnv::new(self.model.catalog, self.model.physical);
-        let report = oorq_lint::verify_pt(&env, pt);
-        oorq_lint::record_report(&self.sink.obs, stage, &report);
-        if report.is_clean() {
-            return Ok(());
-        }
-        let errors: String = report.errors().map(|d| format!("{d}\n")).collect();
-        self.sink.step(
-            Step::TransformPt,
-            format!("verification after {stage}"),
-            StrategyKind::Irrevocable,
-        );
-        for d in report.errors() {
-            self.sink.note(format!("{d}"));
-        }
-        Err(OptError::Lint {
-            stage: stage.into(),
-            errors,
-        })
-    }
-
-    /// Run the graph lint pass: errors abort. On the normalized graph it
-    /// is the admission check, in every build; after `rewrite` it is a
-    /// debug assertion, as `verify_stage` is for plans.
+    /// Run the graph lint pass on the normalized graph: the admission
+    /// check, in every build; errors abort. The optimizer verifies no
+    /// plan: `Executor::prepare` verifies the plan it is handed.
     fn verify_graph(&self, g: &QueryGraph, stage: &str) -> Result<(), OptError> {
         let report = oorq_lint::lint_graph(self.model.catalog, g);
         oorq_lint::record_report(&self.sink.obs, stage, &report);
@@ -571,9 +539,6 @@ impl<'a> Optimizer<'a> {
             self.sink.obs.end(sp);
             if let Some(pushed) = pushed? {
                 if keep_pushed {
-                    // The push actions rewrote a complete plan; verify
-                    // the result before committing to it.
-                    self.verify_stage(&pushed.0, "transformPT (filter/push-join actions)")?;
                     return Ok(pushed);
                 }
             }
@@ -749,9 +714,11 @@ impl<'a> Optimizer<'a> {
         // Join-push candidate: an equality conjunct between a propagated
         // fix column and another single arc (the §4.5 pattern), pushed as
         // a semi-join. Only attempted when the *other* side of the query
-        // restricts that arc (e.g. `c.name = "Bach"`).
+        // restricts that arc (e.g. `c.name = "Bach"`), and never when
+        // that arc is the consumer's own recursive occurrence, whose
+        // temporary is out of scope inside the pushed-into fixpoint.
         let mut pushed_join: Option<(Expr, Pt)> = None;
-        if spj.inputs.len() == 2 {
+        if spj.inputs.len() == 2 && self_fix != Some(&spj.inputs[1 - arc_i].name) {
             let other_i = 1 - arc_i;
             let other_arc = &spj.inputs[other_i];
             if let Some(other_var) = other_arc.var.clone() {

@@ -909,13 +909,15 @@ fn cost_rejections_are_for_good() {
     assert_eq!(revisited, 3);
 }
 
-/// In a debug build the optimizer verifies every intermediate stage, and
-/// the paper query passes each one.
+/// The optimizer verifies no plan (the executor's boundary does); the
+/// plan it chooses for the paper query passes the plan verifier.
 #[test]
 fn optimizer_verification_levels() {
     let (m, _idx, stats) = setup(MusicConfig::default());
     let q = fig3_graph(&m);
     let mut opt = optimizer(&m, &stats, OptimizerConfig::cost_controlled());
-    opt.optimize(&q)
-        .expect("the paper query must verify at every stage");
+    let plan = opt.optimize(&q).expect("the paper query plans");
+    let env = oorq_pt::PtEnv::new(m.db.catalog(), m.db.physical());
+    let report = oorq_lint::verify_pt(&env, &plan.pt);
+    assert!(report.is_clean(), "{}", report.render());
 }

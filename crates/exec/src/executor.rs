@@ -261,11 +261,11 @@ impl<'a> Executor<'a> {
 
     /// Execute a plan and return its (deduplicated) answer.
     ///
-    /// The plan is lowered to a physical-operator pipeline
+    /// The plan is verified and lowered to a physical-operator pipeline
     /// ([`Executor::prepare`]) and streamed. Every operator is profiled:
     /// `report()` then holds the run's per-operator counters and wall
     /// time and its delta curves, and `last_plan()` its lowering. Debug
-    /// builds check the observed counters against the static bounds.
+    /// builds also check the observed counters against the static bounds.
     pub fn run(&mut self, pt: &Pt) -> Result<Batch, ExecError> {
         self.timed(|ex| {
             ex.forget_last_run();
@@ -297,14 +297,17 @@ impl<'a> Executor<'a> {
         res
     }
 
-    /// Lower a plan for [`Executor::answer`]. In debug builds both the
-    /// plan and its lowering are first checked against the static
-    /// verifier: an ill-formed plan is rejected with
-    /// [`ExecError::PlanLint`] before it can touch the store.
+    /// Verify a plan and lower it for [`Executor::answer`]: the one plan
+    /// boundary, in every build. The plan is checked with the plan
+    /// verifier and its lowering with the physical-plan lint pass; an
+    /// ill-formed plan is rejected with [`ExecError::PlanLint`] before it
+    /// can touch the store.
     pub fn prepare(&self, pt: &Pt) -> Result<PhysPlan, ExecError> {
-        #[cfg(debug_assertions)]
-        self.verify(pt)?;
-        self.lower(pt)
+        let env = PtEnv::new(self.db.catalog(), self.db.physical());
+        lint_errors(oorq_lint::verify_pt(&env, pt))?;
+        let plan = oorq_pt::lower(&env, pt).map_err(lower_err)?;
+        lint_errors(oorq_lint::verify_phys(&env, &plan))?;
+        Ok(plan)
     }
 
     /// One run, spanned, timed and accounted: `report()`'s totals are
@@ -420,7 +423,9 @@ impl<'a> Executor<'a> {
     /// Debug-build soundness assertion: after every run, each observed
     /// per-operator counter must lie inside the static analyzer's
     /// interval (`AB001`–`AB003`). A violation is an analyzer bug or an
-    /// analysis/lowering divergence, never acceptable noise.
+    /// analysis/lowering divergence, never acceptable noise. It is the
+    /// one check release builds skip, because it collects `DbStats` on
+    /// every run.
     #[cfg(debug_assertions)]
     fn assert_bounds(&self, pt: &Pt) {
         let stats = oorq_storage::DbStats::collect(self.db);
@@ -442,34 +447,6 @@ impl<'a> Executor<'a> {
             "static bounds violated:\n{}",
             report.render()
         );
-    }
-
-    /// Lower the PT to a physical plan; in debug builds, verify the
-    /// lowering with the physical-plan lint pass.
-    fn lower(&self, pt: &Pt) -> Result<PhysPlan, ExecError> {
-        let env = PtEnv::new(self.db.catalog(), self.db.physical());
-        let plan = oorq_pt::lower(&env, pt).map_err(lower_err)?;
-        #[cfg(debug_assertions)]
-        {
-            let report = oorq_lint::verify_phys(&env, &plan);
-            if !report.is_clean() {
-                let rendered: String = report.errors().map(|d| format!("{d}\n")).collect();
-                return Err(ExecError::PlanLint(rendered));
-            }
-        }
-        Ok(plan)
-    }
-
-    /// Run the plan verifier at the executor boundary.
-    #[cfg(debug_assertions)]
-    fn verify(&self, pt: &Pt) -> Result<(), ExecError> {
-        let env = PtEnv::new(self.db.catalog(), self.db.physical());
-        let report = oorq_lint::verify_pt(&env, pt);
-        if report.is_clean() {
-            return Ok(());
-        }
-        let rendered: String = report.errors().map(|d| format!("{d}\n")).collect();
-        Err(ExecError::PlanLint(rendered))
     }
 
     /// Create (or reuse) the accumulator/delta temporaries of every
@@ -539,6 +516,16 @@ pub fn op_kind(label: &str) -> &str {
         .find(|c: char| !c.is_ascii_alphanumeric())
         .unwrap_or(label.len());
     &label[..end]
+}
+
+/// A lint report's errors as one [`ExecError::PlanLint`], one line each.
+fn lint_errors(report: oorq_lint::LintReport) -> Result<(), ExecError> {
+    if report.is_clean() {
+        return Ok(());
+    }
+    Err(ExecError::PlanLint(
+        report.errors().map(|d| format!("{d}\n")).collect(),
+    ))
 }
 
 /// Map lowering failures onto the executor's error vocabulary (the

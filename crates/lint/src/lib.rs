@@ -21,9 +21,10 @@
 //! Every check has a stable code ([`LintCode`],
 //! `QG*`/`PT*`/`CX*`/`PX*`/`AB*`) and
 //! a fixed severity; a [`LintReport`] is clean when no error-severity
-//! diagnostic fired. The optimizer runs the plan pass, and the graph
-//! pass again after `rewrite`, in debug builds only; the executor
-//! re-checks its input plan at the boundary.
+//! diagnostic fired. The optimizer admits a normalized query graph with
+//! the graph pass; the executor checks a plan and its lowering with the
+//! plan and physical passes at its one boundary (`Executor::prepare`),
+//! in every build.
 
 mod diag;
 mod drift;

@@ -1,6 +1,6 @@
 //! The plan verifier reads the plan as lowering, costing and analysis
 //! resolve it: a fixpoint that lowers also verifies and runs at the
-//! executor boundary (which verifies in debug builds), a misread
+//! executor boundary (which verifies in every build), a misread
 //! temporary is blamed where it is read, and an entity id outside the
 //! physical schema is an error every pass returns rather than a panic.
 
